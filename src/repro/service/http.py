@@ -1,20 +1,31 @@
 """Asyncio network front ends: HTTP/NDJSON ingestion and a raw socket path.
 
 Both front ends are pure stdlib (``asyncio`` streams; no third-party HTTP
-framework, so the daemon runs on a bare interpreter) and both deserialize
-newline-delimited JSON records **straight into**
-:class:`~repro.streaming.batch.RecordBatch` columns through
-:meth:`ColumnAccumulator.add_json_object
-<repro.streaming.batch.ColumnAccumulator.add_json_object>` — no per-record
-objects are built on the ingest path.
+framework, so the daemon runs on a bare interpreter) and neither parses a
+record line itself: they hand bytes — ``POST /ingest`` its whole body, the
+raw socket one 64 KiB block at a time — to one
+:class:`~repro.io.jsonl_io.NdjsonDecoder`, which scans each line with the C
+JSON scanner, requires it to be exactly one object, routes it to its tenant
+and appends it through :meth:`ColumnAccumulator.add_trace_row
+<repro.streaming.batch.ColumnAccumulator.add_trace_row>` (one Python call per
+record, the same coercion the CSV and JSONL file readers use).  What comes
+back are :class:`~repro.streaming.batch.RecordBatch` columns ready for the
+queue; the only per-record objects are the ones the scanner makes (the
+line's ``dict`` is dropped once its values are in the columns).  Time spent
+decoding and bytes handed over are counted (``ingest_decode_seconds_total``
+/ ``ingest_bytes_total`` in ``/metrics``).
 
 HTTP endpoints (``Connection: close``; one request per connection):
 
 ``POST /ingest[?tenant=NAME]``
     Body: NDJSON records.  Tenant resolution order: ``tenant`` query
     parameter / ``X-Tenant`` header (whole request), per-record ``"tenant"``
-    key, configured default tenant.  Admission is all-or-nothing: a full
-    ingest queue rejects the entire request with **429** (and
+    key, configured default tenant.  The body is decoded whole before
+    anything is enqueued: one bad line (invalid JSON or UTF-8, not an
+    object, no/empty/unknown tenant, a category that is not a non-empty
+    list, a timestamp that is not a finite number) answers **400** with its
+    1-based line number and enqueues nothing.  Admission is all-or-nothing
+    too: a full ingest queue rejects the entire request with **429** (and
     ``Retry-After``) before any record is enqueued, so a retried request
     never double-ingests a prefix.
 ``POST /checkpoint``
@@ -47,25 +58,34 @@ HTTP endpoints (``Connection: close``; one request per connection):
     Graceful stop (final checkpoint included).
 
 The raw socket path is for trusted high-volume producers: one JSON header
-line (``{"tenant": "name"}``) then NDJSON records.  Backpressure is
-*slow-reader*: while the ingest queue is full the server simply stops
-reading the connection (counted in ``backpressure_waits_total``), so a
-well-behaved producer blocks in ``send`` and no record is ever dropped.  On
-EOF the server flushes the tail batch and replies with one JSON summary
-line ``{"accepted": N}``.
+line (``{"tenant": "name"}``, optionally ``"batch_size": N`` with N >= 1)
+then NDJSON records, all for that tenant (a per-record ``"tenant"`` key is
+ignored here).  A first line that is already a record is taken as data for
+the default tenant.  Backpressure is *slow-reader*: while the ingest queue
+is full the server simply stops reading the connection (counted in
+``backpressure_waits_total``), so a well-behaved producer blocks in ``send``
+and no record is ever dropped.  On EOF the server flushes the tail batch and
+replies with one JSON summary line ``{"accepted": N}``.  A bad header is
+answered ``{"error": ...}``; a bad record line ends the stream with
+``{"error": "line K: ...", "accepted": N}`` (K counts the header line).  In
+both replies ``accepted`` is the number of records *enqueued*: every record
+before the bad line is submitted before the reply is written, nothing after
+it is read.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from repro.engine.shadow import ShadowStateError
 from repro.exceptions import ConfigurationError, StreamError
+from repro.io.jsonl_io import READ_BLOCK_BYTES, NdjsonDecodeError, NdjsonDecoder
 from repro.service.metrics import healthz_document, metrics_document
-from repro.streaming.batch import ColumnAccumulator, RecordBatch
+from repro.streaming.batch import RecordBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.daemon import DetectionService
@@ -74,76 +94,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Poll interval of the socket path while the ingest queue is full.
 BACKPRESSURE_POLL_SECONDS = 0.02
-
-
-class IngestParseError(StreamError):
-    """An NDJSON ingest payload is malformed (maps to HTTP 400)."""
-
-
-def parse_ndjson_batches(
-    payload: bytes,
-    *,
-    batch_size: int,
-    default_tenant: str | None,
-    is_known_tenant: Callable[[str], bool],
-) -> tuple[list[tuple[str, RecordBatch]], int]:
-    """Decode an NDJSON payload into per-tenant columnar batches.
-
-    Returns ``(batches, record_count)`` where ``batches`` preserves each
-    tenant's record order (batches flush in arrival order once they reach
-    ``batch_size``; tails flush in first-seen tenant order).  Raises
-    :class:`IngestParseError` with a 1-based line number on bad input, before
-    anything is admitted to the queue.
-    """
-    accumulators: dict[str, ColumnAccumulator] = {}
-    batches: list[tuple[str, RecordBatch]] = []
-    records = 0
-    for line_number, raw in enumerate(payload.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestParseError(f"line {line_number}: invalid JSON: {exc}") from exc
-        if not isinstance(data, Mapping):
-            raise IngestParseError(
-                f"line {line_number}: expected a JSON object, got "
-                f"{type(data).__name__}"
-            )
-        # "key absent" (or null) falls back to the default tenant; an
-        # explicit empty string is a routing bug on the producer side and is
-        # rejected rather than silently re-routed to the default.
-        if "tenant" in data and data["tenant"] is not None:
-            tenant = str(data["tenant"])
-            if not tenant:
-                raise IngestParseError(
-                    f"line {line_number}: tenant must not be empty (omit the "
-                    f"key to use the default tenant)"
-                )
-        else:
-            tenant = default_tenant
-        if tenant is None:
-            raise IngestParseError(
-                f"line {line_number}: record names no tenant and the service "
-                f"has no default tenant"
-            )
-        if tenant not in accumulators:
-            if not is_known_tenant(tenant):
-                raise IngestParseError(f"line {line_number}: unknown tenant {tenant!r}")
-            accumulators[tenant] = ColumnAccumulator()
-        acc = accumulators[tenant]
-        try:
-            acc.add_json_object(data)
-        except StreamError as exc:
-            raise IngestParseError(f"line {line_number}: {exc}") from exc
-        records += 1
-        if len(acc) >= batch_size:
-            batches.append((tenant, acc.flush()))
-    for tenant, acc in accumulators.items():
-        if len(acc):
-            batches.append((tenant, acc.flush()))
-    return batches, records
+#: The socket's reply to a first line that is neither header nor record.
+_HEADER_EXPECTED = 'first line must be a {"tenant": ...} header'
 
 
 # ----------------------------------------------------------------------
@@ -388,17 +340,20 @@ class HttpFrontend:
     ) -> tuple[int, Any, tuple]:
         service = self.service
         service.counters.inc("ingest_requests_total")
-        default_tenant = self._resolve_tenant(query)
+        decoder = NdjsonDecoder(
+            service.config.ingest_batch_size,
+            default_tenant=self._resolve_tenant(query),
+            is_known_tenant=service.manager.is_known,
+        )
+        started = perf_counter()
         try:
-            batches, records = parse_ndjson_batches(
-                body,
-                batch_size=service.config.ingest_batch_size,
-                default_tenant=default_tenant,
-                is_known_tenant=service.manager.is_known,
-            )
-        except IngestParseError as exc:
+            batches = decoder.feed(body, final=True)
+        except NdjsonDecodeError as exc:
             service.counters.inc("ingest_bad_requests_total")
             raise _HttpError(400, str(exc)) from exc
+        finally:
+            service.counters.inc("ingest_decode_seconds_total", perf_counter() - started)
+            service.counters.inc("ingest_bytes_total", len(body))
         if not service.worker.try_submit(batches):
             service.counters.inc("ingest_rejected_total")
             raise _HttpError(
@@ -406,6 +361,7 @@ class HttpFrontend:
                 f"ingest queue full ({service.worker.capacity} batches); retry",
                 headers=(("Retry-After", "1"),),
             )
+        records = sum(len(batch) for _, batch in batches)
         service.counters.inc("ingest_records_total", records)
         service.counters.inc("ingest_batches_total", len(batches))
         return 202, {"accepted": records, "batches": len(batches)}, ()
@@ -475,98 +431,96 @@ class SocketFrontend:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        service = self.service
-        accepted = 0
         try:
-            header_line = await reader.readline()
-            if not header_line:
-                writer.close()
-                return
-            first_record = None
-            try:
-                header = json.loads(header_line)
-                if not isinstance(header, Mapping):
-                    raise TypeError("header must be a JSON object")
-                if header.get("tenant") is not None:
-                    tenant = str(header["tenant"])
-                    if not tenant:
-                        writer.write(
-                            json.dumps(
-                                {"error": "tenant must not be empty"}
-                            ).encode()
-                            + b"\n"
-                        )
-                        await writer.drain()
-                        writer.close()
-                        return
-                elif "timestamp" in header or "category" in header:
-                    # A producer that skips the header line sends its first
-                    # *data* record here.  Treat it as data under the default
-                    # tenant instead of silently swallowing it.
-                    tenant, first_record, header = None, header, {}
-                else:
-                    tenant = None
-            except (json.JSONDecodeError, TypeError):
-                tenant, header = None, None
-            if header is None or (
-                tenant is None and service.config.default_tenant is None
-            ):
-                writer.write(
-                    json.dumps(
-                        {"error": 'first line must be a {"tenant": ...} header'}
-                    ).encode()
-                    + b"\n"
-                )
+            reply = await self._ingest(reader)
+            if reply is not None:
+                writer.write(json.dumps(reply).encode() + b"\n")
                 await writer.drain()
-                writer.close()
-                return
-            tenant = tenant or service.config.default_tenant
-            if not service.manager.is_known(tenant):
-                writer.write(
-                    json.dumps({"error": f"unknown tenant {tenant!r}"}).encode() + b"\n"
-                )
-                await writer.drain()
-                writer.close()
-                return
-            batch_size = int(header.get("batch_size", service.config.ingest_batch_size))
-            acc = ColumnAccumulator()
-            if first_record is not None:
-                try:
-                    acc.add_json_object(first_record)
-                except StreamError as exc:
-                    writer.write(
-                        json.dumps({"error": str(exc), "accepted": 0}).encode() + b"\n"
-                    )
-                    await writer.drain()
-                    writer.close()
-                    return
-                accepted += 1
-            while True:
-                raw = await reader.readline()
-                if not raw:
-                    break
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    acc.add_json_object(json.loads(line))
-                except (json.JSONDecodeError, StreamError) as exc:
-                    writer.write(
-                        json.dumps({"error": str(exc), "accepted": accepted}).encode()
-                        + b"\n"
-                    )
-                    await writer.drain()
-                    writer.close()
-                    return
-                accepted += 1
-                if len(acc) >= batch_size:
-                    await self._submit_or_wait(tenant, acc.flush())
-            if len(acc):
-                await self._submit_or_wait(tenant, acc.flush())
-            service.counters.inc("socket_records_total", accepted)
-            writer.write(json.dumps({"accepted": accepted}).encode() + b"\n")
-            await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             writer.close()
+
+    def _parse_header(self, header_line: bytes) -> "tuple[str, int, bool]":
+        """``(tenant, batch_size, first line is a record)`` of a connection.
+
+        Raises :class:`~repro.exceptions.StreamError` with the text of the
+        error reply.
+        """
+        config = self.service.config
+        try:
+            header = json.loads(header_line)
+        except ValueError:  # bad JSON, or not UTF-8/16/32 at all
+            header = None
+        if not isinstance(header, Mapping):
+            raise StreamError(_HEADER_EXPECTED)
+        is_record = False
+        tenant = header.get("tenant")
+        if tenant is not None:
+            tenant = str(tenant)
+            if not tenant:
+                raise StreamError("tenant must not be empty")
+        elif "timestamp" in header or "category" in header:
+            # A producer that skips the header line sends its first *data*
+            # record here.  Treat it as data under the default tenant
+            # instead of silently swallowing it.
+            is_record, header = True, {}
+        if tenant is None:
+            tenant = config.default_tenant
+        if not tenant:
+            raise StreamError(_HEADER_EXPECTED)
+        if not self.service.manager.is_known(tenant):
+            raise StreamError(f"unknown tenant {tenant!r}")
+        requested = header.get("batch_size", config.ingest_batch_size)
+        try:
+            batch_size = int(requested)
+        except (TypeError, ValueError):
+            batch_size = 0
+        if batch_size < 1:
+            raise StreamError(f"batch_size must be an integer >= 1, got {requested!r}")
+        return tenant, batch_size, is_record
+
+    async def _ingest(self, reader: asyncio.StreamReader) -> "dict[str, Any] | None":
+        """Serve one connection; returns the reply line's document.
+
+        ``accepted`` counts enqueued records only: when a line is refused,
+        the records that preceded it are submitted before the error reply
+        is returned, and the rest of the stream is not read.
+        """
+        counters = self.service.counters
+        try:
+            header_line = await reader.readline()
+        except ValueError:  # longer than the stream reader's line limit
+            return {"error": _HEADER_EXPECTED}
+        if not header_line:
+            return None
+        try:
+            tenant, batch_size, is_record = self._parse_header(header_line)
+        except StreamError as exc:
+            return {"error": str(exc)}
+        decoder = NdjsonDecoder(
+            batch_size, default_tenant=tenant, first_line=1 if is_record else 2
+        )
+        block = header_line if is_record else await reader.read(READ_BLOCK_BYTES)
+        accepted = 0
+        error = None
+        while True:
+            final = not block
+            started = perf_counter()
+            try:
+                batches = decoder.feed(block, final)
+            except NdjsonDecodeError as exc:
+                error = str(exc)
+                batches = decoder.feed(b"", final=True)
+            counters.inc("ingest_decode_seconds_total", perf_counter() - started)
+            counters.inc("ingest_bytes_total", len(block))
+            for _, batch in batches:
+                await self._submit_or_wait(tenant, batch)
+                accepted += len(batch)
+            if final or error is not None:
+                break
+            block = await reader.read(READ_BLOCK_BYTES)
+        counters.inc("socket_records_total", accepted)
+        if error is not None:
+            return {"error": error, "accepted": accepted}
+        return {"accepted": accepted}

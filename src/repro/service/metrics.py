@@ -3,7 +3,9 @@
 ``GET /metrics`` returns one JSON document assembled here from the moving
 parts of a :class:`~repro.service.daemon.DetectionService`:
 
-* ``service`` — identity, uptime, HTTP-front-end counters;
+* ``service`` — identity, uptime, front-end counters (requests, records,
+  and the NDJSON decoder's share: ``ingest_decode_seconds_total``,
+  ``ingest_bytes_total`` over both the HTTP and the socket edge);
 * ``queue`` — the backpressure picture: depth vs. capacity, high-water
   mark, admitted/rejected batch totals, socket-path read pauses,
   worker errors;
@@ -40,17 +42,17 @@ class Counters:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._values: dict[str, int] = {}
+        self._values: dict[str, float] = {}
 
-    def inc(self, name: str, amount: int = 1) -> None:
+    def inc(self, name: str, amount: float = 1) -> None:
         with self._lock:
             self._values[name] = self._values.get(name, 0) + amount
 
-    def get(self, name: str) -> int:
+    def get(self, name: str) -> float:
         with self._lock:
             return self._values.get(name, 0)
 
-    def snapshot(self) -> dict[str, int]:
+    def snapshot(self) -> dict[str, float]:
         with self._lock:
             return dict(self._values)
 

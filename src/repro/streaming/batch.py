@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from math import isfinite as _isfinite
+from typing import Any
 
 from repro._types import CategoryPath, Timestamp, TimeunitIndex
 from repro.exceptions import StreamError
@@ -461,38 +463,41 @@ class ColumnAccumulator:
     ) -> None:
         """Coerce and append one raw trace row — THE shared ingestion path.
 
-        Every trace reader (CSV cells, decoded JSONL objects, the service
-        ingestion endpoints) funnels through this method so the coercion and
-        validation rules live in exactly one place: the timestamp must parse
-        as a float, the category must be a non-empty sequence of labels.
-        Raises :class:`~repro.exceptions.StreamError` otherwise.
+        Every trace reader (CSV cells, the NDJSON decoder behind the JSONL
+        file readers and the service ingestion endpoints) funnels through
+        this method so the coercion and validation rules live in exactly one
+        place: the timestamp must parse as a *finite* float, the category
+        must be a non-empty sequence of labels — a bare string is not one
+        (``"TV"`` would silently become ``("T", "V")``), nor is a mapping or
+        a set.  Raises :class:`~repro.exceptions.StreamError` otherwise, so a
+        bad row is refused where it is read instead of failing later on the
+        detection thread, where it would take its whole batch with it.
         """
+        if type(labels) is not list and (
+            isinstance(labels, (str, bytes)) or not isinstance(labels, Sequence)
+        ):
+            raise StreamError(
+                f"record category must be a sequence of labels, got "
+                f"{type(labels).__name__}"
+            )
         try:
             category = tuple(labels)
-            timestamp = float(timestamp)
-        except (KeyError, TypeError, ValueError) as exc:
+            if type(timestamp) is not float:
+                timestamp = float(timestamp)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise StreamError(f"malformed record object: {exc!r}") from exc
         if not category:
             raise StreamError("record with an empty category path")
-        self.add(timestamp, category, attributes)
-
-    def add_json_object(self, data: Mapping[str, Any]) -> None:
-        """Append one decoded JSONL record object straight into the columns.
-
-        ``data`` is the parsed form of one trace line —
-        ``{"timestamp": ..., "category": [...], "attributes": {...}}`` — as
-        produced by :func:`repro.io.jsonl_io.write_records_jsonl` and accepted
-        by the service ingestion endpoints.  No
-        :class:`~repro.streaming.record.OperationalRecord` is materialized.
-        Raises :class:`~repro.exceptions.StreamError` on a missing/empty
-        category or a non-numeric timestamp.
-        """
-        try:
-            labels = data["category"]
-            timestamp = data["timestamp"]
-        except (KeyError, TypeError) as exc:
-            raise StreamError(f"malformed record object: {exc!r}") from exc
-        self.add_trace_row(timestamp, labels, data.get("attributes"))
+        if not _isfinite(timestamp):
+            raise StreamError(f"record timestamp {timestamp!r} is not finite")
+        # ``add`` inlined: this runs once per ingested record.
+        self.timestamps.append(timestamp)
+        self.categories.append(category)
+        if attributes:
+            self.attributes.append(attributes)
+            self._any_attrs = True
+        else:
+            self.attributes.append({})
 
     def flush(self) -> RecordBatch:
         """The accumulated rows as a batch; the accumulator resets to empty."""

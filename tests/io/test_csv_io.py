@@ -92,3 +92,10 @@ class TestBatchLoader:
         write_records_csv(sample_records(), path)
         with pytest.raises(StreamError):
             list(read_batches_csv(path, batch_size=0))
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-Infinity", "soon", ""])
+    def test_non_finite_timestamp_rejected_with_row_number(self, tmp_path, stamp):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"timestamp,level1\n5.0,a\n{stamp},a\n")
+        with pytest.raises(StreamError, match=f"{path}:3: "):
+            list(read_batches_csv(path))

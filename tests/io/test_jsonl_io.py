@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import StreamError
 from repro.io.jsonl_io import (
+    READ_BLOCK_BYTES,
     read_batches_jsonl,
     read_records_jsonl,
     write_records_jsonl,
@@ -16,6 +17,11 @@ def sample_records():
         OperationalRecord.create(1.5, ("a", "a1"), injected=True, label="x"),
         OperationalRecord.create(2.5, ("b",), customer="c42"),
     ]
+
+
+def rows(records):
+    """Full row tuples (record equality alone compares only timestamps)."""
+    return [(r.timestamp, r.category, dict(r.attributes)) for r in records]
 
 
 class TestRoundTrip:
@@ -81,6 +87,38 @@ class TestBatchLoader:
         write_records_jsonl(sample_records(), path)
         with pytest.raises(StreamError):
             list(read_batches_jsonl(path, batch_size=0))
+
+    def test_a_file_of_many_blocks_reads_like_one(self, tmp_path):
+        """The reader hands the decoder 64 KiB at a time; lines that straddle
+        a block edge (CRLF ones too) come out whole and in order."""
+        records = [
+            OperationalRecord.create(float(i), ("a", f"leaf-{i % 7}"), n=i)
+            for i in range(4000)
+        ]
+        path = tmp_path / "trace.jsonl"
+        write_records_jsonl(records, path)
+        assert path.stat().st_size > 3 * READ_BLOCK_BYTES
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        batches = list(read_batches_jsonl(path, batch_size=1500))
+        assert [len(b) for b in batches] == [1500, 1500, 1000]
+        assert rows(r for b in batches for r in b) == rows(records)
+        assert rows(read_records_jsonl(path)) == rows(records)
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            '{"timestamp": NaN, "category": ["a"]}',
+            '{"timestamp": "inf", "category": ["a"]}',
+            '{"timestamp": 1, "category": "TV"}',
+            '{"timestamp": 1}',
+        ],
+    )
+    def test_bad_values_name_the_file_and_line(self, tmp_path, bad_row):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"timestamp": 1, "category": ["a"]}\n\n' + bad_row + "\n")
+        for reader in (read_batches_jsonl, read_records_jsonl):
+            with pytest.raises(StreamError, match=f"{path}:3: "):
+                list(reader(path))
 
 
 class TestErrors:

@@ -3,6 +3,7 @@ worker stop races.  Every test here failed before the corresponding fix."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import threading
@@ -11,7 +12,7 @@ import time
 import pytest
 
 from repro.service import DetectionService
-from repro.service.http import IngestParseError, parse_ndjson_batches
+from repro.io.jsonl_io import NdjsonDecodeError, NdjsonDecoder
 from repro.service.worker import IngestWorker
 
 from tests.service.conftest import http_call, ndjson_payload, wait_until
@@ -40,6 +41,27 @@ def raw_http(port: int, request: bytes) -> tuple[int, dict]:
     head, _, body = reply.partition(b"\r\n\r\n")
     status = int(head.split(b" ", 2)[1])
     return status, json.loads(body)
+
+
+def record_lines(dataset, count):
+    return [
+        (json.dumps(r.to_dict(), sort_keys=True) + "\n").encode()
+        for r in list(dataset.records())[:count]
+    ]
+
+
+def socket_exchange(port, lines):
+    """Send ``lines``, half-close, return the reply line (b"" if none)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(b"".join(lines))
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while not reply.endswith(b"\n"):
+            data = sock.recv(65536)
+            if not data:
+                break
+            reply += data
+    return reply
 
 
 # ----------------------------------------------------------------------
@@ -119,69 +141,42 @@ class TestEmptyTenant:
 
     def test_parse_distinguishes_absent_from_empty(self):
         record = {"timestamp": 0.5, "category": ["a"]}
-        batches, count = parse_ndjson_batches(
-            ndjson_payload([record]),
-            batch_size=10,
-            default_tenant="dflt",
-            is_known_tenant=lambda name: True,
-        )
-        assert count == 1 and batches[0][0] == "dflt"
-        with pytest.raises(IngestParseError, match="must not be empty"):
-            parse_ndjson_batches(
-                ndjson_payload([dict(record, tenant="")]),
-                batch_size=10,
-                default_tenant="dflt",
-                is_known_tenant=lambda name: True,
+
+        def decode(payload):
+            decoder = NdjsonDecoder(
+                10, default_tenant="dflt", is_known_tenant=lambda name: True
             )
+            return decoder.feed(payload, final=True)
+
+        [(tenant, batch)] = decode(ndjson_payload([record]))
+        assert tenant == "dflt" and len(batch) == 1
+        with pytest.raises(NdjsonDecodeError, match="must not be empty"):
+            decode(ndjson_payload([dict(record, tenant="")]))
 
 
 # ----------------------------------------------------------------------
 # Bugfix 3: the socket path must not swallow a header-less first record
 # ----------------------------------------------------------------------
 class TestSocketFirstLine:
-    def socket_send(self, port, lines):
-        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-            for line in lines:
-                sock.sendall(line)
-            sock.shutdown(socket.SHUT_WR)
-            reply = b""
-            while not reply.endswith(b"\n"):
-                data = sock.recv(65536)
-                if not data:
-                    break
-                reply += data
-        return json.loads(reply)
-
     def test_headerless_first_record_is_counted(self, daemon):
         dataset, service = daemon
-        records = list(dataset.records())[:10]
-        lines = [
-            (json.dumps(r.to_dict(), sort_keys=True) + "\n").encode()
-            for r in records
-        ]
         # No header line at all: the first line is already a data record.
-        reply = self.socket_send(service.socket_port, lines)
-        assert reply == {"accepted": len(records)}
+        reply = socket_exchange(service.socket_port, record_lines(dataset, 10))
+        assert json.loads(reply) == {"accepted": 10}
         wait_until(service.worker.drained)
         snapshot = service.manager.tenant_snapshot()["tiny"]
-        assert snapshot["records_ingested"] == len(records)
+        assert snapshot["records_ingested"] == 10
 
     def test_empty_header_tenant_is_an_error(self, daemon):
         _, service = daemon
-        reply = self.socket_send(
-            service.socket_port, [b'{"tenant": ""}\n']
-        )
-        assert "tenant must not be empty" in reply["error"]
+        reply = socket_exchange(service.socket_port, [b'{"tenant": ""}\n'])
+        assert "tenant must not be empty" in json.loads(reply)["error"]
 
     def test_explicit_header_still_works(self, daemon):
         dataset, service = daemon
-        records = list(dataset.records())[:6]
-        lines = [b'{"tenant": "tiny"}\n'] + [
-            (json.dumps(r.to_dict(), sort_keys=True) + "\n").encode()
-            for r in records
-        ]
-        reply = self.socket_send(service.socket_port, lines)
-        assert reply == {"accepted": len(records)}
+        lines = [b'{"tenant": "tiny"}\n', *record_lines(dataset, 6)]
+        reply = socket_exchange(service.socket_port, lines)
+        assert json.loads(reply) == {"accepted": 6}
 
 
 # ----------------------------------------------------------------------
@@ -256,3 +251,190 @@ class TestWorkerStopRace:
         assert worker.try_submit([("t", _FakeBatch([2]))])
         wait_until(lambda: manager.processed == 2)
         worker.stop(timeout=30.0)
+
+
+# ----------------------------------------------------------------------
+# Ingest fast lane (one NdjsonDecoder behind both edges): three bugfixes.
+# Every test in the three classes below failed before the decoder landed.
+# ----------------------------------------------------------------------
+INVALID_UTF8 = b'{"category": ["\xff"], "timestamp": 1}\n'
+
+
+class TestInvalidUtf8:
+    """Bugfix: bytes that are not UTF-8 were a 500 / a silent hang-up."""
+
+    def test_http_answers_400_with_the_line_number(self, daemon):
+        dataset, service = daemon
+        good = record_lines(dataset, 2)
+        result = http_call(
+            service.http_port, "/ingest", "POST", b"".join(good) + INVALID_UTF8
+        )
+        assert result.status == 400
+        assert result.body["error"].startswith("line 3: invalid JSON: ")
+        assert "utf-8" in result.body["error"]
+        assert service.worker.submitted_batches_total == 0
+
+    def test_socket_replies_with_an_error_line(self, daemon):
+        dataset, service = daemon
+        good = record_lines(dataset, 2)
+        reply = socket_exchange(
+            service.socket_port, [b'{"tenant": "tiny"}\n', *good, INVALID_UTF8]
+        )
+        document = json.loads(reply)  # the parent closed without a reply
+        assert document["error"].startswith("line 4: invalid JSON: ")
+        assert document["accepted"] == 2
+
+    def test_socket_header_that_is_not_utf8(self, daemon):
+        _, service = daemon
+        reply = socket_exchange(service.socket_port, [b'{"tenant": "\xff"}\n'])
+        assert "first line must be" in json.loads(reply)["error"]
+
+
+class TestBadValuesAreRefusedAtTheEdge:
+    """Bugfix: NaN/Infinity timestamps and string categories were answered
+    202 and then failed on the detection thread — taking every good record
+    of their batch with them — or were silently mis-split."""
+
+    @pytest.mark.parametrize(
+        "bad, complaint",
+        [
+            (b'{"category": ["a"], "timestamp": NaN}', "not finite"),
+            (b'{"category": ["a"], "timestamp": Infinity}', "not finite"),
+            (b'{"category": ["a"], "timestamp": -Infinity}', "not finite"),
+            (b'{"category": ["a"], "timestamp": "nan"}', "not finite"),
+            (b'{"category": ["a"], "timestamp": 1e999}', "not finite"),
+            (b'{"category": "TV", "timestamp": 1}', "sequence of labels"),
+            (b'{"category": {"TV": 1}, "timestamp": 1}', "sequence of labels"),
+        ],
+    )
+    def test_http_400_and_nothing_is_enqueued(self, daemon, bad, complaint):
+        dataset, service = daemon
+        good = record_lines(dataset, 20)
+        payload = b"".join(good[:10]) + bad + b"\n" + b"".join(good[10:])
+        result = http_call(service.http_port, "/ingest", "POST", payload)
+        assert result.status == 400
+        assert result.body["error"].startswith("line 11: ")
+        assert complaint in result.body["error"]
+        assert service.worker.submitted_batches_total == 0
+        # The good records are still welcome, and none was lost to the bad one.
+        assert (
+            http_call(service.http_port, "/ingest", "POST", b"".join(good)).status
+            == 202
+        )
+        wait_until(service.worker.drained)
+        assert service.worker.errors_total == 0
+        assert service.worker.processed_records_total == 20
+
+
+class TestSocketReplyIsTruthful:
+    """Bugfix: ``accepted`` counted records the error path then dropped, and
+    the header's ``batch_size`` went unchecked."""
+
+    def test_accepted_records_before_a_bad_line_are_enqueued(self, daemon):
+        dataset, service = daemon
+        good = record_lines(dataset, 5)
+        reply = json.loads(
+            socket_exchange(
+                service.socket_port,
+                [b'{"tenant": "tiny"}\n', *good[:3], b"not json\n", *good[3:]],
+            )
+        )
+        assert reply["accepted"] == 3
+        assert reply["error"].startswith("line 5: invalid JSON: ")
+        wait_until(service.worker.drained)
+        assert service.worker.submitted_batches_total == 1
+        assert service.worker.processed_records_total == 3
+        assert service.counters.get("socket_records_total") == 3
+
+    @pytest.mark.parametrize("batch_size", ["x", 0, -3, None, [2]])
+    def test_bad_batch_size_is_a_typed_error_line(self, daemon, batch_size):
+        dataset, service = daemon
+        header = json.dumps({"tenant": "tiny", "batch_size": batch_size}).encode()
+        reply = socket_exchange(
+            service.socket_port, [header + b"\n", *record_lines(dataset, 2)]
+        )
+        assert "batch_size must be an integer >= 1" in json.loads(reply)["error"]
+        assert service.worker.submitted_batches_total == 0
+
+    def test_header_batch_size_sets_the_flush_points(self, daemon):
+        dataset, service = daemon
+        reply = socket_exchange(
+            service.socket_port,
+            [b'{"tenant": "tiny", "batch_size": 2}\n', *record_lines(dataset, 5)],
+        )
+        assert json.loads(reply) == {"accepted": 5}
+        assert service.worker.submitted_batches_total == 3
+
+
+# ----------------------------------------------------------------------
+# The socket edge reads blocks, not lines: where a block ends must not show
+# ----------------------------------------------------------------------
+class _ScriptedReader:
+    """Stands in for the connection's StreamReader: the front end sees
+    exactly these reads, so block boundaries fall where the test puts them
+    (two ``sendall`` calls may reach a real socket as one segment)."""
+
+    def __init__(self, header: bytes, blocks):
+        self.header, self.blocks = header, list(blocks)
+
+    async def readline(self) -> bytes:
+        return self.header
+
+    async def read(self, _limit: int) -> bytes:
+        return self.blocks.pop(0) if self.blocks else b""
+
+
+class _RecordingWorker:
+    def __init__(self):
+        self.rows = []
+
+    def try_submit(self, items) -> bool:
+        for tenant, batch in items:
+            self.rows += [(tenant, r.timestamp, r.category, r.attributes) for r in batch]
+        return True
+
+
+class TestSocketBlockBoundaries:
+    RECORDS = [
+        {"timestamp": 1.0, "category": ["a"], "attributes": {}},
+        {"timestamp": 2.5, "category": ["café", "€\U0001f600"], "attributes": {"k": "ü"}},
+        {"timestamp": 3.0, "category": ["b", "c"], "attributes": {}},
+    ]
+
+    def serve(self, config, header, blocks):
+        service = DetectionService(config)
+        service.worker = _RecordingWorker()
+        reader = _ScriptedReader(header, blocks)
+        reply = asyncio.run(service.socket._ingest(reader))
+        return reply, service.worker.rows
+
+    def test_a_cut_at_any_byte_is_invisible(self, tiny_tenant):
+        """Every offset of the stream, so every offset of the middle line —
+        including the ones inside its 2-, 3- and 4-byte characters — and the
+        ones between ``\\r`` and ``\\n``."""
+        _, config = tiny_tenant
+        stream = "\r\n".join(
+            json.dumps(r, ensure_ascii=False) for r in self.RECORDS
+        ).encode()
+        expected = [
+            ("tiny", r["timestamp"], tuple(r["category"]), r["attributes"])
+            for r in self.RECORDS
+        ]
+        for cut in range(1, len(stream)):  # an empty read is EOF
+            reply, rows = self.serve(
+                config, b'{"tenant": "tiny"}\n', [stream[:cut], stream[cut:]]
+            )
+            assert reply == {"accepted": 3}, cut
+            assert rows == expected, cut
+
+    def test_headerless_first_record_then_blocks(self, tiny_tenant):
+        _, config = tiny_tenant
+        lines = [json.dumps(r).encode() + b"\n" for r in self.RECORDS]
+        reply, rows = self.serve(
+            config, lines[0], [lines[1][:9], lines[1][9:] + lines[2]]
+        )
+        assert reply == {"accepted": 3}
+        assert [row[1] for row in rows] == [1.0, 2.5, 3.0]
+        # ... and its line number is 1, there being no header line.
+        reply, _ = self.serve(config, b'{"timestamp": NaN, "category": ["a"]}\n', [])
+        assert reply["accepted"] == 0 and reply["error"].startswith("line 1: ")

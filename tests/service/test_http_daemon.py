@@ -67,7 +67,11 @@ class TestEndpoints:
         assert tenant["records_ingested"] == len(records)
         assert tenant["units_processed"] > 0
         assert tenant["adaptation_stats"]["mode"] in ("delta", "legacy")
-        assert metrics["service"]["http"]["ingest_records_total"] == len(records)
+        counters = metrics["service"]["http"]
+        assert counters["ingest_records_total"] == len(records)
+        # Front-end decode is accounted for: every body byte, some time.
+        assert counters["ingest_bytes_total"] == len(ndjson_payload(records))
+        assert 0.0 < counters["ingest_decode_seconds_total"] < 5.0
 
         # The daemon's detections equal an in-process serial run.
         serial = service.config.tenants[0].build_session()
@@ -201,6 +205,8 @@ class TestRawSocket:
         ]
         reply = self.socket_send(service.socket_port, {"tenant": "tiny"}, lines)
         assert reply == {"accepted": len(records)}
+        assert service.counters.get("ingest_bytes_total") == sum(map(len, lines))
+        assert service.counters.get("ingest_decode_seconds_total") > 0.0
         wait_until(service.worker.drained)
         service.worker.submit_call(lambda: service.manager.flush(None))
         serial = service.config.tenants[0].build_session()
@@ -213,7 +219,8 @@ class TestRawSocket:
         reply = self.socket_send(service.socket_port, {"tenant": "ghost"}, [])
         assert "unknown tenant" in reply["error"]
 
-    def test_socket_backpressure_pauses_without_dropping(self, tmp_path):
+    @pytest.mark.parametrize("queue_slots", [2, 1])
+    def test_socket_backpressure_pauses_without_dropping(self, tmp_path, queue_slots):
         dataset = tiny_dataset()
         config = ServiceConfig(
             tenants=(tenant_spec_for("tiny", dataset),),
@@ -221,7 +228,7 @@ class TestRawSocket:
             port=0,
             socket_port=0,
             checkpoint_interval=0.0,
-            queue_max_batches=2,
+            queue_max_batches=queue_slots,
             ingest_batch_size=1,
         )
         service = DetectionService(config)
@@ -253,7 +260,7 @@ class TestRawSocket:
                 daemon=True,
             )
             sender.start()
-            # With a blocked worker and a 2-slot queue the server must pause
+            # With a blocked worker and a 1- or 2-slot queue the server must pause
             # reading (slow-reader backpressure), not drop or error.
             wait_until(lambda: service.worker.backpressure_waits_total > 0)
             assert not result  # the sender is still being held back

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import StreamError
-from repro.streaming.batch import RecordBatch, iter_record_batches
+from repro.streaming.batch import ColumnAccumulator, RecordBatch, iter_record_batches
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 
@@ -196,3 +196,52 @@ class TestIterRecordBatches:
 
     def test_empty_iterable(self):
         assert list(iter_record_batches([], 4)) == []
+
+
+class TestTraceRowCoercion:
+    """``add_trace_row`` is where every reader's rows are vetted."""
+
+    def test_accepted_rows_are_coerced(self):
+        acc = ColumnAccumulator()
+        acc.add_trace_row(1, ["a", "b"])
+        acc.add_trace_row("2.5", ("c",), {"k": 1})
+        acc.add_trace_row(True, ["d"], {})
+        batch = acc.flush()
+        assert batch.timestamps.tolist() == [1.0, 2.5, 1.0]
+        assert batch.categories == [("a", "b"), ("c",), ("d",)]
+        assert batch.attributes == [{}, {"k": 1}, {}]
+        assert len(acc) == 0
+
+    def test_all_empty_attributes_drop_the_column(self):
+        acc = ColumnAccumulator()
+        acc.add_trace_row(1.0, ["a"], {})
+        acc.add_trace_row(2.0, ["a"], None)
+        assert acc.flush().attributes is None
+
+    @pytest.mark.parametrize(
+        "timestamp, labels",
+        [
+            (float("nan"), ["a"]),
+            (float("inf"), ["a"]),
+            ("-inf", ["a"]),
+            ("NaN", ["a"]),
+            (10**400, ["a"]),
+            ("later", ["a"]),
+            (None, ["a"]),
+            (1.0, []),
+            (1.0, ()),
+            (1.0, "TV"),
+            (1.0, b"TV"),
+            (1.0, {"TV": 1}),
+            (1.0, {"TV"}),
+            (1.0, 7),
+            (1.0, None),
+            (1.0, (label for label in "ab")),
+        ],
+    )
+    def test_rejected_rows_leave_the_columns_untouched(self, timestamp, labels):
+        acc = ColumnAccumulator()
+        acc.add_trace_row(0.5, ["ok"])
+        with pytest.raises(StreamError):
+            acc.add_trace_row(timestamp, labels)
+        assert len(acc) == 1 and acc.flush().categories == [("ok",)]
