@@ -44,8 +44,6 @@ def test_scd_runtime_memory_and_accuracy(benchmark, scd_compact_dataset, scd_com
     lines = [
         f"SCD results (§VII-A) - {len(units)} timeunits, {dataset.tree.num_nodes} tree nodes",
         "",
-        f"STA / ADA algorithmic-time ratio: "
-        f"{sta_summary.total_seconds / max(ada_summary.total_seconds, 1e-9):.1f}x",
         f"ADA / STA memory ratio (h=1): {ada_memory.ratio_to(sta_memory):.2f} "
         "(paper: 0.46)",
         f"mean relative time-series error: {report.series_errors.overall_mean():.2%} "

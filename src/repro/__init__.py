@@ -106,7 +106,7 @@ from repro.streaming import (
     iter_record_batches,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "__version__",

@@ -1,7 +1,7 @@
 """Shared backend loading for the vectorized and compiled kernels.
 
-The backend stack has three tiers, each a bit-identical implementation of
-the same arithmetic:
+Three backend tiers, each a bit-identical implementation of the same
+arithmetic; the tier alone selects the execution path (ADA: vector close on 1-2):
 
 1. **compiled** — the optional C extension (``repro._ckernels``), built on
    demand with ``python -m repro._ckernels build``;
@@ -15,10 +15,10 @@ probe :func:`load_kernels` for the compiled tier, so that
 
 * minimal installs without NumPy transparently fall back to the pure-Python
   implementations,
-* the ``REPRO_DISABLE_NUMPY`` environment variable can force the fallback
-  paths in a normal environment — the perf harness uses it to measure the
-  scalar baseline, and the CI golden-trace job uses it to prove detections
-  are identical with and without the vector backend — and
+* the ``REPRO_DISABLE_NUMPY`` environment variable, set at process start
+  (the handles bind at import), can force the fallback paths in a normal
+  environment — the CI golden-trace job uses it to prove detections are
+  identical with and without the vector backend — and
 * ``REPRO_DISABLE_COMPILED`` pins a build with the extension present to the
   NumPy tier (the equivalence suites compare the two in one process).
 """
@@ -94,7 +94,7 @@ class pinned_kernels:
 def backend_tier() -> str:
     """The active backend tier name: ``compiled``, ``numpy`` or ``python``.
 
-    Recorded by the perf harness so throughput trajectories state which
+    Recorded by the perf ledger so throughput trajectories state which
     stack produced them.
     """
     if load_numpy() is None:

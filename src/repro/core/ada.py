@@ -32,21 +32,28 @@ formulations visit the same nodes; ours avoids the corner-case ambiguities of
 the in-place weight mutations while preserving the split-rule approximation
 behaviour the paper evaluates.
 
-Vectorized close path: with NumPy present the per-timeunit work runs
-columnar end to end — the weight passes through a
-:class:`~repro.hierarchy.index.HierarchyIndex` (integer arithmetic, so
-bit-identical to the scalar :mod:`repro.core.hhh` functions), one
-:meth:`~repro.forecasting.bank.ForecasterBank.observe_rows` call updates
-every tracked forecaster, split-rule statistics update as dense per-node
-arrays, and the dual-threshold check evaluates as one batch comparison
-(:meth:`~repro.core.detector.ThresholdDetector.check_many`).  Without NumPy
-every stage falls back to the scalar implementations with identical
-detections.
+One close path per backend tier, selected by the tier and nothing else.  On
+the vector tiers (NumPy, compiled) every close runs columnar: the weights
+pass through a :class:`~repro.hierarchy.index.HierarchyIndex` (integer
+arithmetic, so bit-identical to the scalar :mod:`repro.core.hhh`
+functions), the id-based planner (:mod:`repro.core.adapt`) adapts on the
+heavy-set delta only, one
+:meth:`~repro.forecasting.bank.ForecasterBank.observe_rows_arrays` call
+updates every tracked forecaster, one ring append
+(:func:`repro.core.fused.record_fused`, a per-series loop when no compiled
+kernel is loaded) records the window, split-rule statistics update as dense
+per-node arrays, and the dual-threshold check evaluates as one batch
+comparison (:meth:`~repro.core.detector.ThresholdDetector.check_many`).  On
+the python tier (no NumPy) the scalar walk below (``_adapt`` /
+``_split_cascade`` / ``_append_weights``) runs instead — the only path on a
+minimal install, and the reference the vector tiers are tested against:
+detections and counters are identical, checkpoints identical up to the row
+order of ``stats`` / ``stats_last_unit`` (dict insertion order vs node-id
+order).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from typing import Deque, Mapping
@@ -68,7 +75,7 @@ from repro.core.hhh import accumulate_raw_weights, compute_shhh
 from repro.core.results import TimeunitResult
 from repro.core.split_rules import NodeUsageStats, make_split_rule
 from repro.core.timeseries import NodeTimeSeries
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank
 from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.node import HierarchyNode
@@ -76,24 +83,20 @@ from repro.hierarchy.tree import HierarchyTree
 
 _np = load_numpy()
 
-#: Environment variable forcing the historical scalar adaptation walk even
-#: when the vector backend is available — the deployment-level escape hatch
-#: (in-repo code such as the perf harness prefers the explicit
-#: ``ADAAlgorithm(adaptation="legacy")`` constructor argument).  Resolved
-#: once at construction; toggling it mid-run does not switch live instances.
-DISABLE_DELTA_ENV = "REPRO_DISABLE_DELTA"
-
 
 class _SplitStatsStore:
     """Split-rule statistics for every node seen so far (§V-B4 bookkeeping).
 
-    With NumPy the statistics live in dense per-node arrays updated by one
-    vectorized kernel per timeunit; otherwise a per-path dict of
-    :class:`NodeUsageStats` is maintained with the historical scalar loop.
-    Values are bit-identical between the two (the EWMA decay powers are
-    precomputed with Python's ``**``, the same operator the scalar path
-    uses).  Checkpoint emission keeps the canonical ``[[path, stats], ...]``
-    rows either way.
+    On a vector tier (``index`` given) the statistics live in dense per-node
+    arrays updated by one vectorized kernel per timeunit
+    (:meth:`update_dense`, read by :meth:`view_id`); on the python tier a
+    per-path dict of :class:`NodeUsageStats` is maintained with the scalar
+    loop (:meth:`update_dict`, read by :meth:`view`).  Values are
+    bit-identical between the two (the EWMA decay powers are precomputed
+    with Python's ``**``, the same operator the scalar path uses).
+    Checkpoint emission keeps the canonical ``[[path, stats], ...]`` rows
+    either way — in node-id order from the arrays, insertion order from the
+    dict.
     """
 
     def __init__(self, config: TiresiasConfig, index: "HierarchyIndex | None"):
@@ -117,7 +120,8 @@ class _SplitStatsStore:
         #: Array mirror of ``_decay`` for the compiled kernel (rebuilt when
         #: the list grows; the length check keeps it in sync).
         self._decay_arr = None
-        #: Rows restored from a foreign state whose paths are not in the tree.
+        #: Rows restored from a foreign state whose paths are not in the
+        #: tree: carried through save/restore, never read or updated.
         self._extra_stats: dict[CategoryPath, NodeUsageStats] = {}
         self._extra_last: dict[CategoryPath, int] = {}
 
@@ -195,88 +199,37 @@ class _SplitStatsStore:
         self.has_last[ids] = True
         self.last_unit_arr[ids] = timeunit
 
-    def _scalar_update(
-        self, stats: NodeUsageStats, last: "int | None", weight, timeunit: int
-    ) -> None:
-        """The historical per-path update, shared by every scalar store path.
+    def update_dict(self, timeunit: int, raw: Mapping[CategoryPath, Weight]) -> None:
+        """Python-tier statistics update from a raw-weight mapping.
 
         ``update_dense`` is its vectorized twin — any change here must be
-        mirrored there (and is guarded by the dense-vs-dict parity tests).
+        mirrored there (and is guarded by the dense-vs-dict parity test).
         """
-        if last is not None and timeunit - last > 1:
-            # Account the silent (zero-weight) timeunits in the EWMA.
-            gap = timeunit - last - 1
-            stats.ewma_weight *= (1 - self.alpha) ** gap
-            stats.last_weight = 0.0
-        stats.update(weight, self.alpha)
-
-    def update_dict(self, timeunit: int, raw: Mapping[CategoryPath, Weight]) -> None:
-        """Per-path statistics update from a raw-weight mapping.
-
-        The historical scalar loop; in dense mode the same arithmetic runs
-        through a per-path read / scalar-update / write-back on the arrays
-        (identical values, any store mode).
-        """
-        if self.index is not None:
-            lookup = self.index.path_to_id.get
-            for path, weight in raw.items():
-                path = tuple(path)
-                node_id = lookup(path)
-                if node_id is None:
-                    stats = self._extra_stats.get(path)
-                    if stats is None:
-                        stats = NodeUsageStats()
-                        self._extra_stats[path] = stats
-                    self._scalar_update(
-                        stats, self._extra_last.get(path), weight, timeunit
-                    )
-                    self._extra_last[path] = timeunit
-                    continue
-                stats = NodeUsageStats(
-                    last_weight=float(self.last_weight[node_id]),
-                    cumulative_weight=float(self.cumulative[node_id]),
-                    ewma_weight=float(self.ewma[node_id]),
-                    observations=int(self.observations[node_id]),
-                )
-                last = (
-                    int(self.last_unit_arr[node_id])
-                    if self.has_last[node_id]
-                    else None
-                )
-                self._scalar_update(stats, last, weight, timeunit)
-                self.last_weight[node_id] = stats.last_weight
-                self.cumulative[node_id] = stats.cumulative_weight
-                self.ewma[node_id] = stats.ewma_weight
-                self.observations[node_id] = stats.observations
-                self.seen[node_id] = True
-                self.has_last[node_id] = True
-                self.last_unit_arr[node_id] = timeunit
-            return
+        alpha = self.alpha
         for path, weight in raw.items():
             stats = self.stats.get(path)
             if stats is None:
                 stats = NodeUsageStats()
                 self.stats[path] = stats
-            self._scalar_update(stats, self.last_unit.get(path), weight, timeunit)
+            last = self.last_unit.get(path)
+            if last is not None and timeunit - last > 1:
+                # Account the silent (zero-weight) timeunits in the EWMA.
+                gap = timeunit - last - 1
+                stats.ewma_weight *= (1 - alpha) ** gap
+                stats.last_weight = 0.0
+            stats.update(weight, alpha)
             self.last_unit[path] = timeunit
 
     # ------------------------------------------------------------------
     # Split-rule reads
     # ------------------------------------------------------------------
     def view(self, path: CategoryPath, timeunit: int) -> NodeUsageStats:
-        """Statistics for ``path`` adjusted for timeunits it was silent in."""
-        if self.index is None:
-            stats = self.stats.get(path)
-            last = self.last_unit.get(path, -1)
-        else:
-            node_id = self.index.path_to_id.get(path)
-            if node_id is not None:
-                return self.view_id(node_id, timeunit)
-            stats = self._extra_stats.get(path)
-            last = self._extra_last.get(path, -1)
+        """Python-tier read: ``path``'s statistics adjusted for the timeunits
+        it was silent in."""
+        stats = self.stats.get(path)
         if stats is None:
             return NodeUsageStats()
-        return self._silence_adjusted(stats, last, timeunit)
+        return self._silence_adjusted(stats, self.last_unit.get(path, -1), timeunit)
 
     def _silence_adjusted(
         self, stats: NodeUsageStats, last: int, timeunit: int
@@ -300,7 +253,7 @@ class _SplitStatsStore:
         )
 
     def view_id(self, node_id: int, timeunit: int) -> NodeUsageStats:
-        """Dense-store :meth:`view` for an in-tree node id (no path lookup).
+        """Vector-tier :meth:`view`, keyed by node id.
 
         Same arithmetic, same Python ``**`` decay, so views are bit-identical
         to the path-keyed read.
@@ -622,13 +575,7 @@ class ADAAlgorithm:
 
     name = "ADA"
 
-    def __init__(
-        self, tree: HierarchyTree, config: TiresiasConfig, adaptation: str = "auto"
-    ):
-        if adaptation not in ("auto", "delta", "legacy"):
-            raise ConfigurationError(
-                f"adaptation must be 'auto', 'delta' or 'legacy', got {adaptation!r}"
-            )
+    def __init__(self, tree: HierarchyTree, config: TiresiasConfig):
         self.tree = tree
         self.config = config
         self.detector = ThresholdDetector(config)
@@ -643,15 +590,12 @@ class ADAAlgorithm:
         self._series_buckets: dict[str, dict[CategoryPath, NodeTimeSeries]] = {}
         #: Reference (unmodified weight) series for nodes in the top h levels.
         self._ref = _RefStore(config.window_units)
-        #: Dense hierarchy view driving the vectorized weight kernels.
+        #: Dense hierarchy view driving the vectorized weight kernels; its
+        #: presence *is* the tier switch — not None selects the vector close,
+        #: None (no NumPy) the scalar walk.
         self._index: HierarchyIndex | None = (
             HierarchyIndex(tree) if _np is not None else None
         )
-        if adaptation == "delta" and self._index is None:
-            raise ConfigurationError(
-                "adaptation='delta' requires the vector backend (NumPy); "
-                "use 'auto' to fall back to the scalar walk transparently"
-            )
         #: Split-rule statistics for every node seen so far.
         self._stats = _SplitStatsStore(config, self._index)
         self._timeunit: TimeunitIndex = -1
@@ -664,11 +608,12 @@ class ADAAlgorithm:
         self.merge_operations = 0
         self._view_cache: dict[CategoryPath, NodeUsageStats] = {}
         self.last_result: TimeunitResult | None = None
-        #: Id-indexed series registry: one slot per node id, an occupancy
-        #: mask (== the previous timeunit's heavy mask between closes) and a
-        #: dense forecaster row-handle table.  The tuple-keyed ``series`` /
-        #: ``_series_buckets`` dicts above are kept in lockstep as thin
-        #: compat views — mutated only on churn, never on stable timeunits.
+        #: Vector-tier id-indexed series registry: one slot per node id, an
+        #: occupancy mask (== the previous timeunit's heavy mask between
+        #: closes) and a dense forecaster row-handle table.  The tuple-keyed
+        #: ``series`` / ``_series_buckets`` dicts above are kept in lockstep
+        #: as thin compat views — mutated only on churn, never on stable
+        #: timeunits.  The python tier keeps the dicts alone.
         if self._index is not None:
             n = self._index.num_nodes
             self._series_by_id: list[NodeTimeSeries | None] = [None] * n
@@ -678,31 +623,23 @@ class ADAAlgorithm:
             self._series_by_id = []
             self._series_mask = None
             self._series_rows = None
-        self._adaptation = adaptation
-        #: Resolved once at construction so an instance never switches mode
-        #: mid-run (mixed-mode switching would leave the id tables stale).
-        self._env_disable_delta = bool(os.environ.get(DISABLE_DELTA_ENV))
-        #: Cleared when state that the id planner cannot represent appears
-        #: (e.g. a restored series path outside this tree).
-        self._delta_ok = True
         #: Per-timeunit id-keyed split-statistics view memo (churn path).
         self._id_view_cache: dict[int, NodeUsageStats] = {}
         #: Cached heavy-order structures reused verbatim while the heavy set
         #: is unchanged: (mask, ids array, paths, frozenset, rows, series).
         self._hv_cache = None
-        #: Delta-engine counters (not checkpointed).
+        #: Adaptation counters (not checkpointed); the first two count
+        #: vector-tier closes only.
         self.fastpath_units = 0
         self.planned_units = 0
         self.adapt_seconds = 0.0
-        #: Fused close path (resolved once at construction, like the delta
-        #: switch): array-native observe + compiled ring record on delta
-        #: closes, plus the dense columnar ingest entry point.  Execution
-        #: strategy only — values are bit-identical to the staged close.
-        self._fused_active = self._index is not None and fused.fused_enabled()
+        #: Cached :class:`~repro.core.fused.RecordPack` over the heavy set's
+        #: rings (vector tier; rebuilt when the cached series list changes).
         self._fused_pack = None
-        #: Close-profile counters (not checkpointed): units closed through
-        #: the fused vs staged path, units fed by dense columnar counts, and
-        #: a close-latency histogram for --profile-close / service metrics.
+        #: Close-profile counters (not checkpointed): units closed by the
+        #: vector close (``fused_units``) vs the python-tier scalar walk
+        #: (``staged_units``), units fed by dense columnar counts, and a
+        #: close-latency histogram for the service metrics.
         self.fused_units = 0
         self.staged_units = 0
         self.dense_close_units = 0
@@ -752,17 +689,6 @@ class ADAAlgorithm:
     # ------------------------------------------------------------------
     # Online interface
     # ------------------------------------------------------------------
-    @property
-    def delta_adaptation_active(self) -> bool:
-        """Whether the id-based delta planner drives the close path."""
-        if self._index is None or not self._delta_ok:
-            return False
-        if self._adaptation == "legacy":
-            return False
-        if self._adaptation == "delta":
-            return True
-        return not self._env_disable_delta
-
     def process_timeunit(
         self, leaf_counts: Mapping[CategoryPath, Weight], timeunit: TimeunitIndex | None = None
     ) -> TimeunitResult:
@@ -792,8 +718,8 @@ class ADAAlgorithm:
 
     @property
     def supports_dense_close(self) -> bool:
-        """Whether :meth:`process_timeunit_dense` may be used (fused path on)."""
-        return self._fused_active
+        """Whether :meth:`process_timeunit_dense` may be used (vector tiers)."""
+        return self._index is not None
 
     def dense_count_template(self):
         """A zeroed per-node float64 count vector for the dense ingest path."""
@@ -837,109 +763,107 @@ class ADAAlgorithm:
         self, leaf_counts, base_vec, timeunit: TimeunitIndex | None
     ) -> TimeunitResult:
         self._timeunit = self._timeunit + 1 if timeunit is None else timeunit
-        delta_close = self.delta_adaptation_active
         close_start = time.perf_counter()
-
-        start = time.perf_counter()
         if self._index is not None:
-            index = self._index
-            if base_vec is None:
-                raw_vec = index.raw_weights(leaf_counts)
-            else:
-                raw_vec = index.raw_weights_dense(base_vec, leaf_counts)
-                self.dense_close_units += 1
-            modified_vec, heavy_mask = index.succinct(raw_vec, self.config.theta)
-            if self.config.track_root:
-                heavy_mask[0] = True
-            elif not self.config.allow_root_heavy:
-                heavy_mask[0] = False
-            if self._shallow_ids is not None:
-                # The shared ancestor band above min_heavy_depth never
-                # qualifies; must precede _prepare_delta (its cache keys on
-                # the mask bytes).
-                heavy_mask[self._shallow_ids] = False
-            self.last_root_raw = float(raw_vec[0])
-            if self._frontier_ids is not None:
-                self.last_frontier_raw = tuple(
-                    float(v) for v in raw_vec[self._frontier_ids]
-                )
-            raw = None
-            modified_weights = None
-            if delta_close:
-                # Heavy-order identity (ids, paths, membership set) depends
-                # only on the mask and is resolved here, exactly where the
-                # scalar close resolves it; on stable timeunits it is the
-                # cached tuple, untouched.
-                prepared = self._prepare_delta(heavy_mask)
-                heavy_paths = prepared[2]
-                heavy_set = prepared[3]
-            else:
-                heavy_paths = [index.paths[i] for i in index.sorted_ids(heavy_mask)]
-                heavy_set = set(heavy_paths)
-        else:
-            raw_vec = None
-            modified_vec = None
-            heavy_mask = None
-            raw = accumulate_raw_weights(self.tree, leaf_counts)
-            shhh_result = compute_shhh(
-                self.tree, leaf_counts, self.config.theta, raw=raw
-            )
-            heavy = set(shhh_result.shhh)
-            if self.config.track_root:
-                heavy.add(self.tree.root.path)
-            elif not self.config.allow_root_heavy:
-                heavy.discard(self.tree.root.path)
-            if self._band_excluded:
-                heavy -= self._band_excluded
-            heavy_paths = sorted(heavy)
-            modified_weights = shhh_result.modified_weights
-            self.last_root_raw = float(raw.get(self.tree.root.path, 0.0))
-            if self._frontier_paths is not None:
-                self.last_frontier_raw = tuple(
-                    float(raw.get(path, 0.0)) for path in self._frontier_paths
-                )
-            heavy_set = set(heavy_paths)
-        self.stage_seconds["updating_hierarchies"] += time.perf_counter() - start
-
-        start = time.perf_counter()
-        if delta_close:
-            actuals, forecasts = self._close_delta(
-                prepared, heavy_mask, raw_vec, modified_vec
-            )
-        else:
-            # Split-rule statistics are frozen during adaptation (they update
-            # after it), so per-path views can be memoized for this timeunit.
-            self._view_cache = {}
-            adapt_start = time.perf_counter()
-            self._adapt(heavy_set)
-            self.adapt_seconds += time.perf_counter() - adapt_start
-            self._update_reference(raw, raw_vec)
-            actuals, forecasts = self._append_weights(
-                heavy_paths, raw_vec, modified_vec, raw, modified_weights
-            )
-            if self._index is not None:
-                self._stats.update_dense(self._timeunit, raw_vec)
-            else:
-                self._stats.update_dict(self._timeunit, raw)
-        self.stage_seconds["creating_time_series"] += time.perf_counter() - start
-
-        start = time.perf_counter()
-        result = self._detect(heavy_set, heavy_paths, actuals, forecasts)
-        self.stage_seconds["detecting_anomalies"] += time.perf_counter() - start
-        self.last_result = result
-        if delta_close and self._fused_active:
+            result = self._close_vector(leaf_counts, base_vec)
             self.fused_units += 1
         else:
+            result = self._close_scalar(leaf_counts)
             self.staged_units += 1
+        self.last_result = result
         self.close_histogram.observe(time.perf_counter() - close_start)
         return result
 
-    def close_profile(self) -> dict:
-        """Close-path execution profile for ``--profile-close`` / metrics.
+    def _close_vector(self, leaf_counts, base_vec) -> TimeunitResult:
+        """The vector-tier close: dense weights, delta planner, array tail."""
+        stage_seconds = self.stage_seconds
+        start = time.perf_counter()
+        index = self._index
+        if base_vec is None:
+            raw_vec = index.raw_weights(leaf_counts)
+        else:
+            raw_vec = index.raw_weights_dense(base_vec, leaf_counts)
+            self.dense_close_units += 1
+        modified_vec, heavy_mask = index.succinct(raw_vec, self.config.theta)
+        if self.config.track_root:
+            heavy_mask[0] = True
+        elif not self.config.allow_root_heavy:
+            heavy_mask[0] = False
+        if self._shallow_ids is not None:
+            # The shared ancestor band above min_heavy_depth never qualifies;
+            # must precede _prepare_delta (its cache keys on the mask bytes).
+            heavy_mask[self._shallow_ids] = False
+        self.last_root_raw = float(raw_vec[0])
+        if self._frontier_ids is not None:
+            self.last_frontier_raw = tuple(
+                float(v) for v in raw_vec[self._frontier_ids]
+            )
+        # Heavy-order identity (ids, paths, membership set) depends only on
+        # the mask; on stable timeunits it is the cached tuple, untouched.
+        prepared = self._prepare_delta(heavy_mask)
+        stage_seconds["updating_hierarchies"] += time.perf_counter() - start
 
-        ``fused_units`` / ``staged_units`` count timeunits closed through the
-        fused vs staged path (every close increments exactly one),
-        ``dense_close_units`` those fed a dense columnar count vector, and
+        start = time.perf_counter()
+        actuals, forecasts = self._close_delta(
+            prepared, heavy_mask, raw_vec, modified_vec
+        )
+        stage_seconds["creating_time_series"] += time.perf_counter() - start
+
+        start = time.perf_counter()
+        result = self._detect(prepared[3], prepared[2], actuals, forecasts)
+        stage_seconds["detecting_anomalies"] += time.perf_counter() - start
+        return result
+
+    def _close_scalar(self, leaf_counts) -> TimeunitResult:
+        """The python-tier close: the scalar walk over path-keyed dicts."""
+        stage_seconds = self.stage_seconds
+        start = time.perf_counter()
+        raw = accumulate_raw_weights(self.tree, leaf_counts)
+        shhh_result = compute_shhh(self.tree, leaf_counts, self.config.theta, raw=raw)
+        heavy = set(shhh_result.shhh)
+        if self.config.track_root:
+            heavy.add(self.tree.root.path)
+        elif not self.config.allow_root_heavy:
+            heavy.discard(self.tree.root.path)
+        if self._band_excluded:
+            heavy -= self._band_excluded
+        heavy_paths = sorted(heavy)
+        self.last_root_raw = float(raw.get(self.tree.root.path, 0.0))
+        if self._frontier_paths is not None:
+            self.last_frontier_raw = tuple(
+                float(raw.get(path, 0.0)) for path in self._frontier_paths
+            )
+        stage_seconds["updating_hierarchies"] += time.perf_counter() - start
+
+        start = time.perf_counter()
+        # Split-rule statistics are frozen during adaptation (they update
+        # after it), so per-path views can be memoized for this timeunit.
+        self._view_cache = {}
+        self._adapt(heavy)
+        self.adapt_seconds += time.perf_counter() - start
+        if self._reference_nodes:
+            self._ref.append_column(
+                self._reference_nodes,
+                [float(raw.get(path, 0.0)) for path in self._reference_nodes],
+            )
+        actuals, forecasts = self._append_weights(
+            heavy_paths, raw, shhh_result.modified_weights
+        )
+        self._stats.update_dict(self._timeunit, raw)
+        stage_seconds["creating_time_series"] += time.perf_counter() - start
+
+        start = time.perf_counter()
+        result = self._detect(heavy, heavy_paths, actuals, forecasts)
+        stage_seconds["detecting_anomalies"] += time.perf_counter() - start
+        return result
+
+    def close_profile(self) -> dict:
+        """Close-path execution profile for the service metrics / ledger.
+
+        ``fused_units`` / ``staged_units`` count timeunits closed by the
+        vector close vs the python-tier scalar walk (a process only ever
+        increments one of them), ``dense_close_units`` those fed a dense
+        columnar count vector, and
         ``close_time`` is a log-bucketed histogram of per-timeunit close wall
         times.  Not checkpointed — these describe this process's execution,
         not algorithm state.
@@ -960,8 +884,8 @@ class ADAAlgorithm:
         Returns ``(stable, ids_arr, heavy_paths, heavy_set, ids)`` — on a
         stable timeunit (mask unchanged) everything comes from the cache and
         ``ids`` is None; otherwise the lex-ordered ids and path structures
-        are built fresh (this is the work the scalar close performs in the
-        same stage when it materializes ``heavy_paths``).
+        are built fresh (the work the scalar close performs in the same
+        stage when it sorts ``heavy_paths``).
         """
         cache = self._hv_cache
         check_start = time.perf_counter()
@@ -981,13 +905,14 @@ class ADAAlgorithm:
         return (False, ids_arr, heavy_paths, heavy_set, ids)
 
     def _close_delta(self, prepared, heavy_mask, raw_vec, modified_vec):
-        """The id-based per-timeunit close: adapt on the heavy-set delta only.
+        """Adapt on the heavy-set delta only, then append this unit's weights.
 
         When the heavy mask is unchanged from the previous timeunit the whole
         adaptation stage reduces to one mask comparison and the cached
         heavy-order structures are reused verbatim; otherwise the shared
         planner emits the SPLIT/MERGE cascade as ops which are applied with
-        batched bank kernels.  Values are bit-identical to the scalar walk.
+        batched bank kernels.  The tail is array-native either way.  Values
+        are bit-identical to the scalar walk.
         """
         stable, ids_arr, heavy_paths, heavy_set, ids = prepared
         if stable:
@@ -1038,31 +963,27 @@ class ADAAlgorithm:
                 series_list,
             )
             self.adapt_seconds += time.perf_counter() - adapt_start
-        self._update_reference(None, raw_vec)
+        if self._reference_nodes:
+            # The unmodified weight A_n of every reference-level node (§V-B5).
+            self._ref.append_column(
+                self._reference_nodes, raw_vec[self._reference_ids]
+            )
         values_vec = modified_vec[ids_arr]
         if heavy_mask[0] and modified_vec[0] <= 0.0:
             # A tracked root with zero modified weight falls back to its raw
             # weight; the root is lexicographically first when present.
             values_vec = values_vec.copy()
             values_vec[0] = raw_vec[0]
-        if self._fused_active:
-            # Fused tail: array-native observe (compiled steady kernel when
-            # built) and one compiled ring append for the whole heavy set.
-            # Same values, same operation order as the staged tail below.
-            forecasts_vec = self.bank.observe_rows_arrays(rows, values_vec)
-            values = values_vec.tolist()
-            forecasts = forecasts_vec.tolist()
-            pack = self._fused_pack
-            if pack is None or pack.series_list is not series_list:
-                pack = self._fused_pack = fused.build_record_pack(series_list)
-            if not fused.record_fused(
-                pack, load_kernels(), values_vec, forecasts_vec
-            ):
-                for series, value, predicted in zip(series_list, values, forecasts):
-                    series.record(value, predicted)
-        else:
-            values = values_vec.tolist()
-            forecasts = self.bank.observe_rows(rows, values)
+        # Array-native observe (compiled steady kernel when built) and one
+        # compiled ring append for the whole heavy set; without a loaded
+        # kernel the append is the per-series record loop.
+        forecasts_vec = self.bank.observe_rows_arrays(rows, values_vec)
+        values = values_vec.tolist()
+        forecasts = forecasts_vec.tolist()
+        pack = self._fused_pack
+        if pack is None or pack.series_list is not series_list:
+            pack = self._fused_pack = fused.build_record_pack(series_list)
+        if not fused.record_fused(pack, load_kernels(), values_vec, forecasts_vec):
             for series, value, predicted in zip(series_list, values, forecasts):
                 series.record(value, predicted)
         self._stats.update_dense(self._timeunit, raw_vec)
@@ -1275,6 +1196,7 @@ class ADAAlgorithm:
 
     # ------------------------------------------------------------------
     # Series registry: id-indexed table with the path dicts as compat views
+    # (the vector tiers register by id; the python tier keeps the dicts alone)
     # ------------------------------------------------------------------
     @property
     def reference(self) -> "dict[CategoryPath, Deque[float]]":
@@ -1286,27 +1208,7 @@ class ADAAlgorithm:
         self._series_by_id[node_id] = series
         self._series_mask[node_id] = True
         self._series_rows[node_id] = series.forecaster.row
-        path = self._index.paths[node_id]
-        self.series[path] = series
-        if path:
-            bucket = self._series_buckets.get(path[0])
-            if bucket is None:
-                bucket = {}
-                self._series_buckets[path[0]] = bucket
-            bucket[path] = series
-
-    def _reg_pop_id(self, node_id: int) -> NodeTimeSeries:
-        series = self._series_by_id[node_id]
-        self._series_by_id[node_id] = None
-        self._series_mask[node_id] = False
-        self._series_rows[node_id] = -1
-        path = self._index.paths[node_id]
-        del self.series[path]
-        if path:
-            bucket = self._series_buckets.get(path[0])
-            if bucket is not None:
-                bucket.pop(path, None)
-        return series
+        self._series_set(self._index.paths[node_id], series)
 
     def _series_set(self, path: CategoryPath, series: NodeTimeSeries) -> None:
         self.series[path] = series
@@ -1316,17 +1218,6 @@ class ADAAlgorithm:
                 bucket = {}
                 self._series_buckets[path[0]] = bucket
             bucket[path] = series
-        if self._series_mask is not None:
-            node_id = self._index.path_to_id.get(path)
-            if node_id is None:
-                # A path outside this tree cannot be represented by the id
-                # planner; fall back to the scalar walk from here on.
-                self._delta_ok = False
-            else:
-                self._series_by_id[node_id] = series
-                self._series_mask[node_id] = True
-                self._series_rows[node_id] = series.forecaster.row
-            self._hv_cache = None
 
     def _series_pop(self, path: CategoryPath) -> NodeTimeSeries:
         series = self.series.pop(path)
@@ -1334,13 +1225,6 @@ class ADAAlgorithm:
             bucket = self._series_buckets.get(path[0])
             if bucket is not None:
                 bucket.pop(path, None)
-        if self._series_mask is not None:
-            node_id = self._index.path_to_id.get(path)
-            if node_id is not None:
-                self._series_by_id[node_id] = None
-                self._series_mask[node_id] = False
-                self._series_rows[node_id] = -1
-            self._hv_cache = None
         return series
 
     # ------------------------------------------------------------------
@@ -1450,16 +1334,6 @@ class ADAAlgorithm:
     # ------------------------------------------------------------------
     # Reference time series (§V-B5)
     # ------------------------------------------------------------------
-    def _update_reference(self, raw, raw_vec) -> None:
-        """Append the unmodified weight A_n for every reference-level node."""
-        if not self._reference_nodes:
-            return
-        if raw_vec is not None:
-            values = raw_vec[self._reference_ids]
-        else:
-            values = [float(raw.get(path, 0.0)) for path in self._reference_nodes]
-        self._ref.append_column(self._reference_nodes, values)
-
     def _apply_reference_correction(self, path: CategoryPath) -> None:
         """Replace a freshly split series with reference − Σ heavy descendants."""
         corrected = self._ref.corrected_base(path)
@@ -1506,10 +1380,8 @@ class ADAAlgorithm:
     def _append_weights(
         self,
         heavy_paths: list[CategoryPath],
-        raw_vec,
-        modified_vec,
-        raw: "Mapping[CategoryPath, Weight] | None",
-        modified_weights: "Mapping[CategoryPath, Weight] | None",
+        raw: Mapping[CategoryPath, Weight],
+        modified_weights: Mapping[CategoryPath, Weight],
     ) -> tuple[list[float], list[float]]:
         """Append the Definition-2 modified weight to every heavy hitter series.
 
@@ -1517,7 +1389,6 @@ class ADAAlgorithm:
         (actuals, forecasts) lists for the detection stage.
         """
         root_path = self.tree.root.path
-        index = self._index
         rows: list[int] = []
         values: list[float] = []
         for path in heavy_paths:
@@ -1527,34 +1398,18 @@ class ADAAlgorithm:
                     self.config.window_units, self.config.forecast, bank=self.bank
                 )
                 self._series_set(path, series)
-            if index is not None:
-                node_id = index.path_to_id[path]
-                if path == root_path and modified_vec[0] <= 0.0:
-                    # A tracked root with zero modified weight falls back to
-                    # its raw weight (the scalar path's "not in
-                    # modified_weights" case — zero entries are filtered).
-                    value = float(raw_vec[0])
-                else:
-                    value = float(modified_vec[node_id])
+            if path == root_path and path not in modified_weights:
+                # A tracked root with zero modified weight falls back to its
+                # raw weight (zero entries are filtered from the mapping).
+                value = raw.get(path, 0.0)
             else:
-                if path == root_path and path not in modified_weights:
-                    value = raw.get(path, 0.0)
-                else:
-                    value = modified_weights.get(path, 0.0)
+                value = modified_weights.get(path, 0.0)
             rows.append(series.forecaster.row)
             values.append(float(value))
         forecasts = self.bank.observe_rows(rows, values)
         for path, value, predicted in zip(heavy_paths, values, forecasts):
             self.series[path].record(value, predicted)
         return values, forecasts
-
-    def _update_stats(self, raw: Mapping[CategoryPath, Weight]) -> None:
-        """Record raw weights for the split rules (kept for API compatibility)."""
-        self._stats.update_dict(self._timeunit, raw)
-
-    def _stats_view(self, path: CategoryPath) -> NodeUsageStats:
-        """Statistics for ``path`` adjusted for timeunits it was silent in."""
-        return self._stats.view(path, self._timeunit)
 
     # ------------------------------------------------------------------
     # Detection
@@ -1602,17 +1457,17 @@ class ADAAlgorithm:
         return self.last_result.heavy_hitters if self.last_result else frozenset()
 
     def adaptation_stats(self) -> dict:
-        """Delta-engine counters (not part of the checkpoint format).
+        """Adaptation counters (not part of the checkpoint format).
 
-        ``fastpath_units`` counts timeunits whose heavy set was unchanged
-        (adaptation skipped entirely), ``planned_units`` those that went
-        through the batched planner; ``adapt_seconds`` is the time spent in
-        adaptation proper (plan + apply, or the scalar ``_adapt`` walk in
-        legacy mode) — the denominator of the bench harness's
-        ``--check-adapt-speedup`` gate.
+        ``mode`` names the tier's adaptation engine: ``"delta"`` (id-based
+        planner, vector tiers) or ``"legacy"`` (scalar walk, python tier).
+        ``fastpath_units`` counts vector-tier timeunits whose heavy set was
+        unchanged (adaptation skipped entirely), ``planned_units`` those that
+        went through the batched planner; ``adapt_seconds`` is the time spent
+        in adaptation proper (plan + apply, or the scalar ``_adapt`` walk).
         """
         return {
-            "mode": "delta" if self.delta_adaptation_active else "legacy",
+            "mode": "delta" if self._index is not None else "legacy",
             "fastpath_units": self.fastpath_units,
             "planned_units": self.planned_units,
             "split_operations": self.split_operations,
@@ -1660,7 +1515,11 @@ class ADAAlgorithm:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`state_dict` (same tree/config)."""
+        """Restore a snapshot produced by :meth:`state_dict` (same tree/config).
+
+        Raises :class:`~repro.exceptions.CheckpointError` when a series path
+        is not a node of this tree — such a series could never be adapted.
+        """
         forecast_config = self.config.forecast
         self._timeunit = int(state["timeunit"])
         self.split_operations = int(state["split_operations"])
@@ -1669,18 +1528,26 @@ class ADAAlgorithm:
         self.bank = ForecasterBank(forecast_config)
         self.series = {}
         self._series_buckets = {}
-        self._delta_ok = True
         self._hv_cache = None
         self._id_view_cache = {}
-        if self._series_mask is not None:
-            self._series_by_id = [None] * self._index.num_nodes
+        index = self._index
+        if index is not None:
+            self._series_by_id = [None] * index.num_nodes
             self._series_mask[:] = False
             self._series_rows[:] = -1
         for path, ts_state in state["series"]:
-            self._series_set(
-                tuple(path),
-                NodeTimeSeries.from_state_dict(ts_state, forecast_config, bank=self.bank),
+            path = tuple(path)
+            if path not in self.tree:
+                raise CheckpointError(
+                    f"series path {path!r} is not a node of this session's tree"
+                )
+            series = NodeTimeSeries.from_state_dict(
+                ts_state, forecast_config, bank=self.bank
             )
+            if index is not None:
+                self._reg_set_id(index.path_to_id[path], series)
+            else:
+                self._series_set(path, series)
         self._ref = _RefStore(self.config.window_units)
         self._ref.load(state["reference"])
         self._stats = _SplitStatsStore(self.config, self._index)

@@ -1,23 +1,27 @@
-"""Fused close path: one pass over the cached heavy-hitter arrays.
+"""Array-native close tail for the vector tiers, plus the close histogram.
 
-On a *stable* timeunit (no adaptation planned) ADA's delta close already
-reuses the cached lex-ordered ``(ids, rows, series_list)`` arrays from the
-previous unit.  This module supplies the remaining pieces that let the whole
-close — hierarchy weight aggregation, forecaster observe, window record,
-split-statistics update, detection — run as array kernels with no per-node
-Python loop on the hot path:
+ADA's vector-tier close (:meth:`repro.core.ada.ADAAlgorithm._close_delta`)
+keeps lex-ordered ``(ids, rows, series_list)`` arrays for the heavy set and
+reuses them verbatim while the set is unchanged.  Every close — stable or
+churning — then advances the forecasters with one
+:meth:`~repro.forecasting.bank.ForecasterBank.observe_rows_arrays` call,
+appends the window, and detects with one
+:meth:`~repro.core.detector.ThresholdDetector.check_many`.  This module
+supplies the window append and the latency bookkeeping:
 
 * :func:`build_record_pack` / :func:`record_fused` push the per-series
   ``(value, forecast)`` pairs of a close into every ring buffer with one
-  compiled call (falling back to the per-series :meth:`NodeTimeSeries.record`
-  loop whenever a series is not ring-backed or the windows are misaligned);
-* :class:`CloseHistogram` tracks per-timeunit close latencies for
-  ``--profile-close`` and the service's ``/metrics`` endpoint.
+  compiled call; ``record_fused`` returns False — and the caller runs the
+  per-series :meth:`NodeTimeSeries.record` loop — whenever no compiled
+  kernel is loaded (the NumPy tier), a series is not ring-backed, or the
+  windows are misaligned;
+* :class:`CloseHistogram` tracks per-timeunit close latencies for the
+  service's ``/metrics`` endpoint and the perf ledger.
 
 Everything here is an *execution strategy*, not an algorithm change: the
-fused path is bit-identical to the staged path (golden traces + the
-hypothesis churn suite enforce it), and setting ``REPRO_DISABLE_FUSED=1``
-restores the staged path wholesale.
+compiled append writes the same bytes as the ``record`` loop (the tier
+suite compares raw checkpoint bytes between the NumPy and compiled tiers,
+and both against the python-tier scalar walk).
 
 Record-pack invariant: a pack is rebuilt whenever the cached ``series_list``
 object changes identity.  Structural series mutations (split/merge/replace)
@@ -29,25 +33,15 @@ the rings on every close and written back after the kernel.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 
 from repro._vector import load_numpy
 
 _np = load_numpy()
 
-#: Setting this to a non-empty value disables the fused close path (and the
-#: dense columnar ingest that feeds it); ADA then runs the staged close.
-FUSED_DISABLE_ENV = "REPRO_DISABLE_FUSED"
-
-
-def fused_enabled() -> bool:
-    """Whether the fused close path may be used (env gate, checked at init)."""
-    return not os.environ.get(FUSED_DISABLE_ENV)
-
 
 # ----------------------------------------------------------------------
-# Close-time histogram (--profile-close / service metrics)
+# Close-time histogram (service metrics / perf ledger)
 # ----------------------------------------------------------------------
 
 #: Log-spaced bucket upper bounds in seconds; the last bucket is open-ended.
@@ -179,9 +173,7 @@ def record_fused(pack: RecordPack, kernels, values_vec, forecasts_vec) -> bool:
 __all__ = [
     "CLOSE_BUCKET_UPPERS",
     "CloseHistogram",
-    "FUSED_DISABLE_ENV",
     "RecordPack",
     "build_record_pack",
-    "fused_enabled",
     "record_fused",
 ]

@@ -23,8 +23,8 @@ The pipeline stages remain the paper's:
 
 Vectorized close path (Fig. 3 Steps 2-4, columnar)
 --------------------------------------------------
-With NumPy present, each per-timeunit close runs Steps 2-4 columnar rather
-than per node, with bit-identical detections:
+On the vector tiers (NumPy, compiled) every per-timeunit close runs Steps
+2-4 columnar rather than per node, with bit-identical detections:
 
 * **Step 2** — heavy hitter membership and modified weights come from the
   dense level-sweep kernels of :class:`~repro.hierarchy.index.HierarchyIndex`
@@ -35,16 +35,16 @@ than per node, with bit-identical detections:
 * **Step 3/4 forecasting** — the level/trend/seasonal state of *every*
   tracked node lives in one
   :class:`~repro.forecasting.bank.ForecasterBank`, and the whole tracked set
-  advances with one :meth:`~repro.forecasting.bank.ForecasterBank.observe_rows`
-  call per timeunit instead of N scalar model updates;
+  advances with one ``ForecasterBank.observe_rows_arrays`` call per timeunit
+  instead of N scalar model updates;
 * **Step 4 detection** — the dual-threshold rule evaluates all
   (actual, forecast) pairs at once through
   :meth:`~repro.core.detector.ThresholdDetector.check_many`.
 
-Without NumPy (or with ``REPRO_DISABLE_NUMPY=1``) every stage falls back to
-the scalar implementations; forecasts, anomalies and checkpoints are
-identical either way, and checkpoints keep the canonical per-path format, so
-bank-backed, scalar, serial and sharded sessions all cross-restore.
+Without NumPy (or ``REPRO_DISABLE_NUMPY=1`` at process start) every stage runs
+the scalar implementations; only the tier selects.  Forecasts, anomalies and
+counters are identical either way, checkpoints up to the row order of ADA's
+``stats`` / ``stats_last_unit``; every session kind cross-restores them.
 """
 
 from __future__ import annotations

@@ -120,10 +120,8 @@ class DetectionSession:
         self._warmup_announced = False
         self._observers: list[EngineObserver] = []
         self.reading_seconds = 0.0
-        #: Dense columnar ingest: resolved lazily on the first coded batch
-        #: (None = undecided); caches the last batch dictionary's node-id map
-        #: and decoded paths (columnar readers share one dictionary per file).
-        self._dense_ready: bool | None = None
+        #: Dense columnar ingest: the last batch dictionary's node-id map and
+        #: decoded paths (columnar readers share one dictionary per file).
         self._dense_dict: tuple | None = None
         #: Shadow experiment: a cloned session running a candidate config
         #: against the identical stream (see :meth:`start_shadow`), plus the
@@ -225,7 +223,9 @@ class DetectionSession:
     def _ingest_record_batch_primary(
         self, batch: RecordBatch
     ) -> list[TimeunitResult]:
-        if batch.category_codes is not None and self._dense_ingest_ready():
+        if batch.category_codes is not None and getattr(
+            self.algorithm, "supports_dense_close", False
+        ):
             closed = self._ingest_batch_dense(batch)
             if closed is not None:
                 return closed
@@ -247,16 +247,6 @@ class DetectionSession:
                 closed.append(self._close_pending())
             self._pending.update(counts)
         return closed
-
-    def _dense_ingest_ready(self) -> bool:
-        """Whether the code-column dense ingest path may serve coded batches."""
-        ready = self._dense_ready
-        if ready is None:
-            ready = self._dense_ready = bool(
-                _np is not None
-                and getattr(self.algorithm, "supports_dense_close", False)
-            )
-        return ready
 
     def _dense_mapping(self, dictionary):
         """``(node_id_per_code, path_per_code)`` for a batch dictionary.
@@ -584,14 +574,13 @@ class DetectionSession:
         and algorithm (clock, pending counts and reports are this session's
         own objects and were passed through the state surgery unchanged).
         ``full=True`` additionally adopts the stream-position and report
-        state, which is what promotion needs.  The dense-ingest caches are
-        reset either way — they are keyed to the old algorithm instance.
+        state, which is what promotion needs.  The dense-ingest cache is
+        reset either way — it is keyed to the old algorithm instance.
         """
         self.config = other.config
         self.tree = other.tree
         self.algorithm = other.algorithm
         self.algorithm_name = other.algorithm_name
-        self._dense_ready = None
         self._dense_dict = None
         if full:
             self.clock = other.clock
@@ -624,9 +613,10 @@ class DetectionSession:
         return stages
 
     def adaptation_stats(self) -> dict[str, Any]:
-        """The tracking algorithm's delta-adaptation counters.
+        """The tracking algorithm's adaptation counters.
 
-        For ADA: mode (delta/legacy), stable-fast-path and planned timeunit
+        For ADA: mode (``delta`` on a vector tier, ``legacy`` on the python
+        tier), stable-fast-path and planned timeunit
         counts, split/merge operation totals and the time spent in adaptation
         proper (see :meth:`repro.core.ada.ADAAlgorithm.adaptation_stats`).
         Algorithms without an adaptation engine report ``{}``.
@@ -635,8 +625,9 @@ class DetectionSession:
         return getter() if getter is not None else {}
 
     def close_profile(self) -> dict[str, Any]:
-        """The algorithm's close-path profile (fused/staged counts, latency
-        histogram); ``{}`` for algorithms without one."""
+        """The algorithm's close-path profile (vector ``fused_units`` vs
+        python-tier ``staged_units``, latency histogram); ``{}`` for
+        algorithms without one."""
         getter = getattr(self.algorithm, "close_profile", None)
         return getter() if getter is not None else {}
 

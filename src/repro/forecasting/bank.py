@@ -218,8 +218,7 @@ class ForecasterBank:
     The bank runs **vectorized** when NumPy is importable and the config's
     seasonal model is the built-in ``"auto"`` choice; otherwise every row is
     a scalar fallback object with identical behaviour.  ``force_scalar=True``
-    pins the fallback explicitly (the perf harness uses it to measure the
-    scalar baseline in-process).
+    pins the fallback explicitly (STA does, below its vector break-even).
     """
 
     def __init__(self, config: ForecastConfig, *, force_scalar: bool = False):
@@ -433,7 +432,7 @@ class ForecasterBank:
     def observe_rows_arrays(self, idx, v):
         """Array-native :meth:`observe_rows`: ndarrays in, float64 ndarray out.
 
-        The fused close path already holds its row indices and values as
+        ADA's vector-tier close already holds its row indices and values as
         arrays; this entry point skips the list round-trips.  Semantics are
         identical — small batches and object-overflow rows take the exact
         scalar/list path of :meth:`observe_rows`.

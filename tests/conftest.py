@@ -8,12 +8,18 @@ seasonal periods that keep the online algorithms fast.
 
 from __future__ import annotations
 
+import json
 import random
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+import repro  # noqa: F401 - loads every module that binds a NumPy handle
+from repro import _vector
+from repro.core.ada import ADAAlgorithm
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.clock import SimulationClock
@@ -76,6 +82,73 @@ def leaf_counts_for(tree: HierarchyTree, counts: dict[tuple[str, ...], int]):
     for path in counts:
         assert tree.has_leaf(path), f"{path} is not a leaf of the test tree"
     return counts
+
+
+# ----------------------------------------------------------------------
+# Backend tiers: the python-tier reference and checkpoint comparison
+# ----------------------------------------------------------------------
+@contextmanager
+def python_tier():
+    """Run the enclosed block on the python tier, whole-process.
+
+    The vector modules bind their NumPy handle (``_np``) at import, so setting
+    ``REPRO_DISABLE_NUMPY`` afterwards changes what ``backend_tier()`` says
+    but not what runs.  This clears the handle on *every* loaded ``repro.*``
+    module (``import repro`` above loads them all, so none can bind ``None``
+    for good by being first imported inside the block) and sets the variable
+    so ``load_numpy()`` — which ``io.columnar`` calls per read — agrees.
+    Objects built inside the block run the scalar paths end to end; the
+    entry assertions keep the leg from ever silently running NumPy again.
+    """
+    with pytest.MonkeyPatch.context() as patcher:
+        patcher.setenv(_vector.DISABLE_ENV, "1")
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and getattr(module, "_np", None) is not None:
+                patcher.setattr(module, "_np", None)
+        assert _vector.backend_tier() == "python"
+        probe = ADAAlgorithm(
+            HierarchyTree.from_leaf_paths([("a", "a1")]), TiresiasConfig()
+        )
+        assert probe._index is None
+        assert probe.adaptation_stats()["mode"] == "legacy"
+        yield
+
+
+@pytest.fixture(name="python_tier")
+def python_tier_fixture():
+    """:func:`python_tier` for the duration of one test."""
+    with python_tier():
+        yield
+
+
+_WALL_CLOCK_FIELDS = frozenset({"stage_seconds", "reading_seconds"})
+_STATS_ROW_FIELDS = frozenset({"stats", "stats_last_unit"})
+
+
+def canonical_checkpoint(state, row_sorted: bool = False) -> bytes:
+    """Checkpoint bytes of an engine / session / algorithm state dict, minus
+    the wall-clock fields (the only legitimate difference within a tier).
+
+    ``row_sorted`` additionally sorts the rows of ADA's ``stats`` and
+    ``stats_last_unit`` by path — the vector tiers emit them in node-id
+    order, the python tier in dict insertion order, and that is the only
+    difference between a vector-tier and a python-tier checkpoint.
+    """
+
+    def clean(value):
+        if isinstance(value, dict):
+            return {
+                key: sorted(item, key=lambda row: row[0])
+                if row_sorted and key in _STATS_ROW_FIELDS
+                else clean(item)
+                for key, item in value.items()
+                if key not in _WALL_CLOCK_FIELDS
+            }
+        if isinstance(value, list):
+            return [clean(item) for item in value]
+        return value
+
+    return json.dumps(clean(state), sort_keys=True).encode()
 
 
 # ----------------------------------------------------------------------

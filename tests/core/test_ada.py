@@ -203,52 +203,47 @@ class TestNearestTrackedNode:
 
 
 class TestSplitStatsStore:
-    def test_update_stats_shim_works_in_both_store_modes(self, tree):
-        """The pre-refactor ``_update_stats`` API keeps working whether the
-        statistics live in dense arrays (NumPy) or per-path dicts."""
+    def test_rows_outside_the_tree_survive_a_round_trip(self, tree):
+        """Statistics rows restored for paths this tree has no node for are
+        carried through ``load`` -> ``emit`` untouched, on either store."""
+        row = {
+            "last_weight": 1.0,
+            "cumulative_weight": 5.0,
+            "ewma_weight": 2.5,
+            "observations": 3,
+        }
+        stats_rows = [[["a"], dict(row)], [["zz", "unknown"], dict(row)]]
+        last_rows = [[["a"], 4], [["zz", "unknown"], 2]]
         ada = ADAAlgorithm(tree, make_config())
-        ada._timeunit = 0
-        ada._update_stats({("a",): 4.0, ("a", "a1"): 4.0})
-        ada._timeunit = 3  # a two-unit gap: the EWMA decay path must run too
-        ada._update_stats({("a",): 2.0})
-        view = ada._stats_view(("a",))
-        assert view.observations == 2
-        assert view.last_weight == 2.0
-        assert view.cumulative_weight == 6.0
-        # A path outside the tree is retained (overflow rows) and emitted.
-        ada._update_stats({("zz", "unknown"): 1.0})
-        stats_rows, last_rows = ada._stats.emit()
-        paths = {tuple(path) for path, _ in stats_rows}
-        assert {("a",), ("a", "a1"), ("zz", "unknown")} <= paths
-        assert {tuple(path) for path, _ in last_rows} == paths
+        ada._stats.load(stats_rows, last_rows)
+        assert ada._stats.emit() == (stats_rows, last_rows)
 
-    def test_dense_and_dict_stats_agree(self, tree, monkeypatch):
-        """Bit-equal statistics from the dense store and the dict fallback."""
-        import repro.core.ada as ada_mod
+    def test_dense_and_dict_stats_agree(self, tree):
+        """Bit-equal statistics from the dense store (vector tiers) and the
+        dict store (python tier), each driven through its own update."""
         from repro.core.ada import _SplitStatsStore
 
         config = make_config(split_rule="ewma", split_ewma_alpha=0.4)
-        dense_ada = ADAAlgorithm(tree, config)
-        if dense_ada._index is None:
+        ada = ADAAlgorithm(tree, config)
+        index = ada._index
+        if index is None:
             pytest.skip("NumPy unavailable")
-        monkeypatch.setattr(ada_mod, "_np", None)
-        dict_ada = ADAAlgorithm(tree, config)
-        assert dict_ada._index is None
+        dense_store = _SplitStatsStore(config, index)
+        dict_store = _SplitStatsStore(config, None)
         feeds = [
             {("a", "a1"): 3.0, ("b", "b1"): 7.0},
+            {},
             {},
             {("a", "a1"): 1.0},
             {("b", "b1"): 2.0, ("b", "b2"): 5.0},
         ]
         for unit, counts in enumerate(feeds):
-            for ada in (dense_ada, dict_ada):
-                ada._timeunit = unit
-                ada._update_stats(
-                    {path: weight for path, weight in counts.items()}
-                )
-        for ada in (dense_ada, dict_ada):
-            ada._timeunit = len(feeds)
+            raw_vec = ada.dense_count_template()
+            for path, weight in counts.items():
+                raw_vec[index.path_to_id[path]] = weight
+            dense_store.update_dense(unit, raw_vec)
+            dict_store.update_dict(unit, counts)
         for path in [("a", "a1"), ("b", "b1"), ("b", "b2"), ("a", "a2")]:
-            dense_view = dense_ada._stats_view(path)
-            dict_view = dict_ada._stats_view(path)
+            dense_view = dense_store.view_id(index.path_to_id[path], len(feeds))
+            dict_view = dict_store.view(path, len(feeds))
             assert dense_view == dict_view, path

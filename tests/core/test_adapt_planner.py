@@ -1,28 +1,29 @@
-"""Delta-driven adaptation engine: planner vs legacy scalar equivalence.
+"""Vector-tier adaptation engine vs the python-tier scalar walk.
 
 The id-based planner (:mod:`repro.core.adapt`) plus the batched application
-path in :class:`~repro.core.ada.ADAAlgorithm` must reproduce the historical
-scalar ``_adapt`` walk bit for bit: identical per-timeunit results (heavy
-hitters, actuals, forecasts, anomalies), identical split/merge counters and
-byte-identical checkpoint states — with and without the vector backend.
+path in :class:`~repro.core.ada.ADAAlgorithm` must reproduce the scalar
+``_adapt`` walk bit for bit: identical per-timeunit results (heavy hitters,
+actuals, forecasts, anomalies), identical split/merge counters and — up to
+the row order of the split statistics — identical checkpoint states.  The
+reference is the python tier, entered with the whole-process
+:func:`tests.conftest.python_tier` fixture.
 """
 
+import inspect
 import json
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.ada as ada_mod
-import repro.core.detector as detector_mod
-import repro.core.timeseries as timeseries_mod
-import repro.forecasting.bank as bank_mod
-import repro.forecasting.holt_winters as hw_mod
 from repro.core.ada import ADAAlgorithm, _RefStore
 from repro.core.adapt import SPLIT, batched_split_runs, plan_adaptation
 from repro.core.config import ForecastConfig, TiresiasConfig
+from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank
 from repro.hierarchy.tree import HierarchyTree
+from tests.conftest import canonical_checkpoint, python_tier
 
 LEAVES = [
     ("a", "a1"),
@@ -33,6 +34,10 @@ LEAVES = [
     ("b", "b2"),
     ("c", "c1"),
 ]
+
+#: The tier under test (whatever this process runs: compiled or NumPy) and
+#: the reference it is compared against.
+TIERS = {"vector": nullcontext, "python": python_tier}
 
 
 def make_tree():
@@ -55,47 +60,35 @@ def make_config(**overrides):
     return TiresiasConfig(**defaults)
 
 
-def run_modes(tree, config, unit_sequence):
-    """Run both adaptation engines over ``unit_sequence``; return outputs."""
+def run_units(algo, unit_sequence, first_unit=0):
+    """Feed ``unit_sequence`` to ``algo``; return its comparable outputs."""
+    results = [
+        algo.process_timeunit(counts, first_unit + i)
+        for i, counts in enumerate(unit_sequence)
+    ]
+    return {
+        "results": [
+            (r.timeunit, r.heavy_hitters, r.actuals, r.forecasts, r.anomalies)
+            for r in results
+        ],
+        "state": canonical_checkpoint(algo.state_dict(), row_sorted=True),
+        "splits": algo.split_operations,
+        "merges": algo.merge_operations,
+    }
+
+
+def run_tiers(tree, config, unit_sequence):
+    """Run ``unit_sequence`` once per tier; return outputs keyed by tier."""
     outputs = {}
-    for mode in ("delta", "legacy"):
-        # An explicit "delta" request raises without the vector backend;
-        # "auto" degrades to the same scalar walk, which is what the
-        # equivalence run needs there.
-        adaptation = "auto" if (mode == "delta" and ada_mod._np is None) else mode
-        algo = ADAAlgorithm(tree, config, adaptation=adaptation)
-        results = [
-            algo.process_timeunit(counts, unit)
-            for unit, counts in enumerate(unit_sequence)
-        ]
-        state = algo.state_dict()
-        state["stage_seconds"] = None
-        outputs[mode] = {
-            "results": [
-                (r.timeunit, r.heavy_hitters, r.actuals, r.forecasts, r.anomalies)
-                for r in results
-            ],
-            "state": json.dumps(state, sort_keys=True),
-            "splits": algo.split_operations,
-            "merges": algo.merge_operations,
-        }
+    for name, tier in TIERS.items():
+        with tier():
+            outputs[name] = run_units(ADAAlgorithm(tree, config), unit_sequence)
     return outputs
 
 
 def assert_equivalent(tree, config, unit_sequence):
-    outputs = run_modes(tree, config, unit_sequence)
-    assert outputs["delta"]["results"] == outputs["legacy"]["results"]
-    assert outputs["delta"]["state"] == outputs["legacy"]["state"]
-    assert outputs["delta"]["splits"] == outputs["legacy"]["splits"]
-    assert outputs["delta"]["merges"] == outputs["legacy"]["merges"]
-
-
-def _normalized_state(state_json: str) -> str:
-    """Checkpoint JSON with path-keyed row lists sorted (order-insensitive)."""
-    state = json.loads(state_json)
-    for field in ("stats", "stats_last_unit", "series", "reference"):
-        state[field] = sorted(state[field], key=lambda row: row[0])
-    return json.dumps(state, sort_keys=True)
+    outputs = run_tiers(tree, config, unit_sequence)
+    assert outputs["vector"] == outputs["python"]
 
 
 counts_strategy = st.dictionaries(
@@ -107,14 +100,8 @@ counts_strategy = st.dictionaries(
 sequence_strategy = st.lists(counts_strategy, min_size=1, max_size=14)
 
 
-@pytest.fixture
-def no_numpy(monkeypatch):
-    for module in (bank_mod, timeseries_mod, ada_mod, detector_mod, hw_mod):
-        monkeypatch.setattr(module, "_np", None)
-
-
 class TestPlannerEquivalence:
-    """Random heavy-set delta sequences: planner == legacy scalar walk."""
+    """Random heavy-set delta sequences: planner == python-tier scalar walk."""
 
     @settings(max_examples=60, deadline=None)
     @given(sequence=sequence_strategy, rule=st.sampled_from(
@@ -126,16 +113,16 @@ class TestPlannerEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(counts=counts_strategy, repeats=st.integers(min_value=2, max_value=8))
     def test_zero_churn_timeunits(self, counts, repeats):
-        """Identical consecutive timeunits: the delta fast path must be
+        """Identical consecutive timeunits: the stable fast path must be
         exercised and stay bit-identical."""
         tree = make_tree()
         config = make_config()
         sequence = [counts] * repeats
         assert_equivalent(tree, config, sequence)
-        algo = ADAAlgorithm(tree, config, adaptation="auto")
+        algo = ADAAlgorithm(tree, config)
         for unit, c in enumerate(sequence):
             algo.process_timeunit(c, unit)
-        if algo.delta_adaptation_active and counts:
+        if algo._index is not None and counts:
             assert algo.fastpath_units >= repeats - 1
 
     @settings(max_examples=25, deadline=None)
@@ -163,28 +150,9 @@ class TestPlannerEquivalence:
             sequence,
         )
 
-    @settings(max_examples=20, deadline=None)
-    @given(sequence=sequence_strategy)
-    def test_fallback_backend_equivalence(self, sequence):
-        """The same sequence under the pure-Python stack yields the same
-        detections as the vectorized run (and both adaptation modes agree
-        there too — they share the scalar walk without NumPy)."""
-        reference = run_modes(make_tree(), make_config(), sequence)
-        with pytest.MonkeyPatch.context() as patcher:
-            for module in (bank_mod, timeseries_mod, ada_mod, detector_mod, hw_mod):
-                patcher.setattr(module, "_np", None)
-            fallback = run_modes(make_tree(), make_config(), sequence)
-        assert fallback["delta"]["results"] == fallback["legacy"]["results"]
-        assert fallback["delta"]["results"] == reference["delta"]["results"]
-        # Same-backend checkpoints are byte-identical (asserted inside
-        # run_modes' delta-vs-legacy comparison elsewhere); across backends
-        # the dense store emits split statistics in node-id order while the
-        # dict store emits insertion order, so compare order-normalized.
-        assert _normalized_state(fallback["delta"]["state"]) == _normalized_state(
-            reference["delta"]["state"]
-        )
-
-    def test_restore_resumes_identically_across_modes(self):
+    @pytest.mark.parametrize("source_tier", list(TIERS))
+    def test_restore_resumes_identically_across_tiers(self, source_tier):
+        """A snapshot written on either tier resumes identically on both."""
         tree = make_tree()
         config = make_config()
         warm = [
@@ -197,34 +165,26 @@ class TestPlannerEquivalence:
             {("a", "a1"): 5, ("b", "b1", "x"): 8},
             {},
         ]
-        source = ADAAlgorithm(tree, config, adaptation="legacy")
-        for unit, counts in enumerate(warm):
-            source.process_timeunit(counts, unit)
-        snapshot = source.state_dict()
+        with TIERS[source_tier]():
+            source = ADAAlgorithm(tree, config)
+            for unit, counts in enumerate(warm):
+                source.process_timeunit(counts, unit)
+            snapshot = json.dumps(source.state_dict())
         outputs = {}
-        for mode in ("delta", "legacy"):
-            adaptation = "auto" if (mode == "delta" and ada_mod._np is None) else mode
-            algo = ADAAlgorithm(tree, config, adaptation=adaptation)
-            algo.load_state_dict(json.loads(json.dumps(snapshot)))
-            results = [
-                algo.process_timeunit(counts, len(warm) + i)
-                for i, counts in enumerate(tail)
-            ]
-            state = algo.state_dict()
-            state["stage_seconds"] = None
-            outputs[mode] = (
-                [(r.heavy_hitters, r.actuals, r.forecasts, r.anomalies) for r in results],
-                json.dumps(state, sort_keys=True),
-            )
-        assert outputs["delta"] == outputs["legacy"]
+        for name, tier in TIERS.items():
+            with tier():
+                algo = ADAAlgorithm(tree, config)
+                algo.load_state_dict(json.loads(snapshot))
+                outputs[name] = run_units(algo, tail, first_unit=len(warm))
+        assert outputs["vector"] == outputs["python"]
 
 
 class TestPlannerInternals:
     def test_plan_matches_series_state_transition(self):
         tree = make_tree()
         config = make_config()
-        algo = ADAAlgorithm(tree, config, adaptation="auto")
-        if not algo.delta_adaptation_active:
+        algo = ADAAlgorithm(tree, config)
+        if algo._index is None:
             pytest.skip("vector backend unavailable")
         algo.process_timeunit({("a", "a1"): 9, ("b", "b2"): 6}, 0)
         index = algo._index
@@ -396,43 +356,87 @@ class TestRegistryGuards:
         algo.series[("a", "a1")] = series  # bypass _series_set: no bucket
         assert algo._series_pop(("a", "a1")) is series
 
-    def test_explicit_delta_requires_vector_backend(self, no_numpy):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            ADAAlgorithm(make_tree(), make_config(), adaptation="delta")
-
-    def test_disable_delta_env_forces_legacy(self, monkeypatch):
-        """REPRO_DISABLE_DELTA pins 'auto' instances to the scalar walk,
-        resolved once at construction, with identical detections."""
-        sequence = [
-            {("a", "a1"): 8, ("b", "b2"): 6},
-            {("a", "a2"): 7},
-            {("a", "a1"): 8, ("a", "a2"): 7},
-        ]
-        reference = run_modes(make_tree(), make_config(), sequence)
-        monkeypatch.setenv("REPRO_DISABLE_DELTA", "1")
-        algo = ADAAlgorithm(make_tree(), make_config(), adaptation="auto")
-        assert not algo.delta_adaptation_active
-        results = [
-            algo.process_timeunit(counts, unit)
-            for unit, counts in enumerate(sequence)
-        ]
-        assert [
-            (r.timeunit, r.heavy_hitters, r.actuals, r.forecasts, r.anomalies)
-            for r in results
-        ] == reference["legacy"]["results"]
-        assert algo.adaptation_stats()["mode"] == "legacy"
-        # Resolution happened at construction: clearing the variable does not
-        # flip a live instance.
-        monkeypatch.delenv("REPRO_DISABLE_DELTA")
-        assert not algo.delta_adaptation_active
-
     def test_duplicate_view_cache_annotation_removed(self):
-        import inspect
-
         source = inspect.getsource(ADAAlgorithm.process_timeunit)
         assert "self._view_cache: dict" not in source
+
+
+class TestCloseSurface:
+    """The backend tier is the only thing that selects the close path."""
+
+    CHURN_THEN_STABLE = [
+        {("a", "a1"): 8, ("b", "b2"): 6},
+        {("a", "a2"): 7},
+        {("a", "a1"): 8, ("a", "a2"): 7},
+        {("b", "b1", "x"): 9, ("c", "c1"): 8},
+    ] + [{("a", "a1"): 9, ("b", "b2"): 6}] * 4
+
+    def test_constructor_takes_tree_and_config_only(self):
+        assert list(inspect.signature(ADAAlgorithm.__init__).parameters) == [
+            "self",
+            "tree",
+            "config",
+        ]
+
+    def test_vector_tier_closes_all_land_in_fused_units(self):
+        algo = ADAAlgorithm(make_tree(), make_config())
+        if algo._index is None:
+            pytest.skip("vector backend unavailable")
+        run_units(algo, self.CHURN_THEN_STABLE)
+        units = len(self.CHURN_THEN_STABLE)
+        profile = algo.close_profile()
+        stats = algo.adaptation_stats()
+        assert profile["fused_units"] == units
+        assert profile["staged_units"] == 0
+        assert stats["mode"] == "delta"
+        assert stats["fastpath_units"] > 0 and stats["planned_units"] > 0
+        assert stats["fastpath_units"] + stats["planned_units"] == units
+
+    def test_python_tier_closes_all_land_in_staged_units(self, python_tier):
+        algo = ADAAlgorithm(make_tree(), make_config())
+        run_units(algo, self.CHURN_THEN_STABLE)
+        profile = algo.close_profile()
+        stats = algo.adaptation_stats()
+        assert profile["fused_units"] == 0
+        assert profile["staged_units"] == len(self.CHURN_THEN_STABLE)
+        assert not algo.supports_dense_close
+        assert stats["mode"] == "legacy"
+        assert stats["fastpath_units"] == stats["planned_units"] == 0
+
+    @pytest.mark.parametrize("tier", list(TIERS))
+    def test_stats_keep_every_key_the_ledger_and_metrics_read(self, tier):
+        """``benchmarks/ledger/replay.py`` and ``/metrics`` read these by name."""
+        with TIERS[tier]():
+            algo = ADAAlgorithm(make_tree(), make_config())
+            run_units(algo, self.CHURN_THEN_STABLE)
+            assert set(algo.adaptation_stats()) == {
+                "mode",
+                "fastpath_units",
+                "planned_units",
+                "split_operations",
+                "merge_operations",
+                "adapt_seconds",
+            }
+            profile = algo.close_profile()
+            assert set(profile) == {
+                "fused_units",
+                "staged_units",
+                "dense_close_units",
+                "close_time",
+            }
+            assert profile["close_time"]["count"] == len(self.CHURN_THEN_STABLE)
+
+    @pytest.mark.parametrize("tier", list(TIERS))
+    def test_series_path_outside_tree_is_a_checkpoint_error(self, tier):
+        """A restored series the tree has no node for could never be adapted;
+        it used to pin the instance to the scalar walk silently."""
+        with TIERS[tier]():
+            source = ADAAlgorithm(make_tree(), make_config())
+            run_units(source, self.CHURN_THEN_STABLE)
+            state = json.loads(json.dumps(source.state_dict()))
+            state["series"][0][0] = ["zz", "nowhere"]
+            with pytest.raises(CheckpointError, match="nowhere"):
+                ADAAlgorithm(make_tree(), make_config()).load_state_dict(state)
 
 
 class TestAdaptationStats:

@@ -4,9 +4,8 @@ The bank's contract is that every backend — vectorized NumPy kernels, the
 per-row scalar fallback (``force_scalar=True``), and the no-NumPy object mode
 — produces *bit-identical* forecasts, state snapshots and split/merge
 results.  Hypothesis drives random value sequences across the
-seasonal-activation boundary and through clone/add (SPLIT/MERGE) edges; a
-fallback-forcing fixture (mirroring the PR-2 columnar batch tests) covers the
-pure-Python path end to end.
+seasonal-activation boundary and through clone/add (SPLIT/MERGE) edges; the
+shared ``python_tier`` fixture covers the pure-Python path end to end.
 """
 
 from __future__ import annotations
@@ -15,14 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.ada as ada_mod
-import repro.core.detector as detector_mod
-import repro.core.timeseries as timeseries_mod
-import repro.forecasting.bank as bank_mod
-import repro.forecasting.holt_winters as hw_mod
 from repro.core.config import ForecastConfig
 from repro.core.timeseries import FloatRing, NodeTimeSeries, SeriesForecaster
 from repro.forecasting.bank import ForecasterBank
+from tests.conftest import python_tier
 
 
 def single_config(season=4, fallback=0.5):
@@ -40,19 +35,6 @@ values_strategy = st.lists(
     min_size=1,
     max_size=40,
 )
-
-
-@pytest.fixture
-def no_numpy(monkeypatch):
-    """Force every vectorized fast path onto its pure-Python fallback."""
-    for module in (
-        bank_mod,
-        timeseries_mod,
-        ada_mod,
-        detector_mod,
-        hw_mod,
-    ):
-        monkeypatch.setattr(module, "_np", None)
 
 
 class TestBackendAgreement:
@@ -227,9 +209,9 @@ class TestRowLifecycle:
 
 
 class TestNoNumpyFallback:
-    """The PR-2 style fallback-forcing fixture, applied to the bank stack."""
+    """The whole-process python-tier fixture, applied to the bank stack."""
 
-    def test_bank_runs_without_numpy(self, no_numpy):
+    def test_bank_runs_without_numpy(self, python_tier):
         config = single_config(season=3)
         bank = ForecasterBank(config)
         assert not bank.vectorized
@@ -246,17 +228,16 @@ class TestNoNumpyFallback:
         bank.load_row_state(restored, snapshot)
         assert bank.row_state_dict(restored) == snapshot
 
-    def test_fallback_detections_match_vector_backend(self, monkeypatch):
-        """A full ADA run on the fallback stack reproduces the vectorized
-        detections bit for bit (reference computed before forcing the
-        fallback, so the two backends genuinely differ)."""
-        reference = _run_ada_workload(expect_index=bank_mod._np is not None)
-        for module in (bank_mod, timeseries_mod, ada_mod, detector_mod, hw_mod):
-            monkeypatch.setattr(module, "_np", None)
-        fallback = _run_ada_workload(expect_index=False)
+    def test_fallback_detections_match_vector_backend(self):
+        """A full ADA run on the python tier reproduces the vector tier's
+        detections bit for bit (reference computed before entering the
+        python tier, so the two backends genuinely differ)."""
+        reference = _run_ada_workload()
+        with python_tier():
+            fallback = _run_ada_workload()
         assert fallback == reference
 
-    def test_float_ring_fallback_semantics(self, no_numpy):
+    def test_float_ring_fallback_semantics(self, python_tier):
         ring = FloatRing(3)
         for value in [1.0, 2.0, 3.0, 4.0]:
             ring.append(value)
@@ -267,7 +248,7 @@ class TestNoNumpyFallback:
         assert ring.aligned_add(other).tolist() == [2.0, 3.0, 14.0]
 
 
-def _run_ada_workload(expect_index: bool):
+def _run_ada_workload():
     """Run a small ADA workload with split/merge churn; return its outputs."""
     from repro.core.ada import ADAAlgorithm
     from repro.core.config import TiresiasConfig
@@ -286,7 +267,6 @@ def _run_ada_workload(expect_index: bool):
         forecast=ForecastConfig(season_lengths=(3,), fallback_alpha=0.4),
     )
     algo = ADAAlgorithm(tree, config)
-    assert (algo._index is not None) == expect_index
     outputs = []
     for unit in range(16):
         counts = {

@@ -20,6 +20,7 @@ import pytest
 from repro.engine.engine import DetectionEngine
 from repro.engine.sharded import ShardedDetectionEngine
 from repro.streaming.batch import iter_record_batches
+from tests.conftest import python_tier
 
 
 def detection_digest(results, anomalies) -> dict:
@@ -78,24 +79,19 @@ def test_golden_trace_batch_path_matches(golden_spec, golden_trace_loader):
     ]
 
 
-def test_golden_trace_fused_matches_staged(golden_spec, golden_trace_loader):
-    """The fused close megakernel must be bit-identical to the staged close
-    on every golden trace (the broader random-space check lives in
-    test_fused_equivalence.py)."""
-    from tests.integration.test_fused_equivalence import (
-        LEG_STAGED_NUMPY,
-        backend_leg,
-    )
-
-    with backend_leg({}):
-        fused_results, fused_anomalies = run_serial(golden_spec, golden_trace_loader)
-    with backend_leg(LEG_STAGED_NUMPY):
-        staged_results, staged_anomalies = run_serial(
+def test_golden_trace_vector_matches_python(golden_spec, golden_trace_loader):
+    """The vector-tier close must reproduce the python-tier scalar walk on
+    every golden trace (the broader random-space check lives in
+    test_tier_equivalence.py).  On a process that is already on the python
+    tier the two runs coincide; the committed digests still pin it."""
+    vector_results, vector_anomalies = run_serial(golden_spec, golden_trace_loader)
+    with python_tier():
+        python_results, python_anomalies = run_serial(
             golden_spec, golden_trace_loader
         )
-    assert fused_results == staged_results
-    assert detection_digest(fused_results, fused_anomalies) == detection_digest(
-        staged_results, staged_anomalies
+    assert vector_results == python_results
+    assert detection_digest(vector_results, vector_anomalies) == detection_digest(
+        python_results, python_anomalies
     )
 
 

@@ -151,15 +151,7 @@ class TestPartitioning:
 class TestPurePythonFallback:
     """The batch path must stay functional (just slower) without NumPy."""
 
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        import repro.streaming.batch as batch_mod
-        import repro.streaming.stream as stream_mod
-
-        monkeypatch.setattr(batch_mod, "_np", None)
-        monkeypatch.setattr(stream_mod, "_np", None)
-
-    def test_columns_and_aggregation(self, no_numpy, clock):
+    def test_columns_and_aggregation(self, python_tier, clock):
         records = [rec(float(t), "a" if t % 3 else "b") for t in range(30)]
         batch = RecordBatch.from_records(records)
         assert list(batch.timeunit_indices(clock)) == [
@@ -171,7 +163,7 @@ class TestPurePythonFallback:
         assert rows(batch.slice(2, 4)) == rows(records[2:4])
         assert batch.concat(batch).max_timestamp == 29.0
 
-    def test_stream_batch_validation(self, no_numpy):
+    def test_stream_batch_validation(self, python_tier):
         from repro.exceptions import StreamError
         from repro.streaming.stream import InputStream
 
