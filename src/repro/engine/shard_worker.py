@@ -19,8 +19,9 @@ Verbs
 ``remove``
     ``[key, ...]`` — drop units (used by churn-driven rebalancing).
 ``ingest``
-    ``[(key, kind, payload), ...]`` — feed batches (``"whole"``) or
-    watermark segments (``"sub"``).
+    ``[(key, kind, payload), ...]`` — feed batches (``"whole"``) or, for a
+    subtree shard (``"sub"``), one batch of the shard's rows plus the
+    watermark segments ``(watermark, start, stop)`` that cut it.
 ``flush`` / ``state`` / ``query``
     Close pending units, export serial-format states, read introspection
     attributes.
@@ -108,11 +109,16 @@ def worker_handle(units: dict, verb: str, ops: Any) -> Any:
             closed: list[TimeunitResult] = []
             if kind == "whole":
                 closed.extend(unit.session.ingest_record_batch(payload))
-            else:  # subtree segments: [(watermark, batch-or-None), ...]
-                for watermark, columns in payload:
+            else:  # subtree: (batch-or-None, [(watermark, start, stop), ...])
+                columns, segments = payload
+                for watermark, start, stop in segments:
                     closed.extend(unit.session.advance_to(watermark))
-                    if columns is not None and len(columns):
-                        closed.extend(unit.session.ingest_record_batch(columns))
+                    if stop > start:
+                        closed.extend(
+                            unit.session.ingest_record_batch(
+                                columns.slice(start, stop)
+                            )
+                        )
             out.append((key, closed, unit.drain()))
         return out
     if verb == "flush":

@@ -55,9 +55,10 @@ shard states back into canonical serial session states (see
 resume an unsharded checkpoint and vice versa, at any worker count and cut
 depth.
 
-Transports (see :mod:`repro.engine.transport`): ``"pipe"`` (default,
-pickle-everything), ``"shm"`` (shared-memory segments, batch columns ship
-zero-copy), ``"tcp"`` (length-prefixed frames, workers may be remote).
+Transports (see :mod:`repro.engine.transport`) all move the same wire
+frames, batch columns as raw buffers: ``"pipe"`` (default) over
+``multiprocessing`` pipes, ``"shm"`` through shared-memory segments,
+``"tcp"`` length-prefixed over sockets (workers may be remote).
 Verb semantics live in :mod:`repro.engine.shard_worker`, shared by all
 three, so results and checkpoint bytes never depend on the transport.
 
@@ -154,6 +155,45 @@ def plan_subtree_groups(
         groups[gid].append(unit)
         loads[gid] += counts[unit]
     return [sorted(group) for group in groups]
+
+
+def _segment_cuts(w_before, units_col, rows, anchor: int) -> tuple[list[int], int]:
+    """Where one shard group's rows split into watermark segments.
+
+    ``rows`` are the group's row indices (ascending) into a session
+    sub-batch, ``w_before[i]`` the session watermark before row ``i`` and
+    ``units_col[i]`` row ``i``'s timeunit.  The group's *progress* before a
+    row is the furthest timeunit it has been told about: ``anchor``, its own
+    earlier rows, and the watermarks of earlier cuts.  A row whose watermark
+    exceeds the progress starts a new segment (the worker first advances to
+    that watermark).  Watermarks never decrease, so that is the first row of
+    each distinct watermark among the rows whose watermark exceeds the
+    cumulative maximum of the group's own earlier timeunits.
+
+    Returns ``(cuts, progress)``: positions into ``rows`` and the progress
+    after the last row.
+    """
+    if len(rows) == 0:
+        return [], anchor
+    if _np is not None:
+        w = w_before[rows]
+        u = units_col[rows]
+        own = _np.maximum.accumulate(_np.concatenate(([anchor], u[:-1])))
+        ahead = _np.flatnonzero(w > own)
+        w_ahead = w[ahead]
+        first = _np.ones(len(ahead), dtype=bool)
+        first[1:] = w_ahead[1:] != w_ahead[:-1]
+        cuts = ahead[first].tolist()
+        progress = max(anchor, int(u.max()), int(w[cuts[-1]]) if cuts else anchor)
+        return cuts, progress
+    cuts, progress = [], anchor
+    for position, row in enumerate(rows):
+        if w_before[row] > progress:
+            cuts.append(position)
+            progress = int(w_before[row])
+        if units_col[row] > progress:
+            progress = int(units_col[row])
+    return cuts, progress
 
 
 # ----------------------------------------------------------------------
@@ -380,10 +420,26 @@ class _SubtreeUnit:
         self.recoveries = 0
         #: timeunit -> {gid: (result, local band raw-weight tuple)}
         self.buffer: dict[int, dict[int, tuple[TimeunitResult, tuple]]] = {}
+        #: (dictionary, group-per-code table) of the last dictionary routed.
+        self._route_table: "tuple | None" = None
 
     @property
     def num_groups(self) -> int:
         return self.partition.num_groups
+
+    def route_table(self, dictionary: Sequence[tuple]):
+        """Shard group per dictionary code (root and out-of-tree paths go to
+        group 0), computed once per dictionary object: a columnar file
+        shares one dictionary across all of its batches."""
+        cached = self._route_table
+        if cached is not None and cached[0] is dictionary:
+            return cached[1]
+        route = self.partition.route
+        table = [route(category) or 0 for category in dictionary]
+        if _np is not None:
+            table = _np.asarray(table, dtype=_np.intp)
+        self._route_table = (dictionary, table)
+        return table
 
     @property
     def groups(self) -> list[list[tuple]]:
@@ -971,62 +1027,58 @@ class ShardedDetectionEngine:
     ) -> int:
         """Segment one session sub-batch by watermark and queue per-group ops.
 
+        Per-batch cost is O(dictionary + timeunit boundaries) in Python: rows
+        are routed by dictionary code through a per-dictionary table, each
+        group's rows are gathered once, and its segments ship as row ranges
+        of that one gather (:func:`_segment_cuts` says where they start).
+
         Returns the new session watermark (timeunits strictly below it are
         complete across every group after this round).
         """
+        part = part.coded()
         units_col = part.timeunit_indices(unit.clock)
         fresh = unit.carried is None
-        if _np is not None and not isinstance(units_col, list):
+        anchor = int(units_col[0]) if fresh else unit.carried
+        table = unit.route_table(part.code_dictionary)
+        if _np is not None:
             running_max = _np.maximum.accumulate(units_col)
-            anchor = int(units_col[0]) if fresh else unit.carried
             w_before = _np.concatenate(
                 ([anchor], _np.maximum(running_max[:-1], anchor))
             )
-            new_carried = int(max(int(running_max[-1]), anchor))
+            new_carried = max(int(running_max[-1]), anchor)
+            gids = table[part.category_codes]
         else:
-            anchor = int(units_col[0]) if fresh else unit.carried
-            w_before, high = [], anchor
+            w_before, new_carried = [], anchor
             for u in units_col:
-                w_before.append(high)
-                if u > high:
-                    high = int(u)
-            new_carried = high
-
-        route = unit.partition.route
-        rows_by_gid: dict[int, list[int]] = {}
-        for i, category in enumerate(part.categories):
-            gid = route(category)
-            rows_by_gid.setdefault(0 if gid is None else gid, []).append(i)
+                w_before.append(new_carried)
+                if u > new_carried:
+                    new_carried = int(u)
+            gids = [table[code] for code in part.category_codes]
 
         for gid in range(unit.num_groups):
-            segments: list[tuple[int, "RecordBatch | None"]] = []
-            pending_rows: list[int] = []
-            segment_w = anchor
-            progress = None if fresh else unit.carried
-            if progress is None:
-                progress = anchor
-            for row in rows_by_gid.get(gid, []):
-                w = int(w_before[row])
-                if w > progress:
-                    segments.append(
-                        (segment_w, part.take(pending_rows) if pending_rows else None)
-                    )
-                    pending_rows = []
-                    segment_w = w
-                    progress = w
-                pending_rows.append(row)
-                row_unit = int(units_col[row])
-                if row_unit > progress:
-                    progress = row_unit
-            if pending_rows or (fresh and not segments):
-                segments.append(
-                    (segment_w, part.take(pending_rows) if pending_rows else None)
-                )
+            if _np is not None:
+                rows = _np.flatnonzero(gids == gid)
+            else:
+                rows = [i for i, g in enumerate(gids) if g == gid]
+            count = len(rows)
+            cuts, progress = _segment_cuts(w_before, units_col, rows, anchor)
+            # (watermark, start, stop): advance to the watermark, then ingest
+            # rows [start, stop) of the group's batch.
+            segments: list[tuple[int, int, int]] = []
+            if count:
+                bounds = [0, *cuts, count]
+                marks = [anchor] + [int(w_before[rows[cut]]) for cut in cuts]
+                segments.extend(zip(marks, bounds, bounds[1:]))
+            elif fresh:
+                segments.append((anchor, 0, 0))
             if new_carried > progress:
-                segments.append((new_carried, None))
+                segments.append((new_carried, count, count))
             if segments:
+                group = None
+                if count:
+                    group = part if count == len(part) else part.take(rows)
                 ops.setdefault(unit.workers[gid], []).append(
-                    (unit.keys[gid], "sub", segments)
+                    (unit.keys[gid], "sub", (group, segments))
                 )
         unit.carried = new_carried
         return new_carried

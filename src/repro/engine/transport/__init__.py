@@ -1,17 +1,18 @@
 """Pluggable shard transports for :class:`repro.engine.sharded`.
 
-Three tiers, one contract (:class:`~repro.engine.transport.base.ShardTransport`):
+Three carriers of one frame format (:mod:`~repro.engine.transport.wire`:
+record-batch columns ship as raw little-endian buffers, only command
+skeletons are pickled), one contract
+(:class:`~repro.engine.transport.base.ShardTransport`):
 
 ``"pipe"``
-    Duplex ``multiprocessing`` pipes, everything pickled.  The default and
-    the behavioural baseline.
+    Frames sent over duplex ``multiprocessing`` pipes.  The default.
 ``"shm"``
-    ``multiprocessing.shared_memory`` segments carrying wire-format frames:
-    record-batch columns ship as raw little-endian buffers the worker maps
-    zero-copy; only command skeletons are pickled.
+    Frames written into ``multiprocessing.shared_memory`` segments the
+    worker maps zero-copy; the pipe carries only a notify.
 ``"tcp"``
-    The same wire frames, length-prefixed over sockets; workers may live in
-    other processes or on other hosts (``examples/remote_workers.py``).
+    Frames length-prefixed over sockets; workers may live in other
+    processes or on other hosts (``examples/remote_workers.py``).
 
 All three execute verbs through :mod:`repro.engine.shard_worker`, so
 detections, reports and checkpoint bytes are identical across transports —

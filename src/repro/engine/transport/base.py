@@ -33,12 +33,12 @@ Each transport tracks two ship-side byte counters:
 ``ship_bytes``
     Total payload bytes handed to the OS (frames, pickles, notifies).
 ``ship_serialized_bytes``
-    Bytes that passed through a serializer (``pickle``).  The pipe
-    transport pickles entire operations — batches included — so both
-    counters coincide; the shared-memory and TCP transports ship
-    ``RecordBatch`` columns as raw little-endian buffers and serialize only
-    the operation skeleton, which is what the ``--check-shard-overhead``
-    benchmark gate measures.
+    Bytes that passed through a serializer (``pickle``).  All three
+    transports ship ``RecordBatch`` columns — timestamps, category codes and
+    still-encoded attribute rows — as raw little-endian buffers of one
+    :mod:`~repro.engine.transport.wire` frame and serialize only the
+    operation skeleton (plus, for NDJSON-born batches, their decoded
+    attribute rows), so this is a small fraction of ``ship_bytes``.
 """
 
 from __future__ import annotations

@@ -1,30 +1,41 @@
 """In-process pipe transport: one duplex pipe per forked/spawned worker.
 
-This is the default transport and the behavioural baseline: every command
-is pickled whole — record batches included — and sent over a
-``multiprocessing`` pipe.  Simple and portable, but pickle walks every
-timestamp and category of every shipped batch, which is exactly the
-overhead the shared-memory transport avoids (and the
-``--check-shard-overhead`` benchmark gate quantifies).
+This is the default transport.  Every command is encoded with the
+:mod:`~repro.engine.transport.wire` frame format and sent over a
+``multiprocessing`` pipe: record-batch columns (timestamps, category codes,
+still-encoded attribute rows) travel as raw little-endian buffers the worker
+wraps without copying, category dictionaries as per-channel deltas, and only
+the small command skeleton goes through pickle.  Replies come back pickled:
+they are small (closed timeunit results, state dicts at checkpoint time) and
+carry no record columns.  The shared-memory transport moves the same frames
+through a segment instead of the pipe; the TCP transport through a socket.
 
 Supervision: :meth:`collect` accepts a per-operation deadline and polls the
 pipe in short slices, checking worker liveness between slices, so a dead or
 wedged worker surfaces as a typed
 :class:`~repro.exceptions.WorkerFailureError` instead of a hang.
 :meth:`kill_worker` / :meth:`respawn` replace a worker in place (fresh
-process, fresh pipe, same worker id) for the supervisor's exact-recovery
-path, and :meth:`close` escalates ``join`` → ``terminate`` → ``kill`` so a
-wedged worker can never block shutdown.
+process, fresh pipe, fresh delta-dictionary encoder, same worker id) for the
+supervisor's exact-recovery path, and :meth:`close` escalates ``join`` →
+``terminate`` → ``kill`` so a wedged worker can never block shutdown.  Every
+frame carries a crc32, so a corrupted one is detected worker-side and fails
+loudly rather than feeding garbage into a session.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
-from typing import Any
+from typing import Any, Callable
 
 from repro.engine.shard_worker import handle_message
 from repro.engine.transport.base import ShardTransport
+from repro.engine.transport.wire import (
+    DictDecoder,
+    DictEncoder,
+    decode_frame,
+    encode_frame,
+)
 from repro.exceptions import ShardingError, WorkerFailureError
 
 #: Poll slice while waiting under a collect deadline; short enough that
@@ -32,32 +43,40 @@ from repro.exceptions import ShardingError, WorkerFailureError
 _POLL_SLICE = 0.05
 
 
-def _pipe_worker_main(conn, worker_id: int) -> None:  # pragma: no cover - subprocess
-    """Worker loop: executes coordinator commands until told to stop."""
+def _pipe_worker_main(
+    conn, worker_id: int, frame_of: "Callable[[bytes], Any] | None" = None
+) -> None:  # pragma: no cover - subprocess
+    """Worker loop: executes coordinator commands until told to stop.
+
+    ``frame_of`` maps a received pipe message to the frame's buffer (the
+    shared-memory transport resolves a notify to its segment); by default
+    the message *is* the frame.
+    """
     units: dict[Any, Any] = {}
+    decoder = DictDecoder()  # cumulative delta-dictionary mirror (see wire.py)
     while True:
         try:
             data = conn.recv_bytes()
         except (EOFError, OSError, KeyboardInterrupt):
             return
-        verb, ops = pickle.loads(data)
-        if verb == "stop":
-            try:
-                conn.send_bytes(
-                    pickle.dumps(("ok", None), protocol=pickle.HIGHEST_PROTOCOL)
-                )
-            except (BrokenPipeError, OSError):
-                pass
-            return
-        reply = handle_message(units, verb, ops, worker_id=worker_id)
+        frame = data if frame_of is None else frame_of(data)
+        verb, ops = decode_frame(frame, decoder)
+        reply = ("ok", None)
+        if verb != "stop":
+            reply = handle_message(units, verb, ops, worker_id=worker_id)
+        # Decoded columns are views into the frame; drop them before
+        # acknowledging so the coordinator is free to reuse its buffer.
+        del ops, frame
         try:
             conn.send_bytes(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
         except (BrokenPipeError, OSError):
             return
+        if verb == "stop":
+            return
 
 
 class PipeTransport(ShardTransport):
-    """Pickle-everything duplex-pipe transport (the default)."""
+    """Wire frames over one duplex pipe per worker (the default)."""
 
     name = "pipe"
 
@@ -70,6 +89,7 @@ class PipeTransport(ShardTransport):
         self._procs: "list[Any] | None" = None
         self._conns: "list[Any] | None" = None
         self._start_method: "str | None" = None
+        self._encoders: list[DictEncoder] = []
 
     def _spawn_worker(self, ctx, worker_id: int) -> tuple:
         """Start one worker process; returns ``(process, parent_conn)``."""
@@ -88,6 +108,7 @@ class PipeTransport(ShardTransport):
         self._start_method = start_method
         ctx = multiprocessing.get_context(start_method)
         self._procs, self._conns = [], []
+        self._encoders = [DictEncoder() for _ in range(num_workers)]
         for worker_id in range(num_workers):
             process, conn = self._spawn_worker(ctx, worker_id)
             self._procs.append(process)
@@ -97,14 +118,14 @@ class PipeTransport(ShardTransport):
         self, worker_id: int, verb: str, ops: Any, *, corrupt: bool = False
     ) -> None:
         start = self._clock()
-        data = pickle.dumps((verb, ops), protocol=pickle.HIGHEST_PROTOCOL)
+        data, serialized = encode_frame((verb, ops), self._encoders[worker_id])
         if corrupt:
             data = self._mangle(data)
         try:
             self._conns[worker_id].send_bytes(data)
         except (BrokenPipeError, OSError) as exc:
             raise self._dead(worker_id, exc, "ship") from exc
-        self._note_ship(len(data), len(data), self._clock() - start)
+        self._note_ship(len(data), serialized, self._clock() - start)
 
     def collect(self, worker_id: int, timeout: "float | None" = None) -> tuple:
         start = self._clock()
@@ -164,16 +185,17 @@ class PipeTransport(ShardTransport):
         process, conn = self._spawn_worker(ctx, worker_id)
         self._procs[worker_id] = process
         self._conns[worker_id] = conn
+        # The replacement starts with an empty delta-dictionary mirror.
+        self._encoders[worker_id] = DictEncoder()
         self.respawns += 1
 
     def close(self) -> None:
         if self._procs is None:
             return
-        stop = pickle.dumps(("stop", None), protocol=pickle.HIGHEST_PROTOCOL)
-        for conn in self._conns:
+        for worker_id in range(len(self._conns)):
             try:
-                conn.send_bytes(stop)
-            except (BrokenPipeError, OSError):
+                self.ship(worker_id, "stop", None)
+            except WorkerFailureError:
                 pass
         for process, conn in zip(self._procs, self._conns):
             # Bounded wait for the stop ack — a wedged worker must not be

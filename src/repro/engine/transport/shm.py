@@ -19,14 +19,13 @@ Replies flow back pickled over the control pipe: they are small (closed
 timeunit results, state dicts at checkpoint time) and carry no record
 columns.
 
-Supervision is inherited from :class:`~repro.engine.transport.pipe.PipeTransport`
-(deadline-aware collects, kill/respawn, escalating shutdown); the one
-shm-specific wrinkle is that :meth:`respawn` must also reset the replaced
-worker's coordinator-side :class:`~repro.engine.transport.wire.DictEncoder`,
-because the fresh worker process starts with an empty decoder mirror.
-Every frame carries a crc32 (see :mod:`~repro.engine.transport.wire`), so a
-corrupted segment is detected worker-side and fails loudly rather than
-feeding garbage into a session.
+Everything else — the worker loop, the per-channel delta-dictionary
+encoders, supervision (deadline-aware collects, kill/respawn, escalating
+shutdown) — is inherited from
+:class:`~repro.engine.transport.pipe.PipeTransport`, which sends the same
+frames through the pipe itself.  Every frame carries a crc32 (see
+:mod:`~repro.engine.transport.wire`), so a corrupted segment is detected
+worker-side and fails loudly rather than feeding garbage into a session.
 """
 
 from __future__ import annotations
@@ -35,14 +34,8 @@ import pickle
 from multiprocessing import shared_memory
 from typing import Any
 
-from repro.engine.shard_worker import handle_message
-from repro.engine.transport.pipe import PipeTransport
-from repro.engine.transport.wire import (
-    DictDecoder,
-    DictEncoder,
-    decode_frame,
-    encode_frame,
-)
+from repro.engine.transport.pipe import PipeTransport, _pipe_worker_main
+from repro.engine.transport.wire import encode_frame
 
 #: Initial per-worker segment size; grows by doubling when a frame exceeds it.
 DEFAULT_SEGMENT_BYTES = 1 << 20
@@ -67,48 +60,36 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = original
 
 
+class _SegmentReader:
+    """Worker-side view of the coordinator's segment: resolves each notify
+    to the frame's bytes inside the (re-attached on rename) mapping."""
+
+    def __init__(self) -> None:
+        self._attached: "tuple[str, shared_memory.SharedMemory] | None" = None
+
+    def frame(self, notify: bytes):
+        _, segment_name, frame_len = pickle.loads(notify)
+        if self._attached is None or self._attached[0] != segment_name:
+            self.close()
+            self._attached = (segment_name, _attach_untracked(segment_name))
+        return self._attached[1].buf[:frame_len]
+
+    def close(self) -> None:
+        if self._attached is not None:
+            try:
+                self._attached[1].close()
+            except BufferError:  # pragma: no cover - lingering views
+                pass
+            self._attached = None
+
+
 def _shm_worker_main(conn, worker_id: int) -> None:  # pragma: no cover - subprocess
     """Worker loop: decode frames out of the shared segment, reply by pipe."""
-    units: dict[Any, Any] = {}
-    attached: "tuple[str, shared_memory.SharedMemory] | None" = None
-    decoder = DictDecoder()  # cumulative delta-dictionary mirror (see wire.py)
-    while True:
-        try:
-            data = conn.recv_bytes()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        message = pickle.loads(data)
-        if message[0] == "stop":
-            try:
-                conn.send_bytes(
-                    pickle.dumps(("ok", None), protocol=pickle.HIGHEST_PROTOCOL)
-                )
-            except (BrokenPipeError, OSError):
-                pass
-            break
-        _, segment_name, frame_len = message
-        if attached is None or attached[0] != segment_name:
-            if attached is not None:
-                try:
-                    attached[1].close()
-                except BufferError:  # pragma: no cover - lingering views
-                    pass
-            attached = (segment_name, _attach_untracked(segment_name))
-        frame = attached[1].buf[:frame_len]
-        verb, ops = decode_frame(frame, decoder)
-        reply = handle_message(units, verb, ops, worker_id=worker_id)
-        # Decoded columns may be views into the mapping; drop them before
-        # acknowledging so the coordinator is free to rewrite the segment.
-        del verb, ops, frame
-        try:
-            conn.send_bytes(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
-        except (BrokenPipeError, OSError):
-            break
-    if attached is not None:
-        try:
-            attached[1].close()
-        except BufferError:  # pragma: no cover - lingering views
-            pass
+    segments = _SegmentReader()
+    try:
+        _pipe_worker_main(conn, worker_id, segments.frame)
+    finally:
+        segments.close()
 
 
 class SharedMemoryTransport(PipeTransport):
@@ -122,19 +103,10 @@ class SharedMemoryTransport(PipeTransport):
         super().__init__()
         self._segment_bytes = max(int(segment_bytes), 4096)
         self._segments: "list[shared_memory.SharedMemory | None]" = []
-        self._encoders: list[DictEncoder] = []
 
     def connect(self, num_workers: int, start_method: "str | None" = None) -> None:
         self._segments = [None] * num_workers
-        self._encoders = [DictEncoder() for _ in range(num_workers)]
         super().connect(num_workers, start_method)
-
-    def respawn(self, worker_id: int, start_method: "str | None" = None) -> None:
-        super().respawn(worker_id, start_method)
-        # The replacement worker starts with an empty delta-dictionary
-        # mirror; restart the coordinator-side encoder in lockstep or every
-        # subsequent frame would reference dictionary codes it never saw.
-        self._encoders[worker_id] = DictEncoder()
 
     def ship(
         self, worker_id: int, verb: str, ops: Any, *, corrupt: bool = False

@@ -7,20 +7,28 @@ pickle walks every float — so :func:`encode_frame` separates the two:
 
 * the **skeleton**: the command structure with every batch replaced by a
   picklable :class:`_BatchRef` placeholder (carrying the category
-  dictionary, attribute rows and column indices), serialized with pickle;
+  dictionary, the index of the batch's first column and — only for a batch
+  whose attributes are a decoded ``list`` of mappings, i.e. NDJSON-born —
+  the attribute rows), serialized with pickle;
 * the **columns**: each batch's timestamps (``<f8``) and dictionary codes
   (``<i4``) as raw little-endian buffers, 8-byte aligned so the receiver
-  can wrap them with ``numpy.frombuffer`` without copying.
+  can wrap them with ``numpy.frombuffer`` without copying — and, for a batch
+  whose attribute column is still encoded
+  (:class:`~repro.streaming.attributes.EncodedAttributes`, what the columnar
+  reader yields), two more: the rows' JSON bytes and one ``<i4`` length per
+  row.  The receiver rebuilds the encoded column from those buffers; no
+  attribute dict is built on either side of the channel.
 
-Uncoded batches are dictionary-encoded here in first-appearance order, so
-the decoded batch is a coded batch over the same records — the sessions
-downstream decode categories identically either way.
+Uncoded batches are dictionary-encoded here in first-appearance order
+(:meth:`RecordBatch.coded`), so the decoded batch is a coded batch over the
+same records — the sessions downstream decode categories identically either
+way.
 
 Delta dictionaries
 ------------------
 Category paths repeat from ship to ship, so per-frame dictionaries would
 dominate the skeleton once columns stop being pickled.  A transport that
-holds one :class:`DictEncoder` per worker channel (shm and tcp do) ships
+holds one :class:`DictEncoder` per worker channel (all three do) ships
 *cumulative* dictionaries instead: the encoder assigns every path a stable
 code for the lifetime of the channel, each frame carries only the paths
 the worker has not seen yet (``("delta", base, new_paths)``), and the
@@ -42,6 +50,10 @@ Frame layout (all integers little-endian)::
     b"RSF2" | <I crc32> | <I skeleton_len> | <I ncols> | ncols * <Q col_len>
     | skeleton | [pad to 8] col_0 | [pad to 8] col_1 | ...
 
+A batch occupies consecutive columns from its ``_BatchRef.index``:
+``timestamps``, ``codes`` and, when ``_BatchRef.attributes`` is the
+``"encoded"`` marker, ``attribute bytes``, ``attribute row lengths``.
+
 ``crc32`` (:func:`zlib.crc32`) covers every byte after the checksum field.
 Frames are coordinator<->worker internal — shared memory mappings and
 sockets — so the check exists to *fail loudly*: a corrupted frame (bit
@@ -50,12 +62,12 @@ rot, a torn segment, an injected ``corrupt_frame`` fault) raises
 garbage records into detection, and the supervised engine treats the
 resulting worker death as a recoverable fault.
 
-The shared-memory transport writes frames into a
-``multiprocessing.shared_memory`` segment (the worker decodes straight out
-of the mapping); the TCP transport length-prefixes them onto the socket.
-:func:`encode_frame` also reports how many bytes actually passed through
-pickle, which is the number the ``--check-shard-overhead`` benchmark gate
-compares against the pickle-everything pipe transport.
+The pipe transport sends a frame as one pipe message; the shared-memory
+transport writes it into a ``multiprocessing.shared_memory`` segment (the
+worker decodes straight out of the mapping); the TCP transport
+length-prefixes it onto the socket.  :func:`encode_frame` also reports how
+many bytes actually passed through pickle (``ship_serialized_bytes`` in the
+transport stats).
 """
 
 from __future__ import annotations
@@ -68,6 +80,7 @@ from array import array
 from typing import Any
 
 from repro.exceptions import ShardingError
+from repro.streaming.attributes import EncodedAttributes
 from repro.streaming.batch import RecordBatch
 
 try:  # pragma: no cover - exercised implicitly by the whole suite
@@ -88,12 +101,19 @@ else:  # pragma: no cover - no 4-byte int array type
     _CODE_TYPECODE = None
 
 
+#: ``_BatchRef.attributes`` value saying the attribute column rides in the
+#: frame's raw columns instead of the skeleton.
+_ENCODED = "encoded"
+
+
 class _BatchRef:
     """Picklable stand-in for a :class:`RecordBatch` inside a skeleton.
 
-    ``dictionary`` is either a plain list of category paths (stateless
-    encode) or a ``("delta", base, new_paths)`` triple referencing the
-    receiving channel's cumulative dictionary (see module docstring).
+    ``index`` is the batch's first column in the frame.  ``dictionary`` is
+    either a plain list of category paths (stateless encode) or a
+    ``("delta", base, new_paths)`` triple referencing the receiving
+    channel's cumulative dictionary (see module docstring).  ``attributes``
+    is ``None``, a list of mappings, or the ``"encoded"`` marker.
     """
 
     __slots__ = ("index", "length", "dictionary", "attributes")
@@ -114,15 +134,15 @@ class DictEncoder:
     never share an encoder across channels.
     """
 
-    __slots__ = ("lookup", "_translations")
+    __slots__ = ("lookup", "_translation")
 
     def __init__(self) -> None:
         self.lookup: dict = {}
-        # id(code_dictionary) -> (dictionary, translation) — the strong
-        # reference keeps the id stable; translations saturate to the
-        # distinct dictionary objects flowing through (columnar readers
-        # reuse one per file).
-        self._translations: dict = {}
+        # (dictionary, translation) of the last batch dictionary seen.  A
+        # columnar reader shares one dictionary per file, so this hits on
+        # every frame of a replay; batches coded on the fly (NDJSON-born)
+        # bring a fresh dictionary each, which an unbounded map would pin.
+        self._translation: "tuple | None" = None
 
     def __len__(self) -> int:
         return len(self.lookup)
@@ -142,16 +162,15 @@ class DictEncoder:
         return codes
 
     def translation_for(self, dictionary, delta: list):
-        """Per-batch-dictionary code translation table, computed once per
-        distinct dictionary object."""
-        key = id(dictionary)
-        cached = self._translations.get(key)
+        """Per-batch-dictionary code translation table, reused while
+        consecutive batches share one dictionary object."""
+        cached = self._translation
         if cached is not None and cached[0] is dictionary:
             return cached[1]
         translation = self.code_paths([tuple(path) for path in dictionary], delta)
         if _np is not None:
             translation = _np.asarray(translation, dtype="<i4")
-        self._translations[key] = (dictionary, translation)
+        self._translation = (dictionary, translation)
         return translation
 
 
@@ -208,48 +227,33 @@ def _le_i4(values: Any) -> bytes:
 def _encode_batch(
     batch: RecordBatch, columns: list, encoder: "DictEncoder | None"
 ) -> _BatchRef:
+    batch = batch.coded()
     codes = batch.category_codes
     if encoder is None:
-        if codes is None:
-            # Dictionary-encode in first-appearance order (deterministic).
-            dictionary: Any = []
-            lookup: dict = {}
-            codes = []
-            for category in batch.categories:
-                code = lookup.get(category)
-                if code is None:
-                    code = lookup[category] = len(dictionary)
-                    dictionary.append(category)
-                codes.append(code)
-        else:
-            dictionary = list(batch.code_dictionary)
+        dictionary: Any = list(batch.code_dictionary)
     else:
         delta: list = []
         base = len(encoder)
-        if codes is None:
-            codes = encoder.code_paths(batch.categories, delta)
+        translation = encoder.translation_for(batch.code_dictionary, delta)
+        if _np is not None:
+            codes = translation[_np.asarray(codes)]
         else:
-            translation = encoder.translation_for(batch.code_dictionary, delta)
-            if _np is not None:
-                codes = translation[_np.asarray(codes)]
-            else:
-                codes = [translation[int(code)] for code in codes]
+            codes = [translation[int(code)] for code in codes]
         dictionary = ("delta", base, delta)
-    attributes = batch.attributes
-    if attributes is not None:
-        attributes = list(attributes)
-        if not any(attributes):
-            # All rows empty: the None column means exactly that (see
-            # RecordBatch), so don't pickle thousands of empty dicts.
-            attributes = None
-    ref = _BatchRef(
-        len(columns) // 2,
-        len(batch),
-        dictionary,
-        attributes,
-    )
+    ref = _BatchRef(len(columns), len(batch), dictionary, None)
     columns.append(_le_f8(batch.timestamps))
     columns.append(_le_i4(codes))
+    attributes = batch.attributes
+    if isinstance(attributes, EncodedAttributes):
+        if not attributes.all_empty:
+            blob, lengths = attributes.window()
+            columns.append(blob)
+            columns.append(lengths.tobytes())
+            ref.attributes = _ENCODED
+    elif attributes is not None and any(attributes):
+        # All rows empty means exactly what the None column means (see
+        # RecordBatch), so thousands of empty dicts are never pickled.
+        ref.attributes = list(attributes)
     return ref
 
 
@@ -267,8 +271,8 @@ def _strip(obj: Any, columns: list, encoder: "DictEncoder | None") -> Any:
 
 def _restore(obj: Any, columns: list, decoder: "DictDecoder | None") -> Any:
     if isinstance(obj, _BatchRef):
-        ts_buf = columns[2 * obj.index]
-        code_buf = columns[2 * obj.index + 1]
+        ts_buf = columns[obj.index]
+        code_buf = columns[obj.index + 1]
         if _np is not None:
             timestamps = _np.frombuffer(ts_buf, dtype="<f8")
             codes = _np.frombuffer(code_buf, dtype="<i4")
@@ -292,11 +296,13 @@ def _restore(obj: Any, columns: list, decoder: "DictDecoder | None") -> Any:
             dictionary = decoder.apply(base, delta)
         else:
             dictionary = [tuple(path) for path in dictionary]
+        attributes = obj.attributes
+        if attributes == _ENCODED:
+            attributes = EncodedAttributes.from_window(
+                columns[obj.index + 2], columns[obj.index + 3]
+            )
         return RecordBatch.from_dictionary_codes(
-            timestamps,
-            codes,
-            dictionary,
-            attributes=obj.attributes,
+            timestamps, codes, dictionary, attributes
         )
     if isinstance(obj, tuple):
         return tuple(_restore(item, columns, decoder) for item in obj)

@@ -15,8 +15,18 @@ Reading maps the columns with ``numpy.memmap`` and materializes
 :class:`~repro.streaming.batch.RecordBatch` chunks whose timestamp and code
 columns are zero-copy views — no per-line parsing, no per-record tuples
 (category tuples decode lazily, and the dense close path never asks for
-them).  Without NumPy a pure-Python ``array``-module reader keeps the format
+them) and no per-record attribute dicts: the attribute column is an
+:class:`~repro.streaming.attributes.EncodedAttributes` window onto the
+file's blob, and a row's JSON is parsed only if something indexes that row.
+Without NumPy a pure-Python ``array``-module reader keeps the format
 usable, just without the zero-copy property.
+
+What is validated when: opening a file checks its *structure* — header,
+code range, and that the attribute offsets start at 0, never decrease, end
+at the blob's size and the blob lies inside the file.  Whether a row's bytes
+are a well-formed UTF-8 JSON *object* is checked when that row is read (it
+used to be checked for every row of every batch, by parsing them all); a bad
+row raises :class:`~repro.exceptions.StreamError` naming the file and row.
 
 Convert existing traces with the module CLI::
 
@@ -35,6 +45,7 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from repro._vector import load_numpy
 from repro.exceptions import StreamError
+from repro.streaming.attributes import EncodedAttributes
 from repro.streaming.batch import RecordBatch
 from repro.streaming.record import OperationalRecord
 
@@ -79,80 +90,66 @@ def write_trace_columnar(
     codes = array("i")
     dictionary: list[tuple] = []
     code_of: dict[tuple, int] = {}
-    attributes: list[Mapping[str, Any] | None] = []
-    any_attrs = False
+    # The attributes section, built as the rows arrive: JSON bytes back to
+    # back and the running end offset of every row.
+    attr_chunks: list[bytes] = []
+    attr_offsets = array("q", [0])
+    position = 0
 
-    def add(timestamp: float, category: tuple, attrs) -> None:
-        nonlocal any_attrs
+    def code_for(category: tuple) -> int:
         code = code_of.get(category)
         if code is None:
-            code = len(dictionary)
-            code_of[category] = code
+            code = code_of[category] = len(dictionary)
             dictionary.append(category)
-        timestamps.append(timestamp)
-        codes.append(code)
-        attributes.append(attrs)
+        return code
+
+    def add_attribute_row(attrs: "Mapping[str, Any] | None") -> None:
+        nonlocal position
         if attrs:
-            any_attrs = True
+            encoded = json.dumps(dict(attrs), sort_keys=True).encode("utf-8")
+            attr_chunks.append(encoded)
+            position += len(encoded)
+        attr_offsets.append(position)
 
     for item in source:
-        if isinstance(item, RecordBatch):
-            batch_attrs = item.attributes
-            item_codes = item.category_codes
-            if item._categories is None and item_codes is not None:
-                # Coded batch: translate codes dictionary-to-dictionary
-                # without materializing category tuples per record.
-                translate = [None] * len(item.code_dictionary)
-                for src_code, category in enumerate(item.code_dictionary):
-                    dst = code_of.get(category)
-                    if dst is None:
-                        dst = len(dictionary)
-                        code_of[category] = dst
-                        dictionary.append(category)
-                    translate[src_code] = dst
-                codes_list = (
-                    item_codes.tolist()
-                    if hasattr(item_codes, "tolist")
-                    else item_codes
+        if not isinstance(item, RecordBatch):
+            timestamps.append(float(item.timestamp))
+            codes.append(code_for(tuple(item.category)))
+            add_attribute_row(item.attributes)
+            continue
+        item_ts = item.timestamps
+        timestamps.extend(item_ts.tolist() if hasattr(item_ts, "tolist") else item_ts)
+        item_codes = item.category_codes
+        if item_codes is not None:
+            # Coded batch: translate codes dictionary-to-dictionary without
+            # materializing category tuples per record.
+            translate = [code_for(category) for category in item.code_dictionary]
+            codes.extend(
+                translate[code]
+                for code in (
+                    item_codes.tolist() if hasattr(item_codes, "tolist") else item_codes
                 )
-                ts_list = (
-                    item.timestamps.tolist()
-                    if hasattr(item.timestamps, "tolist")
-                    else item.timestamps
-                )
-                for i, (ts, code) in enumerate(zip(ts_list, codes_list)):
-                    timestamps.append(ts)
-                    codes.append(translate[code])
-                    attrs = batch_attrs[i] if batch_attrs is not None else None
-                    attributes.append(attrs)
-                    if attrs:
-                        any_attrs = True
-                continue
-            cats = item.categories
-            for i in range(len(item)):
-                add(
-                    float(item.timestamps[i]),
-                    cats[i],
-                    batch_attrs[i] if batch_attrs is not None else None,
-                )
+            )
         else:
-            add(float(item.timestamp), tuple(item.category), item.attributes)
+            codes.extend(code_for(category) for category in item.categories)
+        batch_attrs = item.attributes
+        if isinstance(batch_attrs, EncodedAttributes):
+            # Still-encoded rows pass through byte for byte.
+            blob, lengths = batch_attrs.window()
+            attr_chunks.append(blob)
+            for length in lengths.tolist():
+                position += length
+                attr_offsets.append(position)
+        elif batch_attrs is None:
+            attr_offsets.extend([position] * len(item))
+        else:
+            for attrs in batch_attrs:
+                add_attribute_row(attrs)
 
     count = len(timestamps)
     columns: dict[str, dict[str, Any]] = {}
-    attr_blob = b""
-    attr_offsets = array("q")
-    if any_attrs:
-        chunks = []
-        position = 0
-        attr_offsets.append(0)
-        for attrs in attributes:
-            if attrs:
-                encoded = json.dumps(dict(attrs), sort_keys=True).encode("utf-8")
-                chunks.append(encoded)
-                position += len(encoded)
-            attr_offsets.append(position)
-        attr_blob = b"".join(chunks)
+    any_attrs = position > 0
+    attr_blob = b"".join(attr_chunks)
 
     # Lay the sections out: header first (its own size feeds the offsets, so
     # iterate the layout until it fixes — it converges on the second pass).
@@ -252,25 +249,6 @@ def read_columnar_header(path: "str | Path") -> dict[str, Any]:
     return header
 
 
-def _attribute_rows(blob: bytes, offsets, start: int, stop: int):
-    """Decode attribute mappings for rows [start, stop) from the blob."""
-    # One bulk copy out of the (possibly memory-mapped) offsets column;
-    # per-element memmap indexing is pathologically slow.
-    window = offsets[start : stop + 1]
-    bounds = window.tolist() if hasattr(window, "tolist") else list(window)
-    if bounds[0] == bounds[-1]:
-        return None
-    rows = []
-    begin = bounds[0]
-    for end in bounds[1:]:
-        if end > begin:
-            rows.append(json.loads(blob[begin:end].decode("utf-8")))
-            begin = end
-        else:
-            rows.append({})
-    return rows
-
-
 def read_batches_columnar(
     path: "str | Path", batch_size: int = 8192
 ) -> Iterator[RecordBatch]:
@@ -278,7 +256,13 @@ def read_batches_columnar(
 
     With NumPy the timestamp and code columns are ``memmap`` views sliced
     per batch — zero copies, zero per-record parsing.  The category
-    dictionary is shared by every yielded batch.
+    dictionary is shared by every yielded batch, and so is the attribute
+    blob: each batch's attribute column is an
+    :class:`~repro.streaming.attributes.EncodedAttributes` window onto it
+    (``None`` for a batch whose rows are all empty).
+
+    The file's structure is validated here, once; the JSON of an attribute
+    row only when that row is read (see the module docstring).
     """
     if batch_size < 1:
         raise StreamError(f"batch_size must be >= 1, got {batch_size}")
@@ -292,53 +276,24 @@ def read_batches_columnar(
     columns = header["columns"]
     np_ = load_numpy()
 
-    attr_offsets = None
-    attr_blob = None
-    if np_ is not None:
-        timestamps = np_.memmap(
-            path,
-            dtype=np_.dtype("<f8"),
-            mode="r",
-            offset=columns["timestamps"]["offset"],
-            shape=(count,),
-        )
-        codes = np_.memmap(
-            path,
-            dtype=np_.dtype("<i4"),
-            mode="r",
-            offset=columns["codes"]["offset"],
-            shape=(count,),
-        )
-        if "attr_offsets" in columns:
-            attr_offsets = np_.memmap(
-                path,
-                dtype=np_.dtype("<i8"),
-                mode="r",
-                offset=columns["attr_offsets"]["offset"],
-                shape=(count + 1,),
+    def column(name: str, dtype: str, typecode: str, length: int):
+        offset = columns[name]["offset"]
+        if np_ is not None:
+            # A plain ndarray view of the mapping: memmap's own element
+            # indexing is pathologically slow.
+            return np_.asarray(
+                np_.memmap(path, dtype=dtype, mode="r", offset=offset, shape=(length,))
             )
-    else:
+        values = array(typecode)
         with path.open("rb") as handle:
-            handle.seek(columns["timestamps"]["offset"])
-            timestamps = array("d")
-            timestamps.frombytes(handle.read(8 * count))
-            handle.seek(columns["codes"]["offset"])
-            codes = array("i")
-            codes.frombytes(handle.read(4 * count))
-            if "attr_offsets" in columns:
-                handle.seek(columns["attr_offsets"]["offset"])
-                attr_offsets = array("q")
-                attr_offsets.frombytes(handle.read(8 * (count + 1)))
+            handle.seek(offset)
+            values.frombytes(handle.read(values.itemsize * length))
         if sys.byteorder != "little":  # pragma: no cover - BE hosts
-            timestamps.byteswap()
-            codes.byteswap()
-            if attr_offsets is not None:
-                attr_offsets.byteswap()
-    if attr_offsets is not None:
-        with path.open("rb") as handle:
-            handle.seek(columns["attr_blob"]["offset"])
-            attr_blob = handle.read(columns["attr_blob"]["size"])
+            values.byteswap()
+        return values
 
+    timestamps = column("timestamps", "<f8", "d", count)
+    codes = column("codes", "<i4", "i", count)
     if count:
         if np_ is not None:
             lo, hi = int(codes.min()), int(codes.max())
@@ -347,13 +302,37 @@ def read_batches_columnar(
         if lo < 0 or hi >= len(dictionary):
             raise StreamError(f"{path}: category code out of dictionary range")
 
+    attr_offsets = None
+    attr_blob = b""
+    if "attr_offsets" in columns:
+        attr_offsets = column("attr_offsets", "<i8", "q", count + 1)
+        blob = columns["attr_blob"]
+        with path.open("rb") as handle:
+            handle.seek(blob["offset"])
+            attr_blob = handle.read(blob["size"])
+        if np_ is not None:
+            ordered = bool((attr_offsets[1:] >= attr_offsets[:-1]).all())
+        else:
+            ordered = all(a <= b for a, b in zip(attr_offsets, attr_offsets[1:]))
+        if (
+            len(attr_blob) != blob["size"]
+            or attr_offsets[0] != 0
+            or attr_offsets[-1] != len(attr_blob)
+            or not ordered
+        ):
+            raise StreamError(
+                f"{path}: corrupt attributes section (offsets must run from 0 "
+                f"to the blob size without decreasing, inside the file)"
+            )
+
+    source = str(path)
     for start in range(0, count, batch_size):
         stop = min(start + batch_size, count)
-        attrs = (
-            None
-            if attr_blob is None
-            else _attribute_rows(attr_blob, attr_offsets, start, stop)
-        )
+        attrs = None
+        if attr_offsets is not None and attr_offsets[start] != attr_offsets[stop]:
+            attrs = EncodedAttributes(
+                attr_blob, attr_offsets[start : stop + 1], source, start
+            )
         yield RecordBatch.from_dictionary_codes(
             timestamps[start:stop], codes[start:stop], dictionary, attrs
         )

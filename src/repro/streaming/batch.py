@@ -38,6 +38,12 @@ from typing import Any
 
 from repro._types import CategoryPath, Timestamp, TimeunitIndex
 from repro.exceptions import StreamError
+from repro.streaming.attributes import (
+    concat_rows,
+    may_hold_key,
+    slice_rows,
+    take_rows,
+)
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 
@@ -65,6 +71,11 @@ class RecordBatch:
         Optional per-record attribute mappings, parallel to ``timestamps``.
         ``None`` means every record has empty attributes (the common case for
         trace files), which lets routing short-circuit without touching rows.
+        The columnar reader hands over an
+        :class:`~repro.streaming.attributes.EncodedAttributes` column, whose
+        rows stay JSON bytes until one is indexed; :meth:`slice`,
+        :meth:`take`, :meth:`concat` and :meth:`partition_by_key` keep it
+        encoded.
     """
 
     __slots__ = (
@@ -221,10 +232,10 @@ class RecordBatch:
 
     def slice(self, start: int, stop: int) -> "RecordBatch":
         """A contiguous sub-batch (columns are sliced, rows never built)."""
-        attrs = None if self.attributes is None else self.attributes[start:stop]
-        if self._categories is None:
-            # Coded batch not yet decoded: slice the code column (a zero-copy
-            # view on vector installs) and keep sharing the dictionary.
+        attrs = slice_rows(self.attributes, start, stop)
+        if self.category_codes is not None:
+            # Coded batch: slice the code column (a zero-copy view on vector
+            # installs) and keep sharing the dictionary.
             return RecordBatch.from_dictionary_codes(
                 self.timestamps[start:stop],
                 self.category_codes[start:stop],
@@ -232,38 +243,80 @@ class RecordBatch:
                 attrs,
             )
         return RecordBatch(
-            self.timestamps[start:stop], self.categories[start:stop], attrs
+            self.timestamps[start:stop], self._categories[start:stop], attrs
         )
 
     def take(self, indices: Sequence[int]) -> "RecordBatch":
-        """A sub-batch of the given row indices, in the given order."""
+        """A sub-batch of the given (non-negative) row indices, in the given
+        order.  A coded batch gathers its codes and keeps the dictionary."""
         if _np is not None:
-            ts = self.timestamps[_np.asarray(indices, dtype=_np.intp)]
+            rows = _np.asarray(indices, dtype=_np.intp)
+            ts = self.timestamps[rows]
         else:
             ts = array("d", (self.timestamps[i] for i in indices))
-        cats = [self.categories[i] for i in indices]
-        attrs = (
-            None
-            if self.attributes is None
-            else [self.attributes[i] for i in indices]
-        )
-        return RecordBatch(ts, cats, attrs)
+        attrs = take_rows(self.attributes, indices)
+        codes = self.category_codes
+        if codes is not None:
+            return RecordBatch.from_dictionary_codes(
+                ts,
+                (
+                    _np.asarray(codes)[rows]
+                    if _np is not None
+                    else [codes[i] for i in indices]
+                ),
+                self.code_dictionary,
+                attrs,
+            )
+        cats = self._categories
+        return RecordBatch(ts, [cats[i] for i in indices], attrs)
 
     def concat(self, other: "RecordBatch") -> "RecordBatch":
-        """This batch followed by ``other`` (columns concatenated)."""
+        """This batch followed by ``other`` (columns concatenated).  Two
+        coded batches over the same dictionary object stay coded."""
         if _np is not None:
             ts = _np.concatenate([self.timestamps, other.timestamps])
         else:
             ts = array("d", self.timestamps)
             ts.extend(other.timestamps)
-        cats = self.categories + other.categories
-        if self.attributes is None and other.attributes is None:
-            attrs = None
-        else:
-            attrs = list(self.attributes or [{}] * len(self)) + list(
-                other.attributes or [{}] * len(other)
+        attrs = concat_rows(
+            self.attributes, len(self), other.attributes, len(other)
+        )
+        if (
+            self.category_codes is not None
+            and other.category_codes is not None
+            and self.code_dictionary is other.code_dictionary
+        ):
+            if _np is not None:
+                codes = _np.concatenate([self.category_codes, other.category_codes])
+            else:
+                codes = list(self.category_codes) + list(other.category_codes)
+            return RecordBatch.from_dictionary_codes(
+                ts, codes, self.code_dictionary, attrs
             )
-        return RecordBatch(ts, cats, attrs)
+        return RecordBatch(ts, self.categories + other.categories, attrs)
+
+    def coded(self) -> "RecordBatch":
+        """This batch with dictionary-coded categories (itself when it already
+        is): one code per record into a dictionary of the distinct paths in
+        first-appearance order."""
+        if self.category_codes is not None:
+            return self
+        dictionary: list[CategoryPath] = []
+        lookup: dict[CategoryPath, int] = {}
+        codes = []
+        for category in self._categories:
+            code = lookup.get(category)
+            if code is None:
+                code = lookup[category] = len(dictionary)
+                dictionary.append(category)
+            codes.append(code)
+        if _np is not None:
+            codes = _np.asarray(codes, dtype=_np.int32)
+        batch = RecordBatch.from_dictionary_codes(
+            self.timestamps, codes, dictionary, self.attributes
+        )
+        batch._categories = self._categories
+        return batch
 
     # ------------------------------------------------------------------
     # Vectorized timeunit aggregation
@@ -355,10 +408,11 @@ class RecordBatch:
 
         With no ``selector`` the default attribute convention is read straight
         off the attribute column (``attributes["stream"]``), never
-        materializing records; a custom selector is applied row by row.
+        materializing records — and never decoding a row of an encoded column
+        that cannot hold the key; a custom selector is applied row by row.
         """
         if selector is None:
-            if self.attributes is None:
+            if not may_hold_key(self.attributes, "stream"):
                 return [None] * len(self)
             return [attrs.get("stream") for attrs in self.attributes]
         return [selector(self.record(i)) for i in range(len(self))]
@@ -376,7 +430,7 @@ class RecordBatch:
         """
         if len(self) == 0:
             return []
-        if self.attributes is None and selector is None:
+        if selector is None and not may_hold_key(self.attributes, "stream"):
             return [(None, self)]
         keys = self.stream_keys(selector)
         groups: dict[str | None, list[int]] = {}
@@ -467,10 +521,11 @@ class ColumnAccumulator:
         file readers and the service ingestion endpoints) funnels through
         this method so the coercion and validation rules live in exactly one
         place: the timestamp must parse as a *finite* float, the category
-        must be a non-empty sequence of labels — a bare string is not one
-        (``"TV"`` would silently become ``("T", "V")``), nor is a mapping or
-        a set.  Raises :class:`~repro.exceptions.StreamError` otherwise, so a
-        bad row is refused where it is read instead of failing later on the
+        must be a non-empty sequence of hashable labels — a bare string is
+        not one (``"TV"`` would silently become ``("T", "V")``), nor is a
+        mapping or a set — and non-empty attributes must be a mapping.
+        Raises :class:`~repro.exceptions.StreamError` otherwise, so a bad
+        row is refused where it is read instead of failing later on the
         detection thread, where it would take its whole batch with it.
         """
         if type(labels) is not list and (
@@ -482,6 +537,7 @@ class ColumnAccumulator:
             )
         try:
             category = tuple(labels)
+            hash(category)  # a nested list label would die at classification
             if type(timestamp) is not float:
                 timestamp = float(timestamp)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -490,14 +546,19 @@ class ColumnAccumulator:
             raise StreamError("record with an empty category path")
         if not _isfinite(timestamp):
             raise StreamError(f"record timestamp {timestamp!r} is not finite")
+        if not attributes:
+            attributes = {}
+        elif type(attributes) is dict or isinstance(attributes, Mapping):
+            self._any_attrs = True
+        else:
+            raise StreamError(
+                f"record attributes must be a mapping, got "
+                f"{type(attributes).__name__}"
+            )
         # ``add`` inlined: this runs once per ingested record.
         self.timestamps.append(timestamp)
         self.categories.append(category)
-        if attributes:
-            self.attributes.append(attributes)
-            self._any_attrs = True
-        else:
-            self.attributes.append({})
+        self.attributes.append(attributes)
 
     def flush(self) -> RecordBatch:
         """The accumulated rows as a batch; the accumulator resets to empty."""

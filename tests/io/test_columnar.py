@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 
@@ -18,6 +19,8 @@ from repro.io.columnar import (
     write_trace_columnar,
 )
 from repro.io.jsonl_io import write_records_jsonl
+from repro.streaming.attributes import EncodedAttributes
+from repro.streaming.batch import RecordBatch
 from repro.streaming.record import OperationalRecord
 
 
@@ -131,6 +134,128 @@ class TestConvertAndDispatch:
         path.write_bytes(bytes(data))
         with pytest.raises(StreamError):
             read_columnar_header(path)
+
+
+def patch_section(path, column, edit):
+    """Rewrite one section of a columnar file in place: ``edit`` receives the
+    section's bytes (``attr_offsets`` as a list of ints) and returns them."""
+    header = read_columnar_header(path)
+    data = bytearray(path.read_bytes())
+    spec = header["columns"][column]
+    if column == "attr_offsets":
+        count = header["count"] + 1
+        fmt = f"<{count}q"
+        values = list(struct.unpack_from(fmt, data, spec["offset"]))
+        struct.pack_into(fmt, data, spec["offset"], *edit(values))
+    else:
+        raw = bytes(data[spec["offset"] : spec["offset"] + spec["size"]])
+        edited = edit(raw)
+        assert len(edited) == len(raw)
+        data[spec["offset"] : spec["offset"] + spec["size"]] = edited
+    path.write_bytes(bytes(data))
+
+
+class TestAttributesSection:
+    """The encoded column: lazy rows, structure checked at open, row JSON
+    checked when the row is read."""
+
+    def test_reader_hands_over_the_encoded_column(self, tmp_path):
+        path = tmp_path / "trace.rcol"
+        records = sample_records(30, attrs=True)
+        write_trace_columnar(records, path)
+        batches = list(read_batches_columnar(path, batch_size=7))
+        assert all(isinstance(b.attributes, EncodedAttributes) for b in batches)
+        assert [r for b in batches for r in b.to_records()] == records
+        # Every batch windows the one blob read at open.
+        assert len({id(b.attributes._blob) for b in batches}) == 1
+
+    def test_all_empty_batches_still_get_none(self, tmp_path):
+        path = tmp_path / "trace.rcol"
+        records = sample_records(20)
+        records[13] = OperationalRecord.create(13.0, ("region", "site-1"), k=1)
+        write_trace_columnar(records, path)
+        batches = list(read_batches_columnar(path, batch_size=5))
+        assert [b.attributes is None for b in batches] == [True, True, False, True]
+
+    @pytest.mark.parametrize("numpy", [True, False])
+    def test_convert_rcol_to_rcol_is_byte_identical(self, tmp_path, monkeypatch, numpy):
+        if not numpy:
+            monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        source, target = tmp_path / "a.rcol", tmp_path / "b.rcol"
+        write_trace_columnar(sample_records(40, attrs=True), source)
+        # A foreign writer's spelling must survive: rows pass through as
+        # bytes, they are not decoded and re-dumped.
+        patch_section(
+            source,
+            "attr_blob",
+            lambda raw: raw.replace(b'{"stream": "s1"}', b'{ "stream":"s1"}'),
+        )
+        assert convert_trace(source, target, batch_size=9) == 40
+        assert target.read_bytes() == source.read_bytes()
+
+    def test_mixed_sources_keep_every_row(self, tmp_path):
+        records = sample_records(12, attrs=True)
+        first = tmp_path / "a.rcol"
+        write_trace_columnar(records[:6], first)
+        encoded = list(read_batches_columnar(first))[0]
+        decoded = RecordBatch.from_records(records[6:9])
+        target = tmp_path / "b.rcol"
+        assert write_trace_columnar([encoded, decoded, *records[9:]], target) == 12
+        assert list(read_records_columnar(target)) == records
+
+    @pytest.mark.parametrize("numpy", [True, False])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda offsets: [1] + offsets[1:],  # does not start at 0
+            lambda offsets: offsets[:-1] + [offsets[-1] + 5],  # past the blob
+            lambda offsets: offsets[:-1] + [offsets[-1] - 1],  # short of it
+            lambda offsets: offsets[:2] + [offsets[1] - 1] + offsets[3:],  # decreasing
+            lambda offsets: [0, -4] + offsets[2:],
+        ],
+        ids=["first-nonzero", "last-past-blob", "last-short", "decreasing", "negative"],
+    )
+    def test_bad_offsets_are_refused_at_open(self, tmp_path, monkeypatch, numpy, edit):
+        # Parent: silent garbage slices (or a raw JSONDecodeError later on).
+        if not numpy:
+            monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        path = tmp_path / "trace.rcol"
+        write_trace_columnar(sample_records(12, attrs=True), path)
+        patch_section(path, "attr_offsets", edit)
+        with pytest.raises(StreamError, match="corrupt attributes section"):
+            next(read_batches_columnar(path))
+
+    def test_blob_outside_the_file_is_refused_at_open(self, tmp_path):
+        path = tmp_path / "trace.rcol"
+        write_trace_columnar(sample_records(12, attrs=True), path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(StreamError, match="corrupt attributes section"):
+            next(read_batches_columnar(path))
+
+    @pytest.mark.parametrize(
+        "garbage, complaint",
+        [
+            (b'{"stream": "s1" ', "malformed attributes"),  # truncated JSON
+            (b'{"stream": "\xff1"}', "malformed attributes"),  # not UTF-8
+            (b'["stream", "s1"]', "must be a JSON object"),
+        ],
+    )
+    def test_a_bad_row_raises_streamerror_naming_file_and_row(
+        self, tmp_path, garbage, complaint
+    ):
+        # Parent: a raw JSONDecodeError / UnicodeDecodeError, for every
+        # reader of the batch.  Now: a StreamError, when that row is read.
+        path = tmp_path / "trace.rcol"
+        write_trace_columnar(sample_records(12, attrs=True), path)
+        good = b'{"stream": "s1"}'
+        assert len(garbage) == len(good)
+        patch_section(path, "attr_blob", lambda raw: raw.replace(good, garbage))
+        [batch] = list(read_batches_columnar(path))  # opens: structure is fine
+        assert batch.attributes[3] == {"stream": "s3"}
+        with pytest.raises(StreamError, match=rf"{path}: row 1: .*{complaint}"):
+            batch.attributes[1]
+        with pytest.raises(StreamError, match="row 1"):
+            list(read_records_columnar(path))
 
 
 class TestCli:

@@ -111,6 +111,8 @@ class TestBatchLoader:
             '{"timestamp": "inf", "category": ["a"]}',
             '{"timestamp": 1, "category": "TV"}',
             '{"timestamp": 1}',
+            '{"timestamp": 1, "category": ["a"], "attributes": [1, 2]}',
+            '{"timestamp": 1, "category": [["a"]]}',
         ],
     )
     def test_bad_values_name_the_file_and_line(self, tmp_path, bad_row):

@@ -305,6 +305,15 @@ class TestBadValuesAreRefusedAtTheEdge:
             (b'{"category": ["a"], "timestamp": 1e999}', "not finite"),
             (b'{"category": "TV", "timestamp": 1}', "sequence of labels"),
             (b'{"category": {"TV": 1}, "timestamp": 1}', "sequence of labels"),
+            # Admitted with a 202 before this column work: a non-mapping
+            # attributes value blew up in partition_by_key on the detection
+            # thread of multi-session/sharded tenants, a nested label at
+            # classification.
+            (
+                b'{"timestamp": 1, "category": ["a"], "attributes": [1, 2]}',
+                "attributes must be a mapping, got list",
+            ),
+            (b'{"timestamp": 1, "category": [["a"]]}', "unhashable"),
         ],
     )
     def test_http_400_and_nothing_is_enqueued(self, daemon, bad, complaint):
@@ -324,6 +333,27 @@ class TestBadValuesAreRefusedAtTheEdge:
         wait_until(service.worker.drained)
         assert service.worker.errors_total == 0
         assert service.worker.processed_records_total == 20
+
+
+    @pytest.mark.parametrize(
+        "bad, complaint",
+        [
+            (b'{"timestamp": 1, "category": ["a"], "attributes": [1, 2]}\n', "mapping"),
+            (b'{"timestamp": 1, "category": [["a"]]}\n', "unhashable"),
+        ],
+    )
+    def test_socket_replies_with_an_error_line(self, daemon, bad, complaint):
+        dataset, service = daemon
+        good = record_lines(dataset, 3)
+        reply = json.loads(
+            socket_exchange(
+                service.socket_port, [b'{"tenant": "tiny"}\n', *good, bad, *good]
+            )
+        )
+        assert reply["error"].startswith("line 5: ") and complaint in reply["error"]
+        assert reply["accepted"] == 3
+        wait_until(service.worker.drained)
+        assert service.worker.errors_total == 0
 
 
 class TestSocketReplyIsTruthful:

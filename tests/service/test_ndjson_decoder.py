@@ -240,6 +240,11 @@ GOOD2 = b'{"timestamp": 2, "category": ["c"], "attributes": {"k": [1, {"z": null
         (b'{"timestamp": 1, "category": "TV"}\n', 1),
         (b'{"timestamp": 1, "category": {"TV": 1}}\n', 1),
         (b'{"timestamp": 1, "category": []}\n', 1),
+        (GOOD + b'\n{"timestamp": 1, "category": ["a"], "attributes": [1, 2]}\n', 2),
+        (GOOD + b'\n{"timestamp": 1, "category": ["a"], "attributes": "x"}\n', 2),
+        (GOOD + b'\n{"timestamp": 1, "category": ["a"], "attributes": []}\n', None),
+        (GOOD + b'\n{"timestamp": 1, "category": [["a"]]}\n', 2),
+        (GOOD + b'\n{"timestamp": 1, "category": ["a", {"b": 1}]}\n', 2),
         (b'{"timestamp": 1}\n', 1),
         (b'{"category": ["a"]}\n', 1),
         (b"[1, 2]\n", 1),

@@ -237,3 +237,33 @@ class TestTraceRowCoercion:
         with pytest.raises(StreamError):
             acc.add_trace_row(timestamp, labels)
         assert len(acc) == 1 and acc.flush().categories == [("ok",)]
+
+    @pytest.mark.parametrize(
+        "labels, attributes, complaint",
+        [
+            # Parent: admitted, then AttributeError in partition_by_key /
+            # TypeError in write_trace_columnar, far from where it was read.
+            (["a"], [1, 2], "attributes must be a mapping, got list"),
+            (["a"], "text", "attributes must be a mapping, got str"),
+            (["a"], 7, "attributes must be a mapping, got int"),
+            # Parent: admitted as (['a'],), then unhashable at classification.
+            ([["a"]], None, "unhashable"),
+            (["a", {"b": 1}], None, "unhashable"),
+        ],
+    )
+    def test_hostile_rows_are_refused_where_they_are_read(
+        self, labels, attributes, complaint
+    ):
+        acc = ColumnAccumulator()
+        acc.add_trace_row(0.5, ["ok"], {"k": 1})
+        with pytest.raises(StreamError, match=complaint):
+            acc.add_trace_row(1.0, labels, attributes)
+        batch = acc.flush()
+        assert len(batch) == 1 and batch.attributes == [{"k": 1}]
+
+    def test_falsy_non_mapping_attributes_still_mean_empty(self):
+        acc = ColumnAccumulator()
+        for empty in (None, {}, [], "", 0):
+            acc.add_trace_row(1.0, ["a"], empty)
+        assert acc.flush().attributes is None
+
