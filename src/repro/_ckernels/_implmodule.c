@@ -2,7 +2,9 @@
  *
  * Every kernel here is a line-for-line transcription of a NumPy expression
  * from the close path (``_SplitStatsStore.update_dense``, the steady branch
- * of ``ForecasterBank.observe_rows``, ``NodeTimeSeries.record``).  NumPy
+ * of ``ForecasterBank._observe_vector``, the ``HierarchyIndex`` level
+ * sweeps).  ADA's SPLIT / MERGE / window arithmetic has no kernel: on the
+ * bank's row matrix each is one or two whole-row NumPy operations.  NumPy
  * element-wise arithmetic is per-element IEEE-754 double arithmetic, so the
  * same expression evaluated per element in C produces bit-identical results
  * — PROVIDED the build forbids FMA contraction and fast-math reassociation.
@@ -42,7 +44,7 @@ check_1d(PyArrayObject *arr, int typenum, const char *name)
  * mutated on the retry return.
  */
 static PyObject *
-update_stats_dense(PyObject *self, PyObject *args)
+update_stats_dense(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyArrayObject *raw, *decay, *cumulative, *ewma, *last_weight;
     PyArrayObject *observations, *last_unit, *seen, *has_last;
@@ -123,74 +125,63 @@ update_stats_dense(PyObject *self, PyObject *args)
     return PyLong_FromLong(0);
 }
 
-/* observe_steady(idx, v, level, trend, seasonal, phases, phase_cols, ewma,
- *                seen, alpha, beta, gamma, fallback_alpha, season_len, out)
+/* observe_steady(idx, v, state, ints, seen_col, phase_col, alpha, beta, gamma,
+ *                fallback_alpha, season_len, out)
  *
- * The single-season steady-state branch of ForecasterBank.observe_rows:
- * every row active, no NaN EWMA, rows distinct.  ``seasonal`` is the
- * (capacity, season_len) buffer, ``phases`` the (capacity, K) phase matrix
- * of which only column 0 is used (K passed as phase_cols).  Forecasts for
- * each row land in ``out``.
+ * The single-season steady-state branch of ForecasterBank._observe_vector:
+ * every row active, no NaN EWMA, rows distinct.  ``state`` is the bank's
+ * (capacity, width) float64 row matrix — columns 0..2 are ewma, level and
+ * trend, the seasonal buffer starts at column 3 — and ``ints`` its
+ * (capacity, icols) int64 matrix, of which ``seen_col`` and ``phase_col``
+ * are read and written.  Forecasts for each row land in ``out``.
  */
 static PyObject *
-observe_steady(PyObject *self, PyObject *args)
+observe_steady(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyArrayObject *idx, *v, *level, *trend, *seasonal, *phases;
-    PyArrayObject *ewma, *seen, *out;
+    PyArrayObject *idx, *v, *state, *ints, *out;
     double alpha, beta, gamma, fallback_alpha;
-    long long phase_cols, season_len;
+    long long seen_col, phase_col, season_len;
 
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!LO!O!ddddLO!",
+    if (!PyArg_ParseTuple(args, "O!O!O!O!LLddddLO!",
                           &PyArray_Type, &idx,
                           &PyArray_Type, &v,
-                          &PyArray_Type, &level,
-                          &PyArray_Type, &trend,
-                          &PyArray_Type, &seasonal,
-                          &PyArray_Type, &phases, &phase_cols,
-                          &PyArray_Type, &ewma,
-                          &PyArray_Type, &seen,
+                          &PyArray_Type, &state,
+                          &PyArray_Type, &ints,
+                          &seen_col, &phase_col,
                           &alpha, &beta, &gamma, &fallback_alpha,
                           &season_len,
                           &PyArray_Type, &out))
         return NULL;
     if (!check_1d(idx, NPY_INTP, "idx") || !check_1d(v, NPY_DOUBLE, "v") ||
-        !check_1d(level, NPY_DOUBLE, "level") ||
-        !check_1d(trend, NPY_DOUBLE, "trend") ||
-        !check_1d(ewma, NPY_DOUBLE, "ewma") ||
-        !check_1d(seen, NPY_INT64, "seen") ||
         !check_1d(out, NPY_DOUBLE, "out"))
         return NULL;
-    if (PyArray_NDIM(seasonal) != 2 || PyArray_TYPE(seasonal) != NPY_DOUBLE ||
-        !PyArray_IS_C_CONTIGUOUS(seasonal) ||
-        PyArray_NDIM(phases) != 2 || PyArray_TYPE(phases) != NPY_INT64 ||
-        !PyArray_IS_C_CONTIGUOUS(phases)) {
+    if (PyArray_NDIM(state) != 2 || PyArray_TYPE(state) != NPY_DOUBLE ||
+        !PyArray_IS_C_CONTIGUOUS(state) ||
+        PyArray_NDIM(ints) != 2 || PyArray_TYPE(ints) != NPY_INT64 ||
+        !PyArray_IS_C_CONTIGUOUS(ints)) {
         PyErr_SetString(PyExc_ValueError,
-                        "seasonal/phases must be 2-d C-contiguous");
+                        "state/ints must be 2-d C-contiguous float64/int64");
         return NULL;
     }
     npy_intp m = PyArray_DIM(idx, 0);
-    npy_intp cap = PyArray_DIM(level, 0);
+    npy_intp cap = PyArray_DIM(state, 0);
+    npy_intp width = PyArray_DIM(state, 1);
+    npy_intp icols = PyArray_DIM(ints, 1);
     if (PyArray_DIM(v, 0) != m || PyArray_DIM(out, 0) != m ||
-        PyArray_DIM(seasonal, 1) != (npy_intp)season_len ||
-        PyArray_DIM(phases, 1) != (npy_intp)phase_cols ||
-        PyArray_DIM(seasonal, 0) != cap || PyArray_DIM(phases, 0) != cap ||
-        PyArray_DIM(trend, 0) != cap || PyArray_DIM(ewma, 0) != cap ||
-        PyArray_DIM(seen, 0) != cap) {
+        PyArray_DIM(ints, 0) != cap || season_len <= 0 ||
+        width < 3 + (npy_intp)season_len ||
+        seen_col < 0 || seen_col >= icols ||
+        phase_col < 0 || phase_col >= icols) {
         PyErr_SetString(PyExc_ValueError, "observe_steady shape mismatch");
         return NULL;
     }
 
     const npy_intp *ix = (const npy_intp *)PyArray_DATA(idx);
     const double *vv = (const double *)PyArray_DATA(v);
-    double *lv = (double *)PyArray_DATA(level);
-    double *tr = (double *)PyArray_DATA(trend);
-    double *seas = (double *)PyArray_DATA(seasonal);
-    npy_int64 *ph = (npy_int64 *)PyArray_DATA(phases);
-    double *ew = (double *)PyArray_DATA(ewma);
-    npy_int64 *sn = (npy_int64 *)PyArray_DATA(seen);
+    double *st = (double *)PyArray_DATA(state);
+    npy_int64 *in = (npy_int64 *)PyArray_DATA(ints);
     double *fc = (double *)PyArray_DATA(out);
     const long long p = season_len;
-    const long long K = phase_cols;
     const double oma = 1.0 - alpha, omb = 1.0 - beta, omg = 1.0 - gamma;
     const double omf = 1.0 - fallback_alpha;
 
@@ -200,207 +191,25 @@ observe_steady(PyObject *self, PyObject *args)
             PyErr_SetString(PyExc_IndexError, "row index out of range");
             return NULL;
         }
+        double *r = st + row * width;
+        npy_int64 *ri = in + row * icols;
+        npy_int64 phase = ri[phase_col];
+        if (phase < 0 || phase >= p) {
+            PyErr_SetString(PyExc_IndexError, "seasonal phase out of range");
+            return NULL;
+        }
         double val = vv[j];
-        npy_int64 phase = ph[row * K];
-        double sea = seas[row * p + phase];
-        double lev = lv[row];
-        double trd = tr[row];
+        double sea = r[3 + phase];
+        double lev = r[1];
+        double trd = r[2];
         fc[j] = lev + trd + sea;
-        ew[row] = fallback_alpha * val + omf * ew[row];
-        sn[row] += 1;
+        r[0] = fallback_alpha * val + omf * r[0];
+        ri[seen_col] += 1;
         double new_level = alpha * (val - sea) + oma * (lev + trd);
-        lv[row] = new_level;
-        tr[row] = beta * (new_level - lev) + omb * trd;
-        seas[row * p + phase] = gamma * (val - new_level) + omg * sea;
-        ph[row * K] = (phase + 1) % p;
-    }
-    Py_RETURN_NONE;
-}
-
-/* fused_record(bases, starts, sizes, maxlens, values, forecasts)
- *
- * The batched form of NodeTimeSeries.record's fused-storage branch: one call
- * appends this timeunit's (actual, forecast) pair to every tracked series.
- * ``bases`` is a list of (2, maxlen) float64 arrays (row 0 actuals, row 1
- * forecasts); ``starts``/``sizes`` are int64 ring cursors read from the
- * FloatRing pairs before the call and written back after it (the caller owns
- * that sync — the arrays are authoritative only inside this call).
- */
-static PyObject *
-fused_record(PyObject *self, PyObject *args)
-{
-    PyObject *bases;
-    PyArrayObject *starts, *sizes, *maxlens, *values, *forecasts;
-
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!",
-                          &PyList_Type, &bases,
-                          &PyArray_Type, &starts,
-                          &PyArray_Type, &sizes,
-                          &PyArray_Type, &maxlens,
-                          &PyArray_Type, &values,
-                          &PyArray_Type, &forecasts))
-        return NULL;
-    if (!check_1d(starts, NPY_INT64, "starts") ||
-        !check_1d(sizes, NPY_INT64, "sizes") ||
-        !check_1d(maxlens, NPY_INT64, "maxlens") ||
-        !check_1d(values, NPY_DOUBLE, "values") ||
-        !check_1d(forecasts, NPY_DOUBLE, "forecasts"))
-        return NULL;
-    npy_intp m = PyList_GET_SIZE(bases);
-    if (PyArray_DIM(starts, 0) != m || PyArray_DIM(sizes, 0) != m ||
-        PyArray_DIM(maxlens, 0) != m || PyArray_DIM(values, 0) != m ||
-        PyArray_DIM(forecasts, 0) != m) {
-        PyErr_SetString(PyExc_ValueError, "fused_record length mismatch");
-        return NULL;
-    }
-    npy_int64 *st = (npy_int64 *)PyArray_DATA(starts);
-    npy_int64 *sz = (npy_int64 *)PyArray_DATA(sizes);
-    const npy_int64 *ml = (const npy_int64 *)PyArray_DATA(maxlens);
-    const double *vv = (const double *)PyArray_DATA(values);
-    const double *ff = (const double *)PyArray_DATA(forecasts);
-
-    for (npy_intp j = 0; j < m; j++) {
-        PyObject *obj = PyList_GET_ITEM(bases, j);
-        if (!PyArray_Check(obj)) {
-            PyErr_SetString(PyExc_TypeError, "bases must hold ndarrays");
-            return NULL;
-        }
-        PyArrayObject *base = (PyArrayObject *)obj;
-        npy_int64 L = ml[j];
-        if (PyArray_NDIM(base) != 2 || PyArray_TYPE(base) != NPY_DOUBLE ||
-            !PyArray_IS_C_CONTIGUOUS(base) || PyArray_DIM(base, 0) != 2 ||
-            PyArray_DIM(base, 1) != (npy_intp)L) {
-            PyErr_SetString(PyExc_ValueError,
-                            "each base must be a C-contiguous (2, maxlen) "
-                            "float64 array");
-            return NULL;
-        }
-        double *data = (double *)PyArray_DATA(base);
-        npy_int64 pos = st[j] + sz[j];
-        if (pos >= L)
-            pos -= L;
-        data[pos] = vv[j];
-        data[L + pos] = ff[j];
-        if (sz[j] == L) {
-            npy_int64 s = st[j] + 1;
-            if (s == L)
-                s = 0;
-            st[j] = s;
-        } else {
-            sz[j] += 1;
-        }
-    }
-    Py_RETURN_NONE;
-}
-
-static int
-check_base(PyArrayObject *arr, npy_intp maxlen, const char *name)
-{
-    if (PyArray_NDIM(arr) != 2 || PyArray_TYPE(arr) != NPY_DOUBLE ||
-        !PyArray_IS_C_CONTIGUOUS(arr) || PyArray_DIM(arr, 0) != 2 ||
-        PyArray_DIM(arr, 1) != maxlen) {
-        PyErr_Format(PyExc_ValueError,
-                     "%s must be a C-contiguous (2, maxlen) float64 array",
-                     name);
-        return 0;
-    }
-    return 1;
-}
-
-/* split_windows(base, child_base, start, size, maxlen, ratio)
- *
- * Mirror of NodeTimeSeries._split_windows' fused branch: the live region of
- * ``base`` (ring order, possibly wrapped) is copied times ``ratio`` into the
- * head of ``child_base`` and scaled by ``1 - ratio`` in place.  Entries of
- * ``child_base`` beyond ``size`` stay uninitialized, exactly like the
- * ``np.empty`` the NumPy branch leaves behind (the child ring's size hides
- * them).
- */
-static PyObject *
-split_windows(PyObject *self, PyObject *args)
-{
-    PyArrayObject *base, *child;
-    long long start, size, maxlen;
-    double ratio;
-
-    if (!PyArg_ParseTuple(args, "O!O!LLLd",
-                          &PyArray_Type, &base,
-                          &PyArray_Type, &child,
-                          &start, &size, &maxlen, &ratio))
-        return NULL;
-    if (!check_base(base, (npy_intp)maxlen, "base") ||
-        !check_base(child, (npy_intp)maxlen, "child_base"))
-        return NULL;
-    if (start < 0 || start >= maxlen || size < 0 || size > maxlen) {
-        PyErr_SetString(PyExc_ValueError, "split_windows cursor out of range");
-        return NULL;
-    }
-    double *bd = (double *)PyArray_DATA(base);
-    double *cd = (double *)PyArray_DATA(child);
-    const double rest = 1.0 - ratio;
-    const long long L = maxlen;
-
-    for (int row = 0; row < 2; row++) {
-        double *b = bd + (npy_intp)row * L;
-        double *c = cd + (npy_intp)row * L;
-        for (long long j = 0; j < size; j++) {
-            long long src = start + j;
-            if (src >= L)
-                src -= L;
-            c[j] = b[src] * ratio;
-            b[src] *= rest;
-        }
-    }
-    Py_RETURN_NONE;
-}
-
-/* merge_windows(base, n_start, n_size, other, o_start, o_size, maxlen,
- *               o_maxlen)
- *
- * Mirror of NodeTimeSeries.merge_windows_from's in-place branch
- * (``m <= n``): ``other``'s live region adds into the newest ``m`` slots of
- * ``base``, both in ring order.  Per-element independent additions — order
- * cannot matter.
- */
-static PyObject *
-merge_windows(PyObject *self, PyObject *args)
-{
-    PyArrayObject *base, *other;
-    long long n_start, n_size, o_start, o_size, maxlen, o_maxlen;
-
-    if (!PyArg_ParseTuple(args, "O!LLO!LLLL",
-                          &PyArray_Type, &base, &n_start, &n_size,
-                          &PyArray_Type, &other, &o_start, &o_size,
-                          &maxlen, &o_maxlen))
-        return NULL;
-    if (!check_base(base, (npy_intp)maxlen, "base") ||
-        !check_base(other, (npy_intp)o_maxlen, "other"))
-        return NULL;
-    if (o_size > n_size || n_size > maxlen || o_size > o_maxlen ||
-        n_start < 0 || n_start >= maxlen || o_start < 0 ||
-        o_start >= o_maxlen || o_size < 0) {
-        PyErr_SetString(PyExc_ValueError, "merge_windows cursor out of range");
-        return NULL;
-    }
-    double *bd = (double *)PyArray_DATA(base);
-    const double *od = (const double *)PyArray_DATA(other);
-    const long long L = maxlen, OL = o_maxlen, m = o_size;
-    long long dst0 = n_start + (n_size - m);
-    if (dst0 >= L)
-        dst0 -= L;
-
-    for (int row = 0; row < 2; row++) {
-        double *b = bd + (npy_intp)row * L;
-        const double *o = od + (npy_intp)row * OL;
-        for (long long j = 0; j < m; j++) {
-            long long src = o_start + j;
-            if (src >= OL)
-                src -= OL;
-            long long dst = dst0 + j;
-            if (dst >= L)
-                dst -= L;
-            b[dst] += o[src];
-        }
+        r[1] = new_level;
+        r[2] = beta * (new_level - lev) + omb * trd;
+        r[3 + phase] = gamma * (val - new_level) + omg * sea;
+        ri[phase_col] = (phase + 1) % p;
     }
     Py_RETURN_NONE;
 }
@@ -416,7 +225,7 @@ merge_windows(PyObject *self, PyObject *args)
  * ``raw += bincount(...)`` bit for bit (-0.0 + 0.0 normalization included).
  */
 static PyObject *
-accumulate_up(PyObject *self, PyObject *args)
+accumulate_up(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyArrayObject *raw, *parent, *order, *bounds, *scratch;
 
@@ -480,7 +289,7 @@ accumulate_up(PyObject *self, PyObject *args)
  * level.
  */
 static PyObject *
-succinct_sweep(PyObject *self, PyObject *args)
+succinct_sweep(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyArrayObject *raw, *modified, *heavy, *parent, *order, *bounds;
     PyArrayObject *scratch_raw, *scratch_mod;
@@ -574,299 +383,22 @@ succinct_sweep(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* seed_steady(hist, row, alpha, p, ewma, level, trend, seasonal, phases, K,
- *             active)
- *
- * ForecasterBank.seed_fast's steady branch for a contiguous float64 history:
- * the EWMA tail fold, the sequential Holt-Winters window sums (the
- * np.cumsum[-1] arithmetic is a left-to-right fold, replicated exactly) and
- * the seasonal-row write, all in one call.  Single-season layout only.
- */
-static PyObject *
-seed_steady(PyObject *self, PyObject *args)
-{
-    PyArrayObject *hist, *ewma, *level, *trend, *seasonal, *phases, *active;
-    double alpha;
-    long long row, p, K;
-
-    if (!PyArg_ParseTuple(args, "O!LdLO!O!O!O!O!LO!",
-                          &PyArray_Type, &hist, &row, &alpha, &p,
-                          &PyArray_Type, &ewma,
-                          &PyArray_Type, &level,
-                          &PyArray_Type, &trend,
-                          &PyArray_Type, &seasonal,
-                          &PyArray_Type, &phases, &K,
-                          &PyArray_Type, &active))
-        return NULL;
-    if (!check_1d(hist, NPY_DOUBLE, "hist") ||
-        !check_1d(ewma, NPY_DOUBLE, "ewma") ||
-        !check_1d(level, NPY_DOUBLE, "level") ||
-        !check_1d(trend, NPY_DOUBLE, "trend") ||
-        !check_1d(active, NPY_BOOL, "active"))
-        return NULL;
-    if (PyArray_NDIM(seasonal) != 2 || PyArray_TYPE(seasonal) != NPY_DOUBLE ||
-        !PyArray_IS_C_CONTIGUOUS(seasonal) ||
-        PyArray_NDIM(phases) != 2 || PyArray_TYPE(phases) != NPY_INT64 ||
-        !PyArray_IS_C_CONTIGUOUS(phases)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "seasonal/phases must be 2-d C-contiguous");
-        return NULL;
-    }
-    npy_intp L = PyArray_DIM(hist, 0);
-    npy_intp cap = PyArray_DIM(level, 0);
-    if (row < 0 || row >= cap || p <= 0 || L < 2 * p ||
-        PyArray_DIM(seasonal, 1) != (npy_intp)p ||
-        PyArray_DIM(phases, 1) != (npy_intp)K ||
-        PyArray_DIM(seasonal, 0) != cap || PyArray_DIM(phases, 0) != cap ||
-        PyArray_DIM(trend, 0) != cap || PyArray_DIM(ewma, 0) != cap ||
-        PyArray_DIM(active, 0) != cap) {
-        PyErr_SetString(PyExc_ValueError, "seed_steady shape mismatch");
-        return NULL;
-    }
-    const double *h = (const double *)PyArray_DATA(hist);
-    double *ew = (double *)PyArray_DATA(ewma);
-    double *lv = (double *)PyArray_DATA(level);
-    double *tr = (double *)PyArray_DATA(trend);
-    double *seas = (double *)PyArray_DATA(seasonal);
-    npy_int64 *ph = (npy_int64 *)PyArray_DATA(phases);
-    npy_bool *ac = (npy_bool *)PyArray_DATA(active);
-
-    npy_intp tlen = L < 64 ? L : 64;
-    const double rest = 1.0 - alpha;
-    double ew_level = h[L - tlen];
-    for (npy_intp j = L - tlen; j < L; j++)
-        ew_level = alpha * h[j] + rest * ew_level;
-    ew[row] = ew_level;
-
-    const double *w = h + (L - 2 * p);
-    double total = 0.0, first = 0.0, second = 0.0;
-    for (npy_intp j = 0; j < 2 * p; j++)
-        total += w[j];
-    for (npy_intp j = 0; j < p; j++)
-        first += w[j];
-    for (npy_intp j = p; j < 2 * p; j++)
-        second += w[j];
-    double hw_level = total / (double)(2 * p);
-    ac[row] = 1;
-    lv[row] = hw_level;
-    tr[row] = (second - first) / (double)(p * p);
-    double *srow = seas + (npy_intp)row * p;
-    for (npy_intp j = 0; j < p; j++)
-        srow[j] = w[p + j] - hw_level;
-    ph[(npy_intp)row * K] = 0;
-    Py_RETURN_NONE;
-}
-
-/* split_row_state(row, dst, ratio, ewma, seen, active, level, trend,
- *                 seasonal, phases, K)
- *
- * The array side of ForecasterBank.split_row (no object-overflow state):
- * ``dst`` takes ``ratio`` of the row's EWMA / Holt-Winters components and
- * the donor keeps the complementary share.  Warm-up histories stay in
- * Python (they are lists either way).  Single-season layout only.
- */
-static PyObject *
-split_row_state(PyObject *self, PyObject *args)
-{
-    PyArrayObject *ewma, *seen, *active, *level, *trend, *seasonal, *phases;
-    double ratio;
-    long long row, dst, K;
-
-    if (!PyArg_ParseTuple(args, "LLdO!O!O!O!O!O!O!L",
-                          &row, &dst, &ratio,
-                          &PyArray_Type, &ewma,
-                          &PyArray_Type, &seen,
-                          &PyArray_Type, &active,
-                          &PyArray_Type, &level,
-                          &PyArray_Type, &trend,
-                          &PyArray_Type, &seasonal,
-                          &PyArray_Type, &phases, &K))
-        return NULL;
-    if (!check_1d(ewma, NPY_DOUBLE, "ewma") ||
-        !check_1d(seen, NPY_INT64, "seen") ||
-        !check_1d(active, NPY_BOOL, "active") ||
-        !check_1d(level, NPY_DOUBLE, "level") ||
-        !check_1d(trend, NPY_DOUBLE, "trend"))
-        return NULL;
-    if (PyArray_NDIM(seasonal) != 2 || PyArray_TYPE(seasonal) != NPY_DOUBLE ||
-        !PyArray_IS_C_CONTIGUOUS(seasonal) ||
-        PyArray_NDIM(phases) != 2 || PyArray_TYPE(phases) != NPY_INT64 ||
-        !PyArray_IS_C_CONTIGUOUS(phases)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "seasonal/phases must be 2-d C-contiguous");
-        return NULL;
-    }
-    npy_intp cap = PyArray_DIM(level, 0);
-    npy_intp p = PyArray_DIM(seasonal, 1);
-    if (row < 0 || row >= cap || dst < 0 || dst >= cap || row == dst ||
-        PyArray_DIM(seasonal, 0) != cap || PyArray_DIM(phases, 0) != cap ||
-        PyArray_DIM(phases, 1) != (npy_intp)K ||
-        PyArray_DIM(trend, 0) != cap || PyArray_DIM(ewma, 0) != cap ||
-        PyArray_DIM(seen, 0) != cap || PyArray_DIM(active, 0) != cap) {
-        PyErr_SetString(PyExc_ValueError, "split_row_state shape mismatch");
-        return NULL;
-    }
-    double *ew = (double *)PyArray_DATA(ewma);
-    npy_int64 *sn = (npy_int64 *)PyArray_DATA(seen);
-    npy_bool *ac = (npy_bool *)PyArray_DATA(active);
-    double *lv = (double *)PyArray_DATA(level);
-    double *tr = (double *)PyArray_DATA(trend);
-    double *seas = (double *)PyArray_DATA(seasonal);
-    npy_int64 *ph = (npy_int64 *)PyArray_DATA(phases);
-    const double rest = 1.0 - ratio;
-
-    sn[dst] = sn[row];
-    double e = ew[row];
-    if (e != e) {
-        ew[dst] = Py_NAN;
-    } else {
-        ew[dst] = e * ratio;
-        ew[row] = e * rest;
-    }
-    if (ac[row]) {
-        ac[dst] = 1;
-        double lev = lv[row], trd = tr[row];
-        lv[dst] = lev * ratio;
-        lv[row] = lev * rest;
-        tr[dst] = trd * ratio;
-        tr[row] = trd * rest;
-        double *srow = seas + (npy_intp)row * p;
-        double *sdst = seas + (npy_intp)dst * p;
-        for (npy_intp j = 0; j < p; j++) {
-            double v = srow[j];
-            sdst[j] = v * ratio;
-            srow[j] = v * rest;
-        }
-        for (npy_intp k = 0; k < (npy_intp)K; k++)
-            ph[dst * K + k] = ph[row * K + k];
-    } else {
-        ac[dst] = 0;
-    }
-    Py_RETURN_NONE;
-}
-
-/* fold_row_steady(dst, src, p, ewma, seen, active, level, trend, seasonal,
- *                 phases, K)
- *
- * ForecasterBank._fold_direct for a source row without warm-up history
- * (the common MERGE shape): EWMA sum, seen max, and the phase-aligned
- * Holt-Winters component fold.  Warm-up histories and the activation check
- * stay in Python.  Single-season layout only.
- */
-static PyObject *
-fold_row_steady(PyObject *self, PyObject *args)
-{
-    PyArrayObject *ewma, *seen, *active, *level, *trend, *seasonal, *phases;
-    long long dst, src, p, K;
-
-    if (!PyArg_ParseTuple(args, "LLLO!O!O!O!O!O!O!L",
-                          &dst, &src, &p,
-                          &PyArray_Type, &ewma,
-                          &PyArray_Type, &seen,
-                          &PyArray_Type, &active,
-                          &PyArray_Type, &level,
-                          &PyArray_Type, &trend,
-                          &PyArray_Type, &seasonal,
-                          &PyArray_Type, &phases, &K))
-        return NULL;
-    if (!check_1d(ewma, NPY_DOUBLE, "ewma") ||
-        !check_1d(seen, NPY_INT64, "seen") ||
-        !check_1d(active, NPY_BOOL, "active") ||
-        !check_1d(level, NPY_DOUBLE, "level") ||
-        !check_1d(trend, NPY_DOUBLE, "trend"))
-        return NULL;
-    if (PyArray_NDIM(seasonal) != 2 || PyArray_TYPE(seasonal) != NPY_DOUBLE ||
-        !PyArray_IS_C_CONTIGUOUS(seasonal) ||
-        PyArray_NDIM(phases) != 2 || PyArray_TYPE(phases) != NPY_INT64 ||
-        !PyArray_IS_C_CONTIGUOUS(phases)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "seasonal/phases must be 2-d C-contiguous");
-        return NULL;
-    }
-    npy_intp cap = PyArray_DIM(level, 0);
-    if (dst < 0 || dst >= cap || src < 0 || src >= cap || dst == src ||
-        p <= 0 || PyArray_DIM(seasonal, 1) != (npy_intp)p ||
-        PyArray_DIM(seasonal, 0) != cap || PyArray_DIM(phases, 0) != cap ||
-        PyArray_DIM(phases, 1) != (npy_intp)K ||
-        PyArray_DIM(trend, 0) != cap || PyArray_DIM(ewma, 0) != cap ||
-        PyArray_DIM(seen, 0) != cap || PyArray_DIM(active, 0) != cap) {
-        PyErr_SetString(PyExc_ValueError, "fold_row_steady shape mismatch");
-        return NULL;
-    }
-    double *ew = (double *)PyArray_DATA(ewma);
-    npy_int64 *sn = (npy_int64 *)PyArray_DATA(seen);
-    npy_bool *ac = (npy_bool *)PyArray_DATA(active);
-    double *lv = (double *)PyArray_DATA(level);
-    double *tr = (double *)PyArray_DATA(trend);
-    double *seas = (double *)PyArray_DATA(seasonal);
-    npy_int64 *ph = (npy_int64 *)PyArray_DATA(phases);
-
-    double s = ew[src];
-    if (s == s) {
-        double d = ew[dst];
-        ew[dst] = (d == d) ? d + s : s;
-    }
-    if (sn[src] > sn[dst])
-        sn[dst] = sn[src];
-    if (ac[src]) {
-        double *sdst = seas + (npy_intp)dst * p;
-        const double *ssrc = seas + (npy_intp)src * p;
-        if (!ac[dst]) {
-            ac[dst] = 1;
-            lv[dst] = lv[src];
-            tr[dst] = tr[src];
-            memcpy(sdst, ssrc, (size_t)p * sizeof(double));
-            for (npy_intp k = 0; k < (npy_intp)K; k++)
-                ph[dst * K + k] = ph[src * K + k];
-        } else {
-            lv[dst] += lv[src];
-            tr[dst] += tr[src];
-            npy_intp shift = (npy_intp)((ph[src * K] - ph[dst * K]) % p);
-            if (shift < 0)
-                shift += p;
-            if (shift == 0) {
-                for (npy_intp j = 0; j < p; j++)
-                    sdst[j] += ssrc[j];
-            } else {
-                npy_intp split_at = p - shift;
-                for (npy_intp j = 0; j < split_at; j++)
-                    sdst[j] += ssrc[shift + j];
-                for (npy_intp j = 0; j < shift; j++)
-                    sdst[split_at + j] += ssrc[j];
-            }
-        }
-    }
-    Py_RETURN_NONE;
-}
-
 static PyMethodDef Methods[] = {
     {"update_stats_dense", update_stats_dense, METH_VARARGS,
      "Dense split-statistics update (mirror of _SplitStatsStore.update_dense)."},
     {"observe_steady", observe_steady, METH_VARARGS,
      "Single-season steady-state Holt-Winters batch observe."},
-    {"fused_record", fused_record, METH_VARARGS,
-     "Batched (actual, forecast) ring append over fused series storage."},
-    {"split_windows", split_windows, METH_VARARGS,
-     "Fused-storage window split (NodeTimeSeries._split_windows)."},
-    {"merge_windows", merge_windows, METH_VARARGS,
-     "Fused-storage in-place window merge (NodeTimeSeries.merge_windows_from)."},
     {"accumulate_up", accumulate_up, METH_VARARGS,
      "Bottom-up hierarchy weight aggregation (HierarchyIndex._accumulate_up)."},
     {"succinct_sweep", succinct_sweep, METH_VARARGS,
      "Succinct heavy-hitter level sweep (HierarchyIndex.succinct)."},
-    {"seed_steady", seed_steady, METH_VARARGS,
-     "Holt-Winters warm-start from a contiguous history (seed_fast)."},
-    {"split_row_state", split_row_state, METH_VARARGS,
-     "In-place forecaster-row SPLIT (ForecasterBank.split_row)."},
-    {"fold_row_steady", fold_row_steady, METH_VARARGS,
-     "History-free forecaster-row MERGE fold (ForecasterBank._fold_direct)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT, "_impl",
     "Compiled close-path kernels (bit-identical third backend tier).",
-    -1, Methods,
+    -1, Methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC

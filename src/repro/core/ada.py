@@ -37,13 +37,15 @@ the vector tiers (NumPy, compiled) every close runs columnar: the weights
 pass through a :class:`~repro.hierarchy.index.HierarchyIndex` (integer
 arithmetic, so bit-identical to the scalar :mod:`repro.core.hhh`
 functions), the id-based planner (:mod:`repro.core.adapt`) adapts on the
-heavy-set delta only, one
+heavy-set delta only — each SPLIT, MERGE and reference correction is
+whole-row arithmetic in the :class:`~repro.forecasting.bank.ForecasterBank`
+row store, which holds every series' forecaster state *and* windows — one
 :meth:`~repro.forecasting.bank.ForecasterBank.observe_rows_arrays` call
-updates every tracked forecaster, one ring append
-(:func:`repro.core.fused.record_fused`, a per-series loop when no compiled
-kernel is loaded) records the window, split-rule statistics update as dense
-per-node arrays, and the dual-threshold check evaluates as one batch
-comparison (:meth:`~repro.core.detector.ThresholdDetector.check_many`).  On
+updates every tracked forecaster, one
+:meth:`~repro.forecasting.bank.ForecasterBank.record_rows` call appends
+every window, split-rule statistics update as dense per-node arrays, and
+the dual-threshold check evaluates as one batch comparison
+(:meth:`~repro.core.detector.ThresholdDetector.check_many`).  On
 the python tier (no NumPy) the scalar walk below (``_adapt`` /
 ``_split_cascade`` / ``_append_weights``) runs instead — the only path on a
 minimal install, and the reference the vector tiers are tested against:
@@ -60,14 +62,7 @@ from typing import Deque, Mapping
 
 from repro._types import CategoryPath, TimeunitIndex, Weight
 from repro._vector import load_kernels, load_numpy, pinned_kernels
-from repro.core.adapt import (
-    FOLD,
-    FRESH,
-    MOVE,
-    SPLIT,
-    batched_split_runs,
-    plan_adaptation,
-)
+from repro.core.adapt import FOLD, FRESH, MOVE, SPLIT, plan_adaptation
 from repro.core import fused
 from repro.core.config import TiresiasConfig
 from repro.core.detector import ThresholdDetector
@@ -580,8 +575,9 @@ class ADAAlgorithm:
         self.config = config
         self.detector = ThresholdDetector(config)
         self.split_rule = make_split_rule(config)
-        #: Columnar forecaster state shared by every tracked node's series.
-        self.bank = ForecasterBank(config.forecast)
+        #: Row store shared by every tracked node's series: one matrix row
+        #: per series holds its forecaster state and both windows.
+        self.bank = ForecasterBank(config.forecast, window=config.window_units)
         #: Time series of the current heavy hitters, keyed by node path.
         self.series: dict[CategoryPath, NodeTimeSeries] = {}
         #: The same series grouped by top-level label, in the same relative
@@ -626,16 +622,13 @@ class ADAAlgorithm:
         #: Per-timeunit id-keyed split-statistics view memo (churn path).
         self._id_view_cache: dict[int, NodeUsageStats] = {}
         #: Cached heavy-order structures reused verbatim while the heavy set
-        #: is unchanged: (mask, ids array, paths, frozenset, rows, series).
+        #: is unchanged: (mask, ids array, paths, frozenset, rows).
         self._hv_cache = None
         #: Adaptation counters (not checkpointed); the first two count
         #: vector-tier closes only.
         self.fastpath_units = 0
         self.planned_units = 0
         self.adapt_seconds = 0.0
-        #: Cached :class:`~repro.core.fused.RecordPack` over the heavy set's
-        #: rings (vector tier; rebuilt when the cached series list changes).
-        self._fused_pack = None
         #: Close-profile counters (not checkpointed): units closed by the
         #: vector close (``fused_units``) vs the python-tier scalar walk
         #: (``staged_units``), units fed by dense columnar counts, and a
@@ -876,7 +869,7 @@ class ADAAlgorithm:
         }
 
     # ------------------------------------------------------------------
-    # Delta-driven close path (id-based fast path + batched planner)
+    # Delta-driven close path (id-based fast path + planner)
     # ------------------------------------------------------------------
     def _prepare_delta(self, heavy_mask):
         """Resolve the timeunit's heavy-order identity from the mask alone.
@@ -910,15 +903,13 @@ class ADAAlgorithm:
         When the heavy mask is unchanged from the previous timeunit the whole
         adaptation stage reduces to one mask comparison and the cached
         heavy-order structures are reused verbatim; otherwise the shared
-        planner emits the SPLIT/MERGE cascade as ops which are applied with
-        batched bank kernels.  The tail is array-native either way.  Values
-        are bit-identical to the scalar walk.
+        planner emits the SPLIT/MERGE cascade as ops which are applied as
+        whole-row bank operations.  The tail is array-native either way.
+        Values are bit-identical to the scalar walk.
         """
         stable, ids_arr, heavy_paths, heavy_set, ids = prepared
         if stable:
-            cache = self._hv_cache
-            rows = cache[4]
-            series_list = cache[5]
+            rows = self._hv_cache[4]
             self.fastpath_units += 1
         else:
             index = self._index
@@ -952,15 +943,12 @@ class ADAAlgorithm:
                         ),
                     )
             rows = self._series_rows[ids_arr]
-            by_id = self._series_by_id
-            series_list = [by_id[i] for i in ids]
             self._hv_cache = (
                 heavy_mask.tobytes(),
                 ids_arr,
                 heavy_paths,
                 heavy_set,
                 rows,
-                series_list,
             )
             self.adapt_seconds += time.perf_counter() - adapt_start
         if self._reference_nodes:
@@ -974,18 +962,19 @@ class ADAAlgorithm:
             # weight; the root is lexicographically first when present.
             values_vec = values_vec.copy()
             values_vec[0] = raw_vec[0]
-        # Array-native observe (compiled steady kernel when built) and one
-        # compiled ring append for the whole heavy set; without a loaded
-        # kernel the append is the per-series record loop.
-        forecasts_vec = self.bank.observe_rows_arrays(rows, values_vec)
+        # One array-native observe (compiled steady kernel when built) and
+        # one indexed store per window for the whole heavy set.
+        bank = self.bank
+        forecasts_vec = bank.observe_rows_arrays(rows, values_vec)
         values = values_vec.tolist()
         forecasts = forecasts_vec.tolist()
-        pack = self._fused_pack
-        if pack is None or pack.series_list is not series_list:
-            pack = self._fused_pack = fused.build_record_pack(series_list)
-        if not fused.record_fused(pack, load_kernels(), values_vec, forecasts_vec):
-            for series, value, predicted in zip(series_list, values, forecasts):
-                series.record(value, predicted)
+        if bank.vectorized:
+            bank.record_rows(rows, values_vec, forecasts_vec)
+        else:
+            # A registry seasonal model: scalar rows, deque windows.
+            by_id = self._series_by_id
+            for node_id, value, predicted in zip(ids_arr.tolist(), values, forecasts):
+                by_id[node_id].record(value, predicted)
         self._stats.update_dense(self._timeunit, raw_vec)
         return values, forecasts
 
@@ -1067,24 +1056,18 @@ class ADAAlgorithm:
         return self._ref.has_values(self._index.paths[node_id])
 
     def _apply_plan(self, plan) -> None:
-        """Apply a planner op list, batching independent bank operations.
+        """Apply a planner op list in exact cascade order.
 
-        Ops run in exact cascade order; consecutive SPLIT steps with disjoint
-        donors/receivers and no reference correction collapse into one
-        ``split_rows_many`` call (grouped by :func:`batched_split_runs`),
-        and MERGE folds buffer until a destination repeats and land through
-        ``merge_rows_many`` (which applies small batches via the direct
-        per-pair kernel).  Window (ring) arithmetic always runs inline in op
-        order, so every float operation happens in the scalar cascade's
-        sequence.
+        On the vector tiers every op is whole-row arithmetic in the bank —
+        a SPLIT is two multiplies, a FOLD one add (see
+        :meth:`~repro.forecasting.bank.ForecasterBank.split_row` /
+        :meth:`~repro.forecasting.bank.ForecasterBank.fold_row`) — so there
+        is nothing to batch: each float operation happens where the scalar
+        cascade performs it.
         """
-        index = self._index
-        paths = index.paths
+        paths = self._index.paths
         by_id = self._series_by_id
-        bank = self.bank
         config = self.config
-        ops = plan.ops
-        n = len(ops)
         series_dict = self.series
         buckets = self._series_buckets
         #: Ids whose registry slot changed; the occupancy mask and row-handle
@@ -1115,50 +1098,14 @@ class ADAAlgorithm:
                     bucket.pop(path, None)
             return series
 
-        #: SPLIT ops grouped into independently applicable batches (an op
-        #: carrying a reference correction closes its batch); the helper is
-        #: the single owner of the run-breaking rules.
-        runs_by_start = {run[0]: run for run in batched_split_runs(ops)}
-        #: MERGE folds buffer until a destination repeats (same-destination
-        #: folds must land in cascade order) and flush through the bank's
-        #: batched kernel, which routes small batches to the direct per-pair
-        #: fold itself.  Ring arithmetic stays inline in op order.
-        fold_dst_rows: list[int] = []
-        fold_src_rows: list[int] = []
-        fold_dst_ids: set[int] = set()
-
-        def flush_folds() -> None:
-            if fold_dst_rows:
-                bank.merge_rows_many(fold_dst_rows, fold_src_rows)
-                fold_dst_rows.clear()
-                fold_src_rows.clear()
-                fold_dst_ids.clear()
-
-        i = 0
-        while i < n:
-            op = ops[i]
+        for op in plan.ops:
             kind = op[0]
             if kind == SPLIT:
-                run = runs_by_start[i]
-                if len(run) == 1:
-                    _kind, donor_id, child_id, ratio, correct = op
-                    child = by_id[donor_id].split_inplace(ratio)
-                    reg_set(child_id, child)
-                    if correct:
-                        self._apply_reference_correction(paths[child_id])
-                else:
-                    donor_rows = [by_id[ops[k][1]].forecaster.row for k in run]
-                    ratios = [ops[k][3] for k in run]
-                    child_rows = bank.split_rows_many(donor_rows, ratios)
-                    for k, child_row in zip(run, child_rows):
-                        _kind, donor_id, child_id, ratio, correct = ops[k]
-                        child = by_id[donor_id].split_inplace(ratio, child_row)
-                        reg_set(child_id, child)
-                        if correct:
-                            self._apply_reference_correction(paths[child_id])
-                i = run[-1] + 1
-                continue
-            if kind == FRESH:
+                _kind, donor_id, child_id, ratio, correct = op
+                reg_set(child_id, by_id[donor_id].split_inplace(ratio))
+                if correct:
+                    self._apply_reference_correction(paths[child_id])
+            elif kind == FRESH:
                 reg_set(
                     op[1],
                     NodeTimeSeries(
@@ -1166,33 +1113,23 @@ class ADAAlgorithm:
                     ),
                 )
             elif kind == FOLD:
-                dst_id = op[2]
                 src = reg_pop(op[1])
-                dst = by_id[dst_id]
-                dst.merge_windows_from(src)
-                if dst_id in fold_dst_ids:
-                    flush_folds()
-                fold_dst_rows.append(dst.forecaster.row)
-                fold_src_rows.append(src.forecaster.row)
-                fold_dst_ids.add(dst_id)
+                by_id[op[2]].merge_from(src)
+                src.release()
             elif kind == MOVE:
-                src = reg_pop(op[1])
-                reg_set(op[2], src)
+                reg_set(op[2], reg_pop(op[1]))
             else:  # DROP
                 reg_pop(op[1]).release()
-            i += 1
-        flush_folds()
-        if changed:
-            mask = self._series_mask
-            rows = self._series_rows
-            for node_id in changed:
-                series = by_id[node_id]
-                if series is None:
-                    mask[node_id] = False
-                    rows[node_id] = -1
-                else:
-                    mask[node_id] = True
-                    rows[node_id] = series.forecaster.row
+        mask = self._series_mask
+        rows = self._series_rows
+        for node_id in changed:
+            series = by_id[node_id]
+            if series is None:
+                mask[node_id] = False
+                rows[node_id] = -1
+            else:
+                mask[node_id] = True
+                rows[node_id] = series.forecaster.row
 
     # ------------------------------------------------------------------
     # Series registry: id-indexed table with the path dicts as compat views
@@ -1350,13 +1287,10 @@ class ADAAlgorithm:
             for other_path, other_series in bucket.items():
                 if len(other_path) <= depth or other_path[:depth] != path:
                     continue
-                descendant = other_series.actual.ordered()
-                m = descendant.shape[0]
-                # Aligned on the newest element, clipped to the overlap.
-                if m >= length:
-                    corrected -= descendant[m - length :]
-                elif m:
-                    corrected[length - m :] -= descendant
+                # Aligned on the newest element, clipped to the overlap; on
+                # the vector tiers the descendant is read as a row slice.
+                descendant = other_series.actual.values(length)
+                corrected[length - len(descendant) :] -= descendant
             corrected_values = corrected
         else:
             corrected_list = corrected
@@ -1463,7 +1397,7 @@ class ADAAlgorithm:
         planner, vector tiers) or ``"legacy"`` (scalar walk, python tier).
         ``fastpath_units`` counts vector-tier timeunits whose heavy set was
         unchanged (adaptation skipped entirely), ``planned_units`` those that
-        went through the batched planner; ``adapt_seconds`` is the time spent
+        went through the planner; ``adapt_seconds`` is the time spent
         in adaptation proper (plan + apply, or the scalar ``_adapt`` walk).
         """
         return {
@@ -1474,18 +1408,6 @@ class ADAAlgorithm:
             "merge_operations": self.merge_operations,
             "adapt_seconds": self.adapt_seconds,
         }
-
-    # Pickling / deepcopy: the record pack caches references to the series'
-    # fused base arrays, which NodeTimeSeries.__getstate__ drops — a
-    # transported pack would write into detached copies while the ring
-    # cursors advance.  Drop it; the next fused close rebuilds it.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_fused_pack"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -1525,7 +1447,7 @@ class ADAAlgorithm:
         self.split_operations = int(state["split_operations"])
         self.merge_operations = int(state["merge_operations"])
         self.stage_seconds = {k: float(v) for k, v in state["stage_seconds"].items()}
-        self.bank = ForecasterBank(forecast_config)
+        self.bank = ForecasterBank(forecast_config, window=self.config.window_units)
         self.series = {}
         self._series_buckets = {}
         self._hv_cache = None

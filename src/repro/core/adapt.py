@@ -20,18 +20,20 @@ whole adaptation as a flat op list:
   MERGE phase, deepest-first.
 
 The emitter never touches forecaster or window state, so planning is cheap
-(integer sweeps over the delta, not the registry) and the application layer
-is free to batch independent ops through the
-:class:`~repro.forecasting.bank.ForecasterBank` array kernels
-(``split_rows_many`` / ``merge_rows_many``) while preserving the cascade's
-deterministic order — results stay bit-for-bit identical to the scalar walk
-(property-checked in ``tests/core/test_adapt_planner.py``).
+(integer sweeps over the delta, not the registry).  The application layer
+(:meth:`ADAAlgorithm._apply_plan <repro.core.ada.ADAAlgorithm._apply_plan>`)
+runs the ops one by one in this order: on the vector tiers each is a
+whole-row operation of the :class:`~repro.forecasting.bank.ForecasterBank`
+row store (``split_row`` — two multiplies, ``fold_row`` — one add,
+``reseed`` — the reference correction in place), so there is no batching to
+preserve an order across — results stay bit-for-bit identical to the scalar
+walk (property-checked in ``tests/core/test_adapt_planner.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.core.split_rules import NodeUsageStats, SplitRule
 
@@ -160,46 +162,9 @@ def plan_adaptation(
     return AdaptationPlan(ops=ops, num_splits=num_splits, num_merges=num_merges)
 
 
-def batched_split_runs(ops: Sequence[tuple]) -> list[list[int]]:
-    """Group consecutive SPLIT op positions into independently applicable runs.
-
-    A run may be applied with one batched bank call when its donors are
-    pairwise distinct and no op in it depends on another's output: within one
-    cascade the next step's donor is the previous step's child, and a
-    reference-correction reads other series' windows, so a run breaks at any
-    op whose donor or child was already touched by the run and at any op
-    carrying a correction (the correction must observe all prior state
-    exactly as the scalar cascade would).
-    """
-    runs: list[list[int]] = []
-    run: list[int] = []
-    touched: set[int] = set()
-    for pos, op in enumerate(ops):
-        if op[0] != SPLIT:
-            if run:
-                runs.append(run)
-                run, touched = [], set()
-            continue
-        _, donor, child, _ratio, correct = op
-        if run and (donor in touched or child in touched):
-            runs.append(run)
-            run, touched = [], set()
-        run.append(pos)
-        touched.add(donor)
-        touched.add(child)
-        if correct:
-            # The correction must run before any later op reads windows.
-            runs.append(run)
-            run, touched = [], set()
-    if run:
-        runs.append(run)
-    return runs
-
-
 __all__ = [
     "AdaptationPlan",
     "plan_adaptation",
-    "batched_split_runs",
     "FRESH",
     "SPLIT",
     "FOLD",

@@ -29,14 +29,14 @@ On the vector tiers (NumPy, compiled) every per-timeunit close runs Steps
 * **Step 2** — heavy hitter membership and modified weights come from the
   dense level-sweep kernels of :class:`~repro.hierarchy.index.HierarchyIndex`
   (exact, because per-timeunit weights are integer record counts), and the
-  per-node series adapt through :class:`~repro.core.timeseries.FloatRing`
-  window buffers (SPLIT scaling / MERGE addition as single array
-  expressions);
-* **Step 3/4 forecasting** — the level/trend/seasonal state of *every*
-  tracked node lives in one
-  :class:`~repro.forecasting.bank.ForecasterBank`, and the whole tracked set
-  advances with one ``ForecasterBank.observe_rows_arrays`` call per timeunit
-  instead of N scalar model updates;
+  per-node series adapt as rows of the
+  :class:`~repro.forecasting.bank.ForecasterBank` matrix (SPLIT is a
+  multiply over the row, MERGE an add);
+* **Step 3/4 forecasting** — the level/trend/seasonal state and both
+  windows of *every* tracked node are one bank row each, and the whole
+  tracked set advances with one ``ForecasterBank.observe_rows_arrays`` call
+  and one ``ForecasterBank.record_rows`` call per timeunit instead of N
+  scalar model updates;
 * **Step 4 detection** — the dual-threshold rule evaluates all
   (actual, forecast) pairs at once through
   :meth:`~repro.core.detector.ThresholdDetector.check_many`.

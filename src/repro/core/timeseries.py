@@ -14,17 +14,25 @@ linearity (Lemma 2).  Before a node has accumulated enough history for the
 seasonal model, an EWMA fallback provides the forecast; the EWMA level is
 linear as well, so scaling/merging remains exact throughout.
 
-Since the columnar refactor the classes here are *thin row views*:
+The classes here are the public, per-series face of that state; where it
+lives depends on the backend tier and nothing else:
 
-* :class:`SeriesForecaster` is a (bank, row) handle into a
-  :class:`~repro.forecasting.bank.ForecasterBank`, which holds the actual
-  level/trend/seasonal state for all tracked nodes in parallel arrays.  A
-  standalone ``SeriesForecaster(config)`` transparently owns a private
-  single-row bank, so the historical scalar API keeps working.
-* :class:`NodeTimeSeries` keeps its actual/forecast windows in
-  :class:`FloatRing` buffers (NumPy-backed fixed-capacity rings with a
-  pure-Python fallback), so SPLIT's scaling and MERGE's aligned addition are
-  single array operations instead of per-element Python loops.
+* **vector tiers** — a :class:`NodeTimeSeries` is a ``(bank, row)`` handle:
+  forecaster components, warm-up history *and both windows* are one row of
+  the :class:`~repro.forecasting.bank.ForecasterBank` matrix.  SPLIT, MERGE
+  and the reference correction are the bank's whole-row operations;
+  ``series.actual`` / ``series.forecast`` are read views (:class:`FloatRing`
+  subclasses that look the row up on every access, so neither a row
+  reallocation nor a release can leave one dangling).
+* **python tier** (no NumPy, or a registry seasonal model the bank cannot
+  lay out) — the forecaster is a private scalar row of the bank and the
+  windows are two :class:`FloatRing` bounded deques.  This is the reference
+  implementation the row store is tested against, operation by operation.
+
+A standalone ``SeriesForecaster(config)`` / ``NodeTimeSeries(length, config)``
+transparently owns a private single-row bank, so the scalar API keeps
+working.  A released handle is inert: a second ``release()`` does nothing
+and any other use raises :class:`~repro.exceptions.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, Sequence
 
-from repro._vector import load_kernels, load_numpy
+from repro._vector import load_numpy
 from repro.exceptions import ConfigurationError
 from repro.forecasting.bank import ForecasterBank
 from repro.forecasting.bank import load_seasonal_state  # noqa: F401  (re-export)
@@ -42,231 +50,141 @@ _np = load_numpy()
 
 
 class FloatRing:
-    """Fixed-capacity float ring buffer (a vectorizable ``deque(maxlen=n)``).
+    """Fixed-capacity float ring buffer: a ``deque(maxlen=n)`` with the
+    whole-series arithmetic of ADA's adaptation.
 
-    Appending beyond ``maxlen`` evicts the oldest element, exactly like a
-    bounded deque; iteration runs oldest → newest.  With NumPy the payload
-    lives in one float64 array, so the whole-series operations of ADA's
-    adaptation — scaling by a split ratio, newest-aligned addition for
-    merges — are single vectorized expressions; without NumPy the ring
-    degrades to a plain bounded deque (the historical representation).
+    Appending beyond ``maxlen`` evicts the oldest element; iteration runs
+    oldest → newest.  This is the python tier's window; on the vector tiers
+    a series' windows are :class:`_RowRing` read views of its bank row.
     """
 
-    __slots__ = ("maxlen", "_buf", "_start", "_size")
+    __slots__ = ("maxlen", "_buf")
 
     def __init__(self, maxlen: int):
         if maxlen < 1:
             raise ConfigurationError(f"ring capacity must be >= 1, got {maxlen}")
         self.maxlen = maxlen
-        self._start = 0
-        self._size = 0
-        if _np is not None:
-            self._buf = _np.zeros(maxlen)
-        else:
-            self._buf = deque(maxlen=maxlen)
-
-    @classmethod
-    def _reserve(cls, maxlen: int) -> "FloatRing":
-        """An empty ring over uninitialized storage (internal fast ctor).
-
-        Slots outside the live window are never read, so callers that fully
-        overwrite the region they expose may skip the zero fill.  The one
-        exception is :meth:`aligned_add`'s output ring, which relies on
-        zeroed storage and uses the public constructor.
-        """
-        ring = cls.__new__(cls)
-        ring.maxlen = maxlen
-        ring._start = 0
-        ring._size = 0
-        ring._buf = _np.empty(maxlen) if _np is not None else deque(maxlen=maxlen)
-        return ring
-
-    @classmethod
-    def _view(cls, row_buf, size: int, maxlen: int) -> "FloatRing":
-        """A ring over an existing 1-D buffer row (internal, NumPy mode).
-
-        Used by :class:`NodeTimeSeries` to keep the actual/forecast windows
-        as two rows of one fused ``(2, maxlen)`` array so that SPLIT/MERGE
-        window arithmetic runs as single two-row kernels.  The ring behaves
-        exactly like an owned ring; ``size`` elements starting at offset 0
-        are live.
-        """
-        ring = cls.__new__(cls)
-        ring.maxlen = maxlen
-        ring._start = 0
-        ring._size = size
-        ring._buf = row_buf
-        return ring
+        self._buf = deque(maxlen=maxlen)
 
     @classmethod
     def from_values(cls, values, maxlen: int) -> "FloatRing":
         """A ring holding the last ``maxlen`` elements of ``values``."""
-        if _np is not None:
-            ring = cls._reserve(maxlen)
-            tail = _np.asarray(values, dtype=_np.float64)[-maxlen:]
-            ring._size = tail.shape[0]
-            ring._buf[: ring._size] = tail
-        else:
-            ring = cls(maxlen)
-            ring._buf.extend(float(v) for v in values)
+        ring = cls(maxlen)
+        ring._buf.extend(float(v) for v in values)
         return ring
 
     def append(self, value: float) -> None:
-        if _np is None:
-            self._buf.append(value)
-            return
-        end = self._start + self._size
-        if end >= self.maxlen:
-            end -= self.maxlen
-        self._buf[end] = value
-        if self._size == self.maxlen:
-            self._start += 1
-            if self._start == self.maxlen:
-                self._start = 0
-        else:
-            self._size += 1
+        self._buf.append(value)
 
     def __len__(self) -> int:
-        return self._size if _np is not None else len(self._buf)
+        return len(self._buf)
 
     def __bool__(self) -> bool:
         return len(self) > 0
 
     def __getitem__(self, index: int) -> float:
-        if _np is None:
-            return self._buf[index]
-        if index < 0:
-            index += self._size
-        if not 0 <= index < self._size:
-            raise IndexError("ring index out of range")
-        pos = self._start + index
-        if pos >= self.maxlen:
-            pos -= self.maxlen
-        return float(self._buf[pos])
+        return self._buf[index]
 
     def __iter__(self) -> Iterator[float]:
-        if _np is None:
-            return iter(self._buf)
         return iter(self.tolist())
 
-    def ordered(self):
-        """The contents oldest-first as a fresh array (or list without NumPy)."""
-        if _np is not None:
-            end = self._start + self._size
-            if end <= self.maxlen:
-                return self._buf[self._start : end].copy()
-            return _np.concatenate(
-                [self._buf[self._start :], self._buf[: end - self.maxlen]]
-            )
+    def tolist(self) -> list[float]:
         return list(self._buf)
 
-    def _ordered_view(self):
-        """Oldest-first contents for read-only internal use (NumPy mode).
+    def ordered(self):
+        """The contents oldest-first, as a fresh sequence."""
+        return self.tolist()
 
-        A zero-copy view when the live window is contiguous; a fresh array
-        only when it wraps.  Callers must not mutate the result or this ring
-        while holding it.
-        """
-        end = self._start + self._size
-        if end <= self.maxlen:
-            return self._buf[self._start : end]
-        return _np.concatenate(
-            [self._buf[self._start :], self._buf[: end - self.maxlen]]
-        )
-
-    def tolist(self) -> list[float]:
-        ordered = self.ordered()
-        return ordered.tolist() if _np is not None else ordered
+    def values(self, newest: "int | None" = None):
+        """The newest ``newest`` (default: all) elements, oldest first, for
+        reading only."""
+        values = self.tolist()
+        if newest is not None and newest < len(values):
+            values = values[len(values) - newest :]
+        return values
 
     def scaled(self, ratio: float) -> "FloatRing":
         """A new ring whose every element is multiplied by ``ratio``."""
-        if _np is not None:
-            ring = FloatRing._reserve(self.maxlen)
-            ring._size = self._size
-            _np.multiply(self._ordered_view(), ratio, out=ring._buf[: self._size])
-        else:
-            ring = FloatRing(self.maxlen)
-            ring._buf.extend(v * ratio for v in self._buf)
+        ring = FloatRing(self.maxlen)
+        ring._buf.extend(v * ratio for v in self.tolist())
         return ring
 
-    def fold_newest(self, other: "FloatRing") -> "FloatRing":
-        """``self + other`` aligned on the newest element, in place when the
-        other ring fits inside this one's live window.
-
-        Returns the ring holding the sum: ``self`` (mutated) on the in-place
-        path, or a fresh ring from :meth:`aligned_add` when ``other`` is
-        longer than this ring's live window.  Element sums are identical
-        either way.
-        """
-        m = len(other)
-        if _np is None or m > self._size:
-            return self.aligned_add(other)
-        if m:
-            theirs = other._ordered_view()
-            start = self._start + (self._size - m)
-            if start >= self.maxlen:
-                start -= self.maxlen
-            end = start + m
-            if end <= self.maxlen:
-                self._buf[start:end] += theirs
-            else:
-                overlap = self.maxlen - start
-                self._buf[start:] += theirs[:overlap]
-                self._buf[: end - self.maxlen] += theirs[overlap:]
-        return self
-
     def iscale(self, ratio: float) -> None:
-        """Scale every live element by ``ratio`` in place.
-
-        Same values as replacing the ring with :meth:`scaled`, without the
-        allocation.  Only the live window is touched (storage outside it may
-        be uninitialized, see :meth:`_reserve`).
-        """
-        if _np is None:
-            self._buf = deque((v * ratio for v in self._buf), maxlen=self.maxlen)
-            return
-        end = self._start + self._size
-        if end <= self.maxlen:
-            self._buf[self._start : end] *= ratio
-        else:
-            self._buf[self._start :] *= ratio
-            self._buf[: end - self.maxlen] *= ratio
+        """Scale every element by ``ratio`` in place."""
+        self._buf = deque((v * ratio for v in self._buf), maxlen=self.maxlen)
 
     def aligned_add(self, other: "FloatRing") -> "FloatRing":
         """Element-wise sum of two rings aligned on their newest element.
 
-        Like the historical ``deque(_aligned_sum(...), maxlen)``, a sum
-        longer than this ring's capacity keeps only the newest ``maxlen``
-        elements.
+        The shorter ring is padded with ``0.0`` at the old end; a sum longer
+        than this ring's capacity keeps only the newest ``maxlen`` elements.
         """
-        if _np is not None:
-            mine = self._ordered_view()
-            theirs = other._ordered_view()
-        else:
-            mine = self.ordered()
-            theirs = other.ordered()
+        mine = self.tolist()
+        theirs = other.tolist()
         length = max(len(mine), len(theirs))
+        padded_mine = [0.0] * (length - len(mine)) + mine
+        padded_theirs = [0.0] * (length - len(theirs)) + theirs
         ring = FloatRing(self.maxlen)
-        if _np is not None:
-            if length <= self.maxlen:
-                merged = ring._buf[:length]
-                ring._size = length
-            else:
-                merged = _np.zeros(length)
-            if len(mine):
-                merged[length - len(mine) :] += mine
-            if len(theirs):
-                merged[length - len(theirs) :] += theirs
-            if length > self.maxlen:
-                ring._size = self.maxlen
-                ring._buf[:] = merged[length - self.maxlen :]
-        else:
-            padded_mine = [0.0] * (length - len(mine)) + mine
-            padded_theirs = [0.0] * (length - len(theirs)) + theirs
-            ring._buf.extend(
-                a + b for a, b in zip(padded_mine, padded_theirs)
-            )
+        ring._buf.extend(a + b for a, b in zip(padded_mine, padded_theirs))
         return ring
+
+
+class _RowRing(FloatRing):
+    """Read view of one window of a bank row (vector tiers).
+
+    Holds the series' forecaster handle, not an array: every read resolves
+    ``(bank, row)`` afresh, so the view survives matrix reallocation and
+    turns inert with the handle.  Writes go through the series
+    (:meth:`NodeTimeSeries.record` and friends).
+    """
+
+    __slots__ = ("_handle", "_which")
+
+    def __init__(self, handle: "SeriesForecaster", which: int):
+        self._handle = handle
+        self._which = which
+        self.maxlen = handle.bank.window
+
+    def append(self, value: float) -> None:
+        raise TypeError("a bank-backed window is a read view; record through the series")
+
+    def iscale(self, ratio: float) -> None:
+        raise TypeError("a bank-backed window is a read view; split through the series")
+
+    def __len__(self) -> int:
+        return self._handle.bank.window_len(self._handle.row, self._which)
+
+    def __getitem__(self, index: int) -> float:
+        return float(self.values()[index])
+
+    def values(self, newest: "int | None" = None):
+        """A slice of the bank matrix unless the live range wraps."""
+        handle = self._handle
+        return handle.bank.window_values(handle.row, self._which, newest)
+
+    def ordered(self):
+        return self.values().copy()
+
+    def tolist(self) -> list[float]:
+        return self.values().tolist()
+
+
+class _ReleasedBank:
+    """The bank of a released handle: whatever is asked of it raises."""
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        raise ConfigurationError(
+            "the series was released and its bank row recycled; "
+            "a released handle cannot be used"
+        )
+
+    def __reduce__(self) -> str:
+        return "_RELEASED"  # pickles (and deep-copies) as the singleton
+
+
+_RELEASED = _ReleasedBank()
 
 
 class SeriesForecaster:
@@ -313,8 +231,8 @@ class SeriesForecaster:
         """The active seasonal model, materialized from the bank row.
 
         ``None`` until activation.  This is a read-only introspection *copy*:
-        the live state is columnar (or a private scalar row), so mutating the
-        returned object never affects the forecaster.
+        the live state is a bank row, so mutating the returned object never
+        affects the forecaster.
         """
         state = self.bank.row_state_dict(self.row)["seasonal"]
         return None if state is None else load_seasonal_state(state)
@@ -371,8 +289,13 @@ class SeriesForecaster:
         return self.scaled(1.0)
 
     def release(self) -> None:
-        """Return the row to the bank; the view must not be used afterwards."""
+        """Return the row to the bank.  The handle is inert afterwards:
+        releasing it again does nothing, anything else raises."""
+        if self.bank is _RELEASED:
+            return
         self.bank.free_row(self.row)
+        self.bank = _RELEASED
+        self.row = -1
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -406,7 +329,8 @@ class NodeTimeSeries:
         Parameters of the forecasting model attached to the series.
     bank:
         Shared :class:`~repro.forecasting.bank.ForecasterBank` the node's
-        forecaster row should live in; omitted for standalone use.
+        row should live in; omitted for standalone use.  One bank holds
+        windows of one length.
     forecaster:
         Pre-built forecaster view to adopt instead of allocating a fresh row
         (used internally by :meth:`scaled`).
@@ -423,25 +347,49 @@ class NodeTimeSeries:
             raise ConfigurationError(f"series length must be >= 1, got {length}")
         self.length = length
         self.forecast_config = forecast_config
-        if _np is not None:
-            #: Fused window storage: actual (row 0) and forecast (row 1) of
-            #: one ``(2, length)`` array, so the adaptation's whole-window
-            #: operations run as single two-row kernels.  ``None`` whenever
-            #: the rings stopped sharing aligned storage (restores from
-            #: ragged snapshots, legacy merges, pickling) — every fused fast
-            #: path falls back to the per-ring operations then.
-            self._base = _np.empty((2, length))
-            self.actual = FloatRing._view(self._base[0], 0, length)
-            self.forecast = FloatRing._view(self._base[1], 0, length)
+        # The window is reserved before a row is allocated: a bank that
+        # holds another length refuses without leaking a row.
+        if forecaster is not None:
+            forecaster.bank.reserve_window(length)
         else:
-            self._base = None
-            self.actual = FloatRing(length)
-            self.forecast = FloatRing(length)
-        self.forecaster = (
-            SeriesForecaster(forecast_config, bank=bank)
-            if forecaster is None
-            else forecaster
+            if bank is None:
+                bank = ForecasterBank(forecast_config, window=length)
+            else:
+                bank.reserve_window(length)
+            forecaster = SeriesForecaster(forecast_config, bank=bank)
+        self.forecaster = forecaster
+        #: The python tier's deque windows; ``None`` when the windows are
+        #: segments of the forecaster's bank row.
+        self._rings: "tuple[FloatRing, FloatRing] | None" = (
+            None
+            if forecaster.bank.vectorized
+            else (FloatRing(length), FloatRing(length))
         )
+
+    @classmethod
+    def _adopt(
+        cls,
+        template: "NodeTimeSeries",
+        forecaster: SeriesForecaster,
+        rings: "tuple[FloatRing, FloatRing] | None" = None,
+    ) -> "NodeTimeSeries":
+        """A series over an existing row (and, python tier, existing rings)."""
+        series = cls.__new__(cls)
+        series.length = template.length
+        series.forecast_config = template.forecast_config
+        series.forecaster = forecaster
+        series._rings = rings
+        return series
+
+    @property
+    def actual(self) -> FloatRing:
+        """The actual (modified-weight) window, oldest first."""
+        return _RowRing(self.forecaster, 0) if self._rings is None else self._rings[0]
+
+    @property
+    def forecast(self) -> FloatRing:
+        """The one-step-ahead forecasts made for the values of :attr:`actual`."""
+        return _RowRing(self.forecaster, 1) if self._rings is None else self._rings[1]
 
     # ------------------------------------------------------------------
     # Construction
@@ -461,45 +409,21 @@ class NodeTimeSeries:
     def append(self, value: float) -> float:
         """Append the newest actual value; returns the forecast made for it."""
         predicted = self.forecaster.observe(value)
-        self.actual.append(float(value))
-        self.forecast.append(predicted)
+        self.record(float(value), predicted)
         return predicted
 
     def record(self, value: float, predicted: float) -> None:
         """Push an (actual, forecast) pair whose forecaster update already ran.
 
-        This is the batched-close entry point: the algorithm updates all
-        forecaster rows with one :meth:`ForecasterBank.observe_rows` call and
-        then records each node's value/forecast pair here, instead of
-        triggering N scalar observes through :meth:`append`.
+        The per-series form of :meth:`ForecasterBank.record_rows`, which the
+        batched close uses after one :meth:`ForecasterBank.observe_rows_arrays`
+        call has advanced every forecaster.
         """
-        actual = self.actual
-        forecast = self.forecast
-        if (
-            self._base is not None
-            and actual._start == forecast._start
-            and actual._size == forecast._size
-        ):
-            # Fused storage: one slot computation covers both windows.
-            maxlen = actual.maxlen
-            pos = actual._start + actual._size
-            if pos >= maxlen:
-                pos -= maxlen
-            base = self._base
-            base[0, pos] = value
-            base[1, pos] = predicted
-            if actual._size == maxlen:
-                start = actual._start + 1
-                if start == maxlen:
-                    start = 0
-                actual._start = start
-                forecast._start = start
-            else:
-                actual._size += 1
-                forecast._size = actual._size
-            return
-        actual.append(float(value))
-        forecast.append(predicted)
+        if self._rings is None:
+            self.forecaster.bank.record(self.forecaster.row, value, predicted)
+        else:
+            self._rings[0].append(float(value))
+            self._rings[1].append(predicted)
 
     def extend(self, values: Sequence[float]) -> list[float]:
         """Append several timeunit values at once (oldest first).
@@ -515,15 +439,17 @@ class NodeTimeSeries:
 
     @property
     def latest_actual(self) -> float:
-        if not self.actual:
+        actual = self.actual
+        if not actual:
             raise ConfigurationError("the series has no observations yet")
-        return self.actual[-1]
+        return actual[-1]
 
     @property
     def latest_forecast(self) -> float:
-        if not self.forecast:
+        forecast = self.forecast
+        if not forecast:
             raise ConfigurationError("the series has no observations yet")
-        return self.forecast[-1]
+        return forecast[-1]
 
     def next_forecast(self) -> float:
         """Forecast for the not-yet-observed next timeunit."""
@@ -535,206 +461,54 @@ class NodeTimeSeries:
     # ------------------------------------------------------------------
     # SPLIT / MERGE support
     # ------------------------------------------------------------------
-    @classmethod
-    def _assemble(
-        cls,
-        length: int,
-        forecast_config: ForecastConfig,
-        actual: FloatRing,
-        forecast: FloatRing,
-        forecaster: SeriesForecaster,
-        base=None,
-    ) -> "NodeTimeSeries":
-        """Internal constructor from pre-built parts (skips ring allocation)."""
-        series = cls.__new__(cls)
-        series.length = length
-        series.forecast_config = forecast_config
-        series._base = base
-        series.actual = actual
-        series.forecast = forecast
-        series.forecaster = forecaster
-        return series
-
-    # Pickling / deepcopy: ring buffers that are views of the fused base
-    # serialize as independent arrays, so the base must be dropped — the
-    # restored series is fully functional, it just takes the per-ring paths
-    # until a fused rebuild (e.g. the next reference correction).
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_base"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
     def scaled(self, ratio: float) -> "NodeTimeSeries":
         """A copy whose actual/forecast series and state are scaled by ``ratio``."""
-        return NodeTimeSeries._assemble(
-            self.length,
-            self.forecast_config,
-            self.actual.scaled(ratio),
-            self.forecast.scaled(ratio),
-            self.forecaster.scaled(ratio),
-        )
+        rings = self._rings
+        if rings is not None:
+            rings = (rings[0].scaled(ratio), rings[1].scaled(ratio))
+        return NodeTimeSeries._adopt(self, self.forecaster.scaled(ratio), rings)
 
-    def _fused_aligned(self) -> bool:
-        """Whether the fused two-row window kernels may run on this series."""
-        return (
-            self._base is not None
-            and self.actual._start == self.forecast._start
-            and self.actual._size == self.forecast._size
-        )
-
-    def _split_windows(self, ratio: float):
-        """Child ``(actual, forecast, base)`` windows holding the ``ratio``
-        share; this series' windows keep ``1 - ratio`` in place."""
-        rest = 1.0 - ratio
-        if self._fused_aligned():
-            actual = self.actual
-            size = actual._size
-            maxlen = actual.maxlen
-            base = self._base
-            child_base = _np.empty((2, maxlen))
-            start = actual._start
-            kernels = load_kernels()
-            if kernels is not None:
-                kernels.split_windows(
-                    base, child_base, start, size, maxlen, ratio
-                )
-                return (
-                    FloatRing._view(child_base[0], size, maxlen),
-                    FloatRing._view(child_base[1], size, maxlen),
-                    child_base,
-                )
-            end = start + size
-            if end <= maxlen:
-                live = base[:, start:end]
-                _np.multiply(live, ratio, out=child_base[:, :size])
-                live *= rest
-            else:
-                head = base[:, start:]
-                tail = base[:, : end - maxlen]
-                k = maxlen - start
-                _np.multiply(head, ratio, out=child_base[:, :k])
-                _np.multiply(tail, ratio, out=child_base[:, k:size])
-                head *= rest
-                tail *= rest
-            return (
-                FloatRing._view(child_base[0], size, maxlen),
-                FloatRing._view(child_base[1], size, maxlen),
-                child_base,
-            )
-        child_actual = self.actual.scaled(ratio)
-        child_forecast = self.forecast.scaled(ratio)
-        self.actual.iscale(rest)
-        self.forecast.iscale(rest)
-        return child_actual, child_forecast, None
-
-    def split_inplace(self, ratio: float, child_row: "int | None" = None) -> "NodeTimeSeries":
+    def split_inplace(self, ratio: float) -> "NodeTimeSeries":
         """SPLIT this series in place: a new series takes the ``ratio`` share,
         this one keeps ``1 - ratio``.
 
-        Bit-identical to the historical ``scaled(ratio)`` /
-        ``scaled(1 - ratio)`` / ``release()`` triple of the adaptation
-        cascade, with this object (and its forecaster row) surviving in
-        place — one row allocation instead of two plus a free.  Pass
-        ``child_row`` when the forecaster-state split already ran through a
-        batched :meth:`~repro.forecasting.bank.ForecasterBank.split_rows_many`
-        call.
+        Bit-identical to the ``scaled(ratio)`` / ``scaled(1 - ratio)`` /
+        ``release()`` triple of the scalar split cascade, with this object
+        (and its row) surviving in place.  On the vector tiers it is
+        :meth:`ForecasterBank.split_row` — two multiplies over the row.
         """
-        bank = self.forecaster.bank
-        if child_row is None:
-            child_row = bank.split_row(self.forecaster.row, ratio)
-        child_actual, child_forecast, child_base = self._split_windows(ratio)
-        return NodeTimeSeries._assemble(
-            self.length,
-            self.forecast_config,
-            child_actual,
-            child_forecast,
-            SeriesForecaster(self.forecast_config, bank, child_row),
-            base=child_base,
+        forecaster = self.forecaster
+        rings = self._rings
+        if rings is not None:
+            child_rings = (rings[0].scaled(ratio), rings[1].scaled(ratio))
+            rings[0].iscale(1.0 - ratio)
+            rings[1].iscale(1.0 - ratio)
+            rings = child_rings
+        child_row = forecaster.bank.split_row(forecaster.row, ratio)
+        return NodeTimeSeries._adopt(
+            self, SeriesForecaster(self.forecast_config, forecaster.bank, child_row), rings
         )
 
-    def merge_windows_from(self, other: "NodeTimeSeries") -> None:
-        """Fold only the actual/forecast windows of ``other`` into this series.
-
-        The forecaster-state fold is the caller's responsibility — ADA's
-        batched apply path folds many forecaster rows with one
-        :meth:`~repro.forecasting.bank.ForecasterBank.merge_rows_many` call
-        and uses this to keep the window arithmetic in cascade order.
-        """
-        if self._fused_aligned() and other._fused_aligned():
-            mine = self.actual
-            theirs_ring = other.actual
-            m = theirs_ring._size
-            n = mine._size
-            if m == 0:
-                return
-            ob = other._base
-            o_start = theirs_ring._start
-            if m <= n:
-                kernels = load_kernels()
-                if kernels is not None:
-                    kernels.merge_windows(
-                        self._base, mine._start, n, ob, o_start, m,
-                        mine.maxlen, theirs_ring.maxlen,
-                    )
-                    return
-            o_end = o_start + m
-            if o_end <= theirs_ring.maxlen:
-                theirs = ob[:, o_start:o_end]
-            else:
-                theirs = _np.concatenate(
-                    [ob[:, o_start:], ob[:, : o_end - theirs_ring.maxlen]],
-                    axis=1,
-                )
-            base = self._base
-            maxlen = mine.maxlen
-            if m <= n:
-                # In place: add theirs into the newest-m slots (≤ 2 blocks).
-                start = mine._start + (n - m)
-                if start >= maxlen:
-                    start -= maxlen
-                end = start + m
-                if end <= maxlen:
-                    base[:, start:end] += theirs
-                else:
-                    k = maxlen - start
-                    base[:, start:] += theirs[:, :k]
-                    base[:, : end - maxlen] += theirs[:, k:]
-            else:
-                # Growth: the sum is m long — rebuild fused storage so the
-                # series keeps its two-row layout (sums identical to the
-                # newest-aligned ring addition).
-                new_base = _np.empty((2, maxlen))
-                new_base[:, :m] = theirs
-                if n:
-                    start = mine._start
-                    end = start + n
-                    off = m - n
-                    if end <= maxlen:
-                        new_base[:, off:m] += base[:, start:end]
-                    else:
-                        k = maxlen - start
-                        new_base[:, off : off + k] += base[:, start:]
-                        new_base[:, off + k : m] += base[:, : end - maxlen]
-                self._base = new_base
-                self.actual = FloatRing._view(new_base[0], m, maxlen)
-                self.forecast = FloatRing._view(new_base[1], m, maxlen)
-            return
-        actual = self.actual.fold_newest(other.actual)
-        forecast = self.forecast.fold_newest(other.forecast)
-        if actual is not self.actual or forecast is not self.forecast:
-            self._base = None
-        self.actual = actual
-        self.forecast = forecast
-
     def merge_from(self, other: "NodeTimeSeries") -> None:
-        """Add ``other``'s series into this one element-wise (newest aligned)."""
-        self.actual = self.actual.aligned_add(other.actual)
-        self.forecast = self.forecast.aligned_add(other.forecast)
-        self._base = None
-        self.forecaster.add_state(other.forecaster)
+        """Add ``other``'s series into this one element-wise (newest aligned);
+        ``other`` is left intact for its owner to release."""
+        mine = self.forecaster
+        rings = self._rings
+        if rings is not None:
+            self._rings = (
+                rings[0].aligned_add(other.actual),
+                rings[1].aligned_add(other.forecast),
+            )
+            mine.add_state(other.forecaster)
+        elif other.forecaster.bank is mine.bank:
+            mine.bank.fold_row(mine.row, other.forecaster.row)
+        else:
+            # A series of another bank (standalone use): bring its newest ℓ
+            # timeunits over as a guest row, fold, and let the guest go.
+            guest = NodeTimeSeries(self.length, self.forecast_config, bank=mine.bank)
+            guest._load(other.state_dict())
+            mine.bank.fold_row(mine.row, guest.forecaster.row)
+            guest.release()
 
     def replace_actual(self, values: Sequence[float]) -> None:
         """Overwrite the actual series (used by the reference-series correction).
@@ -750,26 +524,23 @@ class NodeTimeSeries:
             trimmed = values[-self.length :]
         else:
             trimmed = list(values)[-self.length :]
-        if _np is not None:
-            size = len(trimmed)
-            base = _np.empty((2, self.length))
-            base[0, :size] = trimmed
-            base[1, :size] = base[0, :size]
-            self._base = base
-            self.actual = FloatRing._view(base[0], size, self.length)
-            self.forecast = FloatRing._view(base[1], size, self.length)
-        else:
-            self._base = None
-            self.actual = FloatRing.from_values(trimmed, self.length)
-            self.forecast = FloatRing.from_values(trimmed, self.length)
-        bank = self.forecaster.bank
-        self.forecaster.release()
+        forecaster = self.forecaster
+        if self._rings is None:
+            forecaster.bank.reseed(forecaster.row, trimmed)
+            return
+        self._rings = (
+            FloatRing.from_values(trimmed, self.length),
+            FloatRing.from_values(trimmed, self.length),
+        )
+        bank = forecaster.bank
+        forecaster.release()
         self.forecaster = SeriesForecaster.from_history_fast(
             trimmed, self.forecast_config, bank=bank
         )
 
     def release(self) -> None:
-        """Return the forecaster row to its bank when dropping the series."""
+        """Return the row to its bank when dropping the series (idempotent;
+        a released series cannot be used)."""
         self.forecaster.release()
 
     # ------------------------------------------------------------------
@@ -784,6 +555,21 @@ class NodeTimeSeries:
             "forecaster": self.forecaster.state_dict(),
         }
 
+    def _load(self, state: dict) -> None:
+        """Fill this *fresh* series from :meth:`state_dict` output (windows
+        longer than ``self.length`` keep their newest values)."""
+        forecaster = self.forecaster
+        forecaster.bank.load_row_state(forecaster.row, state["forecaster"])
+        actual = [float(v) for v in state["actual"]]
+        forecast = [float(v) for v in state["forecast"]]
+        if self._rings is None:
+            forecaster.bank.load_windows(forecaster.row, actual, forecast)
+        else:
+            self._rings = (
+                FloatRing.from_values(actual, self.length),
+                FloatRing.from_values(forecast, self.length),
+            )
+
     @classmethod
     def from_state_dict(
         cls,
@@ -792,25 +578,8 @@ class NodeTimeSeries:
         bank: ForecasterBank | None = None,
     ) -> "NodeTimeSeries":
         """Rebuild a node series from :meth:`state_dict` output."""
-        length = int(state["length"])
-        forecaster = SeriesForecaster.from_state_dict(
-            state["forecaster"], forecast_config, bank=bank
-        )
-        series = cls(length, forecast_config, forecaster=forecaster)
-        actual = [float(v) for v in state["actual"]]
-        forecast = [float(v) for v in state["forecast"]]
-        if _np is not None and len(actual) == len(forecast):
-            size = min(len(actual), length)
-            base = _np.empty((2, length))
-            base[0, :size] = actual[-size:] if size else []
-            base[1, :size] = forecast[-size:] if size else []
-            series._base = base
-            series.actual = FloatRing._view(base[0], size, length)
-            series.forecast = FloatRing._view(base[1], size, length)
-        else:
-            series._base = None
-            series.actual = FloatRing.from_values(actual, length)
-            series.forecast = FloatRing.from_values(forecast, length)
+        series = cls(int(state["length"]), forecast_config, bank=bank)
+        series._load(state)
         return series
 
 

@@ -1,37 +1,53 @@
-"""Columnar forecaster bank: one vectorized update for every tracked node.
+"""Row-store forecaster bank: Lemma 2 as the data layout.
 
-The scalar pipeline attaches one forecaster object per heavy hitter and
-updates them one at a time inside the per-timeunit close loop — after the
-columnar ingestion work of the batch path, that loop is the hot path.  A
-:class:`ForecasterBank` instead holds the forecasting state of *all* tracked
-node paths in parallel arrays:
+Everything Tiresias keeps per heavy hitter is *linear* in the node's series
+(the paper's Lemma 2): the EWMA fallback level, the additive Holt-Winters
+level / trend / seasonal components, the warm-up history that precedes
+seasonal activation, and the actual and forecast windows.  On the vector
+tiers a :class:`ForecasterBank` therefore stores all of it as **one row of
+one C-contiguous float64 matrix**::
 
-* the EWMA fallback level and observation count per row,
-* the pre-seasonal warm-up history per row (ragged, Python lists), and
-* the additive Holt-Winters state — level, trend, one seasonal buffer per
-  seasonal period, and the per-row seasonal phase — as 2-D arrays.
+    [ewma, level, trend | seasonal buffer(s) | warm-up history | actual ℓ | forecast ℓ]
 
-:meth:`observe_rows` folds one timeunit of values into any subset of rows
-with a handful of NumPy kernels instead of N Python-object updates.  Every
-per-row operation ADA's adaptation needs — :meth:`clone_row` (SPLIT),
-:meth:`add_state` (MERGE), :meth:`seed_fast` (reference-series correction) —
-is implemented with exactly the scalar arithmetic of the historical
-per-object forecasters, so results stay bit-for-bit identical and the
-split/merge linearity of the paper's Lemma 2 keeps holding.
+next to one small integer row (``seen``, window lengths, ``active``, warm-up
+length, window cursor, seasonal phase(s)).  Segments are slot-addressed and
+hold ``+0.0`` outside their live range, so ADA's adaptation is array
+arithmetic on whole rows:
+
+* **SPLIT** (:meth:`~ForecasterBank.split_row`) — one multiply into the new
+  row, one in place, one integer-row copy;
+* **MERGE** (:meth:`~ForecasterBank.fold_row`) — one add plus integer maxima
+  when the two rows are slot-aligned; per segment, with a rotation where
+  cursors or seasonal phases differ and a *copy* where the destination holds
+  nothing yet (``0.0 + -0.0`` is ``+0.0``: an add would drop the sign of
+  the zeros a ratio-0 split leaves);
+* **reference correction** (:meth:`~ForecasterBank.reseed`) — windows and
+  forecaster state rewritten in place from the corrected series;
+* **close** — :meth:`~ForecasterBank.observe_rows_arrays` advances every
+  tracked forecaster (the warm-up append is one indexed store) and
+  :meth:`~ForecasterBank.record_rows` appends every window with one
+  indexed store each.
+
+Every float operation is, element for element, the scalar arithmetic of the
+per-object forecasters (:class:`_ScalarRow`, kept verbatim), so results stay
+bit-for-bit identical across tiers.
 
 Fallbacks mirror :class:`~repro.streaming.batch.RecordBatch`: without NumPy
 (or with ``REPRO_DISABLE_NUMPY`` set, or with a custom ``ForecastConfig.model``
-whose internals the bank cannot vectorize) each row degrades to a private
-scalar state object with the same public row API — functional, just slower.
+whose internals the bank cannot vectorize) each row is a private
+:class:`_ScalarRow` with the same public row API and no window segment —
+functional, just slower, and the reference the row store is tested against.
 
 Checkpoint compatibility: :meth:`row_state_dict` / :meth:`load_row_state`
 speak the *canonical per-path forecaster format* that predates the bank
 (``{"ewma_level", "seen", "history", "seasonal"}``), so bank-backed sessions
-read and write the same checkpoints as scalar and sharded sessions.
+read and write the same checkpoints as scalar and sharded sessions.  Window
+slots are not part of it — only oldest-first contents are.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
 from repro._vector import load_kernels, load_numpy
@@ -208,27 +224,71 @@ class _ScalarRow:
         )
 
 
+#: Columns of the per-row integer matrix.  ``_ACTIVE`` onwards is the row's
+#: *alignment*: two rows whose alignment is equal hold every float segment
+#: slot for slot, so a MERGE is one whole-row add.
+_SEEN, _ALEN, _FLEN, _ACTIVE, _HLEN, _WPOS, _PHASE = range(7)
+
+
+def _keeps_zeros(ratio: float) -> bool:
+    """Whether ``0.0 * ratio`` is ``+0.0``: finite, not NaN, and positive in
+    sign (``-0.0 >= 0.0`` holds, so the sign is asked for explicitly)."""
+    return 0.0 <= ratio < math.inf and math.copysign(1.0, ratio) > 0.0
+
+
+def _store_ending_at(segment, end: int, values) -> None:
+    """Write ``values`` into the ring ``segment`` so the last lands at slot
+    ``end - 1`` (wrapping)."""
+    start = end - len(values)
+    if start >= 0:
+        segment[start:end] = values
+    else:
+        segment[start:] = values[:-start]
+        segment[:end] = values[-start:]
+
+
+def _rotated_add(dst, src, shift: int) -> None:
+    """``dst[j] += src[(j + shift) % n]`` as (at most) two slice adds."""
+    if shift == 0:
+        dst += src
+    else:
+        split_at = dst.shape[0] - shift
+        dst[:split_at] += src[shift:]
+        dst[split_at:] += src[:shift]
+
+
 class ForecasterBank:
-    """Forecasting state for many node paths, held columnar.
+    """The linear state of many node series, one matrix row each.
 
     Rows are integer handles obtained from :meth:`new_row` and returned to
     the bank with :meth:`free_row` (freed rows are recycled).  All rows share
-    one :class:`~repro.core.config.ForecastConfig`.
+    one :class:`~repro.core.config.ForecastConfig` and, when the bank was
+    given (or later reserved) a ``window`` length, one window length ℓ.
 
     The bank runs **vectorized** when NumPy is importable and the config's
     seasonal model is the built-in ``"auto"`` choice; otherwise every row is
-    a scalar fallback object with identical behaviour.  ``force_scalar=True``
-    pins the fallback explicitly (STA does, below its vector break-even).
+    a scalar fallback object with identical behaviour and no window segment
+    (:class:`~repro.core.timeseries.NodeTimeSeries` keeps deque rings then).
+    ``force_scalar=True`` pins the fallback explicitly (STA does, below its
+    vector break-even).
     """
 
-    def __init__(self, config: ForecastConfig, *, force_scalar: bool = False):
+    def __init__(
+        self,
+        config: ForecastConfig,
+        *,
+        window: int | None = None,
+        force_scalar: bool = False,
+    ):
         self.config = config
         self.vectorized = (
             _np is not None and config.model == "auto" and not force_scalar
         )
         self._free: list[int] = []
+        self._live = bytearray()  # 1 per allocated, not freed row
         self._size = 0  # high-water row count
         if not self.vectorized:
+            self.window = None
             self._rows: list[_ScalarRow | None] = []
             return
         lengths = config.season_lengths
@@ -238,19 +298,32 @@ class ForecasterBank:
         else:
             self._weights = tuple(float(w) for w in config.season_weights)
         self._min_history = config.min_history
-        cap = 8
-        self._ewma = _np.full(cap, _np.nan)
-        self._seen = _np.zeros(cap, dtype=_np.int64)
-        self._active = _np.zeros(cap, dtype=bool)
-        self._level = _np.zeros(cap)
-        self._trend = _np.zeros(cap)
-        self._seasonals = [_np.zeros((cap, p)) for p in lengths]
-        self._phases = _np.zeros((cap, len(lengths)), dtype=_np.int64)
-        self._hist: list[list[float] | None] = [None] * cap
-        #: Seasonal model *objects* for rows restored from a snapshot whose
-        #: layout does not match this bank's (foreign parameters or kinds);
-        #: such rows bypass the vector kernels but behave identically.
-        self._obj: dict[int, Any] = {}
+        #: Float row layout: ``[ewma, level, trend | seasonal buffer(s) |
+        #: warm-up history | actual window | forecast window]``.
+        offsets = [3]
+        for p in lengths:
+            offsets.append(offsets[-1] + p)
+        self._seasonal_off = tuple(offsets[:-1])
+        self._hist_off = offsets[-1]
+        self._actual_off = self._hist_off + self._min_history
+        self._icols = _PHASE + len(lengths)
+        self._state = _np.zeros((8, self._actual_off))
+        self._ints = _np.zeros((8, self._icols), dtype=_np.int64)
+        self.window: int | None = None
+        self._forecast_off = self._width = self._actual_off
+        #: Cursor handed to fresh rows.  Window slots are not canonical (only
+        #: the oldest-first contents are), so a row created between two
+        #: closes starts on the cursor the batch close last wrote: rows that
+        #: are then recorded together stay slot-aligned.  A hint — nothing
+        #: depends on it but the share of folds that are a single add.
+        self._wpos_hint = 0
+        #: Whole scalar rows for state that does not fit the layout (a
+        #: snapshot with foreign seasonal parameters, or a warm-up history
+        #: that fills the history segment): such rows bypass the vector
+        #: kernels but behave identically.  Their windows stay in the matrix.
+        self._obj: dict[int, _ScalarRow] = {}
+        if window is not None:
+            self.reserve_window(window)
 
     # ------------------------------------------------------------------
     # Row lifecycle
@@ -259,35 +332,54 @@ class ForecasterBank:
         """Number of live (allocated, not freed) rows."""
         return self._size - len(self._free)
 
-    def _grow(self, cap: int) -> None:
-        np_ = _np
-        old = self._ewma.shape[0]
-        if cap <= old:
+    def reserve_window(self, length: int) -> None:
+        """Give every row an actual and a forecast window of ``length`` slots.
+
+        A bank built without a window (standalone forecasters, STA's refit
+        banks) carries none; the first node series attached to it widens the
+        matrix.  One bank has one window length.
+        """
+        if not self.vectorized or self.window == length:
             return
-        self._ewma = np_.concatenate([self._ewma, np_.full(cap - old, np_.nan)])
-        self._seen = np_.concatenate([self._seen, np_.zeros(cap - old, dtype=np_.int64)])
-        self._active = np_.concatenate([self._active, np_.zeros(cap - old, dtype=bool)])
-        self._level = np_.concatenate([self._level, np_.zeros(cap - old)])
-        self._trend = np_.concatenate([self._trend, np_.zeros(cap - old)])
-        self._seasonals = [
-            np_.concatenate([buf, np_.zeros((cap - old, buf.shape[1]))])
-            for buf in self._seasonals
-        ]
-        self._phases = np_.concatenate(
-            [self._phases, np_.zeros((cap - old, self._phases.shape[1]), dtype=np_.int64)]
-        )
-        self._hist.extend([None] * (cap - old))
+        if self.window is not None:
+            raise ConfigurationError(
+                f"the bank holds windows of {self.window} timeunits, "
+                f"cannot attach a series of length {length}"
+            )
+        if length < 1:
+            raise ConfigurationError(f"window length must be >= 1, got {length}")
+        self.window = length
+        self._forecast_off = self._actual_off + length
+        self._width = self._forecast_off + length
+        self._resize(self._state.shape[0])
+
+    def _resize(self, cap: int) -> None:
+        """Reallocate both matrices at ``cap`` rows and the current width.
+
+        Handles and read views hold ``(bank, row)``, never an array, so
+        nothing dangles across a reallocation.
+        """
+        state = _np.zeros((cap, self._width))
+        old = self._state
+        state[: old.shape[0], : old.shape[1]] = old
+        self._state = state
+        ints = _np.zeros((cap, self._icols), dtype=_np.int64)
+        ints[: self._ints.shape[0]] = self._ints
+        self._ints = ints
 
     def _alloc_row(self) -> int:
         """A recycled or brand-new row id, state NOT reset (internal)."""
         if self._free:
-            return self._free.pop()
+            row = self._free.pop()
+            self._live[row] = 1
+            return row
         row = self._size
         self._size += 1
+        self._live.append(1)
         if not self.vectorized:
             self._rows.append(None)
-        elif row >= self._ewma.shape[0]:
-            self._grow(max(8, 2 * self._ewma.shape[0]))
+        elif row >= self._state.shape[0]:
+            self._resize(2 * self._state.shape[0])
         return row
 
     def new_row(self) -> int:
@@ -296,24 +388,21 @@ class ForecasterBank:
         if not self.vectorized:
             self._rows[row] = _ScalarRow(self.config)
             return row
-        self._ewma[row] = _np.nan
-        self._seen[row] = 0
-        self._active[row] = False
-        self._level[row] = 0.0
-        self._trend[row] = 0.0
-        for buf in self._seasonals:
-            buf[row, :] = 0.0
-        self._phases[row, :] = 0
-        self._hist[row] = []
-        self._obj.pop(row, None)
+        self._state[row] = 0.0
+        self._state[row, 0] = _np.nan
+        ints = self._ints[row]
+        ints[:] = 0
+        ints[_WPOS] = self._wpos_hint
         return row
 
     def free_row(self, row: int) -> None:
         """Return ``row`` to the bank for reuse; its state becomes invalid."""
+        if not 0 <= row < self._size or not self._live[row]:
+            raise ConfigurationError(f"bank row {row} is not live")
+        self._live[row] = 0
         if not self.vectorized:
             self._rows[row] = None
-        else:
-            self._hist[row] = None
+        elif self._obj:
             self._obj.pop(row, None)
         self._free.append(row)
 
@@ -327,24 +416,22 @@ class ForecasterBank:
         obj = self._obj.get(row)
         if obj is not None:
             return obj.forecast()
-        if self._active[row]:
-            return self._forecast_scalar(row)
-        ewma = self._ewma[row]
-        return 0.0 if _np.isnan(ewma) else float(ewma)
+        state = self._state[row]
+        if self._ints[row, _ACTIVE]:
+            return (
+                float(state[1]) + float(state[2]) + self._combined_seasonal(row)
+            )
+        ewma = state[0]
+        return 0.0 if ewma != ewma else float(ewma)
 
-    def _combined_seasonal_scalar(self, row: int) -> float:
+    def _combined_seasonal(self, row: int) -> float:
+        state = self._state[row]
+        ints = self._ints[row]
         if self._single:
-            return float(self._seasonals[0][row, self._phases[row, 0]])
+            return float(state[3 + ints[_PHASE]])
         return sum(
-            w * float(buf[row, self._phases[row, k]])
-            for k, (w, buf) in enumerate(zip(self._weights, self._seasonals))
-        )
-
-    def _forecast_scalar(self, row: int) -> float:
-        return (
-            float(self._level[row])
-            + float(self._trend[row])
-            + self._combined_seasonal_scalar(row)
+            w * float(state[off + ints[_PHASE + k]])
+            for k, (w, off) in enumerate(zip(self._weights, self._seasonal_off))
         )
 
     def observe(self, row: int, value: float) -> float:
@@ -356,41 +443,48 @@ class ForecasterBank:
         """
         if not self.vectorized:
             return self._rows[row].observe(value)
-        value = float(value)
-        predicted = self.forecast(row)
-        alpha = self.config.fallback_alpha
-        ewma = self._ewma[row]
-        if _np.isnan(ewma):
-            self._ewma[row] = value
-        else:
-            self._ewma[row] = alpha * value + (1 - alpha) * float(ewma)
         obj = self._obj.get(row)
         if obj is not None:
-            obj.update(value)
-        elif self._active[row]:
+            return obj.observe(value)
+        value = float(value)
+        predicted = self.forecast(row)
+        state = self._state[row]
+        ints = self._ints[row]
+        alpha = self.config.fallback_alpha
+        ewma = state[0]
+        if ewma != ewma:
+            state[0] = value
+        else:
+            state[0] = alpha * value + (1 - alpha) * float(ewma)
+        if ints[_ACTIVE]:
             self._update_seasonal_scalar(row, value)
         else:
-            hist = self._hist[row]
-            hist.append(value)
-            if len(hist) >= self._min_history:
+            hlen = int(ints[_HLEN])
+            state[self._hist_off + hlen] = value
+            ints[_HLEN] = hlen + 1
+            if hlen + 1 >= self._min_history:
                 self._activate(row)
-        self._seen[row] += 1
+        ints[_SEEN] += 1
         return predicted
 
     def _update_seasonal_scalar(self, row: int, value: float) -> None:
         alpha, beta, gamma = self.config.alpha, self.config.beta, self.config.gamma
-        level = float(self._level[row])
-        trend = float(self._trend[row])
-        seasonal = self._combined_seasonal_scalar(row)
+        state = self._state[row]
+        ints = self._ints[row]
+        level = float(state[1])
+        trend = float(state[2])
+        seasonal = self._combined_seasonal(row)
         new_level = alpha * (value - seasonal) + (1 - alpha) * (level + trend)
-        self._level[row] = new_level
-        self._trend[row] = beta * (new_level - level) + (1 - beta) * trend
-        for k, (buf, p) in enumerate(zip(self._seasonals, self.config.season_lengths)):
-            phase = int(self._phases[row, k])
-            buf[row, phase] = gamma * (value - new_level) + (1 - gamma) * float(
-                buf[row, phase]
+        state[1] = new_level
+        state[2] = beta * (new_level - level) + (1 - beta) * trend
+        for k, (off, p) in enumerate(
+            zip(self._seasonal_off, self.config.season_lengths)
+        ):
+            phase = int(ints[_PHASE + k])
+            state[off + phase] = gamma * (value - new_level) + (1 - gamma) * float(
+                state[off + phase]
             )
-            self._phases[row, k] = (phase + 1) % p
+            ints[_PHASE + k] = (phase + 1) % p
 
     def observe_rows(self, rows: Sequence[int], values: Sequence[float]) -> list[float]:
         """Vectorized :meth:`observe` over distinct ``rows``; returns forecasts.
@@ -444,12 +538,19 @@ class ForecasterBank:
         return self._observe_vector(idx, v)
 
     def _observe_vector(self, idx, v):
-        """Shared vector kernel behind :meth:`observe_rows` (no ``_obj`` rows)."""
+        """Shared vector kernel behind :meth:`observe_rows` (no ``_obj`` rows).
+
+        Every gather and scatter is a 1-d take on the flattened matrices at
+        ``row * width + column``.
+        """
         np_ = _np
-        ewma = self._ewma[idx]
-        active = self._active[idx]
+        flat = self._state.reshape(-1)
+        iflat = self._ints.reshape(-1)
+        base = idx * self._width
+        ibase = idx * self._icols
+        ewma = flat[base]
+        active = iflat[ibase + _ACTIVE]
         fallback_alpha = self.config.fallback_alpha
-        alpha, beta, gamma = self.config.alpha, self.config.beta, self.config.gamma
         if active.all() and not np_.isnan(ewma).any():
             # Steady state (every row warm): no masks, no history bookkeeping.
             kernels = load_kernels() if self._single else None
@@ -458,110 +559,200 @@ class ForecasterBank:
                 # _implmodule.c); rows are unique so in-place per-row updates
                 # match the gather/scatter NumPy expressions bit for bit.
                 out = np_.empty(idx.size, dtype=np_.float64)
-                idx_c = np_.ascontiguousarray(idx, dtype=np_.intp)
-                v_c = np_.ascontiguousarray(v, dtype=np_.float64)
                 kernels.observe_steady(
-                    idx_c,
-                    v_c,
-                    self._level,
-                    self._trend,
-                    self._seasonals[0],
-                    self._phases,
-                    self._phases.shape[1],
-                    self._ewma,
-                    self._seen,
-                    alpha,
-                    beta,
-                    gamma,
+                    np_.ascontiguousarray(idx, dtype=np_.intp),
+                    np_.ascontiguousarray(v, dtype=np_.float64),
+                    self._state,
+                    self._ints,
+                    _SEEN,
+                    _PHASE,
+                    self.config.alpha,
+                    self.config.beta,
+                    self.config.gamma,
                     fallback_alpha,
                     self.config.season_lengths[0],
                     out,
                 )
                 return out
-            level = self._level[idx]
-            trend = self._trend[idx]
-            if self._single:
-                phase0 = self._phases[idx, 0]
-                seasonal = self._seasonals[0][idx, phase0]
-            else:
-                seasonal = np_.zeros(idx.size)
-                for k, (w, buf) in enumerate(zip(self._weights, self._seasonals)):
-                    seasonal = seasonal + w * buf[idx, self._phases[idx, k]]
-            forecasts = level + trend + seasonal
-            self._ewma[idx] = fallback_alpha * v + (1 - fallback_alpha) * ewma
-            self._seen[idx] += 1
-            new_level = alpha * (v - seasonal) + (1 - alpha) * (level + trend)
-            self._level[idx] = new_level
-            self._trend[idx] = beta * (new_level - level) + (1 - beta) * trend
-            for k, (buf, p) in enumerate(
-                zip(self._seasonals, self.config.season_lengths)
-            ):
-                phase = self._phases[idx, k]
-                buf[idx, phase] = gamma * (v - new_level) + (1 - gamma) * buf[
-                    idx, phase
-                ]
-                self._phases[idx, k] = (phase + 1) % p
-            return forecasts
+            level, trend, seasonal = self._components(flat, iflat, base, ibase)
+            flat[base] = fallback_alpha * v + (1 - fallback_alpha) * ewma
+            iflat[ibase + _SEEN] += 1
+            self._update_components(flat, iflat, base, ibase, v, level, trend, seasonal)
+            return level + trend + seasonal
         has_ewma = ~np_.isnan(ewma)
         forecasts = np_.where(has_ewma, ewma, 0.0)
         active_pos = np_.flatnonzero(active)
         if active_pos.size:
-            a_idx = idx[active_pos]
-            level = self._level[a_idx]
-            trend = self._trend[a_idx]
-            if self._single:
-                phase0 = self._phases[a_idx, 0]
-                seasonal = self._seasonals[0][a_idx, phase0]
-            else:
-                seasonal = np_.zeros(a_idx.size)
-                for k, (w, buf) in enumerate(zip(self._weights, self._seasonals)):
-                    seasonal = seasonal + w * buf[a_idx, self._phases[a_idx, k]]
+            a_base = base[active_pos]
+            a_ibase = ibase[active_pos]
+            level, trend, seasonal = self._components(flat, iflat, a_base, a_ibase)
             forecasts[active_pos] = level + trend + seasonal
-        self._ewma[idx] = np_.where(
+            self._update_components(
+                flat, iflat, a_base, a_ibase, v[active_pos], level, trend, seasonal
+            )
+        flat[base] = np_.where(
             has_ewma, fallback_alpha * v + (1 - fallback_alpha) * ewma, v
         )
-        self._seen[idx] += 1
-        if active_pos.size:
-            va = v[active_pos]
-            new_level = alpha * (va - seasonal) + (1 - alpha) * (level + trend)
-            self._level[a_idx] = new_level
-            self._trend[a_idx] = beta * (new_level - level) + (1 - beta) * trend
-            for k, (buf, p) in enumerate(
-                zip(self._seasonals, self.config.season_lengths)
-            ):
-                phase = self._phases[a_idx, k]
-                buf[a_idx, phase] = gamma * (va - new_level) + (1 - gamma) * buf[
-                    a_idx, phase
-                ]
-                self._phases[a_idx, k] = (phase + 1) % p
-        inactive_pos = np_.flatnonzero(~active)
-        for pos in inactive_pos.tolist():
-            row = int(idx[pos])
-            hist = self._hist[row]
-            hist.append(float(v[pos]))
-            if len(hist) >= self._min_history:
-                self._activate(row)
+        iflat[ibase + _SEEN] += 1
+        inactive_pos = np_.flatnonzero(active == 0)
+        if inactive_pos.size:
+            # Warm-up append: one indexed store for every row still warming.
+            hlen_at = ibase[inactive_pos] + _HLEN
+            hlen = iflat[hlen_at]
+            flat[base[inactive_pos] + (self._hist_off + hlen)] = v[inactive_pos]
+            hlen += 1
+            iflat[hlen_at] = hlen
+            for pos in inactive_pos[hlen >= self._min_history].tolist():
+                self._activate(int(idx[pos]))
         return forecasts
+
+    def _components(self, flat, iflat, base, ibase):
+        """``(level, trend, combined seasonal)`` of the active rows at
+        ``base`` / ``ibase`` (flat offsets of their float / integer rows)."""
+        if self._single:
+            seasonal = flat[base + (3 + iflat[ibase + _PHASE])]
+        else:
+            seasonal = _np.zeros(base.size)
+            for k, (w, off) in enumerate(zip(self._weights, self._seasonal_off)):
+                seasonal = seasonal + w * flat[base + (off + iflat[ibase + (_PHASE + k)])]
+        return flat[base + 1], flat[base + 2], seasonal
+
+    def _update_components(self, flat, iflat, base, ibase, v, level, trend, seasonal):
+        """The Holt-Winters update of those rows with the values ``v``."""
+        alpha, beta, gamma = self.config.alpha, self.config.beta, self.config.gamma
+        new_level = alpha * (v - seasonal) + (1 - alpha) * (level + trend)
+        flat[base + 1] = new_level
+        flat[base + 2] = beta * (new_level - level) + (1 - beta) * trend
+        for k, (off, p) in enumerate(zip(self._seasonal_off, self.config.season_lengths)):
+            phase_at = ibase + (_PHASE + k)
+            phase = iflat[phase_at]
+            slot = base + (off + phase)
+            flat[slot] = gamma * (v - new_level) + (1 - gamma) * flat[slot]
+            iflat[phase_at] = (phase + 1) % p
 
     def _activate(self, row: int) -> None:
         """Initialize the seasonal components from ``row``'s warm-up history."""
+        state = self._state[row]
+        hist_off = self._hist_off
+        hlen = int(self._ints[row, _HLEN])
         model = _build_seasonal_model(self.config)
-        model.initialize(self._hist[row])
+        model.initialize(state[hist_off : hist_off + hlen])
         self._adopt_model(row, model)
-        self._hist[row] = []
+        state[hist_off : hist_off + hlen] = 0.0
+        self._ints[row, _HLEN] = 0
 
     def _adopt_model(self, row: int, model: Any) -> None:
-        """Copy a built-in seasonal model's state into the row's arrays."""
-        self._active[row] = True
-        self._level[row] = model.level
-        self._trend[row] = model.trend
+        """Copy a built-in seasonal model's state into the row."""
+        state = self._state[row]
+        ints = self._ints[row]
+        ints[_ACTIVE] = 1
+        state[1] = model.level
+        state[2] = model.trend
         if self._single:
-            self._seasonals[0][row, :] = model.seasonals
-            self._phases[row, 0] = model._phase
+            state[3 : self._hist_off] = model.seasonals
+            ints[_PHASE] = model._phase
         else:
-            for k, buf in enumerate(model.seasonals):
-                self._seasonals[k][row, :] = buf
-            self._phases[row, :] = model._phases
+            for off, buf in zip(self._seasonal_off, model.seasonals):
+                state[off : off + len(buf)] = buf
+            ints[_PHASE:] = model._phases
+
+    # ------------------------------------------------------------------
+    # Windows (vector rows only; scalar banks leave them to the series)
+    # ------------------------------------------------------------------
+    def record(self, row: int, value: float, predicted: float) -> None:
+        """Append one ``(actual, forecast)`` pair to ``row``'s windows."""
+        state = self._state[row]
+        ints = self._ints[row]
+        length = self.window
+        pos = int(ints[_WPOS])
+        state[self._actual_off + pos] = value
+        state[self._forecast_off + pos] = predicted
+        ints[_WPOS] = 0 if pos + 1 == length else pos + 1
+        _np.minimum(ints[_ALEN : _FLEN + 1] + 1, length, out=ints[_ALEN : _FLEN + 1])
+
+    def record_rows(self, idx, values, forecasts) -> None:
+        """:meth:`record` for every row of one close: one indexed store per
+        window, one cursor update."""
+        if not idx.size:
+            return
+        flat = self._state.reshape(-1)
+        iflat = self._ints.reshape(-1)
+        length = self.window
+        ibase = idx * self._icols
+        pos = iflat[ibase + _WPOS]
+        slot = idx * self._width + pos
+        flat[slot + self._actual_off] = values
+        flat[slot + self._forecast_off] = forecasts
+        pos += 1
+        pos[pos == length] = 0
+        iflat[ibase + _WPOS] = pos
+        self._wpos_hint = int(pos[0])
+        for col in (_ALEN, _FLEN):
+            iflat[ibase + col] = _np.minimum(iflat[ibase + col] + 1, length)
+
+    def window_len(self, row: int, which: int) -> int:
+        """Live length of the actual (``which == 0``) or forecast window."""
+        return int(self._ints[row, _ALEN + which])
+
+    def window_values(self, row: int, which: int, newest: "int | None" = None):
+        """The window's newest ``newest`` (default: all) values, oldest first.
+
+        A zero-copy slice of the matrix row when the live range does not
+        wrap, a fresh array when it does — read it, do not keep it.
+        """
+        ints = self._ints[row].tolist()
+        size = ints[_ALEN + which]
+        if newest is not None and newest < size:
+            size = newest
+        end = ints[_WPOS]
+        start = end - size
+        off = self._forecast_off if which else self._actual_off
+        if start >= 0:
+            return self._state[row, off + start : off + end]
+        return _np.concatenate(
+            [
+                self._state[row, off + start + self.window : off + self.window],
+                self._state[row, off : off + end],
+            ]
+        )
+
+    def load_windows(self, row: int, actual, forecast) -> None:
+        """Set a *fresh* row's windows from oldest-first value sequences
+        (the newest ℓ of each are kept, as a bounded deque would)."""
+        for which, values in enumerate((actual, forecast)):
+            self._write_window(row, which, values)
+
+    def _write_window(self, row: int, which: int, values) -> None:
+        """Overwrite one window: ``values`` end at the row's cursor, every
+        other slot is zero."""
+        values = values[-self.window :]
+        ints = self._ints[row]
+        off = self._forecast_off if which else self._actual_off
+        segment = self._state[row, off : off + self.window]
+        segment[:] = 0.0
+        _store_ending_at(segment, int(ints[_WPOS]), values)
+        ints[_ALEN + which] = len(values)
+
+    def reseed(self, row: int, values) -> None:
+        """The reference-series correction, in place: both windows become
+        ``values`` (oldest first, the newest ℓ of them) and the forecaster
+        state is rebuilt from them by :meth:`seed_fast`.  The window cursor
+        stays where it is, so the row remains slot-aligned with its peers."""
+        values = values[-self.window :]
+        state = self._state[row]
+        ints = self._ints[row]
+        end = int(ints[_WPOS])
+        state[:] = 0.0
+        state[0] = _np.nan
+        ints[:] = 0
+        ints[_WPOS] = end
+        ints[_ALEN : _FLEN + 1] = len(values)
+        actual = state[self._actual_off : self._forecast_off]
+        _store_ending_at(actual, end, values)
+        state[self._forecast_off :] = actual
+        if self._obj:
+            self._obj.pop(row, None)
+        self.seed_fast(row, values)
 
     # ------------------------------------------------------------------
     # Warm-start
@@ -583,42 +774,15 @@ class ForecasterBank:
             self._rows[row].seed_fast(history)
             return
         n = len(history)
-        self._seen[row] = n
+        state = self._state[row]
+        ints = self._ints[row]
+        ints[_SEEN] = n
         if not n:
             return
         alpha = self.config.fallback_alpha
-        if (
-            self._single
-            and n >= self._min_history
-            and isinstance(history, _np.ndarray)
-            and history.dtype == _np.float64
-            and history.flags.c_contiguous
-        ):
-            p = self.config.season_lengths[0]
-            if self._min_history >= 2 * p:
-                kernels = load_kernels()
-                if kernels is not None:
-                    # Compiled tier: the EWMA tail fold and the sequential
-                    # cumsum window sums below, same operation order (see
-                    # _implmodule.c), straight off the history array.
-                    kernels.seed_steady(
-                        history,
-                        row,
-                        alpha,
-                        p,
-                        self._ewma,
-                        self._level,
-                        self._trend,
-                        self._seasonals[0],
-                        self._phases,
-                        self._phases.shape[1],
-                        self._active,
-                    )
-                    return
-        # Lazy tail-only float conversion (see _ScalarRow.seed_fast): the
-        # whole-series conversion of the historical code is skipped because
-        # only the EWMA tail, the seasonal window and (short histories) the
-        # warm-up list are ever read — values are bit-identical.
+        # Lazy tail-only float conversion (see _ScalarRow.seed_fast): only
+        # the EWMA tail, the seasonal window and (short histories) the
+        # warm-up segment are ever read — values are bit-identical.
         tail_src = history[-min(n, 64):]
         if isinstance(tail_src, list):
             tail = [float(v) for v in tail_src]
@@ -628,34 +792,34 @@ class ForecasterBank:
         rest = 1 - alpha
         for value in tail:
             level = alpha * value + rest * level
-        self._ewma[row] = level
+        state[0] = level
         if n >= self._min_history:
             if self._single:
-                # Built-in single-season Holt-Winters (the only model a
-                # vectorized bank can hold): initialize straight into the
-                # row's arrays — the same ``_left_fold_sum`` cumsum
+                # Built-in single-season Holt-Winters: initialize straight
+                # into the row — the same ``_left_fold_sum`` cumsum
                 # arithmetic as HoltWintersForecaster.initialize, minus the
                 # model object and its list round trips.
                 p = self.config.season_lengths[0]
-                window_src = history[-self._min_history:]
-                if len(window_src) >= 2 * p:
-                    window = _np.asarray(window_src[-2 * p :], dtype=_np.float64)
-                    hw_level = float(_np.cumsum(window)[-1]) / (2 * p)
-                    first = float(_np.cumsum(window[:p])[-1])
-                    second = float(_np.cumsum(window[p:])[-1])
-                    self._active[row] = True
-                    self._level[row] = hw_level
-                    self._trend[row] = (second - first) / (p * p)
-                    self._seasonals[0][row, :] = window[p:] - hw_level
-                    self._phases[row, 0] = 0
-                    return
+                window = _np.asarray(history[-2 * p :], dtype=_np.float64)
+                # add.accumulate is cumsum (a left-to-right fold) without
+                # the wrapper; one pass yields both the first cycle's sum
+                # and the two-cycle total.
+                running = _np.add.accumulate(window)
+                hw_level = float(running[-1]) / (2 * p)
+                first = float(running[p - 1])
+                second = float(_np.add.accumulate(window[p:])[-1])
+                ints[_ACTIVE] = 1
+                state[1] = hw_level
+                state[2] = (second - first) / (p * p)
+                _np.subtract(window[p:], hw_level, out=state[3 : 3 + p])
+                ints[_PHASE] = 0
+                return
             model = _build_seasonal_model(self.config)
             model.initialize(history[-self._min_history:])
             self._adopt_model(row, model)
-        elif isinstance(history, list):
-            self._hist[row] = [float(v) for v in history]
         else:
-            self._hist[row] = _np.asarray(history, dtype=_np.float64).tolist()
+            state[self._hist_off : self._hist_off + n] = history
+            ints[_HLEN] = n
 
     # ------------------------------------------------------------------
     # Introspection
@@ -663,51 +827,225 @@ class ForecasterBank:
     def is_seasonal(self, row: int) -> bool:
         if not self.vectorized:
             return self._rows[row].seasonal is not None
-        return bool(self._active[row]) or row in self._obj
+        obj = self._obj.get(row)
+        if obj is not None:
+            return obj.seasonal is not None
+        return bool(self._ints[row, _ACTIVE])
 
     def observations(self, row: int) -> int:
         if not self.vectorized:
             return self._rows[row].seen
-        return int(self._seen[row])
+        obj = self._obj.get(row)
+        return obj.seen if obj is not None else int(self._ints[row, _SEEN])
 
     # ------------------------------------------------------------------
     # Linearity operations (SPLIT / MERGE, Lemma 2)
     # ------------------------------------------------------------------
     def clone_row(self, row: int, ratio: float) -> int:
         """A new row holding the state of ``ratio *`` the row's series."""
+        dst = self._alloc_row()
         if not self.vectorized:
-            dst = self._alloc_row()
             self._rows[dst] = self._rows[row].scaled(ratio)
             return dst
-        # The allocation is not reset: every field a reader can observe is
-        # written below (seasonal components only become readable once
-        # ``_active`` is set, and activation overwrites them wholesale).
-        dst = self._alloc_row()
-        self._obj.pop(dst, None)
-        self._seen[dst] = self._seen[row]
-        ewma = self._ewma[row]
-        self._ewma[dst] = _np.nan if _np.isnan(ewma) else float(ewma) * ratio
-        hist = self._hist[row]
-        self._hist[dst] = [v * ratio for v in hist] if hist else []
-        obj = self._obj.get(row)
-        self._active[dst] = False
-        if obj is not None:
-            self._obj[dst] = obj.scaled(ratio)
-        elif self._active[row]:
-            self._active[dst] = True
-            self._level[dst] = float(self._level[row]) * ratio
-            self._trend[dst] = float(self._trend[row]) * ratio
-            for buf in self._seasonals:
-                buf[dst, :] = buf[row, :] * ratio
-            self._phases[dst, :] = self._phases[row, :]
+        _np.multiply(self._state[row], ratio, out=self._state[dst])
+        self._ints[dst] = self._ints[row]
+        if self._obj and row in self._obj:
+            self._obj[dst] = self._obj[row].scaled(ratio)
+        if not _keeps_zeros(ratio):
+            self._rezero(dst)
         return dst
 
+    def split_row(self, row: int, ratio: float) -> int:
+        """SPLIT ``row`` in place: a new row takes ``ratio`` of its state —
+        forecaster components, warm-up history and both windows — and ``row``
+        keeps the complementary ``1 - ratio`` share.
+
+        One multiply into the new row, one in place, one integer-row copy:
+        element for element the ``scaled(ratio)`` / ``scaled(1 - ratio)``
+        pair of the scalar split cascade.
+        """
+        dst = self._alloc_row()
+        rest = 1.0 - ratio
+        if not self.vectorized:
+            source = self._rows[row]
+            self._rows[dst] = source.scaled(ratio)
+            self._rows[row] = source.scaled(rest)
+            return dst
+        donor = self._state[row]
+        _np.multiply(donor, ratio, out=self._state[dst])
+        donor *= rest
+        self._ints[dst] = self._ints[row]
+        if self._obj and row in self._obj:
+            source = self._obj[row]
+            self._obj[dst] = source.scaled(ratio)
+            self._obj[row] = source.scaled(rest)
+        if not 0.0 < ratio < 1.0 and not (_keeps_zeros(ratio) and _keeps_zeros(rest)):
+            self._rezero(dst)
+            self._rezero(row)
+        return dst
+
+    def _rezero(self, row: int) -> None:
+        """Restore ``+0.0`` in every slot outside the row's live ranges.
+
+        Dead slots survive a multiply only for ratios in ``[+0.0, 1]``; a
+        negative (``-0.0`` included), infinite or NaN ratio — public API
+        only — leaves ``-0.0`` or NaN there, which a later whole-row add
+        would fold into live values.
+        """
+        state = self._state[row]
+        ints = self._ints[row]
+        if not ints[_ACTIVE]:
+            state[1 : self._hist_off] = 0.0
+        state[self._hist_off + int(ints[_HLEN]) : self._actual_off] = 0.0
+        if self.window is not None:
+            for which in (0, 1):
+                self._write_window(row, which, self.window_values(row, which).copy())
+
+    def fold_row(self, dst: int, src: int) -> None:
+        """MERGE: add ``src``'s whole linear state into ``dst`` (``src`` is
+        left allocated; the caller releases it).
+
+        When the two rows agree on activity, warm-up length, window cursor
+        and seasonal phases, every segment lines up slot for slot — zeros
+        outside the live ranges — and the fold is one add over the row plus
+        integer maxima.  Otherwise each segment folds on its own, rotated
+        into ``dst``'s frame where phases or cursors differ and *copied*
+        where ``dst`` has nothing yet: ``0.0 + -0.0`` is ``+0.0``, so adding
+        into an empty destination would lose the sign a ratio-0 split leaves
+        behind.
+        """
+        if not self.vectorized:
+            self._rows[dst].add_state(self._rows[src])
+            return
+        src_ints = self._ints[src]
+        dst_ints = self._ints[dst]
+        theirs = src_ints.tolist()
+        mine = dst_ints.tolist()
+        if theirs[_ACTIVE:_PHASE] == mine[_ACTIVE:_PHASE] and not (
+            self._obj and (src in self._obj or dst in self._obj)
+        ):
+            src_state = self._state[src]
+            dst_state = self._state[dst]
+            src_ewma = src_state[0]
+            dst_ewma = dst_state[0]
+            if theirs[_PHASE:] == mine[_PHASE:]:
+                dst_state += src_state
+            else:
+                # Same frame but for the seasonal phases (a reference
+                # correction restarts them): only the buffers rotate.
+                dst_state[:3] += src_state[:3]
+                for k, (off, p) in enumerate(
+                    zip(self._seasonal_off, self.config.season_lengths)
+                ):
+                    _rotated_add(
+                        dst_state[off : off + p],
+                        src_state[off : off + p],
+                        (theirs[_PHASE + k] - mine[_PHASE + k]) % p,
+                    )
+                dst_state[self._hist_off :] += src_state[self._hist_off :]
+            if src_ewma != src_ewma:
+                dst_state[0] = dst_ewma
+            elif dst_ewma != dst_ewma:
+                dst_state[0] = src_ewma
+            counts = dst_ints[:_ACTIVE]
+            _np.maximum(counts, src_ints[:_ACTIVE], out=counts)
+            return
+        self._fold_state(dst, src)
+        if self.window is not None:
+            shift = (theirs[_WPOS] - mine[_WPOS]) % self.window
+            state = self._state
+            if shift == 0:
+                state[dst, self._actual_off :] += state[src, self._actual_off :]
+            else:
+                for off in (self._actual_off, self._forecast_off):
+                    _rotated_add(
+                        state[dst, off : off + self.window],
+                        state[src, off : off + self.window],
+                        shift,
+                    )
+            lens = dst_ints[_ALEN : _FLEN + 1]
+            _np.maximum(lens, src_ints[_ALEN : _FLEN + 1], out=lens)
+
+    def _fold_state(self, dst: int, src: int) -> None:
+        """The forecaster part of a fold, segment by segment (same bank).
+
+        Exactly :meth:`_ScalarRow.add_state`: sum where both sides hold
+        something, copy where only the source does, nothing where the source
+        is empty.
+        """
+        if self._obj and (src in self._obj or dst in self._obj):
+            other = self._obj.get(src)
+            if other is None:
+                other = self._as_scalar_row(src)
+            mine = self._obj.get(dst)
+            if mine is None:
+                mine = self._obj[dst] = self._as_scalar_row(dst)
+                self._state[dst, : self._actual_off] = 0.0
+            mine.add_state(other)
+            return
+        src_state = self._state[src]
+        dst_state = self._state[dst]
+        src_ints = self._ints[src]
+        dst_ints = self._ints[dst]
+        src_ewma = src_state[0]
+        if src_ewma == src_ewma:
+            dst_ewma = dst_state[0]
+            dst_state[0] = src_ewma if dst_ewma != dst_ewma else dst_ewma + src_ewma
+        if src_ints[_SEEN] > dst_ints[_SEEN]:
+            dst_ints[_SEEN] = src_ints[_SEEN]
+        hist_off = self._hist_off
+        if src_ints[_ACTIVE]:
+            if not dst_ints[_ACTIVE]:
+                dst_ints[_ACTIVE] = 1
+                dst_state[1:hist_off] = src_state[1:hist_off]
+                dst_ints[_PHASE:] = src_ints[_PHASE:]
+            else:
+                dst_state[1:3] += src_state[1:3]
+                for k, (off, p) in enumerate(
+                    zip(self._seasonal_off, self.config.season_lengths)
+                ):
+                    _rotated_add(
+                        dst_state[off : off + p],
+                        src_state[off : off + p],
+                        int(src_ints[_PHASE + k] - dst_ints[_PHASE + k]) % p,
+                    )
+        theirs = int(src_ints[_HLEN])
+        if theirs:
+            mine = int(dst_ints[_HLEN])
+            if not mine or mine == theirs:
+                target = dst_state[hist_off : hist_off + theirs]
+                if mine:
+                    target += src_state[hist_off : hist_off + theirs]
+                else:
+                    target[:] = src_state[hist_off : hist_off + theirs]
+            else:
+                # Newest-aligned sum of unequal histories, both padded with
+                # +0.0 to the longer one (the scalar row's list arithmetic).
+                length = max(mine, theirs)
+                padded = _np.zeros((2, length))
+                padded[0, length - mine :] = dst_state[hist_off : hist_off + mine]
+                padded[1, length - theirs :] = src_state[hist_off : hist_off + theirs]
+                _np.add(padded[0], padded[1], out=dst_state[hist_off : hist_off + length])
+            dst_ints[_HLEN] = max(mine, theirs)
+        # No activation check: a vector row's history is always shorter than
+        # ``min_history`` (longer ones live in ``_obj``), so is their fold.
+
+    def _as_scalar_row(self, row: int) -> _ScalarRow:
+        """A scalar-row copy of a vector row's forecaster state."""
+        scalar = _ScalarRow(self.config)
+        scalar.load_state_dict(self.row_state_dict(row))
+        return scalar
+
     def add_state(self, row: int, other_bank: "ForecasterBank", other_row: int) -> None:
-        """Fold another row's state into ``row`` (series addition).
+        """Fold another row's *forecaster* state into ``row`` (series
+        addition); windows are untouched.
 
         The source row may live in this bank or another one (standalone
         series merge across banks), vectorized or fallback.
         """
+        if other_bank is self and self.vectorized:
+            self._fold_state(row, other_row)
+            return
         if not self.vectorized and not other_bank.vectorized:
             self._rows[row].add_state(other_bank._rows[other_row])
             return
@@ -717,39 +1055,14 @@ class ForecasterBank:
             other.load_state_dict(snapshot)
             self._rows[row].add_state(other)
             return
-        self._fold_snapshot(row, snapshot)
+        scratch = self.new_row()
+        self.load_row_state(scratch, snapshot)
+        self._fold_state(row, scratch)
+        self.free_row(scratch)
 
-    def _fold_snapshot(self, row: int, snapshot: dict) -> None:
-        """Vector-mode :meth:`add_state` against a canonical row snapshot."""
-        other_ewma = snapshot["ewma_level"]
-        if other_ewma is not None:
-            ewma = self._ewma[row]
-            if _np.isnan(ewma):
-                self._ewma[row] = float(other_ewma)
-            else:
-                self._ewma[row] = float(ewma) + float(other_ewma)
-        self._seen[row] = max(int(self._seen[row]), int(snapshot["seen"]))
-        seasonal = snapshot["seasonal"]
-        if seasonal is not None:
-            self._fold_seasonal(row, seasonal)
-        other_hist = snapshot["history"]
-        if other_hist:
-            mine = self._hist[row]
-            theirs = [float(v) for v in other_hist]
-            if not mine:
-                self._hist[row] = theirs
-            else:
-                length = max(len(mine), len(theirs))
-                padded_mine = [0.0] * (length - len(mine)) + mine
-                padded_theirs = [0.0] * (length - len(theirs)) + theirs
-                self._hist[row] = [a + b for a, b in zip(padded_mine, padded_theirs)]
-        if (
-            not self._active[row]
-            and row not in self._obj
-            and len(self._hist[row]) >= self._min_history
-        ):
-            self._activate(row)
-
+    # ------------------------------------------------------------------
+    # Canonical (pre-bank) checkpoint format
+    # ------------------------------------------------------------------
     def _matches_layout(self, seasonal: dict) -> bool:
         """Whether a seasonal snapshot fits this bank's vector layout exactly."""
         config = self.config
@@ -772,421 +1085,51 @@ class ForecasterBank:
             and float(seasonal["gamma"]) == config.gamma
         )
 
-    def _fold_seasonal(self, row: int, seasonal: dict) -> None:
-        if seasonal.get("level") is None:
-            return  # an uninitialized model adds nothing (scalar parity)
-        obj = self._obj.get(row)
-        if obj is not None:
-            obj.add_state(load_seasonal_state(seasonal))
-            return
-        if not self._matches_layout(seasonal):
-            if self._active[row]:
-                raise ConfigurationError(
-                    "cannot combine forecaster states with different seasonal "
-                    "parameters"
-                )
-            self._obj[row] = load_seasonal_state(seasonal).scaled(1.0)
-            return
-        np_ = _np
-        if not self._active[row]:
-            self._active[row] = True
-            self._level[row] = float(seasonal["level"])
-            self._trend[row] = float(seasonal["trend"])
-            if self._single:
-                self._seasonals[0][row, :] = seasonal["seasonals"]
-                self._phases[row, 0] = int(seasonal["phase"])
-            else:
-                for k, buf in enumerate(seasonal["seasonals"]):
-                    self._seasonals[k][row, :] = buf
-                self._phases[row, :] = [int(p) for p in seasonal["phases"]]
-            return
-        self._level[row] = float(self._level[row]) + float(seasonal["level"])
-        self._trend[row] = float(self._trend[row]) + float(seasonal["trend"])
-        if self._single:
-            buffers = [seasonal["seasonals"]]
-            phases = [int(seasonal["phase"])]
-        else:
-            buffers = seasonal["seasonals"]
-            phases = [int(p) for p in seasonal["phases"]]
-        for k, (buf, other_phase) in enumerate(zip(buffers, phases)):
-            p = self.config.season_lengths[k]
-            shift = (other_phase - int(self._phases[row, k])) % p
-            aligned = np_.roll(np_.asarray(buf, dtype=np_.float64), -shift)
-            self._seasonals[k][row, :] = self._seasonals[k][row, :] + aligned
-
-    def split_row(self, row: int, ratio: float) -> int:
-        """SPLIT ``row`` in place: a new row takes ``ratio`` of its state and
-        ``row`` keeps the complementary ``1 - ratio`` share.
-
-        Arithmetic is exactly ``clone_row(row, ratio)`` followed by replacing
-        ``row`` with ``clone_row(row, 1 - ratio)`` — the historical two-clone
-        sequence of ADA's split cascade — without the extra allocation and
-        copy, so results are bit-for-bit identical.
-        """
-        if not self.vectorized:
-            dst = self._alloc_row()
-            source = self._rows[row]
-            self._rows[dst] = source.scaled(ratio)
-            self._rows[row] = source.scaled(1.0 - ratio)
-            return dst
-        dst = self._alloc_row()
-        self._obj.pop(dst, None)
-        if self._single and row not in self._obj:
-            kernels = load_kernels()
-            if kernels is not None:
-                # Compiled tier: the array side of the split in one call
-                # (same arithmetic, see _implmodule.c); warm-up history
-                # lists are scaled here either way.
-                hist = self._hist[row]
-                if hist:
-                    krest = 1.0 - ratio
-                    self._hist[dst] = [v * ratio for v in hist]
-                    self._hist[row] = [v * krest for v in hist]
-                else:
-                    self._hist[dst] = []
-                kernels.split_row_state(
-                    row,
-                    dst,
-                    ratio,
-                    self._ewma,
-                    self._seen,
-                    self._active,
-                    self._level,
-                    self._trend,
-                    self._seasonals[0],
-                    self._phases,
-                    self._phases.shape[1],
-                )
-                return dst
-        seen = self._seen
-        ewma_col = self._ewma
-        seen[dst] = seen[row]
-        ewma = float(ewma_col[row])
-        rest = 1.0 - ratio
-        if ewma != ewma:  # nan: no observations yet
-            ewma_col[dst] = _np.nan
-        else:
-            ewma_col[dst] = ewma * ratio
-            ewma_col[row] = ewma * rest
-        hist = self._hist[row]
-        if hist:
-            self._hist[dst] = [v * ratio for v in hist]
-            self._hist[row] = [v * rest for v in hist]
-        else:
-            self._hist[dst] = []
-        obj = self._obj.get(row)
-        active = self._active
-        active[dst] = False
-        if obj is not None:
-            self._obj[dst] = obj.scaled(ratio)
-            self._obj[row] = obj.scaled(rest)
-        elif active[row]:
-            active[dst] = True
-            level_col = self._level
-            trend_col = self._trend
-            level = float(level_col[row])
-            trend = float(trend_col[row])
-            level_col[dst] = level * ratio
-            level_col[row] = level * rest
-            trend_col[dst] = trend * ratio
-            trend_col[row] = trend * rest
-            for buf in self._seasonals:
-                src_row = buf[row, :]
-                buf[dst, :] = src_row * ratio
-                buf[row, :] = src_row * rest
-            self._phases[dst, :] = self._phases[row, :]
-        return dst
-
-    def split_rows_many(
-        self, rows: Sequence[int], ratios: Sequence[float]
-    ) -> list[int]:
-        """Batched :meth:`split_row` over *distinct* donor ``rows``.
-
-        Returns the new rows (one per donor, each holding its ``ratio``
-        share) with the donors scaled in place to the complementary shares.
-        Donors must be unique within one call; rows with warm-up history or
-        object-overflow state fall back to the scalar :meth:`split_row`
-        (identical values, per-row speed).
-        """
-        if not self.vectorized or len(rows) < 2:
-            return [self.split_row(row, ratio) for row, ratio in zip(rows, ratios)]
-        dsts: list[int] = [-1] * len(rows)
-        vec_pos: list[int] = []
-        for pos, row in enumerate(rows):
-            if self._hist[row] or row in self._obj:
-                dsts[pos] = self.split_row(row, ratios[pos])
-            else:
-                vec_pos.append(pos)
-        if not vec_pos:
-            return dsts
-        if len(vec_pos) < 4 or (self._single and load_kernels() is not None):
-            # Below the gather/scatter crossover the per-row op is faster —
-            # and on the compiled tier the split kernel wins at any size.
-            # Canonical row states are identical either way (the batched
-            # route differs only in unreadable stale-slot writes).
-            for pos in vec_pos:
-                dsts[pos] = self.split_row(rows[pos], ratios[pos])
-            return dsts
-        np_ = _np
-        for pos in vec_pos:
-            dst = self._alloc_row()
-            self._obj.pop(dst, None)
-            self._hist[dst] = []
-            dsts[pos] = dst
-        src_idx = np_.array([rows[pos] for pos in vec_pos], dtype=np_.intp)
-        dst_idx = np_.array([dsts[pos] for pos in vec_pos], dtype=np_.intp)
-        r = np_.array([ratios[pos] for pos in vec_pos], dtype=np_.float64)
-        r_rest = 1.0 - r
-        self._seen[dst_idx] = self._seen[src_idx]
-        ewma = self._ewma[src_idx]
-        # nan (no observations) propagates through the multiply, matching the
-        # explicit nan branch of the scalar op.
-        self._ewma[dst_idx] = ewma * r
-        self._ewma[src_idx] = np_.where(np_.isnan(ewma), ewma, ewma * r_rest)
-        active = self._active[src_idx]
-        self._active[dst_idx] = active
-        # Inactive donors carry stale values in the seasonal arrays; scaling
-        # them is harmless (they are unreadable until activation overwrites
-        # them) and keeps the kernel mask-free.
-        level = self._level[src_idx]
-        trend = self._trend[src_idx]
-        self._level[dst_idx] = level * r
-        self._level[src_idx] = level * r_rest
-        self._trend[dst_idx] = trend * r
-        self._trend[src_idx] = trend * r_rest
-        rc = r[:, None]
-        rc_rest = r_rest[:, None]
-        for buf in self._seasonals:
-            block = buf[src_idx, :]
-            buf[dst_idx, :] = block * rc
-            buf[src_idx, :] = block * rc_rest
-        self._phases[dst_idx, :] = self._phases[src_idx, :]
-        return dsts
-
-    def _fold_direct(self, dst: int, src: int) -> None:
-        """Scalar same-bank fold of ``src`` into ``dst`` (vector layout only).
-
-        Exactly the arithmetic of :meth:`_fold_snapshot` against ``src``'s
-        canonical snapshot, evaluated straight off the arrays (warm-up
-        histories included) — callers guarantee neither row has
-        object-overflow state.
-        """
-        if self._single and not self._hist[src]:
-            kernels = load_kernels()
-            if kernels is not None:
-                # Compiled tier: EWMA sum, seen max and the phase-aligned
-                # component fold (same arithmetic, see _implmodule.c); the
-                # source carries no warm-up history, so only the activation
-                # check on the destination remains.
-                kernels.fold_row_steady(
-                    dst,
-                    src,
-                    self.config.season_lengths[0],
-                    self._ewma,
-                    self._seen,
-                    self._active,
-                    self._level,
-                    self._trend,
-                    self._seasonals[0],
-                    self._phases,
-                    self._phases.shape[1],
-                )
-                if (
-                    not self._active[dst]
-                    and dst not in self._obj
-                    and len(self._hist[dst]) >= self._min_history
-                ):
-                    self._activate(dst)
-                return
-        np_ = _np
-        s_ewma = self._ewma[src]
-        if not np_.isnan(s_ewma):
-            d_ewma = self._ewma[dst]
-            if np_.isnan(d_ewma):
-                self._ewma[dst] = float(s_ewma)
-            else:
-                self._ewma[dst] = float(d_ewma) + float(s_ewma)
-        if self._seen[src] > self._seen[dst]:
-            self._seen[dst] = self._seen[src]
-        if self._active[src]:
-            if not self._active[dst]:
-                self._active[dst] = True
-                self._level[dst] = self._level[src]
-                self._trend[dst] = self._trend[src]
-                for buf in self._seasonals:
-                    buf[dst, :] = buf[src, :]
-                self._phases[dst, :] = self._phases[src, :]
-            else:
-                self._level[dst] = float(self._level[dst]) + float(self._level[src])
-                self._trend[dst] = float(self._trend[dst]) + float(self._trend[src])
-                for k, (buf, p) in enumerate(
-                    zip(self._seasonals, self.config.season_lengths)
-                ):
-                    shift = (int(self._phases[src, k]) - int(self._phases[dst, k])) % p
-                    if shift == 0:
-                        buf[dst, :] += buf[src, :]
-                    else:
-                        # roll(src, -shift)[j] == src[(j + shift) % p], added
-                        # as two contiguous slices (same element-wise sums).
-                        split_at = p - shift
-                        buf[dst, :split_at] += buf[src, shift:]
-                        buf[dst, split_at:] += buf[src, :shift]
-        theirs = self._hist[src]
-        if theirs:
-            mine = self._hist[dst]
-            if not mine:
-                self._hist[dst] = list(theirs)
-            else:
-                length = max(len(mine), len(theirs))
-                padded_mine = [0.0] * (length - len(mine)) + mine
-                padded_theirs = [0.0] * (length - len(theirs)) + list(theirs)
-                self._hist[dst] = [
-                    a + b for a, b in zip(padded_mine, padded_theirs)
-                ]
-        if (
-            not self._active[dst]
-            and dst not in self._obj
-            and len(self._hist[dst]) >= self._min_history
-        ):
-            self._activate(dst)
-
-    def fold_row(self, dst: int, src: int) -> None:
-        """Fold ``src`` into ``dst`` and free ``src`` (one MERGE pair).
-
-        The single-pair form of :meth:`merge_rows_many`: ADA's apply loop
-        uses it inline because real cascades rarely accumulate enough
-        same-phase folds to amortize the batched gather/scatter kernels.
-        """
-        if not self.vectorized or src in self._obj or dst in self._obj:
-            self.add_state(dst, self, src)
-        else:
-            self._fold_direct(dst, src)
-        self.free_row(src)
-
-    def merge_rows_many(
-        self, dst_rows: Sequence[int], src_rows: Sequence[int]
-    ) -> None:
-        """Batched MERGE: fold each ``src`` row into its ``dst`` row and free
-        the sources.
-
-        ``dst_rows`` must be unique within one call (the caller batches folds
-        so that no destination repeats — repeated destinations must be folded
-        in cascade order across calls).  Pairs whose source carries warm-up
-        history or object-overflow state fall back to the scalar
-        :meth:`add_state`; values are bit-identical either way.
-        """
-        if not self.vectorized:
-            for dst, src in zip(dst_rows, src_rows):
-                self.add_state(dst, self, src)
-                self.free_row(src)
-            return
-        vec_pos: list[int] = []
-        for pos, (dst, src) in enumerate(zip(dst_rows, src_rows)):
-            if src in self._obj or dst in self._obj:
-                self.add_state(dst, self, src)
-                self.free_row(src)
-            elif self._hist[src]:
-                # Warm-up histories are Python lists either way; the direct
-                # fold handles them without the snapshot round trip.
-                self._fold_direct(dst, src)
-                self.free_row(src)
-            else:
-                vec_pos.append(pos)
-        if not vec_pos:
-            return
-        if len(vec_pos) < 4 or (self._single and load_kernels() is not None):
-            # Below the gather/scatter crossover — or on the compiled tier,
-            # where the per-pair fold kernel beats the batched fancy
-            # indexing at any size: fold the pairs directly on scalar reads
-            # (no canonical-snapshot round trip), same values.
-            for pos in vec_pos:
-                self._fold_direct(dst_rows[pos], src_rows[pos])
-                self.free_row(src_rows[pos])
-            return
-        np_ = _np
-        dst_idx = np_.array([dst_rows[pos] for pos in vec_pos], dtype=np_.intp)
-        src_idx = np_.array([src_rows[pos] for pos in vec_pos], dtype=np_.intp)
-        d_ewma = self._ewma[dst_idx]
-        s_ewma = self._ewma[src_idx]
-        self._ewma[dst_idx] = np_.where(
-            np_.isnan(s_ewma),
-            d_ewma,
-            np_.where(np_.isnan(d_ewma), s_ewma, d_ewma + s_ewma),
-        )
-        self._seen[dst_idx] = np_.maximum(self._seen[dst_idx], self._seen[src_idx])
-        s_active = self._active[src_idx]
-        d_active = self._active[dst_idx]
-        adopt = s_active & ~d_active
-        if adopt.any():
-            a_d = dst_idx[adopt]
-            a_s = src_idx[adopt]
-            self._level[a_d] = self._level[a_s]
-            self._trend[a_d] = self._trend[a_s]
-            for buf in self._seasonals:
-                buf[a_d, :] = buf[a_s, :]
-            self._phases[a_d, :] = self._phases[a_s, :]
-            self._active[a_d] = True
-        both = s_active & d_active
-        if both.any():
-            b_d = dst_idx[both]
-            b_s = src_idx[both]
-            self._level[b_d] = self._level[b_d] + self._level[b_s]
-            self._trend[b_d] = self._trend[b_d] + self._trend[b_s]
-            for k, (buf, p) in enumerate(
-                zip(self._seasonals, self.config.season_lengths)
-            ):
-                shift = (self._phases[b_s, k] - self._phases[b_d, k]) % p
-                cols = (np_.arange(p)[None, :] + shift[:, None]) % p
-                aligned = buf[b_s[:, None], cols]
-                buf[b_d, :] = buf[b_d, :] + aligned
-        for pos in vec_pos:
-            self.free_row(src_rows[pos])
-
-    # ------------------------------------------------------------------
-    # Canonical (pre-bank) checkpoint format
-    # ------------------------------------------------------------------
     def row_state_dict(self, row: int) -> dict:
         """The row's state in the canonical per-path forecaster format."""
         if not self.vectorized:
             return self._rows[row].state_dict()
         obj = self._obj.get(row)
         if obj is not None:
-            seasonal = obj.state_dict()
-        elif self._active[row]:
-            config = self.config
-            if self._single:
-                seasonal = {
-                    "kind": "holt-winters",
-                    "alpha": config.alpha,
-                    "beta": config.beta,
-                    "gamma": config.gamma,
-                    "season_length": config.season_lengths[0],
-                    "level": float(self._level[row]),
-                    "trend": float(self._trend[row]),
-                    "seasonals": self._seasonals[0][row, :].tolist(),
-                    "phase": int(self._phases[row, 0]),
-                }
-            else:
-                seasonal = {
-                    "kind": "multi-seasonal-holt-winters",
-                    "alpha": config.alpha,
-                    "beta": config.beta,
-                    "gamma": config.gamma,
-                    "season_lengths": list(config.season_lengths),
-                    "season_weights": list(self._weights),
-                    "level": float(self._level[row]),
-                    "trend": float(self._trend[row]),
-                    "seasonals": [buf[row, :].tolist() for buf in self._seasonals],
-                    "phases": self._phases[row, :].tolist(),
-                }
-        else:
+            return obj.state_dict()
+        ints = self._ints[row].tolist()
+        values = self._state[row, : self._hist_off + ints[_HLEN]].tolist()
+        config = self.config
+        if not ints[_ACTIVE]:
             seasonal = None
-        ewma = self._ewma[row]
-        hist = self._hist[row]
+        elif self._single:
+            seasonal = {
+                "kind": "holt-winters",
+                "alpha": config.alpha,
+                "beta": config.beta,
+                "gamma": config.gamma,
+                "season_length": config.season_lengths[0],
+                "level": values[1],
+                "trend": values[2],
+                "seasonals": values[3 : self._hist_off],
+                "phase": ints[_PHASE],
+            }
+        else:
+            seasonal = {
+                "kind": "multi-seasonal-holt-winters",
+                "alpha": config.alpha,
+                "beta": config.beta,
+                "gamma": config.gamma,
+                "season_lengths": list(config.season_lengths),
+                "season_weights": list(self._weights),
+                "level": values[1],
+                "trend": values[2],
+                "seasonals": [
+                    values[off : off + p]
+                    for off, p in zip(self._seasonal_off, config.season_lengths)
+                ],
+                "phases": ints[_PHASE:],
+            }
+        ewma = values[0]
         return {
-            "ewma_level": None if _np.isnan(ewma) else float(ewma),
-            "seen": int(self._seen[row]),
-            "history": list(hist) if hist else [],
+            "ewma_level": None if ewma != ewma else ewma,
+            "seen": ints[_SEEN],
+            "history": values[self._hist_off :],
             "seasonal": seasonal,
         }
 
@@ -1195,24 +1138,38 @@ class ForecasterBank:
         if not self.vectorized:
             self._rows[row].load_state_dict(state)
             return
+        seasonal = state["seasonal"]
+        history = state["history"]
+        if len(history) >= self._min_history or (
+            seasonal is not None
+            and (seasonal["level"] is None or not self._matches_layout(seasonal))
+        ):
+            # Does not fit the layout (a foreign config's snapshot, or a
+            # stored-but-uninitialized model): hold it faithfully as a
+            # scalar row.
+            scalar = self._obj[row] = _ScalarRow(self.config)
+            scalar.load_state_dict(state)
+            return
+        values = self._state[row]
+        ints = self._ints[row]
         level = state["ewma_level"]
         if level is not None:
-            self._ewma[row] = float(level)
-        self._seen[row] = int(state["seen"])
-        self._hist[row] = [float(v) for v in state["history"]]
-        seasonal = state["seasonal"]
+            values[0] = float(level)
+        ints[_SEEN] = int(state["seen"])
+        values[self._hist_off : self._hist_off + len(history)] = history
+        ints[_HLEN] = len(history)
         if seasonal is None:
             return
-        if not self._matches_layout(seasonal):
-            self._obj[row] = load_seasonal_state(seasonal)
-            return
-        if seasonal["level"] is None:
-            # A stored-but-uninitialized model cannot arise from this bank's
-            # own snapshots; hold it as an object to preserve it faithfully.
-            self._obj[row] = load_seasonal_state(seasonal)
-            return
-        model = load_seasonal_state(seasonal)
-        self._adopt_model(row, model)
+        ints[_ACTIVE] = 1
+        values[1] = float(seasonal["level"])
+        values[2] = float(seasonal["trend"])
+        if self._single:
+            values[3 : self._hist_off] = seasonal["seasonals"]
+            ints[_PHASE] = int(seasonal["phase"])
+        else:
+            for off, buf in zip(self._seasonal_off, seasonal["seasonals"]):
+                values[off : off + len(buf)] = buf
+            ints[_PHASE:] = [int(p) for p in seasonal["phases"]]
 
 
 __all__ = [

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ada import ADAAlgorithm, _RefStore
-from repro.core.adapt import SPLIT, batched_split_runs, plan_adaptation
+from repro.core.adapt import plan_adaptation
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank
@@ -216,19 +216,6 @@ class TestPlannerInternals:
             1 for k in kinds if k in ("fold", "move", "drop")
         )
 
-    def test_batched_split_runs_grouping(self):
-        ops = [
-            (SPLIT, 1, 2, 0.5, False),
-            (SPLIT, 3, 4, 0.5, False),   # independent -> same run
-            (SPLIT, 4, 5, 0.5, False),   # donor 4 was a child -> new run
-            (SPLIT, 6, 7, 0.5, True),    # correction -> closes its run
-            (SPLIT, 8, 9, 0.5, False),
-            ("fold", 9, 1),              # non-split breaks the run
-            (SPLIT, 10, 11, 0.5, False),
-        ]
-        runs = batched_split_runs(ops)
-        assert runs == [[0, 1], [2, 3], [4], [6]]
-
 
 class TestBankOps:
     def setup_bank(self, force_scalar=False, n=6):
@@ -253,63 +240,52 @@ class TestBankOps:
         assert bank.row_state_dict(child) == other.row_state_dict(ref_child)
         assert bank.row_state_dict(rows[0]) == other.row_state_dict(ref_parent)
 
-    def test_split_rows_many_matches_singles(self):
-        bank, rows = self.setup_bank()
-        other, orows = self.setup_bank()
-        ratios = [0.2, 0.5, 0.8, 0.35, 0.6]
-        children = bank.split_rows_many(rows[:5], ratios)
-        ref_children = [other.split_row(r, ratio) for r, ratio in zip(orows[:5], ratios)]
-        for child, ref in zip(children, ref_children):
-            assert bank.row_state_dict(child) == other.row_state_dict(ref)
-        for row, ref in zip(rows[:5], orows[:5]):
-            assert bank.row_state_dict(row) == other.row_state_dict(ref)
-
-    @pytest.mark.parametrize("pairs", [3, 5])
-    def test_merge_rows_many_matches_add_state(self, pairs):
-        """Both the direct (< 4 pairs) and the vectorized batch path."""
-        bank, rows = self.setup_bank(n=2 * pairs)
-        other, orows = self.setup_bank(n=2 * pairs)
-        dsts, srcs = rows[:pairs], rows[pairs:]
-        bank.merge_rows_many(dsts, srcs)
-        for dst, src in zip(orows[:pairs], orows[pairs:]):
+    @pytest.mark.parametrize("force_scalar", [False, True])
+    def test_fold_row_matches_add_state(self, force_scalar):
+        """One MERGE pair per destination, several destinations."""
+        bank, rows = self.setup_bank(force_scalar)
+        other, orows = self.setup_bank(force_scalar)
+        for dst, src in zip(rows[:3], rows[3:]):
+            bank.fold_row(dst, src)
+            bank.free_row(src)
+        for dst, src in zip(orows[:3], orows[3:]):
             other.add_state(dst, other, src)
             other.free_row(src)
-        for row, ref in zip(dsts, orows[:pairs]):
+        for row, ref in zip(rows[:3], orows[:3]):
             assert bank.row_state_dict(row) == other.row_state_dict(ref)
+        assert len(bank) == len(other) == 3
 
-    def test_merge_rows_many_adopt_branch(self):
-        """Vectorized batch where destinations are fresh (inactive) rows."""
+    def test_fold_row_adopt_branch(self):
+        """Destinations that are fresh (inactive) rows take a copy."""
         bank, rows = self.setup_bank(n=5)
-        other, orows = self.setup_bank(n=5)
+        scalar, srows = self.setup_bank(force_scalar=True, n=5)
         fresh = [bank.new_row() for _ in range(5)]
-        ofresh = [other.new_row() for _ in range(5)]
-        bank.merge_rows_many(fresh, rows)
-        for dst, src in zip(ofresh, orows):
-            other.add_state(dst, other, src)
-            other.free_row(src)
-        for row, ref in zip(fresh, ofresh):
-            assert bank.row_state_dict(row) == other.row_state_dict(ref)
-
-    def test_fold_row_matches_add_state(self):
-        bank, rows = self.setup_bank()
-        other, orows = self.setup_bank()
-        bank.fold_row(rows[0], rows[1])
-        other.add_state(orows[0], other, orows[1])
-        other.free_row(orows[1])
-        assert bank.row_state_dict(rows[0]) == other.row_state_dict(orows[0])
+        sfresh = [scalar.new_row() for _ in range(5)]
+        for dst, src in zip(fresh, rows):
+            bank.fold_row(dst, src)
+        for dst, src in zip(sfresh, srows):
+            scalar.add_state(dst, scalar, src)
+        for row, ref in zip(fresh, sfresh):
+            assert bank.row_state_dict(row) == scalar.row_state_dict(ref)
 
     def test_ops_on_warmup_history_rows(self):
-        """Rows still in warm-up (non-empty history) take the scalar path."""
+        """Rows still in warm-up carry their history through SPLIT and MERGE."""
         config = ForecastConfig(season_lengths=(4,), fallback_alpha=0.4)
         bank = ForecasterBank(config)
-        rows = [bank.new_row() for _ in range(4)]
-        for row in rows:
-            bank.observe(row, 3.0)  # one observation: history non-empty
-        children = bank.split_rows_many(rows[:2], [0.25, 0.75])
-        assert all(isinstance(child, int) for child in children)
-        bank.merge_rows_many([rows[2]], [rows[3]])
-        snapshot = bank.row_state_dict(rows[2])
-        assert snapshot["history"]
+        scalar = ForecasterBank(config, force_scalar=True)
+        for target in (bank, scalar):
+            rows = [target.new_row() for _ in range(4)]
+            for step, row in enumerate(rows):
+                for _ in range(step + 1):  # unequal history lengths
+                    target.observe(row, 3.0 + step)
+            child = target.split_row(rows[0], 0.25)
+            target.fold_row(rows[2], rows[3])
+            target.fold_row(rows[3], rows[1])
+            target.fold_row(child, rows[0])
+        for row in (*rows, child):
+            snapshot = bank.row_state_dict(row)
+            assert snapshot == scalar.row_state_dict(row)
+            assert snapshot["history"]
 
 
 class TestRefStore:
@@ -352,7 +328,9 @@ class TestRegistryGuards:
         algo = ADAAlgorithm(tree, make_config())
         from repro.core.timeseries import NodeTimeSeries
 
-        series = NodeTimeSeries(4, make_config().forecast, bank=algo.bank)
+        series = NodeTimeSeries(
+            make_config().window_units, make_config().forecast, bank=algo.bank
+        )
         algo.series[("a", "a1")] = series  # bypass _series_set: no bucket
         assert algo._series_pop(("a", "a1")) is series
 

@@ -215,9 +215,10 @@ class TestMultiScaleTimeSeries:
         assert series.forecast_at_scale(0)[-1] == pytest.approx(4.0)
 
 
-class TestFusedWindowStorage:
-    """The fused (2, length) actual/forecast storage must be value-identical
-    to the historical per-ring operations and degrade gracefully."""
+class TestRowBackedWindows:
+    """A standalone series keeps its windows in its (private) bank row; the
+    row operations must be value-identical to the bounded-deque ring
+    arithmetic (:class:`FloatRing`, the python tier's representation)."""
 
     def _series(self, values, length=8):
         from repro.core.config import ForecastConfig
@@ -239,38 +240,111 @@ class TestFusedWindowStorage:
         assert child.forecast.tolist() == ref_child.forecast.tolist()
         assert donor.actual.tolist() == ref_parent.actual.tolist()
         assert donor.forecast.tolist() == ref_parent.forecast.tolist()
+        assert child.forecaster.bank is donor.forecaster.bank
 
-    def test_merge_windows_matches_aligned_add(self):
+    def test_merge_from_matches_aligned_add(self):
+        """Equal cursors, shorter, longer (growth), empty on either side —
+        once across banks and once inside one bank (unequal cursors)."""
         for mine_n, theirs_n in [(11, 11), (11, 4), (3, 9), (0, 5), (6, 0)]:
-            mine = self._series(range(1, mine_n + 1))
-            theirs = self._series(range(100, 100 + theirs_n))
-            expected_actual = mine.actual.aligned_add(theirs.actual).tolist()
-            expected_forecast = mine.forecast.aligned_add(theirs.forecast).tolist()
-            mine.merge_windows_from(theirs)
-            assert mine.actual.tolist() == expected_actual
-            assert mine.forecast.tolist() == expected_forecast
-            # fused storage must survive both the in-place and growth paths
-            mine.record(7.0, 8.0)
-            assert mine.actual[-1] == 7.0
-            assert mine.forecast[-1] == 8.0
+            for same_bank in (False, True):
+                mine = self._series(range(1, mine_n + 1))
+                if same_bank:
+                    theirs = NodeTimeSeries(
+                        mine.length, mine.forecast_config, bank=mine.forecaster.bank
+                    )
+                    theirs.extend(float(v) for v in range(100, 100 + theirs_n))
+                else:
+                    theirs = self._series(range(100, 100 + theirs_n))
+                expected_actual = mine.actual.aligned_add(theirs.actual).tolist()
+                expected_forecast = mine.forecast.aligned_add(theirs.forecast).tolist()
+                mine.merge_from(theirs)
+                assert mine.actual.tolist() == expected_actual
+                assert mine.forecast.tolist() == expected_forecast
+                # the merged row keeps recording where the sum ends
+                mine.record(7.0, 8.0)
+                assert mine.actual[-1] == 7.0
+                assert mine.forecast[-1] == 8.0
+                assert theirs.actual.tolist() == [
+                    float(v) for v in range(100, 100 + theirs_n)
+                ][-mine.length :]
 
-    def test_record_matches_append_semantics(self):
-        fused = self._series(range(1, 15))  # wrapped ring
-        plain = self._series(range(1, 15))
-        plain._base = None  # force per-ring appends
-        fused.record(42.0, 43.0)
-        plain.record(42.0, 43.0)
-        assert fused.actual.tolist() == plain.actual.tolist()
-        assert fused.forecast.tolist() == plain.forecast.tolist()
+    def test_record_on_a_wrapped_ring_evicts_the_oldest(self):
+        from repro.core.timeseries import FloatRing
 
-    def test_pickle_drops_base_but_keeps_values(self):
+        series = self._series(range(1, 15))  # 14 appends into 8 slots
+        mirror = FloatRing.from_values([float(v) for v in range(1, 15)], 8)
+        series.record(42.0, 43.0)
+        mirror.append(42.0)
+        assert series.actual.tolist() == mirror.tolist()
+        assert series.forecast[-1] == 43.0
+        assert len(series.forecast) == 8
+
+    def test_pickle_keeps_values_and_a_working_row(self):
         import pickle
 
         series = self._series(range(1, 12))
         clone = pickle.loads(pickle.dumps(series))
-        assert clone._base is None
-        assert clone.actual.tolist() == series.actual.tolist()
-        assert clone.forecast.tolist() == series.forecast.tolist()
-        # operations on the unfused clone still work
+        assert clone.state_dict() == series.state_dict()
         child = clone.split_inplace(0.5)
         assert child.actual.tolist() == [v * 0.5 for v in series.actual.tolist()]
+        assert clone.forecaster.bank is not series.forecaster.bank
+
+    def test_one_bank_holds_one_window_length(self):
+        series = self._series(range(3))
+        bank = series.forecaster.bank
+        with pytest.raises(ConfigurationError):
+            NodeTimeSeries(4, series.forecast_config, bank=bank)
+        assert len(bank) == 1  # the refused series took no row
+
+
+class TestReleasedHandles:
+    """A released handle is inert: the row it named may already belong to
+    another series."""
+
+    def test_double_release_does_not_hand_one_row_to_two_series(self):
+        config = fc()
+        bank = SeriesForecaster(config).bank
+        a = NodeTimeSeries(8, config, bank=bank)
+        a.release()
+        a.release()
+        b = NodeTimeSeries(8, config, bank=bank)
+        c = NodeTimeSeries(8, config, bank=bank)
+        assert b.forecaster.row != c.forecaster.row
+        b.append(10.0)
+        assert c.next_forecast() == 0.0
+
+    def test_forecaster_double_release(self):
+        forecaster = SeriesForecaster(fc())
+        bank = forecaster.bank
+        other = SeriesForecaster(fc(), bank=bank)
+        forecaster.release()
+        forecaster.release()
+        assert len(bank) == 1
+        assert SeriesForecaster(fc(), bank=bank).row != other.row
+
+    def test_released_handle_refuses_use(self):
+        series = NodeTimeSeries(8, fc())
+        series.append(1.0)
+        series.release()
+        for use in (
+            lambda: series.append(2.0),
+            lambda: series.next_forecast(),
+            lambda: list(series.actual),
+            lambda: series.state_dict(),
+            lambda: series.scaled(0.5),
+        ):
+            with pytest.raises(ConfigurationError):
+                use()
+
+    def test_free_row_of_a_dead_row_raises(self):
+        from repro.forecasting.bank import ForecasterBank
+
+        for force_scalar in (False, True):
+            bank = ForecasterBank(fc(), force_scalar=force_scalar)
+            row = bank.new_row()
+            bank.free_row(row)
+            with pytest.raises(ConfigurationError):
+                bank.free_row(row)
+            with pytest.raises(ConfigurationError):
+                bank.free_row(7)
+            assert len(bank) == 0
