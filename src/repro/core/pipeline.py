@@ -179,6 +179,13 @@ class Tiresias:
         subscribed to the session fire during the run with a
         :class:`~repro.engine.sharded.ShardedSessionHandle` as the session
         argument and remain subscribed afterwards.
+
+        The coordinator loop is pipelined
+        (:meth:`~repro.engine.sharded.ShardedDetectionEngine.process_batches`):
+        ``records`` is read one batch ahead of the results being merged, so
+        with a *live* iterator observers see a batch's alerts once the next
+        batch has arrived (the last one at end of stream), in the same
+        order and with the same content as :meth:`process_stream`.
         """
         from repro.engine.sharded import ShardedDetectionEngine
         from repro.streaming.batch import iter_record_batches

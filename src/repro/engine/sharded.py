@@ -55,6 +55,33 @@ shard states back into canonical serial session states (see
 resume an unsharded checkpoint and vice versa, at any worker count and cut
 depth.
 
+The coordinator loop
+--------------------
+A *round* is one command per involved worker (:class:`_Round`), and one
+routine, :meth:`ShardedDetectionEngine._exchange`, does all shipping,
+collecting, op-logging and recovery: per worker in id order it reads the
+worker's reply to one round and at once sends it its command of the next.
+Every channel therefore has **at most one command in flight** — what the
+shared-memory transport's single reusable segment, the supervisor's per-op
+deadlines and the "re-ship the in-flight round" recovery rest on — while
+different workers may be on different rounds.
+
+:meth:`~ShardedDetectionEngine.process_batches` (and ``process_stream``) is
+software-pipelined on top of it: while the workers compute round *k* the
+coordinator pulls the next batch and prepares round *k+1* (partition by
+key, watermark segmentation, gathers); it then exchanges *k* for *k+1*
+worker by worker, with no barrier, so a worker that has answered is
+computing again while its peer is still on round *k*; and it merges round
+*k* — observers fire here — while the workers compute *k+1*.  The price is
+latency on a live iterator: a batch is pulled one round before the previous
+round's results are merged, so alerts trail ingestion by up to one round.
+:meth:`~ShardedDetectionEngine.ingest_record_batch` runs the same phases
+back to back and stays synchronous, as do ``flush`` / ``state`` / ``query``
+/ ``add`` / ``remove`` round trips (an exchange with one side empty).  With
+a streamed round in flight, an engine call that needs a round trip of its
+own — only an observer can make one — raises :class:`ShardingError`
+instead of interleaving replies.
+
 Transports (see :mod:`repro.engine.transport`) all move the same wire
 frames, batch columns as raw buffers: ``"pipe"`` (default) over
 ``multiprocessing`` pipes, ``"shm"`` through shared-memory segments,
@@ -70,7 +97,9 @@ machinery — the session's state is bit-identical before and after.
 The ``out_of_order_policy="raise"`` caveat of the columnar path applies here
 too, compounded by parallelism: the offending record still raises
 :class:`~repro.exceptions.OutOfOrderRecordError`, but records dispatched to
-other shards in the same round may already have been ingested.
+other shards in the same round — and, under the streaming loop, the part of
+the next round that went out before the error reply was read — may already
+have been ingested.
 """
 
 from __future__ import annotations
@@ -422,6 +451,9 @@ class _SubtreeUnit:
         self.buffer: dict[int, dict[int, tuple[TimeunitResult, tuple]]] = {}
         #: (dictionary, group-per-code table) of the last dictionary routed.
         self._route_table: "tuple | None" = None
+        #: heavy path -> owning group, filled as the merge meets paths (a
+        #: rebalance builds a new unit, so entries never go stale).
+        self.group_of: dict[tuple, int] = {}
 
     @property
     def num_groups(self) -> int:
@@ -444,6 +476,35 @@ class _SubtreeUnit:
     @property
     def groups(self) -> list[list[tuple]]:
         return self.partition.groups
+
+
+class _Round:
+    """One command per involved worker: what is shipped, collected, op-logged
+    and — when a worker dies with it in flight — re-shipped as a unit."""
+
+    __slots__ = ("verb", "ops", "awaiting", "replies", "failure", "index", "emit_bound")
+
+    def __init__(
+        self,
+        verb: str,
+        ops: Mapping[int, Any],
+        index: "int | None" = None,
+        emit_bound: "Mapping[str, int] | None" = None,
+    ):
+        self.verb = verb
+        #: worker id -> command payload.
+        self.ops = ops
+        #: Workers the command went to whose reply has not been read yet.
+        self.awaiting: set[int] = set()
+        #: worker id -> payload of its ``"ok"`` reply.
+        self.replies: dict[int, Any] = {}
+        #: Payload of the first ``"error"`` reply (lowest worker id).
+        self.failure: "tuple | None" = None
+        #: Position in a ``process_batches`` stream (None outside one).
+        self.index = index
+        #: Subtree session -> watermark below which this round completes
+        #: its timeunits on every group, in routing order.
+        self.emit_bound = emit_bound or {}
 
 
 def _config_of(state: Mapping[str, Any]) -> TiresiasConfig:
@@ -599,6 +660,8 @@ class ShardedDetectionEngine:
         self._started = False
         self._next_worker = 0
         self._rebalances_total = 0
+        #: The process_batches round shipped but not collected yet.
+        self._streaming: "_Round | None" = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -795,48 +858,89 @@ class ShardedDetectionEngine:
         return self._transport.collect(worker_id)
 
     def _roundtrip(self, ops_by_worker: Mapping[int, Any], verb: str) -> dict[int, Any]:
-        """Send one message per involved worker; collect replies determinately.
+        """Send one message per involved worker; collect replies determinately."""
+        self._check_idle(f"a {verb!r} round trip")
+        return self._run_round(_Round(verb, ops_by_worker))
 
-        Under supervision a :class:`~repro.exceptions.WorkerFailureError`
-        on either leg triggers in-place recovery (respawn + snapshot
-        restore + op-log replay + re-ship of the in-flight round), so the
-        round completes with exactly the replies an uninterrupted run would
-        have produced.
+    def _run_round(self, round_: _Round) -> dict[int, Any]:
+        """Ship a whole round, then collect it; raises its first failure."""
+        self._exchange(None, round_)
+        self._exchange(round_, None)
+        if round_.failure is not None:
+            raise revive_exception(*round_.failure)
+        return round_.replies
+
+    def _check_idle(self, what: str) -> None:
+        """Refuse a round trip while a streamed round is on the workers.
+
+        Only an observer can get here with a round in flight (hooks fire
+        while the next round computes); a second command on a channel that
+        still owes a reply would pair the wrong replies with each other.
         """
-        workers = sorted(ops_by_worker)
-        for worker_id in workers:
-            try:
-                self._ship(worker_id, verb, ops_by_worker[worker_id])
-            except WorkerFailureError as exc:
-                self._recover_worker(worker_id, exc)
-                self._ship(worker_id, verb, ops_by_worker[worker_id])
-        replies: dict[int, Any] = {}
-        failure: "tuple[BaseException | None, str, str, str] | None" = None
-        log = self._supervisor is not None and verb in self._LOGGED_VERBS
-        for worker_id in workers:
-            try:
-                status, payload = self._collect_reply(worker_id)
-            except WorkerFailureError as exc:
-                self._recover_worker(worker_id, exc)
-                # The rebuilt worker never saw the in-flight round: re-ship
-                # it and take the reply an uninterrupted run would have had.
-                self._ship(worker_id, verb, ops_by_worker[worker_id])
-                status, payload = self._collect_reply(worker_id)
-            if status == "error" and failure is None:
-                failure = payload
-            elif status == "ok":
-                replies[worker_id] = payload
-                if log:
-                    self._oplog.setdefault(worker_id, []).append(
-                        (verb, ops_by_worker[worker_id])
-                    )
-        if failure is not None:
-            raise revive_exception(*failure)
-        if log:
-            for worker_id in workers:
-                if len(self._oplog.get(worker_id, ())) > self.replay_buffer_ops:
+        round_ = self._streaming
+        if round_ is not None:
+            raise ShardingError(
+                f"{what} is not possible while process_batches() has round "
+                f"{round_.index} of its stream in flight on the workers: the "
+                f"replies would interleave.  Feed the batches through "
+                f"ingest_record_batch(), which is synchronous, to call into "
+                f"the engine from an observer"
+            )
+
+    def _exchange(self, collecting: "_Round | None", shipping: "_Round | None") -> None:
+        """Per worker in id order: read its reply to ``collecting``, then
+        send it its command of ``shipping`` (either side may be absent).
+
+        There is no barrier between workers — one that has answered is
+        computing again while its peers are still on the previous round —
+        and a channel never holds two commands: a worker's next command
+        goes out only once its previous reply has been read.  Under
+        supervision a :class:`~repro.exceptions.WorkerFailureError` on
+        either leg triggers in-place recovery (respawn + snapshot restore +
+        op-log replay + re-ship of that worker's in-flight command), so
+        both rounds complete with exactly the replies an uninterrupted run
+        would have produced.  Once a worker has reported an error for
+        ``collecting`` nothing more of ``shipping`` is sent; the error is
+        left in ``collecting.failure`` for the caller to raise.
+        """
+        collect_from = set(collecting.awaiting) if collecting is not None else ()
+        ship_to = shipping.ops if shipping is not None else ()
+        for worker_id in sorted({*collect_from, *ship_to}):
+            if worker_id in collect_from:
+                self._collect_round(collecting, worker_id)
+            if worker_id in ship_to and (
+                collecting is None or collecting.failure is None
+            ):
+                self._ship_round(shipping, worker_id)
+
+    def _ship_round(self, round_: _Round, worker_id: int) -> None:
+        try:
+            self._ship(worker_id, round_.verb, round_.ops[worker_id])
+        except WorkerFailureError as exc:
+            self._recover_worker(worker_id, exc)
+            self._ship(worker_id, round_.verb, round_.ops[worker_id])
+        round_.awaiting.add(worker_id)
+
+    def _collect_round(self, round_: _Round, worker_id: int) -> None:
+        try:
+            status, payload = self._collect_reply(worker_id)
+        except WorkerFailureError as exc:
+            self._recover_worker(worker_id, exc)
+            # The rebuilt worker never saw the in-flight round: re-ship
+            # it and take the reply an uninterrupted run would have had.
+            self._ship(worker_id, round_.verb, round_.ops[worker_id])
+            status, payload = self._collect_reply(worker_id)
+        round_.awaiting.discard(worker_id)
+        if status == "error":
+            if round_.failure is None:
+                round_.failure = payload
+        elif status == "ok":
+            round_.replies[worker_id] = payload
+            if self._supervisor is not None and round_.verb in self._LOGGED_VERBS:
+                log = self._oplog.setdefault(worker_id, [])
+                log.append((round_.verb, round_.ops[worker_id]))
+                if len(log) > self.replay_buffer_ops:
                     self._refresh_worker(worker_id)
-        return replies
 
     # ------------------------------------------------------------------
     # Worker recovery
@@ -865,8 +969,11 @@ class ShardedDetectionEngine:
         """
         keyed = self._keys_on_worker(worker_id)
         if keyed:
-            replies = self._roundtrip(
-                {worker_id: [key for key, _ in keyed]}, "state"
+            # Not _roundtrip: a refresh runs inside an exchange, on a
+            # channel whose reply has just been read, whatever its peers
+            # still have in flight.
+            replies = self._run_round(
+                _Round("state", {worker_id: [key for key, _ in keyed]})
             )
             states = dict(replies[worker_id])
             for key, _depth in keyed:
@@ -991,11 +1098,28 @@ class ShardedDetectionEngine:
         self, batch: RecordBatch
     ) -> dict[str, list[TimeunitResult]]:
         """Route one columnar batch through the shards; merged closed results
-        grouped by session name (bit-identical to the serial engine)."""
+        grouped by session name (bit-identical to the serial engine).
+
+        Synchronous: the batch's results are merged, and observers have
+        fired, when the call returns (prepare, ship, collect and merge run
+        back to back; :meth:`process_batches` overlaps them across rounds).
+        """
         self._ensure_started()
+        self._check_idle("ingest_record_batch()")
         closed: dict[str, list[TimeunitResult]] = {name: [] for name in self._units}
+        round_ = self._prepare_round(batch)
+        if round_ is not None:
+            self._run_round(round_)
+            self._merge_round(round_, closed)
+        return closed
+
+    def _prepare_round(
+        self, batch: RecordBatch, index: "int | None" = None
+    ) -> "_Round | None":
+        """Partition one batch by stream key and queue its per-worker
+        commands; ``None`` when no record of it reaches a session."""
         if len(batch) == 0:
-            return closed
+            return None
         selector = None if self.stream_key is attribute_stream_key else self.stream_key
         routed: list[tuple[str, RecordBatch]] = []
         for key, part in batch.partition_by_key(selector):
@@ -1005,7 +1129,7 @@ class ShardedDetectionEngine:
             if name is not None:
                 routed.append((name, part))
         if not routed:
-            return closed
+            return None
         ops: dict[int, list] = {}
         emit_bound: dict[str, int] = {}
         for name, part in routed:
@@ -1014,13 +1138,17 @@ class ShardedDetectionEngine:
                 ops.setdefault(unit.worker, []).append((unit.key, "whole", part))
             else:
                 emit_bound[name] = self._dispatch_subtree(unit, part, ops)
-        replies = self._roundtrip(ops, "ingest")
-        self._collect(replies, closed)
-        for name, part in routed:
-            unit = self._units[name]
-            if unit.kind == "sub":
-                closed[name].extend(self._emit_ready(unit, upto=emit_bound[name]))
-        return closed
+        return _Round("ingest", ops, index, emit_bound)
+
+    def _merge_round(
+        self, round_: _Round, closed: dict[str, list[TimeunitResult]]
+    ) -> None:
+        """Fold a collected ingest round into ``closed`` and emit what it
+        completed; observers fire here."""
+        for unit, results in self._collect(round_.replies, closed):
+            self._observe_whole(unit, results)
+        for name, bound in round_.emit_bound.items():
+            closed[name].extend(self._emit_ready(self._units[name], upto=bound))
 
     def _dispatch_subtree(
         self, unit: _SubtreeUnit, part: RecordBatch, ops: dict[int, list]
@@ -1087,14 +1215,20 @@ class ShardedDetectionEngine:
         self,
         replies: Mapping[int, Any],
         closed: dict[str, list[TimeunitResult]],
-    ) -> None:
-        """Fold worker ingest/flush replies into result lists and buffers."""
+    ) -> "list[tuple[_WholeUnit, list[TimeunitResult]]]":
+        """Fold worker ingest/flush replies into result lists and buffers.
+
+        No hook fires here — an observer that raises must not leave a round
+        half folded; the whole-session results are returned, in reply
+        order, for :meth:`_observe_whole`.
+        """
+        whole: list[tuple[_WholeUnit, list[TimeunitResult]]] = []
         for worker_id in sorted(replies):
             for key, results, frontier_weights in replies[worker_id]:
                 if key[0] == "w":
                     name = key[1]
                     closed[name].extend(results)
-                    self._observe_whole(self._units[name], results)
+                    whole.append((self._units[name], results))
                 else:
                     _, name, gid = key
                     unit = self._units[name]
@@ -1118,6 +1252,7 @@ class ShardedDetectionEngine:
                             )
                         slot = unit.buffer.setdefault(int(result.timeunit), {})
                         slot[gid] = (result, values)
+        return whole
 
     def _observe_whole(
         self, unit: _WholeUnit, results: Sequence[TimeunitResult]
@@ -1189,10 +1324,11 @@ class ShardedDetectionEngine:
             heavy.update(part.heavy_hitters)
         actuals: dict = {}
         forecasts: dict = {}
-        route = unit.partition.route
+        group_of = unit.group_of
         for path in sorted(heavy):
-            gid = route(path)
-            gid = 0 if gid is None else gid
+            gid = group_of.get(path)
+            if gid is None:
+                gid = group_of[path] = unit.partition.route(path) or 0
             actuals[path] = parts[gid].actuals[path]
             forecasts[path] = parts[gid].forecasts[path]
         anomalies = tuple(
@@ -1240,12 +1376,64 @@ class ShardedDetectionEngine:
     def process_batches(
         self, batches: Iterable[RecordBatch]
     ) -> dict[str, list[TimeunitResult]]:
-        """Consume a stream of columnar batches, then flush every session."""
+        """Consume a stream of columnar batches, then flush every session.
+
+        The loop is software-pipelined.  While the workers compute round
+        *k* the coordinator pulls the next batch and prepares round *k+1*;
+        it then exchanges — per worker, read the reply to *k* and at once
+        send *k+1* — and merges round *k* (observers fire) while the
+        workers compute *k+1*.  Results, observer events and checkpoints
+        equal a loop of :meth:`ingest_record_batch` calls; what differs is
+        *when*: a batch is pulled one round before the previous batch's
+        results are merged, so on a live iterator alerts trail ingestion by
+        up to one round.  An exception from the iterator (or from routing
+        the batch it produced) propagates only after the round in flight
+        has been collected and merged, i.e. with callers and observers
+        having seen everything the synchronous loop would have shown them.
+        """
         self._ensure_started()
+        self._check_idle("process_batches()")
         closed: dict[str, list[TimeunitResult]] = {name: [] for name in self._units}
-        for batch in batches:
-            for name, results in self.ingest_record_batch(batch).items():
-                closed[name].extend(results)
+        source = iter(batches)
+        rounds = 0
+        try:
+            while True:
+                following, stop = None, None
+                try:
+                    for batch in source:
+                        following = self._prepare_round(batch, rounds)
+                        if following is not None:
+                            rounds += 1
+                            break
+                except Exception as exc:
+                    stop = exc
+                landed, self._streaming = self._streaming, None
+                self._exchange(landed, following)
+                if landed is not None and landed.failure is not None:
+                    if following is not None:
+                        # Read (and drop) what already went out, so that no
+                        # later call finds a stale reply on a channel.
+                        self._exchange(following, None)
+                    raise revive_exception(*landed.failure)
+                self._streaming = following
+                if landed is not None:
+                    self._merge_round(landed, closed)
+                if stop is not None:
+                    raise stop
+                if following is None:
+                    break
+        except BaseException:
+            if self._streaming is not None:
+                # The merge of the previous round failed (an observer
+                # raised) with this one on the workers: read its replies so
+                # the channels are idle and fold them, so the next call
+                # emits the subtree timeunits they closed, but hand nothing
+                # more to hooks that have just raised.
+                self._exchange(self._streaming, None)
+                self._collect(self._streaming.replies, closed)
+            raise
+        finally:
+            self._streaming = None
         for name, results in self.flush().items():
             closed[name].extend(results)
         return closed
@@ -1264,7 +1452,8 @@ class ShardedDetectionEngine:
         if not ops:
             return closed
         replies = self._roundtrip(ops, "flush")
-        self._collect(replies, closed)
+        for unit, results in self._collect(replies, closed):
+            self._observe_whole(unit, results)
         for name, unit in self._units.items():
             if unit.kind == "sub":
                 closed[name].extend(self._emit_ready(unit, upto=None))
@@ -1304,6 +1493,7 @@ class ShardedDetectionEngine:
                 f"session {name!r} is not subtree-sharded; nothing to rebalance"
             )
         self._ensure_started()
+        self._check_idle("rebalance_session()")
         if unit.buffer:
             raise ShardingError(
                 f"session {name!r} has timeunits mid-merge; rebalance at a "
@@ -1590,6 +1780,7 @@ class ShardedDetectionEngine:
                 f"{sorted(self._units)}"
             ) from None
         self._ensure_started()
+        self._check_idle("merged_session_state()")
         if unit.kind == "whole":
             ops = {unit.worker: [unit.key]}
             replies = self._roundtrip(ops, "state")

@@ -9,8 +9,9 @@ bit-identical-to-serial guarantee holds for all of them (the CI
 
 The engine's protocol is strict request/reply per worker: after
 :meth:`ship`\\ ping to a worker it always :meth:`collect`\\ s that worker's
-reply before shipping to it again.  Transports may rely on this (the
-shared-memory transport reuses one segment per worker because of it).
+reply before shipping to it again (different workers may be on different
+rounds; no channel ever holds two commands).  Transports may rely on this
+(the shared-memory transport reuses one segment per worker because of it).
 
 Supervision surface
 -------------------

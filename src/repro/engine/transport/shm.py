@@ -8,10 +8,12 @@ wraps the batch columns with ``numpy.frombuffer`` straight out of the
 mapping: record timestamps and category codes cross the process boundary
 without ever being pickled or copied coordinator-side.
 
-The engine's strict request/reply protocol (one in-flight command per
-worker) is what makes a single reusable segment per worker safe: the
-coordinator only rewrites a segment after collecting the reply to the
-previous frame, by which point the worker has fully consumed it.  Segments
+The engine's request/reply protocol is strict *per channel*, not per
+round — the streaming coordinator loop lets workers be on different rounds,
+but never has more than one command in flight to any one worker — and that
+is what makes a single reusable segment per worker safe: the coordinator
+only rewrites a segment after collecting the reply to the previous frame,
+by which point the worker has fully consumed it.  Segments
 grow by replacement — a too-small segment is unlinked and a doubled one
 created; the worker notices the new name in the notify and re-attaches.
 

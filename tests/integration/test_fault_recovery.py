@@ -41,6 +41,7 @@ from repro.io.checkpoint import (
     retained_checkpoint_path,
     save_session_checkpoint_rolling,
 )
+from repro.streaming.batch import iter_record_batches
 from repro.testing.faults import FaultPlan, FaultSpec, active
 
 from tests.integration.test_sharded_equivalence import (
@@ -98,8 +99,12 @@ def unfaulted_state(transport, workers, depth):
 
 
 def run_faulted_sharded(
-    config, plan, transport, workers, depth, op_timeout=20.0, batch_size=64
+    config, plan, transport, workers, depth, op_timeout=20.0, batch_size=64,
+    streamed=True,
 ):
+    """One faulted run: ``streamed`` feeds the pipelined ``process_stream``
+    loop (a round is in flight while the next is prepared), otherwise one
+    synchronous ``ingest_record_batch`` per batch plus ``flush``."""
     tree, clock, records = make_workload(WORKLOAD_SEED, 0.05)
     with active(plan):
         with ShardedDetectionEngine(
@@ -114,7 +119,13 @@ def run_faulted_sharded(
                 subtree_shards=workers,
                 subtree_depth=depth,
             )
-            results = engine.process_stream(records, batch_size=batch_size)["p"]
+            if streamed:
+                results = engine.process_stream(records, batch_size=batch_size)["p"]
+            else:
+                results = []
+                for batch in iter_record_batches(records, batch_size):
+                    results.extend(engine.ingest_record_batch(batch)["p"])
+                results.extend(engine.flush()["p"])
             anomalies = [a.to_dict() for a in engine.anomalies()["p"]]
             state = json.dumps(
                 canonical_state(engine.merged_session_state("p")), sort_keys=True
@@ -134,12 +145,27 @@ def test_seeded_kill_matrix_recovers_bit_identically(
     transport, depth, workers, fault_seed
 ):
     """Kill one worker at a seeded barrier; the run must equal serial."""
+    check_seeded_kill(transport, depth, workers, fault_seed, streamed=True)
+
+
+@pytest.mark.parametrize("transport", ["pipe", "shm", "tcp"])
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("workers,fault_seed", [(2, 7), (2, 23), (4, 101)])
+def test_seeded_kill_matrix_recovers_under_per_batch_ingest(
+    transport, depth, workers, fault_seed
+):
+    """The same matrix through synchronous ``ingest_record_batch`` calls:
+    per-(op, worker) ordinals point at the same rounds on both paths."""
+    check_seeded_kill(transport, depth, workers, fault_seed, streamed=False)
+
+
+def check_seeded_kill(transport, depth, workers, fault_seed, streamed):
     config, results, anomalies = serial_reference(min_heavy_depth=depth)
     plan = FaultPlan.seeded_kill(fault_seed, num_workers=workers, max_ordinal=4)
     print(f"chaos leg: transport={transport} depth={depth} "
           f"workers={workers} fault_seed={fault_seed} plan={plan}")
     got_results, got_anomalies, got_state, stats = run_faulted_sharded(
-        config, plan, transport, workers, depth
+        config, plan, transport, workers, depth, streamed=streamed
     )
     assert plan.fired, f"fault plan never fired (seed {fault_seed})"
     assert stats["recoveries"] >= 1
@@ -150,28 +176,36 @@ def test_seeded_kill_matrix_recovers_bit_identically(
     assert got_state == unfaulted_state(transport, workers, depth)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        FaultSpec("drop_frame", worker=0, op="ship", n=2),
-        FaultSpec("drop_frame", worker=1, op="collect", n=2),
-        FaultSpec("corrupt_frame", worker=0, op="ship", n=3),
-        FaultSpec("delay_frame", worker=1, op="ship", n=2, seconds=0.05),
-        FaultSpec("kill_worker", worker=0, op="collect", n=2),
-    ],
-    ids=["drop-ship", "drop-collect", "corrupt-ship", "delay-ship", "kill-collect"],
-)
-def test_other_fault_kinds_recover_bit_identically(spec):
+OTHER_FAULTS = {
+    "drop-ship": dict(kind="drop_frame", worker=0, op="ship", n=2),
+    "drop-collect": dict(kind="drop_frame", worker=1, op="collect", n=2),
+    "corrupt-ship": dict(kind="corrupt_frame", worker=0, op="ship", n=3),
+    "delay-ship": dict(kind="delay_frame", worker=1, op="ship", n=2, seconds=0.05),
+    "kill-collect": dict(kind="kill_worker", worker=0, op="collect", n=2),
+}
+
+
+@pytest.mark.parametrize("name", OTHER_FAULTS)
+def test_other_fault_kinds_recover_bit_identically(name):
     """Dropped/corrupt/delayed frames and collect-time kills also recover.
 
     Dropped frames surface through the collect deadline, so ``op_timeout``
     is deliberately small — the test budget bounds how long silence can
     take to become a typed failure.
     """
+    check_other_fault(FaultSpec(**OTHER_FAULTS[name]), streamed=True)
+
+
+@pytest.mark.parametrize("name", OTHER_FAULTS)
+def test_other_fault_kinds_recover_under_per_batch_ingest(name):
+    check_other_fault(FaultSpec(**OTHER_FAULTS[name]), streamed=False)
+
+
+def check_other_fault(spec, streamed):
     config, results, anomalies = serial_reference()
     plan = FaultPlan([spec], seed=0)
     got_results, got_anomalies, got_state, stats = run_faulted_sharded(
-        config, plan, "pipe", workers=2, depth=1, op_timeout=2.0
+        config, plan, "pipe", workers=2, depth=1, op_timeout=2.0, streamed=streamed
     )
     assert plan.fired
     if spec.kind != "delay_frame":  # a delay alone needs no recovery
