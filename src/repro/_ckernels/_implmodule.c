@@ -2,9 +2,10 @@
  *
  * Every kernel here is a line-for-line transcription of a NumPy expression
  * from the close path (``_SplitStatsStore.update_dense``, the steady branch
- * of ``ForecasterBank._observe_vector``, the ``HierarchyIndex`` level
- * sweeps).  ADA's SPLIT / MERGE / window arithmetic has no kernel: on the
- * bank's row matrix each is one or two whole-row NumPy operations.  NumPy
+ * of ``ForecasterBank._observe_vector``).  Neither the hierarchy sweep nor
+ * ADA's SPLIT / MERGE / window arithmetic has a kernel: the sweep is a few
+ * ``reduceat`` calls for all the timeunits of a batch, and on the bank's row
+ * matrix each adaptation op is one or two whole-row NumPy operations.  NumPy
  * element-wise arithmetic is per-element IEEE-754 double arithmetic, so the
  * same expression evaluated per element in C produces bit-identical results
  * — PROVIDED the build forbids FMA contraction and fast-math reassociation.
@@ -214,184 +215,11 @@ observe_steady(PyObject *Py_UNUSED(self), PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* accumulate_up(raw, parent, order, bounds, scratch)
- *
- * Mirror of HierarchyIndex._accumulate_up: one bottom-up level sweep adding
- * each level's weights onto parents.  ``order`` is the concatenation of
- * levels_deepest_first and ``bounds`` its level boundaries (L+1 entries).
- * Per level the child contributions accumulate into ``scratch`` in child
- * order (exactly bincount's accumulation order) and the whole scratch vector
- * is then added to ``raw`` — including the zero entries, matching
- * ``raw += bincount(...)`` bit for bit (-0.0 + 0.0 normalization included).
- */
-static PyObject *
-accumulate_up(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    PyArrayObject *raw, *parent, *order, *bounds, *scratch;
-
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O!",
-                          &PyArray_Type, &raw,
-                          &PyArray_Type, &parent,
-                          &PyArray_Type, &order,
-                          &PyArray_Type, &bounds,
-                          &PyArray_Type, &scratch))
-        return NULL;
-    if (!check_1d(raw, NPY_DOUBLE, "raw") ||
-        !check_1d(parent, NPY_INTP, "parent") ||
-        !check_1d(order, NPY_INTP, "order") ||
-        !check_1d(bounds, NPY_INTP, "bounds") ||
-        !check_1d(scratch, NPY_DOUBLE, "scratch"))
-        return NULL;
-    npy_intp n = PyArray_DIM(raw, 0);
-    if (PyArray_DIM(parent, 0) != n || PyArray_DIM(scratch, 0) != n ||
-        PyArray_DIM(bounds, 0) < 1) {
-        PyErr_SetString(PyExc_ValueError, "accumulate_up shape mismatch");
-        return NULL;
-    }
-    double *rw = (double *)PyArray_DATA(raw);
-    const npy_intp *pa = (const npy_intp *)PyArray_DATA(parent);
-    const npy_intp *od = (const npy_intp *)PyArray_DATA(order);
-    const npy_intp *bd = (const npy_intp *)PyArray_DATA(bounds);
-    double *sc = (double *)PyArray_DATA(scratch);
-    npy_intp total = PyArray_DIM(order, 0);
-    npy_intp levels = PyArray_DIM(bounds, 0) - 1;
-
-    for (npy_intp l = 0; l < levels; l++) {
-        npy_intp lo = bd[l], hi = bd[l + 1];
-        if (lo < 0 || hi < lo || hi > total) {
-            PyErr_SetString(PyExc_ValueError, "accumulate_up bad bounds");
-            return NULL;
-        }
-        memset(sc, 0, (size_t)n * sizeof(double));
-        for (npy_intp i = lo; i < hi; i++) {
-            npy_intp c = od[i];
-            if (c < 0 || c >= n || pa[c] < 0 || pa[c] >= n) {
-                PyErr_SetString(PyExc_IndexError, "accumulate_up id range");
-                return NULL;
-            }
-            sc[pa[c]] += rw[c];
-        }
-        for (npy_intp j = 0; j < n; j++)
-            rw[j] += sc[j];
-    }
-    Py_RETURN_NONE;
-}
-
-/* succinct_sweep(raw, modified, heavy, parent, order, bounds, theta,
- *                scratch_raw, scratch_mod)
- *
- * Mirror of HierarchyIndex.succinct (Definition 2).  ``modified`` arrives as
- * a copy of ``raw`` and ``heavy`` zeroed; both are filled in place.  Each
- * level reads its children's raw and non-heavy modified sums (accumulated in
- * child order, as bincount does) and evaluates
- * ``modified = (raw - child_raw) + child_modified`` left to right, then
- * ``heavy = modified >= theta``; the root closes the sweep from the depth-1
- * level.
- */
-static PyObject *
-succinct_sweep(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    PyArrayObject *raw, *modified, *heavy, *parent, *order, *bounds;
-    PyArrayObject *scratch_raw, *scratch_mod;
-    double theta;
-
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!dO!O!",
-                          &PyArray_Type, &raw,
-                          &PyArray_Type, &modified,
-                          &PyArray_Type, &heavy,
-                          &PyArray_Type, &parent,
-                          &PyArray_Type, &order,
-                          &PyArray_Type, &bounds,
-                          &theta,
-                          &PyArray_Type, &scratch_raw,
-                          &PyArray_Type, &scratch_mod))
-        return NULL;
-    if (!check_1d(raw, NPY_DOUBLE, "raw") ||
-        !check_1d(modified, NPY_DOUBLE, "modified") ||
-        !check_1d(heavy, NPY_BOOL, "heavy") ||
-        !check_1d(parent, NPY_INTP, "parent") ||
-        !check_1d(order, NPY_INTP, "order") ||
-        !check_1d(bounds, NPY_INTP, "bounds") ||
-        !check_1d(scratch_raw, NPY_DOUBLE, "scratch_raw") ||
-        !check_1d(scratch_mod, NPY_DOUBLE, "scratch_mod"))
-        return NULL;
-    npy_intp n = PyArray_DIM(raw, 0);
-    if (PyArray_DIM(modified, 0) != n || PyArray_DIM(heavy, 0) != n ||
-        PyArray_DIM(parent, 0) != n || PyArray_DIM(scratch_raw, 0) != n ||
-        PyArray_DIM(scratch_mod, 0) != n || PyArray_DIM(bounds, 0) < 1) {
-        PyErr_SetString(PyExc_ValueError, "succinct_sweep shape mismatch");
-        return NULL;
-    }
-    const double *rw = (const double *)PyArray_DATA(raw);
-    double *md = (double *)PyArray_DATA(modified);
-    npy_bool *hv = (npy_bool *)PyArray_DATA(heavy);
-    const npy_intp *pa = (const npy_intp *)PyArray_DATA(parent);
-    const npy_intp *od = (const npy_intp *)PyArray_DATA(order);
-    const npy_intp *bd = (const npy_intp *)PyArray_DATA(bounds);
-    double *sr = (double *)PyArray_DATA(scratch_raw);
-    double *sm = (double *)PyArray_DATA(scratch_mod);
-    npy_intp total = PyArray_DIM(order, 0);
-    npy_intp levels = PyArray_DIM(bounds, 0) - 1;
-
-    for (npy_intp l = 0; l < levels; l++) {
-        npy_intp lo = bd[l], hi = bd[l + 1];
-        if (lo < 0 || hi < lo || hi > total) {
-            PyErr_SetString(PyExc_ValueError, "succinct_sweep bad bounds");
-            return NULL;
-        }
-        if (l > 0) {
-            npy_intp clo = bd[l - 1], chi = bd[l];
-            memset(sr, 0, (size_t)n * sizeof(double));
-            memset(sm, 0, (size_t)n * sizeof(double));
-            for (npy_intp i = clo; i < chi; i++) {
-                npy_intp c = od[i];
-                npy_intp p = pa[c];
-                sr[p] += rw[c];
-                sm[p] += hv[c] ? 0.0 : md[c];
-            }
-            for (npy_intp i = lo; i < hi; i++) {
-                npy_intp nid = od[i];
-                if (nid < 0 || nid >= n) {
-                    PyErr_SetString(PyExc_IndexError, "succinct_sweep id");
-                    return NULL;
-                }
-                md[nid] = (rw[nid] - sr[nid]) + sm[nid];
-            }
-        }
-        for (npy_intp i = lo; i < hi; i++) {
-            npy_intp nid = od[i];
-            if (nid < 0 || nid >= n) {
-                PyErr_SetString(PyExc_IndexError, "succinct_sweep id");
-                return NULL;
-            }
-            hv[nid] = md[nid] >= theta;
-        }
-    }
-    if (levels > 0) {
-        npy_intp clo = bd[levels - 1], chi = bd[levels];
-        memset(sr, 0, (size_t)n * sizeof(double));
-        memset(sm, 0, (size_t)n * sizeof(double));
-        for (npy_intp i = clo; i < chi; i++) {
-            npy_intp c = od[i];
-            npy_intp p = pa[c];
-            sr[p] += rw[c];
-            sm[p] += hv[c] ? 0.0 : md[c];
-        }
-        md[0] = (rw[0] - sr[0]) + sm[0];
-    }
-    hv[0] = md[0] >= theta;
-    Py_RETURN_NONE;
-}
-
 static PyMethodDef Methods[] = {
     {"update_stats_dense", update_stats_dense, METH_VARARGS,
      "Dense split-statistics update (mirror of _SplitStatsStore.update_dense)."},
     {"observe_steady", observe_steady, METH_VARARGS,
      "Single-season steady-state Holt-Winters batch observe."},
-    {"accumulate_up", accumulate_up, METH_VARARGS,
-     "Bottom-up hierarchy weight aggregation (HierarchyIndex._accumulate_up)."},
-    {"succinct_sweep", succinct_sweep, METH_VARARGS,
-     "Succinct heavy-hitter level sweep (HierarchyIndex.succinct)."},
     {NULL, NULL, 0, NULL},
 };
 

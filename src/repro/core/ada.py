@@ -33,32 +33,38 @@ the in-place weight mutations while preserving the split-rule approximation
 behaviour the paper evaluates.
 
 One close path per backend tier, selected by the tier and nothing else.  On
-the vector tiers (NumPy, compiled) every close runs columnar: the weights
-pass through a :class:`~repro.hierarchy.index.HierarchyIndex` (integer
-arithmetic, so bit-identical to the scalar :mod:`repro.core.hhh`
-functions), the id-based planner (:mod:`repro.core.adapt`) adapts on the
-heavy-set delta only — each SPLIT, MERGE and reference correction is
-whole-row arithmetic in the :class:`~repro.forecasting.bank.ForecasterBank`
-row store, which holds every series' forecaster state *and* windows — one
+the vector tiers (NumPy, compiled) every close runs columnar.  The hierarchy
+update — raw weights, modified weights, heavy masks — depends on a
+timeunit's own counts only, so :meth:`ADAAlgorithm.sweep_timeunits` computes
+it for all the timeunits a batch closes with one
+:meth:`HierarchyIndex.sweep <repro.hierarchy.index.HierarchyIndex.sweep>`
+(integer arithmetic, so bit-identical to the scalar :mod:`repro.core.hhh`
+functions; a single timeunit is its one-row call).  Everything after it
+reads the previous timeunit's state and runs per unit, in order: the id-based
+planner (:mod:`repro.core.adapt`) adapts on the heavy-set delta only — each
+SPLIT, MERGE and reference correction is whole-row arithmetic on *row
+numbers* of the :class:`~repro.forecasting.bank.ForecasterBank` row store,
+which holds every series' forecaster state *and* windows — one
 :meth:`~repro.forecasting.bank.ForecasterBank.observe_rows_arrays` call
 updates every tracked forecaster, one
 :meth:`~repro.forecasting.bank.ForecasterBank.record_rows` call appends
 every window, split-rule statistics update as dense per-node arrays, and
 the dual-threshold check evaluates as one batch comparison
 (:meth:`~repro.core.detector.ThresholdDetector.check_many`).  On
-the python tier (no NumPy) the scalar walk below (``_adapt`` /
-``_split_cascade`` / ``_append_weights``) runs instead — the only path on a
-minimal install, and the reference the vector tiers are tested against:
-detections and counters are identical, checkpoints identical up to the row
-order of ``stats`` / ``stats_last_unit`` (dict insertion order vs node-id
-order).
+the python tier (no NumPy, or a registry seasonal model the bank cannot lay
+out as rows) the scalar walk below (``_adapt`` / ``_split_cascade`` /
+``_append_weights``) runs instead — the only path on a minimal install, and
+the reference the vector tiers are tested against: detections and counters
+are identical, checkpoints identical up to the row order of ``stats`` /
+``stats_last_unit`` (dict insertion order vs node-id order).
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Mapping
+from collections.abc import Mapping as MappingABC
+from typing import Deque, Iterator, Mapping
 
 from repro._types import CategoryPath, TimeunitIndex, Weight
 from repro._vector import load_kernels, load_numpy, pinned_kernels
@@ -69,7 +75,7 @@ from repro.core.detector import ThresholdDetector
 from repro.core.hhh import accumulate_raw_weights, compute_shhh
 from repro.core.results import TimeunitResult
 from repro.core.split_rules import NodeUsageStats, make_split_rule
-from repro.core.timeseries import NodeTimeSeries
+from repro.core.timeseries import NodeTimeSeries, SeriesForecaster
 from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank
 from repro.hierarchy.index import HierarchyIndex
@@ -565,6 +571,60 @@ class _RefStore:
             self.deques[path] = deque((float(v) for v in values), maxlen=maxlen)
 
 
+class _SeriesView(MappingABC):
+    """``path -> NodeTimeSeries`` over the vector tiers' id registry, read-only.
+
+    The registry holds bank row numbers; a :class:`NodeTimeSeries` handle is
+    built the first time a path is asked for — by a checkpoint, the
+    evaluation harness, a test — and kept while the path stays tracked.  When
+    a plan stops tracking the path the handle turns inert, so one taken
+    earlier can neither read nor release the row's next tenant.
+    """
+
+    def __init__(self, algo: "ADAAlgorithm"):
+        self._algo = algo
+        self._handles: dict[int, NodeTimeSeries] = {}
+
+    def __getitem__(self, path: CategoryPath) -> NodeTimeSeries:
+        algo = self._algo
+        node_id = algo._index.path_to_id.get(path)
+        row = algo._series_ids.get(node_id)
+        if row is None:
+            raise KeyError(path)
+        handle = self._handles.get(node_id)
+        if handle is None:
+            config = algo.config
+            handle = self._handles[node_id] = NodeTimeSeries(
+                config.window_units,
+                config.forecast,
+                forecaster=SeriesForecaster(config.forecast, algo.bank, row),
+            )
+        return handle
+
+    def __contains__(self, path: object) -> bool:
+        algo = self._algo
+        return algo._index.path_to_id.get(path) in algo._series_ids
+
+    def __iter__(self) -> Iterator[CategoryPath]:
+        paths = self._algo._index.paths
+        return (paths[node_id] for node_id in self._algo._series_ids)
+
+    def __len__(self) -> int:
+        return len(self._algo._series_ids)
+
+    def moved(self, src: int, dst: int) -> None:
+        """The series tracked under ``src`` is now tracked under ``dst``."""
+        handle = self._handles.pop(src, None)
+        if handle is not None:
+            self._handles[dst] = handle
+
+    def dropped(self, node_id: int) -> None:
+        """``node_id`` stopped being tracked and its row went back to the bank."""
+        handle = self._handles.pop(node_id, None)
+        if handle is not None:
+            handle.forecaster.detach()
+
+
 class ADAAlgorithm:
     """Adaptive online heavy hitter tracking and time-series maintenance."""
 
@@ -578,20 +638,16 @@ class ADAAlgorithm:
         #: Row store shared by every tracked node's series: one matrix row
         #: per series holds its forecaster state and both windows.
         self.bank = ForecasterBank(config.forecast, window=config.window_units)
-        #: Time series of the current heavy hitters, keyed by node path.
-        self.series: dict[CategoryPath, NodeTimeSeries] = {}
-        #: The same series grouped by top-level label, in the same relative
-        #: insertion order: the reference correction scans only the bucket a
-        #: path can have descendants in, instead of every tracked series.
-        self._series_buckets: dict[str, dict[CategoryPath, NodeTimeSeries]] = {}
         #: Reference (unmodified weight) series for nodes in the top h levels.
         self._ref = _RefStore(config.window_units)
         #: Dense hierarchy view driving the vectorized weight kernels; its
-        #: presence *is* the tier switch — not None selects the vector close,
-        #: None (no NumPy) the scalar walk.
+        #: presence *is* the tier switch — not None selects the vector close
+        #: over the bank's row matrix, None (no NumPy, or a registry seasonal
+        #: model the bank cannot lay out as rows) the scalar walk.
         self._index: HierarchyIndex | None = (
-            HierarchyIndex(tree) if _np is not None else None
+            HierarchyIndex(tree) if self.bank.vectorized else None
         )
+        self._reset_registry()
         #: Split-rule statistics for every node seen so far.
         self._stats = _SplitStatsStore(config, self._index)
         self._timeunit: TimeunitIndex = -1
@@ -604,21 +660,6 @@ class ADAAlgorithm:
         self.merge_operations = 0
         self._view_cache: dict[CategoryPath, NodeUsageStats] = {}
         self.last_result: TimeunitResult | None = None
-        #: Vector-tier id-indexed series registry: one slot per node id, an
-        #: occupancy mask (== the previous timeunit's heavy mask between
-        #: closes) and a dense forecaster row-handle table.  The tuple-keyed
-        #: ``series`` / ``_series_buckets`` dicts above are kept in lockstep
-        #: as thin compat views — mutated only on churn, never on stable
-        #: timeunits.  The python tier keeps the dicts alone.
-        if self._index is not None:
-            n = self._index.num_nodes
-            self._series_by_id: list[NodeTimeSeries | None] = [None] * n
-            self._series_mask = _np.zeros(n, dtype=bool)
-            self._series_rows = _np.full(n, -1, dtype=_np.int64)
-        else:
-            self._series_by_id = []
-            self._series_mask = None
-            self._series_rows = None
         #: Per-timeunit id-keyed split-statistics view memo (churn path).
         self._id_view_cache: dict[int, NodeUsageStats] = {}
         #: Cached heavy-order structures reused verbatim while the heavy set
@@ -686,41 +727,63 @@ class ADAAlgorithm:
         self, leaf_counts: Mapping[CategoryPath, Weight], timeunit: TimeunitIndex | None = None
     ) -> TimeunitResult:
         """Ingest one timeunit of data, adapt the heavy hitter series, detect."""
-        return self._process_timeunit_impl(leaf_counts, None, timeunit)
-
-    def process_timeunit_dense(
-        self,
-        base_vec,
-        timeunit: TimeunitIndex | None = None,
-        leaf_counts: "Mapping[CategoryPath, Weight] | None" = None,
-    ) -> TimeunitResult:
-        """Close one timeunit from a per-node dense count vector.
-
-        The columnar ingest path aggregates a batch's dictionary codes with
-        one ``bincount`` per run and hands the resulting node-id count vector
-        here, skipping the per-record Counter and the per-path dict loop of
-        :meth:`HierarchyIndex.raw_weights`.  ``leaf_counts`` folds in a dict
-        remainder (counts that arrived through the classic route for the
-        same timeunit).  Callers must check :attr:`supports_dense_close`;
-        results are bit-identical to :meth:`process_timeunit` on the
-        equivalent mapping.
-        """
-        if self._index is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("dense close requires the vector backend")
-        return self._process_timeunit_impl(leaf_counts or {}, base_vec, timeunit)
+        if self._index is None:
+            return self._close(timeunit, self._close_scalar, leaf_counts)
+        swept = self.sweep_timeunits(self._index.count_rows(leaf_counts))
+        return self._close(timeunit, self._close_vector, *swept[0])
 
     @property
     def supports_dense_close(self) -> bool:
-        """Whether :meth:`process_timeunit_dense` may be used (vector tiers)."""
+        """Whether the dense columnar ingest (:meth:`dictionary_node_ids`,
+        :meth:`sweep_timeunits`, :meth:`close_swept`) may be used (vector
+        tiers)."""
         return self._index is not None
 
-    def dense_count_template(self):
-        """A zeroed per-node float64 count vector for the dense ingest path."""
-        return _np.zeros(self._index.num_nodes)
+    @property
+    def num_node_ids(self) -> int:
+        """Width of a dense count row: one slot per node id."""
+        return self._index.num_nodes
 
     def dictionary_node_ids(self, dictionary):
         """Node id per path of a batch string-dictionary (-1 for unknown)."""
         return self._index.dictionary_ids(dictionary)
+
+    def sweep_timeunits(
+        self, counts, leaf_counts: "Mapping[CategoryPath, Weight] | None" = None
+    ) -> list[tuple]:
+        """The hierarchy update of several timeunits at once (vector tiers).
+
+        ``counts`` is a ``(units, num_node_ids)`` float64 matrix of direct
+        per-node counts, one row per timeunit (consumed); ``leaf_counts``
+        folds a dict remainder into the first row — counts that reached that
+        timeunit through the classic per-path route.  SHHH depends on a
+        timeunit's own counts and nothing else, so every row's raw weights,
+        modified weights and heavy mask come out of one
+        :meth:`HierarchyIndex.sweep`; returns one ``(raw, modified, heavy)``
+        triple of row views per timeunit, each to be handed to
+        :meth:`close_swept` in order.  Results are bit-identical to
+        :meth:`process_timeunit` on the equivalent mappings.
+        """
+        start = time.perf_counter()
+        if leaf_counts:
+            self._index.add_counts(counts[0], leaf_counts)
+        raw, modified, heavy = self._index.sweep(counts, self.config.theta)
+        if self.config.track_root:
+            heavy[:, 0] = True
+        elif not self.config.allow_root_heavy:
+            heavy[:, 0] = False
+        if self._shallow_ids is not None:
+            # The shared ancestor band above min_heavy_depth never qualifies.
+            heavy[:, self._shallow_ids] = False
+        self.stage_seconds["updating_hierarchies"] += time.perf_counter() - start
+        return list(zip(raw, modified, heavy))
+
+    def close_swept(
+        self, swept: tuple, timeunit: TimeunitIndex | None = None
+    ) -> TimeunitResult:
+        """Close one timeunit from its :meth:`sweep_timeunits` triple."""
+        self.dense_close_units += 1
+        return self._close(timeunit, self._close_vector, *swept)
 
     def capture_frontier(self, paths) -> None:
         """Record the raw weight of each of ``paths`` on every close.
@@ -743,49 +806,24 @@ class ADAAlgorithm:
         )
         self.last_frontier_raw = None
 
-    def _process_timeunit_impl(
-        self, leaf_counts, base_vec, timeunit: TimeunitIndex | None
-    ) -> TimeunitResult:
-        # One environment read pins the kernel tier for the whole close; the
-        # nested probes (hierarchy sweeps, window splits/merges, row seeds)
-        # all reuse the pinned resolution.
-        with pinned_kernels():
-            return self._process_timeunit_pinned(leaf_counts, base_vec, timeunit)
-
-    def _process_timeunit_pinned(
-        self, leaf_counts, base_vec, timeunit: TimeunitIndex | None
-    ) -> TimeunitResult:
+    def _close(self, timeunit: TimeunitIndex | None, close, *args) -> TimeunitResult:
+        """Advance the unit counter and run the tier's close, timed."""
         self._timeunit = self._timeunit + 1 if timeunit is None else timeunit
         close_start = time.perf_counter()
-        if self._index is not None:
-            result = self._close_vector(leaf_counts, base_vec)
-            self.fused_units += 1
-        else:
-            result = self._close_scalar(leaf_counts)
-            self.staged_units += 1
+        # One environment read pins the kernel tier for the whole close; the
+        # nested probes (bank observe, split statistics) reuse the pinned
+        # resolution.
+        with pinned_kernels():
+            result = close(*args)
         self.last_result = result
         self.close_histogram.observe(time.perf_counter() - close_start)
         return result
 
-    def _close_vector(self, leaf_counts, base_vec) -> TimeunitResult:
-        """The vector-tier close: dense weights, delta planner, array tail."""
+    def _close_vector(self, raw_vec, modified_vec, heavy_mask) -> TimeunitResult:
+        """The vector-tier close of one swept row: delta planner, array tail."""
         stage_seconds = self.stage_seconds
         start = time.perf_counter()
-        index = self._index
-        if base_vec is None:
-            raw_vec = index.raw_weights(leaf_counts)
-        else:
-            raw_vec = index.raw_weights_dense(base_vec, leaf_counts)
-            self.dense_close_units += 1
-        modified_vec, heavy_mask = index.succinct(raw_vec, self.config.theta)
-        if self.config.track_root:
-            heavy_mask[0] = True
-        elif not self.config.allow_root_heavy:
-            heavy_mask[0] = False
-        if self._shallow_ids is not None:
-            # The shared ancestor band above min_heavy_depth never qualifies;
-            # must precede _prepare_delta (its cache keys on the mask bytes).
-            heavy_mask[self._shallow_ids] = False
+        self.fused_units += 1
         self.last_root_raw = float(raw_vec[0])
         if self._frontier_ids is not None:
             self.last_frontier_raw = tuple(
@@ -811,6 +849,7 @@ class ADAAlgorithm:
         """The python-tier close: the scalar walk over path-keyed dicts."""
         stage_seconds = self.stage_seconds
         start = time.perf_counter()
+        self.staged_units += 1
         raw = accumulate_raw_weights(self.tree, leaf_counts)
         shhh_result = compute_shhh(self.tree, leaf_counts, self.config.theta, raw=raw)
         heavy = set(shhh_result.shhh)
@@ -855,11 +894,13 @@ class ADAAlgorithm:
 
         ``fused_units`` / ``staged_units`` count timeunits closed by the
         vector close vs the python-tier scalar walk (a process only ever
-        increments one of them), ``dense_close_units`` those fed a dense
-        columnar count vector, and
+        increments one of them), ``dense_close_units`` those closed from a
+        row of a columnar batch's count matrix, and
         ``close_time`` is a log-bucketed histogram of per-timeunit close wall
-        times.  Not checkpointed — these describe this process's execution,
-        not algorithm state.
+        times — the close proper: a batch's hierarchy sweep runs once, before
+        its first unit closes, and is in ``stage_seconds`` only.  Not
+        checkpointed — these describe this process's execution, not
+        algorithm state.
         """
         return {
             "fused_units": self.fused_units,
@@ -929,20 +970,13 @@ class ADAAlgorithm:
             self.split_operations += plan.num_splits
             self.merge_operations += plan.num_merges
             self.planned_units += 1
-            missing = heavy_mask & ~self._series_mask
-            if missing.any():
+            rows = self._series_rows[ids_arr]
+            if rows.min(initial=0) < 0:
                 # Mirrors the scalar path's belt-and-braces series creation
                 # inside ``_append_weights`` (same lex insertion order).
-                for node_id in index.sorted_ids(missing):
-                    self._reg_set_id(
-                        node_id,
-                        NodeTimeSeries(
-                            self.config.window_units,
-                            self.config.forecast,
-                            bank=self.bank,
-                        ),
-                    )
-            rows = self._series_rows[ids_arr]
+                for node_id in ids_arr[rows < 0].tolist():
+                    self._track(node_id, self.bank.new_row())
+                rows = self._series_rows[ids_arr]
             self._hv_cache = (
                 heavy_mask.tobytes(),
                 ids_arr,
@@ -966,17 +1000,9 @@ class ADAAlgorithm:
         # one indexed store per window for the whole heavy set.
         bank = self.bank
         forecasts_vec = bank.observe_rows_arrays(rows, values_vec)
-        values = values_vec.tolist()
-        forecasts = forecasts_vec.tolist()
-        if bank.vectorized:
-            bank.record_rows(rows, values_vec, forecasts_vec)
-        else:
-            # A registry seasonal model: scalar rows, deque windows.
-            by_id = self._series_by_id
-            for node_id, value, predicted in zip(ids_arr.tolist(), values, forecasts):
-                by_id[node_id].record(value, predicted)
+        bank.record_rows(rows, values_vec, forecasts_vec)
         self._stats.update_dense(self._timeunit, raw_vec)
-        return values, forecasts
+        return values_vec.tolist(), forecasts_vec.tolist()
 
     def _view_by_id(self, node_id: int) -> NodeUsageStats:
         view = self._id_view_cache.get(node_id)
@@ -1056,113 +1082,104 @@ class ADAAlgorithm:
         return self._ref.has_values(self._index.paths[node_id])
 
     def _apply_plan(self, plan) -> None:
-        """Apply a planner op list in exact cascade order.
+        """Apply a planner op list in exact cascade order, on bank row numbers.
 
-        On the vector tiers every op is whole-row arithmetic in the bank —
-        a SPLIT is two multiplies, a FOLD one add (see
+        Every op is whole-row arithmetic in the bank — a SPLIT is two
+        multiplies, a FOLD one add (see
         :meth:`~repro.forecasting.bank.ForecasterBank.split_row` /
-        :meth:`~repro.forecasting.bank.ForecasterBank.fold_row`) — so there
-        is nothing to batch: each float operation happens where the scalar
-        cascade performs it.
+        :meth:`~repro.forecasting.bank.ForecasterBank.fold_row`) — applied
+        one by one: each float operation happens where the scalar cascade
+        performs it, and a reference correction reads the rows the splits
+        before it wrote.  The registry is integers throughout; no per-series
+        object is made or touched unless someone holds a ``series`` handle.
         """
-        paths = self._index.paths
-        by_id = self._series_by_id
-        config = self.config
-        series_dict = self.series
-        buckets = self._series_buckets
-        #: Ids whose registry slot changed; the occupancy mask and row-handle
-        #: table are refreshed once at the end (nothing reads them mid-apply).
-        changed: set[int] = set()
-
-        def reg_set(node_id: int, series: NodeTimeSeries) -> None:
-            by_id[node_id] = series
-            changed.add(node_id)
-            path = paths[node_id]
-            series_dict[path] = series
-            if path:
-                bucket = buckets.get(path[0])
-                if bucket is None:
-                    bucket = {}
-                    buckets[path[0]] = bucket
-                bucket[path] = series
-
-        def reg_pop(node_id: int) -> NodeTimeSeries:
-            series = by_id[node_id]
-            by_id[node_id] = None
-            changed.add(node_id)
-            path = paths[node_id]
-            del series_dict[path]
-            if path:
-                bucket = buckets.get(path[0])
-                if bucket is not None:
-                    bucket.pop(path, None)
-            return series
-
+        bank = self.bank
+        ids = self._series_ids
+        rows = self._series_rows
+        view = self.series
+        handles = view._handles
         for op in plan.ops:
             kind = op[0]
             if kind == SPLIT:
                 _kind, donor_id, child_id, ratio, correct = op
-                reg_set(child_id, by_id[donor_id].split_inplace(ratio))
+                row = bank.split_row(ids[donor_id], ratio)
+                ids[child_id] = rows[child_id] = row
                 if correct:
-                    self._apply_reference_correction(paths[child_id])
+                    self._correct_from_reference(child_id, row)
             elif kind == FRESH:
-                reg_set(
-                    op[1],
-                    NodeTimeSeries(
-                        config.window_units, config.forecast, bank=self.bank
-                    ),
-                )
-            elif kind == FOLD:
-                src = reg_pop(op[1])
-                by_id[op[2]].merge_from(src)
-                src.release()
+                ids[op[1]] = rows[op[1]] = bank.new_row()
             elif kind == MOVE:
-                reg_set(op[2], reg_pop(op[1]))
-            else:  # DROP
-                reg_pop(op[1]).release()
-        mask = self._series_mask
-        rows = self._series_rows
-        for node_id in changed:
-            series = by_id[node_id]
-            if series is None:
-                mask[node_id] = False
-                rows[node_id] = -1
-            else:
-                mask[node_id] = True
-                rows[node_id] = series.forecaster.row
+                src_id, dst_id = op[1], op[2]
+                ids[dst_id] = rows[dst_id] = ids.pop(src_id)
+                rows[src_id] = -1
+                if handles:
+                    view.moved(src_id, dst_id)
+            else:  # FOLD into op[2], or DROP
+                src_id = op[1]
+                row = ids.pop(src_id)
+                rows[src_id] = -1
+                if kind == FOLD:
+                    bank.fold_row(ids[op[2]], row)
+                bank.free_row(row)
+                if handles:
+                    view.dropped(src_id)
+
+    def _correct_from_reference(self, node_id: int, row: int) -> None:
+        """§V-B5 on row numbers: ``row`` (the series of ``node_id``, fresh
+        from a split) becomes reference − Σ tracked descendants.
+
+        Descendants subtract in tracking order — the order of ``series`` —
+        because float subtraction does not commute with itself.
+        """
+        corrected = self._ref.corrected_base(self._index.paths[node_id])
+        if corrected is None:
+            return
+        length = corrected.shape[0]
+        below = self._index.descendant_ids(node_id)
+        bank = self.bank
+        for other_id, other_row in self._series_ids.items():
+            if other_id in below:
+                # Aligned on the newest element, clipped to the overlap.
+                descendant = bank.window_values(other_row, 0, length)
+                corrected[length - len(descendant) :] -= descendant
+        if length:
+            bank.reseed(row, corrected)
 
     # ------------------------------------------------------------------
-    # Series registry: id-indexed table with the path dicts as compat views
-    # (the vector tiers register by id; the python tier keeps the dicts alone)
+    # Series registry
     # ------------------------------------------------------------------
+    def _reset_registry(self) -> None:
+        """Empty the series registry (construction and restore).
+
+        Vector tiers: ``_series_ids`` maps node id to bank row in tracking
+        order — the order checkpoints list series in and reference
+        corrections subtract descendants in — and ``_series_rows`` is the
+        same map as a dense vector (−1: untracked) for the close's gathers;
+        ``series`` is a read-only view that hands out
+        :class:`NodeTimeSeries` handles on demand.  Python tier: ``series``
+        is the dict of series objects itself.
+        """
+        if self._index is None:
+            #: Time series of the current heavy hitters, keyed by node path.
+            self.series: "Mapping[CategoryPath, NodeTimeSeries]" = {}
+            return
+        self._series_ids: dict[int, int] = {}
+        self._series_rows = _np.full(self._index.num_nodes, -1, dtype=_np.int64)
+        self.series = _SeriesView(self)
+
+    def _track(self, node_id: int, row: int) -> None:
+        """Register bank ``row`` as the series of ``node_id`` (vector tiers)."""
+        self._series_ids[node_id] = self._series_rows[node_id] = row
+
+    @property
+    def _series_mask(self):
+        """Registry occupancy as a boolean vector over node ids."""
+        return self._series_rows >= 0
+
     @property
     def reference(self) -> "dict[CategoryPath, Deque[float]]":
         """Reference series per path (compat view over the columnar store)."""
         return self._ref.as_dict()
-
-    def _reg_set_id(self, node_id: int, series: NodeTimeSeries) -> None:
-        """Register a series under a node id (and the path compat views)."""
-        self._series_by_id[node_id] = series
-        self._series_mask[node_id] = True
-        self._series_rows[node_id] = series.forecaster.row
-        self._series_set(self._index.paths[node_id], series)
-
-    def _series_set(self, path: CategoryPath, series: NodeTimeSeries) -> None:
-        self.series[path] = series
-        if path:
-            bucket = self._series_buckets.get(path[0])
-            if bucket is None:
-                bucket = {}
-                self._series_buckets[path[0]] = bucket
-            bucket[path] = series
-
-    def _series_pop(self, path: CategoryPath) -> NodeTimeSeries:
-        series = self.series.pop(path)
-        if path:
-            bucket = self._series_buckets.get(path[0])
-            if bucket is not None:
-                bucket.pop(path, None)
-        return series
 
     # ------------------------------------------------------------------
     # Heavy hitter adaptation (SPLIT / MERGE)
@@ -1180,11 +1197,8 @@ class ADAAlgorithm:
                 continue  # created by a previous cascade in this phase
             donor = self._nearest_series_ancestor(path)
             if donor is None:
-                self._series_set(
-                    path,
-                    NodeTimeSeries(
-                        self.config.window_units, self.config.forecast, bank=self.bank
-                    ),
+                self.series[path] = NodeTimeSeries(
+                    self.config.window_units, self.config.forecast, bank=self.bank
                 )
                 continue
             self._split_cascade(donor, path)
@@ -1198,7 +1212,7 @@ class ADAAlgorithm:
             reverse=True,
         )
         for path in stale:
-            series = self._series_pop(path)
+            series = self.series.pop(path)
             target = self._nearest_heavy_ancestor(path, heavy)
             if target is None:
                 self.merge_operations += 1
@@ -1207,7 +1221,7 @@ class ADAAlgorithm:
             self.merge_operations += 1
             existing = self.series.get(target)
             if existing is None:
-                self._series_set(target, series)
+                self.series[target] = series
             else:
                 existing.merge_from(series)
                 series.release()
@@ -1261,8 +1275,8 @@ class ADAAlgorithm:
             ratio = ratios.get(child, 1.0 / max(len(receivers), 1))
             parent_series = self.series[current]
             child_series = parent_series.scaled(ratio)
-            self._series_set(current, parent_series.scaled(1.0 - ratio))
-            self._series_set(child, child_series)
+            self.series[current] = parent_series.scaled(1.0 - ratio)
+            self.series[child] = child_series
             parent_series.release()
             self.split_operations += 1
             self._apply_reference_correction(child)
@@ -1277,24 +1291,21 @@ class ADAAlgorithm:
         if corrected is None:
             return
         depth = len(path)
-        # Only series under the same top-level label can be descendants; the
-        # bucket preserves the tracking order of the full series dict, so the
-        # per-descendant subtraction order (and hence the float arithmetic)
-        # is exactly that of a full scan.
-        bucket = self._series_buckets.get(path[0], {})
+        # Descendants subtract in tracking order (the order of ``series``):
+        # the vector tiers' ``_correct_from_reference`` repeats it exactly.
+        tracked = self.series
         if _np is not None:
             length = corrected.shape[0]
-            for other_path, other_series in bucket.items():
+            for other_path, other_series in tracked.items():
                 if len(other_path) <= depth or other_path[:depth] != path:
                     continue
-                # Aligned on the newest element, clipped to the overlap; on
-                # the vector tiers the descendant is read as a row slice.
+                # Aligned on the newest element, clipped to the overlap.
                 descendant = other_series.actual.values(length)
                 corrected[length - len(descendant) :] -= descendant
             corrected_values = corrected
         else:
             corrected_list = corrected
-            for other_path, other_series in bucket.items():
+            for other_path, other_series in tracked.items():
                 if len(other_path) <= depth or other_path[:depth] != path:
                     continue
                 descendant = list(other_series.actual)
@@ -1331,7 +1342,7 @@ class ADAAlgorithm:
                 series = NodeTimeSeries(
                     self.config.window_units, self.config.forecast, bank=self.bank
                 )
-                self._series_set(path, series)
+                self.series[path] = series
             if path == root_path and path not in modified_weights:
                 # A tracked root with zero modified weight falls back to its
                 # raw weight (zero entries are filtered from the mapping).
@@ -1448,15 +1459,10 @@ class ADAAlgorithm:
         self.merge_operations = int(state["merge_operations"])
         self.stage_seconds = {k: float(v) for k, v in state["stage_seconds"].items()}
         self.bank = ForecasterBank(forecast_config, window=self.config.window_units)
-        self.series = {}
-        self._series_buckets = {}
+        self._reset_registry()
         self._hv_cache = None
         self._id_view_cache = {}
         index = self._index
-        if index is not None:
-            self._series_by_id = [None] * index.num_nodes
-            self._series_mask[:] = False
-            self._series_rows[:] = -1
         for path, ts_state in state["series"]:
             path = tuple(path)
             if path not in self.tree:
@@ -1467,9 +1473,9 @@ class ADAAlgorithm:
                 ts_state, forecast_config, bank=self.bank
             )
             if index is not None:
-                self._reg_set_id(index.path_to_id[path], series)
+                self._track(index.path_to_id[path], series.forecaster.row)
             else:
-                self._series_set(path, series)
+                self.series[path] = series
         self._ref = _RefStore(self.config.window_units)
         self._ref.load(state["reference"])
         self._stats = _SplitStatsStore(self.config, self._index)

@@ -1,16 +1,16 @@
 """Delta-driven adaptation planning: ADA's SPLIT/MERGE cascade on node ids.
 
-The historical close path re-derives the whole SPLIT/MERGE cascade from
-tuple-keyed dictionaries every timeunit: full scans of the series registry,
-per-path ancestor walks over ``CategoryPath`` slices, and one dict of
-:class:`~repro.core.split_rules.NodeUsageStats` views per cascade step.  This
-module is the id-based twin shared by every execution path (serial sessions,
-the columnar batch close and the sharded engine's subtree shards): given the
-dense heavy mask of the new timeunit and the registry occupancy mask, it
-*simulates* the exact cascade the scalar ``_adapt`` would run — same
-``(depth, lex)`` order, same receiver sets, same split-rule arithmetic (the
-rule's Python ``sum`` over the same views in the same order) — and emits the
-whole adaptation as a flat op list:
+The python tier's scalar walk (``ADAAlgorithm._adapt``) derives the
+SPLIT/MERGE cascade from tuple-keyed dictionaries every timeunit: full scans
+of the series dict, per-path ancestor walks over ``CategoryPath`` slices, and
+one dict of :class:`~repro.core.split_rules.NodeUsageStats` views per cascade
+step.  This module is its id-based twin, the planner of every vector-tier
+close (serial sessions, the columnar batch close and the sharded engine's
+subtree shards): given the dense heavy mask of the new timeunit and the
+registry occupancy mask, it *simulates* the exact cascade the scalar
+``_adapt`` would run — same ``(depth, lex)`` order, same receiver sets, same
+split-rule arithmetic (the rule's Python ``sum`` over the same views in the
+same order) — and emits the whole adaptation as a flat op list:
 
 * ``("fresh", node)`` — a brand-new series (no series-holding ancestor);
 * ``("split", donor, child, ratio, correct)`` — one cascade step handing the
@@ -22,12 +22,12 @@ whole adaptation as a flat op list:
 The emitter never touches forecaster or window state, so planning is cheap
 (integer sweeps over the delta, not the registry).  The application layer
 (:meth:`ADAAlgorithm._apply_plan <repro.core.ada.ADAAlgorithm._apply_plan>`)
-runs the ops one by one in this order: on the vector tiers each is a
+runs the ops one by one in this order, on bank row numbers: each is a
 whole-row operation of the :class:`~repro.forecasting.bank.ForecasterBank`
 row store (``split_row`` — two multiplies, ``fold_row`` — one add,
-``reseed`` — the reference correction in place), so there is no batching to
-preserve an order across — results stay bit-for-bit identical to the scalar
-walk (property-checked in ``tests/core/test_adapt_planner.py``).
+``reseed`` — the reference correction in place), and an op reads the rows the
+ops before it wrote — results stay bit-for-bit identical to the scalar walk
+(property-checked in ``tests/core/test_adapt_planner.py``).
 """
 
 from __future__ import annotations

@@ -113,11 +113,10 @@ class STAAlgorithm:
         self._unit_weights.append(raw)
         if self._index is not None:
             index = self._index
-            raw_vec = _np.zeros(index.num_nodes)
-            lookup = index.path_to_id
-            for path, weight in raw.items():
-                raw_vec[lookup[path]] = weight
-            _modified, heavy_mask = index.succinct(raw_vec, self.config.theta)
+            _raw, _modified, heavy = index.sweep(
+                index.count_rows(leaf_counts), self.config.theta
+            )
+            heavy_mask = heavy[0]
             if self.config.track_root:
                 heavy_mask[0] = True
             elif not self.config.allow_root_heavy:

@@ -294,6 +294,11 @@ class SeriesForecaster:
         if self.bank is _RELEASED:
             return
         self.bank.free_row(self.row)
+        self.detach()
+
+    def detach(self) -> None:
+        """Turn the handle inert without touching the row — for the owner of
+        the row, which has already returned it to the bank."""
         self.bank = _RELEASED
         self.row = -1
 

@@ -48,6 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _np = load_numpy()
 
+#: Most cells one dense count matrix may have (8 MiB of float64): a batch
+#: whose closing timeunits need more is ingested in halves.
+_DENSE_MATRIX_CELLS = 1 << 20
+
 
 class DetectionSession:
     """Online anomaly detection over one hierarchical domain.
@@ -263,26 +267,37 @@ class DetectionSession:
         return id_map, paths
 
     def _ingest_batch_dense(self, batch: RecordBatch) -> "list[TimeunitResult] | None":
-        """Code-column ingest: one ``bincount`` per run instead of a Counter.
+        """Code-column ingest: the timeunits a batch closes, closed together.
 
-        Counts of a timeunit that fully closes *within this call* accumulate
-        in dictionary-code space and reach the algorithm as a dense node
-        vector (:meth:`~repro.core.ada.ADAAlgorithm.process_timeunit_dense`);
-        such counts can never appear in a checkpoint, so the insertion-order
-        contract of ``_pending`` is untouched.  Runs of the still-open
-        trailing timeunit decode into the ``_pending`` Counter in arrival
-        order, exactly like the classic path.  Returns None to delegate the
-        whole batch to the classic path when a late run could raise
-        mid-batch (out_of_order_policy == "raise") — the cold path keeps the
+        Everything that depends only on a timeunit's own counts is hoisted
+        out of the per-unit loop: the records of every timeunit that fully
+        closes *within this call* land in one ``(units, node ids)`` count
+        matrix — one ``bincount`` over ``row * width + node id`` — and the
+        algorithm sweeps it once (raw weights, modified weights and heavy
+        masks of every row, :meth:`~repro.core.ada.ADAAlgorithm.sweep_timeunits`).
+        The units then close in order, each from its row, because what
+        remains *does* depend on the previous unit's state (forecaster
+        recurrences, split statistics, the adaptation plan) and observers
+        see one closed unit at a time.  Matrix counts can never appear in a
+        checkpoint, so the insertion-order contract of ``_pending`` is
+        untouched: a remainder carried in from the previous batch is folded
+        into its unit's row, runs of the still-open trailing timeunit decode
+        into the ``_pending`` Counter in arrival order, exactly like the
+        classic path, and a timeunit no run of this batch lands in closes
+        from ``_pending`` alone.  Returns None to delegate the whole batch
+        to the classic path when a late run could raise mid-batch
+        (out_of_order_policy == "raise") — the cold path keeps the
         exception-time session state authoritative.
         """
         runs = batch.timeunit_runs(self.clock)
         if not runs:
             return []
         policy = self.config.out_of_order_policy
-        # Pre-pass: effective unit per run under the policy, no state touched.
+        # Pre-pass: the effective timeunit of every run under the policy, as
+        # a row number (-1: dropped) into ``units``; no state touched.
         simulated = self._pending_unit
-        effective: list[TimeunitIndex | None] = []
+        units: list[TimeunitIndex] = []
+        run_rows: list[int] = []
         for unit, _, _ in runs:
             if simulated is None:
                 simulated = unit
@@ -290,65 +305,72 @@ class DetectionSession:
                 if policy == "raise":
                     return None
                 if policy == "drop":
-                    effective.append(None)
+                    run_rows.append(-1)
                     continue
-                unit = simulated  # clamp
+                # "clamp": count into the open timeunit
             elif unit > simulated:
                 simulated = unit
-            effective.append(unit)
-        if simulated is None:  # pragma: no cover - every run dropped
-            return []
+            if not units or units[-1] != simulated:
+                units.append(simulated)
+            run_rows.append(len(units) - 1)
+        # ``simulated`` moves only on a run that is kept, so the last row is
+        # the unit that stays open; the rows before it close in this call.
+        # (No rows at all: every run was dropped.)
         last_unit = simulated
+        open_row = len(units) - 1
+        closing = units[:-1]
+        algorithm = self.algorithm
+        width = algorithm.num_node_ids
+        if len(closing) > 1 and len(closing) * width > _DENSE_MATRIX_CELLS:
+            # Bounded memory whatever the batch spans: ingesting two halves
+            # is ingesting the whole.
+            middle = runs[len(runs) // 2][1]
+            return [
+                *self._ingest_record_batch_primary(batch.slice(0, middle)),
+                *self._ingest_record_batch_primary(batch.slice(middle, len(batch))),
+            ]
         codes = batch.category_codes
         id_map, paths = self._dense_mapping(batch.code_dictionary)
-        num_codes = len(paths)
-        np_ = _np
+        if self._pending_unit is None:
+            self._pending_unit = units[0]  # a first run is never late
+        swept = []
+        if closing:
+            np_ = _np
+            rows = np_.repeat(
+                np_.array(run_rows), [stop - start for _, start, stop in runs]
+            )
+            node_ids = id_map[codes]
+            counted = (rows >= 0) & (rows < open_row) & (node_ids >= 0)
+            counts = np_.bincount(
+                rows[counted] * width + node_ids[counted],
+                minlength=len(closing) * width,
+            )
+            swept = algorithm.sweep_timeunits(
+                counts.astype(np_.float64).reshape(len(closing), width),
+                self._pending if closing[0] == self._pending_unit else None,
+            )
         closed: list[TimeunitResult] = []
-        code_counts = None  # open unit's accumulator, dictionary-code space
-        pending = self._pending
-        for (unit, start, stop), eff in zip(runs, effective):
-            if eff is None:
-                continue
-            if self._pending_unit is None:
-                self._pending_unit = eff
-            while eff > self._pending_unit:
-                if code_counts is not None:
-                    closed.append(self._close_pending_dense(code_counts, id_map))
-                    code_counts = None
-                    pending = self._pending
-                else:
-                    closed.append(self._close_pending())
-                    pending = self._pending
-            if eff < last_unit:
-                # This timeunit closes before the call returns: aggregate in
-                # code space (int64 counts — exact in float64 later).
-                segment = np_.bincount(codes[start:stop], minlength=num_codes)
-                if code_counts is None:
-                    code_counts = segment
-                else:
-                    code_counts += segment
+        row = 0
+        while self._pending_unit < last_unit:
+            unit = self._pending_unit
+            if row < len(closing) and closing[row] == unit:
+                self._pending = Counter()
+                self._pending_unit = unit + 1
+                closed.append(
+                    self._finish_result(algorithm.close_swept(swept[row], unit))
+                )
+                row += 1
             else:
-                # Trailing (still-open) unit: arrival-order Counter, the
-                # checkpointable representation.
-                for code in codes[start:stop].tolist():
-                    pending[paths[code]] += 1
+                closed.append(self._close_pending())
+        if units:
+            # The still-open unit: arrival-order Counter, the checkpointable
+            # representation.
+            pending = self._pending
+            for (_, start, stop), run_row in zip(runs, run_rows):
+                if run_row == open_row:
+                    for code in codes[start:stop].tolist():
+                        pending[paths[code]] += 1
         return closed
-
-    def _close_pending_dense(self, code_counts, id_map) -> TimeunitResult:
-        """Close the pending unit from a code-space count accumulator."""
-        assert self._pending_unit is not None
-        counts = dict(self._pending)
-        unit = self._pending_unit
-        self._pending = Counter()
-        self._pending_unit = unit + 1
-        np_ = _np
-        base_vec = self.algorithm.dense_count_template()
-        nonzero = np_.flatnonzero(code_counts)
-        ids = id_map[nonzero]
-        known = ids >= 0
-        base_vec[ids[known]] = code_counts[nonzero][known]
-        result = self.algorithm.process_timeunit_dense(base_vec, unit, counts)
-        return self._finish_result(result)
 
     def process_batches(self, batches: Iterable[RecordBatch]) -> list[TimeunitResult]:
         """Consume a stream of columnar batches, then flush (batch analogue of

@@ -1,14 +1,18 @@
 """Array-indexed hierarchy: vectorized weight accumulation and SHHH.
 
 :class:`HierarchyIndex` freezes a :class:`~repro.hierarchy.tree.HierarchyTree`
-into dense arrays — BFS node ids, a parent-id vector, per-depth id groups and
+into dense arrays — BFS node ids, a parent-id vector, per-depth id ranges and
 a lexicographic ordering — so that the two per-timeunit hierarchy passes of
-the paper become a handful of NumPy kernels:
+the paper become one bottom-up sweep, :meth:`HierarchyIndex.sweep`, over a
+matrix whose rows are timeunits: the raw weights ``A_n`` (Definition 1), the
+modified weights ``W_n`` and the succinct heavy hitter membership
+(Definition 2) of every row at once.  SHHH is a function of one timeunit's
+own counts, so the timeunits a batch closes are swept together; a single
+timeunit is the one-row call of the same sweep.
 
-* :meth:`raw_weights` computes ``A_n`` for every node (Definition 1) with one
-  ``bincount`` per level instead of one ancestor walk per counted leaf;
-* :meth:`succinct` computes the modified weights ``W_n`` and succinct heavy
-  hitter membership (Definition 2) with one bottom-up level sweep.
+BFS ids make every level, and the children of every parent, a contiguous id
+range, so folding a level onto its parents is one ``np.add.reduceat`` along
+the node axis — two per level for all rows, whatever their number.
 
 Exactness: per-timeunit leaf counts are record *counts* — integers — and
 sums of integers in float64 are exact (far below 2^53), so the results are
@@ -23,7 +27,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro._types import CategoryPath, Weight
-from repro._vector import load_kernels, load_numpy
+from repro._vector import load_numpy
 from repro.hierarchy.tree import HierarchyTree
 
 _np = load_numpy()
@@ -58,13 +62,26 @@ class HierarchyIndex:
         #: Depth of every node (root is 0), as a dense integer vector.
         self.depths = _np.array(depths, dtype=_np.intp)
         self.max_depth = max_depth
-        #: Node ids grouped by depth, deepest level first (depth >= 1).
-        self.levels_deepest_first = [
-            _np.array(
-                [i for i, d in enumerate(depths) if d == depth], dtype=_np.intp
-            )
-            for depth in range(max_depth, 0, -1)
-        ]
+        #: The bottom-up sweep, deepest level first: ``(lo, hi, parents,
+        #: starts)`` per depth >= 1.  BFS ids put the level at ``[lo, hi)``
+        #: and each parent's children next to each other, so ``starts``
+        #: (first child of every parent, relative to ``lo``) are the
+        #: ``reduceat`` offsets and ``parents`` the ids the sums land on — a
+        #: slice where every node of the level above has children, an index
+        #: array where the tree is ragged.
+        level_bounds = _np.searchsorted(self.depths, _np.arange(max_depth + 2))
+        self._sweep_levels = []
+        for depth in range(max_depth, 0, -1):
+            lo, hi = int(level_bounds[depth]), int(level_bounds[depth + 1])
+            level_parents = self.parent[lo:hi]
+            starts = _np.concatenate(
+                ([0], _np.flatnonzero(_np.diff(level_parents)) + 1)
+            ).astype(_np.intp)
+            parents = level_parents[starts]
+            first, last = int(parents[0]), int(parents[-1])
+            if last - first + 1 == len(parents):
+                parents = slice(first, last + 1)
+            self._sweep_levels.append((lo, hi, parents, starts))
         #: All node ids ordered by lexicographic path order; masking this with
         #: a boolean membership vector yields ids in ``sorted(paths)`` order.
         self.lex_order = _np.array(
@@ -97,156 +114,71 @@ class HierarchyIndex:
         self.child_ids: list[list[int]] = [
             [c.index for c in node.children.values()] for node in nodes
         ]
-        # Flattened level layout + scratch vectors for the compiled sweep
-        # kernels; built lazily on first compiled-tier close.
-        self._compiled_layout_cache = None
-
-    def _compiled_layout(self):
-        """``(order, bounds, scratch_a, scratch_b)`` for the C sweep kernels.
-
-        ``order`` concatenates :attr:`levels_deepest_first`; ``bounds`` holds
-        the level boundaries (L+1 entries).  The two scratch vectors are
-        reused across calls — the kernels zero them before use.
-        """
-        cached = self._compiled_layout_cache
-        if cached is None:
-            if self.levels_deepest_first:
-                order = _np.concatenate(self.levels_deepest_first)
-            else:
-                order = _np.empty(0, dtype=_np.intp)
-            sizes = [len(ids) for ids in self.levels_deepest_first]
-            bounds = _np.zeros(len(sizes) + 1, dtype=_np.intp)
-            bounds[1:] = _np.cumsum(sizes, dtype=_np.intp)
-            cached = self._compiled_layout_cache = (
-                _np.ascontiguousarray(order, dtype=_np.intp),
-                bounds,
-                _np.empty(self.num_nodes),
-                _np.empty(self.num_nodes),
-            )
-        return cached
+        self._descendants: dict[int, frozenset[int]] = {}
 
     # ------------------------------------------------------------------
-    # Definition 1: raw weights
+    # Definitions 1 and 2: raw weights, modified weights, heavy hitters
     # ------------------------------------------------------------------
-    def raw_weights(self, leaf_counts: Mapping[CategoryPath, Weight]):
-        """Dense ``A_n`` vector for one timeunit of per-leaf counts.
+    def add_counts(self, row, leaf_counts: Mapping[CategoryPath, Weight]) -> None:
+        """Add a per-path count mapping onto one row of direct counts.
 
         Unknown paths are ignored and counts attached to interior paths are
         credited to that aggregate directly, exactly like the scalar
         :func:`repro.core.hhh.accumulate_raw_weights`.
         """
-        raw = _np.zeros(self.num_nodes)
         lookup = self.path_to_id.get
         for path, count in leaf_counts.items():
             if count == 0:
                 continue
             node_id = lookup(path if isinstance(path, tuple) else tuple(path))
             if node_id is not None:
-                raw[node_id] += float(count)
-        return self._accumulate_up(raw)
+                row[node_id] += float(count)
 
-    def raw_weights_dense(
-        self, base_vec, leaf_counts: "Mapping[CategoryPath, Weight] | None" = None
-    ):
-        """``A_n`` from a per-node direct-count vector (dense ingest path).
-
-        ``base_vec`` is a float64 vector of this timeunit's direct counts per
-        node id, as accumulated by the columnar ingest path with one
-        ``bincount`` per run (codes whose paths are not in the tree were
-        dropped at the code→id mapping stage, exactly like the dict path
-        ignores unknown paths).  ``leaf_counts`` optionally folds a dict
-        remainder in — the open-unit ``Counter`` carried across batch
-        boundaries.  Counts are integers, so the result is bit-identical to
-        :meth:`raw_weights` on the equivalent dict regardless of which route
-        each count arrived by.  The vector is consumed (mutated and
-        returned).
-        """
-        if leaf_counts:
-            lookup = self.path_to_id.get
-            for path, count in leaf_counts.items():
-                if count == 0:
-                    continue
-                node_id = lookup(path if isinstance(path, tuple) else tuple(path))
-                if node_id is not None:
-                    base_vec[node_id] += float(count)
-        return self._accumulate_up(base_vec)
-
-    def _accumulate_up(self, raw):
-        """Bottom-up level sweep adding each level's weights onto parents."""
-        kernels = load_kernels()
-        if kernels is not None:
-            order, bounds, scratch_a, _ = self._compiled_layout()
-            kernels.accumulate_up(raw, self.parent, order, bounds, scratch_a)
-            return raw
-        for ids in self.levels_deepest_first:
-            raw += _np.bincount(
-                self.parent[ids], weights=raw[ids], minlength=self.num_nodes
-            )
-        return raw
+    def count_rows(self, leaf_counts: Mapping[CategoryPath, Weight]):
+        """The one-row ``(1, num_nodes)`` direct-count matrix of a mapping."""
+        counts = _np.zeros((1, self.num_nodes))
+        self.add_counts(counts[0], leaf_counts)
+        return counts
 
     def dictionary_ids(self, dictionary):
         """Node id of every path in a category string-dictionary (-1 unknown).
 
         The columnar ingest path maps a batch's code column to node ids once
-        per dictionary via this vector, after which per-run aggregation is a
-        single ``bincount`` over integer codes.
+        per dictionary via this vector, after which the counts of every
+        timeunit the batch closes are one ``bincount`` over
+        ``row * num_nodes + node_id``.
         """
         lookup = self.path_to_id.get
         return _np.array(
             [lookup(tuple(path), -1) for path in dictionary], dtype=_np.intp
         )
 
-    # ------------------------------------------------------------------
-    # Definition 2: succinct heavy hitters
-    # ------------------------------------------------------------------
-    def succinct(self, raw, theta: float):
-        """``(modified, heavy)`` dense vectors for a raw-weight vector.
+    def sweep(self, counts, theta: float):
+        """``(raw, modified, heavy)`` for a ``(rows, num_nodes)`` count matrix.
 
-        One bottom-up level sweep: a node's modified weight is its own count
-        plus the modified weights of its non-heavy children; it is heavy when
-        that reaches ``theta``.  Matches :func:`repro.core.hhh.compute_shhh`
-        exactly (integer arithmetic, see module docstring).
+        ``counts`` holds each row's *direct* float64 counts per node id (a
+        leaf's records, or an interior node's own) and is consumed: it comes
+        back as the raw weights ``A_n``.  One bottom-up pass per level folds
+        the level onto its parents for every row at once — a node's modified
+        weight ``W_n`` is its own count plus the modified weights of its
+        non-heavy children, and it is heavy when that reaches ``theta``.
+        Matches :func:`repro.core.hhh.accumulate_raw_weights` and
+        :func:`repro.core.hhh.compute_shhh` row by row (integer arithmetic,
+        see module docstring).
         """
-        modified = raw.copy()
-        heavy = _np.zeros(self.num_nodes, dtype=bool)
-        kernels = load_kernels()
-        if kernels is not None:
-            order, bounds, scratch_a, scratch_b = self._compiled_layout()
-            kernels.succinct_sweep(
-                raw, modified, heavy, self.parent, order, bounds,
-                float(theta), scratch_a, scratch_b,
+        raw = counts
+        modified = counts.copy()
+        heavy = _np.empty(counts.shape, dtype=bool)
+        for lo, hi, parents, starts in self._sweep_levels:
+            raw[:, parents] += _np.add.reduceat(raw[:, lo:hi], starts, axis=1)
+            level = modified[:, lo:hi]
+            level_heavy = heavy[:, lo:hi]
+            _np.greater_equal(level, theta, out=level_heavy)
+            modified[:, parents] += _np.add.reduceat(
+                _np.where(level_heavy, 0.0, level), starts, axis=1
             )
-            return modified, heavy
-        child_ids = None
-        for ids in self.levels_deepest_first:
-            if child_ids is not None:
-                parents = self.parent[child_ids]
-                child_raw = _np.bincount(
-                    parents, weights=raw[child_ids], minlength=self.num_nodes
-                )
-                child_modified = _np.bincount(
-                    parents,
-                    weights=_np.where(
-                        heavy[child_ids], 0.0, modified[child_ids]
-                    ),
-                    minlength=self.num_nodes,
-                )
-                modified[ids] = raw[ids] - child_raw[ids] + child_modified[ids]
-            heavy[ids] = modified[ids] >= theta
-            child_ids = ids
-        if self.levels_deepest_first:
-            child_ids = self.levels_deepest_first[-1]  # depth-1 nodes
-            child_raw = _np.bincount(
-                self.parent[child_ids], weights=raw[child_ids], minlength=self.num_nodes
-            )
-            child_modified = _np.bincount(
-                self.parent[child_ids],
-                weights=_np.where(heavy[child_ids], 0.0, modified[child_ids]),
-                minlength=self.num_nodes,
-            )
-            modified[0] = raw[0] - child_raw[0] + child_modified[0]
-        heavy[0] = modified[0] >= theta
-        return modified, heavy
+        heavy[:, 0] = modified[:, 0] >= theta
+        return raw, modified, heavy
 
     # ------------------------------------------------------------------
     # Helpers
@@ -258,6 +190,18 @@ class HierarchyIndex:
     def depth_lex_ids(self, member_mask) -> list[int]:
         """Ids whose mask bit is set, in ``(depth, path)`` cascade order."""
         return self.depth_lex_order[member_mask[self.depth_lex_order]].tolist()
+
+    def descendant_ids(self, node_id: int) -> "frozenset[int]":
+        """Ids of every strict descendant of ``node_id`` (memoized)."""
+        found = self._descendants.get(node_id)
+        if found is None:
+            below: list[int] = []
+            frontier = self.child_ids[node_id]
+            while frontier:
+                below.extend(frontier)
+                frontier = [c for node in frontier for c in self.child_ids[node]]
+            found = self._descendants[node_id] = frozenset(below)
+        return found
 
     def nearest_ancestor_in(self, node_id: int, mask) -> "int | None":
         """Closest strict ancestor of ``node_id`` whose mask bit is set.

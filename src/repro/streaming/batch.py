@@ -334,8 +334,8 @@ class RecordBatch:
         """Run boundaries only: ``(timeunit, start_row, stop_row)`` per run.
 
         The same runs :meth:`group_runs_by_timeunit` yields, without building
-        a ``Counter`` per run — the dense ingest path aggregates each run
-        with one ``bincount`` over the code column instead.
+        a ``Counter`` per run — the dense ingest path gives each run a row of
+        one count matrix and aggregates the whole batch with one ``bincount``.
         """
         n = len(self)
         if n == 0:

@@ -238,7 +238,7 @@ class TestSplitStatsStore:
             {("b", "b1"): 2.0, ("b", "b2"): 5.0},
         ]
         for unit, counts in enumerate(feeds):
-            raw_vec = ada.dense_count_template()
+            raw_vec = index.count_rows({})[0]
             for path, weight in counts.items():
                 raw_vec[index.path_to_id[path]] = weight
             dense_store.update_dense(unit, raw_vec)

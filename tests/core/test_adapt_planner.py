@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ada import ADAAlgorithm, _RefStore
-from repro.core.adapt import plan_adaptation
+from repro.core.adapt import DROP, FOLD, FRESH, MOVE, SPLIT, AdaptationPlan, plan_adaptation
 from repro.core.config import ForecastConfig, TiresiasConfig
+from repro.core.timeseries import NodeTimeSeries
 from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank
 from repro.hierarchy.tree import HierarchyTree
@@ -62,11 +63,12 @@ def make_config(**overrides):
 
 def run_units(algo, unit_sequence, first_unit=0):
     """Feed ``unit_sequence`` to ``algo``; return its comparable outputs."""
-    results = [
-        algo.process_timeunit(counts, first_unit + i)
-        for i, counts in enumerate(unit_sequence)
-    ]
+    results = []
+    for i, counts in enumerate(unit_sequence):
+        results.append(algo.process_timeunit(counts, first_unit + i))
+        assert_registry_consistent(algo)
     return {
+        "series_order": list(algo.series),
         "results": [
             (r.timeunit, r.heavy_hitters, r.actuals, r.forecasts, r.anomalies)
             for r in results
@@ -75,6 +77,23 @@ def run_units(algo, unit_sequence, first_unit=0):
         "splits": algo.split_operations,
         "merges": algo.merge_operations,
     }
+
+
+def assert_registry_consistent(algo):
+    """One live bank row per tracked series, each referenced exactly once,
+    and the ``series`` mapping, its handles and the id registry agree."""
+    tracked = list(algo.series)
+    assert len(algo.bank) == len(algo.series) == len(tracked)
+    rows = [algo.series[path].forecaster.row for path in tracked]
+    assert len(set(rows)) == len(rows)
+    assert all(row >= 0 for row in rows)
+    assert [path for path, _series in algo.series.items()] == tracked
+    if algo._index is not None:
+        ids = [algo._index.path_to_id[path] for path in tracked]
+        assert list(algo._series_ids) == ids
+        assert list(algo._series_ids.values()) == rows
+        assert algo._series_rows[ids].tolist() == rows
+        assert int(algo._series_mask.sum()) == len(ids)
 
 
 def run_tiers(tree, config, unit_sequence):
@@ -321,18 +340,254 @@ class TestRefStore:
 
 
 class TestRegistryGuards:
-    def test_series_pop_without_bucket_entry(self):
-        """Popping a path whose top-label bucket never existed must not raise
-        (the historical code assumed the bucket was always present)."""
-        tree = make_tree()
-        algo = ADAAlgorithm(tree, make_config())
-        from repro.core.timeseries import NodeTimeSeries
+    """The vector tiers' ``series`` is a view over row numbers: every plan op
+    keeps it equal to the python tier's dict, and a handle never outlives the
+    path it was taken for."""
 
-        series = NodeTimeSeries(
-            make_config().window_units, make_config().forecast, bank=algo.bank
+    #: Hits every op kind the planner emits: FRESH (new top-level subtree),
+    #: SPLIT with and without a reference correction (depth <= 2 / depth 3),
+    #: FOLD (leaf into its heavy parent) and DROP (no heavy ancestor left).
+    #: MOVE is its mirror of the scalar walk's "target holds no series yet"
+    #: arm, which the SPLIT phase pre-empts; the random plans below emit it.
+    EVERY_OP = [
+        {("a", "a1"): 9, ("b", "b1", "x"): 9, ("b", "b1", "y"): 9},
+        {("a", "a1"): 2, ("a", "a2"): 2, ("b", "b1", "x"): 3, ("b", "b1", "y"): 2},
+        {("a", "a1"): 9, ("a", "a2"): 9, ("b", "b1", "x"): 9, ("b", "b1", "y"): 9},
+        {("a", "a1"): 9, ("a", "a2"): 2, ("a", "a3"): 2, ("b", "b2"): 3},
+        {("c", "c1"): 9},
+        {("a", "a1"): 1, ("b", "b1", "x"): 9, ("b", "b1", "y"): 1, ("b", "b2"): 3},
+        {},
+    ]
+
+    def test_every_op_kind_keeps_the_view_equal_to_the_python_tier_dict(self):
+        tree, config = make_tree(), make_config()
+        algo = ADAAlgorithm(tree, config)
+        if algo._index is None:
+            pytest.skip("vector backend unavailable")
+        seen = set()
+        apply_plan = algo._apply_plan
+
+        def recording_apply(plan):
+            seen.update(op[0] if op[0] != "split" else ("split", op[4]) for op in plan.ops)
+            apply_plan(plan)
+
+        algo._apply_plan = recording_apply
+        vector = run_units(algo, self.EVERY_OP)
+        assert seen == {"fresh", ("split", True), ("split", False), "fold", "drop"}
+        with python_tier():
+            python = run_units(ADAAlgorithm(tree, config), self.EVERY_OP)
+        assert vector == python
+
+    def test_series_view_is_read_only_and_hands_out_one_handle_per_path(self):
+        algo = ADAAlgorithm(make_tree(), make_config())
+        if algo._index is None:
+            pytest.skip("vector backend unavailable")
+        algo.process_timeunit({("a", "a1"): 9, ("b", "b2"): 6}, 0)
+        assert ("a", "a1") in algo.series and ("a", "zz") not in algo.series
+        assert ["a", "a1"] not in list(algo.series)
+        handle = algo.series[("a", "a1")]
+        assert algo.series[("a", "a1")] is handle
+        assert algo.series.get(("a", "zz")) is None
+        with pytest.raises(KeyError):
+            algo.series[("a", "zz")]
+        with pytest.raises(TypeError):
+            algo.series[("a", "a2")] = handle
+        with pytest.raises(TypeError):
+            del algo.series[("a", "a1")]
+        assert algo.series == {path: algo.series[path] for path in algo.series}
+
+    def test_handle_of_a_dropped_path_is_inert(self):
+        """A handle taken before a plan that drops its path must neither read
+        nor release the row's next tenant (double-``release()`` aliasing)."""
+        from repro.exceptions import ConfigurationError
+
+        algo = ADAAlgorithm(make_tree(), make_config())
+        if algo._index is None:
+            pytest.skip("vector backend unavailable")
+        algo.process_timeunit({("a", "a1"): 9, ("c", "c1"): 9}, 0)
+        dropped = algo.series[("c", "c1")]
+        window = dropped.actual
+        kept = algo.series[("a", "a1")]
+        freed_row = dropped.forecaster.row
+        # c1 goes (DROP: no heavy ancestor); b2 arrives and recycles the row.
+        algo.process_timeunit({("a", "a1"): 9}, 1)
+        algo.process_timeunit({("a", "a1"): 9, ("b", "b2"): 9}, 2)
+        assert ("c", "c1") not in algo.series
+        assert algo.series[("b", "b2")].forecaster.row == freed_row
+        live = len(algo.bank)
+        dropped.release()
+        dropped.release()
+        assert len(algo.bank) == live
+        with pytest.raises(ConfigurationError, match="released"):
+            window.tolist()
+        with pytest.raises(ConfigurationError, match="released"):
+            dropped.append(1.0)
+        assert algo.series[("a", "a1")] is kept and len(kept) == 3
+        assert_registry_consistent(algo)
+
+    def test_handle_follows_a_moved_series(self):
+        algo = ADAAlgorithm(make_tree(), make_config())
+        if algo._index is None:
+            pytest.skip("vector backend unavailable")
+        algo.process_timeunit({("b", "b1", "x"): 9}, 0)
+        handle = algo.series[("b", "b1", "x")]
+        row = handle.forecaster.row
+        ids = algo._index.path_to_id
+        algo._apply_plan(
+            AdaptationPlan([(MOVE, ids[("b", "b1", "x")], ids[("b", "b1")])], 0, 1)
         )
-        algo.series[("a", "a1")] = series  # bypass _series_set: no bucket
-        assert algo._series_pop(("a", "a1")) is series
+        assert list(algo.series) == [("b", "b1")]
+        assert algo.series[("b", "b1")] is handle
+        assert handle.forecaster.row == row and len(handle) == 1
+        assert_registry_consistent(algo)
+
+    WARM = [
+        {("a", "a1"): 9, ("a", "a2"): 5, ("b", "b1", "x"): 6, ("c", "c1"): 2},
+        {("a", "a1"): 7, ("a", "a3"): 5, ("b", "b1", "y"): 6, ("b", "b2"): 4},
+        {("a", "a2"): 8, ("b", "b1", "x"): 5, ("b", "b1", "y"): 5, ("c", "c1"): 6},
+        {("a", "a1"): 6, ("a", "a2"): 6, ("b", "b2"): 7, ("c", "c1"): 5},
+    ]
+    TAIL = [
+        {("a", "a1"): 8, ("b", "b1", "x"): 7, ("c", "c1"): 1},
+        {("a", "a3"): 6, ("b", "b2"): 6},
+        {},
+    ]
+
+    @staticmethod
+    def draw_plan(data, index, tracked):
+        """A random op list that is valid against the ordered id list
+        ``tracked`` (mutated along), every op kind included."""
+        ops = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+            untracked = [i for i in range(index.num_nodes) if i not in tracked]
+            donors = [
+                i for i in tracked if any(c not in tracked for c in index.child_ids[i])
+            ]
+            kinds = [
+                kind
+                for kind, possible in (
+                    (FRESH, untracked),
+                    (SPLIT, donors),
+                    (FOLD, len(tracked) >= 2),
+                    (MOVE, tracked and untracked),
+                    (DROP, tracked),
+                )
+                if possible
+            ]
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == FRESH:
+                node = data.draw(st.sampled_from(untracked))
+                ops.append((FRESH, node))
+                tracked.append(node)
+            elif kind == SPLIT:
+                donor = data.draw(st.sampled_from(donors))
+                child = data.draw(
+                    st.sampled_from(
+                        [c for c in index.child_ids[donor] if c not in tracked]
+                    )
+                )
+                ratio = data.draw(
+                    st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+                )
+                ops.append((SPLIT, donor, child, ratio, data.draw(st.booleans())))
+                tracked.append(child)
+            elif kind == FOLD:
+                src = data.draw(st.sampled_from(tracked))
+                tracked.remove(src)
+                ops.append((FOLD, src, data.draw(st.sampled_from(tracked))))
+            elif kind == MOVE:
+                src = data.draw(st.sampled_from(tracked))
+                dst = data.draw(st.sampled_from(untracked))
+                tracked.remove(src)
+                tracked.append(dst)
+                ops.append((MOVE, src, dst))
+            else:
+                src = data.draw(st.sampled_from(tracked))
+                tracked.remove(src)
+                ops.append((DROP, src))
+        return ops
+
+    @staticmethod
+    def apply_plan_scalar(algo, ops, paths):
+        """The python tier has no op list: these are the statements of its
+        ``_adapt`` / ``_split_cascade`` walk that each op stands for."""
+        series = algo.series
+        for op in ops:
+            kind = op[0]
+            if kind == FRESH:
+                series[paths[op[1]]] = NodeTimeSeries(
+                    algo.config.window_units, algo.config.forecast, bank=algo.bank
+                )
+            elif kind == SPLIT:
+                _kind, donor, child, ratio, correct = op
+                parent_series = series[paths[donor]]
+                child_series = parent_series.scaled(ratio)
+                series[paths[donor]] = parent_series.scaled(1.0 - ratio)
+                series[paths[child]] = child_series
+                parent_series.release()
+                if correct:
+                    algo._apply_reference_correction(paths[child])
+            elif kind == FOLD:
+                source = series.pop(paths[op[1]])
+                series[paths[op[2]]].merge_from(source)
+                source.release()
+            elif kind == MOVE:
+                series[paths[op[2]]] = series.pop(paths[op[1]])
+            else:
+                series.pop(paths[op[1]]).release()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_plans_keep_the_view_equal_to_the_python_tier_dict(self, data):
+        """Random valid op lists applied on row numbers vs the same ops as
+        the scalar walk's statements: same ``series`` order, same checkpoint
+        bytes right after, same detections from there on."""
+        tree, config = make_tree(), make_config()
+        algo = ADAAlgorithm(tree, config)
+        if algo._index is None:
+            pytest.skip("vector backend unavailable")
+        index = algo._index
+        run_units(algo, self.WARM)
+        taken = {path: algo.series[path] for path in list(algo.series)[::2]}
+        ops = self.draw_plan(
+            data, index, [index.path_to_id[path] for path in algo.series]
+        )
+        algo._apply_plan(AdaptationPlan(ops, 0, 0))
+        assert_registry_consistent(algo)
+        for path, handle in taken.items():
+            # Still tracked, the row never freed: the very handle.
+            # Otherwise inert, whoever holds the row now.
+            if handle.forecaster.row >= 0:
+                assert handle in list(algo.series.values())
+            else:
+                handle.release()
+        assert_registry_consistent(algo)
+        vector = (
+            list(algo.series),
+            canonical_checkpoint(algo.state_dict(), row_sorted=True),
+            run_units(algo, self.TAIL, first_unit=len(self.WARM)),
+        )
+        with python_tier():
+            oracle = ADAAlgorithm(tree, config)
+            run_units(oracle, self.WARM)
+            self.apply_plan_scalar(oracle, ops, index.paths)
+            assert_registry_consistent(oracle)
+            python = (
+                list(oracle.series),
+                canonical_checkpoint(oracle.state_dict(), row_sorted=True),
+                run_units(oracle, self.TAIL, first_unit=len(self.WARM)),
+            )
+        assert vector == python
+
+    def test_restore_resets_the_registry_and_its_handles(self):
+        algo = ADAAlgorithm(make_tree(), make_config())
+        run_units(algo, self.EVERY_OP[:3])
+        stale = algo.series[next(iter(algo.series))]
+        snapshot = json.loads(json.dumps(algo.state_dict()))
+        algo.load_state_dict(snapshot)
+        assert_registry_consistent(algo)
+        assert algo.series[next(iter(algo.series))] is not stale
+        assert canonical_checkpoint(algo.state_dict()) == canonical_checkpoint(snapshot)
 
     def test_duplicate_view_cache_annotation_removed(self):
         source = inspect.getsource(ADAAlgorithm.process_timeunit)

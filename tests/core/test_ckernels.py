@@ -23,8 +23,6 @@ np = pytest.importorskip("numpy")
 from repro import _ckernels
 from repro.core.config import ForecastConfig
 from repro.forecasting.bank import ForecasterBank
-from repro.hierarchy.index import HierarchyIndex
-from repro.hierarchy.tree import HierarchyTree
 
 pytestmark = pytest.mark.skipif(
     _ckernels.load() is None, reason="compiled kernel extension unavailable"
@@ -90,41 +88,4 @@ def test_observe_rows_steady_matches_numpy_tier(seed, window):
                 with numpy_tier():
                     forecasts.append(bank.observe_rows(rows, step_values))
         outputs.append((forecasts, canonical_rows(bank, rows)))
-    assert outputs[0] == outputs[1]
-
-
-# ----------------------------------------------------------------------
-# Hierarchy index kernels
-# ----------------------------------------------------------------------
-
-
-def make_index(seed):
-    rng = random.Random(seed)
-    paths = [
-        (f"t{a}", f"m{a}{b}", f"l{a}{b}{c}")
-        for a in range(rng.randint(2, 4))
-        for b in range(rng.randint(1, 3))
-        for c in range(rng.randint(1, 4))
-    ]
-    tree = HierarchyTree.from_leaf_paths(paths)
-    counts = {
-        path: float(rng.randrange(0, 30)) for path in paths if rng.random() < 0.8
-    }
-    return HierarchyIndex(tree), counts
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_raw_weights_and_succinct_match_numpy_tier(seed):
-    theta = 10.0
-    outputs = []
-    for compiled in (True, False):
-        index, counts = make_index(seed)
-        if compiled:
-            raw = index.raw_weights(counts)
-            modified, heavy = index.succinct(raw.copy(), theta)
-        else:
-            with numpy_tier():
-                raw = index.raw_weights(counts)
-                modified, heavy = index.succinct(raw.copy(), theta)
-        outputs.append((raw.tobytes(), modified.tobytes(), heavy.tobytes()))
     assert outputs[0] == outputs[1]

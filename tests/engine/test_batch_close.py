@@ -1,0 +1,372 @@
+"""A batch closes its timeunits together — and nobody can tell.
+
+``DetectionSession._ingest_batch_dense`` builds one count matrix for every
+timeunit a dictionary-coded batch closes and has the algorithm sweep it once;
+the units then close in order from their rows.  The contract: results, the
+observer event sequence and ``save_checkpoint`` bytes equal record-by-record
+ingestion of the same records — for a batch that closes no, one or many
+units, late runs under every out-of-order policy, a ``_pending`` remainder
+carried in from the previous batch, categories the tree does not know and a
+shadow session attached — on the vector tier this process runs (NumPy or
+compiled) and on the python tier, where coded batches take the classic path.
+
+The second half pins the bug the count matrix fixes: two dictionary codes
+naming one path used to overwrite each other's counts.
+"""
+
+from __future__ import annotations
+
+import json
+from contextlib import nullcontext
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro._vector import load_numpy
+from repro.core.config import ForecastConfig, TiresiasConfig
+from repro.engine import session as session_module
+from repro.engine.hooks import CallbackObserver
+from repro.engine.session import DetectionSession
+from repro.exceptions import OutOfOrderRecordError
+from repro.hierarchy.tree import HierarchyTree
+from repro.streaming.batch import RecordBatch
+from repro.streaming.record import OperationalRecord
+from tests.conftest import canonical_checkpoint, python_tier
+
+np = load_numpy()
+
+TIERS = {"vector": nullcontext, "python": python_tier}
+DELTA = 10.0
+
+LEAVES = [
+    ("a", "a1"),
+    ("a", "a2"),
+    ("b", "b1", "x"),
+    ("b", "b1", "y"),
+    ("b", "b2"),
+    ("c",),
+]
+#: What a record may be classified to: the leaves, an interior node and two
+#: paths the tree does not know.
+CATEGORIES = LEAVES + [("b", "b1"), ("zz", "nowhere"), ("a", "a9")]
+
+
+def make_tree() -> HierarchyTree:
+    return HierarchyTree.from_leaf_paths(LEAVES)
+
+
+def make_config(policy: str = "drop", **overrides) -> TiresiasConfig:
+    defaults = dict(
+        theta=3.0,
+        ratio_threshold=1.5,
+        difference_threshold=1.0,
+        delta_seconds=DELTA,
+        window_units=8,
+        reference_levels=1,
+        track_root=False,
+        allow_root_heavy=False,
+        out_of_order_policy=policy,
+        forecast=ForecastConfig(season_lengths=(2,), fallback_alpha=0.4),
+    )
+    defaults.update(overrides)
+    return TiresiasConfig(**defaults)
+
+
+def records_of(stream) -> list[OperationalRecord]:
+    """``[(timestamp, category index), ...]`` as records."""
+    return [OperationalRecord.create(float(ts), CATEGORIES[c]) for ts, c in stream]
+
+
+def coded_batches(records, cuts) -> list[RecordBatch]:
+    """``records`` cut at the row numbers ``cuts``, dictionary-coded."""
+    bounds = [0, *sorted(set(cuts)), len(records)]
+    return [
+        RecordBatch.from_records(records[a:b]).coded()
+        for a, b in zip(bounds, bounds[1:])
+        if a < b
+    ]
+
+
+class Run:
+    """One session fed one way, with everything the contract compares."""
+
+    def __init__(self, policy="drop", shadow=False, warmup_units=2, **config):
+        self.session = DetectionSession(
+            make_tree(), make_config(policy, **config), warmup_units=warmup_units
+        )
+        self.events: list[tuple] = []
+        self.session.subscribe(
+            CallbackObserver(
+                on_timeunit_closed=lambda _s, r: self.events.append(
+                    ("closed", r.timeunit, self.session._pending_unit)
+                ),
+                on_anomaly=lambda _s, a: self.events.append(
+                    ("anomaly", a.timeunit, a.node_path)
+                ),
+                on_warmup_complete=lambda _s, unit: self.events.append(("warm", unit)),
+                on_shadow_divergence=lambda _p, _s, unit, a, b: self.events.append(
+                    ("diverged", unit, len(a), len(b))
+                ),
+            )
+        )
+        if shadow:
+            self.session.start_shadow(make_config(policy, theta=2.0, **config))
+        self.results: list = []
+        self.error: "Exception | None" = None
+
+    def feed(self, calls) -> "Run":
+        try:
+            for call in calls:
+                self.results += call(self.session)
+            self.results += self.session.flush()
+        except OutOfOrderRecordError as exc:
+            self.error = exc
+        return self
+
+    def outcome(self, tmp_path, name: str) -> dict:
+        path = tmp_path / f"{name}.ckpt.json"
+        self.session.save_checkpoint(path)
+        return {
+            # A call that raises returns nothing: what it closed first is in
+            # the events and the checkpoint.
+            "results": self.results if self.error is None else None,
+            # The shadow mirrors an ingest call after the primary finished
+            # it, so divergences interleave per call, not per unit.
+            "events": [e for e in self.events if e[0] != "diverged"],
+            "divergences": [e for e in self.events if e[0] == "diverged"],
+            "error": None if self.error is None else str(self.error),
+            "checkpoint": canonical_checkpoint(
+                json.loads(path.read_text(encoding="utf-8")), row_sorted=True
+            ),
+            "shadow": self.session.shadow_report() if self.session.has_shadow else None,
+        }
+
+
+def by_record(records, **options) -> Run:
+    return Run(**options).feed(
+        [lambda s, r=r: s.ingest_record(r) for r in records]
+    )
+
+
+def by_batch(records, cuts, **options) -> Run:
+    return Run(**options).feed(
+        [lambda s, b=b: s.ingest_record_batch(b) for b in coded_batches(records, cuts)]
+    )
+
+
+def assert_batches_equal_records(tmp_path, stream, cuts, **options) -> Run:
+    records = records_of(stream)
+    reference = by_record(records, **options)
+    batched = by_batch(records, cuts, **options)
+    assert batched.outcome(tmp_path, "batched") == reference.outcome(tmp_path, "reference")
+    return batched
+
+
+@pytest.fixture(params=list(TIERS))
+def tier(request):
+    with TIERS[request.param]():
+        yield request.param
+
+
+#: Units 0..6 busy (1 is a gap), interior and unknown categories included.
+BUSY = [
+    (1, 0), (2, 0), (3, 0), (4, 1), (5, 6),           # unit 0
+    (21, 2), (22, 2), (23, 2), (24, 3), (25, 5),      # unit 2
+    (31, 0), (32, 0), (33, 0), (34, 0), (35, 7),      # unit 3
+    (41, 4), (42, 4), (43, 4), (44, 6), (45, 2),      # unit 4
+    (51, 0), (52, 1), (53, 1), (54, 1), (55, 5),      # unit 5
+    (61, 2), (62, 3), (63, 3), (64, 3), (65, 0),      # unit 6
+]
+
+
+class TestBatchEqualsRecords:
+    @pytest.mark.parametrize(
+        "cuts, from_rows",
+        [
+            ([], 5),                    # one batch closes every unit
+            ([3], 5),                   # the first batch closes nothing
+            ([5, 10], 3),               # cuts on unit boundaries: one unit, then many
+            ([7, 13, 22], 5),           # a _pending remainder carried into the next batch
+            (list(range(1, 30)), 0),    # one record per batch
+        ],
+        ids=["whole", "none-then-many", "on-boundaries", "mid-unit", "single-rows"],
+    )
+    def test_closing_no_one_and_many_units(self, tier, tmp_path, cuts, from_rows):
+        """``from_rows``: units that close from a matrix row — those with a
+        run in the batch that closes them (never the gap unit 1, the flushed
+        unit 6, or a unit whose records all arrived in earlier batches)."""
+        batched = assert_batches_equal_records(tmp_path, BUSY, cuts)
+        profile = batched.session.close_profile()
+        if tier == "vector" and np is not None:
+            assert profile["dense_close_units"] == from_rows
+        else:
+            assert profile["dense_close_units"] == 0
+
+    @pytest.mark.parametrize("policy", ["drop", "clamp", "raise"])
+    @pytest.mark.parametrize("cuts", [[], [9], [4, 12, 17]], ids=["whole", "two", "four"])
+    def test_late_runs_under_every_policy(self, tier, tmp_path, policy, cuts):
+        stream = list(BUSY)
+        # Late runs: inside a batch, first in a batch (cut 12) and last (cut 17).
+        stream[11:11] = [(2, 1), (3, 1)]
+        stream[12:12] = [(26, 0)]
+        stream[16:16] = [(12, 4), (28, 4), (36, 0)]
+        batched = assert_batches_equal_records(tmp_path, stream, cuts, policy=policy)
+        assert (batched.error is not None) == (policy == "raise")
+
+    @pytest.mark.parametrize("policy", ["drop", "clamp"])
+    def test_a_batch_of_nothing_but_late_runs(self, tier, tmp_path, policy):
+        stream = BUSY[:20] + [(2, 1), (3, 1), (26, 0), (27, 7)] + BUSY[20:]
+        assert_batches_equal_records(tmp_path, stream, [20, 24], policy=policy)
+
+    def test_a_gap_wider_than_any_matrix_closes_unit_by_unit(self, tier, tmp_path):
+        stream = BUSY[:10] + [(ts + 4000, c) for ts, c in BUSY[10:]]
+        batched = assert_batches_equal_records(tmp_path, stream, [13])
+        assert batched.session.units_processed == 407
+
+    def test_with_a_shadow_session_attached(self, tier, tmp_path):
+        batched = assert_batches_equal_records(tmp_path, BUSY, [7, 22], shadow=True)
+        assert batched.session.shadow.units_processed == batched.session.units_processed
+        assert batched.outcome(tmp_path, "again")["divergences"]
+
+    def test_masks_apply_to_every_row(self, tier, tmp_path):
+        for masks in (
+            dict(track_root=True, allow_root_heavy=True),
+            dict(min_heavy_depth=2),
+        ):
+            assert_batches_equal_records(tmp_path, BUSY, [7], **masks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([0, 0, 0, 1, 4, 11, 25, -3, -14]),
+                st.integers(min_value=0, max_value=len(CATEGORIES) - 1),
+                st.integers(min_value=1, max_value=4),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        cuts=st.lists(st.integers(min_value=1, max_value=120), max_size=6),
+        policy=st.sampled_from(["drop", "clamp", "raise"]),
+    )
+    def test_random_streams(self, tmp_path_factory, steps, cuts, policy):
+        """Random arrival order (late runs included), categories and cuts."""
+        now, stream = 5.0, []
+        for advance, category, repeat in steps:
+            now = max(0.0, now + advance)
+            stream += [(now, category)] * repeat
+        tmp_path = tmp_path_factory.mktemp("random")
+        for name, tier in TIERS.items():
+            with tier():
+                assert_batches_equal_records(tmp_path, stream, cuts, policy=policy)
+
+
+@pytest.mark.skipif(np is None, reason="the count matrix needs the vector backend")
+class TestMatrixBound:
+    def test_a_batch_over_the_cell_budget_is_ingested_in_halves(
+        self, tmp_path, monkeypatch
+    ):
+        records = records_of(BUSY)
+        reference = by_record(records).outcome(tmp_path, "reference")
+        width = Run().session.algorithm.num_node_ids
+        swept_rows = []
+        for budget in (width, 2 * width, 3 * width, 1 << 20):
+            monkeypatch.setattr(session_module, "_DENSE_MATRIX_CELLS", budget)
+            run = Run()
+            sweep = run.session.algorithm.sweep_timeunits
+            rows: list[int] = []
+
+            def recording_sweep(counts, leaf_counts=None, sweep=sweep, rows=rows):
+                rows.append(len(counts))
+                return sweep(counts, leaf_counts)
+
+            run.session.algorithm.sweep_timeunits = recording_sweep
+            run.feed([lambda s: s.ingest_record_batch(coded_batches(records, [])[0])])
+            assert run.outcome(tmp_path, "bounded") == reference
+            assert max(rows) * width <= max(budget, width)
+            swept_rows.append(rows)
+        # One-row sweeps are single closes (the gap unit, the flush, a half's
+        # last unit that stayed open in ``_pending``).
+        assert [max(rows) for rows in swept_rows] == [1, 2, 2, 5]
+
+
+# ----------------------------------------------------------------------
+# Two dictionary codes, one path
+# ----------------------------------------------------------------------
+REPEATED_DICTIONARY = [("a", "a1"), ("a", "a1"), ("b", "b2")]
+#: (timestamp, code): unit 0 holds four ("a", "a1") records under two codes,
+#: unit 1 three, unit 2 stays open.
+REPEATED_ROWS = [
+    (1, 0), (2, 1), (3, 0), (4, 1), (5, 2),
+    (11, 0), (12, 1), (13, 0), (14, 2),
+    (21, 0),
+]
+
+
+def repeated_dictionary_batch() -> RecordBatch:
+    timestamps = [float(ts) for ts, _ in REPEATED_ROWS]
+    codes = [code for _, code in REPEATED_ROWS]
+    if np is not None:
+        codes = np.asarray(codes, dtype=np.int32)
+    return RecordBatch.from_dictionary_codes(timestamps, codes, REPEATED_DICTIONARY)
+
+
+def same_records_from_columns() -> RecordBatch:
+    return RecordBatch.from_columns(
+        [float(ts) for ts, _ in REPEATED_ROWS],
+        [REPEATED_DICTIONARY[code] for _, code in REPEATED_ROWS],
+    )
+
+
+def session_outcome(batches) -> tuple:
+    session = DetectionSession(make_tree(), make_config(), warmup_units=0)
+    results = []
+    for batch in batches:
+        results += session.ingest_record_batch(batch)
+    state = canonical_checkpoint(session.state_dict(), row_sorted=True)
+    return results + session.flush(), state
+
+
+class TestRepeatedDictionaryEntry:
+    def test_serial_session_counts_every_code_of_a_path(self, tier):
+        results, state = session_outcome([repeated_dictionary_batch()])
+        assert results[0].actuals[("a", "a1")] == 4.0
+        assert results[1].actuals[("a", "a1")] == 3.0  # theta: either code alone is not
+        assert (results, state) == session_outcome([same_records_from_columns()])
+
+    def test_rcol_file_with_a_repeated_dictionary_entry(self, tier, tmp_path):
+        from repro.io.columnar import read_batches_columnar, write_trace_columnar
+
+        distinct = [("a", "a1"), ("a", "a2"), ("b", "b2")]
+        path = tmp_path / "repeated.rcol"
+        write_trace_columnar(
+            [OperationalRecord.create(float(ts), distinct[code]) for ts, code in REPEATED_ROWS],
+            path,
+        )
+        # Nothing refuses a repeated entry; the writer just never emits one.
+        # Same length, so every offset in the header stays right.
+        blob = path.read_bytes()
+        assert blob.count(b'["a", "a2"]') == 1
+        path.write_bytes(blob.replace(b'["a", "a2"]', b'["a", "a1"]'))
+        for batch_size in (4, 64):
+            batches = list(read_batches_columnar(path, batch_size))
+            assert batches[0].code_dictionary == REPEATED_DICTIONARY
+            assert session_outcome(batches) == session_outcome(
+                [same_records_from_columns()]
+            )
+
+    @pytest.mark.skipif(np is None, reason="the sharded engine needs NumPy")
+    def test_subtree_sharded_engine(self):
+        from repro.engine.engine import DetectionEngine
+        from repro.engine.sharded import ShardedDetectionEngine
+
+        def run(engine, batch, **session_options):
+            engine.add_session("s", make_tree(), make_config(), **session_options)
+            results = engine.ingest_record_batch(batch)["s"] + engine.flush()["s"]
+            return results, [a.to_dict() for a in engine.anomalies()["s"]]
+
+        want = run(DetectionEngine(), same_records_from_columns())
+        assert want[0][0].actuals[("a", "a1")] == 4.0
+        with ShardedDetectionEngine(num_workers=2) as engine:
+            assert run(engine, repeated_dictionary_batch(), subtree_shards=2) == want
