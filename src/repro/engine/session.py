@@ -124,8 +124,8 @@ class DetectionSession:
         self._warmup_announced = False
         self._observers: list[EngineObserver] = []
         self.reading_seconds = 0.0
-        #: Dense columnar ingest: the last batch dictionary's node-id map and
-        #: decoded paths (columnar readers share one dictionary per file).
+        #: Dense columnar ingest: the last batch dictionary and its node-id
+        #: map (columnar readers share one dictionary per file).
         self._dense_dict: tuple | None = None
         #: Shadow experiment: a cloned session running a candidate config
         #: against the identical stream (see :meth:`start_shadow`), plus the
@@ -205,10 +205,14 @@ class DetectionSession:
     def ingest_record_batch(self, batch: RecordBatch) -> list[TimeunitResult]:
         """Add a columnar batch; returns results of all timeunits that closed.
 
-        The batch is reduced to per-timeunit count dictionaries by one grouped
-        aggregation (:meth:`RecordBatch.group_runs_by_timeunit`) and those
-        dictionaries are folded into the pending timeunit wholesale, instead
-        of incrementing per record.  Because the aggregation groups *runs* in
+        On a vector tier a dictionary-coded batch — what every trace reader
+        and the service's decoder emit — closes its timeunits together
+        (:meth:`_ingest_batch_dense`).  Otherwise (the python tier, a batch
+        built from tuples, ``raise`` with a late run) the batch is reduced
+        to per-timeunit count dictionaries by one grouped aggregation
+        (:meth:`RecordBatch.group_runs_by_timeunit`) and those dictionaries
+        are folded into the pending timeunit wholesale, instead of
+        incrementing per record.  Because both group *runs* in
         arrival order, the out-of-order policy fires for exactly the records
         it would fire for under :meth:`ingest_record` — a batch spanning an
         already-closed timeunit splits, and only the late run is dropped /
@@ -253,18 +257,32 @@ class DetectionSession:
         return closed
 
     def _dense_mapping(self, dictionary):
-        """``(node_id_per_code, path_per_code)`` for a batch dictionary.
+        """Node id per code of a batch dictionary (-1: not in the tree).
 
         Cached by dictionary object identity — a columnar file yields one
         shared dictionary for every batch, so the map is built once per file.
+        A reader whose codebook is still growing hands over a longer list
+        whenever new categories appeared (see
+        :class:`~repro.streaming.batch.ColumnAccumulator`); when the cached
+        dictionary is a prefix of the new one only the new entries are
+        mapped.
         """
         cached = self._dense_dict
-        if cached is not None and cached[0] is dictionary:
-            return cached[1], cached[2]
+        if cached is not None:
+            known, id_map = cached
+            if known is dictionary:
+                return id_map
+            if dictionary[: len(known)] == known:
+                tail = dictionary[len(known) :]
+                if tail:
+                    id_map = _np.concatenate(
+                        [id_map, self.algorithm.dictionary_node_ids(tail)]
+                    )
+                self._dense_dict = (dictionary, id_map)
+                return id_map
         id_map = self.algorithm.dictionary_node_ids(dictionary)
-        paths = [tuple(path) for path in dictionary]
-        self._dense_dict = (dictionary, id_map, paths)
-        return id_map, paths
+        self._dense_dict = (dictionary, id_map)
+        return id_map
 
     def _ingest_batch_dense(self, batch: RecordBatch) -> "list[TimeunitResult] | None":
         """Code-column ingest: the timeunits a batch closes, closed together.
@@ -281,10 +299,12 @@ class DetectionSession:
         see one closed unit at a time.  Matrix counts can never appear in a
         checkpoint, so the insertion-order contract of ``_pending`` is
         untouched: a remainder carried in from the previous batch is folded
-        into its unit's row, runs of the still-open trailing timeunit decode
-        into the ``_pending`` Counter in arrival order, exactly like the
-        classic path, and a timeunit no run of this batch lands in closes
-        from ``_pending`` alone.  Returns None to delegate the whole batch
+        into its unit's row, runs of the still-open trailing timeunit are
+        counted per distinct code and land in the ``_pending`` Counter in
+        first-appearance order — the keys and order the classic path's
+        ``Counter(tuples)`` produces, without a statement per record — and a
+        timeunit no run of this batch lands in closes from ``_pending``
+        alone.  Returns None to delegate the whole batch
         to the classic path when a late run could raise mid-batch
         (out_of_order_policy == "raise") — the cold path keeps the
         exception-time session state authoritative.
@@ -330,7 +350,7 @@ class DetectionSession:
                 *self._ingest_record_batch_primary(batch.slice(middle, len(batch))),
             ]
         codes = batch.category_codes
-        id_map, paths = self._dense_mapping(batch.code_dictionary)
+        dictionary = batch.code_dictionary
         if self._pending_unit is None:
             self._pending_unit = units[0]  # a first run is never late
         swept = []
@@ -339,7 +359,7 @@ class DetectionSession:
             rows = np_.repeat(
                 np_.array(run_rows), [stop - start for _, start, stop in runs]
             )
-            node_ids = id_map[codes]
+            node_ids = self._dense_mapping(dictionary)[codes]
             counted = (rows >= 0) & (rows < open_row) & (node_ids >= 0)
             counts = np_.bincount(
                 rows[counted] * width + node_ids[counted],
@@ -368,8 +388,10 @@ class DetectionSession:
             pending = self._pending
             for (_, start, stop), run_row in zip(runs, run_rows):
                 if run_row == open_row:
-                    for code in codes[start:stop].tolist():
-                        pending[paths[code]] += 1
+                    # One statement per distinct code, in first-appearance
+                    # order (a Counter counts in C and keeps it).
+                    for code, count in Counter(codes[start:stop].tolist()).items():
+                        pending[tuple(dictionary[code])] += count
         return closed
 
     def process_batches(self, batches: Iterable[RecordBatch]) -> list[TimeunitResult]:

@@ -19,10 +19,11 @@ pickle walks every float — so :func:`encode_frame` separates the two:
   row.  The receiver rebuilds the encoded column from those buffers; no
   attribute dict is built on either side of the channel.
 
-Uncoded batches are dictionary-encoded here in first-appearance order
-(:meth:`RecordBatch.coded`), so the decoded batch is a coded batch over the
-same records — the sessions downstream decode categories identically either
-way.
+Every trace reader emits dictionary-coded batches, so a batch normally
+arrives here with its code column built; a batch assembled from tuples by
+hand (``RecordBatch(...)``, ``from_records``) is coded on the spot in
+first-appearance order (:meth:`RecordBatch.coded`), so the decoded batch is
+always a coded batch over the same records.
 
 Delta dictionaries
 ------------------
@@ -81,7 +82,7 @@ from typing import Any
 
 from repro.exceptions import ShardingError
 from repro.streaming.attributes import EncodedAttributes
-from repro.streaming.batch import RecordBatch
+from repro.streaming.batch import Codebook, RecordBatch
 
 try:  # pragma: no cover - exercised implicitly by the whole suite
     import numpy as _np
@@ -128,46 +129,39 @@ class _BatchRef:
 class DictEncoder:
     """Coordinator-side cumulative category dictionary for one channel.
 
-    Mirrors, path for path, the list the worker builds from the deltas it
-    receives — both sides walk frames in the same order, so the code
-    assignments agree by construction.  One encoder per worker channel;
-    never share an encoder across channels.
+    A :class:`~repro.streaming.batch.Codebook` that mirrors, path for path,
+    the list the worker builds from the deltas it receives — both sides
+    walk frames in the same order, so the code assignments agree by
+    construction.  One encoder per worker channel; never share an encoder
+    across channels.
     """
 
-    __slots__ = ("lookup", "_translation")
+    __slots__ = ("book", "_translation")
 
     def __init__(self) -> None:
-        self.lookup: dict = {}
+        self.book = Codebook()
         # (dictionary, translation) of the last batch dictionary seen.  A
-        # columnar reader shares one dictionary per file, so this hits on
-        # every frame of a replay; batches coded on the fly (NDJSON-born)
-        # bring a fresh dictionary each, which an unbounded map would pin.
+        # trace reader shares one dictionary object between consecutive
+        # batches (per file for ``.rcol``, while no new category appears for
+        # the accumulator-built ones), so this hits on most frames of a
+        # replay; an unbounded map would pin every dictionary ever seen.
         self._translation: "tuple | None" = None
 
     def __len__(self) -> int:
-        return len(self.lookup)
-
-    def code_paths(self, paths, delta: list) -> list:
-        """Cumulative codes for ``paths``; unseen paths are appended to
-        ``delta`` (and to the cumulative dictionary) in first-appearance
-        order."""
-        lookup = self.lookup
-        codes = []
-        for path in paths:
-            code = lookup.get(path)
-            if code is None:
-                code = lookup[path] = len(lookup)
-                delta.append(path)
-            codes.append(code)
-        return codes
+        return len(self.book)
 
     def translation_for(self, dictionary, delta: list):
-        """Per-batch-dictionary code translation table, reused while
-        consecutive batches share one dictionary object."""
+        """Per-batch-dictionary table from batch codes to cumulative codes,
+        reused while consecutive batches share one dictionary object; paths
+        the channel has not seen are appended to ``delta`` (and to the
+        cumulative dictionary) in first-appearance order."""
         cached = self._translation
         if cached is not None and cached[0] is dictionary:
             return cached[1]
-        translation = self.code_paths([tuple(path) for path in dictionary], delta)
+        book = self.book
+        base = len(book)
+        translation = book.codes([tuple(path) for path in dictionary])
+        delta.extend(book.entries[base:])
         if _np is not None:
             translation = _np.asarray(translation, dtype="<i4")
         self._translation = (dictionary, translation)

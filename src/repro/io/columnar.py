@@ -46,7 +46,7 @@ from typing import Any, Iterable, Iterator, Mapping
 from repro._vector import load_numpy
 from repro.exceptions import StreamError
 from repro.streaming.attributes import EncodedAttributes
-from repro.streaming.batch import RecordBatch
+from repro.streaming.batch import Codebook, RecordBatch
 from repro.streaming.record import OperationalRecord
 
 MAGIC = b"\x93RCOL"
@@ -88,20 +88,12 @@ def write_trace_columnar(
     """
     timestamps = array("d")
     codes = array("i")
-    dictionary: list[tuple] = []
-    code_of: dict[tuple, int] = {}
+    book = Codebook()
     # The attributes section, built as the rows arrive: JSON bytes back to
     # back and the running end offset of every row.
     attr_chunks: list[bytes] = []
     attr_offsets = array("q", [0])
     position = 0
-
-    def code_for(category: tuple) -> int:
-        code = code_of.get(category)
-        if code is None:
-            code = code_of[category] = len(dictionary)
-            dictionary.append(category)
-        return code
 
     def add_attribute_row(attrs: "Mapping[str, Any] | None") -> None:
         nonlocal position
@@ -114,7 +106,7 @@ def write_trace_columnar(
     for item in source:
         if not isinstance(item, RecordBatch):
             timestamps.append(float(item.timestamp))
-            codes.append(code_for(tuple(item.category)))
+            codes.append(book.code(tuple(item.category)))
             add_attribute_row(item.attributes)
             continue
         item_ts = item.timestamps
@@ -123,7 +115,7 @@ def write_trace_columnar(
         if item_codes is not None:
             # Coded batch: translate codes dictionary-to-dictionary without
             # materializing category tuples per record.
-            translate = [code_for(category) for category in item.code_dictionary]
+            translate = book.codes(item.code_dictionary)
             codes.extend(
                 translate[code]
                 for code in (
@@ -131,7 +123,7 @@ def write_trace_columnar(
                 )
             )
         else:
-            codes.extend(code_for(category) for category in item.categories)
+            codes.extend(book.codes(item.categories))
         batch_attrs = item.attributes
         if isinstance(batch_attrs, EncodedAttributes):
             # Still-encoded rows pass through byte for byte.
@@ -156,7 +148,7 @@ def write_trace_columnar(
     header_struct = struct.Struct("<5sBBI")
     payload = {
         "count": count,
-        "dictionary": [list(path_) for path_ in dictionary],
+        "dictionary": [list(path_) for path_ in book.entries],
         "columns": columns,
     }
     header_bytes = b""

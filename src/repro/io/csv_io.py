@@ -110,7 +110,7 @@ def read_batches_csv(
             raise StreamError(f"{path} is missing the {TIMESTAMP_COLUMN!r} column")
         ts_index = header.index(TIMESTAMP_COLUMN)
         columns = [header.index(name) for name in _sorted_level_columns(header)]
-        acc = ColumnAccumulator()
+        acc = ColumnAccumulator(batch_size)
         for row_number, row in enumerate(reader, start=2):
             labels = []
             for i in columns:

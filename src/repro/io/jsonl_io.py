@@ -9,7 +9,11 @@ format of choice for traces with ground-truth annotations.
 and both service front ends (``POST /ingest`` and the raw socket, see
 :mod:`repro.service.http`) hand it bytes — a whole body or one block at a
 time — and get batches back, so what counts as a line, which lines are
-records and how a bad one is reported is the same at every edge.
+records and how a bad one is reported is the same at every edge.  The
+batches hold what an ``.rcol`` file holds: ``float64`` timestamps, one
+``int32`` dictionary code per record, the decoder's cumulative category
+dictionary (one per tenant, bounded — see
+:class:`~repro.streaming.batch.ColumnAccumulator`) and the attribute rows.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ class NdjsonDecodeError(StreamError):
 
 
 class NdjsonDecoder:
-    """Strict NDJSON bytes → per-tenant :class:`RecordBatch` columns.
+    """Strict NDJSON bytes → per-tenant dictionary-coded :class:`RecordBatch`
+    columns.
 
     Lines are what ``bytes.splitlines`` says they are (``\\n``, ``\\r\\n`` or a
     lone ``\\r`` ends one), stripped of ASCII whitespace; blank lines are
@@ -88,7 +93,7 @@ class NdjsonDecoder:
         self._is_known_tenant = is_known_tenant
         self._accumulators: "dict[str | None, ColumnAccumulator]" = {}
         if is_known_tenant is None:
-            self._accumulators[default_tenant] = ColumnAccumulator()
+            self._accumulators[default_tenant] = ColumnAccumulator(batch_size)
         self._ready: "list[tuple[str | None, RecordBatch]]" = []
         self._carry = b""
         self._lines_seen = first_line - 1
@@ -185,7 +190,7 @@ class NdjsonDecoder:
                                 raise NdjsonDecodeError(
                                     line_number, f"unknown tenant {tenant!r}"
                                 )
-                            acc = accumulators[tenant] = ColumnAccumulator()
+                            acc = accumulators[tenant] = ColumnAccumulator(batch_size)
                         current = tenant
                         add_row = acc.add_trace_row
                         room = batch_size - len(acc)
@@ -237,7 +242,8 @@ def read_batches_jsonl(
 
     Parsed values land directly in the batch columns (including the
     attribute column, so engine stream-key routing still works) without
-    building per-row record objects.
+    building per-row record objects; the batches share the file's
+    cumulative category dictionary.
     """
     decoder = NdjsonDecoder(batch_size)
     path = Path(path)

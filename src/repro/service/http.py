@@ -9,11 +9,15 @@ JSON scanner, requires it to be exactly one object, routes it to its tenant
 and appends it through :meth:`ColumnAccumulator.add_trace_row
 <repro.streaming.batch.ColumnAccumulator.add_trace_row>` (one Python call per
 record, the same coercion the CSV and JSONL file readers use).  What comes
-back are :class:`~repro.streaming.batch.RecordBatch` columns ready for the
-queue; the only per-record objects are the ones the scanner makes (the
-line's ``dict`` is dropped once its values are in the columns).  Time spent
-decoding and bytes handed over are counted (``ingest_decode_seconds_total``
-/ ``ingest_bytes_total`` in ``/metrics``).
+back are dictionary-coded :class:`~repro.streaming.batch.RecordBatch`
+columns ready for the queue — timestamps, one ``int32`` category code per
+record, the dictionary of the request (HTTP) or connection (socket), the
+attribute rows — so the worker closes a post the way a replay closes an
+``.rcol`` batch; the only per-record objects are the ones the scanner makes
+(the line's ``dict`` is dropped once its values are in the columns, a
+category tuple once it is looked up unless it is the first of its kind).
+Time spent decoding and bytes handed over are counted
+(``ingest_decode_seconds_total`` / ``ingest_bytes_total`` in ``/metrics``).
 
 HTTP endpoints (``Connection: close``; one request per connection):
 

@@ -165,8 +165,16 @@ class SessionManager:
         return len(self._active)
 
     def is_known(self, name: str) -> bool:
-        with self._lock:
-            return name in self._specs or self.has_checkpoint(name)
+        """Whether ``name`` is configured or left a checkpoint — lock-free.
+
+        The front ends ask this on the event-loop thread for every ingest
+        request, while the worker thread holds the manager lock for a whole
+        batch close (or a multi-second worker recovery); waiting for it
+        would park the loop, ``/healthz`` included.  Nothing here needs the
+        lock: ``_specs`` is written only in ``__init__`` and
+        :meth:`has_checkpoint` only stats files.
+        """
+        return name in self._specs or self.has_checkpoint(name)
 
     # ------------------------------------------------------------------
     # Activation / eviction

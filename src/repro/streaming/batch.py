@@ -1,9 +1,14 @@
 """Columnar record batches: the vectorized ingestion substrate.
 
 A :class:`RecordBatch` holds many operational records as parallel columns —
-one timestamp array, one category list, one (optional) attribute list —
+one timestamp array, one category column, one (optional) attribute list —
 instead of N :class:`~repro.streaming.record.OperationalRecord` objects.  The
-whole hot path operates on these columns:
+category column of every batch a trace reader emits is *dictionary-coded*:
+one ``int32`` code per record into a list of the distinct paths
+(:class:`Codebook`, :class:`ColumnAccumulator`); a batch assembled by hand
+from tuples (``RecordBatch(...)``, :meth:`RecordBatch.from_records`) keeps
+the tuple list, and :attr:`RecordBatch.categories` reads the same either
+way.  The whole hot path operates on these columns:
 
 * timeunit classification is one vectorized pass over the timestamp column
   (:meth:`RecordBatch.timeunit_indices`);
@@ -55,6 +60,45 @@ except ImportError:  # pragma: no cover - minimal installs
 #: Whether the vectorized (NumPy) kernels are active.
 HAS_VECTOR_BACKEND = _np is not None
 
+#: A :class:`ColumnAccumulator` built for batches of ``batch_size`` rows
+#: starts a fresh codebook rather than let one grow past this many batches'
+#: worth of entries, so a stream of all-distinct categories holds
+#: O(``batch_size``) dictionary entries, never O(stream).
+CODEBOOK_BATCHES = 4
+
+
+class Codebook:
+    """Category paths numbered in first-appearance order.
+
+    THE dictionary builder: the accumulator behind every trace reader,
+    :meth:`RecordBatch.coded`, the shard channels' cumulative dictionaries
+    (:class:`~repro.engine.transport.wire.DictEncoder`) and the ``.rcol``
+    writer all number paths through one of these.  ``entries[code]`` is the
+    path, ``lookup[path]`` its code; both only ever grow.
+    """
+
+    __slots__ = ("lookup", "entries")
+
+    def __init__(self) -> None:
+        self.lookup: dict[CategoryPath, int] = {}
+        self.entries: list[CategoryPath] = []
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def code(self, path: CategoryPath) -> int:
+        """The code of ``path``, numbering it if it is new."""
+        code = self.lookup.get(path)
+        if code is None:
+            code = self.lookup[path] = len(self.entries)
+            self.entries.append(path)
+        return code
+
+    def codes(self, paths: Iterable[CategoryPath]) -> list[int]:
+        """:meth:`code` of every path, in order."""
+        code = self.code
+        return [code(path) for path in paths]
+
 
 class RecordBatch:
     """A column-oriented batch of operational records.
@@ -66,7 +110,8 @@ class RecordBatch:
         array when NumPy is available, else an ``array('d')``.
     categories:
         Per-record category paths (tuples of labels), parallel to
-        ``timestamps``.
+        ``timestamps``.  (Readers build coded batches instead —
+        :meth:`from_dictionary_codes`.)
     attributes:
         Optional per-record attribute mappings, parallel to ``timestamps``.
         ``None`` means every record has empty attributes (the common case for
@@ -176,7 +221,8 @@ class RecordBatch:
         dictionary: Sequence[CategoryPath],
         attributes: Sequence[Mapping[str, Any]] | None = None,
     ) -> "RecordBatch":
-        """Build a batch from dictionary-encoded categories (columnar reader).
+        """Build a batch from dictionary-encoded categories (what every
+        trace reader and the wire decoder do).
 
         ``codes`` holds one index into ``dictionary`` per record (an ``int32``
         NumPy array on vector installs, any int sequence otherwise) and
@@ -296,24 +342,18 @@ class RecordBatch:
         return RecordBatch(ts, self.categories + other.categories, attrs)
 
     def coded(self) -> "RecordBatch":
-        """This batch with dictionary-coded categories (itself when it already
-        is): one code per record into a dictionary of the distinct paths in
-        first-appearance order."""
+        """This batch with dictionary-coded categories: one code per record
+        into a dictionary of the distinct paths in first-appearance order.
+        Reader-born batches already are and come back as themselves; only a
+        batch built from tuples by hand is coded here."""
         if self.category_codes is not None:
             return self
-        dictionary: list[CategoryPath] = []
-        lookup: dict[CategoryPath, int] = {}
-        codes = []
-        for category in self._categories:
-            code = lookup.get(category)
-            if code is None:
-                code = lookup[category] = len(dictionary)
-                dictionary.append(category)
-            codes.append(code)
+        book = Codebook()
+        codes = book.codes(self._categories)
         if _np is not None:
             codes = _np.asarray(codes, dtype=_np.int32)
         batch = RecordBatch.from_dictionary_codes(
-            self.timestamps, codes, dictionary, self.attributes
+            self.timestamps, codes, book.entries, self.attributes
         )
         batch._categories = self._categories
         return batch
@@ -472,22 +512,54 @@ class RecordBatch:
 
 
 class ColumnAccumulator:
-    """Row-by-row builder of :class:`RecordBatch` columns.
+    """Row-by-row builder of dictionary-coded :class:`RecordBatch` columns.
 
     Every batch producer (record chunkers, the stream's columnar iterator,
-    the io batch loaders) shares this accumulator so the column conventions —
-    in particular dropping the attribute column when every row is empty —
-    live in exactly one place.
+    the io batch loaders, the NDJSON decoder behind both service front ends)
+    shares this accumulator so the column conventions live in exactly one
+    place: a timestamp per row, a dictionary code per row, the attribute
+    column dropped when every row is empty.  Categories never sit in a
+    per-record tuple column — a row's path is looked up in the
+    accumulator's :class:`Codebook` and only its code is kept, which is the
+    representation an ``.rcol`` file holds and the dense close consumes.
+
+    The codebook is cumulative over the accumulator's lifetime (one file,
+    one HTTP request, one socket connection), so consecutive batches share
+    their dictionary.  Two rules make that safe to hand out:
+
+    * a dictionary object given to a batch never changes size afterwards
+      (sessions and shard channels cache per dictionary *object*): growth
+      is published once per :meth:`flush`, as a new list, and while nothing
+      new appeared every batch gets the same object;
+    * with ``batch_size`` given — the row count the caller flushes at — a
+      fresh codebook is started at a flush that finds more than
+      ``(CODEBOOK_BATCHES - 1) * batch_size`` entries, so no dictionary
+      ever exceeds ``CODEBOOK_BATCHES * batch_size`` entries however many
+      distinct categories a stream carries.
     """
 
-    __slots__ = ("timestamps", "categories", "attributes", "_any_attrs")
+    __slots__ = (
+        "timestamps",
+        "codes",
+        "attributes",
+        "_any_attrs",
+        "_book",
+        "_dictionary",
+        "_codebook_limit",
+    )
 
-    def __init__(self):
+    def __init__(self, batch_size: "int | None" = None):
+        self._codebook_limit = (
+            None if batch_size is None else (CODEBOOK_BATCHES - 1) * batch_size
+        )
+        self._book = Codebook()
+        #: The dictionary object the last flush handed out.
+        self._dictionary: list[CategoryPath] = []
         self._reset()
 
     def _reset(self) -> None:
         self.timestamps: list[float] = []
-        self.categories: list[CategoryPath] = []
+        self.codes: list[int] = []
         self.attributes: list[Mapping[str, Any]] = []
         self._any_attrs = False
 
@@ -501,7 +573,7 @@ class ColumnAccumulator:
         attributes: "Mapping[str, Any] | None" = None,
     ) -> None:
         self.timestamps.append(timestamp)
-        self.categories.append(category)
+        self.codes.append(self._book.code(category))
         attrs = attributes or {}
         self.attributes.append(attrs)
         self._any_attrs = self._any_attrs or bool(attrs)
@@ -526,7 +598,8 @@ class ColumnAccumulator:
         mapping or a set — and non-empty attributes must be a mapping.
         Raises :class:`~repro.exceptions.StreamError` otherwise, so a bad
         row is refused where it is read instead of failing later on the
-        detection thread, where it would take its whole batch with it.
+        detection thread, where it would take its whole batch with it.  A
+        refused row leaves the columns and the codebook untouched.
         """
         if type(labels) is not list and (
             isinstance(labels, (str, bytes)) or not isinstance(labels, Sequence)
@@ -535,9 +608,12 @@ class ColumnAccumulator:
                 f"record category must be a sequence of labels, got "
                 f"{type(labels).__name__}"
             )
+        book = self._book
         try:
             category = tuple(labels)
-            hash(category)  # a nested list label would die at classification
+            # The lookup is also the hashability check: a nested list label
+            # would die at classification.
+            code = book.lookup.get(category)
             if type(timestamp) is not float:
                 timestamp = float(timestamp)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -555,16 +631,37 @@ class ColumnAccumulator:
                 f"record attributes must be a mapping, got "
                 f"{type(attributes).__name__}"
             )
-        # ``add`` inlined: this runs once per ingested record.
+        # ``Codebook.code`` (its lookup was done above) and ``add`` inlined:
+        # this runs once per ingested record.
+        if code is None:
+            entries = book.entries
+            code = book.lookup[category] = len(entries)
+            entries.append(category)
         self.timestamps.append(timestamp)
-        self.categories.append(category)
+        self.codes.append(code)
         self.attributes.append(attributes)
 
     def flush(self) -> RecordBatch:
-        """The accumulated rows as a batch; the accumulator resets to empty."""
-        batch = RecordBatch(
+        """The accumulated rows as a coded batch; the rows reset to empty,
+        the codebook carries over (see the class docstring)."""
+        book = self._book
+        limit = self._codebook_limit
+        if limit is not None and len(book) > limit:
+            # Retired with its codebook, so nothing appends to it again.
+            dictionary = book.entries
+            self._book = Codebook()
+            self._dictionary = []
+        else:
+            if len(book) != len(self._dictionary):
+                self._dictionary = list(book.entries)
+            dictionary = self._dictionary
+        codes = self.codes
+        if _np is not None:
+            codes = _np.array(codes, dtype=_np.int32)
+        batch = RecordBatch.from_dictionary_codes(
             self.timestamps,
-            self.categories,
+            codes,
+            dictionary,
             self.attributes if self._any_attrs else None,
         )
         self._reset()
@@ -577,7 +674,7 @@ def iter_record_batches(
     """Chunk any record iterable into :class:`RecordBatch` objects of ``size``."""
     if size < 1:
         raise StreamError(f"batch size must be >= 1, got {size}")
-    acc = ColumnAccumulator()
+    acc = ColumnAccumulator(size)
     for record in records:
         acc.add_record(record)
         if len(acc) >= size:

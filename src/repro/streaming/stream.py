@@ -109,7 +109,7 @@ class InputStream:
         """
         if size < 1:
             raise StreamError(f"batch size must be >= 1, got {size}")
-        acc = ColumnAccumulator()
+        acc = ColumnAccumulator(size)
         while True:
             for record in self._records:
                 acc.add_record(record)

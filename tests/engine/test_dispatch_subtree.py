@@ -397,9 +397,10 @@ def test_rcol_with_attributes_sharded_equals_serial(rcol_batches, transport, flu
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_ndjson_born_batches_sharded_equals_serial(transport):
-    """Tuple categories + a ``list`` attribute column (what the service's
-    decoder builds) are dictionary-coded once and take the same path."""
+def test_ndjson_born_batches_sharded_equals_serial(transport, monkeypatch):
+    """What the service's decoder builds — dictionary codes + a ``list``
+    attribute column — is routed by code and framed as it is: nothing
+    between the decoder and the shard worker codes a batch again."""
     tree, clock, records = attribute_workload(seed=78)
     body = b"".join(
         json.dumps(record.to_dict(), sort_keys=True).encode() + b"\n" for record in records
@@ -408,14 +409,25 @@ def test_ndjson_born_batches_sharded_equals_serial(transport):
     def batches():
         decoder = NdjsonDecoder(113)
         out = [batch for _, batch in decoder.feed(body, final=True)]
-        assert all(b.category_codes is None for b in out)
+        assert all(b.category_codes is not None for b in out)
         assert any(isinstance(b.attributes, list) for b in out)
         return out
 
     results, anomalies, state = serial_run(tree, clock, batches())
+
+    recoded = []
+    code_batch = RecordBatch.coded
+
+    def spy(batch):
+        if batch.category_codes is None:
+            recoded.append(len(batch))
+        return code_batch(batch)
+
+    monkeypatch.setattr(RecordBatch, "coded", spy)
     got_results, got_anomalies, got_state, _ = sharded_run(
         tree, clock, batches(), transport
     )
+    assert not recoded
     assert anomalies
     assert got_results == results
     assert got_anomalies == anomalies

@@ -468,3 +468,54 @@ class TestSocketBlockBoundaries:
         # ... and its line number is 1, there being no header line.
         reply, _ = self.serve(config, b'{"timestamp": NaN, "category": ["a"]}\n', [])
         assert reply["accepted"] == 0 and reply["error"].startswith("line 1: ")
+
+
+# ----------------------------------------------------------------------
+# The event loop never waits for the worker's lock
+# ----------------------------------------------------------------------
+class TestIngestDoesNotWaitForTheManagerLock:
+    """The worker thread holds ``manager._lock`` for a whole batch close (and
+    through a sharded tenant's worker recovery).  ``POST /ingest`` asks
+    ``manager.is_known`` on the event-loop thread; when that took the lock,
+    the loop — ``/healthz`` included — stood still until the close ended."""
+
+    def test_ingest_and_healthz_answer_while_the_lock_is_held(self, daemon):
+        dataset, service = daemon
+        port = service.http_port
+        body = b"".join(record_lines(dataset, 20))
+        holding, release = threading.Event(), threading.Event()
+
+        def hold_the_lock():
+            with service.manager._lock:
+                holding.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold_the_lock, daemon=True)
+        holder.start()
+        assert holding.wait(5)
+        answers: dict = {}
+
+        def timed(name, *call):
+            started = time.perf_counter()
+            status = http_call(port, *call).status
+            answers[name] = (status, time.perf_counter() - started)
+
+        try:
+            posting = threading.Thread(
+                target=timed, args=("ingest", "/ingest?tenant=tiny", "POST", body)
+            )
+            probing = threading.Thread(target=timed, args=("healthz", "/healthz"))
+            posting.start()
+            probing.start()
+            posting.join(5)
+            probing.join(5)
+            still_held = not release.is_set() and holder.is_alive()
+        finally:
+            release.set()
+            holder.join(5)
+        assert still_held and not posting.is_alive() and not probing.is_alive()
+        assert answers["ingest"][0] in (202, 429)
+        assert answers["healthz"][0] == 200
+        assert answers["ingest"][1] < 0.2 and answers["healthz"][1] < 0.2
+        assert not holder.is_alive()
+        wait_until(lambda: http_call(port, "/healthz").body["drained"])

@@ -6,7 +6,9 @@ loop: split the bytes into lines, ``json.loads`` each, route it, append it.
 That loop lives here and nowhere under ``src/`` — every case below runs both
 and requires equal batches (timestamps, categories, attribute-column
 presence, per-tenant order, flush points) or an equal ``(line number,
-message)`` and an equal set of records before the bad line.
+message)`` and an equal set of records before the bad line.  The loop keeps
+its categories as one tuple per record; the decoder's batches are
+dictionary-coded, and are compared through ``batch.categories``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 import repro.io.jsonl_io as jsonl_io
 from repro.exceptions import StreamError
 from repro.io.jsonl_io import NdjsonDecodeError, NdjsonDecoder
-from repro.streaming.batch import ColumnAccumulator
+from repro.streaming.batch import ColumnAccumulator, RecordBatch
 
 KNOWN = ("alpha", "beta", "7")
 SETTINGS = settings(
@@ -34,8 +36,21 @@ SETTINGS = settings(
 def oracle(payload: bytes, batch_size: int, default_tenant, routed: bool):
     """``(batches, error)``: the batches built before ``error`` (a ``(line
     number, message)`` pair, or None when every line was taken)."""
-    held: dict = {} if routed else {default_tenant: ColumnAccumulator()}
+    # ``add_trace_row`` is THE coercion, so the oracle vets a row with it —
+    # on a scratch accumulator; the columns it compares are its own tuples.
+    vet = ColumnAccumulator()
+    held: dict = {} if routed else {default_tenant: []}
     batches, error = [], None
+
+    def flush(tenant):
+        rows = held[tenant]
+        stamps, categories, attributes = zip(*rows)
+        rows.clear()
+        batch = RecordBatch.from_columns(
+            stamps, categories, list(attributes) if any(attributes) else None
+        )
+        batches.append((tenant, batch))
+
     for number, raw in enumerate(payload.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -59,8 +74,9 @@ def oracle(payload: bytes, batch_size: int, default_tenant, routed: bool):
             if tenant not in held and tenant not in KNOWN:
                 raise StreamError(f"unknown tenant {tenant!r}")
             labels, timestamp = data["category"], data["timestamp"]
-            held.setdefault(tenant, ColumnAccumulator()).add_trace_row(
-                timestamp, labels, data.get("attributes")
+            vet.add_trace_row(timestamp, labels, data.get("attributes"))
+            held.setdefault(tenant, []).append(
+                (vet.timestamps[-1], tuple(labels), data.get("attributes") or {})
             )
         except KeyError as exc:
             error = (number, f"malformed record object: {exc!r}")
@@ -71,8 +87,10 @@ def oracle(payload: bytes, batch_size: int, default_tenant, routed: bool):
         if error:
             break
         if len(held[tenant]) == batch_size:
-            batches.append((tenant, held[tenant].flush()))
-    batches += [(tenant, acc.flush()) for tenant, acc in held.items() if len(acc)]
+            flush(tenant)
+    for tenant, rows in held.items():
+        if rows:
+            flush(tenant)
     return batches, error
 
 
@@ -111,6 +129,8 @@ def assert_same(payload: bytes, batch_size=3, default_tenant="alpha", cuts=()):
             batches, error = decode(payload, batch_size, default_tenant, routed, pieces)
             assert error == expected_error
             assert columns(batches) == columns(expected_batches)
+            assert all(batch.category_codes is not None for _, batch in batches)
+            assert all(batch.category_codes is None for _, batch in expected_batches)
 
 
 # ----------------------------------------------------------------------
