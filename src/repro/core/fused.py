@@ -53,5 +53,17 @@ class CloseHistogram:
             "max_seconds": self.max_seconds,
         }
 
+    @staticmethod
+    def merge_dicts(histograms: "list[dict]") -> dict:
+        """One histogram for several :meth:`to_dict` outputs (the shards of
+        one session): buckets and totals add, the maximum is the largest."""
+        return {
+            "bucket_upper_seconds": list(histograms[0]["bucket_upper_seconds"]),
+            "counts": [sum(col) for col in zip(*(h["counts"] for h in histograms))],
+            "count": sum(h["count"] for h in histograms),
+            "total_seconds": sum(h["total_seconds"] for h in histograms),
+            "max_seconds": max(h["max_seconds"] for h in histograms),
+        }
+
 
 __all__ = ["CLOSE_BUCKET_UPPERS", "CloseHistogram"]

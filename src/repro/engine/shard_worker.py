@@ -21,7 +21,13 @@ Verbs
 ``ingest``
     ``[(key, kind, payload), ...]`` — feed batches (``"whole"``) or, for a
     subtree shard (``"sub"``), one batch of the shard's rows plus the
-    watermark segments ``(watermark, start, stop)`` that cut it.
+    watermark segments ``(watermark, start, stop)`` that cut it: advance to
+    ``watermark``, then ingest rows ``[start, stop)`` in one call.  The
+    coordinator cuts only before a row that is late against a watermark the
+    shard has not reached, so an in-order batch is one segment (and, for a
+    shard the session moved past, a row-less trailing advance).  Batches
+    arrive as timestamps + dictionary codes; no verb reads an attribute
+    column, so the coordinator ships none.
 ``flush`` / ``state`` / ``query``
     Close pending units, export serial-format states, read introspection
     attributes.

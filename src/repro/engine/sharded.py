@@ -28,11 +28,18 @@ serial session:
 1. **Watermark segmentation.**  Serially, all subtrees share one pending
    timeunit, advanced by every record of the session.  The coordinator
    therefore computes, per record, the running maximum timeunit of the whole
-   session stream (one vectorized prefix-max per batch) and prefixes each
-   shard's sub-batch with ``advance_to(watermark)`` segments, so every shard
-   closes (possibly empty) timeunits at exactly the serial boundaries and
-   applies the ``out_of_order_policy`` against exactly the serial pending
-   unit.
+   session stream (one vectorized prefix-max per batch).  A shard needs that
+   watermark in two places only.  *Before a late row* — one whose timeunit
+   is behind a watermark the shard has not reached — the shard's rows are
+   cut and the segment opens with ``advance_to(watermark)``, so the
+   ``out_of_order_policy`` is applied against exactly the serial pending
+   unit.  *After its last row*, a trailing ``advance_to`` closes the
+   (possibly empty) timeunits the rest of the session moved past.  A row at
+   or past its watermark closes, by itself, exactly the timeunits the
+   advance would have, so an in-order batch reaches each shard as **one**
+   ``ingest_record_batch`` call and the shard closes the batch's timeunits
+   together, from one count matrix and one hierarchy sweep, as a serial
+   session does.
 2. **Deterministic merge.**  Shard results are buffered per timeunit and
    merged once every group has closed that unit: heavy hitter sets union,
    per-path actuals/forecasts are taken from the owning shard in sorted-path
@@ -111,6 +118,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.config import TiresiasConfig
 from repro.core.detector import Anomaly
+from repro.core.fused import CloseHistogram
 from repro.core.reporting import AnomalyReportStore
 from repro.core.results import TimeunitResult
 from repro.core.split_rules import NodeUsageStats
@@ -192,11 +200,15 @@ def _segment_cuts(w_before, units_col, rows, anchor: int) -> tuple[list[int], in
     ``rows`` are the group's row indices (ascending) into a session
     sub-batch, ``w_before[i]`` the session watermark before row ``i`` and
     ``units_col[i]`` row ``i``'s timeunit.  The group's *progress* before a
-    row is the furthest timeunit it has been told about: ``anchor``, its own
-    earlier rows, and the watermarks of earlier cuts.  A row whose watermark
-    exceeds the progress starts a new segment (the worker first advances to
-    that watermark).  Watermarks never decrease, so that is the first row of
-    each distinct watermark among the rows whose watermark exceeds the
+    row is the shard session's open timeunit: ``anchor``, its own earlier
+    rows, and the watermarks of earlier cuts.  Only a row that is **late
+    against a watermark beyond the progress** (``unit < watermark``) starts
+    a new segment — the worker advances to that watermark first, so the
+    out-of-order policy meets the session's open timeunit, not the shard's.
+    A row at or past its watermark needs no cut: ingesting it closes, by
+    itself, exactly the timeunits the advance would have closed.
+    Watermarks never decrease, so the cuts are the first row of each
+    distinct watermark among the late rows whose watermark exceeds the
     cumulative maximum of the group's own earlier timeunits.
 
     Returns ``(cuts, progress)``: positions into ``rows`` and the progress
@@ -208,21 +220,36 @@ def _segment_cuts(w_before, units_col, rows, anchor: int) -> tuple[list[int], in
         w = w_before[rows]
         u = units_col[rows]
         own = _np.maximum.accumulate(_np.concatenate(([anchor], u[:-1])))
-        ahead = _np.flatnonzero(w > own)
-        w_ahead = w[ahead]
-        first = _np.ones(len(ahead), dtype=bool)
-        first[1:] = w_ahead[1:] != w_ahead[:-1]
-        cuts = ahead[first].tolist()
+        late = _np.flatnonzero((u < w) & (w > own))
+        w_late = w[late]
+        first = _np.ones(len(late), dtype=bool)
+        first[1:] = w_late[1:] != w_late[:-1]
+        cuts = late[first].tolist()
         progress = max(anchor, int(u.max()), int(w[cuts[-1]]) if cuts else anchor)
         return cuts, progress
     cuts, progress = [], anchor
     for position, row in enumerate(rows):
-        if w_before[row] > progress:
+        if units_col[row] < w_before[row] and w_before[row] > progress:
             cuts.append(position)
             progress = int(w_before[row])
         if units_col[row] > progress:
             progress = int(units_col[row])
     return cuts, progress
+
+
+def _worker_columns(part: RecordBatch) -> RecordBatch:
+    """``part`` as a worker needs it: timestamps and dictionary codes.
+
+    No worker verb reads a batch's attribute column (routing by stream key
+    happened coordinator-side), so it is left behind before any gather —
+    neither the wire nor the supervisor's op-log carries it.
+    """
+    part = part.coded()
+    if part.attributes is None:
+        return part
+    return RecordBatch.from_dictionary_codes(
+        part.timestamps, part.category_codes, part.code_dictionary, None
+    )
 
 
 # ----------------------------------------------------------------------
@@ -539,6 +566,17 @@ def _merge_numeric_dicts(dicts: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
                             inner[key] = item
             elif field not in merged:
                 merged[field] = value
+    return merged
+
+
+def _merge_close_profiles(profiles: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
+    """One session's close profile from its shards': unit counters sum and
+    the ``close_time`` histograms merge bucket by bucket."""
+    profiles = list(profiles)
+    merged = _merge_numeric_dicts(profiles)
+    histograms = [p["close_time"] for p in profiles if p and "close_time" in p]
+    if histograms:
+        merged["close_time"] = CloseHistogram.merge_dicts(histograms)
     return merged
 
 
@@ -1135,7 +1173,9 @@ class ShardedDetectionEngine:
         for name, part in routed:
             unit = self._units[name]
             if unit.kind == "whole":
-                ops.setdefault(unit.worker, []).append((unit.key, "whole", part))
+                ops.setdefault(unit.worker, []).append(
+                    (unit.key, "whole", _worker_columns(part))
+                )
             else:
                 emit_bound[name] = self._dispatch_subtree(unit, part, ops)
         return _Round("ingest", ops, index, emit_bound)
@@ -1155,15 +1195,18 @@ class ShardedDetectionEngine:
     ) -> int:
         """Segment one session sub-batch by watermark and queue per-group ops.
 
-        Per-batch cost is O(dictionary + timeunit boundaries) in Python: rows
-        are routed by dictionary code through a per-dictionary table, each
-        group's rows are gathered once, and its segments ship as row ranges
-        of that one gather (:func:`_segment_cuts` says where they start).
+        Per-batch cost is O(dictionary + late rows) in Python: rows are
+        routed by dictionary code through a per-dictionary table, each
+        group's rows are gathered once — timestamps and codes only
+        (:func:`_worker_columns`) — and its segments ship as row ranges of
+        that one gather.  :func:`_segment_cuts` says where they start: an
+        in-order batch is one segment per group, plus a row-less trailing
+        advance for a group the session watermark left behind.
 
         Returns the new session watermark (timeunits strictly below it are
         complete across every group after this round).
         """
-        part = part.coded()
+        part = _worker_columns(part)
         units_col = part.timeunit_indices(unit.clock)
         fresh = unit.carried is None
         anchor = int(units_col[0]) if fresh else unit.carried
@@ -1681,7 +1724,7 @@ class ShardedDetectionEngine:
         return out
 
     def close_profile(self) -> dict[str, dict[str, Any]]:
-        """Per-session close-path profile, summed across shard units."""
+        """Per-session close-path profile, merged across shard units."""
         self._ensure_started()
         per_key = self._query("close_profile")
         out: dict[str, dict[str, Any]] = {}
@@ -1689,7 +1732,7 @@ class ShardedDetectionEngine:
             if unit.kind == "whole":
                 out[name] = per_key[unit.key]
             else:
-                out[name] = _merge_numeric_dicts(
+                out[name] = _merge_close_profiles(
                     per_key.get(key) for key in unit.keys
                 )
         return out

@@ -19,6 +19,11 @@ pickle walks every float — so :func:`encode_frame` separates the two:
   row.  The receiver rebuilds the encoded column from those buffers; no
   attribute dict is built on either side of the channel.
 
+The sharded engine's ingest ops carry no attribute column: its dispatcher
+ships workers timestamps and codes only, because no worker verb reads
+attributes (``repro.engine.sharded._worker_columns``).  The attribute legs
+of the format serve anything else that encodes a batch with attributes.
+
 Every trace reader emits dictionary-coded batches, so a batch normally
 arrives here with its code column built; a batch assembled from tuples by
 hand (``RecordBatch(...)``, ``from_records``) is coded on the spot in

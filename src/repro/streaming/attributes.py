@@ -13,7 +13,8 @@ shard wire format use):
     decoded rows — what record objects and the NDJSON decoder produce;
 :class:`EncodedAttributes`
     rows still in their JSON encoding — what the columnar reader produces
-    and what crosses the process boundary to shard workers.
+    and what a shard wire frame carries (the sharded engine itself ships
+    workers no attribute column).
 
 :class:`EncodedAttributes` is a ``Sequence[Mapping]`` over one shared blob of
 concatenated JSON objects plus an offsets window (``n + 1`` non-decreasing

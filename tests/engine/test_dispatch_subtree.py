@@ -1,13 +1,20 @@
-"""The sharded coordinator's dispatcher: routing by dictionary code.
+"""The sharded coordinator's dispatcher: routing by dictionary code, and
+cutting a shard's rows only where a late row needs the session watermark.
 
-``ShardedDetectionEngine._dispatch_subtree`` used to walk every record in
-Python — ``partition.route(category)`` per row, then a per-row loop cutting
-each shard group's rows into watermark segments.  It now routes through a
-per-dictionary table and computes the cuts with cumulative maxima.  The old
-loop lives on here, as the oracle the new dispatcher is driven against, and
-the end-to-end legs pin sharded == serial (detections *and* checkpoints) on
-batches that carry attributes: ``.rcol``-born (encoded column), NDJSON-born
-(tuple categories, list column) and across a supervisor kill + replay.
+``ShardedDetectionEngine._dispatch_subtree`` routes through a per-dictionary
+table, gathers each shard group's rows once and ships them as
+``(watermark, start, stop)`` segments.  A segment boundary costs the worker
+one ``ingest_record_batch`` call (one count matrix, one hierarchy sweep), so
+the dispatcher keeps a cut only where leaving it out would change what the
+shard computes: on a row that is late against a session watermark the shard
+has not reached.  The per-row loop that cuts at *every* watermark ahead of
+the shard's progress lives on here as the reference segmentation, and the
+dispatcher is held to it by **effect**: both segmentations are executed by
+the real worker verb against real shard sessions and must close the same
+timeunits into the same state.  The end-to-end legs pin sharded == serial
+(detections *and* checkpoints) on batches that carry attributes:
+``.rcol``-born (encoded column), NDJSON-born (list column) and across a
+supervisor kill + replay — and that no attribute column reaches a worker.
 
 ``REPRO_SHARD_TRANSPORT`` narrows the end-to-end legs to one transport (the
 CI ``sharded-transports`` job runs this module once per transport); unset,
@@ -16,16 +23,26 @@ they run on all three.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import random
+from contextlib import nullcontext
 
 import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.engine.engine import DetectionEngine
-from repro.engine.sharded import ShardedDetectionEngine, _SubtreeUnit
+from repro.engine.shard_worker import worker_handle
+from repro.engine.sharded import (
+    ShardedDetectionEngine,
+    _merge_close_profiles,
+    _SubtreeUnit,
+    plan_subtree_groups,
+)
 from repro.engine.session import DetectionSession
+from repro.engine.transport import TRANSPORTS as TRANSPORT_CLASSES
+from repro.exceptions import OutOfOrderRecordError
 from repro.hierarchy.tree import HierarchyTree
 from repro.io.checkpoint import SubtreePartition, split_session_state
 from repro.io.columnar import read_batches_columnar, write_trace_columnar
@@ -36,7 +53,7 @@ from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 from repro.testing.faults import FaultPlan, FaultSpec, active
 
-from tests.conftest import python_tier
+from tests.conftest import canonical_checkpoint, python_tier
 
 DELTA = 600.0
 TRANSPORTS = (
@@ -47,11 +64,13 @@ TRANSPORTS = (
 
 
 # ----------------------------------------------------------------------
-# The oracle: the per-row dispatcher this PR deleted from src/
+# The reference segmentation: every watermark ahead of progress cuts
 # ----------------------------------------------------------------------
 def oracle_dispatch(partition, num_groups, clock, carried, batch):
-    """``({gid: [(segment_w, rows | None), ...]}, new_carried)`` exactly as
-    the per-record loop produced them (``rows`` index into ``batch``)."""
+    """``({gid: [(segment_w, rows | None), ...]}, new_carried)`` as the
+    per-record loop cuts them (``rows`` index into ``batch``): a shard is
+    advanced to the session watermark before *every* row whose watermark is
+    ahead of the shard's progress, late or not."""
     units_col = [int(u) for u in batch.timeunit_indices(clock)]
     fresh = carried is None
     anchor = units_col[0] if fresh else carried
@@ -92,6 +111,27 @@ def oracle_dispatch(partition, num_groups, clock, carried, batch):
     return out, new_carried
 
 
+def oracle_ops(unit: _SubtreeUnit, batch: RecordBatch, segmentation) -> list:
+    """The ``"ingest"`` ops of a reference segmentation, in group order: each
+    group's rows gathered from ``batch`` as it is (attributes included)."""
+    ops = []
+    for gid in sorted(segmentation):
+        rows, segments = [], []
+        for watermark, segment_rows in segmentation[gid]:
+            start = len(rows)
+            rows += segment_rows or []
+            segments.append((watermark, start, len(rows)))
+        group = batch.take(rows) if rows else None
+        ops.append((unit.keys[gid], "sub", (group, segments)))
+    return ops
+
+
+def cuts_of(segments) -> list[tuple[int, int]]:
+    """``(watermark, first row)`` of every segment that cuts a group's rows:
+    all but the anchor segment and a row-less trailing advance."""
+    return [(w, rows[0]) for w, rows in segments[1:] if rows]
+
+
 # ----------------------------------------------------------------------
 # Driving the real dispatcher without worker processes
 # ----------------------------------------------------------------------
@@ -106,7 +146,7 @@ def make_tree():
     return HierarchyTree.from_leaf_paths(paths)
 
 
-def make_config(depth: int = 1) -> TiresiasConfig:
+def make_config(depth: int = 1, policy: str = "clamp") -> TiresiasConfig:
     return TiresiasConfig(
         theta=4.0,
         ratio_threshold=2.0,
@@ -117,54 +157,65 @@ def make_config(depth: int = 1) -> TiresiasConfig:
         track_root=False,
         allow_root_heavy=False,
         min_heavy_depth=depth,
-        out_of_order_policy="clamp",
+        out_of_order_policy=policy,
         forecast=ForecastConfig(season_lengths=(4,), fallback_alpha=0.3),
     )
 
 
-def make_unit(depth: int, shards: int, pending_unit=None) -> _SubtreeUnit:
-    """A coordinator-side subtree unit, as ``attach_session_state`` builds it."""
-    from repro.engine.sharded import plan_subtree_groups
-
-    tree = make_tree()
-    state = DetectionSession(
-        tree, make_config(depth), clock=SimulationClock(delta=DELTA), name="s"
-    ).state_dict()
+def make_unit(depth: int, shards: int, pending_unit=None, policy="clamp") -> _SubtreeUnit:
+    """A coordinator-side subtree unit, as ``attach_session_state`` builds it
+    (``unit.sub_states`` are the shard states a worker would be sent), from a
+    session whose open timeunit is ``pending_unit`` (None: fresh)."""
+    session = DetectionSession(
+        make_tree(), make_config(depth, policy), clock=SimulationClock(delta=DELTA), name="s"
+    )
+    if pending_unit is not None:
+        session.advance_to(pending_unit)
+    state = session.state_dict()
     groups = plan_subtree_groups(state["tree"]["leaves"], shards, depth)
     sub_states, withheld = split_session_state(state, groups, depth)
     unit = _SubtreeUnit(
         "s", state, groups, sub_states, list(range(len(groups))), withheld, depth=depth
     )
-    unit.carried = pending_unit
+    assert unit.carried == pending_unit
     return unit
 
 
-def dispatch(unit: _SubtreeUnit, batch: RecordBatch):
-    """Run the real ``_dispatch_subtree``; returns segments in the oracle's
-    shape: ``{gid: [(segment_w, rows | None), ...]}`` with ``rows`` indexing
-    into ``batch``."""
+def dispatch_ops(unit: _SubtreeUnit, batch: RecordBatch):
+    """Run the real ``_dispatch_subtree``: the ``"ingest"`` ops it queued, in
+    group order, and the new session watermark."""
     engine = ShardedDetectionEngine.__new__(ShardedDetectionEngine)  # no workers
-    ops: dict[int, list] = {}
-    new_carried = ShardedDetectionEngine._dispatch_subtree(engine, unit, batch, ops)
-    position = {float(t): [] for t in batch.timestamps}
-    for i, t in enumerate(batch.timestamps):
-        position[float(t)].append(i)
-    out = {}
-    for worker, queued in ops.items():
-        for key, kind, (group, segments) in queued:
+    queued: dict[int, list] = {}
+    new_carried = ShardedDetectionEngine._dispatch_subtree(engine, unit, batch, queued)
+    ops = []
+    for worker, worker_ops in queued.items():
+        for key, kind, _ in worker_ops:
             assert kind == "sub" and unit.workers[key[2]] == worker
-            if group is None:
-                group_rows = []
-            else:
-                # Timestamps are unique in these workloads: they identify rows.
-                group_rows = [position[float(t)][0] for t in group.timestamps]
-                assert group_rows == sorted(group_rows)
-                assert group.to_records() == [batch.record(i) for i in group_rows]
-            out[key[2]] = [
-                (w, group_rows[start:stop] or None) for w, start, stop in segments
-            ]
-            covered = [row for _, rows in out[key[2]] for row in rows or []]
-            assert covered == group_rows  # every shipped row sits in a segment
+        ops += worker_ops
+    return sorted(ops, key=lambda op: op[0]), new_carried
+
+
+def dispatch(unit: _SubtreeUnit, batch: RecordBatch):
+    """The real dispatcher's segments in the oracle's shape:
+    ``{gid: [(segment_w, rows | None), ...]}`` with ``rows`` indexing into
+    ``batch``."""
+    ops, new_carried = dispatch_ops(unit, batch)
+    position = {float(t): i for i, t in enumerate(batch.timestamps)}
+    assert len(position) == len(batch)  # unique timestamps identify rows
+    out = {}
+    for key, _, (group, segments) in ops:
+        if group is None:
+            group_rows = []
+        else:
+            assert group.attributes is None  # workers get two columns
+            group_rows = [position[float(t)] for t in group.timestamps]
+            assert group_rows == sorted(group_rows)
+            assert group.categories == [batch.categories[i] for i in group_rows]
+        out[key[2]] = [
+            (w, group_rows[start:stop] or None) for w, start, stop in segments
+        ]
+        covered = [row for _, rows in out[key[2]] for row in rows or []]
+        assert covered == group_rows  # every shipped row sits in a segment
     return out, new_carried
 
 
@@ -195,30 +246,82 @@ def random_batch(rng: random.Random, tree: HierarchyTree, coded: bool, attrs: bo
     return batch.coded() if coded else batch, base
 
 
-@pytest.mark.parametrize("python", [False, True], ids=["numpy", "python"])
-@pytest.mark.parametrize("depth, shards", [(1, 2), (1, 3), (2, 2), (2, 4)])
-def test_dispatcher_equals_the_per_row_loop(python, depth, shards):
-    from contextlib import nullcontext
+def run_ingest(workers: dict, ops: list):
+    """One ``"ingest"`` verb against a worker's unit table: its reply, or the
+    late record that stopped it under ``raise``; and every unit's state
+    (wall-clock fields aside, ``_pending`` order included) afterwards."""
+    try:
+        outcome = worker_handle(workers, "ingest", ops)
+    except OutOfOrderRecordError as exc:
+        outcome = ("raised", exc.timestamp, exc.window_start)
+    states = [state for _, state in worker_handle(workers, "state", sorted(workers))]
+    return outcome, canonical_checkpoint(states)
 
+
+@pytest.mark.parametrize("python", [False, True], ids=["numpy", "python"])
+@pytest.mark.parametrize("policy", ["drop", "clamp", "raise"])
+@pytest.mark.parametrize("depth, shards", [(1, 2), (1, 3), (2, 2), (2, 4)])
+def test_dispatcher_equals_the_per_row_loop(python, policy, depth, shards):
+    """Effect, not shape: the dispatcher's ops and the reference
+    segmentation's, each run by ``worker_handle`` against its own copy of
+    the shard sessions, close the same ``TimeunitResult``s with the same
+    frontier weights and leave the same session states after every batch."""
     with python_tier() if python else nullcontext():
         rng = random.Random(1000 * depth + shards)
-        for trial in range(120):
-            unit = make_unit(depth, shards)
-            tree = make_tree()
+        tree = make_tree()
+        for trial in range(40):
             first, base = random_batch(rng, tree, coded=trial % 2 == 0, attrs=trial % 3 == 0)
             # Fresh vs carried watermark (below, inside and above the batch).
-            unit.carried = rng.choice([None, None, base - 2, base, base + 1, base + 9])
+            carried = rng.choice([None, None, base - 2, base, base + 1, base + 9])
+            unit = make_unit(depth, shards, carried, policy)
+            adds = [(key, state, depth) for key, state in zip(unit.keys, unit.sub_states)]
+            reference_workers, dispatcher_workers = {}, {}
+            worker_handle(reference_workers, "add", copy.deepcopy(adds))
+            worker_handle(dispatcher_workers, "add", copy.deepcopy(adds))
             for batch in (first, random_batch(rng, tree, trial % 2 == 1, False)[0]):
-                expected, expected_carried = oracle_dispatch(
+                segmentation, expected_carried = oracle_dispatch(
                     unit.partition, unit.num_groups, unit.clock, unit.carried, batch
                 )
-                got, got_carried = dispatch(unit, batch)
-                assert got == expected
+                ops, got_carried = dispatch_ops(unit, batch)
                 assert got_carried == expected_carried == unit.carried
+                expected = run_ingest(
+                    reference_workers, oracle_ops(unit, batch, segmentation)
+                )
+                got = run_ingest(dispatcher_workers, ops)
+                assert got == expected
+                if got[0][0] == "raised":
+                    break  # the engine would surface the error here
+
+
+@pytest.mark.parametrize("depth, shards", [(1, 2), (2, 4)])
+def test_kept_cuts_sit_on_late_rows_and_dropped_cuts_on_in_order_ones(depth, shards):
+    """Against the reference segmentation on shuffled batches: the dispatcher
+    keeps exactly the reference cuts whose row is late against its watermark
+    (``unit < watermark``) and drops exactly those on an in-order row."""
+    rng = random.Random(77 * depth + shards)
+    tree = make_tree()
+    kept = dropped = 0
+    for trial in range(200):
+        batch, base = random_batch(rng, tree, coded=trial % 2 == 0, attrs=False)
+        unit = make_unit(depth, shards)
+        unit.carried = rng.choice([None, base - 2, base, base + 1])
+        units_col = batch.timeunit_indices(unit.clock)
+        reference, _ = oracle_dispatch(
+            unit.partition, unit.num_groups, unit.clock, unit.carried, batch
+        )
+        got, _ = dispatch(unit, batch)
+        assert sorted(got) == sorted(reference)
+        for gid, segments in reference.items():
+            reference_cuts, got_cuts = cuts_of(segments), cuts_of(got[gid])
+            late = [(w, row) for w, row in reference_cuts if units_col[row] < w]
+            assert got_cuts == late
+            kept += len(late)
+            dropped += len(reference_cuts) - len(late)
+    assert kept >= 30 and dropped >= 30  # the workload exercises both sides
 
 
 def test_named_edges_of_the_segment_rule():
-    """The cases the issue names, pinned as literals (depth-1 cut, 2 groups).
+    """The cases the rule names, pinned as literals (depth-1 cut, 2 groups).
 
     Group 0 owns t0/t2/solo, group 1 owns t1/t3 (LPT over equal subtrees)."""
     unit = make_unit(1, 2)
@@ -236,22 +339,27 @@ def test_named_edges_of_the_segment_rule():
     # with no rows is still anchored.
     assert run(None, [(5, a), (5, a)]) == ({0: [(5, [0, 1])], 1: [(5, None)]}, 5)
     # Carried watermark ahead of the batch: no anchoring segment for the
-    # empty group, rows ride the anchor segment.
+    # empty group, the (late) row rides the anchor segment.
     assert run(7, [(5, a)]) == ({0: [(7, [0])]}, 7)
-    # A cut on the first row of a group: the other group moved the watermark.
-    assert run(5, [(6, b), (6, a)]) == (
-        {0: [(5, None), (6, [1])], 1: [(5, [0])]},
-        6,
-    )
-    # Many timeunits: one cut per distinct watermark beyond own progress; a
-    # group's own rows advance its progress without a cut.
+    # An in-order row past the watermark another group moved: no cut — the
+    # row closes what the advance would have.
+    assert run(5, [(6, b), (6, a)]) == ({0: [(5, [1])], 1: [(5, [0])]}, 6)
+    # Many timeunits in order: one segment per group, whoever moved the
+    # watermark; only the group left behind gets the trailing advance.
     got, carried = run(0, [(1, a), (2, a), (3, b), (3, a), (3, a), (4, b)])
-    assert got == {
-        0: [(0, [0, 1]), (3, [3, 4]), (4, None)],
-        1: [(0, None), (2, [2, 5])],
-    }
+    assert got == {0: [(0, [0, 1, 3, 4]), (4, None)], 1: [(0, [2, 5])]}
     assert carried == 4
-    # Out-of-order rows never cut backwards.
+    # A late row behind a watermark its group has not reached: the cut is
+    # kept, at that watermark.
+    assert run(2, [(4, b), (3, a)]) == (
+        {0: [(2, None), (4, [1])], 1: [(2, [0])]},
+        4,
+    )
+    # Late rows sharing one watermark: one cut, on the first of them.
+    got, _ = run(2, [(4, a), (5, b), (3, a), (2, a), (4, a), (6, b)])
+    assert got == {0: [(2, [0]), (5, [2, 3, 4]), (6, None)], 1: [(2, [1, 5])]}
+    # Out-of-order rows never cut backwards: a late row's own timeunit does
+    # not lower the progress its group has made.
     got, _ = run(2, [(4, a), (3, a), (2, b), (5, b), (1, a)])
     assert got == {0: [(2, [0, 1]), (5, [4])], 1: [(2, None), (4, [2, 3])]}
 
@@ -296,15 +404,17 @@ def test_route_is_called_once_per_dictionary_entry(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # End to end: sharded == serial on batches that carry attributes
 # ----------------------------------------------------------------------
-def attribute_workload(seed: int = 77):
-    """(tree, clock, records): bursty, mildly out of order, ~40 % of rows
-    carry attributes (none of them a stream key: one session gets it all)."""
+def attribute_workload(seed: int = 77, late: float = 0.04, units: int = 30):
+    """(tree, clock, records): ``units`` bursty timeunits, mildly out of
+    order (a ``late`` share of the rows arrives one or two timeunits behind),
+    ~40 % of rows carry attributes (none of them a stream key: one session
+    gets it all)."""
     rng = random.Random(seed)
     tree = make_tree()
     leaves = [tuple(path) for path in tree.leaf_paths()]
     popularity = [rng.random() ** 2 + 0.05 for _ in leaves]
     records = []
-    for unit in range(30):
+    for unit in range(units):
         for _ in range(rng.randint(8, 40)):
             leaf = rng.choices(leaves, weights=popularity)[0]
             records.append((unit * DELTA + rng.random() * DELTA, leaf))
@@ -314,7 +424,7 @@ def attribute_workload(seed: int = 77):
     records.sort()
     out = []
     for timestamp, leaf in records:
-        if rng.random() < 0.04:
+        if rng.random() < late:
             timestamp = max(0.0, timestamp - DELTA * rng.randint(1, 2))
         attrs = {}
         if rng.random() < 0.4:
@@ -450,3 +560,88 @@ def test_kill_and_oplog_replay_with_attribute_columns(rcol_batches, transport):
     assert got_results == results
     assert got_anomalies == anomalies
     assert got_state == state
+
+
+# ----------------------------------------------------------------------
+# The property the segment rule buys: one ingest call per (shard, batch)
+# ----------------------------------------------------------------------
+def recording_transport(shipped: list):
+    """A transport (the first kind under test) that appends every ``"ingest"``
+    op it ships to ``shipped``."""
+
+    class Recording(TRANSPORT_CLASSES[TRANSPORTS[0]]):
+        def ship(self, worker_id, verb, ops, **options):
+            if verb == "ingest":
+                shipped.extend(ops)
+            super().ship(worker_id, verb, ops, **options)
+
+    return Recording()
+
+
+def test_in_order_batches_reach_each_shard_whole_and_close_densely(tmp_path):
+    """An in-order trace with attributes, 2 subtree shards: every ``"sub"``
+    op is one segment (plus at most a trailing advance) over a batch with no
+    attribute column, so the shards close their timeunits from batch count
+    matrices — all but the final flush and the odd trailing advance."""
+    tree, clock, records = attribute_workload(seed=79, late=0.0, units=120)
+    path = tmp_path / "in_order.rcol"
+    write_trace_columnar(records, path)
+    batches = list(read_batches_columnar(path, batch_size=640))
+    assert len(batches) > 5
+    assert all(isinstance(b.attributes, EncodedAttributes) for b in batches)
+
+    shipped = []
+    with ShardedDetectionEngine(num_workers=2, transport=recording_transport(shipped)) as engine:
+        engine.add_session("s", tree, make_config(), clock=clock, subtree_shards=2)
+        for batch in batches:
+            engine.ingest_record_batch(batch)
+        engine.flush()
+        profile = engine.close_profile()["s"]
+
+    assert len(shipped) >= 2 * (len(batches) - 1)  # both shards, batch after batch
+    for _, kind, (group, segments) in shipped:
+        assert kind == "sub"
+        assert group is None or group.attributes is None
+        assert len(segments) <= 2
+        assert all(start == stop for _, start, stop in segments[1:])
+    closed = profile["fused_units"] + profile["staged_units"]
+    assert closed == 2 * 120
+    if profile["fused_units"]:  # a vector tier: the python tier never closes densely
+        assert profile["dense_close_units"] >= 0.95 * profile["fused_units"]
+        assert sum(profile["close_time"]["counts"]) == profile["close_time"]["count"]
+
+
+def test_whole_session_parts_ship_without_attributes():
+    _, clock, records = attribute_workload(seed=80)
+    shipped = []
+    with ShardedDetectionEngine(num_workers=1, transport=recording_transport(shipped)) as engine:
+        engine.add_session("s", make_tree(), make_config(), clock=clock)
+        engine.ingest_record_batch(RecordBatch.from_records(records[:200]))
+    assert [kind for _, kind, _ in shipped] == ["whole"]
+    assert len(shipped[0][2]) == 200 and shipped[0][2].attributes is None
+
+
+def test_close_profiles_merge_bucket_by_bucket():
+    """``close_profile()`` of a subtree-sharded session (what ``/metrics``
+    shows): unit counters and histogram buckets add across shards, the
+    slowest close is the slowest of any shard."""
+
+    def profile(fused, dense, counts, total, slowest):
+        return {
+            "fused_units": fused,
+            "staged_units": 0,
+            "dense_close_units": dense,
+            "close_time": {
+                "bucket_upper_seconds": [0.001, 0.01],
+                "counts": counts,
+                "count": sum(counts),
+                "total_seconds": total,
+                "max_seconds": slowest,
+            },
+        }
+
+    merged = _merge_close_profiles(
+        [profile(5, 4, [3, 2, 0], 0.25, 0.004), None, profile(7, 7, [1, 5, 1], 0.5, 0.02)]
+    )
+    assert merged == profile(12, 11, [4, 7, 1], 0.75, 0.02)
+    assert _merge_close_profiles([{}, None]) == {}
