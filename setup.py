@@ -27,11 +27,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    extras_require={
-        # The library runs without NumPy (pure-Python fallbacks); install the
-        # extra for the vectorized kernels.
-        "vector": ["numpy"],
-    },
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "repro-serve = repro.service.daemon:main",

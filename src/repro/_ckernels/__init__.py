@@ -1,8 +1,9 @@
 """Optional compiled kernels: the third backend tier.
 
 The pure-Python and NumPy implementations remain the canonical reference;
-this package holds a small C extension (``_impl``) with bit-identical
-transcriptions of three close-path kernels.  It is **not** built on install —
+this package holds a small C extension (``_impl``) with a bit-identical
+transcription of the one close-path kernel that earns its keep
+(``update_stats_dense``).  It is **not** built on install —
 environments that want it run::
 
     python -m repro._ckernels build

@@ -1,18 +1,19 @@
-/* Compiled close-path kernels: the optional third backend tier.
+/* Compiled close-path kernel: the optional third backend tier.
  *
- * Every kernel here is a line-for-line transcription of a NumPy expression
- * from the close path (``_SplitStatsStore.update_dense``, the steady branch
- * of ``ForecasterBank._observe_vector``).  Neither the hierarchy sweep nor
- * ADA's SPLIT / MERGE / window arithmetic has a kernel: the sweep is a few
- * ``reduceat`` calls for all the timeunits of a batch, and on the bank's row
- * matrix each adaptation op is one or two whole-row NumPy operations.  NumPy
- * element-wise arithmetic is per-element IEEE-754 double arithmetic, so the
- * same expression evaluated per element in C produces bit-identical results
- * — PROVIDED the build forbids FMA contraction and fast-math reassociation.
- * The builder therefore compiles with ``-O2 -ffp-contract=off`` and nothing
- * else that touches floating point; see ``repro/_ckernels/build.py``.
+ * The one kernel here is a line-for-line transcription of a NumPy expression
+ * from the close path (``_SplitStatsStore.update_dense``) - the only one
+ * that measured faster than its NumPy form.  Neither the hierarchy sweep,
+ * the forecaster bank's observe nor ADA's SPLIT / MERGE / window arithmetic
+ * has a kernel: the sweep is a few ``reduceat`` calls for all the timeunits
+ * of a batch, and on the bank's row matrix each step is one or two whole-row
+ * NumPy operations.  NumPy element-wise arithmetic is per-element IEEE-754
+ * double arithmetic, so the same expression evaluated per element in C
+ * produces bit-identical results - PROVIDED the build forbids FMA
+ * contraction and fast-math reassociation.  The builder therefore compiles
+ * with ``-O2 -ffp-contract=off`` and nothing else that touches floating
+ * point; see ``repro/_ckernels/build.py``.
  *
- * Kernels deliberately do only element-wise work, gathers and scatters.
+ * A kernel deliberately does only element-wise work, gathers and scatters.
  * Anything NumPy computes with pairwise-block reductions (np.sum, np.mean)
  * stays out of this module: a naive C loop would NOT be bit-identical.
  */
@@ -126,100 +127,9 @@ update_stats_dense(PyObject *Py_UNUSED(self), PyObject *args)
     return PyLong_FromLong(0);
 }
 
-/* observe_steady(idx, v, state, ints, seen_col, phase_col, alpha, beta, gamma,
- *                fallback_alpha, season_len, out)
- *
- * The single-season steady-state branch of ForecasterBank._observe_vector:
- * every row active, no NaN EWMA, rows distinct.  ``state`` is the bank's
- * (capacity, width) float64 row matrix — columns 0..2 are ewma, level and
- * trend, the seasonal buffer starts at column 3 — and ``ints`` its
- * (capacity, icols) int64 matrix, of which ``seen_col`` and ``phase_col``
- * are read and written.  Forecasts for each row land in ``out``.
- */
-static PyObject *
-observe_steady(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    PyArrayObject *idx, *v, *state, *ints, *out;
-    double alpha, beta, gamma, fallback_alpha;
-    long long seen_col, phase_col, season_len;
-
-    if (!PyArg_ParseTuple(args, "O!O!O!O!LLddddLO!",
-                          &PyArray_Type, &idx,
-                          &PyArray_Type, &v,
-                          &PyArray_Type, &state,
-                          &PyArray_Type, &ints,
-                          &seen_col, &phase_col,
-                          &alpha, &beta, &gamma, &fallback_alpha,
-                          &season_len,
-                          &PyArray_Type, &out))
-        return NULL;
-    if (!check_1d(idx, NPY_INTP, "idx") || !check_1d(v, NPY_DOUBLE, "v") ||
-        !check_1d(out, NPY_DOUBLE, "out"))
-        return NULL;
-    if (PyArray_NDIM(state) != 2 || PyArray_TYPE(state) != NPY_DOUBLE ||
-        !PyArray_IS_C_CONTIGUOUS(state) ||
-        PyArray_NDIM(ints) != 2 || PyArray_TYPE(ints) != NPY_INT64 ||
-        !PyArray_IS_C_CONTIGUOUS(ints)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "state/ints must be 2-d C-contiguous float64/int64");
-        return NULL;
-    }
-    npy_intp m = PyArray_DIM(idx, 0);
-    npy_intp cap = PyArray_DIM(state, 0);
-    npy_intp width = PyArray_DIM(state, 1);
-    npy_intp icols = PyArray_DIM(ints, 1);
-    if (PyArray_DIM(v, 0) != m || PyArray_DIM(out, 0) != m ||
-        PyArray_DIM(ints, 0) != cap || season_len <= 0 ||
-        width < 3 + (npy_intp)season_len ||
-        seen_col < 0 || seen_col >= icols ||
-        phase_col < 0 || phase_col >= icols) {
-        PyErr_SetString(PyExc_ValueError, "observe_steady shape mismatch");
-        return NULL;
-    }
-
-    const npy_intp *ix = (const npy_intp *)PyArray_DATA(idx);
-    const double *vv = (const double *)PyArray_DATA(v);
-    double *st = (double *)PyArray_DATA(state);
-    npy_int64 *in = (npy_int64 *)PyArray_DATA(ints);
-    double *fc = (double *)PyArray_DATA(out);
-    const long long p = season_len;
-    const double oma = 1.0 - alpha, omb = 1.0 - beta, omg = 1.0 - gamma;
-    const double omf = 1.0 - fallback_alpha;
-
-    for (npy_intp j = 0; j < m; j++) {
-        npy_intp row = ix[j];
-        if (row < 0 || row >= cap) {
-            PyErr_SetString(PyExc_IndexError, "row index out of range");
-            return NULL;
-        }
-        double *r = st + row * width;
-        npy_int64 *ri = in + row * icols;
-        npy_int64 phase = ri[phase_col];
-        if (phase < 0 || phase >= p) {
-            PyErr_SetString(PyExc_IndexError, "seasonal phase out of range");
-            return NULL;
-        }
-        double val = vv[j];
-        double sea = r[3 + phase];
-        double lev = r[1];
-        double trd = r[2];
-        fc[j] = lev + trd + sea;
-        r[0] = fallback_alpha * val + omf * r[0];
-        ri[seen_col] += 1;
-        double new_level = alpha * (val - sea) + oma * (lev + trd);
-        r[1] = new_level;
-        r[2] = beta * (new_level - lev) + omb * trd;
-        r[3 + phase] = gamma * (val - new_level) + omg * sea;
-        ri[phase_col] = (phase + 1) % p;
-    }
-    Py_RETURN_NONE;
-}
-
 static PyMethodDef Methods[] = {
     {"update_stats_dense", update_stats_dense, METH_VARARGS,
      "Dense split-statistics update (mirror of _SplitStatsStore.update_dense)."},
-    {"observe_steady", observe_steady, METH_VARARGS,
-     "Single-season steady-state Holt-Winters batch observe."},
     {NULL, NULL, 0, NULL},
 };
 

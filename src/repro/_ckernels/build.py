@@ -18,20 +18,14 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy
+
 PACKAGE_DIR = Path(__file__).resolve().parent
 SOURCE = PACKAGE_DIR / "_implmodule.c"
 
 
 class BuildError(RuntimeError):
-    """The extension could not be built (no compiler, no NumPy headers...)."""
-
-
-def _numpy_include() -> str:
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - needs a no-numpy env
-        raise BuildError("building the compiled tier requires NumPy headers") from exc
-    return numpy.get_include()
+    """The extension could not be built (no compiler, a compile error...)."""
 
 
 def extension_path() -> Path:
@@ -59,7 +53,7 @@ def build_extension(verbose: bool = True) -> str:
         "-fPIC",
         "-shared",
         f"-I{sysconfig.get_paths()['include']}",
-        f"-I{_numpy_include()}",
+        f"-I{numpy.get_include()}",
         str(SOURCE),
         "-o",
         str(target),

@@ -1,34 +1,40 @@
-"""Shared backend loading for the vectorized and compiled kernels.
+"""Backend tiers of the detection core.
 
-Three backend tiers, each a bit-identical implementation of the same
-arithmetic; the tier alone selects the execution path (ADA: vector close on 1-2):
+Three tiers, each a bit-identical implementation of the same arithmetic; the
+tier alone selects the execution path (ADA: vector close on 1-2):
 
 1. **compiled** — the optional C extension (``repro._ckernels``), built on
    demand with ``python -m repro._ckernels build``;
-2. **numpy** — the vectorized kernels, active whenever NumPy imports;
-3. **python** — the pure-Python fallbacks, always available.
+2. **numpy** — the vectorized kernels;
+3. **python** — the pure-Python implementations: the oracle the other two
+   are tested against.
 
-Every module with a vectorized fast path (columnar batches, the forecaster
-bank, the hierarchy weight index, the batch detector) obtains its NumPy
-handle through :func:`load_numpy`, and the close-path hot spots additionally
-probe :func:`load_kernels` for the compiled tier, so that
+The tiers exist in ``repro.core``, ``repro.forecasting`` and
+``repro.hierarchy`` only — the forecaster bank, the hierarchy weight index,
+ADA/STA, the batch detector.  Those modules obtain their NumPy handle through
+:func:`load_numpy` (and the split-statistics update additionally probes
+:func:`load_kernels`), so that
 
-* minimal installs without NumPy transparently fall back to the pure-Python
-  implementations,
 * the ``REPRO_DISABLE_NUMPY`` environment variable, set at process start
-  (the handles bind at import), can force the fallback paths in a normal
-  environment — the CI golden-trace job uses it to prove detections are
-  identical with and without the vector backend — and
+  (the handles bind at import), runs the detection core on the python tier —
+  the CI golden-trace job uses it to prove detections are identical on the
+  vector tiers and the oracle — and
 * ``REPRO_DISABLE_COMPILED`` pins a build with the extension present to the
   NumPy tier (the equivalence suites compare the two in one process).
+
+NumPy itself is a dependency of the package: record batches, trace readers,
+the engine and the service import it directly and hold NumPy columns
+whatever tier the core runs on.
 """
 
 from __future__ import annotations
 
 import os
 
-#: Environment variable that forces the pure-Python fallbacks when set to a
-#: non-empty value, even when NumPy is importable.
+import numpy
+
+#: Environment variable that puts the detection core on the python tier when
+#: set to a non-empty value.
 DISABLE_ENV = "REPRO_DISABLE_NUMPY"
 
 #: Environment variable that skips the compiled tier even when built (the
@@ -37,14 +43,9 @@ DISABLE_COMPILED_ENV = "REPRO_DISABLE_COMPILED"
 
 
 def load_numpy():
-    """The ``numpy`` module, or ``None`` when absent or explicitly disabled."""
-    if os.environ.get(DISABLE_ENV):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - minimal installs
-        return None
-    return numpy
+    """The ``numpy`` module, or ``None`` on the python tier
+    (``REPRO_DISABLE_NUMPY``)."""
+    return None if os.environ.get(DISABLE_ENV) else numpy
 
 
 # Kernel pin stack: a close-path entry point resolves the tier once and pins

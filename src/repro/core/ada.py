@@ -51,9 +51,9 @@ updates every tracked forecaster, one
 every window, split-rule statistics update as dense per-node arrays, and
 the dual-threshold check evaluates as one batch comparison
 (:meth:`~repro.core.detector.ThresholdDetector.check_many`).  On
-the python tier (no NumPy, or a registry seasonal model the bank cannot lay
-out as rows) the scalar walk below (``_adapt`` / ``_split_cascade`` /
-``_append_weights``) runs instead — the only path on a minimal install, and
+the python tier (``REPRO_DISABLE_NUMPY``, or a registry seasonal model the
+bank cannot lay out as rows) the scalar walk below (``_adapt`` /
+``_split_cascade`` / ``_append_weights``) runs instead —
 the reference the vector tiers are tested against: detections and counters
 are identical, checkpoints identical up to the row order of ``stats`` /
 ``stats_last_unit`` (dict insertion order vs node-id order).

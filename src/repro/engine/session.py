@@ -29,8 +29,9 @@ import time
 from collections import Counter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
+import numpy as np
+
 from repro._types import CategoryPath, TimeunitIndex, Weight
-from repro._vector import load_numpy
 from repro.core.config import TiresiasConfig
 from repro.core.detector import Anomaly
 from repro.core.registry import create_algorithm
@@ -45,8 +46,6 @@ from repro.streaming.record import OperationalRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.shadow import ShadowTracker
-
-_np = load_numpy()
 
 #: Most cells one dense count matrix may have (8 MiB of float64): a batch
 #: whose closing timeunits need more is ingested in halves.
@@ -175,23 +174,39 @@ class DetectionSession:
     def _ingest_record_primary(
         self, record: OperationalRecord
     ) -> list[TimeunitResult]:
-        unit = self.clock.timeunit_of(record.timestamp)
-        if self._pending_unit is None:
-            self._pending_unit = unit
-        if unit < self._pending_unit:
-            policy = self.config.out_of_order_policy
-            if policy == "drop":
-                return []
-            if policy == "raise":
-                raise OutOfOrderRecordError(
-                    record.timestamp, self.clock.timeunit_start(self._pending_unit)
-                )
-            unit = self._pending_unit  # "clamp": count into the open timeunit
-        closed: list[TimeunitResult] = []
-        while unit > self._pending_unit:
-            closed.append(self._close_pending())
+        unit = self._admit(
+            self.clock.timeunit_of(record.timestamp),
+            record.timestamp,
+            self._pending_unit,
+        )
+        if unit is None:
+            return []
+        closed = self._advance_to_primary(unit)
         self._pending[record.category] += 1
         return closed
+
+    def _admit(
+        self,
+        unit: TimeunitIndex,
+        timestamp: float,
+        open_unit: "TimeunitIndex | None",
+    ) -> "TimeunitIndex | None":
+        """THE out-of-order policy: the timeunit a record of ``unit`` counts
+        into while ``open_unit`` is the open one (``None``: nothing ingested
+        yet) — ``None`` when it is dropped.  Only a record behind the open
+        timeunit is late; ``"clamp"`` counts it into the open timeunit and
+        ``"raise"`` refuses it with :class:`OutOfOrderRecordError`.
+        """
+        if open_unit is None or unit >= open_unit:
+            return unit
+        policy = self.config.out_of_order_policy
+        if policy == "drop":
+            return None
+        if policy == "raise":
+            raise OutOfOrderRecordError(
+                timestamp, self.clock.timeunit_start(open_unit)
+            )
+        return open_unit
 
     def ingest_batch(
         self, records: Iterable[OperationalRecord]
@@ -205,19 +220,19 @@ class DetectionSession:
     def ingest_record_batch(self, batch: RecordBatch) -> list[TimeunitResult]:
         """Add a columnar batch; returns results of all timeunits that closed.
 
-        On a vector tier a dictionary-coded batch — what every trace reader
-        and the service's decoder emit — closes its timeunits together
-        (:meth:`_ingest_batch_dense`).  Otherwise (the python tier, a batch
-        built from tuples, ``raise`` with a late run) the batch is reduced
-        to per-timeunit count dictionaries by one grouped aggregation
-        (:meth:`RecordBatch.group_runs_by_timeunit`) and those dictionaries
-        are folded into the pending timeunit wholesale, instead of
-        incrementing per record.  Because both group *runs* in
-        arrival order, the out-of-order policy fires for exactly the records
-        it would fire for under :meth:`ingest_record` — a batch spanning an
-        already-closed timeunit splits, and only the late run is dropped /
-        clamped / raised on.  Detections are bit-for-bit identical to the
-        per-record path.
+        One dispatch rule: an algorithm that ``supports_dense_close`` (ADA
+        on a vector tier) closes the batch's timeunits together
+        (:meth:`_ingest_batch_dense`); any other (ADA on the python tier,
+        STA) gets the batch reduced to per-timeunit count dictionaries by
+        one grouped aggregation (:meth:`RecordBatch.group_runs_by_timeunit`),
+        folded into the pending timeunit wholesale instead of incrementing
+        per record.  Both work on *runs* in arrival order and ask
+        :meth:`_admit` about each, so the out-of-order policy fires for
+        exactly the records it would fire for under :meth:`ingest_record` —
+        a batch spanning an already-closed timeunit splits, and only the
+        late run is dropped / clamped / raised on, with everything before it
+        ingested.  Detections are bit-for-bit identical to the per-record
+        path.
 
         A running shadow session (:meth:`start_shadow`) ingests the *same*
         :class:`RecordBatch` object right after the primary — zero-copy
@@ -231,29 +246,16 @@ class DetectionSession:
     def _ingest_record_batch_primary(
         self, batch: RecordBatch
     ) -> list[TimeunitResult]:
-        if batch.category_codes is not None and getattr(
-            self.algorithm, "supports_dense_close", False
-        ):
-            closed = self._ingest_batch_dense(batch)
-            if closed is not None:
-                return closed
-        closed = []
+        if getattr(self.algorithm, "supports_dense_close", False):
+            return self._ingest_batch_dense(batch)
+        closed: list[TimeunitResult] = []
         for unit, start, counts in batch.group_runs_by_timeunit(self.clock):
-            if self._pending_unit is None:
-                self._pending_unit = unit
-            if unit < self._pending_unit:
-                policy = self.config.out_of_order_policy
-                if policy == "drop":
-                    continue
-                if policy == "raise":
-                    raise OutOfOrderRecordError(
-                        float(batch.timestamps[start]),
-                        self.clock.timeunit_start(self._pending_unit),
-                    )
-                unit = self._pending_unit  # "clamp": count into the open timeunit
-            while unit > self._pending_unit:
-                closed.append(self._close_pending())
-            self._pending.update(counts)
+            unit = self._admit(
+                unit, float(batch.timestamps[start]), self._pending_unit
+            )
+            if unit is not None:
+                closed.extend(self._advance_to_primary(unit))
+                self._pending.update(counts)
         return closed
 
     def _dense_mapping(self, dictionary):
@@ -275,7 +277,7 @@ class DetectionSession:
             if dictionary[: len(known)] == known:
                 tail = dictionary[len(known) :]
                 if tail:
-                    id_map = _np.concatenate(
+                    id_map = np.concatenate(
                         [id_map, self.algorithm.dictionary_node_ids(tail)]
                     )
                 self._dense_dict = (dictionary, id_map)
@@ -284,7 +286,7 @@ class DetectionSession:
         self._dense_dict = (dictionary, id_map)
         return id_map
 
-    def _ingest_batch_dense(self, batch: RecordBatch) -> "list[TimeunitResult] | None":
+    def _ingest_batch_dense(self, batch: RecordBatch) -> list[TimeunitResult]:
         """Code-column ingest: the timeunits a batch closes, closed together.
 
         Everything that depends only on a timeunit's own counts is hoisted
@@ -304,32 +306,28 @@ class DetectionSession:
         first-appearance order — the keys and order the classic path's
         ``Counter(tuples)`` produces, without a statement per record — and a
         timeunit no run of this batch lands in closes from ``_pending``
-        alone.  Returns None to delegate the whole batch
-        to the classic path when a late run could raise mid-batch
-        (out_of_order_policy == "raise") — the cold path keeps the
-        exception-time session state authoritative.
+        alone.  When the policy refuses a late run, the rows before it are
+        ingested first — the exception leaves the session where
+        record-by-record ingestion would have.
         """
         runs = batch.timeunit_runs(self.clock)
         if not runs:
             return []
-        policy = self.config.out_of_order_policy
         # Pre-pass: the effective timeunit of every run under the policy, as
         # a row number (-1: dropped) into ``units``; no state touched.
         simulated = self._pending_unit
         units: list[TimeunitIndex] = []
         run_rows: list[int] = []
-        for unit, _, _ in runs:
-            if simulated is None:
-                simulated = unit
-            if unit < simulated:
-                if policy == "raise":
-                    return None
-                if policy == "drop":
-                    run_rows.append(-1)
-                    continue
-                # "clamp": count into the open timeunit
-            elif unit > simulated:
-                simulated = unit
+        for unit, start, _ in runs:
+            try:
+                unit = self._admit(unit, float(batch.timestamps[start]), simulated)
+            except OutOfOrderRecordError:
+                self._ingest_batch_dense(batch.slice(0, start))
+                raise
+            if unit is None:
+                run_rows.append(-1)
+                continue
+            simulated = unit
             if not units or units[-1] != simulated:
                 units.append(simulated)
             run_rows.append(len(units) - 1)
@@ -346,8 +344,8 @@ class DetectionSession:
             # is ingesting the whole.
             middle = runs[len(runs) // 2][1]
             return [
-                *self._ingest_record_batch_primary(batch.slice(0, middle)),
-                *self._ingest_record_batch_primary(batch.slice(middle, len(batch))),
+                *self._ingest_batch_dense(batch.slice(0, middle)),
+                *self._ingest_batch_dense(batch.slice(middle, len(batch))),
             ]
         codes = batch.category_codes
         dictionary = batch.code_dictionary
@@ -355,18 +353,17 @@ class DetectionSession:
             self._pending_unit = units[0]  # a first run is never late
         swept = []
         if closing:
-            np_ = _np
-            rows = np_.repeat(
-                np_.array(run_rows), [stop - start for _, start, stop in runs]
+            rows = np.repeat(
+                np.array(run_rows), [stop - start for _, start, stop in runs]
             )
             node_ids = self._dense_mapping(dictionary)[codes]
             counted = (rows >= 0) & (rows < open_row) & (node_ids >= 0)
-            counts = np_.bincount(
+            counts = np.bincount(
                 rows[counted] * width + node_ids[counted],
                 minlength=len(closing) * width,
             )
             swept = algorithm.sweep_timeunits(
-                counts.astype(np_.float64).reshape(len(closing), width),
+                counts.astype(np.float64).reshape(len(closing), width),
                 self._pending if closing[0] == self._pending_unit else None,
             )
         closed: list[TimeunitResult] = []

@@ -116,6 +116,8 @@ import time
 from collections import deque
 from typing import Any, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.config import TiresiasConfig
 from repro.core.detector import Anomaly
 from repro.core.fused import CloseHistogram
@@ -152,12 +154,6 @@ from repro.io.checkpoint import (
 from repro.streaming.batch import RecordBatch, iter_record_batches
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
-
-try:  # pragma: no cover - exercised implicitly by the whole suite
-    import numpy as _np
-except ImportError:  # pragma: no cover - minimal installs
-    _np = None
-
 
 # ----------------------------------------------------------------------
 # Subtree shard planning
@@ -216,24 +212,15 @@ def _segment_cuts(w_before, units_col, rows, anchor: int) -> tuple[list[int], in
     """
     if len(rows) == 0:
         return [], anchor
-    if _np is not None:
-        w = w_before[rows]
-        u = units_col[rows]
-        own = _np.maximum.accumulate(_np.concatenate(([anchor], u[:-1])))
-        late = _np.flatnonzero((u < w) & (w > own))
-        w_late = w[late]
-        first = _np.ones(len(late), dtype=bool)
-        first[1:] = w_late[1:] != w_late[:-1]
-        cuts = late[first].tolist()
-        progress = max(anchor, int(u.max()), int(w[cuts[-1]]) if cuts else anchor)
-        return cuts, progress
-    cuts, progress = [], anchor
-    for position, row in enumerate(rows):
-        if units_col[row] < w_before[row] and w_before[row] > progress:
-            cuts.append(position)
-            progress = int(w_before[row])
-        if units_col[row] > progress:
-            progress = int(units_col[row])
+    w = w_before[rows]
+    u = units_col[rows]
+    own = np.maximum.accumulate(np.concatenate(([anchor], u[:-1])))
+    late = np.flatnonzero((u < w) & (w > own))
+    w_late = w[late]
+    first = np.ones(len(late), dtype=bool)
+    first[1:] = w_late[1:] != w_late[:-1]
+    cuts = late[first].tolist()
+    progress = max(anchor, int(u.max()), int(w[cuts[-1]]) if cuts else anchor)
     return cuts, progress
 
 
@@ -244,7 +231,6 @@ def _worker_columns(part: RecordBatch) -> RecordBatch:
     happened coordinator-side), so it is left behind before any gather —
     neither the wire nor the supervisor's op-log carries it.
     """
-    part = part.coded()
     if part.attributes is None:
         return part
     return RecordBatch.from_dictionary_codes(
@@ -494,9 +480,9 @@ class _SubtreeUnit:
         if cached is not None and cached[0] is dictionary:
             return cached[1]
         route = self.partition.route
-        table = [route(category) or 0 for category in dictionary]
-        if _np is not None:
-            table = _np.asarray(table, dtype=_np.intp)
+        table = np.asarray(
+            [route(category) or 0 for category in dictionary], dtype=np.intp
+        )
         self._route_table = (dictionary, table)
         return table
 
@@ -1211,26 +1197,13 @@ class ShardedDetectionEngine:
         fresh = unit.carried is None
         anchor = int(units_col[0]) if fresh else unit.carried
         table = unit.route_table(part.code_dictionary)
-        if _np is not None:
-            running_max = _np.maximum.accumulate(units_col)
-            w_before = _np.concatenate(
-                ([anchor], _np.maximum(running_max[:-1], anchor))
-            )
-            new_carried = max(int(running_max[-1]), anchor)
-            gids = table[part.category_codes]
-        else:
-            w_before, new_carried = [], anchor
-            for u in units_col:
-                w_before.append(new_carried)
-                if u > new_carried:
-                    new_carried = int(u)
-            gids = [table[code] for code in part.category_codes]
+        running_max = np.maximum.accumulate(units_col)
+        w_before = np.concatenate(([anchor], np.maximum(running_max[:-1], anchor)))
+        new_carried = max(int(running_max[-1]), anchor)
+        gids = table[part.category_codes]
 
         for gid in range(unit.num_groups):
-            if _np is not None:
-                rows = _np.flatnonzero(gids == gid)
-            else:
-                rows = [i for i, g in enumerate(gids) if g == gid]
+            rows = np.flatnonzero(gids == gid)
             count = len(rows)
             cuts, progress = _segment_cuts(w_before, units_col, rows, anchor)
             # (watermark, start, stop): advance to the watermark, then ingest

@@ -3,9 +3,8 @@
 Commands are encoded with the :mod:`~repro.engine.transport.wire` frame
 format into one ``multiprocessing.shared_memory`` segment per worker; the
 control pipe carries only a tiny pickled notify ``(segment name, frame
-length)``.  The worker maps the same segment and — on NumPy installs —
-wraps the batch columns with ``numpy.frombuffer`` straight out of the
-mapping: record timestamps and category codes cross the process boundary
+length)``.  The worker maps the same segment and wraps the batch columns
+with ``numpy.frombuffer`` straight out of the mapping: record timestamps and category codes cross the process boundary
 without ever being pickled or copied coordinator-side.
 
 The engine's request/reply protocol is strict *per channel*, not per

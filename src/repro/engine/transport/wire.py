@@ -24,11 +24,9 @@ ships workers timestamps and codes only, because no worker verb reads
 attributes (``repro.engine.sharded._worker_columns``).  The attribute legs
 of the format serve anything else that encodes a batch with attributes.
 
-Every trace reader emits dictionary-coded batches, so a batch normally
-arrives here with its code column built; a batch assembled from tuples by
-hand (``RecordBatch(...)``, ``from_records``) is coded on the spot in
-first-appearance order (:meth:`RecordBatch.coded`), so the decoded batch is
-always a coded batch over the same records.
+A batch always holds dictionary codes (one assembled from tuples by hand
+numbered them at construction), so the code column is shipped as it is and
+the decoded batch is a batch over the same records.
 
 Delta dictionaries
 ------------------
@@ -80,31 +78,19 @@ from __future__ import annotations
 
 import pickle
 import struct
-import sys
 import zlib
-from array import array
 from typing import Any
+
+import numpy as np
 
 from repro.exceptions import ShardingError
 from repro.streaming.attributes import EncodedAttributes
 from repro.streaming.batch import Codebook, RecordBatch
 
-try:  # pragma: no cover - exercised implicitly by the whole suite
-    import numpy as _np
-except ImportError:  # pragma: no cover - minimal installs
-    _np = None
-
 _MAGIC = b"RSF2"
 _CRC = struct.Struct("<I")
 _HEADER = struct.Struct("<II")
 _COL_LEN = struct.Struct("<Q")
-
-if array("i").itemsize == 4:
-    _CODE_TYPECODE = "i"
-elif array("l").itemsize == 4:  # pragma: no cover - platform-dependent
-    _CODE_TYPECODE = "l"
-else:  # pragma: no cover - no 4-byte int array type
-    _CODE_TYPECODE = None
 
 
 #: ``_BatchRef.attributes`` value saying the attribute column rides in the
@@ -165,10 +151,10 @@ class DictEncoder:
             return cached[1]
         book = self.book
         base = len(book)
-        translation = book.codes([tuple(path) for path in dictionary])
+        translation = np.asarray(
+            book.codes([tuple(path) for path in dictionary]), dtype="<i4"
+        )
         delta.extend(book.entries[base:])
-        if _np is not None:
-            translation = _np.asarray(translation, dtype="<i4")
         self._translation = (dictionary, translation)
         return translation
 
@@ -198,50 +184,20 @@ class DictDecoder:
         return self.entries
 
 
-def _le_f8(values: Any) -> bytes:
-    if _np is not None:
-        return _np.ascontiguousarray(values, dtype="<f8").tobytes()
-    arr = (
-        values
-        if isinstance(values, array) and values.typecode == "d"
-        else array("d", values)
-    )
-    if sys.byteorder == "big":  # pragma: no cover - big-endian hosts
-        arr = array("d", arr)
-        arr.byteswap()
-    return arr.tobytes()
-
-
-def _le_i4(values: Any) -> bytes:
-    if _np is not None:
-        return _np.ascontiguousarray(values, dtype="<i4").tobytes()
-    if _CODE_TYPECODE is None:  # pragma: no cover - no 4-byte int array type
-        raise ShardingError("no 4-byte integer array type on this platform")
-    arr = array(_CODE_TYPECODE, values)
-    if sys.byteorder == "big":  # pragma: no cover - big-endian hosts
-        arr.byteswap()
-    return arr.tobytes()
-
-
 def _encode_batch(
     batch: RecordBatch, columns: list, encoder: "DictEncoder | None"
 ) -> _BatchRef:
-    batch = batch.coded()
     codes = batch.category_codes
     if encoder is None:
         dictionary: Any = list(batch.code_dictionary)
     else:
         delta: list = []
         base = len(encoder)
-        translation = encoder.translation_for(batch.code_dictionary, delta)
-        if _np is not None:
-            codes = translation[_np.asarray(codes)]
-        else:
-            codes = [translation[int(code)] for code in codes]
+        codes = encoder.translation_for(batch.code_dictionary, delta)[codes]
         dictionary = ("delta", base, delta)
     ref = _BatchRef(len(columns), len(batch), dictionary, None)
-    columns.append(_le_f8(batch.timestamps))
-    columns.append(_le_i4(codes))
+    columns.append(np.ascontiguousarray(batch.timestamps, dtype="<f8").tobytes())
+    columns.append(np.ascontiguousarray(codes, dtype="<i4").tobytes())
     attributes = batch.attributes
     if isinstance(attributes, EncodedAttributes):
         if not attributes.all_empty:
@@ -270,19 +226,8 @@ def _strip(obj: Any, columns: list, encoder: "DictEncoder | None") -> Any:
 
 def _restore(obj: Any, columns: list, decoder: "DictDecoder | None") -> Any:
     if isinstance(obj, _BatchRef):
-        ts_buf = columns[obj.index]
-        code_buf = columns[obj.index + 1]
-        if _np is not None:
-            timestamps = _np.frombuffer(ts_buf, dtype="<f8")
-            codes = _np.frombuffer(code_buf, dtype="<i4")
-        else:
-            timestamps = array("d")
-            timestamps.frombytes(ts_buf)
-            codes = array(_CODE_TYPECODE)
-            codes.frombytes(code_buf)
-            if sys.byteorder == "big":  # pragma: no cover - big-endian hosts
-                timestamps.byteswap()
-                codes.byteswap()
+        timestamps = np.frombuffer(columns[obj.index], dtype="<f8")
+        codes = np.frombuffer(columns[obj.index + 1], dtype="<i4")
         dictionary = obj.dictionary
         if isinstance(dictionary, tuple):
             _, base, delta = dictionary
@@ -354,9 +299,9 @@ def decode_frame(buf: Any, decoder: "DictDecoder | None" = None) -> Any:
     """Decode a frame produced by :func:`encode_frame`.
 
     ``buf`` may be ``bytes`` or a ``memoryview`` (e.g. a slice of a
-    shared-memory mapping); on NumPy installs the decoded batch columns are
-    views into ``buf`` — the caller must keep the backing buffer alive
-    until the decoded command has been fully consumed.
+    shared-memory mapping); the decoded batch columns are views into
+    ``buf`` — the caller must keep the backing buffer alive until the
+    decoded command has been fully consumed.
 
     ``decoder`` is the connection's cumulative :class:`DictDecoder` for
     delta-coded frames; it must be the same object for every frame of the

@@ -32,11 +32,10 @@ Every float operation is, element for element, the scalar arithmetic of the
 per-object forecasters (:class:`_ScalarRow`, kept verbatim), so results stay
 bit-for-bit identical across tiers.
 
-Fallbacks mirror :class:`~repro.streaming.batch.RecordBatch`: without NumPy
-(or with ``REPRO_DISABLE_NUMPY`` set, or with a custom ``ForecastConfig.model``
-whose internals the bank cannot vectorize) each row is a private
-:class:`_ScalarRow` with the same public row API and no window segment —
-functional, just slower, and the reference the row store is tested against.
+The python tier: with ``REPRO_DISABLE_NUMPY`` set (or with a custom
+``ForecastConfig.model`` whose internals the bank cannot vectorize) each row
+is a private :class:`_ScalarRow` with the same public row API and no window
+segment — the reference the row store is tested against.
 
 Checkpoint compatibility: :meth:`row_state_dict` / :meth:`load_row_state`
 speak the *canonical per-path forecaster format* that predates the bank
@@ -50,7 +49,7 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
-from repro._vector import load_kernels, load_numpy
+from repro._vector import load_numpy
 from repro.core.config import ForecastConfig
 from repro.exceptions import ConfigurationError
 from repro.forecasting.holt_winters import (
@@ -59,9 +58,6 @@ from repro.forecasting.holt_winters import (
 )
 
 _np = load_numpy()
-
-#: Whether the vectorized (NumPy) kernels are active for ``model="auto"``.
-HAS_VECTOR_BACKEND = _np is not None
 
 #: Row-count crossover at which a vectorized bank beats per-row Python
 #: arithmetic for repeated full-bank updates (measured ≈ 48 on CPython 3.11).
@@ -110,7 +106,7 @@ class _ScalarRow:
     """One row's forecasting state as plain Python objects.
 
     This is the historical per-node forecaster implementation, kept verbatim
-    as the bank's fallback row type: it is used when NumPy is unavailable and
+    as the bank's python-tier row type: it is used on the python tier and
     when the configured seasonal model is a registry plug-in whose internals
     the vector kernels cannot see.
     """
@@ -265,7 +261,7 @@ class ForecasterBank:
     one :class:`~repro.core.config.ForecastConfig` and, when the bank was
     given (or later reserved) a ``window`` length, one window length ℓ.
 
-    The bank runs **vectorized** when NumPy is importable and the config's
+    The bank runs **vectorized** on the vector tiers when the config's
     seasonal model is the built-in ``"auto"`` choice; otherwise every row is
     a scalar fallback object with identical behaviour and no window segment
     (:class:`~repro.core.timeseries.NodeTimeSeries` keeps deque rings then).
@@ -553,27 +549,6 @@ class ForecasterBank:
         fallback_alpha = self.config.fallback_alpha
         if active.all() and not np_.isnan(ewma).any():
             # Steady state (every row warm): no masks, no history bookkeeping.
-            kernels = load_kernels() if self._single else None
-            if kernels is not None:
-                # Compiled tier: same arithmetic, same operation order (see
-                # _implmodule.c); rows are unique so in-place per-row updates
-                # match the gather/scatter NumPy expressions bit for bit.
-                out = np_.empty(idx.size, dtype=np_.float64)
-                kernels.observe_steady(
-                    np_.ascontiguousarray(idx, dtype=np_.intp),
-                    np_.ascontiguousarray(v, dtype=np_.float64),
-                    self._state,
-                    self._ints,
-                    _SEEN,
-                    _PHASE,
-                    self.config.alpha,
-                    self.config.beta,
-                    self.config.gamma,
-                    fallback_alpha,
-                    self.config.season_lengths[0],
-                    out,
-                )
-                return out
             level, trend, seasonal = self._components(flat, iflat, base, ibase)
             flat[base] = fallback_alpha * v + (1 - fallback_alpha) * ewma
             iflat[ibase + _SEEN] += 1
@@ -1174,7 +1149,6 @@ class ForecasterBank:
 
 __all__ = [
     "ForecasterBank",
-    "HAS_VECTOR_BACKEND",
     "OBSERVE_VECTOR_MIN_ROWS",
     "VECTOR_MIN_ROWS",
     "load_seasonal_state",

@@ -18,8 +18,6 @@ columns are zero-copy views — no per-line parsing, no per-record tuples
 them) and no per-record attribute dicts: the attribute column is an
 :class:`~repro.streaming.attributes.EncodedAttributes` window onto the
 file's blob, and a row's JSON is parsed only if something indexes that row.
-Without NumPy a pure-Python ``array``-module reader keeps the format
-usable, just without the zero-copy property.
 
 What is validated when: opening a file checks its *structure* — header,
 code range, and that the attribute offsets start at 0, never decrease, end
@@ -43,7 +41,8 @@ from array import array
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro._vector import load_numpy
+import numpy as np
+
 from repro.exceptions import StreamError
 from repro.streaming.attributes import EncodedAttributes
 from repro.streaming.batch import Codebook, RecordBatch
@@ -109,21 +108,11 @@ def write_trace_columnar(
             codes.append(book.code(tuple(item.category)))
             add_attribute_row(item.attributes)
             continue
-        item_ts = item.timestamps
-        timestamps.extend(item_ts.tolist() if hasattr(item_ts, "tolist") else item_ts)
-        item_codes = item.category_codes
-        if item_codes is not None:
-            # Coded batch: translate codes dictionary-to-dictionary without
-            # materializing category tuples per record.
-            translate = book.codes(item.code_dictionary)
-            codes.extend(
-                translate[code]
-                for code in (
-                    item_codes.tolist() if hasattr(item_codes, "tolist") else item_codes
-                )
-            )
-        else:
-            codes.extend(book.codes(item.categories))
+        timestamps.extend(item.timestamps.tolist())
+        # Translate codes dictionary-to-dictionary, without materializing
+        # category tuples per record.
+        translate = book.codes(item.code_dictionary)
+        codes.extend(translate[code] for code in item.category_codes.tolist())
         batch_attrs = item.attributes
         if isinstance(batch_attrs, EncodedAttributes):
             # Still-encoded rows pass through byte for byte.
@@ -246,8 +235,8 @@ def read_batches_columnar(
 ) -> Iterator[RecordBatch]:
     """Yield :class:`RecordBatch` chunks from a columnar trace file.
 
-    With NumPy the timestamp and code columns are ``memmap`` views sliced
-    per batch — zero copies, zero per-record parsing.  The category
+    The timestamp and code columns are ``memmap`` views sliced per batch —
+    zero copies, zero per-record parsing.  The category
     dictionary is shared by every yielded batch, and so is the attribute
     blob: each batch's attribute column is an
     :class:`~repro.streaming.attributes.EncodedAttributes` window onto it
@@ -266,51 +255,38 @@ def read_batches_columnar(
         if not category:
             raise StreamError(f"{path}: dictionary entry with empty category")
     columns = header["columns"]
-    np_ = load_numpy()
 
-    def column(name: str, dtype: str, typecode: str, length: int):
-        offset = columns[name]["offset"]
-        if np_ is not None:
-            # A plain ndarray view of the mapping: memmap's own element
-            # indexing is pathologically slow.
-            return np_.asarray(
-                np_.memmap(path, dtype=dtype, mode="r", offset=offset, shape=(length,))
+    def column(name: str, dtype: str, length: int):
+        # A plain ndarray view of the mapping: memmap's own element indexing
+        # is pathologically slow.
+        return np.asarray(
+            np.memmap(
+                path,
+                dtype=dtype,
+                mode="r",
+                offset=columns[name]["offset"],
+                shape=(length,),
             )
-        values = array(typecode)
-        with path.open("rb") as handle:
-            handle.seek(offset)
-            values.frombytes(handle.read(values.itemsize * length))
-        if sys.byteorder != "little":  # pragma: no cover - BE hosts
-            values.byteswap()
-        return values
+        )
 
-    timestamps = column("timestamps", "<f8", "d", count)
-    codes = column("codes", "<i4", "i", count)
-    if count:
-        if np_ is not None:
-            lo, hi = int(codes.min()), int(codes.max())
-        else:
-            lo, hi = min(codes), max(codes)
-        if lo < 0 or hi >= len(dictionary):
-            raise StreamError(f"{path}: category code out of dictionary range")
+    timestamps = column("timestamps", "<f8", count)
+    codes = column("codes", "<i4", count)
+    if count and (codes.min() < 0 or codes.max() >= len(dictionary)):
+        raise StreamError(f"{path}: category code out of dictionary range")
 
     attr_offsets = None
     attr_blob = b""
     if "attr_offsets" in columns:
-        attr_offsets = column("attr_offsets", "<i8", "q", count + 1)
+        attr_offsets = column("attr_offsets", "<i8", count + 1)
         blob = columns["attr_blob"]
         with path.open("rb") as handle:
             handle.seek(blob["offset"])
             attr_blob = handle.read(blob["size"])
-        if np_ is not None:
-            ordered = bool((attr_offsets[1:] >= attr_offsets[:-1]).all())
-        else:
-            ordered = all(a <= b for a, b in zip(attr_offsets, attr_offsets[1:]))
         if (
             len(attr_blob) != blob["size"]
             or attr_offsets[0] != 0
             or attr_offsets[-1] != len(attr_blob)
-            or not ordered
+            or (attr_offsets[1:] < attr_offsets[:-1]).any()
         ):
             raise StreamError(
                 f"{path}: corrupt attributes section (offsets must run from 0 "

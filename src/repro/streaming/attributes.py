@@ -29,16 +29,11 @@ from __future__ import annotations
 
 import json
 import re
-import sys
-from array import array
 from collections.abc import Sequence
 
-from repro.exceptions import StreamError
+import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by the whole suite
-    import numpy as _np
-except ImportError:  # pragma: no cover - minimal installs
-    _np = None
+from repro.exceptions import StreamError
 
 #: Largest window :meth:`EncodedAttributes.window` can describe with ``<i4``
 #: row lengths.
@@ -47,18 +42,13 @@ _MAX_WINDOW_BYTES = 2**31 - 1
 #: Keys whose only JSON spellings are the literal one and ``\\u`` escapes.
 _PLAIN_KEY = re.compile(r"[A-Za-z0-9_.-]+")
 
-if array("i").itemsize == 4:
-    _LENGTH_TYPECODE = "i"
-else:  # pragma: no cover - platform-dependent
-    _LENGTH_TYPECODE = "l"
-
 
 class EncodedAttributes(Sequence):
     """Attribute rows kept as JSON bytes; decoded one row at a time, on use.
 
     ``blob`` holds the rows' JSON objects back to back and ``offsets`` the
-    ``len + 1`` byte positions delimiting them (``int64`` NumPy array, or an
-    ``array('q')``/list without NumPy).  The offsets need not start at zero:
+    ``len + 1`` byte positions delimiting them (an ``int64`` array).  The
+    offsets need not start at zero:
     a slice shares its parent's blob.  ``source`` and ``first_row`` only
     label decode errors (``first_row`` is ``None`` once rows were gathered
     out of file order).
@@ -78,27 +68,16 @@ class EncodedAttributes(Sequence):
         first_row: "int | None" = 0,
     ):
         self._blob = blob
-        self._offsets = offsets
+        self._offsets = np.asarray(offsets, dtype=np.int64)
         self._source = source
         self._first_row = first_row
 
     @classmethod
     def from_window(cls, blob, lengths) -> "EncodedAttributes":
         """Rebuild a column from what :meth:`window` returned (any buffers)."""
-        if _np is not None:
-            sizes = _np.frombuffer(lengths, dtype="<i4")
-            offsets = _np.zeros(len(sizes) + 1, dtype=_np.int64)
-            _np.cumsum(sizes, out=offsets[1:])
-        else:
-            sizes = array(_LENGTH_TYPECODE)
-            sizes.frombytes(bytes(lengths))
-            if sys.byteorder == "big":  # pragma: no cover - big-endian hosts
-                sizes.byteswap()
-            offsets = array("q", [0])
-            position = 0
-            for size in sizes:
-                position += size
-                offsets.append(position)
+        sizes = np.frombuffer(lengths, dtype="<i4")
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
         return cls(bytes(blob), offsets, None, None)
 
     # ------------------------------------------------------------------
@@ -127,8 +106,7 @@ class EncodedAttributes(Sequence):
         return self._decode(index, int(self._offsets[index]), int(self._offsets[index + 1]))
 
     def __iter__(self):
-        offsets = self._offsets
-        bounds = offsets.tolist() if hasattr(offsets, "tolist") else offsets
+        bounds = self._offsets.tolist()
         begin = bounds[0]
         for row, end in enumerate(bounds[1:]):
             yield self._decode(row, begin, end)
@@ -183,31 +161,19 @@ class EncodedAttributes(Sequence):
         """Rows ``indices`` (non-negative) in that order, as a compact column
         — bytes are gathered, never parsed; ``None`` when every taken row is
         empty."""
-        if _np is not None:
-            rows = _np.asarray(indices, dtype=_np.intp)
-            offsets = _np.asarray(self._offsets)
-            starts = offsets[rows]
-            sizes = offsets[rows + 1] - starts
-            taken = _np.zeros(len(rows) + 1, dtype=_np.int64)
-            _np.cumsum(sizes, out=taken[1:])
-            total = int(taken[-1])
-            if total == 0:
-                return None
-            source_bytes = _np.frombuffer(self._blob, dtype=_np.uint8)
-            positions = _np.repeat(starts - taken[:-1], sizes)
-            positions += _np.arange(total, dtype=_np.int64)
-            blob = source_bytes[positions].tobytes()
-        else:
-            offsets = self._offsets
-            parts = [self._blob[offsets[i] : offsets[i + 1]] for i in indices]
-            taken = array("q", [0])
-            position = 0
-            for part in parts:
-                position += len(part)
-                taken.append(position)
-            if position == 0:
-                return None
-            blob = b"".join(parts)
+        rows = np.asarray(indices, dtype=np.intp)
+        offsets = self._offsets
+        starts = offsets[rows]
+        sizes = offsets[rows + 1] - starts
+        taken = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=taken[1:])
+        total = int(taken[-1])
+        if total == 0:
+            return None
+        source_bytes = np.frombuffer(self._blob, dtype=np.uint8)
+        positions = np.repeat(starts - taken[:-1], sizes)
+        positions += np.arange(total, dtype=np.int64)
+        blob = source_bytes[positions].tobytes()
         return EncodedAttributes(blob, taken, self._source, None)
 
     def window(self) -> tuple:
@@ -219,17 +185,7 @@ class EncodedAttributes(Sequence):
                 f"attribute column window of {len(blob)} bytes exceeds the "
                 f"{_MAX_WINDOW_BYTES}-byte limit of one batch"
             )
-        offsets = self._offsets
-        if _np is not None:
-            lengths = _np.diff(_np.asarray(offsets)).astype("<i4")
-        else:
-            lengths = array(
-                _LENGTH_TYPECODE,
-                (offsets[i + 1] - offsets[i] for i in range(len(offsets) - 1)),
-            )
-            if sys.byteorder == "big":  # pragma: no cover - big-endian hosts
-                lengths.byteswap()
-        return blob, lengths
+        return blob, np.diff(self._offsets).astype("<i4")
 
     def __reduce__(self):
         # Ship the rows' window, never the whole file's blob.

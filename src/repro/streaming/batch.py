@@ -3,12 +3,12 @@
 A :class:`RecordBatch` holds many operational records as parallel columns —
 one timestamp array, one category column, one (optional) attribute list —
 instead of N :class:`~repro.streaming.record.OperationalRecord` objects.  The
-category column of every batch a trace reader emits is *dictionary-coded*:
-one ``int32`` code per record into a list of the distinct paths
-(:class:`Codebook`, :class:`ColumnAccumulator`); a batch assembled by hand
-from tuples (``RecordBatch(...)``, :meth:`RecordBatch.from_records`) keeps
-the tuple list, and :attr:`RecordBatch.categories` reads the same either
-way.  The whole hot path operates on these columns:
+category column is always *dictionary-coded*: one ``int32`` code per record
+into a list of the distinct paths (:class:`Codebook`).  Trace readers build
+the codes as they read (:class:`ColumnAccumulator`); a batch assembled by
+hand from tuples (``RecordBatch(...)``, :meth:`RecordBatch.from_records`) is
+numbered at construction, and :attr:`RecordBatch.categories` reads the same
+either way.  The whole hot path operates on these columns:
 
 * timeunit classification is one vectorized pass over the timestamp column
   (:meth:`RecordBatch.timeunit_indices`);
@@ -28,18 +28,18 @@ exactly the same out-of-order policy decisions as replaying the records one by
 one, which is what makes the batch path produce bit-for-bit identical
 detections (see ``tests/integration/test_batch_equivalence.py``).
 
-NumPy is used for the timestamp column when available; a pure-Python
-``array``-module fallback keeps the batch path functional (just slower) on
-minimal installs.
+The columns are NumPy arrays: NumPy is a dependency of the batch path (the
+python tier is the detection core's oracle, not a way to run without it).
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from math import isfinite as _isfinite
 from typing import Any
+
+import numpy as np
 
 from repro._types import CategoryPath, Timestamp, TimeunitIndex
 from repro.exceptions import StreamError
@@ -52,14 +52,6 @@ from repro.streaming.attributes import (
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 
-try:  # pragma: no cover - exercised implicitly by the whole suite
-    import numpy as _np
-except ImportError:  # pragma: no cover - minimal installs
-    _np = None
-
-#: Whether the vectorized (NumPy) kernels are active.
-HAS_VECTOR_BACKEND = _np is not None
-
 #: A :class:`ColumnAccumulator` built for batches of ``batch_size`` rows
 #: starts a fresh codebook rather than let one grow past this many batches'
 #: worth of entries, so a stream of all-distinct categories holds
@@ -70,8 +62,8 @@ CODEBOOK_BATCHES = 4
 class Codebook:
     """Category paths numbered in first-appearance order.
 
-    THE dictionary builder: the accumulator behind every trace reader,
-    :meth:`RecordBatch.coded`, the shard channels' cumulative dictionaries
+    THE dictionary builder: the accumulator behind every trace reader, the
+    :class:`RecordBatch` constructor, the shard channels' cumulative dictionaries
     (:class:`~repro.engine.transport.wire.DictEncoder`) and the ``.rcol``
     writer all number paths through one of these.  ``entries[code]`` is the
     path, ``lookup[path]`` its code; both only ever grow.
@@ -103,15 +95,18 @@ class Codebook:
 class RecordBatch:
     """A column-oriented batch of operational records.
 
+    One representation however the batch was built: ``timestamps`` is a
+    ``float64`` array, ``category_codes`` an ``int32`` array of indices into
+    ``code_dictionary``, the list of the distinct category paths.
+
     Parameters
     ----------
     timestamps:
-        Per-record timestamps, stream order.  Stored as a ``float64`` NumPy
-        array when NumPy is available, else an ``array('d')``.
+        Per-record timestamps, stream order.
     categories:
         Per-record category paths (tuples of labels), parallel to
-        ``timestamps``.  (Readers build coded batches instead —
-        :meth:`from_dictionary_codes`.)
+        ``timestamps``; numbered in first-appearance order here.  (Readers
+        hand over codes they already built — :meth:`from_dictionary_codes`.)
     attributes:
         Optional per-record attribute mappings, parallel to ``timestamps``.
         ``None`` means every record has empty attributes (the common case for
@@ -137,45 +132,44 @@ class RecordBatch:
         categories: Sequence[CategoryPath],
         attributes: Sequence[Mapping[str, Any]] | None = None,
     ):
-        if _np is not None:
-            self.timestamps = _np.asarray(timestamps, dtype=_np.float64)
-        else:
-            self.timestamps = (
-                timestamps if isinstance(timestamps, array) else array("d", timestamps)
-            )
-        self._categories: list[CategoryPath] = (
-            categories if isinstance(categories, list) else list(categories)
+        if not isinstance(categories, list):
+            categories = list(categories)
+        book = Codebook()
+        self._set_columns(
+            timestamps, book.codes(categories), book.entries, attributes
         )
-        self.category_codes = None
-        self.code_dictionary = None
-        if len(self.timestamps) != len(self._categories):
+        # The given tuples are what ``categories`` would decode to.
+        self._categories = categories
+
+    def _set_columns(self, timestamps, codes, dictionary, attributes) -> None:
+        self.timestamps = np.asarray(timestamps, dtype=np.float64)
+        self.category_codes = np.asarray(codes, dtype=np.int32)
+        self.code_dictionary = dictionary
+        self.attributes = attributes
+        self._categories: "list[CategoryPath] | None" = None
+        rows = len(self.category_codes)
+        if len(self.timestamps) != rows:
             raise StreamError(
                 f"column length mismatch: {len(self.timestamps)} timestamps vs "
-                f"{len(self._categories)} categories"
+                f"{rows} categories"
             )
-        if attributes is not None and len(attributes) != len(self._categories):
+        if attributes is not None and len(attributes) != rows:
             raise StreamError(
                 f"column length mismatch: {len(attributes)} attribute rows vs "
-                f"{len(self._categories)} categories"
+                f"{rows} categories"
             )
-        self.attributes = attributes
 
     @property
     def categories(self) -> list[CategoryPath]:
-        """Per-record category paths, materialized lazily for coded batches.
+        """Per-record category paths, decoded from the codes on first use.
 
-        A batch built by :meth:`from_dictionary_codes` stores one ``int32``
-        code per record plus the shared string dictionary; the tuple list is
-        only decoded the first time something actually asks for it.  The
-        dense close path never does, which is where the columnar reader's
-        parse savings come from.
+        The dense close path never asks, which is where the columnar
+        reader's parse savings come from.
         """
         cats = self._categories
         if cats is None:
-            codes = self.category_codes
             dictionary = self.code_dictionary
-            codes_list = codes.tolist() if hasattr(codes, "tolist") else codes
-            cats = [dictionary[code] for code in codes_list]
+            cats = [dictionary[code] for code in self.category_codes.tolist()]
             self._categories = cats
         return cats
 
@@ -224,32 +218,12 @@ class RecordBatch:
         """Build a batch from dictionary-encoded categories (what every
         trace reader and the wire decoder do).
 
-        ``codes`` holds one index into ``dictionary`` per record (an ``int32``
-        NumPy array on vector installs, any int sequence otherwise) and
-        ``dictionary`` the distinct category paths as tuples.  Category tuples
-        are decoded lazily — see :attr:`categories`.
+        ``codes`` holds one index into ``dictionary`` per record (an
+        ``int32`` array is kept as is, without a copy) and ``dictionary``
+        the distinct category paths as tuples.
         """
         batch = cls.__new__(cls)
-        if _np is not None:
-            batch.timestamps = _np.asarray(timestamps, dtype=_np.float64)
-        else:
-            batch.timestamps = (
-                timestamps if isinstance(timestamps, array) else array("d", timestamps)
-            )
-        batch._categories = None
-        batch.category_codes = codes
-        batch.code_dictionary = dictionary
-        batch.attributes = attributes
-        if len(batch.timestamps) != len(codes):
-            raise StreamError(
-                f"column length mismatch: {len(batch.timestamps)} timestamps "
-                f"vs {len(codes)} category codes"
-            )
-        if attributes is not None and len(attributes) != len(codes):
-            raise StreamError(
-                f"column length mismatch: {len(attributes)} attribute rows vs "
-                f"{len(codes)} category codes"
-            )
+        batch._set_columns(timestamps, codes, dictionary, attributes)
         return batch
 
     @classmethod
@@ -277,119 +251,68 @@ class RecordBatch:
         return list(self)
 
     def slice(self, start: int, stop: int) -> "RecordBatch":
-        """A contiguous sub-batch (columns are sliced, rows never built)."""
-        attrs = slice_rows(self.attributes, start, stop)
-        if self.category_codes is not None:
-            # Coded batch: slice the code column (a zero-copy view on vector
-            # installs) and keep sharing the dictionary.
-            return RecordBatch.from_dictionary_codes(
-                self.timestamps[start:stop],
-                self.category_codes[start:stop],
-                self.code_dictionary,
-                attrs,
-            )
-        return RecordBatch(
-            self.timestamps[start:stop], self._categories[start:stop], attrs
+        """A contiguous sub-batch: zero-copy views of the columns over the
+        same dictionary, rows never built."""
+        return RecordBatch.from_dictionary_codes(
+            self.timestamps[start:stop],
+            self.category_codes[start:stop],
+            self.code_dictionary,
+            slice_rows(self.attributes, start, stop),
         )
 
     def take(self, indices: Sequence[int]) -> "RecordBatch":
         """A sub-batch of the given (non-negative) row indices, in the given
-        order.  A coded batch gathers its codes and keeps the dictionary."""
-        if _np is not None:
-            rows = _np.asarray(indices, dtype=_np.intp)
-            ts = self.timestamps[rows]
-        else:
-            ts = array("d", (self.timestamps[i] for i in indices))
-        attrs = take_rows(self.attributes, indices)
-        codes = self.category_codes
-        if codes is not None:
-            return RecordBatch.from_dictionary_codes(
-                ts,
-                (
-                    _np.asarray(codes)[rows]
-                    if _np is not None
-                    else [codes[i] for i in indices]
-                ),
-                self.code_dictionary,
-                attrs,
-            )
-        cats = self._categories
-        return RecordBatch(ts, [cats[i] for i in indices], attrs)
+        order: the columns are gathered, the dictionary is shared."""
+        rows = np.asarray(indices, dtype=np.intp)
+        return RecordBatch.from_dictionary_codes(
+            self.timestamps[rows],
+            self.category_codes[rows],
+            self.code_dictionary,
+            take_rows(self.attributes, indices),
+        )
 
     def concat(self, other: "RecordBatch") -> "RecordBatch":
         """This batch followed by ``other`` (columns concatenated).  Two
-        coded batches over the same dictionary object stay coded."""
-        if _np is not None:
-            ts = _np.concatenate([self.timestamps, other.timestamps])
-        else:
-            ts = array("d", self.timestamps)
-            ts.extend(other.timestamps)
+        batches over the same dictionary object keep it; otherwise the rows
+        are numbered afresh."""
+        timestamps = np.concatenate([self.timestamps, other.timestamps])
         attrs = concat_rows(
             self.attributes, len(self), other.attributes, len(other)
         )
-        if (
-            self.category_codes is not None
-            and other.category_codes is not None
-            and self.code_dictionary is other.code_dictionary
-        ):
-            if _np is not None:
-                codes = _np.concatenate([self.category_codes, other.category_codes])
-            else:
-                codes = list(self.category_codes) + list(other.category_codes)
+        if self.code_dictionary is other.code_dictionary:
             return RecordBatch.from_dictionary_codes(
-                ts, codes, self.code_dictionary, attrs
+                timestamps,
+                np.concatenate([self.category_codes, other.category_codes]),
+                self.code_dictionary,
+                attrs,
             )
-        return RecordBatch(ts, self.categories + other.categories, attrs)
-
-    def coded(self) -> "RecordBatch":
-        """This batch with dictionary-coded categories: one code per record
-        into a dictionary of the distinct paths in first-appearance order.
-        Reader-born batches already are and come back as themselves; only a
-        batch built from tuples by hand is coded here."""
-        if self.category_codes is not None:
-            return self
-        book = Codebook()
-        codes = book.codes(self._categories)
-        if _np is not None:
-            codes = _np.asarray(codes, dtype=_np.int32)
-        batch = RecordBatch.from_dictionary_codes(
-            self.timestamps, codes, book.entries, self.attributes
-        )
-        batch._categories = self._categories
-        return batch
+        return RecordBatch(timestamps, self.categories + other.categories, attrs)
 
     # ------------------------------------------------------------------
     # Vectorized timeunit aggregation
     # ------------------------------------------------------------------
     def timeunit_indices(self, clock: SimulationClock):
         """Timeunit index of every record, computed in one vectorized pass."""
-        if _np is not None:
-            return _np.floor_divide(
-                self.timestamps - clock.epoch, clock.delta
-            ).astype(_np.int64)
-        epoch, delta = clock.epoch, clock.delta
-        return [int((t - epoch) // delta) for t in self.timestamps]
+        return np.floor_divide(
+            self.timestamps - clock.epoch, clock.delta
+        ).astype(np.int64)
 
     def timeunit_runs(self, clock: SimulationClock) -> list[tuple[int, int, int]]:
-        """Run boundaries only: ``(timeunit, start_row, stop_row)`` per run.
+        """Run boundaries: ``(timeunit, start_row, stop_row)`` per run.
 
-        The same runs :meth:`group_runs_by_timeunit` yields, without building
-        a ``Counter`` per run — the dense ingest path gives each run a row of
-        one count matrix and aggregates the whole batch with one ``bincount``.
+        A *run* is a maximal stretch of consecutive records sharing a
+        timeunit; runs come in stream order, so replaying them is
+        semantically identical to replaying the records one at a time (the
+        property the out-of-order policies rely on).  For a time-ordered
+        stream there is exactly one run per non-empty timeunit.  The dense
+        ingest path gives each run a row of one count matrix and aggregates
+        the whole batch with one ``bincount``.
         """
         n = len(self)
         if n == 0:
             return []
         units = self.timeunit_indices(clock)
-        if _np is not None:
-            boundaries = _np.flatnonzero(_np.diff(units)) + 1
-            starts = [0, *boundaries.tolist(), n]
-        else:
-            starts = [0]
-            for i in range(1, n):
-                if units[i] != units[i - 1]:
-                    starts.append(i)
-            starts.append(n)
+        starts = [0, *(np.flatnonzero(np.diff(units)) + 1).tolist(), n]
         return [
             (int(units[a]), a, b) for a, b in zip(starts, starts[1:])
         ]
@@ -397,29 +320,10 @@ class RecordBatch:
     def group_runs_by_timeunit(
         self, clock: SimulationClock
     ) -> Iterator[tuple[TimeunitIndex, int, Counter]]:
-        """Grouped aggregation: ``(timeunit, first_row, leaf_counts)`` per run.
-
-        A *run* is a maximal stretch of consecutive records sharing a
-        timeunit; runs are yielded in stream order, so replaying them is
-        semantically identical to replaying the records one at a time (the
-        property the out-of-order policies rely on).  For a time-ordered
-        stream there is exactly one run per non-empty timeunit.
-        """
-        n = len(self)
-        if n == 0:
-            return
-        units = self.timeunit_indices(clock)
-        if _np is not None:
-            boundaries = _np.flatnonzero(_np.diff(units)) + 1
-            starts = [0, *boundaries.tolist(), n]
-        else:
-            starts = [0]
-            for i in range(1, n):
-                if units[i] != units[i - 1]:
-                    starts.append(i)
-            starts.append(n)
-        for a, b in zip(starts, starts[1:]):
-            yield int(units[a]), a, Counter(self.categories[a:b])
+        """Grouped aggregation: ``(timeunit, first_row, leaf_counts)`` per
+        run of :meth:`timeunit_runs`, one C-speed ``Counter(slice)`` each."""
+        for unit, start, stop in self.timeunit_runs(clock):
+            yield unit, start, Counter(self.categories[start:stop])
 
     def timeunit_counts(
         self, clock: SimulationClock
@@ -490,17 +394,13 @@ class RecordBatch:
     def min_timestamp(self) -> Timestamp:
         if len(self) == 0:
             raise StreamError("an empty batch has no timestamps")
-        if _np is not None:
-            return float(self.timestamps.min())
-        return min(self.timestamps)
+        return float(self.timestamps.min())
 
     @property
     def max_timestamp(self) -> Timestamp:
         if len(self) == 0:
             raise StreamError("an empty batch has no timestamps")
-        if _np is not None:
-            return float(self.timestamps.max())
-        return max(self.timestamps)
+        return float(self.timestamps.max())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         span = (
@@ -655,12 +555,9 @@ class ColumnAccumulator:
             if len(book) != len(self._dictionary):
                 self._dictionary = list(book.entries)
             dictionary = self._dictionary
-        codes = self.codes
-        if _np is not None:
-            codes = _np.array(codes, dtype=_np.int32)
         batch = RecordBatch.from_dictionary_codes(
             self.timestamps,
-            codes,
+            self.codes,
             dictionary,
             self.attributes if self._any_attrs else None,
         )

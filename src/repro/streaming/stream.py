@@ -22,9 +22,11 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro._types import Timestamp
 from repro.exceptions import StreamError
-from repro.streaming.batch import ColumnAccumulator, RecordBatch, _np
+from repro.streaming.batch import ColumnAccumulator, RecordBatch
 from repro.streaming.record import OperationalRecord
 
 
@@ -131,34 +133,20 @@ class InputStream:
         exactly where per-record iteration would have left them when raising
         (the buffered prefix itself is not yielded; the error is fatal).
         """
-        if _np is not None:
-            ts = _np.asarray(timestamps, dtype=_np.float64)
-            base = ts if self._last_ts is None else _np.concatenate(([self._last_ts], ts))
-            watermark = _np.maximum.accumulate(base)
-            bad = _np.flatnonzero(base[1:] < watermark[:-1] - self.tolerance)
-            if bad.size:
-                i = int(bad[0])
-                prefix = i if self._last_ts is not None else i + 1
-                self._count += prefix
-                self._last_ts = float(watermark[i])
-                raise StreamError(
-                    f"stream went backwards in time: {base[i + 1]} after "
-                    f"{watermark[i]} (tolerance {self.tolerance}s)"
-                )
-            self._last_ts = float(watermark[-1])
-            return
-        watermark = self._last_ts
-        for i, ts in enumerate(timestamps):
-            if watermark is not None and ts < watermark - self.tolerance:
-                self._count += i
-                self._last_ts = watermark
-                raise StreamError(
-                    f"stream went backwards in time: {ts} after "
-                    f"{watermark} (tolerance {self.tolerance}s)"
-                )
-            if watermark is None or ts > watermark:
-                watermark = ts
-        self._last_ts = watermark
+        ts = np.asarray(timestamps, dtype=np.float64)
+        base = ts if self._last_ts is None else np.concatenate(([self._last_ts], ts))
+        watermark = np.maximum.accumulate(base)
+        bad = np.flatnonzero(base[1:] < watermark[:-1] - self.tolerance)
+        if bad.size:
+            i = int(bad[0])
+            prefix = i if self._last_ts is not None else i + 1
+            self._count += prefix
+            self._last_ts = float(watermark[i])
+            raise StreamError(
+                f"stream went backwards in time: {base[i + 1]} after "
+                f"{watermark[i]} (tolerance {self.tolerance}s)"
+            )
+        self._last_ts = float(watermark[-1])
 
     # ------------------------------------------------------------------
     # Batching

@@ -87,23 +87,35 @@ def leaf_counts_for(tree: HierarchyTree, counts: dict[tuple[str, ...], int]):
 # ----------------------------------------------------------------------
 # Backend tiers: the python-tier reference and checkpoint comparison
 # ----------------------------------------------------------------------
+#: The packages whose modules have a python tier: the detection core and the
+#: two libraries under it.  Batches, readers, the engine and the service always
+#: hold NumPy columns.
+TIERED_PACKAGES = ("repro.core.", "repro.forecasting.", "repro.hierarchy.")
+
+#: False when the process itself was started on the python tier
+#: (``REPRO_DISABLE_NUMPY=1``): a test's "vector" leg then runs the python
+#: tier too, and what needs a dense close skips.
+PROCESS_ON_VECTOR_TIER = _vector.backend_tier() != "python"
+
+
 @contextmanager
 def python_tier():
-    """Run the enclosed block on the python tier, whole-process.
+    """Run the enclosed block with the detection core on the python tier.
 
-    The vector modules bind their NumPy handle (``_np``) at import, so setting
+    The tiered modules bind their NumPy handle (``_np``) at import, so setting
     ``REPRO_DISABLE_NUMPY`` afterwards changes what ``backend_tier()`` says
-    but not what runs.  This clears the handle on *every* loaded ``repro.*``
-    module (``import repro`` above loads them all, so none can bind ``None``
-    for good by being first imported inside the block) and sets the variable
-    so ``load_numpy()`` — which ``io.columnar`` calls per read — agrees.
+    but not what runs.  This clears the handle on every loaded module of
+    ``repro.core``, ``repro.forecasting`` and ``repro.hierarchy`` (``import
+    repro`` above loads them all, so none can bind ``None`` for good by being
+    first imported inside the block) and sets the variable so ``load_numpy()``
+    agrees — exactly the configuration ``REPRO_DISABLE_NUMPY=1 pytest`` runs.
     Objects built inside the block run the scalar paths end to end; the
     entry assertions keep the leg from ever silently running NumPy again.
     """
     with pytest.MonkeyPatch.context() as patcher:
         patcher.setenv(_vector.DISABLE_ENV, "1")
         for name, module in list(sys.modules.items()):
-            if name.startswith("repro.") and getattr(module, "_np", None) is not None:
+            if name.startswith(TIERED_PACKAGES) and getattr(module, "_np", None) is not None:
                 patcher.setattr(module, "_np", None)
         assert _vector.backend_tier() == "python"
         probe = ADAAlgorithm(

@@ -1,14 +1,17 @@
 """A batch closes its timeunits together — and nobody can tell.
 
 ``DetectionSession._ingest_batch_dense`` builds one count matrix for every
-timeunit a dictionary-coded batch closes and has the algorithm sweep it once;
-the units then close in order from their rows.  The contract: results, the
-observer event sequence and ``save_checkpoint`` bytes equal record-by-record
-ingestion of the same records — for a batch that closes no, one or many
-units, late runs under every out-of-order policy, a ``_pending`` remainder
-carried in from the previous batch, categories the tree does not know and a
-shadow session attached — on the vector tier this process runs (NumPy or
-compiled) and on the python tier, where coded batches take the classic path.
+timeunit a batch closes and has the algorithm sweep it once; the units then
+close in order from their rows.  The contract: results, the observer event
+sequence and ``save_checkpoint`` bytes equal record-by-record ingestion of
+the same records — for a batch that closes no, one or many units, late runs
+under every out-of-order policy (``raise`` included: the exception leaves the
+session where the records before the late one put it), a ``_pending``
+remainder carried in from the previous batch, categories the tree does not
+know and a shadow session attached — for batches built from tuples and
+batches built the way a reader builds them, on the vector tier this process
+runs (NumPy or compiled) and on the python tier, where the algorithm has no
+dense close and batches take the run loop.
 
 The second half pins the bug the count matrix fixes: two dictionary codes
 naming one path used to overwrite each other's counts.
@@ -23,18 +26,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._vector import load_numpy
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.engine import session as session_module
 from repro.engine.hooks import CallbackObserver
 from repro.engine.session import DetectionSession
 from repro.exceptions import OutOfOrderRecordError
 from repro.hierarchy.tree import HierarchyTree
-from repro.streaming.batch import RecordBatch
+from repro.streaming.batch import ColumnAccumulator, RecordBatch
 from repro.streaming.record import OperationalRecord
-from tests.conftest import canonical_checkpoint, python_tier
-
-np = load_numpy()
+from tests.conftest import (
+    PROCESS_ON_VECTOR_TIER as VECTOR,
+    canonical_checkpoint,
+    python_tier,
+)
 
 TIERS = {"vector": nullcontext, "python": python_tier}
 DELTA = 10.0
@@ -78,14 +82,21 @@ def records_of(stream) -> list[OperationalRecord]:
     return [OperationalRecord.create(float(ts), CATEGORIES[c]) for ts, c in stream]
 
 
-def coded_batches(records, cuts) -> list[RecordBatch]:
-    """``records`` cut at the row numbers ``cuts``, dictionary-coded."""
+def cut_batches(records, cuts, built: str = "tuples") -> list[RecordBatch]:
+    """``records`` cut at the row numbers ``cuts``: each batch ``built`` from
+    its own ``"tuples"`` (a dictionary per batch), or all of them by one
+    accumulator, as a ``"reader"`` does (one cumulative dictionary)."""
     bounds = [0, *sorted(set(cuts)), len(records)]
-    return [
-        RecordBatch.from_records(records[a:b]).coded()
-        for a, b in zip(bounds, bounds[1:])
-        if a < b
-    ]
+    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    if built == "tuples":
+        return [RecordBatch.from_records(records[a:b]) for a, b in spans]
+    accumulator = ColumnAccumulator()
+    batches = []
+    for a, b in spans:
+        for record in records[a:b]:
+            accumulator.add_record(record)
+        batches.append(accumulator.flush())
+    return batches
 
 
 class Run:
@@ -149,17 +160,28 @@ def by_record(records, **options) -> Run:
     )
 
 
-def by_batch(records, cuts, **options) -> Run:
+def by_batch(records, cuts, built: str = "tuples", **options) -> Run:
     return Run(**options).feed(
-        [lambda s, b=b: s.ingest_record_batch(b) for b in coded_batches(records, cuts)]
+        [
+            lambda s, b=b: s.ingest_record_batch(b)
+            for b in cut_batches(records, cuts, built)
+        ]
     )
 
 
-def assert_batches_equal_records(tmp_path, stream, cuts, **options) -> Run:
+def assert_batches_equal_records(
+    tmp_path, stream, cuts, built: str = "tuples", **options
+) -> Run:
     records = records_of(stream)
     reference = by_record(records, **options)
-    batched = by_batch(records, cuts, **options)
+    batched = by_batch(records, cuts, built, **options)
     assert batched.outcome(tmp_path, "batched") == reference.outcome(tmp_path, "reference")
+    # Where a ``raise`` left the two sessions (equal too when nothing raised).
+    assert batched.session.results == reference.session.results
+    assert list(batched.session._pending.items()) == list(
+        reference.session._pending.items()
+    )
+    assert batched.session._pending_unit == reference.session._pending_unit
     return batched
 
 
@@ -198,7 +220,7 @@ class TestBatchEqualsRecords:
         unit 6, or a unit whose records all arrived in earlier batches)."""
         batched = assert_batches_equal_records(tmp_path, BUSY, cuts)
         profile = batched.session.close_profile()
-        if tier == "vector" and np is not None:
+        if tier == "vector" and VECTOR:
             assert profile["dense_close_units"] == from_rows
         else:
             assert profile["dense_close_units"] == 0
@@ -213,6 +235,39 @@ class TestBatchEqualsRecords:
         stream[16:16] = [(12, 4), (28, 4), (36, 0)]
         batched = assert_batches_equal_records(tmp_path, stream, cuts, policy=policy)
         assert (batched.error is not None) == (policy == "raise")
+
+    @pytest.mark.parametrize("built", ["tuples", "reader"])
+    @pytest.mark.parametrize(
+        "cuts, from_rows",
+        [([9], 3), ([9, 19], 3), ([19], 3), ([10, 15, 19], 1)],
+        ids=["middle", "head", "head-of-the-second", "head-after-boundary-cuts"],
+    )
+    def test_raise_closes_what_came_before_the_late_run(
+        self, tier, tmp_path, built, cuts, from_rows
+    ):
+        """A late run in the middle of a batch and at the head of one: the
+        runs before it are ingested (densely, on a vector tier) and the error
+        is the one record-by-record ingestion raises, in the same state."""
+        stream = list(BUSY)
+        stream[19:19] = [(12, 4), (13, 4)]  # unit 1 while unit 4 is open
+        batched = assert_batches_equal_records(
+            tmp_path, stream, cuts, built, policy="raise"
+        )
+        assert isinstance(batched.error, OutOfOrderRecordError)
+        assert (batched.error.timestamp, batched.error.window_start) == (12.0, 40.0)
+        assert batched.session.units_processed == 4  # units 0..3; 4 stays open
+        assert list(batched.session._pending) == [CATEGORIES[4], CATEGORIES[6]]
+        dense = batched.session.close_profile()["dense_close_units"]
+        assert dense == (from_rows if tier == "vector" and VECTOR else 0)
+
+    def test_a_batch_built_from_tuples_closes_densely(self, tier):
+        stamps = [float(ts) for ts, _ in BUSY]
+        categories = [CATEGORIES[c] for _, c in BUSY]
+        session = Run().session
+        session.ingest_record_batch(RecordBatch(stamps, categories))
+        assert session.units_processed == 6
+        dense = session.close_profile()["dense_close_units"]
+        assert dense == (5 if tier == "vector" and VECTOR else 0)
 
     @pytest.mark.parametrize("policy", ["drop", "clamp"])
     def test_a_batch_of_nothing_but_late_runs(self, tier, tmp_path, policy):
@@ -249,8 +304,9 @@ class TestBatchEqualsRecords:
         ),
         cuts=st.lists(st.integers(min_value=1, max_value=120), max_size=6),
         policy=st.sampled_from(["drop", "clamp", "raise"]),
+        built=st.sampled_from(["tuples", "reader"]),
     )
-    def test_random_streams(self, tmp_path_factory, steps, cuts, policy):
+    def test_random_streams(self, tmp_path_factory, steps, cuts, policy, built):
         """Random arrival order (late runs included), categories and cuts."""
         now, stream = 5.0, []
         for advance, category, repeat in steps:
@@ -259,10 +315,12 @@ class TestBatchEqualsRecords:
         tmp_path = tmp_path_factory.mktemp("random")
         for name, tier in TIERS.items():
             with tier():
-                assert_batches_equal_records(tmp_path, stream, cuts, policy=policy)
+                assert_batches_equal_records(
+                    tmp_path, stream, cuts, built, policy=policy
+                )
 
 
-@pytest.mark.skipif(np is None, reason="the count matrix needs the vector backend")
+@pytest.mark.skipif(not VECTOR, reason="the count matrix needs the vector backend")
 class TestMatrixBound:
     def test_a_batch_over_the_cell_budget_is_ingested_in_halves(
         self, tmp_path, monkeypatch
@@ -282,7 +340,7 @@ class TestMatrixBound:
                 return sweep(counts, leaf_counts)
 
             run.session.algorithm.sweep_timeunits = recording_sweep
-            run.feed([lambda s: s.ingest_record_batch(coded_batches(records, [])[0])])
+            run.feed([lambda s: s.ingest_record_batch(cut_batches(records, [])[0])])
             assert run.outcome(tmp_path, "bounded") == reference
             assert max(rows) * width <= max(budget, width)
             swept_rows.append(rows)
@@ -307,8 +365,6 @@ REPEATED_ROWS = [
 def repeated_dictionary_batch() -> RecordBatch:
     timestamps = [float(ts) for ts, _ in REPEATED_ROWS]
     codes = [code for _, code in REPEATED_ROWS]
-    if np is not None:
-        codes = np.asarray(codes, dtype=np.int32)
     return RecordBatch.from_dictionary_codes(timestamps, codes, REPEATED_DICTIONARY)
 
 
@@ -356,7 +412,6 @@ class TestRepeatedDictionaryEntry:
                 [same_records_from_columns()]
             )
 
-    @pytest.mark.skipif(np is None, reason="the sharded engine needs NumPy")
     def test_subtree_sharded_engine(self):
         from repro.engine.engine import DetectionEngine
         from repro.engine.sharded import ShardedDetectionEngine

@@ -219,9 +219,11 @@ def dispatch(unit: _SubtreeUnit, batch: RecordBatch):
     return out, new_carried
 
 
-def random_batch(rng: random.Random, tree: HierarchyTree, coded: bool, attrs: bool):
+def random_batch(rng: random.Random, tree: HierarchyTree, cumulative: bool, attrs: bool):
     """Out-of-order rows over 1..6 timeunits, in-tree leaves plus band,
-    out-of-tree and root-like categories."""
+    out-of-tree and root-like categories.  ``cumulative``: over a reader's
+    kind of dictionary (every path the stream has ever carried) instead of
+    the batch's own paths in first-appearance order."""
     leaves = [tuple(path) for path in tree.leaf_paths()]
     extras = [("t0",), ("t1", "m10"), ("ghost", "x"), ("t2", "nowhere"), ("t3",)]
     base = rng.randrange(0, 50)
@@ -242,8 +244,11 @@ def random_batch(rng: random.Random, tree: HierarchyTree, coded: bool, attrs: bo
     rows = None
     if attrs:
         rows = [{"label": f"r{i}"} if rng.random() < 0.4 else {} for i in timestamps]
-    batch = RecordBatch(timestamps, categories, rows)
-    return batch.coded() if coded else batch, base
+    if not cumulative:
+        return RecordBatch(timestamps, categories, rows), base
+    dictionary = extras + leaves
+    codes = [dictionary.index(category) for category in categories]
+    return RecordBatch.from_dictionary_codes(timestamps, codes, dictionary, rows), base
 
 
 def run_ingest(workers: dict, ops: list):
@@ -270,7 +275,7 @@ def test_dispatcher_equals_the_per_row_loop(python, policy, depth, shards):
         rng = random.Random(1000 * depth + shards)
         tree = make_tree()
         for trial in range(40):
-            first, base = random_batch(rng, tree, coded=trial % 2 == 0, attrs=trial % 3 == 0)
+            first, base = random_batch(rng, tree, trial % 2 == 0, attrs=trial % 3 == 0)
             # Fresh vs carried watermark (below, inside and above the batch).
             carried = rng.choice([None, None, base - 2, base, base + 1, base + 9])
             unit = make_unit(depth, shards, carried, policy)
@@ -302,7 +307,7 @@ def test_kept_cuts_sit_on_late_rows_and_dropped_cuts_on_in_order_ones(depth, sha
     tree = make_tree()
     kept = dropped = 0
     for trial in range(200):
-        batch, base = random_batch(rng, tree, coded=trial % 2 == 0, attrs=False)
+        batch, base = random_batch(rng, tree, trial % 2 == 0, attrs=False)
         unit = make_unit(depth, shards)
         unit.carried = rng.choice([None, base - 2, base, base + 1])
         units_col = batch.timeunit_indices(unit.clock)
@@ -510,7 +515,8 @@ def test_rcol_with_attributes_sharded_equals_serial(rcol_batches, transport, flu
 def test_ndjson_born_batches_sharded_equals_serial(transport, monkeypatch):
     """What the service's decoder builds — dictionary codes + a ``list``
     attribute column — is routed by code and framed as it is: nothing
-    between the decoder and the shard worker codes a batch again."""
+    between the decoder and the shard worker numbers a batch's paths again
+    (only ``RecordBatch(...)`` does; gathers and frames share dictionaries)."""
     tree, clock, records = attribute_workload(seed=78)
     body = b"".join(
         json.dumps(record.to_dict(), sort_keys=True).encode() + b"\n" for record in records
@@ -519,21 +525,19 @@ def test_ndjson_born_batches_sharded_equals_serial(transport, monkeypatch):
     def batches():
         decoder = NdjsonDecoder(113)
         out = [batch for _, batch in decoder.feed(body, final=True)]
-        assert all(b.category_codes is not None for b in out)
         assert any(isinstance(b.attributes, list) for b in out)
         return out
 
     results, anomalies, state = serial_run(tree, clock, batches())
 
     recoded = []
-    code_batch = RecordBatch.coded
+    from_tuples = RecordBatch.__init__
 
-    def spy(batch):
-        if batch.category_codes is None:
-            recoded.append(len(batch))
-        return code_batch(batch)
+    def spy(batch, timestamps, *columns):
+        recoded.append(len(timestamps))
+        from_tuples(batch, timestamps, *columns)
 
-    monkeypatch.setattr(RecordBatch, "coded", spy)
+    monkeypatch.setattr(RecordBatch, "__init__", spy)
     got_results, got_anomalies, got_state, _ = sharded_run(
         tree, clock, batches(), transport
     )

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro import _ckernels
 from repro._vector import backend_tier, load_numpy
 from repro.engine.engine import DetectionEngine
-from tests.conftest import canonical_checkpoint, python_tier
+from tests.conftest import TIERED_PACKAGES, canonical_checkpoint, python_tier
 from tests.integration.test_sharded_equivalence import make_config, make_workload
 
 #: Counters that describe the tier's adaptation engine, not the algorithm.
@@ -181,9 +181,10 @@ def test_columnar_ingest_agrees_across_tiers(tmp_path):
 
 
 def test_python_tier_is_whole_process_and_reversible():
-    """The leg this suite's reference runs on: inside the fixture no loaded
-    ``repro.*`` module keeps a NumPy handle (the old per-suite patches left
-    up to nine of them live), and leaving it restores the process tier."""
+    """The leg this suite's reference runs on: only ``repro.core``,
+    ``repro.forecasting`` and ``repro.hierarchy`` modules bind a NumPy handle
+    at all, inside the fixture none of them keeps it (the old per-suite
+    patches left up to nine live), and leaving it restores the process tier."""
     import sys
 
     def handles():
@@ -194,6 +195,7 @@ def test_python_tier_is_whole_process_and_reversible():
         }
 
     before = (backend_tier(), handles())
+    assert all(name.startswith(TIERED_PACKAGES) for name in before[1])
     with python_tier():
         assert backend_tier() == "python"
         assert load_numpy() is None

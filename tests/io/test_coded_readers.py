@@ -7,9 +7,10 @@ The first half holds the readers to that representation (what decodes out of
 the codes is what ``RecordBatch.from_columns`` of the same rows holds, and a
 dictionary a batch was given never grows afterwards); the second half holds
 the sessions to it: results, the observer event sequence and
-``save_checkpoint`` bytes of reader-born coded batches equal those of tuple
-batches of the same records cut at the same rows, on the vector tier this
-process runs and on the python tier.
+``save_checkpoint`` bytes of reader-born batches (one cumulative dictionary)
+equal those of hand-built batches of the same records cut at the same rows
+(``RecordBatch.from_columns``: a fresh dictionary per batch), on the vector
+tier this process runs and on the python tier.
 
 The last part is the hostile edge: a stream of pairwise-distinct categories
 must cost a bounded dictionary and linear time.
@@ -24,9 +25,9 @@ import time
 import tracemalloc
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
 
-from repro._vector import load_numpy
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.engine.hooks import CallbackObserver
 from repro.engine.session import DetectionSession
@@ -40,12 +41,13 @@ from repro.io.jsonl_io import (
     write_records_jsonl,
 )
 from repro.service import DetectionService, ServiceConfig, TenantSpec
-from repro.streaming import batch as batch_module
 from repro.streaming.batch import CODEBOOK_BATCHES, ColumnAccumulator, RecordBatch
 from repro.streaming.record import OperationalRecord
-from tests.conftest import canonical_checkpoint, python_tier
-
-np = load_numpy()
+from tests.conftest import (
+    PROCESS_ON_VECTOR_TIER as VECTOR,
+    canonical_checkpoint,
+    python_tier,
+)
 
 TIERS = {"vector": nullcontext, "python": python_tier}
 
@@ -78,7 +80,7 @@ def feed_blocks(decoder: NdjsonDecoder, body: bytes, block: int):
 
 
 def tuple_batches(rows, lengths) -> list[RecordBatch]:
-    """``rows`` as tuple-column batches of the given lengths."""
+    """``rows`` as batches of the given lengths, each built from tuples."""
     out, start = [], 0
     for length in lengths:
         stamps, categories, attributes = zip(*rows[start : start + length])
@@ -124,9 +126,7 @@ def assert_coded_equals_rows(batches, rows):
     dictionaries: list = []
     previous = None
     for batch, reference in zip(batches, expected):
-        assert batch.category_codes is not None
-        if batch_module._np is not None:  # cleared inside python_tier()
-            assert batch.category_codes.dtype == batch_module._np.int32
+        assert batch.category_codes.dtype == np.int32
         assert batch.categories == reference.categories
         assert list(batch.timestamps) == list(reference.timestamps)
         assert batch.attributes == reference.attributes
@@ -291,20 +291,15 @@ def outcome(batches, tmp_path, policy="drop", shadow=False) -> dict:
 
 
 def assert_coded_equals_tuples(coded, rows, tmp_path, tier, **options) -> dict:
-    assert all(batch.category_codes is not None for batch in coded)
     tuples = tuple_batches(rows, [len(batch) for batch in coded])
-    assert all(batch.category_codes is None for batch in tuples)
     got = outcome(coded, tmp_path, **options)
     expected = outcome(tuples, tmp_path, **options)
-    # The close path is the one thing that may differ: a vector-tier session
-    # closes coded batches from the count matrix.
-    assert expected.pop("dense_units") == 0
-    dense_units = got.pop("dense_units")
+    # Same rows, same cuts: the close path is the same too.
     assert got == expected
     assert got["results"] or got["error"]
-    if tier == "python" or np is None:
-        assert dense_units == 0
-    return {**got, "dense_units": dense_units}
+    if tier == "python" or not VECTOR:
+        assert got["dense_units"] == 0
+    return got
 
 
 class TestSessionsCannotTell:
@@ -315,7 +310,7 @@ class TestSessionsCannotTell:
         coded = [b for _, b in NdjsonDecoder(batch_size).feed(ndjson(rows), final=True)]
         got = assert_coded_equals_tuples(coded, rows, tmp_path, tier, policy=policy)
         assert (got["error"] is not None) == (policy == "raise")
-        if tier == "vector" and np is not None and policy != "raise" and batch_size > 7:
+        if tier == "vector" and VECTOR and batch_size > 7:
             assert got["dense_units"] > 0
 
     def test_csv_and_jsonl_files(self, tmp_path, tier):
@@ -368,7 +363,7 @@ class TestSessionsCannotTell:
         got = assert_coded_equals_tuples(coded, rows, tmp_path, tier)
         assert got["dense_units"] == 0  # nothing to hoist: no post closes two units
 
-    @pytest.mark.skipif(np is None, reason="the code → node-id map is a vector-tier cache")
+    @pytest.mark.skipif(not VECTOR, reason="the code → node-id map is a vector-tier cache")
     def test_a_growing_dictionary_extends_the_code_map(self, tmp_path):
         """One connection's codebook grows between flushes; the session maps
         only the entries it has not mapped yet."""

@@ -129,8 +129,6 @@ def assert_same(payload: bytes, batch_size=3, default_tenant="alpha", cuts=()):
             batches, error = decode(payload, batch_size, default_tenant, routed, pieces)
             assert error == expected_error
             assert columns(batches) == columns(expected_batches)
-            assert all(batch.category_codes is not None for _, batch in batches)
-            assert all(batch.category_codes is None for _, batch in expected_batches)
 
 
 # ----------------------------------------------------------------------

@@ -4,21 +4,20 @@
 bytes; every operation the ingest path performs on a column (index, iterate,
 slice, take, concat, pickle, the ``"stream"`` routing question) must give
 what the same operation gives on the decoded list, which this module keeps
-as the oracle.  The whole module also runs on the python tier (no NumPy).
+as the oracle.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
-from array import array
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import StreamError
-from repro.streaming import attributes as attributes_module
 from repro.streaming.attributes import (
     EncodedAttributes,
     concat_rows,
@@ -27,8 +26,6 @@ from repro.streaming.attributes import (
     take_rows,
 )
 from repro.streaming.batch import RecordBatch
-
-from tests.conftest import python_tier
 
 
 # ----------------------------------------------------------------------
@@ -44,8 +41,7 @@ def encode(rows, prefix=b"", ensure_ascii=True) -> EncodedAttributes:
             chunks.append(chunk)
             position += len(chunk)
         offsets.append(position)
-    np_ = attributes_module._np
-    offsets = np_.asarray(offsets, dtype=np_.int64) if np_ is not None else array("q", offsets)
+    offsets = np.asarray(offsets, dtype=np.int64)
     return EncodedAttributes(b"".join(chunks) + b"<tail of the file>", offsets, "t.rcol", 0)
 
 
@@ -71,114 +67,96 @@ keys = st.sampled_from(["stream", "label", "k", "é", "a b", ""]) | st.text(max_
 row_maps = st.just({}) | st.dictionaries(keys, values, max_size=3)
 row_lists = st.lists(row_maps, max_size=12)
 
-TIERS = [pytest.param(False, id="numpy"), pytest.param(True, id="python")]
-
-
-def on_tier(python: bool):
-    """Decorator-free helper: run a hypothesis body on the chosen tier."""
-    from contextlib import nullcontext
-
-    return python_tier() if python else nullcontext()
-
-
 # ----------------------------------------------------------------------
 # Differential: the encoded column == the list oracle
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("python", TIERS)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rows=row_lists, data=st.data())
-def test_sequence_protocol_matches_the_list(python, rows, data):
-    with on_tier(python):
-        column = encode(rows, prefix=b'{"stream":"before the window"}')
-        assert len(column) == len(rows)
-        assert list(column) == rows
-        for index in range(-len(rows), len(rows)):
-            assert column[index] == rows[index]
-        for bad in (len(rows), -len(rows) - 1):
-            with pytest.raises(IndexError):
-                column[bad]
-        start = data.draw(st.integers(0, len(rows)))
-        stop = data.draw(st.integers(start, len(rows)))
-        window = column[start:stop]
-        assert isinstance(window, EncodedAttributes)
-        assert list(window) == rows[start:stop]
-        assert column[::2] == rows[::2]
+def test_sequence_protocol_matches_the_list(rows, data):
+    column = encode(rows, prefix=b'{"stream":"before the window"}')
+    assert len(column) == len(rows)
+    assert list(column) == rows
+    for index in range(-len(rows), len(rows)):
+        assert column[index] == rows[index]
+    for bad in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            column[bad]
+    start = data.draw(st.integers(0, len(rows)))
+    stop = data.draw(st.integers(start, len(rows)))
+    window = column[start:stop]
+    assert isinstance(window, EncodedAttributes)
+    assert list(window) == rows[start:stop]
+    assert column[::2] == rows[::2]
 
 
-@pytest.mark.parametrize("python", TIERS)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rows=row_lists, data=st.data())
-def test_slice_and_take_match_the_list(python, rows, data):
-    with on_tier(python):
-        column = encode(rows, prefix=b"xx")
-        start = data.draw(st.integers(0, len(rows)))
-        stop = data.draw(st.integers(start, len(rows)))
-        sliced = slice_rows(column, start, stop)
-        if any(rows[start:stop]):
-            assert isinstance(sliced, EncodedAttributes)
-            assert list(sliced) == rows[start:stop]
-            # A view: same blob object, no bytes copied.
-            assert sliced._blob is column._blob
-        else:
-            assert sliced is None  # an all-empty window collapses
-        # Unordered, repeated, possibly empty.
-        picks = data.draw(
-            st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=15)
-            if rows
-            else st.just([])
+def test_slice_and_take_match_the_list(rows, data):
+    column = encode(rows, prefix=b"xx")
+    start = data.draw(st.integers(0, len(rows)))
+    stop = data.draw(st.integers(start, len(rows)))
+    sliced = slice_rows(column, start, stop)
+    if any(rows[start:stop]):
+        assert isinstance(sliced, EncodedAttributes)
+        assert list(sliced) == rows[start:stop]
+        # A view: same blob object, no bytes copied.
+        assert sliced._blob is column._blob
+    else:
+        assert sliced is None  # an all-empty window collapses
+    # Unordered, repeated, possibly empty.
+    picks = data.draw(
+        st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=15)
+        if rows
+        else st.just([])
+    )
+    taken = take_rows(column, picks)
+    expected = [rows[i] for i in picks]
+    if any(expected):
+        assert isinstance(taken, EncodedAttributes)
+        assert list(taken) == expected
+        # A gather: compact bytes, nothing of the source blob rides along.
+        assert len(taken._blob) == sum(
+            len(json.dumps(row, sort_keys=True)) for row in expected if row
         )
-        taken = take_rows(column, picks)
-        expected = [rows[i] for i in picks]
-        if any(expected):
-            assert isinstance(taken, EncodedAttributes)
-            assert list(taken) == expected
-            # A gather: compact bytes, nothing of the source blob rides along.
-            assert len(taken._blob) == sum(
-                len(json.dumps(row, sort_keys=True)) for row in expected if row
-            )
-        else:
-            assert taken is None
-        # A taken column slices and takes again like any other.
-        if taken is not None and len(picks) > 1:
-            assert decoded(slice_rows(taken, 1, len(picks)), len(picks) - 1) == expected[1:]
-            assert decoded(take_rows(taken, [0, 0]), 2) == [expected[0]] * 2
+    else:
+        assert taken is None
+    # A taken column slices and takes again like any other.
+    if taken is not None and len(picks) > 1:
+        assert decoded(slice_rows(taken, 1, len(picks)), len(picks) - 1) == expected[1:]
+        assert decoded(take_rows(taken, [0, 0]), 2) == [expected[0]] * 2
 
 
-@pytest.mark.parametrize("python", TIERS)
 @pytest.mark.parametrize("left_kind", ["none", "list", "encoded"])
 @pytest.mark.parametrize("right_kind", ["none", "list", "encoded"])
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(left=row_lists, right=row_lists)
-def test_concat_matches_the_list(python, left_kind, right_kind, left, right):
-    with on_tier(python):
-        if left_kind == "none":
-            left = [{}] * len(left)
-        if right_kind == "none":
-            right = [{}] * len(right)
-        merged = concat_rows(
-            column_of(left_kind, left), len(left), column_of(right_kind, right), len(right)
-        )
-        assert decoded(merged, len(left) + len(right)) == left + right
-        if "list" not in (left_kind, right_kind) and merged is not None:
-            assert isinstance(merged, EncodedAttributes)  # never decoded
-        if left_kind == right_kind == "none":
-            assert merged is None
+def test_concat_matches_the_list(left_kind, right_kind, left, right):
+    if left_kind == "none":
+        left = [{}] * len(left)
+    if right_kind == "none":
+        right = [{}] * len(right)
+    merged = concat_rows(
+        column_of(left_kind, left), len(left), column_of(right_kind, right), len(right)
+    )
+    assert decoded(merged, len(left) + len(right)) == left + right
+    if "list" not in (left_kind, right_kind) and merged is not None:
+        assert isinstance(merged, EncodedAttributes)  # never decoded
+    if left_kind == right_kind == "none":
+        assert merged is None
 
 
-@pytest.mark.parametrize("python", TIERS)
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rows=row_lists.filter(any))
-def test_pickle_round_trip_ships_the_window_only(python, rows):
-    with on_tier(python):
-        file_blob = b"x" * 100_000  # the rest of the file's attribute section
-        column = encode(rows, prefix=file_blob)
-        clone = pickle.loads(pickle.dumps(column, protocol=pickle.HIGHEST_PROTOCOL))
-        assert isinstance(clone, EncodedAttributes)
-        assert list(clone) == rows
-        window_bytes = sum(len(json.dumps(r, sort_keys=True)) for r in rows if r)
-        size = len(pickle.dumps(column, protocol=pickle.HIGHEST_PROTOCOL))
-        assert size < window_bytes + 4 * len(rows) + 200  # tracks the window...
-        assert size < len(file_blob) // 10  # ...not the file
+def test_pickle_round_trip_ships_the_window_only(rows):
+    file_blob = b"x" * 100_000  # the rest of the file's attribute section
+    column = encode(rows, prefix=file_blob)
+    clone = pickle.loads(pickle.dumps(column, protocol=pickle.HIGHEST_PROTOCOL))
+    assert isinstance(clone, EncodedAttributes)
+    assert list(clone) == rows
+    window_bytes = sum(len(json.dumps(r, sort_keys=True)) for r in rows if r)
+    size = len(pickle.dumps(column, protocol=pickle.HIGHEST_PROTOCOL))
+    assert size < window_bytes + 4 * len(rows) + 200  # tracks the window...
+    assert size < len(file_blob) // 10  # ...not the file
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +189,6 @@ def counting(column: EncodedAttributes) -> CountingColumn:
     return CountingColumn(column._blob, column._offsets, column._source, column._first_row)
 
 
-@pytest.mark.parametrize("python", TIERS)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     rows=st.lists(
@@ -224,59 +201,49 @@ def counting(column: EncodedAttributes) -> CountingColumn:
     ),
     ensure_ascii=st.booleans(),
 )
-def test_tagged_rows_split_exactly_as_the_list_column_does(python, rows, ensure_ascii):
-    with on_tier(python):
-        expected = split_signature(batch_with(list(rows), len(rows)))
-        column = encode(rows, prefix=b'"stream"', ensure_ascii=ensure_ascii)
-        assert split_signature(batch_with(column, len(rows))) == expected
+def test_tagged_rows_split_exactly_as_the_list_column_does(rows, ensure_ascii):
+    expected = split_signature(batch_with(list(rows), len(rows)))
+    column = encode(rows, prefix=b'"stream"', ensure_ascii=ensure_ascii)
+    assert split_signature(batch_with(column, len(rows))) == expected
 
 
-@pytest.mark.parametrize("python", TIERS)
-def test_key_written_with_an_escape_is_still_found(python):
-    with on_tier(python):
-        blob = b'{"\\u0073tream": "s1"}{"k": 1}{"\\u0073tream": "s2"}'
-        np_ = attributes_module._np
-        offsets = [0, 21, 21, 29, len(blob)]
-        offsets = np_.asarray(offsets, dtype=np_.int64) if np_ is not None else offsets
-        column = EncodedAttributes(blob, offsets)
-        assert b'"stream"' not in blob
-        assert may_hold_key(column, "stream")
-        rows = [{"stream": "s1"}, {}, {"k": 1}, {"stream": "s2"}]
-        assert list(column) == rows
-        assert split_signature(batch_with(column, 4)) == split_signature(
-            batch_with(rows, 4)
-        )
+def test_key_written_with_an_escape_is_still_found():
+    blob = b'{"\\u0073tream": "s1"}{"k": 1}{"\\u0073tream": "s2"}'
+    column = EncodedAttributes(blob, [0, 21, 21, 29, len(blob)])
+    assert b'"stream"' not in blob
+    assert may_hold_key(column, "stream")
+    rows = [{"stream": "s1"}, {}, {"k": 1}, {"stream": "s2"}]
+    assert list(column) == rows
+    assert split_signature(batch_with(column, 4)) == split_signature(
+        batch_with(rows, 4)
+    )
 
 
-@pytest.mark.parametrize("python", TIERS)
-def test_value_that_merely_contains_the_bytes_routes_nowhere(python):
-    with on_tier(python):
-        rows = [{"note": 'the "stream" of calls'}, {"label": "stream"}, {}]
-        column = encode(rows)
-        # The scan may say "maybe" (it does for the first row's quoted word);
-        # the answer must still be the list column's: one untagged batch.
-        batch = batch_with(column, 3)
-        assert split_signature(batch) == split_signature(batch_with(rows, 3))
-        [(key, part)] = batch.partition_by_key()
-        assert key is None and part is batch
+def test_value_that_merely_contains_the_bytes_routes_nowhere():
+    rows = [{"note": 'the "stream" of calls'}, {"label": "stream"}, {}]
+    column = encode(rows)
+    # The scan may say "maybe" (it does for the first row's quoted word);
+    # the answer must still be the list column's: one untagged batch.
+    batch = batch_with(column, 3)
+    assert split_signature(batch) == split_signature(batch_with(rows, 3))
+    [(key, part)] = batch.partition_by_key()
+    assert key is None and part is batch
 
 
-@pytest.mark.parametrize("python", TIERS)
-def test_window_with_neither_is_returned_whole_without_decoding(python):
-    with on_tier(python):
-        rows = [{"injected": True, "label": "flash-0"}, {}, {"customer": "c42"}] * 50
-        # "stream" sits in the blob, but outside this column's window.
-        column = counting(encode(rows, prefix=b'{"stream": "elsewhere"}'))
-        assert not may_hold_key(column, "stream")
-        batch = batch_with(column, len(rows))
-        [(key, part)] = batch.partition_by_key()
-        assert key is None and part is batch
-        assert batch.stream_keys() == [None] * len(rows)
-        assert getattr(column, "decodes", 0) == 0
-        # The operations the sharded coordinator performs decode nothing either.
-        part.slice(3, 40).take([0, 5, 5, 2])
-        pickle.dumps(part.attributes)
-        assert getattr(column, "decodes", 0) == 0
+def test_window_with_neither_is_returned_whole_without_decoding():
+    rows = [{"injected": True, "label": "flash-0"}, {}, {"customer": "c42"}] * 50
+    # "stream" sits in the blob, but outside this column's window.
+    column = counting(encode(rows, prefix=b'{"stream": "elsewhere"}'))
+    assert not may_hold_key(column, "stream")
+    batch = batch_with(column, len(rows))
+    [(key, part)] = batch.partition_by_key()
+    assert key is None and part is batch
+    assert batch.stream_keys() == [None] * len(rows)
+    assert getattr(column, "decodes", 0) == 0
+    # The operations the sharded coordinator performs decode nothing either.
+    part.slice(3, 40).take([0, 5, 5, 2])
+    pickle.dumps(part.attributes)
+    assert getattr(column, "decodes", 0) == 0
 
 
 def test_odd_keys_are_answered_conservatively():
@@ -314,39 +281,36 @@ def test_a_bad_row_names_its_file_and_row(blob, complaint):
 
 
 # ----------------------------------------------------------------------
-# RecordBatch keeps a coded batch coded
+# RecordBatch gathers and concatenates codes, never tuples
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("python", TIERS)
-def test_take_and_concat_of_coded_batches_stay_coded(python):
-    with on_tier(python):
-        dictionary = [("a", "x"), ("b", "y"), ("c", "z")]
-        rows = [{"k": 1}, {}, {"stream": "s"}, {}]
-        batch = RecordBatch.from_dictionary_codes(
-            [0.0, 1.0, 2.0, 3.0], [2, 0, 1, 0], dictionary, encode(rows)
-        )
-        taken = batch.take([3, 0, 0])
-        assert taken.code_dictionary is dictionary
-        assert list(taken.category_codes) == [0, 2, 2]
-        assert taken._categories is None  # no tuple was built
-        assert taken.to_records() == [batch.record(i) for i in (3, 0, 0)]
-        merged = batch.slice(0, 2).concat(batch.slice(2, 4))
-        assert merged.code_dictionary is dictionary
-        assert isinstance(merged.attributes, EncodedAttributes)
-        assert merged.to_records() == batch.to_records()
-        # Different dictionary objects: falls back to tuples, same records.
-        other = RecordBatch.from_dictionary_codes([9.0], [0], [("a", "x")])
-        assert batch.concat(other).category_codes is None
-        assert batch.concat(other).to_records() == batch.to_records() + other.to_records()
+def test_take_and_concat_share_the_dictionary():
+    dictionary = [("a", "x"), ("b", "y"), ("c", "z")]
+    rows = [{"k": 1}, {}, {"stream": "s"}, {}]
+    batch = RecordBatch.from_dictionary_codes(
+        [0.0, 1.0, 2.0, 3.0], [2, 0, 1, 0], dictionary, encode(rows)
+    )
+    taken = batch.take([3, 0, 0])
+    assert taken.code_dictionary is dictionary
+    assert list(taken.category_codes) == [0, 2, 2]
+    assert taken._categories is None  # no tuple was built
+    assert taken.to_records() == [batch.record(i) for i in (3, 0, 0)]
+    merged = batch.slice(0, 2).concat(batch.slice(2, 4))
+    assert merged.code_dictionary is dictionary
+    assert isinstance(merged.attributes, EncodedAttributes)
+    assert merged.to_records() == batch.to_records()
+    # Different dictionary objects: renumbered, same records.
+    other = RecordBatch.from_dictionary_codes([9.0], [0], [("a", "x")])
+    joined = batch.concat(other)
+    assert joined.code_dictionary == [("c", "z"), ("a", "x"), ("b", "y")]
+    assert joined.category_codes.tolist() == [0, 1, 2, 1, 1]
+    assert joined.to_records() == batch.to_records() + other.to_records()
 
 
-@pytest.mark.parametrize("python", TIERS)
-def test_coded_gives_first_appearance_codes(python):
-    with on_tier(python):
-        batch = RecordBatch(
-            [0.0, 1.0, 2.0, 3.0], [("b",), ("a",), ("b",), ("c",)], [{}, {"k": 1}, {}, {}]
-        )
-        coded = batch.coded()
-        assert coded.code_dictionary == [("b",), ("a",), ("c",)]
-        assert list(coded.category_codes) == [0, 1, 0, 2]
-        assert coded.to_records() == batch.to_records()
-        assert coded.coded() is coded
+def test_a_tuple_built_batch_holds_first_appearance_codes():
+    categories = [("b",), ("a",), ("b",), ("c",)]
+    batch = RecordBatch([0.0, 1.0, 2.0, 3.0], categories, [{}, {"k": 1}, {}, {}])
+    assert batch.code_dictionary == [("b",), ("a",), ("c",)]
+    assert batch.category_codes.dtype == np.int32
+    assert batch.category_codes.tolist() == [0, 1, 0, 2]
+    assert batch.categories is categories  # the given list is the cache
+    assert batch.slice(1, 3).categories == categories[1:3]

@@ -1,5 +1,6 @@
 """Unit tests for :mod:`repro.streaming.batch`."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import StreamError
@@ -54,6 +55,66 @@ class TestConstruction:
         assert batch.to_records() == []
         with pytest.raises(StreamError):
             batch.min_timestamp
+
+
+class TestOneFormat:
+    """However a batch is built it holds the same three columns: float64
+    timestamps, int32 codes, the list of distinct paths."""
+
+    @staticmethod
+    def builders():
+        records = [rec(1.0, "b"), rec(2.0, "a"), rec(3.0, "b")]
+        stamps = [r.timestamp for r in records]
+        paths = [r.category for r in records]
+        accumulator = ColumnAccumulator()
+        for record in records:
+            accumulator.add_record(record)
+        return {
+            "constructor": RecordBatch(stamps, paths),
+            "from_records": RecordBatch.from_records(records),
+            "from_columns": RecordBatch.from_columns(stamps, [list(p) for p in paths]),
+            "from_dictionary_codes": RecordBatch.from_dictionary_codes(
+                stamps, [0, 1, 0], [("b",), ("a",)]
+            ),
+            "accumulator": accumulator.flush(),
+            "empty": RecordBatch.empty(),
+        }
+
+    @pytest.mark.parametrize(
+        "how",
+        ["constructor", "from_records", "from_columns", "from_dictionary_codes",
+         "accumulator", "empty"],
+    )
+    def test_every_construction_route_yields_the_same_columns(self, how):
+        batch = self.builders()[how]
+        assert isinstance(batch.timestamps, np.ndarray)
+        assert batch.timestamps.dtype == np.float64
+        assert isinstance(batch.category_codes, np.ndarray)
+        assert batch.category_codes.dtype == np.int32
+        assert isinstance(batch.code_dictionary, list)
+        if how != "empty":
+            assert batch.code_dictionary == [("b",), ("a",)]
+            assert batch.category_codes.tolist() == [0, 1, 0]
+            assert batch.categories == [("b",), ("a",), ("b",)]
+
+    def test_an_int32_code_column_is_kept_without_a_copy(self):
+        codes = np.array([1, 0, 1], dtype=np.int32)
+        batch = RecordBatch.from_dictionary_codes([1.0, 2.0, 3.0], codes, [("a",), ("b",)])
+        assert batch.category_codes is codes
+        assert batch.slice(1, 3).category_codes.base is codes  # a view
+        assert batch.slice(1, 3).code_dictionary is batch.code_dictionary
+
+    def test_code_column_length_mismatch_rejected(self):
+        with pytest.raises(StreamError, match="3 timestamps vs 2 categories"):
+            RecordBatch.from_dictionary_codes([1.0, 2.0, 3.0], [0, 0], [("a",)])
+        with pytest.raises(StreamError, match="1 attribute rows vs 2 categories"):
+            RecordBatch.from_dictionary_codes([1.0, 2.0], [0, 0], [("a",)], [{}])
+
+    def test_sub_batches_of_a_tuple_built_batch_share_its_dictionary(self):
+        batch = RecordBatch.from_records([rec(1.0, "a"), rec(2.0, "b"), rec(3.0, "a")])
+        for part in (batch.slice(1, 3), batch.take([2, 1]), batch.concat(batch)):
+            assert part.code_dictionary is batch.code_dictionary
+        assert batch.take([2, 1]).categories == [("a",), ("b",)]
 
 
 class TestColumnOps:
@@ -146,33 +207,6 @@ class TestPartitioning:
         [(key, part)] = batch.partition_by_key()
         assert key == "x"
         assert part is batch
-
-
-class TestPurePythonFallback:
-    """The batch path must stay functional (just slower) without NumPy."""
-
-    def test_columns_and_aggregation(self, python_tier, clock):
-        records = [rec(float(t), "a" if t % 3 else "b") for t in range(30)]
-        batch = RecordBatch.from_records(records)
-        assert list(batch.timeunit_indices(clock)) == [
-            clock.timeunit_of(r.timestamp) for r in records
-        ]
-        counts = batch.timeunit_counts(clock)
-        assert sum(sum(c.values()) for c in counts.values()) == 30
-        assert rows(batch.take([5, 1])) == rows([records[5], records[1]])
-        assert rows(batch.slice(2, 4)) == rows(records[2:4])
-        assert batch.concat(batch).max_timestamp == 29.0
-
-    def test_stream_batch_validation(self, python_tier):
-        from repro.exceptions import StreamError
-        from repro.streaming.stream import InputStream
-
-        good = InputStream(iter([rec(1.0), rec(2.0), rec(3.0)]))
-        assert sum(len(b) for b in good.iter_batches(2)) == 3
-        assert good.records_seen == 3
-        bad = InputStream(iter([rec(0.0), rec(-0.2), rec(-0.4)]), tolerance=0.3)
-        with pytest.raises(StreamError):
-            list(bad.iter_batches(10))
 
 
 class TestIterRecordBatches:
