@@ -33,7 +33,7 @@ the in-place weight mutations while preserving the split-rule approximation
 behaviour the paper evaluates.
 
 One close path per backend tier, selected by the tier and nothing else.  On
-the vector tiers (NumPy, compiled) every close runs columnar.  The hierarchy
+the vector tier (NumPy) every close runs columnar.  The hierarchy
 update — raw weights, modified weights, heavy masks — depends on a
 timeunit's own counts only, so :meth:`ADAAlgorithm.sweep_timeunits` computes
 it for all the timeunits a batch closes with one
@@ -48,13 +48,14 @@ which holds every series' forecaster state *and* windows — one
 :meth:`~repro.forecasting.bank.ForecasterBank.observe_rows_arrays` call
 updates every tracked forecaster, one
 :meth:`~repro.forecasting.bank.ForecasterBank.record_rows` call appends
-every window, split-rule statistics update as dense per-node arrays, and
+every window, split-rule statistics update in one masked pass over dense
+per-node arrays (:meth:`_SplitStatsStore.update_dense`), and
 the dual-threshold check evaluates as one batch comparison
 (:meth:`~repro.core.detector.ThresholdDetector.check_many`).  On
 the python tier (``REPRO_DISABLE_NUMPY``, or a registry seasonal model the
 bank cannot lay out as rows) the scalar walk below (``_adapt`` /
 ``_split_cascade`` / ``_append_weights``) runs instead —
-the reference the vector tiers are tested against: detections and counters
+the reference the vector tier is tested against: detections and counters
 are identical, checkpoints identical up to the row order of ``stats`` /
 ``stats_last_unit`` (dict insertion order vs node-id order).
 """
@@ -67,7 +68,7 @@ from collections.abc import Mapping as MappingABC
 from typing import Deque, Iterator, Mapping
 
 from repro._types import CategoryPath, TimeunitIndex, Weight
-from repro._vector import load_kernels, load_numpy, pinned_kernels
+from repro._vector import load_numpy
 from repro.core.adapt import FOLD, FRESH, MOVE, SPLIT, plan_adaptation
 from repro.core import fused
 from repro.core.config import TiresiasConfig
@@ -88,8 +89,8 @@ _np = load_numpy()
 class _SplitStatsStore:
     """Split-rule statistics for every node seen so far (§V-B4 bookkeeping).
 
-    On a vector tier (``index`` given) the statistics live in dense per-node
-    arrays updated by one vectorized kernel per timeunit
+    On the vector tier (``index`` given) the statistics live in dense per-node
+    arrays updated by one masked pass per timeunit
     (:meth:`update_dense`, read by :meth:`view_id`); on the python tier a
     per-path dict of :class:`NodeUsageStats` is maintained with the scalar
     loop (:meth:`update_dict`, read by :meth:`view`).  Values are
@@ -117,10 +118,7 @@ class _SplitStatsStore:
         self.has_last = _np.zeros(n, dtype=bool)
         #: ``(1 - alpha) ** g`` for g = 0..; grown lazily with Python pow so
         #: the decay factors match the scalar path bit for bit.
-        self._decay = [1.0]
-        #: Array mirror of ``_decay`` for the compiled kernel (rebuilt when
-        #: the list grows; the length check keeps it in sync).
-        self._decay_arr = None
+        self._decay = _np.ones(1)
         #: Rows restored from a foreign state whose paths are not in the
         #: tree: carried through save/restore, never read or updated.
         self._extra_stats: dict[CategoryPath, NodeUsageStats] = {}
@@ -129,76 +127,56 @@ class _SplitStatsStore:
     # ------------------------------------------------------------------
     # Per-timeunit updates
     # ------------------------------------------------------------------
-    def _extend_decay(self, gap: int) -> None:
-        base = 1 - self.alpha
-        while len(self._decay) <= gap:
-            self._decay.append(base ** len(self._decay))
+    def _decay_table(self, gap: int):
+        """The decay table, grown to cover a silent gap of ``gap`` timeunits."""
+        decay = self._decay
+        if len(decay) <= gap:
+            base = 1 - self.alpha
+            decay = self._decay = _np.concatenate(
+                [decay, [base ** g for g in range(len(decay), gap + 1)]]
+            )
+        return decay
 
     def update_dense(self, timeunit: int, raw_vec) -> None:
-        """Fold one timeunit of dense raw weights into the statistics."""
-        kernels = load_kernels()
-        if kernels is not None:
-            # Compiled tier: one C pass over the vector.  The kernel returns
-            # the needed decay-table length (mutating nothing) when a silent
-            # gap outruns the table; decay factors always come from Python
-            # ``**`` so all three tiers share the exact same constants.
-            decay_arr = self._decay_arr
-            if decay_arr is None or len(decay_arr) != len(self._decay):
-                decay_arr = self._decay_arr = _np.asarray(self._decay)
-            needed = kernels.update_stats_dense(
-                raw_vec,
-                int(timeunit),
-                self.alpha,
-                decay_arr,
-                self.cumulative,
-                self.ewma,
-                self.last_weight,
-                self.observations,
-                self.last_unit_arr,
-                self.seen,
-                self.has_last,
-            )
-            if needed:
-                self._extend_decay(int(needed))
-                decay_arr = self._decay_arr = _np.asarray(self._decay)
-                kernels.update_stats_dense(
-                    raw_vec,
-                    int(timeunit),
-                    self.alpha,
-                    decay_arr,
-                    self.cumulative,
-                    self.ewma,
-                    self.last_weight,
-                    self.observations,
-                    self.last_unit_arr,
-                    self.seen,
-                    self.has_last,
-                )
+        """Fold one timeunit of dense raw weights into the statistics.
+
+        One masked pass over the per-node vectors: every value is computed
+        for all nodes with unmasked whole-vector arithmetic — the same float
+        operations per element, in the same order, as :meth:`update_dict` —
+        and stored under ``raw_vec > 0`` only.  At a few hundred to a few
+        thousand nodes an unmasked op or a ``putmask`` costs well under a
+        microsecond, a fancy-indexed gather or scatter three to six, so no
+        id list is ever built.
+        """
+        mask = raw_vec > 0.0
+        if not _np.count_nonzero(mask):
             return
-        ids = _np.flatnonzero(raw_vec > 0.0)
-        if ids.size == 0:
-            return
-        weights = raw_vec[ids]
-        last = self.last_unit_arr[ids]
-        decay_rows = self.has_last[ids] & (last < timeunit - 1)
-        if decay_rows.any():
-            gap_values = timeunit - last[decay_rows] - 1
-            self._extend_decay(int(gap_values.max()))
-            selected = ids[decay_rows]
-            self.ewma[selected] = self.ewma[selected] * _np.asarray(self._decay)[
-                gap_values
-            ]
-        self.cumulative[ids] += weights
-        self.ewma[ids] = _np.where(
-            self.observations[ids] > 0,
-            self.alpha * weights + (1 - self.alpha) * self.ewma[ids],
-            weights,
-        )
-        self.last_weight[ids] = weights
-        self.observations[ids] += 1
-        self.seen[ids] = True
-        self.has_last[ids] = True
-        self.last_unit_arr[ids] = timeunit
+        ewma = self.ewma
+        last_unit = self.last_unit_arr
+        # Nodes back after silent timeunits: their EWMA decays over the gap
+        # first.  The gap is zeroed everywhere else, where ``decay[0] == 1.0``
+        # multiplies exactly.
+        stale = last_unit < timeunit - 1
+        stale &= self.has_last
+        stale &= mask
+        if _np.count_nonzero(stale):
+            gap = (timeunit - 1) - last_unit
+            gap *= stale
+            ewma *= self._decay_table(int(gap.max())).take(gap)
+        cumulative = self.cumulative
+        _np.putmask(cumulative, mask, cumulative + raw_vec)
+        blend = self.alpha * raw_vec
+        blend += (1 - self.alpha) * ewma
+        first = self.observations == 0
+        first &= mask
+        _np.putmask(ewma, mask, blend)
+        if _np.count_nonzero(first):
+            _np.putmask(ewma, first, raw_vec)
+        _np.putmask(self.last_weight, mask, raw_vec)
+        _np.putmask(last_unit, mask, timeunit)
+        self.observations += mask
+        self.seen |= mask
+        self.has_last |= mask
 
     def update_dict(self, timeunit: int, raw: Mapping[CategoryPath, Weight]) -> None:
         """Python-tier statistics update from a raw-weight mapping.
@@ -572,7 +550,7 @@ class _RefStore:
 
 
 class _SeriesView(MappingABC):
-    """``path -> NodeTimeSeries`` over the vector tiers' id registry, read-only.
+    """``path -> NodeTimeSeries`` over the vector tier's id registry, read-only.
 
     The registry holds bank row numbers; a :class:`NodeTimeSeries` handle is
     built the first time a path is asked for — by a checkpoint, the
@@ -714,11 +692,7 @@ class ADAAlgorithm:
             for depth in range(1, config.reference_levels + 1)
             for node in tree.nodes_at_depth(depth)
         )
-        self._reference_ids = (
-            None
-            if self._index is None
-            else [self._index.path_to_id[path] for path in self._reference_nodes]
-        )
+        self._reference_ids = self._node_ids(self._reference_nodes)
 
     # ------------------------------------------------------------------
     # Online interface
@@ -736,7 +710,7 @@ class ADAAlgorithm:
     def supports_dense_close(self) -> bool:
         """Whether the dense columnar ingest (:meth:`dictionary_node_ids`,
         :meth:`sweep_timeunits`, :meth:`close_swept`) may be used (vector
-        tiers)."""
+        tier)."""
         return self._index is not None
 
     @property
@@ -751,7 +725,7 @@ class ADAAlgorithm:
     def sweep_timeunits(
         self, counts, leaf_counts: "Mapping[CategoryPath, Weight] | None" = None
     ) -> list[tuple]:
-        """The hierarchy update of several timeunits at once (vector tiers).
+        """The hierarchy update of several timeunits at once (vector tier).
 
         ``counts`` is a ``(units, num_node_ids)`` float64 matrix of direct
         per-node counts, one row per timeunit (consumed); ``leaf_counts``
@@ -796,25 +770,22 @@ class ADAAlgorithm:
         and reference series exactly as the serial cascade would.
         """
         self._frontier_paths = tuple(tuple(p) for p in paths)
-        self._frontier_ids = (
-            None
-            if self._index is None
-            else _np.array(
-                [self._index.path_to_id[path] for path in self._frontier_paths],
-                dtype=_np.intp,
-            )
-        )
+        self._frontier_ids = self._node_ids(self._frontier_paths)
         self.last_frontier_raw = None
+
+    def _node_ids(self, paths):
+        """Node ids of ``paths`` as an index array (``None`` on the python
+        tier) — what the close gathers their raw weights with."""
+        if self._index is None:
+            return None
+        path_to_id = self._index.path_to_id
+        return _np.array([path_to_id[path] for path in paths], dtype=_np.intp)
 
     def _close(self, timeunit: TimeunitIndex | None, close, *args) -> TimeunitResult:
         """Advance the unit counter and run the tier's close, timed."""
         self._timeunit = self._timeunit + 1 if timeunit is None else timeunit
         close_start = time.perf_counter()
-        # One environment read pins the kernel tier for the whole close; the
-        # nested probes (bank observe, split statistics) reuse the pinned
-        # resolution.
-        with pinned_kernels():
-            result = close(*args)
+        result = close(*args)
         self.last_result = result
         self.close_histogram.observe(time.perf_counter() - close_start)
         return result
@@ -996,8 +967,8 @@ class ADAAlgorithm:
             # weight; the root is lexicographically first when present.
             values_vec = values_vec.copy()
             values_vec[0] = raw_vec[0]
-        # One array-native observe (compiled steady kernel when built) and
-        # one indexed store per window for the whole heavy set.
+        # One array-native observe and one indexed store per window for the
+        # whole heavy set.
         bank = self.bank
         forecasts_vec = bank.observe_rows_arrays(rows, values_vec)
         bank.record_rows(rows, values_vec, forecasts_vec)
@@ -1151,7 +1122,7 @@ class ADAAlgorithm:
     def _reset_registry(self) -> None:
         """Empty the series registry (construction and restore).
 
-        Vector tiers: ``_series_ids`` maps node id to bank row in tracking
+        Vector tier: ``_series_ids`` maps node id to bank row in tracking
         order — the order checkpoints list series in and reference
         corrections subtract descendants in — and ``_series_rows`` is the
         same map as a dense vector (−1: untracked) for the close's gathers;
@@ -1168,7 +1139,7 @@ class ADAAlgorithm:
         self.series = _SeriesView(self)
 
     def _track(self, node_id: int, row: int) -> None:
-        """Register bank ``row`` as the series of ``node_id`` (vector tiers)."""
+        """Register bank ``row`` as the series of ``node_id`` (vector tier)."""
         self._series_ids[node_id] = self._series_rows[node_id] = row
 
     @property
@@ -1292,7 +1263,7 @@ class ADAAlgorithm:
             return
         depth = len(path)
         # Descendants subtract in tracking order (the order of ``series``):
-        # the vector tiers' ``_correct_from_reference`` repeats it exactly.
+        # the vector tier's ``_correct_from_reference`` repeats it exactly.
         tracked = self.series
         if _np is not None:
             length = corrected.shape[0]
@@ -1405,7 +1376,7 @@ class ADAAlgorithm:
         """Adaptation counters (not part of the checkpoint format).
 
         ``mode`` names the tier's adaptation engine: ``"delta"`` (id-based
-        planner, vector tiers) or ``"legacy"`` (scalar walk, python tier).
+        planner, vector tier) or ``"legacy"`` (scalar walk, python tier).
         ``fastpath_units`` counts vector-tier timeunits whose heavy set was
         unchanged (adaptation skipped entirely), ``planned_units`` those that
         went through the planner; ``adapt_seconds`` is the time spent

@@ -23,8 +23,8 @@ The pipeline stages remain the paper's:
 
 Vectorized close path (Fig. 3 Steps 2-4, columnar)
 --------------------------------------------------
-On the vector tiers (NumPy, compiled) every per-timeunit close runs Steps
-2-4 columnar rather than per node, with bit-identical detections:
+On the vector tier (NumPy) every per-timeunit close runs Steps 2-4
+columnar rather than per node, with bit-identical detections:
 
 * **Step 2** — heavy hitter membership and modified weights come from the
   dense level-sweep kernels of :class:`~repro.hierarchy.index.HierarchyIndex`

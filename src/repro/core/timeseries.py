@@ -17,7 +17,7 @@ linear as well, so scaling/merging remains exact throughout.
 The classes here are the public, per-series face of that state; where it
 lives depends on the backend tier and nothing else:
 
-* **vector tiers** — a :class:`NodeTimeSeries` is a ``(bank, row)`` handle:
+* **vector tier** — a :class:`NodeTimeSeries` is a ``(bank, row)`` handle:
   forecaster components, warm-up history *and both windows* are one row of
   the :class:`~repro.forecasting.bank.ForecasterBank` matrix.  SPLIT, MERGE
   and the reference correction are the bank's whole-row operations;
@@ -54,7 +54,7 @@ class FloatRing:
     whole-series arithmetic of ADA's adaptation.
 
     Appending beyond ``maxlen`` evicts the oldest element; iteration runs
-    oldest → newest.  This is the python tier's window; on the vector tiers
+    oldest → newest.  This is the python tier's window; on the vector tier
     a series' windows are :class:`_RowRing` read views of its bank row.
     """
 
@@ -130,7 +130,7 @@ class FloatRing:
 
 
 class _RowRing(FloatRing):
-    """Read view of one window of a bank row (vector tiers).
+    """Read view of one window of a bank row (vector tier).
 
     Holds the series' forecaster handle, not an array: every read resolves
     ``(bank, row)`` afresh, so the view survives matrix reallocation and
@@ -479,7 +479,7 @@ class NodeTimeSeries:
 
         Bit-identical to the ``scaled(ratio)`` / ``scaled(1 - ratio)`` /
         ``release()`` triple of the scalar split cascade, with this object
-        (and its row) surviving in place.  On the vector tiers it is
+        (and its row) surviving in place.  On the vector tier it is
         :meth:`ForecasterBank.split_row` — two multiplies over the row.
         """
         forecaster = self.forecaster

@@ -261,7 +261,7 @@ class ForecasterBank:
     one :class:`~repro.core.config.ForecastConfig` and, when the bank was
     given (or later reserved) a ``window`` length, one window length ℓ.
 
-    The bank runs **vectorized** on the vector tiers when the config's
+    The bank runs **vectorized** on the vector tier when the config's
     seasonal model is the built-in ``"auto"`` choice; otherwise every row is
     a scalar fallback object with identical behaviour and no window segment
     (:class:`~repro.core.timeseries.NodeTimeSeries` keeps deque rings then).

@@ -1,8 +1,10 @@
 """Unit tests for :mod:`repro.core.ada` (the adaptive algorithm, §V-B)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.ada import ADAAlgorithm, nearest_tracked_node
+from repro.core.ada import ADAAlgorithm, _SplitStatsStore, nearest_tracked_node
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.hhh import compute_shhh
 from repro.core.sta import STAAlgorithm
@@ -202,6 +204,32 @@ class TestNearestTrackedNode:
         assert node.path == ("a", "a1")
 
 
+#: Every node of the ``tree`` fixture, and two paths it has no node for.
+TREE_PATHS = [(), ("a",), ("b",), ("a", "a1"), ("a", "a2"), ("b", "b1"), ("b", "b2")]
+FOREIGN_PATHS = [("zz", "unknown"), ("a", "a9")]
+WEIGHT = st.floats(min_value=0.001, max_value=1e6, allow_nan=False)
+#: One timeunit of a feed: silent timeunits before it, then the positive raw
+#: weights of the nodes it touches (none: an all-zero unit).
+FEED = st.tuples(
+    st.integers(min_value=0, max_value=60),
+    st.dictionaries(st.sampled_from(TREE_PATHS), WEIGHT, max_size=len(TREE_PATHS)),
+)
+STATS_ROW = st.fixed_dictionaries(
+    {
+        "last_weight": st.floats(min_value=0.0, max_value=1e6),
+        "cumulative_weight": st.floats(min_value=0.0, max_value=1e9),
+        "ewma_weight": st.floats(min_value=0.0, max_value=1e6),
+        "observations": st.integers(min_value=0, max_value=50),
+    }
+)
+#: ``(path, statistics row or None, last unit or None)`` of a restored store.
+LOADED_ROW = st.tuples(
+    st.sampled_from(TREE_PATHS + FOREIGN_PATHS),
+    st.one_of(st.none(), STATS_ROW),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=39)),
+)
+
+
 class TestSplitStatsStore:
     def test_rows_outside_the_tree_survive_a_round_trip(self, tree):
         """Statistics rows restored for paths this tree has no node for are
@@ -219,10 +247,8 @@ class TestSplitStatsStore:
         assert ada._stats.emit() == (stats_rows, last_rows)
 
     def test_dense_and_dict_stats_agree(self, tree):
-        """Bit-equal statistics from the dense store (vector tiers) and the
+        """Bit-equal statistics from the dense store (vector tier) and the
         dict store (python tier), each driven through its own update."""
-        from repro.core.ada import _SplitStatsStore
-
         config = make_config(split_rule="ewma", split_ewma_alpha=0.4)
         ada = ADAAlgorithm(tree, config)
         index = ada._index
@@ -247,3 +273,70 @@ class TestSplitStatsStore:
             dense_view = dense_store.view_id(index.path_to_id[path], len(feeds))
             dict_view = dict_store.view(path, len(feeds))
             assert dense_view == dict_view, path
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        loaded=st.one_of(st.none(), st.lists(LOADED_ROW, max_size=6)),
+        feeds=st.lists(FEED, min_size=1, max_size=12),
+    )
+    # Three silences, each longer than the last: the decay table grows three
+    # times, twice while another node is being updated without a gap.
+    @example(
+        loaded=None,
+        feeds=[
+            (0, {("a", "a1"): 2.5, ("b",): 1.25}),
+            (3, {("a", "a1"): 0.75}),
+            (0, {}),
+            (17, {("a", "a1"): 4.0, ("b",): 0.5}),
+            (90, {("b",): 3.0, ("b", "b2"): 1.5}),
+        ],
+    )
+    def test_the_masked_pass_equals_the_scalar_loop(self, loaded, feeds):
+        """``update_dense`` against its python-tier oracle ``update_dict``,
+        fed the same units: all-zero units, first-ever observations,
+        non-integer weights, silent gaps that outgrow the decay table, and
+        stores restored from rows where a node has a statistics row but no
+        last-unit row (or the reverse) and from rows of paths the tree has
+        no node for.  Checkpoint rows and every node's view must be equal,
+        exactly."""
+        config = make_config(split_rule="ewma", split_ewma_alpha=0.4)
+        tree = HierarchyTree.from_leaf_paths([path for path in TREE_PATHS if len(path) == 2])
+        index = ADAAlgorithm(tree, config)._index
+        if index is None:
+            pytest.skip("NumPy unavailable")
+        dense_store = _SplitStatsStore(config, index)
+        dict_store = _SplitStatsStore(config, None)
+        unit, last_seen, longest_gap = 0, {}, 0
+        if loaded is not None:
+            stats_rows = [
+                [list(path), dict(row)] for path, row, _ in loaded if row is not None
+            ]
+            last_rows = [
+                [list(path), last] for path, _, last in loaded if last is not None
+            ]
+            for store in (dense_store, dict_store):
+                store.load(stats_rows, last_rows)
+            last_seen = {tuple(path): last for path, last in last_rows}
+            unit = 40
+        for silent_units, weights in feeds:
+            unit += silent_units
+            raw_vec = index.count_rows({})[0]
+            for path, weight in weights.items():
+                raw_vec[index.path_to_id[path]] = weight
+                if path in last_seen:
+                    longest_gap = max(longest_gap, unit - last_seen[path] - 1)
+                last_seen[path] = unit
+            dense_store.update_dense(unit, raw_vec)
+            dict_store.update_dict(unit, weights)
+            unit += 1
+
+        def by_path(rows):
+            return sorted(rows, key=lambda row: row[0])
+
+        dense_rows, dict_rows = dense_store.emit(), dict_store.emit()
+        assert by_path(dense_rows[0]) == by_path(dict_rows[0])
+        assert by_path(dense_rows[1]) == by_path(dict_rows[1])
+        for path, node_id in index.path_to_id.items():
+            assert dense_store.view_id(node_id, unit) == dict_store.view(path, unit), path
+        # The table covers the longest silence decayed and nothing more.
+        assert len(dense_store._decay) == longest_gap + 1

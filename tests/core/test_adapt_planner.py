@@ -36,8 +36,8 @@ LEAVES = [
     ("c", "c1"),
 ]
 
-#: The tier under test (whatever this process runs: compiled or NumPy) and
-#: the reference it is compared against.
+#: The tier under test (the vector tier, unless the process started on the
+#: python tier) and the reference it is compared against.
 TIERS = {"vector": nullcontext, "python": python_tier}
 
 

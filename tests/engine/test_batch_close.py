@@ -9,9 +9,9 @@ under every out-of-order policy (``raise`` included: the exception leaves the
 session where the records before the late one put it), a ``_pending``
 remainder carried in from the previous batch, categories the tree does not
 know and a shadow session attached — for batches built from tuples and
-batches built the way a reader builds them, on the vector tier this process
-runs (NumPy or compiled) and on the python tier, where the algorithm has no
-dense close and batches take the run loop.
+batches built the way a reader builds them, on the vector tier and on the
+python tier, where the algorithm has no dense close and batches take the run
+loop.
 
 The second half pins the bug the count matrix fixes: two dictionary codes
 naming one path used to overwrite each other's counts.
@@ -20,6 +20,7 @@ naming one path used to overwrite each other's counts.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import nullcontext
 
 import pytest
@@ -318,6 +319,25 @@ class TestBatchEqualsRecords:
                 assert_batches_equal_records(
                     tmp_path, stream, cuts, built, policy=policy
                 )
+
+
+@pytest.mark.skipif(not VECTOR, reason="the python tier has no dense close")
+def test_a_close_reads_no_environment_variable(monkeypatch):
+    """The backend tier is bound before the first close: with every read of
+    ``os.environ`` raising, a session built beforehand still closes a coded
+    batch stream on the vector tier — a tier probe per close would not."""
+    session = Run().session
+    batches = cut_batches(records_of(BUSY), [7, 13, 22], "reader")
+
+    def refuse(environ, key):
+        raise AssertionError(f"os.environ[{key!r}] was read during a close")
+
+    with monkeypatch.context() as patcher:
+        # ``os.environ.get`` and ``in`` are Mapping mixins over ``[]``.
+        patcher.setattr(type(os.environ), "__getitem__", refuse)
+        results = session.process_batches(iter(batches))
+    assert [result.timeunit for result in results] == list(range(7))
+    assert session.close_profile()["dense_close_units"] == 5
 
 
 @pytest.mark.skipif(not VECTOR, reason="the count matrix needs the vector backend")

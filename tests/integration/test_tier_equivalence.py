@@ -1,4 +1,4 @@
-"""Property-based equivalence of the three backend tiers.
+"""Property-based equivalence of the two backend tiers.
 
 The backend tier is the only thing that selects ADA's close path, and the
 tiers are pure performance work — they must never change a detection, a
@@ -6,29 +6,26 @@ counter or a checkpoint.  A seeded generator produces random hierarchies and
 bursty workloads (reusing :mod:`tests.integration.test_sharded_equivalence`'s
 generator) and every example runs the same session once per tier:
 
-* ``compiled`` — the vector close with the C kernels, when the extension is
-  built (``python -m repro._ckernels build``);
-* ``numpy`` — the vector close pinned to NumPy (``REPRO_DISABLE_COMPILED=1``);
+* ``numpy`` — the vector close, the process default;
 * ``python`` — the scalar walk, entered with the whole-process
   :func:`tests.conftest.python_tier` fixture.  It is the reference.
 
-NumPy vs compiled compare everything raw: per-unit results, anomaly dicts,
-all adaptation counters, checkpoint *bytes*.  Against the python tier the
-engine-describing counters (``mode``, ``fastpath_units``, ``planned_units``)
-are left out and the checkpoint is compared with the rows of ``stats`` /
-``stats_last_unit`` sorted (node-id order vs dict insertion order).
+Per-unit results, anomaly dicts and the algorithm's adaptation counters
+compare raw; the engine-describing counters (``mode``, ``fastpath_units``,
+``planned_units``) are left out and the checkpoint is compared with the rows
+of ``stats`` / ``stats_last_unit`` sorted (node-id order vs dict insertion
+order).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import _ckernels
 from repro._vector import backend_tier, load_numpy
 from repro.engine.engine import DetectionEngine
 from tests.conftest import TIERED_PACKAGES, canonical_checkpoint, python_tier
@@ -38,21 +35,11 @@ from tests.integration.test_sharded_equivalence import make_config, make_workloa
 ENGINE_COUNTERS = ("mode", "fastpath_units", "planned_units")
 
 
-@contextmanager
-def numpy_tier():
-    """Pin the vector close to the NumPy kernels (re-read on every close)."""
-    with pytest.MonkeyPatch.context() as patcher:
-        patcher.setenv(_ckernels.DISABLE_ENV, "1")
-        yield
-
-
-#: The tiers this process can run (all of them on a full CI install); the
-#: compiled tier, when built and not disabled, is simply the process default.
+#: The tiers this process can run: the vector tier is simply the process
+#: default, absent only under ``REPRO_DISABLE_NUMPY=1 pytest``.
 TIERS = {"python": python_tier}
 if load_numpy() is not None:
-    TIERS["numpy"] = numpy_tier
-    if _ckernels.load() is not None:
-        TIERS["compiled"] = nullcontext
+    TIERS["numpy"] = nullcontext
 
 
 class Leg(NamedTuple):
@@ -62,7 +49,6 @@ class Leg(NamedTuple):
     anomalies: list
     counters: dict  # adaptation_stats() minus wall-clock seconds
     profile: dict  # close_profile()
-    checkpoint: bytes
     checkpoint_row_sorted: bytes
 
 
@@ -84,7 +70,6 @@ def run_leg(tier, seed, lateness, algorithm="ada") -> Leg:
             anomalies,
             counters,
             profile,
-            canonical_checkpoint(state),
             canonical_checkpoint(state, row_sorted=True),
         )
 
@@ -112,12 +97,6 @@ def assert_matches_reference(leg: Leg, reference: Leg):
 )
 def test_tiers_agree(seed, lateness):
     legs = {tier: run_leg(tier, seed, lateness) for tier in TIERS}
-    if "compiled" in legs:
-        # Results, anomalies, every counter, close counts, checkpoint bytes.
-        compiled, numpy = legs["compiled"], legs["numpy"]
-        assert compiled[:3] == numpy[:3]
-        assert compiled.profile["fused_units"] == numpy.profile["fused_units"]
-        assert compiled.checkpoint == numpy.checkpoint
     reference = legs.pop("python")
     for leg in legs.values():
         assert_matches_reference(leg, reference)
