@@ -118,7 +118,11 @@ class DetectionSession:
         self.reports = AnomalyReportStore()
         self.results: list[TimeunitResult] = []
         self._units_processed = 0
-        self._pending: Counter = Counter()
+        #: The open timeunit's counts: a Counter, plus (between dense
+        #: batches) the rows a batch left in it — read both through
+        #: :attr:`_pending`.
+        self._pending_counts: Counter = Counter()
+        self._pending_rows: tuple | None = None
         self._pending_unit: TimeunitIndex | None = None
         self._warmup_announced = False
         self._observers: list[EngineObserver] = []
@@ -146,6 +150,37 @@ class DetectionSession:
             self._observers.remove(observer)
         except ValueError:
             pass
+
+    # ------------------------------------------------------------------
+    # The open timeunit
+    # ------------------------------------------------------------------
+    @property
+    def _pending(self) -> Counter:
+        """Per-path counts of the open timeunit, keys in first-arrival order
+        — the checkpointed representation, and what every reader gets.
+
+        A dense batch does not build it: it leaves the open unit's rows
+        behind as ``(codes, dictionary, node-id map)`` (:attr:`_pending_rows`,
+        a copy — a transport may reuse the batch's buffer), for the next
+        batch to count into its matrix directly.  The first read folds them
+        in here, one statement per distinct code in first-appearance order,
+        so the keys come out as ``Counter(categories)`` would have put them.
+        """
+        if self._pending_rows is not None:
+            self._fold_pending_rows()
+        return self._pending_counts
+
+    @_pending.setter
+    def _pending(self, counts: Counter) -> None:
+        self._pending_counts = counts
+        self._pending_rows = None
+
+    def _fold_pending_rows(self) -> None:
+        codes, dictionary, _ = self._pending_rows
+        self._pending_rows = None
+        counts = self._pending_counts
+        for code, count in Counter(codes.tolist()).items():
+            counts[tuple(dictionary[code])] += count
 
     # ------------------------------------------------------------------
     # Online ingestion
@@ -259,7 +294,8 @@ class DetectionSession:
         return closed
 
     def _dense_mapping(self, dictionary):
-        """Node id per code of a batch dictionary (-1: not in the tree).
+        """Node id per code of a batch dictionary (``num_node_ids``, the
+        count matrix's spare column: not in the tree).
 
         Cached by dictionary object identity — a columnar file yields one
         shared dictionary for every batch, so the map is built once per file.
@@ -267,7 +303,8 @@ class DetectionSession:
         whenever new categories appeared (see
         :class:`~repro.streaming.batch.ColumnAccumulator`); when the cached
         dictionary is a prefix of the new one only the new entries are
-        mapped.
+        mapped.  A map is never written to once returned (held rows keep
+        theirs).
         """
         cached = self._dense_dict
         if cached is not None:
@@ -277,14 +314,17 @@ class DetectionSession:
             if dictionary[: len(known)] == known:
                 tail = dictionary[len(known) :]
                 if tail:
-                    id_map = np.concatenate(
-                        [id_map, self.algorithm.dictionary_node_ids(tail)]
-                    )
+                    id_map = np.concatenate([id_map, self._node_ids(tail)])
                 self._dense_dict = (dictionary, id_map)
                 return id_map
-        id_map = self.algorithm.dictionary_node_ids(dictionary)
+        id_map = self._node_ids(dictionary)
         self._dense_dict = (dictionary, id_map)
         return id_map
+
+    def _node_ids(self, paths):
+        ids = self.algorithm.dictionary_node_ids(paths)
+        ids[ids < 0] = self.algorithm.num_node_ids
+        return ids
 
     def _ingest_batch_dense(self, batch: RecordBatch) -> list[TimeunitResult]:
         """Code-column ingest: the timeunits a batch closes, closed together.
@@ -292,23 +332,28 @@ class DetectionSession:
         Everything that depends only on a timeunit's own counts is hoisted
         out of the per-unit loop: the records of every timeunit that fully
         closes *within this call* land in one ``(units, node ids)`` count
-        matrix — one ``bincount`` over ``row * width + node id`` — and the
-        algorithm sweeps it once (raw weights, modified weights and heavy
-        masks of every row, :meth:`~repro.core.ada.ADAAlgorithm.sweep_timeunits`).
-        The units then close in order, each from its row, because what
-        remains *does* depend on the previous unit's state (forecaster
-        recurrences, split statistics, the adaptation plan) and observers
-        see one closed unit at a time.  Matrix counts can never appear in a
-        checkpoint, so the insertion-order contract of ``_pending`` is
-        untouched: a remainder carried in from the previous batch is folded
-        into its unit's row, runs of the still-open trailing timeunit are
-        counted per distinct code and land in the ``_pending`` Counter in
-        first-appearance order — the keys and order the classic path's
-        ``Counter(tuples)`` produces, without a statement per record — and a
-        timeunit no run of this batch lands in closes from ``_pending``
-        alone.  When the policy refuses a late run, the rows before it are
-        ingested first — the exception leaves the session where
-        record-by-record ingestion would have.
+        matrix and the algorithm sweeps it once (raw weights, modified
+        weights and heavy masks of every row,
+        :meth:`~repro.core.ada.ADAAlgorithm.sweep_timeunits`).  The units
+        then close in order, each from its row, because what remains *does*
+        depend on the previous unit's state (forecaster recurrences, split
+        statistics, the adaptation plan) and observers see one closed unit
+        at a time.
+
+        The matrix is one ``bincount`` over a ``(closing + 1, width + 1)``
+        grid: runs of the still-open unit and dropped runs count into the
+        spare last row, codes outside the tree into the spare last column,
+        and both are sliced off before the float conversion.  The open
+        unit's rows are held as a copy (see :attr:`_pending`) and the batch
+        that closes that unit adds their node ids to its row 0, beside any
+        Counter remainder (per-record ingest, a restored checkpoint).  A
+        batch that does not close the held unit folds its rows into the
+        Counter before holding its own, so at most one batch's tail is ever
+        held; a timeunit no run of this batch lands in closes from
+        ``_pending`` alone.  Matrix counts never reach a checkpoint.  When
+        the policy refuses a late run, the rows before it are ingested first
+        — the exception leaves the session where record-by-record ingestion
+        would have.
         """
         runs = batch.timeunit_runs(self.clock)
         if not runs:
@@ -331,15 +376,16 @@ class DetectionSession:
             if not units or units[-1] != simulated:
                 units.append(simulated)
             run_rows.append(len(units) - 1)
+        if not units:
+            return []  # every run was dropped
         # ``simulated`` moves only on a run that is kept, so the last row is
         # the unit that stays open; the rows before it close in this call.
-        # (No rows at all: every run was dropped.)
         last_unit = simulated
-        open_row = len(units) - 1
         closing = units[:-1]
+        spare = len(closing)  # the open unit's row, dropped runs' too
         algorithm = self.algorithm
         width = algorithm.num_node_ids
-        if len(closing) > 1 and len(closing) * width > _DENSE_MATRIX_CELLS:
+        if spare > 1 and spare * width > _DENSE_MATRIX_CELLS:
             # Bounded memory whatever the batch spans: ingesting two halves
             # is ingesting the whole.
             middle = runs[len(runs) // 2][1]
@@ -349,22 +395,28 @@ class DetectionSession:
             ]
         codes = batch.category_codes
         dictionary = batch.code_dictionary
+        id_map = self._dense_mapping(dictionary)
         if self._pending_unit is None:
             self._pending_unit = units[0]  # a first run is never late
         swept = []
         if closing:
-            rows = np.repeat(
-                np.array(run_rows), [stop - start for _, start, stop in runs]
+            grid = width + 1
+            keys = np.repeat(
+                [grid * (spare if row < 0 else row) for row in run_rows],
+                [stop - start for _, start, stop in runs],
             )
-            node_ids = self._dense_mapping(dictionary)[codes]
-            counted = (rows >= 0) & (rows < open_row) & (node_ids >= 0)
-            counts = np.bincount(
-                rows[counted] * width + node_ids[counted],
-                minlength=len(closing) * width,
-            )
+            keys += id_map[codes]
+            remainder = None
+            if closing[0] == self._pending_unit:
+                remainder = self._pending_counts
+                held = self._pending_rows
+                if held is not None:  # row 0
+                    held_codes, _, held_map = held
+                    keys = np.concatenate([held_map[held_codes], keys])
+            counts = np.bincount(keys, minlength=(spare + 1) * grid)
             swept = algorithm.sweep_timeunits(
-                counts.astype(np.float64).reshape(len(closing), width),
-                self._pending if closing[0] == self._pending_unit else None,
+                counts.reshape(spare + 1, grid)[:-1, :-1].astype(np.float64),
+                remainder,
             )
         closed: list[TimeunitResult] = []
         row = 0
@@ -379,16 +431,18 @@ class DetectionSession:
                 row += 1
             else:
                 closed.append(self._close_pending())
-        if units:
-            # The still-open unit: arrival-order Counter, the checkpointable
-            # representation.
-            pending = self._pending
-            for (_, start, stop), run_row in zip(runs, run_rows):
-                if run_row == open_row:
-                    # One statement per distinct code, in first-appearance
-                    # order (a Counter counts in C and keeps it).
-                    for code, count in Counter(codes[start:stop].tolist()).items():
-                        pending[tuple(dictionary[code])] += count
+        # Held rows this batch did not close go into the Counter now, so
+        # no more than one batch's tail is ever held.
+        if self._pending_rows is not None:
+            self._fold_pending_rows()
+        # The open unit's rows wait as they are for the batch that closes
+        # it; ``concatenate`` copies them out of a buffer that may be reused.
+        tail = [
+            codes[start:stop]
+            for (_, start, stop), row in zip(runs, run_rows)
+            if row == spare
+        ]
+        self._pending_rows = (np.concatenate(tail), dictionary, id_map)
         return closed
 
     def process_batches(self, batches: Iterable[RecordBatch]) -> list[TimeunitResult]:
@@ -686,8 +740,12 @@ class DetectionSession:
         files or UI state); shipping a session to a worker process must not
         drag them along.  Re-subscribe after unpickling where needed — the
         sharded engine keeps observers on the coordinator side and never
-        relies on them crossing a process boundary.
+        relies on them crossing a process boundary.  Rows a dense batch left
+        in the open timeunit are folded into the ``_pending`` Counter first,
+        so a pickle or a deep copy carries the Counter alone.
         """
+        if self._pending_rows is not None:
+            self._fold_pending_rows()
         state = dict(self.__dict__)
         state["_observers"] = []
         return state

@@ -292,10 +292,25 @@ class RecordBatch:
     # Vectorized timeunit aggregation
     # ------------------------------------------------------------------
     def timeunit_indices(self, clock: SimulationClock):
-        """Timeunit index of every record, computed in one vectorized pass."""
-        return np.floor_divide(
-            self.timestamps - clock.epoch, clock.delta
-        ).astype(np.int64)
+        """Timeunit index of every record: ``clock.timeunit_of`` of each
+        timestamp (Python's float ``//``, which ``np.floor_divide`` matches),
+        computed in one vectorized pass.
+
+        ``floor((ts - epoch) / delta)`` alone is not that: the quotient is
+        rounded, and a true quotient just below an integer can round up onto
+        it.  But rounding is monotone and integers (below 2⁵³) are
+        representable, so it can never carry a quotient *across* an integer
+        without landing on it — where the rounded quotient is not an integer
+        its floor is exact.  Only the rows whose quotient came out integral
+        are recomputed with ``np.floor_divide`` (ten times the cost of a
+        divide and a floor).
+        """
+        offsets = self.timestamps - clock.epoch
+        quotients = offsets / clock.delta
+        units = np.floor(quotients)
+        recheck = np.flatnonzero(units == quotients)
+        units[recheck] = np.floor_divide(offsets[recheck], clock.delta)
+        return units.astype(np.int64)
 
     def timeunit_runs(self, clock: SimulationClock) -> list[tuple[int, int, int]]:
         """Run boundaries: ``(timeunit, start_row, stop_row)`` per run.
@@ -312,10 +327,10 @@ class RecordBatch:
         if n == 0:
             return []
         units = self.timeunit_indices(clock)
-        starts = [0, *(np.flatnonzero(np.diff(units)) + 1).tolist(), n]
-        return [
-            (int(units[a]), a, b) for a, b in zip(starts, starts[1:])
-        ]
+        # ``!=`` hands ``flatnonzero`` booleans (a ``diff`` would hand it
+        # integers to test, at four times the cost).
+        starts = [0, *(np.flatnonzero(units[1:] != units[:-1]) + 1).tolist()]
+        return list(zip(units[starts].tolist(), starts, [*starts[1:], n]))
 
     def group_runs_by_timeunit(
         self, clock: SimulationClock

@@ -13,14 +13,20 @@ batches built the way a reader builds them, on the vector tier and on the
 python tier, where the algorithm has no dense close and batches take the run
 loop.
 
-The second half pins the bug the count matrix fixes: two dictionary codes
+``TestHeldRows`` follows the open timeunit's rows, which a batch leaves as
+codes for the batch that closes the unit: the state between any two batches,
+a restore from it, pickling, and a code buffer overwritten after ingest.
+
+The last part pins the bug the count matrix fixes: two dictionary codes
 naming one path used to overwrite each other's counts.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import pickle
 from contextlib import nullcontext
 
 import pytest
@@ -367,6 +373,156 @@ class TestMatrixBound:
         # One-row sweeps are single closes (the gap unit, the flush, a half's
         # last unit that stayed open in ``_pending``).
         assert [max(rows) for rows in swept_rows] == [1, 2, 2, 5]
+
+
+# ----------------------------------------------------------------------
+# The open timeunit's rows, carried to the batch that closes it
+# ----------------------------------------------------------------------
+def held_rows(session) -> int:
+    """Rows a dense batch left in the open unit (read without folding)."""
+    held = session._pending_rows
+    return 0 if held is None else len(held[0])
+
+
+def attempt(call):
+    try:
+        return call(), None
+    except OutOfOrderRecordError as exc:
+        return None, str(exc)
+
+
+def lockstep(stream, cuts, built, policy="drop", overwrite=False) -> list[int]:
+    """Feed the batches of ``stream`` to one session and, beside them, the
+    same records one by one to another: after every batch the state bytes
+    are equal (reading them builds the ``_pending`` Counter), and a session
+    restored from them finishes the stream with the results a third session
+    that is never read produces.  ``overwrite``: scribble over every batch's
+    code column once it is ingested, as a reused transport buffer would.
+    Returns the rows held before each read."""
+    records = records_of(stream)
+    batches = cut_batches(records, cuts, built)
+
+    def session():
+        return DetectionSession(make_tree(), make_config(policy), warmup_units=2)
+
+    read, by_record, unread = session(), session(), session()
+    held, states, closed = [], [], []
+    fed = 0
+    for batch in batches:
+        rows, fed = records[fed : fed + len(batch)], fed + len(batch)
+        results, error = attempt(lambda: unread.ingest_record_batch(batch))
+        assert attempt(lambda: read.ingest_record_batch(batch)) == (results, error)
+        expected = attempt(
+            lambda: [r for record in rows for r in by_record.ingest_record(record)]
+        )
+        assert (results, error) == expected
+        if overwrite:
+            batch.category_codes[:] = len(batch.code_dictionary)
+        held.append(held_rows(read))
+        state = read.state_dict()
+        assert canonical_checkpoint(state) == canonical_checkpoint(by_record.state_dict())
+        assert list(read._pending.items()) == list(by_record._pending.items())
+        if error is not None:
+            return held
+        states.append(state)
+        closed.append(results)
+    closed.append(unread.flush())
+    assert closed[-1] == by_record.flush()
+    assert canonical_checkpoint(unread.state_dict()) == canonical_checkpoint(
+        by_record.state_dict()
+    )
+    for index, state in enumerate(states):
+        restored = DetectionSession.from_state_dict(state)
+        finished = []
+        for batch in cut_batches(records, cuts, built)[index + 1 :]:
+            finished += restored.ingest_record_batch(batch)
+        finished += restored.flush()
+        assert finished == [r for results in closed[index + 1 :] for r in results]
+    return held
+
+
+@pytest.mark.skipif(not VECTOR, reason="rows are held by the dense close only")
+@pytest.mark.parametrize("built", ["tuples", "reader"])
+class TestHeldRows:
+    """The open unit's rows wait, as codes, for the batch that closes it;
+    ``_pending`` is the Counter record-by-record ingestion builds whenever
+    anybody reads it."""
+
+    @pytest.mark.parametrize(
+        "cuts", [[7, 13, 22], [3, 6, 8, 14], list(range(2, 30, 3))]
+    )
+    def test_state_between_batches(self, built, cuts):
+        held = lockstep(BUSY, cuts, built)
+        assert any(held)
+
+    def test_a_batch_wholly_inside_the_held_unit(self, built):
+        # Rows 6-7 are unit 2 only: the batch closes nothing, folds the row
+        # held before it and holds its own two.
+        held = lockstep(BUSY, [6, 8, 13], built)
+        assert held[:3] == [1, 2, 3]
+        run = by_batch(records_of(BUSY), [6, 8, 13], built)
+        assert run.session.close_profile()["dense_close_units"] == 5
+
+    @pytest.mark.parametrize("policy", ["drop", "clamp"])
+    def test_late_runs_into_the_held_unit(self, built, tmp_path, policy):
+        # Unit 2 is held after the first batch; the second opens with a run
+        # of unit 0 and has one of unit 1 after unit 3 began.
+        stream = BUSY[:7] + [(3, 1)] + BUSY[7:12] + [(13, 4)] + BUSY[12:]
+        held = lockstep(stream, [7, 14, 20], built, policy)
+        assert held[:2] == [2, 2 if policy == "drop" else 3]
+        assert_batches_equal_records(tmp_path, stream, [7, 14, 20], built, policy=policy)
+
+    def test_raise_whose_prefix_leaves_rows_held(self, built):
+        # The late run comes after two rows of unit 3: the prefix closes
+        # unit 2 (its held rows in row 0) and holds those two.
+        stream = BUSY[:12] + [(13, 4)] + BUSY[12:]
+        assert lockstep(stream, [7, 13], built, "raise") == [2, 2]
+
+    def test_codes_outside_the_tree_in_held_rows(self, built):
+        # Unit 1 is held as two rows the tree does not know, and unit 2 as
+        # one; the last batch closes nothing.
+        stream = [(1, 0), (2, 1), (11, 7), (12, 8), (13, 6), (14, 7), (15, 0),
+                  (21, 8), (22, 2)]
+        assert lockstep(stream, [4, 8], built) == [2, 1, 1]
+
+    def test_an_overwritten_code_column_changes_nothing(self, built):
+        """A shm transport reuses the buffer a batch's codes live in: the
+        rows held must be a copy, not a view."""
+        assert any(lockstep(BUSY, [7, 13, 22], built, overwrite=True))
+
+    def test_a_unit_over_thirty_batches_holds_one_tail(self, built, tmp_path):
+        # Unit 0 fills thirty batches of 100 rows; unit 1 a last one of 5.
+        stream = [(i * 0.003, i % 7) for i in range(3000)]
+        stream += [(10 + i, i % 6) for i in range(5)]
+        cuts = list(range(100, 3001, 100))
+        session = DetectionSession(make_tree(), make_config(), warmup_units=2)
+        held, counted = [], []
+        for batch in cut_batches(records_of(stream), cuts, built):
+            session.ingest_record_batch(batch)
+            held.append(held_rows(session))
+            counted.append(sum(session._pending_counts.values()))
+        assert held == [100] * 30 + [5]
+        assert counted == [100 * k for k in range(30)] + [0]
+        assert_batches_equal_records(tmp_path, stream, cuts, built)
+
+    def test_pickle_and_deep_copy_carry_the_counter(self, built):
+        records = records_of(BUSY)
+        batches = cut_batches(records, [7, 13, 22], built)
+        reference = DetectionSession(make_tree(), make_config(), warmup_units=2)
+        for record in records[:13]:
+            reference.ingest_record(record)
+        for snapshot in (lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy):
+            session = DetectionSession(make_tree(), make_config(), warmup_units=2)
+            for batch in batches[:2]:
+                session.ingest_record_batch(batch)
+            assert held_rows(session) == 3
+            clone = snapshot(session)
+            assert clone._pending_rows is None and session._pending_rows is None
+            assert list(clone._pending.items()) == list(reference._pending.items())
+            assert [clone.ingest_record_batch(b) for b in batches[2:]] == [
+                session.ingest_record_batch(b) for b in batches[2:]
+            ]
+            assert clone.flush() == session.flush()
 
 
 # ----------------------------------------------------------------------

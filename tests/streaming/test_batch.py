@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import StreamError
 from repro.streaming.batch import ColumnAccumulator, RecordBatch, iter_record_batches
@@ -16,6 +18,11 @@ def rec(ts, label="leaf", **attrs):
 def rows(records):
     """Full row tuples (record equality alone compares only timestamps)."""
     return [(r.timestamp, r.category, dict(r.attributes)) for r in records]
+
+
+#: Unit widths and epochs the exact classification is checked at.
+DELTAS = [900.0, 0.1, 7.0, 86400.0, 1e-3, 3.3]
+EPOCHS = [0.0, 12.345, -1e5, 0.1]
 
 
 @pytest.fixture
@@ -145,6 +152,69 @@ class TestTimeunitAggregation:
         assert list(batch.timeunit_indices(clock)) == [
             clock.timeunit_of(t) for t in timestamps
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        delta=st.sampled_from(DELTAS),
+        epoch=st.sampled_from(EPOCHS),
+        steps=st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=24),
+        uniform=st.lists(
+            st.floats(min_value=-1e9, max_value=1e9, allow_nan=False), max_size=24
+        ),
+    )
+    def test_timeunit_indices_are_exact(self, delta, epoch, steps, uniform):
+        """Unit boundaries ``epoch + k·δ``, the floats either side of them,
+        arbitrary timestamps (negative offsets included): the vector
+        classification is ``np.floor_divide`` and the clock, row for row."""
+        grid = np.array([epoch + k * delta for k in steps], dtype=np.float64)
+        timestamps = np.concatenate(
+            [
+                grid,
+                np.nextafter(grid, np.inf),
+                np.nextafter(grid, -np.inf),
+                np.array(uniform, dtype=np.float64),
+            ]
+        )
+        clock = SimulationClock(delta=delta, epoch=epoch)
+        batch = RecordBatch.from_dictionary_codes(
+            timestamps, np.zeros(len(timestamps), dtype=np.int32), [("leaf",)]
+        )
+        units = batch.timeunit_indices(clock)
+        assert units.dtype == np.int64
+        expected = np.floor_divide(timestamps - epoch, delta).astype(np.int64)
+        assert units.tolist() == expected.tolist()
+        assert units.tolist() == [clock.timeunit_of(t) for t in timestamps.tolist()]
+
+    def test_timeunit_indices_recheck_integral_quotients(self):
+        """``1.0 / 0.1`` rounds up to exactly 10 while ``1.0 // 0.1`` is 9:
+        the plain ``floor(x / δ)`` is one unit late there, and only the
+        recheck of integral quotients puts the record back."""
+        clock = SimulationClock(delta=0.1)
+        assert np.floor(np.array([1.0]) / 0.1).tolist() == [10.0]
+        assert clock.timeunit_of(1.0) == 9
+        batch = RecordBatch.from_records([rec(1.0), rec(0.95), rec(1.05)])
+        assert batch.timeunit_indices(clock).tolist() == [9, 9, 10]
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_timeunit_indices_on_whole_unit_grids(self, delta):
+        """40 000 unit boundaries and their neighbours per epoch: equal to
+        ``np.floor_divide`` everywhere, where the plain floor is not."""
+        plain_wrong = 0
+        for epoch in EPOCHS:
+            grid = epoch + np.arange(-20_000, 20_000) * delta
+            timestamps = np.concatenate(
+                [grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)]
+            )
+            clock = SimulationClock(delta=delta, epoch=epoch)
+            batch = RecordBatch.from_dictionary_codes(
+                timestamps, np.zeros(len(timestamps), dtype=np.int32), [("leaf",)]
+            )
+            expected = np.floor_divide(timestamps - epoch, delta)
+            assert np.array_equal(batch.timeunit_indices(clock), expected)
+            plain_wrong += int(
+                np.count_nonzero(np.floor((timestamps - epoch) / delta) != expected)
+            )
+        assert plain_wrong > 0
 
     def test_group_runs_preserves_arrival_order(self, clock):
         # Units: 0, 0, 1, 0, 0, 2 -> four runs, in stream order.
