@@ -23,41 +23,32 @@ correct succinct heavy hitter set -- holds by construction; only the
 *historical* part of each adapted time series is approximate, which is the
 error Fig. 12 and Table V quantify.
 
-Implementation note: the paper's pseudocode drives the split/merge cascade
-with ``tosplit`` flags and level-order traversals over the mutated weights.
-We implement the same cascade by walking from each new heavy hitter up to its
-nearest series-holding ancestor (split, top-down) and from each stale series
-holder up to its nearest heavy ancestor (merge, bottom-up).  The two
-formulations visit the same nodes; ours avoids the corner-case ambiguities of
-the in-place weight mutations while preserving the split-rule approximation
-behaviour the paper evaluates.
-
-One close path per backend tier, selected by the tier and nothing else.  On
-the vector tier (NumPy) every close runs columnar.  The hierarchy
-update — raw weights, modified weights, heavy masks — depends on a
-timeunit's own counts only, so :meth:`ADAAlgorithm.sweep_timeunits` computes
-it for all the timeunits a batch closes with one
+One close, whatever the forecasting model.  The hierarchy update — raw
+weights, modified weights, heavy masks — depends on a timeunit's own counts
+only, so :meth:`ADAAlgorithm.sweep_timeunits` computes it for all the
+timeunits a batch closes with one
 :meth:`HierarchyIndex.sweep <repro.hierarchy.index.HierarchyIndex.sweep>`
-(integer arithmetic, so bit-identical to the scalar :mod:`repro.core.hhh`
-functions; a single timeunit is its one-row call).  Everything after it
-reads the previous timeunit's state and runs per unit, in order: the id-based
-planner (:mod:`repro.core.adapt`) adapts on the heavy-set delta only — each
-SPLIT, MERGE and reference correction is whole-row arithmetic on *row
-numbers* of the :class:`~repro.forecasting.bank.ForecasterBank` row store,
-which holds every series' forecaster state *and* windows — one
+(integer arithmetic; a single timeunit is its one-row call).  Everything
+after it reads the previous timeunit's state and runs per unit, in order.
+The id-based planner (:mod:`repro.core.adapt`) adapts on the heavy-set delta
+only: it walks from each new heavy hitter up to its nearest series-holding
+ancestor (split, top-down) and from each stale series holder up to its
+nearest heavy ancestor (merge, bottom-up) — the nodes the pseudocode's
+``tosplit`` flags and level-order traversals visit, without the corner-case
+ambiguities of its in-place weight mutations.  Each SPLIT, MERGE and
+reference correction is whole-row arithmetic on *row numbers* of the
+:class:`~repro.forecasting.bank.ForecasterBank` row store, which holds every
+series' forecaster state *and* windows — built-in and plug-in forecasting
+models alike.  One
 :meth:`~repro.forecasting.bank.ForecasterBank.observe_rows_arrays` call
 updates every tracked forecaster, one
 :meth:`~repro.forecasting.bank.ForecasterBank.record_rows` call appends
 every window, split-rule statistics update in one masked pass over dense
-per-node arrays (:meth:`_SplitStatsStore.update_dense`), and
-the dual-threshold check evaluates as one batch comparison
-(:meth:`~repro.core.detector.ThresholdDetector.check_many`).  On
-the python tier (``REPRO_DISABLE_NUMPY``, or a registry seasonal model the
-bank cannot lay out as rows) the scalar walk below (``_adapt`` /
-``_split_cascade`` / ``_append_weights``) runs instead —
-the reference the vector tier is tested against: detections and counters
-are identical, checkpoints identical up to the row order of ``stats`` /
-``stats_last_unit`` (dict insertion order vs node-id order).
+per-node arrays (:meth:`_SplitStatsStore.update_dense`), and the
+dual-threshold check evaluates as one batch comparison
+(:meth:`~repro.core.detector.ThresholdDetector.check_many`).
+:mod:`repro.testing.reference` is the slow per-path oracle it is tested
+against.
 """
 
 from __future__ import annotations
@@ -67,13 +58,13 @@ from collections import deque
 from collections.abc import Mapping as MappingABC
 from typing import Deque, Iterator, Mapping
 
+import numpy as np
+
 from repro._types import CategoryPath, TimeunitIndex, Weight
-from repro._vector import load_numpy
 from repro.core.adapt import FOLD, FRESH, MOVE, SPLIT, plan_adaptation
 from repro.core import fused
-from repro.core.config import TiresiasConfig
+from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.detector import ThresholdDetector
-from repro.core.hhh import accumulate_raw_weights, compute_shhh
 from repro.core.results import TimeunitResult
 from repro.core.split_rules import NodeUsageStats, make_split_rule
 from repro.core.timeseries import NodeTimeSeries, SeriesForecaster
@@ -83,42 +74,31 @@ from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.node import HierarchyNode
 from repro.hierarchy.tree import HierarchyTree
 
-_np = load_numpy()
-
 
 class _SplitStatsStore:
     """Split-rule statistics for every node seen so far (§V-B4 bookkeeping).
 
-    On the vector tier (``index`` given) the statistics live in dense per-node
-    arrays updated by one masked pass per timeunit
-    (:meth:`update_dense`, read by :meth:`view_id`); on the python tier a
-    per-path dict of :class:`NodeUsageStats` is maintained with the scalar
-    loop (:meth:`update_dict`, read by :meth:`view`).  Values are
-    bit-identical between the two (the EWMA decay powers are precomputed
-    with Python's ``**``, the same operator the scalar path uses).
-    Checkpoint emission keeps the canonical ``[[path, stats], ...]`` rows
-    either way — in node-id order from the arrays, insertion order from the
-    dict.
+    Dense per-node arrays updated by one masked pass per timeunit
+    (:meth:`update_dense`, read by :meth:`view_id`).  Values are bit-identical
+    to a per-node :class:`NodeUsageStats` walk (the EWMA decay powers are
+    precomputed with Python's ``**``).  Checkpoint emission keeps the
+    canonical ``[[path, stats], ...]`` rows, in node-id order.
     """
 
-    def __init__(self, config: TiresiasConfig, index: "HierarchyIndex | None"):
+    def __init__(self, config: TiresiasConfig, index: HierarchyIndex):
         self.alpha = config.split_ewma_alpha
         self.index = index
-        if index is None:
-            self.stats: dict[CategoryPath, NodeUsageStats] = {}
-            self.last_unit: dict[CategoryPath, int] = {}
-            return
         n = index.num_nodes
-        self.last_weight = _np.zeros(n)
-        self.cumulative = _np.zeros(n)
-        self.ewma = _np.zeros(n)
-        self.observations = _np.zeros(n, dtype=_np.int64)
-        self.last_unit_arr = _np.zeros(n, dtype=_np.int64)
-        self.seen = _np.zeros(n, dtype=bool)
-        self.has_last = _np.zeros(n, dtype=bool)
+        self.last_weight = np.zeros(n)
+        self.cumulative = np.zeros(n)
+        self.ewma = np.zeros(n)
+        self.observations = np.zeros(n, dtype=np.int64)
+        self.last_unit_arr = np.zeros(n, dtype=np.int64)
+        self.seen = np.zeros(n, dtype=bool)
+        self.has_last = np.zeros(n, dtype=bool)
         #: ``(1 - alpha) ** g`` for g = 0..; grown lazily with Python pow so
-        #: the decay factors match the scalar path bit for bit.
-        self._decay = _np.ones(1)
+        #: the decay factors match a per-node walk bit for bit.
+        self._decay = np.ones(1)
         #: Rows restored from a foreign state whose paths are not in the
         #: tree: carried through save/restore, never read or updated.
         self._extra_stats: dict[CategoryPath, NodeUsageStats] = {}
@@ -132,7 +112,7 @@ class _SplitStatsStore:
         decay = self._decay
         if len(decay) <= gap:
             base = 1 - self.alpha
-            decay = self._decay = _np.concatenate(
+            decay = self._decay = np.concatenate(
                 [decay, [base ** g for g in range(len(decay), gap + 1)]]
             )
         return decay
@@ -141,15 +121,16 @@ class _SplitStatsStore:
         """Fold one timeunit of dense raw weights into the statistics.
 
         One masked pass over the per-node vectors: every value is computed
-        for all nodes with unmasked whole-vector arithmetic — the same float
-        operations per element, in the same order, as :meth:`update_dict` —
-        and stored under ``raw_vec > 0`` only.  At a few hundred to a few
+        for all nodes with unmasked whole-vector arithmetic — per element the
+        float operations of the silent-gap decay and
+        :meth:`NodeUsageStats.update`, in their order — and stored under
+        ``raw_vec > 0`` only.  At a few hundred to a few
         thousand nodes an unmasked op or a ``putmask`` costs well under a
         microsecond, a fancy-indexed gather or scatter three to six, so no
         id list is ever built.
         """
         mask = raw_vec > 0.0
-        if not _np.count_nonzero(mask):
+        if not np.count_nonzero(mask):
             return
         ewma = self.ewma
         last_unit = self.last_unit_arr
@@ -159,94 +140,51 @@ class _SplitStatsStore:
         stale = last_unit < timeunit - 1
         stale &= self.has_last
         stale &= mask
-        if _np.count_nonzero(stale):
+        if np.count_nonzero(stale):
             gap = (timeunit - 1) - last_unit
             gap *= stale
             ewma *= self._decay_table(int(gap.max())).take(gap)
         cumulative = self.cumulative
-        _np.putmask(cumulative, mask, cumulative + raw_vec)
+        np.putmask(cumulative, mask, cumulative + raw_vec)
         blend = self.alpha * raw_vec
         blend += (1 - self.alpha) * ewma
         first = self.observations == 0
         first &= mask
-        _np.putmask(ewma, mask, blend)
-        if _np.count_nonzero(first):
-            _np.putmask(ewma, first, raw_vec)
-        _np.putmask(self.last_weight, mask, raw_vec)
-        _np.putmask(last_unit, mask, timeunit)
+        np.putmask(ewma, mask, blend)
+        if np.count_nonzero(first):
+            np.putmask(ewma, first, raw_vec)
+        np.putmask(self.last_weight, mask, raw_vec)
+        np.putmask(last_unit, mask, timeunit)
         self.observations += mask
         self.seen |= mask
         self.has_last |= mask
 
-    def update_dict(self, timeunit: int, raw: Mapping[CategoryPath, Weight]) -> None:
-        """Python-tier statistics update from a raw-weight mapping.
-
-        ``update_dense`` is its vectorized twin — any change here must be
-        mirrored there (and is guarded by the dense-vs-dict parity test).
-        """
-        alpha = self.alpha
-        for path, weight in raw.items():
-            stats = self.stats.get(path)
-            if stats is None:
-                stats = NodeUsageStats()
-                self.stats[path] = stats
-            last = self.last_unit.get(path)
-            if last is not None and timeunit - last > 1:
-                # Account the silent (zero-weight) timeunits in the EWMA.
-                gap = timeunit - last - 1
-                stats.ewma_weight *= (1 - alpha) ** gap
-                stats.last_weight = 0.0
-            stats.update(weight, alpha)
-            self.last_unit[path] = timeunit
-
     # ------------------------------------------------------------------
     # Split-rule reads
     # ------------------------------------------------------------------
-    def view(self, path: CategoryPath, timeunit: int) -> NodeUsageStats:
-        """Python-tier read: ``path``'s statistics adjusted for the timeunits
-        it was silent in."""
-        stats = self.stats.get(path)
-        if stats is None:
-            return NodeUsageStats()
-        return self._silence_adjusted(stats, self.last_unit.get(path, -1), timeunit)
-
-    def _silence_adjusted(
-        self, stats: NodeUsageStats, last: int, timeunit: int
-    ) -> NodeUsageStats:
-        """``stats`` adjusted for the timeunits since ``last`` (shared tail).
+    def view_id(self, node_id: int, timeunit: int) -> NodeUsageStats:
+        """``node_id``'s statistics adjusted for the timeunits it was silent in.
 
         The single owner of the silent-timeunit decay arithmetic (Python
-        ``**`` decay, last-weight zeroing); :meth:`view`, :meth:`view_id` and
-        the per-rule scorers in :meth:`ADAAlgorithm._make_id_scorer` must all
-        agree with it bit for bit.
-        """
-        gap = timeunit - last
-        if gap <= 0:
-            return stats
-        alpha = self.alpha
-        return NodeUsageStats(
-            last_weight=0.0 if gap > 1 else stats.last_weight,
-            cumulative_weight=stats.cumulative_weight,
-            ewma_weight=stats.ewma_weight * (1 - alpha) ** (gap - 1),
-            observations=stats.observations,
-        )
-
-    def view_id(self, node_id: int, timeunit: int) -> NodeUsageStats:
-        """Vector-tier :meth:`view`, keyed by node id.
-
-        Same arithmetic, same Python ``**`` decay, so views are bit-identical
-        to the path-keyed read.
+        ``**`` decay, last-weight zeroing); the per-rule scorers in
+        :meth:`ADAAlgorithm._make_id_scorer` must agree with it bit for bit.
         """
         if not self.seen[node_id]:
             return NodeUsageStats()
-        stats = NodeUsageStats(
-            last_weight=float(self.last_weight[node_id]),
+        last_weight = float(self.last_weight[node_id])
+        ewma = float(self.ewma[node_id])
+        last = int(self.last_unit_arr[node_id]) if self.has_last[node_id] else -1
+        gap = timeunit - last
+        if gap > 0:
+            if gap > 1:
+                last_weight = 0.0
+            ewma = ewma * (1 - self.alpha) ** (gap - 1)
+        return NodeUsageStats(
+            last_weight=last_weight,
             cumulative_weight=float(self.cumulative[node_id]),
-            ewma_weight=float(self.ewma[node_id]),
+            ewma_weight=ewma,
             observations=int(self.observations[node_id]),
         )
-        last = int(self.last_unit_arr[node_id]) if self.has_last[node_id] else -1
-        return self._silence_adjusted(stats, last, timeunit)
 
     # ------------------------------------------------------------------
     # Canonical checkpoint rows
@@ -262,15 +200,6 @@ class _SplitStatsStore:
 
     def emit(self) -> tuple[list, list]:
         """``(stats_rows, last_unit_rows)`` in the canonical list format."""
-        if self.index is None:
-            stats_rows = [
-                [list(path), self._stats_row(stats)]
-                for path, stats in self.stats.items()
-            ]
-            last_rows = [
-                [list(path), unit] for path, unit in self.last_unit.items()
-            ]
-            return stats_rows, last_rows
         stats_rows = [
             [
                 list(self.index.paths[node_id]),
@@ -281,7 +210,7 @@ class _SplitStatsStore:
                     "observations": int(self.observations[node_id]),
                 },
             ]
-            for node_id in _np.flatnonzero(self.seen).tolist()
+            for node_id in np.flatnonzero(self.seen).tolist()
         ]
         stats_rows.extend(
             [list(path), self._stats_row(stats)]
@@ -289,7 +218,7 @@ class _SplitStatsStore:
         )
         last_rows = [
             [list(self.index.paths[node_id]), int(self.last_unit_arr[node_id])]
-            for node_id in _np.flatnonzero(self.has_last).tolist()
+            for node_id in np.flatnonzero(self.has_last).tolist()
         ]
         last_rows.extend(
             [list(path), unit] for path, unit in self._extra_last.items()
@@ -298,18 +227,6 @@ class _SplitStatsStore:
 
     def load(self, stats_rows, last_rows) -> None:
         """Restore from canonical rows (inverse of :meth:`emit`)."""
-        if self.index is None:
-            self.stats = {
-                tuple(path): NodeUsageStats(
-                    last_weight=float(row["last_weight"]),
-                    cumulative_weight=float(row["cumulative_weight"]),
-                    ewma_weight=float(row["ewma_weight"]),
-                    observations=int(row["observations"]),
-                )
-                for path, row in stats_rows
-            }
-            self.last_unit = {tuple(path): int(unit) for path, unit in last_rows}
-            return
         for array in (self.last_weight, self.cumulative, self.ewma):
             array[:] = 0.0
         self.observations[:] = 0
@@ -348,12 +265,12 @@ class _SplitStatsStore:
 class _RefStore:
     """Reference (unmodified weight ``A_n``) series for the top-``h`` levels.
 
-    With NumPy the buffers live in one ``(rows, window)`` ring written with a
-    single column assignment per timeunit; without NumPy — or after restoring
-    a snapshot whose rows are ragged — every row is a bounded deque, exactly
-    the historical representation.  Emission preserves row insertion order so
-    checkpoints stay byte-identical across save/restore round trips
-    (including merged sharded checkpoints, whose row order is shard-grouped).
+    The buffers live in one ``(rows, window)`` ring written with a single
+    column assignment per timeunit; after restoring a snapshot whose rows are
+    ragged, every row is a bounded deque instead.  Emission preserves row
+    insertion order so checkpoints stay byte-identical across save/restore
+    round trips (including merged sharded checkpoints, whose row order is
+    shard-grouped).
     """
 
     def __init__(self, maxlen: int):
@@ -361,9 +278,8 @@ class _RefStore:
         #: Row paths in insertion order (both modes).
         self.order: list[CategoryPath] = []
         self.row_of: dict[CategoryPath, int] = {}
-        self.deques: "dict[CategoryPath, Deque[float]] | None" = (
-            {} if _np is None else None
-        )
+        #: Per-row deques after a ragged restore; None in ring mode.
+        self.deques: "dict[CategoryPath, Deque[float]] | None" = None
         self._buf = None  # (rows, maxlen) ring payload, ring mode only
         self._start = 0
         self._size = 0
@@ -400,7 +316,7 @@ class _RefStore:
             return self._perm
         row_of = self.row_of
         try:
-            perm = _np.array([row_of[path] for path in paths], dtype=_np.intp)
+            perm = np.array([row_of[path] for path in paths], dtype=np.intp)
         except KeyError:
             return None
         self._perm_paths = paths
@@ -417,7 +333,7 @@ class _RefStore:
             if not self.order:
                 self.order = [path for path in paths]
                 self.row_of = {path: row for row, path in enumerate(self.order)}
-                self._buf = _np.zeros((len(self.order), self.maxlen))
+                self._buf = np.zeros((len(self.order), self.maxlen))
                 self._perm_paths = None
             perm = self._perm_for(paths)
             if perm is None or len(self.order) != len(paths):
@@ -435,7 +351,7 @@ class _RefStore:
                     self._size += 1
                 return
         if not isinstance(values, list):
-            values = values.tolist() if _np is not None else list(values)
+            values = values.tolist()
         maxlen = self.maxlen
         deques = self.deques
         for path, value in zip(paths, values):
@@ -466,11 +382,8 @@ class _RefStore:
         return buf is not None and len(buf) > 0
 
     def corrected_base(self, path: CategoryPath):
-        """A fresh, mutable oldest-first copy of the path's buffer (or None).
-
-        NumPy present: a float64 array (bit-identical to the historical
-        ``np.fromiter`` over the deque); fallback: a plain list.
-        """
+        """A fresh, mutable oldest-first float64 copy of the path's buffer
+        (or None)."""
         if self.ring_mode:
             row = self.row_of.get(path)
             if row is None or self._size == 0:
@@ -478,15 +391,13 @@ class _RefStore:
             end = self._start + self._size
             if end <= self.maxlen:
                 return self._buf[row, self._start : end].copy()
-            return _np.concatenate(
+            return np.concatenate(
                 [self._buf[row, self._start :], self._buf[row, : end - self.maxlen]]
             )
         buf = self.deques.get(path)
         if buf is None or not buf:
             return None
-        if _np is not None:
-            return _np.fromiter(buf, dtype=_np.float64, count=len(buf))
-        return list(buf)
+        return np.fromiter(buf, dtype=np.float64, count=len(buf))
 
     def total_len(self) -> int:
         if self.ring_mode:
@@ -525,23 +436,22 @@ class _RefStore:
         self._size = 0
         self._perm_paths = None
         self._perm = None
-        self.deques = {} if _np is None else None
+        self.deques = None
         maxlen = self.maxlen
         if not rows:
             return
         lengths = {min(len(values), maxlen) for _path, values in rows}
-        if _np is not None and len(lengths) == 1:
+        if len(lengths) == 1:
             size = next(iter(lengths))
             self.order = [tuple(path) for path, _values in rows]
             self.row_of = {path: row for row, path in enumerate(self.order)}
-            self._buf = _np.zeros((len(rows), maxlen))
+            self._buf = np.zeros((len(rows), maxlen))
             for row, (_path, values) in enumerate(rows):
                 tail = [float(v) for v in values][-maxlen:]
                 self._buf[row, :size] = tail
             self._size = size
             return
-        if _np is not None:
-            self.deques = {}
+        self.deques = {}
         for path, values in rows:
             path = tuple(path)
             self.order.append(path)
@@ -550,45 +460,59 @@ class _RefStore:
 
 
 class _SeriesView(MappingABC):
-    """``path -> NodeTimeSeries`` over the vector tier's id registry, read-only.
+    """``path -> NodeTimeSeries`` over the id registry, read-only.
 
     The registry holds bank row numbers; a :class:`NodeTimeSeries` handle is
     built the first time a path is asked for — by a checkpoint, the
     evaluation harness, a test — and kept while the path stays tracked.  When
     a plan stops tracking the path the handle turns inert, so one taken
     earlier can neither read nor release the row's next tenant.
+
+    The view holds what it reads — the index, the registry dict, the window
+    length, the forecast config and the bank — and not the algorithm, so a
+    dropped session is freed by reference counting, without a cycle for the
+    garbage collector to find.
     """
 
-    def __init__(self, algo: "ADAAlgorithm"):
-        self._algo = algo
+    def __init__(
+        self,
+        index: HierarchyIndex,
+        series_ids: "dict[int, int]",
+        window: int,
+        forecast: ForecastConfig,
+        bank: ForecasterBank,
+    ):
+        self._index = index
+        self._ids = series_ids
+        self._window = window
+        self._forecast = forecast
+        self._bank = bank
         self._handles: dict[int, NodeTimeSeries] = {}
 
     def __getitem__(self, path: CategoryPath) -> NodeTimeSeries:
-        algo = self._algo
-        node_id = algo._index.path_to_id.get(path)
-        row = algo._series_ids.get(node_id)
+        node_id = self._index.path_to_id.get(path)
+        row = self._ids.get(node_id)
         if row is None:
             raise KeyError(path)
         handle = self._handles.get(node_id)
         if handle is None:
-            config = algo.config
+            forecast = self._forecast
             handle = self._handles[node_id] = NodeTimeSeries(
-                config.window_units,
-                config.forecast,
-                forecaster=SeriesForecaster(config.forecast, algo.bank, row),
+                self._window,
+                forecast,
+                forecaster=SeriesForecaster(forecast, self._bank, row),
             )
         return handle
 
     def __contains__(self, path: object) -> bool:
-        algo = self._algo
-        return algo._index.path_to_id.get(path) in algo._series_ids
+        return self._index.path_to_id.get(path) in self._ids
 
     def __iter__(self) -> Iterator[CategoryPath]:
-        paths = self._algo._index.paths
-        return (paths[node_id] for node_id in self._algo._series_ids)
+        paths = self._index.paths
+        return (paths[node_id] for node_id in self._ids)
 
     def __len__(self) -> int:
-        return len(self._algo._series_ids)
+        return len(self._ids)
 
     def moved(self, src: int, dst: int) -> None:
         """The series tracked under ``src`` is now tracked under ``dst``."""
@@ -618,13 +542,8 @@ class ADAAlgorithm:
         self.bank = ForecasterBank(config.forecast, window=config.window_units)
         #: Reference (unmodified weight) series for nodes in the top h levels.
         self._ref = _RefStore(config.window_units)
-        #: Dense hierarchy view driving the vectorized weight kernels; its
-        #: presence *is* the tier switch — not None selects the vector close
-        #: over the bank's row matrix, None (no NumPy, or a registry seasonal
-        #: model the bank cannot lay out as rows) the scalar walk.
-        self._index: HierarchyIndex | None = (
-            HierarchyIndex(tree) if self.bank.vectorized else None
-        )
+        #: Dense hierarchy view driving the weight kernels and the planner.
+        self._index = HierarchyIndex(tree)
         self._reset_registry()
         #: Split-rule statistics for every node seen so far.
         self._stats = _SplitStatsStore(config, self._index)
@@ -636,24 +555,20 @@ class ADAAlgorithm:
         }
         self.split_operations = 0
         self.merge_operations = 0
-        self._view_cache: dict[CategoryPath, NodeUsageStats] = {}
         self.last_result: TimeunitResult | None = None
         #: Per-timeunit id-keyed split-statistics view memo (churn path).
         self._id_view_cache: dict[int, NodeUsageStats] = {}
         #: Cached heavy-order structures reused verbatim while the heavy set
         #: is unchanged: (mask, ids array, paths, frozenset, rows).
         self._hv_cache = None
-        #: Adaptation counters (not checkpointed); the first two count
-        #: vector-tier closes only.
+        #: Adaptation counters (not checkpointed).
         self.fastpath_units = 0
         self.planned_units = 0
         self.adapt_seconds = 0.0
-        #: Close-profile counters (not checkpointed): units closed by the
-        #: vector close (``fused_units``) vs the python-tier scalar walk
-        #: (``staged_units``), units fed by dense columnar counts, and a
-        #: close-latency histogram for the service metrics.
+        #: Close-profile counters (not checkpointed): units closed, units
+        #: fed by dense columnar counts, and a close-latency histogram for
+        #: the service metrics.
         self.fused_units = 0
-        self.staged_units = 0
         self.dense_close_units = 0
         self.close_histogram = fused.CloseHistogram()
         #: Raw root weight of the most recent timeunit.  Additive across
@@ -665,27 +580,16 @@ class ADAAlgorithm:
         #: the raw weights of the shared ancestor band (root + depths
         #: 1..k-1) so the coordinator can replay their split-rule stats and
         #: reference series exactly.  Off (``None``) outside sharded workers.
-        self._frontier_paths: tuple[CategoryPath, ...] | None = None
         self._frontier_ids = None
         self.last_frontier_raw: tuple[float, ...] | None = None
         #: Band exclusion for ``min_heavy_depth > 1``: node ids at depths
         #: 1..m-1 can never qualify as heavy (the root is handled by the
         #: track_root/allow_root_heavy flags above).
         m = config.min_heavy_depth
-        if self._index is not None and m > 1:
+        self._shallow_ids = None
+        if m > 1:
             depths = self._index.depths
-            self._shallow_ids = _np.flatnonzero((depths >= 1) & (depths < m))
-        else:
-            self._shallow_ids = None
-        self._band_excluded: frozenset[CategoryPath] = (
-            frozenset(
-                node.path
-                for depth in range(1, m)
-                for node in tree.nodes_at_depth(depth)
-            )
-            if m > 1
-            else frozenset()
-        )
+            self._shallow_ids = np.flatnonzero((depths >= 1) & (depths < m))
         #: Nodes in the top h levels, cached once: these keep reference series.
         self._reference_nodes: tuple[CategoryPath, ...] = tuple(
             node.path
@@ -701,17 +605,13 @@ class ADAAlgorithm:
         self, leaf_counts: Mapping[CategoryPath, Weight], timeunit: TimeunitIndex | None = None
     ) -> TimeunitResult:
         """Ingest one timeunit of data, adapt the heavy hitter series, detect."""
-        if self._index is None:
-            return self._close(timeunit, self._close_scalar, leaf_counts)
         swept = self.sweep_timeunits(self._index.count_rows(leaf_counts))
-        return self._close(timeunit, self._close_vector, *swept[0])
+        return self._close(timeunit, *swept[0])
 
-    @property
-    def supports_dense_close(self) -> bool:
-        """Whether the dense columnar ingest (:meth:`dictionary_node_ids`,
-        :meth:`sweep_timeunits`, :meth:`close_swept`) may be used (vector
-        tier)."""
-        return self._index is not None
+    #: The session may feed whole batches through the dense columnar ingest
+    #: (:meth:`dictionary_node_ids`, :meth:`sweep_timeunits`,
+    #: :meth:`close_swept`).
+    supports_dense_close = True
 
     @property
     def num_node_ids(self) -> int:
@@ -725,7 +625,7 @@ class ADAAlgorithm:
     def sweep_timeunits(
         self, counts, leaf_counts: "Mapping[CategoryPath, Weight] | None" = None
     ) -> list[tuple]:
-        """The hierarchy update of several timeunits at once (vector tier).
+        """The hierarchy update of several timeunits at once.
 
         ``counts`` is a ``(units, num_node_ids)`` float64 matrix of direct
         per-node counts, one row per timeunit (consumed); ``leaf_counts``
@@ -757,7 +657,7 @@ class ADAAlgorithm:
     ) -> TimeunitResult:
         """Close one timeunit from its :meth:`sweep_timeunits` triple."""
         self.dense_close_units += 1
-        return self._close(timeunit, self._close_vector, *swept)
+        return self._close(timeunit, *swept)
 
     def capture_frontier(self, paths) -> None:
         """Record the raw weight of each of ``paths`` on every close.
@@ -769,31 +669,24 @@ class ADAAlgorithm:
         sums them across shards to replay the band's split-rule statistics
         and reference series exactly as the serial cascade would.
         """
-        self._frontier_paths = tuple(tuple(p) for p in paths)
-        self._frontier_ids = self._node_ids(self._frontier_paths)
+        self._frontier_ids = self._node_ids(tuple(p) for p in paths)
         self.last_frontier_raw = None
 
     def _node_ids(self, paths):
-        """Node ids of ``paths`` as an index array (``None`` on the python
-        tier) — what the close gathers their raw weights with."""
-        if self._index is None:
-            return None
+        """Node ids of ``paths`` as an index array — what the close gathers
+        their raw weights with."""
         path_to_id = self._index.path_to_id
-        return _np.array([path_to_id[path] for path in paths], dtype=_np.intp)
+        return np.array([path_to_id[path] for path in paths], dtype=np.intp)
 
-    def _close(self, timeunit: TimeunitIndex | None, close, *args) -> TimeunitResult:
-        """Advance the unit counter and run the tier's close, timed."""
+    def _close(
+        self, timeunit: TimeunitIndex | None, raw_vec, modified_vec, heavy_mask
+    ) -> TimeunitResult:
+        """Advance the unit counter and close one swept row, timed: delta
+        planner, array tail, batch detection."""
         self._timeunit = self._timeunit + 1 if timeunit is None else timeunit
         close_start = time.perf_counter()
-        result = close(*args)
-        self.last_result = result
-        self.close_histogram.observe(time.perf_counter() - close_start)
-        return result
-
-    def _close_vector(self, raw_vec, modified_vec, heavy_mask) -> TimeunitResult:
-        """The vector-tier close of one swept row: delta planner, array tail."""
         stage_seconds = self.stage_seconds
-        start = time.perf_counter()
+        start = close_start
         self.fused_units += 1
         self.last_root_raw = float(raw_vec[0])
         if self._frontier_ids is not None:
@@ -814,68 +707,25 @@ class ADAAlgorithm:
         start = time.perf_counter()
         result = self._detect(prepared[3], prepared[2], actuals, forecasts)
         stage_seconds["detecting_anomalies"] += time.perf_counter() - start
-        return result
-
-    def _close_scalar(self, leaf_counts) -> TimeunitResult:
-        """The python-tier close: the scalar walk over path-keyed dicts."""
-        stage_seconds = self.stage_seconds
-        start = time.perf_counter()
-        self.staged_units += 1
-        raw = accumulate_raw_weights(self.tree, leaf_counts)
-        shhh_result = compute_shhh(self.tree, leaf_counts, self.config.theta, raw=raw)
-        heavy = set(shhh_result.shhh)
-        if self.config.track_root:
-            heavy.add(self.tree.root.path)
-        elif not self.config.allow_root_heavy:
-            heavy.discard(self.tree.root.path)
-        if self._band_excluded:
-            heavy -= self._band_excluded
-        heavy_paths = sorted(heavy)
-        self.last_root_raw = float(raw.get(self.tree.root.path, 0.0))
-        if self._frontier_paths is not None:
-            self.last_frontier_raw = tuple(
-                float(raw.get(path, 0.0)) for path in self._frontier_paths
-            )
-        stage_seconds["updating_hierarchies"] += time.perf_counter() - start
-
-        start = time.perf_counter()
-        # Split-rule statistics are frozen during adaptation (they update
-        # after it), so per-path views can be memoized for this timeunit.
-        self._view_cache = {}
-        self._adapt(heavy)
-        self.adapt_seconds += time.perf_counter() - start
-        if self._reference_nodes:
-            self._ref.append_column(
-                self._reference_nodes,
-                [float(raw.get(path, 0.0)) for path in self._reference_nodes],
-            )
-        actuals, forecasts = self._append_weights(
-            heavy_paths, raw, shhh_result.modified_weights
-        )
-        self._stats.update_dict(self._timeunit, raw)
-        stage_seconds["creating_time_series"] += time.perf_counter() - start
-
-        start = time.perf_counter()
-        result = self._detect(heavy, heavy_paths, actuals, forecasts)
-        stage_seconds["detecting_anomalies"] += time.perf_counter() - start
+        self.last_result = result
+        self.close_histogram.observe(time.perf_counter() - close_start)
         return result
 
     def close_profile(self) -> dict:
         """Close-path execution profile for the service metrics / ledger.
 
-        ``fused_units`` / ``staged_units`` count timeunits closed by the
-        vector close vs the python-tier scalar walk (a process only ever
-        increments one of them), ``dense_close_units`` those closed from a
-        row of a columnar batch's count matrix, and
+        ``fused_units`` counts timeunits closed, ``dense_close_units`` those
+        closed from a row of a columnar batch's count matrix, and
         ``close_time`` is a log-bucketed histogram of per-timeunit close wall
         times — the close proper: a batch's hierarchy sweep runs once, before
-        its first unit closes, and is in ``stage_seconds`` only.  Not
-        checkpointed — these describe this process's execution, not
-        algorithm state.
+        its first unit closes, and is in ``stage_seconds`` only.
+        ``staged_units`` is always 0: ADA has one close, and the key stays
+        for the readers that report it.  Not checkpointed — these describe
+        this process's execution, not algorithm state.
         """
         return {
             "fused_units": self.fused_units,
-            "staged_units": self.staged_units,
+            "staged_units": 0,
             "dense_close_units": self.dense_close_units,
             "close_time": self.close_histogram.to_dict(),
         }
@@ -889,8 +739,7 @@ class ADAAlgorithm:
         Returns ``(stable, ids_arr, heavy_paths, heavy_set, ids)`` — on a
         stable timeunit (mask unchanged) everything comes from the cache and
         ``ids`` is None; otherwise the lex-ordered ids and path structures
-        are built fresh (the work the scalar close performs in the same
-        stage when it sorts ``heavy_paths``).
+        are built fresh.
         """
         cache = self._hv_cache
         check_start = time.perf_counter()
@@ -916,8 +765,8 @@ class ADAAlgorithm:
         adaptation stage reduces to one mask comparison and the cached
         heavy-order structures are reused verbatim; otherwise the shared
         planner emits the SPLIT/MERGE cascade as ops which are applied as
-        whole-row bank operations.  The tail is array-native either way.
-        Values are bit-identical to the scalar walk.
+        whole-row bank operations; the plan leaves every heavy hitter
+        tracked.  The tail is array-native either way.
         """
         stable, ids_arr, heavy_paths, heavy_set, ids = prepared
         if stable:
@@ -942,12 +791,6 @@ class ADAAlgorithm:
             self.merge_operations += plan.num_merges
             self.planned_units += 1
             rows = self._series_rows[ids_arr]
-            if rows.min(initial=0) < 0:
-                # Mirrors the scalar path's belt-and-braces series creation
-                # inside ``_append_weights`` (same lex insertion order).
-                for node_id in ids_arr[rows < 0].tolist():
-                    self._track(node_id, self.bank.new_row())
-                rows = self._series_rows[ids_arr]
             self._hv_cache = (
                 heavy_mask.tobytes(),
                 ids_arr,
@@ -986,7 +829,7 @@ class ADAAlgorithm:
         """Per-id split-rule score shortcut for the built-in rules.
 
         Evaluates only the statistics field the rule reads, with exactly the
-        gap-adjustment arithmetic of :meth:`_SplitStatsStore.view` followed
+        gap-adjustment arithmetic of :meth:`_SplitStatsStore.view_id` followed
         by the rule's ``score`` — so ratios come out bit-identical without
         materializing a :class:`NodeUsageStats` per receiver.  Returns None
         for custom rule classes (the planner then uses full views).
@@ -1059,7 +902,7 @@ class ADAAlgorithm:
         multiplies, a FOLD one add (see
         :meth:`~repro.forecasting.bank.ForecasterBank.split_row` /
         :meth:`~repro.forecasting.bank.ForecasterBank.fold_row`) — applied
-        one by one: each float operation happens where the scalar cascade
+        one by one: each float operation happens where the paper's cascade
         performs it, and a reference correction reads the rows the splits
         before it wrote.  The registry is integers throughout; no per-series
         object is made or touched unless someone holds a ``series`` handle.
@@ -1122,24 +965,22 @@ class ADAAlgorithm:
     def _reset_registry(self) -> None:
         """Empty the series registry (construction and restore).
 
-        Vector tier: ``_series_ids`` maps node id to bank row in tracking
-        order — the order checkpoints list series in and reference
-        corrections subtract descendants in — and ``_series_rows`` is the
-        same map as a dense vector (−1: untracked) for the close's gathers;
-        ``series`` is a read-only view that hands out
-        :class:`NodeTimeSeries` handles on demand.  Python tier: ``series``
-        is the dict of series objects itself.
+        ``_series_ids`` maps node id to bank row in tracking order — the
+        order checkpoints list series in and reference corrections subtract
+        descendants in — and ``_series_rows`` is the same map as a dense
+        vector (−1: untracked) for the close's gathers; ``series`` is a
+        read-only view that hands out :class:`NodeTimeSeries` handles on
+        demand.
         """
-        if self._index is None:
-            #: Time series of the current heavy hitters, keyed by node path.
-            self.series: "Mapping[CategoryPath, NodeTimeSeries]" = {}
-            return
         self._series_ids: dict[int, int] = {}
-        self._series_rows = _np.full(self._index.num_nodes, -1, dtype=_np.int64)
-        self.series = _SeriesView(self)
+        self._series_rows = np.full(self._index.num_nodes, -1, dtype=np.int64)
+        config = self.config
+        self.series = _SeriesView(
+            self._index, self._series_ids, config.window_units, config.forecast, self.bank
+        )
 
     def _track(self, node_id: int, row: int) -> None:
-        """Register bank ``row`` as the series of ``node_id`` (vector tier)."""
+        """Register bank ``row`` as the series of ``node_id``."""
         self._series_ids[node_id] = self._series_rows[node_id] = row
 
     @property
@@ -1151,181 +992,6 @@ class ADAAlgorithm:
     def reference(self) -> "dict[CategoryPath, Deque[float]]":
         """Reference series per path (compat view over the columnar store)."""
         return self._ref.as_dict()
-
-    # ------------------------------------------------------------------
-    # Heavy hitter adaptation (SPLIT / MERGE)
-    # ------------------------------------------------------------------
-    def _adapt(self, heavy: set[CategoryPath]) -> None:
-        """Move the existing time series to the new heavy hitter positions."""
-        # SPLIT phase, top-down: every new heavy hitter that lacks a series
-        # derives one from its nearest ancestor that currently holds a series.
-        # Ties at the same depth break lexicographically so that the cascade
-        # order (and hence the split-rule arithmetic) is process-independent,
-        # which checkpoint/restore across restarts relies on.
-        new_paths = sorted((p for p in heavy if p not in self.series), key=lambda p: (len(p), p))
-        for path in new_paths:
-            if path in self.series:
-                continue  # created by a previous cascade in this phase
-            donor = self._nearest_series_ancestor(path)
-            if donor is None:
-                self.series[path] = NodeTimeSeries(
-                    self.config.window_units, self.config.forecast, bank=self.bank
-                )
-                continue
-            self._split_cascade(donor, path)
-
-        # MERGE phase, bottom-up: series whose node is no longer heavy fold
-        # into the nearest heavy ancestor (which now holds a series thanks to
-        # the split phase), or are dropped when no ancestor is heavy.
-        stale = sorted(
-            (p for p in self.series if p not in heavy),
-            key=lambda p: (len(p), p),
-            reverse=True,
-        )
-        for path in stale:
-            series = self.series.pop(path)
-            target = self._nearest_heavy_ancestor(path, heavy)
-            if target is None:
-                self.merge_operations += 1
-                series.release()
-                continue
-            self.merge_operations += 1
-            existing = self.series.get(target)
-            if existing is None:
-                self.series[target] = series
-            else:
-                existing.merge_from(series)
-                series.release()
-
-    def _cached_view(self, path: CategoryPath) -> NodeUsageStats:
-        view = self._view_cache.get(path)
-        if view is None:
-            view = self._stats.view(path, self._timeunit)
-            self._view_cache[path] = view
-        return view
-
-    def _nearest_series_ancestor(self, path: CategoryPath) -> CategoryPath | None:
-        """Closest strict ancestor of ``path`` currently holding a series."""
-        for depth in range(len(path) - 1, -1, -1):
-            candidate = path[:depth]
-            if candidate in self.series:
-                return candidate
-        return None
-
-    def _nearest_heavy_ancestor(
-        self, path: CategoryPath, heavy: set[CategoryPath]
-    ) -> CategoryPath | None:
-        """Closest strict ancestor of ``path`` in the new heavy hitter set."""
-        for depth in range(len(path) - 1, -1, -1):
-            candidate = path[:depth]
-            if candidate in heavy:
-                return candidate
-        return None
-
-    def _split_cascade(self, donor: CategoryPath, target: CategoryPath) -> None:
-        """Split the donor's series down the hierarchy until ``target`` has one.
-
-        At each level the receiving child's share is the split rule's ratio
-        among the donor's children that do not already hold a series (the
-        paper's ``Cn``); the donor keeps the complementary share.  If the
-        receiving child lies in the top ``h`` reference levels the biased
-        share is immediately replaced using the reference series (§V-B5).
-        """
-        current = donor
-        while current != target:
-            child = target[: len(current) + 1]
-            node = self.tree.node(current)
-            receivers = [
-                c.path for c in node.children.values() if c.path not in self.series
-            ]
-            if child not in receivers:
-                receivers.append(child)
-            ratios = self.split_rule.ratios(
-                {p: self._cached_view(p) for p in receivers}
-            )
-            ratio = ratios.get(child, 1.0 / max(len(receivers), 1))
-            parent_series = self.series[current]
-            child_series = parent_series.scaled(ratio)
-            self.series[current] = parent_series.scaled(1.0 - ratio)
-            self.series[child] = child_series
-            parent_series.release()
-            self.split_operations += 1
-            self._apply_reference_correction(child)
-            current = child
-
-    # ------------------------------------------------------------------
-    # Reference time series (§V-B5)
-    # ------------------------------------------------------------------
-    def _apply_reference_correction(self, path: CategoryPath) -> None:
-        """Replace a freshly split series with reference − Σ heavy descendants."""
-        corrected = self._ref.corrected_base(path)
-        if corrected is None:
-            return
-        depth = len(path)
-        # Descendants subtract in tracking order (the order of ``series``):
-        # the vector tier's ``_correct_from_reference`` repeats it exactly.
-        tracked = self.series
-        if _np is not None:
-            length = corrected.shape[0]
-            for other_path, other_series in tracked.items():
-                if len(other_path) <= depth or other_path[:depth] != path:
-                    continue
-                # Aligned on the newest element, clipped to the overlap.
-                descendant = other_series.actual.values(length)
-                corrected[length - len(descendant) :] -= descendant
-            corrected_values = corrected
-        else:
-            corrected_list = corrected
-            for other_path, other_series in tracked.items():
-                if len(other_path) <= depth or other_path[:depth] != path:
-                    continue
-                descendant = list(other_series.actual)
-                offset = len(corrected_list) - len(descendant)
-                for i, value in enumerate(descendant):
-                    index = offset + i
-                    if 0 <= index < len(corrected_list):
-                        corrected_list[index] -= value
-            corrected_values = corrected_list
-        series = self.series.get(path)
-        if series is not None and len(corrected_values):
-            series.replace_actual(corrected_values)
-
-    # ------------------------------------------------------------------
-    # Per-timeunit bookkeeping
-    # ------------------------------------------------------------------
-    def _append_weights(
-        self,
-        heavy_paths: list[CategoryPath],
-        raw: Mapping[CategoryPath, Weight],
-        modified_weights: Mapping[CategoryPath, Weight],
-    ) -> tuple[list[float], list[float]]:
-        """Append the Definition-2 modified weight to every heavy hitter series.
-
-        All forecaster rows advance with one bank call; returns the parallel
-        (actuals, forecasts) lists for the detection stage.
-        """
-        root_path = self.tree.root.path
-        rows: list[int] = []
-        values: list[float] = []
-        for path in heavy_paths:
-            series = self.series.get(path)
-            if series is None:
-                series = NodeTimeSeries(
-                    self.config.window_units, self.config.forecast, bank=self.bank
-                )
-                self.series[path] = series
-            if path == root_path and path not in modified_weights:
-                # A tracked root with zero modified weight falls back to its
-                # raw weight (zero entries are filtered from the mapping).
-                value = raw.get(path, 0.0)
-            else:
-                value = modified_weights.get(path, 0.0)
-            rows.append(series.forecaster.row)
-            values.append(float(value))
-        forecasts = self.bank.observe_rows(rows, values)
-        for path, value, predicted in zip(heavy_paths, values, forecasts):
-            self.series[path].record(value, predicted)
-        return values, forecasts
 
     # ------------------------------------------------------------------
     # Detection
@@ -1375,15 +1041,14 @@ class ADAAlgorithm:
     def adaptation_stats(self) -> dict:
         """Adaptation counters (not part of the checkpoint format).
 
-        ``mode`` names the tier's adaptation engine: ``"delta"`` (id-based
-        planner, vector tier) or ``"legacy"`` (scalar walk, python tier).
-        ``fastpath_units`` counts vector-tier timeunits whose heavy set was
+        ``mode`` names the adaptation engine, the id-based planner:
+        ``"delta"``.  ``fastpath_units`` counts timeunits whose heavy set was
         unchanged (adaptation skipped entirely), ``planned_units`` those that
-        went through the planner; ``adapt_seconds`` is the time spent
-        in adaptation proper (plan + apply, or the scalar ``_adapt`` walk).
+        went through the planner; ``adapt_seconds`` is the time spent in
+        adaptation proper (plan + apply).
         """
         return {
-            "mode": "delta" if self._index is not None else "legacy",
+            "mode": "delta",
             "fastpath_units": self.fastpath_units,
             "planned_units": self.planned_units,
             "split_operations": self.split_operations,
@@ -1400,8 +1065,8 @@ class ADAAlgorithm:
         Category paths (tuples of labels) become lists; dicts keyed by paths
         become ``[path, value]`` pairs so the snapshot survives JSON's
         string-only object keys.  This is the canonical per-path format that
-        predates the columnar bank — bank-backed, scalar and sharded
-        sessions all read and write it interchangeably.
+        predates the columnar bank — serial and sharded sessions read and
+        write it interchangeably.
         """
         stats_rows, last_rows = self._stats.emit()
         return {
@@ -1433,7 +1098,7 @@ class ADAAlgorithm:
         self._reset_registry()
         self._hv_cache = None
         self._id_view_cache = {}
-        index = self._index
+        path_to_id = self._index.path_to_id
         for path, ts_state in state["series"]:
             path = tuple(path)
             if path not in self.tree:
@@ -1443,10 +1108,7 @@ class ADAAlgorithm:
             series = NodeTimeSeries.from_state_dict(
                 ts_state, forecast_config, bank=self.bank
             )
-            if index is not None:
-                self._track(index.path_to_id[path], series.forecaster.row)
-            else:
-                self.series[path] = series
+            self._track(path_to_id[path], series.forecaster.row)
         self._ref = _RefStore(self.config.window_units)
         self._ref.load(state["reference"])
         self._stats = _SplitStatsStore(self.config, self._index)

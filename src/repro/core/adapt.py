@@ -1,16 +1,16 @@
 """Delta-driven adaptation planning: ADA's SPLIT/MERGE cascade on node ids.
 
-The python tier's scalar walk (``ADAAlgorithm._adapt``) derives the
-SPLIT/MERGE cascade from tuple-keyed dictionaries every timeunit: full scans
-of the series dict, per-path ancestor walks over ``CategoryPath`` slices, and
-one dict of :class:`~repro.core.split_rules.NodeUsageStats` views per cascade
-step.  This module is its id-based twin, the planner of every vector-tier
+The paper's SPLIT/MERGE cascade, walked per path over tuple-keyed
+dictionaries (as :mod:`repro.testing.reference` does), costs full scans of
+the series dict, per-path ancestor walks over ``CategoryPath`` slices, and one
+dict of :class:`~repro.core.split_rules.NodeUsageStats` views per cascade step
+every timeunit.  This module is its id-based form, the planner of every ADA
 close (serial sessions, the columnar batch close and the sharded engine's
 subtree shards): given the dense heavy mask of the new timeunit and the
-registry occupancy mask, it *simulates* the exact cascade the scalar
-``_adapt`` would run — same ``(depth, lex)`` order, same receiver sets, same
-split-rule arithmetic (the rule's Python ``sum`` over the same views in the
-same order) — and emits the whole adaptation as a flat op list:
+registry occupancy mask, it *simulates* the exact cascade — ``(depth, lex)``
+order, the receiver sets, the split-rule arithmetic (the rule's Python
+``sum`` over the views in order) — and emits the whole adaptation as a flat
+op list:
 
 * ``("fresh", node)`` — a brand-new series (no series-holding ancestor);
 * ``("split", donor, child, ratio, correct)`` — one cascade step handing the
@@ -26,8 +26,9 @@ runs the ops one by one in this order, on bank row numbers: each is a
 whole-row operation of the :class:`~repro.forecasting.bank.ForecasterBank`
 row store (``split_row`` — two multiplies, ``fold_row`` — one add,
 ``reseed`` — the reference correction in place), and an op reads the rows the
-ops before it wrote — results stay bit-for-bit identical to the scalar walk
-(property-checked in ``tests/core/test_adapt_planner.py``).
+ops before it wrote — results stay bit-for-bit identical to the per-path
+cascade (property-checked against the reference in
+``tests/core/test_adapt_planner.py`` and ``tests/integration/test_reference_oracle.py``).
 """
 
 from __future__ import annotations
@@ -66,14 +67,14 @@ def plan_adaptation(
     has_reference: Callable[[int], bool],
     score_of: "Callable[[int], float] | None" = None,
 ) -> AdaptationPlan:
-    """Simulate the scalar SPLIT/MERGE cascade on node ids and emit its ops.
+    """Simulate the SPLIT/MERGE cascade on node ids and emit its ops.
 
     ``series_mask`` is the registry occupancy before adaptation (not
     mutated), ``heavy_mask`` the new heavy hitter membership (root bit
     already adjusted for ``track_root`` / ``allow_root_heavy``).  ``view_of``
     returns the (timeunit-frozen, memoized) split statistics view for a node
     id and ``has_reference`` whether a reference-series correction would
-    apply at that node — both mirror exactly what the scalar cascade reads.
+    apply at that node — both mirror exactly what the per-path cascade reads.
     ``score_of``, when given, is a per-id shortcut for the split rule's
     ``score(view)`` (only the field the rule reads, same arithmetic); the
     ratio normalization then runs inline with the exact Python ``sum`` /
@@ -90,7 +91,7 @@ def plan_adaptation(
     parent = index.parent
 
     # SPLIT phase, top-down in (depth, lex) order — ties broken exactly like
-    # the scalar ``sorted(key=lambda p: (len(p), p))``.
+    # ``sorted(paths, key=lambda p: (len(p), p))``.
     new_mask = heavy_mask & ~sim
     new_ids = index.depth_lex_ids(new_mask) if new_mask.any() else []
     for target in new_ids:
@@ -118,7 +119,7 @@ def plan_adaptation(
                     if c == child:
                         child_pos = len(receivers)
                     receivers.append(c)
-            if child_pos < 0:  # defensive mirror of the scalar walk
+            if child_pos < 0:  # defensive: the target's branch is a receiver
                 child_pos = len(receivers)
                 receivers.append(child)
             if score_of is not None:
@@ -138,8 +139,8 @@ def plan_adaptation(
             sim[child] = True
             current = child
 
-    # MERGE phase, bottom-up: reversed (depth, lex) == the scalar
-    # ``sorted(key=(len(p), p), reverse=True)``.
+    # MERGE phase, bottom-up: reversed (depth, lex) ==
+    # ``sorted(paths, key=(len(p), p), reverse=True)``.
     stale_mask = sim & ~heavy_mask
     stale_ids = index.depth_lex_ids(stale_mask) if stale_mask.any() else []
     for src in reversed(stale_ids):

@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro._types import CategoryPath, TimeunitIndex
-from repro._vector import load_numpy
-from repro.core.config import TiresiasConfig
+import numpy as np
 
-_np = load_numpy()
+from repro._types import CategoryPath, TimeunitIndex
+from repro.core.config import TiresiasConfig
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ class ThresholdDetector:
         are bit-for-bit those of :meth:`check` — the same float64 expressions
         evaluated element-wise.
         """
-        if _np is None or len(node_paths) < 2:
+        if len(node_paths) < 2:
             anomalies = []
             for path, actual, forecast in zip(node_paths, actuals, forecasts):
                 anomaly = self.check(
@@ -157,9 +156,9 @@ class ThresholdDetector:
                 if anomaly is not None:
                     anomalies.append(anomaly)
             return anomalies
-        actual_arr = _np.asarray(actuals, dtype=_np.float64)
-        forecast_arr = _np.asarray(forecasts, dtype=_np.float64)
-        floored = _np.maximum(forecast_arr, self.minimum_forecast)
+        actual_arr = np.asarray(actuals, dtype=np.float64)
+        forecast_arr = np.asarray(forecasts, dtype=np.float64)
+        floored = np.maximum(forecast_arr, self.minimum_forecast)
         flagged = (actual_arr / floored > self.config.ratio_threshold) & (
             (actual_arr - forecast_arr) > self.config.difference_threshold
         )
@@ -172,5 +171,5 @@ class ThresholdDetector:
                 depth=len(node_paths[i]),
                 metadata=dict(metadata),
             )
-            for i in _np.flatnonzero(flagged).tolist()
+            for i in np.flatnonzero(flagged).tolist()
         ]

@@ -23,8 +23,8 @@ The pipeline stages remain the paper's:
 
 Vectorized close path (Fig. 3 Steps 2-4, columnar)
 --------------------------------------------------
-On the vector tier (NumPy) every per-timeunit close runs Steps 2-4
-columnar rather than per node, with bit-identical detections:
+Every per-timeunit close runs Steps 2-4 columnar rather than per node,
+whatever forecasting model the config names:
 
 * **Step 2** — heavy hitter membership and modified weights come from the
   dense level-sweep kernels of :class:`~repro.hierarchy.index.HierarchyIndex`
@@ -41,10 +41,8 @@ columnar rather than per node, with bit-identical detections:
   (actual, forecast) pairs at once through
   :meth:`~repro.core.detector.ThresholdDetector.check_many`.
 
-Without NumPy (or ``REPRO_DISABLE_NUMPY=1`` at process start) every stage runs
-the scalar implementations; only the tier selects.  Forecasts, anomalies and
-counters are identical either way, checkpoints up to the row order of ADA's
-``stats`` / ``stats_last_unit``; every session kind cross-restores them.
+The slow per-path oracle the close is tested against lives in
+:mod:`repro.testing.reference`; it never runs in production.
 """
 
 from __future__ import annotations

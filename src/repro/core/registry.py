@@ -243,6 +243,19 @@ def forecaster_factory(name: str) -> ForecasterFactory:
         ) from None
 
 
+def builtin_forecaster_kind(name: str) -> "str | None":
+    """The built-in model ``name`` resolves to — ``"holt-winters"`` or
+    ``"multi-seasonal-holt-winters"`` — or None for a plug-in (or a name not
+    registered yet).  The forecaster bank lays the built-in models out as
+    matrix rows whatever name selects them."""
+    factory = _FORECASTERS.get(name)
+    if factory is _holt_winters_factory:
+        return "holt-winters"
+    if factory is _multi_seasonal_factory:
+        return "multi-seasonal-holt-winters"
+    return None
+
+
 def create_forecaster(name: str, config: "ForecastConfig") -> Any:
     """Instantiate the forecasting model registered under ``name``."""
     return forecaster_factory(name)(config)

@@ -19,19 +19,18 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Mapping
+from typing import Deque, Iterator, Mapping
+
+import numpy as np
 
 from repro._types import CategoryPath, TimeunitIndex, Weight
-from repro._vector import load_numpy
 from repro.core.config import TiresiasConfig
 from repro.core.detector import ThresholdDetector
-from repro.core.hhh import accumulate_raw_weights, compute_shhh
+from repro.core.hhh import accumulate_raw_weights
 from repro.core.results import TimeunitResult
-from repro.forecasting.bank import ForecasterBank, VECTOR_MIN_ROWS
+from repro.forecasting.bank import ForecasterBank
 from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
-
-_np = load_numpy()
 
 
 class STAAlgorithm:
@@ -53,9 +52,7 @@ class STAAlgorithm:
         #: see :mod:`repro.hierarchy.index`) instead of the per-path scalar
         #: recursion.  The per-timeunit weight tables stay path-keyed dicts —
         #: they are the checkpoint format.
-        self._index: "HierarchyIndex | None" = (
-            HierarchyIndex(tree) if _np is not None else None
-        )
+        self._index = HierarchyIndex(tree)
         self._timeunit: TimeunitIndex = -1
         self.stage_seconds: dict[str, float] = {
             "updating_hierarchies": 0.0,
@@ -71,22 +68,13 @@ class STAAlgorithm:
         #: :meth:`capture_frontier`); off outside sharded workers.
         self._frontier_paths: "tuple[CategoryPath, ...] | None" = None
         self.last_frontier_raw: "tuple[float, ...] | None" = None
-        #: Band exclusion for ``min_heavy_depth > 1``: nodes at depths
+        #: Band exclusion for ``min_heavy_depth > 1``: node ids at depths
         #: 1..m-1 never qualify as heavy.
         m = config.min_heavy_depth
-        self._band_excluded = (
-            frozenset(
-                node.path
-                for depth in range(1, m)
-                for node in tree.nodes_at_depth(depth)
-            )
-            if m > 1
-            else frozenset()
-        )
         self._shallow_ids = None
-        if self._index is not None and m > 1:
+        if m > 1:
             depths = self._index.depths
-            self._shallow_ids = _np.flatnonzero((depths >= 1) & (depths < m))
+            self._shallow_ids = np.flatnonzero((depths >= 1) & (depths < m))
 
     def capture_frontier(self, paths) -> None:
         """Record the raw weight of each of ``paths`` on every close.
@@ -111,31 +99,19 @@ class STAAlgorithm:
         start = time.perf_counter()
         raw = accumulate_raw_weights(self.tree, leaf_counts)
         self._unit_weights.append(raw)
-        if self._index is not None:
-            index = self._index
-            _raw, _modified, heavy = index.sweep(
-                index.count_rows(leaf_counts), self.config.theta
-            )
-            heavy_mask = heavy[0]
-            if self.config.track_root:
-                heavy_mask[0] = True
-            elif not self.config.allow_root_heavy:
-                heavy_mask[0] = False
-            if self._shallow_ids is not None:
-                heavy_mask[self._shallow_ids] = False
-            paths = index.paths
-            heavy = {paths[i] for i in _np.flatnonzero(heavy_mask).tolist()}
-        else:
-            shhh_result = compute_shhh(
-                self.tree, leaf_counts, self.config.theta, raw=raw
-            )
-            heavy = set(shhh_result.shhh)
-            if self.config.track_root:
-                heavy.add(self.tree.root.path)
-            elif not self.config.allow_root_heavy:
-                heavy.discard(self.tree.root.path)
-        if self._band_excluded:
-            heavy -= self._band_excluded
+        index = self._index
+        _raw, _modified, heavy = index.sweep(
+            index.count_rows(leaf_counts), self.config.theta
+        )
+        heavy_mask = heavy[0]
+        if self.config.track_root:
+            heavy_mask[0] = True
+        elif not self.config.allow_root_heavy:
+            heavy_mask[0] = False
+        if self._shallow_ids is not None:
+            heavy_mask[self._shallow_ids] = False
+        paths = index.paths
+        heavy = {paths[i] for i in np.flatnonzero(heavy_mask).tolist()}
         self.last_root_raw = float(raw.get(self.tree.root.path, 0.0))
         if self._frontier_paths is not None:
             self.last_frontier_raw = tuple(
@@ -161,18 +137,39 @@ class STAAlgorithm:
         self, heavy: set[CategoryPath]
     ) -> dict[CategoryPath, list[float]]:
         """Definition 3 time series for every heavy hitter over the window."""
-        series: dict[CategoryPath, list[float]] = {}
-        for path in sorted(heavy):
-            node = self.tree.node(path)
-            heavy_children = [c.path for c in node.children.values() if c.path in heavy]
-            values: list[float] = []
-            for unit_weights in self._unit_weights:
-                value = unit_weights.get(path, 0.0)
-                for child_path in heavy_children:
-                    value -= unit_weights.get(child_path, 0.0)
-                values.append(value)
-            series[path] = values
-        return series
+        return {path: self._exact_series(path, heavy) for path in sorted(heavy)}
+
+    def _maximal_heavy_descendants(
+        self, path: CategoryPath, heavy: "set[CategoryPath] | frozenset[CategoryPath]"
+    ) -> Iterator[CategoryPath]:
+        """The heavy descendants of ``path`` with no heavy node between: its
+        subtree walked down to the first heavy node on every branch.  A heavy
+        node carries weight in the newest retained unit, and so does every
+        node above it, so the walk enters only the nodes that do."""
+        newest = self._unit_weights[-1] if self._unit_weights else {}
+        stack = [self.tree.node(path)]
+        while stack:
+            for child in stack.pop().children.values():
+                if child.path in heavy:
+                    yield child.path
+                elif child.path in newest:
+                    stack.append(child)
+
+    def _exact_series(
+        self, path: CategoryPath, heavy: "set[CategoryPath] | frozenset[CategoryPath]"
+    ) -> list[float]:
+        """``path``'s Definition-3 series over the retained window: its raw
+        weight minus those of its maximal heavy descendants, unit by unit,
+        against the current heavy set — SHHH's modified weight for the
+        newest unit."""
+        below = list(self._maximal_heavy_descendants(path, heavy))
+        values: list[float] = []
+        for unit_weights in self._unit_weights:
+            value = unit_weights.get(path, 0.0)
+            for other in below:
+                value -= unit_weights.get(other, 0.0)
+            values.append(value)
+        return values
 
     def _forecast(
         self, series: dict[CategoryPath, list[float]]
@@ -195,16 +192,12 @@ class STAAlgorithm:
         steps = len(histories[0])
         if steps == 0:
             return {path: 0.0 for path in paths}
-        # Below the vector crossover the throwaway bank runs scalar rows:
-        # identical forecasts, but per-row Python floats beat NumPy kernels
-        # for small heavy-hitter sets.
-        bank = ForecasterBank(
-            self.config.forecast, force_scalar=len(paths) < VECTOR_MIN_ROWS
-        )
-        rows = [bank.new_row() for _ in paths]
-        for step in range(steps):
-            bank.observe_rows(rows, [history[step] for history in histories])
-        return {path: bank.forecast(row) for path, row in zip(paths, rows)}
+        bank = ForecasterBank(self.config.forecast)
+        rows = np.array([bank.new_row() for _ in paths], dtype=np.intp)
+        columns = np.array(histories, dtype=np.float64).T
+        for column in columns:
+            bank.observe_rows_arrays(rows, column)
+        return {path: bank.forecast(row) for path, row in zip(paths, rows.tolist())}
 
     def _detect(
         self,
@@ -236,16 +229,8 @@ class STAAlgorithm:
     # ------------------------------------------------------------------
     def series_for(self, path: CategoryPath) -> list[float]:
         """Current Definition-3 series for ``path`` (ground truth for ADA)."""
-        node = self.tree.node(tuple(path))
         heavy = self.last_result.heavy_hitters if self.last_result else frozenset()
-        heavy_children = [c.path for c in node.children.values() if c.path in heavy]
-        values: list[float] = []
-        for unit_weights in self._unit_weights:
-            value = unit_weights.get(node.path, 0.0)
-            for child_path in heavy_children:
-                value -= unit_weights.get(child_path, 0.0)
-            values.append(value)
-        return values
+        return self._exact_series(self.tree.node(tuple(path)).path, heavy)
 
     def memory_units(self) -> int:
         """Number of stored scalar weights (the Table IV cost proxy)."""

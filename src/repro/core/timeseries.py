@@ -14,20 +14,14 @@ linearity (Lemma 2).  Before a node has accumulated enough history for the
 seasonal model, an EWMA fallback provides the forecast; the EWMA level is
 linear as well, so scaling/merging remains exact throughout.
 
-The classes here are the public, per-series face of that state; where it
-lives depends on the backend tier and nothing else:
-
-* **vector tier** — a :class:`NodeTimeSeries` is a ``(bank, row)`` handle:
-  forecaster components, warm-up history *and both windows* are one row of
-  the :class:`~repro.forecasting.bank.ForecasterBank` matrix.  SPLIT, MERGE
-  and the reference correction are the bank's whole-row operations;
-  ``series.actual`` / ``series.forecast`` are read views (:class:`FloatRing`
-  subclasses that look the row up on every access, so neither a row
-  reallocation nor a release can leave one dangling).
-* **python tier** (no NumPy, or a registry seasonal model the bank cannot
-  lay out) — the forecaster is a private scalar row of the bank and the
-  windows are two :class:`FloatRing` bounded deques.  This is the reference
-  implementation the row store is tested against, operation by operation.
+The classes here are the public, per-series face of that state.  A
+:class:`NodeTimeSeries` is a ``(bank, row)`` handle: forecaster components,
+warm-up history *and both windows* are one row of the
+:class:`~repro.forecasting.bank.ForecasterBank` matrix, whatever forecasting
+model the config names.  SPLIT, MERGE and the reference correction are the
+bank's whole-row operations; ``series.actual`` / ``series.forecast`` are read
+views (:class:`FloatRing`) that look the row up on every access, so neither a
+row reallocation nor a release can leave one dangling.
 
 A standalone ``SeriesForecaster(config)`` / ``NodeTimeSeries(length, config)``
 transparently owns a private single-row bank, so the scalar API keeps
@@ -37,100 +31,18 @@ and any other use raises :class:`~repro.exceptions.ConfigurationError`.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator, Sequence
 
-from repro._vector import load_numpy
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.forecasting.bank import ForecasterBank
 from repro.forecasting.bank import load_seasonal_state  # noqa: F401  (re-export)
 from repro.core.config import ForecastConfig
 
-_np = load_numpy()
-
 
 class FloatRing:
-    """Fixed-capacity float ring buffer: a ``deque(maxlen=n)`` with the
-    whole-series arithmetic of ADA's adaptation.
-
-    Appending beyond ``maxlen`` evicts the oldest element; iteration runs
-    oldest → newest.  This is the python tier's window; on the vector tier
-    a series' windows are :class:`_RowRing` read views of its bank row.
-    """
-
-    __slots__ = ("maxlen", "_buf")
-
-    def __init__(self, maxlen: int):
-        if maxlen < 1:
-            raise ConfigurationError(f"ring capacity must be >= 1, got {maxlen}")
-        self.maxlen = maxlen
-        self._buf = deque(maxlen=maxlen)
-
-    @classmethod
-    def from_values(cls, values, maxlen: int) -> "FloatRing":
-        """A ring holding the last ``maxlen`` elements of ``values``."""
-        ring = cls(maxlen)
-        ring._buf.extend(float(v) for v in values)
-        return ring
-
-    def append(self, value: float) -> None:
-        self._buf.append(value)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __getitem__(self, index: int) -> float:
-        return self._buf[index]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.tolist())
-
-    def tolist(self) -> list[float]:
-        return list(self._buf)
-
-    def ordered(self):
-        """The contents oldest-first, as a fresh sequence."""
-        return self.tolist()
-
-    def values(self, newest: "int | None" = None):
-        """The newest ``newest`` (default: all) elements, oldest first, for
-        reading only."""
-        values = self.tolist()
-        if newest is not None and newest < len(values):
-            values = values[len(values) - newest :]
-        return values
-
-    def scaled(self, ratio: float) -> "FloatRing":
-        """A new ring whose every element is multiplied by ``ratio``."""
-        ring = FloatRing(self.maxlen)
-        ring._buf.extend(v * ratio for v in self.tolist())
-        return ring
-
-    def iscale(self, ratio: float) -> None:
-        """Scale every element by ``ratio`` in place."""
-        self._buf = deque((v * ratio for v in self._buf), maxlen=self.maxlen)
-
-    def aligned_add(self, other: "FloatRing") -> "FloatRing":
-        """Element-wise sum of two rings aligned on their newest element.
-
-        The shorter ring is padded with ``0.0`` at the old end; a sum longer
-        than this ring's capacity keeps only the newest ``maxlen`` elements.
-        """
-        mine = self.tolist()
-        theirs = other.tolist()
-        length = max(len(mine), len(theirs))
-        padded_mine = [0.0] * (length - len(mine)) + mine
-        padded_theirs = [0.0] * (length - len(theirs)) + theirs
-        ring = FloatRing(self.maxlen)
-        ring._buf.extend(a + b for a, b in zip(padded_mine, padded_theirs))
-        return ring
-
-
-class _RowRing(FloatRing):
-    """Read view of one window of a bank row (vector tier).
+    """Read view of one window of a bank row, oldest first.
 
     Holds the series' forecaster handle, not an array: every read resolves
     ``(bank, row)`` afresh, so the view survives matrix reallocation and
@@ -143,27 +55,24 @@ class _RowRing(FloatRing):
     def __init__(self, handle: "SeriesForecaster", which: int):
         self._handle = handle
         self._which = which
-        self.maxlen = handle.bank.window
-
-    def append(self, value: float) -> None:
-        raise TypeError("a bank-backed window is a read view; record through the series")
-
-    def iscale(self, ratio: float) -> None:
-        raise TypeError("a bank-backed window is a read view; split through the series")
 
     def __len__(self) -> int:
         return self._handle.bank.window_len(self._handle.row, self._which)
 
+    def __bool__(self) -> bool:
+        return len(self) > 0
+
     def __getitem__(self, index: int) -> float:
         return float(self.values()[index])
 
+    def __iter__(self) -> Iterator[float]:
+        return iter(self.tolist())
+
     def values(self, newest: "int | None" = None):
-        """A slice of the bank matrix unless the live range wraps."""
+        """The newest ``newest`` (default: all) elements, oldest first, for
+        reading only: a slice of the bank matrix unless the live range wraps."""
         handle = self._handle
         return handle.bank.window_values(handle.row, self._which, newest)
-
-    def ordered(self):
-        return self.values().copy()
 
     def tolist(self) -> list[float]:
         return self.values().tolist()
@@ -363,38 +272,27 @@ class NodeTimeSeries:
                 bank.reserve_window(length)
             forecaster = SeriesForecaster(forecast_config, bank=bank)
         self.forecaster = forecaster
-        #: The python tier's deque windows; ``None`` when the windows are
-        #: segments of the forecaster's bank row.
-        self._rings: "tuple[FloatRing, FloatRing] | None" = (
-            None
-            if forecaster.bank.vectorized
-            else (FloatRing(length), FloatRing(length))
-        )
 
     @classmethod
     def _adopt(
-        cls,
-        template: "NodeTimeSeries",
-        forecaster: SeriesForecaster,
-        rings: "tuple[FloatRing, FloatRing] | None" = None,
+        cls, template: "NodeTimeSeries", forecaster: SeriesForecaster
     ) -> "NodeTimeSeries":
-        """A series over an existing row (and, python tier, existing rings)."""
+        """A series over an existing row."""
         series = cls.__new__(cls)
         series.length = template.length
         series.forecast_config = template.forecast_config
         series.forecaster = forecaster
-        series._rings = rings
         return series
 
     @property
     def actual(self) -> FloatRing:
         """The actual (modified-weight) window, oldest first."""
-        return _RowRing(self.forecaster, 0) if self._rings is None else self._rings[0]
+        return FloatRing(self.forecaster, 0)
 
     @property
     def forecast(self) -> FloatRing:
         """The one-step-ahead forecasts made for the values of :attr:`actual`."""
-        return _RowRing(self.forecaster, 1) if self._rings is None else self._rings[1]
+        return FloatRing(self.forecaster, 1)
 
     # ------------------------------------------------------------------
     # Construction
@@ -424,11 +322,7 @@ class NodeTimeSeries:
         batched close uses after one :meth:`ForecasterBank.observe_rows_arrays`
         call has advanced every forecaster.
         """
-        if self._rings is None:
-            self.forecaster.bank.record(self.forecaster.row, value, predicted)
-        else:
-            self._rings[0].append(float(value))
-            self._rings[1].append(predicted)
+        self.forecaster.bank.record(self.forecaster.row, value, predicted)
 
     def extend(self, values: Sequence[float]) -> list[float]:
         """Append several timeunit values at once (oldest first).
@@ -468,44 +362,28 @@ class NodeTimeSeries:
     # ------------------------------------------------------------------
     def scaled(self, ratio: float) -> "NodeTimeSeries":
         """A copy whose actual/forecast series and state are scaled by ``ratio``."""
-        rings = self._rings
-        if rings is not None:
-            rings = (rings[0].scaled(ratio), rings[1].scaled(ratio))
-        return NodeTimeSeries._adopt(self, self.forecaster.scaled(ratio), rings)
+        return NodeTimeSeries._adopt(self, self.forecaster.scaled(ratio))
 
     def split_inplace(self, ratio: float) -> "NodeTimeSeries":
         """SPLIT this series in place: a new series takes the ``ratio`` share,
         this one keeps ``1 - ratio``.
 
         Bit-identical to the ``scaled(ratio)`` / ``scaled(1 - ratio)`` /
-        ``release()`` triple of the scalar split cascade, with this object
-        (and its row) surviving in place.  On the vector tier it is
-        :meth:`ForecasterBank.split_row` — two multiplies over the row.
+        ``release()`` triple of a per-object split cascade, with this object
+        (and its row) surviving in place: :meth:`ForecasterBank.split_row`,
+        two multiplies over the row.
         """
         forecaster = self.forecaster
-        rings = self._rings
-        if rings is not None:
-            child_rings = (rings[0].scaled(ratio), rings[1].scaled(ratio))
-            rings[0].iscale(1.0 - ratio)
-            rings[1].iscale(1.0 - ratio)
-            rings = child_rings
         child_row = forecaster.bank.split_row(forecaster.row, ratio)
         return NodeTimeSeries._adopt(
-            self, SeriesForecaster(self.forecast_config, forecaster.bank, child_row), rings
+            self, SeriesForecaster(self.forecast_config, forecaster.bank, child_row)
         )
 
     def merge_from(self, other: "NodeTimeSeries") -> None:
         """Add ``other``'s series into this one element-wise (newest aligned);
         ``other`` is left intact for its owner to release."""
         mine = self.forecaster
-        rings = self._rings
-        if rings is not None:
-            self._rings = (
-                rings[0].aligned_add(other.actual),
-                rings[1].aligned_add(other.forecast),
-            )
-            mine.add_state(other.forecaster)
-        elif other.forecaster.bank is mine.bank:
+        if other.forecaster.bank is mine.bank:
             mine.bank.fold_row(mine.row, other.forecaster.row)
         else:
             # A series of another bank (standalone use): bring its newest ℓ
@@ -525,23 +403,12 @@ class NodeTimeSeries:
         timeunits matters for detection, and past forecasts of a re-derived
         series are not well defined anyway.
         """
-        if _np is not None and isinstance(values, _np.ndarray):
+        if isinstance(values, np.ndarray):
             trimmed = values[-self.length :]
         else:
             trimmed = list(values)[-self.length :]
         forecaster = self.forecaster
-        if self._rings is None:
-            forecaster.bank.reseed(forecaster.row, trimmed)
-            return
-        self._rings = (
-            FloatRing.from_values(trimmed, self.length),
-            FloatRing.from_values(trimmed, self.length),
-        )
-        bank = forecaster.bank
-        forecaster.release()
-        self.forecaster = SeriesForecaster.from_history_fast(
-            trimmed, self.forecast_config, bank=bank
-        )
+        forecaster.bank.reseed(forecaster.row, trimmed)
 
     def release(self) -> None:
         """Return the row to its bank when dropping the series (idempotent;
@@ -567,13 +434,7 @@ class NodeTimeSeries:
         forecaster.bank.load_row_state(forecaster.row, state["forecaster"])
         actual = [float(v) for v in state["actual"]]
         forecast = [float(v) for v in state["forecast"]]
-        if self._rings is None:
-            forecaster.bank.load_windows(forecaster.row, actual, forecast)
-        else:
-            self._rings = (
-                FloatRing.from_values(actual, self.length),
-                FloatRing.from_values(forecast, self.length),
-            )
+        forecaster.bank.load_windows(forecaster.row, actual, forecast)
 
     @classmethod
     def from_state_dict(

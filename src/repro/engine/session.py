@@ -255,10 +255,10 @@ class DetectionSession:
     def ingest_record_batch(self, batch: RecordBatch) -> list[TimeunitResult]:
         """Add a columnar batch; returns results of all timeunits that closed.
 
-        One dispatch rule: an algorithm that ``supports_dense_close`` (ADA
-        on a vector tier) closes the batch's timeunits together
-        (:meth:`_ingest_batch_dense`); any other (ADA on the python tier,
-        STA) gets the batch reduced to per-timeunit count dictionaries by
+        One dispatch rule: an algorithm that ``supports_dense_close`` (ADA)
+        closes the batch's timeunits together (:meth:`_ingest_batch_dense`);
+        any other (STA, a registered plug-in) gets the batch reduced to
+        per-timeunit count dictionaries by
         one grouped aggregation (:meth:`RecordBatch.group_runs_by_timeunit`),
         folded into the pending timeunit wholesale instead of incrementing
         per record.  Both work on *runs* in arrival order and ask
@@ -710,8 +710,7 @@ class DetectionSession:
     def adaptation_stats(self) -> dict[str, Any]:
         """The tracking algorithm's adaptation counters.
 
-        For ADA: mode (``delta`` on a vector tier, ``legacy`` on the python
-        tier), stable-fast-path and planned timeunit
+        For ADA: mode (``delta``), stable-fast-path and planned timeunit
         counts, split/merge operation totals and the time spent in adaptation
         proper (see :meth:`repro.core.ada.ADAAlgorithm.adaptation_stats`).
         Algorithms without an adaptation engine report ``{}``.
@@ -720,9 +719,8 @@ class DetectionSession:
         return getter() if getter is not None else {}
 
     def close_profile(self) -> dict[str, Any]:
-        """The algorithm's close-path profile (vector ``fused_units`` vs
-        python-tier ``staged_units``, latency histogram); ``{}`` for
-        algorithms without one."""
+        """The algorithm's close-path profile (units closed, units closed
+        densely, latency histogram); ``{}`` for algorithms without one."""
         getter = getattr(self.algorithm, "close_profile", None)
         return getter() if getter is not None else {}
 

@@ -3,9 +3,9 @@
 Everything Tiresias keeps per heavy hitter is *linear* in the node's series
 (the paper's Lemma 2): the EWMA fallback level, the additive Holt-Winters
 level / trend / seasonal components, the warm-up history that precedes
-seasonal activation, and the actual and forecast windows.  On the vector
-tiers a :class:`ForecasterBank` therefore stores all of it as **one row of
-one C-contiguous float64 matrix**::
+seasonal activation, and the actual and forecast windows.  A
+:class:`ForecasterBank` therefore stores all of it as **one row of one
+C-contiguous float64 matrix**::
 
     [ewma, level, trend | seasonal buffer(s) | warm-up history | actual ℓ | forecast ℓ]
 
@@ -29,19 +29,24 @@ arithmetic on whole rows:
   indexed store each.
 
 Every float operation is, element for element, the scalar arithmetic of the
-per-object forecasters (:class:`_ScalarRow`, kept verbatim), so results stay
-bit-for-bit identical across tiers.
+per-object forecaster (:class:`_ScalarRow`), so a row behaves exactly as that
+object would; :mod:`repro.testing.reference` builds the test oracle on it.
 
-The python tier: with ``REPRO_DISABLE_NUMPY`` set (or with a custom
-``ForecastConfig.model`` whose internals the bank cannot vectorize) each row
-is a private :class:`_ScalarRow` with the same public row API and no window
-segment — the reference the row store is tested against.
+The built-in Holt-Winters models get matrix rows whatever selects them —
+``ForecastConfig.model`` ``"auto"`` or the registry name of a built-in
+model.  A plug-in model registered with
+:func:`~repro.core.registry.register_forecaster` is opaque to the kernels: each
+of its rows holds its forecaster state as a :class:`_ScalarRow` beside the
+matrix (``_obj``) for the row's whole life, while its windows stay in the
+matrix, so every SPLIT, MERGE, correction and close runs the same row
+operations.  A restored snapshot that does not fit the layout (foreign
+seasonal parameters) is held the same way until a correction reseeds it.
 
 Checkpoint compatibility: :meth:`row_state_dict` / :meth:`load_row_state`
 speak the *canonical per-path forecaster format* that predates the bank
 (``{"ewma_level", "seen", "history", "seasonal"}``), so bank-backed sessions
-read and write the same checkpoints as scalar and sharded sessions.  Window
-slots are not part of it — only oldest-first contents are.
+read and write the same checkpoints as sharded sessions.  Window slots are
+not part of it — only oldest-first contents are.
 """
 
 from __future__ import annotations
@@ -49,35 +54,30 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
-from repro._vector import load_numpy
+import numpy as np
+
 from repro.core.config import ForecastConfig
+from repro.core.registry import (
+    builtin_forecaster_kind,
+    create_forecaster,
+    forecaster_state_loader,
+)
 from repro.exceptions import ConfigurationError
 from repro.forecasting.holt_winters import (
     HoltWintersForecaster,
     MultiSeasonalHoltWinters,
 )
 
-_np = load_numpy()
-
-#: Row-count crossover at which a vectorized bank beats per-row Python
-#: arithmetic for repeated full-bank updates (measured ≈ 48 on CPython 3.11).
-#: Callers that create a *throwaway* bank sized to a known row count (e.g.
-#: STA's per-timeunit refit) should pass ``force_scalar=True`` below this;
-#: the two backends are bit-identical, so the choice is purely speed.
-VECTOR_MIN_ROWS = 48
-
 #: Batch-size crossover below which one :meth:`ForecasterBank.observe_rows`
-#: call routes through the per-row scalar observe loop (measured ≈ 6 rows on
-#: this container: NumPy gather/scatter overhead beats Python floats only
-#: from about that many rows).  The two paths are bit-identical.
-OBSERVE_VECTOR_MIN_ROWS = 6
+#: call routes through the per-row observe loop (measured ≈ 6 rows: NumPy
+#: gather/scatter overhead beats Python floats only from about that many
+#: rows).  The two paths are bit-identical.
+OBSERVE_BATCH_MIN_ROWS = 6
 
 
 def _build_seasonal_model(config: ForecastConfig):
     """The seasonal model ``config`` selects (single / multi / registry)."""
     if config.model != "auto":
-        from repro.core.registry import create_forecaster
-
         return create_forecaster(config.model, config)
     if len(config.season_lengths) == 1:
         return HoltWintersForecaster(
@@ -97,18 +97,15 @@ def _build_seasonal_model(config: ForecastConfig):
 
 def load_seasonal_state(state: dict):
     """Rebuild a seasonal model from its ``state_dict`` snapshot (by kind)."""
-    from repro.core.registry import forecaster_state_loader
-
     return forecaster_state_loader(str(state.get("kind")))(state)
 
 
 class _ScalarRow:
     """One row's forecasting state as plain Python objects.
 
-    This is the historical per-node forecaster implementation, kept verbatim
-    as the bank's python-tier row type: it is used on the python tier and
-    when the configured seasonal model is a registry plug-in whose internals
-    the vector kernels cannot see.
+    The historical per-node forecaster: the bank holds a plug-in model's
+    rows (and snapshots that do not fit its layout) as these, and the test
+    oracle's series are made of them.
     """
 
     __slots__ = ("config", "ewma_level", "seen", "history", "seasonal")
@@ -261,34 +258,30 @@ class ForecasterBank:
     one :class:`~repro.core.config.ForecastConfig` and, when the bank was
     given (or later reserved) a ``window`` length, one window length ℓ.
 
-    The bank runs **vectorized** on the vector tier when the config's
-    seasonal model is the built-in ``"auto"`` choice; otherwise every row is
-    a scalar fallback object with identical behaviour and no window segment
-    (:class:`~repro.core.timeseries.NodeTimeSeries` keeps deque rings then).
-    ``force_scalar=True`` pins the fallback explicitly (STA does, below its
-    vector break-even).
+    The layout is that of the built-in model the config selects: ``"auto"``
+    is single-season Holt-Winters for one seasonal period and the
+    multi-seasonal model otherwise; a registry name of a built-in model
+    selects that model.  Any other model is a plug-in, whose rows keep their
+    forecaster state in ``_obj`` (see the module docstring).
     """
 
-    def __init__(
-        self,
-        config: ForecastConfig,
-        *,
-        window: int | None = None,
-        force_scalar: bool = False,
-    ):
+    def __init__(self, config: ForecastConfig, *, window: int | None = None):
         self.config = config
-        self.vectorized = (
-            _np is not None and config.model == "auto" and not force_scalar
-        )
         self._free: list[int] = []
         self._live = bytearray()  # 1 per allocated, not freed row
         self._size = 0  # high-water row count
-        if not self.vectorized:
-            self.window = None
-            self._rows: list[_ScalarRow | None] = []
-            return
-        lengths = config.season_lengths
-        self._single = len(lengths) == 1
+        if config.model == "auto":
+            single = len(config.season_lengths) == 1
+            kind = "holt-winters" if single else "multi-seasonal-holt-winters"
+        else:
+            kind = builtin_forecaster_kind(config.model)
+        #: Whether every row is a ``_ScalarRow`` of a plug-in model.
+        self._plugin = kind is None
+        self._single = kind == "holt-winters"
+        lengths = config.season_lengths[:1] if self._single else config.season_lengths
+        #: Seasonal periods of the laid-out model (the named single-season
+        #: model uses the first of the config's periods).
+        self._lengths = lengths
         if config.season_weights is None:
             self._weights = tuple(1.0 / len(lengths) for _ in lengths)
         else:
@@ -303,8 +296,8 @@ class ForecasterBank:
         self._hist_off = offsets[-1]
         self._actual_off = self._hist_off + self._min_history
         self._icols = _PHASE + len(lengths)
-        self._state = _np.zeros((8, self._actual_off))
-        self._ints = _np.zeros((8, self._icols), dtype=_np.int64)
+        self._state = np.zeros((8, self._actual_off))
+        self._ints = np.zeros((8, self._icols), dtype=np.int64)
         self.window: int | None = None
         self._forecast_off = self._width = self._actual_off
         #: Cursor handed to fresh rows.  Window slots are not canonical (only
@@ -313,10 +306,11 @@ class ForecasterBank:
         #: are then recorded together stay slot-aligned.  A hint — nothing
         #: depends on it but the share of folds that are a single add.
         self._wpos_hint = 0
-        #: Whole scalar rows for state that does not fit the layout (a
-        #: snapshot with foreign seasonal parameters, or a warm-up history
-        #: that fills the history segment): such rows bypass the vector
-        #: kernels but behave identically.  Their windows stay in the matrix.
+        #: Whole scalar rows for forecaster state the layout does not hold:
+        #: every row of a plug-in model, and snapshots with foreign seasonal
+        #: parameters (or a warm-up history that fills the history segment).
+        #: Such rows bypass the vector kernels but behave identically; their
+        #: windows stay in the matrix.
         self._obj: dict[int, _ScalarRow] = {}
         if window is not None:
             self.reserve_window(window)
@@ -335,7 +329,7 @@ class ForecasterBank:
         banks) carries none; the first node series attached to it widens the
         matrix.  One bank has one window length.
         """
-        if not self.vectorized or self.window == length:
+        if self.window == length:
             return
         if self.window is not None:
             raise ConfigurationError(
@@ -355,11 +349,11 @@ class ForecasterBank:
         Handles and read views hold ``(bank, row)``, never an array, so
         nothing dangles across a reallocation.
         """
-        state = _np.zeros((cap, self._width))
+        state = np.zeros((cap, self._width))
         old = self._state
         state[: old.shape[0], : old.shape[1]] = old
         self._state = state
-        ints = _np.zeros((cap, self._icols), dtype=_np.int64)
+        ints = np.zeros((cap, self._icols), dtype=np.int64)
         ints[: self._ints.shape[0]] = self._ints
         self._ints = ints
 
@@ -372,23 +366,20 @@ class ForecasterBank:
         row = self._size
         self._size += 1
         self._live.append(1)
-        if not self.vectorized:
-            self._rows.append(None)
-        elif row >= self._state.shape[0]:
+        if row >= self._state.shape[0]:
             self._resize(2 * self._state.shape[0])
         return row
 
     def new_row(self) -> int:
         """Allocate a fresh row in the initial (no observations) state."""
         row = self._alloc_row()
-        if not self.vectorized:
-            self._rows[row] = _ScalarRow(self.config)
-            return row
         self._state[row] = 0.0
-        self._state[row, 0] = _np.nan
+        self._state[row, 0] = np.nan
         ints = self._ints[row]
         ints[:] = 0
         ints[_WPOS] = self._wpos_hint
+        if self._plugin:
+            self._obj[row] = _ScalarRow(self.config)
         return row
 
     def free_row(self, row: int) -> None:
@@ -396,19 +387,15 @@ class ForecasterBank:
         if not 0 <= row < self._size or not self._live[row]:
             raise ConfigurationError(f"bank row {row} is not live")
         self._live[row] = 0
-        if not self.vectorized:
-            self._rows[row] = None
-        elif self._obj:
+        if self._obj:
             self._obj.pop(row, None)
         self._free.append(row)
 
     # ------------------------------------------------------------------
-    # Observation (scalar and vectorized)
+    # Observation
     # ------------------------------------------------------------------
     def forecast(self, row: int) -> float:
         """One-step-ahead forecast for ``row``'s next timeunit."""
-        if not self.vectorized:
-            return self._rows[row].forecast()
         obj = self._obj.get(row)
         if obj is not None:
             return obj.forecast()
@@ -437,8 +424,6 @@ class ForecasterBank:
         same expression evaluated on Python floats, so the two are
         bit-for-bit interchangeable (property-tested).
         """
-        if not self.vectorized:
-            return self._rows[row].observe(value)
         obj = self._obj.get(row)
         if obj is not None:
             return obj.observe(value)
@@ -473,9 +458,7 @@ class ForecasterBank:
         new_level = alpha * (value - seasonal) + (1 - alpha) * (level + trend)
         state[1] = new_level
         state[2] = beta * (new_level - level) + (1 - beta) * trend
-        for k, (off, p) in enumerate(
-            zip(self._seasonal_off, self.config.season_lengths)
-        ):
+        for k, (off, p) in enumerate(zip(self._seasonal_off, self._lengths)):
             phase = int(ints[_PHASE + k])
             state[off + phase] = gamma * (value - new_level) + (1 - gamma) * float(
                 state[off + phase]
@@ -490,10 +473,10 @@ class ForecasterBank:
         ``rows`` must not contain duplicates (each tracked node appears once
         per timeunit).
         """
-        if not self.vectorized or len(rows) < OBSERVE_VECTOR_MIN_ROWS:
+        if len(rows) < OBSERVE_BATCH_MIN_ROWS or self._plugin:
             return [self.observe(row, value) for row, value in zip(rows, values)]
         if self._obj:
-            # Object-overflow rows (foreign-layout restores) update scalar;
+            # Object rows (foreign-layout restores) update scalar;
             # the rest of the batch keeps the vector kernels so one foreign
             # row does not de-vectorize the whole bank.
             obj_positions = [
@@ -514,23 +497,21 @@ class ForecasterBank:
                 for pos, forecast in zip(vec_positions, vec_forecasts):
                     forecasts[pos] = forecast
                 return forecasts
-        np_ = _np
-        idx = np_.asarray(rows, dtype=np_.intp)
-        v = np_.asarray(values, dtype=np_.float64)
+        idx = np.asarray(rows, dtype=np.intp)
+        v = np.asarray(values, dtype=np.float64)
         return self._observe_vector(idx, v).tolist()
 
     def observe_rows_arrays(self, idx, v):
         """Array-native :meth:`observe_rows`: ndarrays in, float64 ndarray out.
 
-        ADA's vector-tier close already holds its row indices and values as
-        arrays; this entry point skips the list round-trips.  Semantics are
-        identical — small batches and object-overflow rows take the exact
-        scalar/list path of :meth:`observe_rows`.
+        ADA's close already holds its row indices and values as arrays; this
+        entry point skips the list round-trips.  Semantics are identical —
+        small batches and object rows take the exact scalar/list path of
+        :meth:`observe_rows`.
         """
-        np_ = _np
-        if not self.vectorized or idx.size < OBSERVE_VECTOR_MIN_ROWS or self._obj:
+        if idx.size < OBSERVE_BATCH_MIN_ROWS or self._obj:
             forecasts = self.observe_rows(idx.tolist(), v.tolist())
-            return np_.asarray(forecasts, dtype=np_.float64)
+            return np.asarray(forecasts, dtype=np.float64)
         return self._observe_vector(idx, v)
 
     def _observe_vector(self, idx, v):
@@ -539,7 +520,6 @@ class ForecasterBank:
         Every gather and scatter is a 1-d take on the flattened matrices at
         ``row * width + column``.
         """
-        np_ = _np
         flat = self._state.reshape(-1)
         iflat = self._ints.reshape(-1)
         base = idx * self._width
@@ -547,16 +527,16 @@ class ForecasterBank:
         ewma = flat[base]
         active = iflat[ibase + _ACTIVE]
         fallback_alpha = self.config.fallback_alpha
-        if active.all() and not np_.isnan(ewma).any():
+        if active.all() and not np.isnan(ewma).any():
             # Steady state (every row warm): no masks, no history bookkeeping.
             level, trend, seasonal = self._components(flat, iflat, base, ibase)
             flat[base] = fallback_alpha * v + (1 - fallback_alpha) * ewma
             iflat[ibase + _SEEN] += 1
             self._update_components(flat, iflat, base, ibase, v, level, trend, seasonal)
             return level + trend + seasonal
-        has_ewma = ~np_.isnan(ewma)
-        forecasts = np_.where(has_ewma, ewma, 0.0)
-        active_pos = np_.flatnonzero(active)
+        has_ewma = ~np.isnan(ewma)
+        forecasts = np.where(has_ewma, ewma, 0.0)
+        active_pos = np.flatnonzero(active)
         if active_pos.size:
             a_base = base[active_pos]
             a_ibase = ibase[active_pos]
@@ -565,11 +545,11 @@ class ForecasterBank:
             self._update_components(
                 flat, iflat, a_base, a_ibase, v[active_pos], level, trend, seasonal
             )
-        flat[base] = np_.where(
+        flat[base] = np.where(
             has_ewma, fallback_alpha * v + (1 - fallback_alpha) * ewma, v
         )
         iflat[ibase + _SEEN] += 1
-        inactive_pos = np_.flatnonzero(active == 0)
+        inactive_pos = np.flatnonzero(active == 0)
         if inactive_pos.size:
             # Warm-up append: one indexed store for every row still warming.
             hlen_at = ibase[inactive_pos] + _HLEN
@@ -587,7 +567,7 @@ class ForecasterBank:
         if self._single:
             seasonal = flat[base + (3 + iflat[ibase + _PHASE])]
         else:
-            seasonal = _np.zeros(base.size)
+            seasonal = np.zeros(base.size)
             for k, (w, off) in enumerate(zip(self._weights, self._seasonal_off)):
                 seasonal = seasonal + w * flat[base + (off + iflat[ibase + (_PHASE + k)])]
         return flat[base + 1], flat[base + 2], seasonal
@@ -598,7 +578,7 @@ class ForecasterBank:
         new_level = alpha * (v - seasonal) + (1 - alpha) * (level + trend)
         flat[base + 1] = new_level
         flat[base + 2] = beta * (new_level - level) + (1 - beta) * trend
-        for k, (off, p) in enumerate(zip(self._seasonal_off, self.config.season_lengths)):
+        for k, (off, p) in enumerate(zip(self._seasonal_off, self._lengths)):
             phase_at = ibase + (_PHASE + k)
             phase = iflat[phase_at]
             slot = base + (off + phase)
@@ -632,7 +612,7 @@ class ForecasterBank:
             ints[_PHASE:] = model._phases
 
     # ------------------------------------------------------------------
-    # Windows (vector rows only; scalar banks leave them to the series)
+    # Windows
     # ------------------------------------------------------------------
     def record(self, row: int, value: float, predicted: float) -> None:
         """Append one ``(actual, forecast)`` pair to ``row``'s windows."""
@@ -643,7 +623,7 @@ class ForecasterBank:
         state[self._actual_off + pos] = value
         state[self._forecast_off + pos] = predicted
         ints[_WPOS] = 0 if pos + 1 == length else pos + 1
-        _np.minimum(ints[_ALEN : _FLEN + 1] + 1, length, out=ints[_ALEN : _FLEN + 1])
+        np.minimum(ints[_ALEN : _FLEN + 1] + 1, length, out=ints[_ALEN : _FLEN + 1])
 
     def record_rows(self, idx, values, forecasts) -> None:
         """:meth:`record` for every row of one close: one indexed store per
@@ -663,7 +643,7 @@ class ForecasterBank:
         iflat[ibase + _WPOS] = pos
         self._wpos_hint = int(pos[0])
         for col in (_ALEN, _FLEN):
-            iflat[ibase + col] = _np.minimum(iflat[ibase + col] + 1, length)
+            iflat[ibase + col] = np.minimum(iflat[ibase + col] + 1, length)
 
     def window_len(self, row: int, which: int) -> int:
         """Live length of the actual (``which == 0``) or forecast window."""
@@ -684,7 +664,7 @@ class ForecasterBank:
         off = self._forecast_off if which else self._actual_off
         if start >= 0:
             return self._state[row, off + start : off + end]
-        return _np.concatenate(
+        return np.concatenate(
             [
                 self._state[row, off + start + self.window : off + self.window],
                 self._state[row, off : off + end],
@@ -712,20 +692,24 @@ class ForecasterBank:
         """The reference-series correction, in place: both windows become
         ``values`` (oldest first, the newest ℓ of them) and the forecaster
         state is rebuilt from them by :meth:`seed_fast`.  The window cursor
-        stays where it is, so the row remains slot-aligned with its peers."""
+        stays where it is, so the row remains slot-aligned with its peers.
+        A plug-in model's row restarts from a fresh scalar row; a foreign
+        snapshot's row rejoins the layout."""
         values = values[-self.window :]
         state = self._state[row]
         ints = self._ints[row]
         end = int(ints[_WPOS])
         state[:] = 0.0
-        state[0] = _np.nan
+        state[0] = np.nan
         ints[:] = 0
         ints[_WPOS] = end
         ints[_ALEN : _FLEN + 1] = len(values)
         actual = state[self._actual_off : self._forecast_off]
         _store_ending_at(actual, end, values)
         state[self._forecast_off :] = actual
-        if self._obj:
+        if self._plugin:
+            self._obj[row] = _ScalarRow(self.config)
+        elif self._obj:
             self._obj.pop(row, None)
         self.seed_fast(row, values)
 
@@ -745,8 +729,9 @@ class ForecasterBank:
         reference-series correction path (O(seasonal period) instead of
         O(window) updates).
         """
-        if not self.vectorized:
-            self._rows[row].seed_fast(history)
+        obj = self._obj.get(row)
+        if obj is not None:
+            obj.seed_fast(history)
             return
         n = len(history)
         state = self._state[row]
@@ -762,7 +747,7 @@ class ForecasterBank:
         if isinstance(tail_src, list):
             tail = [float(v) for v in tail_src]
         else:
-            tail = _np.asarray(tail_src, dtype=_np.float64).tolist()
+            tail = np.asarray(tail_src, dtype=np.float64).tolist()
         level = tail[0]
         rest = 1 - alpha
         for value in tail:
@@ -774,19 +759,19 @@ class ForecasterBank:
                 # into the row — the same ``_left_fold_sum`` cumsum
                 # arithmetic as HoltWintersForecaster.initialize, minus the
                 # model object and its list round trips.
-                p = self.config.season_lengths[0]
-                window = _np.asarray(history[-2 * p :], dtype=_np.float64)
+                p = self._lengths[0]
+                window = np.asarray(history[-2 * p :], dtype=np.float64)
                 # add.accumulate is cumsum (a left-to-right fold) without
                 # the wrapper; one pass yields both the first cycle's sum
                 # and the two-cycle total.
-                running = _np.add.accumulate(window)
+                running = np.add.accumulate(window)
                 hw_level = float(running[-1]) / (2 * p)
                 first = float(running[p - 1])
-                second = float(_np.add.accumulate(window[p:])[-1])
+                second = float(np.add.accumulate(window[p:])[-1])
                 ints[_ACTIVE] = 1
                 state[1] = hw_level
                 state[2] = (second - first) / (p * p)
-                _np.subtract(window[p:], hw_level, out=state[3 : 3 + p])
+                np.subtract(window[p:], hw_level, out=state[3 : 3 + p])
                 ints[_PHASE] = 0
                 return
             model = _build_seasonal_model(self.config)
@@ -800,16 +785,12 @@ class ForecasterBank:
     # Introspection
     # ------------------------------------------------------------------
     def is_seasonal(self, row: int) -> bool:
-        if not self.vectorized:
-            return self._rows[row].seasonal is not None
         obj = self._obj.get(row)
         if obj is not None:
             return obj.seasonal is not None
         return bool(self._ints[row, _ACTIVE])
 
     def observations(self, row: int) -> int:
-        if not self.vectorized:
-            return self._rows[row].seen
         obj = self._obj.get(row)
         return obj.seen if obj is not None else int(self._ints[row, _SEEN])
 
@@ -819,10 +800,7 @@ class ForecasterBank:
     def clone_row(self, row: int, ratio: float) -> int:
         """A new row holding the state of ``ratio *`` the row's series."""
         dst = self._alloc_row()
-        if not self.vectorized:
-            self._rows[dst] = self._rows[row].scaled(ratio)
-            return dst
-        _np.multiply(self._state[row], ratio, out=self._state[dst])
+        np.multiply(self._state[row], ratio, out=self._state[dst])
         self._ints[dst] = self._ints[row]
         if self._obj and row in self._obj:
             self._obj[dst] = self._obj[row].scaled(ratio)
@@ -837,17 +815,12 @@ class ForecasterBank:
 
         One multiply into the new row, one in place, one integer-row copy:
         element for element the ``scaled(ratio)`` / ``scaled(1 - ratio)``
-        pair of the scalar split cascade.
+        pair of the per-object split cascade.
         """
         dst = self._alloc_row()
         rest = 1.0 - ratio
-        if not self.vectorized:
-            source = self._rows[row]
-            self._rows[dst] = source.scaled(ratio)
-            self._rows[row] = source.scaled(rest)
-            return dst
         donor = self._state[row]
-        _np.multiply(donor, ratio, out=self._state[dst])
+        np.multiply(donor, ratio, out=self._state[dst])
         donor *= rest
         self._ints[dst] = self._ints[row]
         if self._obj and row in self._obj:
@@ -889,9 +862,6 @@ class ForecasterBank:
         into an empty destination would lose the sign a ratio-0 split leaves
         behind.
         """
-        if not self.vectorized:
-            self._rows[dst].add_state(self._rows[src])
-            return
         src_ints = self._ints[src]
         dst_ints = self._ints[dst]
         theirs = src_ints.tolist()
@@ -909,9 +879,7 @@ class ForecasterBank:
                 # Same frame but for the seasonal phases (a reference
                 # correction restarts them): only the buffers rotate.
                 dst_state[:3] += src_state[:3]
-                for k, (off, p) in enumerate(
-                    zip(self._seasonal_off, self.config.season_lengths)
-                ):
+                for k, (off, p) in enumerate(zip(self._seasonal_off, self._lengths)):
                     _rotated_add(
                         dst_state[off : off + p],
                         src_state[off : off + p],
@@ -923,7 +891,7 @@ class ForecasterBank:
             elif dst_ewma != dst_ewma:
                 dst_state[0] = src_ewma
             counts = dst_ints[:_ACTIVE]
-            _np.maximum(counts, src_ints[:_ACTIVE], out=counts)
+            np.maximum(counts, src_ints[:_ACTIVE], out=counts)
             return
         self._fold_state(dst, src)
         if self.window is not None:
@@ -939,7 +907,7 @@ class ForecasterBank:
                         shift,
                     )
             lens = dst_ints[_ALEN : _FLEN + 1]
-            _np.maximum(lens, src_ints[_ALEN : _FLEN + 1], out=lens)
+            np.maximum(lens, src_ints[_ALEN : _FLEN + 1], out=lens)
 
     def _fold_state(self, dst: int, src: int) -> None:
         """The forecaster part of a fold, segment by segment (same bank).
@@ -976,9 +944,7 @@ class ForecasterBank:
                 dst_ints[_PHASE:] = src_ints[_PHASE:]
             else:
                 dst_state[1:3] += src_state[1:3]
-                for k, (off, p) in enumerate(
-                    zip(self._seasonal_off, self.config.season_lengths)
-                ):
+                for k, (off, p) in enumerate(zip(self._seasonal_off, self._lengths)):
                     _rotated_add(
                         dst_state[off : off + p],
                         src_state[off : off + p],
@@ -997,10 +963,10 @@ class ForecasterBank:
                 # Newest-aligned sum of unequal histories, both padded with
                 # +0.0 to the longer one (the scalar row's list arithmetic).
                 length = max(mine, theirs)
-                padded = _np.zeros((2, length))
+                padded = np.zeros((2, length))
                 padded[0, length - mine :] = dst_state[hist_off : hist_off + mine]
                 padded[1, length - theirs :] = src_state[hist_off : hist_off + theirs]
-                _np.add(padded[0], padded[1], out=dst_state[hist_off : hist_off + length])
+                np.add(padded[0], padded[1], out=dst_state[hist_off : hist_off + length])
             dst_ints[_HLEN] = max(mine, theirs)
         # No activation check: a vector row's history is always shorter than
         # ``min_history`` (longer ones live in ``_obj``), so is their fold.
@@ -1016,20 +982,12 @@ class ForecasterBank:
         addition); windows are untouched.
 
         The source row may live in this bank or another one (standalone
-        series merge across banks), vectorized or fallback.
+        series merge across banks).
         """
-        if other_bank is self and self.vectorized:
+        if other_bank is self:
             self._fold_state(row, other_row)
             return
-        if not self.vectorized and not other_bank.vectorized:
-            self._rows[row].add_state(other_bank._rows[other_row])
-            return
         snapshot = other_bank.row_state_dict(other_row)
-        if not self.vectorized:
-            other = _ScalarRow(self.config)
-            other.load_state_dict(snapshot)
-            self._rows[row].add_state(other)
-            return
         scratch = self.new_row()
         self.load_row_state(scratch, snapshot)
         self._fold_state(row, scratch)
@@ -1045,15 +1003,14 @@ class ForecasterBank:
         if self._single:
             return (
                 kind == "holt-winters"
-                and int(seasonal["season_length"]) == config.season_lengths[0]
+                and int(seasonal["season_length"]) == self._lengths[0]
                 and float(seasonal["alpha"]) == config.alpha
                 and float(seasonal["beta"]) == config.beta
                 and float(seasonal["gamma"]) == config.gamma
             )
         return (
             kind == "multi-seasonal-holt-winters"
-            and tuple(int(p) for p in seasonal["season_lengths"])
-            == config.season_lengths
+            and tuple(int(p) for p in seasonal["season_lengths"]) == self._lengths
             and tuple(float(w) for w in seasonal["season_weights"]) == self._weights
             and float(seasonal["alpha"]) == config.alpha
             and float(seasonal["beta"]) == config.beta
@@ -1062,8 +1019,6 @@ class ForecasterBank:
 
     def row_state_dict(self, row: int) -> dict:
         """The row's state in the canonical per-path forecaster format."""
-        if not self.vectorized:
-            return self._rows[row].state_dict()
         obj = self._obj.get(row)
         if obj is not None:
             return obj.state_dict()
@@ -1078,7 +1033,7 @@ class ForecasterBank:
                 "alpha": config.alpha,
                 "beta": config.beta,
                 "gamma": config.gamma,
-                "season_length": config.season_lengths[0],
+                "season_length": self._lengths[0],
                 "level": values[1],
                 "trend": values[2],
                 "seasonals": values[3 : self._hist_off],
@@ -1090,13 +1045,13 @@ class ForecasterBank:
                 "alpha": config.alpha,
                 "beta": config.beta,
                 "gamma": config.gamma,
-                "season_lengths": list(config.season_lengths),
+                "season_lengths": list(self._lengths),
                 "season_weights": list(self._weights),
                 "level": values[1],
                 "trend": values[2],
                 "seasonals": [
                     values[off : off + p]
-                    for off, p in zip(self._seasonal_off, config.season_lengths)
+                    for off, p in zip(self._seasonal_off, self._lengths)
                 ],
                 "phases": ints[_PHASE:],
             }
@@ -1110,18 +1065,19 @@ class ForecasterBank:
 
     def load_row_state(self, row: int, state: dict) -> None:
         """Restore a *fresh* row from :meth:`row_state_dict` output."""
-        if not self.vectorized:
-            self._rows[row].load_state_dict(state)
-            return
         seasonal = state["seasonal"]
         history = state["history"]
-        if len(history) >= self._min_history or (
-            seasonal is not None
-            and (seasonal["level"] is None or not self._matches_layout(seasonal))
+        if (
+            self._plugin
+            or len(history) >= self._min_history
+            or (
+                seasonal is not None
+                and (seasonal["level"] is None or not self._matches_layout(seasonal))
+            )
         ):
-            # Does not fit the layout (a foreign config's snapshot, or a
-            # stored-but-uninitialized model): hold it faithfully as a
-            # scalar row.
+            # A plug-in model's row, or state that does not fit the layout (a
+            # foreign config's snapshot, or a stored-but-uninitialized model):
+            # hold it faithfully as a scalar row.
             scalar = self._obj[row] = _ScalarRow(self.config)
             scalar.load_state_dict(state)
             return
@@ -1149,7 +1105,6 @@ class ForecasterBank:
 
 __all__ = [
     "ForecasterBank",
-    "OBSERVE_VECTOR_MIN_ROWS",
-    "VECTOR_MIN_ROWS",
+    "OBSERVE_BATCH_MIN_ROWS",
     "load_seasonal_state",
 ]

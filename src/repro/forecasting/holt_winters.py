@@ -27,25 +27,22 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro._vector import load_numpy
+import numpy as np
+
 from repro.exceptions import ConfigurationError, NotEnoughHistoryError
 from repro.forecasting.base import Forecaster
-
-_np = load_numpy()
 
 
 def _left_fold_sum(values) -> float:
     """``sum(values)`` with guaranteed left-to-right accumulation.
 
     ``np.cumsum`` accumulates sequentially (unlike ``np.sum``'s pairwise
-    reduction), so its last element is bit-for-bit the Python ``sum`` — the
-    fast path keeps model initialization exactly reproducible against the
-    scalar implementation.
+    reduction), so its last element is bit-for-bit the Python ``sum`` — model
+    initialization stays exactly reproducible against a plain-Python left
+    fold.
     """
-    if _np is not None:
-        arr = _np.asarray(values, dtype=_np.float64)
-        return float(_np.cumsum(arr)[-1]) if arr.size else 0.0
-    return sum(values)
+    arr = np.asarray(values, dtype=np.float64)
+    return float(np.cumsum(arr)[-1]) if arr.size else 0.0
 
 
 def _check_rate(name: str, value: float) -> None:
@@ -113,24 +110,14 @@ class HoltWintersForecaster(Forecaster):
         p = self.season_length
         if len(history) < 2 * p:
             raise NotEnoughHistoryError(2 * p, len(history))
-        if _np is not None:
-            window = _np.asarray(history[-2 * p :], dtype=_np.float64)
-            self.level = _left_fold_sum(window) / (2 * p)
-            self.trend = (
-                _left_fold_sum(window[p:]) - _left_fold_sum(window[:p])
-            ) / (p * p)
-            # Later observations overwrite earlier ones for the same phase,
-            # so the surviving factors are the second cycle's deviations.
-            self.seasonals = (window[p:] - self.level).tolist()
-        else:
-            window = [float(v) for v in history[-2 * p:]]
-            first_cycle = window[:p]
-            second_cycle = window[p:]
-            self.level = sum(window) / (2 * p)
-            self.trend = (sum(second_cycle) - sum(first_cycle)) / (p * p)
-            self.seasonals = [0.0] * p
-            for offset, value in enumerate(window):
-                self.seasonals[offset % p] = value - self.level
+        window = np.asarray(history[-2 * p :], dtype=np.float64)
+        self.level = _left_fold_sum(window) / (2 * p)
+        self.trend = (
+            _left_fold_sum(window[p:]) - _left_fold_sum(window[:p])
+        ) / (p * p)
+        # Later observations overwrite earlier ones for the same phase, so
+        # the surviving factors are the second cycle's deviations.
+        self.seasonals = (window[p:] - self.level).tolist()
         self._phase = 0
 
     def forecast(self) -> float:
@@ -323,30 +310,16 @@ class MultiSeasonalHoltWinters(Forecaster):
         longest = max(self.season_lengths)
         if len(history) < 2 * longest:
             raise NotEnoughHistoryError(2 * longest, len(history))
-        if _np is not None:
-            window = _np.asarray(history[-2 * longest :], dtype=_np.float64)
-            half = window.shape[0] // 2
-            self.level = _left_fold_sum(window) / window.shape[0]
-            self.trend = (
-                _left_fold_sum(window[half:]) - _left_fold_sum(window[:half])
-            ) / (half * longest)
-            # As in the single-season case: the last cycle's deviations win.
-            self.seasonals = [
-                (window[-p:] - self.level).tolist() for p in self.season_lengths
-            ]
-        else:
-            window = [float(v) for v in history[-2 * longest:]]
-            self.level = sum(window) / len(window)
-            first = window[: len(window) // 2]
-            second = window[len(window) // 2:]
-            self.trend = (sum(second) - sum(first)) / (len(first) * longest)
-            self.seasonals = []
-            for p in self.season_lengths:
-                buf = [0.0] * p
-                tail = window[-2 * p:]
-                for offset, value in enumerate(tail):
-                    buf[offset % p] = value - self.level
-                self.seasonals.append(buf)
+        window = np.asarray(history[-2 * longest :], dtype=np.float64)
+        half = window.shape[0] // 2
+        self.level = _left_fold_sum(window) / window.shape[0]
+        self.trend = (
+            _left_fold_sum(window[half:]) - _left_fold_sum(window[:half])
+        ) / (half * longest)
+        # As in the single-season case: the last cycle's deviations win.
+        self.seasonals = [
+            (window[-p:] - self.level).tolist() for p in self.season_lengths
+        ]
         self._phases = [0] * len(self.season_lengths)
 
     def forecast(self) -> float:

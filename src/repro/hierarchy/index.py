@@ -16,34 +16,28 @@ the node axis — two per level for all rows, whatever their number.
 
 Exactness: per-timeunit leaf counts are record *counts* — integers — and
 sums of integers in float64 are exact (far below 2^53), so the results are
-bit-for-bit identical to the scalar reference implementation in
-:mod:`repro.core.hhh` regardless of summation order.  The online algorithms
-therefore switch freely between this index (NumPy present) and the scalar
-functions (fallback) without changing a single detection.
+bit-for-bit identical to the scalar walks of :mod:`repro.core.hhh` (the
+test oracle's) regardless of summation order.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro._types import CategoryPath, Weight
-from repro._vector import load_numpy
-from repro.hierarchy.tree import HierarchyTree
+import numpy as np
 
-_np = load_numpy()
+from repro._types import CategoryPath, Weight
+from repro.hierarchy.tree import HierarchyTree
 
 
 class HierarchyIndex:
     """Dense-array view of a hierarchy for the vectorized weight kernels.
 
     Node ids are BFS (level-order) positions, so the root is id 0 and every
-    parent id is smaller than its children's.  Requires NumPy; callers keep
-    the scalar :mod:`repro.core.hhh` path when :data:`available` is False.
+    parent id is smaller than its children's.
     """
 
     def __init__(self, tree: HierarchyTree):
-        if _np is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("HierarchyIndex requires NumPy")
         nodes = list(tree.iter_level_order())
         for node_id, node in enumerate(nodes):
             node.index = node_id
@@ -53,14 +47,14 @@ class HierarchyIndex:
         self.path_to_id: dict[CategoryPath, int] = {
             node.path: node.index for node in nodes
         }
-        self.parent = _np.array(
+        self.parent = np.array(
             [0 if node.parent is None else node.parent.index for node in nodes],
-            dtype=_np.intp,
+            dtype=np.intp,
         )
         depths = [node.depth for node in nodes]
         max_depth = max(depths)
         #: Depth of every node (root is 0), as a dense integer vector.
-        self.depths = _np.array(depths, dtype=_np.intp)
+        self.depths = np.array(depths, dtype=np.intp)
         self.max_depth = max_depth
         #: The bottom-up sweep, deepest level first: ``(lo, hi, parents,
         #: starts)`` per depth >= 1.  BFS ids put the level at ``[lo, hi)``
@@ -69,14 +63,14 @@ class HierarchyIndex:
         #: ``reduceat`` offsets and ``parents`` the ids the sums land on — a
         #: slice where every node of the level above has children, an index
         #: array where the tree is ragged.
-        level_bounds = _np.searchsorted(self.depths, _np.arange(max_depth + 2))
+        level_bounds = np.searchsorted(self.depths, np.arange(max_depth + 2))
         self._sweep_levels = []
         for depth in range(max_depth, 0, -1):
             lo, hi = int(level_bounds[depth]), int(level_bounds[depth + 1])
             level_parents = self.parent[lo:hi]
-            starts = _np.concatenate(
-                ([0], _np.flatnonzero(_np.diff(level_parents)) + 1)
-            ).astype(_np.intp)
+            starts = np.concatenate(
+                ([0], np.flatnonzero(np.diff(level_parents)) + 1)
+            ).astype(np.intp)
             parents = level_parents[starts]
             first, last = int(parents[0]), int(parents[-1])
             if last - first + 1 == len(parents):
@@ -84,21 +78,21 @@ class HierarchyIndex:
             self._sweep_levels.append((lo, hi, parents, starts))
         #: All node ids ordered by lexicographic path order; masking this with
         #: a boolean membership vector yields ids in ``sorted(paths)`` order.
-        self.lex_order = _np.array(
+        self.lex_order = np.array(
             sorted(range(self.num_nodes), key=lambda i: self.paths[i]),
-            dtype=_np.intp,
+            dtype=np.intp,
         )
         #: All node ids ordered by ``(depth, path)`` — the deterministic
         #: cascade order of ADA's adaptation (``sorted(key=(len(p), p))``).
-        self.depth_lex_order = _np.array(
+        self.depth_lex_order = np.array(
             sorted(range(self.num_nodes), key=lambda i: (depths[i], self.paths[i])),
-            dtype=_np.intp,
+            dtype=np.intp,
         )
         #: ``ancestors[i, d]`` is the id of node ``i``'s ancestor at depth
         #: ``d`` (``d <= depth(i)``; entries beyond a node's depth repeat the
         #: node itself).  Lets the adaptation cascade resolve "the child of
         #: ``current`` on the path to ``target``" with one integer lookup.
-        ancestors = _np.empty((self.num_nodes, max_depth + 1), dtype=_np.intp)
+        ancestors = np.empty((self.num_nodes, max_depth + 1), dtype=np.intp)
         for i, node in enumerate(nodes):
             chain = [i]
             while nodes[chain[-1]].parent is not None:
@@ -136,7 +130,7 @@ class HierarchyIndex:
 
     def count_rows(self, leaf_counts: Mapping[CategoryPath, Weight]):
         """The one-row ``(1, num_nodes)`` direct-count matrix of a mapping."""
-        counts = _np.zeros((1, self.num_nodes))
+        counts = np.zeros((1, self.num_nodes))
         self.add_counts(counts[0], leaf_counts)
         return counts
 
@@ -149,8 +143,8 @@ class HierarchyIndex:
         ``row * num_nodes + node_id``.
         """
         lookup = self.path_to_id.get
-        return _np.array(
-            [lookup(tuple(path), -1) for path in dictionary], dtype=_np.intp
+        return np.array(
+            [lookup(tuple(path), -1) for path in dictionary], dtype=np.intp
         )
 
     def sweep(self, counts, theta: float):
@@ -168,14 +162,14 @@ class HierarchyIndex:
         """
         raw = counts
         modified = counts.copy()
-        heavy = _np.empty(counts.shape, dtype=bool)
+        heavy = np.empty(counts.shape, dtype=bool)
         for lo, hi, parents, starts in self._sweep_levels:
-            raw[:, parents] += _np.add.reduceat(raw[:, lo:hi], starts, axis=1)
+            raw[:, parents] += np.add.reduceat(raw[:, lo:hi], starts, axis=1)
             level = modified[:, lo:hi]
             level_heavy = heavy[:, lo:hi]
-            _np.greater_equal(level, theta, out=level_heavy)
-            modified[:, parents] += _np.add.reduceat(
-                _np.where(level_heavy, 0.0, level), starts, axis=1
+            np.greater_equal(level, theta, out=level_heavy)
+            modified[:, parents] += np.add.reduceat(
+                np.where(level_heavy, 0.0, level), starts, axis=1
             )
         heavy[:, 0] = modified[:, 0] >= theta
         return raw, modified, heavy
@@ -183,10 +177,6 @@ class HierarchyIndex:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def sorted_ids(self, member_mask) -> list[int]:
-        """Ids whose mask bit is set, in lexicographic path order."""
-        return self.lex_order[member_mask[self.lex_order]].tolist()
-
     def depth_lex_ids(self, member_mask) -> list[int]:
         """Ids whose mask bit is set, in ``(depth, path)`` cascade order."""
         return self.depth_lex_order[member_mask[self.depth_lex_order]].tolist()
@@ -203,22 +193,5 @@ class HierarchyIndex:
             found = self._descendants[node_id] = frozenset(below)
         return found
 
-    def nearest_ancestor_in(self, node_id: int, mask) -> "int | None":
-        """Closest strict ancestor of ``node_id`` whose mask bit is set.
 
-        The integer twin of the tuple-slicing ancestor walks in
-        :mod:`repro.core.ada` (root included, the node itself excluded).
-        """
-        parent = self.parent
-        current = int(node_id)
-        while current != 0:
-            current = int(parent[current])
-            if mask[current]:
-                return current
-        return None
-
-
-#: Whether the vectorized hierarchy kernels can be used.
-available = _np is not None
-
-__all__ = ["HierarchyIndex", "available"]
+__all__ = ["HierarchyIndex"]

@@ -28,8 +28,7 @@ exactly the same out-of-order policy decisions as replaying the records one by
 one, which is what makes the batch path produce bit-for-bit identical
 detections (see ``tests/integration/test_batch_equivalence.py``).
 
-The columns are NumPy arrays: NumPy is a dependency of the batch path (the
-python tier is the detection core's oracle, not a way to run without it).
+The columns are NumPy arrays: NumPy is a dependency of the package.
 """
 
 from __future__ import annotations

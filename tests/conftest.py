@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import json
 import random
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-import repro  # noqa: F401 - loads every module that binds a NumPy handle
-from repro import _vector
-from repro.core.ada import ADAAlgorithm
 from repro.core.config import ForecastConfig, TiresiasConfig
+from repro.core.registry import register_forecaster
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.clock import SimulationClock
 
@@ -85,66 +81,79 @@ def leaf_counts_for(tree: HierarchyTree, counts: dict[tuple[str, ...], int]):
 
 
 # ----------------------------------------------------------------------
-# Backend tiers: the python-tier reference and checkpoint comparison
+# A plug-in forecasting model
 # ----------------------------------------------------------------------
-#: The packages whose modules have a python tier: the detection core and the
-#: two libraries under it.  Batches, readers, the engine and the service always
-#: hold NumPy columns.
-TIERED_PACKAGES = ("repro.core.", "repro.forecasting.", "repro.hierarchy.")
+class SeasonalNaive:
+    """A plug-in forecaster: the value one season ago.  Linear in the series
+    (scaling and adding act on the buffer), as ADA's SPLIT and MERGE need."""
 
-#: False when the process itself was started on the python tier
-#: (``REPRO_DISABLE_NUMPY=1``): a test's "vector" leg then runs the python
-#: tier too, and what needs a dense close skips.
-PROCESS_ON_VECTOR_TIER = _vector.backend_tier() != "python"
+    def __init__(self, period: int):
+        self.buffer = [0.0] * period
+        self.phase = 0
+
+    def initialize(self, history) -> None:
+        period = len(self.buffer)
+        self.buffer = [float(v) for v in history[-period:]]
+        self.phase = 0
+
+    def forecast(self) -> float:
+        return self.buffer[self.phase]
+
+    def update(self, value: float) -> float:
+        predicted = self.buffer[self.phase]
+        self.buffer[self.phase] = float(value)
+        self.phase = (self.phase + 1) % len(self.buffer)
+        return predicted
+
+    def scaled(self, ratio: float) -> "SeasonalNaive":
+        clone = SeasonalNaive(len(self.buffer))
+        clone.buffer = [v * ratio for v in self.buffer]
+        clone.phase = self.phase
+        return clone
+
+    def add_state(self, other: "SeasonalNaive") -> None:
+        period = len(self.buffer)
+        shift = other.phase - self.phase
+        self.buffer = [
+            mine + other.buffer[(i + shift) % period] for i, mine in enumerate(self.buffer)
+        ]
+
+    def state_dict(self) -> dict:
+        return {"kind": "seasonal-naive", "buffer": list(self.buffer), "phase": self.phase}
+
+    @classmethod
+    def from_state_dict(cls, state: dict) -> "SeasonalNaive":
+        model = cls(len(state["buffer"]))
+        model.buffer = [float(v) for v in state["buffer"]]
+        model.phase = int(state["phase"])
+        return model
 
 
-@contextmanager
-def python_tier():
-    """Run the enclosed block with the detection core on the python tier.
-
-    The tiered modules bind their NumPy handle (``_np``) at import, so setting
-    ``REPRO_DISABLE_NUMPY`` afterwards changes what ``backend_tier()`` says
-    but not what runs.  This clears the handle on every loaded module of
-    ``repro.core``, ``repro.forecasting`` and ``repro.hierarchy`` (``import
-    repro`` above loads them all, so none can bind ``None`` for good by being
-    first imported inside the block) and sets the variable so ``load_numpy()``
-    agrees — exactly the configuration ``REPRO_DISABLE_NUMPY=1 pytest`` runs.
-    Objects built inside the block run the scalar paths end to end; the
-    entry assertions keep the leg from ever silently running NumPy again.
-    """
-    with pytest.MonkeyPatch.context() as patcher:
-        patcher.setenv(_vector.DISABLE_ENV, "1")
-        for name, module in list(sys.modules.items()):
-            if name.startswith(TIERED_PACKAGES) and getattr(module, "_np", None) is not None:
-                patcher.setattr(module, "_np", None)
-        assert _vector.backend_tier() == "python"
-        probe = ADAAlgorithm(
-            HierarchyTree.from_leaf_paths([("a", "a1")]), TiresiasConfig()
-        )
-        assert probe._index is None
-        assert probe.adaptation_stats()["mode"] == "legacy"
-        yield
+#: Registered when the suite starts, before any shard worker is forked, so
+#: the workers resolve it too.
+register_forecaster(
+    "seasonal-naive",
+    lambda config: SeasonalNaive(config.season_lengths[0]),
+    state_loader=SeasonalNaive.from_state_dict,
+    overwrite=True,
+)
 
 
-@pytest.fixture(name="python_tier")
-def python_tier_fixture():
-    """:func:`python_tier` for the duration of one test."""
-    with python_tier():
-        yield
-
-
+# ----------------------------------------------------------------------
+# Checkpoint comparison
+# ----------------------------------------------------------------------
 _WALL_CLOCK_FIELDS = frozenset({"stage_seconds", "reading_seconds"})
 _STATS_ROW_FIELDS = frozenset({"stats", "stats_last_unit"})
 
 
 def canonical_checkpoint(state, row_sorted: bool = False) -> bytes:
     """Checkpoint bytes of an engine / session / algorithm state dict, minus
-    the wall-clock fields (the only legitimate difference within a tier).
+    the wall-clock fields (the only legitimate difference between two runs).
 
     ``row_sorted`` additionally sorts the rows of ADA's ``stats`` and
-    ``stats_last_unit`` by path — the vector tiers emit them in node-id
-    order, the python tier in dict insertion order, and that is the only
-    difference between a vector-tier and a python-tier checkpoint.
+    ``stats_last_unit`` by path — ADA emits them in node-id order, the
+    reference (:mod:`repro.testing.reference`) in first-seen order, and that
+    is the only difference between their checkpoints.
     """
 
     def clean(value):

@@ -9,6 +9,7 @@ from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.hhh import compute_shhh
 from repro.core.sta import STAAlgorithm
 from repro.hierarchy.tree import HierarchyTree
+from repro.testing.reference import ReferenceStats
 
 
 @pytest.fixture
@@ -233,7 +234,7 @@ LOADED_ROW = st.tuples(
 class TestSplitStatsStore:
     def test_rows_outside_the_tree_survive_a_round_trip(self, tree):
         """Statistics rows restored for paths this tree has no node for are
-        carried through ``load`` -> ``emit`` untouched, on either store."""
+        carried through ``load`` -> ``emit`` untouched."""
         row = {
             "last_weight": 1.0,
             "cumulative_weight": 5.0,
@@ -246,16 +247,13 @@ class TestSplitStatsStore:
         ada._stats.load(stats_rows, last_rows)
         assert ada._stats.emit() == (stats_rows, last_rows)
 
-    def test_dense_and_dict_stats_agree(self, tree):
-        """Bit-equal statistics from the dense store (vector tier) and the
-        dict store (python tier), each driven through its own update."""
+    def test_dense_and_per_path_stats_agree(self, tree):
+        """Bit-equal statistics from the dense store and the reference's
+        per-path store, each driven through its own update."""
         config = make_config(split_rule="ewma", split_ewma_alpha=0.4)
-        ada = ADAAlgorithm(tree, config)
-        index = ada._index
-        if index is None:
-            pytest.skip("NumPy unavailable")
+        index = ADAAlgorithm(tree, config)._index
         dense_store = _SplitStatsStore(config, index)
-        dict_store = _SplitStatsStore(config, None)
+        dict_store = ReferenceStats(config.split_ewma_alpha)
         feeds = [
             {("a", "a1"): 3.0, ("b", "b1"): 7.0},
             {},
@@ -268,7 +266,7 @@ class TestSplitStatsStore:
             for path, weight in counts.items():
                 raw_vec[index.path_to_id[path]] = weight
             dense_store.update_dense(unit, raw_vec)
-            dict_store.update_dict(unit, counts)
+            dict_store.update(unit, counts)
         for path in [("a", "a1"), ("b", "b1"), ("b", "b2"), ("a", "a2")]:
             dense_view = dense_store.view_id(index.path_to_id[path], len(feeds))
             dict_view = dict_store.view(path, len(feeds))
@@ -292,7 +290,7 @@ class TestSplitStatsStore:
         ],
     )
     def test_the_masked_pass_equals_the_scalar_loop(self, loaded, feeds):
-        """``update_dense`` against its python-tier oracle ``update_dict``,
+        """``update_dense`` against the reference's per-path update,
         fed the same units: all-zero units, first-ever observations,
         non-integer weights, silent gaps that outgrow the decay table, and
         stores restored from rows where a node has a statistics row but no
@@ -302,10 +300,8 @@ class TestSplitStatsStore:
         config = make_config(split_rule="ewma", split_ewma_alpha=0.4)
         tree = HierarchyTree.from_leaf_paths([path for path in TREE_PATHS if len(path) == 2])
         index = ADAAlgorithm(tree, config)._index
-        if index is None:
-            pytest.skip("NumPy unavailable")
         dense_store = _SplitStatsStore(config, index)
-        dict_store = _SplitStatsStore(config, None)
+        dict_store = ReferenceStats(config.split_ewma_alpha)
         unit, last_seen, longest_gap = 0, {}, 0
         if loaded is not None:
             stats_rows = [
@@ -327,7 +323,7 @@ class TestSplitStatsStore:
                     longest_gap = max(longest_gap, unit - last_seen[path] - 1)
                 last_seen[path] = unit
             dense_store.update_dense(unit, raw_vec)
-            dict_store.update_dict(unit, weights)
+            dict_store.update(unit, weights)
             unit += 1
 
         def by_path(rows):

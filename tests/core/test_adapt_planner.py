@@ -1,17 +1,15 @@
-"""Vector-tier adaptation engine vs the python-tier scalar walk.
+"""ADA's adaptation engine against the per-path reference cascade.
 
 The id-based planner (:mod:`repro.core.adapt`) plus the batched application
-path in :class:`~repro.core.ada.ADAAlgorithm` must reproduce the scalar
-``_adapt`` walk bit for bit: identical per-timeunit results (heavy hitters,
-actuals, forecasts, anomalies), identical split/merge counters and — up to
-the row order of the split statistics — identical checkpoint states.  The
-reference is the python tier, entered with the whole-process
-:func:`tests.conftest.python_tier` fixture.
+path in :class:`~repro.core.ada.ADAAlgorithm` must reproduce the per-path
+SPLIT/MERGE walk of :class:`repro.testing.reference.ReferenceADA` bit for
+bit: identical per-timeunit results (heavy hitters, actuals, forecasts,
+anomalies), identical split/merge counters and — up to the row order of the
+split statistics — identical checkpoint states.
 """
 
 import inspect
 import json
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +18,11 @@ from hypothesis import strategies as st
 from repro.core.ada import ADAAlgorithm, _RefStore
 from repro.core.adapt import DROP, FOLD, FRESH, MOVE, SPLIT, AdaptationPlan, plan_adaptation
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.core.timeseries import NodeTimeSeries
 from repro.exceptions import CheckpointError
-from repro.forecasting.bank import ForecasterBank
+from repro.forecasting.bank import ForecasterBank, _ScalarRow
 from repro.hierarchy.tree import HierarchyTree
-from tests.conftest import canonical_checkpoint, python_tier
+from repro.testing.reference import ReferenceADA, ReferenceSeries
+from tests.conftest import canonical_checkpoint
 
 LEAVES = [
     ("a", "a1"),
@@ -35,10 +33,6 @@ LEAVES = [
     ("b", "b2"),
     ("c", "c1"),
 ]
-
-#: The tier under test (the vector tier, unless the process started on the
-#: python tier) and the reference it is compared against.
-TIERS = {"vector": nullcontext, "python": python_tier}
 
 
 def make_tree():
@@ -66,7 +60,8 @@ def run_units(algo, unit_sequence, first_unit=0):
     results = []
     for i, counts in enumerate(unit_sequence):
         results.append(algo.process_timeunit(counts, first_unit + i))
-        assert_registry_consistent(algo)
+        if isinstance(algo, ADAAlgorithm):
+            assert_registry_consistent(algo)
     return {
         "series_order": list(algo.series),
         "results": [
@@ -88,26 +83,17 @@ def assert_registry_consistent(algo):
     assert len(set(rows)) == len(rows)
     assert all(row >= 0 for row in rows)
     assert [path for path, _series in algo.series.items()] == tracked
-    if algo._index is not None:
-        ids = [algo._index.path_to_id[path] for path in tracked]
-        assert list(algo._series_ids) == ids
-        assert list(algo._series_ids.values()) == rows
-        assert algo._series_rows[ids].tolist() == rows
-        assert int(algo._series_mask.sum()) == len(ids)
-
-
-def run_tiers(tree, config, unit_sequence):
-    """Run ``unit_sequence`` once per tier; return outputs keyed by tier."""
-    outputs = {}
-    for name, tier in TIERS.items():
-        with tier():
-            outputs[name] = run_units(ADAAlgorithm(tree, config), unit_sequence)
-    return outputs
+    ids = [algo._index.path_to_id[path] for path in tracked]
+    assert list(algo._series_ids) == ids
+    assert list(algo._series_ids.values()) == rows
+    assert algo._series_rows[ids].tolist() == rows
+    assert int(algo._series_mask.sum()) == len(ids)
 
 
 def assert_equivalent(tree, config, unit_sequence):
-    outputs = run_tiers(tree, config, unit_sequence)
-    assert outputs["vector"] == outputs["python"]
+    assert run_units(ADAAlgorithm(tree, config), unit_sequence) == run_units(
+        ReferenceADA(tree, config), unit_sequence
+    )
 
 
 counts_strategy = st.dictionaries(
@@ -120,7 +106,7 @@ sequence_strategy = st.lists(counts_strategy, min_size=1, max_size=14)
 
 
 class TestPlannerEquivalence:
-    """Random heavy-set delta sequences: planner == python-tier scalar walk."""
+    """Random heavy-set delta sequences: planner == the reference cascade."""
 
     @settings(max_examples=60, deadline=None)
     @given(sequence=sequence_strategy, rule=st.sampled_from(
@@ -141,7 +127,7 @@ class TestPlannerEquivalence:
         algo = ADAAlgorithm(tree, config)
         for unit, c in enumerate(sequence):
             algo.process_timeunit(c, unit)
-        if algo._index is not None and counts:
+        if counts:
             assert algo.fastpath_units >= repeats - 1
 
     @settings(max_examples=25, deadline=None)
@@ -169,9 +155,9 @@ class TestPlannerEquivalence:
             sequence,
         )
 
-    @pytest.mark.parametrize("source_tier", list(TIERS))
-    def test_restore_resumes_identically_across_tiers(self, source_tier):
-        """A snapshot written on either tier resumes identically on both."""
+    @pytest.mark.parametrize("source", [ADAAlgorithm, ReferenceADA])
+    def test_restore_resumes_like_the_reference(self, source):
+        """A snapshot written by either resumes identically in both."""
         tree = make_tree()
         config = make_config()
         warm = [
@@ -184,18 +170,16 @@ class TestPlannerEquivalence:
             {("a", "a1"): 5, ("b", "b1", "x"): 8},
             {},
         ]
-        with TIERS[source_tier]():
-            source = ADAAlgorithm(tree, config)
-            for unit, counts in enumerate(warm):
-                source.process_timeunit(counts, unit)
-            snapshot = json.dumps(source.state_dict())
-        outputs = {}
-        for name, tier in TIERS.items():
-            with tier():
-                algo = ADAAlgorithm(tree, config)
-                algo.load_state_dict(json.loads(snapshot))
-                outputs[name] = run_units(algo, tail, first_unit=len(warm))
-        assert outputs["vector"] == outputs["python"]
+        writer = source(tree, config)
+        for unit, counts in enumerate(warm):
+            writer.process_timeunit(counts, unit)
+        snapshot = json.dumps(writer.state_dict())
+        outputs = []
+        for reader in (ADAAlgorithm, ReferenceADA):
+            algo = reader(tree, config)
+            algo.load_state_dict(json.loads(snapshot))
+            outputs.append(run_units(algo, tail, first_unit=len(warm)))
+        assert outputs[0] == outputs[1]
 
 
 class TestPlannerInternals:
@@ -203,8 +187,6 @@ class TestPlannerInternals:
         tree = make_tree()
         config = make_config()
         algo = ADAAlgorithm(tree, config)
-        if algo._index is None:
-            pytest.skip("vector backend unavailable")
         algo.process_timeunit({("a", "a1"): 9, ("b", "b2"): 6}, 0)
         index = algo._index
         heavy_mask = algo._series_mask.copy()
@@ -237,9 +219,13 @@ class TestPlannerInternals:
 
 
 class TestBankOps:
-    def setup_bank(self, force_scalar=False, n=6):
-        config = ForecastConfig(season_lengths=(3,), fallback_alpha=0.4)
-        bank = ForecasterBank(config, force_scalar=force_scalar)
+    CONFIG = ForecastConfig(season_lengths=(3,), fallback_alpha=0.4)
+
+    #: Matrix rows (the built-in model) and object rows (a plug-in's).
+    MODELS = ("auto", "seasonal-naive")
+
+    def setup_bank(self, n=6, config=CONFIG):
+        bank = ForecasterBank(config)
         rows = []
         for i in range(n):
             row = bank.new_row()
@@ -248,62 +234,75 @@ class TestBankOps:
             rows.append(row)
         return bank, rows
 
-    @pytest.mark.parametrize("force_scalar", [False, True])
-    def test_split_row_matches_two_clones(self, force_scalar):
-        bank, rows = self.setup_bank(force_scalar)
-        other, orows = self.setup_bank(force_scalar)
+    def setup_scalar_rows(self, n=6, config=CONFIG):
+        """The same rows as per-object forecasters (the reference's)."""
+        rows = []
+        for i in range(n):
+            row = _ScalarRow(config)
+            for step in range(10):
+                row.observe(5.0 + i + step % 3)
+            rows.append(row)
+        return rows
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_split_row_matches_two_clones(self, model):
+        config = self.CONFIG.replace(model=model)
+        bank, rows = self.setup_bank(config=config)
+        scalar = self.setup_scalar_rows(config=config)
         ratio = 0.3
         child = bank.split_row(rows[0], ratio)
-        ref_child = other.clone_row(orows[0], ratio)
-        ref_parent = other.clone_row(orows[0], 1.0 - ratio)
-        assert bank.row_state_dict(child) == other.row_state_dict(ref_child)
-        assert bank.row_state_dict(rows[0]) == other.row_state_dict(ref_parent)
+        assert bank.row_state_dict(child) == scalar[0].scaled(ratio).state_dict()
+        assert bank.row_state_dict(rows[0]) == scalar[0].scaled(1.0 - ratio).state_dict()
+        assert set(bank._obj) == (set() if model == "auto" else {rows[0], child, *rows[1:]})
 
-    @pytest.mark.parametrize("force_scalar", [False, True])
-    def test_fold_row_matches_add_state(self, force_scalar):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_fold_row_matches_add_state(self, model):
         """One MERGE pair per destination, several destinations."""
-        bank, rows = self.setup_bank(force_scalar)
-        other, orows = self.setup_bank(force_scalar)
+        config = self.CONFIG.replace(model=model)
+        bank, rows = self.setup_bank(config=config)
+        scalar = self.setup_scalar_rows(config=config)
         for dst, src in zip(rows[:3], rows[3:]):
             bank.fold_row(dst, src)
             bank.free_row(src)
-        for dst, src in zip(orows[:3], orows[3:]):
-            other.add_state(dst, other, src)
-            other.free_row(src)
-        for row, ref in zip(rows[:3], orows[:3]):
-            assert bank.row_state_dict(row) == other.row_state_dict(ref)
-        assert len(bank) == len(other) == 3
+        for dst, src in zip(scalar[:3], scalar[3:]):
+            dst.add_state(src)
+        for row, ref in zip(rows[:3], scalar[:3]):
+            assert bank.row_state_dict(row) == ref.state_dict()
+        assert len(bank) == 3
+        assert set(bank._obj) == (set() if model == "auto" else set(rows[:3]))
 
     def test_fold_row_adopt_branch(self):
         """Destinations that are fresh (inactive) rows take a copy."""
         bank, rows = self.setup_bank(n=5)
-        scalar, srows = self.setup_bank(force_scalar=True, n=5)
+        scalar = self.setup_scalar_rows(n=5)
         fresh = [bank.new_row() for _ in range(5)]
-        sfresh = [scalar.new_row() for _ in range(5)]
+        sfresh = [_ScalarRow(self.CONFIG) for _ in range(5)]
         for dst, src in zip(fresh, rows):
             bank.fold_row(dst, src)
-        for dst, src in zip(sfresh, srows):
-            scalar.add_state(dst, scalar, src)
+        for dst, src in zip(sfresh, scalar):
+            dst.add_state(src)
         for row, ref in zip(fresh, sfresh):
-            assert bank.row_state_dict(row) == scalar.row_state_dict(ref)
+            assert bank.row_state_dict(row) == ref.state_dict()
 
     def test_ops_on_warmup_history_rows(self):
         """Rows still in warm-up carry their history through SPLIT and MERGE."""
         config = ForecastConfig(season_lengths=(4,), fallback_alpha=0.4)
         bank = ForecasterBank(config)
-        scalar = ForecasterBank(config, force_scalar=True)
-        for target in (bank, scalar):
-            rows = [target.new_row() for _ in range(4)]
-            for step, row in enumerate(rows):
-                for _ in range(step + 1):  # unequal history lengths
-                    target.observe(row, 3.0 + step)
-            child = target.split_row(rows[0], 0.25)
-            target.fold_row(rows[2], rows[3])
-            target.fold_row(rows[3], rows[1])
-            target.fold_row(child, rows[0])
-        for row in (*rows, child):
+        rows = [bank.new_row() for _ in range(4)]
+        scalar = [_ScalarRow(config) for _ in range(4)]
+        for step in range(4):
+            for _ in range(step + 1):  # unequal history lengths
+                bank.observe(rows[step], 3.0 + step)
+                scalar[step].observe(3.0 + step)
+        child = bank.split_row(rows[0], 0.25)
+        scalar.append(scalar[0].scaled(0.25))
+        scalar[0] = scalar[0].scaled(0.75)
+        for dst, src in ((2, 3), (3, 1), (4, 0)):
+            bank.fold_row((rows + [child])[dst], (rows + [child])[src])
+            scalar[dst].add_state(scalar[src])
+        for row, ref in zip(rows + [child], scalar):
             snapshot = bank.row_state_dict(row)
-            assert snapshot == scalar.row_state_dict(row)
+            assert snapshot == ref.state_dict()
             assert snapshot["history"]
 
 
@@ -340,15 +339,15 @@ class TestRefStore:
 
 
 class TestRegistryGuards:
-    """The vector tiers' ``series`` is a view over row numbers: every plan op
-    keeps it equal to the python tier's dict, and a handle never outlives the
-    path it was taken for."""
+    """ADA's ``series`` is a view over row numbers: every plan op keeps it
+    equal to the reference's dict, and a handle never outlives the path it
+    was taken for."""
 
     #: Hits every op kind the planner emits: FRESH (new top-level subtree),
     #: SPLIT with and without a reference correction (depth <= 2 / depth 3),
     #: FOLD (leaf into its heavy parent) and DROP (no heavy ancestor left).
-    #: MOVE is its mirror of the scalar walk's "target holds no series yet"
-    #: arm, which the SPLIT phase pre-empts; the random plans below emit it.
+    #: MOVE is its mirror of the cascade's "target holds no series yet" arm,
+    #: which the SPLIT phase pre-empts; the random plans below emit it.
     EVERY_OP = [
         {("a", "a1"): 9, ("b", "b1", "x"): 9, ("b", "b1", "y"): 9},
         {("a", "a1"): 2, ("a", "a2"): 2, ("b", "b1", "x"): 3, ("b", "b1", "y"): 2},
@@ -359,11 +358,9 @@ class TestRegistryGuards:
         {},
     ]
 
-    def test_every_op_kind_keeps_the_view_equal_to_the_python_tier_dict(self):
+    def test_every_op_kind_keeps_the_view_equal_to_the_reference(self):
         tree, config = make_tree(), make_config()
         algo = ADAAlgorithm(tree, config)
-        if algo._index is None:
-            pytest.skip("vector backend unavailable")
         seen = set()
         apply_plan = algo._apply_plan
 
@@ -372,16 +369,12 @@ class TestRegistryGuards:
             apply_plan(plan)
 
         algo._apply_plan = recording_apply
-        vector = run_units(algo, self.EVERY_OP)
+        got = run_units(algo, self.EVERY_OP)
         assert seen == {"fresh", ("split", True), ("split", False), "fold", "drop"}
-        with python_tier():
-            python = run_units(ADAAlgorithm(tree, config), self.EVERY_OP)
-        assert vector == python
+        assert got == run_units(ReferenceADA(tree, config), self.EVERY_OP)
 
     def test_series_view_is_read_only_and_hands_out_one_handle_per_path(self):
         algo = ADAAlgorithm(make_tree(), make_config())
-        if algo._index is None:
-            pytest.skip("vector backend unavailable")
         algo.process_timeunit({("a", "a1"): 9, ("b", "b2"): 6}, 0)
         assert ("a", "a1") in algo.series and ("a", "zz") not in algo.series
         assert ["a", "a1"] not in list(algo.series)
@@ -402,8 +395,6 @@ class TestRegistryGuards:
         from repro.exceptions import ConfigurationError
 
         algo = ADAAlgorithm(make_tree(), make_config())
-        if algo._index is None:
-            pytest.skip("vector backend unavailable")
         algo.process_timeunit({("a", "a1"): 9, ("c", "c1"): 9}, 0)
         dropped = algo.series[("c", "c1")]
         window = dropped.actual
@@ -427,8 +418,6 @@ class TestRegistryGuards:
 
     def test_handle_follows_a_moved_series(self):
         algo = ADAAlgorithm(make_tree(), make_config())
-        if algo._index is None:
-            pytest.skip("vector backend unavailable")
         algo.process_timeunit({("b", "b1", "x"): 9}, 0)
         handle = algo.series[("b", "b1", "x")]
         row = handle.forecaster.row
@@ -508,44 +497,33 @@ class TestRegistryGuards:
         return ops
 
     @staticmethod
-    def apply_plan_scalar(algo, ops, paths):
-        """The python tier has no op list: these are the statements of its
-        ``_adapt`` / ``_split_cascade`` walk that each op stands for."""
-        series = algo.series
+    def apply_plan_to_reference(oracle, ops, paths):
+        """The reference has no op list: these are the per-path steps of its
+        cascade that each op stands for."""
         for op in ops:
             kind = op[0]
             if kind == FRESH:
-                series[paths[op[1]]] = NodeTimeSeries(
-                    algo.config.window_units, algo.config.forecast, bank=algo.bank
+                oracle.series[paths[op[1]]] = ReferenceSeries(
+                    oracle.config.window_units, oracle.config.forecast
                 )
             elif kind == SPLIT:
                 _kind, donor, child, ratio, correct = op
-                parent_series = series[paths[donor]]
-                child_series = parent_series.scaled(ratio)
-                series[paths[donor]] = parent_series.scaled(1.0 - ratio)
-                series[paths[child]] = child_series
-                parent_series.release()
+                oracle.split(paths[donor], paths[child], ratio)
                 if correct:
-                    algo._apply_reference_correction(paths[child])
-            elif kind == FOLD:
-                source = series.pop(paths[op[1]])
-                series[paths[op[2]]].merge_from(source)
-                source.release()
-            elif kind == MOVE:
-                series[paths[op[2]]] = series.pop(paths[op[1]])
-            else:
-                series.pop(paths[op[1]]).release()
+                    oracle.correct(paths[child])
+            elif kind == DROP:
+                oracle.merge(paths[op[1]], None)
+            else:  # FOLD or MOVE
+                oracle.merge(paths[op[1]], paths[op[2]])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_random_plans_keep_the_view_equal_to_the_python_tier_dict(self, data):
+    def test_random_plans_keep_the_view_equal_to_the_reference(self, data):
         """Random valid op lists applied on row numbers vs the same ops as
-        the scalar walk's statements: same ``series`` order, same checkpoint
+        the reference cascade's steps: same ``series`` order, same checkpoint
         bytes right after, same detections from there on."""
         tree, config = make_tree(), make_config()
         algo = ADAAlgorithm(tree, config)
-        if algo._index is None:
-            pytest.skip("vector backend unavailable")
         index = algo._index
         run_units(algo, self.WARM)
         taken = {path: algo.series[path] for path in list(algo.series)[::2]}
@@ -562,22 +540,20 @@ class TestRegistryGuards:
             else:
                 handle.release()
         assert_registry_consistent(algo)
-        vector = (
+        got = (
             list(algo.series),
             canonical_checkpoint(algo.state_dict(), row_sorted=True),
             run_units(algo, self.TAIL, first_unit=len(self.WARM)),
         )
-        with python_tier():
-            oracle = ADAAlgorithm(tree, config)
-            run_units(oracle, self.WARM)
-            self.apply_plan_scalar(oracle, ops, index.paths)
-            assert_registry_consistent(oracle)
-            python = (
-                list(oracle.series),
-                canonical_checkpoint(oracle.state_dict(), row_sorted=True),
-                run_units(oracle, self.TAIL, first_unit=len(self.WARM)),
-            )
-        assert vector == python
+        oracle = ReferenceADA(tree, config)
+        run_units(oracle, self.WARM)
+        self.apply_plan_to_reference(oracle, ops, index.paths)
+        want = (
+            list(oracle.series),
+            canonical_checkpoint(oracle.state_dict(), row_sorted=True),
+            run_units(oracle, self.TAIL, first_unit=len(self.WARM)),
+        )
+        assert got == want
 
     def test_restore_resets_the_registry_and_its_handles(self):
         algo = ADAAlgorithm(make_tree(), make_config())
@@ -595,7 +571,10 @@ class TestRegistryGuards:
 
 
 class TestCloseSurface:
-    """The backend tier is the only thing that selects the close path."""
+    """One close path, whatever the forecasting model."""
+
+    #: Chosen by the config, a built-in by name, a registered plug-in.
+    MODELS = ("auto", "holt-winters", "seasonal-naive")
 
     CHURN_THEN_STABLE = [
         {("a", "a1"): 8, ("b", "b2"): 6},
@@ -611,10 +590,8 @@ class TestCloseSurface:
             "config",
         ]
 
-    def test_vector_tier_closes_all_land_in_fused_units(self):
+    def test_every_close_lands_in_fused_units(self):
         algo = ADAAlgorithm(make_tree(), make_config())
-        if algo._index is None:
-            pytest.skip("vector backend unavailable")
         run_units(algo, self.CHURN_THEN_STABLE)
         units = len(self.CHURN_THEN_STABLE)
         profile = algo.close_profile()
@@ -625,51 +602,55 @@ class TestCloseSurface:
         assert stats["fastpath_units"] > 0 and stats["planned_units"] > 0
         assert stats["fastpath_units"] + stats["planned_units"] == units
 
-    def test_python_tier_closes_all_land_in_staged_units(self, python_tier):
-        algo = ADAAlgorithm(make_tree(), make_config())
+    @pytest.mark.parametrize("model", ["auto", "holt-winters"])
+    def test_a_named_model_takes_the_same_close(self, model):
+        """Naming a built-in forecaster selects the row store's layout, not
+        another close: matrix rows, the planner, no object rows."""
+        config = make_config()
+        config = config.replace(forecast=config.forecast.replace(model=model))
+        algo = ADAAlgorithm(make_tree(), config)
         run_units(algo, self.CHURN_THEN_STABLE)
-        profile = algo.close_profile()
-        stats = algo.adaptation_stats()
-        assert profile["fused_units"] == 0
-        assert profile["staged_units"] == len(self.CHURN_THEN_STABLE)
-        assert not algo.supports_dense_close
-        assert stats["mode"] == "legacy"
-        assert stats["fastpath_units"] == stats["planned_units"] == 0
+        assert algo.adaptation_stats()["planned_units"] > 0
+        assert algo.close_profile()["fused_units"] == len(self.CHURN_THEN_STABLE)
+        assert not algo.bank._obj
 
-    @pytest.mark.parametrize("tier", list(TIERS))
-    def test_stats_keep_every_key_the_ledger_and_metrics_read(self, tier):
+    @staticmethod
+    def model_config(model):
+        config = make_config()
+        return config.replace(forecast=config.forecast.replace(model=model))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_stats_keep_every_key_the_ledger_and_metrics_read(self, model):
         """``benchmarks/ledger/replay.py`` and ``/metrics`` read these by name."""
-        with TIERS[tier]():
-            algo = ADAAlgorithm(make_tree(), make_config())
-            run_units(algo, self.CHURN_THEN_STABLE)
-            assert set(algo.adaptation_stats()) == {
-                "mode",
-                "fastpath_units",
-                "planned_units",
-                "split_operations",
-                "merge_operations",
-                "adapt_seconds",
-            }
-            profile = algo.close_profile()
-            assert set(profile) == {
-                "fused_units",
-                "staged_units",
-                "dense_close_units",
-                "close_time",
-            }
-            assert profile["close_time"]["count"] == len(self.CHURN_THEN_STABLE)
+        algo = ADAAlgorithm(make_tree(), self.model_config(model))
+        run_units(algo, self.CHURN_THEN_STABLE)
+        assert set(algo.adaptation_stats()) == {
+            "mode",
+            "fastpath_units",
+            "planned_units",
+            "split_operations",
+            "merge_operations",
+            "adapt_seconds",
+        }
+        profile = algo.close_profile()
+        assert set(profile) == {
+            "fused_units",
+            "staged_units",
+            "dense_close_units",
+            "close_time",
+        }
+        assert profile["close_time"]["count"] == len(self.CHURN_THEN_STABLE)
 
-    @pytest.mark.parametrize("tier", list(TIERS))
-    def test_series_path_outside_tree_is_a_checkpoint_error(self, tier):
-        """A restored series the tree has no node for could never be adapted;
-        it used to pin the instance to the scalar walk silently."""
-        with TIERS[tier]():
-            source = ADAAlgorithm(make_tree(), make_config())
-            run_units(source, self.CHURN_THEN_STABLE)
-            state = json.loads(json.dumps(source.state_dict()))
-            state["series"][0][0] = ["zz", "nowhere"]
-            with pytest.raises(CheckpointError, match="nowhere"):
-                ADAAlgorithm(make_tree(), make_config()).load_state_dict(state)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_series_path_outside_tree_is_a_checkpoint_error(self, model):
+        """A restored series the tree has no node for could never be adapted."""
+        config = self.model_config(model)
+        source = ADAAlgorithm(make_tree(), config)
+        run_units(source, self.CHURN_THEN_STABLE)
+        state = json.loads(json.dumps(source.state_dict()))
+        state["series"][0][0] = ["zz", "nowhere"]
+        with pytest.raises(CheckpointError, match="nowhere"):
+            ADAAlgorithm(make_tree(), config).load_state_dict(state)
 
 
 class TestAdaptationStats:
@@ -681,7 +662,7 @@ class TestAdaptationStats:
         session.process_timeunit_counts({("a", "a1"): 9}, 0)
         session.process_timeunit_counts({("a", "a1"): 9}, 1)
         stats = session.adaptation_stats()
-        assert stats["mode"] in ("delta", "legacy")
+        assert stats["mode"] == "delta"
         assert stats["split_operations"] >= 0
         sta = DetectionSession(tree, make_config(), algorithm="sta")
         sta.process_timeunit_counts({("a", "a1"): 9}, 0)

@@ -1,10 +1,13 @@
 """Unit tests for :mod:`repro.core.sta` (the strawman algorithm)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.hhh import compute_shhh
 from repro.core.sta import STAAlgorithm
+from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
 
 
@@ -106,3 +109,62 @@ class TestDetection:
         for _ in range(10):
             sta.process_timeunit({("a", "a1"): 6})
         assert sta.memory_units() > early
+
+
+#: Leaves three and four levels deep under two top-level nodes.
+DEEP_LEAVES = [
+    (top, f"{top}{mid}", f"{top}{mid}{leaf}", *deep)
+    for top in ("a", "b")
+    for mid in range(2)
+    for leaf in range(2)
+    for deep in ([()] if leaf else [("x",), ("y",)])
+]
+
+
+class TestExactSeries:
+    """STA's series is Definition 3: a heavy hitter's raw weight minus those
+    of its *maximal* heavy descendants — a heavy grandchild under a light
+    child included — which is SHHH's modified weight for the newest unit."""
+
+    def test_a_heavy_grandchild_under_a_light_child_is_discounted(self):
+        tree = HierarchyTree.from_leaf_paths([("a", "a1", "x"), ("a", "a1", "y"), ("a", "a2")])
+        config = TiresiasConfig(
+            theta=5.0, window_units=8, track_root=False, allow_root_heavy=False,
+            forecast=ForecastConfig(season_lengths=(2,)),
+        )
+        sta = STAAlgorithm(tree, config)
+        # x is heavy (6); a1 keeps only y's 1; a collects a1's 1 and a2's 4.
+        result = sta.process_timeunit({("a", "a1", "x"): 6, ("a", "a1", "y"): 1, ("a", "a2"): 4})
+        assert result.heavy_hitters == {("a",), ("a", "a1", "x")}
+        assert sta.series_for(("a",)) == [5.0]
+        assert result.actuals[("a",)] == 5.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        units=st.lists(
+            st.dictionaries(
+                st.sampled_from(DEEP_LEAVES), st.integers(min_value=0, max_value=9), max_size=12
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        theta=st.integers(min_value=1, max_value=12),
+        track_root=st.booleans(),
+    )
+    def test_last_value_is_the_sweeps_modified_weight(self, units, theta, track_root):
+        tree = HierarchyTree.from_leaf_paths(DEEP_LEAVES)
+        config = TiresiasConfig(
+            theta=float(theta),
+            window_units=4,
+            track_root=track_root,
+            forecast=ForecastConfig(season_lengths=(2,)),
+        )
+        sta = STAAlgorithm(tree, config)
+        index = HierarchyIndex(tree)
+        for counts in units:
+            result = sta.process_timeunit(counts)
+            _raw, modified, _heavy = index.sweep(index.count_rows(counts), config.theta)
+            for path in result.heavy_hitters:
+                expected = float(modified[0, index.path_to_id[path]])
+                assert sta.series_for(path)[-1] == expected, path
+                assert result.actuals[path] == expected, path

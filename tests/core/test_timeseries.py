@@ -1,12 +1,14 @@
 """Unit tests for :mod:`repro.core.timeseries`."""
 
 import math
+from collections import deque
 
 import pytest
 
 from repro.core.config import ForecastConfig
 from repro.core.timeseries import MultiScaleTimeSeries, NodeTimeSeries, SeriesForecaster
 from repro.exceptions import ConfigurationError
+from repro.testing.reference import aligned_add
 
 
 def fc(season=4, fallback=0.5):
@@ -217,8 +219,8 @@ class TestMultiScaleTimeSeries:
 
 class TestRowBackedWindows:
     """A standalone series keeps its windows in its (private) bank row; the
-    row operations must be value-identical to the bounded-deque ring
-    arithmetic (:class:`FloatRing`, the python tier's representation)."""
+    row operations must be value-identical to the bounded-deque arithmetic
+    of the reference series (:mod:`repro.testing.reference`)."""
 
     def _series(self, values, length=8):
         from repro.core.config import ForecastConfig
@@ -255,8 +257,10 @@ class TestRowBackedWindows:
                     theirs.extend(float(v) for v in range(100, 100 + theirs_n))
                 else:
                     theirs = self._series(range(100, 100 + theirs_n))
-                expected_actual = mine.actual.aligned_add(theirs.actual).tolist()
-                expected_forecast = mine.forecast.aligned_add(theirs.forecast).tolist()
+                expected_actual = list(aligned_add(mine.actual, theirs.actual, mine.length))
+                expected_forecast = list(
+                    aligned_add(mine.forecast, theirs.forecast, mine.length)
+                )
                 mine.merge_from(theirs)
                 assert mine.actual.tolist() == expected_actual
                 assert mine.forecast.tolist() == expected_forecast
@@ -269,13 +273,11 @@ class TestRowBackedWindows:
                 ][-mine.length :]
 
     def test_record_on_a_wrapped_ring_evicts_the_oldest(self):
-        from repro.core.timeseries import FloatRing
-
         series = self._series(range(1, 15))  # 14 appends into 8 slots
-        mirror = FloatRing.from_values([float(v) for v in range(1, 15)], 8)
+        mirror = deque((float(v) for v in range(1, 15)), maxlen=8)
         series.record(42.0, 43.0)
         mirror.append(42.0)
-        assert series.actual.tolist() == mirror.tolist()
+        assert series.actual.tolist() == list(mirror)
         assert series.forecast[-1] == 43.0
         assert len(series.forecast) == 8
 
@@ -339,12 +341,11 @@ class TestReleasedHandles:
     def test_free_row_of_a_dead_row_raises(self):
         from repro.forecasting.bank import ForecasterBank
 
-        for force_scalar in (False, True):
-            bank = ForecasterBank(fc(), force_scalar=force_scalar)
-            row = bank.new_row()
+        bank = ForecasterBank(fc())
+        row = bank.new_row()
+        bank.free_row(row)
+        with pytest.raises(ConfigurationError):
             bank.free_row(row)
-            with pytest.raises(ConfigurationError):
-                bank.free_row(row)
-            with pytest.raises(ConfigurationError):
-                bank.free_row(7)
-            assert len(bank) == 0
+        with pytest.raises(ConfigurationError):
+            bank.free_row(7)
+        assert len(bank) == 0

@@ -9,9 +9,8 @@ under every out-of-order policy (``raise`` included: the exception leaves the
 session where the records before the late one put it), a ``_pending``
 remainder carried in from the previous batch, categories the tree does not
 know and a shadow session attached — for batches built from tuples and
-batches built the way a reader builds them, on the vector tier and on the
-python tier, where the algorithm has no dense close and batches take the run
-loop.
+batches built the way a reader builds them, with ADA (the dense close) and
+with STA, which has no dense close: its batches take the run loop.
 
 ``TestHeldRows`` follows the open timeunit's rows, which a batch leaves as
 codes for the batch that closes the unit: the state between any two batches,
@@ -27,7 +26,6 @@ import copy
 import json
 import os
 import pickle
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -41,13 +39,10 @@ from repro.exceptions import OutOfOrderRecordError
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.batch import ColumnAccumulator, RecordBatch
 from repro.streaming.record import OperationalRecord
-from tests.conftest import (
-    PROCESS_ON_VECTOR_TIER as VECTOR,
-    canonical_checkpoint,
-    python_tier,
-)
+from tests.conftest import canonical_checkpoint
 
-TIERS = {"vector": nullcontext, "python": python_tier}
+#: ADA closes batches densely; STA takes the per-run loop.
+ALGORITHMS = ("ada", "sta")
 DELTA = 10.0
 
 LEAVES = [
@@ -109,9 +104,14 @@ def cut_batches(records, cuts, built: str = "tuples") -> list[RecordBatch]:
 class Run:
     """One session fed one way, with everything the contract compares."""
 
-    def __init__(self, policy="drop", shadow=False, warmup_units=2, **config):
+    def __init__(
+        self, policy="drop", shadow=False, warmup_units=2, algorithm="ada", **config
+    ):
         self.session = DetectionSession(
-            make_tree(), make_config(policy, **config), warmup_units=warmup_units
+            make_tree(),
+            make_config(policy, **config),
+            algorithm=algorithm,
+            warmup_units=warmup_units,
         )
         self.events: list[tuple] = []
         self.session.subscribe(
@@ -192,10 +192,13 @@ def assert_batches_equal_records(
     return batched
 
 
-@pytest.fixture(params=list(TIERS))
-def tier(request):
-    with TIERS[request.param]():
-        yield request.param
+@pytest.fixture(params=ALGORITHMS)
+def algorithm(request):
+    return request.param
+
+
+def dense_units(session) -> int:
+    return session.close_profile().get("dense_close_units", 0)
 
 
 #: Units 0..6 busy (1 is a gap), interior and unknown categories included.
@@ -221,26 +224,26 @@ class TestBatchEqualsRecords:
         ],
         ids=["whole", "none-then-many", "on-boundaries", "mid-unit", "single-rows"],
     )
-    def test_closing_no_one_and_many_units(self, tier, tmp_path, cuts, from_rows):
+    def test_closing_no_one_and_many_units(self, algorithm, tmp_path, cuts, from_rows):
         """``from_rows``: units that close from a matrix row — those with a
         run in the batch that closes them (never the gap unit 1, the flushed
         unit 6, or a unit whose records all arrived in earlier batches)."""
-        batched = assert_batches_equal_records(tmp_path, BUSY, cuts)
-        profile = batched.session.close_profile()
-        if tier == "vector" and VECTOR:
-            assert profile["dense_close_units"] == from_rows
-        else:
-            assert profile["dense_close_units"] == 0
+        batched = assert_batches_equal_records(
+            tmp_path, BUSY, cuts, algorithm=algorithm
+        )
+        assert dense_units(batched.session) == (from_rows if algorithm == "ada" else 0)
 
     @pytest.mark.parametrize("policy", ["drop", "clamp", "raise"])
     @pytest.mark.parametrize("cuts", [[], [9], [4, 12, 17]], ids=["whole", "two", "four"])
-    def test_late_runs_under_every_policy(self, tier, tmp_path, policy, cuts):
+    def test_late_runs_under_every_policy(self, algorithm, tmp_path, policy, cuts):
         stream = list(BUSY)
         # Late runs: inside a batch, first in a batch (cut 12) and last (cut 17).
         stream[11:11] = [(2, 1), (3, 1)]
         stream[12:12] = [(26, 0)]
         stream[16:16] = [(12, 4), (28, 4), (36, 0)]
-        batched = assert_batches_equal_records(tmp_path, stream, cuts, policy=policy)
+        batched = assert_batches_equal_records(
+            tmp_path, stream, cuts, policy=policy, algorithm=algorithm
+        )
         assert (batched.error is not None) == (policy == "raise")
 
     @pytest.mark.parametrize("built", ["tuples", "reader"])
@@ -250,53 +253,56 @@ class TestBatchEqualsRecords:
         ids=["middle", "head", "head-of-the-second", "head-after-boundary-cuts"],
     )
     def test_raise_closes_what_came_before_the_late_run(
-        self, tier, tmp_path, built, cuts, from_rows
+        self, algorithm, tmp_path, built, cuts, from_rows
     ):
         """A late run in the middle of a batch and at the head of one: the
-        runs before it are ingested (densely, on a vector tier) and the error
-        is the one record-by-record ingestion raises, in the same state."""
+        runs before it are ingested (densely, by ADA) and the error is the
+        one record-by-record ingestion raises, in the same state."""
         stream = list(BUSY)
         stream[19:19] = [(12, 4), (13, 4)]  # unit 1 while unit 4 is open
         batched = assert_batches_equal_records(
-            tmp_path, stream, cuts, built, policy="raise"
+            tmp_path, stream, cuts, built, policy="raise", algorithm=algorithm
         )
         assert isinstance(batched.error, OutOfOrderRecordError)
         assert (batched.error.timestamp, batched.error.window_start) == (12.0, 40.0)
         assert batched.session.units_processed == 4  # units 0..3; 4 stays open
         assert list(batched.session._pending) == [CATEGORIES[4], CATEGORIES[6]]
-        dense = batched.session.close_profile()["dense_close_units"]
-        assert dense == (from_rows if tier == "vector" and VECTOR else 0)
+        assert dense_units(batched.session) == (from_rows if algorithm == "ada" else 0)
 
-    def test_a_batch_built_from_tuples_closes_densely(self, tier):
+    def test_a_batch_built_from_tuples_closes_densely(self, algorithm):
         stamps = [float(ts) for ts, _ in BUSY]
         categories = [CATEGORIES[c] for _, c in BUSY]
-        session = Run().session
+        session = Run(algorithm=algorithm).session
         session.ingest_record_batch(RecordBatch(stamps, categories))
         assert session.units_processed == 6
-        dense = session.close_profile()["dense_close_units"]
-        assert dense == (5 if tier == "vector" and VECTOR else 0)
+        assert dense_units(session) == (5 if algorithm == "ada" else 0)
 
     @pytest.mark.parametrize("policy", ["drop", "clamp"])
-    def test_a_batch_of_nothing_but_late_runs(self, tier, tmp_path, policy):
+    def test_a_batch_of_nothing_but_late_runs(self, algorithm, tmp_path, policy):
         stream = BUSY[:20] + [(2, 1), (3, 1), (26, 0), (27, 7)] + BUSY[20:]
-        assert_batches_equal_records(tmp_path, stream, [20, 24], policy=policy)
+        assert_batches_equal_records(
+            tmp_path, stream, [20, 24], policy=policy, algorithm=algorithm
+        )
 
-    def test_a_gap_wider_than_any_matrix_closes_unit_by_unit(self, tier, tmp_path):
+    def test_a_gap_wider_than_any_matrix_closes_unit_by_unit(self, algorithm, tmp_path):
         stream = BUSY[:10] + [(ts + 4000, c) for ts, c in BUSY[10:]]
-        batched = assert_batches_equal_records(tmp_path, stream, [13])
+        batched = assert_batches_equal_records(tmp_path, stream, [13], algorithm=algorithm)
         assert batched.session.units_processed == 407
 
-    def test_with_a_shadow_session_attached(self, tier, tmp_path):
-        batched = assert_batches_equal_records(tmp_path, BUSY, [7, 22], shadow=True)
+    def test_with_a_shadow_session_attached(self, algorithm, tmp_path):
+        batched = assert_batches_equal_records(
+            tmp_path, BUSY, [7, 22], shadow=True, algorithm=algorithm
+        )
         assert batched.session.shadow.units_processed == batched.session.units_processed
-        assert batched.outcome(tmp_path, "again")["divergences"]
+        if algorithm == "ada":  # STA's detections do not move with theta here
+            assert batched.outcome(tmp_path, "again")["divergences"]
 
-    def test_masks_apply_to_every_row(self, tier, tmp_path):
+    def test_masks_apply_to_every_row(self, algorithm, tmp_path):
         for masks in (
             dict(track_root=True, allow_root_heavy=True),
             dict(min_heavy_depth=2),
         ):
-            assert_batches_equal_records(tmp_path, BUSY, [7], **masks)
+            assert_batches_equal_records(tmp_path, BUSY, [7], algorithm=algorithm, **masks)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -320,18 +326,15 @@ class TestBatchEqualsRecords:
             now = max(0.0, now + advance)
             stream += [(now, category)] * repeat
         tmp_path = tmp_path_factory.mktemp("random")
-        for name, tier in TIERS.items():
-            with tier():
-                assert_batches_equal_records(
-                    tmp_path, stream, cuts, built, policy=policy
-                )
+        for algorithm in ALGORITHMS:
+            assert_batches_equal_records(
+                tmp_path, stream, cuts, built, policy=policy, algorithm=algorithm
+            )
 
 
-@pytest.mark.skipif(not VECTOR, reason="the python tier has no dense close")
 def test_a_close_reads_no_environment_variable(monkeypatch):
-    """The backend tier is bound before the first close: with every read of
-    ``os.environ`` raising, a session built beforehand still closes a coded
-    batch stream on the vector tier — a tier probe per close would not."""
+    """Nothing is resolved per close: with every read of ``os.environ``
+    raising, a session built beforehand still closes a coded batch stream."""
     session = Run().session
     batches = cut_batches(records_of(BUSY), [7, 13, 22], "reader")
 
@@ -346,7 +349,6 @@ def test_a_close_reads_no_environment_variable(monkeypatch):
     assert session.close_profile()["dense_close_units"] == 5
 
 
-@pytest.mark.skipif(not VECTOR, reason="the count matrix needs the vector backend")
 class TestMatrixBound:
     def test_a_batch_over_the_cell_budget_is_ingested_in_halves(
         self, tmp_path, monkeypatch
@@ -441,7 +443,6 @@ def lockstep(stream, cuts, built, policy="drop", overwrite=False) -> list[int]:
     return held
 
 
-@pytest.mark.skipif(not VECTOR, reason="rows are held by the dense close only")
 @pytest.mark.parametrize("built", ["tuples", "reader"])
 class TestHeldRows:
     """The open unit's rows wait, as codes, for the batch that closes it;
@@ -551,8 +552,10 @@ def same_records_from_columns() -> RecordBatch:
     )
 
 
-def session_outcome(batches) -> tuple:
-    session = DetectionSession(make_tree(), make_config(), warmup_units=0)
+def session_outcome(batches, algorithm="ada") -> tuple:
+    session = DetectionSession(
+        make_tree(), make_config(), algorithm=algorithm, warmup_units=0
+    )
     results = []
     for batch in batches:
         results += session.ingest_record_batch(batch)
@@ -561,13 +564,13 @@ def session_outcome(batches) -> tuple:
 
 
 class TestRepeatedDictionaryEntry:
-    def test_serial_session_counts_every_code_of_a_path(self, tier):
-        results, state = session_outcome([repeated_dictionary_batch()])
+    def test_serial_session_counts_every_code_of_a_path(self, algorithm):
+        results, state = session_outcome([repeated_dictionary_batch()], algorithm)
         assert results[0].actuals[("a", "a1")] == 4.0
         assert results[1].actuals[("a", "a1")] == 3.0  # theta: either code alone is not
-        assert (results, state) == session_outcome([same_records_from_columns()])
+        assert (results, state) == session_outcome([same_records_from_columns()], algorithm)
 
-    def test_rcol_file_with_a_repeated_dictionary_entry(self, tier, tmp_path):
+    def test_rcol_file_with_a_repeated_dictionary_entry(self, algorithm, tmp_path):
         from repro.io.columnar import read_batches_columnar, write_trace_columnar
 
         distinct = [("a", "a1"), ("a", "a2"), ("b", "b2")]
@@ -584,8 +587,8 @@ class TestRepeatedDictionaryEntry:
         for batch_size in (4, 64):
             batches = list(read_batches_columnar(path, batch_size))
             assert batches[0].code_dictionary == REPEATED_DICTIONARY
-            assert session_outcome(batches) == session_outcome(
-                [same_records_from_columns()]
+            assert session_outcome(batches, algorithm) == session_outcome(
+                [same_records_from_columns()], algorithm
             )
 
     def test_subtree_sharded_engine(self):

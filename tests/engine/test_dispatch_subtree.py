@@ -27,7 +27,6 @@ import copy
 import json
 import os
 import random
-from contextlib import nullcontext
 
 import pytest
 
@@ -53,7 +52,7 @@ from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 from repro.testing.faults import FaultPlan, FaultSpec, active
 
-from tests.conftest import canonical_checkpoint, python_tier
+from tests.conftest import canonical_checkpoint
 
 DELTA = 600.0
 TRANSPORTS = (
@@ -162,12 +161,18 @@ def make_config(depth: int = 1, policy: str = "clamp") -> TiresiasConfig:
     )
 
 
-def make_unit(depth: int, shards: int, pending_unit=None, policy="clamp") -> _SubtreeUnit:
+def make_unit(
+    depth: int, shards: int, pending_unit=None, policy="clamp", algorithm="ada"
+) -> _SubtreeUnit:
     """A coordinator-side subtree unit, as ``attach_session_state`` builds it
     (``unit.sub_states`` are the shard states a worker would be sent), from a
     session whose open timeunit is ``pending_unit`` (None: fresh)."""
     session = DetectionSession(
-        make_tree(), make_config(depth, policy), clock=SimulationClock(delta=DELTA), name="s"
+        make_tree(),
+        make_config(depth, policy),
+        algorithm=algorithm,
+        clock=SimulationClock(delta=DELTA),
+        name="s",
     )
     if pending_unit is not None:
         session.advance_to(pending_unit)
@@ -263,39 +268,39 @@ def run_ingest(workers: dict, ops: list):
     return outcome, canonical_checkpoint(states)
 
 
-@pytest.mark.parametrize("python", [False, True], ids=["numpy", "python"])
+@pytest.mark.parametrize("algorithm", ["ada", "sta"])
 @pytest.mark.parametrize("policy", ["drop", "clamp", "raise"])
 @pytest.mark.parametrize("depth, shards", [(1, 2), (1, 3), (2, 2), (2, 4)])
-def test_dispatcher_equals_the_per_row_loop(python, policy, depth, shards):
+def test_dispatcher_equals_the_per_row_loop(algorithm, policy, depth, shards):
     """Effect, not shape: the dispatcher's ops and the reference
     segmentation's, each run by ``worker_handle`` against its own copy of
     the shard sessions, close the same ``TimeunitResult``s with the same
-    frontier weights and leave the same session states after every batch."""
-    with python_tier() if python else nullcontext():
-        rng = random.Random(1000 * depth + shards)
-        tree = make_tree()
-        for trial in range(40):
-            first, base = random_batch(rng, tree, trial % 2 == 0, attrs=trial % 3 == 0)
-            # Fresh vs carried watermark (below, inside and above the batch).
-            carried = rng.choice([None, None, base - 2, base, base + 1, base + 9])
-            unit = make_unit(depth, shards, carried, policy)
-            adds = [(key, state, depth) for key, state in zip(unit.keys, unit.sub_states)]
-            reference_workers, dispatcher_workers = {}, {}
-            worker_handle(reference_workers, "add", copy.deepcopy(adds))
-            worker_handle(dispatcher_workers, "add", copy.deepcopy(adds))
-            for batch in (first, random_batch(rng, tree, trial % 2 == 1, False)[0]):
-                segmentation, expected_carried = oracle_dispatch(
-                    unit.partition, unit.num_groups, unit.clock, unit.carried, batch
-                )
-                ops, got_carried = dispatch_ops(unit, batch)
-                assert got_carried == expected_carried == unit.carried
-                expected = run_ingest(
-                    reference_workers, oracle_ops(unit, batch, segmentation)
-                )
-                got = run_ingest(dispatcher_workers, ops)
-                assert got == expected
-                if got[0][0] == "raised":
-                    break  # the engine would surface the error here
+    frontier weights and leave the same session states after every batch —
+    for ADA's dense close and STA's per-run loop."""
+    rng = random.Random(1000 * depth + shards)
+    tree = make_tree()
+    for trial in range(40):
+        first, base = random_batch(rng, tree, trial % 2 == 0, attrs=trial % 3 == 0)
+        # Fresh vs carried watermark (below, inside and above the batch).
+        carried = rng.choice([None, None, base - 2, base, base + 1, base + 9])
+        unit = make_unit(depth, shards, carried, policy, algorithm)
+        adds = [(key, state, depth) for key, state in zip(unit.keys, unit.sub_states)]
+        reference_workers, dispatcher_workers = {}, {}
+        worker_handle(reference_workers, "add", copy.deepcopy(adds))
+        worker_handle(dispatcher_workers, "add", copy.deepcopy(adds))
+        for batch in (first, random_batch(rng, tree, trial % 2 == 1, False)[0]):
+            segmentation, expected_carried = oracle_dispatch(
+                unit.partition, unit.num_groups, unit.clock, unit.carried, batch
+            )
+            ops, got_carried = dispatch_ops(unit, batch)
+            assert got_carried == expected_carried == unit.carried
+            expected = run_ingest(
+                reference_workers, oracle_ops(unit, batch, segmentation)
+            )
+            got = run_ingest(dispatcher_workers, ops)
+            assert got == expected
+            if got[0][0] == "raised":
+                break  # the engine would surface the error here
 
 
 @pytest.mark.parametrize("depth, shards", [(1, 2), (2, 4)])
@@ -608,11 +613,9 @@ def test_in_order_batches_reach_each_shard_whole_and_close_densely(tmp_path):
         assert group is None or group.attributes is None
         assert len(segments) <= 2
         assert all(start == stop for _, start, stop in segments[1:])
-    closed = profile["fused_units"] + profile["staged_units"]
-    assert closed == 2 * 120
-    if profile["fused_units"]:  # a vector tier: the python tier never closes densely
-        assert profile["dense_close_units"] >= 0.95 * profile["fused_units"]
-        assert sum(profile["close_time"]["counts"]) == profile["close_time"]["count"]
+    assert profile["fused_units"] == 2 * 120
+    assert profile["dense_close_units"] >= 0.95 * profile["fused_units"]
+    assert sum(profile["close_time"]["counts"]) == profile["close_time"]["count"]
 
 
 def test_whole_session_parts_ship_without_attributes():

@@ -1,5 +1,8 @@
 """Unit tests for :mod:`repro.engine.session` (hooks, policies, parity)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
@@ -198,3 +201,24 @@ class TestBatchIngestion:
             looped.extend(other.ingest_record(record))
         looped.extend(other.flush())
         assert batched == looped
+
+
+class TestLifetime:
+    def test_a_dropped_session_is_freed_without_the_garbage_collector(
+        self, tree, config
+    ):
+        """Nothing in a session refers back to its algorithm: the bank
+        matrix, the hierarchy index and the statistics arrays go the moment
+        the last reference does, not at the next full collection."""
+        gc.disable()
+        try:
+            session = DetectionSession(tree, config)
+            session.process_stream(spiky_stream())
+            assert len(session.algorithm.series)
+            handles = [session.algorithm.series[path] for path in session.algorithm.series]
+            session.state_dict()
+            algorithm = weakref.ref(session.algorithm)
+            del session, handles
+            assert algorithm() is None
+        finally:
+            gc.enable()

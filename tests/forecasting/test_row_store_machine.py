@@ -1,20 +1,22 @@
-"""The row store against the python-tier oracle, operation by operation.
+"""The row store against the reference series, operation by operation.
 
-On the vector tiers every series is one row of the bank matrix and SPLIT /
-MERGE / correction / record are whole-row array operations; on the python
-tier the same public calls run on ``_ScalarRow`` objects and bounded deques
-— the historical per-object code, kept verbatim as the reference.  One
-hypothesis state machine drives both worlds through the same random sequence
-of public calls and compares the canonical state-dict **bytes** of every live
-series after every step (JSON prints ``-0.0`` and ``0.0`` differently, so
-the sign of zero is part of the contract).
+Every series is one row of the bank matrix and SPLIT / MERGE / correction /
+record are whole-row array operations; the oracle runs the same calls on
+:class:`repro.testing.reference.ReferenceSeries` — ``_ScalarRow`` objects and
+bounded deques, the historical per-object code.  One hypothesis state
+machine drives both worlds through the same random sequence of calls and
+compares the canonical state-dict **bytes** of every live series after every
+step (JSON prints ``-0.0`` and ``0.0`` differently, so the sign of zero is
+part of the contract).
 
 The parameter space covers ℓ below and above ``min_history``, ring wrap,
-single- and multi-season models, ratios 0.0 and 1.0, folds with unequal
-seasonal phases and unequal window / warm-up cursors (series are appended
-unevenly), folds into empty destinations (copy, not add) and into shorter
-ones (growth), and bank capacity growth while handles and read views are
-held.
+single- and multi-season models, the single-season model by registry name
+(with the config's first period), a plug-in model (whose rows hold
+``_ScalarRow`` objects beside their matrix windows), ratios 0.0 and 1.0,
+folds with unequal seasonal phases and unequal window / warm-up cursors
+(series are appended unevenly), folds into empty destinations (copy, not
+add) and into shorter ones (growth), and bank capacity growth while handles
+and read views are held.
 
 The literal signed-zero cases at the bottom pin what a ratio-0 split of a
 negative component leaves behind.  The oracle decides the sign: a fold into
@@ -29,7 +31,7 @@ import copy
 import json
 import pickle
 
-import pytest
+import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -40,18 +42,14 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro._vector import load_numpy
 from repro.core.config import ForecastConfig
 from repro.core.timeseries import NodeTimeSeries
 from repro.forecasting.bank import ForecasterBank
-from tests.conftest import python_tier
-
-pytestmark = pytest.mark.skipif(
-    load_numpy() is None, reason="the row store needs the vector backend"
-)
+from repro.testing.reference import ReferenceSeries
 
 #: (forecast config, window length ℓ): ℓ < min_history, ℓ > min_history
-#: (wraps within a few steps), and a two-season model.
+#: (wraps within a few steps), a two-season model, the single-season model
+#: by name, and a plug-in model.
 SHAPES = (
     (ForecastConfig(season_lengths=(3,), fallback_alpha=0.4), 4),
     (ForecastConfig(season_lengths=(2,), fallback_alpha=0.3), 9),
@@ -61,6 +59,8 @@ SHAPES = (
         ),
         5,
     ),
+    (ForecastConfig(season_lengths=(2, 3), fallback_alpha=0.3, model="holt-winters"), 7),
+    (ForecastConfig(season_lengths=(3,), fallback_alpha=0.4, model="seasonal-naive"), 5),
 )
 
 values = st.one_of(
@@ -72,7 +72,7 @@ picks = st.integers(min_value=0, max_value=10_000)
 
 
 class World:
-    """One tier's bank and live series (index-aligned with the other tier's)."""
+    """The row store's bank and live series (index-aligned with the oracle's)."""
 
     def __init__(self, config: ForecastConfig, length: int):
         self.config = config
@@ -90,14 +90,9 @@ class World:
         """The batched close: one bank observe, then one record per series."""
         rows = [self.series[i].forecaster.row for i in picked]
         forecasts = self.bank.observe_rows(rows, batch)
-        if self.bank.vectorized:
-            np = load_numpy()
-            self.bank.record_rows(
-                np.asarray(rows, dtype=np.intp), np.asarray(batch), np.asarray(forecasts)
-            )
-        else:
-            for i, value, predicted in zip(picked, batch, forecasts):
-                self.series[i].record(value, predicted)
+        self.bank.record_rows(
+            np.asarray(rows, dtype=np.intp), np.asarray(batch), np.asarray(forecasts)
+        )
         return forecasts
 
     def split(self, i, ratio) -> None:
@@ -123,6 +118,9 @@ class World:
         )
         old.release()
 
+    def load(self, state) -> None:
+        self.series.append(NodeTimeSeries.from_state_dict(state, self.config, bank=self.bank))
+
     def transport(self, how) -> None:
         clone = how((self.bank, self.series))
         self.bank, self.series = clone
@@ -131,8 +129,46 @@ class World:
         return json.dumps([s.state_dict() for s in self.series], sort_keys=True).encode()
 
 
+class OracleWorld(World):
+    """The same calls on :class:`ReferenceSeries`."""
+
+    def __init__(self, config: ForecastConfig, length: int):
+        self.config = config
+        self.length = length
+        self.series: list[ReferenceSeries] = []
+
+    def new(self) -> None:
+        self.series.append(ReferenceSeries(self.length, self.config))
+
+    def close(self, picked, batch) -> list:
+        return self.append_each(picked, batch)
+
+    def split(self, i, ratio) -> None:
+        donor = self.series[i]
+        self.series[i] = donor.scaled(1.0 - ratio)
+        self.series.append(donor.scaled(ratio))
+
+    def fold(self, dst, src) -> None:
+        self.series[dst].merge_from(self.series[src])
+        self.series.pop(src)
+
+    def release(self, i) -> None:
+        self.series.pop(i)
+
+    def reload(self, i) -> None:
+        self.series[i] = ReferenceSeries.from_state_dict(
+            self.series[i].state_dict(), self.config
+        )
+
+    def load(self, state) -> None:
+        self.series.append(ReferenceSeries.from_state_dict(state, self.config))
+
+    def transport(self, how) -> None:
+        self.series = how(self.series)
+
+
 class RowStoreMachine(RuleBasedStateMachine):
-    """Every rule runs on the row store, then inside ``python_tier()``."""
+    """Every rule runs on the row store, then on the reference series."""
 
     def __init__(self):
         super().__init__()
@@ -144,8 +180,7 @@ class RowStoreMachine(RuleBasedStateMachine):
 
     def both(self, method, *args):
         result = getattr(self.row, method)(*args)
-        with python_tier():
-            expected = getattr(self.oracle, method)(*args)
+        expected = getattr(self.oracle, method)(*args)
         assert result == expected
         assert self.row.canonical() == self.oracle.canonical()
 
@@ -157,10 +192,7 @@ class RowStoreMachine(RuleBasedStateMachine):
     def build(self, shape):
         config, length = shape
         self.row = World(config, length)
-        assert self.row.bank.vectorized
-        with python_tier():
-            self.oracle = World(config, length)
-            assert not self.oracle.bank.vectorized
+        self.oracle = OracleWorld(config, length)
         for _ in range(2):
             self.both("new")
             self.track()
@@ -266,7 +298,6 @@ class RowStoreMachine(RuleBasedStateMachine):
         """What lets a fold be one add over the whole row."""
         if self.row is None:
             return
-        np = load_numpy()
         bank = self.row.bank
         for series in self.row.series:
             row = series.forecaster.row
@@ -321,14 +352,12 @@ def _zero_share(world: World, history) -> int:
     return len(world.series) - 1
 
 
-def _both_tiers(scenario) -> tuple[bytes, bytes]:
+def _both_worlds(scenario) -> tuple[bytes, bytes]:
     row = World(CONFIG, LENGTH)
     scenario(row)
-    with python_tier():
-        oracle = World(CONFIG, LENGTH)
-        scenario(oracle)
-        expected = oracle.canonical()
-    return row.canonical(), expected
+    oracle = OracleWorld(CONFIG, LENGTH)
+    scenario(oracle)
+    return row.canonical(), oracle.canonical()
 
 
 #: Crosses activation (4 values): the second cycle's deviations from the
@@ -350,7 +379,7 @@ def test_fold_into_a_fresh_series_copies_the_negative_zeros():
         world.new()
         world.fold(len(world.series) - 1, child)
 
-    got, expected = _both_tiers(scenario)
+    got, expected = _both_worlds(scenario)
     assert got == expected
     fresh = json.loads(got)[-1]
     assert any(str(v) == "-0.0" for v in fresh["forecaster"]["seasonal"]["seasonals"])
@@ -368,7 +397,7 @@ def test_fold_into_a_shorter_series_grows_the_window():
         world.append_each([short, short], [3.0, 4.0])
         world.fold(short, child)
 
-    got, expected = _both_tiers(scenario)
+    got, expected = _both_worlds(scenario)
     assert got == expected
     grown = json.loads(got)[-1]
     assert len(grown["actual"]) == len(FALLING)
@@ -386,7 +415,7 @@ def test_fold_of_warm_up_histories():
         world.new()
         world.fold(len(world.series) - 1, child)
 
-    got, expected = _both_tiers(into_empty)
+    got, expected = _both_worlds(into_empty)
     assert got == expected
     assert [str(v) for v in json.loads(got)[-1]["forecaster"]["history"]] == ["-0.0"] * 3
 
@@ -397,7 +426,7 @@ def test_fold_of_warm_up_histories():
         world.append_each([short], [5.0])
         world.fold(short, child)
 
-    got, expected = _both_tiers(into_shorter)
+    got, expected = _both_worlds(into_shorter)
     assert got == expected
     assert [str(v) for v in json.loads(got)[-1]["forecaster"]["history"]] == [
         "0.0",
@@ -423,7 +452,7 @@ def test_phase_rotated_fold_carries_leftover_warm_up_history():
             world.fold(keeper, 0)  # adopts; donor 0 is popped each time
         world.fold(0, 1)
 
-    got, expected = _both_tiers(scenario)
+    got, expected = _both_worlds(scenario)
     assert got == expected
     merged = json.loads(got)[0]["forecaster"]
     assert merged["history"] == [3.0, -5.0]
@@ -442,13 +471,11 @@ def test_fold_of_active_rows_without_an_ewma_level():
 
     def scenario(world, first, second):
         for state in (first, second):
-            world.series.append(
-                NodeTimeSeries.from_state_dict(state, world.config, bank=world.bank)
-            )
+            world.load(state)
         world.fold(0, 1)
 
     for first, second in ((with_level, without), (without, with_level), (without, without)):
-        got, expected = _both_tiers(lambda world: scenario(world, first, second))
+        got, expected = _both_worlds(lambda world: scenario(world, first, second))
         assert got == expected
 
 
@@ -456,7 +483,7 @@ def test_rows_that_do_not_fit_the_layout_behave_like_scalar_rows():
     """A snapshot with foreign seasonal parameters (or a warm-up history as
     long as ``min_history``) is held as a scalar row beside the matrix; its
     windows still live in the row.  SPLIT, MERGE and the correction must
-    treat it exactly as the python tier does."""
+    treat it exactly as the reference does."""
     foreign_config = ForecastConfig(season_lengths=(3,), fallback_alpha=0.5)
     foreign = NodeTimeSeries(LENGTH, foreign_config)
     foreign.extend([4.0, -1.0, 7.0, 2.0, 5.0, 3.0, 6.0])
@@ -468,9 +495,7 @@ def test_rows_that_do_not_fit_the_layout_behave_like_scalar_rows():
 
     def scenario(world):
         for state in (foreign_state, long_state):
-            world.series.append(
-                NodeTimeSeries.from_state_dict(state, world.config, bank=world.bank)
-            )
+            world.load(state)
         world.new()
         world.append_each([2, 2], [2.0, 8.0])
         world.split(0, 0.25)  # an object row splits
@@ -481,7 +506,7 @@ def test_rows_that_do_not_fit_the_layout_behave_like_scalar_rows():
         world.correct(1, [3.0, 1.0, 4.0, 1.0, 5.0])  # back to a vector row
         world.close([0, 1, 2], [6.0, 5.0, 4.0])
 
-    got, expected = _both_tiers(scenario)
+    got, expected = _both_worlds(scenario)
     assert got == expected
     row = World(CONFIG, LENGTH)
     scenario(row)

@@ -11,26 +11,22 @@ rows between busy ones and ``modified == theta`` exactly.
 
 :class:`TestSweptClose` then checks what ADA adds on top — the
 ``track_root`` / ``allow_root_heavy`` / ``min_heavy_depth`` masks, applied
-after the sweep — by closing swept rows on the vector tier against
-``process_timeunit`` on the python tier.
+after the sweep — by closing swept rows against the per-path reference
+(:class:`repro.testing.reference.ReferenceADA`).
 """
 
 from __future__ import annotations
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._vector import load_numpy
 from repro.core.ada import ADAAlgorithm
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.hhh import accumulate_raw_weights, compute_shhh
 from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
-from tests.conftest import python_tier
-
-np = load_numpy()
-pytestmark = pytest.mark.skipif(np is None, reason="the sweep needs the vector backend")
+from repro.testing.reference import ReferenceADA
 
 # A tree shape is a nested list: ``[]`` is a leaf, ``[[], [[]]]`` a node with
 # a leaf child and a one-child chain.  The empty shape is the root-only tree.
@@ -163,8 +159,8 @@ MASK_CONFIGS = [
 
 
 class TestSweptClose:
-    """``sweep_timeunits`` + ``close_swept`` == ``process_timeunit`` per unit
-    on the python tier, masks included."""
+    """``sweep_timeunits`` + ``close_swept`` == the reference's
+    ``process_timeunit`` per unit, masks included."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -173,7 +169,7 @@ class TestSweptClose:
         masks=st.sampled_from(MASK_CONFIGS),
         remainder=st.booleans(),
     )
-    def test_swept_rows_close_like_the_scalar_walk(self, case, theta, masks, remainder):
+    def test_swept_rows_close_like_the_reference(self, case, theta, masks, remainder):
         tree, rows = case
         config = TiresiasConfig(
             theta=float(theta),
@@ -191,7 +187,6 @@ class TestSweptClose:
         assert len(swept) == len(rows)
         got = [algo.close_swept(row, unit) for unit, row in enumerate(swept)]
         assert algo.close_profile()["dense_close_units"] == len(rows)
-        with python_tier():
-            oracle = ADAAlgorithm(tree, config)
-            want = [oracle.process_timeunit(counts, unit) for unit, counts in enumerate(rows)]
+        oracle = ReferenceADA(tree, config)
+        want = [oracle.process_timeunit(counts, unit) for unit, counts in enumerate(rows)]
         assert got == want

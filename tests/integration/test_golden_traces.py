@@ -5,6 +5,10 @@ Small canonical CCD-trouble / CCD-network / SCD traces are committed under
 produce on them (``*.expected.json``).  Any change to the classification,
 heavy hitter, forecasting or detection arithmetic shows up as a diff here.
 
+Every test runs once per way of selecting the forecaster — ``"auto"`` and
+the built-in model by registry name, ``"holt-winters"`` — against the same
+expected files: naming the model changes nothing.
+
 Run ``pytest tests/integration/test_golden_traces.py --update-golden`` after
 an *intentional* output change to rewrite the expected files; review the diff
 before committing.  The specs themselves (generator seeds, detector configs)
@@ -20,7 +24,17 @@ import pytest
 from repro.engine.engine import DetectionEngine
 from repro.engine.sharded import ShardedDetectionEngine
 from repro.streaming.batch import iter_record_batches
-from tests.conftest import python_tier
+from tests.integration.test_reference_oracle import reference_run
+
+
+@pytest.fixture(params=["auto", "holt-winters"])
+def model(request) -> str:
+    return request.param
+
+
+def detector_config(spec, model: str, **changes):
+    config = spec.detector_config().replace(**changes)
+    return config.replace(forecast=config.forecast.replace(model=model))
 
 
 def detection_digest(results, anomalies) -> dict:
@@ -33,11 +47,11 @@ def detection_digest(results, anomalies) -> dict:
     }
 
 
-def run_serial(spec, loader, path="record"):
+def run_serial(spec, loader, model, path="record"):
     tree, clock, records = loader(spec)
     engine = DetectionEngine()
     engine.add_session(
-        spec.name, tree, spec.detector_config(), algorithm=spec.algorithm, clock=clock
+        spec.name, tree, detector_config(spec, model), algorithm=spec.algorithm, clock=clock
     )
     if path == "record":
         results = engine.process_stream(records)[spec.name]
@@ -46,8 +60,8 @@ def run_serial(spec, loader, path="record"):
     return results, engine.anomalies()[spec.name]
 
 
-def test_golden_trace_detections(golden_spec, golden_trace_loader, update_golden):
-    results, anomalies = run_serial(golden_spec, golden_trace_loader)
+def test_golden_trace_detections(golden_spec, golden_trace_loader, model, update_golden):
+    results, anomalies = run_serial(golden_spec, golden_trace_loader, model)
     digest = detection_digest(results, anomalies)
     assert digest["total_anomalies"] > 0, (
         "a golden trace without detections would not regress anything useful"
@@ -68,10 +82,10 @@ def test_golden_trace_detections(golden_spec, golden_trace_loader, update_golden
     )
 
 
-def test_golden_trace_batch_path_matches(golden_spec, golden_trace_loader):
-    record_results, record_anomalies = run_serial(golden_spec, golden_trace_loader)
+def test_golden_trace_batch_path_matches(golden_spec, golden_trace_loader, model):
+    record_results, record_anomalies = run_serial(golden_spec, golden_trace_loader, model)
     batch_results, batch_anomalies = run_serial(
-        golden_spec, golden_trace_loader, path="batch"
+        golden_spec, golden_trace_loader, model, path="batch"
     )
     assert batch_results == record_results
     assert [a.to_dict() for a in batch_anomalies] == [
@@ -79,28 +93,26 @@ def test_golden_trace_batch_path_matches(golden_spec, golden_trace_loader):
     ]
 
 
-def test_golden_trace_vector_matches_python(golden_spec, golden_trace_loader):
-    """The vector-tier close must reproduce the python-tier scalar walk on
-    every golden trace (the broader random-space check lives in
-    test_tier_equivalence.py).  On a process that is already on the python
-    tier the two runs coincide; the committed digests still pin it."""
-    vector_results, vector_anomalies = run_serial(golden_spec, golden_trace_loader)
-    with python_tier():
-        python_results, python_anomalies = run_serial(
-            golden_spec, golden_trace_loader
-        )
-    assert vector_results == python_results
-    assert detection_digest(vector_results, vector_anomalies) == detection_digest(
-        python_results, python_anomalies
+def test_golden_trace_matches_the_reference(golden_spec, golden_trace_loader):
+    """The per-path reference reproduces every golden trace's per-unit
+    results (the random-space check lives in test_reference_oracle.py)."""
+    results, anomalies = run_serial(golden_spec, golden_trace_loader, "auto")
+    tree, clock, records = golden_trace_loader(golden_spec)
+    _oracle, want, want_anomalies = reference_run(
+        tree, clock, records, golden_spec.detector_config()
     )
+    assert results == want
+    assert [a.to_dict() for a in anomalies] == want_anomalies
 
 
-def test_golden_trace_depth2_sharded_matches_serial(golden_spec, golden_trace_loader):
+def test_golden_trace_depth2_sharded_matches_serial(
+    golden_spec, golden_trace_loader, model
+):
     """Depth-2 cuts on the golden workloads, against a serial run of the
     SAME ``min_heavy_depth=2`` config (not the committed digests — raising
     the heavy-hitter floor legitimately changes which nodes can detect)."""
     tree, clock, records = golden_trace_loader(golden_spec)
-    config = golden_spec.detector_config().replace(min_heavy_depth=2)
+    config = detector_config(golden_spec, model, min_heavy_depth=2)
     serial = DetectionEngine()
     serial.add_session(
         golden_spec.name, tree, config, algorithm=golden_spec.algorithm, clock=clock
@@ -126,14 +138,14 @@ def test_golden_trace_depth2_sharded_matches_serial(golden_spec, golden_trace_lo
     ]
 
 
-def test_golden_trace_sharded_path_matches(golden_spec, golden_trace_loader):
+def test_golden_trace_sharded_path_matches(golden_spec, golden_trace_loader, model):
     tree, clock, records = golden_trace_loader(golden_spec)
-    record_results, record_anomalies = run_serial(golden_spec, golden_trace_loader)
+    record_results, record_anomalies = run_serial(golden_spec, golden_trace_loader, model)
     with ShardedDetectionEngine(num_workers=2) as engine:
         engine.add_session(
             golden_spec.name,
             tree,
-            golden_spec.detector_config(),
+            detector_config(golden_spec, model),
             algorithm=golden_spec.algorithm,
             clock=clock,
             subtree_shards=2,

@@ -22,9 +22,8 @@ import hashlib
 import json
 import random
 
-import pytest
+import numpy as np
 
-from repro._vector import load_numpy
 from repro.core.ada import ADAAlgorithm
 from repro.core.adapt import FRESH, SPLIT
 from repro.core.config import ForecastConfig, TiresiasConfig
@@ -32,13 +31,8 @@ from repro.core.timeseries import FloatRing
 from repro.engine.engine import DetectionEngine
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.batch import iter_record_batches
-from tests.conftest import (
-    GOLDEN_DIR,
-    GOLDEN_SPECS,
-    canonical_checkpoint,
-    load_golden_trace,
-    python_tier,
-)
+from repro.testing.reference import ReferenceADA
+from tests.conftest import GOLDEN_DIR, GOLDEN_SPECS, canonical_checkpoint, load_golden_trace
 
 FIXTURE_CHECKPOINT = GOLDEN_DIR / "pre_row_store.checkpoint.json"
 FIXTURE_EXPECTED = GOLDEN_DIR / "pre_row_store.expected.json"
@@ -93,7 +87,6 @@ def write_fixture() -> None:
     )
 
 
-@pytest.mark.skipif(load_numpy() is None, reason="the fixture was written on a vector tier")
 def test_pre_row_store_checkpoint_restores_and_continues_identically():
     _tree, _clock, batches = _fixture_batches()
     engine = DetectionEngine.load_checkpoint(FIXTURE_CHECKPOINT)
@@ -137,9 +130,7 @@ CHURN_CONFIG = TiresiasConfig(
 )
 
 
-@pytest.mark.skipif(load_numpy() is None, reason="the row store needs the vector backend")
 def test_churn_run_keeps_every_series_in_the_bank_matrix():
-    np = load_numpy()
     tree, stream = _churn_units()
     algo = ADAAlgorithm(tree, CHURN_CONFIG)
     plan_allocations = [0]
@@ -181,11 +172,12 @@ def test_churn_run_keeps_every_series_in_the_bank_matrix():
     assert views_checked > 100
     assert algo.bank._state.shape[0] < 4 * peak_live
 
-    with python_tier():
-        oracle = ADAAlgorithm(tree, CHURN_CONFIG)
-        for counts in stream:
-            oracle.process_timeunit(counts)
-        assert oracle.memory_units() == algo.memory_units()
+    oracle = ReferenceADA(tree, CHURN_CONFIG)
+    for counts in stream:
+        oracle.process_timeunit(counts)
+    assert algo.memory_units() == tree.num_nodes + sum(
+        len(s.actual) + len(s.forecast) for s in oracle.series.values()
+    ) + sum(len(values) for values in oracle.reference.values())
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ dictionary a batch was given never grows afterwards); the second half holds
 the sessions to it: results, the observer event sequence and
 ``save_checkpoint`` bytes of reader-born batches (one cumulative dictionary)
 equal those of hand-built batches of the same records cut at the same rows
-(``RecordBatch.from_columns``: a fresh dictionary per batch), on the vector
-tier this process runs and on the python tier.
+(``RecordBatch.from_columns``: a fresh dictionary per batch), whether the
+session's forecaster is chosen automatically or named.
 
 The last part is the hostile edge: a stream of pairwise-distinct categories
 must cost a bounded dictionary and linear time.
@@ -23,7 +23,6 @@ import random
 import socket
 import time
 import tracemalloc
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -43,19 +42,7 @@ from repro.io.jsonl_io import (
 from repro.service import DetectionService, ServiceConfig, TenantSpec
 from repro.streaming.batch import CODEBOOK_BATCHES, ColumnAccumulator, RecordBatch
 from repro.streaming.record import OperationalRecord
-from tests.conftest import (
-    PROCESS_ON_VECTOR_TIER as VECTOR,
-    canonical_checkpoint,
-    python_tier,
-)
-
-TIERS = {"vector": nullcontext, "python": python_tier}
-
-
-@pytest.fixture(params=list(TIERS))
-def tier(request):
-    with TIERS[request.param]():
-        yield request.param
+from tests.conftest import canonical_checkpoint
 
 
 def ndjson(rows, tenants=None) -> bytes:
@@ -144,7 +131,7 @@ def assert_coded_equals_rows(batches, rows):
 
 
 class TestReadersEmitCodedBatches:
-    def test_csv(self, tmp_path, tier):
+    def test_csv(self, tmp_path):
         rows = [(ts, category, {}) for ts, category, _ in reader_rows()]
         path = tmp_path / "trace.csv"
         write_records_csv(
@@ -155,7 +142,7 @@ class TestReadersEmitCodedBatches:
             batches.append(batch)
         assert_coded_equals_rows(batches, rows)
 
-    def test_jsonl_file(self, tmp_path, tier):
+    def test_jsonl_file(self, tmp_path):
         rows = reader_rows()
         path = tmp_path / "trace.jsonl"
         write_records_jsonl(
@@ -165,7 +152,7 @@ class TestReadersEmitCodedBatches:
         assert_coded_equals_rows(list(read_batches_jsonl(path, BATCH)), rows)
 
     @pytest.mark.parametrize("block", [None, READ_BLOCK_BYTES], ids=["whole", "64KiB"])
-    def test_decoder_unrouted(self, tier, block):
+    def test_decoder_unrouted(self, block):
         rows = reader_rows()
         body = ndjson(rows)
         assert len(body) > 2 * READ_BLOCK_BYTES
@@ -179,7 +166,7 @@ class TestReadersEmitCodedBatches:
         assert_coded_equals_rows([batch for _, batch in fed], rows)
 
     @pytest.mark.parametrize("block", [None, READ_BLOCK_BYTES], ids=["whole", "64KiB"])
-    def test_decoder_routed(self, tier, block):
+    def test_decoder_routed(self, block):
         """Two tenants interleaved in one body: one codebook per tenant."""
         rows = reader_rows()
         tenants = [("beta" if i % 3 == 0 else None) for i in range(len(rows))]
@@ -215,6 +202,8 @@ DELTA = 10.0
 LEAVES = [("a", "a1"), ("a", "a2"), ("b", "b1", "x"), ("b", "b1", "y"), ("b", "b2"), ("c",)]
 #: The leaves, an interior node and two paths the tree does not know.
 CATEGORIES = LEAVES + [("b", "b1"), ("zz", "nowhere"), ("a", "a9")]
+#: The forecaster picked by the config, and the same built-in model by name.
+MODELS = ("auto", "holt-winters")
 
 
 def session_rows(late: bool = True):
@@ -234,7 +223,7 @@ def session_rows(late: bool = True):
     return rows
 
 
-def make_config(policy: str, **overrides) -> TiresiasConfig:
+def make_config(policy: str, model: str = "auto", **overrides) -> TiresiasConfig:
     defaults = dict(
         theta=3.0,
         ratio_threshold=1.5,
@@ -245,16 +234,16 @@ def make_config(policy: str, **overrides) -> TiresiasConfig:
         track_root=False,
         allow_root_heavy=False,
         out_of_order_policy=policy,
-        forecast=ForecastConfig(season_lengths=(2,), fallback_alpha=0.4),
+        forecast=ForecastConfig(season_lengths=(2,), fallback_alpha=0.4, model=model),
     )
     defaults.update(overrides)
     return TiresiasConfig(**defaults)
 
 
-def outcome(batches, tmp_path, policy="drop", shadow=False) -> dict:
+def outcome(batches, tmp_path, policy="drop", shadow=False, model="auto") -> dict:
     """Everything the contract compares, for one session fed ``batches``."""
     session = DetectionSession(
-        HierarchyTree.from_leaf_paths(LEAVES), make_config(policy), warmup_units=2
+        HierarchyTree.from_leaf_paths(LEAVES), make_config(policy, model), warmup_units=2
     )
     events: list[tuple] = []
     session.subscribe(
@@ -270,7 +259,7 @@ def outcome(batches, tmp_path, policy="drop", shadow=False) -> dict:
         )
     )
     if shadow:
-        session.start_shadow(make_config(policy, theta=2.0))
+        session.start_shadow(make_config(policy, model, theta=2.0))
     results, error = [], None
     try:
         for batch in batches:
@@ -290,30 +279,29 @@ def outcome(batches, tmp_path, policy="drop", shadow=False) -> dict:
     }
 
 
-def assert_coded_equals_tuples(coded, rows, tmp_path, tier, **options) -> dict:
+def assert_coded_equals_tuples(coded, rows, tmp_path, **options) -> dict:
     tuples = tuple_batches(rows, [len(batch) for batch in coded])
     got = outcome(coded, tmp_path, **options)
     expected = outcome(tuples, tmp_path, **options)
     # Same rows, same cuts: the close path is the same too.
     assert got == expected
     assert got["results"] or got["error"]
-    if tier == "python" or not VECTOR:
-        assert got["dense_units"] == 0
     return got
 
 
+@pytest.mark.parametrize("model", MODELS)
 class TestSessionsCannotTell:
     @pytest.mark.parametrize("policy", ["drop", "clamp", "raise"])
     @pytest.mark.parametrize("batch_size", [7, 64, 4096])
-    def test_late_runs_and_unknown_categories(self, tmp_path, tier, policy, batch_size):
+    def test_late_runs_and_unknown_categories(self, tmp_path, model, policy, batch_size):
         rows = session_rows()
         coded = [b for _, b in NdjsonDecoder(batch_size).feed(ndjson(rows), final=True)]
-        got = assert_coded_equals_tuples(coded, rows, tmp_path, tier, policy=policy)
+        got = assert_coded_equals_tuples(coded, rows, tmp_path, policy=policy, model=model)
         assert (got["error"] is not None) == (policy == "raise")
-        if tier == "vector" and VECTOR and batch_size > 7:
+        if batch_size > 7:
             assert got["dense_units"] > 0
 
-    def test_csv_and_jsonl_files(self, tmp_path, tier):
+    def test_csv_and_jsonl_files(self, tmp_path, model):
         rows = session_rows(late=False)
         records = [OperationalRecord.create(ts, category) for ts, category, _ in rows]
         write_records_csv(records, tmp_path / "t.csv", max_depth=3)
@@ -322,9 +310,9 @@ class TestSessionsCannotTell:
             list(read_batches_csv(tmp_path / "t.csv", 50)),
             list(read_batches_jsonl(tmp_path / "t.jsonl", 50)),
         ):
-            assert_coded_equals_tuples(batches, rows, tmp_path, tier)
+            assert_coded_equals_tuples(batches, rows, tmp_path, model=model)
 
-    def test_two_tenants_interleaved_in_one_body(self, tmp_path, tier):
+    def test_two_tenants_interleaved_in_one_body(self, tmp_path, model):
         rows = session_rows()
         tenants = [("beta" if i % 2 else "alpha") for i in range(len(rows))]
         decoder = NdjsonDecoder(
@@ -334,15 +322,15 @@ class TestSessionsCannotTell:
         for name in ("alpha", "beta"):
             own = [row for row, tag in zip(rows, tenants) if tag == name]
             coded = [batch for tenant, batch in fed if tenant == name]
-            assert_coded_equals_tuples(coded, own, tmp_path, tier, policy="clamp")
+            assert_coded_equals_tuples(coded, own, tmp_path, policy="clamp", model=model)
 
-    def test_with_a_shadow_session_attached(self, tmp_path, tier):
+    def test_with_a_shadow_session_attached(self, tmp_path, model):
         rows = session_rows()
         coded = [b for _, b in NdjsonDecoder(48).feed(ndjson(rows), final=True)]
-        got = assert_coded_equals_tuples(coded, rows, tmp_path, tier, shadow=True)
+        got = assert_coded_equals_tuples(coded, rows, tmp_path, shadow=True, model=model)
         assert any(event[0] == "diverged" for event in got["events"])
 
-    def test_small_posts(self, tmp_path, tier):
+    def test_small_posts(self, tmp_path, model):
         """The paced shape: one decoder (one request) per post, one run per
         post, many posts per timeunit — every post brings a new dictionary
         and at most one unit closes per post."""
@@ -360,11 +348,10 @@ class TestSessionsCannotTell:
             coded.append(batch)
             start = stop
         assert len(coded) > 4 * 16
-        got = assert_coded_equals_tuples(coded, rows, tmp_path, tier)
+        got = assert_coded_equals_tuples(coded, rows, tmp_path, model=model)
         assert got["dense_units"] == 0  # nothing to hoist: no post closes two units
 
-    @pytest.mark.skipif(not VECTOR, reason="the code → node-id map is a vector-tier cache")
-    def test_a_growing_dictionary_extends_the_code_map(self, tmp_path):
+    def test_a_growing_dictionary_extends_the_code_map(self, tmp_path, model):
         """One connection's codebook grows between flushes; the session maps
         only the entries it has not mapped yet."""
         rows = [  # unit u draws on the first 2 + u categories
@@ -373,9 +360,9 @@ class TestSessionsCannotTell:
             for k in range(10)
         ]
         coded = [b for _, b in NdjsonDecoder(20).feed(ndjson(rows), final=True)]
-        assert_coded_equals_tuples(coded, rows, tmp_path, "vector")
+        assert_coded_equals_tuples(coded, rows, tmp_path, model=model)
         session = DetectionSession(
-            HierarchyTree.from_leaf_paths(LEAVES), make_config("drop"), warmup_units=2
+            HierarchyTree.from_leaf_paths(LEAVES), make_config("drop", model), warmup_units=2
         )
         mapped: list[int] = []
         map_ids = session.algorithm.dictionary_node_ids

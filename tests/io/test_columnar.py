@@ -65,14 +65,6 @@ class TestRoundTrip:
         assert write_trace_columnar([], path) == 0
         assert list(read_records_columnar(path)) == []
 
-    def test_pure_python_reader_matches(self, tmp_path, monkeypatch):
-        path = tmp_path / "trace.rcol"
-        records = sample_records(30, attrs=True)
-        write_trace_columnar(records, path)
-        vectorized = list(read_records_columnar(path))
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        assert list(read_records_columnar(path)) == vectorized == records
-
 
 class TestBatches:
     def test_batch_size_chunking(self, tmp_path):
@@ -177,10 +169,7 @@ class TestAttributesSection:
         batches = list(read_batches_columnar(path, batch_size=5))
         assert [b.attributes is None for b in batches] == [True, True, False, True]
 
-    @pytest.mark.parametrize("numpy", [True, False])
-    def test_convert_rcol_to_rcol_is_byte_identical(self, tmp_path, monkeypatch, numpy):
-        if not numpy:
-            monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+    def test_convert_rcol_to_rcol_is_byte_identical(self, tmp_path):
         source, target = tmp_path / "a.rcol", tmp_path / "b.rcol"
         write_trace_columnar(sample_records(40, attrs=True), source)
         # A foreign writer's spelling must survive: rows pass through as
@@ -203,7 +192,6 @@ class TestAttributesSection:
         assert write_trace_columnar([encoded, decoded, *records[9:]], target) == 12
         assert list(read_records_columnar(target)) == records
 
-    @pytest.mark.parametrize("numpy", [True, False])
     @pytest.mark.parametrize(
         "edit",
         [
@@ -215,10 +203,8 @@ class TestAttributesSection:
         ],
         ids=["first-nonzero", "last-past-blob", "last-short", "decreasing", "negative"],
     )
-    def test_bad_offsets_are_refused_at_open(self, tmp_path, monkeypatch, numpy, edit):
+    def test_bad_offsets_are_refused_at_open(self, tmp_path, edit):
         # Parent: silent garbage slices (or a raw JSONDecodeError later on).
-        if not numpy:
-            monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
         path = tmp_path / "trace.rcol"
         write_trace_columnar(sample_records(12, attrs=True), path)
         patch_section(path, "attr_offsets", edit)
