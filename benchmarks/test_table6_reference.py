@@ -14,9 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.control_chart import ControlChartDetector
-from repro.core.pipeline import Tiresias
 from repro.core.reporting import AnomalyReportStore
 from repro.datagen.generator import counts_per_timeunit
+from repro.engine.session import DetectionSession
 from repro.evaluation.metrics import compare_with_reference, detection_rate
 
 from conftest import detector_config, units_per_day, write_result
@@ -28,7 +28,7 @@ def run_comparison(dataset):
     config = detector_config(
         dataset.config.delta_seconds, theta=12.0, window_days=3.0, reference_levels=2
     )
-    tiresias = Tiresias(
+    tiresias = DetectionSession(
         dataset.tree, config, algorithm="ada", clock=dataset.clock, warmup_units=upd
     )
     # The operations team's chart uses a time-of-day baseline; without it the

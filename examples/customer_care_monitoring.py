@@ -25,8 +25,8 @@ from __future__ import annotations
 from repro import (
     CallbackObserver,
     CCDConfig,
+    DetectionSession,
     ForecastConfig,
-    Tiresias,
     TiresiasConfig,
     make_ccd_dataset,
 )
@@ -64,7 +64,7 @@ def main() -> None:
         reference_levels=2,
         forecast=ForecastConfig(season_lengths=(units_per_day,)),
     )
-    tiresias = Tiresias(
+    tiresias = DetectionSession(
         dataset.tree, config, algorithm="ada", clock=dataset.clock,
         warmup_units=units_per_day,
     )

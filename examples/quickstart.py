@@ -20,8 +20,8 @@ from __future__ import annotations
 from repro import (
     CallbackObserver,
     CCDConfig,
+    DetectionSession,
     ForecastConfig,
-    Tiresias,
     TiresiasConfig,
     make_ccd_dataset,
 )
@@ -60,7 +60,7 @@ def main() -> None:
         split_rule="long-term-history",
         forecast=ForecastConfig(season_lengths=(units_per_day,)),
     )
-    detector = Tiresias(
+    detector = DetectionSession(
         dataset.tree,
         config,
         algorithm="ada",

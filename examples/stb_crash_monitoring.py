@@ -25,7 +25,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro import SCDConfig, Tiresias, TiresiasConfig, make_scd_dataset
+from repro import DetectionSession, SCDConfig, TiresiasConfig, make_scd_dataset
 from repro.core.reporting import AnomalyQuery
 from repro.core.pipeline import derive_seasonal_config
 from repro.evaluation.metrics import detection_rate
@@ -82,7 +82,7 @@ def main() -> None:
         SCDConfig(duration_days=5.0, delta_seconds=delta, base_rate_per_hour=400.0,
                   network_scale=0.05, num_anomalies=3, anomaly_warmup_days=2.0, seed=21)
     )
-    detector = Tiresias(
+    detector = DetectionSession(
         monitoring.tree, config, algorithm="ada", clock=monitoring.clock,
         warmup_units=units_per_day,
     )
@@ -98,7 +98,7 @@ def main() -> None:
         detector.save_checkpoint(checkpoint_path)
         print(f"\ncheckpoint at record {half}/{len(records)} "
               f"({checkpoint_path.stat().st_size} bytes); restoring...")
-        detector = Tiresias.load_checkpoint(checkpoint_path)
+        detector = DetectionSession.load_checkpoint(checkpoint_path)
     detector.ingest_batch(records[half:])
     detector.flush()
 

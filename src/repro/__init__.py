@@ -41,14 +41,17 @@ Quickstart (single hierarchy, engine API)::
     engine.save_checkpoint("ccd.ckpt.json")   # resume later with
     # engine = DetectionEngine.load_checkpoint("ccd.ckpt.json")
 
-The legacy single-tree facade keeps working unchanged::
+One hierarchy needs no engine: a
+:class:`~repro.engine.session.DetectionSession` takes the same arguments as
+``add_session`` and has the same ``process_stream`` / ``anomalies`` /
+``save_checkpoint`` surface::
 
-    from repro import Tiresias, TiresiasConfig, make_ccd_dataset
+    from repro import DetectionSession, TiresiasConfig, make_ccd_dataset
 
     dataset = make_ccd_dataset()
-    detector = Tiresias(dataset.tree, TiresiasConfig(theta=12, window_units=672))
-    detector.process_stream(dataset.records())
-    for anomaly in detector.anomalies:
+    session = DetectionSession(dataset.tree, TiresiasConfig(theta=12, window_units=672))
+    session.process_stream(dataset.records())
+    for anomaly in session.anomalies:
         print(anomaly.node_path, anomaly.timeunit, anomaly.ratio)
 """
 
@@ -61,7 +64,6 @@ from repro.core import (
     STAAlgorithm,
     ThresholdDetector,
     TimeunitResult,
-    Tiresias,
     TiresiasConfig,
     available_algorithms,
     available_forecasters,
@@ -102,7 +104,6 @@ from repro.streaming import (
     OperationalRecord,
     RecordBatch,
     SimulationClock,
-    SlidingWindow,
     iter_record_batches,
 )
 
@@ -110,7 +111,6 @@ __version__ = "1.10.0"
 
 __all__ = [
     "__version__",
-    "Tiresias",
     "TiresiasConfig",
     "ForecastConfig",
     "derive_seasonal_config",
@@ -144,7 +144,6 @@ __all__ = [
     "iter_record_batches",
     "InputStream",
     "SimulationClock",
-    "SlidingWindow",
     "read_batches_csv",
     "read_batches_jsonl",
     "CCDConfig",

@@ -1,4 +1,4 @@
-"""Core Tiresias algorithms: heavy hitters, STA/ADA, detection, pipeline."""
+"""Core Tiresias algorithms: heavy hitters, STA/ADA, detection, seasonality."""
 
 from repro.core.ada import ADAAlgorithm, nearest_tracked_node
 from repro.core.config import (
@@ -15,7 +15,7 @@ from repro.core.hhh import (
     compute_shhh,
     discounted_series,
 )
-from repro.core.pipeline import Tiresias, derive_seasonal_config
+from repro.core.pipeline import derive_seasonal_config
 from repro.core.registry import (
     available_algorithms,
     available_forecasters,
@@ -45,7 +45,6 @@ __all__ = [
     "ForecastConfig",
     "SPLIT_RULE_NAMES",
     "OUT_OF_ORDER_POLICIES",
-    "Tiresias",
     "derive_seasonal_config",
     "register_algorithm",
     "unregister_algorithm",

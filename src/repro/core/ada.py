@@ -265,30 +265,23 @@ class _SplitStatsStore:
 class _RefStore:
     """Reference (unmodified weight ``A_n``) series for the top-``h`` levels.
 
-    The buffers live in one ``(rows, window)`` ring written with a single
-    column assignment per timeunit; after restoring a snapshot whose rows are
-    ragged, every row is a bounded deque instead.  Emission preserves row
-    insertion order so checkpoints stay byte-identical across save/restore
-    round trips (including merged sharded checkpoints, whose row order is
-    shard-grouped).
+    Every row lives in one ``(rows, window)`` ring that a timeunit writes
+    with a single column assignment at the shared cursor.  Each row holds its
+    own number of valid slots, the newest ending at the cursor — kept as an
+    offset from the shared column counter (``min(window, _origin[row] +
+    _columns)``), so a column write touches no count — and a ragged restore
+    or a row created late (a depth-k shard's band rows, which the split
+    withholds) reads exactly what a bounded deque per row would.  A row the
+    column does not name — a restored path outside ``paths`` — is held aside
+    unchanged, the way a deque nobody appends to would be.  Emission
+    preserves row insertion order so checkpoints stay byte-identical across
+    save/restore round trips (including merged sharded checkpoints, whose row
+    order is shard-grouped).
     """
 
     def __init__(self, maxlen: int):
         self.maxlen = maxlen
-        #: Row paths in insertion order (both modes).
-        self.order: list[CategoryPath] = []
-        self.row_of: dict[CategoryPath, int] = {}
-        #: Per-row deques after a ragged restore; None in ring mode.
-        self.deques: "dict[CategoryPath, Deque[float]] | None" = None
-        self._buf = None  # (rows, maxlen) ring payload, ring mode only
-        self._start = 0
-        self._size = 0
-        self._perm_paths: "tuple | None" = None
-        self._perm = None
-
-    @property
-    def ring_mode(self) -> bool:
-        return self.deques is None
+        self.load([])
 
     def __len__(self) -> int:
         return len(self.order)
@@ -296,123 +289,90 @@ class _RefStore:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def _degrade(self) -> None:
-        """Fall back to per-row deques (keeps values and order)."""
-        if not self.ring_mode:
-            return
-        deques: dict[CategoryPath, Deque[float]] = {}
-        for row, path in enumerate(self.order):
-            deques[path] = deque(self._row_list(row), maxlen=self.maxlen)
-        self.deques = deques
-        self._buf = None
-        self._start = 0
-        self._size = 0
-        self._perm_paths = None
-        self._perm = None
-
-    def _perm_for(self, paths) -> "object | None":
-        """Row indices for ``paths`` (cached), or None if any path is absent."""
-        if self._perm_paths is paths:
-            return self._perm
-        row_of = self.row_of
-        try:
-            perm = np.array([row_of[path] for path in paths], dtype=np.intp)
-        except KeyError:
-            return None
-        self._perm_paths = paths
-        self._perm = perm
-        return perm
-
     def append_column(self, paths, values) -> None:
         """Append one timeunit's value per path (creating missing rows).
 
-        ``paths`` is the session's fixed reference-node tuple; in ring mode
-        the whole column lands with one array write.
+        ``paths`` is the session's fixed reference-node tuple: its rows are
+        resolved once, and from then on the column lands with one array
+        write.
         """
-        if self.ring_mode:
-            if not self.order:
-                self.order = [path for path in paths]
-                self.row_of = {path: row for row, path in enumerate(self.order)}
-                self._buf = np.zeros((len(self.order), self.maxlen))
-                self._perm_paths = None
-            perm = self._perm_for(paths)
-            if perm is None or len(self.order) != len(paths):
-                self._degrade()
-            else:
-                pos = self._start + self._size
-                if pos >= self.maxlen:
-                    pos -= self.maxlen
-                self._buf[perm, pos] = values
-                if self._size == self.maxlen:
-                    self._start += 1
-                    if self._start == self.maxlen:
-                        self._start = 0
-                else:
-                    self._size += 1
-                return
-        if not isinstance(values, list):
-            values = values.tolist()
-        maxlen = self.maxlen
-        deques = self.deques
-        for path, value in zip(paths, values):
-            buf = deques.get(path)
-            if buf is None:
-                buf = deque(maxlen=maxlen)
-                deques[path] = buf
+        if paths is not self._paths:
+            self._route(paths)
+        pos = self._pos
+        self._buf[self._perm, pos] = values
+        self._pos = 0 if pos + 1 == self.maxlen else pos + 1
+        self._columns += 1
+
+    def _route(self, paths) -> None:
+        """Point the column write at ``paths``: rows are created for new
+        paths (in ``paths`` order), rows outside ``paths`` are set aside and
+        set-aside rows ``paths`` names again are put back at the cursor."""
+        row_of = self.row_of
+        new = [path for path in paths if path not in row_of]
+        if new:
+            for path in new:
+                row_of[path] = len(self.order)
                 self.order.append(path)
-                self.row_of[path] = len(self.order) - 1
-            buf.append(value)
+            # Fresh zeros stay untouched pages until a column writes them.
+            buf = np.zeros((len(self.order), self.maxlen))
+            buf[: len(self._buf)] = self._buf
+            self._buf = buf
+            self._origin = np.concatenate(
+                [self._origin, np.full(len(new), -self._columns, dtype=np.int64)]
+            )
+        perm = np.array([row_of[path] for path in paths], dtype=np.intp)
+        named = set(perm.tolist())
+        aside = self._aside
+        for row in range(len(self.order)):
+            if row not in named and row not in aside:
+                aside[row] = self._values(row).copy()
+            elif row in named and row in aside:
+                values = aside.pop(row)
+                n = len(values)
+                self._buf[row] = 0.0
+                self._buf[row, (self._pos - n + np.arange(n)) % self.maxlen] = values
+                self._origin[row] = n - self._columns
+        self._paths = paths
+        self._perm = perm
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def _row_list(self, row: int) -> list[float]:
-        end = self._start + self._size
-        if end <= self.maxlen:
-            return self._buf[row, self._start : end].tolist()
-        return (
-            self._buf[row, self._start :].tolist()
-            + self._buf[row, : end - self.maxlen].tolist()
+    def _values(self, row: int):
+        """The row's values, oldest first: a view unless the range wraps."""
+        held = self._aside.get(row)
+        if held is not None:
+            return held
+        start = self._pos - min(self.maxlen, int(self._origin[row]) + self._columns)
+        if start >= 0:
+            return self._buf[row, start : self._pos]
+        return np.concatenate(
+            [self._buf[row, start + self.maxlen :], self._buf[row, : self._pos]]
         )
 
     def has_values(self, path: CategoryPath) -> bool:
-        if self.ring_mode:
-            return self._size > 0 and path in self.row_of
-        buf = self.deques.get(path)
-        return buf is not None and len(buf) > 0
+        row = self.row_of.get(path)
+        return row is not None and len(self._values(row)) > 0
 
     def corrected_base(self, path: CategoryPath):
         """A fresh, mutable oldest-first float64 copy of the path's buffer
         (or None)."""
-        if self.ring_mode:
-            row = self.row_of.get(path)
-            if row is None or self._size == 0:
-                return None
-            end = self._start + self._size
-            if end <= self.maxlen:
-                return self._buf[row, self._start : end].copy()
-            return np.concatenate(
-                [self._buf[row, self._start :], self._buf[row, : end - self.maxlen]]
-            )
-        buf = self.deques.get(path)
-        if buf is None or not buf:
+        row = self.row_of.get(path)
+        if row is None:
             return None
-        return np.fromiter(buf, dtype=np.float64, count=len(buf))
+        values = self._values(row)
+        return values.copy() if len(values) else None
 
     def total_len(self) -> int:
-        if self.ring_mode:
-            return self._size * len(self.order)
-        return sum(len(buf) for buf in self.deques.values())
+        counts = np.minimum(self._origin + self._columns, self.maxlen)
+        counts[list(self._aside)] = [len(held) for held in self._aside.values()]
+        return int(counts.sum())
 
     def as_dict(self) -> "dict[CategoryPath, Deque[float]]":
-        """Compat view: ``{path: deque}`` in insertion order.
-
-        In ring mode the deques are materialized copies — reads only (the
-        live state is columnar)."""
-        if not self.ring_mode:
-            return self.deques
+        """``{path: deque}`` in insertion order: materialized copies, for
+        reading only (the live state is the ring)."""
         return {
-            path: deque(self._row_list(row), maxlen=self.maxlen)
+            path: deque(self._values(row).tolist(), maxlen=self.maxlen)
             for row, path in enumerate(self.order)
         }
 
@@ -420,53 +380,46 @@ class _RefStore:
     # Checkpointing
     # ------------------------------------------------------------------
     def emit(self) -> list:
-        if self.ring_mode:
-            return [
-                [list(path), self._row_list(row)]
-                for row, path in enumerate(self.order)
-            ]
-        return [[list(path), list(buf)] for path, buf in self.deques.items()]
+        return [
+            [list(path), self._values(row).tolist()]
+            for row, path in enumerate(self.order)
+        ]
 
     def load(self, rows) -> None:
-        """Restore from canonical ``[[path, values], ...]`` rows."""
-        self.order = []
-        self.row_of = {}
-        self._buf = None
-        self._start = 0
-        self._size = 0
-        self._perm_paths = None
-        self._perm = None
-        self.deques = None
+        """Restore from canonical ``[[path, values], ...]`` rows: each row's
+        newest ``maxlen`` values end at the cursor (slot 0)."""
         maxlen = self.maxlen
-        if not rows:
-            return
-        lengths = {min(len(values), maxlen) for _path, values in rows}
-        if len(lengths) == 1:
-            size = next(iter(lengths))
-            self.order = [tuple(path) for path, _values in rows]
-            self.row_of = {path: row for row, path in enumerate(self.order)}
-            self._buf = np.zeros((len(rows), maxlen))
-            for row, (_path, values) in enumerate(rows):
-                tail = [float(v) for v in values][-maxlen:]
-                self._buf[row, :size] = tail
-            self._size = size
-            return
-        self.deques = {}
-        for path, values in rows:
-            path = tuple(path)
-            self.order.append(path)
-            self.row_of[path] = len(self.order) - 1
-            self.deques[path] = deque((float(v) for v in values), maxlen=maxlen)
+        #: Row paths in insertion order, and the row of each.
+        self.order: list[CategoryPath] = [tuple(path) for path, _values in rows]
+        self.row_of = {path: row for row, path in enumerate(self.order)}
+        self._buf = np.zeros((len(rows), maxlen))
+        #: A row's valid slots are ``min(maxlen, _origin[row] + _columns)``.
+        self._origin = np.zeros(len(rows), dtype=np.int64)
+        for row, (_path, values) in enumerate(rows):
+            tail = [float(v) for v in values][-maxlen:]
+            if tail:
+                self._buf[row, maxlen - len(tail) :] = tail
+            self._origin[row] = len(tail)
+        #: Columns written since the restore.
+        self._columns = 0
+        #: Slot the next column is written to.
+        self._pos = 0
+        #: The ``paths`` object ``_perm`` (its rows) was resolved for.
+        self._paths = None
+        self._perm = None
+        #: Rows outside the current ``paths``: row -> its values.
+        self._aside: dict[int, np.ndarray] = {}
 
 
 class _SeriesView(MappingABC):
     """``path -> NodeTimeSeries`` over the id registry, read-only.
 
-    The registry holds bank row numbers; a :class:`NodeTimeSeries` handle is
-    built the first time a path is asked for — by a checkpoint, the
-    evaluation harness, a test — and kept while the path stays tracked.  When
-    a plan stops tracking the path the handle turns inert, so one taken
-    earlier can neither read nor release the row's next tenant.
+    The registry holds bank row numbers; a :class:`NodeTimeSeries` read view
+    is built the first time a caller asks for a path and kept while the path
+    stays tracked (checkpoints, memory accounting and ``series_for`` read the
+    rows directly and build none).  When a plan stops tracking the path the
+    handle turns inert, so one taken earlier cannot read the row's next
+    tenant.
 
     The view holds what it reads — the index, the registry dict, the window
     length, the forecast config and the bank — and not the algorithm, so a
@@ -498,9 +451,7 @@ class _SeriesView(MappingABC):
         if handle is None:
             forecast = self._forecast
             handle = self._handles[node_id] = NodeTimeSeries(
-                self._window,
-                forecast,
-                forecaster=SeriesForecaster(forecast, self._bank, row),
+                self._window, forecast, SeriesForecaster(forecast, self._bank, row)
             )
         return handle
 
@@ -1021,14 +972,16 @@ class ADAAlgorithm:
     # ------------------------------------------------------------------
     def series_for(self, path: CategoryPath) -> list[float]:
         """The adapted actual series currently held for ``path``."""
-        series = self.series.get(tuple(path))
-        return list(series.actual) if series is not None else []
+        row = self._series_ids.get(self._index.path_to_id.get(tuple(path)))
+        return [] if row is None else self.bank.window_values(row, 0).tolist()
 
     def memory_units(self) -> int:
         """Number of stored scalars (Table IV cost proxy): one tree + series."""
-        tree_cost = self.tree.num_nodes
-        series_cost = sum(len(s.actual) + len(s.forecast) for s in self.series.values())
-        return tree_cost + series_cost + self._ref.total_len()
+        window_len = self.bank.window_len
+        series_cost = sum(
+            window_len(row, 0) + window_len(row, 1) for row in self._series_ids.values()
+        )
+        return self.tree.num_nodes + series_cost + self._ref.total_len()
 
     @property
     def current_timeunit(self) -> TimeunitIndex:
@@ -1069,14 +1022,16 @@ class ADAAlgorithm:
         write it interchangeably.
         """
         stats_rows, last_rows = self._stats.emit()
+        paths = self._index.paths
+        series_state = self.bank.series_state_dict
         return {
             "timeunit": self._timeunit,
             "split_operations": self.split_operations,
             "merge_operations": self.merge_operations,
             "stage_seconds": dict(self.stage_seconds),
             "series": [
-                [list(path), series.state_dict()]
-                for path, series in self.series.items()
+                [list(paths[node_id]), series_state(row)]
+                for node_id, row in self._series_ids.items()
             ],
             "reference": self._ref.emit(),
             "stats": stats_rows,
@@ -1105,10 +1060,7 @@ class ADAAlgorithm:
                 raise CheckpointError(
                     f"series path {path!r} is not a node of this session's tree"
                 )
-            series = NodeTimeSeries.from_state_dict(
-                ts_state, forecast_config, bank=self.bank
-            )
-            self._track(path_to_id[path], series.forecaster.row)
+            self._track(path_to_id[path], self.bank.load_series_state(ts_state))
         self._ref = _RefStore(self.config.window_units)
         self._ref.load(state["reference"])
         self._stats = _SplitStatsStore(self.config, self._index)

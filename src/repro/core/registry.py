@@ -1,11 +1,8 @@
 """Pluggable algorithm and forecaster registries.
 
-The seed implementation hard-coded the ``"ada" | "sta"`` choice in an
-``if/elif`` inside the pipeline and the single-vs-multi seasonal Holt-Winters
-choice inside :class:`~repro.core.timeseries.SeriesForecaster`.  Scaling the
-system to new tracking algorithms (sharded ADA, approximate sketches, ...) and
-new forecasting models (ARIMA-style, learned, ...) requires both to resolve by
-*name*:
+Tracking algorithms (``"ada"``, ``"sta"``, sharded ADA, approximate
+sketches, ...) and forecasting models (Holt-Winters, ARIMA-style, learned,
+...) both resolve by *name*:
 
 * an **algorithm factory** is a callable ``factory(tree, config) -> algorithm``
   returning an object with the tracking-algorithm protocol
@@ -19,9 +16,9 @@ The built-in entries (``"ada"``, ``"sta"``; ``"holt-winters"``,
 registry never creates an import cycle with the algorithm modules.
 
 Registered names are resolved by :class:`~repro.engine.session.DetectionSession`
-(and therefore by the :class:`~repro.core.pipeline.Tiresias` facade) for
-algorithms, and by :class:`~repro.core.timeseries.SeriesForecaster` for
-forecasting models whenever ``ForecastConfig.model`` names one explicitly.
+for algorithms, and by :class:`~repro.forecasting.bank.ForecasterBank` for
+forecasting models whenever ``ForecastConfig.model`` names one explicitly
+(a built-in model by name gets matrix rows, a plug-in object rows).
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ ForecasterFactory = Callable[["ForecastConfig"], Any]
 
 
 # ----------------------------------------------------------------------
-# Built-in factories (lazy imports: ada/sta import the timeseries module,
+# Built-in factories (lazy imports: ada/sta import the forecaster bank,
 # which imports this registry for named forecasting models).
 # ----------------------------------------------------------------------
 def _ada_factory(tree: "HierarchyTree", config: "TiresiasConfig") -> Any:

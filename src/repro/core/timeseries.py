@@ -14,26 +14,20 @@ linearity (Lemma 2).  Before a node has accumulated enough history for the
 seasonal model, an EWMA fallback provides the forecast; the EWMA level is
 linear as well, so scaling/merging remains exact throughout.
 
-The classes here are the public, per-series face of that state.  A
-:class:`NodeTimeSeries` is a ``(bank, row)`` handle: forecaster components,
-warm-up history *and both windows* are one row of the
-:class:`~repro.forecasting.bank.ForecasterBank` matrix, whatever forecasting
-model the config names.  SPLIT, MERGE and the reference correction are the
-bank's whole-row operations; ``series.actual`` / ``series.forecast`` are read
-views (:class:`FloatRing`) that look the row up on every access, so neither a
-row reallocation nor a release can leave one dangling.
-
-A standalone ``SeriesForecaster(config)`` / ``NodeTimeSeries(length, config)``
-transparently owns a private single-row bank, so the scalar API keeps
-working.  A released handle is inert: a second ``release()`` does nothing
-and any other use raises :class:`~repro.exceptions.ConfigurationError`.
+All of that state — forecaster components, warm-up history and both
+windows — is one row of the :class:`~repro.forecasting.bank.ForecasterBank`
+matrix, and every write (observe, record, SPLIT, MERGE, the reference
+correction) is a bank operation on a row number.  The classes here are read
+views of one row: a :class:`NodeTimeSeries` is a ``(bank, row)`` handle whose
+``actual`` / ``forecast`` windows (:class:`FloatRing`) look the row up on
+every access, so a row reallocation cannot leave one dangling.  A handle
+whose row went back to the bank (:meth:`SeriesForecaster.detach`) is inert:
+any use raises :class:`~repro.exceptions.ConfigurationError`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Iterator
 
 from repro.exceptions import ConfigurationError
 from repro.forecasting.bank import ForecasterBank
@@ -46,8 +40,7 @@ class FloatRing:
 
     Holds the series' forecaster handle, not an array: every read resolves
     ``(bank, row)`` afresh, so the view survives matrix reallocation and
-    turns inert with the handle.  Writes go through the series
-    (:meth:`NodeTimeSeries.record` and friends).
+    turns inert with the handle.
     """
 
     __slots__ = ("_handle", "_which")
@@ -79,7 +72,7 @@ class FloatRing:
 
 
 class _ReleasedBank:
-    """The bank of a released handle: whatever is asked of it raises."""
+    """The bank of a detached handle: whatever is asked of it raises."""
 
     def __getattr__(self, name: str):
         if name.startswith("__"):
@@ -97,35 +90,19 @@ _RELEASED = _ReleasedBank()
 
 
 class SeriesForecaster:
-    """Linear, online forecaster attached to one heavy hitter's series.
-
-    A thin view over one :class:`~repro.forecasting.bank.ForecasterBank` row:
-    an EWMA level (always available) and an additive Holt-Winters model
-    (activated once ``config.min_history`` observations have been seen).  All
-    state is linear in the observed series, so :meth:`scaled` and
-    :meth:`add_state` produce exactly the state that would have resulted from
-    observing the scaled / summed series.
-
-    Without an explicit ``bank`` the view owns a private single-row bank, so
-    standalone use keeps the historical scalar behaviour; algorithms pass a
-    shared bank so that all their nodes update in one vectorized call.
+    """Read view of one :class:`~repro.forecasting.bank.ForecasterBank` row's
+    forecasting state: an EWMA level (always available) and an additive
+    Holt-Winters model (active once ``config.min_history`` observations have
+    been seen).
     """
 
     __slots__ = ("config", "bank", "row")
 
-    def __init__(
-        self,
-        config: ForecastConfig,
-        bank: ForecasterBank | None = None,
-        row: int | None = None,
-    ):
+    def __init__(self, config: ForecastConfig, bank: ForecasterBank, row: int):
         self.config = config
-        self.bank = ForecasterBank(config) if bank is None else bank
-        self.row = self.bank.new_row() if row is None else row
+        self.bank = bank
+        self.row = row
 
-    # ------------------------------------------------------------------
-    # Forecaster protocol
-    # ------------------------------------------------------------------
     @property
     def is_seasonal(self) -> bool:
         """Whether the Holt-Winters state is active (vs. the EWMA fallback)."""
@@ -150,61 +127,6 @@ class SeriesForecaster:
         """One-step-ahead forecast for the next timeunit."""
         return self.bank.forecast(self.row)
 
-    def observe(self, value: float) -> float:
-        """Fold in the next actual value; return the forecast made for it."""
-        return self.bank.observe(self.row, value)
-
-    def seed_history(self, history: Sequence[float]) -> None:
-        """Initialize from a full history series (oldest first)."""
-        self.bank.seed_history(self.row, history)
-
-    @classmethod
-    def from_history_fast(
-        cls,
-        history: Sequence[float],
-        config: ForecastConfig,
-        bank: ForecasterBank | None = None,
-    ) -> "SeriesForecaster":
-        """Build a forecaster state from ``history`` without replaying it.
-
-        The seasonal model is initialized directly from the last
-        ``config.min_history`` values (its normal initialization path) and the
-        EWMA fallback level from an exponential smoothing of the recent tail.
-        This is what the reference-series correction uses after a split: it
-        costs O(seasonal period) instead of O(window) Holt-Winters updates and
-        yields the same forecasts going forward up to initialization
-        transients.
-        """
-        forecaster = cls(config, bank=bank)
-        forecaster.bank.seed_fast(forecaster.row, history)
-        return forecaster
-
-    # ------------------------------------------------------------------
-    # Linearity operations used by SPLIT / MERGE
-    # ------------------------------------------------------------------
-    def scaled(self, ratio: float) -> "SeriesForecaster":
-        """State of a forecaster that would have observed ``ratio * series``.
-
-        The clone lives in the same bank (a new row)."""
-        return SeriesForecaster(
-            self.config, self.bank, self.bank.clone_row(self.row, ratio)
-        )
-
-    def add_state(self, other: "SeriesForecaster") -> None:
-        """Fold ``other``'s state into this forecaster (series addition)."""
-        self.bank.add_state(self.row, other.bank, other.row)
-
-    def copy(self) -> "SeriesForecaster":
-        return self.scaled(1.0)
-
-    def release(self) -> None:
-        """Return the row to the bank.  The handle is inert afterwards:
-        releasing it again does nothing, anything else raises."""
-        if self.bank is _RELEASED:
-            return
-        self.bank.free_row(self.row)
-        self.detach()
-
     def detach(self) -> None:
         """Turn the handle inert without touching the row — for the owner of
         the row, which has already returned it to the bank."""
@@ -219,70 +141,31 @@ class SeriesForecaster:
         once at the session level, not per forecaster)."""
         return self.bank.row_state_dict(self.row)
 
-    @classmethod
-    def from_state_dict(
-        cls,
-        state: dict,
-        config: ForecastConfig,
-        bank: ForecasterBank | None = None,
-    ) -> "SeriesForecaster":
-        """Rebuild a forecaster from :meth:`state_dict` output."""
-        forecaster = cls(config, bank=bank)
-        forecaster.bank.load_row_state(forecaster.row, state)
-        return forecaster
-
 
 class NodeTimeSeries:
-    """Aligned actual / forecast series for one heavy hitter node.
+    """Aligned actual / forecast series for one heavy hitter node: a read
+    view of the bank row ``forecaster`` names.
 
     Parameters
     ----------
     length:
-        ℓ, the maximum number of timeunits retained.
+        ℓ, the maximum number of timeunits retained — the bank's window
+        length (one bank holds windows of one length).
     forecast_config:
         Parameters of the forecasting model attached to the series.
-    bank:
-        Shared :class:`~repro.forecasting.bank.ForecasterBank` the node's
-        row should live in; omitted for standalone use.  One bank holds
-        windows of one length.
     forecaster:
-        Pre-built forecaster view to adopt instead of allocating a fresh row
-        (used internally by :meth:`scaled`).
+        The view of the row's forecasting state.
     """
 
     def __init__(
-        self,
-        length: int,
-        forecast_config: ForecastConfig,
-        bank: ForecasterBank | None = None,
-        forecaster: SeriesForecaster | None = None,
+        self, length: int, forecast_config: ForecastConfig, forecaster: SeriesForecaster
     ):
         if length < 1:
             raise ConfigurationError(f"series length must be >= 1, got {length}")
+        forecaster.bank.reserve_window(length)
         self.length = length
         self.forecast_config = forecast_config
-        # The window is reserved before a row is allocated: a bank that
-        # holds another length refuses without leaking a row.
-        if forecaster is not None:
-            forecaster.bank.reserve_window(length)
-        else:
-            if bank is None:
-                bank = ForecasterBank(forecast_config, window=length)
-            else:
-                bank.reserve_window(length)
-            forecaster = SeriesForecaster(forecast_config, bank=bank)
         self.forecaster = forecaster
-
-    @classmethod
-    def _adopt(
-        cls, template: "NodeTimeSeries", forecaster: SeriesForecaster
-    ) -> "NodeTimeSeries":
-        """A series over an existing row."""
-        series = cls.__new__(cls)
-        series.length = template.length
-        series.forecast_config = template.forecast_config
-        series.forecaster = forecaster
-        return series
 
     @property
     def actual(self) -> FloatRing:
@@ -293,48 +176,6 @@ class NodeTimeSeries:
     def forecast(self) -> FloatRing:
         """The one-step-ahead forecasts made for the values of :attr:`actual`."""
         return FloatRing(self.forecaster, 1)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_history(
-        cls, history: Sequence[float], length: int, forecast_config: ForecastConfig
-    ) -> "NodeTimeSeries":
-        """Build a series by replaying ``history`` (oldest first)."""
-        series = cls(length, forecast_config)
-        series.extend(history)
-        return series
-
-    # ------------------------------------------------------------------
-    # Online updates
-    # ------------------------------------------------------------------
-    def append(self, value: float) -> float:
-        """Append the newest actual value; returns the forecast made for it."""
-        predicted = self.forecaster.observe(value)
-        self.record(float(value), predicted)
-        return predicted
-
-    def record(self, value: float, predicted: float) -> None:
-        """Push an (actual, forecast) pair whose forecaster update already ran.
-
-        The per-series form of :meth:`ForecasterBank.record_rows`, which the
-        batched close uses after one :meth:`ForecasterBank.observe_rows_arrays`
-        call has advanced every forecaster.
-        """
-        self.forecaster.bank.record(self.forecaster.row, value, predicted)
-
-    def extend(self, values: Sequence[float]) -> list[float]:
-        """Append several timeunit values at once (oldest first).
-
-        This is the series-level entry point of the batch ingestion path: a
-        columnar batch reduces to one aggregated count per (node, timeunit),
-        so a node series absorbs a whole batch with one call instead of one
-        per record.  The forecaster update is inherently sequential (each
-        forecast conditions on the previous observation), so the values are
-        folded in order; returns the forecast made for each value.
-        """
-        return [self.append(value) for value in values]
 
     @property
     def latest_actual(self) -> float:
@@ -358,95 +199,20 @@ class NodeTimeSeries:
         return len(self.actual)
 
     # ------------------------------------------------------------------
-    # SPLIT / MERGE support
-    # ------------------------------------------------------------------
-    def scaled(self, ratio: float) -> "NodeTimeSeries":
-        """A copy whose actual/forecast series and state are scaled by ``ratio``."""
-        return NodeTimeSeries._adopt(self, self.forecaster.scaled(ratio))
-
-    def split_inplace(self, ratio: float) -> "NodeTimeSeries":
-        """SPLIT this series in place: a new series takes the ``ratio`` share,
-        this one keeps ``1 - ratio``.
-
-        Bit-identical to the ``scaled(ratio)`` / ``scaled(1 - ratio)`` /
-        ``release()`` triple of a per-object split cascade, with this object
-        (and its row) surviving in place: :meth:`ForecasterBank.split_row`,
-        two multiplies over the row.
-        """
-        forecaster = self.forecaster
-        child_row = forecaster.bank.split_row(forecaster.row, ratio)
-        return NodeTimeSeries._adopt(
-            self, SeriesForecaster(self.forecast_config, forecaster.bank, child_row)
-        )
-
-    def merge_from(self, other: "NodeTimeSeries") -> None:
-        """Add ``other``'s series into this one element-wise (newest aligned);
-        ``other`` is left intact for its owner to release."""
-        mine = self.forecaster
-        if other.forecaster.bank is mine.bank:
-            mine.bank.fold_row(mine.row, other.forecaster.row)
-        else:
-            # A series of another bank (standalone use): bring its newest ℓ
-            # timeunits over as a guest row, fold, and let the guest go.
-            guest = NodeTimeSeries(self.length, self.forecast_config, bank=mine.bank)
-            guest._load(other.state_dict())
-            mine.bank.fold_row(mine.row, guest.forecaster.row)
-            guest.release()
-
-    def replace_actual(self, values: Sequence[float]) -> None:
-        """Overwrite the actual series (used by the reference-series correction).
-
-        The forecaster state is rebuilt from the corrected history (via the
-        fast initialization path) so that future forecasts reflect the
-        corrected series.  The historical forecast column is reset to the
-        corrected actuals themselves -- only the forecast for the upcoming
-        timeunits matters for detection, and past forecasts of a re-derived
-        series are not well defined anyway.
-        """
-        if isinstance(values, np.ndarray):
-            trimmed = values[-self.length :]
-        else:
-            trimmed = list(values)[-self.length :]
-        forecaster = self.forecaster
-        forecaster.bank.reseed(forecaster.row, trimmed)
-
-    def release(self) -> None:
-        """Return the row to its bank when dropping the series (idempotent;
-        a released series cannot be used)."""
-        self.forecaster.release()
-
-    # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-safe snapshot of the series buffers and forecaster state."""
-        return {
-            "length": self.length,
-            "actual": self.actual.tolist(),
-            "forecast": self.forecast.tolist(),
-            "forecaster": self.forecaster.state_dict(),
-        }
-
-    def _load(self, state: dict) -> None:
-        """Fill this *fresh* series from :meth:`state_dict` output (windows
-        longer than ``self.length`` keep their newest values)."""
         forecaster = self.forecaster
-        forecaster.bank.load_row_state(forecaster.row, state["forecaster"])
-        actual = [float(v) for v in state["actual"]]
-        forecast = [float(v) for v in state["forecast"]]
-        forecaster.bank.load_windows(forecaster.row, actual, forecast)
+        return forecaster.bank.series_state_dict(forecaster.row)
 
     @classmethod
-    def from_state_dict(
-        cls,
-        state: dict,
-        forecast_config: ForecastConfig,
-        bank: ForecasterBank | None = None,
-    ) -> "NodeTimeSeries":
-        """Rebuild a node series from :meth:`state_dict` output."""
-        series = cls(int(state["length"]), forecast_config, bank=bank)
-        series._load(state)
-        return series
+    def from_state_dict(cls, state: dict, forecast_config: ForecastConfig) -> "NodeTimeSeries":
+        """A view of :meth:`state_dict` output restored into a bank of its own."""
+        length = int(state["length"])
+        bank = ForecasterBank(forecast_config, window=length)
+        row = bank.load_series_state(state)
+        return cls(length, forecast_config, SeriesForecaster(forecast_config, bank, row))
 
 
 class MultiScaleTimeSeries:

@@ -13,8 +13,8 @@ algorithms:
   semantics scaled across N worker processes (sessions and, optionally,
   disjoint hierarchy subtrees), with bit-identical detections.
 
-The legacy single-tree :class:`~repro.core.pipeline.Tiresias` class is a thin
-facade over one :class:`DetectionSession`.
+A single hierarchy needs no engine: a :class:`DetectionSession` runs on its
+own, with the same ingest, report and checkpoint surface.
 """
 
 from repro.engine.engine import (

@@ -20,10 +20,11 @@ session state instead:
 
 When the forecasting configuration changes, every tracked node's forecaster
 is **re-seeded from its live actual-value window**
-(:meth:`SeriesForecaster.from_history_fast
-<repro.core.timeseries.SeriesForecaster.from_history_fast>`, the same O(season)
-primitive the reference-series correction uses) instead of re-warming from
-scratch — the new model starts with the history the old model accumulated.
+(:meth:`ForecasterBank.seed_fast
+<repro.forecasting.bank.ForecasterBank.seed_fast>` on a row of a bank under
+the new config, the same O(season) primitive the reference-series
+correction uses) instead of re-warming from scratch — the new model starts
+with the history the old model accumulated.
 
 Everything operates on the JSON-safe session state of
 :mod:`repro.io.checkpoint`, so a reconfigured state is by construction a
@@ -138,7 +139,7 @@ def reconfigured_state(
     :func:`~repro.io.checkpoint.session_from_state_dict` and continues at
     exactly the stream position the input state was taken at.
     """
-    from repro.core.timeseries import SeriesForecaster
+    from repro.forecasting.bank import ForecasterBank
     from repro.io.checkpoint import config_from_dict, config_to_dict
 
     if "shadow" in state:
@@ -157,8 +158,10 @@ def reconfigured_state(
     )
     algo_state = new_state.get("algorithm_state")
     if forecast_changed and isinstance(algo_state, Mapping) and "series" in algo_state:
+        bank = ForecasterBank(new_config.forecast)
         for _path, ts_state in algo_state["series"]:
-            history = [float(value) for value in ts_state["actual"]]
-            fresh = SeriesForecaster.from_history_fast(history, new_config.forecast)
-            ts_state["forecaster"] = fresh.state_dict()
+            row = bank.new_row()
+            bank.seed_fast(row, [float(value) for value in ts_state["actual"]])
+            ts_state["forecaster"] = bank.row_state_dict(row)
+            bank.free_row(row)
     return new_state

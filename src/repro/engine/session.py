@@ -1,9 +1,10 @@
 """One detection session: a (hierarchy, config, algorithm) triple run online.
 
-A :class:`DetectionSession` owns everything the seed's monolithic ``Tiresias``
-class owned — the tracking algorithm, the simulation clock, the pending
-timeunit accumulator, the warm-up suppression, the report store — but is built
-for composition:
+A :class:`DetectionSession` is the paper's online system (Fig. 3, Steps 1-6)
+for one hierarchy: it classifies records into timeunits, hands each closed
+timeunit to the tracking algorithm (hierarchy update, series adaptation,
+forecast and detection), suppresses alarms during warm-up and keeps the
+report store.  It is built for composition:
 
 * the tracking algorithm resolves by name through the registry
   (:mod:`repro.core.registry`), so new algorithms plug in without touching
@@ -17,9 +18,8 @@ for composition:
   (:meth:`state_dict` / :meth:`from_state_dict`), the substrate of
   :mod:`repro.io.checkpoint`.
 
-Several sessions run concurrently inside one
-:class:`~repro.engine.engine.DetectionEngine`; a single session is what the
-backward-compatible :class:`~repro.core.pipeline.Tiresias` facade wraps.
+A session runs on its own for one hierarchy; several run concurrently inside
+one :class:`~repro.engine.engine.DetectionEngine`.
 """
 
 from __future__ import annotations

@@ -45,8 +45,9 @@ seasonal parameters) is held the same way until a correction reseeds it.
 Checkpoint compatibility: :meth:`row_state_dict` / :meth:`load_row_state`
 speak the *canonical per-path forecaster format* that predates the bank
 (``{"ewma_level", "seen", "history", "seasonal"}``), so bank-backed sessions
-read and write the same checkpoints as sharded sessions.  Window slots are
-not part of it — only oldest-first contents are.
+read and write the same checkpoints as sharded sessions;
+:meth:`series_state_dict` / :meth:`load_series_state` add the windows.
+Window slots are not part of either — only oldest-first contents are.
 """
 
 from __future__ import annotations
@@ -716,11 +717,6 @@ class ForecasterBank:
     # ------------------------------------------------------------------
     # Warm-start
     # ------------------------------------------------------------------
-    def seed_history(self, row: int, history: Sequence[float]) -> None:
-        """Replay a full history series into a fresh row (oldest first)."""
-        for value in history:
-            self.observe(row, value)
-
     def seed_fast(self, row: int, history: Sequence[float]) -> None:
         """Warm-start a *fresh* row from ``history`` without replaying it.
 
@@ -797,17 +793,6 @@ class ForecasterBank:
     # ------------------------------------------------------------------
     # Linearity operations (SPLIT / MERGE, Lemma 2)
     # ------------------------------------------------------------------
-    def clone_row(self, row: int, ratio: float) -> int:
-        """A new row holding the state of ``ratio *`` the row's series."""
-        dst = self._alloc_row()
-        np.multiply(self._state[row], ratio, out=self._state[dst])
-        self._ints[dst] = self._ints[row]
-        if self._obj and row in self._obj:
-            self._obj[dst] = self._obj[row].scaled(ratio)
-        if not _keeps_zeros(ratio):
-            self._rezero(dst)
-        return dst
-
     def split_row(self, row: int, ratio: float) -> int:
         """SPLIT ``row`` in place: a new row takes ``ratio`` of its state —
         forecaster components, warm-up history and both windows — and ``row``
@@ -977,22 +962,6 @@ class ForecasterBank:
         scalar.load_state_dict(self.row_state_dict(row))
         return scalar
 
-    def add_state(self, row: int, other_bank: "ForecasterBank", other_row: int) -> None:
-        """Fold another row's *forecaster* state into ``row`` (series
-        addition); windows are untouched.
-
-        The source row may live in this bank or another one (standalone
-        series merge across banks).
-        """
-        if other_bank is self:
-            self._fold_state(row, other_row)
-            return
-        snapshot = other_bank.row_state_dict(other_row)
-        scratch = self.new_row()
-        self.load_row_state(scratch, snapshot)
-        self._fold_state(row, scratch)
-        self.free_row(scratch)
-
     # ------------------------------------------------------------------
     # Canonical (pre-bank) checkpoint format
     # ------------------------------------------------------------------
@@ -1101,6 +1070,30 @@ class ForecasterBank:
             for off, buf in zip(self._seasonal_off, seasonal["seasonals"]):
                 values[off : off + len(buf)] = buf
             ints[_PHASE:] = [int(p) for p in seasonal["phases"]]
+
+    def series_state_dict(self, row: int) -> dict:
+        """One node series' canonical snapshot: the window length, both
+        windows oldest first, and :meth:`row_state_dict`."""
+        return {
+            "length": self.window,
+            "actual": self.window_values(row, 0).tolist(),
+            "forecast": self.window_values(row, 1).tolist(),
+            "forecaster": self.row_state_dict(row),
+        }
+
+    def load_series_state(self, state: dict) -> int:
+        """A new row restored from :meth:`series_state_dict` output (windows
+        longer than the bank's keep their newest values).  A snapshot of
+        another window length is refused before a row is taken."""
+        self.reserve_window(int(state["length"]))
+        row = self.new_row()
+        self.load_row_state(row, state["forecaster"])
+        self.load_windows(
+            row,
+            [float(v) for v in state["actual"]],
+            [float(v) for v in state["forecast"]],
+        )
+        return row
 
 
 __all__ = [

@@ -783,7 +783,7 @@ def load_checkpoint(
 
 
 def save_session_checkpoint(session, path: "str | Path") -> None:
-    """Write a single-session checkpoint (used by the ``Tiresias`` facade).
+    """Write a single-session checkpoint (``DetectionSession.save_checkpoint``).
 
     ``session`` is duck-typed on ``state_dict()`` so session-shaped objects
     (e.g. the service's sharded-tenant adapter, whose snapshot is the merged

@@ -1,9 +1,11 @@
-"""Streaming substrate: records, batches, streams, clocks and the window.
+"""Streaming substrate: records, batches, streams and clocks.
 
-Implements the paper's input abstraction (Section III) and Step 1 of the
-system overview (Fig. 3(a)-(b)): operational records ``(category, time)``
-arrive as a time-ordered stream and are classified into fixed-width timeunits
-inside a sliding window of ℓ units.
+Implements the paper's input abstraction (Section III) and the input side of
+Step 1 of the system overview (Fig. 3(a)-(b)): operational records
+``(category, time)`` arrive as a time-ordered stream, and the clock maps each
+timestamp to its fixed-width timeunit.  Classifying records into timeunits
+and closing them is the session's job
+(:class:`~repro.engine.session.DetectionSession`).
 
 Two representations of the stream coexist:
 
@@ -17,7 +19,6 @@ from repro.streaming.batch import RecordBatch, iter_record_batches
 from repro.streaming.clock import DAY, HOUR, MINUTE, WEEK, SimulationClock
 from repro.streaming.record import OperationalRecord
 from repro.streaming.stream import InputStream
-from repro.streaming.window import SlidingWindow, Timeunit
 
 __all__ = [
     "OperationalRecord",
@@ -25,8 +26,6 @@ __all__ = [
     "iter_record_batches",
     "InputStream",
     "SimulationClock",
-    "SlidingWindow",
-    "Timeunit",
     "MINUTE",
     "HOUR",
     "DAY",

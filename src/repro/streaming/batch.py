@@ -339,23 +339,6 @@ class RecordBatch:
         for unit, start, stop in self.timeunit_runs(clock):
             yield unit, start, Counter(self.categories[start:stop])
 
-    def timeunit_counts(
-        self, clock: SimulationClock
-    ) -> dict[TimeunitIndex, Counter]:
-        """Total per-leaf counts per timeunit over the whole batch.
-
-        Unlike :meth:`group_runs_by_timeunit` this merges runs, losing
-        arrival order — use it for windows/analytics, not for policy-sensitive
-        ingestion.
-        """
-        merged: dict[TimeunitIndex, Counter] = {}
-        for unit, _, counts in self.group_runs_by_timeunit(clock):
-            if unit in merged:
-                merged[unit].update(counts)
-            else:
-                merged[unit] = counts
-        return merged
-
     # ------------------------------------------------------------------
     # Vectorized stream-key partitioning
     # ------------------------------------------------------------------

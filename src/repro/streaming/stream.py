@@ -2,8 +2,7 @@
 
 Tiresias consumes operational data as an ordered stream of records.  This
 module provides a thin iterator wrapper that checks (approximate) time order,
-merges several sources, and batches records per time instance the way the
-online system receives "data lists" (Fig. 3(a)).
+merges several sources, and chunks the records into columnar batches.
 
 Two consumption styles share one stream, one watermark and one record
 counter:
@@ -38,7 +37,7 @@ class InputStream:
     records:
         Iterable of records.  The stream validates non-decreasing timestamps
         up to ``tolerance`` seconds of jitter (real operational feeds arrive
-        slightly out of order; the window assigns them to timeunits by
+        slightly out of order; the session assigns them to timeunits by
         timestamp anyway).
     tolerance:
         Maximum allowed backwards jump in timestamps.
@@ -147,30 +146,3 @@ class InputStream:
                 f"{watermark[i]} (tolerance {self.tolerance}s)"
             )
         self._last_ts = float(watermark[-1])
-
-    # ------------------------------------------------------------------
-    # Batching
-    # ------------------------------------------------------------------
-    def batches(self, period: float, start: Timestamp | None = None) -> Iterator[
-        tuple[Timestamp, list[OperationalRecord]]
-    ]:
-        """Group the stream into consecutive arrival batches of ``period`` seconds.
-
-        Yields ``(batch_end_time, records)`` pairs, including empty batches, so
-        that the online pipeline advances its time instance even when no data
-        arrives (quiet periods are exactly when the forecast must keep moving).
-        """
-        if period <= 0:
-            raise StreamError(f"batch period must be positive, got {period}")
-        batch_start: Timestamp | None = start
-        batch: list[OperationalRecord] = []
-        for record in self:
-            if batch_start is None:
-                batch_start = record.timestamp
-            while record.timestamp >= batch_start + period:
-                yield batch_start + period, batch
-                batch = []
-                batch_start += period
-            batch.append(record)
-        if batch_start is not None:
-            yield batch_start + period, batch

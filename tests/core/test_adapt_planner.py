@@ -10,6 +10,7 @@ split statistics — identical checkpoint states.
 
 import inspect
 import json
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.ada import ADAAlgorithm, _RefStore
 from repro.core.adapt import DROP, FOLD, FRESH, MOVE, SPLIT, AdaptationPlan, plan_adaptation
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, ConfigurationError
 from repro.forecasting.bank import ForecasterBank, _ScalarRow
 from repro.hierarchy.tree import HierarchyTree
 from repro.testing.reference import ReferenceADA, ReferenceSeries
@@ -324,18 +325,65 @@ class TestRefStore:
         assert clone.emit() == store.emit()
         assert list(clone.as_dict()[("b",)]) == [20.0, 30.0, 40.0, 50.0]
 
-    def test_ragged_load_falls_back(self):
+    def test_ragged_load_stays_in_the_ring(self):
         store = _RefStore(8)
         store.load([[["a"], [1.0, 2.0]], [["b"], [3.0]]])
         assert store.emit() == [[["a"], [1.0, 2.0]], [["b"], [3.0]]]
         store.append_column((("a",), ("b",)), [5.0, 6.0])
         assert store.emit() == [[["a"], [1.0, 2.0, 5.0]], [["b"], [3.0, 6.0]]]
+        assert store.total_len() == 5
 
-    def test_empty_load_keeps_ring_mode_usable(self):
+    def test_empty_load_then_append(self):
         store = _RefStore(4)
         store.load([])
         store.append_column((("a",),), [1.0])
         assert store.emit() == [[["a"], [1.0]]]
+
+    UNIVERSE = [("a",), ("b",), ("c",), ("b", "x"), ("b", "y")]
+
+    @staticmethod
+    def model_append(model, maxlen, paths, values):
+        for path, value in zip(paths, values):
+            model.setdefault(path, deque(maxlen=maxlen)).append(float(value))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_ring_equals_a_deque_per_row(self, data):
+        """Against a dict of bounded deques: ragged restores, restored rows
+        the column never names, rows created late (in ``paths`` order), a
+        second ``paths`` tuple that sets rows aside and puts them back, and
+        wrap — ``emit``, ``corrected_base``, ``has_values`` and
+        ``total_len`` after every step."""
+        maxlen = data.draw(st.integers(min_value=1, max_value=5), label="maxlen")
+        subsets = st.lists(st.sampled_from(self.UNIVERSE), unique=True, max_size=5)
+        loaded = data.draw(subsets, label="loaded")
+        rows = [
+            [list(path), data.draw(st.lists(st.integers(-9, 9).map(float), max_size=8))]
+            for path in loaded
+        ]
+        columns = [
+            tuple(data.draw(subsets.filter(bool), label="paths")) for _ in range(2)
+        ]
+        store = _RefStore(maxlen)
+        store.load(rows)
+        model = {
+            tuple(path): deque(values, maxlen=maxlen) for path, values in rows
+        }
+        for _ in range(data.draw(st.integers(min_value=0, max_value=14), label="steps")):
+            if data.draw(st.integers(0, 9)) == 0:
+                store.load(store.emit())
+            else:
+                paths = columns[data.draw(st.integers(0, 9)) // 8]
+                values = [float(data.draw(st.integers(-9, 9))) for _ in paths]
+                store.append_column(paths, values)
+                self.model_append(model, maxlen, paths, values)
+            assert store.emit() == [[list(p), list(b)] for p, b in model.items()]
+            assert store.total_len() == sum(len(b) for b in model.values())
+            for path in self.UNIVERSE:
+                expected = list(model.get(path, ()))
+                assert store.has_values(path) == bool(expected)
+                base = store.corrected_base(path)
+                assert (None if base is None else base.tolist()) == (expected or None)
 
 
 class TestRegistryGuards:
@@ -390,10 +438,8 @@ class TestRegistryGuards:
         assert algo.series == {path: algo.series[path] for path in algo.series}
 
     def test_handle_of_a_dropped_path_is_inert(self):
-        """A handle taken before a plan that drops its path must neither read
-        nor release the row's next tenant (double-``release()`` aliasing)."""
-        from repro.exceptions import ConfigurationError
-
+        """A handle taken before a plan that drops its path must not read the
+        row's next tenant."""
         algo = ADAAlgorithm(make_tree(), make_config())
         algo.process_timeunit({("a", "a1"): 9, ("c", "c1"): 9}, 0)
         dropped = algo.series[("c", "c1")]
@@ -405,16 +451,35 @@ class TestRegistryGuards:
         algo.process_timeunit({("a", "a1"): 9, ("b", "b2"): 9}, 2)
         assert ("c", "c1") not in algo.series
         assert algo.series[("b", "b2")].forecaster.row == freed_row
-        live = len(algo.bank)
-        dropped.release()
-        dropped.release()
-        assert len(algo.bank) == live
         with pytest.raises(ConfigurationError, match="released"):
             window.tolist()
         with pytest.raises(ConfigurationError, match="released"):
-            dropped.append(1.0)
+            dropped.next_forecast()
         assert algo.series[("a", "a1")] is kept and len(kept) == 3
         assert_registry_consistent(algo)
+
+    def test_checkpoint_and_accounting_build_no_handles(self):
+        """``state_dict``, ``memory_units`` and ``series_for`` read the
+        registry's rows off the bank: no handle is made, so none is kept up
+        to date by every later plan."""
+        algo = ADAAlgorithm(make_tree(), make_config())
+        for unit, counts in enumerate(self.WARM):
+            algo.process_timeunit(counts, unit)
+        tracked = list(algo.series)
+        assert len(tracked) > 1
+        state = algo.state_dict()
+        memory = algo.memory_units()
+        first = algo.series_for(tracked[0])
+        assert not algo.series._handles
+        # The same bytes and order as reading every series through a handle.
+        assert state["series"] == [
+            [list(path), algo.series[path].state_dict()] for path in tracked
+        ]
+        assert first == list(algo.series[tracked[0]].actual)
+        assert memory == algo.tree.num_nodes + algo._ref.total_len() + sum(
+            len(algo.series[path].actual) + len(algo.series[path].forecast)
+            for path in tracked
+        )
 
     def test_handle_follows_a_moved_series(self):
         algo = ADAAlgorithm(make_tree(), make_config())
@@ -538,7 +603,8 @@ class TestRegistryGuards:
             if handle.forecaster.row >= 0:
                 assert handle in list(algo.series.values())
             else:
-                handle.release()
+                with pytest.raises(ConfigurationError, match="released"):
+                    handle.state_dict()
         assert_registry_consistent(algo)
         got = (
             list(algo.series),

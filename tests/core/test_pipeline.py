@@ -1,22 +1,12 @@
-"""Unit tests for :mod:`repro.core.pipeline` (the end-to-end system)."""
+"""Unit tests for :mod:`repro.core.pipeline` (Step 3: the offline seasonality
+analysis that configures the forecasting model)."""
 
 import math
 
 import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.core.pipeline import Tiresias, derive_seasonal_config
-from repro.exceptions import ConfigurationError
-from repro.hierarchy.tree import HierarchyTree
-from repro.streaming.clock import SimulationClock
-from repro.streaming.record import OperationalRecord
-
-
-@pytest.fixture
-def tree():
-    return HierarchyTree.from_leaf_paths(
-        [("a", "a1"), ("a", "a2"), ("b", "b1"), ("b", "b2")]
-    )
+from repro.core.pipeline import derive_seasonal_config
 
 
 @pytest.fixture
@@ -30,93 +20,6 @@ def config():
         reference_levels=1,
         forecast=ForecastConfig(season_lengths=(4,), fallback_alpha=0.5),
     )
-
-
-def steady_records(leaf, units, per_unit, delta=100.0, start_unit=0):
-    """``per_unit`` records in each of ``units`` consecutive timeunits."""
-    records = []
-    for unit in range(start_unit, start_unit + units):
-        for i in range(per_unit):
-            ts = unit * delta + (i + 0.5) * delta / (per_unit + 1)
-            records.append(OperationalRecord.create(ts, leaf))
-    return records
-
-
-class TestConstruction:
-    def test_unknown_algorithm_rejected(self, tree, config):
-        with pytest.raises(ConfigurationError):
-            Tiresias(tree, config, algorithm="magic")
-
-    def test_clock_delta_must_match(self, tree, config):
-        clock = SimulationClock(delta=999.0)
-        with pytest.raises(ConfigurationError):
-            Tiresias(tree, config, clock=clock)
-
-    def test_default_warmup_is_forecast_min_history(self, tree, config):
-        detector = Tiresias(tree, config)
-        assert detector.warmup_units == config.forecast.min_history
-
-
-class TestStreamProcessing:
-    def test_records_grouped_into_timeunits(self, tree, config):
-        detector = Tiresias(tree, config, warmup_units=0)
-        records = steady_records(("a", "a1"), units=5, per_unit=6)
-        results = detector.process_stream(iter(records))
-        assert detector.units_processed == 5
-        assert len(results) == 5
-        assert all(("a", "a1") in r.heavy_hitters for r in results)
-
-    def test_empty_timeunits_are_processed(self, tree, config):
-        detector = Tiresias(tree, config, warmup_units=0)
-        records = [
-            OperationalRecord.create(50.0, ("a", "a1")),
-            OperationalRecord.create(450.0, ("a", "a1")),
-        ]
-        detector.process_stream(iter(records))
-        # Units 0..4 all get processed even though 1-3 are empty.
-        assert detector.units_processed == 5
-
-    def test_spike_detected_and_reported(self, tree, config):
-        detector = Tiresias(tree, config, warmup_units=4)
-        steady = steady_records(("a", "a1"), units=12, per_unit=6)
-        spike = steady_records(("a", "a1"), units=1, per_unit=40, start_unit=12)
-        detector.process_stream(iter(steady + spike))
-        assert len(detector.anomalies) >= 1
-        assert any(a.node_path == ("a", "a1") for a in detector.anomalies)
-
-    def test_warmup_suppresses_early_anomalies(self, tree, config):
-        spike_first = steady_records(("a", "a1"), units=1, per_unit=40)
-        rest = steady_records(("a", "a1"), units=6, per_unit=6, start_unit=1)
-        detector = Tiresias(tree, config, warmup_units=3)
-        results = detector.process_stream(iter(spike_first + rest))
-        assert all(not r.anomalies for r in results[:3])
-        assert len(detector.anomalies) == 0 or all(
-            a.timeunit >= 3 for a in detector.anomalies
-        )
-
-    def test_sta_and_ada_both_runnable(self, tree, config):
-        records = steady_records(("a", "a1"), units=6, per_unit=6)
-        for algorithm in ("ada", "sta"):
-            detector = Tiresias(tree, config, algorithm=algorithm, warmup_units=0)
-            results = detector.process_stream(iter(records))
-            assert len(results) == 6
-
-    def test_stage_seconds_include_reading(self, tree, config):
-        detector = Tiresias(tree, config, warmup_units=0)
-        detector.process_stream(iter(steady_records(("a", "a1"), units=3, per_unit=4)))
-        stages = detector.stage_seconds()
-        assert "reading_traces" in stages
-        assert stages["reading_traces"] >= 0.0
-        assert detector.memory_units() > 0
-
-    def test_flush_without_data_is_noop(self, tree, config):
-        detector = Tiresias(tree, config)
-        assert detector.flush() == []
-
-    def test_process_timeunit_counts_direct(self, tree, config):
-        detector = Tiresias(tree, config, warmup_units=0)
-        result = detector.process_timeunit_counts({("a", "a1"): 9}, timeunit=0)
-        assert ("a", "a1") in result.heavy_hitters
 
 
 class TestSeasonalConfigDerivation:
@@ -142,39 +45,3 @@ class TestSeasonalConfigDerivation:
         updated = derive_seasonal_config(series, base, max_seasons=1)
         assert updated.out_of_order_policy == "clamp"
         assert updated.track_root is False
-
-
-class TestFacade:
-    def test_anomalies_returns_typed_list(self, tree, config):
-        from repro.core.detector import Anomaly
-
-        detector = Tiresias(tree, config, warmup_units=4)
-        steady = steady_records(("a", "a1"), units=12, per_unit=6)
-        spike = steady_records(("a", "a1"), units=1, per_unit=40, start_unit=12)
-        detector.process_stream(iter(steady + spike))
-        assert detector.anomalies
-        assert all(isinstance(a, Anomaly) for a in detector.anomalies)
-
-    def test_facade_delegates_to_session(self, tree, config):
-        from repro.engine.session import DetectionSession
-
-        detector = Tiresias(tree, config, warmup_units=0)
-        assert isinstance(detector.session, DetectionSession)
-        assert detector.tree is tree
-        assert detector.config is config
-        detector.process_timeunit_counts({("a", "a1"): 9}, timeunit=0)
-        assert detector.units_processed == detector.session.units_processed == 1
-        assert detector.results is detector.session.results
-        assert detector.reports is detector.session.reports
-
-    def test_facade_supports_registered_algorithm(self, tree, config):
-        from repro.core.ada import ADAAlgorithm
-        from repro.core.registry import register_algorithm, unregister_algorithm
-
-        register_algorithm("test-ada", lambda t, c: ADAAlgorithm(t, c))
-        try:
-            detector = Tiresias(tree, config, algorithm="test-ada", warmup_units=0)
-            assert detector.algorithm_name == "test-ada"
-            assert isinstance(detector.algorithm, ADAAlgorithm)
-        finally:
-            unregister_algorithm("test-ada")

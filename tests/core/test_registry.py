@@ -17,6 +17,7 @@ from repro.core.registry import (
 from repro.core.sta import STAAlgorithm
 from repro.core.timeseries import SeriesForecaster
 from repro.exceptions import ConfigurationError
+from repro.forecasting.bank import ForecasterBank
 from repro.forecasting.holt_winters import (
     HoltWintersForecaster,
     MultiSeasonalHoltWinters,
@@ -105,7 +106,7 @@ class TestForecasterRegistry:
         with pytest.raises(ConfigurationError, match="holt-winters"):
             create_forecaster("oracle", ForecastConfig())
 
-    def test_series_forecaster_resolves_named_model(self):
+    def test_bank_resolves_named_model(self):
         class ConstantModel:
             """Minimal Forecaster-protocol stub: always predicts 42."""
 
@@ -122,21 +123,25 @@ class TestForecasterRegistry:
 
         register_forecaster("constant", lambda config: ConstantModel())
         try:
-            config = ForecastConfig(season_lengths=(2,), model="constant")
-            forecaster = SeriesForecaster(config)
-            for value in [5.0, 6.0, 5.0, 6.0]:
-                forecaster.observe(value)
+            forecaster = fed_forecaster(
+                ForecastConfig(season_lengths=(2,), model="constant"), [5.0, 6.0, 5.0, 6.0]
+            )
             assert forecaster.is_seasonal
             assert forecaster.forecast() == 42.0
         finally:
             unregister_forecaster("constant")
 
     def test_auto_model_picks_by_season_count(self):
-        single = SeriesForecaster(ForecastConfig(season_lengths=(2,)))
-        for value in [1.0, 2.0, 1.0, 2.0]:
-            single.observe(value)
+        single = fed_forecaster(ForecastConfig(season_lengths=(2,)), [1.0, 2.0, 1.0, 2.0])
         assert isinstance(single.seasonal_model, HoltWintersForecaster)
-        multi = SeriesForecaster(ForecastConfig(season_lengths=(2, 4)))
-        for value in [1.0, 2.0] * 4:
-            multi.observe(value)
+        multi = fed_forecaster(ForecastConfig(season_lengths=(2, 4)), [1.0, 2.0] * 4)
         assert isinstance(multi.seasonal_model, MultiSeasonalHoltWinters)
+
+
+def fed_forecaster(config, values) -> SeriesForecaster:
+    """The read view of a bank row that observed ``values``."""
+    bank = ForecasterBank(config)
+    row = bank.new_row()
+    for value in values:
+        bank.observe(row, value)
+    return SeriesForecaster(config, bank, row)

@@ -1,6 +1,9 @@
-"""Unit tests for :mod:`repro.core.timeseries`."""
+"""Unit tests for :mod:`repro.core.timeseries`: a node's forecaster and
+windows as bank rows (written by row operations, read through the handles),
+and the multi-time-scale series."""
 
 import math
+import pickle
 from collections import deque
 
 import pytest
@@ -8,160 +11,198 @@ import pytest
 from repro.core.config import ForecastConfig
 from repro.core.timeseries import MultiScaleTimeSeries, NodeTimeSeries, SeriesForecaster
 from repro.exceptions import ConfigurationError
-from repro.testing.reference import aligned_add
+from repro.forecasting.bank import ForecasterBank
 
 
 def fc(season=4, fallback=0.5):
     return ForecastConfig(season_lengths=(season,), fallback_alpha=fallback)
 
 
-class TestSeriesForecaster:
+def fed_row(values, length=8, config=None):
+    """A bank with one row that observed and recorded ``values``."""
+    bank = ForecasterBank(config or fc(), window=length)
+    row = bank.new_row()
+    for value in values:
+        bank.record(row, float(value), bank.observe(row, value))
+    return bank, row
+
+
+def view(bank, row):
+    """The read handle of ``row``."""
+    return NodeTimeSeries(bank.window, bank.config, SeriesForecaster(bank.config, bank, row))
+
+
+class TestForecasterRows:
+    """The EWMA fallback, seasonal activation and linearity of one row."""
+
     def test_starts_with_ewma_fallback(self):
-        forecaster = SeriesForecaster(fc(season=8))
-        assert not forecaster.is_seasonal
-        assert forecaster.forecast() == 0.0
-        forecaster.observe(10.0)
-        assert forecaster.forecast() == pytest.approx(10.0)
+        bank = ForecasterBank(fc(season=8))
+        row = bank.new_row()
+        assert not bank.is_seasonal(row)
+        assert bank.forecast(row) == 0.0
+        bank.observe(row, 10.0)
+        assert bank.forecast(row) == pytest.approx(10.0)
 
     def test_switches_to_seasonal_after_enough_history(self):
-        forecaster = SeriesForecaster(fc(season=4))
+        bank = ForecasterBank(fc(season=4))
+        row = bank.new_row()
         for _ in range(8):
-            forecaster.observe(5.0)
-        assert forecaster.is_seasonal
-        assert forecaster.forecast() == pytest.approx(5.0, abs=1e-6)
+            bank.observe(row, 5.0)
+        assert bank.is_seasonal(row)
+        assert bank.forecast(row) == pytest.approx(5.0, abs=1e-6)
 
     def test_observe_returns_prior_forecast(self):
-        forecaster = SeriesForecaster(fc(season=8, fallback=0.5))
-        forecaster.observe(10.0)
-        predicted = forecaster.observe(20.0)
-        assert predicted == pytest.approx(10.0)
+        bank = ForecasterBank(fc(season=8, fallback=0.5))
+        row = bank.new_row()
+        bank.observe(row, 10.0)
+        assert bank.observe(row, 20.0) == pytest.approx(10.0)
 
     def test_seasonal_forecast_tracks_periodic_series(self):
         period = 6
         series = [50 + 20 * math.sin(2 * math.pi * t / period) for t in range(10 * period)]
-        forecaster = SeriesForecaster(ForecastConfig(season_lengths=(period,)))
+        bank = ForecasterBank(ForecastConfig(season_lengths=(period,)))
+        row = bank.new_row()
         errors = []
         for value in series:
-            predicted = forecaster.observe(value)
-            if forecaster.is_seasonal:
+            predicted = bank.observe(row, value)
+            if bank.is_seasonal(row):
                 errors.append(abs(predicted - value))
         assert sum(errors[-period:]) / period < 5.0
 
-    def test_scaled_is_linear(self):
-        a = SeriesForecaster(fc(season=4))
-        b = SeriesForecaster(fc(season=4))
+    def test_split_is_linear(self):
+        bank = ForecasterBank(fc(season=4))
+        a, b = bank.new_row(), bank.new_row()
         for t in range(12):
             value = 10.0 + (t % 4)
-            a.observe(value)
-            b.observe(3 * value)
-        assert a.scaled(3.0).forecast() == pytest.approx(b.forecast(), rel=1e-9)
+            bank.observe(a, value)
+            bank.observe(b, 3 * value)
+        child = bank.split_row(a, 0.75)
+        assert bank.forecast(child) == pytest.approx(0.75 * bank.forecast(b) / 3, rel=1e-9)
+        assert bank.forecast(a) == pytest.approx(0.25 * bank.forecast(b) / 3, rel=1e-9)
 
-    def test_add_state_is_linear(self):
-        a = SeriesForecaster(fc(season=4))
-        b = SeriesForecaster(fc(season=4))
-        c = SeriesForecaster(fc(season=4))
+    def test_fold_is_linear(self):
+        bank = ForecasterBank(fc(season=4))
+        a, b, c = bank.new_row(), bank.new_row(), bank.new_row()
         for t in range(12):
             x = 5.0 + (t % 4)
             y = 2.0 + ((t + 1) % 4)
-            a.observe(x)
-            b.observe(y)
-            c.observe(x + y)
-        merged = a.copy()
-        merged.add_state(b)
-        assert merged.forecast() == pytest.approx(c.forecast(), rel=1e-9)
+            bank.observe(a, x)
+            bank.observe(b, y)
+            bank.observe(c, x + y)
+        bank.fold_row(a, b)
+        assert bank.forecast(a) == pytest.approx(bank.forecast(c), rel=1e-9)
 
-    def test_from_history_fast_matches_replay_forecast(self):
+    def test_seed_fast_matches_replay_forecast(self):
         history = [float(10 + (t % 4)) for t in range(16)]
-        replayed = SeriesForecaster(fc(season=4))
-        replayed.seed_history(history)
-        fast = SeriesForecaster.from_history_fast(history, fc(season=4))
-        assert fast.is_seasonal
-        assert fast.observations == len(history)
+        bank = ForecasterBank(fc(season=4))
+        replayed, fast = bank.new_row(), bank.new_row()
+        for value in history:
+            bank.observe(replayed, value)
+        bank.seed_fast(fast, history)
+        assert bank.is_seasonal(fast)
+        assert bank.observations(fast) == len(history)
         # The fast path initializes from the last two cycles only; on a purely
         # periodic series both states forecast the same next value.
-        assert fast.forecast() == pytest.approx(replayed.forecast(), rel=0.05)
+        assert bank.forecast(fast) == pytest.approx(bank.forecast(replayed), rel=0.05)
 
-    def test_from_history_fast_short_history_uses_fallback(self):
-        fast = SeriesForecaster.from_history_fast([3.0, 5.0], fc(season=4))
-        assert not fast.is_seasonal
-        assert fast.forecast() > 0.0
-        empty = SeriesForecaster.from_history_fast([], fc(season=4))
-        assert empty.forecast() == 0.0
-
-    def test_seed_history_equivalent_to_observes(self):
-        a = SeriesForecaster(fc(season=4))
-        b = SeriesForecaster(fc(season=4))
-        history = [float(t % 5) for t in range(10)]
-        a.seed_history(history)
-        for value in history:
-            b.observe(value)
-        assert a.forecast() == pytest.approx(b.forecast())
-        assert a.observations == b.observations
+    def test_seed_fast_short_history_uses_fallback(self):
+        bank = ForecasterBank(fc(season=4))
+        short, empty = bank.new_row(), bank.new_row()
+        bank.seed_fast(short, [3.0, 5.0])
+        bank.seed_fast(empty, [])
+        assert not bank.is_seasonal(short)
+        assert bank.forecast(short) > 0.0
+        assert bank.forecast(empty) == 0.0
 
 
 class TestNodeTimeSeries:
+    """The read handle over a row's windows."""
+
     def test_length_bound_enforced(self):
-        series = NodeTimeSeries(length=4, forecast_config=fc())
-        for value in range(10):
-            series.append(float(value))
+        series = view(*fed_row(range(10), length=4))
         assert len(series) == 4
         assert list(series.actual) == [6.0, 7.0, 8.0, 9.0]
         assert len(series.forecast) == 4
 
     def test_latest_values(self):
-        series = NodeTimeSeries(length=8, forecast_config=fc(fallback=1.0))
-        series.append(3.0)
-        series.append(5.0)
+        series = view(*fed_row([3.0, 5.0], config=fc(fallback=1.0)))
         assert series.latest_actual == 5.0
         # With alpha=1 the fallback forecast for the second value is the first.
         assert series.latest_forecast == pytest.approx(3.0)
+        assert series.next_forecast() == pytest.approx(5.0)
 
     def test_empty_series_raises(self):
-        series = NodeTimeSeries(length=4, forecast_config=fc())
+        series = view(*fed_row([], length=4))
         with pytest.raises(ConfigurationError):
             _ = series.latest_actual
 
     def test_invalid_length(self):
+        bank, row = fed_row([])
         with pytest.raises(ConfigurationError):
-            NodeTimeSeries(length=0, forecast_config=fc())
+            NodeTimeSeries(0, fc(), SeriesForecaster(fc(), bank, row))
 
-    def test_from_history(self):
-        series = NodeTimeSeries.from_history([1.0, 2.0, 3.0], length=8, forecast_config=fc())
-        assert list(series.actual) == [1.0, 2.0, 3.0]
+    def test_one_bank_holds_one_window_length(self):
+        bank, row = fed_row(range(3))
+        with pytest.raises(ConfigurationError):
+            NodeTimeSeries(4, bank.config, SeriesForecaster(bank.config, bank, row))
+        assert len(bank) == 1
 
-    def test_scaled_scales_everything(self):
-        series = NodeTimeSeries.from_history([2.0, 4.0], length=8, forecast_config=fc())
-        scaled = series.scaled(0.5)
-        assert list(scaled.actual) == [1.0, 2.0]
-        assert scaled.next_forecast() == pytest.approx(series.next_forecast() * 0.5)
+    def test_state_dict_round_trip(self):
+        series = view(*fed_row(range(1, 12), config=fc(season=3)))
+        clone = NodeTimeSeries.from_state_dict(series.state_dict(), series.forecast_config)
+        assert clone.state_dict() == series.state_dict()
+        assert clone.forecaster.bank is not series.forecaster.bank
 
-    def test_merge_from_aligns_newest(self):
-        a = NodeTimeSeries.from_history([1.0, 2.0, 3.0], length=8, forecast_config=fc())
-        b = NodeTimeSeries.from_history([10.0], length=8, forecast_config=fc())
-        a.merge_from(b)
-        assert list(a.actual) == [1.0, 2.0, 13.0]
+    def test_detached_handle_refuses_use(self):
+        series = view(*fed_row([1.0]))
+        series.forecaster.detach()
+        for use in (
+            lambda: series.next_forecast(),
+            lambda: list(series.actual),
+            lambda: series.state_dict(),
+        ):
+            with pytest.raises(ConfigurationError, match="released"):
+                use()
 
-    def test_merge_from_longer_series_trims_to_capacity(self):
-        """Merging a longer ring keeps the newest ``length`` elements, like
-        the historical bounded deque did."""
-        a = NodeTimeSeries.from_history([1.0, 2.0], length=2, forecast_config=fc())
-        b = NodeTimeSeries.from_history(
-            [10.0, 20.0, 30.0, 40.0], length=8, forecast_config=fc()
-        )
-        a.merge_from(b)
-        assert list(a.actual) == [31.0, 42.0]
-        assert len(a.actual) == 2
 
-    def test_replace_actual_rebuilds_forecaster(self):
-        series = NodeTimeSeries.from_history([1.0, 1.0, 1.0], length=8, forecast_config=fc(fallback=1.0))
-        series.replace_actual([5.0, 5.0, 5.0])
-        assert list(series.actual) == [5.0, 5.0, 5.0]
-        assert series.next_forecast() == pytest.approx(5.0)
+class TestRowWindows:
+    """A row's windows are value-identical to the bounded deques of the
+    reference series (:mod:`repro.testing.reference`)."""
 
-    def test_replace_actual_trims_to_length(self):
-        series = NodeTimeSeries(length=2, forecast_config=fc())
-        series.replace_actual([1.0, 2.0, 3.0])
-        assert list(series.actual) == [2.0, 3.0]
+    def test_record_on_a_wrapped_ring_evicts_the_oldest(self):
+        bank, row = fed_row(range(1, 15))  # 14 appends into 8 slots
+        mirror = deque((float(v) for v in range(1, 15)), maxlen=8)
+        bank.record(row, 42.0, 43.0)
+        mirror.append(42.0)
+        assert bank.window_values(row, 0).tolist() == list(mirror)
+        assert bank.window_values(row, 1)[-1] == 43.0
+        assert bank.window_len(row, 1) == 8
+
+    def test_reseed_trims_to_the_window_and_restarts_the_forecaster(self):
+        bank, row = fed_row([1.0, 1.0, 1.0], length=2, config=fc(fallback=1.0))
+        bank.reseed(row, [1.0, 5.0, 5.0])
+        assert bank.window_values(row, 0).tolist() == [5.0, 5.0]
+        assert bank.window_values(row, 1).tolist() == [5.0, 5.0]
+        assert bank.forecast(row) == pytest.approx(5.0)
+
+    def test_pickle_keeps_values_and_a_working_row(self):
+        bank, row = fed_row(range(1, 12), config=ForecastConfig(season_lengths=(3,)))
+        clone = pickle.loads(pickle.dumps(bank))
+        assert clone.series_state_dict(row) == bank.series_state_dict(row)
+        child = clone.split_row(row, 0.5)
+        assert clone.window_values(child, 0).tolist() == [
+            v * 0.5 for v in bank.window_values(row, 0).tolist()
+        ]
+
+    def test_free_row_of_a_dead_row_raises(self):
+        bank = ForecasterBank(fc())
+        row = bank.new_row()
+        bank.free_row(row)
+        with pytest.raises(ConfigurationError):
+            bank.free_row(row)
+        with pytest.raises(ConfigurationError):
+            bank.free_row(7)
+        assert len(bank) == 0
 
 
 class TestMultiScaleTimeSeries:
@@ -215,137 +256,3 @@ class TestMultiScaleTimeSeries:
         for _ in range(10):
             series.append(4.0)
         assert series.forecast_at_scale(0)[-1] == pytest.approx(4.0)
-
-
-class TestRowBackedWindows:
-    """A standalone series keeps its windows in its (private) bank row; the
-    row operations must be value-identical to the bounded-deque arithmetic
-    of the reference series (:mod:`repro.testing.reference`)."""
-
-    def _series(self, values, length=8):
-        from repro.core.config import ForecastConfig
-        from repro.core.timeseries import NodeTimeSeries
-
-        config = ForecastConfig(season_lengths=(3,), fallback_alpha=0.4)
-        series = NodeTimeSeries(length, config)
-        for value in values:
-            series.append(float(value))
-        return series
-
-    def test_split_inplace_matches_scaled_pair(self):
-        donor = self._series(range(1, 12))
-        reference = self._series(range(1, 12))
-        child = donor.split_inplace(0.3)
-        ref_child = reference.scaled(0.3)
-        ref_parent = reference.scaled(0.7)
-        assert child.actual.tolist() == ref_child.actual.tolist()
-        assert child.forecast.tolist() == ref_child.forecast.tolist()
-        assert donor.actual.tolist() == ref_parent.actual.tolist()
-        assert donor.forecast.tolist() == ref_parent.forecast.tolist()
-        assert child.forecaster.bank is donor.forecaster.bank
-
-    def test_merge_from_matches_aligned_add(self):
-        """Equal cursors, shorter, longer (growth), empty on either side —
-        once across banks and once inside one bank (unequal cursors)."""
-        for mine_n, theirs_n in [(11, 11), (11, 4), (3, 9), (0, 5), (6, 0)]:
-            for same_bank in (False, True):
-                mine = self._series(range(1, mine_n + 1))
-                if same_bank:
-                    theirs = NodeTimeSeries(
-                        mine.length, mine.forecast_config, bank=mine.forecaster.bank
-                    )
-                    theirs.extend(float(v) for v in range(100, 100 + theirs_n))
-                else:
-                    theirs = self._series(range(100, 100 + theirs_n))
-                expected_actual = list(aligned_add(mine.actual, theirs.actual, mine.length))
-                expected_forecast = list(
-                    aligned_add(mine.forecast, theirs.forecast, mine.length)
-                )
-                mine.merge_from(theirs)
-                assert mine.actual.tolist() == expected_actual
-                assert mine.forecast.tolist() == expected_forecast
-                # the merged row keeps recording where the sum ends
-                mine.record(7.0, 8.0)
-                assert mine.actual[-1] == 7.0
-                assert mine.forecast[-1] == 8.0
-                assert theirs.actual.tolist() == [
-                    float(v) for v in range(100, 100 + theirs_n)
-                ][-mine.length :]
-
-    def test_record_on_a_wrapped_ring_evicts_the_oldest(self):
-        series = self._series(range(1, 15))  # 14 appends into 8 slots
-        mirror = deque((float(v) for v in range(1, 15)), maxlen=8)
-        series.record(42.0, 43.0)
-        mirror.append(42.0)
-        assert series.actual.tolist() == list(mirror)
-        assert series.forecast[-1] == 43.0
-        assert len(series.forecast) == 8
-
-    def test_pickle_keeps_values_and_a_working_row(self):
-        import pickle
-
-        series = self._series(range(1, 12))
-        clone = pickle.loads(pickle.dumps(series))
-        assert clone.state_dict() == series.state_dict()
-        child = clone.split_inplace(0.5)
-        assert child.actual.tolist() == [v * 0.5 for v in series.actual.tolist()]
-        assert clone.forecaster.bank is not series.forecaster.bank
-
-    def test_one_bank_holds_one_window_length(self):
-        series = self._series(range(3))
-        bank = series.forecaster.bank
-        with pytest.raises(ConfigurationError):
-            NodeTimeSeries(4, series.forecast_config, bank=bank)
-        assert len(bank) == 1  # the refused series took no row
-
-
-class TestReleasedHandles:
-    """A released handle is inert: the row it named may already belong to
-    another series."""
-
-    def test_double_release_does_not_hand_one_row_to_two_series(self):
-        config = fc()
-        bank = SeriesForecaster(config).bank
-        a = NodeTimeSeries(8, config, bank=bank)
-        a.release()
-        a.release()
-        b = NodeTimeSeries(8, config, bank=bank)
-        c = NodeTimeSeries(8, config, bank=bank)
-        assert b.forecaster.row != c.forecaster.row
-        b.append(10.0)
-        assert c.next_forecast() == 0.0
-
-    def test_forecaster_double_release(self):
-        forecaster = SeriesForecaster(fc())
-        bank = forecaster.bank
-        other = SeriesForecaster(fc(), bank=bank)
-        forecaster.release()
-        forecaster.release()
-        assert len(bank) == 1
-        assert SeriesForecaster(fc(), bank=bank).row != other.row
-
-    def test_released_handle_refuses_use(self):
-        series = NodeTimeSeries(8, fc())
-        series.append(1.0)
-        series.release()
-        for use in (
-            lambda: series.append(2.0),
-            lambda: series.next_forecast(),
-            lambda: list(series.actual),
-            lambda: series.state_dict(),
-            lambda: series.scaled(0.5),
-        ):
-            with pytest.raises(ConfigurationError):
-                use()
-
-    def test_free_row_of_a_dead_row_raises(self):
-        from repro.forecasting.bank import ForecasterBank
-
-        bank = ForecasterBank(fc())
-        row = bank.new_row()
-        bank.free_row(row)
-        with pytest.raises(ConfigurationError):
-            bank.free_row(row)
-        with pytest.raises(ConfigurationError):
-            bank.free_row(7)
-        assert len(bank) == 0

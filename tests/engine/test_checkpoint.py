@@ -10,7 +10,6 @@ import json
 import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.core.pipeline import Tiresias
 from repro.datagen import CCDConfig, make_ccd_dataset
 from repro.engine import DetectionEngine
 from repro.engine.session import DetectionSession
@@ -129,23 +128,23 @@ def test_restored_tree_and_config_match(tmp_path, ccd_dataset, ccd_config):
     assert session.algorithm_name == "ada"
 
 
-def test_facade_checkpoint_round_trip(tmp_path, ccd_dataset, ccd_config):
+def test_session_checkpoint_round_trip(tmp_path, ccd_dataset, ccd_config):
     records = ccd_dataset.record_list()
     half = len(records) // 2
     warmup = int(86400 / ccd_dataset.config.delta_seconds) // 2
 
-    reference = Tiresias(
+    reference = DetectionSession(
         ccd_dataset.tree, ccd_config, clock=ccd_dataset.clock, warmup_units=warmup
     )
     reference_results = reference.process_stream(iter(records))
 
-    detector = Tiresias(
+    detector = DetectionSession(
         ccd_dataset.tree, ccd_config, clock=ccd_dataset.clock, warmup_units=warmup
     )
     first = detector.ingest_batch(records[:half])
-    path = tmp_path / "facade.ckpt.json"
+    path = tmp_path / "session.ckpt.json"
     detector.save_checkpoint(path)
-    restored = Tiresias.load_checkpoint(path)
+    restored = DetectionSession.load_checkpoint(path)
     second = restored.ingest_batch(records[half:])
     second.extend(restored.flush())
     assert first + second == reference_results

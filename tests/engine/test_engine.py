@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.core.pipeline import Tiresias
-from repro.engine import CallbackObserver, DetectionEngine
+from repro.engine import CallbackObserver, DetectionEngine, DetectionSession
 from repro.exceptions import ConfigurationError, StreamError
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.record import OperationalRecord
@@ -153,7 +152,7 @@ class TestRouting:
 class TestParityAndObservers:
     def test_engine_sessions_match_standalone_runs(self):
         """A merged three-hierarchy stream gives each session exactly the
-        results a dedicated Tiresias run over its own stream would give."""
+        results a standalone session over its own stream would give."""
         specs = {
             "ccd-trouble": ("t", ("t", "x", "x1")),
             "ccd-network": ("n", ("n", "y", "y1")),
@@ -168,7 +167,7 @@ class TestParityAndObservers:
         engine_results = engine.process_stream(merged)
 
         for name, (prefix, leaf) in specs.items():
-            standalone = Tiresias(make_tree(prefix), make_config(), warmup_units=4)
+            standalone = DetectionSession(make_tree(prefix), make_config(), warmup_units=4)
             expected = standalone.process_stream(iter(spiky(name, leaf)))
             assert engine_results[name] == expected
             assert engine.session(name).anomalies == standalone.anomalies

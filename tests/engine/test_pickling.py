@@ -20,6 +20,7 @@ from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.timeseries import NodeTimeSeries, SeriesForecaster
 from repro.engine.hooks import CallbackObserver
 from repro.engine.session import DetectionSession
+from repro.forecasting.bank import ForecasterBank
 from repro.streaming.batch import RecordBatch
 from repro.streaming.record import OperationalRecord
 
@@ -76,22 +77,24 @@ def test_pickle_drops_observers_but_preserves_state(running_session):
     assert clone.state_dict() == session.state_dict()
 
 
-def test_forecaster_and_series_pickle_exactly():
+def test_bank_and_series_views_pickle_exactly():
     config = ForecastConfig(season_lengths=(4,), fallback_alpha=0.3)
-    series = NodeTimeSeries(16, config)
+    bank = ForecasterBank(config, window=16)
+    row, seeded = bank.new_row(), bank.new_row()
     for value in [3.0, 4.0, 6.0, 5.0, 7.0, 9.0, 8.0, 6.0, 5.0, 11.0]:
-        series.append(value)
+        bank.record(row, value, bank.observe(row, value))
+    bank.seed_fast(seeded, [1.0, 2.0, 3.0] * 4)
+    series = NodeTimeSeries(16, config, SeriesForecaster(config, bank, row))
     clone = pickle.loads(pickle.dumps(series))
     assert list(clone.actual) == list(series.actual)
     assert list(clone.forecast) == list(series.forecast)
-    # Future forecasts must continue bit-identically.
+    assert clone.state_dict() == series.state_dict()
+    # Future forecasts must continue bit-identically, seeded rows included.
+    revived = clone.forecaster.bank
     for value in [4.0, 8.0, 2.0]:
-        assert clone.append(value) == series.append(value)
-
-    forecaster = SeriesForecaster.from_history_fast([1.0, 2.0, 3.0] * 4, config)
-    revived = pickle.loads(pickle.dumps(forecaster))
-    assert revived.forecast() == forecaster.forecast()
-    assert revived.state_dict() == forecaster.state_dict()
+        for r in (row, seeded):
+            assert revived.observe(r, value) == bank.observe(r, value)
+    assert revived.row_state_dict(seeded) == bank.row_state_dict(seeded)
 
 
 def test_record_batch_pickles_with_and_without_attributes():

@@ -6,11 +6,12 @@ import weakref
 import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.core.pipeline import Tiresias
+from repro.core.detector import Anomaly
 from repro.engine.hooks import CallbackObserver, EngineObserver
 from repro.engine.session import DetectionSession
 from repro.exceptions import ConfigurationError, OutOfOrderRecordError
 from repro.hierarchy.tree import HierarchyTree
+from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 
 DELTA = 100.0
@@ -66,30 +67,83 @@ class TestConstruction:
         session = DetectionSession(tree, config, name="ccd-trouble")
         assert session.name == "ccd-trouble"
 
+    def test_clock_delta_must_match(self, tree, config):
+        with pytest.raises(ConfigurationError):
+            DetectionSession(tree, config, clock=SimulationClock(delta=999.0))
 
-class TestFacadeParity:
-    def test_session_matches_tiresias_facade(self, tree, config):
-        records = spiky_stream()
-        session = DetectionSession(tree, config, warmup_units=4)
-        facade = Tiresias(
-            HierarchyTree.from_leaf_paths(
-                [("a", "a1"), ("a", "a2"), ("b", "b1"), ("b", "b2")]
-            ),
-            config,
-            warmup_units=4,
+    def test_default_warmup_is_forecast_min_history(self, tree, config):
+        session = DetectionSession(tree, config)
+        assert session.warmup_units == config.forecast.min_history
+
+    def test_registered_algorithm_by_name(self, tree, config):
+        from repro.core.ada import ADAAlgorithm
+        from repro.core.registry import register_algorithm, unregister_algorithm
+
+        register_algorithm("test-ada", lambda t, c: ADAAlgorithm(t, c))
+        try:
+            session = DetectionSession(tree, config, algorithm="test-ada", warmup_units=0)
+            assert session.algorithm_name == "test-ada"
+            assert isinstance(session.algorithm, ADAAlgorithm)
+        finally:
+            unregister_algorithm("test-ada")
+
+
+class TestStreamProcessing:
+    def test_records_grouped_into_timeunits(self, tree, config):
+        session = DetectionSession(tree, config, warmup_units=0)
+        results = session.process_stream(
+            iter(steady_records(("a", "a1"), units=5, per_unit=6))
         )
-        session_results = session.process_stream(iter(records))
-        facade_results = facade.process_stream(iter(records))
-        assert session_results == facade_results
-        assert session.anomalies == facade.anomalies
-        assert facade.session.name == "tiresias"
+        assert session.units_processed == 5
+        assert len(results) == 5
+        assert all(("a", "a1") in r.heavy_hitters for r in results)
 
-    def test_facade_exposes_session(self, tree, config):
-        facade = Tiresias(tree, config)
-        assert isinstance(facade.session, DetectionSession)
-        assert facade.algorithm is facade.session.algorithm
-        wrapped = Tiresias.from_session(facade.session)
-        assert wrapped.session is facade.session
+    def test_empty_timeunits_are_processed(self, tree, config):
+        session = DetectionSession(tree, config, warmup_units=0)
+        records = [
+            OperationalRecord.create(50.0, ("a", "a1")),
+            OperationalRecord.create(450.0, ("a", "a1")),
+        ]
+        session.process_stream(iter(records))
+        # Units 0..4 all get processed even though 1-3 are empty.
+        assert session.units_processed == 5
+
+    def test_spike_detected_and_reported_as_anomalies(self, tree, config):
+        session = DetectionSession(tree, config, warmup_units=4)
+        session.process_stream(iter(spiky_stream()))
+        assert any(a.node_path == ("a", "a1") for a in session.anomalies)
+        assert all(isinstance(a, Anomaly) for a in session.anomalies)
+
+    def test_warmup_suppresses_early_anomalies(self, tree, config):
+        spike_first = steady_records(("a", "a1"), units=1, per_unit=40)
+        rest = steady_records(("a", "a1"), units=6, per_unit=6, start_unit=1)
+        session = DetectionSession(tree, config, warmup_units=3)
+        results = session.process_stream(iter(spike_first + rest))
+        assert all(not r.anomalies for r in results[:3])
+        assert all(a.timeunit >= 3 for a in session.anomalies)
+
+    def test_sta_and_ada_both_runnable(self, tree, config):
+        records = steady_records(("a", "a1"), units=6, per_unit=6)
+        for algorithm in ("ada", "sta"):
+            session = DetectionSession(tree, config, algorithm=algorithm, warmup_units=0)
+            assert len(session.process_stream(iter(records))) == 6
+
+    def test_stage_seconds_include_reading(self, tree, config):
+        session = DetectionSession(tree, config, warmup_units=0)
+        session.process_stream(iter(steady_records(("a", "a1"), units=3, per_unit=4)))
+        stages = session.stage_seconds()
+        assert stages["reading_traces"] >= 0.0
+        assert session.memory_units() > 0
+
+    def test_flush_without_data_is_noop(self, tree, config):
+        assert DetectionSession(tree, config).flush() == []
+
+    def test_process_timeunit_counts_direct(self, tree, config):
+        session = DetectionSession(tree, config, warmup_units=0)
+        result = session.process_timeunit_counts({("a", "a1"): 9}, timeunit=0)
+        assert ("a", "a1") in result.heavy_hitters
+        assert session.units_processed == 1
+        assert session.results == [result]
 
 
 class TestHooks:
@@ -175,13 +229,6 @@ class TestOutOfOrderPolicy:
         session.ingest_record(self.late_record())
         results = session.flush()
         assert results[0].actuals[()] == 2.0  # late record landed in unit 2
-
-    def test_facade_applies_policy_too(self, tree, config):
-        facade = Tiresias(tree, config, warmup_units=0)
-        facade.ingest_record(OperationalRecord.create(10.0, ("a", "a1")))
-        facade.ingest_record(OperationalRecord.create(2 * DELTA + 10.0, ("a", "a1")))
-        with pytest.raises(OutOfOrderRecordError):
-            facade.ingest_record(self.late_record())
 
 
 class TestBatchIngestion:

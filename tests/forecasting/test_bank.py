@@ -5,18 +5,16 @@ snapshots and split/merge results to the per-object forecaster
 (:class:`~repro.forecasting.bank._ScalarRow`, the reference's), whichever
 path a call takes — the vectorized kernels or the per-row scalar observe.
 Hypothesis drives random value sequences across the seasonal-activation
-boundary and through clone/add (SPLIT/MERGE) edges.  A plug-in model's rows
+boundary and through split/fold (SPLIT/MERGE) edges.  A plug-in model's rows
 are object rows for their whole life.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ForecastConfig
-from repro.core.timeseries import NodeTimeSeries, SeriesForecaster
 from repro.forecasting.bank import ForecasterBank, _ScalarRow
 
 
@@ -79,8 +77,8 @@ class TestBackendAgreement:
         ratio=st.floats(min_value=0.05, max_value=0.95),
         offset=st.integers(min_value=0, max_value=5),
     )
-    def test_clone_and_add_match_scalar(self, values, ratio, offset):
-        """SPLIT (clone_row) and MERGE (add_state) agree with the object
+    def test_split_and_fold_match_scalar(self, values, ratio, offset):
+        """SPLIT (split_row) and MERGE (fold_row) agree with the object
         rows, including phase-misaligned seasonal states."""
         config = single_config(season=3)
         bank = ForecasterBank(config)
@@ -93,16 +91,15 @@ class TestBackendAgreement:
         for value in (values * 2)[offset:]:
             bank.observe(b, value * 2.0)
             ref_b.observe(value * 2.0)
-        split = bank.clone_row(a, ratio)
-        remainder = bank.clone_row(a, 1.0 - ratio)
-        bank.add_state(remainder, bank, b)
+        split = bank.split_row(a, ratio)
+        bank.fold_row(a, b)
         ref_split, ref_remainder = ref_a.scaled(ratio), ref_a.scaled(1.0 - ratio)
         ref_remainder.add_state(ref_b)
         assert (
             bank.row_state_dict(split),
-            bank.row_state_dict(remainder),
+            bank.row_state_dict(a),
             bank.forecast(split),
-            bank.forecast(remainder),
+            bank.forecast(a),
         ) == (
             ref_split.state_dict(),
             ref_remainder.state_dict(),
@@ -242,38 +239,3 @@ class TestPluginRows:
         assert not bank._obj
         assert [bank.row_state_dict(r) for r in rows] == [r.state_dict() for r in mirror]
         assert bank.row_state_dict(rows[0])["seasonal"]["season_length"] == 2
-
-
-class TestViewClasses:
-    def test_series_forecaster_shares_bank_on_scaled(self):
-        config = single_config()
-        forecaster = SeriesForecaster(config)
-        for value in [1.0, 2.0, 3.0]:
-            forecaster.observe(value)
-        clone = forecaster.scaled(0.5)
-        assert clone.bank is forecaster.bank
-        assert clone.row != forecaster.row
-        assert clone.forecast() == pytest.approx(forecaster.forecast() * 0.5)
-
-    def test_node_series_release_recycles_rows(self):
-        config = single_config()
-        bank = ForecasterBank(config)
-        series = NodeTimeSeries(8, config, bank=bank)
-        series.append(3.0)
-        live_before = len(bank)
-        scaled = series.scaled(0.5)
-        assert len(bank) == live_before + 1
-        scaled.release()
-        assert len(bank) == live_before
-
-    def test_replace_actual_reuses_bank(self):
-        config = single_config()
-        bank = ForecasterBank(config)
-        series = NodeTimeSeries(8, config, bank=bank)
-        for value in [1.0, 2.0, 3.0]:
-            series.append(value)
-        live = len(bank)
-        series.replace_actual([5.0, 6.0, 7.0])
-        assert series.forecaster.bank is bank
-        assert len(bank) == live
-        assert list(series.actual) == [5.0, 6.0, 7.0]

@@ -1,7 +1,9 @@
 """The row store against the reference series, operation by operation.
 
 Every series is one row of the bank matrix and SPLIT / MERGE / correction /
-record are whole-row array operations; the oracle runs the same calls on
+record are whole-row array operations, called on
+:class:`~repro.forecasting.bank.ForecasterBank` row numbers directly (the
+series are read through views of their rows); the oracle runs the same calls on
 :class:`repro.testing.reference.ReferenceSeries` — ``_ScalarRow`` objects and
 bounded deques, the historical per-object code.  One hypothesis state
 machine drives both worlds through the same random sequence of calls and
@@ -43,7 +45,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.config import ForecastConfig
-from repro.core.timeseries import NodeTimeSeries
+from repro.core.timeseries import NodeTimeSeries, SeriesForecaster
 from repro.forecasting.bank import ForecasterBank
 from repro.testing.reference import ReferenceSeries
 
@@ -72,7 +74,8 @@ picks = st.integers(min_value=0, max_value=10_000)
 
 
 class World:
-    """The row store's bank and live series (index-aligned with the oracle's)."""
+    """The row store: one bank, its row operations called directly, and a
+    read view of every live row (index-aligned with the oracle's series)."""
 
     def __init__(self, config: ForecastConfig, length: int):
         self.config = config
@@ -80,15 +83,28 @@ class World:
         self.bank = ForecasterBank(config, window=length)
         self.series: list[NodeTimeSeries] = []
 
+    def _adopt(self, row: int) -> NodeTimeSeries:
+        return NodeTimeSeries(
+            self.length, self.config, SeriesForecaster(self.config, self.bank, row)
+        )
+
+    def _row(self, i: int) -> int:
+        return self.series[i].forecaster.row
+
     def new(self) -> None:
-        self.series.append(NodeTimeSeries(self.length, self.config, bank=self.bank))
+        self.series.append(self._adopt(self.bank.new_row()))
 
     def append_each(self, picked, batch) -> list:
-        return [self.series[i].append(v) for i, v in zip(picked, batch)]
+        forecasts = []
+        for i, value in zip(picked, batch):
+            row = self._row(i)
+            forecasts.append(self.bank.observe(row, value))
+            self.bank.record(row, float(value), forecasts[-1])
+        return forecasts
 
     def close(self, picked, batch) -> list:
         """The batched close: one bank observe, then one record per series."""
-        rows = [self.series[i].forecaster.row for i in picked]
+        rows = [self._row(i) for i in picked]
         forecasts = self.bank.observe_rows(rows, batch)
         self.bank.record_rows(
             np.asarray(rows, dtype=np.intp), np.asarray(batch), np.asarray(forecasts)
@@ -96,40 +112,38 @@ class World:
         return forecasts
 
     def split(self, i, ratio) -> None:
-        self.series.append(self.series[i].split_inplace(ratio))
-
-    def clone(self, i, ratio) -> None:
-        self.series.append(self.series[i].scaled(ratio))
+        self.series.append(self._adopt(self.bank.split_row(self._row(i), ratio)))
 
     def fold(self, dst, src) -> None:
-        self.series[dst].merge_from(self.series[src])
+        self.bank.fold_row(self._row(dst), self._row(src))
         self.release(src)
 
     def correct(self, i, corrected) -> None:
-        self.series[i].replace_actual(corrected)
+        self.bank.reseed(self._row(i), corrected)
 
     def release(self, i) -> None:
-        self.series.pop(i).release()
+        """Free the row and turn its view inert, as ADA's series view does."""
+        view = self.series.pop(i)
+        self.bank.free_row(view.forecaster.row)
+        view.forecaster.detach()
 
     def reload(self, i) -> None:
         old = self.series[i]
-        self.series[i] = NodeTimeSeries.from_state_dict(
-            old.state_dict(), self.config, bank=self.bank
-        )
-        old.release()
+        self.series[i] = self._adopt(self.bank.load_series_state(old.state_dict()))
+        self.bank.free_row(old.forecaster.row)
+        old.forecaster.detach()
 
     def load(self, state) -> None:
-        self.series.append(NodeTimeSeries.from_state_dict(state, self.config, bank=self.bank))
+        self.series.append(self._adopt(self.bank.load_series_state(state)))
 
     def transport(self, how) -> None:
-        clone = how((self.bank, self.series))
-        self.bank, self.series = clone
+        self.bank, self.series = how((self.bank, self.series))
 
     def canonical(self) -> bytes:
         return json.dumps([s.state_dict() for s in self.series], sort_keys=True).encode()
 
 
-class OracleWorld(World):
+class OracleWorld:
     """The same calls on :class:`ReferenceSeries`."""
 
     def __init__(self, config: ForecastConfig, length: int):
@@ -140,8 +154,10 @@ class OracleWorld(World):
     def new(self) -> None:
         self.series.append(ReferenceSeries(self.length, self.config))
 
-    def close(self, picked, batch) -> list:
-        return self.append_each(picked, batch)
+    def append_each(self, picked, batch) -> list:
+        return [self.series[i].append(v) for i, v in zip(picked, batch)]
+
+    close = append_each
 
     def split(self, i, ratio) -> None:
         donor = self.series[i]
@@ -151,6 +167,9 @@ class OracleWorld(World):
     def fold(self, dst, src) -> None:
         self.series[dst].merge_from(self.series[src])
         self.series.pop(src)
+
+    def correct(self, i, corrected) -> None:
+        self.series[i].replace_actual(corrected)
 
     def release(self, i) -> None:
         self.series.pop(i)
@@ -165,6 +184,9 @@ class OracleWorld(World):
 
     def transport(self, how) -> None:
         self.series = how(self.series)
+
+    def canonical(self) -> bytes:
+        return json.dumps([s.state_dict() for s in self.series], sort_keys=True).encode()
 
 
 class RowStoreMachine(RuleBasedStateMachine):
@@ -224,12 +246,6 @@ class RowStoreMachine(RuleBasedStateMachine):
     @rule(i=picks, ratio=ratios)
     def split(self, i, ratio):
         self.both("split", self.pick(i), ratio)
-        self.track()
-
-    @precondition(lambda self: self.row.series)
-    @rule(i=picks, ratio=st.floats(min_value=-2.0, max_value=2.0))
-    def clone(self, i, ratio):
-        self.both("clone", self.pick(i), ratio)
         self.track()
 
     @precondition(lambda self: len(self.row.series) >= 2)
@@ -484,13 +500,14 @@ def test_rows_that_do_not_fit_the_layout_behave_like_scalar_rows():
     long as ``min_history``) is held as a scalar row beside the matrix; its
     windows still live in the row.  SPLIT, MERGE and the correction must
     treat it exactly as the reference does."""
-    foreign_config = ForecastConfig(season_lengths=(3,), fallback_alpha=0.5)
-    foreign = NodeTimeSeries(LENGTH, foreign_config)
-    foreign.extend([4.0, -1.0, 7.0, 2.0, 5.0, 3.0, 6.0])
-    foreign_state = foreign.state_dict()
-    long_history = NodeTimeSeries(LENGTH, CONFIG)
-    long_history.extend([1.0, 2.0, 3.0])
-    long_state = long_history.state_dict()
+    foreign = World(ForecastConfig(season_lengths=(3,), fallback_alpha=0.5), LENGTH)
+    foreign.new()
+    foreign.append_each([0] * 7, [4.0, -1.0, 7.0, 2.0, 5.0, 3.0, 6.0])
+    foreign_state = foreign.series[0].state_dict()
+    long_history = World(CONFIG, LENGTH)
+    long_history.new()
+    long_history.append_each([0] * 3, [1.0, 2.0, 3.0])
+    long_state = long_history.series[0].state_dict()
     long_state["forecaster"]["history"] = [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def scenario(world):

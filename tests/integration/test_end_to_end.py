@@ -12,7 +12,7 @@ import pytest
 from repro import (
     CCDConfig,
     SCDConfig,
-    Tiresias,
+    DetectionSession,
     TiresiasConfig,
     ForecastConfig,
     make_ccd_dataset,
@@ -53,7 +53,7 @@ def ccd_dataset():
 @pytest.fixture(scope="module")
 def ccd_run(ccd_dataset):
     config = detector_config(ccd_dataset)
-    detector = Tiresias(
+    detector = DetectionSession(
         ccd_dataset.tree,
         config,
         algorithm="ada",
@@ -94,8 +94,10 @@ class TestADAvsSTAOnCCD:
             ccd_dataset.record_list(), ccd_dataset.clock, ccd_dataset.num_timeunits
         )
         # Use a shorter slice to keep STA affordable in the test suite.
-        ada = Tiresias(ccd_dataset.tree, config, algorithm="ada", clock=ccd_dataset.clock)
-        sta = Tiresias(ccd_dataset.tree, config, algorithm="sta", clock=ccd_dataset.clock)
+        ada, sta = (
+            DetectionSession(ccd_dataset.tree, config, algorithm=name, clock=ccd_dataset.clock)
+            for name in ("ada", "sta")
+        )
         for unit, counts in enumerate(units[:192]):
             a = ada.process_timeunit_counts(counts, unit)
             s = sta.process_timeunit_counts(counts, unit)
@@ -137,7 +139,7 @@ class TestSCDEndToEnd:
             )
         )
         config = detector_config(dataset, theta=12.0)
-        detector = Tiresias(
+        detector = DetectionSession(
             dataset.tree, config, algorithm="ada", clock=dataset.clock, warmup_units=96
         )
         detector.process_stream(dataset.records())

@@ -6,7 +6,11 @@ detector configuration, then runs the stream through
 
 * a serial session, record by record (``process_stream``),
 * a serial session fed dictionary-coded batches (``process_batches``: the
-  dense close), and
+  dense close),
+* the service leg: the stream encoded as NDJSON, decoded by the daemon's
+  :class:`~repro.io.jsonl_io.NdjsonDecoder` and fed in process (no socket)
+  to a tenant through :meth:`SessionManager.ingest_batch
+  <repro.service.manager.SessionManager.ingest_batch>` and ``flush``, and
 * a subtree-sharded engine (two worker processes; only for configurations
   sharding admits: the root neither tracked nor qualifying),
 
@@ -22,7 +26,9 @@ sessions' adaptation counters and checkpoints (``stats`` rows sorted) too.
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+import tempfile
 from collections import Counter
 
 import pytest
@@ -33,6 +39,9 @@ from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.engine.engine import DetectionEngine
 from repro.engine.sharded import ShardedDetectionEngine
 from repro.hierarchy.tree import HierarchyTree
+from repro.io.jsonl_io import NdjsonDecoder
+from repro.service.config import TenantSpec
+from repro.service.manager import SessionManager
 from repro.streaming.batch import iter_record_batches
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
@@ -128,6 +137,24 @@ def serial_run(tree, clock, records, config, batch_size=None):
     return engine.sessions["p"].algorithm, results, anomalies
 
 
+def service_run(tree, clock, records, config, batch_size):
+    """The daemon's path, in process and without a socket: the stream as an
+    NDJSON body, decoded the way ``POST /ingest`` decodes one, each batch
+    handed to the tenant through the session manager, then a flush."""
+    body = b"".join(json.dumps(record.to_dict()).encode() + b"\n" for record in records)
+    with tempfile.TemporaryDirectory() as checkpoint_dir:
+        manager = SessionManager(
+            [TenantSpec("p", tree, config, clock=clock, max_results=None)], checkpoint_dir
+        )
+        decoder = NdjsonDecoder(
+            batch_size, default_tenant="p", is_known_tenant=manager.is_known
+        )
+        for tenant, batch in decoder.feed(body, final=True):
+            manager.ingest_batch(tenant, batch)
+        manager.flush("p")
+        return manager.session("p").results, manager.anomalies("p")
+
+
 def sharded_run(tree, clock, records, config, batch_size):
     with ShardedDetectionEngine(num_workers=2) as engine:
         engine.add_session("p", tree, config, clock=clock, subtree_shards=2)
@@ -149,6 +176,10 @@ def check_case(seed: int, model: str, root: str, batch_size: int, sharded: bool)
             oracle.split_operations,
             oracle.merge_operations,
         )
+    assert service_run(tree, clock, records, config, batch_size) == (
+        want_results,
+        want_anomalies,
+    )
     if sharded and root == "excluded":
         assert sharded_run(tree, clock, records, config, batch_size) == (
             want_results,

@@ -229,14 +229,6 @@ class TestTimeunitAggregation:
         assert runs[0][2] == {("a",): 1, ("b",): 1}
         assert runs[2][2] == {("a",): 2}
 
-    def test_timeunit_counts_merges_runs(self, clock):
-        batch = RecordBatch.from_records(
-            [rec(1.0, "a"), rec(11.0, "b"), rec(2.0, "a")]
-        )
-        counts = batch.timeunit_counts(clock)
-        assert counts[0] == {("a",): 2}
-        assert counts[1] == {("b",): 1}
-
     def test_empty_batch_has_no_runs(self, clock):
         assert list(RecordBatch.empty().group_runs_by_timeunit(clock)) == []
 

@@ -40,34 +40,6 @@ class TestMerge:
         assert [r.timestamp for r in merged] == [1, 2, 3, 4, 7, 8]
 
 
-class TestBatches:
-    def test_batches_group_by_period(self):
-        stream = InputStream(records(0.5, 1.5, 2.5, 9.5))
-        batches = list(stream.batches(period=2.0, start=0.0))
-        sizes = [len(batch) for _, batch in batches]
-        # [0,2): 2 records, [2,4): 1 record, [4,6): 0, [6,8): 0, [8,10): 1
-        assert sizes == [2, 1, 0, 0, 1]
-
-    def test_batches_include_empty_periods(self):
-        stream = InputStream(records(0.0, 10.0))
-        batches = list(stream.batches(period=2.0, start=0.0))
-        assert len(batches) == 6
-        assert sum(len(b) for _, b in batches) == 2
-
-    def test_batch_end_times_are_monotone(self):
-        stream = InputStream(records(0.1, 3.3, 3.4, 7.9))
-        ends = [end for end, _ in stream.batches(period=1.0, start=0.0)]
-        assert ends == sorted(ends)
-
-    def test_invalid_period_raises(self):
-        stream = InputStream(records(1))
-        with pytest.raises(StreamError):
-            list(stream.batches(period=0.0))
-
-    def test_empty_stream_yields_nothing(self):
-        assert list(InputStream([]).batches(period=1.0)) == []
-
-
 class TestWatermark:
     def test_watermark_does_not_regress_within_tolerance(self):
         """Regression: a 0.0 watermark (epoch-aligned first record of a merged
