@@ -12,6 +12,7 @@ from repro.core.config import ForecastConfig
 from repro.core.timeseries import MultiScaleTimeSeries, NodeTimeSeries, SeriesForecaster
 from repro.exceptions import ConfigurationError
 from repro.forecasting.bank import ForecasterBank
+from repro.testing.reference import aligned_add
 
 
 def fc(season=4, fallback=0.5):
@@ -153,6 +154,37 @@ class TestNodeTimeSeries:
         assert clone.state_dict() == series.state_dict()
         assert clone.forecaster.bank is not series.forecaster.bank
 
+    def test_views_follow_row_writes_and_reallocation(self):
+        bank, row = fed_row([2.0, 4.0])
+        series = view(bank, row)
+        actual = series.actual
+        others = [bank.new_row() for _ in range(20)]  # grows the matrix
+        bank.split_row(row, 0.25)
+        bank.record(others[0], 9.0, 9.0)
+        assert actual.tolist() == [1.5, 3.0]
+        assert series.latest_actual == 3.0
+        assert series.next_forecast() == bank.forecast(row)
+
+    def test_windows_read_oldest_first_across_the_wrap(self):
+        series = view(*fed_row(range(1, 12), length=4))  # 11 records into 4 slots
+        assert list(series.actual) == [8.0, 9.0, 10.0, 11.0]
+        assert series.actual[0] == 8.0
+        assert series.actual[-1] == 11.0
+        assert series.actual.values(newest=3).tolist() == [9.0, 10.0, 11.0]
+        assert series.actual.values(newest=9).tolist() == [8.0, 9.0, 10.0, 11.0]
+
+    def test_seasonal_model_is_a_read_only_copy(self):
+        bank, row = fed_row([5.0, 6.0])
+        series = view(bank, row)
+        assert series.forecaster.seasonal_model is None
+        for t in range(8):
+            bank.observe(row, 5.0 + (t % 4))
+        model = series.forecaster.seasonal_model
+        before = series.next_forecast()
+        model.level += 100.0
+        assert series.forecaster.seasonal_model.level == pytest.approx(model.level - 100.0)
+        assert series.next_forecast() == before
+
     def test_detached_handle_refuses_use(self):
         series = view(*fed_row([1.0]))
         series.forecaster.detach()
@@ -203,6 +235,85 @@ class TestRowWindows:
         with pytest.raises(ConfigurationError):
             bank.free_row(7)
         assert len(bank) == 0
+
+    def test_a_refused_double_free_does_not_hand_one_row_to_two_series(self):
+        bank = ForecasterBank(fc(), window=8)
+        row = bank.new_row()
+        bank.free_row(row)
+        with pytest.raises(ConfigurationError):
+            bank.free_row(row)
+        b, c = bank.new_row(), bank.new_row()
+        assert b != c
+        bank.record(b, 10.0, bank.observe(b, 10.0))
+        assert bank.forecast(c) == 0.0
+        assert bank.window_len(c, 0) == 0
+
+    def test_load_windows_keeps_the_newest(self):
+        bank = ForecasterBank(fc(), window=2)
+        row = bank.new_row()
+        bank.load_windows(row, [10.0, 20.0, 30.0, 40.0], [1.0, 2.0, 3.0])
+        assert bank.window_values(row, 0).tolist() == [30.0, 40.0]
+        assert bank.window_values(row, 1).tolist() == [2.0, 3.0]
+        bank.record(row, 50.0, 4.0)
+        assert bank.window_values(row, 0).tolist() == [40.0, 50.0]
+
+    def test_reseed_keeps_the_row(self):
+        bank, row = fed_row([1.0, 2.0, 3.0])
+        other = bank.new_row()
+        bank.reseed(row, [5.0, 6.0, 7.0])
+        assert len(bank) == 2
+        assert bank.window_values(row, 0).tolist() == [5.0, 6.0, 7.0]
+        assert bank.window_len(other, 0) == 0
+
+    def test_split_matches_the_scaled_pair(self):
+        bank, row = fed_row(range(1, 12), config=ForecastConfig(season_lengths=(3,)))
+        actual = bank.window_values(row, 0).tolist()
+        forecast = bank.window_values(row, 1).tolist()
+        before = bank.forecast(row)
+        child = bank.split_row(row, 0.3)
+        assert bank.window_values(child, 0).tolist() == [v * 0.3 for v in actual]
+        assert bank.window_values(child, 1).tolist() == [v * 0.3 for v in forecast]
+        assert bank.window_values(row, 0).tolist() == [v * 0.7 for v in actual]
+        assert bank.window_values(row, 1).tolist() == [v * 0.7 for v in forecast]
+        assert bank.forecast(child) == pytest.approx(0.3 * before, rel=1e-9)
+        assert bank.forecast(row) == pytest.approx(0.7 * before, rel=1e-9)
+
+    def test_fold_aligns_newest(self):
+        bank, a = fed_row([1.0, 2.0, 3.0])
+        b = bank.new_row()
+        bank.record(b, 10.0, bank.observe(b, 10.0))
+        bank.fold_row(a, b)
+        assert bank.window_values(a, 0).tolist() == [1.0, 2.0, 13.0]
+
+    @pytest.mark.parametrize(
+        "mine_n, theirs_n", [(11, 11), (11, 4), (3, 9), (0, 5), (6, 0)]
+    )
+    def test_fold_matches_aligned_add(self, mine_n, theirs_n):
+        """Equal lengths, shorter, longer, empty on either side; the rows'
+        window cursors differ whenever their lengths do."""
+        bank, mine = fed_row(range(1, mine_n + 1), config=fc(season=3, fallback=0.4))
+        theirs = bank.new_row()
+        for value in range(100, 100 + theirs_n):
+            bank.record(theirs, float(value), bank.observe(theirs, value))
+        expected = [
+            list(
+                aligned_add(
+                    bank.window_values(mine, which).tolist(),
+                    bank.window_values(theirs, which).tolist(),
+                    bank.window,
+                )
+            )
+            for which in (0, 1)
+        ]
+        bank.fold_row(mine, theirs)
+        assert [bank.window_values(mine, which).tolist() for which in (0, 1)] == expected
+        # the folded row keeps recording where the sum ends
+        bank.record(mine, 7.0, 8.0)
+        assert bank.window_values(mine, 0)[-1] == 7.0
+        assert bank.window_values(mine, 1)[-1] == 8.0
+        assert bank.window_values(theirs, 0).tolist() == [
+            float(v) for v in range(100, 100 + theirs_n)
+        ][-bank.window :]
 
 
 class TestMultiScaleTimeSeries:

@@ -11,6 +11,7 @@ from repro.engine.hooks import CallbackObserver, EngineObserver
 from repro.engine.session import DetectionSession
 from repro.exceptions import ConfigurationError, OutOfOrderRecordError
 from repro.hierarchy.tree import HierarchyTree
+from repro.streaming.batch import RecordBatch
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 
@@ -248,6 +249,146 @@ class TestBatchIngestion:
             looped.extend(other.ingest_record(record))
         looped.extend(other.flush())
         assert batched == looped
+
+
+class TestTimeunitBinning:
+    """The session is the one binner: records count into the timeunit of
+    their timestamp, and a columnar batch bins exactly as its records would
+    one at a time — under every out-of-order policy, on ADA's dense close
+    and on the per-run path STA takes."""
+
+    def test_records_land_in_their_timeunit(self, tree, config):
+        session = DetectionSession(tree, config, warmup_units=0)
+        for ts in (1.0, DELTA + 2.0, DELTA + 3.0):
+            session.ingest_record(OperationalRecord.create(ts, ("a", "a1")))
+        results = session.flush()
+        assert [r.timeunit for r in results] == [1]
+        assert [r.actuals[()] for r in session.results] == [1.0, 2.0]
+
+    def test_categories_are_counted_apart(self, tree, config):
+        session = DetectionSession(tree, config, warmup_units=0)
+        records = steady_records(("a", "a1"), units=1, per_unit=5) + steady_records(
+            ("b", "b1"), units=1, per_unit=4
+        )
+        session.ingest_record(OperationalRecord.create(10.0, ("a", "a2")))
+        (result,) = session.process_stream(sorted(records, key=lambda r: r.timestamp))
+        assert result.actuals[("a", "a1")] == 5.0
+        assert result.actuals[("b", "b1")] == 4.0
+        assert ("a", "a2") not in result.heavy_hitters
+        assert ("b", "b2") not in result.actuals
+
+    def test_advance_to_closes_every_unit_before_it(self, tree, config):
+        session = DetectionSession(tree, config, warmup_units=0)
+        session.ingest_record(OperationalRecord.create(1.0, ("a", "a1")))
+        closed = session.advance_to(4)
+        assert [r.timeunit for r in closed] == [0, 1, 2, 3]
+        assert [r.actuals[()] for r in closed] == [1.0, 0.0, 0.0, 0.0]
+
+    def test_advance_to_anchors_a_fresh_session(self, tree, config):
+        session = DetectionSession(tree, config, warmup_units=0)
+        assert session.advance_to(7) == []
+        session.ingest_record(OperationalRecord.create(7 * DELTA + 1.0, ("a", "a1")))
+        assert [r.timeunit for r in session.flush()] == [7]
+        assert session.units_processed == 1
+
+    def test_advance_to_the_open_unit_is_a_noop(self, tree, config):
+        session = DetectionSession(tree, config, warmup_units=0)
+        session.ingest_record(OperationalRecord.create(2 * DELTA + 1.0, ("a", "a1")))
+        assert session.advance_to(2) == []
+        assert session.advance_to(1) == []
+        assert session.units_processed == 0
+        assert [r.actuals[()] for r in session.flush()] == [1.0]
+
+    def test_flush_closes_the_open_unit_once(self, tree, config):
+        session = DetectionSession(tree, config, warmup_units=0)
+        session.ingest_record(OperationalRecord.create(1.0, ("a", "a1")))
+        assert len(session.flush()) == 1
+        assert session.flush() == []
+        assert session.units_processed == 1
+
+    @staticmethod
+    def binned_both_ways(tree, config, algorithm, records):
+        """``[(results, raised)]`` of one session fed ``records`` as one
+        batch and of one fed them one at a time, each flushed afterwards;
+        an :class:`OutOfOrderRecordError` stops either feed where it is
+        raised."""
+
+        def batch(session):
+            session.ingest_record_batch(RecordBatch.from_records(records))
+
+        def loop(session):
+            for record in records:
+                session.ingest_record(record)
+
+        outcomes = []
+        for feed in (batch, loop):
+            session = DetectionSession(
+                HierarchyTree.from_leaf_paths(tree.leaf_paths()),
+                config,
+                algorithm=algorithm,
+                warmup_units=0,
+            )
+            try:
+                feed(session)
+                raised = False
+            except OutOfOrderRecordError:
+                raised = True
+            session.flush()
+            outcomes.append((session.results, raised))
+        return outcomes
+
+    @pytest.mark.parametrize("algorithm", ["ada", "sta"])
+    def test_batch_matches_record_loop_in_order(self, tree, config, algorithm):
+        batched, looped = self.binned_both_ways(tree, config, algorithm, spiky_stream())
+        assert batched == looped
+        assert len(batched[0]) == 16
+
+    @pytest.mark.parametrize("algorithm", ["ada", "sta"])
+    @pytest.mark.parametrize("policy", ["drop", "clamp"])
+    def test_batch_matches_record_loop_with_late_runs(
+        self, tree, config, algorithm, policy
+    ):
+        # The stream jumps to unit 3, then falls behind it and catches up.
+        records = [
+            OperationalRecord.create(ts, leaf)
+            for ts, leaf in [
+                (1.0, ("a", "a1")),
+                (3 * DELTA + 1.0, ("b", "b1")),
+                (2.0, ("a", "a1")),
+                (DELTA + 5.0, ("a", "a2")),
+                (3 * DELTA + 3.0, ("b", "b1")),
+                (4 * DELTA + 1.0, ("a", "a1")),
+            ]
+        ]
+        batched, looped = self.binned_both_ways(
+            tree, config.replace(out_of_order_policy=policy), algorithm, records
+        )
+        assert batched == looped
+        results, raised = batched
+        assert not raised
+        assert [r.timeunit for r in results] == [0, 1, 2, 3, 4]
+        late_in_unit_3 = 2.0 if policy == "clamp" else 0.0
+        assert results[3].actuals[()] == 2.0 + late_in_unit_3
+
+    @pytest.mark.parametrize("algorithm", ["ada", "sta"])
+    def test_late_run_raises_after_the_runs_before_it(self, tree, config, algorithm):
+        records = [
+            OperationalRecord.create(ts, ("a", "a1"))
+            for ts in (1.0, 2 * DELTA + 1.0, 2.0, 2 * DELTA + 3.0)
+        ]
+        batched, looped = self.binned_both_ways(tree, config, algorithm, records)
+        assert batched == looped
+        results, raised = batched
+        assert raised
+        # Units 0 and 1 closed before the late run; unit 2 holds one record.
+        assert [r.actuals[()] for r in results] == [1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("algorithm", ["ada", "sta"])
+    def test_empty_batch_is_a_noop(self, tree, config, algorithm):
+        session = DetectionSession(tree, config, algorithm=algorithm, warmup_units=0)
+        assert session.ingest_record_batch(RecordBatch.empty()) == []
+        assert session.flush() == []
+        assert session.units_processed == 0
 
 
 class TestLifetime:
