@@ -46,7 +46,9 @@ updates every tracked forecaster, one
 every window, split-rule statistics update in one masked pass over dense
 per-node arrays (:meth:`_SplitStatsStore.update_dense`), and the
 dual-threshold check evaluates as one batch comparison
-(:meth:`~repro.core.detector.ThresholdDetector.check_many`).
+(:meth:`~repro.core.detector.ThresholdDetector.check_many`).  The
+:class:`~repro.core.results.TimeunitResult` a close returns holds those
+arrays; its per-path views are built only when read.
 :mod:`repro.testing.reference` is the slow per-path oracle it is tested
 against.
 """
@@ -66,13 +68,26 @@ from repro.core import fused
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.detector import ThresholdDetector
 from repro.core.results import TimeunitResult
-from repro.core.split_rules import NodeUsageStats, make_split_rule
+from repro.core.split_rules import (
+    EWMASplitRule,
+    LastTimeUnitSplitRule,
+    LongTermHistorySplitRule,
+    NodeUsageStats,
+    UniformSplitRule,
+    make_split_rule,
+)
 from repro.core.timeseries import NodeTimeSeries, SeriesForecaster
 from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank
 from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.node import HierarchyNode
 from repro.hierarchy.tree import HierarchyTree
+
+#: The columns of a close with no heavy hitter (most units of a stable
+#: stream): one shared read-only array, so retained results of empty units
+#: hold no allocation of their own.
+_NO_COLUMN = np.empty(0)
+_NO_COLUMN.setflags(write=False)
 
 
 class _SplitStatsStore:
@@ -351,8 +366,15 @@ class _RefStore:
         )
 
     def has_values(self, path: CategoryPath) -> bool:
+        """Whether the path's row holds a value, read off its valid count
+        (nothing is materialized)."""
         row = self.row_of.get(path)
-        return row is not None and len(self._values(row)) > 0
+        if row is None:
+            return False
+        held = self._aside.get(row)
+        if held is not None:
+            return len(held) > 0
+        return int(self._origin[row]) + self._columns > 0
 
     def corrected_base(self, path: CategoryPath):
         """A fresh, mutable oldest-first float64 copy of the path's buffer
@@ -361,7 +383,11 @@ class _RefStore:
         if row is None:
             return None
         values = self._values(row)
-        return values.copy() if len(values) else None
+        if not len(values):
+            return None
+        if values.base is None and row not in self._aside:
+            return values  # a wrapped range: already a fresh concatenation
+        return values.copy()
 
     def total_len(self) -> int:
         counts = np.minimum(self._origin + self._columns, self.maxlen)
@@ -509,8 +535,8 @@ class ADAAlgorithm:
         self.last_result: TimeunitResult | None = None
         #: Per-timeunit id-keyed split-statistics view memo (churn path).
         self._id_view_cache: dict[int, NodeUsageStats] = {}
-        #: Cached heavy-order structures reused verbatim while the heavy set
-        #: is unchanged: (mask, ids array, paths, frozenset, rows).
+        #: Cached heavy order reused verbatim while the heavy set is
+        #: unchanged: (mask bytes, lex-ordered heavy ids, their bank rows).
         self._hv_cache = None
         #: Adaptation counters (not checkpointed).
         self.fastpath_units = 0
@@ -644,19 +670,19 @@ class ADAAlgorithm:
             self.last_frontier_raw = tuple(
                 float(v) for v in raw_vec[self._frontier_ids]
             )
-        # Heavy-order identity (ids, paths, membership set) depends only on
-        # the mask; on stable timeunits it is the cached tuple, untouched.
-        prepared = self._prepare_delta(heavy_mask)
+        # The lex-ordered heavy ids depend only on the mask; on stable
+        # timeunits they are the cached array, untouched.
+        stable, ids_arr = self._prepare_delta(heavy_mask)
         stage_seconds["updating_hierarchies"] += time.perf_counter() - start
 
         start = time.perf_counter()
         actuals, forecasts = self._close_delta(
-            prepared, heavy_mask, raw_vec, modified_vec
+            stable, ids_arr, heavy_mask, raw_vec, modified_vec
         )
         stage_seconds["creating_time_series"] += time.perf_counter() - start
 
         start = time.perf_counter()
-        result = self._detect(prepared[3], prepared[2], actuals, forecasts)
+        result = self._detect(ids_arr, actuals, forecasts)
         stage_seconds["detecting_anomalies"] += time.perf_counter() - start
         self.last_result = result
         self.close_histogram.observe(time.perf_counter() - close_start)
@@ -685,12 +711,11 @@ class ADAAlgorithm:
     # Delta-driven close path (id-based fast path + planner)
     # ------------------------------------------------------------------
     def _prepare_delta(self, heavy_mask):
-        """Resolve the timeunit's heavy-order identity from the mask alone.
+        """The timeunit's lex-ordered heavy node ids, from the mask alone.
 
-        Returns ``(stable, ids_arr, heavy_paths, heavy_set, ids)`` — on a
-        stable timeunit (mask unchanged) everything comes from the cache and
-        ``ids`` is None; otherwise the lex-ordered ids and path structures
-        are built fresh.
+        Returns ``(stable, ids_arr)`` — on a stable timeunit (mask
+        unchanged) the ids are the cached array; otherwise they are built
+        fresh.  No path is looked up.
         """
         cache = self._hv_cache
         check_start = time.perf_counter()
@@ -698,30 +723,24 @@ class ADAAlgorithm:
             # The whole adaptation engine's work for a stable timeunit is
             # this one mask comparison (bytes compare: one memcmp).
             self.adapt_seconds += time.perf_counter() - check_start
-            return (True, cache[1], cache[2], cache[3], None)
+            return True, cache[1]
         self.adapt_seconds += time.perf_counter() - check_start
-        index = self._index
-        lex = index.lex_order
-        ids_arr = lex[heavy_mask[lex]]
-        ids = ids_arr.tolist()
-        paths = index.paths
-        heavy_paths = [paths[i] for i in ids]
-        heavy_set = frozenset(heavy_paths)
-        return (False, ids_arr, heavy_paths, heavy_set, ids)
+        lex = self._index.lex_order
+        return False, lex[heavy_mask[lex]]
 
-    def _close_delta(self, prepared, heavy_mask, raw_vec, modified_vec):
+    def _close_delta(self, stable, ids_arr, heavy_mask, raw_vec, modified_vec):
         """Adapt on the heavy-set delta only, then append this unit's weights.
 
         When the heavy mask is unchanged from the previous timeunit the whole
         adaptation stage reduces to one mask comparison and the cached
-        heavy-order structures are reused verbatim; otherwise the shared
+        heavy ids and bank rows are reused verbatim; otherwise the shared
         planner emits the SPLIT/MERGE cascade as ops which are applied as
         whole-row bank operations; the plan leaves every heavy hitter
-        tracked.  The tail is array-native either way.
+        tracked.  The tail is array-native either way and returns the
+        ``(actual, forecast)`` float64 columns in heavy-id order.
         """
-        stable, ids_arr, heavy_paths, heavy_set, ids = prepared
         if stable:
-            rows = self._hv_cache[4]
+            rows = self._hv_cache[2]
             self.fastpath_units += 1
         else:
             index = self._index
@@ -742,32 +761,30 @@ class ADAAlgorithm:
             self.merge_operations += plan.num_merges
             self.planned_units += 1
             rows = self._series_rows[ids_arr]
-            self._hv_cache = (
-                heavy_mask.tobytes(),
-                ids_arr,
-                heavy_paths,
-                heavy_set,
-                rows,
-            )
+            self._hv_cache = (heavy_mask.tobytes(), ids_arr, rows)
             self.adapt_seconds += time.perf_counter() - adapt_start
         if self._reference_nodes:
             # The unmodified weight A_n of every reference-level node (§V-B5).
             self._ref.append_column(
                 self._reference_nodes, raw_vec[self._reference_ids]
             )
-        values_vec = modified_vec[ids_arr]
-        if heavy_mask[0] and modified_vec[0] <= 0.0:
-            # A tracked root with zero modified weight falls back to its raw
-            # weight; the root is lexicographically first when present.
-            values_vec = values_vec.copy()
-            values_vec[0] = raw_vec[0]
-        # One array-native observe and one indexed store per window for the
-        # whole heavy set.
-        bank = self.bank
-        forecasts_vec = bank.observe_rows_arrays(rows, values_vec)
-        bank.record_rows(rows, values_vec, forecasts_vec)
+        if len(rows):
+            # A fancy-indexed gather: a fresh array sized by the heavy set, so
+            # a retained result pins no row of the batch's sweep matrices.
+            values_vec = modified_vec[ids_arr]
+            if heavy_mask[0] and modified_vec[0] <= 0.0:
+                # A tracked root with zero modified weight falls back to its
+                # raw weight; the root is lexicographically first when present.
+                values_vec[0] = raw_vec[0]
+            # One array-native observe and one indexed store per window for
+            # the whole heavy set.
+            bank = self.bank
+            forecasts_vec = bank.observe_rows_arrays(rows, values_vec)
+            bank.record_rows(rows, values_vec, forecasts_vec)
+        else:
+            values_vec = forecasts_vec = _NO_COLUMN
         self._stats.update_dense(self._timeunit, raw_vec)
-        return values_vec.tolist(), forecasts_vec.tolist()
+        return values_vec, forecasts_vec
 
     def _view_by_id(self, node_id: int) -> NodeUsageStats:
         view = self._id_view_cache.get(node_id)
@@ -785,13 +802,6 @@ class ADAAlgorithm:
         materializing a :class:`NodeUsageStats` per receiver.  Returns None
         for custom rule classes (the planner then uses full views).
         """
-        from repro.core.split_rules import (
-            EWMASplitRule,
-            LastTimeUnitSplitRule,
-            LongTermHistorySplitRule,
-            UniformSplitRule,
-        )
-
         rule_cls = type(self.split_rule)
         store = self._stats
         timeunit = self._timeunit
@@ -947,24 +957,17 @@ class ADAAlgorithm:
     # ------------------------------------------------------------------
     # Detection
     # ------------------------------------------------------------------
-    def _detect(
-        self,
-        heavy: set[CategoryPath],
-        heavy_paths: list[CategoryPath],
-        actuals: list[float],
-        forecasts: list[float],
-    ) -> TimeunitResult:
-        # Canonical (sorted) order so the anomaly sequence is identical across
-        # processes regardless of hash randomization.
+    def _detect(self, ids_arr, actuals, forecasts) -> TimeunitResult:
+        """The close's columns as a result: the index's path table, the
+        lex-ordered heavy ids into it (so the anomaly sequence is identical
+        across processes) and the two float64 columns; only flagged rows
+        have their paths looked up."""
+        paths = self._index.paths
         anomalies = self.detector.check_many(
-            heavy_paths, self._timeunit, actuals, forecasts, algorithm=self.name
+            paths, self._timeunit, actuals, forecasts, rows=ids_arr, algorithm=self.name
         )
         return TimeunitResult(
-            timeunit=self._timeunit,
-            heavy_hitters=frozenset(heavy),
-            actuals=dict(zip(heavy_paths, actuals)),
-            forecasts=dict(zip(heavy_paths, forecasts)),
-            anomalies=tuple(anomalies),
+            self._timeunit, paths, actuals, forecasts, tuple(anomalies), rows=ids_arr
         )
 
     # ------------------------------------------------------------------

@@ -136,40 +136,49 @@ class ThresholdDetector:
         timeunit: TimeunitIndex,
         actuals: Sequence[float],
         forecasts: Sequence[float],
+        *,
+        rows: "np.ndarray | None" = None,
         **metadata: Any,
     ) -> list[Anomaly]:
         """Batch dual-threshold evaluation over parallel (actual, forecast) arrays.
 
         One vectorized comparison replaces the per-node :meth:`check` loop of
         the close path; anomalies come back in input order (callers pass the
-        canonical sorted heavy-hitter order).  Each node's depth is its path
-        length, as in the per-node calls of the online algorithms.  Results
-        are bit-for-bit those of :meth:`check` — the same float64 expressions
-        evaluated element-wise.
+        canonical sorted heavy-hitter order).  Position ``i`` is the node
+        ``node_paths[i]``, or ``node_paths[rows[i]]`` when ``rows`` is given
+        (a path table and the row ids into it, as ADA's close holds them);
+        a path is looked up only for a flagged position.  Each node's depth
+        is its path length, as in the per-node calls of the online
+        algorithms.  Results are bit-for-bit those of :meth:`check` — the
+        same float64 expressions evaluated element-wise.
         """
-        if len(node_paths) < 2:
-            anomalies = []
-            for path, actual, forecast in zip(node_paths, actuals, forecasts):
-                anomaly = self.check(
-                    path, timeunit, actual, forecast, depth=len(path), **metadata
-                )
-                if anomaly is not None:
-                    anomalies.append(anomaly)
-            return anomalies
+        if not len(actuals):
+            return []
         actual_arr = np.asarray(actuals, dtype=np.float64)
         forecast_arr = np.asarray(forecasts, dtype=np.float64)
-        floored = np.maximum(forecast_arr, self.minimum_forecast)
-        flagged = (actual_arr / floored > self.config.ratio_threshold) & (
-            (actual_arr - forecast_arr) > self.config.difference_threshold
-        )
-        return [
-            Anomaly(
-                node_path=tuple(node_paths[i]),
-                timeunit=timeunit,
-                actual=float(actual_arr[i]),
-                forecast=float(forecast_arr[i]),
-                depth=len(node_paths[i]),
-                metadata=dict(metadata),
+        if len(actual_arr) == 1:
+            flagged = (
+                [0]
+                if self.is_anomalous(float(actual_arr[0]), float(forecast_arr[0]))
+                else []
             )
-            for i in np.flatnonzero(flagged).tolist()
-        ]
+        else:
+            floored = np.maximum(forecast_arr, self.minimum_forecast)
+            flagged = np.flatnonzero(
+                (actual_arr / floored > self.config.ratio_threshold)
+                & ((actual_arr - forecast_arr) > self.config.difference_threshold)
+            ).tolist()
+        anomalies = []
+        for i in flagged:
+            path = tuple(node_paths[i if rows is None else rows[i]])
+            anomalies.append(
+                Anomaly(
+                    node_path=path,
+                    timeunit=timeunit,
+                    actual=float(actual_arr[i]),
+                    forecast=float(forecast_arr[i]),
+                    depth=len(path),
+                    metadata=dict(metadata),
+                )
+            )
+        return anomalies

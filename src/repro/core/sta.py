@@ -208,20 +208,18 @@ class STAAlgorithm:
         # Canonical (sorted) order so the anomaly sequence is identical across
         # processes regardless of hash randomization.
         paths = sorted(heavy)
-        actual_values = [
-            series[path][-1] if series[path] else 0.0 for path in paths
-        ]
-        forecast_values = [forecasts.get(path, 0.0) for path in paths]
-        actuals: dict[CategoryPath, Weight] = dict(zip(paths, actual_values))
+        actual_values = np.array(
+            [series[path][-1] if series[path] else 0.0 for path in paths],
+            dtype=np.float64,
+        )
+        forecast_values = np.array(
+            [forecasts.get(path, 0.0) for path in paths], dtype=np.float64
+        )
         anomalies = self.detector.check_many(
             paths, self._timeunit, actual_values, forecast_values, algorithm=self.name
         )
         return TimeunitResult(
-            timeunit=self._timeunit,
-            heavy_hitters=frozenset(heavy),
-            actuals=actuals,
-            forecasts=forecasts,
-            anomalies=tuple(anomalies),
+            self._timeunit, paths, actual_values, forecast_values, tuple(anomalies)
         )
 
     # ------------------------------------------------------------------

@@ -24,7 +24,6 @@ one :class:`~repro.engine.engine.DetectionEngine`.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from collections import Counter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
@@ -518,7 +517,7 @@ class DetectionSession:
         """Shared post-close bookkeeping: warm-up, reports, observers."""
         self._units_processed += 1
         if self._units_processed <= self.warmup_units and result.anomalies:
-            result = dataclasses.replace(result, anomalies=())
+            result = result.without_anomalies()
         if self.retain_reports:
             self.reports.add_many(result.anomalies)
         self.results.append(result)

@@ -464,9 +464,6 @@ class _SubtreeUnit:
         self.buffer: dict[int, dict[int, tuple[TimeunitResult, tuple]]] = {}
         #: (dictionary, group-per-code table) of the last dictionary routed.
         self._route_table: "tuple | None" = None
-        #: heavy path -> owning group, filled as the merge meets paths (a
-        #: rebalance builds a new unit, so entries never go stale).
-        self.group_of: dict[tuple, int] = {}
 
     @property
     def num_groups(self) -> int:
@@ -1312,7 +1309,7 @@ class ShardedDetectionEngine:
                         totals[path] = totals.get(path, 0.0) + value
                 unit.frontier.observe(timeunit, totals)
             merged = self._merge_unit_results(
-                unit, timeunit, [slot[gid][0] for gid in range(unit.num_groups)]
+                timeunit, [slot[gid][0] for gid in range(unit.num_groups)]
             )
             unit.handle.units_processed += 1
             unit.reports.add_many(merged.anomalies)
@@ -1333,33 +1330,32 @@ class ShardedDetectionEngine:
 
     @staticmethod
     def _merge_unit_results(
-        unit: _SubtreeUnit, timeunit: int, parts: Sequence[TimeunitResult]
+        timeunit: int, parts: Sequence[TimeunitResult]
     ) -> TimeunitResult:
-        heavy: set = set()
-        for part in parts:
-            heavy.update(part.heavy_hitters)
-        actuals: dict = {}
-        forecasts: dict = {}
-        group_of = unit.group_of
-        for path in sorted(heavy):
-            gid = group_of.get(path)
-            if gid is None:
-                gid = group_of[path] = unit.partition.route(path) or 0
-            actuals[path] = parts[gid].actuals[path]
-            forecasts[path] = parts[gid].forecasts[path]
+        """One session-wide result from its shards' results of ``timeunit``.
+
+        Shards own disjoint subtrees and nothing above the cut qualifies as
+        heavy, so their heavy sets are disjoint: the merge concatenates the
+        shards' lex-ordered columns, and sorts them only when the groups'
+        paths interleave.
+        """
+        columns = [part.columns() for part in parts]
+        paths = [path for heavy, _actual, _forecast in columns for path in heavy]
+        actual = np.concatenate([column[1] for column in columns])
+        forecast = np.concatenate([column[2] for column in columns])
+        runs = [heavy for heavy, _actual, _forecast in columns if heavy]
+        rows = None
+        if any(left[-1] > right[0] for left, right in zip(runs, runs[1:])):
+            rows = np.array(sorted(range(len(paths)), key=paths.__getitem__))
+            actual = actual[rows]
+            forecast = forecast[rows]
         anomalies = tuple(
             sorted(
                 (anomaly for part in parts for anomaly in part.anomalies),
                 key=lambda a: a.node_path,
             )
         )
-        return TimeunitResult(
-            timeunit=timeunit,
-            heavy_hitters=frozenset(heavy),
-            actuals=actuals,
-            forecasts=forecasts,
-            anomalies=anomalies,
-        )
+        return TimeunitResult(timeunit, paths, actual, forecast, anomalies, rows)
 
     def ingest_batch(
         self, records: Iterable[OperationalRecord]

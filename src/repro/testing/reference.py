@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Mapping, Sequence
 
+import numpy as np
+
 from repro._types import CategoryPath, TimeunitIndex, Weight
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.detector import ThresholdDetector
@@ -241,11 +243,11 @@ class ReferenceADA:
             if anomaly is not None:
                 anomalies.append(anomaly)
         self.last_result = TimeunitResult(
-            timeunit=self.timeunit,
-            heavy_hitters=frozenset(heavy),
-            actuals=dict(zip(paths, actuals)),
-            forecasts=dict(zip(paths, forecasts)),
-            anomalies=tuple(anomalies),
+            self.timeunit,
+            paths,
+            np.array(actuals, dtype=np.float64),
+            np.array(forecasts, dtype=np.float64),
+            tuple(anomalies),
         )
         return self.last_result
 

@@ -7,6 +7,7 @@ timeunits produce results and anomalies identical to an uninterrupted run.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
@@ -338,7 +339,7 @@ class TestCustomPluginCheckpointing:
                 from repro.core.results import TimeunitResult
 
                 self._timeunit = self._timeunit + 1 if timeunit is None else timeunit
-                return TimeunitResult(timeunit=self._timeunit, heavy_hitters=frozenset())
+                return TimeunitResult(self._timeunit, [], np.empty(0), np.empty(0))
 
             def memory_units(self):
                 return 0

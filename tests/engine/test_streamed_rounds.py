@@ -17,8 +17,8 @@ runs the same phases back to back.  This module pins
 * **faults through the streamed exchange** (``-k Faults``, also run by the
   CI ``chaos-smoke`` job) — kills between ``collect`` and ``ship``,
   worker-side exits mid-round, snapshot refreshes inside the exchange;
-* **the merge memo** — ``_merge_unit_results`` against the ``route``-per-path
-  function it replaced, kept here as the oracle.
+* **the merge** — ``_merge_unit_results`` concatenating the shards' columns
+  against the per-path union it replaced, kept here as the oracle.
 
 ``REPRO_SHARD_TRANSPORT`` (``pipe``/``shm``/``tcp``, default ``pipe``)
 steers every sharded engine this module builds.
@@ -29,8 +29,10 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.detector import Anomaly
@@ -561,67 +563,67 @@ class TestFaults:
 
 
 # ----------------------------------------------------------------------
-# Merge without route
+# The merge concatenates shard columns
 # ----------------------------------------------------------------------
-def merge_with_route(unit, timeunit, parts):
-    """``_merge_unit_results`` as it was: one ``route`` per heavy path."""
-    heavy = set()
-    for part in parts:
-        heavy.update(part.heavy_hitters)
+def merge_by_path(timeunit, parts):
+    """The per-path merge the column concatenation replaced, kept as the
+    oracle: the sorted union of the shards' heavy sets, each path's values
+    read from its shard's dicts."""
     actuals, forecasts = {}, {}
-    for path in sorted(heavy):
-        gid = unit.partition.route(path)
-        gid = 0 if gid is None else gid
-        actuals[path] = parts[gid].actuals[path]
-        forecasts[path] = parts[gid].forecasts[path]
+    for part in parts:
+        actuals.update(part.actuals)
+        forecasts.update(part.forecasts)
+    paths = sorted(actuals)
     anomalies = tuple(
         sorted((a for part in parts for a in part.anomalies), key=lambda a: a.node_path)
     )
     return TimeunitResult(
-        timeunit=timeunit,
-        heavy_hitters=frozenset(heavy),
-        actuals=actuals,
-        forecasts=forecasts,
-        anomalies=anomalies,
+        timeunit,
+        paths,
+        np.array([actuals[path] for path in paths]),
+        np.array([forecasts[path] for path in paths]),
+        anomalies,
     )
 
 
 @pytest.mark.parametrize("depth, shards", [(1, 2), (1, 3), (2, 2), (2, 4)])
-def test_merge_memo_equals_route_per_path(depth, shards):
+def test_merge_concatenates_disjoint_shard_columns(depth, shards):
+    """Shards own disjoint subtrees and nothing above the cut is heavy: each
+    reports its own lex-ordered heavy hitters, over a pickle round trip (the
+    reply), and the merge equals the per-path union, views in lex order —
+    whether or not the groups' paths interleave."""
     rng = random.Random(depth * 10 + shards)
     unit = make_unit(depth, shards)
     nodes = sorted(
-        {tuple(leaf[:d]) for leaf in unit.base_state["tree"]["leaves"] for d in (1, 2, 3)}
-        | {("elsewhere", "x")}  # outside the hierarchy: group 0 by convention
+        {
+            tuple(leaf[:d])
+            for leaf in unit.base_state["tree"]["leaves"]
+            for d in range(depth, len(leaf) + 1)
+        }
     )
-    owner = {path: unit.partition.route(path) or 0 for path in nodes}
+    owner = {path: unit.partition.route(path) for path in nodes}
+    interleaved = False
     for timeunit in range(40):
-        reported: list[dict] = [{} for _ in range(unit.num_groups)]
+        reported: list[list] = [[] for _ in range(unit.num_groups)]
         for path in nodes:
             if rng.random() < 0.5:
-                reported[owner[path]][path] = rng.random() * 100
-                if rng.random() < 0.1:
-                    # A second shard reports the path too: the owner's values win.
-                    reported[rng.randrange(unit.num_groups)].setdefault(
-                        path, rng.random() * 100
-                    )
-        parts = [
-            TimeunitResult(
-                timeunit=timeunit,
-                heavy_hitters=frozenset(values),
-                actuals=values,
-                forecasts={path: value / 2 for path, value in values.items()},
-                anomalies=tuple(
-                    Anomaly(path, timeunit, value, value / 2, len(path))
-                    for path, value in values.items()
-                    if rng.random() < 0.2
-                ),
+                reported[owner[path]].append(path)
+        parts = []
+        for paths in reported:
+            values = np.array([rng.random() * 100 for _ in paths])
+            anomalies = tuple(
+                Anomaly(path, timeunit, value, value / 2, len(path))
+                for path, value in zip(paths, values.tolist())
+                if rng.random() < 0.2
             )
-            for values in reported
-        ]
-        merged = ShardedDetectionEngine._merge_unit_results(unit, timeunit, parts)
-        expected = merge_with_route(unit, timeunit, parts)
-        assert merged == expected
-        assert list(merged.actuals) == list(expected.actuals)
-        assert list(merged.forecasts) == list(expected.forecasts)
-    assert unit.group_of == {p: owner[p] for p in unit.group_of} and unit.group_of
+            part = TimeunitResult(timeunit, paths, values, values / 2, anomalies)
+            parts.append(pickle.loads(pickle.dumps(part)))
+        runs = [paths for paths in reported if paths]
+        interleaved |= any(a[-1] > b[0] for a, b in zip(runs, runs[1:]))
+        merged = ShardedDetectionEngine._merge_unit_results(timeunit, parts)
+        expected = merge_by_path(timeunit, parts)
+        assert merged == expected and expected == merged
+        assert list(merged.actuals) == sorted(merged.heavy_hitters)
+        assert list(merged.forecasts.items()) == list(expected.forecasts.items())
+    if shards > 2:
+        assert interleaved  # the reordering branch ran

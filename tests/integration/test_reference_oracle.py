@@ -25,7 +25,6 @@ sessions' adaptation counters and checkpoints (``stats`` rows sorted) too.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import tempfile
@@ -120,7 +119,7 @@ def reference_run(tree, clock, records, config, oracle_class=ReferenceADA):
     for position, unit in enumerate(range(min(units), max(units) + 1)):
         result = oracle.process_timeunit(dict(units.get(unit, {})), unit)
         if position < config.forecast.min_history:
-            result = dataclasses.replace(result, anomalies=())
+            result = result.without_anomalies()
         results.append(result)
     anomalies = [a.to_dict() for result in results for a in result.anomalies]
     return oracle, results, anomalies
