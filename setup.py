@@ -27,7 +27,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=["numpy", "orjson"],
     entry_points={
         "console_scripts": [
             "repro-serve = repro.service.daemon:main",

@@ -145,17 +145,23 @@ def discounted_series(
     heavy_hitters: frozenset[CategoryPath],
     length: int,
 ) -> list[float]:
-    """Definition 3: a node's time series after discounting heavy hitter children.
+    """Definition 3: a node's time series after discounting heavy hitters below.
 
     ``raw_series`` maps node paths to their raw per-timeunit series ``A_n``;
-    the returned series subtracts, per timeunit, the raw series of children of
-    ``node`` that are themselves heavy hitters.
+    the returned series subtracts, per timeunit, the raw series of every
+    *maximal* heavy descendant of ``node`` — its subtree walked down to the
+    first heavy hitter on every branch — so a heavy grandchild under a
+    non-heavy child is discounted too (SHHH's modified weight, Definition 2).
     """
     base = list(raw_series.get(node.path, [0.0] * length))
     if len(base) < length:
         base = [0.0] * (length - len(base)) + base
-    for child in node.children.values():
-        if child.path in heavy_hitters:
+    stack = [node]
+    while stack:
+        for child in stack.pop().children.values():
+            if child.path not in heavy_hitters:
+                stack.append(child)
+                continue
             child_series = raw_series.get(child.path)
             if not child_series:
                 continue

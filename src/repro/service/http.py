@@ -1,21 +1,24 @@
 """Asyncio network front ends: HTTP/NDJSON ingestion and a raw socket path.
 
-Both front ends are pure stdlib (``asyncio`` streams; no third-party HTTP
-framework, so the daemon runs on a bare interpreter) and neither parses a
-record line itself: they hand bytes — ``POST /ingest`` its whole body, the
-raw socket one 64 KiB block at a time — to one
-:class:`~repro.io.jsonl_io.NdjsonDecoder`, which scans each line with the C
-JSON scanner, requires it to be exactly one object, routes it to its tenant
-and appends it through :meth:`ColumnAccumulator.add_trace_row
+Both front ends serve ``asyncio`` streams (no HTTP framework) and neither
+parses a record line itself: they hand bytes — ``POST /ingest`` its whole
+body, the raw socket one 64 KiB block at a time — to one
+:class:`~repro.io.jsonl_io.NdjsonDecoder`, which parses each line with
+``orjson`` (``json.loads`` decides the lines ``orjson`` refuses or would read
+differently, so acceptance and error wording are ``json.loads``'), requires
+it to be exactly one object, routes it to its tenant and appends it through
+:meth:`ColumnAccumulator.add_trace_row
 <repro.streaming.batch.ColumnAccumulator.add_trace_row>` (one Python call per
 record, the same coercion the CSV and JSONL file readers use).  What comes
 back are dictionary-coded :class:`~repro.streaming.batch.RecordBatch`
 columns ready for the queue — timestamps, one ``int32`` category code per
 record, the dictionary of the request (HTTP) or connection (socket), the
 attribute rows — so the worker closes a post the way a replay closes an
-``.rcol`` batch; the only per-record objects are the ones the scanner makes
+``.rcol`` batch; the only per-record objects are the ones the parser makes
 (the line's ``dict`` is dropped once its values are in the columns, a
 category tuple once it is looked up unless it is the first of its kind).
+Decoding runs on the event-loop thread, so every microsecond it saves is
+GIL time handed to the detection worker's close.
 Time spent decoding and bytes handed over are counted
 (``ingest_decode_seconds_total`` / ``ingest_bytes_total`` in ``/metrics``).
 

@@ -124,6 +124,22 @@ class TestDiscountedSeries:
         series = discounted_series(raw_series, node, frozenset({("a", "a1")}), length=3)
         assert series == [4.0, 5.0, 6.0]
 
+    def test_subtracts_maximal_heavy_descendants(self):
+        """A heavy grandchild under a non-heavy child is discounted too: the
+        result is SHHH's modified weight, not the raw weight minus heavy
+        children only."""
+        tree = HierarchyTree.from_leaf_paths([("a", "b", "c"), ("a", "b", "d"), ("a", "e")])
+        leaf_counts = {("a", "b", "c"): 10, ("a", "b", "d"): 2, ("a", "e"): 8}
+        raw = accumulate_raw_weights(tree, leaf_counts)
+        assert (raw[("a",)], raw[("a", "b")], raw[("a", "b", "c")]) == (20, 12, 10)
+        heavy = frozenset({("a",), ("a", "b", "c")})
+        raw_series = {path: [weight] for path, weight in raw.items()}
+        series = discounted_series(raw_series, tree.node(("a",)), heavy, length=1)
+        assert series == [10.0]
+        shhh = compute_shhh(tree, leaf_counts, theta=10)
+        assert shhh.shhh == heavy
+        assert series == [shhh.modified_weights[("a",)]]
+
     def test_pads_short_series(self, tree):
         raw_series = {("a",): [5.0], ("a", "a1"): [2.0]}
         node = tree.node(("a",))

@@ -113,6 +113,9 @@ class TestBatchLoader:
             '{"timestamp": 1}',
             '{"timestamp": 1, "category": ["a"], "attributes": [1, 2]}',
             '{"timestamp": 1, "category": [["a"]]}',
+            # json.loads raises RecursionError here, not a ValueError.
+            '{"timestamp": 1, "category": ["a"], "attributes": {"n": '
+            + "[" * 100_000 + "]" * 100_000 + "}}",
         ],
     )
     def test_bad_values_name_the_file_and_line(self, tmp_path, bad_row):
@@ -121,6 +124,23 @@ class TestBatchLoader:
         for reader in (read_batches_jsonl, read_records_jsonl):
             with pytest.raises(StreamError, match=f"{path}:3: "):
                 list(reader(path))
+
+    def test_integers_past_64_bits_stay_integers(self, tmp_path):
+        """Labels and attribute values of 19 and more digits come back as
+        the integers ``json.loads`` reads, not as nearby floats."""
+        values = [2**63, -(2**63) - 1, 2**64, 10**25]
+        records = [
+            OperationalRecord.create(float(i), ("a", value), n=value)
+            for i, value in enumerate(values)
+        ]
+        path = tmp_path / "trace.jsonl"
+        write_records_jsonl(records, path)
+        restored = list(read_records_jsonl(path))
+        assert [r.category[1] for r in restored] == values
+        assert [r.attributes["n"] for r in restored] == values
+        assert all(
+            type(r.category[1]) is type(r.attributes["n"]) is int for r in restored
+        )
 
 
 class TestErrors:

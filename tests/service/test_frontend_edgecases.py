@@ -334,6 +334,21 @@ class TestBadValuesAreRefusedAtTheEdge:
         assert service.worker.errors_total == 0
         assert service.worker.processed_records_total == 20
 
+    def test_nesting_past_the_recursion_limit_is_a_400(self, daemon):
+        """Bugfix: ``json.loads`` raises ``RecursionError`` (not a
+        ``ValueError``) on deep nesting, which escaped the decoder and was
+        answered 500 without counting a bad request."""
+        dataset, service = daemon
+        good = record_lines(dataset, 4)
+        deep = b"[" * 100_000 + b"]" * 100_000
+        bad = b'{"timestamp": 1, "category": ["a"], "attributes": {"n": ' + deep + b"}}\n"
+        payload = b"".join(good[:2]) + bad + b"".join(good[2:])
+        result = http_call(service.http_port, "/ingest", "POST", payload)
+        assert result.status == 400
+        assert result.body["error"].startswith("line 3: invalid JSON: ")
+        assert "recursion" in result.body["error"]
+        assert service.counters.get("ingest_bad_requests_total") == 1
+        assert service.worker.submitted_batches_total == 0
 
     @pytest.mark.parametrize(
         "bad, complaint",

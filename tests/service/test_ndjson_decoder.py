@@ -1,20 +1,32 @@
 """Differential suite: :class:`NdjsonDecoder` against a per-line ``json.loads``.
 
-The decoder's fast lane (C scanner on a decoded line, one accumulator call
-per record, block-wise feeding) has to be indistinguishable from the obvious
+The decoder's fast lane (``orjson`` on each line's bytes, ``json.loads`` for
+the lines ``orjson`` refuses or is kept from, one accumulator call per
+record, block-wise feeding) has to be indistinguishable from the obvious
 loop: split the bytes into lines, ``json.loads`` each, route it, append it.
 That loop lives here and nowhere under ``src/`` — every case below runs both
-and requires equal batches (timestamps, categories, attribute-column
-presence, per-tenant order, flush points) or an equal ``(line number,
-message)`` and an equal set of records before the bad line.  The loop keeps
-its categories as one tuple per record; the decoder's batches are
-dictionary-coded, and are compared through ``batch.categories``.
+and requires equal batches (timestamps, categories, attributes, per-tenant
+order, flush points) or an equal ``(line number, message)`` and an equal set
+of records before the bad line.  Batches are compared by ``repr``, so a
+value must also keep its type (an integer past 64 bits that came back as an
+equal float) and its sign (``-0.0``).  The loop keeps its categories as one
+tuple per record; the decoder's batches are dictionary-coded, and are
+compared through ``batch.categories``.
+
+The two places ``orjson`` accepts a line and reads it differently from
+``json.loads`` — integers of 19 or more digits, and nesting past the
+interpreter's recursion limit — each have targeted payloads below, and the
+generators draw integers past 64 bits and number text beyond ``repr``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
+from decimal import Decimal, localcontext
 
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -82,7 +94,7 @@ def oracle(payload: bytes, batch_size: int, default_tenant, routed: bool):
             error = (number, f"malformed record object: {exc!r}")
         except StreamError as exc:
             error = (number, str(exc))
-        except ValueError as exc:  # from json.loads: bad JSON or bad encoding
+        except (ValueError, RecursionError) as exc:  # from json.loads
             error = (number, f"invalid JSON: {exc}")
         if error:
             break
@@ -115,7 +127,7 @@ def decode(payload: bytes, batch_size: int, default_tenant, routed: bool, cuts=(
 
 def columns(batches):
     return [
-        (tenant, batch.timestamps.tolist(), batch.categories, batch.attributes)
+        (tenant, repr((batch.timestamps.tolist(), batch.categories, batch.attributes)))
         for tenant, batch in batches
     ]
 
@@ -134,11 +146,35 @@ def assert_same(payload: bytes, batch_size=3, default_tenant="alpha", cuts=()):
 # ----------------------------------------------------------------------
 # Generated payloads
 # ----------------------------------------------------------------------
-labels = st.text(min_size=1, max_size=6)
+#: Integers past both 64-bit ranges, which ``orjson`` reads as floats.
+EDGE_INTEGERS = [
+    2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64, 10**25, -(10**25)
+]
+big_integers = st.sampled_from(EDGE_INTEGERS) | st.integers(-(10**40), 10**40)
+
+
+def _raw(text: str) -> str:
+    """A placeholder :func:`_unquote_raw` swaps for ``text`` unquoted, so a
+    line can carry number text ``json.dumps`` would never write."""
+    return f"@@{text}@@"
+
+
+def _unquote_raw(text: str) -> str:
+    return re.sub(r'"@@([-+.eE0-9]*)@@"', r"\1", text)
+
+
+#: JSON number text beyond ``repr``: up to 40 integer and 40 fraction digits
+#: and a three-digit exponent (``1e999`` and ``1e-400`` included).
+number_texts = st.from_regex(
+    r"-?(0|[1-9][0-9]{0,39})(\.[0-9]{1,40})?([eE][-+]?[0-9]{1,3})?", fullmatch=True
+).map(_raw)
+labels = st.text(min_size=1, max_size=6) | big_integers
 json_values = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-10, 10)
+    | big_integers
+    | number_texts
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=3)
@@ -157,7 +193,13 @@ odd_categories = st.sampled_from([[], "TV", {"a": 1}, 5, None, ["a", 1]])
 def record_lines(draw) -> str:
     """One line of JSON text: mostly a good record, sometimes not quite."""
     record = {
-        "timestamp": draw(st.floats(0, 1e6) | st.integers(0, 10**6) | odd_timestamps),
+        "timestamp": draw(
+            st.floats(0, 1e6)
+            | st.integers(0, 10**6)
+            | big_integers
+            | number_texts
+            | odd_timestamps
+        ),
         "category": draw(st.lists(labels, min_size=1, max_size=4) | odd_categories),
     }
     if draw(st.booleans()):
@@ -165,8 +207,8 @@ def record_lines(draw) -> str:
     if draw(st.integers(0, 3)) == 0:
         record["tenant"] = draw(tenants)
     record.pop(draw(st.sampled_from([None] * 8 + ["timestamp", "category"])), None)
-    text = json.dumps(
-        record, ensure_ascii=draw(st.booleans()), sort_keys=draw(st.booleans())
+    text = _unquote_raw(
+        json.dumps(record, ensure_ascii=draw(st.booleans()), sort_keys=draw(st.booleans()))
     )
     if draw(st.integers(0, 9)) == 0:
         not_a_record = ["[1, 2]", "3", '"s"', "null", "{", "{'a': 1}", "\x00"]
@@ -280,6 +322,157 @@ def test_targeted_payloads(payload, bad_line, batch_size):
     # ``bad_line`` is what the oracle says too (routed: tenant keys count).
     error = oracle(payload, batch_size, "alpha", routed=True)[1]
     assert (error and error[0]) == bad_line
+
+
+# ----------------------------------------------------------------------
+# Targeted payloads: where orjson and json.loads part ways
+# ----------------------------------------------------------------------
+def _midpoint(x: float) -> str:
+    """The exact decimal halfway between ``x`` and the next double up."""
+    with localcontext() as context:
+        context.prec = 2000
+        return str((Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2)
+
+
+#: Number text with 17 to 40 (and more) significant digits: halfway points
+#: between doubles, just either side of them, subnormals, underflow to a
+#: signed zero, overflow to infinity.  Texts whose digit runs stay under 19
+#: reach orjson; the others go to json.loads — both must round like it.
+NUMBER_TEXTS = [
+    "0.30000000000000004",
+    "1234567890.1234567",
+    "1700000000.123456789012345678",
+    "123456789.123456789012345678901234567890",
+    "9007199254740993.0",  # 2**53 + 1: halfway, rounds to even (down)
+    "9007199254740995",  # 2**53 + 3: halfway, rounds to even (up)
+    "9.007199254740993e15",
+    "9007199254740993.000000000001",  # just past halfway: rounds up
+    "18014398509481990.0",  # 2**54 + 6: halfway
+    "144115188075855888.0",  # 2**57 + 16: halfway, 18 digits
+    "1.0000000000000001",
+    "1.00000000000000011",
+    _midpoint(1.0),
+    _midpoint(0.1),
+    _midpoint(1700000000.5),
+    _midpoint(1e300),
+    _midpoint(2.2250738585072014e-308),
+    "5e-324",
+    "4.9406564584124654e-324",
+    "2.4703282292062327e-324",  # below halfway to the least subnormal: 0.0
+    "2.4703282292062328e-324",  # above it: 5e-324
+    "2.2250738585072011e-308",
+    "1e-400",
+    "-1e-400",
+    "-0.0",
+    "-0",
+    "0e0",
+    "1.7976931348623157e308",
+    "1.7976931348623158e308",
+    "1.7976931348623159e308",  # json.loads: inf
+    "1e999",
+]
+
+
+def _line(timestamp="1", category='["a"]', attributes=None) -> bytes:
+    text = f'{{"timestamp": {timestamp}, "category": {category}'
+    if attributes is not None:
+        text += f', "attributes": {attributes}'
+    return (text + "}").encode()
+
+
+def _padded_line(length: int) -> bytes:
+    """A record line of exactly ``length`` bytes."""
+    line = _line(attributes='{"pad": "", "n": 18446744073709551616}')
+    return line.replace(b'"pad": ""', b'"pad": "' + b"x" * (length - len(line)) + b'"')
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+WIDE_PAYLOADS = (
+    # Integers past 64 bits as timestamps, labels and attribute values.
+    [(_line(timestamp=str(value)), None) for value in EDGE_INTEGERS]
+    + [(_line(category=f'["a", {value}]'), None) for value in EDGE_INTEGERS]
+    + [
+        (_line(attributes=f'{{"n": {value}, "m": [{value}]}}'), None)
+        for value in EDGE_INTEGERS
+    ]
+    + [(_line(attributes=f'{{"{value}": {value}}}'), None) for value in EDGE_INTEGERS]
+    # Decimal text as timestamps and as attribute values.
+    + [
+        (_line(timestamp=text), 2 if text in ("1.7976931348623159e308", "1e999") else None)
+        for text in NUMBER_TEXTS
+    ]
+    + [(_line(attributes=f'{{"x": {text}}}'), None) for text in NUMBER_TEXTS]
+    + [
+        # Duplicate keys: the last one wins, in the first one's place.
+        (b'{"timestamp": 1, "timestamp": 2, "category": ["a"]}', None),
+        (b'{"category": ["a"], "timestamp": 1, "category": ["b"]}', None),
+        (_line(attributes='{"k": 1, "j": 2, "k": 3}'), None),
+        (_line(attributes='{"k": 1}, "attributes": {"j": 2}'), None),
+        (b'{"tenant": "beta", "timestamp": 1, "category": ["a"], "tenant": "ghost"}', 2),
+        # Surrogates: a paired escape, lone ones (orjson refuses them,
+        # json.loads takes them), a reversed pair, raw surrogate bytes (which
+        # json.loads decodes with "surrogatepass"), a raw 4-byte character.
+        (
+            _line(
+                category=r'["\ud83d\ude00"]',
+                attributes=r'{"\ud83d\ude00": "x\ud83d\ude00"}',
+            ),
+            None,
+        ),
+        (_line(category=r'["\ud800"]'), None),
+        (_line(category=r'["\ude00\ud83d"]', attributes=r'{"\udfff": "\ud800x"}'), None),
+        (_line().replace(b'"a"', b'"\xed\xa0\x80"'), None),
+        (_line(category='["\U0001f600"]'), None),
+        # Nesting: inside the length bound (orjson), past it but inside the
+        # recursion limit, and past the recursion limit.
+        (_line(attributes=f'{{"n": {_nested(400)}}}'), None),
+        (_line(attributes=f'{{"n": {_nested(500)}}}'), None),
+        (_line(attributes=f'{{"n": {_nested(1100)}}}'), 2),
+        (_line(attributes='{"n": ' + '{"a": ' * 1100 + "1" + "}" * 1100 + "}"), 2),
+        (_line(attributes=f'{{"n": {_nested(100_000)}}}'), 2),
+        (_line(category=f'["a", {_nested(1100)}]'), 2),
+        # Lines at the length bound, with an integer orjson would misread.
+        (_padded_line(1023), None),
+        (_padded_line(1024), None),
+        (_padded_line(1025), None),
+        (b" \t" + _padded_line(1024) + b"\x0c ", None),
+    ]
+)
+
+
+@pytest.mark.parametrize("line, bad_line", WIDE_PAYLOADS)
+@pytest.mark.parametrize("batch_size", [1, 1000])
+def test_lines_orjson_could_read_differently(line, bad_line, batch_size):
+    payload = GOOD + b"\n" + line + b"\n" + GOOD2 + b"\n"
+    assert_same(payload, batch_size, cuts=range(0, len(payload), max(len(payload) // 5, 1)))
+    error = oracle(payload, batch_size, "alpha", routed=True)[1]
+    assert (error and error[0]) == bad_line
+
+
+def test_the_wide_payloads_reach_both_parsers():
+    """The length bound and the digit guard each route some of the lines
+    above to json.loads, and orjson parses the rest: the suite exercises
+    both sides of both guards."""
+    lines = [line.strip() for line, _ in WIDE_PAYLOADS]
+    long_lines = {line for line in lines if len(line) > jsonl_io._ORJSON_MAX_LINE}
+    digits = jsonl_io._DIGITS_TO_ZERO
+    digit_lines = {line for line in lines if jsonl_io._LONG_DIGITS in line.translate(digits)}
+    assert jsonl_io._ORJSON_MAX_LINE == 1024
+    assert len(long_lines) >= 5 and len(digit_lines) >= 3 * len(EDGE_INTEGERS)
+    assert len(set(lines) - long_lines - digit_lines) >= 40
+
+
+def test_orjson_disagrees_where_the_guards_stand():
+    """Why the guards exist: unguarded, orjson reads a 2**64 label as a float
+    and parses nesting json.loads refuses.  If an orjson release stops doing
+    either, its guard can go."""
+    assert type(orjson.loads(b"[18446744073709551616]")[0]) is float
+    assert orjson.loads(_nested(1100).encode()) is not None
+    with pytest.raises(RecursionError):
+        json.loads(_nested(1100))
 
 
 def test_per_tenant_order_and_flush_points():

@@ -32,3 +32,27 @@ def test_numpy_is_unconditional():
         for match in OPTIONAL_NUMPY.finditer(path.read_text(encoding="utf-8")):
             offenders.append(f"{path.relative_to(SRC)}: {match.group(0).strip()!r}")
     assert offenders == []
+
+
+# ----------------------------------------------------------------------
+# orjson is a dependency of one module
+# ----------------------------------------------------------------------
+ORJSON_IMPORT = re.compile(r"^([ \t]*)(?:import orjson\b|from orjson\b)", re.MULTILINE)
+
+
+def test_orjson_is_imported_plainly_by_the_ndjson_decoder_only():
+    """``orjson`` parses NDJSON lines in ``io/jsonl_io.py`` and nowhere else,
+    and it is imported once, unindented — so never under ``try:`` — with no
+    fallback when it is missing.  ``setup.py`` declares it."""
+    importers = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        indents = [match.group(1) for match in ORJSON_IMPORT.finditer(text)]
+        if indents:
+            importers[str(path.relative_to(SRC))] = indents
+    assert importers == {"repro/io/jsonl_io.py": [""]}
+    assert "ImportError" not in (SRC / "repro" / "io" / "jsonl_io.py").read_text(
+        encoding="utf-8"
+    )
+    setup = (SRC.parent / "setup.py").read_text(encoding="utf-8")
+    assert re.search(r"install_requires=\[[^\]]*\"orjson\"", setup)
