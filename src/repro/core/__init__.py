@@ -38,7 +38,7 @@ from repro.core.split_rules import (
     make_split_rule,
 )
 from repro.core.sta import STAAlgorithm
-from repro.core.timeseries import MultiScaleTimeSeries, NodeTimeSeries, SeriesForecaster
+from repro.core.timeseries import MultiScaleTimeSeries
 
 __all__ = [
     "TiresiasConfig",
@@ -74,7 +74,5 @@ __all__ = [
     "EWMASplitRule",
     "NodeUsageStats",
     "make_split_rule",
-    "NodeTimeSeries",
-    "SeriesForecaster",
     "MultiScaleTimeSeries",
 ]

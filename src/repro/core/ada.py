@@ -48,7 +48,9 @@ per-node arrays (:meth:`_SplitStatsStore.update_dense`), and the
 dual-threshold check evaluates as one batch comparison
 (:meth:`~repro.core.detector.ThresholdDetector.check_many`).  The
 :class:`~repro.core.results.TimeunitResult` a close returns holds those
-arrays; its per-path views are built only when read.
+arrays; its per-path views are built only when read.  A tracked path's
+series is read as its checkpoint snapshot
+(:meth:`ADAAlgorithm.series_state`).
 :mod:`repro.testing.reference` is the slow per-path oracle it is tested
 against.
 """
@@ -56,16 +58,14 @@ against.
 from __future__ import annotations
 
 import time
-from collections import deque
-from collections.abc import Mapping as MappingABC
-from typing import Deque, Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from repro._types import CategoryPath, TimeunitIndex, Weight
 from repro.core.adapt import FOLD, FRESH, MOVE, SPLIT, plan_adaptation
 from repro.core import fused
-from repro.core.config import ForecastConfig, TiresiasConfig
+from repro.core.config import TiresiasConfig
 from repro.core.detector import ThresholdDetector
 from repro.core.results import TimeunitResult
 from repro.core.split_rules import (
@@ -76,7 +76,6 @@ from repro.core.split_rules import (
     UniformSplitRule,
     make_split_rule,
 )
-from repro.core.timeseries import NodeTimeSeries, SeriesForecaster
 from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank
 from repro.hierarchy.index import HierarchyIndex
@@ -394,14 +393,6 @@ class _RefStore:
         counts[list(self._aside)] = [len(held) for held in self._aside.values()]
         return int(counts.sum())
 
-    def as_dict(self) -> "dict[CategoryPath, Deque[float]]":
-        """``{path: deque}`` in insertion order: materialized copies, for
-        reading only (the live state is the ring)."""
-        return {
-            path: deque(self._values(row).tolist(), maxlen=self.maxlen)
-            for row, path in enumerate(self.order)
-        }
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
@@ -435,73 +426,6 @@ class _RefStore:
         self._perm = None
         #: Rows outside the current ``paths``: row -> its values.
         self._aside: dict[int, np.ndarray] = {}
-
-
-class _SeriesView(MappingABC):
-    """``path -> NodeTimeSeries`` over the id registry, read-only.
-
-    The registry holds bank row numbers; a :class:`NodeTimeSeries` read view
-    is built the first time a caller asks for a path and kept while the path
-    stays tracked (checkpoints, memory accounting and ``series_for`` read the
-    rows directly and build none).  When a plan stops tracking the path the
-    handle turns inert, so one taken earlier cannot read the row's next
-    tenant.
-
-    The view holds what it reads — the index, the registry dict, the window
-    length, the forecast config and the bank — and not the algorithm, so a
-    dropped session is freed by reference counting, without a cycle for the
-    garbage collector to find.
-    """
-
-    def __init__(
-        self,
-        index: HierarchyIndex,
-        series_ids: "dict[int, int]",
-        window: int,
-        forecast: ForecastConfig,
-        bank: ForecasterBank,
-    ):
-        self._index = index
-        self._ids = series_ids
-        self._window = window
-        self._forecast = forecast
-        self._bank = bank
-        self._handles: dict[int, NodeTimeSeries] = {}
-
-    def __getitem__(self, path: CategoryPath) -> NodeTimeSeries:
-        node_id = self._index.path_to_id.get(path)
-        row = self._ids.get(node_id)
-        if row is None:
-            raise KeyError(path)
-        handle = self._handles.get(node_id)
-        if handle is None:
-            forecast = self._forecast
-            handle = self._handles[node_id] = NodeTimeSeries(
-                self._window, forecast, SeriesForecaster(forecast, self._bank, row)
-            )
-        return handle
-
-    def __contains__(self, path: object) -> bool:
-        return self._index.path_to_id.get(path) in self._ids
-
-    def __iter__(self) -> Iterator[CategoryPath]:
-        paths = self._index.paths
-        return (paths[node_id] for node_id in self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def moved(self, src: int, dst: int) -> None:
-        """The series tracked under ``src`` is now tracked under ``dst``."""
-        handle = self._handles.pop(src, None)
-        if handle is not None:
-            self._handles[dst] = handle
-
-    def dropped(self, node_id: int) -> None:
-        """``node_id`` stopped being tracked and its row went back to the bank."""
-        handle = self._handles.pop(node_id, None)
-        if handle is not None:
-            handle.forecaster.detach()
 
 
 class ADAAlgorithm:
@@ -865,14 +789,12 @@ class ADAAlgorithm:
         :meth:`~repro.forecasting.bank.ForecasterBank.fold_row`) — applied
         one by one: each float operation happens where the paper's cascade
         performs it, and a reference correction reads the rows the splits
-        before it wrote.  The registry is integers throughout; no per-series
-        object is made or touched unless someone holds a ``series`` handle.
+        before it wrote.  The registry is integers throughout: no per-series
+        object is made or touched.
         """
         bank = self.bank
         ids = self._series_ids
         rows = self._series_rows
-        view = self.series
-        handles = view._handles
         for op in plan.ops:
             kind = op[0]
             if kind == SPLIT:
@@ -887,8 +809,6 @@ class ADAAlgorithm:
                 src_id, dst_id = op[1], op[2]
                 ids[dst_id] = rows[dst_id] = ids.pop(src_id)
                 rows[src_id] = -1
-                if handles:
-                    view.moved(src_id, dst_id)
             else:  # FOLD into op[2], or DROP
                 src_id = op[1]
                 row = ids.pop(src_id)
@@ -896,14 +816,12 @@ class ADAAlgorithm:
                 if kind == FOLD:
                     bank.fold_row(ids[op[2]], row)
                 bank.free_row(row)
-                if handles:
-                    view.dropped(src_id)
 
     def _correct_from_reference(self, node_id: int, row: int) -> None:
         """§V-B5 on row numbers: ``row`` (the series of ``node_id``, fresh
         from a split) becomes reference − Σ tracked descendants.
 
-        Descendants subtract in tracking order — the order of ``series`` —
+        Descendants subtract in tracking order — the registry's order —
         because float subtraction does not commute with itself.
         """
         corrected = self._ref.corrected_base(self._index.paths[node_id])
@@ -929,16 +847,11 @@ class ADAAlgorithm:
         ``_series_ids`` maps node id to bank row in tracking order — the
         order checkpoints list series in and reference corrections subtract
         descendants in — and ``_series_rows`` is the same map as a dense
-        vector (−1: untracked) for the close's gathers; ``series`` is a
-        read-only view that hands out :class:`NodeTimeSeries` handles on
-        demand.
+        vector (−1: untracked) for the close's gathers.  Readers go through
+        :meth:`series_state`, :meth:`series_for` and :meth:`state_dict`.
         """
         self._series_ids: dict[int, int] = {}
         self._series_rows = np.full(self._index.num_nodes, -1, dtype=np.int64)
-        config = self.config
-        self.series = _SeriesView(
-            self._index, self._series_ids, config.window_units, config.forecast, self.bank
-        )
 
     def _track(self, node_id: int, row: int) -> None:
         """Register bank ``row`` as the series of ``node_id``."""
@@ -948,11 +861,6 @@ class ADAAlgorithm:
     def _series_mask(self):
         """Registry occupancy as a boolean vector over node ids."""
         return self._series_rows >= 0
-
-    @property
-    def reference(self) -> "dict[CategoryPath, Deque[float]]":
-        """Reference series per path (compat view over the columnar store)."""
-        return self._ref.as_dict()
 
     # ------------------------------------------------------------------
     # Detection
@@ -973,10 +881,22 @@ class ADAAlgorithm:
     # ------------------------------------------------------------------
     # Introspection used by the evaluation harness
     # ------------------------------------------------------------------
+    def _row_of(self, path: CategoryPath) -> "int | None":
+        return self._series_ids.get(self._index.path_to_id.get(tuple(path)))
+
     def series_for(self, path: CategoryPath) -> list[float]:
         """The adapted actual series currently held for ``path``."""
-        row = self._series_ids.get(self._index.path_to_id.get(tuple(path)))
+        row = self._row_of(path)
         return [] if row is None else self.bank.window_values(row, 0).tolist()
+
+    def series_state(self, path: CategoryPath) -> "dict | None":
+        """The canonical snapshot of ``path``'s series — the entry
+        :meth:`state_dict` lists for it (both windows oldest first and the
+        forecaster state) — or ``None`` when ``path`` is not tracked.  Built
+        on each call from the bank row, so mutating it leaves the algorithm
+        untouched."""
+        row = self._row_of(path)
+        return None if row is None else self.bank.series_state_dict(row)
 
     def memory_units(self) -> int:
         """Number of stored scalars (Table IV cost proxy): one tree + series."""

@@ -25,11 +25,14 @@ identifies the source (``session.name``).
 
 Observer exceptions propagate to the caller: an alerting backend that cannot
 deliver should fail loudly rather than silently lose detections.
+
+Every closed timeunit reaches observers through :func:`notify_close`, in
+the serial session and in the sharded engine alike.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro._types import TimeunitIndex
@@ -63,6 +66,30 @@ class EngineObserver:
         only_in_shadow: "tuple[Anomaly, ...]",
     ) -> None:
         """``primary`` and its ``shadow`` disagree on ``timeunit``'s anomalies."""
+
+
+def notify_close(
+    observers: "Sequence[EngineObserver]", session, result: "TimeunitResult"
+) -> None:
+    """Fire one closed timeunit's hooks in protocol order.
+
+    ``on_timeunit_closed``, then ``on_anomaly`` for each of ``result``'s
+    anomalies, then — the first time ``session.units_processed`` (already
+    counting this unit) reaches ``session.warmup_units`` —
+    ``on_warmup_complete``.  ``session`` is what observers receive: a
+    :class:`~repro.engine.session.DetectionSession` or the sharded engine's
+    handle; its ``warmup_announced`` flag is set before the announcement
+    fires, so it is made once even if an observer raises.
+    """
+    for observer in observers:
+        observer.on_timeunit_closed(session, result)
+    for anomaly in result.anomalies:
+        for observer in observers:
+            observer.on_anomaly(session, anomaly)
+    if not session.warmup_announced and session.units_processed >= session.warmup_units:
+        session.warmup_announced = True
+        for observer in observers:
+            observer.on_warmup_complete(session, result.timeunit)
 
 
 class CallbackObserver(EngineObserver):

@@ -36,7 +36,7 @@ from repro.core.detector import Anomaly
 from repro.core.registry import create_algorithm
 from repro.core.reporting import AnomalyReportStore
 from repro.core.results import TimeunitResult
-from repro.engine.hooks import EngineObserver
+from repro.engine.hooks import EngineObserver, notify_close
 from repro.exceptions import ConfigurationError, OutOfOrderRecordError
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.batch import RecordBatch
@@ -123,7 +123,9 @@ class DetectionSession:
         self._pending_counts: Counter = Counter()
         self._pending_rows: tuple | None = None
         self._pending_unit: TimeunitIndex | None = None
-        self._warmup_announced = False
+        #: Whether ``on_warmup_complete`` has fired (set by
+        #: :func:`~repro.engine.hooks.notify_close`).
+        self.warmup_announced = False
         self._observers: list[EngineObserver] = []
         self.reading_seconds = 0.0
         #: Dense columnar ingest: the last batch dictionary and its node-id
@@ -523,15 +525,7 @@ class DetectionSession:
         self.results.append(result)
         if self.max_results is not None and len(self.results) > self.max_results:
             del self.results[: len(self.results) - self.max_results]
-        for observer in self._observers:
-            observer.on_timeunit_closed(self, result)
-        for anomaly in result.anomalies:
-            for observer in self._observers:
-                observer.on_anomaly(self, anomaly)
-        if not self._warmup_announced and self._units_processed >= self.warmup_units:
-            self._warmup_announced = True
-            for observer in self._observers:
-                observer.on_warmup_complete(self, result.timeunit)
+        notify_close(self._observers, self, result)
         return result
 
     # ------------------------------------------------------------------
@@ -681,7 +675,7 @@ class DetectionSession:
             self.warmup_units = other.warmup_units
             self.max_results = other.max_results
             self._units_processed = other._units_processed
-            self._warmup_announced = other._warmup_announced
+            self.warmup_announced = other.warmup_announced
             self._pending = other._pending
             self._pending_unit = other._pending_unit
             self.reading_seconds = other.reading_seconds

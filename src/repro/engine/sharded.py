@@ -125,7 +125,7 @@ from repro.core.reporting import AnomalyReportStore
 from repro.core.results import TimeunitResult
 from repro.core.split_rules import NodeUsageStats
 from repro.engine.engine import UNKNOWN_STREAM_POLICIES, StreamKey, attribute_stream_key
-from repro.engine.hooks import EngineObserver
+from repro.engine.hooks import EngineObserver, notify_close
 from repro.engine.session import DetectionSession
 from repro.engine.shadow import ShadowStateError
 from repro.engine.shard_worker import revive_exception
@@ -247,7 +247,8 @@ class ShardedSessionHandle:
     Worker sessions never cross the process boundary, so observer hooks fire
     on the coordinator with this handle as the ``session`` argument.  It
     carries the attributes observers typically read (:attr:`name`,
-    :attr:`config`, :attr:`warmup_units`, :attr:`units_processed`).
+    :attr:`config`, :attr:`warmup_units`, :attr:`units_processed`) and the
+    coordinator's warm-up bookkeeping (:attr:`warmup_announced`).
     """
 
     def __init__(self, name: str, config: TiresiasConfig, warmup_units: int):
@@ -255,6 +256,7 @@ class ShardedSessionHandle:
         self.config = config
         self.warmup_units = warmup_units
         self.units_processed = 0
+        self.warmup_announced = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ShardedSessionHandle(name={self.name!r})"
@@ -377,7 +379,7 @@ class _WholeUnit:
             name, _config_of(state), int(state["warmup_units"])
         )
         self.handle.units_processed = int(state["units_processed"])
-        self.warmup_announced = bool(state["warmup_announced"])
+        self.handle.warmup_announced = bool(state["warmup_announced"])
         #: Times this unit's worker was respawned and rebuilt after a failure.
         self.recoveries = 0
 
@@ -440,7 +442,7 @@ class _SubtreeUnit:
             name, _config_of(base_state), int(base_state["warmup_units"])
         )
         self.handle.units_processed = int(base_state["units_processed"])
-        self.warmup_announced = bool(base_state["warmup_announced"])
+        self.handle.warmup_announced = bool(base_state["warmup_announced"])
         self.reports = AnomalyReportStore()
         self.reports.add_many(
             Anomaly.from_dict(data) for data in base_state["reports"]
@@ -1272,18 +1274,7 @@ class ShardedDetectionEngine:
     ) -> None:
         for result in results:
             unit.handle.units_processed += 1
-            for observer in self._observers:
-                observer.on_timeunit_closed(unit.handle, result)
-            for anomaly in result.anomalies:
-                for observer in self._observers:
-                    observer.on_anomaly(unit.handle, anomaly)
-            if (
-                not unit.warmup_announced
-                and unit.handle.units_processed >= unit.handle.warmup_units
-            ):
-                unit.warmup_announced = True
-                for observer in self._observers:
-                    observer.on_warmup_complete(unit.handle, result.timeunit)
+            notify_close(self._observers, unit.handle, result)
 
     def _emit_ready(
         self, unit: _SubtreeUnit, upto: "int | None"
@@ -1313,18 +1304,7 @@ class ShardedDetectionEngine:
             )
             unit.handle.units_processed += 1
             unit.reports.add_many(merged.anomalies)
-            for observer in self._observers:
-                observer.on_timeunit_closed(unit.handle, merged)
-            for anomaly in merged.anomalies:
-                for observer in self._observers:
-                    observer.on_anomaly(unit.handle, anomaly)
-            if (
-                not unit.warmup_announced
-                and unit.handle.units_processed >= unit.handle.warmup_units
-            ):
-                unit.warmup_announced = True
-                for observer in self._observers:
-                    observer.on_warmup_complete(unit.handle, merged.timeunit)
+            notify_close(self._observers, unit.handle, merged)
             emitted.append(merged)
         return emitted
 
@@ -1573,11 +1553,11 @@ class ShardedDetectionEngine:
             name, merged, new_groups, sub_states, unit.workers, withheld,
             depth=unit.depth,
         )
-        # Keep the observer-visible handle and the coordinator report store
-        # (identity matters to subscribers; contents are equal either way).
+        # Keep the observer-visible handle (with its warm-up bookkeeping) and
+        # the coordinator report store (identity matters to subscribers;
+        # contents are equal either way).
         new_unit.handle = unit.handle
         new_unit.reports = unit.reports
-        new_unit.warmup_announced = unit.warmup_announced
         new_unit.rebalances = unit.rebalances + 1
         new_unit.recoveries = unit.recoveries
         self._units[name] = new_unit

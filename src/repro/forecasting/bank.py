@@ -48,6 +48,9 @@ speak the *canonical per-path forecaster format* that predates the bank
 read and write the same checkpoints as sharded sessions;
 :meth:`series_state_dict` / :meth:`load_series_state` add the windows.
 Window slots are not part of either — only oldest-first contents are.
+:meth:`series_state_dict` is also the one way a tracked series is read
+(:meth:`ADAAlgorithm.series_state <repro.core.ada.ADAAlgorithm.series_state>`):
+there are no per-series objects over the rows.
 """
 
 from __future__ import annotations
@@ -327,8 +330,9 @@ class ForecasterBank:
         """Give every row an actual and a forecast window of ``length`` slots.
 
         A bank built without a window (standalone forecasters, STA's refit
-        banks) carries none; the first node series attached to it widens the
-        matrix.  One bank has one window length.
+        banks) carries none; the first series snapshot loaded into it
+        (:meth:`load_series_state`) widens the matrix.  One bank has one
+        window length.
         """
         if self.window == length:
             return
@@ -347,8 +351,8 @@ class ForecasterBank:
     def _resize(self, cap: int) -> None:
         """Reallocate both matrices at ``cap`` rows and the current width.
 
-        Handles and read views hold ``(bank, row)``, never an array, so
-        nothing dangles across a reallocation.
+        Callers hold row numbers, never an array, so nothing dangles across
+        a reallocation.
         """
         state = np.zeros((cap, self._width))
         old = self._state
@@ -776,19 +780,6 @@ class ForecasterBank:
         else:
             state[self._hist_off : self._hist_off + n] = history
             ints[_HLEN] = n
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def is_seasonal(self, row: int) -> bool:
-        obj = self._obj.get(row)
-        if obj is not None:
-            return obj.seasonal is not None
-        return bool(self._ints[row, _ACTIVE])
-
-    def observations(self, row: int) -> int:
-        obj = self._obj.get(row)
-        return obj.seen if obj is not None else int(self._ints[row, _SEEN])
 
     # ------------------------------------------------------------------
     # Linearity operations (SPLIT / MERGE, Lemma 2)

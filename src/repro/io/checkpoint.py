@@ -200,7 +200,7 @@ def session_state_dict(
         "warmup_units": session.warmup_units,
         "max_results": session.max_results,
         "units_processed": session.units_processed,
-        "warmup_announced": session._warmup_announced,
+        "warmup_announced": session.warmup_announced,
         "pending_unit": session._pending_unit,
         "pending": [
             [list(path), count] for path, count in session._pending.items()
@@ -236,7 +236,7 @@ def session_from_state_dict(state: Mapping[str, Any]) -> "DetectionSession":
             max_results=None if max_results is None else int(max_results),
         )
         session._units_processed = int(state["units_processed"])
-        session._warmup_announced = bool(state["warmup_announced"])
+        session.warmup_announced = bool(state["warmup_announced"])
         pending_unit = state["pending_unit"]
         session._pending_unit = None if pending_unit is None else int(pending_unit)
         for path, count in state["pending"]:

@@ -57,14 +57,14 @@ class TestHeavyHitterCorrectness:
         for counts in ({("a", "a1"): 8}, {("a", "a1"): 3, ("a", "a2"): 3}, {("b", "b1"): 7}):
             result = ada.process_timeunit(counts)
             for path in result.heavy_hitters:
-                assert path in ada.series
-                assert len(ada.series[path]) >= 1
+                assert ada.series_state(path) is not None
+                assert len(ada.series_for(path)) >= 1
 
     def test_track_root_keeps_root_series(self, tree):
         ada = ADAAlgorithm(tree, make_config(theta=100.0, track_root=True))
         result = ada.process_timeunit({("a", "a1"): 1})
         assert () in result.heavy_hitters
-        assert () in ada.series
+        assert ada.series_state(()) is not None
 
 
 class TestSplitAndMerge:
@@ -73,28 +73,29 @@ class TestSplitAndMerge:
         # Parent 'a' is the heavy hitter while weight is spread over children.
         for _ in range(5):
             ada.process_timeunit({("a", "a1"): 3, ("a", "a2"): 3})
-        assert ("a",) in ada.series
+        assert ada.series_state(("a",)) is not None
         # Now a1 alone becomes heavy: the series must move down to a1.
         result = ada.process_timeunit({("a", "a1"): 9, ("a", "a2"): 1})
         assert ("a", "a1") in result.heavy_hitters
-        assert ("a", "a1") in ada.series
+        assert ada.series_state(("a", "a1")) is not None
         assert ada.split_operations >= 1
         # The child's adapted series has inherited history (not just one point).
-        assert len(ada.series[("a", "a1")]) > 1
+        assert len(ada.series_for(("a", "a1"))) > 1
 
     def test_merge_moves_series_up_when_children_cool_down(self, tree):
         ada = ADAAlgorithm(tree, make_config())
         for _ in range(5):
             ada.process_timeunit({("a", "a1"): 9, ("a", "a2"): 8})
-        assert ("a", "a1") in ada.series and ("a", "a2") in ada.series
+        assert ada.series_state(("a", "a1")) is not None
+        assert ada.series_state(("a", "a2")) is not None
         # Activity collapses onto the parent (spread thin over both children).
         result = ada.process_timeunit({("a", "a1"): 3, ("a", "a2"): 3})
         assert result.heavy_hitters == frozenset({("a",)})
-        assert ("a",) in ada.series
-        assert ("a", "a1") not in ada.series
+        assert ada.series_state(("a",)) is not None
+        assert ada.series_state(("a", "a1")) is None
         assert ada.merge_operations >= 1
         # Merged history keeps the children's past mass.
-        assert len(ada.series[("a",)]) > 1
+        assert len(ada.series_for(("a",))) > 1
 
     def test_series_dropped_when_no_heavy_ancestor(self, tree):
         ada = ADAAlgorithm(tree, make_config())
@@ -102,20 +103,25 @@ class TestSplitAndMerge:
             ada.process_timeunit({("a", "a1"): 9})
         result = ada.process_timeunit({})
         assert result.heavy_hitters == frozenset()
-        assert ada.series == {}
+        assert ada.state_dict()["series"] == []
 
     def test_split_conserves_total_history_mass(self, tree):
         config = make_config(reference_levels=0)
         ada = ADAAlgorithm(tree, config)
         for _ in range(6):
             ada.process_timeunit({("a", "a1"): 4, ("a", "a2"): 4})
-        parent_mass = sum(ada.series[("a",)].actual)
+        parent_mass = sum(ada.series_for(("a",)))
         ada.process_timeunit({("a", "a1"): 12, ("a", "a2"): 12})
         # Splitting distributes the parent's history among descendants; the
         # total retained history mass (excluding the new appends) must equal
         # the parent's prior mass.
-        total = sum(sum(list(s.actual)[:-1]) for s in ada.series.values())
+        total = sum(sum(state["actual"][:-1]) for _path, state in ada.state_dict()["series"])
         assert total == pytest.approx(parent_mass, rel=1e-9)
+
+
+def reference_rows(ada):
+    """``{path: values}`` of the checkpoint's reference series."""
+    return {tuple(path): values for path, values in ada.state_dict()["reference"]}
 
 
 class TestReferenceSeries:
@@ -123,17 +129,18 @@ class TestReferenceSeries:
         ada = ADAAlgorithm(tree, make_config(reference_levels=1))
         for _ in range(4):
             ada.process_timeunit({("a", "a1"): 3, ("b", "b1"): 2})
-        assert ("a",) in ada.reference
-        assert ("b",) in ada.reference
-        assert list(ada.reference[("a",)]) == [3.0] * 4
+        reference = reference_rows(ada)
+        assert ("a",) in reference
+        assert ("b",) in reference
+        assert reference[("a",)] == [3.0] * 4
         # Reference series hold unmodified weights and exist regardless of
         # heavy hitter status.
-        assert ("a", "a1") not in ada.reference
+        assert ("a", "a1") not in reference
 
     def test_reference_levels_zero_disables_reference(self, tree):
         ada = ADAAlgorithm(tree, make_config(reference_levels=0))
         ada.process_timeunit({("a", "a1"): 3})
-        assert ada.reference == {}
+        assert reference_rows(ada) == {}
 
     def test_reference_correction_improves_split_accuracy(self, tree):
         """With h=1, a split onto a level-1 node snaps to its true history."""

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.ada import ADAAlgorithm, _RefStore
 from repro.core.adapt import DROP, FOLD, FRESH, MOVE, SPLIT, AdaptationPlan, plan_adaptation
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.exceptions import CheckpointError, ConfigurationError
+from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank, _ScalarRow
 from repro.hierarchy.tree import HierarchyTree
 from repro.testing.reference import ReferenceADA, ReferenceSeries
@@ -56,6 +56,11 @@ def make_config(**overrides):
     return TiresiasConfig(**defaults)
 
 
+def tracked_paths(algo):
+    """The tracked paths in tracking order, as the checkpoint lists them."""
+    return [tuple(path) for path, _state in algo.state_dict()["series"]]
+
+
 def run_units(algo, unit_sequence, first_unit=0):
     """Feed ``unit_sequence`` to ``algo``; return its comparable outputs."""
     results = []
@@ -64,7 +69,7 @@ def run_units(algo, unit_sequence, first_unit=0):
         if isinstance(algo, ADAAlgorithm):
             assert_registry_consistent(algo)
     return {
-        "series_order": list(algo.series),
+        "series_order": tracked_paths(algo),
         "results": [
             (r.timeunit, r.heavy_hitters, r.actuals, r.forecasts, r.anomalies)
             for r in results
@@ -77,18 +82,20 @@ def run_units(algo, unit_sequence, first_unit=0):
 
 def assert_registry_consistent(algo):
     """One live bank row per tracked series, each referenced exactly once,
-    and the ``series`` mapping, its handles and the id registry agree."""
-    tracked = list(algo.series)
-    assert len(algo.bank) == len(algo.series) == len(tracked)
-    rows = [algo.series[path].forecaster.row for path in tracked]
+    and the checkpoint's series, ``series_state`` and the id registry
+    agree."""
+    tracked = tracked_paths(algo)
+    rows = list(algo._series_ids.values())
+    assert len(algo.bank) == len(tracked) == len(rows)
     assert len(set(rows)) == len(rows)
     assert all(row >= 0 for row in rows)
-    assert [path for path, _series in algo.series.items()] == tracked
     ids = [algo._index.path_to_id[path] for path in tracked]
     assert list(algo._series_ids) == ids
-    assert list(algo._series_ids.values()) == rows
     assert algo._series_rows[ids].tolist() == rows
     assert int(algo._series_mask.sum()) == len(ids)
+    assert [algo.series_state(path) for path in tracked] == [
+        state for _path, state in algo.state_dict()["series"]
+    ]
 
 
 def assert_equivalent(tree, config, unit_sequence):
@@ -323,7 +330,7 @@ class TestRefStore:
         clone = _RefStore(4)
         clone.load(store.emit())
         assert clone.emit() == store.emit()
-        assert list(clone.as_dict()[("b",)]) == [20.0, 30.0, 40.0, 50.0]
+        assert clone.corrected_base(("b",)).tolist() == [20.0, 30.0, 40.0, 50.0]
 
     def test_ragged_load_stays_in_the_ring(self):
         store = _RefStore(8)
@@ -387,9 +394,9 @@ class TestRefStore:
 
 
 class TestRegistryGuards:
-    """ADA's ``series`` is a view over row numbers: every plan op keeps it
-    equal to the reference's dict, and a handle never outlives the path it
-    was taken for."""
+    """ADA's series registry maps node ids to bank row numbers: every plan
+    op keeps it equal to the reference's dict, and ``series_state`` reads a
+    path's row only while the path is tracked."""
 
     #: Hits every op kind the planner emits: FRESH (new top-level subtree),
     #: SPLIT with and without a reference correction (depth <= 2 / depth 3),
@@ -406,7 +413,7 @@ class TestRegistryGuards:
         {},
     ]
 
-    def test_every_op_kind_keeps_the_view_equal_to_the_reference(self):
+    def test_every_op_kind_keeps_the_registry_equal_to_the_reference(self):
         tree, config = make_tree(), make_config()
         algo = ADAAlgorithm(tree, config)
         seen = set()
@@ -421,78 +428,60 @@ class TestRegistryGuards:
         assert seen == {"fresh", ("split", True), ("split", False), "fold", "drop"}
         assert got == run_units(ReferenceADA(tree, config), self.EVERY_OP)
 
-    def test_series_view_is_read_only_and_hands_out_one_handle_per_path(self):
+    def test_series_state_reads_tracked_paths_only(self):
         algo = ADAAlgorithm(make_tree(), make_config())
         algo.process_timeunit({("a", "a1"): 9, ("b", "b2"): 6}, 0)
-        assert ("a", "a1") in algo.series and ("a", "zz") not in algo.series
-        assert ["a", "a1"] not in list(algo.series)
-        handle = algo.series[("a", "a1")]
-        assert algo.series[("a", "a1")] is handle
-        assert algo.series.get(("a", "zz")) is None
-        with pytest.raises(KeyError):
-            algo.series[("a", "zz")]
-        with pytest.raises(TypeError):
-            algo.series[("a", "a2")] = handle
-        with pytest.raises(TypeError):
-            del algo.series[("a", "a1")]
-        assert algo.series == {path: algo.series[path] for path in algo.series}
+        state = algo.series_state(("a", "a1"))
+        assert state["actual"] == [9.0] and state["length"] == 12
+        assert algo.series_state(["a", "a1"]) == state
+        assert algo.series_state(("a", "a2")) is None  # a node, untracked
+        assert algo.series_state(("a", "zz")) is None  # not a node
 
-    def test_handle_of_a_dropped_path_is_inert(self):
-        """A handle taken before a plan that drops its path must not read the
-        row's next tenant."""
+    def test_a_dropped_path_reads_none_after_its_row_is_recycled(self):
+        """A path a plan drops reads ``None``, not the row's next tenant."""
         algo = ADAAlgorithm(make_tree(), make_config())
         algo.process_timeunit({("a", "a1"): 9, ("c", "c1"): 9}, 0)
-        dropped = algo.series[("c", "c1")]
-        window = dropped.actual
-        kept = algo.series[("a", "a1")]
-        freed_row = dropped.forecaster.row
+        ids = algo._index.path_to_id
+        freed_row = algo._series_ids[ids[("c", "c1")]]
         # c1 goes (DROP: no heavy ancestor); b2 arrives and recycles the row.
         algo.process_timeunit({("a", "a1"): 9}, 1)
         algo.process_timeunit({("a", "a1"): 9, ("b", "b2"): 9}, 2)
-        assert ("c", "c1") not in algo.series
-        assert algo.series[("b", "b2")].forecaster.row == freed_row
-        with pytest.raises(ConfigurationError, match="released"):
-            window.tolist()
-        with pytest.raises(ConfigurationError, match="released"):
-            dropped.next_forecast()
-        assert algo.series[("a", "a1")] is kept and len(kept) == 3
+        assert algo.series_state(("c", "c1")) is None
+        assert algo._series_ids[ids[("b", "b2")]] == freed_row
+        assert algo.series_state(("b", "b2"))["actual"] == [9.0]
+        assert algo.series_state(("a", "a1"))["actual"] == [9.0, 9.0, 9.0]
         assert_registry_consistent(algo)
 
-    def test_checkpoint_and_accounting_build_no_handles(self):
-        """``state_dict``, ``memory_units`` and ``series_for`` read the
-        registry's rows off the bank: no handle is made, so none is kept up
-        to date by every later plan."""
+    def test_checkpoint_and_accounting_read_the_rows(self):
+        """``state_dict``, ``memory_units`` and ``series_for`` agree with
+        ``series_state``, path by path, in tracking order."""
         algo = ADAAlgorithm(make_tree(), make_config())
         for unit, counts in enumerate(self.WARM):
             algo.process_timeunit(counts, unit)
-        tracked = list(algo.series)
+        tracked = tracked_paths(algo)
         assert len(tracked) > 1
-        state = algo.state_dict()
-        memory = algo.memory_units()
-        first = algo.series_for(tracked[0])
-        assert not algo.series._handles
-        # The same bytes and order as reading every series through a handle.
-        assert state["series"] == [
-            [list(path), algo.series[path].state_dict()] for path in tracked
+        states = [algo.series_state(path) for path in tracked]
+        assert algo.state_dict()["series"] == [
+            [list(path), state] for path, state in zip(tracked, states)
         ]
-        assert first == list(algo.series[tracked[0]].actual)
-        assert memory == algo.tree.num_nodes + algo._ref.total_len() + sum(
-            len(algo.series[path].actual) + len(algo.series[path].forecast)
-            for path in tracked
+        assert algo.series_for(tracked[0]) == states[0]["actual"]
+        assert algo.memory_units() == algo.tree.num_nodes + algo._ref.total_len() + sum(
+            len(state["actual"]) + len(state["forecast"]) for state in states
         )
 
-    def test_handle_follows_a_moved_series(self):
+    def test_a_moved_series_keeps_its_row_and_state(self):
         algo = ADAAlgorithm(make_tree(), make_config())
         algo.process_timeunit({("b", "b1", "x"): 9}, 0)
-        handle = algo.series[("b", "b1", "x")]
-        row = handle.forecaster.row
         ids = algo._index.path_to_id
+        before = algo.series_state(("b", "b1", "x"))
+        row = algo._series_ids[ids[("b", "b1", "x")]]
         algo._apply_plan(
             AdaptationPlan([(MOVE, ids[("b", "b1", "x")], ids[("b", "b1")])], 0, 1)
         )
-        assert list(algo.series) == [("b", "b1")]
-        assert algo.series[("b", "b1")] is handle
-        assert handle.forecaster.row == row and len(handle) == 1
+        assert tracked_paths(algo) == [("b", "b1")]
+        assert algo._series_ids[ids[("b", "b1")]] == row
+        assert algo.series_state(("b", "b1")) == before
+        assert algo.series_state(("b", "b1", "x")) is None
         assert_registry_consistent(algo)
 
     WARM = [
@@ -583,31 +572,21 @@ class TestRegistryGuards:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_random_plans_keep_the_view_equal_to_the_reference(self, data):
+    def test_random_plans_keep_the_registry_equal_to_the_reference(self, data):
         """Random valid op lists applied on row numbers vs the same ops as
-        the reference cascade's steps: same ``series`` order, same checkpoint
+        the reference cascade's steps: same tracking order, same checkpoint
         bytes right after, same detections from there on."""
         tree, config = make_tree(), make_config()
         algo = ADAAlgorithm(tree, config)
         index = algo._index
         run_units(algo, self.WARM)
-        taken = {path: algo.series[path] for path in list(algo.series)[::2]}
         ops = self.draw_plan(
-            data, index, [index.path_to_id[path] for path in algo.series]
+            data, index, [index.path_to_id[path] for path in tracked_paths(algo)]
         )
         algo._apply_plan(AdaptationPlan(ops, 0, 0))
         assert_registry_consistent(algo)
-        for path, handle in taken.items():
-            # Still tracked, the row never freed: the very handle.
-            # Otherwise inert, whoever holds the row now.
-            if handle.forecaster.row >= 0:
-                assert handle in list(algo.series.values())
-            else:
-                with pytest.raises(ConfigurationError, match="released"):
-                    handle.state_dict()
-        assert_registry_consistent(algo)
         got = (
-            list(algo.series),
+            tracked_paths(algo),
             canonical_checkpoint(algo.state_dict(), row_sorted=True),
             run_units(algo, self.TAIL, first_unit=len(self.WARM)),
         )
@@ -615,20 +594,21 @@ class TestRegistryGuards:
         run_units(oracle, self.WARM)
         self.apply_plan_to_reference(oracle, ops, index.paths)
         want = (
-            list(oracle.series),
+            tracked_paths(oracle),
             canonical_checkpoint(oracle.state_dict(), row_sorted=True),
             run_units(oracle, self.TAIL, first_unit=len(self.WARM)),
         )
         assert got == want
 
-    def test_restore_resets_the_registry_and_its_handles(self):
+    def test_restore_resets_the_registry(self):
         algo = ADAAlgorithm(make_tree(), make_config())
         run_units(algo, self.EVERY_OP[:3])
-        stale = algo.series[next(iter(algo.series))]
         snapshot = json.loads(json.dumps(algo.state_dict()))
         algo.load_state_dict(snapshot)
         assert_registry_consistent(algo)
-        assert algo.series[next(iter(algo.series))] is not stale
+        assert [[list(path), algo.series_state(path)] for path in tracked_paths(algo)] == (
+            snapshot["series"]
+        )
         assert canonical_checkpoint(algo.state_dict()) == canonical_checkpoint(snapshot)
 
     def test_duplicate_view_cache_annotation_removed(self):

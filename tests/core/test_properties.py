@@ -160,7 +160,7 @@ class TestLemma1:
             expected = compute_shhh(tree, counts, ada.config.theta).shhh
             assert result.heavy_hitters == expected
             for path in result.heavy_hitters:
-                assert path in ada.series
+                assert ada.series_state(path) is not None
 
     @given(sequence=count_sequences)
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

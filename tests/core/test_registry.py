@@ -15,9 +15,8 @@ from repro.core.registry import (
     unregister_forecaster,
 )
 from repro.core.sta import STAAlgorithm
-from repro.core.timeseries import SeriesForecaster
 from repro.exceptions import ConfigurationError
-from repro.forecasting.bank import ForecasterBank
+from repro.forecasting.bank import ForecasterBank, load_seasonal_state
 from repro.forecasting.holt_winters import (
     HoltWintersForecaster,
     MultiSeasonalHoltWinters,
@@ -123,25 +122,31 @@ class TestForecasterRegistry:
 
         register_forecaster("constant", lambda config: ConstantModel())
         try:
-            forecaster = fed_forecaster(
+            bank, row = fed_row(
                 ForecastConfig(season_lengths=(2,), model="constant"), [5.0, 6.0, 5.0, 6.0]
             )
-            assert forecaster.is_seasonal
-            assert forecaster.forecast() == 42.0
+            # A plug-in row's forecaster state is a scalar row beside the matrix.
+            assert isinstance(bank._obj[row].seasonal, ConstantModel)
+            assert bank.forecast(row) == 42.0
         finally:
             unregister_forecaster("constant")
 
     def test_auto_model_picks_by_season_count(self):
-        single = fed_forecaster(ForecastConfig(season_lengths=(2,)), [1.0, 2.0, 1.0, 2.0])
-        assert isinstance(single.seasonal_model, HoltWintersForecaster)
-        multi = fed_forecaster(ForecastConfig(season_lengths=(2, 4)), [1.0, 2.0] * 4)
-        assert isinstance(multi.seasonal_model, MultiSeasonalHoltWinters)
+        single = fed_row(ForecastConfig(season_lengths=(2,)), [1.0, 2.0, 1.0, 2.0])
+        assert isinstance(seasonal_model(*single), HoltWintersForecaster)
+        multi = fed_row(ForecastConfig(season_lengths=(2, 4)), [1.0, 2.0] * 4)
+        assert isinstance(seasonal_model(*multi), MultiSeasonalHoltWinters)
 
 
-def fed_forecaster(config, values) -> SeriesForecaster:
-    """The read view of a bank row that observed ``values``."""
+def fed_row(config, values):
+    """A bank and its one row, which observed ``values``."""
     bank = ForecasterBank(config)
     row = bank.new_row()
     for value in values:
         bank.observe(row, value)
-    return SeriesForecaster(config, bank, row)
+    return bank, row
+
+
+def seasonal_model(bank, row):
+    """The row's seasonal model, rebuilt from its snapshot."""
+    return load_seasonal_state(bank.row_state_dict(row)["seasonal"])

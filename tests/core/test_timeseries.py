@@ -1,6 +1,6 @@
-"""Unit tests for :mod:`repro.core.timeseries`: a node's forecaster and
-windows as bank rows (written by row operations, read through the handles),
-and the multi-time-scale series."""
+"""Unit tests for a node's forecaster and windows as bank rows (written by
+row operations, read off the row), and for :mod:`repro.core.timeseries`'s
+multi-time-scale series."""
 
 import math
 import pickle
@@ -9,9 +9,9 @@ from collections import deque
 import pytest
 
 from repro.core.config import ForecastConfig
-from repro.core.timeseries import MultiScaleTimeSeries, NodeTimeSeries, SeriesForecaster
+from repro.core.timeseries import MultiScaleTimeSeries
 from repro.exceptions import ConfigurationError
-from repro.forecasting.bank import ForecasterBank
+from repro.forecasting.bank import ForecasterBank, load_seasonal_state
 from repro.testing.reference import aligned_add
 
 
@@ -28,9 +28,9 @@ def fed_row(values, length=8, config=None):
     return bank, row
 
 
-def view(bank, row):
-    """The read handle of ``row``."""
-    return NodeTimeSeries(bank.window, bank.config, SeriesForecaster(bank.config, bank, row))
+def is_seasonal(bank, row):
+    """Whether the row's Holt-Winters state is active (vs. the EWMA fallback)."""
+    return bank.row_state_dict(row)["seasonal"] is not None
 
 
 class TestForecasterRows:
@@ -39,7 +39,7 @@ class TestForecasterRows:
     def test_starts_with_ewma_fallback(self):
         bank = ForecasterBank(fc(season=8))
         row = bank.new_row()
-        assert not bank.is_seasonal(row)
+        assert not is_seasonal(bank, row)
         assert bank.forecast(row) == 0.0
         bank.observe(row, 10.0)
         assert bank.forecast(row) == pytest.approx(10.0)
@@ -49,7 +49,7 @@ class TestForecasterRows:
         row = bank.new_row()
         for _ in range(8):
             bank.observe(row, 5.0)
-        assert bank.is_seasonal(row)
+        assert is_seasonal(bank, row)
         assert bank.forecast(row) == pytest.approx(5.0, abs=1e-6)
 
     def test_observe_returns_prior_forecast(self):
@@ -66,7 +66,7 @@ class TestForecasterRows:
         errors = []
         for value in series:
             predicted = bank.observe(row, value)
-            if bank.is_seasonal(row):
+            if is_seasonal(bank, row):
                 errors.append(abs(predicted - value))
         assert sum(errors[-period:]) / period < 5.0
 
@@ -100,8 +100,8 @@ class TestForecasterRows:
         for value in history:
             bank.observe(replayed, value)
         bank.seed_fast(fast, history)
-        assert bank.is_seasonal(fast)
-        assert bank.observations(fast) == len(history)
+        assert is_seasonal(bank, fast)
+        assert bank.row_state_dict(fast)["seen"] == len(history)
         # The fast path initializes from the last two cycles only; on a purely
         # periodic series both states forecast the same next value.
         assert bank.forecast(fast) == pytest.approx(bank.forecast(replayed), rel=0.05)
@@ -111,90 +111,77 @@ class TestForecasterRows:
         short, empty = bank.new_row(), bank.new_row()
         bank.seed_fast(short, [3.0, 5.0])
         bank.seed_fast(empty, [])
-        assert not bank.is_seasonal(short)
+        assert not is_seasonal(bank, short)
         assert bank.forecast(short) > 0.0
         assert bank.forecast(empty) == 0.0
 
 
-class TestNodeTimeSeries:
-    """The read handle over a row's windows."""
+class TestRowReads:
+    """What a row reads back: the window bound, the newest values, the
+    snapshot round trip and the seasonal model copy."""
 
     def test_length_bound_enforced(self):
-        series = view(*fed_row(range(10), length=4))
-        assert len(series) == 4
-        assert list(series.actual) == [6.0, 7.0, 8.0, 9.0]
-        assert len(series.forecast) == 4
+        bank, row = fed_row(range(10), length=4)
+        assert bank.window_len(row, 0) == bank.window_len(row, 1) == 4
+        assert bank.window_values(row, 0).tolist() == [6.0, 7.0, 8.0, 9.0]
 
     def test_latest_values(self):
-        series = view(*fed_row([3.0, 5.0], config=fc(fallback=1.0)))
-        assert series.latest_actual == 5.0
+        bank, row = fed_row([3.0, 5.0], config=fc(fallback=1.0))
+        assert bank.window_values(row, 0)[-1] == 5.0
         # With alpha=1 the fallback forecast for the second value is the first.
-        assert series.latest_forecast == pytest.approx(3.0)
-        assert series.next_forecast() == pytest.approx(5.0)
+        assert bank.window_values(row, 1)[-1] == pytest.approx(3.0)
+        assert bank.forecast(row) == pytest.approx(5.0)
 
-    def test_empty_series_raises(self):
-        series = view(*fed_row([], length=4))
-        with pytest.raises(ConfigurationError):
-            _ = series.latest_actual
+    def test_empty_row_reads_empty_windows(self):
+        bank, row = fed_row([], length=4)
+        assert bank.window_len(row, 0) == bank.window_len(row, 1) == 0
+        assert bank.series_state_dict(row)["actual"] == []
+        assert bank.series_state_dict(row)["forecast"] == []
 
     def test_invalid_length(self):
-        bank, row = fed_row([])
         with pytest.raises(ConfigurationError):
-            NodeTimeSeries(0, fc(), SeriesForecaster(fc(), bank, row))
+            ForecasterBank(fc(), window=0)
 
     def test_one_bank_holds_one_window_length(self):
         bank, row = fed_row(range(3))
+        state = bank.series_state_dict(row)
+        state["length"] = 4
         with pytest.raises(ConfigurationError):
-            NodeTimeSeries(4, bank.config, SeriesForecaster(bank.config, bank, row))
+            bank.load_series_state(state)
         assert len(bank) == 1
 
     def test_state_dict_round_trip(self):
-        series = view(*fed_row(range(1, 12), config=fc(season=3)))
-        clone = NodeTimeSeries.from_state_dict(series.state_dict(), series.forecast_config)
-        assert clone.state_dict() == series.state_dict()
-        assert clone.forecaster.bank is not series.forecaster.bank
+        bank, row = fed_row(range(1, 12), config=fc(season=3))
+        state = bank.series_state_dict(row)
+        clone = ForecasterBank(bank.config)
+        assert clone.series_state_dict(clone.load_series_state(state)) == state
 
-    def test_views_follow_row_writes_and_reallocation(self):
+    def test_reads_follow_row_writes_and_reallocation(self):
         bank, row = fed_row([2.0, 4.0])
-        series = view(bank, row)
-        actual = series.actual
         others = [bank.new_row() for _ in range(20)]  # grows the matrix
         bank.split_row(row, 0.25)
         bank.record(others[0], 9.0, 9.0)
-        assert actual.tolist() == [1.5, 3.0]
-        assert series.latest_actual == 3.0
-        assert series.next_forecast() == bank.forecast(row)
+        assert bank.window_values(row, 0).tolist() == [1.5, 3.0]
+        assert bank.window_values(others[0], 0).tolist() == [9.0]
 
     def test_windows_read_oldest_first_across_the_wrap(self):
-        series = view(*fed_row(range(1, 12), length=4))  # 11 records into 4 slots
-        assert list(series.actual) == [8.0, 9.0, 10.0, 11.0]
-        assert series.actual[0] == 8.0
-        assert series.actual[-1] == 11.0
-        assert series.actual.values(newest=3).tolist() == [9.0, 10.0, 11.0]
-        assert series.actual.values(newest=9).tolist() == [8.0, 9.0, 10.0, 11.0]
+        bank, row = fed_row(range(1, 12), length=4)  # 11 records into 4 slots
+        assert bank.window_values(row, 0).tolist() == [8.0, 9.0, 10.0, 11.0]
+        assert bank.window_values(row, 0, newest=3).tolist() == [9.0, 10.0, 11.0]
+        assert bank.window_values(row, 0, newest=9).tolist() == [8.0, 9.0, 10.0, 11.0]
 
     def test_seasonal_model_is_a_read_only_copy(self):
         bank, row = fed_row([5.0, 6.0])
-        series = view(bank, row)
-        assert series.forecaster.seasonal_model is None
+        assert bank.row_state_dict(row)["seasonal"] is None
         for t in range(8):
             bank.observe(row, 5.0 + (t % 4))
-        model = series.forecaster.seasonal_model
-        before = series.next_forecast()
+        model = load_seasonal_state(bank.row_state_dict(row)["seasonal"])
+        before = bank.forecast(row)
         model.level += 100.0
-        assert series.forecaster.seasonal_model.level == pytest.approx(model.level - 100.0)
-        assert series.next_forecast() == before
-
-    def test_detached_handle_refuses_use(self):
-        series = view(*fed_row([1.0]))
-        series.forecaster.detach()
-        for use in (
-            lambda: series.next_forecast(),
-            lambda: list(series.actual),
-            lambda: series.state_dict(),
-        ):
-            with pytest.raises(ConfigurationError, match="released"):
-                use()
+        assert bank.row_state_dict(row)["seasonal"]["level"] == pytest.approx(
+            model.level - 100.0
+        )
+        assert bank.forecast(row) == before
 
 
 class TestRowWindows:

@@ -315,7 +315,7 @@ class TestCustomPluginCheckpointing:
 
     def test_unknown_seasonal_kind_raises_checkpoint_error(self, tmp_path):
         from repro.core.config import ForecastConfig
-        from repro.core.timeseries import load_seasonal_state
+        from repro.forecasting.bank import load_seasonal_state
 
         with pytest.raises(CheckpointError, match="register_forecaster_state_loader"):
             load_seasonal_state({"kind": "mystery"})

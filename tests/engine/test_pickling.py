@@ -17,7 +17,6 @@ import pickle
 import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.core.timeseries import NodeTimeSeries, SeriesForecaster
 from repro.engine.hooks import CallbackObserver
 from repro.engine.session import DetectionSession
 from repro.forecasting.bank import ForecasterBank
@@ -77,20 +76,16 @@ def test_pickle_drops_observers_but_preserves_state(running_session):
     assert clone.state_dict() == session.state_dict()
 
 
-def test_bank_and_series_views_pickle_exactly():
+def test_bank_rows_pickle_exactly():
     config = ForecastConfig(season_lengths=(4,), fallback_alpha=0.3)
     bank = ForecasterBank(config, window=16)
     row, seeded = bank.new_row(), bank.new_row()
     for value in [3.0, 4.0, 6.0, 5.0, 7.0, 9.0, 8.0, 6.0, 5.0, 11.0]:
         bank.record(row, value, bank.observe(row, value))
     bank.seed_fast(seeded, [1.0, 2.0, 3.0] * 4)
-    series = NodeTimeSeries(16, config, SeriesForecaster(config, bank, row))
-    clone = pickle.loads(pickle.dumps(series))
-    assert list(clone.actual) == list(series.actual)
-    assert list(clone.forecast) == list(series.forecast)
-    assert clone.state_dict() == series.state_dict()
+    revived = pickle.loads(pickle.dumps(bank))
+    assert revived.series_state_dict(row) == bank.series_state_dict(row)
     # Future forecasts must continue bit-identically, seeded rows included.
-    revived = clone.forecaster.bank
     for value in [4.0, 8.0, 2.0]:
         for r in (row, seeded):
             assert revived.observe(r, value) == bank.observe(r, value)

@@ -402,11 +402,10 @@ class TestLifetime:
         try:
             session = DetectionSession(tree, config)
             session.process_stream(spiky_stream())
-            assert len(session.algorithm.series)
-            handles = [session.algorithm.series[path] for path in session.algorithm.series]
+            assert len(session.algorithm.bank)
             session.state_dict()
             algorithm = weakref.ref(session.algorithm)
-            del session, handles
+            del session
             assert algorithm() is None
         finally:
             gc.enable()

@@ -113,7 +113,7 @@ class TestBackendAgreement:
         rows = [bank.new_row() for _ in range(3)]
         for step in range(6):
             bank.observe_rows(rows, [float(step), float(step * 2), 1.0])
-        assert all(bank.is_seasonal(row) for row in rows)
+        assert all(bank.row_state_dict(row)["seasonal"] is not None for row in rows)
         # Canonical state round-trips through a fresh bank.
         snapshot = bank.row_state_dict(rows[0])
         other = ForecasterBank(config)
@@ -131,7 +131,7 @@ class TestRowLifecycle:
         bank.free_row(first)
         second = bank.new_row()
         assert second == first
-        assert bank.observations(second) == 0
+        assert bank.row_state_dict(second)["seen"] == 0
         assert bank.forecast(second) == 0.0
         assert len(bank) == 1
 
@@ -180,7 +180,7 @@ class TestRowLifecycle:
         bank = ForecasterBank(single_config(season=4, fallback=0.3))
         loaded = bank.new_row()
         bank.load_row_state(loaded, snapshot)
-        assert bank.is_seasonal(loaded)
+        assert bank.row_state_dict(loaded)["seasonal"] is not None
         assert bank.row_state_dict(loaded) == snapshot
         assert bank.forecast(loaded) == foreign.forecast(row)
         # The object row keeps observing correctly (scalar semantics).

@@ -2,8 +2,9 @@
 
 Every series is one row of the bank matrix and SPLIT / MERGE / correction /
 record are whole-row array operations, called on
-:class:`~repro.forecasting.bank.ForecasterBank` row numbers directly (the
-series are read through views of their rows); the oracle runs the same calls on
+:class:`~repro.forecasting.bank.ForecasterBank` row numbers directly (and
+each series is read as its row's canonical snapshot); the oracle runs the
+same calls on
 :class:`repro.testing.reference.ReferenceSeries` — ``_ScalarRow`` objects and
 bounded deques, the historical per-object code.  One hypothesis state
 machine drives both worlds through the same random sequence of calls and
@@ -17,8 +18,8 @@ single- and multi-season models, the single-season model by registry name
 ``_ScalarRow`` objects beside their matrix windows), ratios 0.0 and 1.0,
 folds with unequal seasonal phases and unequal window / warm-up cursors
 (series are appended unevenly), folds into empty destinations (copy, not
-add) and into shorter ones (growth), and bank capacity growth while handles
-and read views are held.
+add) and into shorter ones (growth), and bank capacity growth while row
+numbers are held.
 
 The literal signed-zero cases at the bottom pin what a ratio-0 split of a
 negative component leaves behind.  The oracle decides the sign: a fold into
@@ -45,7 +46,6 @@ from hypothesis.stateful import (
 )
 
 from repro.core.config import ForecastConfig
-from repro.core.timeseries import NodeTimeSeries, SeriesForecaster
 from repro.forecasting.bank import ForecasterBank
 from repro.testing.reference import ReferenceSeries
 
@@ -74,37 +74,33 @@ picks = st.integers(min_value=0, max_value=10_000)
 
 
 class World:
-    """The row store: one bank, its row operations called directly, and a
-    read view of every live row (index-aligned with the oracle's series)."""
+    """The row store: one bank, its row operations called directly, and the
+    row number of every live series (index-aligned with the oracle's
+    series)."""
 
     def __init__(self, config: ForecastConfig, length: int):
         self.config = config
         self.length = length
         self.bank = ForecasterBank(config, window=length)
-        self.series: list[NodeTimeSeries] = []
+        self.series: list[int] = []
 
-    def _adopt(self, row: int) -> NodeTimeSeries:
-        return NodeTimeSeries(
-            self.length, self.config, SeriesForecaster(self.config, self.bank, row)
-        )
-
-    def _row(self, i: int) -> int:
-        return self.series[i].forecaster.row
+    def state(self, i: int) -> dict:
+        return self.bank.series_state_dict(self.series[i])
 
     def new(self) -> None:
-        self.series.append(self._adopt(self.bank.new_row()))
+        self.series.append(self.bank.new_row())
 
     def append_each(self, picked, batch) -> list:
         forecasts = []
         for i, value in zip(picked, batch):
-            row = self._row(i)
+            row = self.series[i]
             forecasts.append(self.bank.observe(row, value))
             self.bank.record(row, float(value), forecasts[-1])
         return forecasts
 
     def close(self, picked, batch) -> list:
         """The batched close: one bank observe, then one record per series."""
-        rows = [self._row(i) for i in picked]
+        rows = [self.series[i] for i in picked]
         forecasts = self.bank.observe_rows(rows, batch)
         self.bank.record_rows(
             np.asarray(rows, dtype=np.intp), np.asarray(batch), np.asarray(forecasts)
@@ -112,35 +108,33 @@ class World:
         return forecasts
 
     def split(self, i, ratio) -> None:
-        self.series.append(self._adopt(self.bank.split_row(self._row(i), ratio)))
+        self.series.append(self.bank.split_row(self.series[i], ratio))
 
     def fold(self, dst, src) -> None:
-        self.bank.fold_row(self._row(dst), self._row(src))
+        self.bank.fold_row(self.series[dst], self.series[src])
         self.release(src)
 
     def correct(self, i, corrected) -> None:
-        self.bank.reseed(self._row(i), corrected)
+        self.bank.reseed(self.series[i], corrected)
 
     def release(self, i) -> None:
-        """Free the row and turn its view inert, as ADA's series view does."""
-        view = self.series.pop(i)
-        self.bank.free_row(view.forecaster.row)
-        view.forecaster.detach()
+        self.bank.free_row(self.series.pop(i))
 
     def reload(self, i) -> None:
         old = self.series[i]
-        self.series[i] = self._adopt(self.bank.load_series_state(old.state_dict()))
-        self.bank.free_row(old.forecaster.row)
-        old.forecaster.detach()
+        self.series[i] = self.bank.load_series_state(self.state(i))
+        self.bank.free_row(old)
 
     def load(self, state) -> None:
-        self.series.append(self._adopt(self.bank.load_series_state(state)))
+        self.series.append(self.bank.load_series_state(state))
 
     def transport(self, how) -> None:
         self.bank, self.series = how((self.bank, self.series))
 
     def canonical(self) -> bytes:
-        return json.dumps([s.state_dict() for s in self.series], sort_keys=True).encode()
+        return json.dumps(
+            [self.state(i) for i in range(len(self.series))], sort_keys=True
+        ).encode()
 
 
 class OracleWorld:
@@ -196,19 +190,12 @@ class RowStoreMachine(RuleBasedStateMachine):
         super().__init__()
         self.row = None
         self.oracle = None
-        #: Read views taken when a series is born and never refreshed: they
-        #: must keep reading the right row through reallocation and folds.
-        self.views: list = []
 
     def both(self, method, *args):
         result = getattr(self.row, method)(*args)
         expected = getattr(self.oracle, method)(*args)
         assert result == expected
         assert self.row.canonical() == self.oracle.canonical()
-
-    def track(self) -> None:
-        born = self.row.series[-1]
-        self.views.append((born, born.actual, born.forecast))
 
     @initialize(shape=st.sampled_from(SHAPES))
     def build(self, shape):
@@ -217,7 +204,6 @@ class RowStoreMachine(RuleBasedStateMachine):
         self.oracle = OracleWorld(config, length)
         for _ in range(2):
             self.both("new")
-            self.track()
 
     def pick(self, draw: int) -> int:
         return draw % len(self.row.series)
@@ -225,7 +211,6 @@ class RowStoreMachine(RuleBasedStateMachine):
     @rule()
     def new_series(self):
         self.both("new")
-        self.track()
 
     @precondition(lambda self: self.row.series)
     @rule(mask=st.integers(min_value=1, max_value=2**12), batch=st.lists(values, min_size=12, max_size=12))
@@ -246,7 +231,6 @@ class RowStoreMachine(RuleBasedStateMachine):
     @rule(i=picks, ratio=ratios)
     def split(self, i, ratio):
         self.both("split", self.pick(i), ratio)
-        self.track()
 
     @precondition(lambda self: len(self.row.series) >= 2)
     @rule(dst=picks, src=picks)
@@ -272,7 +256,6 @@ class RowStoreMachine(RuleBasedStateMachine):
         close a few timeunits over everything, MERGE the child back."""
         donor = self.pick(i)
         self.both("split", donor, ratio)
-        self.track()
         child = len(self.row.series) - 1
         self.both("correct", child, corrected)
         everyone = list(range(child + 1))
@@ -289,25 +272,10 @@ class RowStoreMachine(RuleBasedStateMachine):
     @rule(i=picks)
     def checkpoint_round_trip(self, i):
         self.both("reload", self.pick(i))
-        born = self.row.series[self.pick(i)]
-        self.views.append((born, born.actual, born.forecast))
 
     @rule(how=st.sampled_from([copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))]))
     def transport(self, how):
         self.both("transport", how)
-        self.views = [(s, s.actual, s.forecast) for s in self.row.series]
-
-    @invariant()
-    def held_views_read_their_row(self):
-        if self.row is None:
-            return
-        live = {id(s) for s in self.row.series}
-        for series, actual, forecast in self.views:
-            if id(series) in live:
-                state = series.state_dict()
-                assert actual.tolist() == state["actual"]
-                assert forecast.tolist() == state["forecast"]
-                assert len(actual) == len(series) <= series.length
 
     @invariant()
     def slots_outside_the_live_ranges_hold_positive_zero(self):
@@ -315,8 +283,7 @@ class RowStoreMachine(RuleBasedStateMachine):
         if self.row is None:
             return
         bank = self.row.bank
-        for series in self.row.series:
-            row = series.forecaster.row
+        for row in self.row.series:
             dead = np.ones(bank._width, dtype=bool)
             ints = bank._ints[row].tolist()
             seen, alen, flen, active, hlen, wpos = ints[:6]
@@ -338,7 +305,7 @@ class RowStoreMachine(RuleBasedStateMachine):
         if self.row is None:
             return
         assert len(self.row.bank) == len(self.row.series)
-        rows = [s.forecaster.row for s in self.row.series]
+        rows = self.row.series
         assert len(set(rows)) == len(rows)
 
 
@@ -384,7 +351,7 @@ FALLING = [-1.0, 9.0, 5.0, 1.0, 2.0]
 
 def test_zero_share_has_negative_zeros():
     row = World(CONFIG, LENGTH)
-    child = row.series[_zero_share(row, FALLING)].state_dict()
+    child = row.state(_zero_share(row, FALLING))
     assert any(str(v) == "-0.0" for v in child["forecaster"]["seasonal"]["seasonals"])
     assert str(child["actual"][0]) == "-0.0"
 
@@ -481,7 +448,7 @@ def test_fold_of_active_rows_without_an_ewma_level():
     donor = World(CONFIG, LENGTH)
     donor.new()
     donor.append_each([0] * 5, FALLING)
-    with_level = donor.series[0].state_dict()
+    with_level = donor.state(0)
     without = json.loads(json.dumps(with_level))
     without["forecaster"]["ewma_level"] = None
 
@@ -503,11 +470,11 @@ def test_rows_that_do_not_fit_the_layout_behave_like_scalar_rows():
     foreign = World(ForecastConfig(season_lengths=(3,), fallback_alpha=0.5), LENGTH)
     foreign.new()
     foreign.append_each([0] * 7, [4.0, -1.0, 7.0, 2.0, 5.0, 3.0, 6.0])
-    foreign_state = foreign.series[0].state_dict()
+    foreign_state = foreign.state(0)
     long_history = World(CONFIG, LENGTH)
     long_history.new()
     long_history.append_each([0] * 3, [1.0, 2.0, 3.0])
-    long_state = long_history.series[0].state_dict()
+    long_state = long_history.state(0)
     long_state["forecaster"]["history"] = [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def scenario(world):
@@ -527,5 +494,5 @@ def test_rows_that_do_not_fit_the_layout_behave_like_scalar_rows():
     assert got == expected
     row = World(CONFIG, LENGTH)
     scenario(row)
-    assert row.series[0].forecaster.row in row.bank._obj
-    assert row.series[1].forecaster.row not in row.bank._obj
+    assert row.series[0] in row.bank._obj
+    assert row.series[1] not in row.bank._obj

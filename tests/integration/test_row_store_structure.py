@@ -3,11 +3,13 @@
 Every heavy hitter's linear state is one row of the bank's matrix; these
 tests pin what that means for an ADA run with real churn:
 
-* every ``series.actual`` / ``series.forecast`` is a read view into the bank
-  matrix — no per-series array survives;
+* every tracked series' actual / forecast window is a slice of the bank
+  matrix — no per-series array exists;
 * rows are recycled: the bank's high-water mark stays within the peak number
   of live series plus what one plan can allocate;
 * :meth:`ADAAlgorithm.memory_units` counts live elements, never capacity;
+* :meth:`ADAAlgorithm.series_state` is the checkpoint's entry for a path,
+  before and after a restore, and a copy;
 * a checkpoint written by the commit *before* the row store restores into it
   and continues to byte-identical detections and checkpoint.
 
@@ -27,8 +29,8 @@ import numpy as np
 from repro.core.ada import ADAAlgorithm
 from repro.core.adapt import FRESH, SPLIT
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.core.timeseries import FloatRing
 from repro.engine.engine import DetectionEngine
+from repro.engine.session import DetectionSession
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.batch import iter_record_batches
 from repro.testing.reference import ReferenceADA
@@ -144,27 +146,23 @@ def test_churn_run_keeps_every_series_in_the_bank_matrix():
     peak_live = 0
     views_checked = 0
     for counts in stream:
-        before = len(algo.series)
+        before = len(algo._series_ids)
         algo.process_timeunit(counts)
-        peak_live = max(peak_live, before, len(algo.series))
+        tracked = len(algo._series_ids)
+        peak_live = max(peak_live, before, tracked)
         bank = algo.bank
-        assert len(bank) == len(algo.series)
+        assert len(bank) == tracked
         live_elements = 0
-        for series in algo.series.values():
-            assert series.forecaster.bank is bank
-            assert not any(
-                isinstance(value, (np.ndarray, FloatRing)) for value in vars(series).values()
-            ), "a per-series array survived"
-            for ring in (series.actual, series.forecast):
-                assert isinstance(ring, FloatRing)
-                window = ring.values()
+        for row in algo._series_ids.values():
+            for which in (0, 1):
+                window = bank.window_values(row, which)
                 live_elements += len(window)
-                if window.base is not None:  # a wrapped ring reads as a copy
+                if window.base is not None:  # a wrapped window reads as a copy
                     assert np.shares_memory(window, bank._state)
                     views_checked += 1
         # Live elements, never capacity: rows × width would be far more.
         assert algo.memory_units() == tree.num_nodes + live_elements + algo._ref.total_len()
-        assert live_elements <= 2 * CHURN_CONFIG.window_units * len(algo.series)
+        assert live_elements <= 2 * CHURN_CONFIG.window_units * tracked
         # Rows are recycled: a plan allocates before it frees, nothing else does.
         assert bank._size <= peak_live + max(plan_allocations)
     stats = algo.adaptation_stats()
@@ -178,6 +176,48 @@ def test_churn_run_keeps_every_series_in_the_bank_matrix():
     assert algo.memory_units() == tree.num_nodes + sum(
         len(s.actual) + len(s.forecast) for s in oracle.series.values()
     ) + sum(len(values) for values in oracle.reference.values())
+
+
+
+def _assert_series_state_is_the_checkpoint_entry(algo, tree) -> None:
+    series = algo.state_dict()["series"]
+    tracked = {tuple(path) for path, _state in series}
+    assert len(tracked) > 3
+    for path, state in series:
+        assert algo.series_state(tuple(path)) == state
+    untracked = [node.path for node in tree.iter_nodes() if node.path not in tracked]
+    assert untracked
+    for path in untracked + [("nope",), ("t0", "m00", "l000", "deeper")]:
+        assert algo.series_state(path) is None
+
+
+def test_series_state_is_the_checkpoint_entry_of_its_path(tmp_path):
+    tree, stream = _churn_units()
+    session = DetectionSession(tree, CHURN_CONFIG)
+    for unit, counts in enumerate(stream):
+        session.process_timeunit_counts(counts, timeunit=unit)
+    assert session.algorithm.adaptation_stats()["split_operations"] > 50
+    _assert_series_state_is_the_checkpoint_entry(session.algorithm, tree)
+
+    session.save_checkpoint(tmp_path / "churn.json")
+    restored = DetectionSession.load_checkpoint(tmp_path / "churn.json")
+    algo = restored.algorithm
+    _assert_series_state_is_the_checkpoint_entry(algo, tree)
+    assert algo.state_dict()["series"] == session.algorithm.state_dict()["series"]
+
+    # The snapshot is built per call: writing into it changes nothing.
+    before = json.dumps(restored.state_dict(), sort_keys=True)
+    path = tuple(algo.state_dict()["series"][0][0])
+    state = algo.series_state(path)
+    state["actual"][-1] += 1.0
+    state["forecast"].clear()
+    state["forecaster"]["history"].append(5.0)
+    state["forecaster"]["seen"] = -1
+    state["length"] = 0
+    if state["forecaster"]["seasonal"] is not None:
+        state["forecaster"]["seasonal"]["seasonals"][0] += 1.0
+    assert json.dumps(restored.state_dict(), sort_keys=True) == before
+    assert algo.series_state(path) != state
 
 
 if __name__ == "__main__":
