@@ -233,7 +233,7 @@ def run_kill_smoke(workers: int, seed: int) -> None:
                     proc.wait()
 
     assert recoveries >= 1, "the kill never triggered a recovery!"
-    assert info["enabled"] and not info["recovering"]
+    assert not info["recovering"]
 
     serial = DetectionEngine()
     serial.add_session("ccd", dataset.tree, config, clock=dataset.clock)

@@ -1,43 +1,48 @@
 """Worker-side execution units shared by every shard transport.
 
 A worker process (or remote worker) holds a dictionary of
-:class:`WorkerUnit` objects — whole sessions and subtree-shard sessions —
-and executes coordinator verbs against them.  The transport layer
-(:mod:`repro.engine.transport`) only moves bytes; the verb semantics live
-here so the pipe, shared-memory and TCP transports are guaranteed to run
-the exact same code against the exact same state.
+:class:`WorkerUnit` objects — one per shard group, an unsplit session being
+a one-group unit — and executes coordinator verbs against them.  The
+transport layer (:mod:`repro.engine.transport`) only moves bytes; the verb
+semantics live here so the pipe, shared-memory and TCP transports are
+guaranteed to run the exact same code against the exact same state.
 
 Verbs
 -----
 ``add``
     ``[(key, session_state, capture_depth), ...]`` — build sessions from
-    serial-format state dicts.  ``capture_depth == 0`` hosts a whole
-    session; ``capture_depth >= 1`` hosts a depth-k subtree shard: report
-    retention is disabled (the coordinator owns the merged store) and the
-    shard's frontier band — root plus ancestors above the cut — is captured
-    per closed timeunit for coordinator-side replay.
+    serial-format state dicts (shipped with ``max_results: 0``).  Report
+    retention is disabled: the coordinator owns the merged store.
+    ``capture_depth == 0`` hosts an unsplit session; ``capture_depth >= 1``
+    hosts a depth-k subtree shard, whose frontier band — root plus
+    ancestors above the cut — is captured per closed timeunit for
+    coordinator-side replay.
 ``remove``
     ``[key, ...]`` — drop units (used by churn-driven rebalancing).
 ``ingest``
-    ``[(key, kind, payload), ...]`` — feed batches (``"whole"``) or, for a
-    subtree shard (``"sub"``), one batch of the shard's rows plus the
-    watermark segments ``(watermark, start, stop)`` that cut it: advance to
-    ``watermark``, then ingest rows ``[start, stop)`` in one call.  The
-    coordinator cuts only before a row that is late against a watermark the
-    shard has not reached, so an in-order batch is one segment (and, for a
-    shard the session moved past, a row-less trailing advance).  Batches
-    arrive as timestamps + dictionary codes; no verb reads an attribute
-    column, so the coordinator ships none.
-``flush`` / ``state`` / ``query``
-    Close pending units, export serial-format states, read introspection
-    attributes.
+    ``[(key, batch, segments), ...]`` — one batch of the unit's rows (or
+    ``None``) plus the watermark segments ``(watermark, start, stop)`` that
+    cut it: advance to ``watermark``, then ingest rows ``[start, stop)`` in
+    one call.  The coordinator cuts only before a row that is late against
+    a watermark the shard has not reached, so an in-order batch is one
+    segment (and, for a shard the session moved past, a row-less trailing
+    advance).  Batches arrive as timestamps + dictionary codes; no verb
+    reads an attribute column, so the coordinator ships none.  The reply
+    lists, per op, the results the unit closed (and a subtree shard's
+    frontier weights); an error reply carries those its ops closed before
+    the error (see :func:`handle_message`).
+``flush`` / ``state``
+    Close pending units, export serial-format states.
+``query``
+    ``(what, [key, ...])`` — read ``pending_unit``, ``memory_units``,
+    ``adaptation_stats``, ``stage_seconds`` or ``close_profile`` per unit.
 """
 
 from __future__ import annotations
 
 import pickle
 import traceback
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.results import TimeunitResult
 from repro.engine.hooks import EngineObserver
@@ -50,50 +55,65 @@ from repro.io.checkpoint import (
 )
 
 
-class FrontierCapture(EngineObserver):
-    """Records (timeunit, frontier raw weights) per closed timeunit.
+class CloseCapture(EngineObserver):
+    """Records every result a worker session closes, and for a subtree
+    shard its frontier raw weights, until the next reply drains them.
 
-    Band raw weights are additive across disjoint subtree shards; the
-    coordinator sums the per-shard tuples to replay the shared band's
-    split-rule bookkeeping and reference series (see
+    Observing the closes, rather than keeping what a call returns, leaves
+    the results of a call that raised part-way in hand too.  Band raw
+    weights are additive across disjoint subtree shards; the coordinator
+    sums the per-shard tuples to replay the shared band's split-rule
+    bookkeeping and reference series (see
     ``repro.engine.sharded._FrontierReplica``).
     """
 
-    def __init__(self) -> None:
-        self.weights: list[tuple[int, tuple[float, ...]]] = []
+    def __init__(self, frontier: bool) -> None:
+        self.results: list[TimeunitResult] = []
+        self.weights: "list[tuple[int, tuple[float, ...]]] | None" = (
+            [] if frontier else None
+        )
 
     def on_timeunit_closed(
         self, session: DetectionSession, result: TimeunitResult
     ) -> None:
-        values = getattr(session.algorithm, "last_frontier_raw", None)
-        if values is None:
-            values = (float(getattr(session.algorithm, "last_root_raw", 0.0)),)
-        self.weights.append((int(result.timeunit), tuple(values)))
+        self.results.append(result)
+        if self.weights is not None:
+            values = getattr(session.algorithm, "last_frontier_raw", None)
+            if values is None:
+                values = (float(getattr(session.algorithm, "last_root_raw", 0.0)),)
+            self.weights.append((int(result.timeunit), tuple(values)))
 
-    def drain(self) -> list[tuple[int, tuple[float, ...]]]:
-        drained, self.weights = self.weights, []
-        return drained
+    def drain(
+        self,
+    ) -> "tuple[list[TimeunitResult], list[tuple[int, tuple[float, ...]]] | None]":
+        results, self.results = self.results, []
+        weights = self.weights
+        if weights is not None:
+            self.weights = []
+        return results, weights
 
 
 class WorkerUnit:
-    """One shard unit (a whole session or one subtree group) in a worker."""
+    """One shard group (an unsplit session or one subtree group) in a worker."""
 
     def __init__(self, session: DetectionSession, capture_depth: int):
         self.session = session
-        self.capture: "FrontierCapture | None" = None
+        # The coordinator owns the merged report store, so retaining reports
+        # here would only grow worker memory forever.
+        session.retain_reports = False
         if capture_depth >= 1:
-            # Subtree shard: the coordinator owns the merged report store, so
-            # retaining reports here would only grow worker memory forever.
-            session.retain_reports = False
             band = frontier_band_paths(session.tree.leaf_paths(), capture_depth)
             capture_frontier = getattr(session.algorithm, "capture_frontier", None)
             if capture_frontier is not None:
                 capture_frontier(band)
-            self.capture = FrontierCapture()
-            session.subscribe(self.capture)
+        self.capture = CloseCapture(frontier=capture_depth >= 1)
+        session.subscribe(self.capture)
 
-    def drain(self) -> "list[tuple[int, tuple[float, ...]]] | None":
-        return self.capture.drain() if self.capture is not None else None
+
+def _drained(units: dict, keys: Iterable[Any]) -> list:
+    """``(key, results, frontier weights)`` of what each unit closed since
+    the last reply."""
+    return [(key, *units[key].capture.drain()) for key in keys if key in units]
 
 
 def worker_handle(units: dict, verb: str, ops: Any) -> Any:
@@ -109,34 +129,23 @@ def worker_handle(units: dict, verb: str, ops: Any) -> Any:
             units.pop(key, None)
         return None
     if verb == "ingest":
-        out = []
-        for key, kind, payload in ops:
-            unit = units[key]
-            closed: list[TimeunitResult] = []
-            if kind == "whole":
-                closed.extend(unit.session.ingest_record_batch(payload))
-            else:  # subtree: (batch-or-None, [(watermark, start, stop), ...])
-                columns, segments = payload
-                for watermark, start, stop in segments:
-                    closed.extend(unit.session.advance_to(watermark))
-                    if stop > start:
-                        closed.extend(
-                            unit.session.ingest_record_batch(
-                                columns.slice(start, stop)
-                            )
-                        )
-            out.append((key, closed, unit.drain()))
-        return out
+        for key, columns, segments in ops:
+            session = units[key].session
+            for watermark, start, stop in segments:
+                session.advance_to(watermark)
+                if stop > start:
+                    session.ingest_record_batch(columns.slice(start, stop))
+        return _drained(units, [key for key, _columns, _segments in ops])
     if verb == "flush":
-        return [(key, units[key].session.flush(), units[key].drain()) for key in ops]
+        for key in ops:
+            units[key].session.flush()
+        return _drained(units, ops)
     if verb == "state":
         return [(key, session_state_dict(units[key].session)) for key in ops]
     if verb == "query":
         what, keys = ops
-        if what == "anomalies":
-            return [(key, units[key].session.anomalies) for key in keys]
-        if what == "units_processed":
-            return [(key, units[key].session.units_processed) for key in keys]
+        if what == "pending_unit":
+            return [(key, units[key].session._pending_unit) for key in keys]
         if what == "memory_units":
             return [(key, units[key].session.memory_units()) for key in keys]
         if what == "adaptation_stats":
@@ -170,20 +179,27 @@ def _maybe_worker_fault(worker_id: "int | None", verb: str) -> None:
 def handle_message(
     units: dict, verb: str, ops: Any, worker_id: "int | None" = None
 ) -> tuple:
-    """Run one verb and wrap the outcome as an ``("ok"|"error", ...)`` reply."""
+    """Run one verb and wrap the outcome as an ``("ok"|"error", ...)`` reply.
+
+    An error reply's payload is ``(error, closed)``: ``error`` is the
+    ``(exception, type name, message, traceback)`` tuple
+    :func:`revive_exception` takes, and ``closed``, for an ``ingest``, the
+    reply entries of what its ops closed before the error (else ``[]``).
+    """
     try:
         _maybe_worker_fault(worker_id, verb)
         return ("ok", worker_handle(units, verb, ops))
     except BaseException as exc:  # noqa: BLE001 - forwarded to coordinator
-        return (
-            "error",
-            (
-                transportable(exc),
-                type(exc).__name__,
-                str(exc),
-                traceback.format_exc(),
-            ),
+        closed = []
+        if verb == "ingest":
+            closed = _drained(units, [key for key, _columns, _segments in ops])
+        error = (
+            transportable(exc),
+            type(exc).__name__,
+            str(exc),
+            traceback.format_exc(),
         )
+        return ("error", (error, closed))
 
 
 def transportable(exc: BaseException) -> "BaseException | None":

@@ -14,12 +14,20 @@ transport, or scheduling.
 
 How equivalence is preserved
 ----------------------------
-*Session shards.*  A whole session lives on exactly one worker and sees, in
-order, exactly the sub-stream the serial router would have fed it (batches
-are partitioned by stream key coordinator-side with the existing one-pass
-partitioner).  Same code, same inputs, same floats.
+Every session is one coordinator unit of one or more *shard groups*, each
+group a shard session on one worker.  Batches are partitioned by stream key
+coordinator-side with the existing one-pass partitioner, so a unit sees, in
+order, exactly the sub-stream the serial router would have fed the session.
+The coordinator holds each session's reports, processed-unit count and open
+timeunit; workers keep neither results nor reports.
 
-*Subtree shards.*  One session may be split into ``subtree_shards`` shard
+*Unsplit sessions* (``subtree_shards=1``, or a hierarchy with a single cut
+unit) are one-group units: the group is the whole session, shipped as is
+with no frontier band, so the mechanisms below reduce to one segment per
+batch and a merge that returns the group's result unchanged.  Same code,
+same inputs, same floats — and no constraint on the root.
+
+*Split sessions.*  One session may be split into ``subtree_shards`` shard
 sessions, each owning a disjoint group of depth-``subtree_depth`` cut units
 (depth-``k`` prefixes, plus any leaves shallower than ``k``, which are their
 own cut units).  Three mechanisms make the union of their outputs equal the
@@ -106,7 +114,11 @@ too, compounded by parallelism: the offending record still raises
 :class:`~repro.exceptions.OutOfOrderRecordError`, but records dispatched to
 other shards in the same round — and, under the streaming loop, the part of
 the next round that went out before the error reply was read — may already
-have been ingested.
+have been ingested.  An unsplit session counts and reports every timeunit
+its worker closed in those rounds (up to the error, in the failing one) and
+reads its open timeunit back from the worker, so it continues exactly like
+a serial session fed what its worker ingested; a split session's groups may
+have diverged and it does not.
 """
 
 from __future__ import annotations
@@ -114,7 +126,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from collections import deque
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -365,35 +377,22 @@ class _FrontierReplica:
         return withheld
 
 
-class _WholeUnit:
-    """Coordinator record of a session sharded at session granularity."""
+class _SessionUnit:
+    """Coordinator record and merge state of one sharded session.
 
-    kind = "whole"
-
-    def __init__(self, name: str, worker: int, state: dict[str, Any]):
-        self.name = name
-        self.worker = worker
-        self.key = ("w", name)
-        self.state: "dict[str, Any] | None" = state  # dropped once shipped
-        self.handle = ShardedSessionHandle(
-            name, _config_of(state), int(state["warmup_units"])
-        )
-        self.handle.units_processed = int(state["units_processed"])
-        self.handle.warmup_announced = bool(state["warmup_announced"])
-        #: Times this unit's worker was respawned and rebuilt after a failure.
-        self.recoveries = 0
-
-
-class _SubtreeUnit:
-    """Coordinator record and merge state of a subtree-sharded session."""
-
-    kind = "sub"
+    A split session has one shard group per entry of ``groups`` (a
+    :class:`~repro.io.checkpoint.SubtreePartition` of depth-``depth`` cut
+    units).  An unsplit session passes ``groups=None`` and ``depth=0``: its
+    one group is the whole session, with no frontier band to replay, and
+    ``base_state`` keeps no counter baselines because its worker's state
+    carries them.
+    """
 
     def __init__(
         self,
         name: str,
         base_state: dict[str, Any],
-        groups: Sequence[Sequence[Any]],
+        groups: "Sequence[Sequence[Any]] | None",
         sub_states: Sequence[dict[str, Any]],
         workers: Sequence[int],
         withheld: Mapping[str, Any],
@@ -401,6 +400,9 @@ class _SubtreeUnit:
     ):
         self.name = name
         self.depth = int(depth)
+        self.partition = (
+            None if groups is None else SubtreePartition(groups, self.depth)
+        )
         # Only the identity fields and pre-split counter baselines that
         # merge_session_states reads are retained; pinning the full pre-split
         # state (every node series) would double the session's footprint.
@@ -416,19 +418,16 @@ class _SubtreeUnit:
             "algorithm_state": {
                 key: base_algo[key]
                 for key in ("stage_seconds", "split_operations", "merge_operations")
-                if key in base_algo
+                if key in base_algo and self.partition is not None
             },
         }
-        self.partition = SubtreePartition(groups, self.depth)
         self.workers = list(workers)
-        self.keys = [("s", name, gid) for gid in range(self.partition.num_groups)]
+        self.keys = [("s", name, gid) for gid in range(len(self.workers))]
         self.sub_states: "list[dict[str, Any]] | None" = list(sub_states)
         leaves = [tuple(path) for path in base_state["tree"]["leaves"]]
-        leaves_by_gid: list[list[tuple]] = [
-            [] for _ in range(self.partition.num_groups)
-        ]
+        leaves_by_gid: list[list[tuple]] = [[] for _ in self.workers]
         for leaf in leaves:
-            leaves_by_gid[self.partition.route(leaf)].append(leaf)
+            leaves_by_gid[self.route(leaf)].append(leaf)
         #: Per-group frontier band, exactly as each shard worker derives it
         #: from its own leaf set — the order of the weight tuples on the wire.
         self.band_paths_by_gid = [
@@ -454,7 +453,7 @@ class _SubtreeUnit:
             else int(base_state["pending_unit"])
         )
         self.frontier: "_FrontierReplica | None" = None
-        if str(base_state["algorithm"]) == "ada":
+        if str(base_state["algorithm"]) == "ada" and self.band_paths:
             self.frontier = _FrontierReplica(
                 base_state["config"], self.band_paths, withheld
             )
@@ -469,25 +468,26 @@ class _SubtreeUnit:
 
     @property
     def num_groups(self) -> int:
-        return self.partition.num_groups
+        return len(self.workers)
+
+    def route(self, path: Sequence[str]) -> int:
+        """Shard group of ``path``; root and out-of-tree paths go to group 0."""
+        if self.partition is None:
+            return 0
+        return self.partition.route(path) or 0
 
     def route_table(self, dictionary: Sequence[tuple]):
-        """Shard group per dictionary code (root and out-of-tree paths go to
-        group 0), computed once per dictionary object: a columnar file
-        shares one dictionary across all of its batches."""
+        """Shard group per dictionary code, computed once per dictionary
+        object: a columnar file shares one dictionary across all of its
+        batches."""
         cached = self._route_table
         if cached is not None and cached[0] is dictionary:
             return cached[1]
-        route = self.partition.route
         table = np.asarray(
-            [route(category) or 0 for category in dictionary], dtype=np.intp
+            [self.route(category) for category in dictionary], dtype=np.intp
         )
         self._route_table = (dictionary, table)
         return table
-
-    @property
-    def groups(self) -> list[list[tuple]]:
-        return self.partition.groups
 
 
 class _Round:
@@ -508,9 +508,10 @@ class _Round:
         self.ops = ops
         #: Workers the command went to whose reply has not been read yet.
         self.awaiting: set[int] = set()
-        #: worker id -> payload of its ``"ok"`` reply.
+        #: worker id -> payload of its ``"ok"`` reply (of an ``"error"``
+        #: reply: what the worker closed before the error).
         self.replies: dict[int, Any] = {}
-        #: Payload of the first ``"error"`` reply (lowest worker id).
+        #: Error of the first ``"error"`` reply (lowest worker id).
         self.failure: "tuple | None" = None
         #: Position in a ``process_batches`` stream (None outside one).
         self.index = index
@@ -575,7 +576,7 @@ class ShardedDetectionEngine:
     ----------
     num_workers:
         Number of worker processes.  Defaults to ``os.cpu_count()``.  Shard
-        units (whole sessions and subtree groups) are assigned round-robin in
+        groups (an unsplit session is one group) are assigned round-robin in
         registration order, so the layout is deterministic.
     stream_key / unknown_stream:
         Routing exactly as in :class:`~repro.engine.engine.DetectionEngine`;
@@ -592,23 +593,21 @@ class ShardedDetectionEngine:
         a :class:`~repro.engine.transport.tcp.TcpTransport` in external mode
         for remote workers).  Results are transport-independent; see
         :mod:`repro.engine.transport`.
-    supervision / op_timeout / replay_buffer_ops / max_recovery_attempts:
-        With ``supervision=True`` (the default) every ship/collect runs
-        through a :class:`~repro.engine.supervisor.ShardSupervisor` with a
+    op_timeout / replay_buffer_ops / max_recovery_attempts:
+        Every ship/collect runs through a
+        :class:`~repro.engine.supervisor.ShardSupervisor` with a
         per-operation deadline of ``op_timeout`` seconds, and the
-        coordinator keeps what exact recovery needs: a per-unit state
+        coordinator keeps what exact recovery needs: a per-group state
         snapshot plus a bounded per-worker op log (at most
         ``replay_buffer_ops`` mutating rounds; beyond that the snapshot is
         refreshed from the worker and the log cleared).  When a worker
         dies, stalls past its deadline, or its channel breaks, the
-        coordinator respawns it, restores its shard units from the
+        coordinator respawns it, restores its shard groups from the
         snapshots and replays the log — up to ``max_recovery_attempts``
         times — so a recovered run is bit-identical to an uninterrupted
-        one.  Snapshots and the log cost memory proportional to the session
-        states plus the buffered batches; ``supervision=False`` restores
-        the fail-fast behaviour (a dead worker raises
-        :class:`~repro.exceptions.WorkerFailureError` and the engine state
-        is unrecoverable).
+        one; past that it raises :class:`~repro.exceptions.ShardingError`.
+        Snapshots and the log cost memory proportional to the session
+        states plus the buffered batches.
     fault_plan:
         Optional :class:`repro.testing.faults.FaultPlan` injected at the
         supervisor seam (tests); defaults to the process-wide active plan.
@@ -627,7 +626,6 @@ class ShardedDetectionEngine:
         start_method: "str | None" = None,
         transport: "str | ShardTransport" = "pipe",
         transport_options: "Mapping[str, Any] | None" = None,
-        supervision: bool = True,
         op_timeout: float = 60.0,
         replay_buffer_ops: int = 64,
         max_recovery_attempts: int = 2,
@@ -661,15 +659,10 @@ class ShardedDetectionEngine:
             raise ConfigurationError(
                 f"max_recovery_attempts must be >= 1, got {max_recovery_attempts}"
             )
-        self.supervision = bool(supervision)
         self.op_timeout = float(op_timeout)
         self.replay_buffer_ops = int(replay_buffer_ops)
         self.max_recovery_attempts = int(max_recovery_attempts)
-        self._supervisor: "ShardSupervisor | None" = (
-            ShardSupervisor(self._transport, self.op_timeout, fault_plan)
-            if self.supervision
-            else None
-        )
+        self._supervisor = ShardSupervisor(self._transport, self.op_timeout, fault_plan)
         #: key -> serial-format state at that worker's op-log start.
         self._snapshots: dict[Any, dict[str, Any]] = {}
         #: worker -> [(verb, ops)] mutating rounds since the last snapshot.
@@ -678,7 +671,7 @@ class ShardedDetectionEngine:
         self._replayed_batches_total = 0
         self._recovering_depth = 0
         self._last_recovery_unix: "float | None" = None
-        self._units: dict[str, "_WholeUnit | _SubtreeUnit"] = {}
+        self._units: dict[str, _SessionUnit] = {}
         self._observers: list[EngineObserver] = []
         self._started = False
         self._next_worker = 0
@@ -769,7 +762,6 @@ class ShardedDetectionEngine:
             raise ConfigurationError(
                 f"subtree_depth must be >= 1, got {subtree_depth}"
             )
-        unit: "_WholeUnit | _SubtreeUnit"
         groups = (
             plan_subtree_groups(
                 state["tree"]["leaves"], subtree_shards, subtree_depth
@@ -785,12 +777,16 @@ class ShardedDetectionEngine:
             except CheckpointError as exc:
                 raise ConfigurationError(str(exc)) from exc
             workers = [self._assign_worker() for _ in groups]
-            unit = _SubtreeUnit(
+            unit = _SessionUnit(
                 name, state, groups, sub_states, workers, withheld,
                 depth=subtree_depth,
             )
         else:
-            unit = _WholeUnit(name, self._assign_worker(), state)
+            # Workers keep no results or reports: the coordinator holds them.
+            shipped = dict(state, max_results=0, reports=[])
+            unit = _SessionUnit(
+                name, state, None, [shipped], [self._assign_worker()], {}, depth=0
+            )
         self._units[name] = unit
         if self._started:
             self._ship_unit(unit)
@@ -841,44 +837,25 @@ class ShardedDetectionEngine:
         for unit in self._units.values():
             self._ship_unit(unit)
 
-    def _ship_unit(self, unit: "_WholeUnit | _SubtreeUnit") -> None:
-        # Under supervision the shipped states are retained as recovery
-        # snapshots: a respawned worker is rebuilt from them plus the
-        # bounded op log.  "add" rounds are deliberately *not* logged — the
-        # snapshot taken here plays that role during replay.
-        if unit.kind == "whole":
-            assert unit.state is not None
-            if self._supervisor is not None:
-                self._snapshots[unit.key] = unit.state
-            self._roundtrip({unit.worker: [(unit.key, unit.state, 0)]}, "add")
-            unit.state = None  # the worker owns the live state from here on
-        else:
-            assert unit.sub_states is not None
-            ops: dict[int, list] = {}
-            for gid, worker in enumerate(unit.workers):
-                if self._supervisor is not None:
-                    self._snapshots[unit.keys[gid]] = unit.sub_states[gid]
-                ops.setdefault(worker, []).append(
-                    (unit.keys[gid], unit.sub_states[gid], unit.depth)
-                )
-            self._roundtrip(ops, "add")
-            unit.sub_states = None
+    def _ship_unit(self, unit: _SessionUnit) -> None:
+        # The shipped states are retained as recovery snapshots: a respawned
+        # worker is rebuilt from them plus the bounded op log.  "add" rounds
+        # are deliberately *not* logged — the snapshot taken here plays that
+        # role during replay.
+        assert unit.sub_states is not None
+        ops: dict[int, list] = {}
+        for gid, worker in enumerate(unit.workers):
+            self._snapshots[unit.keys[gid]] = unit.sub_states[gid]
+            ops.setdefault(worker, []).append(
+                (unit.keys[gid], unit.sub_states[gid], unit.depth)
+            )
+        self._roundtrip(ops, "add")
+        unit.sub_states = None  # the workers own the live states from here on
 
     #: Verbs whose rounds must be replayed to rebuild a worker exactly.
     #: ("add" is covered by snapshots; "remove" only occurs inside
     #: rebalancing, which refreshes the involved workers around it.)
     _LOGGED_VERBS = frozenset({"ingest", "flush"})
-
-    def _ship(self, worker_id: int, verb: str, ops: Any) -> None:
-        if self._supervisor is not None:
-            self._supervisor.ship(worker_id, verb, ops)
-        else:
-            self._transport.ship(worker_id, verb, ops)
-
-    def _collect_reply(self, worker_id: int) -> tuple:
-        if self._supervisor is not None:
-            return self._supervisor.collect(worker_id)
-        return self._transport.collect(worker_id)
 
     def _roundtrip(self, ops_by_worker: Mapping[int, Any], verb: str) -> dict[int, Any]:
         """Send one message per involved worker; collect replies determinately."""
@@ -890,8 +867,19 @@ class ShardedDetectionEngine:
         self._exchange(None, round_)
         self._exchange(round_, None)
         if round_.failure is not None:
-            raise revive_exception(*round_.failure)
+            self._raise_failure(round_)
         return round_.replies
+
+    def _ops_by_worker(
+        self, units: "Iterable[_SessionUnit] | None" = None
+    ) -> dict[int, list]:
+        """The keys of every shard group of ``units`` (default: all), by
+        hosting worker."""
+        ops: dict[int, list] = {}
+        for unit in self._units.values() if units is None else units:
+            for gid, worker in enumerate(unit.workers):
+                ops.setdefault(worker, []).append(unit.keys[gid])
+        return ops
 
     def _check_idle(self, what: str) -> None:
         """Refuse a round trip while a streamed round is on the workers.
@@ -917,12 +905,12 @@ class ShardedDetectionEngine:
         There is no barrier between workers — one that has answered is
         computing again while its peers are still on the previous round —
         and a channel never holds two commands: a worker's next command
-        goes out only once its previous reply has been read.  Under
-        supervision a :class:`~repro.exceptions.WorkerFailureError` on
-        either leg triggers in-place recovery (respawn + snapshot restore +
-        op-log replay + re-ship of that worker's in-flight command), so
-        both rounds complete with exactly the replies an uninterrupted run
-        would have produced.  Once a worker has reported an error for
+        goes out only once its previous reply has been read.  A
+        :class:`~repro.exceptions.WorkerFailureError` on either leg triggers
+        in-place recovery (respawn + snapshot restore + op-log replay +
+        re-ship of that worker's in-flight command), so both rounds
+        complete with exactly the replies an uninterrupted run would have
+        produced.  Once a worker has reported an error for
         ``collecting`` nothing more of ``shipping`` is sent; the error is
         left in ``collecting.failure`` for the caller to raise.
         """
@@ -938,28 +926,30 @@ class ShardedDetectionEngine:
 
     def _ship_round(self, round_: _Round, worker_id: int) -> None:
         try:
-            self._ship(worker_id, round_.verb, round_.ops[worker_id])
+            self._supervisor.ship(worker_id, round_.verb, round_.ops[worker_id])
         except WorkerFailureError as exc:
             self._recover_worker(worker_id, exc)
-            self._ship(worker_id, round_.verb, round_.ops[worker_id])
+            self._supervisor.ship(worker_id, round_.verb, round_.ops[worker_id])
         round_.awaiting.add(worker_id)
 
     def _collect_round(self, round_: _Round, worker_id: int) -> None:
         try:
-            status, payload = self._collect_reply(worker_id)
+            status, payload = self._supervisor.collect(worker_id)
         except WorkerFailureError as exc:
             self._recover_worker(worker_id, exc)
             # The rebuilt worker never saw the in-flight round: re-ship
             # it and take the reply an uninterrupted run would have had.
-            self._ship(worker_id, round_.verb, round_.ops[worker_id])
-            status, payload = self._collect_reply(worker_id)
+            self._supervisor.ship(worker_id, round_.verb, round_.ops[worker_id])
+            status, payload = self._supervisor.collect(worker_id)
         round_.awaiting.discard(worker_id)
         if status == "error":
+            error, closed = payload
             if round_.failure is None:
-                round_.failure = payload
+                round_.failure = error
+            round_.replies[worker_id] = closed
         elif status == "ok":
             round_.replies[worker_id] = payload
-            if self._supervisor is not None and round_.verb in self._LOGGED_VERBS:
+            if round_.verb in self._LOGGED_VERBS:
                 log = self._oplog.setdefault(worker_id, [])
                 log.append((round_.verb, round_.ops[worker_id]))
                 if len(log) > self.replay_buffer_ops:
@@ -969,16 +959,13 @@ class ShardedDetectionEngine:
     # Worker recovery
     # ------------------------------------------------------------------
     def _keys_on_worker(self, worker_id: int) -> list[tuple[Any, int]]:
-        """``(key, capture_depth)`` of every shard unit hosted by a worker."""
-        out: list[tuple[Any, int]] = []
-        for unit in self._units.values():
-            if unit.kind == "whole":
-                if unit.worker == worker_id:
-                    out.append((unit.key, 0))
-            else:
-                for gid, worker in enumerate(unit.workers):
-                    if worker == worker_id:
-                        out.append((unit.keys[gid], unit.depth))
+        """``(key, capture_depth)`` of every shard group hosted by a worker."""
+        out = [
+            (unit.keys[gid], unit.depth)
+            for unit in self._units.values()
+            for gid, worker in enumerate(unit.workers)
+            if worker == worker_id
+        ]
         out.sort(key=lambda item: item[0])
         return out
 
@@ -1005,8 +992,6 @@ class ShardedDetectionEngine:
 
     def _recover_worker(self, worker_id: int, cause: WorkerFailureError) -> None:
         """Respawn ``worker_id`` and rebuild it bit-identically, or raise."""
-        if self._supervisor is None:
-            raise cause
         last_error: BaseException = cause
         self._recovering_depth += 1
         try:
@@ -1019,12 +1004,7 @@ class ShardedDetectionEngine:
                 self._recoveries_total += 1
                 self._last_recovery_unix = time.time()
                 for unit in self._units.values():
-                    hosted = (
-                        unit.worker == worker_id
-                        if unit.kind == "whole"
-                        else worker_id in unit.workers
-                    )
-                    if hosted:
+                    if worker_id in unit.workers:
                         unit.recoveries += 1
                 return
         finally:
@@ -1035,7 +1015,6 @@ class ShardedDetectionEngine:
         ) from last_error
 
     def _attempt_recovery(self, worker_id: int) -> None:
-        assert self._supervisor is not None
         self._supervisor.respawn(worker_id, self.start_method)
         add_ops: list[tuple[Any, dict[str, Any], int]] = []
         for key, depth in self._keys_on_worker(worker_id):
@@ -1154,29 +1133,68 @@ class ShardedDetectionEngine:
         if not routed:
             return None
         ops: dict[int, list] = {}
-        emit_bound: dict[str, int] = {}
-        for name, part in routed:
-            unit = self._units[name]
-            if unit.kind == "whole":
-                ops.setdefault(unit.worker, []).append(
-                    (unit.key, "whole", _worker_columns(part))
-                )
-            else:
-                emit_bound[name] = self._dispatch_subtree(unit, part, ops)
+        emit_bound = {
+            name: self._dispatch_subtree(self._units[name], part, ops)
+            for name, part in routed
+        }
         return _Round("ingest", ops, index, emit_bound)
 
     def _merge_round(
         self, round_: _Round, closed: dict[str, list[TimeunitResult]]
     ) -> None:
         """Fold a collected ingest round into ``closed`` and emit what it
-        completed; observers fire here."""
-        for unit, results in self._collect(round_.replies, closed):
-            self._observe_whole(unit, results)
+        completed, session by session in routing order; observers fire
+        here."""
+        self._collect(round_.replies)
         for name, bound in round_.emit_bound.items():
             closed[name].extend(self._emit_ready(self._units[name], upto=bound))
 
+    def _raise_failure(
+        self, round_: _Round, dropped: "_Round | None" = None
+    ) -> NoReturn:
+        """Raise the first worker error of a collected round.
+
+        The round, and the streamed round ``dropped`` that went out behind
+        it, are not merged, but an unsplit session's worker has still closed
+        the timeunits their replies carry (a failed op's up to the error), as
+        a serial session would have: they are counted and reported, without
+        observer events, and the session is re-anchored.  Split sessions
+        keep the caveat in the module docstring.
+        """
+        if round_.verb == "ingest":
+            rounds = [round_] if dropped is None else [round_, dropped]
+            for done in rounds:
+                for worker_id in sorted(done.replies):
+                    for key, results, _weights in done.replies[worker_id]:
+                        unit = self._units[key[1]]
+                        if unit.partition is None:
+                            unit.handle.units_processed += len(results)
+                            for result in results:
+                                unit.reports.add_many(result.anomalies)
+            self._reanchor(rounds)
+        raise revive_exception(*round_.failure)
+
+    def _reanchor(self, rounds: Sequence[_Round]) -> None:
+        """Read back from its worker the open timeunit of every unsplit
+        session that preparing ``rounds`` moved on.
+
+        ``carried`` advances when a round is prepared; after a failed round
+        the worker may have stopped at the error or never seen the batch.
+        With its watermark read back, the session continues exactly like
+        the serial one.
+        """
+        touched = {
+            name: self._units[name]
+            for done in rounds
+            for name in done.emit_bound
+            if self._units[name].partition is None
+        }
+        pending = self._query("pending_unit", touched.values())
+        for unit in touched.values():
+            unit.carried = pending[unit.keys[0]]
+
     def _dispatch_subtree(
-        self, unit: _SubtreeUnit, part: RecordBatch, ops: dict[int, list]
+        self, unit: _SessionUnit, part: RecordBatch, ops: dict[int, list]
     ) -> int:
         """Segment one session sub-batch by watermark and queue per-group ops.
 
@@ -1186,7 +1204,9 @@ class ShardedDetectionEngine:
         (:func:`_worker_columns`) — and its segments ship as row ranges of
         that one gather.  :func:`_segment_cuts` says where they start: an
         in-order batch is one segment per group, plus a row-less trailing
-        advance for a group the session watermark left behind.
+        advance for a group the session watermark left behind.  An unsplit
+        session's one group takes the whole part, never cut: its progress
+        is the session watermark.
 
         Returns the new session watermark (timeunits strictly below it are
         complete across every group after this round).
@@ -1195,16 +1215,20 @@ class ShardedDetectionEngine:
         units_col = part.timeunit_indices(unit.clock)
         fresh = unit.carried is None
         anchor = int(units_col[0]) if fresh else unit.carried
-        table = unit.route_table(part.code_dictionary)
         running_max = np.maximum.accumulate(units_col)
-        w_before = np.concatenate(([anchor], np.maximum(running_max[:-1], anchor)))
         new_carried = max(int(running_max[-1]), anchor)
-        gids = table[part.category_codes]
+        gids = None
+        if unit.num_groups > 1:
+            w_before = np.concatenate(([anchor], np.maximum(running_max[:-1], anchor)))
+            gids = unit.route_table(part.code_dictionary)[part.category_codes]
 
         for gid in range(unit.num_groups):
-            rows = np.flatnonzero(gids == gid)
-            count = len(rows)
-            cuts, progress = _segment_cuts(w_before, units_col, rows, anchor)
+            if gids is None:
+                rows, count, cuts, progress = None, len(part), [], new_carried
+            else:
+                rows = np.flatnonzero(gids == gid)
+                count = len(rows)
+                cuts, progress = _segment_cuts(w_before, units_col, rows, anchor)
             # (watermark, start, stop): advance to the watermark, then ingest
             # rows [start, stop) of the group's batch.
             segments: list[tuple[int, int, int]] = []
@@ -1221,63 +1245,42 @@ class ShardedDetectionEngine:
                 if count:
                     group = part if count == len(part) else part.take(rows)
                 ops.setdefault(unit.workers[gid], []).append(
-                    (unit.keys[gid], "sub", (group, segments))
+                    (unit.keys[gid], group, segments)
                 )
         unit.carried = new_carried
         return new_carried
 
-    def _collect(
-        self,
-        replies: Mapping[int, Any],
-        closed: dict[str, list[TimeunitResult]],
-    ) -> "list[tuple[_WholeUnit, list[TimeunitResult]]]":
-        """Fold worker ingest/flush replies into result lists and buffers.
+    def _collect(self, replies: Mapping[int, Any]) -> None:
+        """Fold worker ingest/flush replies into the units' merge buffers.
 
         No hook fires here — an observer that raises must not leave a round
-        half folded; the whole-session results are returned, in reply
-        order, for :meth:`_observe_whole`.
+        half folded; :meth:`_emit_ready` merges and emits.
         """
-        whole: list[tuple[_WholeUnit, list[TimeunitResult]]] = []
         for worker_id in sorted(replies):
             for key, results, frontier_weights in replies[worker_id]:
-                if key[0] == "w":
-                    name = key[1]
-                    closed[name].extend(results)
-                    whole.append((self._units[name], results))
-                else:
-                    _, name, gid = key
-                    unit = self._units[name]
-                    assert isinstance(unit, _SubtreeUnit)
-                    if frontier_weights is None or len(frontier_weights) != len(
-                        results
-                    ):
+                _, name, gid = key
+                unit = self._units[name]
+                if frontier_weights is None:  # an unsplit session: no band
+                    frontier_weights = [(None, ())] * len(results)
+                if len(frontier_weights) != len(results):
+                    raise ShardingError(
+                        f"internal: shard {key!r} returned {len(results)} "
+                        f"results but {len(frontier_weights)} frontier "
+                        f"weight records"
+                    )
+                expected = len(unit.band_paths_by_gid[gid])
+                for result, (_timeunit, values) in zip(results, frontier_weights):
+                    if len(values) != expected:
                         raise ShardingError(
-                            f"internal: shard {key!r} returned {len(results)} "
-                            f"results but "
-                            f"{0 if frontier_weights is None else len(frontier_weights)} "
-                            f"frontier weight records"
+                            f"internal: shard {key!r} reported "
+                            f"{len(values)} frontier weights for its "
+                            f"{expected}-node band"
                         )
-                    expected = len(unit.band_paths_by_gid[gid])
-                    for result, (timeunit, values) in zip(results, frontier_weights):
-                        if len(values) != expected:
-                            raise ShardingError(
-                                f"internal: shard {key!r} reported "
-                                f"{len(values)} frontier weights for its "
-                                f"{expected}-node band"
-                            )
-                        slot = unit.buffer.setdefault(int(result.timeunit), {})
-                        slot[gid] = (result, values)
-        return whole
-
-    def _observe_whole(
-        self, unit: _WholeUnit, results: Sequence[TimeunitResult]
-    ) -> None:
-        for result in results:
-            unit.handle.units_processed += 1
-            notify_close(self._observers, unit.handle, result)
+                    slot = unit.buffer.setdefault(int(result.timeunit), {})
+                    slot[gid] = (result, values)
 
     def _emit_ready(
-        self, unit: _SubtreeUnit, upto: "int | None"
+        self, unit: _SessionUnit, upto: "int | None"
     ) -> list[TimeunitResult]:
         """Merge and emit buffered timeunits strictly below ``upto`` (all
         when ``upto`` is None), in timeunit order."""
@@ -1317,8 +1320,10 @@ class ShardedDetectionEngine:
         Shards own disjoint subtrees and nothing above the cut qualifies as
         heavy, so their heavy sets are disjoint: the merge concatenates the
         shards' lex-ordered columns, and sorts them only when the groups'
-        paths interleave.
+        paths interleave.  An unsplit session's one part is its result.
         """
+        if len(parts) == 1:
+            return parts[0]
         columns = [part.columns() for part in parts]
         paths = [path for heavy, _actual, _forecast in columns for path in heavy]
         actual = np.concatenate([column[1] for column in columns])
@@ -1406,7 +1411,7 @@ class ShardedDetectionEngine:
                         # Read (and drop) what already went out, so that no
                         # later call finds a stale reply on a channel.
                         self._exchange(following, None)
-                    raise revive_exception(*landed.failure)
+                    self._raise_failure(landed, following)
                 self._streaming = following
                 if landed is not None:
                     self._merge_round(landed, closed)
@@ -1415,14 +1420,17 @@ class ShardedDetectionEngine:
                 if following is None:
                     break
         except BaseException:
-            if self._streaming is not None:
+            in_flight, self._streaming = self._streaming, None
+            if in_flight is not None:
                 # The merge of the previous round failed (an observer
                 # raised) with this one on the workers: read its replies so
                 # the channels are idle and fold them, so the next call
-                # emits the subtree timeunits they closed, but hand nothing
+                # emits the timeunits they closed, but hand nothing
                 # more to hooks that have just raised.
-                self._exchange(self._streaming, None)
-                self._collect(self._streaming.replies, closed)
+                self._exchange(in_flight, None)
+                self._collect(in_flight.replies)
+                if in_flight.failure is not None:
+                    self._reanchor([in_flight])
             raise
         finally:
             self._streaming = None
@@ -1434,22 +1442,13 @@ class ShardedDetectionEngine:
         """Close the accumulating timeunit of every session."""
         self._ensure_started()
         closed: dict[str, list[TimeunitResult]] = {name: [] for name in self._units}
-        ops: dict[int, list] = {}
-        for unit in self._units.values():
-            if unit.kind == "whole":
-                ops.setdefault(unit.worker, []).append(unit.key)
-            else:
-                for gid, worker in enumerate(unit.workers):
-                    ops.setdefault(worker, []).append(unit.keys[gid])
+        ops = self._ops_by_worker()
         if not ops:
             return closed
-        replies = self._roundtrip(ops, "flush")
-        for unit, results in self._collect(replies, closed):
-            self._observe_whole(unit, results)
+        self._collect(self._roundtrip(ops, "flush"))
         for name, unit in self._units.items():
-            if unit.kind == "sub":
-                closed[name].extend(self._emit_ready(unit, upto=None))
-                unit.carried = None
+            closed[name].extend(self._emit_ready(unit, upto=None))
+            unit.carried = None
         return closed
 
     # ------------------------------------------------------------------
@@ -1480,7 +1479,7 @@ class ShardedDetectionEngine:
                 f"no session named {name!r}; registered sessions: "
                 f"{sorted(self._units)}"
             ) from None
-        if unit.kind != "sub":
+        if unit.partition is None:
             raise ShardingError(
                 f"session {name!r} is not subtree-sharded; nothing to rebalance"
             )
@@ -1491,16 +1490,7 @@ class ShardedDetectionEngine:
                 f"session {name!r} has timeunits mid-merge; rebalance at a "
                 f"batch boundary"
             )
-        ops: dict[int, list] = {}
-        for gid, worker in enumerate(unit.workers):
-            ops.setdefault(worker, []).append(unit.keys[gid])
-        replies = self._roundtrip(
-            {worker: ("adaptation_stats", keys) for worker, keys in ops.items()},
-            "query",
-        )
-        per_key: dict[Any, Any] = {}
-        for worker_id in sorted(replies):
-            per_key.update(dict(replies[worker_id]))
+        per_key = self._query("adaptation_stats", [unit])
         churn = [
             int((per_key.get(key) or {}).get("split_operations", 0))
             + int((per_key.get(key) or {}).get("merge_operations", 0))
@@ -1527,12 +1517,11 @@ class ShardedDetectionEngine:
             return report
         moved = max(unit.partition.groups[donor])
         merged = self.merged_session_state(name)
-        if self._supervisor is not None:
-            # Re-anchor recovery baselines before mutating the layout: the
-            # old op logs reference the pre-rebalance shard sessions and
-            # must never be replayed onto the re-split ones.
-            for worker_id in sorted(set(unit.workers)):
-                self._refresh_worker(worker_id)
+        # Re-anchor recovery baselines before mutating the layout: the old
+        # op logs reference the pre-rebalance shard sessions and must never
+        # be replayed onto the re-split ones.
+        for worker_id in sorted(set(unit.workers)):
+            self._refresh_worker(worker_id)
         new_groups = [list(group) for group in unit.partition.groups]
         new_groups[donor].remove(moved)
         new_groups[receiver].append(moved)
@@ -1545,11 +1534,8 @@ class ShardedDetectionEngine:
             raise ShardingError(
                 f"rebalance of session {name!r} failed to re-split: {exc}"
             ) from exc
-        remove_ops: dict[int, list] = {}
-        for gid, worker in enumerate(unit.workers):
-            remove_ops.setdefault(worker, []).append(unit.keys[gid])
-        self._roundtrip(remove_ops, "remove")
-        new_unit = _SubtreeUnit(
+        self._roundtrip(self._ops_by_worker([unit]), "remove")
+        new_unit = _SessionUnit(
             name, merged, new_groups, sub_states, unit.workers, withheld,
             depth=unit.depth,
         )
@@ -1571,21 +1557,12 @@ class ShardedDetectionEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _query(self, what: str, include_sub: bool = True) -> dict[Any, Any]:
-        """Fetch a per-unit attribute from the workers.
-
-        ``include_sub=False`` restricts the round trip to whole-session units
-        — the coordinator already holds the merged answer for subtree shards,
-        so shipping their (potentially large) values over the pipe would be
-        pure waste.
-        """
-        ops: dict[int, list] = {}
-        for unit in self._units.values():
-            if unit.kind == "whole":
-                ops.setdefault(unit.worker, []).append(unit.key)
-            elif include_sub:
-                for gid, worker in enumerate(unit.workers):
-                    ops.setdefault(worker, []).append(unit.keys[gid])
+    def _query(
+        self, what: str, units: "Iterable[_SessionUnit] | None" = None
+    ) -> dict[Any, Any]:
+        """Fetch a per-group attribute of ``units`` (default: all) from the
+        workers, by key."""
+        ops = self._ops_by_worker(units)
         if not ops:
             return {}
         self._ensure_started()
@@ -1600,25 +1577,13 @@ class ShardedDetectionEngine:
     def anomalies(self) -> dict[str, list[Anomaly]]:
         """All reported anomalies, grouped by session name."""
         self._ensure_started()
-        per_key = self._query("anomalies", include_sub=False)
-        out: dict[str, list[Anomaly]] = {}
-        for name, unit in self._units.items():
-            if unit.kind == "whole":
-                out[name] = per_key[unit.key]
-            else:
-                out[name] = unit.reports.query()
-        return out
+        return {name: unit.reports.query() for name, unit in self._units.items()}
 
     def units_processed(self) -> dict[str, int]:
         self._ensure_started()
-        per_key = self._query("units_processed", include_sub=False)
-        out: dict[str, int] = {}
-        for name, unit in self._units.items():
-            if unit.kind == "whole":
-                out[name] = per_key[unit.key]
-            else:
-                out[name] = unit.handle.units_processed
-        return out
+        return {
+            name: unit.handle.units_processed for name, unit in self._units.items()
+        }
 
     def memory_units(self) -> int:
         """Total memory cost proxy across all shard sessions."""
@@ -1630,24 +1595,18 @@ class ShardedDetectionEngine:
 
         Subtree shards run the same id-based adaptation core as a serial
         session over their sub-hierarchies; numeric counters are summed
-        across **all** shard units of a session (shared fields like the
-        adaptation mode come from the first shard).  Subtree-sharded
-        sessions additionally report ``"rebalances"`` — how many times
-        churn-driven rebalancing migrated their layout.  Sessions whose
-        algorithm has no adaptation engine report ``{}``.
+        across **all** shard groups of a session (shared fields like the
+        adaptation mode come from the first shard).  Split sessions
+        additionally report ``"rebalances"`` — how many times churn-driven
+        rebalancing migrated their layout.  Sessions whose algorithm has no
+        adaptation engine report ``{}``.
         """
         self._ensure_started()
         per_key = self._query("adaptation_stats")
         out: dict[str, dict] = {}
         for name, unit in self._units.items():
-            if unit.kind == "whole":
-                stats = dict(per_key[unit.key] or {})
-                if unit.recoveries:
-                    stats["recoveries"] = unit.recoveries
-                out[name] = stats
-                continue
             merged = _merge_numeric_dicts(per_key.get(key) for key in unit.keys)
-            if merged or unit.rebalances:
+            if unit.partition is not None and (merged or unit.rebalances):
                 merged["rebalances"] = unit.rebalances
             if unit.recoveries:
                 merged["recoveries"] = unit.recoveries
@@ -1655,14 +1614,11 @@ class ShardedDetectionEngine:
         return out
 
     def stage_seconds(self) -> dict[str, dict[str, float]]:
-        """Per-session pipeline stage timings, summed across shard units."""
+        """Per-session pipeline stage timings, summed across shard groups."""
         self._ensure_started()
         per_key = self._query("stage_seconds")
         out: dict[str, dict[str, float]] = {}
         for name, unit in self._units.items():
-            if unit.kind == "whole":
-                out[name] = per_key[unit.key]
-                continue
             merged = _merge_numeric_dicts(per_key.get(key) for key in unit.keys)
             for key, value in unit.base_state["algorithm_state"].get(
                 "stage_seconds", {}
@@ -1673,18 +1629,13 @@ class ShardedDetectionEngine:
         return out
 
     def close_profile(self) -> dict[str, dict[str, Any]]:
-        """Per-session close-path profile, merged across shard units."""
+        """Per-session close-path profile, merged across shard groups."""
         self._ensure_started()
         per_key = self._query("close_profile")
-        out: dict[str, dict[str, Any]] = {}
-        for name, unit in self._units.items():
-            if unit.kind == "whole":
-                out[name] = per_key[unit.key]
-            else:
-                out[name] = _merge_close_profiles(
-                    per_key.get(key) for key in unit.keys
-                )
-        return out
+        return {
+            name: _merge_close_profiles(per_key.get(key) for key in unit.keys)
+            for name, unit in self._units.items()
+        }
 
     def transport_stats(self) -> dict[str, Any]:
         """Cumulative transfer counters of the active transport."""
@@ -1700,10 +1651,10 @@ class ShardedDetectionEngine:
         """
         sessions: dict[str, Any] = {}
         for name, unit in self._units.items():
-            if unit.kind == "whole":
+            if unit.partition is None:
                 sessions[name] = {
                     "kind": "whole",
-                    "worker": unit.worker,
+                    "worker": unit.workers[0],
                     "recoveries": unit.recoveries,
                 }
             else:
@@ -1724,19 +1675,15 @@ class ShardedDetectionEngine:
             "rebalances": self._rebalances_total,
             "sessions": sessions,
             "supervision": {
-                "enabled": self.supervision,
                 "op_timeout": self.op_timeout,
                 "recovering": self.recovering,
                 "recoveries": self._recoveries_total,
                 "replayed_batches": self._replayed_batches_total,
                 "last_recovery_unix": self._last_recovery_unix,
+                "failures": self._supervisor.failures_total,
+                "faults_injected": self._supervisor.faults_injected,
             },
         }
-        if self._supervisor is not None:
-            info["supervision"].update(
-                failures=self._supervisor.failures_total,
-                faults_injected=self._supervisor.faults_injected,
-            )
         return info
 
     @property
@@ -1763,6 +1710,8 @@ class ShardedDetectionEngine:
         The returned state loads into a plain
         :class:`~repro.engine.session.DetectionSession` (or back into a
         sharded engine at any shard count) and continues bit-identically.
+        An unsplit session's state is its worker's, with the coordinator's
+        reports and the session's own ``max_results`` put back.
         """
         try:
             unit = self._units[name]
@@ -1773,28 +1722,25 @@ class ShardedDetectionEngine:
             ) from None
         self._ensure_started()
         self._check_idle("merged_session_state()")
-        if unit.kind == "whole":
-            ops = {unit.worker: [unit.key]}
-            replies = self._roundtrip(ops, "state")
-            return dict(replies[unit.worker])[unit.key]
         if unit.buffer:
             raise ShardingError(
                 f"session {name!r} has timeunits mid-merge; checkpoint at a "
                 f"batch boundary"
             )
-        ops = {}
-        for gid, worker in enumerate(unit.workers):
-            ops.setdefault(worker, []).append(unit.keys[gid])
-        replies = self._roundtrip(ops, "state")
-        states_by_key: dict[Any, dict[str, Any]] = {}
-        for worker_id in sorted(replies):
-            states_by_key.update(dict(replies[worker_id]))
+        replies = self._run_round(_Round("state", self._ops_by_worker([unit])))
+        states_by_key = {key: st for reply in replies.values() for key, st in reply}
         sub_states = [states_by_key[key] for key in unit.keys]
+        reports = [anomaly.to_dict() for anomaly in unit.reports]
+        if unit.partition is None:
+            state = sub_states[0]
+            state["max_results"] = unit.base_state["max_results"]
+            state["reports"] = reports
+            return state
         withheld = unit.frontier.export() if unit.frontier is not None else {}
         return merge_session_states(
             sub_states,
             unit.base_state,
-            reports=[anomaly.to_dict() for anomaly in unit.reports],
+            reports=reports,
             withheld=withheld,
             depth=unit.depth,
         )
@@ -1828,7 +1774,6 @@ class ShardedDetectionEngine:
         subtree_depth: "int | Mapping[str, int]" = 1,
         transport: "str | ShardTransport" = "pipe",
         transport_options: "Mapping[str, Any] | None" = None,
-        supervision: bool = True,
         op_timeout: float = 60.0,
         replay_buffer_ops: int = 64,
         max_recovery_attempts: int = 2,
@@ -1845,7 +1790,6 @@ class ShardedDetectionEngine:
             start_method=start_method,
             transport=transport,
             transport_options=transport_options,
-            supervision=supervision,
             op_timeout=op_timeout,
             replay_buffer_ops=replay_buffer_ops,
             max_recovery_attempts=max_recovery_attempts,
@@ -1879,7 +1823,6 @@ class ShardedDetectionEngine:
         subtree_depth: "int | Mapping[str, int]" = 1,
         transport: "str | ShardTransport" = "pipe",
         transport_options: "Mapping[str, Any] | None" = None,
-        supervision: bool = True,
         op_timeout: float = 60.0,
         replay_buffer_ops: int = 64,
         max_recovery_attempts: int = 2,
@@ -1895,7 +1838,6 @@ class ShardedDetectionEngine:
             subtree_depth=subtree_depth,
             transport=transport,
             transport_options=transport_options,
-            supervision=supervision,
             op_timeout=op_timeout,
             replay_buffer_ops=replay_buffer_ops,
             max_recovery_attempts=max_recovery_attempts,

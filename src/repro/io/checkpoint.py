@@ -645,14 +645,14 @@ def merge_session_states(
     and pre-split counter baselines come from it), ``reports`` the
     coordinator-side merged anomaly store, and ``withheld`` the
     shared-band bookkeeping returned by the split (updated by the
-    coordinator while the shards ran): path-keyed row lists, or the legacy
-    root-only scalar form.  Shard-local rows for band paths — partial by
-    construction — are dropped and replaced by the coordinator's exact
-    replica rows; path-keyed collections are therefore order-insensitive
-    (loaders key them by path).  The merged state loads into a plain
-    :class:`~repro.engine.session.DetectionSession` whose subsequent
-    detections equal an unsharded run — sharded, depth-k sharded and serial
-    checkpoints are the same format and are mutually restorable.
+    coordinator while the shards ran) as path-keyed row lists.  Shard-local
+    rows for band paths — partial by construction — are dropped and
+    replaced by the coordinator's exact replica rows; path-keyed collections
+    are therefore order-insensitive (loaders key them by path).  The merged
+    state loads into a plain :class:`~repro.engine.session.DetectionSession`
+    whose subsequent detections equal an unsharded run — sharded, depth-k
+    sharded and serial checkpoints are the same format and are mutually
+    restorable.
     """
     if not sub_states:
         raise CheckpointError("cannot merge an empty list of shard states")
@@ -706,11 +706,7 @@ def merge_session_states(
                         continue
                     merged_list.append([list(path), value])
             if withheld and field in withheld:
-                value = withheld[field]
-                if isinstance(value, list):
-                    merged_list.extend([[list(p), v] for p, v in value])
-                else:  # legacy root-only form
-                    merged_list.append([[], value])
+                merged_list.extend([[list(p), v] for p, v in withheld[field]])
             algo_state[field] = merged_list
     else:  # sta
         lengths = {len(sub["algorithm_state"]["unit_weights"]) for sub in sub_states}

@@ -156,10 +156,8 @@ class ShardedSessionAdapter:
 
     @property
     def _pending_unit(self):
-        # Coordinator-side watermark of a subtree-sharded session; whole
-        # sessions keep their pending unit worker-side and report None here.
-        unit = self._engine._units[self.name]
-        return getattr(unit, "carried", None)
+        # The coordinator's watermark: the serial session's open timeunit.
+        return self._engine._units[self.name].carried
 
     def memory_units(self) -> int:
         return self._engine.memory_units()

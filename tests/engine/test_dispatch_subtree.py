@@ -36,7 +36,7 @@ from repro.engine.shard_worker import worker_handle
 from repro.engine.sharded import (
     ShardedDetectionEngine,
     _merge_close_profiles,
-    _SubtreeUnit,
+    _SessionUnit,
     plan_subtree_groups,
 )
 from repro.engine.session import DetectionSession
@@ -110,7 +110,7 @@ def oracle_dispatch(partition, num_groups, clock, carried, batch):
     return out, new_carried
 
 
-def oracle_ops(unit: _SubtreeUnit, batch: RecordBatch, segmentation) -> list:
+def oracle_ops(unit: _SessionUnit, batch: RecordBatch, segmentation) -> list:
     """The ``"ingest"`` ops of a reference segmentation, in group order: each
     group's rows gathered from ``batch`` as it is (attributes included)."""
     ops = []
@@ -121,7 +121,7 @@ def oracle_ops(unit: _SubtreeUnit, batch: RecordBatch, segmentation) -> list:
             rows += segment_rows or []
             segments.append((watermark, start, len(rows)))
         group = batch.take(rows) if rows else None
-        ops.append((unit.keys[gid], "sub", (group, segments)))
+        ops.append((unit.keys[gid], group, segments))
     return ops
 
 
@@ -163,7 +163,7 @@ def make_config(depth: int = 1, policy: str = "clamp") -> TiresiasConfig:
 
 def make_unit(
     depth: int, shards: int, pending_unit=None, policy="clamp", algorithm="ada"
-) -> _SubtreeUnit:
+) -> _SessionUnit:
     """A coordinator-side subtree unit, as ``attach_session_state`` builds it
     (``unit.sub_states`` are the shard states a worker would be sent), from a
     session whose open timeunit is ``pending_unit`` (None: fresh)."""
@@ -179,14 +179,14 @@ def make_unit(
     state = session.state_dict()
     groups = plan_subtree_groups(state["tree"]["leaves"], shards, depth)
     sub_states, withheld = split_session_state(state, groups, depth)
-    unit = _SubtreeUnit(
+    unit = _SessionUnit(
         "s", state, groups, sub_states, list(range(len(groups))), withheld, depth=depth
     )
     assert unit.carried == pending_unit
     return unit
 
 
-def dispatch_ops(unit: _SubtreeUnit, batch: RecordBatch):
+def dispatch_ops(unit: _SessionUnit, batch: RecordBatch):
     """Run the real ``_dispatch_subtree``: the ``"ingest"`` ops it queued, in
     group order, and the new session watermark."""
     engine = ShardedDetectionEngine.__new__(ShardedDetectionEngine)  # no workers
@@ -194,13 +194,13 @@ def dispatch_ops(unit: _SubtreeUnit, batch: RecordBatch):
     new_carried = ShardedDetectionEngine._dispatch_subtree(engine, unit, batch, queued)
     ops = []
     for worker, worker_ops in queued.items():
-        for key, kind, _ in worker_ops:
-            assert kind == "sub" and unit.workers[key[2]] == worker
+        for key, _, _ in worker_ops:
+            assert unit.workers[key[2]] == worker
         ops += worker_ops
     return sorted(ops, key=lambda op: op[0]), new_carried
 
 
-def dispatch(unit: _SubtreeUnit, batch: RecordBatch):
+def dispatch(unit: _SessionUnit, batch: RecordBatch):
     """The real dispatcher's segments in the oracle's shape:
     ``{gid: [(segment_w, rows | None), ...]}`` with ``rows`` indexing into
     ``batch``."""
@@ -208,7 +208,7 @@ def dispatch(unit: _SubtreeUnit, batch: RecordBatch):
     position = {float(t): i for i, t in enumerate(batch.timestamps)}
     assert len(position) == len(batch)  # unique timestamps identify rows
     out = {}
-    for key, _, (group, segments) in ops:
+    for key, group, segments in ops:
         if group is None:
             group_rows = []
         else:
@@ -588,7 +588,7 @@ def recording_transport(shipped: list):
 
 
 def test_in_order_batches_reach_each_shard_whole_and_close_densely(tmp_path):
-    """An in-order trace with attributes, 2 subtree shards: every ``"sub"``
+    """An in-order trace with attributes, 2 subtree shards: every ``"ingest"``
     op is one segment (plus at most a trailing advance) over a batch with no
     attribute column, so the shards close their timeunits from batch count
     matrices — all but the final flush and the odd trailing advance."""
@@ -608,8 +608,7 @@ def test_in_order_batches_reach_each_shard_whole_and_close_densely(tmp_path):
         profile = engine.close_profile()["s"]
 
     assert len(shipped) >= 2 * (len(batches) - 1)  # both shards, batch after batch
-    for _, kind, (group, segments) in shipped:
-        assert kind == "sub"
+    for _, group, segments in shipped:
         assert group is None or group.attributes is None
         assert len(segments) <= 2
         assert all(start == stop for _, start, stop in segments[1:])
@@ -618,14 +617,18 @@ def test_in_order_batches_reach_each_shard_whole_and_close_densely(tmp_path):
     assert sum(profile["close_time"]["counts"]) == profile["close_time"]["count"]
 
 
-def test_whole_session_parts_ship_without_attributes():
+def test_unsplit_session_parts_ship_whole_without_attributes():
+    """An unsplit session's part is one op: every row, one segment anchored
+    at the first row's timeunit, no attribute column."""
     _, clock, records = attribute_workload(seed=80)
+    batch = RecordBatch.from_records(records[:200])
     shipped = []
     with ShardedDetectionEngine(num_workers=1, transport=recording_transport(shipped)) as engine:
         engine.add_session("s", make_tree(), make_config(), clock=clock)
-        engine.ingest_record_batch(RecordBatch.from_records(records[:200]))
-    assert [kind for _, kind, _ in shipped] == ["whole"]
-    assert len(shipped[0][2]) == 200 and shipped[0][2].attributes is None
+        engine.ingest_record_batch(batch)
+    [(_, group, segments)] = shipped
+    assert len(group) == 200 and group.attributes is None
+    assert segments == [(int(batch.timeunit_indices(clock)[0]), 0, 200)]
 
 
 def test_close_profiles_merge_bucket_by_bucket():

@@ -15,6 +15,7 @@ from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.engine.engine import DetectionEngine
 from repro.engine.hooks import CallbackObserver
 from repro.engine.session import DetectionSession
+from repro.engine.shard_worker import worker_handle
 from repro.engine.sharded import (
     ShardedDetectionEngine,
     ShardedSessionHandle,
@@ -26,6 +27,7 @@ from repro.exceptions import (
     ShardingError,
 )
 from repro.engine.shadow import ShadowStateError
+from repro.engine.transport import TRANSPORTS
 from repro.hierarchy.tree import HierarchyTree
 from repro.io.checkpoint import (
     SubtreePartition,
@@ -603,3 +605,37 @@ class TestIntrospectionSurfaces:
         assert info["sessions"]["s"]["workers"] == [0, 1]
         assert stats["transport"] == "shm" and stats["connected"] is True
         assert stats["ship_serialized_bytes"] < stats["ship_bytes"]
+
+
+# ----------------------------------------------------------------------
+# Unsplit sessions: the worker keeps nothing the coordinator holds
+# ----------------------------------------------------------------------
+class TestUnsplitWorkerRetention:
+    def test_worker_keeps_no_results_and_the_checkpoint_keeps_max_results(
+        self, small_tree, fast_config, clock
+    ):
+        """Every command the engine ships for an unsplit session, replayed
+        in process through ``worker_handle``, leaves the worker session with
+        no results; the merged checkpoint still carries the session's own
+        ``max_results``."""
+        shipped: list = []
+
+        class Recording(TRANSPORTS["pipe"]):
+            def ship(self, worker_id, verb, ops, **options):
+                shipped.append((verb, ops))
+                super().ship(worker_id, verb, ops, **options)
+
+        with ShardedDetectionEngine(num_workers=1, transport=Recording()) as engine:
+            engine.add_session("s", small_tree, fast_config, clock=clock, max_results=5)
+            results = engine.process_stream(records_for(small_tree, 12), batch_size=8)
+            state = engine.merged_session_state("s")
+        assert len(results["s"]) == 12
+        assert state["max_results"] == 5
+
+        units: dict = {}
+        for verb, ops in shipped:
+            if verb in ("add", "ingest", "flush"):
+                worker_handle(units, verb, ops)
+        [key] = units
+        assert units[key].session.units_processed == 12
+        assert len(units[key].session.results) == 0

@@ -176,6 +176,55 @@ def test_streamed_equals_per_batch_ingest(
         assert streamed_results == {"s": [], "w": []} and not streamed_events
 
 
+def reverse_routed_batches(records, per_batch=150) -> list:
+    """``records`` in batches tagged for sessions ``"b"``, ``"a"`` and
+    ``"s"``, each batch listing every row of ``"b"`` first, then ``"a"``,
+    then ``"s"``: the routing order of every batch."""
+    batches = []
+    for start in range(0, len(records), per_batch):
+        chunk = records[start : start + per_batch]
+        batches.append(
+            RecordBatch.from_records(
+                [
+                    OperationalRecord(r.timestamp, r.category, {"stream": name})
+                    for name in ("b", "a", "s")
+                    for r in chunk
+                ]
+            )
+        )
+    return batches
+
+
+@pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "per-batch"])
+def test_observer_events_fire_in_routing_order_across_sessions(workload, streamed):
+    """Unsplit ``"a"`` and ``"b"`` sit on workers 0 and 1 and split ``"s"``
+    on both, but every batch routes ``"b"`` before ``"a"``: the events of
+    all three sessions interleave exactly as the serial engine fires them —
+    routing order per batch, registration order at the flush."""
+    tree, clock, config, records = workload
+    batches = reverse_routed_batches(records[::3])
+    serial = DetectionEngine()
+    for name in ("a", "b", "s"):
+        serial.add_session(name, tree, config, clock=clock)
+    serial_events = watch(serial)
+    serial_results = serial.process_batches(iter(batches))
+
+    with ShardedDetectionEngine(num_workers=2, transport=TRANSPORT) as engine:
+        engine.add_session("a", tree, config, clock=clock)
+        engine.add_session("b", tree, config, clock=clock)
+        engine.add_session("s", tree, config, clock=clock, subtree_shards=2)
+        layout = engine.sharding_info()["sessions"]
+        assert (layout["a"]["worker"], layout["b"]["worker"]) == (0, 1)
+        events = watch(engine)
+        if streamed:
+            results = engine.process_batches(iter(batches))
+        else:
+            results = per_batch(engine, batches)
+    assert results == serial_results
+    assert {name for name, *_ in events} == {"a", "b", "s"}
+    assert events == serial_events
+
+
 # ----------------------------------------------------------------------
 # Schedule
 # ----------------------------------------------------------------------
@@ -391,7 +440,7 @@ class TestFailureSemantics:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda engine, tmp_path: engine.anomalies(),
+            lambda engine, tmp_path: engine.adaptation_stats(),
             lambda engine, tmp_path: engine.state_dict(),
             lambda engine, tmp_path: engine.save_checkpoint(tmp_path / "x.json"),
             lambda engine, tmp_path: engine.rebalance_session("s"),
@@ -401,7 +450,7 @@ class TestFailureSemantics:
                 )
             ),
         ],
-        ids=["anomalies", "state_dict", "save_checkpoint", "rebalance", "ingest"],
+        ids=["adaptation_stats", "state_dict", "save_checkpoint", "rebalance", "ingest"],
     )
     def test_engine_call_from_an_observer_with_a_round_in_flight(
         self, workload, tmp_path, call
@@ -428,6 +477,74 @@ class TestFailureSemantics:
             assert stats["collects"] == stats["ships"]
             engine.flush()
             engine.state_dict()
+
+    def test_worker_error_behind_an_observer_error_reanchors_an_unsplit_session(
+        self, workload
+    ):
+        """An observer raises while round 0 is merged, and the round in
+        flight meanwhile raises on the worker at a late row, after the
+        coordinator moved the unsplit session's watermark past it.  The
+        observer's error surfaces; the session's open timeunit is read back
+        from its worker, so the session continues exactly like a serial
+        one fed the same batches."""
+        tree, clock, config, _ = workload
+        config = config.replace(out_of_order_policy="raise")
+        leaves = tree.leaf_paths()[:4]
+
+        def batch(*units):
+            return RecordBatch.from_records(
+                [
+                    OperationalRecord(unit * clock.delta + i * 7.0, leaf, {"stream": "w"})
+                    for unit in units
+                    for i, leaf in enumerate(leaves)
+                ]
+            )
+
+        batches = [batch(0, 1, 2, 3), batch(4, 5, 2, 9), batch(6, 7)]
+        serial = DetectionEngine()
+        serial.add_session("w", tree, config, clock=clock)
+        serial.ingest_record_batch(batches[0])
+        with pytest.raises(OutOfOrderRecordError):
+            serial.ingest_record_batch(batches[1])
+        serial.ingest_record_batch(batches[2])
+        serial.flush()
+
+        def fail_once(session, result):
+            if not failed:
+                failed.append(result.timeunit)
+                raise RuntimeError("hook failed")
+
+        failed: list = []
+        with ShardedDetectionEngine(num_workers=1, transport=TRANSPORT) as engine:
+            engine.add_session("w", tree, config, clock=clock)
+            engine.subscribe(CallbackObserver(on_timeunit_closed=fail_once))
+            with pytest.raises(RuntimeError, match="hook failed"):
+                engine.process_batches(iter(batches[:2]))
+            engine.ingest_record_batch(batches[2])
+            engine.flush()
+            assert failed == [0]
+            assert engine.units_processed() == serial.units_processed()
+            assert engine.anomalies() == serial.anomalies()
+            assert canonical_state(engine.merged_session_state("w")) == canonical_state(
+                serial.sessions["w"].state_dict()
+            )
+
+    def test_anomalies_answer_from_an_observer_with_a_round_in_flight(self, workload):
+        """Every session's reports are held on the coordinator, so
+        ``anomalies()`` needs no round trip: it answers from a hook while a
+        streamed round is on the workers."""
+        batches = batch_streams(workload[3])["large"]
+        answers: list = []
+
+        def on_closed(session, result):
+            answers.append(len(engine.anomalies()[session.name]))
+
+        with sharded_engine(workload, 2) as engine:
+            engine.subscribe(CallbackObserver(on_timeunit_closed=on_closed))
+            engine.process_batches(iter(batches))
+            final = engine.anomalies()
+        assert answers and max(answers) > 0
+        assert max(answers) <= max(len(found) for found in final.values())
 
     def test_engine_call_from_an_observer_under_per_batch_ingest(self, workload):
         """Synchronous ingest has nothing in flight while hooks fire: the

@@ -169,7 +169,6 @@ def check_seeded_kill(transport, depth, workers, fault_seed, streamed):
     )
     assert plan.fired, f"fault plan never fired (seed {fault_seed})"
     assert stats["recoveries"] >= 1
-    assert stats["supervision"]["enabled"] is True
     assert stats["supervision"]["recovering"] is False
     assert got_results == results
     assert got_anomalies == anomalies
@@ -238,22 +237,6 @@ def test_worker_exit_fault_recovers_bit_identically(monkeypatch):
     assert got_results == results
     assert got_anomalies == anomalies
     assert got_state == unfaulted_state("pipe", 2, 1)
-
-
-def test_supervision_off_dead_worker_raises_typed():
-    """Without supervision a killed worker surfaces a typed error, no hang."""
-    tree, clock, records = make_workload(WORKLOAD_SEED, 0.05)
-    config = make_config(WORKLOAD_SEED, "clamp")
-    with ShardedDetectionEngine(
-        num_workers=2, transport="pipe", supervision=False
-    ) as engine:
-        engine.add_session(
-            "p", tree, config, clock=clock, subtree_shards=2, subtree_depth=1
-        )
-        engine._ensure_started()  # workers spawn lazily; kill needs them live
-        engine._transport.kill_worker(0)
-        with pytest.raises(ShardingError):
-            engine.process_stream(records, batch_size=64)
 
 
 def test_recovery_exhaustion_raises_typed():

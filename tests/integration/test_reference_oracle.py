@@ -11,8 +11,10 @@ detector configuration, then runs the stream through
   :class:`~repro.io.jsonl_io.NdjsonDecoder` and fed in process (no socket)
   to a tenant through :meth:`SessionManager.ingest_batch
   <repro.service.manager.SessionManager.ingest_batch>` and ``flush``, and
-* a subtree-sharded engine (two worker processes; only for configurations
-  sharding admits: the root neither tracked nor qualifying),
+* the sharded engine over ``REPRO_SHARD_TRANSPORT`` (two worker
+  processes): an unsplit session for every root mode, and a session split
+  into two subtree shards for the configurations that admits (the root
+  neither tracked nor qualifying),
 
 each with the forecasting model ``"auto"``, ``"holt-winters"`` (a built-in
 model by registry name) or ``"seasonal-naive"``, the plug-in model
@@ -26,6 +28,7 @@ sessions' adaptation counters and checkpoints (``stats`` rows sorted) too.
 from __future__ import annotations
 
 import json
+import os
 import random
 import tempfile
 from collections import Counter
@@ -37,11 +40,12 @@ from hypothesis import strategies as st
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.engine.engine import DetectionEngine
 from repro.engine.sharded import ShardedDetectionEngine
+from repro.exceptions import OutOfOrderRecordError
 from repro.hierarchy.tree import HierarchyTree
 from repro.io.jsonl_io import NdjsonDecoder
 from repro.service.config import TenantSpec
 from repro.service.manager import SessionManager
-from repro.streaming.batch import iter_record_batches
+from repro.streaming.batch import RecordBatch, iter_record_batches
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 from repro.testing.reference import ReferenceADA
@@ -154,11 +158,25 @@ def service_run(tree, clock, records, config, batch_size):
         return manager.session("p").results, manager.anomalies("p")
 
 
-def sharded_run(tree, clock, records, config, batch_size):
-    with ShardedDetectionEngine(num_workers=2) as engine:
-        engine.add_session("p", tree, config, clock=clock, subtree_shards=2)
+def sharded_run(tree, clock, records, config, batch_size, shards):
+    """The sharded engine over ``REPRO_SHARD_TRANSPORT`` (default ``pipe``):
+    results, reported anomalies and the merged session's algorithm state."""
+    transport = os.environ.get("REPRO_SHARD_TRANSPORT", "pipe")
+    with ShardedDetectionEngine(num_workers=2, transport=transport) as engine:
+        engine.add_session("p", tree, config, clock=clock, subtree_shards=shards)
         results = engine.process_stream(records, batch_size=batch_size)["p"]
-        return results, [a.to_dict() for a in engine.anomalies()["p"]]
+        anomalies = [a.to_dict() for a in engine.anomalies()["p"]]
+        return results, anomalies, engine.merged_session_state("p")["algorithm_state"]
+
+
+def rows_by_path(algo_state):
+    """``algo_state`` with its series and reference rows in path order: a
+    merged split session lists them shard by shard, and loaders key them by
+    path."""
+    return {
+        key: sorted(rows, key=lambda row: row[0]) if key in ("series", "reference") else rows
+        for key, rows in algo_state.items()
+    }
 
 
 def check_case(seed: int, model: str, root: str, batch_size: int, sharded: bool) -> None:
@@ -179,11 +197,21 @@ def check_case(seed: int, model: str, root: str, batch_size: int, sharded: bool)
         want_results,
         want_anomalies,
     )
-    if sharded and root == "excluded":
-        assert sharded_run(tree, clock, records, config, batch_size) == (
-            want_results,
-            want_anomalies,
-        )
+    if sharded:
+        # The unsplit leg admits every root mode; the split leg only a root
+        # neither tracked nor qualifying.
+        for shards in (1, 2) if root == "excluded" else (1,):
+            results, anomalies, algo_state = sharded_run(
+                tree, clock, records, config, batch_size, shards
+            )
+            assert results == want_results, shards
+            assert anomalies == want_anomalies, shards
+            if shards == 1:
+                assert canonical_checkpoint(algo_state, row_sorted=True) == want_state
+            else:
+                assert canonical_checkpoint(
+                    rows_by_path(algo_state), row_sorted=True
+                ) == canonical_checkpoint(rows_by_path(oracle.state_dict()), row_sorted=True)
 
 
 @settings(
@@ -202,11 +230,12 @@ def test_every_path_equals_the_reference(seed, model, root, batch_size, sharded)
     check_case(seed, model, root, batch_size, sharded)
 
 
+@pytest.mark.parametrize("root", ["excluded", "qualifies", "tracked"])
 @pytest.mark.parametrize("model", MODELS)
-def test_each_model_on_every_path(model):
-    """Every model through every path at least once, whatever hypothesis
-    draws."""
-    check_case(17, model, "excluded", 64, sharded=True)
+def test_each_model_on_every_path(model, root):
+    """Every model through every path under every root mode at least once,
+    whatever hypothesis draws."""
+    check_case(17, model, root, 64, sharded=True)
 
 
 class CountingReference(ReferenceADA):
@@ -230,3 +259,92 @@ def test_the_cases_exercise_the_cascade():
         merges += oracle.merge_operations
         corrections += oracle.corrections
     assert splits > 10 and merges > 10 and corrections > 5
+
+
+@pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "per-batch"])
+def test_unsplit_session_continues_like_serial_after_a_raise(streamed):
+    """``out_of_order_policy="raise"`` with two unsplit sessions, ``q`` on
+    worker 0 and ``p`` on worker 1, every batch routed ``q`` first.  The
+    batches cover timeunits 0-9; 10-12, then a late row at 11 and rows at
+    15 (``p`` raises after closing 10 and 11, while the coordinator had
+    already moved its watermark to 15); 13-14; 15-17.  Bursts put anomalies
+    past warm-up into 11 on both sessions and 13 on ``q``.
+
+    Each session continues exactly like a serial one fed what its worker
+    ingested — on the streamed path the 13-14 batch goes out to ``q``'s
+    worker before ``p``'s error is read, and never to ``p``'s: the same
+    results after the raise, anomalies (those of the timeunits closed in
+    the failing and the dropped round included), unit counts and
+    checkpoint."""
+    tree = HierarchyTree.from_leaf_paths(
+        [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("c", "x")]
+    )
+    leaves = tree.leaf_paths()
+    clock = SimulationClock(delta=DELTA)
+    config = TiresiasConfig(
+        theta=2.0,
+        ratio_threshold=1.5,
+        difference_threshold=1.0,
+        delta_seconds=DELTA,
+        window_units=9,
+        track_root=True,
+        out_of_order_policy="raise",
+        forecast=ForecastConfig(season_lengths=(3,), fallback_alpha=0.4),
+    )
+    bursts = {("p", 11): leaves[1], ("q", 11): leaves[3], ("q", 13): leaves[0]}
+
+    def rows(name, unit, offset=0.0):
+        out = [(unit * DELTA + offset + i * 7.0, leaf) for i, leaf in enumerate(leaves)]
+        if (name, unit) in bursts:
+            out += [(unit * DELTA + offset + 50.0 + i, bursts[name, unit]) for i in range(30)]
+        return [OperationalRecord(ts, leaf, {"stream": name}) for ts, leaf in out]
+
+    def batch(units, late=()):
+        records = [r for unit in units for r in rows("q", unit)]
+        records += [r for unit in units for r in rows("p", unit)]
+        records += [r for unit, offset in late for r in rows("p", unit, offset)]
+        return RecordBatch.from_records(records)
+
+    batches = [
+        batch(range(10)),
+        batch([10, 11, 12], late=[(11, 300.0), (15, 0.0)]),
+        batch([13, 14]),
+        batch([15, 16, 17]),
+    ]
+    q_only = RecordBatch.from_records([r for unit in (13, 14) for r in rows("q", unit)])
+
+    def observed(engine):
+        state = canonical_checkpoint(engine.state_dict())
+        return engine.anomalies(), engine.units_processed(), state
+
+    serial = DetectionEngine()
+    for name in ("q", "p"):
+        serial.add_session(name, tree, config, clock=clock)
+    serial.ingest_record_batch(batches[0])
+    with pytest.raises(OutOfOrderRecordError):
+        serial.ingest_record_batch(batches[1])
+    third = serial.ingest_record_batch(q_only if streamed else batches[2])
+    # Results returned after the raise; the dropped batch returns none.
+    want_results = [] if streamed else [third]
+    want_results.append(serial.process_batches(iter(batches[3:])))
+    want = observed(serial)
+    reported = {
+        (name, a.timeunit) for name, found in want[0].items() for a in found
+    }
+    assert {("p", 11), ("q", 11), ("q", 13)} <= reported
+
+    transport = os.environ.get("REPRO_SHARD_TRANSPORT", "pipe")
+    with ShardedDetectionEngine(num_workers=2, transport=transport) as engine:
+        for name in ("q", "p"):
+            engine.add_session(name, tree, config, clock=clock)
+        if streamed:
+            with pytest.raises(OutOfOrderRecordError):
+                engine.process_batches(iter(batches[:3]))
+        else:
+            engine.ingest_record_batch(batches[0])
+            with pytest.raises(OutOfOrderRecordError):
+                engine.ingest_record_batch(batches[1])
+        got_results = [] if streamed else [engine.ingest_record_batch(batches[2])]
+        got_results.append(engine.process_batches(iter(batches[3:])))
+        assert got_results == want_results
+        assert observed(engine) == want

@@ -170,6 +170,40 @@ class TestShardedTenantLifecycle:
         session.close()
 
 
+    def test_unsplit_tenant_snapshot_tracks_the_serial_pending_unit(self, tmp_path):
+        """An unsplit sharded tenant reports the serial tenant's open
+        timeunit in its snapshot after every batch and after the flush."""
+        dataset = tiny_dataset(11, duration_days=0.5)
+        records = list(dataset.records())
+        serial = SessionManager([tenant_spec_for("t", dataset)], tmp_path / "serial")
+        sharded = SessionManager(
+            [tenant_spec_for("t", dataset, sharding={"workers": 1})],
+            tmp_path / "sharded",
+        )
+
+        def snapshots():
+            return [
+                {
+                    field: manager.tenant_snapshot()["t"][field]
+                    for field in ("pending_unit", "units_processed", "anomalies_reported")
+                }
+                for manager in (serial, sharded)
+            ]
+
+        seen = []
+        for batch in iter_record_batches(iter(records), 50):
+            serial.ingest_batch("t", batch)
+            sharded.ingest_batch("t", batch)
+            want, got = snapshots()
+            assert got == want
+            seen.append(want["pending_unit"])
+        serial.flush("t")
+        sharded.flush("t")
+        want, got = snapshots()
+        assert got == want and want["pending_unit"] is None
+        assert len(set(seen)) > 5 and None not in seen
+        sharded.session("t").close()
+
 # ----------------------------------------------------------------------
 # Typed refusals
 # ----------------------------------------------------------------------
