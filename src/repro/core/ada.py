@@ -39,9 +39,10 @@ ambiguities of its in-place weight mutations.  Each SPLIT, MERGE and
 reference correction is whole-row arithmetic on *row numbers* of the
 :class:`~repro.forecasting.bank.ForecasterBank` row store, which holds every
 series' forecaster state *and* windows — built-in and plug-in forecasting
-models alike.  One
-:meth:`~repro.forecasting.bank.ForecasterBank.observe_rows_arrays` call
-updates every tracked forecaster, one
+models alike, each row one kind for its whole life.  One
+:meth:`~repro.forecasting.bank.ForecasterBank.observe_rows` call (one
+kernel, whatever the size of the heavy set) updates every tracked
+forecaster, one
 :meth:`~repro.forecasting.bank.ForecasterBank.record_rows` call appends
 every window, split-rule statistics update in one masked pass over dense
 per-node arrays (:meth:`_SplitStatsStore.update_dense`), and the
@@ -53,6 +54,12 @@ series is read as its checkpoint snapshot
 (:meth:`ADAAlgorithm.series_state`).
 :mod:`repro.testing.reference` is the slow per-path oracle it is tested
 against.
+
+Each step of the close has one form, and a restore holds only rows this
+program writes: a series path, statistics row or reference row the session
+could never have produced — a path outside the tree or the reference
+levels, a forecaster snapshot of another layout — is refused with
+:class:`~repro.exceptions.CheckpointError` rather than carried along.
 """
 
 from __future__ import annotations
@@ -69,10 +76,8 @@ from repro.core.config import TiresiasConfig
 from repro.core.detector import ThresholdDetector
 from repro.core.results import TimeunitResult
 from repro.core.split_rules import (
-    EWMASplitRule,
     LastTimeUnitSplitRule,
     LongTermHistorySplitRule,
-    NodeUsageStats,
     UniformSplitRule,
     make_split_rule,
 )
@@ -93,10 +98,12 @@ class _SplitStatsStore:
     """Split-rule statistics for every node seen so far (§V-B4 bookkeeping).
 
     Dense per-node arrays updated by one masked pass per timeunit
-    (:meth:`update_dense`, read by :meth:`view_id`).  Values are bit-identical
-    to a per-node :class:`NodeUsageStats` walk (the EWMA decay powers are
-    precomputed with Python's ``**``).  Checkpoint emission keeps the
-    canonical ``[[path, stats], ...]`` rows, in node-id order.
+    (:meth:`update_dense`, read by the split-rule scorers of
+    :meth:`ADAAlgorithm._make_id_scorer`).  Values are bit-identical to a
+    per-node :class:`~repro.core.split_rules.NodeUsageStats` walk (the EWMA
+    decay powers are precomputed with Python's ``**``).  Checkpoint emission
+    keeps the canonical ``[[path, stats], ...]`` rows, in node-id order; a
+    row for a path outside the tree is refused at load.
     """
 
     def __init__(self, config: TiresiasConfig, index: HierarchyIndex):
@@ -113,10 +120,6 @@ class _SplitStatsStore:
         #: ``(1 - alpha) ** g`` for g = 0..; grown lazily with Python pow so
         #: the decay factors match a per-node walk bit for bit.
         self._decay = np.ones(1)
-        #: Rows restored from a foreign state whose paths are not in the
-        #: tree: carried through save/restore, never read or updated.
-        self._extra_stats: dict[CategoryPath, NodeUsageStats] = {}
-        self._extra_last: dict[CategoryPath, int] = {}
 
     # ------------------------------------------------------------------
     # Per-timeunit updates
@@ -174,44 +177,8 @@ class _SplitStatsStore:
         self.has_last |= mask
 
     # ------------------------------------------------------------------
-    # Split-rule reads
-    # ------------------------------------------------------------------
-    def view_id(self, node_id: int, timeunit: int) -> NodeUsageStats:
-        """``node_id``'s statistics adjusted for the timeunits it was silent in.
-
-        The single owner of the silent-timeunit decay arithmetic (Python
-        ``**`` decay, last-weight zeroing); the per-rule scorers in
-        :meth:`ADAAlgorithm._make_id_scorer` must agree with it bit for bit.
-        """
-        if not self.seen[node_id]:
-            return NodeUsageStats()
-        last_weight = float(self.last_weight[node_id])
-        ewma = float(self.ewma[node_id])
-        last = int(self.last_unit_arr[node_id]) if self.has_last[node_id] else -1
-        gap = timeunit - last
-        if gap > 0:
-            if gap > 1:
-                last_weight = 0.0
-            ewma = ewma * (1 - self.alpha) ** (gap - 1)
-        return NodeUsageStats(
-            last_weight=last_weight,
-            cumulative_weight=float(self.cumulative[node_id]),
-            ewma_weight=ewma,
-            observations=int(self.observations[node_id]),
-        )
-
-    # ------------------------------------------------------------------
     # Canonical checkpoint rows
     # ------------------------------------------------------------------
-    @staticmethod
-    def _stats_row(stats: NodeUsageStats) -> dict:
-        return {
-            "last_weight": stats.last_weight,
-            "cumulative_weight": stats.cumulative_weight,
-            "ewma_weight": stats.ewma_weight,
-            "observations": stats.observations,
-        }
-
     def emit(self) -> tuple[list, list]:
         """``(stats_rows, last_unit_rows)`` in the canonical list format."""
         stats_rows = [
@@ -226,75 +193,58 @@ class _SplitStatsStore:
             ]
             for node_id in np.flatnonzero(self.seen).tolist()
         ]
-        stats_rows.extend(
-            [list(path), self._stats_row(stats)]
-            for path, stats in self._extra_stats.items()
-        )
         last_rows = [
             [list(self.index.paths[node_id]), int(self.last_unit_arr[node_id])]
             for node_id in np.flatnonzero(self.has_last).tolist()
         ]
-        last_rows.extend(
-            [list(path), unit] for path, unit in self._extra_last.items()
-        )
         return stats_rows, last_rows
 
     def load(self, stats_rows, last_rows) -> None:
-        """Restore from canonical rows (inverse of :meth:`emit`)."""
-        for array in (self.last_weight, self.cumulative, self.ewma):
-            array[:] = 0.0
-        self.observations[:] = 0
-        self.last_unit_arr[:] = 0
-        self.seen[:] = False
-        self.has_last[:] = False
-        self._extra_stats = {}
-        self._extra_last = {}
-        lookup = self.index.path_to_id.get
+        """Restore a fresh store from canonical rows (inverse of
+        :meth:`emit`); raises :class:`~repro.exceptions.CheckpointError` for
+        a row whose path is not a node of the tree."""
+        node_of = self._node_of
         for path, row in stats_rows:
-            path = tuple(path)
-            node_id = lookup(path)
-            if node_id is None:
-                self._extra_stats[path] = NodeUsageStats(
-                    last_weight=float(row["last_weight"]),
-                    cumulative_weight=float(row["cumulative_weight"]),
-                    ewma_weight=float(row["ewma_weight"]),
-                    observations=int(row["observations"]),
-                )
-                continue
+            node_id = node_of(path, "split statistics")
             self.last_weight[node_id] = float(row["last_weight"])
             self.cumulative[node_id] = float(row["cumulative_weight"])
             self.ewma[node_id] = float(row["ewma_weight"])
             self.observations[node_id] = int(row["observations"])
             self.seen[node_id] = True
         for path, unit in last_rows:
-            path = tuple(path)
-            node_id = lookup(path)
-            if node_id is None:
-                self._extra_last[path] = int(unit)
-                continue
+            node_id = node_of(path, "last-unit")
             self.last_unit_arr[node_id] = int(unit)
             self.has_last[node_id] = True
+
+    def _node_of(self, path, kind: str) -> int:
+        node_id = self.index.path_to_id.get(tuple(path))
+        if node_id is None:
+            raise CheckpointError(
+                f"{kind} row for {tuple(path)!r}: not a node of this session's tree"
+            )
+        return node_id
 
 
 class _RefStore:
     """Reference (unmodified weight ``A_n``) series for the top-``h`` levels.
 
-    Every row lives in one ``(rows, window)`` ring that a timeunit writes
-    with a single column assignment at the shared cursor.  Each row holds its
-    own number of valid slots, the newest ending at the cursor — kept as an
-    offset from the shared column counter (``min(window, _origin[row] +
-    _columns)``), so a column write touches no count — and a ragged restore
-    or a row created late (a depth-k shard's band rows, which the split
-    withholds) reads exactly what a bounded deque per row would.  A row the
-    column does not name — a restored path outside ``paths`` — is held aside
-    unchanged, the way a deque nobody appends to would be.  Emission
+    One row per path of the session's fixed reference-node tuple ``paths``,
+    all in one ``(rows, window)`` ring that a timeunit writes with a single
+    column assignment at the shared cursor.  Each row holds its own number
+    of valid slots, the newest ending at the cursor — kept as an offset from
+    the shared column counter (``min(window, _origin[row] + _columns)``), so
+    a column write touches no count — and a ragged restore or a row created
+    late (a fresh session's rows, a depth-k shard's band rows, which the
+    split withholds) reads exactly what a bounded deque per row would.  A
+    restored row for a path outside ``paths`` is refused.  Emission
     preserves row insertion order so checkpoints stay byte-identical across
-    save/restore round trips (including merged sharded checkpoints, whose row
-    order is shard-grouped).
+    save/restore round trips (including merged sharded checkpoints, whose
+    row order is shard-grouped).
     """
 
-    def __init__(self, maxlen: int):
+    def __init__(self, maxlen: int, paths: "tuple[CategoryPath, ...]"):
         self.maxlen = maxlen
+        self.paths = paths
         self.load([])
 
     def __len__(self) -> int:
@@ -303,26 +253,20 @@ class _RefStore:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def append_column(self, paths, values) -> None:
-        """Append one timeunit's value per path (creating missing rows).
-
-        ``paths`` is the session's fixed reference-node tuple: its rows are
-        resolved once, and from then on the column lands with one array
-        write.
-        """
-        if paths is not self._paths:
-            self._route(paths)
+    def append_column(self, values) -> None:
+        """Append one timeunit's value per path of ``paths``, in order."""
+        if self._perm is None:
+            self._route()
         pos = self._pos
         self._buf[self._perm, pos] = values
         self._pos = 0 if pos + 1 == self.maxlen else pos + 1
         self._columns += 1
 
-    def _route(self, paths) -> None:
-        """Point the column write at ``paths``: rows are created for new
-        paths (in ``paths`` order), rows outside ``paths`` are set aside and
-        set-aside rows ``paths`` names again are put back at the cursor."""
+    def _route(self) -> None:
+        """Create the rows of paths not restored (in ``paths`` order) and
+        resolve the row of every path once."""
         row_of = self.row_of
-        new = [path for path in paths if path not in row_of]
+        new = [path for path in self.paths if path not in row_of]
         if new:
             for path in new:
                 row_of[path] = len(self.order)
@@ -334,29 +278,13 @@ class _RefStore:
             self._origin = np.concatenate(
                 [self._origin, np.full(len(new), -self._columns, dtype=np.int64)]
             )
-        perm = np.array([row_of[path] for path in paths], dtype=np.intp)
-        named = set(perm.tolist())
-        aside = self._aside
-        for row in range(len(self.order)):
-            if row not in named and row not in aside:
-                aside[row] = self._values(row).copy()
-            elif row in named and row in aside:
-                values = aside.pop(row)
-                n = len(values)
-                self._buf[row] = 0.0
-                self._buf[row, (self._pos - n + np.arange(n)) % self.maxlen] = values
-                self._origin[row] = n - self._columns
-        self._paths = paths
-        self._perm = perm
+        self._perm = np.array([row_of[path] for path in self.paths], dtype=np.intp)
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def _values(self, row: int):
         """The row's values, oldest first: a view unless the range wraps."""
-        held = self._aside.get(row)
-        if held is not None:
-            return held
         start = self._pos - min(self.maxlen, int(self._origin[row]) + self._columns)
         if start >= 0:
             return self._buf[row, start : self._pos]
@@ -368,12 +296,7 @@ class _RefStore:
         """Whether the path's row holds a value, read off its valid count
         (nothing is materialized)."""
         row = self.row_of.get(path)
-        if row is None:
-            return False
-        held = self._aside.get(row)
-        if held is not None:
-            return len(held) > 0
-        return int(self._origin[row]) + self._columns > 0
+        return row is not None and int(self._origin[row]) + self._columns > 0
 
     def corrected_base(self, path: CategoryPath):
         """A fresh, mutable oldest-first float64 copy of the path's buffer
@@ -384,14 +307,12 @@ class _RefStore:
         values = self._values(row)
         if not len(values):
             return None
-        if values.base is None and row not in self._aside:
+        if values.base is None:
             return values  # a wrapped range: already a fresh concatenation
         return values.copy()
 
     def total_len(self) -> int:
-        counts = np.minimum(self._origin + self._columns, self.maxlen)
-        counts[list(self._aside)] = [len(held) for held in self._aside.values()]
-        return int(counts.sum())
+        return int(np.minimum(self._origin + self._columns, self.maxlen).sum())
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -404,10 +325,20 @@ class _RefStore:
 
     def load(self, rows) -> None:
         """Restore from canonical ``[[path, values], ...]`` rows: each row's
-        newest ``maxlen`` values end at the cursor (slot 0)."""
+        newest ``maxlen`` values end at the cursor (slot 0).  Raises
+        :class:`~repro.exceptions.CheckpointError` for a path outside
+        ``paths``."""
         maxlen = self.maxlen
+        order = [tuple(path) for path, _values in rows]
+        named = set(self.paths)
+        for path in order:
+            if path not in named:
+                raise CheckpointError(
+                    f"reference row for {path!r}: not a node of this "
+                    f"session's reference levels"
+                )
         #: Row paths in insertion order, and the row of each.
-        self.order: list[CategoryPath] = [tuple(path) for path, _values in rows]
+        self.order: list[CategoryPath] = order
         self.row_of = {path: row for row, path in enumerate(self.order)}
         self._buf = np.zeros((len(rows), maxlen))
         #: A row's valid slots are ``min(maxlen, _origin[row] + _columns)``.
@@ -421,11 +352,8 @@ class _RefStore:
         self._columns = 0
         #: Slot the next column is written to.
         self._pos = 0
-        #: The ``paths`` object ``_perm`` (its rows) was resolved for.
-        self._paths = None
+        #: The row of each of ``paths``, resolved at the first column.
         self._perm = None
-        #: Rows outside the current ``paths``: row -> its values.
-        self._aside: dict[int, np.ndarray] = {}
 
 
 class ADAAlgorithm:
@@ -441,8 +369,6 @@ class ADAAlgorithm:
         #: Row store shared by every tracked node's series: one matrix row
         #: per series holds its forecaster state and both windows.
         self.bank = ForecasterBank(config.forecast, window=config.window_units)
-        #: Reference (unmodified weight) series for nodes in the top h levels.
-        self._ref = _RefStore(config.window_units)
         #: Dense hierarchy view driving the weight kernels and the planner.
         self._index = HierarchyIndex(tree)
         self._reset_registry()
@@ -457,8 +383,6 @@ class ADAAlgorithm:
         self.split_operations = 0
         self.merge_operations = 0
         self.last_result: TimeunitResult | None = None
-        #: Per-timeunit id-keyed split-statistics view memo (churn path).
-        self._id_view_cache: dict[int, NodeUsageStats] = {}
         #: Cached heavy order reused verbatim while the heavy set is
         #: unchanged: (mask bytes, lex-ordered heavy ids, their bank rows).
         self._hv_cache = None
@@ -472,10 +396,6 @@ class ADAAlgorithm:
         self.fused_units = 0
         self.dense_close_units = 0
         self.close_histogram = fused.CloseHistogram()
-        #: Raw root weight of the most recent timeunit.  Additive across
-        #: disjoint subtree shards; the sharded engine sums it to replay the
-        #: root's split-rule bookkeeping coordinator-side.
-        self.last_root_raw = 0.0
         #: Frontier-band capture for depth-k sharding: when the sharded
         #: engine calls :meth:`capture_frontier`, every close also records
         #: the raw weights of the shared ancestor band (root + depths
@@ -498,6 +418,8 @@ class ADAAlgorithm:
             for node in tree.nodes_at_depth(depth)
         )
         self._reference_ids = self._node_ids(self._reference_nodes)
+        #: Reference (unmodified weight) series for nodes in the top h levels.
+        self._ref = _RefStore(config.window_units, self._reference_nodes)
 
     # ------------------------------------------------------------------
     # Online interface
@@ -589,7 +511,6 @@ class ADAAlgorithm:
         stage_seconds = self.stage_seconds
         start = close_start
         self.fused_units += 1
-        self.last_root_raw = float(raw_vec[0])
         if self._frontier_ids is not None:
             self.last_frontier_raw = tuple(
                 float(v) for v in raw_vec[self._frontier_ids]
@@ -669,15 +590,12 @@ class ADAAlgorithm:
         else:
             index = self._index
             adapt_start = time.perf_counter()
-            self._id_view_cache = {}
             plan = plan_adaptation(
                 index,
                 self._series_mask,
                 heavy_mask,
-                self._view_by_id,
-                self.split_rule,
                 self._ref_has_id,
-                score_of=self._make_id_scorer(),
+                self._make_id_scorer(),
             )
             if plan.ops:
                 self._apply_plan(plan)
@@ -689,9 +607,7 @@ class ADAAlgorithm:
             self.adapt_seconds += time.perf_counter() - adapt_start
         if self._reference_nodes:
             # The unmodified weight A_n of every reference-level node (§V-B5).
-            self._ref.append_column(
-                self._reference_nodes, raw_vec[self._reference_ids]
-            )
+            self._ref.append_column(raw_vec[self._reference_ids])
         if len(rows):
             # A fancy-indexed gather: a fresh array sized by the heavy set, so
             # a retained result pins no row of the batch's sweep matrices.
@@ -700,31 +616,25 @@ class ADAAlgorithm:
                 # A tracked root with zero modified weight falls back to its
                 # raw weight; the root is lexicographically first when present.
                 values_vec[0] = raw_vec[0]
-            # One array-native observe and one indexed store per window for
+            # One observe kernel call and one indexed store per window for
             # the whole heavy set.
             bank = self.bank
-            forecasts_vec = bank.observe_rows_arrays(rows, values_vec)
+            forecasts_vec = bank.observe_rows(rows, values_vec)
             bank.record_rows(rows, values_vec, forecasts_vec)
         else:
             values_vec = forecasts_vec = _NO_COLUMN
         self._stats.update_dense(self._timeunit, raw_vec)
         return values_vec, forecasts_vec
 
-    def _view_by_id(self, node_id: int) -> NodeUsageStats:
-        view = self._id_view_cache.get(node_id)
-        if view is None:
-            view = self._stats.view_id(node_id, self._timeunit)
-            self._id_view_cache[node_id] = view
-        return view
-
     def _make_id_scorer(self):
-        """Per-id split-rule score shortcut for the built-in rules.
+        """The split rule's score ``X_n`` of a node id at this timeunit.
 
-        Evaluates only the statistics field the rule reads, with exactly the
-        gap-adjustment arithmetic of :meth:`_SplitStatsStore.view_id` followed
-        by the rule's ``score`` — so ratios come out bit-identical without
-        materializing a :class:`NodeUsageStats` per receiver.  Returns None
-        for custom rule classes (the planner then uses full views).
+        Evaluates only the statistics field the rule reads, adjusted for the
+        timeunits the node was silent in (Python ``**`` decay, last-weight
+        zeroing) — bit for bit the rule's ``score`` of the reference's
+        :meth:`ReferenceStats.view <repro.testing.reference.ReferenceStats.view>`,
+        without materializing a statistics view per receiver.  Covers the
+        four rules :func:`~repro.core.split_rules.make_split_rule` builds.
         """
         rule_cls = type(self.split_rule)
         store = self._stats
@@ -756,7 +666,7 @@ class ADAAlgorithm:
                         )
                     cache[node_id] = value
                 return value
-        elif rule_cls is EWMASplitRule:
+        else:  # EWMASplitRule, the last rule make_split_rule builds
             ewma, seen = store.ewma, store.seen
             has_last, last_unit = store.has_last, store.last_unit_arr
             alpha = store.alpha
@@ -773,8 +683,6 @@ class ADAAlgorithm:
                             value = value * (1 - alpha) ** (gap - 1)
                     cache[node_id] = value
                 return value
-        else:
-            return None
         return score
 
     def _ref_has_id(self, node_id: int) -> bool:
@@ -964,8 +872,11 @@ class ADAAlgorithm:
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`state_dict` (same tree/config).
 
-        Raises :class:`~repro.exceptions.CheckpointError` when a series path
-        is not a node of this tree — such a series could never be adapted.
+        Raises :class:`~repro.exceptions.CheckpointError`, naming the path,
+        for a row this session never writes: a series of a path that is not
+        a node of this tree or whose forecaster snapshot does not fit the
+        bank's layout, a statistics or last-unit row outside the tree, and a
+        reference row outside the reference levels.
         """
         forecast_config = self.config.forecast
         self._timeunit = int(state["timeunit"])
@@ -975,7 +886,6 @@ class ADAAlgorithm:
         self.bank = ForecasterBank(forecast_config, window=self.config.window_units)
         self._reset_registry()
         self._hv_cache = None
-        self._id_view_cache = {}
         path_to_id = self._index.path_to_id
         for path, ts_state in state["series"]:
             path = tuple(path)
@@ -983,8 +893,12 @@ class ADAAlgorithm:
                 raise CheckpointError(
                     f"series path {path!r} is not a node of this session's tree"
                 )
-            self._track(path_to_id[path], self.bank.load_series_state(ts_state))
-        self._ref = _RefStore(self.config.window_units)
+            try:
+                row = self.bank.load_series_state(ts_state)
+            except CheckpointError as exc:
+                raise CheckpointError(f"series {path!r}: {exc}") from exc
+            self._track(path_to_id[path], row)
+        self._ref = _RefStore(self.config.window_units, self._reference_nodes)
         self._ref.load(state["reference"])
         self._stats = _SplitStatsStore(self.config, self._index)
         self._stats.load(state["stats"], state["stats_last_unit"])

@@ -8,9 +8,10 @@ every timeunit.  This module is its id-based form, the planner of every ADA
 close (serial sessions, the columnar batch close and the sharded engine's
 subtree shards): given the dense heavy mask of the new timeunit and the
 registry occupancy mask, it *simulates* the exact cascade — ``(depth, lex)``
-order, the receiver sets, the split-rule arithmetic (the rule's Python
-``sum`` over the views in order) — and emits the whole adaptation as a flat
-op list:
+order, the receiver sets, the split-rule arithmetic (the Python ``sum`` of
+the receivers' scores in order, as
+:meth:`~repro.core.split_rules.SplitRule.ratios` sums them) — and emits the
+whole adaptation as a flat op list:
 
 * ``("fresh", node)`` — a brand-new series (no series-holding ancestor);
 * ``("split", donor, child, ratio, correct)`` — one cascade step handing the
@@ -36,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.core.split_rules import NodeUsageStats, SplitRule
-
 #: Op tags (tuple-based ops keep planning allocation-light).
 FRESH = "fresh"
 SPLIT = "split"
@@ -62,24 +61,22 @@ def plan_adaptation(
     index: Any,
     series_mask,
     heavy_mask,
-    view_of: Callable[[int], NodeUsageStats],
-    split_rule: SplitRule,
     has_reference: Callable[[int], bool],
-    score_of: "Callable[[int], float] | None" = None,
+    score_of: Callable[[int], float],
 ) -> AdaptationPlan:
     """Simulate the SPLIT/MERGE cascade on node ids and emit its ops.
 
     ``series_mask`` is the registry occupancy before adaptation (not
     mutated), ``heavy_mask`` the new heavy hitter membership (root bit
-    already adjusted for ``track_root`` / ``allow_root_heavy``).  ``view_of``
-    returns the (timeunit-frozen, memoized) split statistics view for a node
-    id and ``has_reference`` whether a reference-series correction would
-    apply at that node — both mirror exactly what the per-path cascade reads.
-    ``score_of``, when given, is a per-id shortcut for the split rule's
-    ``score(view)`` (only the field the rule reads, same arithmetic); the
-    ratio normalization then runs inline with the exact Python ``sum`` /
-    division of :meth:`~repro.core.split_rules.SplitRule.ratios`.  Without
-    it (custom rules) the full view-based ``ratios`` call is used.
+    already adjusted for ``track_root`` / ``allow_root_heavy``).
+    ``has_reference`` tells whether a reference-series correction would
+    apply at a node id and ``score_of`` is the split rule's score of a node
+    id at this timeunit (see
+    :meth:`ADAAlgorithm._make_id_scorer
+    <repro.core.ada.ADAAlgorithm._make_id_scorer>`) — both mirror exactly
+    what the per-path cascade reads.  The ratio normalization runs inline
+    with the exact Python ``sum`` / division of
+    :meth:`~repro.core.split_rules.SplitRule.ratios`.
     """
     sim = series_mask.copy()
     ops: list[tuple] = []
@@ -122,18 +119,12 @@ def plan_adaptation(
             if child_pos < 0:  # defensive: the target's branch is a receiver
                 child_pos = len(receivers)
                 receivers.append(child)
-            if score_of is not None:
-                scores = [max(0.0, score_of(rid)) for rid in receivers]
-                total = sum(scores)
-                if total <= 0.0:
-                    ratio = 1.0 / len(receivers)
-                else:
-                    ratio = scores[child_pos] / total
+            scores = [max(0.0, score_of(rid)) for rid in receivers]
+            total = sum(scores)
+            if total <= 0.0:
+                ratio = 1.0 / len(receivers)
             else:
-                ratios = split_rule.ratios(
-                    {rid: view_of(rid) for rid in receivers}
-                )
-                ratio = ratios.get(child, 1.0 / max(len(receivers), 1))
+                ratio = scores[child_pos] / total
             ops.append((SPLIT, current, child, ratio, has_reference(child)))
             num_splits += 1
             sim[child] = True

@@ -60,10 +60,6 @@ class STAAlgorithm:
             "detecting_anomalies": 0.0,
         }
         self.last_result: TimeunitResult | None = None
-        #: Raw root weight of the most recent timeunit.  Additive across
-        #: disjoint subtree shards; the sharded engine sums it to replay the
-        #: root's split-rule bookkeeping coordinator-side.
-        self.last_root_raw = 0.0
         #: Frontier-band capture for depth-k sharding (see
         #: :meth:`capture_frontier`); off outside sharded workers.
         self._frontier_paths: "tuple[CategoryPath, ...] | None" = None
@@ -80,9 +76,10 @@ class STAAlgorithm:
         """Record the raw weight of each of ``paths`` on every close.
 
         Same contract as :meth:`ADAAlgorithm.capture_frontier
-        <repro.core.ada.ADAAlgorithm.capture_frontier>`: the depth-k sharded
-        coordinator sums these per-shard tuples to validate the merged band
-        weights.
+        <repro.core.ada.ADAAlgorithm.capture_frontier>`: after each closed
+        timeunit :attr:`last_frontier_raw` holds one float per path, and the
+        depth-k sharded coordinator checks only that each shard's tuple has
+        one value per band node (STA keeps no band bookkeeping to replay).
         """
         self._frontier_paths = tuple(tuple(p) for p in paths)
         self.last_frontier_raw = None
@@ -112,7 +109,6 @@ class STAAlgorithm:
             heavy_mask[self._shallow_ids] = False
         paths = index.paths
         heavy = {paths[i] for i in np.flatnonzero(heavy_mask).tolist()}
-        self.last_root_raw = float(raw.get(self.tree.root.path, 0.0))
         if self._frontier_paths is not None:
             self.last_frontier_raw = tuple(
                 float(raw.get(path, 0.0)) for path in self._frontier_paths
@@ -182,8 +178,8 @@ class STAAlgorithm:
         The refit drives all heavy hitters through one throwaway
         :class:`~repro.forecasting.bank.ForecasterBank` in lockstep — every
         reconstructed history spans the same retained window, so each
-        timeunit is one vectorized ``observe_rows`` call (bit-identical to
-        the per-node scalar replay).
+        timeunit is one ``observe_rows`` call (bit-identical to the per-node
+        scalar replay).
         """
         if not series:
             return {}
@@ -196,7 +192,7 @@ class STAAlgorithm:
         rows = np.array([bank.new_row() for _ in paths], dtype=np.intp)
         columns = np.array(histories, dtype=np.float64).T
         for column in columns:
-            bank.observe_rows_arrays(rows, column)
+            bank.observe_rows(rows, column)
         return {path: bank.forecast(row) for path, row in zip(paths, rows.tolist())}
 
     def _detect(

@@ -78,10 +78,9 @@ class CloseCapture(EngineObserver):
     ) -> None:
         self.results.append(result)
         if self.weights is not None:
-            values = getattr(session.algorithm, "last_frontier_raw", None)
-            if values is None:
-                values = (float(getattr(session.algorithm, "last_root_raw", 0.0)),)
-            self.weights.append((int(result.timeunit), tuple(values)))
+            self.weights.append(
+                (int(result.timeunit), session.algorithm.last_frontier_raw)
+            )
 
     def drain(
         self,
@@ -102,10 +101,10 @@ class WorkerUnit:
         # here would only grow worker memory forever.
         session.retain_reports = False
         if capture_depth >= 1:
-            band = frontier_band_paths(session.tree.leaf_paths(), capture_depth)
-            capture_frontier = getattr(session.algorithm, "capture_frontier", None)
-            if capture_frontier is not None:
-                capture_frontier(band)
+            # Every shardable algorithm (ADA, STA) captures its band.
+            session.algorithm.capture_frontier(
+                frontier_band_paths(session.tree.leaf_paths(), capture_depth)
+            )
         self.capture = CloseCapture(frontier=capture_depth >= 1)
         session.subscribe(self.capture)
 

@@ -23,10 +23,10 @@ arithmetic on whole rows:
   the zeros a ratio-0 split leaves);
 * **reference correction** (:meth:`~ForecasterBank.reseed`) — windows and
   forecaster state rewritten in place from the corrected series;
-* **close** — :meth:`~ForecasterBank.observe_rows_arrays` advances every
-  tracked forecaster (the warm-up append is one indexed store) and
-  :meth:`~ForecasterBank.record_rows` appends every window with one
-  indexed store each.
+* **close** — :meth:`~ForecasterBank.observe_rows` advances every tracked
+  forecaster with one kernel, whatever the number of rows (the warm-up
+  append is one indexed store), and :meth:`~ForecasterBank.record_rows`
+  appends every window with one indexed store each.
 
 Every float operation is, element for element, the scalar arithmetic of the
 per-object forecaster (:class:`_ScalarRow`), so a row behaves exactly as that
@@ -37,10 +37,13 @@ The built-in Holt-Winters models get matrix rows whatever selects them —
 model.  A plug-in model registered with
 :func:`~repro.core.registry.register_forecaster` is opaque to the kernels: each
 of its rows holds its forecaster state as a :class:`_ScalarRow` beside the
-matrix (``_obj``) for the row's whole life, while its windows stay in the
-matrix, so every SPLIT, MERGE, correction and close runs the same row
-operations.  A restored snapshot that does not fit the layout (foreign
-seasonal parameters) is held the same way until a correction reseeds it.
+matrix (``_obj``), while its windows stay in the matrix, so every SPLIT,
+MERGE, correction and close runs the same row operations.  A bank row is
+one kind for its whole life: ``_obj`` holds a row exactly when the bank's
+model is a plug-in.  A restored snapshot that does not fit a built-in
+layout (foreign seasonal parameters, an uninitialized model, a warm-up
+history of ``min_history`` or more values) is refused with
+:class:`~repro.exceptions.CheckpointError`.
 
 Checkpoint compatibility: :meth:`row_state_dict` / :meth:`load_row_state`
 speak the *canonical per-path forecaster format* that predates the bank
@@ -66,17 +69,11 @@ from repro.core.registry import (
     create_forecaster,
     forecaster_state_loader,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CheckpointError, ConfigurationError
 from repro.forecasting.holt_winters import (
     HoltWintersForecaster,
     MultiSeasonalHoltWinters,
 )
-
-#: Batch-size crossover below which one :meth:`ForecasterBank.observe_rows`
-#: call routes through the per-row observe loop (measured ≈ 6 rows: NumPy
-#: gather/scatter overhead beats Python floats only from about that many
-#: rows).  The two paths are bit-identical.
-OBSERVE_BATCH_MIN_ROWS = 6
 
 
 def _build_seasonal_model(config: ForecastConfig):
@@ -108,8 +105,7 @@ class _ScalarRow:
     """One row's forecasting state as plain Python objects.
 
     The historical per-node forecaster: the bank holds a plug-in model's
-    rows (and snapshots that do not fit its layout) as these, and the test
-    oracle's series are made of them.
+    rows as these, and the test oracle's series are made of them.
     """
 
     __slots__ = ("config", "ewma_level", "seen", "history", "seasonal")
@@ -310,11 +306,9 @@ class ForecasterBank:
         #: are then recorded together stay slot-aligned.  A hint — nothing
         #: depends on it but the share of folds that are a single add.
         self._wpos_hint = 0
-        #: Whole scalar rows for forecaster state the layout does not hold:
-        #: every row of a plug-in model, and snapshots with foreign seasonal
-        #: parameters (or a warm-up history that fills the history segment).
-        #: Such rows bypass the vector kernels but behave identically; their
-        #: windows stay in the matrix.
+        #: A plug-in model's forecaster state, one scalar row per live row
+        #: (empty in a bank of a built-in model); the windows stay in the
+        #: matrix.
         self._obj: dict[int, _ScalarRow] = {}
         if window is not None:
             self.reserve_window(window)
@@ -392,8 +386,7 @@ class ForecasterBank:
         if not 0 <= row < self._size or not self._live[row]:
             raise ConfigurationError(f"bank row {row} is not live")
         self._live[row] = 0
-        if self._obj:
-            self._obj.pop(row, None)
+        self._obj.pop(row, None)
         self._free.append(row)
 
     # ------------------------------------------------------------------
@@ -401,126 +394,38 @@ class ForecasterBank:
     # ------------------------------------------------------------------
     def forecast(self, row: int) -> float:
         """One-step-ahead forecast for ``row``'s next timeunit."""
-        obj = self._obj.get(row)
-        if obj is not None:
-            return obj.forecast()
-        state = self._state[row]
+        if self._plugin:
+            return self._obj[row].forecast()
         if self._ints[row, _ACTIVE]:
-            return (
-                float(state[1]) + float(state[2]) + self._combined_seasonal(row)
+            forecast, *_ = self._components(
+                self._state.reshape(-1),
+                self._ints.reshape(-1),
+                np.array([row * self._width]),
+                np.array([row * self._icols]),
             )
-        ewma = state[0]
-        return 0.0 if ewma != ewma else float(ewma)
+            return float(forecast[0])
+        ewma = float(self._state[row, 0])
+        return 0.0 if ewma != ewma else ewma
 
-    def _combined_seasonal(self, row: int) -> float:
-        state = self._state[row]
-        ints = self._ints[row]
-        if self._single:
-            return float(state[3 + ints[_PHASE]])
-        return sum(
-            w * float(state[off + ints[_PHASE + k]])
-            for k, (w, off) in enumerate(zip(self._weights, self._seasonal_off))
-        )
-
-    def observe(self, row: int, value: float) -> float:
-        """Fold in ``row``'s next actual value; returns the forecast made for it.
-
-        Scalar counterpart of :meth:`observe_rows` — the arithmetic is the
-        same expression evaluated on Python floats, so the two are
-        bit-for-bit interchangeable (property-tested).
-        """
-        obj = self._obj.get(row)
-        if obj is not None:
-            return obj.observe(value)
-        value = float(value)
-        predicted = self.forecast(row)
-        state = self._state[row]
-        ints = self._ints[row]
-        alpha = self.config.fallback_alpha
-        ewma = state[0]
-        if ewma != ewma:
-            state[0] = value
-        else:
-            state[0] = alpha * value + (1 - alpha) * float(ewma)
-        if ints[_ACTIVE]:
-            self._update_seasonal_scalar(row, value)
-        else:
-            hlen = int(ints[_HLEN])
-            state[self._hist_off + hlen] = value
-            ints[_HLEN] = hlen + 1
-            if hlen + 1 >= self._min_history:
-                self._activate(row)
-        ints[_SEEN] += 1
-        return predicted
-
-    def _update_seasonal_scalar(self, row: int, value: float) -> None:
-        alpha, beta, gamma = self.config.alpha, self.config.beta, self.config.gamma
-        state = self._state[row]
-        ints = self._ints[row]
-        level = float(state[1])
-        trend = float(state[2])
-        seasonal = self._combined_seasonal(row)
-        new_level = alpha * (value - seasonal) + (1 - alpha) * (level + trend)
-        state[1] = new_level
-        state[2] = beta * (new_level - level) + (1 - beta) * trend
-        for k, (off, p) in enumerate(zip(self._seasonal_off, self._lengths)):
-            phase = int(ints[_PHASE + k])
-            state[off + phase] = gamma * (value - new_level) + (1 - gamma) * float(
-                state[off + phase]
-            )
-            ints[_PHASE + k] = (phase + 1) % p
-
-    def observe_rows(self, rows: Sequence[int], values: Sequence[float]) -> list[float]:
-        """Vectorized :meth:`observe` over distinct ``rows``; returns forecasts.
+    def observe_rows(self, idx, v):
+        """Fold in one timeunit: ``v[i]`` (float64 array) is the next actual
+        value of row ``idx[i]`` (integer array of distinct rows); returns
+        the forecasts made for them, a float64 array.
 
         This is the per-timeunit hot path: one call updates the EWMA levels,
-        Holt-Winters components and warm-up histories of every tracked node.
-        ``rows`` must not contain duplicates (each tracked node appears once
-        per timeunit).
+        Holt-Winters components and warm-up histories of every tracked node,
+        whatever the number of rows.
         """
-        if len(rows) < OBSERVE_BATCH_MIN_ROWS or self._plugin:
-            return [self.observe(row, value) for row, value in zip(rows, values)]
-        if self._obj:
-            # Object rows (foreign-layout restores) update scalar;
-            # the rest of the batch keeps the vector kernels so one foreign
-            # row does not de-vectorize the whole bank.
-            obj_positions = [
-                pos for pos, row in enumerate(rows) if row in self._obj
-            ]
-            if obj_positions:
-                obj_set = set(obj_positions)
-                vec_positions = [
-                    pos for pos in range(len(rows)) if pos not in obj_set
-                ]
-                forecasts = [0.0] * len(rows)
-                for pos in obj_positions:
-                    forecasts[pos] = self.observe(rows[pos], values[pos])
-                vec_forecasts = self.observe_rows(
-                    [rows[pos] for pos in vec_positions],
-                    [values[pos] for pos in vec_positions],
-                )
-                for pos, forecast in zip(vec_positions, vec_forecasts):
-                    forecasts[pos] = forecast
-                return forecasts
-        idx = np.asarray(rows, dtype=np.intp)
-        v = np.asarray(values, dtype=np.float64)
-        return self._observe_vector(idx, v).tolist()
-
-    def observe_rows_arrays(self, idx, v):
-        """Array-native :meth:`observe_rows`: ndarrays in, float64 ndarray out.
-
-        ADA's close already holds its row indices and values as arrays; this
-        entry point skips the list round-trips.  Semantics are identical —
-        small batches and object rows take the exact scalar/list path of
-        :meth:`observe_rows`.
-        """
-        if idx.size < OBSERVE_BATCH_MIN_ROWS or self._obj:
-            forecasts = self.observe_rows(idx.tolist(), v.tolist())
-            return np.asarray(forecasts, dtype=np.float64)
+        if self._plugin:
+            obj = self._obj
+            return np.array(
+                [obj[row].observe(value) for row, value in zip(idx.tolist(), v.tolist())],
+                dtype=np.float64,
+            )
         return self._observe_vector(idx, v)
 
     def _observe_vector(self, idx, v):
-        """Shared vector kernel behind :meth:`observe_rows` (no ``_obj`` rows).
+        """The observe kernel of matrix rows.
 
         Every gather and scatter is a 1-d take on the flattened matrices at
         ``row * width + column``.
@@ -534,21 +439,22 @@ class ForecasterBank:
         fallback_alpha = self.config.fallback_alpha
         if active.all() and not np.isnan(ewma).any():
             # Steady state (every row warm): no masks, no history bookkeeping.
-            level, trend, seasonal = self._components(flat, iflat, base, ibase)
+            forecasts, *components = self._components(flat, iflat, base, ibase)
             flat[base] = fallback_alpha * v + (1 - fallback_alpha) * ewma
             iflat[ibase + _SEEN] += 1
-            self._update_components(flat, iflat, base, ibase, v, level, trend, seasonal)
-            return level + trend + seasonal
+            self._update_components(flat, iflat, base, ibase, v, *components)
+            return forecasts
         has_ewma = ~np.isnan(ewma)
         forecasts = np.where(has_ewma, ewma, 0.0)
         active_pos = np.flatnonzero(active)
         if active_pos.size:
             a_base = base[active_pos]
             a_ibase = ibase[active_pos]
-            level, trend, seasonal = self._components(flat, iflat, a_base, a_ibase)
-            forecasts[active_pos] = level + trend + seasonal
+            forecasts[active_pos], *components = self._components(
+                flat, iflat, a_base, a_ibase
+            )
             self._update_components(
-                flat, iflat, a_base, a_ibase, v[active_pos], level, trend, seasonal
+                flat, iflat, a_base, a_ibase, v[active_pos], *components
             )
         flat[base] = np.where(
             has_ewma, fallback_alpha * v + (1 - fallback_alpha) * ewma, v
@@ -567,15 +473,18 @@ class ForecasterBank:
         return forecasts
 
     def _components(self, flat, iflat, base, ibase):
-        """``(level, trend, combined seasonal)`` of the active rows at
-        ``base`` / ``ibase`` (flat offsets of their float / integer rows)."""
+        """``(forecast, level, trend, combined seasonal)`` of the active rows
+        at ``base`` / ``ibase`` (flat offsets of their float / integer rows):
+        the forecast is level + trend + seasonal."""
         if self._single:
             seasonal = flat[base + (3 + iflat[ibase + _PHASE])]
         else:
             seasonal = np.zeros(base.size)
             for k, (w, off) in enumerate(zip(self._weights, self._seasonal_off)):
                 seasonal = seasonal + w * flat[base + (off + iflat[ibase + (_PHASE + k)])]
-        return flat[base + 1], flat[base + 2], seasonal
+        level = flat[base + 1]
+        trend = flat[base + 2]
+        return level + trend + seasonal, level, trend, seasonal
 
     def _update_components(self, flat, iflat, base, ibase, v, level, trend, seasonal):
         """The Holt-Winters update of those rows with the values ``v``."""
@@ -619,20 +528,10 @@ class ForecasterBank:
     # ------------------------------------------------------------------
     # Windows
     # ------------------------------------------------------------------
-    def record(self, row: int, value: float, predicted: float) -> None:
-        """Append one ``(actual, forecast)`` pair to ``row``'s windows."""
-        state = self._state[row]
-        ints = self._ints[row]
-        length = self.window
-        pos = int(ints[_WPOS])
-        state[self._actual_off + pos] = value
-        state[self._forecast_off + pos] = predicted
-        ints[_WPOS] = 0 if pos + 1 == length else pos + 1
-        np.minimum(ints[_ALEN : _FLEN + 1] + 1, length, out=ints[_ALEN : _FLEN + 1])
-
     def record_rows(self, idx, values, forecasts) -> None:
-        """:meth:`record` for every row of one close: one indexed store per
-        window, one cursor update."""
+        """Append one ``(actual, forecast)`` pair to the windows of each of
+        the distinct rows ``idx`` (arrays, as :meth:`observe_rows`): one
+        indexed store per window, one cursor update."""
         if not idx.size:
             return
         flat = self._state.reshape(-1)
@@ -698,8 +597,7 @@ class ForecasterBank:
         ``values`` (oldest first, the newest ℓ of them) and the forecaster
         state is rebuilt from them by :meth:`seed_fast`.  The window cursor
         stays where it is, so the row remains slot-aligned with its peers.
-        A plug-in model's row restarts from a fresh scalar row; a foreign
-        snapshot's row rejoins the layout."""
+        A plug-in model's row restarts from a fresh scalar row."""
         values = values[-self.window :]
         state = self._state[row]
         ints = self._ints[row]
@@ -714,8 +612,6 @@ class ForecasterBank:
         state[self._forecast_off :] = actual
         if self._plugin:
             self._obj[row] = _ScalarRow(self.config)
-        elif self._obj:
-            self._obj.pop(row, None)
         self.seed_fast(row, values)
 
     # ------------------------------------------------------------------
@@ -729,9 +625,8 @@ class ForecasterBank:
         reference-series correction path (O(seasonal period) instead of
         O(window) updates).
         """
-        obj = self._obj.get(row)
-        if obj is not None:
-            obj.seed_fast(history)
+        if self._plugin:
+            self._obj[row].seed_fast(history)
             return
         n = len(history)
         state = self._state[row]
@@ -799,7 +694,7 @@ class ForecasterBank:
         np.multiply(donor, ratio, out=self._state[dst])
         donor *= rest
         self._ints[dst] = self._ints[row]
-        if self._obj and row in self._obj:
+        if self._plugin:
             source = self._obj[row]
             self._obj[dst] = source.scaled(ratio)
             self._obj[row] = source.scaled(rest)
@@ -842,9 +737,7 @@ class ForecasterBank:
         dst_ints = self._ints[dst]
         theirs = src_ints.tolist()
         mine = dst_ints.tolist()
-        if theirs[_ACTIVE:_PHASE] == mine[_ACTIVE:_PHASE] and not (
-            self._obj and (src in self._obj or dst in self._obj)
-        ):
+        if theirs[_ACTIVE:_PHASE] == mine[_ACTIVE:_PHASE] and not self._plugin:
             src_state = self._state[src]
             dst_state = self._state[dst]
             src_ewma = src_state[0]
@@ -892,15 +785,8 @@ class ForecasterBank:
         something, copy where only the source does, nothing where the source
         is empty.
         """
-        if self._obj and (src in self._obj or dst in self._obj):
-            other = self._obj.get(src)
-            if other is None:
-                other = self._as_scalar_row(src)
-            mine = self._obj.get(dst)
-            if mine is None:
-                mine = self._obj[dst] = self._as_scalar_row(dst)
-                self._state[dst, : self._actual_off] = 0.0
-            mine.add_state(other)
+        if self._plugin:
+            self._obj[dst].add_state(self._obj[src])
             return
         src_state = self._state[src]
         dst_state = self._state[dst]
@@ -944,14 +830,8 @@ class ForecasterBank:
                 padded[1, length - theirs :] = src_state[hist_off : hist_off + theirs]
                 np.add(padded[0], padded[1], out=dst_state[hist_off : hist_off + length])
             dst_ints[_HLEN] = max(mine, theirs)
-        # No activation check: a vector row's history is always shorter than
-        # ``min_history`` (longer ones live in ``_obj``), so is their fold.
-
-    def _as_scalar_row(self, row: int) -> _ScalarRow:
-        """A scalar-row copy of a vector row's forecaster state."""
-        scalar = _ScalarRow(self.config)
-        scalar.load_state_dict(self.row_state_dict(row))
-        return scalar
+        # No activation check: a matrix row's history is always shorter than
+        # ``min_history`` (a longer one is refused at load), so is their fold.
 
     # ------------------------------------------------------------------
     # Canonical (pre-bank) checkpoint format
@@ -979,9 +859,8 @@ class ForecasterBank:
 
     def row_state_dict(self, row: int) -> dict:
         """The row's state in the canonical per-path forecaster format."""
-        obj = self._obj.get(row)
-        if obj is not None:
-            return obj.state_dict()
+        if self._plugin:
+            return self._obj[row].state_dict()
         ints = self._ints[row].tolist()
         values = self._state[row, : self._hist_off + ints[_HLEN]].tolist()
         config = self.config
@@ -1024,23 +903,30 @@ class ForecasterBank:
         }
 
     def load_row_state(self, row: int, state: dict) -> None:
-        """Restore a *fresh* row from :meth:`row_state_dict` output."""
+        """Restore a *fresh* row from :meth:`row_state_dict` output.
+
+        A built-in model's snapshot must fit the layout: raises
+        :class:`~repro.exceptions.CheckpointError` for seasonal state of
+        other parameters or an uninitialized model, and for a warm-up history
+        of ``min_history`` or more values (the model activates before that).
+        """
+        if self._plugin:
+            self._obj[row].load_state_dict(state)
+            return
         seasonal = state["seasonal"]
         history = state["history"]
-        if (
-            self._plugin
-            or len(history) >= self._min_history
-            or (
-                seasonal is not None
-                and (seasonal["level"] is None or not self._matches_layout(seasonal))
+        if len(history) >= self._min_history:
+            raise CheckpointError(
+                f"forecaster snapshot holds a warm-up history of {len(history)} "
+                f"values; the model activates at {self._min_history}"
             )
+        if seasonal is not None and (
+            seasonal["level"] is None or not self._matches_layout(seasonal)
         ):
-            # A plug-in model's row, or state that does not fit the layout (a
-            # foreign config's snapshot, or a stored-but-uninitialized model):
-            # hold it faithfully as a scalar row.
-            scalar = self._obj[row] = _ScalarRow(self.config)
-            scalar.load_state_dict(state)
-            return
+            raise CheckpointError(
+                "forecaster snapshot holds seasonal state that does not fit "
+                "this session's forecasting model"
+            )
         values = self._state[row]
         ints = self._ints[row]
         level = state["ewma_level"]
@@ -1089,6 +975,5 @@ class ForecasterBank:
 
 __all__ = [
     "ForecasterBank",
-    "OBSERVE_BATCH_MIN_ROWS",
     "load_seasonal_state",
 ]

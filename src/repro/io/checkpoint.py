@@ -50,7 +50,12 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.detector import Anomaly
-from repro.exceptions import CheckpointError, CheckpointReadError, CheckpointWriteError
+from repro.exceptions import (
+    CheckpointError,
+    CheckpointReadError,
+    CheckpointWriteError,
+    ConfigurationError,
+)
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.clock import SimulationClock
 
@@ -259,7 +264,9 @@ def session_from_state_dict(state: Mapping[str, Any]) -> "DetectionSession":
             session._shadow_tracker = ShadowTracker.from_state_dict(
                 shadow_state["tracker"]
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+        # A stored config that fails validation, or a series whose window
+        # disagrees with it, is a bad checkpoint too.
         raise CheckpointError(f"malformed session state: {exc!r}") from exc
     return session
 

@@ -8,6 +8,7 @@ from repro.core.ada import ADAAlgorithm, _SplitStatsStore, nearest_tracked_node
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.hhh import compute_shhh
 from repro.core.sta import STAAlgorithm
+from repro.exceptions import CheckpointError
 from repro.hierarchy.tree import HierarchyTree
 from repro.testing.reference import ReferenceStats
 
@@ -212,9 +213,10 @@ class TestNearestTrackedNode:
         assert node.path == ("a", "a1")
 
 
-#: Every node of the ``tree`` fixture, and two paths it has no node for.
+#: Every node of the ``tree`` fixture.
 TREE_PATHS = [(), ("a",), ("b",), ("a", "a1"), ("a", "a2"), ("b", "b1"), ("b", "b2")]
-FOREIGN_PATHS = [("zz", "unknown"), ("a", "a9")]
+#: The four split rules, by their config names.
+SPLIT_RULES = ("uniform", "last-time-unit", "long-term-history", "ewma")
 WEIGHT = st.floats(min_value=0.001, max_value=1e6, allow_nan=False)
 #: One timeunit of a feed: silent timeunits before it, then the positive raw
 #: weights of the nodes it touches (none: an all-zero unit).
@@ -232,27 +234,39 @@ STATS_ROW = st.fixed_dictionaries(
 )
 #: ``(path, statistics row or None, last unit or None)`` of a restored store.
 LOADED_ROW = st.tuples(
-    st.sampled_from(TREE_PATHS + FOREIGN_PATHS),
+    st.sampled_from(TREE_PATHS),
     st.one_of(st.none(), STATS_ROW),
     st.one_of(st.none(), st.integers(min_value=0, max_value=39)),
 )
 
 
+def assert_scorers_match(config, dense_store, dict_store, unit):
+    """For each split rule, ADA's id scorer over ``dense_store`` at ``unit``
+    equals the rule's score of the reference's per-path view, every node."""
+    for name in SPLIT_RULES:
+        ada = ADAAlgorithm(dense_store.index.tree, config.replace(split_rule=name))
+        ada._stats, ada._timeunit = dense_store, unit
+        score = ada._make_id_scorer()
+        for path, node_id in dense_store.index.path_to_id.items():
+            expected = ada.split_rule.score(dict_store.view(path, unit))
+            assert score(node_id) == expected, (name, path)
+
+
 class TestSplitStatsStore:
-    def test_rows_outside_the_tree_survive_a_round_trip(self, tree):
-        """Statistics rows restored for paths this tree has no node for are
-        carried through ``load`` -> ``emit`` untouched."""
+    def test_rows_outside_the_tree_are_refused(self, tree):
         row = {
             "last_weight": 1.0,
             "cumulative_weight": 5.0,
             "ewma_weight": 2.5,
             "observations": 3,
         }
-        stats_rows = [[["a"], dict(row)], [["zz", "unknown"], dict(row)]]
-        last_rows = [[["a"], 4], [["zz", "unknown"], 2]]
-        ada = ADAAlgorithm(tree, make_config())
-        ada._stats.load(stats_rows, last_rows)
-        assert ada._stats.emit() == (stats_rows, last_rows)
+        for stats_rows, last_rows in (
+            ([[["a"], dict(row)], [["zz", "unknown"], dict(row)]], []),
+            ([[["a"], dict(row)]], [[["a"], 4], [["zz", "unknown"], 2]]),
+        ):
+            ada = ADAAlgorithm(tree, make_config())
+            with pytest.raises(CheckpointError, match="unknown"):
+                ada._stats.load(stats_rows, last_rows)
 
     def test_dense_and_per_path_stats_agree(self, tree):
         """Bit-equal statistics from the dense store and the reference's
@@ -274,10 +288,7 @@ class TestSplitStatsStore:
                 raw_vec[index.path_to_id[path]] = weight
             dense_store.update_dense(unit, raw_vec)
             dict_store.update(unit, counts)
-        for path in [("a", "a1"), ("b", "b1"), ("b", "b2"), ("a", "a2")]:
-            dense_view = dense_store.view_id(index.path_to_id[path], len(feeds))
-            dict_view = dict_store.view(path, len(feeds))
-            assert dense_view == dict_view, path
+        assert_scorers_match(config, dense_store, dict_store, len(feeds))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -301,9 +312,8 @@ class TestSplitStatsStore:
         fed the same units: all-zero units, first-ever observations,
         non-integer weights, silent gaps that outgrow the decay table, and
         stores restored from rows where a node has a statistics row but no
-        last-unit row (or the reverse) and from rows of paths the tree has
-        no node for.  Checkpoint rows and every node's view must be equal,
-        exactly."""
+        last-unit row (or the reverse).  Checkpoint rows and every node's
+        score under each split rule must be equal, exactly."""
         config = make_config(split_rule="ewma", split_ewma_alpha=0.4)
         tree = HierarchyTree.from_leaf_paths([path for path in TREE_PATHS if len(path) == 2])
         index = ADAAlgorithm(tree, config)._index
@@ -339,7 +349,6 @@ class TestSplitStatsStore:
         dense_rows, dict_rows = dense_store.emit(), dict_store.emit()
         assert by_path(dense_rows[0]) == by_path(dict_rows[0])
         assert by_path(dense_rows[1]) == by_path(dict_rows[1])
-        for path, node_id in index.path_to_id.items():
-            assert dense_store.view_id(node_id, unit) == dict_store.view(path, unit), path
+        assert_scorers_match(config, dense_store, dict_store, unit)
         # The table covers the longest silence decayed and nothing more.
         assert len(dense_store._decay) == longest_gap + 1

@@ -12,6 +12,7 @@ import inspect
 import json
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,9 +203,8 @@ class TestPlannerInternals:
             index,
             algo._series_mask,
             heavy_mask,
-            algo._view_by_id,
-            algo.split_rule,
             algo._ref_has_id,
+            algo._make_id_scorer(),
         )
         assert not plan.ops  # no delta -> empty plan
         heavy_mask = algo._series_mask.copy()
@@ -214,9 +214,8 @@ class TestPlannerInternals:
             index,
             algo._series_mask,
             heavy_mask,
-            algo._view_by_id,
-            algo.split_rule,
             algo._ref_has_id,
+            algo._make_id_scorer(),
         )
         kinds = [op[0] for op in plan.ops]
         assert plan.num_merges >= 1
@@ -238,7 +237,7 @@ class TestBankOps:
         for i in range(n):
             row = bank.new_row()
             for step in range(10):
-                bank.observe(row, 5.0 + i + step % 3)
+                bank.observe_rows(np.array([row]), np.array([5.0 + i + step % 3]))
             rows.append(row)
         return bank, rows
 
@@ -300,7 +299,7 @@ class TestBankOps:
         scalar = [_ScalarRow(config) for _ in range(4)]
         for step in range(4):
             for _ in range(step + 1):  # unequal history lengths
-                bank.observe(rows[step], 3.0 + step)
+                bank.observe_rows(np.array([rows[step]]), np.array([3.0 + step]))
                 scalar[step].observe(3.0 + step)
         child = bank.split_row(rows[0], 0.25)
         scalar.append(scalar[0].scaled(0.25))
@@ -316,10 +315,10 @@ class TestBankOps:
 
 class TestRefStore:
     def test_ring_round_trip(self):
-        store = _RefStore(4)
         paths = (("a",), ("b",))
+        store = _RefStore(4, paths)
         for value in range(6):
-            store.append_column(paths, [float(value), float(value * 10)])
+            store.append_column([float(value), float(value * 10)])
         assert store.emit() == [
             [["a"], [2.0, 3.0, 4.0, 5.0]],
             [["b"], [20.0, 30.0, 40.0, 50.0]],
@@ -327,51 +326,49 @@ class TestRefStore:
         assert store.has_values(("a",))
         assert not store.has_values(("z",))
         assert store.total_len() == 8
-        clone = _RefStore(4)
+        clone = _RefStore(4, paths)
         clone.load(store.emit())
         assert clone.emit() == store.emit()
         assert clone.corrected_base(("b",)).tolist() == [20.0, 30.0, 40.0, 50.0]
 
     def test_ragged_load_stays_in_the_ring(self):
-        store = _RefStore(8)
+        store = _RefStore(8, (("a",), ("b",)))
         store.load([[["a"], [1.0, 2.0]], [["b"], [3.0]]])
         assert store.emit() == [[["a"], [1.0, 2.0]], [["b"], [3.0]]]
-        store.append_column((("a",), ("b",)), [5.0, 6.0])
+        store.append_column([5.0, 6.0])
         assert store.emit() == [[["a"], [1.0, 2.0, 5.0]], [["b"], [3.0, 6.0]]]
         assert store.total_len() == 5
 
     def test_empty_load_then_append(self):
-        store = _RefStore(4)
+        store = _RefStore(4, (("a",),))
         store.load([])
-        store.append_column((("a",),), [1.0])
+        store.append_column([1.0])
         assert store.emit() == [[["a"], [1.0]]]
 
-    UNIVERSE = [("a",), ("b",), ("c",), ("b", "x"), ("b", "y")]
+    def test_a_row_outside_the_paths_is_refused(self):
+        store = _RefStore(4, (("a",), ("b",)))
+        with pytest.raises(CheckpointError, match="'z'"):
+            store.load([[["a"], [1.0]], [["z"], [2.0]]])
 
-    @staticmethod
-    def model_append(model, maxlen, paths, values):
-        for path, value in zip(paths, values):
-            model.setdefault(path, deque(maxlen=maxlen)).append(float(value))
+    UNIVERSE = [("a",), ("b",), ("c",), ("b", "x"), ("b", "y")]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_ring_equals_a_deque_per_row(self, data):
-        """Against a dict of bounded deques: ragged restores, restored rows
-        the column never names, rows created late (in ``paths`` order), a
-        second ``paths`` tuple that sets rows aside and puts them back, and
-        wrap — ``emit``, ``corrected_base``, ``has_values`` and
-        ``total_len`` after every step."""
+        """Against a dict of bounded deques: ragged restores of any subset
+        of ``paths`` in any order, rows created late (in ``paths`` order),
+        restores mid-stream, and wrap — ``emit``, ``corrected_base``,
+        ``has_values`` and ``total_len`` after every step."""
         maxlen = data.draw(st.integers(min_value=1, max_value=5), label="maxlen")
         subsets = st.lists(st.sampled_from(self.UNIVERSE), unique=True, max_size=5)
-        loaded = data.draw(subsets, label="loaded")
+        paths = tuple(data.draw(subsets.filter(bool), label="paths"))
+        loaded = data.draw(st.permutations(paths), label="loaded")
+        loaded = loaded[: data.draw(st.integers(0, len(loaded)), label="restored")]
         rows = [
             [list(path), data.draw(st.lists(st.integers(-9, 9).map(float), max_size=8))]
             for path in loaded
         ]
-        columns = [
-            tuple(data.draw(subsets.filter(bool), label="paths")) for _ in range(2)
-        ]
-        store = _RefStore(maxlen)
+        store = _RefStore(maxlen, paths)
         store.load(rows)
         model = {
             tuple(path): deque(values, maxlen=maxlen) for path, values in rows
@@ -380,10 +377,10 @@ class TestRefStore:
             if data.draw(st.integers(0, 9)) == 0:
                 store.load(store.emit())
             else:
-                paths = columns[data.draw(st.integers(0, 9)) // 8]
                 values = [float(data.draw(st.integers(-9, 9))) for _ in paths]
-                store.append_column(paths, values)
-                self.model_append(model, maxlen, paths, values)
+                store.append_column(values)
+                for path, value in zip(paths, values):
+                    model.setdefault(path, deque(maxlen=maxlen)).append(value)
             assert store.emit() == [[list(p), list(b)] for p, b in model.items()]
             assert store.total_len() == sum(len(b) for b in model.values())
             for path in self.UNIVERSE:

@@ -1,5 +1,6 @@
 """Unit tests for :mod:`repro.core.registry` (pluggable factories)."""
 
+import numpy as np
 import pytest
 
 from repro.core.ada import ADAAlgorithm
@@ -143,7 +144,7 @@ def fed_row(config, values):
     bank = ForecasterBank(config)
     row = bank.new_row()
     for value in values:
-        bank.observe(row, value)
+        bank.observe_rows(np.array([row]), np.array([value]))
     return bank, row
 
 

@@ -6,6 +6,7 @@ import math
 import pickle
 from collections import deque
 
+import numpy as np
 import pytest
 
 from repro.core.config import ForecastConfig
@@ -13,6 +14,21 @@ from repro.core.timeseries import MultiScaleTimeSeries
 from repro.exceptions import ConfigurationError
 from repro.forecasting.bank import ForecasterBank, load_seasonal_state
 from repro.testing.reference import aligned_add
+
+
+def observe(bank, row, value) -> float:
+    """One close of ``row`` (a one-row batch); the forecast made for it."""
+    return float(bank.observe_rows(np.array([row]), np.array([float(value)]))[0])
+
+
+def record(bank, row, value, forecast) -> None:
+    """Append one ``(actual, forecast)`` pair to ``row``'s windows."""
+    bank.record_rows(np.array([row]), np.array([float(value)]), np.array([forecast]))
+
+
+def close(bank, row, value) -> None:
+    """Observe ``value`` and record it with its forecast, as a close does."""
+    record(bank, row, value, observe(bank, row, value))
 
 
 def fc(season=4, fallback=0.5):
@@ -24,7 +40,7 @@ def fed_row(values, length=8, config=None):
     bank = ForecasterBank(config or fc(), window=length)
     row = bank.new_row()
     for value in values:
-        bank.record(row, float(value), bank.observe(row, value))
+        close(bank, row, value)
     return bank, row
 
 
@@ -41,22 +57,22 @@ class TestForecasterRows:
         row = bank.new_row()
         assert not is_seasonal(bank, row)
         assert bank.forecast(row) == 0.0
-        bank.observe(row, 10.0)
+        observe(bank, row, 10.0)
         assert bank.forecast(row) == pytest.approx(10.0)
 
     def test_switches_to_seasonal_after_enough_history(self):
         bank = ForecasterBank(fc(season=4))
         row = bank.new_row()
         for _ in range(8):
-            bank.observe(row, 5.0)
+            observe(bank, row, 5.0)
         assert is_seasonal(bank, row)
         assert bank.forecast(row) == pytest.approx(5.0, abs=1e-6)
 
     def test_observe_returns_prior_forecast(self):
         bank = ForecasterBank(fc(season=8, fallback=0.5))
         row = bank.new_row()
-        bank.observe(row, 10.0)
-        assert bank.observe(row, 20.0) == pytest.approx(10.0)
+        observe(bank, row, 10.0)
+        assert observe(bank, row, 20.0) == pytest.approx(10.0)
 
     def test_seasonal_forecast_tracks_periodic_series(self):
         period = 6
@@ -65,7 +81,7 @@ class TestForecasterRows:
         row = bank.new_row()
         errors = []
         for value in series:
-            predicted = bank.observe(row, value)
+            predicted = observe(bank, row, value)
             if is_seasonal(bank, row):
                 errors.append(abs(predicted - value))
         assert sum(errors[-period:]) / period < 5.0
@@ -75,8 +91,8 @@ class TestForecasterRows:
         a, b = bank.new_row(), bank.new_row()
         for t in range(12):
             value = 10.0 + (t % 4)
-            bank.observe(a, value)
-            bank.observe(b, 3 * value)
+            observe(bank, a, value)
+            observe(bank, b, 3 * value)
         child = bank.split_row(a, 0.75)
         assert bank.forecast(child) == pytest.approx(0.75 * bank.forecast(b) / 3, rel=1e-9)
         assert bank.forecast(a) == pytest.approx(0.25 * bank.forecast(b) / 3, rel=1e-9)
@@ -87,9 +103,9 @@ class TestForecasterRows:
         for t in range(12):
             x = 5.0 + (t % 4)
             y = 2.0 + ((t + 1) % 4)
-            bank.observe(a, x)
-            bank.observe(b, y)
-            bank.observe(c, x + y)
+            observe(bank, a, x)
+            observe(bank, b, y)
+            observe(bank, c, x + y)
         bank.fold_row(a, b)
         assert bank.forecast(a) == pytest.approx(bank.forecast(c), rel=1e-9)
 
@@ -98,7 +114,7 @@ class TestForecasterRows:
         bank = ForecasterBank(fc(season=4))
         replayed, fast = bank.new_row(), bank.new_row()
         for value in history:
-            bank.observe(replayed, value)
+            observe(bank, replayed, value)
         bank.seed_fast(fast, history)
         assert is_seasonal(bank, fast)
         assert bank.row_state_dict(fast)["seen"] == len(history)
@@ -160,7 +176,7 @@ class TestRowReads:
         bank, row = fed_row([2.0, 4.0])
         others = [bank.new_row() for _ in range(20)]  # grows the matrix
         bank.split_row(row, 0.25)
-        bank.record(others[0], 9.0, 9.0)
+        record(bank, others[0], 9.0, 9.0)
         assert bank.window_values(row, 0).tolist() == [1.5, 3.0]
         assert bank.window_values(others[0], 0).tolist() == [9.0]
 
@@ -174,7 +190,7 @@ class TestRowReads:
         bank, row = fed_row([5.0, 6.0])
         assert bank.row_state_dict(row)["seasonal"] is None
         for t in range(8):
-            bank.observe(row, 5.0 + (t % 4))
+            observe(bank, row, 5.0 + (t % 4))
         model = load_seasonal_state(bank.row_state_dict(row)["seasonal"])
         before = bank.forecast(row)
         model.level += 100.0
@@ -191,7 +207,7 @@ class TestRowWindows:
     def test_record_on_a_wrapped_ring_evicts_the_oldest(self):
         bank, row = fed_row(range(1, 15))  # 14 appends into 8 slots
         mirror = deque((float(v) for v in range(1, 15)), maxlen=8)
-        bank.record(row, 42.0, 43.0)
+        record(bank, row, 42.0, 43.0)
         mirror.append(42.0)
         assert bank.window_values(row, 0).tolist() == list(mirror)
         assert bank.window_values(row, 1)[-1] == 43.0
@@ -231,7 +247,7 @@ class TestRowWindows:
             bank.free_row(row)
         b, c = bank.new_row(), bank.new_row()
         assert b != c
-        bank.record(b, 10.0, bank.observe(b, 10.0))
+        close(bank, b, 10.0)
         assert bank.forecast(c) == 0.0
         assert bank.window_len(c, 0) == 0
 
@@ -241,7 +257,7 @@ class TestRowWindows:
         bank.load_windows(row, [10.0, 20.0, 30.0, 40.0], [1.0, 2.0, 3.0])
         assert bank.window_values(row, 0).tolist() == [30.0, 40.0]
         assert bank.window_values(row, 1).tolist() == [2.0, 3.0]
-        bank.record(row, 50.0, 4.0)
+        record(bank, row, 50.0, 4.0)
         assert bank.window_values(row, 0).tolist() == [40.0, 50.0]
 
     def test_reseed_keeps_the_row(self):
@@ -268,7 +284,7 @@ class TestRowWindows:
     def test_fold_aligns_newest(self):
         bank, a = fed_row([1.0, 2.0, 3.0])
         b = bank.new_row()
-        bank.record(b, 10.0, bank.observe(b, 10.0))
+        close(bank, b, 10.0)
         bank.fold_row(a, b)
         assert bank.window_values(a, 0).tolist() == [1.0, 2.0, 13.0]
 
@@ -281,7 +297,7 @@ class TestRowWindows:
         bank, mine = fed_row(range(1, mine_n + 1), config=fc(season=3, fallback=0.4))
         theirs = bank.new_row()
         for value in range(100, 100 + theirs_n):
-            bank.record(theirs, float(value), bank.observe(theirs, value))
+            close(bank, theirs, value)
         expected = [
             list(
                 aligned_add(
@@ -295,7 +311,7 @@ class TestRowWindows:
         bank.fold_row(mine, theirs)
         assert [bank.window_values(mine, which).tolist() for which in (0, 1)] == expected
         # the folded row keeps recording where the sum ends
-        bank.record(mine, 7.0, 8.0)
+        record(bank, mine, 7.0, 8.0)
         assert bank.window_values(mine, 0)[-1] == 7.0
         assert bank.window_values(mine, 1)[-1] == 8.0
         assert bank.window_values(theirs, 0).tolist() == [

@@ -14,7 +14,7 @@ from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.datagen import CCDConfig, make_ccd_dataset
 from repro.engine import DetectionEngine
 from repro.engine.session import DetectionSession
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, ConfigurationError
 from repro.io.checkpoint import (
     config_from_dict,
     config_to_dict,
@@ -262,6 +262,108 @@ class TestMalformedCheckpoints:
         path.write_text(json.dumps(state))
         with pytest.raises(CheckpointError, match="malformed"):
             load_checkpoint(path)
+
+
+def _small_checkpoint(path) -> dict:
+    """A seasonal ADA session over a three-leaf tree, saved to ``path``;
+    returns the file's JSON."""
+    from repro.hierarchy.tree import HierarchyTree
+
+    tree = HierarchyTree.from_leaf_paths([("a", "a1"), ("a", "a2"), ("b", "b1")])
+    config = TiresiasConfig(
+        theta=2.0,
+        delta_seconds=100.0,
+        window_units=8,
+        reference_levels=1,
+        track_root=False,
+        forecast=ForecastConfig(season_lengths=(2,)),
+    )
+    session = DetectionSession(tree, config, warmup_units=0)
+    for unit in range(7):
+        session.process_timeunit_counts({("a", "a1"): 5 + unit % 2, ("b", "b1"): 3}, unit)
+    session.save_checkpoint(path)
+    return json.loads(path.read_text())
+
+
+def _forecaster_of_a1(algo_state) -> dict:
+    (state,) = [ts for path, ts in algo_state["series"] if path == ["a", "a1"]]
+    return state["forecaster"]
+
+
+def _foreign_seasonal_parameters(algo_state):
+    seasonal = _forecaster_of_a1(algo_state)["seasonal"]
+    seasonal["season_length"] = 3
+    seasonal["seasonals"].append(0.0)
+
+
+def _uninitialised_model(algo_state):
+    _forecaster_of_a1(algo_state)["seasonal"]["level"] = None
+
+
+def _long_warm_up_history(algo_state):
+    forecaster = _forecaster_of_a1(algo_state)
+    forecaster["seasonal"] = None
+    forecaster["history"] = [5.0, 6.0, 5.0, 6.0]  # min_history is 4
+
+
+def _stats_row_outside_the_tree(algo_state):
+    algo_state["stats"].append([["zz", "a1"], dict(algo_state["stats"][0][1])])
+
+
+def _last_unit_row_outside_the_tree(algo_state):
+    algo_state["stats_last_unit"].append([["zz", "a1"], 3])
+
+
+def _reference_row_outside_the_reference_levels(algo_state):
+    algo_state["reference"].append([["a", "a1"], [1.0, 2.0]])
+
+
+class TestRowsTheSessionNeverWrites:
+    """A checkpoint row no session could have written is refused, naming
+    its path, instead of being carried along."""
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            _foreign_seasonal_parameters,
+            _uninitialised_model,
+            _long_warm_up_history,
+            _stats_row_outside_the_tree,
+            _last_unit_row_outside_the_tree,
+            _reference_row_outside_the_reference_levels,
+        ],
+    )
+    def test_the_load_names_the_path(self, tmp_path, spoil):
+        path = tmp_path / "ckpt.json"
+        state = _small_checkpoint(path)
+        assert DetectionSession.load_checkpoint(path).state_dict()
+        spoil(state["sessions"][0]["algorithm_state"])
+        path.write_text(json.dumps(state))
+        with pytest.raises(CheckpointError, match="a1"):
+            DetectionSession.load_checkpoint(path)
+
+
+class TestInvalidStoredConfig:
+    """Settings that fail validation are a bad checkpoint, not a bad
+    config: the load raises ``CheckpointError`` (chained to the cause)."""
+
+    def test_a_stored_config_that_fails_validation(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        state = _small_checkpoint(path)
+        state["sessions"][0]["config"]["window_units"] = 0
+        path.write_text(json.dumps(state))
+        with pytest.raises(CheckpointError, match="window_units") as caught:
+            DetectionSession.load_checkpoint(path)
+        assert isinstance(caught.value.__cause__, ConfigurationError)
+
+    def test_a_series_of_another_window_length(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        state = _small_checkpoint(path)
+        state["sessions"][0]["algorithm_state"]["series"][0][1]["length"] = 4
+        path.write_text(json.dumps(state))
+        with pytest.raises(CheckpointError, match="length 4") as caught:
+            DetectionSession.load_checkpoint(path)
+        assert isinstance(caught.value.__cause__, ConfigurationError)
 
 
 class TestCustomPluginCheckpointing:

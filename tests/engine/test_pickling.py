@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
@@ -80,15 +81,21 @@ def test_bank_rows_pickle_exactly():
     config = ForecastConfig(season_lengths=(4,), fallback_alpha=0.3)
     bank = ForecasterBank(config, window=16)
     row, seeded = bank.new_row(), bank.new_row()
+    one = np.array([row])
     for value in [3.0, 4.0, 6.0, 5.0, 7.0, 9.0, 8.0, 6.0, 5.0, 11.0]:
-        bank.record(row, value, bank.observe(row, value))
+        values = np.array([value])
+        bank.record_rows(one, values, bank.observe_rows(one, values))
     bank.seed_fast(seeded, [1.0, 2.0, 3.0] * 4)
     revived = pickle.loads(pickle.dumps(bank))
     assert revived.series_state_dict(row) == bank.series_state_dict(row)
     # Future forecasts must continue bit-identically, seeded rows included.
+    both = np.array([row, seeded])
     for value in [4.0, 8.0, 2.0]:
-        for r in (row, seeded):
-            assert revived.observe(r, value) == bank.observe(r, value)
+        values = np.array([value, value])
+        assert (
+            revived.observe_rows(both, values).tolist()
+            == bank.observe_rows(both, values).tolist()
+        )
     assert revived.row_state_dict(seeded) == bank.row_state_dict(seeded)
 
 

@@ -2,15 +2,17 @@
 
 The bank's contract is that its rows produce *bit-identical* forecasts, state
 snapshots and split/merge results to the per-object forecaster
-(:class:`~repro.forecasting.bank._ScalarRow`, the reference's), whichever
-path a call takes — the vectorized kernels or the per-row scalar observe.
-Hypothesis drives random value sequences across the seasonal-activation
-boundary and through split/fold (SPLIT/MERGE) edges.  A plug-in model's rows
-are object rows for their whole life.
+(:class:`~repro.forecasting.bank._ScalarRow`, the reference's), through the
+one observe kernel whatever the size of a batch.  Hypothesis drives random
+value sequences across the seasonal-activation boundary and through
+split/fold (SPLIT/MERGE) edges.  A bank row is one kind for its whole life:
+a plug-in model's rows are object rows, a built-in model's never are, and a
+snapshot that does not fit a built-in layout is refused.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +28,18 @@ def multi_config():
     return ForecastConfig(
         season_lengths=(3, 6), season_weights=(0.7, 0.3), fallback_alpha=0.4
     )
+
+
+def observe(bank, rows, values) -> list:
+    """One close of ``rows``: the observe kernel, forecasts as floats."""
+    return bank.observe_rows(
+        np.asarray(rows, dtype=np.intp), np.asarray(values, dtype=np.float64)
+    ).tolist()
+
+
+def observe_one(bank, row, value) -> float:
+    """A close of one row (a one-row batch)."""
+    return observe(bank, [row], [value])[0]
 
 
 values_strategy = st.lists(
@@ -50,7 +64,7 @@ class TestBackendAgreement:
             # Distinct per-row values; rows cross seasonal activation at the
             # same step, exercising the mixed active/warm-up kernel.
             batch = [value, value * 0.5, value + 1.0]
-            assert bank.observe_rows(rows, batch) == [
+            assert observe(bank, rows, batch) == [
                 row.observe(v) for row, v in zip(scalar, batch)
             ]
         for row, ref in zip(rows, scalar):
@@ -66,7 +80,7 @@ class TestBackendAgreement:
         stream = values * 3  # long enough to activate both seasons
         for value in stream:
             batch = [value * (k - 3.5) for k in range(8)]  # vector kernels
-            assert bank.observe_rows(rows, batch) == [
+            assert observe(bank, rows, batch) == [
                 row.observe(v) for row, v in zip(scalar, batch)
             ]
         assert [bank.row_state_dict(r) for r in rows] == [r.state_dict() for r in scalar]
@@ -85,11 +99,11 @@ class TestBackendAgreement:
         a, b = bank.new_row(), bank.new_row()
         ref_a, ref_b = _ScalarRow(config), _ScalarRow(config)
         for value in values * 2:
-            bank.observe(a, value)
+            observe_one(bank, a, value)
             ref_a.observe(value)
         # b starts `offset` steps later: phases disagree when seasonal.
         for value in (values * 2)[offset:]:
-            bank.observe(b, value * 2.0)
+            observe_one(bank, b, value * 2.0)
             ref_b.observe(value * 2.0)
         split = bank.split_row(a, ratio)
         bank.fold_row(a, b)
@@ -107,12 +121,54 @@ class TestBackendAgreement:
             ref_remainder.forecast(),
         )
 
+    #: Single-season, multi-season and the single-season model by name on
+    #: the first of two periods.
+    KERNEL_CONFIGS = (
+        single_config(season=2, fallback=0.3),
+        multi_config(),
+        ForecastConfig(season_lengths=(2, 5), fallback_alpha=0.4, model="holt-winters"),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_small_batches_match_scalar_rows(self, data):
+        """Batches of 1-8 rows — the sizes a close of a stable stream
+        sends — through the one kernel: fresh rows (no EWMA level yet)
+        beside warm ones, rows activating their seasonal model inside a
+        batch, and steady all-warm batches."""
+        config = data.draw(st.sampled_from(self.KERNEL_CONFIGS), label="config")
+        bank = ForecasterBank(config)
+        rows: list[int] = []
+        mirror: list[_ScalarRow] = []
+        value = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=64)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=30), label="steps")):
+            for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+                if len(rows) < 8:
+                    rows.append(bank.new_row())
+                    mirror.append(_ScalarRow(config))
+            if not rows:
+                continue
+            picked = data.draw(
+                st.lists(
+                    st.sampled_from(range(len(rows))), min_size=1, max_size=8, unique=True
+                ),
+                label="picked",
+            )
+            batch = [data.draw(value) for _ in picked]
+            assert observe(bank, [rows[i] for i in picked], batch) == [
+                mirror[i].observe(v) for i, v in zip(picked, batch)
+            ]
+            assert [bank.forecast(row) for row in rows] == [m.forecast() for m in mirror]
+        assert [bank.row_state_dict(row) for row in rows] == [
+            m.state_dict() for m in mirror
+        ]
+
     def test_activation_inside_observe_rows_batch(self):
         config = single_config(season=2)  # min_history == 4
         bank = ForecasterBank(config)
         rows = [bank.new_row() for _ in range(3)]
         for step in range(6):
-            bank.observe_rows(rows, [float(step), float(step * 2), 1.0])
+            observe(bank, rows, [float(step), float(step * 2), 1.0])
         assert all(bank.row_state_dict(row)["seasonal"] is not None for row in rows)
         # Canonical state round-trips through a fresh bank.
         snapshot = bank.row_state_dict(rows[0])
@@ -127,7 +183,7 @@ class TestRowLifecycle:
     def test_rows_are_recycled(self):
         bank = ForecasterBank(single_config())
         first = bank.new_row()
-        bank.observe(first, 5.0)
+        observe_one(bank, first, 5.0)
         bank.free_row(first)
         second = bank.new_row()
         assert second == first
@@ -141,51 +197,20 @@ class TestRowLifecycle:
         bank.free_row(rows[2])
         assert len(bank) == 4
 
-    def test_observe_rows_stays_vectorized_around_object_rows(self):
-        """One foreign-layout row must not de-vectorize the whole batch; the
-        mixed partition returns forecasts in input order, identical to a
-        fully scalar replay."""
-        foreign = ForecasterBank(single_config(season=5, fallback=0.3))
-        foreign_row = foreign.new_row()
-        for value in [2.0, 4.0] * 10:
-            foreign.observe(foreign_row, value)
-        config = single_config(season=4, fallback=0.3)
-        bank = ForecasterBank(config)
-        snapshot = foreign.row_state_dict(foreign_row)
-        rows = [bank.new_row() for _ in range(6)]
-        mirror = [_ScalarRow(config) for _ in range(6)]
-        odd_row = bank.new_row()
-        bank.load_row_state(odd_row, snapshot)
-        odd_mirror = _ScalarRow(config)
-        odd_mirror.load_state_dict(snapshot)
-        rows.insert(1, odd_row)
-        mirror.insert(1, odd_mirror)
-        assert odd_row in bank._obj
-        for step in range(12):
-            batch = [float(step), 2.0, float(step % 3), 7.0, 1.0, -2.0, 3.5]
-            got = bank.observe_rows(rows, batch)
-            want = [r.observe(v) for r, v in zip(mirror, batch)]
-            assert got == want
-        assert [bank.row_state_dict(r) for r in rows] == [r.state_dict() for r in mirror]
-
-    def test_mismatched_seasonal_snapshot_becomes_object_row(self):
-        """A snapshot with foreign seasonal parameters still restores and
-        behaves like the scalar path (held as an object row)."""
-        foreign = ForecasterBank(single_config(season=5, fallback=0.3))
-        row = foreign.new_row()
-        for value in [3.0, 1.0, 4.0, 1.0, 5.0] * 4:
-            foreign.observe(row, value)
-        snapshot = foreign.row_state_dict(row)
-        assert snapshot["seasonal"] is not None
-        bank = ForecasterBank(single_config(season=4, fallback=0.3))
-        loaded = bank.new_row()
-        bank.load_row_state(loaded, snapshot)
-        assert bank.row_state_dict(loaded)["seasonal"] is not None
-        assert bank.row_state_dict(loaded) == snapshot
-        assert bank.forecast(loaded) == foreign.forecast(row)
-        # The object row keeps observing correctly (scalar semantics).
-        assert bank.observe(loaded, 2.0) == foreign.observe(row, 2.0)
-        assert bank.row_state_dict(loaded) == foreign.row_state_dict(row)
+    def test_a_builtin_bank_holds_no_object_rows(self):
+        """``_obj`` stays empty through new, observe, split, fold, reseed
+        and load: a matrix row stays one."""
+        bank = ForecasterBank(multi_config(), window=6)
+        rows = [bank.new_row() for _ in range(3)]
+        for step in range(9):
+            observe(bank, rows, [float(step), 2.0 * step, 1.0])
+        child = bank.split_row(rows[0], 0.25)
+        bank.fold_row(rows[1], rows[2])
+        bank.free_row(rows[2])
+        bank.reseed(child, [1.0, 4.0, 2.0, 8.0, 5.0, 7.0])
+        loaded = bank.load_series_state(bank.series_state_dict(rows[1]))
+        observe(bank, [rows[0], rows[1], child, loaded], [1.0, 2.0, 3.0, 4.0])
+        assert not bank._obj
 
 
 class TestPluginRows:
@@ -200,7 +225,7 @@ class TestPluginRows:
         mirror = [_ScalarRow(self.CONFIG) for _ in range(3)]
         for step in range(9):
             batch = [float(step), 2.0 * step, 5.0]
-            assert bank.observe_rows(rows, batch) == [
+            assert observe(bank, rows, batch) == [
                 r.observe(v) for r, v in zip(mirror, batch)
             ]
         child = bank.split_row(rows[0], 0.25)
@@ -233,7 +258,7 @@ class TestPluginRows:
         mirror = [_ScalarRow(config) for _ in range(7)]
         for step in range(14):
             batch = [float(step * k % 5) for k in range(7)]
-            assert bank.observe_rows(rows, batch) == [
+            assert observe(bank, rows, batch) == [
                 r.observe(v) for r, v in zip(mirror, batch)
             ]
         assert not bank._obj

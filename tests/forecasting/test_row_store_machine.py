@@ -91,21 +91,18 @@ class World:
         self.series.append(self.bank.new_row())
 
     def append_each(self, picked, batch) -> list:
-        forecasts = []
-        for i, value in zip(picked, batch):
-            row = self.series[i]
-            forecasts.append(self.bank.observe(row, value))
-            self.bank.record(row, float(value), forecasts[-1])
-        return forecasts
+        """One close per value: one-row batches, in order."""
+        return [
+            self.close([i], [value])[0] for i, value in zip(picked, batch)
+        ]
 
     def close(self, picked, batch) -> list:
-        """The batched close: one bank observe, then one record per series."""
-        rows = [self.series[i] for i in picked]
-        forecasts = self.bank.observe_rows(rows, batch)
-        self.bank.record_rows(
-            np.asarray(rows, dtype=np.intp), np.asarray(batch), np.asarray(forecasts)
-        )
-        return forecasts
+        """The batched close: one bank observe, then one record per window."""
+        rows = np.asarray([self.series[i] for i in picked], dtype=np.intp)
+        values = np.asarray(batch, dtype=np.float64)
+        forecasts = self.bank.observe_rows(rows, values)
+        self.bank.record_rows(rows, values, forecasts)
+        return forecasts.tolist()
 
     def split(self, i, ratio) -> None:
         self.series.append(self.bank.split_row(self.series[i], ratio))
@@ -221,8 +218,8 @@ class RowStoreMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.row.series)
     @rule(skip=picks, batch=st.lists(values, min_size=1, max_size=1))
     def close_all_but_one(self, skip, batch):
-        """The batched close over (almost) everything: crosses the bank's
-        vector-observe threshold once enough series are alive."""
+        """The batched close over (almost) everything, as ADA's close
+        sends it."""
         live = len(self.row.series)
         picked = [i for i in range(live) if live == 1 or i != skip % live]
         self.both("close", picked, [batch[0] + i for i in range(len(picked))])
@@ -288,7 +285,7 @@ class RowStoreMachine(RuleBasedStateMachine):
             ints = bank._ints[row].tolist()
             seen, alen, flen, active, hlen, wpos = ints[:6]
             dead[0] = False
-            if row in bank._obj:
+            if bank._plugin:
                 dead[: bank._actual_off] = False  # state lives in the scalar row
             else:
                 if active:
@@ -307,6 +304,9 @@ class RowStoreMachine(RuleBasedStateMachine):
         assert len(self.row.bank) == len(self.row.series)
         rows = self.row.series
         assert len(set(rows)) == len(rows)
+        # A row is one kind for its whole life: every row of a plug-in's
+        # bank holds a scalar row, no row of a built-in model's does.
+        assert set(self.row.bank._obj) == (set(rows) if self.row.bank._plugin else set())
 
 
 RowStoreMachine.TestCase.settings = settings(
@@ -460,39 +460,3 @@ def test_fold_of_active_rows_without_an_ewma_level():
     for first, second in ((with_level, without), (without, with_level), (without, without)):
         got, expected = _both_worlds(lambda world: scenario(world, first, second))
         assert got == expected
-
-
-def test_rows_that_do_not_fit_the_layout_behave_like_scalar_rows():
-    """A snapshot with foreign seasonal parameters (or a warm-up history as
-    long as ``min_history``) is held as a scalar row beside the matrix; its
-    windows still live in the row.  SPLIT, MERGE and the correction must
-    treat it exactly as the reference does."""
-    foreign = World(ForecastConfig(season_lengths=(3,), fallback_alpha=0.5), LENGTH)
-    foreign.new()
-    foreign.append_each([0] * 7, [4.0, -1.0, 7.0, 2.0, 5.0, 3.0, 6.0])
-    foreign_state = foreign.state(0)
-    long_history = World(CONFIG, LENGTH)
-    long_history.new()
-    long_history.append_each([0] * 3, [1.0, 2.0, 3.0])
-    long_state = long_history.state(0)
-    long_state["forecaster"]["history"] = [1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def scenario(world):
-        for state in (foreign_state, long_state):
-            world.load(state)
-        world.new()
-        world.append_each([2, 2], [2.0, 8.0])
-        world.split(0, 0.25)  # an object row splits
-        world.close([0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0])
-        world.fold(2, 3)  # a warming vector row adopts the foreign model
-        world.fold(0, 2)  # object into object
-        world.split(1, 0.0)
-        world.correct(1, [3.0, 1.0, 4.0, 1.0, 5.0])  # back to a vector row
-        world.close([0, 1, 2], [6.0, 5.0, 4.0])
-
-    got, expected = _both_worlds(scenario)
-    assert got == expected
-    row = World(CONFIG, LENGTH)
-    scenario(row)
-    assert row.series[0] in row.bank._obj
-    assert row.series[1] not in row.bank._obj
