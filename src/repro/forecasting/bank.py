@@ -960,16 +960,21 @@ class ForecasterBank:
 
     def load_series_state(self, state: dict) -> int:
         """A new row restored from :meth:`series_state_dict` output (windows
-        longer than the bank's keep their newest values).  A snapshot of
-        another window length is refused before a row is taken."""
+        longer than the bank's keep their newest values).  A refused snapshot
+        (another window length, or one :meth:`load_row_state` refuses)
+        leaves no row taken."""
         self.reserve_window(int(state["length"]))
         row = self.new_row()
-        self.load_row_state(row, state["forecaster"])
-        self.load_windows(
-            row,
-            [float(v) for v in state["actual"]],
-            [float(v) for v in state["forecast"]],
-        )
+        try:
+            self.load_row_state(row, state["forecaster"])
+            self.load_windows(
+                row,
+                [float(v) for v in state["actual"]],
+                [float(v) for v in state["forecast"]],
+            )
+        except Exception:
+            self.free_row(row)
+            raise
         return row
 
 

@@ -13,10 +13,12 @@ snapshot that does not fit a built-in layout is refused.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ForecastConfig
+from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank, _ScalarRow
 
 
@@ -211,6 +213,17 @@ class TestRowLifecycle:
         loaded = bank.load_series_state(bank.series_state_dict(rows[1]))
         observe(bank, [rows[0], rows[1], child, loaded], [1.0, 2.0, 3.0, 4.0])
         assert not bank._obj
+
+    def test_a_refused_snapshot_takes_no_row(self):
+        config = single_config(season=2)  # min_history == 4
+        bank = ForecasterBank(config, window=4)
+        row = bank.new_row()
+        state = bank.series_state_dict(row)
+        state["forecaster"]["history"] = [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(CheckpointError, match="warm-up history"):
+            bank.load_series_state(state)
+        assert len(bank) == 1
+        assert bank.new_row() == row + 1
 
 
 class TestPluginRows:
