@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
-"""Columnar batch ingestion: same detections, a fraction of the time.
+"""Columnar ingestion: decode a trace straight into columns.
 
-The online system has two equivalent ways to feed a detection engine:
+A detection engine ingests one way, as :class:`RecordBatch` columns:
+timeunit classification is one vectorized pass and per-leaf counting one
+grouped aggregation per batch.  What differs is how the trace gets there:
 
-* **record at a time** — every :class:`OperationalRecord` is validated,
-  routed and counted individually (simple, great for live trickle feeds);
-* **columnar batches** — records move as :class:`RecordBatch` columns;
-  timeunit classification is one vectorized pass and per-leaf counting is
-  one grouped aggregation per batch (the high-throughput replay/catch-up
-  path).
+* **record objects** — the reader builds one :class:`OperationalRecord` per
+  line (``read_records_jsonl``) and ``process_stream`` packs them back into
+  batch columns, 8 192 at a time;
+* **decoded columns** — the reader appends each line's values straight to
+  the batch columns (``read_batches_jsonl``) and ``process_batches`` takes
+  them as they are, with no record object in between.
 
-This example demonstrates the contract between them:
+This example:
 
-1. generate a CCD trace and persist it as JSONL (the operational export);
-2. replay it twice — per record via ``process_stream`` and columnar via
-   ``read_batches_jsonl`` + ``process_batches``;
-3. verify the two runs report byte-identical anomalies, and compare their
-   wall-clock ingestion throughput.
+1. generates a CCD trace and persists it as JSONL (the operational export);
+2. replays it twice — record objects via ``process_stream`` and decoded
+   columns via ``read_batches_jsonl`` + ``process_batches``;
+3. verifies the two runs report byte-identical anomalies, and compares what
+   the record objects cost in wall-clock throughput.
 
 Run with::
 
@@ -79,13 +81,13 @@ def main() -> None:
         n = write_records_jsonl(dataset.records(), trace)
         print(f"trace: {n} records over {dataset.num_timeunits} timeunits -> {trace.name}")
 
-        # --- per-record replay ------------------------------------------------
+        # --- record objects ---------------------------------------------------
         record_engine = build_engine(dataset)
         start = time.perf_counter()
         record_engine.process_stream(read_records_jsonl(trace))
         record_seconds = time.perf_counter() - start
 
-        # --- columnar replay --------------------------------------------------
+        # --- decoded columns --------------------------------------------------
         batch_engine = build_engine(dataset)
         start = time.perf_counter()
         batch_engine.process_batches(read_batches_jsonl(trace, batch_size=8192))
@@ -93,13 +95,13 @@ def main() -> None:
 
     record_anomalies = [a.to_dict() for a in record_engine.session("ccd").anomalies]
     batch_anomalies = [a.to_dict() for a in batch_engine.session("ccd").anomalies]
-    assert record_anomalies == batch_anomalies, "the equivalence guarantee broke!"
+    assert record_anomalies == batch_anomalies, "the two replays disagree!"
 
-    print(f"\nper-record path: {n / record_seconds:>12,.0f} records/sec "
+    print(f"\nrecord objects:  {n / record_seconds:>12,.0f} records/sec "
           f"({record_seconds:.3f}s)")
-    print(f"columnar path:   {n / batch_seconds:>12,.0f} records/sec "
+    print(f"decoded columns: {n / batch_seconds:>12,.0f} records/sec "
           f"({batch_seconds:.3f}s)  -> {record_seconds / batch_seconds:.1f}x")
-    print(f"\nboth paths reported {len(record_anomalies)} identical anomalies; "
+    print(f"\nboth replays reported {len(record_anomalies)} identical anomalies; "
           "a few of them:")
     for anomaly in record_engine.session("ccd").anomalies[:5]:
         print(f"  t={anomaly.timeunit:>4}  {'/'.join(anomaly.node_path):<40} "

@@ -17,12 +17,14 @@ need no tagging.  Records whose key matches no session follow the
 
 Ingestion
 ---------
-Per-record (:meth:`ingest_record`), batched (:meth:`ingest_batch`), columnar
-(:meth:`ingest_record_batch` / :meth:`process_batches`) and whole-stream
-(:meth:`process_stream`) ingestion are supported; all but the per-record form
-return the closed timeunit results grouped by session name.  The columnar
-form partitions each :class:`~repro.streaming.batch.RecordBatch` by stream
-key in a single pass and produces detections identical to per-record routing.
+One path: :meth:`ingest_record_batch` partitions a
+:class:`~repro.streaming.batch.RecordBatch` by stream key in a single pass and
+hands each session its part; :meth:`process_batches` loops it over an
+iterator and flushes.  The record forms are adapters over those two — a
+record is a batch of one (:meth:`ingest_record`), a record list one batch
+(:meth:`ingest_batch`), and a record stream is chunked into batches
+(:meth:`process_stream`).  All but :meth:`ingest_record` return the closed
+timeunit results grouped by session name.
 
 Checkpointing
 -------------
@@ -34,7 +36,8 @@ identical subsequent detections.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from itertools import chain
+from typing import Any, Callable, Collection, Iterable, Mapping
 
 from repro.core.config import TiresiasConfig
 from repro.core.detector import Anomaly
@@ -43,7 +46,7 @@ from repro.engine.hooks import EngineObserver
 from repro.engine.session import DetectionSession
 from repro.exceptions import ConfigurationError, StreamError
 from repro.hierarchy.tree import HierarchyTree
-from repro.streaming.batch import RecordBatch
+from repro.streaming.batch import STREAM_BATCH_SIZE, RecordBatch, iter_record_batches
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 
@@ -56,6 +59,38 @@ UNKNOWN_STREAM_POLICIES: frozenset[str] = frozenset({"raise", "drop"})
 def attribute_stream_key(record: OperationalRecord) -> str | None:
     """Default stream selector: the record's ``"stream"`` attribute."""
     return record.attributes.get("stream")
+
+
+def route_batch(
+    batch: RecordBatch,
+    stream_key: StreamKey,
+    names: Collection[str],
+    unknown_stream: str,
+) -> list[tuple[str, RecordBatch]]:
+    """THE router of both engines: ``batch`` split by stream key into
+    ``(session name, part)`` pairs, keys in first-appearance order, each part
+    in stream order.
+
+    An unkeyed record goes to a lone session; a key that names no session is
+    dropped under ``unknown_stream="drop"`` and raises :class:`StreamError`
+    under ``"raise"`` — before any pair is returned, so the whole batch is
+    refused.  The default selector is read off the attribute column without
+    building a record; a custom one is applied row by row.
+    """
+    selector = None if stream_key is attribute_stream_key else stream_key
+    routed = []
+    for key, part in batch.partition_by_key(selector):
+        if key is None and len(names) == 1:
+            key = next(iter(names))
+        elif key is None or key not in names:
+            if unknown_stream == "drop":
+                continue
+            raise StreamError(
+                f"record at t={float(part.timestamps[0])} routed to unknown "
+                f"session {key!r}; registered sessions: {sorted(names)}"
+            )
+        routed.append((key, part))
+    return routed
 
 
 class DetectionEngine:
@@ -223,45 +258,20 @@ class DetectionEngine:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def route(self, record: OperationalRecord) -> DetectionSession | None:
-        """The session that should ingest ``record`` (None = drop)."""
-        return self._session_for_key(self.stream_key(record), record.timestamp)
-
-    def _session_for_key(
-        self, key: "str | None", timestamp: float
-    ) -> DetectionSession | None:
-        if key is None and len(self._sessions) == 1:
-            return next(iter(self._sessions.values()))
-        session = self._sessions.get(key) if key is not None else None
-        if session is None:
-            if self.unknown_stream == "drop":
-                return None
-            raise StreamError(
-                f"record at t={timestamp} routed to unknown session "
-                f"{key!r}; registered sessions: {sorted(self._sessions)}"
-            )
-        return session
-
     def ingest_record(self, record: OperationalRecord) -> list[TimeunitResult]:
-        """Route one record; returns results of timeunits it closed."""
-        session = self.route(record)
-        if session is None:
-            return []
-        return session.ingest_record(record)
+        """Route one record, a batch of one; returns results of timeunits it
+        closed."""
+        return list(
+            chain.from_iterable(
+                self.ingest_record_batch(RecordBatch.from_records((record,))).values()
+            )
+        )
 
     def ingest_batch(
         self, records: Iterable[OperationalRecord]
     ) -> dict[str, list[TimeunitResult]]:
-        """Route a batch of records; closed results grouped by session name."""
-        closed: dict[str, list[TimeunitResult]] = {
-            name: [] for name in self._sessions
-        }
-        for record in records:
-            session = self.route(record)
-            if session is None:
-                continue
-            closed[session.name].extend(session.ingest_record(record))
-        return closed
+        """Route records as one batch; closed results grouped by session name."""
+        return self.ingest_record_batch(RecordBatch.from_records(records))
 
     def ingest_record_batch(
         self, batch: RecordBatch
@@ -270,49 +280,41 @@ class DetectionEngine:
 
         The batch is partitioned by stream key in one pass
         (:meth:`RecordBatch.partition_by_key`) and each partition is ingested
-        through the session's grouped-aggregation path.  Partitions preserve
-        the per-session record order of the merged stream, so every session
-        sees exactly the sub-stream the per-record router would have fed it
-        and produces identical detections.  With the default attribute
+        through the session's batch path, session by session in the order
+        their keys first appear (observer events follow that order).
+        Partitions preserve the per-session record order of the merged
+        stream, so every session sees its own sub-stream and produces the
+        detections it would produce on its own.  With the default attribute
         selector an untagged single-session batch is forwarded whole, without
         touching a single row.
 
-        Error semantics differ from per-record routing in one way: every
-        partition's key is resolved *before* any record is ingested, so an
-        unknown key under the ``"raise"`` policy rejects the whole batch with
-        no side effects (per-record routing would have ingested — and fired
-        observer hooks for — the records preceding the offender).
+        Every partition's key is resolved *before* any record is ingested,
+        so an unknown key under the ``"raise"`` policy rejects the whole
+        batch with no side effects.
         """
         closed: dict[str, list[TimeunitResult]] = {
             name: [] for name in self._sessions
         }
-        # The default selector is reimplemented columnarly inside the batch;
-        # custom selectors are applied row by row.
-        selector = None if self.stream_key is attribute_stream_key else self.stream_key
-        routed: list[tuple[DetectionSession, RecordBatch]] = []
-        for key, part in batch.partition_by_key(selector):
-            session = self._session_for_key(
-                key, float(part.timestamps[0]) if len(part) else 0.0
-            )
-            if session is not None:
-                routed.append((session, part))
-        for session, part in routed:
-            closed[session.name].extend(session.ingest_record_batch(part))
+        for name, part in route_batch(
+            batch, self.stream_key, self._sessions, self.unknown_stream
+        ):
+            closed[name].extend(self._sessions[name].ingest_record_batch(part))
         return closed
 
     def process_stream(
         self, records: Iterable[OperationalRecord]
     ) -> dict[str, list[TimeunitResult]]:
-        """Consume a whole merged stream, then flush every session."""
-        closed = self.ingest_batch(records)
-        for name, results in self.flush().items():
-            closed[name].extend(results)
-        return closed
+        """Consume a whole merged stream in chunks of
+        :data:`~repro.streaming.batch.STREAM_BATCH_SIZE` records
+        (:meth:`process_batches`), then flush every session."""
+        return self.process_batches(iter_record_batches(records, STREAM_BATCH_SIZE))
 
     def process_batches(
         self, batches: Iterable[RecordBatch]
     ) -> dict[str, list[TimeunitResult]]:
-        """Consume a stream of columnar batches, then flush every session."""
+        """Consume a stream of columnar batches, then flush every session.
+        When the iterator raises, what it yielded before stays ingested and
+        nothing is flushed."""
         closed: dict[str, list[TimeunitResult]] = {
             name: [] for name in self._sessions
         }

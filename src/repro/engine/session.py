@@ -6,6 +6,9 @@ timeunit to the tracking algorithm (hierarchy update, series adaptation,
 forecast and detection), suppresses alarms during warm-up and keeps the
 report store.  It is built for composition:
 
+* it ingests through one path, :meth:`DetectionSession.ingest_record_batch`:
+  a record is a batch of one, a record list one batch, and a record stream
+  is chunked into batches (:func:`~repro.streaming.batch.iter_record_batches`);
 * the tracking algorithm resolves by name through the registry
   (:mod:`repro.core.registry`), so new algorithms plug in without touching
   this module;
@@ -39,7 +42,7 @@ from repro.core.results import TimeunitResult
 from repro.engine.hooks import EngineObserver, notify_close
 from repro.exceptions import ConfigurationError, OutOfOrderRecordError
 from repro.hierarchy.tree import HierarchyTree
-from repro.streaming.batch import RecordBatch
+from repro.streaming.batch import STREAM_BATCH_SIZE, RecordBatch, iter_record_batches
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 
@@ -189,37 +192,22 @@ class DetectionSession:
     def process_stream(
         self, records: Iterable[OperationalRecord]
     ) -> list[TimeunitResult]:
-        """Consume a time-ordered record stream; returns per-timeunit results."""
-        produced: list[TimeunitResult] = []
-        start = time.perf_counter()
-        for record in records:
-            self.reading_seconds += time.perf_counter() - start
-            produced.extend(self.ingest_record(record))
-            start = time.perf_counter()
-        self.reading_seconds += time.perf_counter() - start
-        produced.extend(self.flush())
-        return produced
+        """Consume a time-ordered record stream in chunks of
+        :data:`~repro.streaming.batch.STREAM_BATCH_SIZE` records
+        (:meth:`process_batches`); returns per-timeunit results."""
+        return self.process_batches(iter_record_batches(records, STREAM_BATCH_SIZE))
 
     def ingest_record(self, record: OperationalRecord) -> list[TimeunitResult]:
-        """Add one record; returns results for any timeunits that closed."""
-        closed = self._ingest_record_primary(record)
-        if self._shadow is not None:
-            self._mirror(closed, lambda shadow: shadow.ingest_record(record))
-        return closed
+        """Add one record, a batch of one; returns results for any timeunits
+        that closed."""
+        return self.ingest_record_batch(RecordBatch.from_records((record,)))
 
-    def _ingest_record_primary(
-        self, record: OperationalRecord
+    def ingest_batch(
+        self, records: Iterable[OperationalRecord]
     ) -> list[TimeunitResult]:
-        unit = self._admit(
-            self.clock.timeunit_of(record.timestamp),
-            record.timestamp,
-            self._pending_unit,
-        )
-        if unit is None:
-            return []
-        closed = self._advance_to_primary(unit)
-        self._pending[record.category] += 1
-        return closed
+        """Add records as one batch; returns results of all timeunits that
+        closed."""
+        return self.ingest_record_batch(RecordBatch.from_records(records))
 
     def _admit(
         self,
@@ -244,15 +232,6 @@ class DetectionSession:
             )
         return open_unit
 
-    def ingest_batch(
-        self, records: Iterable[OperationalRecord]
-    ) -> list[TimeunitResult]:
-        """Add a batch of records; returns results of all timeunits that closed."""
-        closed: list[TimeunitResult] = []
-        for record in records:
-            closed.extend(self.ingest_record(record))
-        return closed
-
     def ingest_record_batch(self, batch: RecordBatch) -> list[TimeunitResult]:
         """Add a columnar batch; returns results of all timeunits that closed.
 
@@ -261,14 +240,12 @@ class DetectionSession:
         any other (STA, a registered plug-in) gets the batch reduced to
         per-timeunit count dictionaries by
         one grouped aggregation (:meth:`RecordBatch.group_runs_by_timeunit`),
-        folded into the pending timeunit wholesale instead of incrementing
-        per record.  Both work on *runs* in arrival order and ask
-        :meth:`_admit` about each, so the out-of-order policy fires for
-        exactly the records it would fire for under :meth:`ingest_record` —
-        a batch spanning an already-closed timeunit splits, and only the
-        late run is dropped / clamped / raised on, with everything before it
-        ingested.  Detections are bit-for-bit identical to the per-record
-        path.
+        folded into the pending timeunit wholesale.  Both work on *runs* in
+        arrival order and ask :meth:`_admit` about each, so the out-of-order
+        policy fires for the same records wherever the stream is cut into
+        batches — a batch spanning an already-closed timeunit splits, and
+        only the late run is dropped / clamped / raised on, with everything
+        before it ingested.  Detections do not depend on the cut.
 
         A running shadow session (:meth:`start_shadow`) ingests the *same*
         :class:`RecordBatch` object right after the primary — zero-copy
@@ -347,14 +324,14 @@ class DetectionSession:
         and both are sliced off before the float conversion.  The open
         unit's rows are held as a copy (see :attr:`_pending`) and the batch
         that closes that unit adds their node ids to its row 0, beside any
-        Counter remainder (per-record ingest, a restored checkpoint).  A
-        batch that does not close the held unit folds its rows into the
-        Counter before holding its own, so at most one batch's tail is ever
-        held; a timeunit no run of this batch lands in closes from
-        ``_pending`` alone.  Matrix counts never reach a checkpoint.  When
-        the policy refuses a late run, the rows before it are ingested first
-        — the exception leaves the session where record-by-record ingestion
-        would have.
+        Counter remainder (rows folded by a read of :attr:`_pending`, a
+        restored checkpoint).  A batch that does not close the held unit
+        folds its rows into the Counter before holding its own, so at most
+        one batch's tail is ever held; a timeunit no run of this batch lands
+        in closes from ``_pending`` alone.  Matrix counts never reach a
+        checkpoint.  When the policy refuses a late run, the rows before it
+        are ingested first — the exception leaves the session where a batch
+        cut just before the late run would have.
         """
         runs = batch.timeunit_runs(self.clock)
         if not runs:
@@ -447,8 +424,9 @@ class DetectionSession:
         return closed
 
     def process_batches(self, batches: Iterable[RecordBatch]) -> list[TimeunitResult]:
-        """Consume a stream of columnar batches, then flush (batch analogue of
-        :meth:`process_stream`)."""
+        """Consume a stream of columnar batches, then flush.  Observers fire
+        as each batch closes its timeunits; when the iterator raises, what
+        it yielded before stays ingested and nothing is flushed."""
         produced: list[TimeunitResult] = []
         start = time.perf_counter()
         for batch in batches:

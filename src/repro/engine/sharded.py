@@ -109,8 +109,8 @@ from the busiest shard group (by split+merge adaptation churn) to the
 lightest at a timeunit barrier, through the same split/merge checkpoint
 machinery — the session's state is bit-identical before and after.
 
-The ``out_of_order_policy="raise"`` caveat of the columnar path applies here
-too, compounded by parallelism: the offending record still raises
+Under ``out_of_order_policy="raise"`` parallelism adds a caveat: the
+offending record still raises
 :class:`~repro.exceptions.OutOfOrderRecordError`, but records dispatched to
 other shards in the same round — and, under the streaming loop, the part of
 the next round that went out before the error reply was read — may already
@@ -126,6 +126,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from collections import deque
+from itertools import chain
 from typing import Any, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -136,7 +137,12 @@ from repro.core.fused import CloseHistogram
 from repro.core.reporting import AnomalyReportStore
 from repro.core.results import TimeunitResult
 from repro.core.split_rules import NodeUsageStats
-from repro.engine.engine import UNKNOWN_STREAM_POLICIES, StreamKey, attribute_stream_key
+from repro.engine.engine import (
+    UNKNOWN_STREAM_POLICIES,
+    StreamKey,
+    attribute_stream_key,
+    route_batch,
+)
 from repro.engine.hooks import EngineObserver, notify_close
 from repro.engine.session import DetectionSession
 from repro.engine.shadow import ShadowStateError
@@ -147,7 +153,6 @@ from repro.exceptions import (
     CheckpointError,
     ConfigurationError,
     ShardingError,
-    StreamError,
     WorkerFailureError,
 )
 from repro.hierarchy.tree import HierarchyTree
@@ -163,7 +168,7 @@ from repro.io.checkpoint import (
     merge_session_states,
     split_session_state,
 )
-from repro.streaming.batch import RecordBatch, iter_record_batches
+from repro.streaming.batch import STREAM_BATCH_SIZE, RecordBatch, iter_record_batches
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 
@@ -1078,22 +1083,6 @@ class ShardedDetectionEngine:
             pass
 
     # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def _resolve_key(self, key: "str | None", timestamp: float) -> "str | None":
-        """Session name for a stream key (None = drop), serial semantics."""
-        if key is None and len(self._units) == 1:
-            return next(iter(self._units))
-        if key is not None and key in self._units:
-            return key
-        if self.unknown_stream == "drop":
-            return None
-        raise StreamError(
-            f"record at t={timestamp} routed to unknown session {key!r}; "
-            f"registered sessions: {sorted(self._units)}"
-        )
-
-    # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
     def ingest_record_batch(
@@ -1120,16 +1109,7 @@ class ShardedDetectionEngine:
     ) -> "_Round | None":
         """Partition one batch by stream key and queue its per-worker
         commands; ``None`` when no record of it reaches a session."""
-        if len(batch) == 0:
-            return None
-        selector = None if self.stream_key is attribute_stream_key else self.stream_key
-        routed: list[tuple[str, RecordBatch]] = []
-        for key, part in batch.partition_by_key(selector):
-            name = self._resolve_key(
-                key, float(part.timestamps[0]) if len(part) else 0.0
-            )
-            if name is not None:
-                routed.append((name, part))
+        routed = route_batch(batch, self.stream_key, self._units, self.unknown_stream)
         if not routed:
             return None
         ops: dict[int, list] = {}
@@ -1345,30 +1325,26 @@ class ShardedDetectionEngine:
     def ingest_batch(
         self, records: Iterable[OperationalRecord]
     ) -> dict[str, list[TimeunitResult]]:
-        """Route a batch of record objects (columnarized coordinator-side)."""
-        records = list(records)
-        if not records:
-            self._check_open()
-            return {name: [] for name in self._units}
+        """Route records as one batch (columnarized coordinator-side)."""
         return self.ingest_record_batch(RecordBatch.from_records(records))
 
     def ingest_record(self, record: OperationalRecord) -> list[TimeunitResult]:
-        """Route one record; returns results of timeunits it closed.
-
-        Provided for API parity — per-record dispatch pays one worker round
-        trip per record; prefer the batch paths.
-        """
-        key = self.stream_key(record)
-        name = self._resolve_key(key, record.timestamp)
-        if name is None:
-            return []
-        return self.ingest_batch([record])[name]
+        """Route one record, a batch of one; returns results of timeunits it
+        closed.  Each call is one worker round trip; prefer the batch
+        paths."""
+        return list(
+            chain.from_iterable(
+                self.ingest_record_batch(RecordBatch.from_records((record,))).values()
+            )
+        )
 
     def process_stream(
-        self, records: Iterable[OperationalRecord], batch_size: int = 8192
+        self, records: Iterable[OperationalRecord]
     ) -> dict[str, list[TimeunitResult]]:
-        """Consume a whole merged record stream, then flush every session."""
-        return self.process_batches(iter_record_batches(records, batch_size))
+        """Consume a whole merged record stream in chunks of
+        :data:`~repro.streaming.batch.STREAM_BATCH_SIZE` records
+        (:meth:`process_batches`), then flush every session."""
+        return self.process_batches(iter_record_batches(records, STREAM_BATCH_SIZE))
 
     def process_batches(
         self, batches: Iterable[RecordBatch]

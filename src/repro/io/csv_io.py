@@ -5,11 +5,11 @@ column per hierarchy level (empty cells for levels deeper than the record's
 category).  This mirrors how care-call and crash-log exports typically look
 and keeps the traces diffable and spreadsheet-friendly.
 
-Two readers are provided: :func:`read_records_csv` yields one
-:class:`OperationalRecord` per row, while :func:`read_batches_csv` loads rows
-straight into columnar :class:`~repro.streaming.batch.RecordBatch` chunks —
-no per-row record objects are ever built, which is the fast path feeding
-``DetectionEngine.process_batches``.
+:func:`read_batches_csv` loads rows straight into columnar
+:class:`~repro.streaming.batch.RecordBatch` chunks — no per-row record objects
+are ever built, which is the path feeding ``DetectionEngine.process_batches``;
+:func:`read_records_csv` yields the same rows as
+:class:`OperationalRecord` objects.
 """
 
 from __future__ import annotations
@@ -71,23 +71,10 @@ def write_records_csv(
 
 
 def read_records_csv(path: str | Path) -> Iterator[OperationalRecord]:
-    """Yield records from a CSV written by :func:`write_records_csv`."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or TIMESTAMP_COLUMN not in reader.fieldnames:
-            raise StreamError(f"{path} is missing the {TIMESTAMP_COLUMN!r} column")
-        level_columns = _sorted_level_columns(reader.fieldnames)
-        for row in reader:
-            labels = []
-            for column in level_columns:
-                value = (row.get(column) or "").strip()
-                if not value:
-                    break
-                labels.append(value)
-            if not labels:
-                raise StreamError(f"{path}: row with no category labels: {row!r}")
-            yield OperationalRecord.create(float(row[TIMESTAMP_COLUMN]), labels)
+    """Yield records from a CSV written by :func:`write_records_csv` (the
+    rows of :func:`read_batches_csv`, refused by the same rules)."""
+    for batch in read_batches_csv(path):
+        yield from batch
 
 
 def read_batches_csv(
@@ -96,9 +83,10 @@ def read_batches_csv(
     """Yield columnar :class:`RecordBatch` chunks from a record CSV.
 
     Row values are appended directly to the batch columns — no intermediate
-    :class:`OperationalRecord` objects — so loading is substantially cheaper
-    than :func:`read_records_csv` and the batches plug straight into the
-    vectorized ingestion path.
+    :class:`OperationalRecord` objects — and the batches plug straight into
+    the vectorized ingestion path.  Blank lines are skipped; a row with a
+    timestamp that is not a finite number, or with no category label, is
+    refused with :class:`~repro.exceptions.StreamError` naming its line.
     """
     if batch_size < 1:
         raise StreamError(f"batch_size must be >= 1, got {batch_size}")
@@ -112,6 +100,8 @@ def read_batches_csv(
         columns = [header.index(name) for name in _sorted_level_columns(header)]
         acc = ColumnAccumulator(batch_size)
         for row_number, row in enumerate(reader, start=2):
+            if not row:
+                continue
             labels = []
             for i in columns:
                 value = row[i].strip() if i < len(row) else ""

@@ -7,12 +7,11 @@ timestamp to its fixed-width timeunit.  Classifying records into timeunits
 and closing them is the session's job
 (:class:`~repro.engine.session.DetectionSession`).
 
-Two representations of the stream coexist:
-
-* row-oriented :class:`OperationalRecord` objects (the original API), and
-* column-oriented :class:`RecordBatch` chunks (the vectorized hot path),
-  produced by :meth:`InputStream.iter_batches` or the ``repro.io`` batch
-  loaders and aggregated into per-timeunit counts in one grouped pass.
+A stream is written as row-oriented :class:`OperationalRecord` objects or
+read straight into column-oriented :class:`RecordBatch` chunks by the
+``repro.io`` batch loaders; sessions and engines ingest batches only, so
+records reach them chunked by :func:`iter_record_batches` (a lone record is
+a batch of one).
 """
 
 from repro.streaming.batch import RecordBatch, iter_record_batches

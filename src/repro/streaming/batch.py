@@ -13,20 +13,25 @@ either way.  The whole hot path operates on these columns:
 * timeunit classification is one vectorized pass over the timestamp column
   (:meth:`RecordBatch.timeunit_indices`);
 * per-timeunit leaf counts come from a single grouped aggregation
-  (:meth:`RecordBatch.group_runs_by_timeunit`), replacing N per-record
-  ``Counter`` increments with one C-speed ``Counter(slice)`` per run;
+  (:meth:`RecordBatch.group_runs_by_timeunit`), one C-speed
+  ``Counter(slice)`` per run;
 * engine routing partitions the batch by stream key in one pass
   (:meth:`RecordBatch.partition_by_key`), so single-session engines forward
   whole batches without touching individual records.
 
-Equivalence guarantee
----------------------
+A batch is the only thing sessions and engines ingest: a record object is a
+batch of one (:meth:`RecordBatch.from_records`), and a record iterable is
+chunked by :func:`iter_record_batches` into batches of
+:data:`STREAM_BATCH_SIZE` rows.
+
+Chunking invariance
+-------------------
 The grouped aggregation preserves *arrival order*: records are grouped into
 **runs** of consecutive records that share a timeunit, and runs are yielded in
-stream order (not sorted by timeunit).  Replaying the runs therefore applies
-exactly the same out-of-order policy decisions as replaying the records one by
-one, which is what makes the batch path produce bit-for-bit identical
-detections (see ``tests/integration/test_batch_equivalence.py``).
+stream order (not sorted by timeunit).  Every out-of-order policy decision is
+therefore taken on the same records wherever a stream is cut into batches, so
+detections, reports and checkpoints do not depend on the chunk size — one
+record per batch included (see ``tests/integration/test_batch_equivalence.py``).
 
 The columns are NumPy arrays: NumPy is a dependency of the package.
 """
@@ -50,6 +55,10 @@ from repro.streaming.attributes import (
 )
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
+
+#: Rows per chunk when a record iterable is consumed as batches — what every
+#: ``process_stream`` (session, engine, sharded engine) chunks its records by.
+STREAM_BATCH_SIZE = 8192
 
 #: A :class:`ColumnAccumulator` built for batches of ``batch_size`` rows
 #: starts a fresh codebook rather than let one grow past this many batches'
@@ -178,17 +187,10 @@ class RecordBatch:
     @classmethod
     def from_records(cls, records: Iterable[OperationalRecord]) -> "RecordBatch":
         """Columnarize an iterable of record objects."""
-        timestamps: list[float] = []
-        categories: list[CategoryPath] = []
-        attributes: list[Mapping[str, Any]] = []
-        any_attrs = False
+        acc = ColumnAccumulator()
         for record in records:
-            timestamps.append(record.timestamp)
-            categories.append(record.category)
-            attributes.append(record.attributes)
-            if record.attributes:
-                any_attrs = True
-        return cls(timestamps, categories, attributes if any_attrs else None)
+            acc.add_record(record)
+        return acc.flush()
 
     @classmethod
     def from_columns(
@@ -364,10 +366,10 @@ class RecordBatch:
         """Split into per-stream-key sub-batches, one O(n) pass.
 
         Keys appear in first-seen order and each sub-batch preserves the
-        relative record order of the parent, so per-session ingestion order is
-        exactly what the per-record router would have produced.  A batch whose
-        records all share one key (including the all-``None`` case of untagged
-        traces) is returned whole without copying columns.
+        relative record order of the parent, so each session ingests its
+        records in stream order.  A batch whose records all share one key
+        (including the all-``None`` case of untagged traces) is returned
+        whole without copying columns.
         """
         if len(self) == 0:
             return []
@@ -411,9 +413,9 @@ class RecordBatch:
 class ColumnAccumulator:
     """Row-by-row builder of dictionary-coded :class:`RecordBatch` columns.
 
-    Every batch producer (record chunkers, the stream's columnar iterator,
-    the io batch loaders, the NDJSON decoder behind both service front ends)
-    shares this accumulator so the column conventions live in exactly one
+    Every batch producer (:meth:`RecordBatch.from_records`, the record
+    chunker, the io batch loaders, the NDJSON decoder behind both service
+    front ends) shares this accumulator so the column conventions live in exactly one
     place: a timestamp per row, a dictionary code per row, the attribute
     column dropped when every row is empty.  Categories never sit in a
     per-record tuple column — a row's path is looked up in the
@@ -565,13 +567,22 @@ class ColumnAccumulator:
 def iter_record_batches(
     records: Iterable[OperationalRecord], size: int
 ) -> Iterator[RecordBatch]:
-    """Chunk any record iterable into :class:`RecordBatch` objects of ``size``."""
+    """Chunk any record iterable into :class:`RecordBatch` objects of ``size``.
+
+    When the source raises, the rows it yielded come out first, as a last
+    short batch, so a consumer ingests every record the source produced.
+    """
     if size < 1:
         raise StreamError(f"batch size must be >= 1, got {size}")
     acc = ColumnAccumulator(size)
-    for record in records:
-        acc.add_record(record)
-        if len(acc) >= size:
+    try:
+        for record in records:
+            acc.add_record(record)
+            if len(acc) >= size:
+                yield acc.flush()
+    except Exception:
+        if len(acc):
             yield acc.flush()
+        raise
     if len(acc):
         yield acc.flush()

@@ -9,6 +9,7 @@ algorithms, so the record keeps them in an opaque ``attributes`` mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Any, Mapping
 
 from repro._types import CategoryLike, CategoryPath, Timestamp
@@ -20,7 +21,8 @@ class OperationalRecord:
     """One operational data item ``(category, timestamp)``.
 
     Records order by timestamp first so that lists of records can be sorted
-    into stream order directly.
+    into stream order directly.  A non-finite timestamp or an empty category
+    path raises :class:`~repro.exceptions.StreamError`.
     """
 
     timestamp: Timestamp
@@ -32,6 +34,8 @@ class OperationalRecord:
             object.__setattr__(self, "category", tuple(self.category))
         if not self.category:
             raise StreamError("a record must have a non-empty category path")
+        if not isfinite(self.timestamp):
+            raise StreamError(f"record timestamp {self.timestamp!r} is not finite")
 
     @classmethod
     def create(

@@ -1,19 +1,12 @@
 """Input stream abstraction (the paper's ``S = s0, s1, ...``).
 
 Tiresias consumes operational data as an ordered stream of records.  This
-module provides a thin iterator wrapper that checks (approximate) time order,
-merges several sources, and chunks the records into columnar batches.
-
-Two consumption styles share one stream, one watermark and one record
-counter:
-
-* per-record iteration (``for record in stream``), and
-* columnar iteration (:meth:`InputStream.iter_batches`), which validates a
-  whole :class:`~repro.streaming.batch.RecordBatch` of timestamps in a single
-  vectorized pass.
-
-Mixing the two is safe: both advance ``records_seen`` and the jitter
-watermark identically, so engine metrics never diverge between paths.
+module provides a thin iterator wrapper that checks (approximate) time order
+and merges several sources.  To consume it as columnar batches, chunk it:
+``iter_record_batches(stream, size)``
+(:func:`~repro.streaming.batch.iter_record_batches`) pulls the records
+through the same per-record check, so a jump across a chunk boundary raises
+like any other, after the rows before it came out as a batch.
 """
 
 from __future__ import annotations
@@ -21,11 +14,8 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from repro._types import Timestamp
 from repro.exceptions import StreamError
-from repro.streaming.batch import ColumnAccumulator, RecordBatch
 from repro.streaming.record import OperationalRecord
 
 
@@ -94,55 +84,3 @@ class InputStream:
         """
         merged = heapq.merge(*streams, key=lambda r: r.timestamp)
         return cls(merged, tolerance=tolerance)
-
-    # ------------------------------------------------------------------
-    # Columnar batching
-    # ------------------------------------------------------------------
-    def iter_batches(self, size: int) -> Iterator[RecordBatch]:
-        """Consume the stream as columnar :class:`RecordBatch` chunks.
-
-        Pulls up to ``size`` records at a time and validates their timestamps
-        against the jitter tolerance in one vectorized pass (the same check
-        :meth:`__next__` applies record by record).  ``records_seen`` and the
-        internal watermark advance exactly as under per-record iteration, so
-        switching between the two styles — or between a plain and a merged
-        stream — never skews engine metrics.
-        """
-        if size < 1:
-            raise StreamError(f"batch size must be >= 1, got {size}")
-        acc = ColumnAccumulator(size)
-        while True:
-            for record in self._records:
-                acc.add_record(record)
-                if len(acc) >= size:
-                    break
-            if not len(acc):
-                return
-            self._validate_batch_order(acc.timestamps)
-            self._count += len(acc)
-            yield acc.flush()
-
-    def _validate_batch_order(self, timestamps: Sequence[float]) -> None:
-        """Vectorized equivalent of the per-record jitter check.
-
-        Each timestamp is compared against the running maximum of everything
-        before it (seeded with the stream watermark); on success the watermark
-        advances to the batch maximum.  On a violation, the valid prefix is
-        accounted for first — ``records_seen`` and the watermark end up
-        exactly where per-record iteration would have left them when raising
-        (the buffered prefix itself is not yielded; the error is fatal).
-        """
-        ts = np.asarray(timestamps, dtype=np.float64)
-        base = ts if self._last_ts is None else np.concatenate(([self._last_ts], ts))
-        watermark = np.maximum.accumulate(base)
-        bad = np.flatnonzero(base[1:] < watermark[:-1] - self.tolerance)
-        if bad.size:
-            i = int(bad[0])
-            prefix = i if self._last_ts is not None else i + 1
-            self._count += prefix
-            self._last_ts = float(watermark[i])
-            raise StreamError(
-                f"stream went backwards in time: {base[i + 1]} after "
-                f"{watermark[i]} (tolerance {self.tolerance}s)"
-            )
-        self._last_ts = float(watermark[-1])

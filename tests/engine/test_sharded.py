@@ -627,7 +627,9 @@ class TestUnsplitWorkerRetention:
 
         with ShardedDetectionEngine(num_workers=1, transport=Recording()) as engine:
             engine.add_session("s", small_tree, fast_config, clock=clock, max_results=5)
-            results = engine.process_stream(records_for(small_tree, 12), batch_size=8)
+            results = engine.process_batches(
+                iter_record_batches(records_for(small_tree, 12), 8)
+            )
             state = engine.merged_session_state("s")
         assert len(results["s"]) == 12
         assert state["max_results"] == 5

@@ -92,7 +92,7 @@ def unfaulted_state(transport, workers, depth):
             "p", tree, config, algorithm="ada", clock=clock,
             subtree_shards=workers, subtree_depth=depth,
         )
-        engine.process_stream(records, batch_size=64)
+        engine.process_batches(iter_record_batches(records, 64))
         return json.dumps(
             canonical_state(engine.merged_session_state("p")), sort_keys=True
         )
@@ -120,7 +120,8 @@ def run_faulted_sharded(
                 subtree_depth=depth,
             )
             if streamed:
-                results = engine.process_stream(records, batch_size=batch_size)["p"]
+                batches = iter_record_batches(records, batch_size)
+                results = engine.process_batches(batches)["p"]
             else:
                 results = []
                 for batch in iter_record_batches(records, batch_size):
@@ -227,7 +228,7 @@ def test_worker_exit_fault_recovers_bit_identically(monkeypatch):
             "p", tree, config, algorithm="ada", clock=clock,
             subtree_shards=2, subtree_depth=1,
         )
-        got_results = engine.process_stream(records, batch_size=64)["p"]
+        got_results = engine.process_batches(iter_record_batches(records, 64))["p"]
         got_anomalies = [a.to_dict() for a in engine.anomalies()["p"]]
         got_state = json.dumps(
             canonical_state(engine.merged_session_state("p")), sort_keys=True
@@ -260,7 +261,7 @@ def test_recovery_exhaustion_raises_typed():
                 "p", tree, config, clock=clock, subtree_shards=2, subtree_depth=1
             )
             try:
-                engine.process_stream(records, batch_size=64)
+                engine.process_batches(iter_record_batches(records, 64))
             except ShardingError:
                 pass  # exhaustion is allowed to surface...
             # ...but if later kills missed (ordinals unreached), the run

@@ -128,7 +128,7 @@ def test_golden_trace_depth2_sharded_matches_serial(
             subtree_shards=3,
             subtree_depth=2,
         )
-        sharded_results = engine.process_stream(records, batch_size=512)[
+        sharded_results = engine.process_batches(iter_record_batches(records, 512))[
             golden_spec.name
         ]
         sharded_anomalies = engine.anomalies()[golden_spec.name]
@@ -150,7 +150,7 @@ def test_golden_trace_sharded_path_matches(golden_spec, golden_trace_loader, mod
             clock=clock,
             subtree_shards=2,
         )
-        sharded_results = engine.process_stream(records, batch_size=512)[
+        sharded_results = engine.process_batches(iter_record_batches(records, 512))[
             golden_spec.name
         ]
         sharded_anomalies = engine.anomalies()[golden_spec.name]

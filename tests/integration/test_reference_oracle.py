@@ -164,7 +164,7 @@ def sharded_run(tree, clock, records, config, batch_size, shards):
     transport = os.environ.get("REPRO_SHARD_TRANSPORT", "pipe")
     with ShardedDetectionEngine(num_workers=2, transport=transport) as engine:
         engine.add_session("p", tree, config, clock=clock, subtree_shards=shards)
-        results = engine.process_stream(records, batch_size=batch_size)["p"]
+        results = engine.process_batches(iter_record_batches(records, batch_size))["p"]
         anomalies = [a.to_dict() for a in engine.anomalies()["p"]]
         return results, anomalies, engine.merged_session_state("p")["algorithm_state"]
 

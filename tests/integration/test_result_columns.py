@@ -66,7 +66,7 @@ def serial_results(tree, clock, records, config, batch_size):
 def sharded_results(tree, clock, records, config, batch_size):
     with ShardedDetectionEngine(num_workers=2, transport=TRANSPORT) as engine:
         engine.add_session("p", tree, config, clock=clock, subtree_shards=2)
-        return engine.process_stream(records, batch_size=batch_size)["p"]
+        return engine.process_batches(iter_record_batches(records, batch_size))["p"]
 
 
 def check_unread(results) -> None:

@@ -134,7 +134,7 @@ def run_sharded_path(
             subtree_shards=shards,
             subtree_depth=depth,
         )
-        results = engine.process_stream(records, batch_size=batch_size)["p"]
+        results = engine.process_batches(iter_record_batches(records, batch_size))["p"]
         return results, [a.to_dict() for a in engine.anomalies()["p"]]
 
 

@@ -99,3 +99,29 @@ class TestBatchLoader:
         path.write_text(f"timestamp,level1\n5.0,a\n{stamp},a\n")
         with pytest.raises(StreamError, match=f"{path}:3: "):
             list(read_batches_csv(path))
+
+
+class TestReadersAgree:
+    """``read_records_csv`` reads through ``read_batches_csv``: a row one
+    refuses, the other refuses with the same message."""
+
+    @pytest.mark.parametrize(
+        "bad_row", ["nan,a", "inf,a", "-Infinity,a", "5.0,", "5.0"]
+    )
+    def test_bad_row_refused_by_both_with_one_message(self, tmp_path, bad_row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"timestamp,level1\n4.0,a\n{bad_row}\n6.0,b\n")
+        with pytest.raises(StreamError, match=f"{path}:3: ") as by_batches:
+            list(read_batches_csv(path))
+        with pytest.raises(StreamError) as by_records:
+            list(read_records_csv(path))
+        assert str(by_records.value) == str(by_batches.value)
+
+    def test_blank_lines_skipped_by_both(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("timestamp,level1\n4.0,a\n\n6.0,b\n\n")
+        rows = [(r.timestamp, r.category) for r in read_records_csv(path)]
+        assert rows == [(4.0, ("a",)), (6.0, ("b",))]
+        assert [
+            (r.timestamp, r.category) for b in read_batches_csv(path) for r in b
+        ] == rows

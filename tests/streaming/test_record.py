@@ -34,6 +34,35 @@ class TestConstruction:
         assert moved.attributes["note"] == "x"
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteTimestamp:
+    """A non-finite timestamp is refused where the record is built, with the
+    message a trace reader gives for such a row."""
+
+    @pytest.mark.parametrize("stamp", NON_FINITE)
+    def test_constructor(self, stamp):
+        with pytest.raises(StreamError, match="is not finite"):
+            OperationalRecord(stamp, ("a",))
+
+    @pytest.mark.parametrize("stamp", NON_FINITE)
+    def test_create(self, stamp):
+        with pytest.raises(StreamError, match="is not finite"):
+            OperationalRecord.create(stamp, ["a"])
+
+    @pytest.mark.parametrize(
+        "stamp", [*NON_FINITE, "nan", "-Infinity"], ids=repr
+    )
+    def test_from_dict(self, stamp):
+        with pytest.raises(StreamError, match="is not finite"):
+            OperationalRecord.from_dict({"timestamp": stamp, "category": ["a"]})
+
+    def test_finite_timestamps_pass(self):
+        assert OperationalRecord(0, ("a",)).timestamp == 0
+        assert OperationalRecord.create(-1e300, ["a"]).timestamp == -1e300
+
+
 class TestSerialization:
     def test_round_trip(self):
         record = OperationalRecord.create(7.5, ("tv", "down"), customer="c1")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import StreamError
+from repro.streaming.batch import iter_record_batches
 from repro.streaming.record import OperationalRecord
 from repro.streaming.stream import InputStream
 
@@ -66,73 +67,67 @@ class TestWatermark:
         assert stream.records_seen == 3
 
 
-class TestIterBatches:
+class TestChunkedStream:
+    """A stream is consumed as batches by chunking it: ``iter_record_batches``
+    pulls every record through the stream's per-record check."""
+
     def test_chunks_and_round_trip(self):
         stream = InputStream(records(1, 2, 3, 4, 5))
-        batches = list(stream.iter_batches(2))
+        batches = list(iter_record_batches(stream, 2))
         assert [len(b) for b in batches] == [2, 2, 1]
         assert [r.timestamp for b in batches for r in b] == [1, 2, 3, 4, 5]
+        assert stream.records_seen == 5
 
-    def test_records_seen_matches_per_record_path(self):
-        per_record = InputStream(records(1, 2, 3, 4, 5))
-        list(per_record)
-        batched = InputStream(records(1, 2, 3, 4, 5))
-        list(batched.iter_batches(2))
-        assert batched.records_seen == per_record.records_seen == 5
-
-    def test_merged_stream_batch_iteration_counts_lazily(self):
-        a = records(1, 4, 7)
-        b = records(2, 3, 8)
-        stream = InputStream.merge(a, b)
-        seen = []
-        for batch in stream.iter_batches(2):
-            seen.append(stream.records_seen)
+    def test_merged_stream_is_pulled_lazily(self):
+        stream = InputStream.merge(records(1, 4, 7), records(2, 3, 8))
+        seen = [stream.records_seen for _ in iter_record_batches(stream, 2)]
         assert seen == [2, 4, 6]
-        assert stream.records_seen == 6
 
     def test_backwards_jump_raises(self):
         stream = InputStream(records(5, 2))
         with pytest.raises(StreamError):
-            list(stream.iter_batches(10))
-
-    def test_error_path_keeps_records_seen_parity(self):
-        """On a jitter violation, records_seen and the watermark end up where
-        per-record iteration would have left them."""
-        per_record = InputStream(records(5, 6, 2))
-        with pytest.raises(StreamError):
-            list(per_record)
-        batched = InputStream(records(5, 6, 2))
-        with pytest.raises(StreamError):
-            list(batched.iter_batches(10))
-        assert batched.records_seen == per_record.records_seen == 2
-        assert batched._last_ts == per_record._last_ts == 6
+            list(iter_record_batches(stream, 10))
 
     def test_jump_across_batch_boundary_raises(self):
         stream = InputStream(records(5, 6, 2))
-        batches = stream.iter_batches(2)
-        next(batches)
-        with pytest.raises(StreamError):
+        batches = iter_record_batches(stream, 2)
+        assert [r.timestamp for r in next(batches)] == [5, 6]
+        with pytest.raises(StreamError, match="backwards"):
             next(batches)
 
     def test_tolerance_allows_small_jitter(self):
         stream = InputStream(records(5, 4.5, 6), tolerance=1.0)
-        [batch] = list(stream.iter_batches(10))
+        [batch] = list(iter_record_batches(stream, 10))
         assert [r.timestamp for r in batch] == [5, 4.5, 6]
 
-    def test_watermark_does_not_regress_within_batch(self):
-        stream = InputStream(records(0.0, -0.2, -0.4), tolerance=0.3)
-        with pytest.raises(StreamError):
-            list(stream.iter_batches(10))
-
-    def test_mixing_batch_and_record_iteration_shares_state(self):
-        stream = InputStream(records(1, 2, 3, 4))
-        next(iter(stream))
-        batch = next(stream.iter_batches(2))
-        assert [r.timestamp for r in batch] == [2, 3]
-        assert next(stream).timestamp == 4
-        assert stream.records_seen == 4
-
     def test_invalid_size(self):
-        stream = InputStream(records(1))
         with pytest.raises(StreamError):
-            list(stream.iter_batches(0))
+            list(iter_record_batches(InputStream(records(1)), 0))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 10])
+    def test_failing_source_keeps_what_it_yielded(self, size):
+        """A source that raises after k rows: the k rows come out as batches
+        (the last one short), then the error propagates."""
+
+        def source():
+            yield from records(1, 2, 3)
+            raise StreamError("feed lost")
+
+        batches = iter_record_batches(source(), size)
+        got = []
+        with pytest.raises(StreamError, match="feed lost"):
+            for batch in batches:
+                got.append([r.timestamp for r in batch])
+        assert [ts for batch in got for ts in batch] == [1, 2, 3]
+        assert [len(batch) for batch in got] == [
+            min(size, 3 - i) for i in range(0, 3, size)
+        ]
+
+    def test_backwards_jump_keeps_the_rows_before_it(self):
+        stream = InputStream(records(5, 6, 2, 7))
+        got = []
+        with pytest.raises(StreamError, match="backwards"):
+            for batch in iter_record_batches(stream, 10):
+                got.extend(r.timestamp for r in batch)
+        assert got == [5, 6]
+        assert stream.records_seen == 2
