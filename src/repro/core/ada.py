@@ -489,8 +489,10 @@ class ADAAlgorithm:
         the shared ancestor band (root plus ancestors above the cut depth),
         in (depth, lex) order.  After each closed timeunit
         :attr:`last_frontier_raw` holds one float per path; the coordinator
-        sums them across shards to replay the band's split-rule statistics
-        and reference series exactly as the serial cascade would.
+        sums them across shards and replays the band's split-rule
+        statistics and reference series through a :class:`_SplitStatsStore`
+        and a :class:`_RefStore` of its own, exactly as the serial cascade
+        would.
         """
         self._frontier_ids = self._node_ids(tuple(p) for p in paths)
         self.last_frontier_raw = None

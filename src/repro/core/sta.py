@@ -60,10 +60,6 @@ class STAAlgorithm:
             "detecting_anomalies": 0.0,
         }
         self.last_result: TimeunitResult | None = None
-        #: Frontier-band capture for depth-k sharding (see
-        #: :meth:`capture_frontier`); off outside sharded workers.
-        self._frontier_paths: "tuple[CategoryPath, ...] | None" = None
-        self.last_frontier_raw: "tuple[float, ...] | None" = None
         #: Band exclusion for ``min_heavy_depth > 1``: node ids at depths
         #: 1..m-1 never qualify as heavy.
         m = config.min_heavy_depth
@@ -71,18 +67,6 @@ class STAAlgorithm:
         if m > 1:
             depths = self._index.depths
             self._shallow_ids = np.flatnonzero((depths >= 1) & (depths < m))
-
-    def capture_frontier(self, paths) -> None:
-        """Record the raw weight of each of ``paths`` on every close.
-
-        Same contract as :meth:`ADAAlgorithm.capture_frontier
-        <repro.core.ada.ADAAlgorithm.capture_frontier>`: after each closed
-        timeunit :attr:`last_frontier_raw` holds one float per path, and the
-        depth-k sharded coordinator checks only that each shard's tuple has
-        one value per band node (STA keeps no band bookkeeping to replay).
-        """
-        self._frontier_paths = tuple(tuple(p) for p in paths)
-        self.last_frontier_raw = None
 
     # ------------------------------------------------------------------
     # Online interface
@@ -109,10 +93,6 @@ class STAAlgorithm:
             heavy_mask[self._shallow_ids] = False
         paths = index.paths
         heavy = {paths[i] for i in np.flatnonzero(heavy_mask).tolist()}
-        if self._frontier_paths is not None:
-            self.last_frontier_raw = tuple(
-                float(raw.get(path, 0.0)) for path in self._frontier_paths
-            )
         self.stage_seconds["updating_hierarchies"] += time.perf_counter() - start
 
         start = time.perf_counter()

@@ -13,10 +13,11 @@ Verbs
     ``[(key, session_state, capture_depth), ...]`` — build sessions from
     serial-format state dicts (shipped with ``max_results: 0``).  Report
     retention is disabled: the coordinator owns the merged store.
-    ``capture_depth == 0`` hosts an unsplit session; ``capture_depth >= 1``
-    hosts a depth-k subtree shard, whose frontier band — root plus
-    ancestors above the cut — is captured per closed timeunit for
-    coordinator-side replay.
+    ``capture_depth >= 1`` hosts a depth-k ADA subtree shard, whose
+    frontier band — root plus ancestors above the cut — is captured per
+    closed timeunit for coordinator-side replay; ``capture_depth == 0``
+    captures nothing, for a unit without a band replica (an unsplit
+    session or an STA subtree shard).
 ``remove``
     ``[key, ...]`` — drop units (used by churn-driven rebalancing).
 ``ingest``
@@ -28,7 +29,7 @@ Verbs
     segment (and, for a shard the session moved past, a row-less trailing
     advance).  Batches arrive as timestamps + dictionary codes; no verb
     reads an attribute column, so the coordinator ships none.  The reply
-    lists, per op, the results the unit closed (and a subtree shard's
+    lists, per op, the results the unit closed (and a capturing shard's
     frontier weights); an error reply carries those its ops closed before
     the error (see :func:`handle_message`).
 ``flush`` / ``state``
@@ -56,7 +57,7 @@ from repro.io.checkpoint import (
 
 
 class CloseCapture(EngineObserver):
-    """Records every result a worker session closes, and for a subtree
+    """Records every result a worker session closes, and for an ADA subtree
     shard its frontier raw weights, until the next reply drains them.
 
     Observing the closes, rather than keeping what a call returns, leaves
@@ -69,22 +70,18 @@ class CloseCapture(EngineObserver):
 
     def __init__(self, frontier: bool) -> None:
         self.results: list[TimeunitResult] = []
-        self.weights: "list[tuple[int, tuple[float, ...]]] | None" = (
-            [] if frontier else None
-        )
+        self.weights: "list[tuple[float, ...]] | None" = [] if frontier else None
 
     def on_timeunit_closed(
         self, session: DetectionSession, result: TimeunitResult
     ) -> None:
         self.results.append(result)
         if self.weights is not None:
-            self.weights.append(
-                (int(result.timeunit), session.algorithm.last_frontier_raw)
-            )
+            self.weights.append(session.algorithm.last_frontier_raw)
 
     def drain(
         self,
-    ) -> "tuple[list[TimeunitResult], list[tuple[int, tuple[float, ...]]] | None]":
+    ) -> "tuple[list[TimeunitResult], list[tuple[float, ...]] | None]":
         results, self.results = self.results, []
         weights = self.weights
         if weights is not None:
@@ -101,7 +98,7 @@ class WorkerUnit:
         # here would only grow worker memory forever.
         session.retain_reports = False
         if capture_depth >= 1:
-            # Every shardable algorithm (ADA, STA) captures its band.
+            # Only an ADA shard has a band replica to feed.
             session.algorithm.capture_frontier(
                 frontier_band_paths(session.tree.leaf_paths(), capture_depth)
             )

@@ -59,10 +59,14 @@ serial session:
    ``allow_root_heavy=False``, and — for cuts deeper than 1 —
    ``min_heavy_depth >= subtree_depth``, config choices the serial engine
    honours identically, so equivalence holds on *any* workload.  Band raw
-   weights are still additive across shards: each shard reports its band
-   weight tuple per closed timeunit and the coordinator replays the band's
-   split-rule bookkeeping and reference series exactly in (depth, lex)
-   order (:class:`_FrontierReplica`), so merged checkpoints stay faithful.
+   weights are still additive across shards, and ADA keeps split-rule
+   statistics and top-``h`` reference series for band nodes too: each ADA
+   shard reports its band weight tuple per closed timeunit, and the
+   coordinator sums them into one band vector and replays it through
+   ADA's own stores, built over the band's sub-hierarchy
+   (:class:`_FrontierReplica`), so merged checkpoints stay faithful.  STA
+   keeps no band bookkeeping beyond its weight tables, which the merge
+   sums, so its shards capture nothing (capture depth 0).
 
 Checkpoints are format-identical to serial ones: :meth:`state_dict` merges
 shard states back into canonical serial session states (see
@@ -125,18 +129,17 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from collections import deque
 from itertools import chain
 from typing import Any, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
+from repro.core.ada import _RefStore, _SplitStatsStore
 from repro.core.config import TiresiasConfig
 from repro.core.detector import Anomaly
 from repro.core.fused import CloseHistogram
 from repro.core.reporting import AnomalyReportStore
 from repro.core.results import TimeunitResult
-from repro.core.split_rules import NodeUsageStats
 from repro.engine.engine import (
     UNKNOWN_STREAM_POLICIES,
     StreamKey,
@@ -155,6 +158,7 @@ from repro.exceptions import (
     ShardingError,
     WorkerFailureError,
 )
+from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
 from repro.io.checkpoint import (
     _read_json,
@@ -284,102 +288,74 @@ class _FrontierReplica:
 
     The band — root plus shared ancestors above the cut — is the set of
     nodes no subtree shard owns.  Each band node's raw weight is the sum of
-    the shards' local weights for it, and this class replays exactly the
-    arithmetic of the serial split-stats update (gap decay then EWMA) on
-    those sums, plus the band's reference-series appends, in the serial
-    (depth, lex) node order.  Band nodes are never heavy under the sharding
-    preconditions (root exclusion + ``min_heavy_depth``), so these values
-    cannot influence detections — they exist so merged checkpoints carry
-    the same band statistics a serial run would have.
+    the shards' local weights for it; this replica folds those sums into
+    ADA's own split-statistics and reference stores, built over the band's
+    sub-hierarchy, whose node ids run in the serial (depth, lex) order.
+    Band nodes are never heavy under the sharding preconditions (root
+    exclusion + ``min_heavy_depth``), so these values cannot influence
+    detections — they exist so merged checkpoints carry the same band
+    statistics a serial run would have.
     """
 
     def __init__(
         self,
-        config: Mapping[str, Any],
-        band_paths: Sequence[tuple],
-        withheld: "Mapping[str, Any] | None",
+        config: TiresiasConfig,
+        leaves_by_gid: Sequence[Sequence[tuple]],
+        depth: int,
+        withheld: Mapping[str, Any],
     ):
-        self.alpha = float(config["split_ewma_alpha"])
-        window_units = int(config["window_units"])
-        reference_levels = int(config.get("reference_levels", 0))
-        #: Band paths in (depth, lex) order; the root ``()`` comes first.
-        self.band_paths = [tuple(path) for path in band_paths]
-        #: Band paths that keep a reference series (depths 1..h).
-        self.ref_paths = [
-            path for path in self.band_paths if 1 <= len(path) <= reference_levels
-        ]
-        self.stats: dict[tuple, NodeUsageStats] = {}
-        self.last_unit: dict[tuple, int] = {}
-        self.reference: dict[tuple, deque] = {
-            path: deque(maxlen=window_units) for path in self.ref_paths
-        }
-        for path, row in (withheld or {}).get("stats", []):
-            self.stats[tuple(path)] = NodeUsageStats(
-                last_weight=float(row["last_weight"]),
-                cumulative_weight=float(row["cumulative_weight"]),
-                ewma_weight=float(row["ewma_weight"]),
-                observations=int(row["observations"]),
+        band = frontier_band_paths(chain.from_iterable(leaves_by_gid), depth)
+        inner = {path[:-1] for path in band if path}
+        index = HierarchyIndex(
+            HierarchyTree.from_leaf_paths(
+                sorted(path for path in band if path and path not in inner)
             )
-        for path, unit in (withheld or {}).get("stats_last_unit", []):
-            self.last_unit[tuple(path)] = int(unit)
-        for path, values in (withheld or {}).get("reference", []):
-            buf = self.reference.get(tuple(path))
-            if buf is not None:
-                buf.extend(float(value) for value in values)
+        )
+        #: Per group, the band node of each weight its shard reports — the
+        #: band as the worker derives it from its own leaf set.
+        self.positions = [
+            np.array(
+                [index.path_to_id[path] for path in frontier_band_paths(leaves, depth)],
+                dtype=np.intp,
+            )
+            for leaves in leaves_by_gid
+        ]
+        self.stats = _SplitStatsStore(config, index)
+        self.stats.load(withheld.get("stats", []), withheld.get("stats_last_unit", []))
+        ref_paths = tuple(
+            path for path in index.paths if 1 <= len(path) <= config.reference_levels
+        )
+        self.ref_ids = np.array(
+            [index.path_to_id[path] for path in ref_paths], dtype=np.intp
+        )
+        self.reference = _RefStore(config.window_units, ref_paths)
+        # Rows are emitted in load order: band order, as serially.
+        self.reference.load(
+            sorted(withheld.get("reference", []), key=lambda row: (len(row[0]), row[0]))
+        )
 
-    def observe(self, timeunit: int, totals: Mapping[tuple, float]) -> None:
-        """Fold one closed timeunit's summed band weights into the replica."""
-        alpha = self.alpha
-        for path in self.band_paths:
-            weight = totals.get(path, 0.0)
-            if weight <= 0:
-                continue
-            stats = self.stats.get(path)
-            if stats is None:
-                stats = self.stats[path] = NodeUsageStats()
-            last = self.last_unit.get(path)
-            if last is not None and timeunit - last > 1:
-                gap = timeunit - last - 1
-                stats.ewma_weight *= (1 - alpha) ** gap
-                stats.last_weight = 0.0
-            stats.update(weight, alpha)
-            self.last_unit[path] = timeunit
-        for path in self.ref_paths:
-            self.reference[path].append(float(totals.get(path, 0.0)))
+    def observe(self, timeunit: int, weights: Sequence[Sequence[float]]) -> None:
+        """Fold one closed timeunit into the stores; ``weights`` holds each
+        group's band weights, in group order."""
+        raw = np.zeros(self.stats.index.num_nodes)
+        for positions, values in zip(self.positions, weights):
+            if len(values) != len(positions):
+                raise ShardingError(
+                    f"internal: a shard reported {len(values)} frontier "
+                    f"weights for its {len(positions)}-node band"
+                )
+            raw[positions] += values
+        self.stats.update_dense(timeunit, raw)
+        self.reference.append_column(raw[self.ref_ids])
 
     def export(self) -> dict[str, Any]:
         """Withheld-row form consumed by ``merge_session_states``."""
-        withheld: dict[str, Any] = {}
-        stats_rows = [
-            [
-                list(path),
-                {
-                    "last_weight": self.stats[path].last_weight,
-                    "cumulative_weight": self.stats[path].cumulative_weight,
-                    "ewma_weight": self.stats[path].ewma_weight,
-                    "observations": self.stats[path].observations,
-                },
-            ]
-            for path in self.band_paths
-            if path in self.stats
-        ]
-        last_rows = [
-            [list(path), self.last_unit[path]]
-            for path in self.band_paths
-            if path in self.last_unit
-        ]
-        ref_rows = [
-            [list(path), list(self.reference[path])]
-            for path in self.ref_paths
-            if self.reference[path]
-        ]
-        if stats_rows:
-            withheld["stats"] = stats_rows
-        if last_rows:
-            withheld["stats_last_unit"] = last_rows
-        if ref_rows:
-            withheld["reference"] = ref_rows
-        return withheld
+        stats_rows, last_rows = self.stats.emit()
+        return {
+            "stats": stats_rows,
+            "stats_last_unit": last_rows,
+            "reference": self.reference.emit(),
+        }
 
 
 class _SessionUnit:
@@ -429,18 +405,6 @@ class _SessionUnit:
         self.workers = list(workers)
         self.keys = [("s", name, gid) for gid in range(len(self.workers))]
         self.sub_states: "list[dict[str, Any]] | None" = list(sub_states)
-        leaves = [tuple(path) for path in base_state["tree"]["leaves"]]
-        leaves_by_gid: list[list[tuple]] = [[] for _ in self.workers]
-        for leaf in leaves:
-            leaves_by_gid[self.route(leaf)].append(leaf)
-        #: Per-group frontier band, exactly as each shard worker derives it
-        #: from its own leaf set — the order of the weight tuples on the wire.
-        self.band_paths_by_gid = [
-            frontier_band_paths(group_leaves, self.depth)
-            for group_leaves in leaves_by_gid
-        ]
-        #: The session-wide band in (depth, lex) order, root first.
-        self.band_paths = frontier_band_paths(leaves, self.depth)
         self.clock: SimulationClock = clock_from_dict(base_state["clock"])
         self.handle = ShardedSessionHandle(
             name, _config_of(base_state), int(base_state["warmup_units"])
@@ -458,16 +422,22 @@ class _SessionUnit:
             else int(base_state["pending_unit"])
         )
         self.frontier: "_FrontierReplica | None" = None
-        if str(base_state["algorithm"]) == "ada" and self.band_paths:
+        if str(base_state["algorithm"]) == "ada" and self.partition is not None:
+            leaves_by_gid: list[list[tuple]] = [[] for _ in self.workers]
+            for path in base_state["tree"]["leaves"]:
+                leaves_by_gid[self.route(path)].append(tuple(path))
             self.frontier = _FrontierReplica(
-                base_state["config"], self.band_paths, withheld
+                self.handle.config, leaves_by_gid, self.depth, withheld
             )
+        #: Cut depth a worker captures band weights at: 0 for a unit without
+        #: a band replica (an unsplit or an STA session).
+        self.capture_depth = self.depth if self.frontier is not None else 0
         #: Times this unit's layout was migrated by churn-driven rebalancing.
         self.rebalances = 0
         #: Times one of this unit's workers was respawned and rebuilt.
         self.recoveries = 0
-        #: timeunit -> {gid: (result, local band raw-weight tuple)}
-        self.buffer: dict[int, dict[int, tuple[TimeunitResult, tuple]]] = {}
+        #: timeunit -> {gid: (result, local band raw-weight tuple or None)}
+        self.buffer: dict[int, dict[int, tuple[TimeunitResult, Any]]] = {}
         #: (dictionary, group-per-code table) of the last dictionary routed.
         self._route_table: "tuple | None" = None
 
@@ -852,7 +822,7 @@ class ShardedDetectionEngine:
         for gid, worker in enumerate(unit.workers):
             self._snapshots[unit.keys[gid]] = unit.sub_states[gid]
             ops.setdefault(worker, []).append(
-                (unit.keys[gid], unit.sub_states[gid], unit.depth)
+                (unit.keys[gid], unit.sub_states[gid], unit.capture_depth)
             )
         self._roundtrip(ops, "add")
         unit.sub_states = None  # the workers own the live states from here on
@@ -966,7 +936,7 @@ class ShardedDetectionEngine:
     def _keys_on_worker(self, worker_id: int) -> list[tuple[Any, int]]:
         """``(key, capture_depth)`` of every shard group hosted by a worker."""
         out = [
-            (unit.keys[gid], unit.depth)
+            (unit.keys[gid], unit.capture_depth)
             for unit in self._units.values()
             for gid, worker in enumerate(unit.workers)
             if worker == worker_id
@@ -1237,27 +1207,19 @@ class ShardedDetectionEngine:
         half folded; :meth:`_emit_ready` merges and emits.
         """
         for worker_id in sorted(replies):
-            for key, results, frontier_weights in replies[worker_id]:
+            for key, results, weights in replies[worker_id]:
                 _, name, gid = key
                 unit = self._units[name]
-                if frontier_weights is None:  # an unsplit session: no band
-                    frontier_weights = [(None, ())] * len(results)
-                if len(frontier_weights) != len(results):
+                if weights is None:  # no band replica: unsplit or STA
+                    weights = [None] * len(results)
+                elif len(weights) != len(results):
                     raise ShardingError(
                         f"internal: shard {key!r} returned {len(results)} "
-                        f"results but {len(frontier_weights)} frontier "
-                        f"weight records"
+                        f"results but {len(weights)} frontier weight records"
                     )
-                expected = len(unit.band_paths_by_gid[gid])
-                for result, (_timeunit, values) in zip(results, frontier_weights):
-                    if len(values) != expected:
-                        raise ShardingError(
-                            f"internal: shard {key!r} reported "
-                            f"{len(values)} frontier weights for its "
-                            f"{expected}-node band"
-                        )
+                for result, band in zip(results, weights):
                     slot = unit.buffer.setdefault(int(result.timeunit), {})
-                    slot[gid] = (result, values)
+                    slot[gid] = (result, band)
 
     def _emit_ready(
         self, unit: _SessionUnit, upto: "int | None"
@@ -1275,13 +1237,9 @@ class ShardedDetectionEngine:
                     f"closed on {len(slot)} of {unit.num_groups} shard groups"
                 )
             if unit.frontier is not None:
-                totals: dict[tuple, float] = {}
-                for gid in range(unit.num_groups):
-                    for path, value in zip(
-                        unit.band_paths_by_gid[gid], slot[gid][1]
-                    ):
-                        totals[path] = totals.get(path, 0.0) + value
-                unit.frontier.observe(timeunit, totals)
+                unit.frontier.observe(
+                    timeunit, [slot[gid][1] for gid in range(unit.num_groups)]
+                )
             merged = self._merge_unit_results(
                 timeunit, [slot[gid][0] for gid in range(unit.num_groups)]
             )
@@ -1743,33 +1701,24 @@ class ShardedDetectionEngine:
     def from_state_dict(
         cls,
         state: Mapping[str, Any],
-        num_workers: "int | None" = None,
-        stream_key: "StreamKey | None" = None,
+        *,
         subtree_shards: "int | Mapping[str, int]" = 1,
-        start_method: "str | None" = None,
         subtree_depth: "int | Mapping[str, int]" = 1,
-        transport: "str | ShardTransport" = "pipe",
-        transport_options: "Mapping[str, Any] | None" = None,
-        op_timeout: float = 60.0,
-        replay_buffer_ops: int = 64,
-        max_recovery_attempts: int = 2,
-        fault_plan: Any = None,
+        **engine_options: Any,
     ) -> "ShardedDetectionEngine":
-        """Rebuild a sharded engine from a (serial-format) engine snapshot."""
+        """Rebuild a sharded engine from a (serial-format) engine snapshot.
+
+        ``subtree_shards`` / ``subtree_depth`` apply to every session, or
+        per session name through a mapping (default 1); ``engine_options``
+        are the constructor's keyword arguments, except ``unknown_stream``,
+        which the snapshot carries.
+        """
         _check_header(state)
         engine = cls(
-            num_workers=num_workers,
-            stream_key=stream_key,
             unknown_stream=str(
                 state.get("engine", {}).get("unknown_stream", "raise")
             ),
-            start_method=start_method,
-            transport=transport,
-            transport_options=transport_options,
-            op_timeout=op_timeout,
-            replay_buffer_ops=replay_buffer_ops,
-            max_recovery_attempts=max_recovery_attempts,
-            fault_plan=fault_plan,
+            **engine_options,
         )
         for session_state in state["sessions"]:
             session_name = str(session_state["name"])
@@ -1792,32 +1741,18 @@ class ShardedDetectionEngine:
     def load_checkpoint(
         cls,
         path: Any,
-        num_workers: "int | None" = None,
-        stream_key: "StreamKey | None" = None,
+        *,
         subtree_shards: "int | Mapping[str, int]" = 1,
-        start_method: "str | None" = None,
         subtree_depth: "int | Mapping[str, int]" = 1,
-        transport: "str | ShardTransport" = "pipe",
-        transport_options: "Mapping[str, Any] | None" = None,
-        op_timeout: float = 60.0,
-        replay_buffer_ops: int = 64,
-        max_recovery_attempts: int = 2,
-        fault_plan: Any = None,
+        **engine_options: Any,
     ) -> "ShardedDetectionEngine":
-        """Restore a sharded engine from any engine checkpoint file."""
+        """Restore a sharded engine from any engine checkpoint file
+        (arguments as in :meth:`from_state_dict`)."""
         return cls.from_state_dict(
             _read_json(path),
-            num_workers=num_workers,
-            stream_key=stream_key,
             subtree_shards=subtree_shards,
-            start_method=start_method,
             subtree_depth=subtree_depth,
-            transport=transport,
-            transport_options=transport_options,
-            op_timeout=op_timeout,
-            replay_buffer_ops=replay_buffer_ops,
-            max_recovery_attempts=max_recovery_attempts,
-            fault_plan=fault_plan,
+            **engine_options,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -7,22 +7,18 @@ pickle walks every float — so :func:`encode_frame` separates the two:
 
 * the **skeleton**: the command structure with every batch replaced by a
   picklable :class:`_BatchRef` placeholder (carrying the category
-  dictionary, the index of the batch's first column and — only for a batch
-  whose attributes are a decoded ``list`` of mappings, i.e. NDJSON-born —
-  the attribute rows), serialized with pickle;
+  dictionary and the index of the batch's first column), serialized with
+  pickle;
 * the **columns**: each batch's timestamps (``<f8``) and dictionary codes
   (``<i4``) as raw little-endian buffers, 8-byte aligned so the receiver
-  can wrap them with ``numpy.frombuffer`` without copying — and, for a batch
-  whose attribute column is still encoded
-  (:class:`~repro.streaming.attributes.EncodedAttributes`, what the columnar
-  reader yields), two more: the rows' JSON bytes and one ``<i4`` length per
-  row.  The receiver rebuilds the encoded column from those buffers; no
-  attribute dict is built on either side of the channel.
+  can wrap them with ``numpy.frombuffer`` without copying.
 
-The sharded engine's ingest ops carry no attribute column: its dispatcher
-ships workers timestamps and codes only, because no worker verb reads
-attributes (``repro.engine.sharded._worker_columns``).  The attribute legs
-of the format serve anything else that encodes a batch with attributes.
+A frame carries timestamps and codes only.  No worker verb reads a batch's
+attribute column — routing by stream key happens coordinator-side — so the
+sharded engine's dispatcher leaves it behind before anything is shipped
+(``repro.engine.sharded._worker_columns``), and :func:`encode_frame`
+refuses a batch that still carries one with
+:class:`~repro.exceptions.ShardingError` instead of dropping it silently.
 
 A batch always holds dictionary codes (one assembled from tuples by hand
 numbered them at construction), so the code column is shipped as it is and
@@ -54,9 +50,8 @@ Frame layout (all integers little-endian)::
     b"RSF2" | <I crc32> | <I skeleton_len> | <I ncols> | ncols * <Q col_len>
     | skeleton | [pad to 8] col_0 | [pad to 8] col_1 | ...
 
-A batch occupies consecutive columns from its ``_BatchRef.index``:
-``timestamps``, ``codes`` and, when ``_BatchRef.attributes`` is the
-``"encoded"`` marker, ``attribute bytes``, ``attribute row lengths``.
+A batch occupies two consecutive columns from its ``_BatchRef.index``:
+``timestamps`` and ``codes``.
 
 ``crc32`` (:func:`zlib.crc32`) covers every byte after the checksum field.
 Frames are coordinator<->worker internal — shared memory mappings and
@@ -84,7 +79,6 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import ShardingError
-from repro.streaming.attributes import EncodedAttributes
 from repro.streaming.batch import Codebook, RecordBatch
 
 _MAGIC = b"RSF2"
@@ -93,28 +87,20 @@ _HEADER = struct.Struct("<II")
 _COL_LEN = struct.Struct("<Q")
 
 
-#: ``_BatchRef.attributes`` value saying the attribute column rides in the
-#: frame's raw columns instead of the skeleton.
-_ENCODED = "encoded"
-
-
 class _BatchRef:
     """Picklable stand-in for a :class:`RecordBatch` inside a skeleton.
 
     ``index`` is the batch's first column in the frame.  ``dictionary`` is
     either a plain list of category paths (stateless encode) or a
     ``("delta", base, new_paths)`` triple referencing the receiving
-    channel's cumulative dictionary (see module docstring).  ``attributes``
-    is ``None``, a list of mappings, or the ``"encoded"`` marker.
+    channel's cumulative dictionary (see module docstring).
     """
 
-    __slots__ = ("index", "length", "dictionary", "attributes")
+    __slots__ = ("index", "dictionary")
 
-    def __init__(self, index, length, dictionary, attributes):
+    def __init__(self, index, dictionary):
         self.index = index
-        self.length = length
         self.dictionary = dictionary
-        self.attributes = attributes
 
 
 class DictEncoder:
@@ -187,6 +173,11 @@ class DictDecoder:
 def _encode_batch(
     batch: RecordBatch, columns: list, encoder: "DictEncoder | None"
 ) -> _BatchRef:
+    if batch.attributes is not None:
+        raise ShardingError(
+            "internal: a shard frame carries timestamps and codes only, but "
+            "a batch with an attribute column was given to encode"
+        )
     codes = batch.category_codes
     if encoder is None:
         dictionary: Any = list(batch.code_dictionary)
@@ -195,20 +186,9 @@ def _encode_batch(
         base = len(encoder)
         codes = encoder.translation_for(batch.code_dictionary, delta)[codes]
         dictionary = ("delta", base, delta)
-    ref = _BatchRef(len(columns), len(batch), dictionary, None)
+    ref = _BatchRef(len(columns), dictionary)
     columns.append(np.ascontiguousarray(batch.timestamps, dtype="<f8").tobytes())
     columns.append(np.ascontiguousarray(codes, dtype="<i4").tobytes())
-    attributes = batch.attributes
-    if isinstance(attributes, EncodedAttributes):
-        if not attributes.all_empty:
-            blob, lengths = attributes.window()
-            columns.append(blob)
-            columns.append(lengths.tobytes())
-            ref.attributes = _ENCODED
-    elif attributes is not None and any(attributes):
-        # All rows empty means exactly what the None column means (see
-        # RecordBatch), so thousands of empty dicts are never pickled.
-        ref.attributes = list(attributes)
     return ref
 
 
@@ -240,14 +220,7 @@ def _restore(obj: Any, columns: list, decoder: "DictDecoder | None") -> Any:
             dictionary = decoder.apply(base, delta)
         else:
             dictionary = [tuple(path) for path in dictionary]
-        attributes = obj.attributes
-        if attributes == _ENCODED:
-            attributes = EncodedAttributes.from_window(
-                columns[obj.index + 2], columns[obj.index + 3]
-            )
-        return RecordBatch.from_dictionary_codes(
-            timestamps, codes, dictionary, attributes
-        )
+        return RecordBatch.from_dictionary_codes(timestamps, codes, dictionary)
     if isinstance(obj, tuple):
         return tuple(_restore(item, columns, decoder) for item in obj)
     if isinstance(obj, list):

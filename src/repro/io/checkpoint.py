@@ -75,32 +75,35 @@ def config_to_dict(config: TiresiasConfig) -> dict[str, Any]:
 
     ``min_heavy_depth`` is emitted only when it differs from the default so
     checkpoints written by configurations that never touch it keep their
-    exact historical bytes.
+    exact historical bytes.  Float fields are written as floats whatever the
+    config was built with (``theta=12`` writes ``12.0``), the form
+    :func:`config_from_dict` reads back, so a save/restore round trip and
+    every engine write the same bytes.
     """
     forecast = config.forecast
     document = {
-        "theta": config.theta,
-        "ratio_threshold": config.ratio_threshold,
-        "difference_threshold": config.difference_threshold,
-        "delta_seconds": config.delta_seconds,
+        "theta": float(config.theta),
+        "ratio_threshold": float(config.ratio_threshold),
+        "difference_threshold": float(config.difference_threshold),
+        "delta_seconds": float(config.delta_seconds),
         "window_units": config.window_units,
         "split_rule": config.split_rule,
-        "split_ewma_alpha": config.split_ewma_alpha,
+        "split_ewma_alpha": float(config.split_ewma_alpha),
         "reference_levels": config.reference_levels,
         "track_root": config.track_root,
         "allow_root_heavy": config.allow_root_heavy,
         "out_of_order_policy": config.out_of_order_policy,
         "forecast": {
-            "alpha": forecast.alpha,
-            "beta": forecast.beta,
-            "gamma": forecast.gamma,
+            "alpha": float(forecast.alpha),
+            "beta": float(forecast.beta),
+            "gamma": float(forecast.gamma),
             "season_lengths": list(forecast.season_lengths),
             "season_weights": (
                 None
                 if forecast.season_weights is None
-                else list(forecast.season_weights)
+                else [float(w) for w in forecast.season_weights]
             ),
-            "fallback_alpha": forecast.fallback_alpha,
+            "fallback_alpha": float(forecast.fallback_alpha),
             "model": forecast.model,
         },
     }
@@ -143,11 +146,12 @@ def config_from_dict(data: Mapping[str, Any]) -> TiresiasConfig:
 
 
 def clock_to_dict(clock: SimulationClock) -> dict[str, Any]:
+    """JSON-safe clock, float fields as floats (see :func:`config_to_dict`)."""
     return {
-        "delta": clock.delta,
-        "epoch": clock.epoch,
+        "delta": float(clock.delta),
+        "epoch": float(clock.epoch),
         "epoch_weekday": clock.epoch_weekday,
-        "epoch_hour": clock.epoch_hour,
+        "epoch_hour": float(clock.epoch_hour),
     }
 
 
@@ -402,25 +406,6 @@ class SubtreePartition:
                 return gid
         return default
 
-    def owner(self, path: Sequence[str]) -> "int | str | None":
-        """Like :meth:`route` but distinguishes the shared band.
-
-        Returns a group id for shard-owned paths (at or below a cut unit),
-        the string ``"band"`` for shared ancestors above the cut, and
-        ``None`` for the root.
-        """
-        if not path:
-            return None
-        t = tuple(path)
-        if len(t) >= self.depth:
-            return self.route(t)
-        gid = self.prefix_to_gid.get(t)
-        if gid is not None:
-            return gid
-        if t in self.band_owner:
-            return "band"
-        return self.route(t)
-
 
 def split_session_state(
     state: Mapping[str, Any],
@@ -438,11 +423,16 @@ def split_session_state(
     bookkeeping is replicated, and timing/operation counters start from zero
     so that merging later can add them back onto the serial baseline.
 
-    The second return value holds the shared-ancestor-band bookkeeping no
+    The second return value holds ADA's shared-ancestor-band bookkeeping no
     shard owns — split-rule statistics for the root and every band path, and
     (for ``depth > 1``) the band's reference series — as path-keyed row
     lists.  The sharded engine maintains these coordinator-side from the
-    per-timeunit frontier weights its shards report.  Raises
+    per-timeunit frontier weights its ADA shards report.  STA withholds
+    nothing: each band row of a retained weight table goes whole to the
+    shard its path routes to, so a shard's band rows are not what a
+    from-scratch run over its sub-hierarchy would hold.  No STA code reads a
+    band row (nothing above the cut is heavy), and the merge sums band rows
+    across shards, which restores the serial table.  Raises
     :class:`CheckpointError` when the session cannot be subtree-sharded:
     unsupported algorithm, ``track_root`` enabled, ``min_heavy_depth``
     shallower than the cut, a root- or band-held time series, or an
@@ -496,14 +486,14 @@ def split_session_state(
 
     pending_by_gid: list[list[Any]] = [[] for _ in range(k)]
     for path, count in state["pending"]:
-        gid = part.route(path)
-        pending_by_gid[0 if gid is None else gid].append([list(path), count])
+        pending_by_gid[part.route(path) or 0].append([list(path), count])
 
     algo_state = state["algorithm_state"]
     zero_stage = {key: 0.0 for key in algo_state["stage_seconds"]}
     withheld: dict[str, Any] = {}
     algo_by_gid: list[dict[str, Any]] = []
     if algorithm == "ada":
+        band = set(frontier_band_paths(state["tree"]["leaves"], depth))
         withheld = {"stats": [], "stats_last_unit": [], "reference": []}
         split_lists: dict[str, list[list[list[Any]]]] = {
             field: [[] for _ in range(k)]
@@ -511,24 +501,23 @@ def split_session_state(
         }
         for field, routed in split_lists.items():
             for path, value in algo_state[field]:
-                owner = part.owner(path)
-                if owner is None or owner == "band":
-                    if field == "series":
-                        raise CheckpointError(
-                            "the hierarchy root or shared ancestor band "
-                            "holds a time series; its adaptation couples "
-                            "several subtrees and cannot be sharded (was "
-                            "the session run with an earlier track_root "
-                            "or min_heavy_depth config?)"
-                        )
-                    if field == "reference" and owner is None:
-                        raise CheckpointError(
-                            "the hierarchy root holds a reference series; "
-                            "this cannot come from a root-excluded run"
-                        )
+                if tuple(path) not in band:
+                    routed[part.route(path) or 0].append([list(path), value])
+                elif field == "series":
+                    raise CheckpointError(
+                        "the hierarchy root or shared ancestor band "
+                        "holds a time series; its adaptation couples "
+                        "several subtrees and cannot be sharded (was "
+                        "the session run with an earlier track_root "
+                        "or min_heavy_depth config?)"
+                    )
+                elif field == "reference" and not path:
+                    raise CheckpointError(
+                        "the hierarchy root holds a reference series; "
+                        "this cannot come from a root-excluded run"
+                    )
+                else:
                     withheld[field].append([list(path), value])
-                    continue
-                routed[owner].append([list(path), value])
         for gid in range(k):
             algo_by_gid.append(
                 {
@@ -543,54 +532,13 @@ def split_session_state(
                 }
             )
     else:  # sta
-        # Per-shard band weights are recomputed from the serial table: a
-        # shard's local weight for a band node b is the sum of the raw
-        # weights of its cut units beneath b plus the *direct* weight
-        # (records classified exactly to an interior band node) of every
-        # band node beneath-or-equal b that routes to this shard — exactly
-        # what a from-scratch run over the sub-hierarchy would record.
-        all_leaves = [tuple(p) for p in state["tree"]["leaves"]]
-        band_paths = frontier_band_paths(all_leaves, depth)
-        nodes: set = set()
-        for leaf in all_leaves:
-            for d in range(len(leaf) + 1):
-                nodes.add(leaf[:d])
-        children: dict[tuple, list] = {b: [] for b in part.band_owner}
-        for node in nodes:
-            if node and node[:-1] in children:
-                children[node[:-1]].append(node)
-        cut_sources: list[list[list]] = [
-            [[] for _ in band_paths] for _ in range(k)
-        ]
-        direct_sources: list[list[list]] = [
-            [[] for _ in band_paths] for _ in range(k)
-        ]
-        for i, band in enumerate(band_paths):
-            lb = len(band)
-            for prefix, gid in part.prefix_to_gid.items():
-                if prefix[:lb] == band:
-                    cut_sources[gid][i].append(prefix)
-            for below, gid in part.band_owner.items():
-                if below[:lb] == band:
-                    direct_sources[gid][i].append(below)
+        # Band rows too, each whole on one shard (see the docstring).
         tables_by_gid: list[list[list[list[Any]]]] = [[] for _ in range(k)]
         for unit_table in algo_state["unit_weights"]:
-            raw = {tuple(p): float(w) for p, w in unit_table}
             routed: list[list[list[Any]]] = [[] for _ in range(k)]
             for path, weight in unit_table:
-                owner = part.owner(path)
-                if owner is None or owner == "band":
-                    continue  # recomputed per group below
-                routed[owner].append([list(path), weight])
+                routed[part.route(path) or 0].append([list(path), weight])
             for gid in range(k):
-                for i, band in enumerate(band_paths):
-                    total = sum(raw.get(p, 0.0) for p in cut_sources[gid][i])
-                    for below in direct_sources[gid][i]:
-                        total += raw.get(below, 0.0) - sum(
-                            raw.get(c, 0.0) for c in children[below]
-                        )
-                    if total > 0:
-                        routed[gid].append([list(band), total])
                 tables_by_gid[gid].append(routed[gid])
         for gid in range(k):
             algo_by_gid.append(
@@ -681,11 +629,8 @@ def merge_session_states(
     timeunits = {sub["algorithm_state"]["timeunit"] for sub in sub_states}
     if len(timeunits) > 1:
         raise CheckpointError("torn sharded session state: shards disagree on timeunit")
-    band_set = set(
-        frontier_band_paths(
-            [tuple(p) for p in base["tree"]["leaves"]], depth
-        )
-    )
+    band_order = frontier_band_paths(base["tree"]["leaves"], depth)
+    band_set = set(band_order)
 
     if algorithm == "ada":
         algo_state: dict[str, Any] = {
@@ -705,7 +650,7 @@ def merge_session_states(
                             f"shard state holds a root {field} entry; "
                             f"this cannot come from a root-excluded run"
                         )
-                    if not path or tuple(path) in band_set:
+                    if tuple(path) in band_set:
                         # Shards keep local root/band bookkeeping (their own
                         # raw weights feed it) but each copy is partial; the
                         # serial equivalent is the coordinator-maintained
@@ -723,7 +668,6 @@ def merge_session_states(
                 "of timeunit weight tables"
             )
         unit_weights = []
-        band_order = sorted(band_set, key=lambda p: (len(p), p))
         for tables in zip(*(sub["algorithm_state"]["unit_weights"] for sub in sub_states)):
             merged_table = []
             band_totals: dict[tuple, float] = {}

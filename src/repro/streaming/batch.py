@@ -110,7 +110,9 @@ class RecordBatch:
     Parameters
     ----------
     timestamps:
-        Per-record timestamps, stream order.
+        Per-record timestamps, stream order.  A non-finite one raises
+        :class:`~repro.exceptions.StreamError`, as it does for an
+        :class:`~repro.streaming.record.OperationalRecord`.
     categories:
         Per-record category paths (tuples of labels), parallel to
         ``timestamps``; numbered in first-appearance order here.  (Readers
@@ -166,6 +168,9 @@ class RecordBatch:
                 f"column length mismatch: {len(attributes)} attribute rows vs "
                 f"{rows} categories"
             )
+        if not np.isfinite(self.timestamps).all():
+            bad = float(self.timestamps[~np.isfinite(self.timestamps)][0])
+            raise StreamError(f"record timestamp {bad!r} is not finite")
 
     @property
     def categories(self) -> list[CategoryPath]:

@@ -14,6 +14,7 @@ from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.datagen import CCDConfig, make_ccd_dataset
 from repro.engine import DetectionEngine
 from repro.engine.session import DetectionSession
+from repro.engine.sharded import ShardedDetectionEngine
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.io.checkpoint import (
     config_from_dict,
@@ -21,6 +22,10 @@ from repro.io.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.streaming.batch import RecordBatch
+from repro.streaming.clock import SimulationClock
+from repro.streaming.record import OperationalRecord
+from tests.conftest import canonical_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +235,52 @@ def test_config_dict_round_trip(ccd_config):
         forecast=ccd_config.forecast.replace(season_weights=None),
     )
     assert config_from_dict(config_to_dict(custom)) == custom
+
+
+class TestIntValuedFloatFields:
+    """A config or clock built with int literals in float fields writes
+    the float forms a restored session writes, so bytes never depend on
+    how the values were typed."""
+
+    @staticmethod
+    def engine(small_tree, engine_cls=DetectionEngine, **options):
+        engine = engine_cls(**options)
+        engine.add_session(
+            "s",
+            small_tree,
+            TiresiasConfig(
+                theta=12,
+                delta_seconds=900,
+                window_units=16,
+                forecast=ForecastConfig(alpha=1, season_lengths=(4,)),
+            ),
+            clock=SimulationClock(delta=900),
+        )
+        records = [
+            OperationalRecord(60.0 * i, ("region-0", f"site-0{i % 4}"))
+            for i in range(120)
+        ]
+        engine.ingest_record_batch(RecordBatch.from_records(records))
+        return engine
+
+    def test_save_load_save_is_byte_identical(self, small_tree, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        self.engine(small_tree).save_checkpoint(first)
+        DetectionEngine.load_checkpoint(first).save_checkpoint(second)
+        assert first.read_bytes() == second.read_bytes()
+        session = json.loads(first.read_text())["sessions"][0]
+        assert session["config"]["theta"] == 12.0
+        assert isinstance(session["config"]["forecast"]["alpha"], float)
+        assert isinstance(session["clock"]["delta"], float)
+
+    def test_serial_and_one_worker_sharded_states_are_equal(self, small_tree):
+        serial = self.engine(small_tree).state_dict()
+        with self.engine(
+            small_tree, ShardedDetectionEngine, num_workers=1
+        ) as sharded:
+            assert canonical_checkpoint(sharded.state_dict()) == (
+                canonical_checkpoint(serial)
+            )
 
 
 class TestMalformedCheckpoints:

@@ -275,8 +275,9 @@ def test_dispatcher_equals_the_per_row_loop(algorithm, policy, depth, shards):
     """Effect, not shape: the dispatcher's ops and the reference
     segmentation's, each run by ``worker_handle`` against its own copy of
     the shard sessions, close the same ``TimeunitResult``s with the same
-    frontier weights and leave the same session states after every batch —
-    for ADA's dense close and STA's per-run loop."""
+    frontier weights (ADA's; STA shards capture none) and leave the same
+    session states after every batch — for ADA's dense close and STA's
+    per-run loop."""
     rng = random.Random(1000 * depth + shards)
     tree = make_tree()
     for trial in range(40):
@@ -284,7 +285,10 @@ def test_dispatcher_equals_the_per_row_loop(algorithm, policy, depth, shards):
         # Fresh vs carried watermark (below, inside and above the batch).
         carried = rng.choice([None, None, base - 2, base, base + 1, base + 9])
         unit = make_unit(depth, shards, carried, policy, algorithm)
-        adds = [(key, state, depth) for key, state in zip(unit.keys, unit.sub_states)]
+        adds = [
+            (key, state, unit.capture_depth)
+            for key, state in zip(unit.keys, unit.sub_states)
+        ]
         reference_workers, dispatcher_workers = {}, {}
         worker_handle(reference_workers, "add", copy.deepcopy(adds))
         worker_handle(dispatcher_workers, "add", copy.deepcopy(adds))

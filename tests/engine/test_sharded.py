@@ -119,8 +119,6 @@ class TestSubtreePartition:
         assert part.route(()) is None
         # A band node rides with its lexicographically smallest cut child.
         assert part.route(("a",)) == 0
-        assert part.owner(("a",)) == "band"
-        assert part.owner(("a", "x", "l0")) == 0
 
     def test_depth1_string_labels_normalized(self):
         part = SubtreePartition([["a"], ["b"]], depth=1)

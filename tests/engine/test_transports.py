@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
@@ -101,51 +102,27 @@ class TestWireCodec:
         out = single_batch_of(decode_frame(frame))
         assert len(out) == 0
 
-    def test_nonempty_attributes_preserved(self):
-        attrs = [{"stream": "s1"}, {}, {"stream": "s2", "k": 1}]
-        batch = make_batch(
-            [("a", "x"), ("a", "x"), ("b", "y")], attributes=attrs
-        )
-        out = single_batch_of(decode_frame(encode_frame(("ingest", batch))[0]))
-        assert out.to_records() == batch.to_records()
-
-    def test_all_empty_attributes_elided(self):
-        # An explicit all-empty attributes column ships as None — the
-        # RecordBatch contract says the two are the same batch.
-        batch = RecordBatch([0.0, 90.0], [("a", "x"), ("b", "y")], [{}, {}])
-        assert batch.attributes is not None
-        out = single_batch_of(decode_frame(encode_frame(("ingest", batch))[0]))
-        assert out.attributes is None
-        assert out.to_records() == batch.to_records()
-
-    def test_encoded_attribute_column_ships_as_raw_buffers(self):
-        # What the columnar reader yields: rows still JSON bytes.  They must
-        # cross the wire as two raw columns (bytes + <i4 lengths), never as
-        # pickled dicts, and arrive as an encoded column again.
-        np = pytest.importorskip("numpy")
-        rows = [{"injected": True, "label": "flash-0"}, {}, {"k": [1, 2]}] * 300
-        blob = b"".join(json.dumps(r, sort_keys=True).encode() for r in rows if r)
-        offsets, position = [0], 0
-        for row in rows:
-            position += len(json.dumps(row, sort_keys=True)) if row else 0
-            offsets.append(position)
-        file_blob = b"#" * 50_000 + blob  # the batch is a window into a file
-        column = EncodedAttributes(
-            file_blob, np.asarray(offsets, dtype=np.int64) + 50_000
-        )
+    @pytest.mark.parametrize(
+        "attributes",
+        [
+            [{"stream": "s1"}, {}],
+            [{}, {}],  # all-empty still names a column
+            EncodedAttributes.from_window(
+                b"{}", np.array([2, 0], dtype="<i4").tobytes()
+            ),
+        ],
+        ids=["dicts", "all-empty", "encoded"],
+    )
+    def test_a_batch_with_an_attribute_column_is_refused(self, attributes):
+        # Frames carry timestamps and codes only: the dispatcher strips the
+        # attribute column first, so one reaching the codec is a bug to
+        # surface, not a column to drop silently.
         batch = RecordBatch.from_dictionary_codes(
-            [float(i) for i in range(len(rows))], [0] * len(rows), [("a", "x")], column
+            [0.0, 90.0], [0, 1], [("a", "x"), ("b", "y")], attributes
         )
-        for encoder, decoder in ((None, None), (DictEncoder(), DictDecoder())):
-            frame, serialized = encode_frame(("ingest", [batch, batch.slice(1, 2)]), encoder)
-            first, second = decode_frame(frame, decoder)[1]
-            assert isinstance(first.attributes, EncodedAttributes)
-            assert list(first.attributes) == rows
-            assert first.to_records() == batch.to_records()
-            assert second.attributes is None  # an all-empty window is elided
-            assert serialized < 400  # skeleton only: no row went through pickle
-            assert len(frame) < len(blob) + (8 + 4 + 4) * len(rows) + 1024
-            assert len(frame) < 50_000  # ...and never the file's blob
+        for encoder in (None, DictEncoder()):
+            with pytest.raises(ShardingError, match="attribute column"):
+                encode_frame(("ingest", [(("s", "p", 0), batch, [])]), encoder)
 
     def test_columns_bypass_pickle(self):
         batch = make_batch([("a", "x")] * 2048)

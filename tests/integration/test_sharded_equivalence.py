@@ -36,6 +36,7 @@ from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.batch import iter_record_batches
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
+from tests.conftest import canonical_checkpoint
 
 DELTA = 600.0
 
@@ -380,3 +381,76 @@ def test_sharded_end_state_matches_serial_checkpoint():
                     assert serial_value == sharded_value, sub_key
         else:
             assert serial_state[key] == sharded_state[key], key
+
+
+def canonical_rows(state) -> bytes:
+    """``canonical_checkpoint`` of a session state with every path-keyed row
+    list sorted by path: a merged state lists its rows shard by shard, a
+    serial one in node or first-seen order, and loaders key them by path."""
+
+    def by_path(rows):
+        return sorted(rows, key=lambda row: row[0])
+
+    algo = dict(state["algorithm_state"])
+    for field in ("series", "reference", "stats", "stats_last_unit"):
+        if field in algo:
+            algo[field] = by_path(algo[field])
+    if "unit_weights" in algo:
+        algo["unit_weights"] = [by_path(table) for table in algo["unit_weights"]]
+    return canonical_checkpoint(
+        dict(state, pending=by_path(state["pending"]), algorithm_state=algo)
+    )
+
+
+@pytest.mark.parametrize("reference_levels", [0, 1, 2])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("algorithm", ["ada", "sta"])
+def test_split_session_merges_to_the_serial_state(algorithm, depth, reference_levels):
+    """A subtree-split session's merged state equals the serial session's,
+    band rows included: ADA's band statistics and (depth >= 2) band
+    reference rows, which the coordinator replays, and STA's band weight
+    rows.  Detections never read these, so only this comparison sees a
+    broken replay.  Three ways in: split at attach, split mid-stream from a
+    serial half-run, and a mid-stream ``rebalance_session``."""
+    for seed in range(40):  # >= 4 top-level units, so a group owns two
+        tree, clock, records = make_workload(seed, lateness=0.05)
+        if len({leaf[0] for leaf in tree.leaf_paths()}) >= 4:
+            break
+    config = make_config(seed, "drop").replace(
+        min_heavy_depth=depth, reference_levels=reference_levels
+    )
+    batches = list(iter_record_batches(records, 64))
+    half = len(batches) // 2
+
+    serial = DetectionEngine()
+    serial.add_session("p", tree, config, algorithm=algorithm, clock=clock)
+    for batch in batches[:half]:
+        serial.ingest_record_batch(batch)
+    half_state = serial.state_dict()["sessions"][0]
+    for batch in batches[half:]:
+        serial.ingest_record_batch(batch)
+    expected = canonical_rows(serial.state_dict()["sessions"][0])
+
+    def sharded(leg: str) -> bytes:
+        with ShardedDetectionEngine(
+            num_workers=2, transport=DEFAULT_TRANSPORT
+        ) as engine:
+            if leg == "midstream":
+                engine.attach_session_state(
+                    half_state, subtree_shards=2, subtree_depth=depth
+                )
+                todo = batches[half:]
+            else:
+                engine.add_session(
+                    "p", tree, config, algorithm=algorithm, clock=clock,
+                    subtree_shards=2, subtree_depth=depth,
+                )
+                todo = batches
+            for i, batch in enumerate(todo):
+                if leg == "rebalance" and i == half:
+                    engine.rebalance_session("p", churn_threshold=0.0)
+                engine.ingest_record_batch(batch)
+            return canonical_rows(engine.merged_session_state("p"))
+
+    for leg in ("attach", "midstream", "rebalance"):
+        assert sharded(leg) == expected, leg

@@ -11,9 +11,15 @@ edges.  For every boundary of the CCD-trouble golden trace this suite:
 and asserts the remaining detections equal the uninterrupted run exactly.
 The sharded direction also checkpoints mid-run and restores serially, closing
 the loop: serial -> sharded -> serial crossing a live stream.
+
+``REPRO_SHARD_TRANSPORT`` (``pipe``/``shm``/``tcp``, default ``pipe``)
+steers every sharded engine this module builds; the CI
+``sharded-transports`` job runs it once per transport.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -22,6 +28,9 @@ from repro.engine.sharded import ShardedDetectionEngine
 from repro.streaming.batch import iter_record_batches
 
 BATCH_SIZE = 512  # deliberately misaligned with the 900 s timeunits
+
+#: Transport every sharded engine in this module runs on (CI matrixes it).
+DEFAULT_TRANSPORT = os.environ.get("REPRO_SHARD_TRANSPORT", "pipe")
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +89,7 @@ def test_sharded_resume_from_every_boundary(trouble_trace, straight_through):
     states = _prefix_states(spec, tree, clock, batches)
     for boundary, (state, produced) in enumerate(states):
         with ShardedDetectionEngine.from_state_dict(
-            state, num_workers=2, subtree_shards=2
+            state, num_workers=2, subtree_shards=2, transport=DEFAULT_TRANSPORT
         ) as resumed:
             rest = list(produced)
             for batch in batches[boundary + 1 :]:
@@ -103,7 +112,10 @@ def test_round_trip_through_sharded_checkpoint(trouble_trace, straight_through):
         produced.extend(serial_head.ingest_record_batch(batch)[spec.name])
 
     with ShardedDetectionEngine.from_state_dict(
-        serial_head.state_dict(), num_workers=2, subtree_shards=2
+        serial_head.state_dict(),
+        num_workers=2,
+        subtree_shards=2,
+        transport=DEFAULT_TRANSPORT,
     ) as middle:
         for batch in batches[third : 2 * third]:
             produced.extend(middle.ingest_record_batch(batch)[spec.name])

@@ -1,14 +1,19 @@
 """Unit tests for :mod:`repro.streaming.batch`."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import TiresiasConfig
+from repro.engine.session import DetectionSession
 from repro.exceptions import StreamError
 from repro.streaming.batch import ColumnAccumulator, RecordBatch, iter_record_batches
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
+from tests.conftest import canonical_checkpoint
 
 
 def rec(ts, label="leaf", **attrs):
@@ -62,6 +67,48 @@ class TestConstruction:
         assert batch.to_records() == []
         with pytest.raises(StreamError):
             batch.min_timestamp
+
+
+class TestNonFiniteTimestamps:
+    """A batch refuses a non-finite timestamp with the record's own message,
+    however it is built, so no session ever sees one."""
+
+    @staticmethod
+    def record_message(bad):
+        with pytest.raises(StreamError) as caught:
+            OperationalRecord(bad, ("leaf",))
+        return str(caught.value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_every_construction_route_refuses_one(self, bad):
+        message = self.record_message(bad)
+        for build in (
+            lambda: RecordBatch([1.0, bad], [("a",), ("b",)]),
+            lambda: RecordBatch.from_columns([bad, 300.0], [("a",), ("b",)]),
+            lambda: RecordBatch.from_dictionary_codes([bad], [0], [("a",)]),
+        ):
+            with pytest.raises(StreamError) as caught:
+                build()
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("policy", ["drop", "clamp", "raise"])
+    def test_no_policy_meets_one(self, policy, small_tree):
+        leaf = ("region-0", "site-00")
+        session = DetectionSession(
+            small_tree,
+            TiresiasConfig(delta_seconds=300.0, out_of_order_policy=policy),
+            clock=SimulationClock(delta=300.0),
+        )
+        session.ingest_record_batch(RecordBatch.from_columns([600.0], [leaf]))
+        before = canonical_checkpoint(session.state_dict())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NumPy cast warning either
+            with pytest.raises(StreamError) as caught:
+                session.ingest_record_batch(
+                    RecordBatch.from_columns([float("nan"), 300.0], [leaf, leaf])
+                )
+        assert str(caught.value) == self.record_message(float("nan"))
+        assert canonical_checkpoint(session.state_dict()) == before
 
 
 class TestOneFormat:
