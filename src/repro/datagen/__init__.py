@@ -6,6 +6,12 @@ equivalents with the published characteristics -- hierarchy shapes (Table II),
 ticket-type mix (Table I), diurnal/weekly seasonality (Fig. 2, Fig. 11),
 sparsity and volatility (Fig. 1) -- plus exact ground-truth anomaly
 injections for the detection-accuracy experiments.
+
+Generated traces are reproducible byte for byte: a dataset is a pure function
+of its configuration and seed, and the array-speed draws equal the
+``random.Random`` calls they replace (``tests/datagen/test_vector_draws.py``),
+so the committed golden traces regenerate unchanged
+(``tests/datagen/test_golden_bytes.py``).
 """
 
 from repro.datagen.anomalies import AnomalyInjector, InjectedAnomaly, random_injection_plan

@@ -5,16 +5,21 @@ ISP's operations team.  The synthetic equivalent is exact ground truth: the
 generator injects extra call/crash bursts at chosen hierarchy nodes and time
 ranges, and records precisely where and when it did so.  The evaluation then
 scores detections against these injections (Table VI style metrics).
+
+The injected records are part of the trace's byte-identity contract (see
+:mod:`repro.datagen.generator`): per active anomaly and unit, one draw for the
+fractional count, then one leaf choice and one timestamp draw per record, in
+that order.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 from repro._types import CategoryPath, Timestamp
 from repro.exceptions import DataGenerationError
-from repro.hierarchy.node import HierarchyNode
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
@@ -63,7 +68,9 @@ class InjectedAnomaly:
     def timeunits(self, clock: SimulationClock) -> range:
         """Indices of the timeunits the anomaly overlaps."""
         first = clock.timeunit_of(self.start)
-        last = clock.timeunit_of(self.end - 1e-9)
+        # The last timestamp before ``end``: a fixed epsilon vanishes once
+        # timestamps reach wall-clock scale.
+        last = clock.timeunit_of(math.nextafter(self.end, -math.inf))
         return range(first, last + 1)
 
 
@@ -88,34 +95,40 @@ class AnomalyInjector:
 
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
+        # Leaf paths under each anomaly's node: the subtree is walked once.
+        self._leaf_paths: dict[CategoryPath, list[CategoryPath]] = {}
         for anomaly in self.anomalies:
-            if tuple(anomaly.node_path) not in self.tree:
-                raise DataGenerationError(
-                    f"anomaly node {anomaly.node_path!r} is not in the hierarchy"
-                )
+            self._check_node(anomaly)
 
     def reset_rng(self) -> None:
         """Rewind the injection RNG so the next trace replay is identical."""
         self._rng = random.Random(self.seed)
 
     def add(self, anomaly: InjectedAnomaly) -> None:
+        self._check_node(anomaly)
+        self.anomalies.append(anomaly)
+
+    def _check_node(self, anomaly: InjectedAnomaly) -> None:
         if tuple(anomaly.node_path) not in self.tree:
             raise DataGenerationError(
                 f"anomaly node {anomaly.node_path!r} is not in the hierarchy"
             )
-        self.anomalies.append(anomaly)
+
+    def _leaves_under(self, path: CategoryPath) -> list[CategoryPath]:
+        leaves = self._leaf_paths.get(path)
+        if leaves is None:
+            node = self.tree.node(path)
+            leaves = self._leaf_paths[path] = [leaf.path for leaf in node.iter_leaves()]
+        return leaves
 
     # ------------------------------------------------------------------
-    def _leaves_under(self, path: CategoryPath) -> list[HierarchyNode]:
-        node = self.tree.node(tuple(path))
-        return list(node.iter_leaves())
-
     def records_for_unit(
         self, unit_start: Timestamp, clock: SimulationClock
     ) -> list[OperationalRecord]:
         """Extra records contributed by active anomalies in one timeunit."""
         unit_end = unit_start + clock.delta
         extra: list[OperationalRecord] = []
+        draw, choice = self._rng.random, self._rng.choice
         for anomaly in self.anomalies:
             overlap_start = max(unit_start, anomaly.start)
             overlap_end = min(unit_end, anomaly.end)
@@ -124,20 +137,19 @@ class AnomalyInjector:
                 continue
             expected = anomaly.extra_rate * overlap
             count = int(expected)
-            if self._rng.random() < expected - count:
+            if draw() < expected - count:
                 count += 1
             if count == 0:
                 continue
-            leaves = self._leaves_under(anomaly.node_path)
+            leaves = self._leaves_under(tuple(anomaly.node_path))
             if not leaves:
                 continue
+            label = anomaly.label
             for _ in range(count):
-                leaf = self._rng.choice(leaves)
-                timestamp = overlap_start + self._rng.random() * overlap
+                leaf = choice(leaves)
+                timestamp = overlap_start + draw() * overlap
                 extra.append(
-                    OperationalRecord.create(
-                        timestamp, leaf.path, injected=True, label=anomaly.label
-                    )
+                    OperationalRecord(timestamp, leaf, {"injected": True, "label": label})
                 )
         return extra
 

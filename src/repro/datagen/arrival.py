@@ -7,6 +7,15 @@ volatility (the 90th percentile of the per-timeunit count is ~35x the 10th
 percentile at the CCD root).  The rate model below multiplies a base rate by
 diurnal, weekly and noise factors; per-timeunit counts are drawn from a
 Poisson distribution with that rate.
+
+Within a timeunit, the record timestamps and their leaf categories are drawn
+as arrays (:func:`random_draws`, :func:`spread_uniformly`,
+:func:`weighted_choices`).  Each reproduces, bit for bit, the values the
+matching ``random.Random`` calls return and leaves the generator in the state
+those calls leave it in, so traces are byte-identical to drawing record by
+record.  ``tests/datagen/test_vector_draws.py`` pins the draws against
+``random.Random``; ``tests/datagen/test_golden_bytes.py`` pins whole traces
+against the committed ``tests/golden/*.jsonl``.
 """
 
 from __future__ import annotations
@@ -14,6 +23,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro._types import Timestamp
 from repro.exceptions import ConfigurationError
@@ -107,11 +119,53 @@ def _poisson(mean: float, rng: random.Random) -> int:
     return count
 
 
+def random_draws(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` values of ``rng.random()``, as one ``float64`` array.
+
+    CPython's ``random()`` takes two 32-bit words ``a``, ``b`` of its
+    Mersenne Twister and returns ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``.
+    ``rng.getrandbits(64 * count)`` draws the same ``2 * count`` words from
+    the same stream in one C call (the first word lowest), so combining them
+    here gives exactly the values — and leaves ``rng`` exactly where — the
+    ``count`` calls would.  ``rng``'s cached ``gauss`` value is not touched,
+    as ``random()`` does not touch it.
+    """
+    if count <= 0:
+        return np.empty(0)
+    words = np.frombuffer(
+        rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4"
+    )
+    high = (words[0::2] >> 5) * 67108864.0
+    return (high + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
 def spread_uniformly(
     count: int, unit_start: Timestamp, delta: float, rng: random.Random
 ) -> list[Timestamp]:
-    """Timestamps for ``count`` events spread uniformly over one timeunit."""
-    return sorted(unit_start + rng.random() * delta for _ in range(count))
+    """Timestamps for ``count`` events spread uniformly over one timeunit.
+
+    ``sorted(unit_start + rng.random() * delta for _ in range(count))``,
+    drawn as one array.
+    """
+    return np.sort(unit_start + random_draws(rng, count) * delta).tolist()
+
+
+def weighted_choices(
+    rng: random.Random, cum_weights: Sequence[float], count: int
+) -> list[int]:
+    """``rng.choices(range(len(cum_weights)), cum_weights=cum_weights, k=count)``.
+
+    The same draws and the same bisection as ``random.choices``: each index
+    is the right insertion point of ``random() * cum_weights[-1]`` among
+    ``cum_weights``, capped at the last index (``choices``' ``hi = n - 1``,
+    which matters only for a draw that lands on the total itself).
+    """
+    cum = np.asarray(cum_weights, dtype=np.float64)
+    total = float(cum[-1])
+    if not total > 0.0 or not math.isfinite(total):
+        raise ConfigurationError("the cumulative weights must end at a finite total > 0")
+    picks = np.searchsorted(cum, random_draws(rng, count) * total, side="right")
+    return np.minimum(picks, len(cum) - 1).tolist()
 
 
 def zipf_weights(count: int, exponent: float = 1.1) -> list[float]:

@@ -8,21 +8,40 @@ popularity distribution optionally shaped by per-top-level-category weights
 ground-truth anomalous bursts.
 
 The CCD and SCD dataset generators are thin configurations of this class.
+
+A trace is a pure function of the generator's parameters, and its bytes are a
+contract: the timestamps and categories of a unit are drawn as arrays
+(:mod:`repro.datagen.arrival`) but equal, bit for bit, what drawing them one
+``random.Random`` call at a time gives, and the merge with injected records is
+a stable sort on the timestamp.  ``tests/datagen/test_golden_bytes.py``
+regenerates every golden dataset and compares it byte for byte with the
+committed ``tests/golden/*.jsonl``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro._types import CategoryPath
 from repro.datagen.anomalies import AnomalyInjector, InjectedAnomaly
-from repro.datagen.arrival import SeasonalRateModel, spread_uniformly, zipf_weights
+from repro.datagen.arrival import (
+    SeasonalRateModel,
+    spread_uniformly,
+    weighted_choices,
+    zipf_weights,
+)
 from repro.exceptions import DataGenerationError
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
+
+_BY_TIMESTAMP = attrgetter("timestamp")
 
 
 @dataclass
@@ -62,6 +81,7 @@ class TraceGenerator:
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
         self._leaves, self._weights = self._leaf_distribution()
+        self._cum_weights = np.array(list(accumulate(self._weights)))
         self._injector = AnomalyInjector(
             self.tree, list(self.anomalies), seed=self.seed + 1
         )
@@ -135,20 +155,25 @@ class TraceGenerator:
         """Materialize :meth:`generate` into a list."""
         return list(self.generate(duration))
 
-    def _generate_unit(self, unit_start: float) -> Iterator[OperationalRecord]:
-        count = self.rate_model.sample_count(unit_start, self.clock, self._rng)
-        timestamps = spread_uniformly(count, unit_start, self.clock.delta, self._rng)
-        categories = (
-            self._rng.choices(self._leaves, weights=self._weights, k=count)
-            if count
-            else []
-        )
-        background = [
-            OperationalRecord.create(ts, category)
-            for ts, category in zip(timestamps, categories)
+    def _generate_unit(self, unit_start: float) -> list[OperationalRecord]:
+        rng = self._rng
+        count = self.rate_model.sample_count(unit_start, self.clock, rng)
+        timestamps = spread_uniformly(count, unit_start, self.clock.delta, rng)
+        leaves = self._leaves
+        records = [
+            OperationalRecord(timestamp, leaves[i])
+            for timestamp, i in zip(
+                timestamps, weighted_choices(rng, self._cum_weights, count)
+            )
         ]
         injected = self._injector.records_for_unit(unit_start, self.clock)
-        yield from sorted(background + injected)
+        if injected:
+            # The background is already in time order; a stable sort keyed on
+            # the timestamp interleaves the injected records after background
+            # records with equal timestamps, as ordering records does.
+            records += injected
+            records.sort(key=_BY_TIMESTAMP)
+        return records
 
     # ------------------------------------------------------------------
     # Ground truth / diagnostics

@@ -93,19 +93,23 @@ def write_trace_columnar(
     attr_chunks: list[bytes] = []
     attr_offsets = array("q", [0])
     position = 0
+    # ``json.dumps(..., sort_keys=True)`` without a new encoder per row.
+    encode = json.JSONEncoder(sort_keys=True).encode
 
     def add_attribute_row(attrs: "Mapping[str, Any] | None") -> None:
         nonlocal position
         if attrs:
-            encoded = json.dumps(dict(attrs), sort_keys=True).encode("utf-8")
+            encoded = encode(dict(attrs)).encode("utf-8")
             attr_chunks.append(encoded)
             position += len(encoded)
         attr_offsets.append(position)
 
+    # The record branch runs once per record: its methods are bound once.
+    append_timestamp, append_code, number = timestamps.append, codes.append, book.code
     for item in source:
         if not isinstance(item, RecordBatch):
-            timestamps.append(float(item.timestamp))
-            codes.append(book.code(tuple(item.category)))
+            append_timestamp(item.timestamp)
+            append_code(number(item.category))
             add_attribute_row(item.attributes)
             continue
         timestamps.extend(item.timestamps.tolist())

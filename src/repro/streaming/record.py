@@ -16,16 +16,20 @@ from repro._types import CategoryLike, CategoryPath, Timestamp
 from repro.exceptions import StreamError
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class OperationalRecord:
     """One operational data item ``(category, timestamp)``.
 
-    Records order by timestamp first so that lists of records can be sorted
-    into stream order directly.  A non-finite timestamp or an empty category
-    path raises :class:`~repro.exceptions.StreamError`.
+    Records order by timestamp only, so that lists of records can be sorted
+    into stream order directly; records with equal timestamps keep their
+    input order (sorts are stable).  Equality compares all three fields —
+    timestamp, category and attributes — and the hash covers the timestamp
+    and category.  A non-finite timestamp or an empty category path raises
+    :class:`~repro.exceptions.StreamError`.
     """
 
     timestamp: Timestamp
+    # Out of the generated ordering; ``__eq__`` below still compares them.
     category: CategoryPath = field(compare=False)
     attributes: Mapping[str, Any] = field(default_factory=dict, compare=False)
 
@@ -36,6 +40,18 @@ class OperationalRecord:
             raise StreamError("a record must have a non-empty category path")
         if not isfinite(self.timestamp):
             raise StreamError(f"record timestamp {self.timestamp!r} is not finite")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OperationalRecord):
+            return NotImplemented
+        return (
+            self.timestamp == other.timestamp
+            and self.category == other.category
+            and self.attributes == other.attributes
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.timestamp, self.category))
 
     @classmethod
     def create(

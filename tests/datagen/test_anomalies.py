@@ -39,6 +39,23 @@ class TestInjectedAnomaly:
         anomaly = InjectedAnomaly(("a",), start=150.0, duration=100.0, extra_rate=1.0)
         assert list(anomaly.timeunits(clock)) == [1, 2]
 
+    @pytest.mark.parametrize("epoch", [0.0, 1_700_000_100.0], ids=["epoch-0", "wall-clock"])
+    def test_an_anomaly_one_unit_long_covers_one_unit(self, epoch):
+        # At 1.7e9 s, ``end - 1e-9`` rounds back to ``end`` and would name the
+        # next unit as well.
+        clock = SimulationClock(delta=900.0)
+        anomaly = InjectedAnomaly(("a",), start=epoch, duration=900.0, extra_rate=1.0)
+        first = clock.timeunit_of(epoch)
+        assert list(anomaly.timeunits(clock)) == [first]
+        if epoch:
+            assert first == 1888889
+
+    def test_an_end_past_a_boundary_reaches_the_next_unit(self):
+        clock = SimulationClock(delta=900.0)
+        start = 1_700_000_100.0
+        anomaly = InjectedAnomaly(("a",), start=start, duration=900.5, extra_rate=1.0)
+        assert list(anomaly.timeunits(clock)) == [1888889, 1888890]
+
 
 class TestAnomalyInjector:
     def test_rejects_unknown_node(self, tree):

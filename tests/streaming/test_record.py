@@ -1,5 +1,7 @@
 """Unit tests for :mod:`repro.streaming.record`."""
 
+import pickle
+
 import pytest
 
 from repro.exceptions import StreamError
@@ -32,6 +34,54 @@ class TestConstruction:
         assert moved.timestamp == 3.0
         assert moved.category == ("b", "c")
         assert moved.attributes["note"] == "x"
+
+
+class TestEqualityAndOrder:
+    """Equality reads every field, the hash the timestamp and category, and
+    ordering the timestamp alone."""
+
+    def test_equality_compares_all_three_fields(self):
+        record = OperationalRecord(1.0, ("a",), {"x": 1})
+        assert record == OperationalRecord(1.0, ("a",), {"x": 1})
+        assert record != OperationalRecord(1.0, ("b",), {"x": 1})
+        assert record != OperationalRecord(1.0, ("a",), {"x": 2})
+        assert record != OperationalRecord(1.0, ("a",))
+        assert record != OperationalRecord(2.0, ("a",), {"x": 1})
+        assert OperationalRecord(1.0, ("a",)) != OperationalRecord(1.0, ("b",), {"x": 1})
+        assert record != (1.0, ("a",), {"x": 1})
+
+    def test_hash_covers_timestamp_and_category(self):
+        same = {OperationalRecord(1.0, ("a",)), OperationalRecord(1.0, ("a",))}
+        assert len(same) == 1
+        assert len({OperationalRecord(1.0, ("a",)), OperationalRecord(1.0, ("b",))}) == 2
+        first, second = OperationalRecord(1.0, ("a",), {"x": 1}), OperationalRecord(1.0, ("a",))
+        assert hash(first) == hash(second) and first != second
+        assert len({first, second}) == 2
+
+    def test_ordering_reads_the_timestamp_only(self):
+        a = OperationalRecord(1.0, ("z",), {"k": 9})
+        b = OperationalRecord(1.0, ("a",))
+        assert not a < b and not b < a
+        assert a <= b and b <= a and a >= b and b >= a
+        assert OperationalRecord(0.5, ("z",)) < b
+        assert b > OperationalRecord(0.5, ("z",))
+
+    def test_equal_timestamps_keep_input_order_when_sorted(self):
+        records = [
+            OperationalRecord(2.0, ("c",)),
+            OperationalRecord(1.0, ("b",)),
+            OperationalRecord(2.0, ("a",)),
+            OperationalRecord(1.0, ("d",), {"n": 1}),
+            OperationalRecord(1.0, ("a",)),
+        ]
+        ordered = sorted(records)
+        assert [r.category for r in ordered] == [("b",), ("d",), ("a",), ("c",), ("a",)]
+        assert ordered == sorted(records, key=lambda r: r.timestamp)
+
+    def test_pickles_and_has_no_instance_dict(self):
+        record = OperationalRecord(3.0, ("a", "b"), {"x": [1]})
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert not hasattr(record, "__dict__")
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
