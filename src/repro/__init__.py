@@ -66,12 +66,10 @@ from repro.core import (
     TimeunitResult,
     TiresiasConfig,
     available_algorithms,
-    available_forecasters,
     compute_hhh,
     compute_shhh,
     derive_seasonal_config,
     register_algorithm,
-    register_forecaster,
 )
 from repro.datagen import (
     CCDConfig,
@@ -86,6 +84,7 @@ from repro.engine import (
     EngineObserver,
     ShardedDetectionEngine,
 )
+from repro.forecasting import available_forecasters, register_forecaster
 from repro.hierarchy import (
     HierarchyNode,
     HierarchyTree,
@@ -93,12 +92,7 @@ from repro.hierarchy import (
     build_ccd_trouble_tree,
     build_scd_network_tree,
 )
-from repro.io import (
-    load_checkpoint,
-    read_batches_csv,
-    read_batches_jsonl,
-    save_checkpoint,
-)
+from repro.io import read_batches_csv, read_batches_jsonl
 from repro.streaming import (
     InputStream,
     OperationalRecord,
@@ -123,8 +117,6 @@ __all__ = [
     "register_forecaster",
     "available_algorithms",
     "available_forecasters",
-    "save_checkpoint",
-    "load_checkpoint",
     "ADAAlgorithm",
     "STAAlgorithm",
     "ThresholdDetector",

@@ -18,13 +18,9 @@ from repro.core.hhh import (
 from repro.core.pipeline import derive_seasonal_config
 from repro.core.registry import (
     available_algorithms,
-    available_forecasters,
     create_algorithm,
-    create_forecaster,
     register_algorithm,
-    register_forecaster,
     unregister_algorithm,
-    unregister_forecaster,
 )
 from repro.core.reporting import AnomalyQuery, AnomalyReportStore
 from repro.core.results import TimeunitResult
@@ -50,10 +46,6 @@ __all__ = [
     "unregister_algorithm",
     "create_algorithm",
     "available_algorithms",
-    "register_forecaster",
-    "unregister_forecaster",
-    "create_forecaster",
-    "available_forecasters",
     "ADAAlgorithm",
     "STAAlgorithm",
     "nearest_tracked_node",

@@ -45,7 +45,7 @@ kernel, whatever the size of the heavy set) updates every tracked
 forecaster, one
 :meth:`~repro.forecasting.bank.ForecasterBank.record_rows` call appends
 every window, split-rule statistics update in one masked pass over dense
-per-node arrays (:meth:`_SplitStatsStore.update_dense`), and the
+per-node arrays (:meth:`SplitStatsStore.update_dense`), and the
 dual-threshold check evaluates as one batch comparison
 (:meth:`~repro.core.detector.ThresholdDetector.check_many`).  The
 :class:`~repro.core.results.TimeunitResult` a close returns holds those
@@ -94,7 +94,7 @@ _NO_COLUMN = np.empty(0)
 _NO_COLUMN.setflags(write=False)
 
 
-class _SplitStatsStore:
+class SplitStatsStore:
     """Split-rule statistics for every node seen so far (§V-B4 bookkeeping).
 
     Dense per-node arrays updated by one masked pass per timeunit
@@ -225,7 +225,7 @@ class _SplitStatsStore:
         return node_id
 
 
-class _RefStore:
+class RefStore:
     """Reference (unmodified weight ``A_n``) series for the top-``h`` levels.
 
     One row per path of the session's fixed reference-node tuple ``paths``,
@@ -373,7 +373,7 @@ class ADAAlgorithm:
         self._index = HierarchyIndex(tree)
         self._reset_registry()
         #: Split-rule statistics for every node seen so far.
-        self._stats = _SplitStatsStore(config, self._index)
+        self._stats = SplitStatsStore(config, self._index)
         self._timeunit: TimeunitIndex = -1
         self.stage_seconds: dict[str, float] = {
             "updating_hierarchies": 0.0,
@@ -419,7 +419,7 @@ class ADAAlgorithm:
         )
         self._reference_ids = self._node_ids(self._reference_nodes)
         #: Reference (unmodified weight) series for nodes in the top h levels.
-        self._ref = _RefStore(config.window_units, self._reference_nodes)
+        self._ref = RefStore(config.window_units, self._reference_nodes)
 
     # ------------------------------------------------------------------
     # Online interface
@@ -490,8 +490,8 @@ class ADAAlgorithm:
         in (depth, lex) order.  After each closed timeunit
         :attr:`last_frontier_raw` holds one float per path; the coordinator
         sums them across shards and replays the band's split-rule
-        statistics and reference series through a :class:`_SplitStatsStore`
-        and a :class:`_RefStore` of its own, exactly as the serial cascade
+        statistics and reference series through a :class:`SplitStatsStore`
+        and a :class:`RefStore` of its own, exactly as the serial cascade
         would.
         """
         self._frontier_ids = self._node_ids(tuple(p) for p in paths)
@@ -900,9 +900,9 @@ class ADAAlgorithm:
             except CheckpointError as exc:
                 raise CheckpointError(f"series {path!r}: {exc}") from exc
             self._track(path_to_id[path], row)
-        self._ref = _RefStore(self.config.window_units, self._reference_nodes)
+        self._ref = RefStore(self.config.window_units, self._reference_nodes)
         self._ref.load(state["reference"])
-        self._stats = _SplitStatsStore(self.config, self._index)
+        self._stats = SplitStatsStore(self.config, self._index)
         self._stats.load(state["stats"], state["stats_last_unit"])
         self.last_result = None
 

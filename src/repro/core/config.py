@@ -26,7 +26,7 @@ class ForecastConfig:
     initialize the seasonal model.
 
     ``model`` selects the seasonal forecasting model by registry name
-    (:func:`repro.core.registry.register_forecaster`).  The default ``"auto"``
+    (:func:`repro.forecasting.registry.register_forecaster`).  The default ``"auto"``
     picks the built-in single- or multi-seasonal Holt-Winters model based on
     the number of seasonal periods.
     """

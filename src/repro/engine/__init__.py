@@ -24,11 +24,8 @@ from repro.engine.engine import (
 )
 from repro.engine.hooks import CallbackObserver, EngineObserver
 from repro.engine.session import DetectionSession
-from repro.engine.sharded import (
-    ShardedDetectionEngine,
-    ShardedSessionHandle,
-    plan_subtree_groups,
-)
+from repro.engine.sharded import ShardedDetectionEngine, ShardedSessionHandle
+from repro.engine.subtree import plan_subtree_groups
 
 __all__ = [
     "DetectionEngine",

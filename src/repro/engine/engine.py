@@ -29,9 +29,9 @@ timeunit results grouped by session name.
 Checkpointing
 -------------
 :meth:`save_checkpoint` / :meth:`load_checkpoint` persist and restore every
-session's algorithm, forecaster, clock and report state through
-:mod:`repro.io.checkpoint`, so a restarted process resumes mid-stream with
-identical subsequent detections.
+session's algorithm, forecaster, clock and report state as one
+:mod:`repro.io.checkpoint` file, so a restarted process resumes mid-stream
+with identical subsequent detections.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from repro.engine.hooks import EngineObserver
 from repro.engine.session import DetectionSession
 from repro.exceptions import ConfigurationError, StreamError
 from repro.hierarchy.tree import HierarchyTree
+from repro.io.checkpoint import check_header, checkpoint_document, read_json, write_json
 from repro.streaming.batch import STREAM_BATCH_SIZE, RecordBatch, iter_record_batches
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
@@ -363,9 +364,10 @@ class DetectionEngine:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, Any]:
         """JSON-safe snapshot of the engine (policy + every session's state)."""
-        from repro.io.checkpoint import engine_state_dict
-
-        return engine_state_dict(self)
+        return checkpoint_document(
+            [session.state_dict() for session in self._sessions.values()],
+            engine={"unknown_stream": self.unknown_stream},
+        )
 
     @classmethod
     def from_state_dict(
@@ -373,24 +375,25 @@ class DetectionEngine:
     ) -> "DetectionEngine":
         """Rebuild an engine from a snapshot (selectors are not serializable,
         so pass ``stream_key`` again when a custom one was used)."""
-        from repro.io.checkpoint import engine_from_state_dict
-
-        return engine_from_state_dict(state, stream_key=stream_key)
+        check_header(state)
+        engine = cls(
+            stream_key=stream_key,
+            unknown_stream=str(state.get("engine", {}).get("unknown_stream", "raise")),
+        )
+        for session_state in state["sessions"]:
+            engine.attach_session(DetectionSession.from_state_dict(session_state))
+        return engine
 
     def save_checkpoint(self, path: Any) -> None:
         """Persist the engine state as a JSON checkpoint file."""
-        from repro.io.checkpoint import save_checkpoint
-
-        save_checkpoint(self, path)
+        write_json(self.state_dict(), path)
 
     @classmethod
     def load_checkpoint(
         cls, path: Any, stream_key: StreamKey | None = None
     ) -> "DetectionEngine":
         """Restore an engine from a file written by :meth:`save_checkpoint`."""
-        from repro.io.checkpoint import load_checkpoint
-
-        return load_checkpoint(path, stream_key=stream_key)
+        return cls.from_state_dict(read_json(path), stream_key=stream_key)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DetectionEngine(sessions={sorted(self._sessions)})"

@@ -26,9 +26,10 @@ the new config, the same O(season) primitive the reference-series
 correction uses) instead of re-warming from scratch — the new model starts
 with the history the old model accumulated.
 
-Everything operates on the JSON-safe session state of
-:mod:`repro.io.checkpoint`, so a reconfigured state is by construction a
-valid checkpoint: reconfigure → save → load round-trips exactly.
+Everything operates on the JSON-safe session state
+(:meth:`~repro.engine.session.DetectionSession.state_dict`), so a
+reconfigured state is by construction a valid checkpoint: reconfigure →
+save → load round-trips exactly.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ import dataclasses
 from typing import Any, Mapping
 
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.core.registry import ensure_forecaster_resolvable
 from repro.exceptions import ConfigurationError
+from repro.forecasting.bank import ForecasterBank
+from repro.forecasting.registry import ensure_forecaster_resolvable
+from repro.io.checkpoint import config_from_dict, config_to_dict
 
 #: Config fields that cannot change on a live session: they define the
 #: timeunit grid and the node set the accumulated state was built over.
@@ -136,12 +139,9 @@ def reconfigured_state(
     actual-value window — the restored session's models carry the observed
     history forward instead of re-warming.  Clock, pending counts, warm-up
     bookkeeping and reports pass through untouched, so the result loads with
-    :func:`~repro.io.checkpoint.session_from_state_dict` and continues at
-    exactly the stream position the input state was taken at.
+    :meth:`~repro.engine.session.DetectionSession.from_state_dict` and
+    continues at exactly the stream position the input state was taken at.
     """
-    from repro.forecasting.bank import ForecasterBank
-    from repro.io.checkpoint import config_from_dict, config_to_dict
-
     if "shadow" in state:
         raise ConfigurationError(
             "cannot reconfigure a state that carries a shadow session; "

@@ -18,8 +18,8 @@ report store.  It is built for composition:
   timeunit already closed (the seed silently counted them into the *current*
   timeunit);
 * the full mutable state serializes to / restores from a JSON-safe dict
-  (:meth:`state_dict` / :meth:`from_state_dict`), the substrate of
-  :mod:`repro.io.checkpoint`.
+  (:meth:`state_dict` / :meth:`from_state_dict`), written to and read from
+  :mod:`repro.io.checkpoint` files.
 
 A session runs on its own for one hierarchy; several run concurrently inside
 one :class:`~repro.engine.engine.DetectionEngine`.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -40,14 +40,24 @@ from repro.core.registry import create_algorithm
 from repro.core.reporting import AnomalyReportStore
 from repro.core.results import TimeunitResult
 from repro.engine.hooks import EngineObserver, notify_close
-from repro.exceptions import ConfigurationError, OutOfOrderRecordError
+from repro.engine.reconfig import reconfigured_state
+from repro.engine.shadow import ShadowStateError, ShadowTracker
+from repro.exceptions import CheckpointError, ConfigurationError, OutOfOrderRecordError
 from repro.hierarchy.tree import HierarchyTree
+from repro.io.checkpoint import (
+    checkpoint_document,
+    clock_from_dict,
+    clock_to_dict,
+    config_from_dict,
+    config_to_dict,
+    load_session_checkpoint_state,
+    tree_from_dict,
+    tree_to_dict,
+    write_json,
+)
 from repro.streaming.batch import STREAM_BATCH_SIZE, RecordBatch, iter_record_batches
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.shadow import ShadowTracker
 
 #: Most cells one dense count matrix may have (8 MiB of float64): a batch
 #: whose closing timeunits need more is ingested in halves.
@@ -523,12 +533,8 @@ class DetectionSession:
         are untouched, and a running shadow experiment keeps running.
         Returns ``self``.
         """
-        from repro.engine.reconfig import reconfigured_state
-        from repro.io.checkpoint import session_from_state_dict, session_state_dict
-
-        state = session_state_dict(self, include_shadow=False)
-        rebuilt = session_from_state_dict(reconfigured_state(state, new_config))
-        self._adopt(rebuilt, full=False)
+        state = reconfigured_state(self._primary_state_dict(), new_config)
+        self._adopt(DetectionSession.from_state_dict(state), full=False)
         return self
 
     # ------------------------------------------------------------------
@@ -558,20 +564,17 @@ class DetectionSession:
         ``on_shadow_divergence``).  Shadow-side errors are contained and
         counted; they never disturb the primary.  Returns the shadow session.
         """
-        from repro.engine.reconfig import reconfigured_state
-        from repro.engine.shadow import ShadowStateError, ShadowTracker
-        from repro.io.checkpoint import session_from_state_dict, session_state_dict
-
         if self._shadow is not None:
             raise ShadowStateError(
                 f"session {self.name!r} already runs a shadow experiment "
                 f"({self._shadow.name!r}); stop or promote it first"
             )
-        state = session_state_dict(self, include_shadow=False)
         shadow_state = reconfigured_state(
-            state, candidate_config, name=name or f"{self.name}::shadow"
+            self._primary_state_dict(),
+            candidate_config,
+            name=name or f"{self.name}::shadow",
         )
-        self._shadow = session_from_state_dict(shadow_state)
+        self._shadow = DetectionSession.from_state_dict(shadow_state)
         self._shadow_tracker = ShadowTracker()
         return self._shadow
 
@@ -602,9 +605,6 @@ class DetectionSession:
         """Agreement document of the running experiment (see
         :meth:`ShadowTracker.report <repro.engine.shadow.ShadowTracker.report>`).
         """
-        from repro.engine.shadow import ShadowStateError
-        from repro.io.checkpoint import config_to_dict
-
         if self._shadow is None or self._shadow_tracker is None:
             raise ShadowStateError(
                 f"session {self.name!r} has no running shadow experiment"
@@ -666,6 +666,12 @@ class DetectionSession:
     @property
     def units_processed(self) -> int:
         return self._units_processed
+
+    @property
+    def open_timeunit(self) -> "TimeunitIndex | None":
+        """The timeunit records are being counted into (None before the
+        first record, and after :meth:`flush`)."""
+        return self._pending_unit
 
     @property
     def anomalies(self) -> list[Anomaly]:
@@ -731,31 +737,95 @@ class DetectionSession:
         Restoring it with :meth:`from_state_dict` yields a session whose
         subsequent detections are identical to an uninterrupted run (the
         ``results`` list is *not* part of the snapshot; past results live in
-        ``reports``).
+        ``reports``).  A running shadow experiment (:meth:`start_shadow`) is
+        included under an optional ``"shadow"`` key — its full session state
+        plus the divergence tracker — so a crash-resumed process continues
+        the experiment bit-identically.  Pre-shadow readers ignore the key.
         """
-        from repro.io.checkpoint import session_state_dict
+        state = self._primary_state_dict()
+        if self._shadow is not None:
+            state["shadow"] = {
+                "session": self._shadow.state_dict(),
+                "tracker": self._shadow_tracker.state_dict(),
+            }
+        return state
 
-        return session_state_dict(self)
+    def _primary_state_dict(self) -> dict[str, Any]:
+        """:meth:`state_dict` without the shadow: the substrate of
+        reconfiguration and shadow cloning, which operate on core state."""
+        if not hasattr(self.algorithm, "state_dict"):
+            raise CheckpointError(
+                f"algorithm {self.algorithm_name!r} does not implement "
+                f"state_dict(); custom algorithms must provide state_dict()/"
+                f"load_state_dict() to support checkpointing"
+            )
+        return {
+            "name": self.name,
+            "algorithm": self.algorithm_name,
+            "tree": tree_to_dict(self.tree),
+            "config": config_to_dict(self.config),
+            "clock": clock_to_dict(self.clock),
+            "warmup_units": self.warmup_units,
+            "max_results": self.max_results,
+            "units_processed": self._units_processed,
+            "warmup_announced": self.warmup_announced,
+            "pending_unit": self._pending_unit,
+            "pending": [[list(path), count] for path, count in self._pending.items()],
+            "reading_seconds": self.reading_seconds,
+            "reports": [anomaly.to_dict() for anomaly in self.reports],
+            "algorithm_state": self.algorithm.state_dict(),
+        }
 
     @classmethod
     def from_state_dict(cls, state: Mapping[str, Any]) -> "DetectionSession":
         """Rebuild a session (tree, config, algorithm state) from a snapshot."""
-        from repro.io.checkpoint import session_from_state_dict
-
-        return session_from_state_dict(state)
+        try:
+            max_results = state.get("max_results")
+            session = cls(
+                tree_from_dict(state["tree"]),
+                config_from_dict(state["config"]),
+                algorithm=str(state["algorithm"]),
+                clock=clock_from_dict(state["clock"]),
+                warmup_units=int(state["warmup_units"]),
+                name=str(state["name"]),
+                max_results=None if max_results is None else int(max_results),
+            )
+            session._units_processed = int(state["units_processed"])
+            session.warmup_announced = bool(state["warmup_announced"])
+            pending_unit = state["pending_unit"]
+            session._pending_unit = None if pending_unit is None else int(pending_unit)
+            for path, count in state["pending"]:
+                session._pending[tuple(path)] = count
+            session.reading_seconds = float(state["reading_seconds"])
+            session.reports.add_many(
+                Anomaly.from_dict(data) for data in state["reports"]
+            )
+            if not hasattr(session.algorithm, "load_state_dict"):
+                raise CheckpointError(
+                    f"algorithm {session.algorithm_name!r} does not implement "
+                    f"load_state_dict(); cannot restore its checkpointed state"
+                )
+            session.algorithm.load_state_dict(state["algorithm_state"])
+            shadow_state = state.get("shadow")
+            if shadow_state is not None:
+                session._shadow = cls.from_state_dict(shadow_state["session"])
+                session._shadow_tracker = ShadowTracker.from_state_dict(
+                    shadow_state["tracker"]
+                )
+        except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+            # A stored config that fails validation, or a series whose window
+            # disagrees with it, is a bad checkpoint too.
+            raise CheckpointError(f"malformed session state: {exc!r}") from exc
+        return session
 
     def save_checkpoint(self, path: Any) -> None:
         """Persist :meth:`state_dict` as a JSON checkpoint file."""
-        from repro.io.checkpoint import save_session_checkpoint
-
-        save_session_checkpoint(self, path)
+        write_json(checkpoint_document([self.state_dict()]), path)
 
     @classmethod
     def load_checkpoint(cls, path: Any) -> "DetectionSession":
         """Restore a session from a file written by :meth:`save_checkpoint`."""
-        from repro.io.checkpoint import load_session_checkpoint
-
-        return load_session_checkpoint(path)
+        return cls.from_state_dict(load_session_checkpoint_state(path))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

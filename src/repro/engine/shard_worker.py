@@ -48,12 +48,8 @@ from typing import Any, Iterable
 from repro.core.results import TimeunitResult
 from repro.engine.hooks import EngineObserver
 from repro.engine.session import DetectionSession
+from repro.engine.subtree import frontier_band_paths
 from repro.exceptions import ShardingError
-from repro.io.checkpoint import (
-    frontier_band_paths,
-    session_from_state_dict,
-    session_state_dict,
-)
 
 
 class CloseCapture(EngineObserver):
@@ -65,7 +61,7 @@ class CloseCapture(EngineObserver):
     weights are additive across disjoint subtree shards; the coordinator
     sums the per-shard tuples to replay the shared band's split-rule
     bookkeeping and reference series (see
-    ``repro.engine.sharded._FrontierReplica``).
+    :class:`~repro.engine.subtree.FrontierReplica`).
     """
 
     def __init__(self, frontier: bool) -> None:
@@ -117,7 +113,7 @@ def worker_handle(units: dict, verb: str, ops: Any) -> Any:
     if verb == "add":
         for key, state, capture_depth in ops:
             units[key] = WorkerUnit(
-                session_from_state_dict(state), int(capture_depth)
+                DetectionSession.from_state_dict(state), int(capture_depth)
             )
         return None
     if verb == "remove":
@@ -137,11 +133,11 @@ def worker_handle(units: dict, verb: str, ops: Any) -> Any:
             units[key].session.flush()
         return _drained(units, ops)
     if verb == "state":
-        return [(key, session_state_dict(units[key].session)) for key in ops]
+        return [(key, units[key].session.state_dict()) for key in ops]
     if verb == "query":
         what, keys = ops
         if what == "pending_unit":
-            return [(key, units[key].session._pending_unit) for key in keys]
+            return [(key, units[key].session.open_timeunit) for key in keys]
         if what == "memory_units":
             return [(key, units[key].session.memory_units()) for key in keys]
         if what == "adaptation_stats":

@@ -64,13 +64,13 @@ serial session:
    shard reports its band weight tuple per closed timeunit, and the
    coordinator sums them into one band vector and replays it through
    ADA's own stores, built over the band's sub-hierarchy
-   (:class:`_FrontierReplica`), so merged checkpoints stay faithful.  STA
-   keeps no band bookkeeping beyond its weight tables, which the merge
-   sums, so its shards capture nothing (capture depth 0).
+   (:class:`~repro.engine.subtree.FrontierReplica`), so merged checkpoints
+   stay faithful.  STA keeps no band bookkeeping beyond its weight tables,
+   which the merge sums, so its shards capture nothing (capture depth 0).
 
 Checkpoints are format-identical to serial ones: :meth:`state_dict` merges
 shard states back into canonical serial session states (see
-:func:`repro.io.checkpoint.merge_session_states`), so a sharded engine can
+:func:`repro.engine.subtree.merge_session_states`), so a sharded engine can
 resume an unsharded checkpoint and vice versa, at any worker count and cut
 depth.
 
@@ -134,7 +134,6 @@ from typing import Any, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from repro.core.ada import _RefStore, _SplitStatsStore
 from repro.core.config import TiresiasConfig
 from repro.core.detector import Anomaly
 from repro.core.fused import CloseHistogram
@@ -150,6 +149,13 @@ from repro.engine.hooks import EngineObserver, notify_close
 from repro.engine.session import DetectionSession
 from repro.engine.shadow import ShadowStateError
 from repro.engine.shard_worker import revive_exception
+from repro.engine.subtree import (
+    FrontierReplica,
+    SubtreePartition,
+    merge_session_states,
+    plan_subtree_groups,
+    split_session_state,
+)
 from repro.engine.supervisor import ShardSupervisor
 from repro.engine.transport import ShardTransport, make_transport
 from repro.exceptions import (
@@ -158,59 +164,22 @@ from repro.exceptions import (
     ShardingError,
     WorkerFailureError,
 )
-from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
 from repro.io.checkpoint import (
-    _read_json,
-    _write_json,
-    CHECKPOINT_FORMAT,
-    CHECKPOINT_VERSION,
-    _check_header,
-    SubtreePartition,
+    check_header,
+    checkpoint_document,
     clock_from_dict,
-    frontier_band_paths,
-    merge_session_states,
-    split_session_state,
+    config_from_dict,
+    read_json,
+    write_json,
 )
 from repro.streaming.batch import STREAM_BATCH_SIZE, RecordBatch, iter_record_batches
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 
 # ----------------------------------------------------------------------
-# Subtree shard planning
+# Dispatch
 # ----------------------------------------------------------------------
-def plan_subtree_groups(
-    leaves: Sequence[Sequence[str]], shards: int, depth: int = 1
-) -> list[list]:
-    """Deterministically assign depth-``depth`` cut units to balanced groups.
-
-    Cut units are the distinct depth-``depth`` path prefixes of the leaf set
-    (leaves shallower than ``depth`` are their own cut units).  Units are
-    ordered by descending leaf count (ties lexicographic) and greedily
-    placed on the lightest group (ties on the lowest group id) — a classic
-    LPT schedule.  At most ``len(cut units)`` groups are produced; units
-    inside a group are returned sorted.  For ``depth == 1`` the units are
-    plain string labels (the historical format); deeper cuts use path
-    tuples.
-    """
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    if depth < 1:
-        raise ConfigurationError(f"subtree depth must be >= 1, got {depth}")
-    counts: dict[Any, int] = {}
-    for path in leaves:
-        unit = path[0] if depth == 1 else tuple(path[:depth])
-        counts[unit] = counts.get(unit, 0) + 1
-    k = min(shards, len(counts))
-    groups: list[list] = [[] for _ in range(k)]
-    loads = [0] * k
-    for unit in sorted(counts, key=lambda u: (-counts[u], u)):
-        gid = min(range(k), key=lambda g: (loads[g], g))
-        groups[gid].append(unit)
-        loads[gid] += counts[unit]
-    return [sorted(group) for group in groups]
-
-
 def _segment_cuts(w_before, units_col, rows, anchor: int) -> tuple[list[int], int]:
     """Where one shard group's rows split into watermark segments.
 
@@ -283,86 +252,11 @@ class ShardedSessionHandle:
         return f"ShardedSessionHandle(name={self.name!r})"
 
 
-class _FrontierReplica:
-    """Coordinator replica of the frontier band's ADA bookkeeping.
-
-    The band — root plus shared ancestors above the cut — is the set of
-    nodes no subtree shard owns.  Each band node's raw weight is the sum of
-    the shards' local weights for it; this replica folds those sums into
-    ADA's own split-statistics and reference stores, built over the band's
-    sub-hierarchy, whose node ids run in the serial (depth, lex) order.
-    Band nodes are never heavy under the sharding preconditions (root
-    exclusion + ``min_heavy_depth``), so these values cannot influence
-    detections — they exist so merged checkpoints carry the same band
-    statistics a serial run would have.
-    """
-
-    def __init__(
-        self,
-        config: TiresiasConfig,
-        leaves_by_gid: Sequence[Sequence[tuple]],
-        depth: int,
-        withheld: Mapping[str, Any],
-    ):
-        band = frontier_band_paths(chain.from_iterable(leaves_by_gid), depth)
-        inner = {path[:-1] for path in band if path}
-        index = HierarchyIndex(
-            HierarchyTree.from_leaf_paths(
-                sorted(path for path in band if path and path not in inner)
-            )
-        )
-        #: Per group, the band node of each weight its shard reports — the
-        #: band as the worker derives it from its own leaf set.
-        self.positions = [
-            np.array(
-                [index.path_to_id[path] for path in frontier_band_paths(leaves, depth)],
-                dtype=np.intp,
-            )
-            for leaves in leaves_by_gid
-        ]
-        self.stats = _SplitStatsStore(config, index)
-        self.stats.load(withheld.get("stats", []), withheld.get("stats_last_unit", []))
-        ref_paths = tuple(
-            path for path in index.paths if 1 <= len(path) <= config.reference_levels
-        )
-        self.ref_ids = np.array(
-            [index.path_to_id[path] for path in ref_paths], dtype=np.intp
-        )
-        self.reference = _RefStore(config.window_units, ref_paths)
-        # Rows are emitted in load order: band order, as serially.
-        self.reference.load(
-            sorted(withheld.get("reference", []), key=lambda row: (len(row[0]), row[0]))
-        )
-
-    def observe(self, timeunit: int, weights: Sequence[Sequence[float]]) -> None:
-        """Fold one closed timeunit into the stores; ``weights`` holds each
-        group's band weights, in group order."""
-        raw = np.zeros(self.stats.index.num_nodes)
-        for positions, values in zip(self.positions, weights):
-            if len(values) != len(positions):
-                raise ShardingError(
-                    f"internal: a shard reported {len(values)} frontier "
-                    f"weights for its {len(positions)}-node band"
-                )
-            raw[positions] += values
-        self.stats.update_dense(timeunit, raw)
-        self.reference.append_column(raw[self.ref_ids])
-
-    def export(self) -> dict[str, Any]:
-        """Withheld-row form consumed by ``merge_session_states``."""
-        stats_rows, last_rows = self.stats.emit()
-        return {
-            "stats": stats_rows,
-            "stats_last_unit": last_rows,
-            "reference": self.reference.emit(),
-        }
-
-
 class _SessionUnit:
     """Coordinator record and merge state of one sharded session.
 
     A split session has one shard group per entry of ``groups`` (a
-    :class:`~repro.io.checkpoint.SubtreePartition` of depth-``depth`` cut
+    :class:`~repro.engine.subtree.SubtreePartition` of depth-``depth`` cut
     units).  An unsplit session passes ``groups=None`` and ``depth=0``: its
     one group is the whole session, with no frontier band to replay, and
     ``base_state`` keeps no counter baselines because its worker's state
@@ -421,12 +315,12 @@ class _SessionUnit:
             if base_state["pending_unit"] is None
             else int(base_state["pending_unit"])
         )
-        self.frontier: "_FrontierReplica | None" = None
+        self.frontier: "FrontierReplica | None" = None
         if str(base_state["algorithm"]) == "ada" and self.partition is not None:
             leaves_by_gid: list[list[tuple]] = [[] for _ in self.workers]
             for path in base_state["tree"]["leaves"]:
                 leaves_by_gid[self.route(path)].append(tuple(path))
-            self.frontier = _FrontierReplica(
+            self.frontier = FrontierReplica(
                 self.handle.config, leaves_by_gid, self.depth, withheld
             )
         #: Cut depth a worker captures band weights at: 0 for a unit without
@@ -496,8 +390,6 @@ class _Round:
 
 
 def _config_of(state: Mapping[str, Any]) -> TiresiasConfig:
-    from repro.io.checkpoint import config_from_dict
-
     return config_from_dict(state["config"])
 
 
@@ -1519,6 +1411,12 @@ class ShardedDetectionEngine:
             name: unit.handle.units_processed for name, unit in self._units.items()
         }
 
+    def open_timeunits(self) -> dict[str, "int | None"]:
+        """Each session's open timeunit: what
+        :attr:`DetectionSession.open_timeunit
+        <repro.engine.session.DetectionSession.open_timeunit>` reads serially."""
+        return {name: unit.carried for name, unit in self._units.items()}
+
     def memory_units(self) -> int:
         """Total memory cost proxy across all shard sessions."""
         self._ensure_started()
@@ -1681,12 +1579,10 @@ class ShardedDetectionEngine:
 
     def state_dict(self) -> dict[str, Any]:
         """Engine snapshot in the *serial* checkpoint format (version 1)."""
-        return {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "engine": {"unknown_stream": self.unknown_stream},
-            "sessions": [self.merged_session_state(name) for name in self._units],
-        }
+        return checkpoint_document(
+            [self.merged_session_state(name) for name in self._units],
+            engine={"unknown_stream": self.unknown_stream},
+        )
 
     def save_checkpoint(self, path: Any) -> None:
         """Persist the merged engine state atomically as a JSON checkpoint.
@@ -1695,7 +1591,7 @@ class ShardedDetectionEngine:
         :meth:`DetectionEngine.save_checkpoint` file: either engine can
         restore it.
         """
-        _write_json(self.state_dict(), path)
+        write_json(self.state_dict(), path)
 
     @classmethod
     def from_state_dict(
@@ -1713,7 +1609,7 @@ class ShardedDetectionEngine:
         are the constructor's keyword arguments, except ``unknown_stream``,
         which the snapshot carries.
         """
-        _check_header(state)
+        check_header(state)
         engine = cls(
             unknown_stream=str(
                 state.get("engine", {}).get("unknown_stream", "raise")
@@ -1749,7 +1645,7 @@ class ShardedDetectionEngine:
         """Restore a sharded engine from any engine checkpoint file
         (arguments as in :meth:`from_state_dict`)."""
         return cls.from_state_dict(
-            _read_json(path),
+            read_json(path),
             subtree_shards=subtree_shards,
             subtree_depth=subtree_depth,
             **engine_options,

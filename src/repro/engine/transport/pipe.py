@@ -43,7 +43,7 @@ from repro.exceptions import ShardingError, WorkerFailureError
 _POLL_SLICE = 0.05
 
 
-def _pipe_worker_main(
+def pipe_worker_main(
     conn, worker_id: int, frame_of: "Callable[[bytes], Any] | None" = None
 ) -> None:  # pragma: no cover - subprocess
     """Worker loop: executes coordinator commands until told to stop.
@@ -82,7 +82,7 @@ class PipeTransport(ShardTransport):
 
     #: Worker entry point; subclasses swap in their own loop and inherit the
     #: spawn/supervision machinery unchanged.
-    _worker_main = staticmethod(_pipe_worker_main)
+    _worker_main = staticmethod(pipe_worker_main)
 
     def __init__(self) -> None:
         super().__init__()

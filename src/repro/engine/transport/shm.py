@@ -35,7 +35,7 @@ import pickle
 from multiprocessing import shared_memory
 from typing import Any
 
-from repro.engine.transport.pipe import PipeTransport, _pipe_worker_main
+from repro.engine.transport.pipe import PipeTransport, pipe_worker_main
 from repro.engine.transport.wire import encode_frame
 
 #: Initial per-worker segment size; grows by doubling when a frame exceeds it.
@@ -88,7 +88,7 @@ def _shm_worker_main(conn, worker_id: int) -> None:  # pragma: no cover - subpro
     """Worker loop: decode frames out of the shared segment, reply by pipe."""
     segments = _SegmentReader()
     try:
-        _pipe_worker_main(conn, worker_id, segments.frame)
+        pipe_worker_main(conn, worker_id, segments.frame)
     finally:
         segments.close()
 

@@ -29,15 +29,15 @@ arithmetic on whole rows:
   appends every window with one indexed store each.
 
 Every float operation is, element for element, the scalar arithmetic of the
-per-object forecaster (:class:`_ScalarRow`), so a row behaves exactly as that
+per-object forecaster (:class:`ScalarRow`), so a row behaves exactly as that
 object would; :mod:`repro.testing.reference` builds the test oracle on it.
 
 The built-in Holt-Winters models get matrix rows whatever selects them —
 ``ForecastConfig.model`` ``"auto"`` or the registry name of a built-in
 model.  A plug-in model registered with
-:func:`~repro.core.registry.register_forecaster` is opaque to the kernels: each
-of its rows holds its forecaster state as a :class:`_ScalarRow` beside the
-matrix (``_obj``), while its windows stay in the matrix, so every SPLIT,
+:func:`~repro.forecasting.registry.register_forecaster` is opaque to the
+kernels: each of its rows holds its forecaster state as a :class:`ScalarRow`
+beside the matrix (``_obj``), while its windows stay in the matrix, so every SPLIT,
 MERGE, correction and close runs the same row operations.  A bank row is
 one kind for its whole life: ``_obj`` holds a row exactly when the bank's
 model is a plug-in.  A restored snapshot that does not fit a built-in
@@ -64,7 +64,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.config import ForecastConfig
-from repro.core.registry import (
+from repro.forecasting.registry import (
     builtin_forecaster_kind,
     create_forecaster,
     forecaster_state_loader,
@@ -101,7 +101,7 @@ def load_seasonal_state(state: dict):
     return forecaster_state_loader(str(state.get("kind")))(state)
 
 
-class _ScalarRow:
+class ScalarRow:
     """One row's forecasting state as plain Python objects.
 
     The historical per-node forecaster: the bank holds a plug-in model's
@@ -169,15 +169,15 @@ class _ScalarRow:
         else:
             self.history = [float(v) for v in history]
 
-    def scaled(self, ratio: float) -> "_ScalarRow":
-        clone = _ScalarRow(self.config)
+    def scaled(self, ratio: float) -> "ScalarRow":
+        clone = ScalarRow(self.config)
         clone.seen = self.seen
         clone.ewma_level = None if self.ewma_level is None else self.ewma_level * ratio
         clone.history = [v * ratio for v in self.history]
         clone.seasonal = None if self.seasonal is None else self.seasonal.scaled(ratio)
         return clone
 
-    def add_state(self, other: "_ScalarRow") -> None:
+    def add_state(self, other: "ScalarRow") -> None:
         if other.ewma_level is not None:
             if self.ewma_level is None:
                 self.ewma_level = other.ewma_level
@@ -275,7 +275,7 @@ class ForecasterBank:
             kind = "holt-winters" if single else "multi-seasonal-holt-winters"
         else:
             kind = builtin_forecaster_kind(config.model)
-        #: Whether every row is a ``_ScalarRow`` of a plug-in model.
+        #: Whether every row is a ``ScalarRow`` of a plug-in model.
         self._plugin = kind is None
         self._single = kind == "holt-winters"
         lengths = config.season_lengths[:1] if self._single else config.season_lengths
@@ -309,7 +309,7 @@ class ForecasterBank:
         #: A plug-in model's forecaster state, one scalar row per live row
         #: (empty in a bank of a built-in model); the windows stay in the
         #: matrix.
-        self._obj: dict[int, _ScalarRow] = {}
+        self._obj: dict[int, ScalarRow] = {}
         if window is not None:
             self.reserve_window(window)
 
@@ -378,7 +378,7 @@ class ForecasterBank:
         ints[:] = 0
         ints[_WPOS] = self._wpos_hint
         if self._plugin:
-            self._obj[row] = _ScalarRow(self.config)
+            self._obj[row] = ScalarRow(self.config)
         return row
 
     def free_row(self, row: int) -> None:
@@ -519,11 +519,11 @@ class ForecasterBank:
         state[2] = model.trend
         if self._single:
             state[3 : self._hist_off] = model.seasonals
-            ints[_PHASE] = model._phase
+            ints[_PHASE] = model.phase
         else:
             for off, buf in zip(self._seasonal_off, model.seasonals):
                 state[off : off + len(buf)] = buf
-            ints[_PHASE:] = model._phases
+            ints[_PHASE:] = model.phases
 
     # ------------------------------------------------------------------
     # Windows
@@ -611,7 +611,7 @@ class ForecasterBank:
         _store_ending_at(actual, end, values)
         state[self._forecast_off :] = actual
         if self._plugin:
-            self._obj[row] = _ScalarRow(self.config)
+            self._obj[row] = ScalarRow(self.config)
         self.seed_fast(row, values)
 
     # ------------------------------------------------------------------
@@ -635,7 +635,7 @@ class ForecasterBank:
         if not n:
             return
         alpha = self.config.fallback_alpha
-        # Lazy tail-only float conversion (see _ScalarRow.seed_fast): only
+        # Lazy tail-only float conversion (see ScalarRow.seed_fast): only
         # the EWMA tail, the seasonal window and (short histories) the
         # warm-up segment are ever read — values are bit-identical.
         tail_src = history[-min(n, 64):]
@@ -781,7 +781,7 @@ class ForecasterBank:
     def _fold_state(self, dst: int, src: int) -> None:
         """The forecaster part of a fold, segment by segment (same bank).
 
-        Exactly :meth:`_ScalarRow.add_state`: sum where both sides hold
+        Exactly :meth:`ScalarRow.add_state`: sum where both sides hold
         something, copy where only the source does, nothing where the source
         is empty.
         """

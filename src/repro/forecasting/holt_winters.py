@@ -83,7 +83,8 @@ class HoltWintersForecaster(Forecaster):
         #: Circular buffer of seasonal components; ``seasonals[t % p]`` is the
         #: most recent estimate of the seasonal factor for phase ``t % p``.
         self.seasonals: list[float] = []
-        self._phase = 0
+        #: Index into ``seasonals`` of the next timeunit's seasonal factor.
+        self.phase = 0
 
     # ------------------------------------------------------------------
     # Forecaster interface
@@ -118,28 +119,28 @@ class HoltWintersForecaster(Forecaster):
         # Later observations overwrite earlier ones for the same phase, so
         # the surviving factors are the second cycle's deviations.
         self.seasonals = (window[p:] - self.level).tolist()
-        self._phase = 0
+        self.phase = 0
 
     def forecast(self) -> float:
         if self.level is None:
             raise NotEnoughHistoryError(self.min_history, 0)
-        return self.level + self.trend + self.seasonals[self._phase]
+        return self.level + self.trend + self.seasonals[self.phase]
 
     def update(self, value: float) -> float:
         if self.level is None:
             raise NotEnoughHistoryError(self.min_history, 0)
         predicted = self.forecast()
         value = float(value)
-        seasonal = self.seasonals[self._phase]
+        seasonal = self.seasonals[self.phase]
         previous_level = self.level
         self.level = self.alpha * (value - seasonal) + (1 - self.alpha) * (
             previous_level + self.trend
         )
         self.trend = self.beta * (self.level - previous_level) + (1 - self.beta) * self.trend
-        self.seasonals[self._phase] = (
+        self.seasonals[self.phase] = (
             self.gamma * (value - self.level) + (1 - self.gamma) * seasonal
         )
-        self._phase = (self._phase + 1) % self.season_length
+        self.phase = (self.phase + 1) % self.season_length
         return predicted
 
     # ------------------------------------------------------------------
@@ -165,7 +166,7 @@ class HoltWintersForecaster(Forecaster):
         timeunit (``seasonals[phase]``), the one after it, and so on.
         """
         p = self.season_length
-        shift = (other._phase - self._phase) % p
+        shift = (other.phase - self.phase) % p
         return [other.seasonals[(i + shift) % p] for i in range(p)]
 
     def scaled(self, factor: float) -> "HoltWintersForecaster":
@@ -180,7 +181,7 @@ class HoltWintersForecaster(Forecaster):
             clone.level = self.level * factor
             clone.trend = self.trend * factor
             clone.seasonals = [s * factor for s in self.seasonals]
-            clone._phase = self._phase
+            clone.phase = self.phase
         return clone
 
     def add_state(self, other: "HoltWintersForecaster") -> None:
@@ -195,7 +196,7 @@ class HoltWintersForecaster(Forecaster):
             self.level = other.level
             self.trend = other.trend
             self.seasonals = list(other.seasonals)
-            self._phase = other._phase
+            self.phase = other.phase
             return
         self._require_compatible(other)
         self.level += other.level
@@ -221,7 +222,7 @@ class HoltWintersForecaster(Forecaster):
             "level": self.level,
             "trend": self.trend,
             "seasonals": list(self.seasonals),
-            "phase": self._phase,
+            "phase": self.phase,
         }
 
     @classmethod
@@ -236,7 +237,7 @@ class HoltWintersForecaster(Forecaster):
         model.level = None if state["level"] is None else float(state["level"])
         model.trend = float(state["trend"])
         model.seasonals = [float(v) for v in state["seasonals"]]
-        model._phase = int(state["phase"])
+        model.phase = int(state["phase"])
         return model
 
 
@@ -290,7 +291,8 @@ class MultiSeasonalHoltWinters(Forecaster):
         self.level: float | None = None
         self.trend: float = 0.0
         self.seasonals: list[list[float]] = [[0.0] * p for p in lengths]
-        self._phases: list[int] = [0] * len(lengths)
+        #: Per seasonal period, the index of the next timeunit's factor.
+        self.phases: list[int] = [0] * len(lengths)
 
     @property
     def min_history(self) -> int:
@@ -303,7 +305,7 @@ class MultiSeasonalHoltWinters(Forecaster):
     def _combined_seasonal(self) -> float:
         return sum(
             w * buf[phase]
-            for w, buf, phase in zip(self.season_weights, self.seasonals, self._phases)
+            for w, buf, phase in zip(self.season_weights, self.seasonals, self.phases)
         )
 
     def initialize(self, history: Sequence[float]) -> None:
@@ -320,7 +322,7 @@ class MultiSeasonalHoltWinters(Forecaster):
         self.seasonals = [
             (window[-p:] - self.level).tolist() for p in self.season_lengths
         ]
-        self._phases = [0] * len(self.season_lengths)
+        self.phases = [0] * len(self.season_lengths)
 
     def forecast(self) -> float:
         if self.level is None:
@@ -339,10 +341,10 @@ class MultiSeasonalHoltWinters(Forecaster):
         )
         self.trend = self.beta * (self.level - previous_level) + (1 - self.beta) * self.trend
         residual = value - self.level
-        for buf, phase in zip(self.seasonals, self._phases):
+        for buf, phase in zip(self.seasonals, self.phases):
             buf[phase] = self.gamma * residual + (1 - self.gamma) * buf[phase]
-        self._phases = [
-            (phase + 1) % p for phase, p in zip(self._phases, self.season_lengths)
+        self.phases = [
+            (phase + 1) % p for phase, p in zip(self.phases, self.season_lengths)
         ]
         return predicted
 
@@ -361,7 +363,7 @@ class MultiSeasonalHoltWinters(Forecaster):
             clone.level = self.level * factor
             clone.trend = self.trend * factor
             clone.seasonals = [[s * factor for s in buf] for buf in self.seasonals]
-            clone._phases = list(self._phases)
+            clone.phases = list(self.phases)
         return clone
 
     def add_state(self, other: "MultiSeasonalHoltWinters") -> None:
@@ -371,7 +373,7 @@ class MultiSeasonalHoltWinters(Forecaster):
             self.level = other.level
             self.trend = other.trend
             self.seasonals = [list(buf) for buf in other.seasonals]
-            self._phases = list(other._phases)
+            self.phases = list(other.phases)
             return
         if (
             self.season_lengths != other.season_lengths
@@ -384,7 +386,7 @@ class MultiSeasonalHoltWinters(Forecaster):
         self.trend += other.trend
         merged: list[list[float]] = []
         for mine, theirs, p, my_phase, their_phase in zip(
-            self.seasonals, other.seasonals, self.season_lengths, self._phases, other._phases
+            self.seasonals, other.seasonals, self.season_lengths, self.phases, other.phases
         ):
             shift = (their_phase - my_phase) % p
             aligned = [theirs[(i + shift) % p] for i in range(p)]
@@ -409,7 +411,7 @@ class MultiSeasonalHoltWinters(Forecaster):
             "level": self.level,
             "trend": self.trend,
             "seasonals": [list(buf) for buf in self.seasonals],
-            "phases": list(self._phases),
+            "phases": list(self.phases),
         }
 
     @classmethod
@@ -425,5 +427,5 @@ class MultiSeasonalHoltWinters(Forecaster):
         model.level = None if state["level"] is None else float(state["level"])
         model.trend = float(state["trend"])
         model.seasonals = [[float(v) for v in buf] for buf in state["seasonals"]]
-        model._phases = [int(p) for p in state["phases"]]
+        model.phases = [int(p) for p in state["phases"]]
         return model

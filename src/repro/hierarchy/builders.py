@@ -103,11 +103,8 @@ def build_tree_from_spec(
         for label in labels:
             if max_leaves is not None and tree.num_leaves >= max_leaves:
                 return
-            child = node.add_child(label)
-            tree._node_by_path.setdefault(child.path, child)
-            if depth == len(spec.levels):
-                tree._leaf_by_path[child.path] = child
-            else:
+            child = tree.add_node(node, label, leaf=depth == len(spec.levels))
+            if depth < len(spec.levels):
                 expand(child, depth + 1)
 
     expand(tree.root, 1)

@@ -62,10 +62,19 @@ class HierarchyTree:
         if not path:
             raise HierarchyError("a leaf path must contain at least one label")
         node = self.root
-        for label in path:
-            node = node.add_child(label)
-            self._node_by_path.setdefault(node.path, node)
-        self._leaf_by_path[path] = node
+        for depth, label in enumerate(path, 1):
+            node = self.add_node(node, label, leaf=depth == len(path))
+        return node
+
+    def add_node(
+        self, parent: HierarchyNode, label: str, leaf: bool = False
+    ) -> HierarchyNode:
+        """Create (or return) ``parent``'s child ``label`` and register it,
+        as a leaf when ``leaf``."""
+        node = parent.add_child(label)
+        self._node_by_path.setdefault(node.path, node)
+        if leaf:
+            self._leaf_by_path[node.path] = node
         self._indexed = False
         return node
 

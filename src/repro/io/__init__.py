@@ -4,16 +4,10 @@
 * the memory-mapped columnar trace format (:mod:`repro.io.columnar`) with
   zero-copy batch materialization and a format-dispatching
   :func:`read_trace_batches`;
-* JSON checkpoint/restore for detection engines and sessions
-  (:mod:`repro.io.checkpoint`).
+* the JSON checkpoint file of detection engines and sessions
+  (:mod:`repro.io.checkpoint`; the classes save and load themselves).
 """
 
-from repro.io.checkpoint import (
-    load_checkpoint,
-    load_session_checkpoint,
-    save_checkpoint,
-    save_session_checkpoint,
-)
 from repro.io.columnar import (
     convert_trace,
     read_batches_columnar,
@@ -36,8 +30,4 @@ __all__ = [
     "write_trace_columnar",
     "read_trace_batches",
     "convert_trace",
-    "save_checkpoint",
-    "load_checkpoint",
-    "save_session_checkpoint",
-    "load_session_checkpoint",
 ]

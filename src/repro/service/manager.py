@@ -38,7 +38,7 @@ from repro.engine.hooks import EngineObserver
 from repro.engine.session import DetectionSession
 from repro.exceptions import CheckpointError, CheckpointReadError, ConfigurationError
 from repro.io.checkpoint import (
-    load_session_checkpoint,
+    config_to_dict,
     load_session_checkpoint_state,
     retained_checkpoint_path,
     save_session_checkpoint_rolling,
@@ -213,7 +213,7 @@ class SessionManager:
                     return ShardedSessionAdapter.from_session_state(
                         load_session_checkpoint_state(path), sharding
                     )
-                return load_session_checkpoint(path)
+                return DetectionSession.load_checkpoint(path)
             except CheckpointReadError as exc:
                 if first_error is None:
                     first_error = exc
@@ -410,7 +410,6 @@ class SessionManager:
         structural fields raise :class:`ConfigurationError`.
         """
         from repro.engine.reconfig import config_with_updates
-        from repro.io.checkpoint import config_to_dict
 
         with self._lock:
             session = self.session(name)
@@ -530,7 +529,7 @@ class SessionManager:
                 if session is not None:
                     entry.update(
                         units_processed=session.units_processed,
-                        pending_unit=session._pending_unit,
+                        pending_unit=session.open_timeunit,
                         anomalies_reported=len(session.anomalies),
                         memory_units=session.memory_units(),
                         stage_seconds=session.stage_seconds(),

@@ -30,6 +30,7 @@ from repro.core.results import TimeunitResult
 from repro.engine.hooks import EngineObserver
 from repro.engine.sharded import ShardedDetectionEngine
 from repro.exceptions import ConfigurationError
+from repro.io.checkpoint import config_from_dict
 
 #: Recognised keys of a tenant spec's ``sharding`` mapping.
 SHARDING_KEYS = frozenset(
@@ -115,8 +116,6 @@ class ShardedSessionAdapter:
         refused with :class:`~repro.engine.shadow.ShadowStateError` (stop or
         promote the shadow under a serial activation first).
         """
-        from repro.io.checkpoint import config_from_dict
-
         sharding = validate_sharding(sharding)
         engine = ShardedDetectionEngine(
             num_workers=sharding["workers"],
@@ -155,9 +154,8 @@ class ShardedSessionAdapter:
         return self._engine.anomalies()[self.name]
 
     @property
-    def _pending_unit(self):
-        # The coordinator's watermark: the serial session's open timeunit.
-        return self._engine._units[self.name].carried
+    def open_timeunit(self) -> "int | None":
+        return self._engine.open_timeunits()[self.name]
 
     def memory_units(self) -> int:
         return self._engine.memory_units()

@@ -4,25 +4,24 @@ The detector never reads a record's free-form ``attributes``; the only
 consumer on the ingest path is stream-key routing, which asks one question
 of the whole column — *can any row hold the key* ``"stream"``?  A column
 therefore comes in three shapes, all handled by the four functions at the
-bottom of this module (which is the whole interface ``RecordBatch`` and the
-shard wire format use):
+bottom of this module (which is the whole interface ``RecordBatch`` uses):
 
 ``None``
     every row is empty (the common case for trace files);
 ``list[Mapping]``
     decoded rows — what record objects and the NDJSON decoder produce;
 :class:`EncodedAttributes`
-    rows still in their JSON encoding — what the columnar reader produces
-    and what a shard wire frame carries (the sharded engine itself ships
-    workers no attribute column).
+    rows still in their JSON encoding — what the columnar reader produces.
+    No shard wire frame carries one: the sharded engine ships workers no
+    attribute column, and the wire codec refuses a batch that has one.
 
 :class:`EncodedAttributes` is a ``Sequence[Mapping]`` over one shared blob of
 concatenated JSON objects plus an offsets window (``n + 1`` non-decreasing
 byte positions; an empty row is a zero-length span).  A row is parsed only
 when it is indexed or iterated.  Everything the ingest path does to a column
 works on the encoding: a slice is a view of the offsets, a gather copies
-bytes, the routing question is a byte scan, and shipping sends the window's
-bytes plus one ``<i4`` length per row.
+bytes, the routing question is a byte scan, and a pickle carries the
+window's bytes plus one ``<i4`` length per row.
 """
 
 from __future__ import annotations
@@ -178,7 +177,7 @@ class EncodedAttributes(Sequence):
 
     def window(self) -> tuple:
         """``(blob, lengths)``: this column's bytes and one ``<i4`` length
-        per row — the wire/pickle form, rebuilt by :meth:`from_window`."""
+        per row — the pickle form, rebuilt by :meth:`from_window`."""
         blob = self._blob[int(self._offsets[0]) : int(self._offsets[-1])]
         if len(blob) > _MAX_WINDOW_BYTES:
             raise StreamError(
@@ -188,7 +187,7 @@ class EncodedAttributes(Sequence):
         return blob, np.diff(self._offsets).astype("<i4")
 
     def __reduce__(self):
-        # Ship the rows' window, never the whole file's blob.
+        # Pickle the rows' window, never the whole file's blob.
         blob, lengths = self.window()
         return (EncodedAttributes.from_window, (blob, lengths.tobytes()))
 

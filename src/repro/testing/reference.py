@@ -3,7 +3,7 @@
 :class:`ReferenceADA` is ADA (§V-B) written the way the paper states it, one
 path at a time: Definitions 1 and 2 by the scalar walks of
 :mod:`repro.core.hhh`, every series as two bounded deques and a per-object
-forecaster (:class:`~repro.forecasting.bank._ScalarRow`, whatever model the
+forecaster (:class:`~repro.forecasting.bank.ScalarRow`, whatever model the
 config names), the SPLIT/MERGE cascade walked per path over path-keyed
 dicts, and the split-rule statistics and reference series kept per path too.
 Nothing is cached, vectorized or shared with the production close's row
@@ -30,7 +30,7 @@ from repro.core.detector import ThresholdDetector
 from repro.core.hhh import accumulate_raw_weights, compute_shhh
 from repro.core.results import TimeunitResult
 from repro.core.split_rules import NodeUsageStats, make_split_rule
-from repro.forecasting.bank import _ScalarRow
+from repro.forecasting.bank import ScalarRow
 from repro.hierarchy.tree import HierarchyTree
 
 
@@ -49,13 +49,13 @@ class ReferenceSeries:
     __slots__ = ("length", "config", "actual", "forecast", "forecaster")
 
     def __init__(
-        self, length: int, config: ForecastConfig, forecaster: "_ScalarRow | None" = None
+        self, length: int, config: ForecastConfig, forecaster: "ScalarRow | None" = None
     ):
         self.length = length
         self.config = config
         self.actual: Deque[float] = deque(maxlen=length)
         self.forecast: Deque[float] = deque(maxlen=length)
-        self.forecaster = _ScalarRow(config) if forecaster is None else forecaster
+        self.forecaster = ScalarRow(config) if forecaster is None else forecaster
 
     def append(self, value: float) -> float:
         """Observe the newest actual value; returns the forecast made for it."""
@@ -86,7 +86,7 @@ class ReferenceSeries:
         trimmed = [float(v) for v in values][-self.length :]
         self.actual = deque(trimmed, maxlen=self.length)
         self.forecast = deque(trimmed, maxlen=self.length)
-        self.forecaster = _ScalarRow(self.config)
+        self.forecaster = ScalarRow(self.config)
         self.forecaster.seed_fast(trimmed)
 
     def state_dict(self) -> dict:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.core.registry import register_forecaster
+from repro.forecasting.registry import register_forecaster
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.clock import SimulationClock
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.ada import ADAAlgorithm, _SplitStatsStore, nearest_tracked_node
+from repro.core.ada import ADAAlgorithm, SplitStatsStore, nearest_tracked_node
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.hhh import compute_shhh
 from repro.core.sta import STAAlgorithm
@@ -273,7 +273,7 @@ class TestSplitStatsStore:
         per-path store, each driven through its own update."""
         config = make_config(split_rule="ewma", split_ewma_alpha=0.4)
         index = ADAAlgorithm(tree, config)._index
-        dense_store = _SplitStatsStore(config, index)
+        dense_store = SplitStatsStore(config, index)
         dict_store = ReferenceStats(config.split_ewma_alpha)
         feeds = [
             {("a", "a1"): 3.0, ("b", "b1"): 7.0},
@@ -317,7 +317,7 @@ class TestSplitStatsStore:
         config = make_config(split_rule="ewma", split_ewma_alpha=0.4)
         tree = HierarchyTree.from_leaf_paths([path for path in TREE_PATHS if len(path) == 2])
         index = ADAAlgorithm(tree, config)._index
-        dense_store = _SplitStatsStore(config, index)
+        dense_store = SplitStatsStore(config, index)
         dict_store = ReferenceStats(config.split_ewma_alpha)
         unit, last_seen, longest_gap = 0, {}, 0
         if loaded is not None:

@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ada import ADAAlgorithm, _RefStore
+from repro.core.ada import ADAAlgorithm, RefStore
 from repro.core.adapt import DROP, FOLD, FRESH, MOVE, SPLIT, AdaptationPlan, plan_adaptation
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.exceptions import CheckpointError
-from repro.forecasting.bank import ForecasterBank, _ScalarRow
+from repro.forecasting.bank import ForecasterBank, ScalarRow
 from repro.hierarchy.tree import HierarchyTree
 from repro.testing.reference import ReferenceADA, ReferenceSeries
 from tests.conftest import canonical_checkpoint
@@ -245,7 +245,7 @@ class TestBankOps:
         """The same rows as per-object forecasters (the reference's)."""
         rows = []
         for i in range(n):
-            row = _ScalarRow(config)
+            row = ScalarRow(config)
             for step in range(10):
                 row.observe(5.0 + i + step % 3)
             rows.append(row)
@@ -283,7 +283,7 @@ class TestBankOps:
         bank, rows = self.setup_bank(n=5)
         scalar = self.setup_scalar_rows(n=5)
         fresh = [bank.new_row() for _ in range(5)]
-        sfresh = [_ScalarRow(self.CONFIG) for _ in range(5)]
+        sfresh = [ScalarRow(self.CONFIG) for _ in range(5)]
         for dst, src in zip(fresh, rows):
             bank.fold_row(dst, src)
         for dst, src in zip(sfresh, scalar):
@@ -296,7 +296,7 @@ class TestBankOps:
         config = ForecastConfig(season_lengths=(4,), fallback_alpha=0.4)
         bank = ForecasterBank(config)
         rows = [bank.new_row() for _ in range(4)]
-        scalar = [_ScalarRow(config) for _ in range(4)]
+        scalar = [ScalarRow(config) for _ in range(4)]
         for step in range(4):
             for _ in range(step + 1):  # unequal history lengths
                 bank.observe_rows(np.array([rows[step]]), np.array([3.0 + step]))
@@ -316,7 +316,7 @@ class TestBankOps:
 class TestRefStore:
     def test_ring_round_trip(self):
         paths = (("a",), ("b",))
-        store = _RefStore(4, paths)
+        store = RefStore(4, paths)
         for value in range(6):
             store.append_column([float(value), float(value * 10)])
         assert store.emit() == [
@@ -326,13 +326,13 @@ class TestRefStore:
         assert store.has_values(("a",))
         assert not store.has_values(("z",))
         assert store.total_len() == 8
-        clone = _RefStore(4, paths)
+        clone = RefStore(4, paths)
         clone.load(store.emit())
         assert clone.emit() == store.emit()
         assert clone.corrected_base(("b",)).tolist() == [20.0, 30.0, 40.0, 50.0]
 
     def test_ragged_load_stays_in_the_ring(self):
-        store = _RefStore(8, (("a",), ("b",)))
+        store = RefStore(8, (("a",), ("b",)))
         store.load([[["a"], [1.0, 2.0]], [["b"], [3.0]]])
         assert store.emit() == [[["a"], [1.0, 2.0]], [["b"], [3.0]]]
         store.append_column([5.0, 6.0])
@@ -340,13 +340,13 @@ class TestRefStore:
         assert store.total_len() == 5
 
     def test_empty_load_then_append(self):
-        store = _RefStore(4, (("a",),))
+        store = RefStore(4, (("a",),))
         store.load([])
         store.append_column([1.0])
         assert store.emit() == [[["a"], [1.0]]]
 
     def test_a_row_outside_the_paths_is_refused(self):
-        store = _RefStore(4, (("a",), ("b",)))
+        store = RefStore(4, (("a",), ("b",)))
         with pytest.raises(CheckpointError, match="'z'"):
             store.load([[["a"], [1.0]], [["z"], [2.0]]])
 
@@ -368,7 +368,7 @@ class TestRefStore:
             [list(path), data.draw(st.lists(st.integers(-9, 9).map(float), max_size=8))]
             for path in loaded
         ]
-        store = _RefStore(maxlen, paths)
+        store = RefStore(maxlen, paths)
         store.load(rows)
         model = {
             tuple(path): deque(values, maxlen=maxlen) for path, values in rows

@@ -7,13 +7,9 @@ from repro.core.ada import ADAAlgorithm
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.registry import (
     available_algorithms,
-    available_forecasters,
     create_algorithm,
-    create_forecaster,
     register_algorithm,
-    register_forecaster,
     unregister_algorithm,
-    unregister_forecaster,
 )
 from repro.core.sta import STAAlgorithm
 from repro.exceptions import ConfigurationError
@@ -21,6 +17,12 @@ from repro.forecasting.bank import ForecasterBank, load_seasonal_state
 from repro.forecasting.holt_winters import (
     HoltWintersForecaster,
     MultiSeasonalHoltWinters,
+)
+from repro.forecasting.registry import (
+    available_forecasters,
+    create_forecaster,
+    register_forecaster,
+    unregister_forecaster,
 )
 from repro.hierarchy.tree import HierarchyTree
 

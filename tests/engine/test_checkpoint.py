@@ -15,13 +15,8 @@ from repro.datagen import CCDConfig, make_ccd_dataset
 from repro.engine import DetectionEngine
 from repro.engine.session import DetectionSession
 from repro.engine.sharded import ShardedDetectionEngine
-from repro.exceptions import CheckpointError, ConfigurationError
-from repro.io.checkpoint import (
-    config_from_dict,
-    config_to_dict,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.exceptions import CheckpointError, CheckpointReadError, ConfigurationError
+from repro.io.checkpoint import config_from_dict, config_to_dict
 from repro.streaming.batch import RecordBatch
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
@@ -288,7 +283,7 @@ class TestMalformedCheckpoints:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "other", "version": 1, "sessions": []}))
         with pytest.raises(CheckpointError, match="format"):
-            load_checkpoint(path)
+            DetectionEngine.load_checkpoint(path)
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -296,23 +291,37 @@ class TestMalformedCheckpoints:
             json.dumps({"format": "tiresias-checkpoint", "version": 99, "sessions": []})
         )
         with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path)
+            DetectionEngine.load_checkpoint(path)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(CheckpointError, match="JSON"):
-            load_checkpoint(path)
+            DetectionEngine.load_checkpoint(path)
+
+    @pytest.mark.parametrize("owner", [DetectionSession, DetectionEngine, ShardedDetectionEngine])
+    def test_json_that_is_not_an_object_rejected(self, tmp_path, owner):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(CheckpointError, match="not a tiresias-checkpoint document"):
+            owner.load_checkpoint(path)
+
+    @pytest.mark.parametrize("owner", [DetectionSession, DetectionEngine, ShardedDetectionEngine])
+    def test_invalid_utf8_rejected_as_unreadable(self, tmp_path, owner):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"format": "tiresias-checkpoint", "v\xff\xfe')
+        with pytest.raises(CheckpointReadError, match="JSON"):
+            owner.load_checkpoint(path)
 
     def test_truncated_session_state_rejected(self, tmp_path, ccd_dataset, ccd_config):
         engine = build_engine(ccd_dataset, ccd_config)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(engine, path)
+        engine.save_checkpoint(path)
         state = json.loads(path.read_text())
         del state["sessions"][0]["algorithm_state"]
         path.write_text(json.dumps(state))
         with pytest.raises(CheckpointError, match="malformed"):
-            load_checkpoint(path)
+            DetectionEngine.load_checkpoint(path)
 
 
 def _small_checkpoint(path) -> dict:
@@ -419,7 +428,7 @@ class TestInvalidStoredConfig:
 
 class TestCustomPluginCheckpointing:
     def test_custom_forecaster_with_state_loader_round_trips(self, tmp_path):
-        from repro.core.registry import register_forecaster, unregister_forecaster
+        from repro.forecasting.registry import register_forecaster, unregister_forecaster
         from repro.engine.session import DetectionSession
         from repro.hierarchy.tree import HierarchyTree
 

@@ -37,13 +37,12 @@ from repro.engine.sharded import (
     ShardedDetectionEngine,
     _merge_close_profiles,
     _SessionUnit,
-    plan_subtree_groups,
 )
 from repro.engine.session import DetectionSession
+from repro.engine.subtree import SubtreePartition, plan_subtree_groups, split_session_state
 from repro.engine.transport import TRANSPORTS as TRANSPORT_CLASSES
 from repro.exceptions import OutOfOrderRecordError
 from repro.hierarchy.tree import HierarchyTree
-from repro.io.checkpoint import SubtreePartition, split_session_state
 from repro.io.columnar import read_batches_columnar, write_trace_columnar
 from repro.io.jsonl_io import NdjsonDecoder
 from repro.streaming.attributes import EncodedAttributes

@@ -18,7 +18,6 @@ from repro.engine.reconfig import (
 )
 from repro.engine.session import DetectionSession
 from repro.exceptions import ConfigurationError
-from repro.io.checkpoint import session_from_state_dict, session_state_dict
 from repro.streaming.batch import RecordBatch
 
 from tests.service.conftest import (
@@ -127,12 +126,12 @@ class TestMidStreamReconfigure:
 
         live = build_session(dataset)
         live.ingest_batch(records[:cut])
-        mid_state = session_state_dict(live)
+        mid_state = live.state_dict()
         live.reconfigure(new_config)
         live.ingest_batch(records[cut:])
         live.flush()
 
-        restored = session_from_state_dict(
+        restored = DetectionSession.from_state_dict(
             reconfigured_state(mid_state, new_config)
         )
         restored.ingest_batch(records[cut:])
@@ -213,7 +212,7 @@ class TestForecastReseed:
         # Reconfigured state is a valid checkpoint and round-trips exactly.
         state = session.state_dict()
         assert state_bytes(
-            session_from_state_dict(state).state_dict()
+            DetectionSession.from_state_dict(state).state_dict()
         ) == state_bytes(state)
         # The session keeps detecting under the new model.
         session.ingest_batch(records[len(records) // 2 :])
@@ -228,7 +227,6 @@ _SUBPROCESS_SCRIPT = """
 import sys
 sys.path[:0] = [{src!r}, {root!r}]
 from repro.engine.session import DetectionSession
-from repro.io.checkpoint import session_from_state_dict, session_state_dict
 from repro.engine.reconfig import reconfigured_state
 from tests.service.conftest import state_bytes, tiny_dataset, tiny_detector_config
 
@@ -239,12 +237,12 @@ new_config = tiny_detector_config().replace(theta=2.0, split_rule="ewma")
 
 live = DetectionSession(dataset.tree, tiny_detector_config(), clock=dataset.clock)
 live.ingest_batch(records[:cut])
-mid = session_state_dict(live)
+mid = live.state_dict()
 live.reconfigure(new_config)
 live.ingest_batch(records[cut:])
 live.flush()
 
-restored = session_from_state_dict(reconfigured_state(mid, new_config))
+restored = DetectionSession.from_state_dict(reconfigured_state(mid, new_config))
 restored.ingest_batch(records[cut:])
 restored.flush()
 assert state_bytes(live.state_dict()) == state_bytes(restored.state_dict())

@@ -10,11 +10,7 @@ from repro.engine.reconfig import reconfigured_state
 from repro.engine.session import DetectionSession
 from repro.engine.shadow import ShadowStateError, ShadowTracker
 from repro.exceptions import CheckpointError
-from repro.io.checkpoint import (
-    session_from_state_dict,
-    session_state_dict,
-    split_session_state,
-)
+from repro.engine.subtree import split_session_state
 from repro.streaming.batch import RecordBatch
 
 from tests.service.conftest import (
@@ -97,9 +93,9 @@ class TestFanOutParity:
         primary = build_session(dataset)
         primary.ingest_batch(records[:cut])
 
-        cloned = session_state_dict(primary)
+        cloned = primary.state_dict()
         primary.start_shadow(candidate_config())
-        standalone = session_from_state_dict(
+        standalone = DetectionSession.from_state_dict(
             reconfigured_state(cloned, candidate_config(), name="primary::shadow")
         )
 
@@ -108,8 +104,8 @@ class TestFanOutParity:
         standalone.ingest_batch(records[cut:])
         standalone.flush()
 
-        assert state_bytes(session_state_dict(primary.shadow)) == state_bytes(
-            session_state_dict(standalone)
+        assert state_bytes(primary.shadow.state_dict()) == state_bytes(
+            standalone.state_dict()
         )
         assert [a.to_dict() for a in primary.shadow.anomalies] == [
             a.to_dict() for a in standalone.anomalies
@@ -130,8 +126,8 @@ class TestFanOutParity:
         columnar.ingest_record_batch(RecordBatch.from_records(records[cut:]))
         columnar.flush()
 
-        assert state_bytes(session_state_dict(serial)) == state_bytes(
-            session_state_dict(columnar)
+        assert state_bytes(serial.state_dict()) == state_bytes(
+            columnar.state_dict()
         )
 
     def test_primary_detections_undisturbed_by_shadow(self, dataset, records):
@@ -217,7 +213,7 @@ class TestPromotion:
         cut = len(records) // 2
         session = build_session(dataset)
         session.ingest_batch(records[:cut])
-        cloned = session_state_dict(session)
+        cloned = session.state_dict()
         session.start_shadow(candidate_config())
         session.ingest_batch(records[cut:])
         report = session.promote_shadow()
@@ -228,7 +224,7 @@ class TestPromotion:
         assert session.config.theta == 2.0
 
         # The promoted session equals a standalone candidate-config run.
-        standalone = session_from_state_dict(
+        standalone = DetectionSession.from_state_dict(
             reconfigured_state(cloned, candidate_config(), name="primary::shadow")
         )
         standalone.ingest_batch(records[cut:])

@@ -16,11 +16,7 @@ from repro.engine.engine import DetectionEngine
 from repro.engine.hooks import CallbackObserver
 from repro.engine.session import DetectionSession
 from repro.engine.shard_worker import worker_handle
-from repro.engine.sharded import (
-    ShardedDetectionEngine,
-    ShardedSessionHandle,
-    plan_subtree_groups,
-)
+from repro.engine.sharded import ShardedDetectionEngine, ShardedSessionHandle
 from repro.exceptions import (
     CheckpointError,
     ConfigurationError,
@@ -29,10 +25,11 @@ from repro.exceptions import (
 from repro.engine.shadow import ShadowStateError
 from repro.engine.transport import TRANSPORTS
 from repro.hierarchy.tree import HierarchyTree
-from repro.io.checkpoint import (
+from repro.engine.subtree import (
     SubtreePartition,
     frontier_band_paths,
     merge_session_states,
+    plan_subtree_groups,
     split_session_state,
 )
 from repro.streaming.batch import iter_record_batches

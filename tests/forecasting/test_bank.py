@@ -2,7 +2,7 @@
 
 The bank's contract is that its rows produce *bit-identical* forecasts, state
 snapshots and split/merge results to the per-object forecaster
-(:class:`~repro.forecasting.bank._ScalarRow`, the reference's), through the
+(:class:`~repro.forecasting.bank.ScalarRow`, the reference's), through the
 one observe kernel whatever the size of a batch.  Hypothesis drives random
 value sequences across the seasonal-activation boundary and through
 split/fold (SPLIT/MERGE) edges.  A bank row is one kind for its whole life:
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import ForecastConfig
 from repro.exceptions import CheckpointError
-from repro.forecasting.bank import ForecasterBank, _ScalarRow
+from repro.forecasting.bank import ForecasterBank, ScalarRow
 
 
 def single_config(season=4, fallback=0.5):
@@ -61,7 +61,7 @@ class TestBackendAgreement:
         bank = ForecasterBank(config)
         n_rows = 3
         rows = [bank.new_row() for _ in range(n_rows)]
-        scalar = [_ScalarRow(config) for _ in range(n_rows)]
+        scalar = [ScalarRow(config) for _ in range(n_rows)]
         for value in values:
             # Distinct per-row values; rows cross seasonal activation at the
             # same step, exercising the mixed active/warm-up kernel.
@@ -78,7 +78,7 @@ class TestBackendAgreement:
         config = multi_config()
         bank = ForecasterBank(config)
         rows = [bank.new_row() for _ in range(8)]
-        scalar = [_ScalarRow(config) for _ in range(8)]
+        scalar = [ScalarRow(config) for _ in range(8)]
         stream = values * 3  # long enough to activate both seasons
         for value in stream:
             batch = [value * (k - 3.5) for k in range(8)]  # vector kernels
@@ -99,7 +99,7 @@ class TestBackendAgreement:
         config = single_config(season=3)
         bank = ForecasterBank(config)
         a, b = bank.new_row(), bank.new_row()
-        ref_a, ref_b = _ScalarRow(config), _ScalarRow(config)
+        ref_a, ref_b = ScalarRow(config), ScalarRow(config)
         for value in values * 2:
             observe_one(bank, a, value)
             ref_a.observe(value)
@@ -141,13 +141,13 @@ class TestBackendAgreement:
         config = data.draw(st.sampled_from(self.KERNEL_CONFIGS), label="config")
         bank = ForecasterBank(config)
         rows: list[int] = []
-        mirror: list[_ScalarRow] = []
+        mirror: list[ScalarRow] = []
         value = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, width=64)
         for _ in range(data.draw(st.integers(min_value=1, max_value=30), label="steps")):
             for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
                 if len(rows) < 8:
                     rows.append(bank.new_row())
-                    mirror.append(_ScalarRow(config))
+                    mirror.append(ScalarRow(config))
             if not rows:
                 continue
             picked = data.draw(
@@ -227,7 +227,7 @@ class TestRowLifecycle:
 
 
 class TestPluginRows:
-    """A plug-in model's rows hold ``_ScalarRow`` objects beside their matrix
+    """A plug-in model's rows hold ``ScalarRow`` objects beside their matrix
     windows from allocation to release — a correction included."""
 
     CONFIG = ForecastConfig(season_lengths=(3,), fallback_alpha=0.4, model="seasonal-naive")
@@ -235,7 +235,7 @@ class TestPluginRows:
     def test_every_row_is_an_object_row_for_its_whole_life(self):
         bank = ForecasterBank(self.CONFIG, window=8)
         rows = [bank.new_row() for _ in range(3)]
-        mirror = [_ScalarRow(self.CONFIG) for _ in range(3)]
+        mirror = [ScalarRow(self.CONFIG) for _ in range(3)]
         for step in range(9):
             batch = [float(step), 2.0 * step, 5.0]
             assert observe(bank, rows, batch) == [
@@ -248,7 +248,7 @@ class TestPluginRows:
         mirror[1].add_state(mirror[2])
         bank.free_row(rows[2])
         bank.reseed(child, [1.0, 4.0, 2.0, 8.0, 5.0, 7.0, 3.0])
-        reseeded = _ScalarRow(self.CONFIG)
+        reseeded = ScalarRow(self.CONFIG)
         reseeded.seed_fast([1.0, 4.0, 2.0, 8.0, 5.0, 7.0, 3.0])
         live = [rows[0], rows[1], child]
         assert set(bank._obj) == set(live)
@@ -259,7 +259,7 @@ class TestPluginRows:
         ]
         assert bank.row_state_dict(child)["seasonal"]["kind"] == "seasonal-naive"
         fresh = bank.new_row()
-        bank.load_row_state(fresh, _ScalarRow(self.CONFIG).state_dict())
+        bank.load_row_state(fresh, ScalarRow(self.CONFIG).state_dict())
         assert fresh in bank._obj
 
     def test_a_named_builtin_model_gets_matrix_rows(self):
@@ -268,7 +268,7 @@ class TestPluginRows:
         config = ForecastConfig(season_lengths=(2, 5), fallback_alpha=0.4, model="holt-winters")
         bank = ForecasterBank(config)
         rows = [bank.new_row() for _ in range(7)]
-        mirror = [_ScalarRow(config) for _ in range(7)]
+        mirror = [ScalarRow(config) for _ in range(7)]
         for step in range(14):
             batch = [float(step * k % 5) for k in range(7)]
             assert observe(bank, rows, batch) == [

@@ -5,7 +5,7 @@ record are whole-row array operations, called on
 :class:`~repro.forecasting.bank.ForecasterBank` row numbers directly (and
 each series is read as its row's canonical snapshot); the oracle runs the
 same calls on
-:class:`repro.testing.reference.ReferenceSeries` — ``_ScalarRow`` objects and
+:class:`repro.testing.reference.ReferenceSeries` — ``ScalarRow`` objects and
 bounded deques, the historical per-object code.  One hypothesis state
 machine drives both worlds through the same random sequence of calls and
 compares the canonical state-dict **bytes** of every live series after every
@@ -15,7 +15,7 @@ part of the contract).
 The parameter space covers ℓ below and above ``min_history``, ring wrap,
 single- and multi-season models, the single-season model by registry name
 (with the config's first period), a plug-in model (whose rows hold
-``_ScalarRow`` objects beside their matrix windows), ratios 0.0 and 1.0,
+``ScalarRow`` objects beside their matrix windows), ratios 0.0 and 1.0,
 folds with unequal seasonal phases and unequal window / warm-up cursors
 (series are appended unevenly), folds into empty destinations (copy, not
 add) and into shorter ones (growth), and bank capacity growth while row

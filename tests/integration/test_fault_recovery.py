@@ -29,6 +29,7 @@ import os
 
 import pytest
 
+from repro.engine.session import DetectionSession
 from repro.engine.sharded import ShardedDetectionEngine
 from repro.exceptions import (
     CheckpointReadError,
@@ -37,7 +38,6 @@ from repro.exceptions import (
     WorkerFailureError,
 )
 from repro.io.checkpoint import (
-    load_session_checkpoint,
     retained_checkpoint_path,
     save_session_checkpoint_rolling,
 )
@@ -301,7 +301,7 @@ def test_enospc_during_rolling_checkpoint_preserves_previous(tmp_path):
     # the primary's directory entry).
     assert path.read_bytes() == good_bytes
     assert retained_checkpoint_path(path, 1).read_bytes() == good_bytes
-    load_session_checkpoint(path)  # parses and restores
+    DetectionSession.load_checkpoint(path)  # parses and restores
 
 
 def test_rolling_retention_keeps_last_n(tmp_path):
@@ -319,7 +319,7 @@ def test_corrupt_checkpoint_raises_typed_read_error(tmp_path):
     path = tmp_path / "t.ckpt.json"
     path.write_text('{"torn": ', encoding="utf-8")
     with pytest.raises(CheckpointReadError):
-        load_session_checkpoint(path)
+        DetectionSession.load_checkpoint(path)
 
 
 def test_worker_failure_error_is_picklable():

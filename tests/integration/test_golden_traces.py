@@ -9,6 +9,11 @@ Every test runs once per way of selecting the forecaster — ``"auto"`` and
 the built-in model by registry name, ``"holt-winters"`` — against the same
 expected files: naming the model changes nothing.
 
+Each expected file also pins, under ``"checkpoint_sha256"``, the sha256 of
+the checkpoint bytes (wall-clock fields stripped) that the serial ADA and STA
+sessions and a 2-subtree-shard ADA engine hold at the end of the trace: a
+change to how state is serialized shows up here even when detections agree.
+
 Run ``pytest tests/integration/test_golden_traces.py --update-golden`` after
 an *intentional* output change to rewrite the expected files; review the diff
 before committing.  The specs themselves (generator seeds, detector configs)
@@ -17,6 +22,7 @@ live in ``tests/conftest.py`` next to the ``golden_spec`` fixture.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -24,7 +30,12 @@ import pytest
 from repro.engine.engine import DetectionEngine
 from repro.engine.sharded import ShardedDetectionEngine
 from repro.streaming.batch import iter_record_batches
+from tests.conftest import canonical_checkpoint
 from tests.integration.test_reference_oracle import reference_run
+
+#: Key of the checkpoint digests in an expected file; the detection digest
+#: is everything else.
+CHECKPOINT_KEY = "checkpoint_sha256"
 
 
 @pytest.fixture(params=["auto", "holt-winters"])
@@ -60,6 +71,21 @@ def run_serial(spec, loader, model, path="record"):
     return results, engine.anomalies()[spec.name]
 
 
+def read_expected(spec) -> dict:
+    if not spec.expected_path.exists():
+        return {}
+    return json.loads(spec.expected_path.read_text(encoding="utf-8"))
+
+
+def write_expected(spec, **sections) -> None:
+    """Rewrite ``sections`` of an expected file, keeping the others."""
+    document = read_expected(spec)
+    document.update(sections)
+    spec.expected_path.write_text(
+        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
 def test_golden_trace_detections(golden_spec, golden_trace_loader, model, update_golden):
     results, anomalies = run_serial(golden_spec, golden_trace_loader, model)
     digest = detection_digest(results, anomalies)
@@ -67,14 +93,13 @@ def test_golden_trace_detections(golden_spec, golden_trace_loader, model, update
         "a golden trace without detections would not regress anything useful"
     )
     if update_golden or not golden_spec.expected_path.exists():
-        golden_spec.expected_path.write_text(
-            json.dumps(digest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_expected(golden_spec, **digest)
         if not update_golden:
             pytest.skip(
                 f"expected file for {golden_spec.name} created; rerun to compare"
             )
-    expected = json.loads(golden_spec.expected_path.read_text(encoding="utf-8"))
+    expected = read_expected(golden_spec)
+    expected.pop(CHECKPOINT_KEY, None)
     assert digest == expected, (
         f"engine output diverged from tests/golden/"
         f"{golden_spec.expected_path.name}; if the change is intentional "
@@ -158,3 +183,44 @@ def test_golden_trace_sharded_path_matches(golden_spec, golden_trace_loader, mod
     assert [a.to_dict() for a in sharded_anomalies] == [
         a.to_dict() for a in record_anomalies
     ]
+
+
+def checkpoint_digests(spec, loader) -> dict[str, str]:
+    """sha256 of the end-of-trace checkpoint bytes (wall-clock fields
+    stripped) of a serial ADA session, a serial STA session and the merged
+    state of an ADA session split into two subtree shards."""
+    tree, clock, records = loader(spec)
+    config = spec.detector_config()
+    states = {}
+    for algorithm in ("ada", "sta"):
+        engine = DetectionEngine()
+        engine.add_session(spec.name, tree, config, algorithm=algorithm, clock=clock)
+        engine.process_stream(records)
+        states[f"serial_{algorithm}"] = engine.sessions[spec.name].state_dict()
+    with ShardedDetectionEngine(num_workers=2) as engine:
+        engine.add_session(
+            spec.name, tree, config, algorithm="ada", clock=clock, subtree_shards=2
+        )
+        engine.process_batches(iter_record_batches(records, 512))
+        (states["sharded_ada_2"],) = engine.state_dict()["sessions"]
+    return {
+        name: hashlib.sha256(canonical_checkpoint(state)).hexdigest()
+        for name, state in states.items()
+    }
+
+
+def test_golden_trace_checkpoint_bytes(golden_spec, golden_trace_loader, update_golden):
+    """Checkpoint bytes are pinned to fixed digests, not only compared
+    across paths: serializing the same state differently fails here."""
+    digests = checkpoint_digests(golden_spec, golden_trace_loader)
+    if update_golden or CHECKPOINT_KEY not in read_expected(golden_spec):
+        write_expected(golden_spec, **{CHECKPOINT_KEY: digests})
+        if not update_golden:
+            pytest.skip(
+                f"checkpoint digests for {golden_spec.name} recorded; rerun to compare"
+            )
+    assert digests == read_expected(golden_spec)[CHECKPOINT_KEY], (
+        f"checkpoint bytes diverged from tests/golden/"
+        f"{golden_spec.expected_path.name}; if the change is intentional "
+        f"rerun with --update-golden"
+    )

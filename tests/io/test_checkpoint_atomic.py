@@ -13,7 +13,6 @@ from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.engine.session import DetectionSession
 from repro.exceptions import CheckpointError, CheckpointWriteError
 from repro.hierarchy.tree import HierarchyTree
-from repro.io.checkpoint import save_session_checkpoint
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 
@@ -53,14 +52,14 @@ class TestFsyncOrdering:
             lambda src, dst: (events.append("replace"), real_replace(src, dst))[1],
         )
         path = tmp_path / "state.ckpt.json"
-        save_session_checkpoint(small_session(), path)
+        small_session().save_checkpoint(path)
         assert events[0] == "fsync"
         assert "replace" in events
         assert events.index("fsync") < events.index("replace")
 
     def test_no_stray_temp_files_after_success(self, tmp_path):
         path = tmp_path / "state.ckpt.json"
-        save_session_checkpoint(small_session(), path)
+        small_session().save_checkpoint(path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt.json"]
 
 
@@ -75,7 +74,7 @@ class TestDiskFull:
     def test_typed_error_with_disk_full_flag(self, tmp_path, enospc_fsync):
         path = tmp_path / "state.ckpt.json"
         with pytest.raises(CheckpointWriteError) as excinfo:
-            save_session_checkpoint(small_session(), path)
+            small_session().save_checkpoint(path)
         error = excinfo.value
         assert error.errno == errno.ENOSPC
         assert error.is_disk_full
@@ -88,7 +87,7 @@ class TestDiskFull:
     def test_failed_write_leaves_no_temp_and_no_target(self, tmp_path, enospc_fsync):
         path = tmp_path / "state.ckpt.json"
         with pytest.raises(CheckpointWriteError):
-            save_session_checkpoint(small_session(), path)
+            small_session().save_checkpoint(path)
         assert list(tmp_path.iterdir()) == []
 
     def test_previous_checkpoint_survives_failed_overwrite(
@@ -96,7 +95,7 @@ class TestDiskFull:
     ):
         path = tmp_path / "state.ckpt.json"
         session = small_session()
-        save_session_checkpoint(session, path)
+        session.save_checkpoint(path)
         before = path.read_bytes()
 
         def failing_fsync(fd):
@@ -108,7 +107,7 @@ class TestDiskFull:
                 OperationalRecord(timestamp=float(i * 450), category=("a", "a2"))
             )
         with pytest.raises(CheckpointWriteError):
-            save_session_checkpoint(session, path)
+            session.save_checkpoint(path)
         # The old checkpoint is byte-identical and still loadable.
         assert path.read_bytes() == before
         restored = DetectionSession.load_checkpoint(path)
@@ -121,7 +120,7 @@ class TestDiskFull:
 
         monkeypatch.setattr(os, "fsync", failing_fsync)
         with pytest.raises(CheckpointWriteError) as excinfo:
-            save_session_checkpoint(small_session(), tmp_path / "x.json")
+            small_session().save_checkpoint(tmp_path / "x.json")
         assert excinfo.value.errno == errno.EIO
         assert not excinfo.value.is_disk_full
         assert "disk full" not in str(excinfo.value)

@@ -88,6 +88,28 @@ def test_corrupt_newest_falls_back_and_quarantines(tmp_path):
     assert state_bytes(session.state_dict()) == good_state
 
 
+def test_invalid_utf8_newest_falls_back_and_quarantines(tmp_path):
+    """Bytes that are not UTF-8 are a corrupt checkpoint like torn JSON: the
+    file is quarantined and the ``.1`` predecessor resumes."""
+    dataset = tiny_dataset()
+    manager = make_manager(tmp_path, dataset, checkpoint_retention=3)
+    ingest_some(manager, dataset)
+    manager.checkpoint_all()
+    good_state = state_bytes(manager.session("tiny").state_dict())
+    manager.checkpoint_all()  # primary + .1 now both valid
+    primary = manager.checkpoint_path("tiny")
+    primary.write_bytes(b'{"format": "tiresias-checkpoint", "v\xff\xfe')
+
+    fresh = make_manager(tmp_path, dataset, checkpoint_retention=3)
+    session = fresh.session("tiny")
+    assert fresh.resumes_total == 1
+    assert fresh.checkpoint_fallbacks_total == 1
+    assert fresh.last_checkpoint_fallback["path"] == str(primary)
+    assert not primary.exists()
+    assert primary.with_name(f"{primary.name}.corrupt").exists()
+    assert state_bytes(session.state_dict()) == good_state
+
+
 def test_all_corrupt_without_spec_raises_typed(tmp_path):
     dataset = tiny_dataset()
     manager = make_manager(tmp_path, dataset, checkpoint_retention=2)

@@ -8,7 +8,6 @@ import pytest
 
 from repro.engine.reconfig import reconfigured_state
 from repro.engine.session import DetectionSession
-from repro.io.checkpoint import session_from_state_dict, session_state_dict
 from repro.service import DetectionService
 
 from tests.service.conftest import (
@@ -69,9 +68,9 @@ class TestReconfigureEndpoint:
         # The service-path swap equals checkpoint surgery on a serial run.
         serial = service.config.tenants[0].build_session()
         serial.ingest_batch(records[:cut])
-        swapped = session_from_state_dict(
+        swapped = DetectionSession.from_state_dict(
             reconfigured_state(
-                session_state_dict(serial),
+                serial.state_dict(),
                 serial.config.replace(**CANDIDATE_DELTA),
             )
         )
@@ -215,6 +214,6 @@ class TestShadowEndpoints:
         restored = DetectionSession.load_checkpoint(written["tiny"])
         assert restored.has_shadow
         live_state = service.worker.submit_call(
-            lambda: session_state_dict(service.manager.session("tiny"))
+            lambda: service.manager.session("tiny").state_dict()
         )
         assert state_bytes(restored.state_dict()) == state_bytes(live_state)
