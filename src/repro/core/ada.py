@@ -25,8 +25,10 @@ error Fig. 12 and Table V quantify.
 
 One close, whatever the forecasting model.  The hierarchy update — raw
 weights, modified weights, heavy masks — depends on a timeunit's own counts
-only, so :meth:`ADAAlgorithm.sweep_timeunits` computes it for all the
-timeunits a batch closes with one
+only, so the front end ADA shares with STA
+(:meth:`HierarchyTracker.sweep_timeunits
+<repro.core.tracking.HierarchyTracker.sweep_timeunits>`) computes it for all
+the timeunits a batch closes with one
 :meth:`HierarchyIndex.sweep <repro.hierarchy.index.HierarchyIndex.sweep>`
 (integer arithmetic; a single timeunit is its one-row call).  Everything
 after it reads the previous timeunit's state and runs per unit, in order.
@@ -65,15 +67,13 @@ levels, a forecaster snapshot of another layout — is refused with
 from __future__ import annotations
 
 import time
-from typing import Mapping
 
 import numpy as np
 
-from repro._types import CategoryPath, TimeunitIndex, Weight
+from repro._types import CategoryPath, TimeunitIndex
 from repro.core.adapt import FOLD, FRESH, MOVE, SPLIT, plan_adaptation
 from repro.core import fused
 from repro.core.config import TiresiasConfig
-from repro.core.detector import ThresholdDetector
 from repro.core.results import TimeunitResult
 from repro.core.split_rules import (
     LastTimeUnitSplitRule,
@@ -81,6 +81,7 @@ from repro.core.split_rules import (
     UniformSplitRule,
     make_split_rule,
 )
+from repro.core.tracking import HierarchyTracker
 from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank
 from repro.hierarchy.index import HierarchyIndex
@@ -356,33 +357,22 @@ class RefStore:
         self._perm = None
 
 
-class ADAAlgorithm:
+class ADAAlgorithm(HierarchyTracker):
     """Adaptive online heavy hitter tracking and time-series maintenance."""
 
     name = "ADA"
 
     def __init__(self, tree: HierarchyTree, config: TiresiasConfig):
-        self.tree = tree
-        self.config = config
-        self.detector = ThresholdDetector(config)
+        super().__init__(tree, config)
         self.split_rule = make_split_rule(config)
         #: Row store shared by every tracked node's series: one matrix row
         #: per series holds its forecaster state and both windows.
         self.bank = ForecasterBank(config.forecast, window=config.window_units)
-        #: Dense hierarchy view driving the weight kernels and the planner.
-        self._index = HierarchyIndex(tree)
         self._reset_registry()
         #: Split-rule statistics for every node seen so far.
         self._stats = SplitStatsStore(config, self._index)
-        self._timeunit: TimeunitIndex = -1
-        self.stage_seconds: dict[str, float] = {
-            "updating_hierarchies": 0.0,
-            "creating_time_series": 0.0,
-            "detecting_anomalies": 0.0,
-        }
         self.split_operations = 0
         self.merge_operations = 0
-        self.last_result: TimeunitResult | None = None
         #: Cached heavy order reused verbatim while the heavy set is
         #: unchanged: (mask bytes, lex-ordered heavy ids, their bank rows).
         self._hv_cache = None
@@ -403,14 +393,6 @@ class ADAAlgorithm:
         #: reference series exactly.  Off (``None``) outside sharded workers.
         self._frontier_ids = None
         self.last_frontier_raw: tuple[float, ...] | None = None
-        #: Band exclusion for ``min_heavy_depth > 1``: node ids at depths
-        #: 1..m-1 can never qualify as heavy (the root is handled by the
-        #: track_root/allow_root_heavy flags above).
-        m = config.min_heavy_depth
-        self._shallow_ids = None
-        if m > 1:
-            depths = self._index.depths
-            self._shallow_ids = np.flatnonzero((depths >= 1) & (depths < m))
         #: Nodes in the top h levels, cached once: these keep reference series.
         self._reference_nodes: tuple[CategoryPath, ...] = tuple(
             node.path
@@ -424,61 +406,11 @@ class ADAAlgorithm:
     # ------------------------------------------------------------------
     # Online interface
     # ------------------------------------------------------------------
-    def process_timeunit(
-        self, leaf_counts: Mapping[CategoryPath, Weight], timeunit: TimeunitIndex | None = None
-    ) -> TimeunitResult:
-        """Ingest one timeunit of data, adapt the heavy hitter series, detect."""
-        swept = self.sweep_timeunits(self._index.count_rows(leaf_counts))
-        return self._close(timeunit, *swept[0])
-
-    #: The session may feed whole batches through the dense columnar ingest
-    #: (:meth:`dictionary_node_ids`, :meth:`sweep_timeunits`,
-    #: :meth:`close_swept`).
-    supports_dense_close = True
-
-    @property
-    def num_node_ids(self) -> int:
-        """Width of a dense count row: one slot per node id."""
-        return self._index.num_nodes
-
-    def dictionary_node_ids(self, dictionary):
-        """Node id per path of a batch string-dictionary (-1 for unknown)."""
-        return self._index.dictionary_ids(dictionary)
-
-    def sweep_timeunits(
-        self, counts, leaf_counts: "Mapping[CategoryPath, Weight] | None" = None
-    ) -> list[tuple]:
-        """The hierarchy update of several timeunits at once.
-
-        ``counts`` is a ``(units, num_node_ids)`` float64 matrix of direct
-        per-node counts, one row per timeunit (consumed); ``leaf_counts``
-        folds a dict remainder into the first row — counts that reached that
-        timeunit through the classic per-path route.  SHHH depends on a
-        timeunit's own counts and nothing else, so every row's raw weights,
-        modified weights and heavy mask come out of one
-        :meth:`HierarchyIndex.sweep`; returns one ``(raw, modified, heavy)``
-        triple of row views per timeunit, each to be handed to
-        :meth:`close_swept` in order.  Results are bit-identical to
-        :meth:`process_timeunit` on the equivalent mappings.
-        """
-        start = time.perf_counter()
-        if leaf_counts:
-            self._index.add_counts(counts[0], leaf_counts)
-        raw, modified, heavy = self._index.sweep(counts, self.config.theta)
-        if self.config.track_root:
-            heavy[:, 0] = True
-        elif not self.config.allow_root_heavy:
-            heavy[:, 0] = False
-        if self._shallow_ids is not None:
-            # The shared ancestor band above min_heavy_depth never qualifies.
-            heavy[:, self._shallow_ids] = False
-        self.stage_seconds["updating_hierarchies"] += time.perf_counter() - start
-        return list(zip(raw, modified, heavy))
-
     def close_swept(
         self, swept: tuple, timeunit: TimeunitIndex | None = None
     ) -> TimeunitResult:
-        """Close one timeunit from its :meth:`sweep_timeunits` triple."""
+        """Close one timeunit from its :meth:`sweep_timeunits` triple — a
+        row of a batch's count matrix, counted in ``dense_close_units``."""
         self.dense_close_units += 1
         return self._close(timeunit, *swept)
 
@@ -815,10 +747,6 @@ class ADAAlgorithm:
             window_len(row, 0) + window_len(row, 1) for row in self._series_ids.values()
         )
         return self.tree.num_nodes + series_cost + self._ref.total_len()
-
-    @property
-    def current_timeunit(self) -> TimeunitIndex:
-        return self._timeunit
 
     @property
     def heavy_hitters(self) -> frozenset[CategoryPath]:

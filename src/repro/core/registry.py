@@ -1,11 +1,14 @@
 """The tracking-algorithm registry: algorithms resolve by *name*.
 
 An **algorithm factory** is a callable ``factory(tree, config) -> algorithm``
-returning an object with the tracking-algorithm protocol
-(``process_timeunit``, ``stage_seconds``, ``memory_units``, ...).  The
-built-in entries are ``"ada"`` and ``"sta"``, whose classes are their own
-factories.  Registered names are resolved by
-:class:`~repro.engine.session.DetectionSession`.
+returning a :class:`~repro.core.tracking.HierarchyTracker`: the shared
+hierarchy front end (tree, config, dense index, detector, the heavy-mask
+rules, ``sweep_timeunits``, ``process_timeunit``) plus the algorithm's own
+close of one swept timeunit, which ``close_swept`` calls.  The built-in
+entries are ``"ada"`` and ``"sta"``, whose classes are their own factories.
+Registered names are resolved by
+:class:`~repro.engine.session.DetectionSession`, which ingests every
+algorithm through the same dense batch path.
 
 Forecasting models resolve by name the same way, through the registry next
 to the forecasters (:mod:`repro.forecasting.registry`).
@@ -39,9 +42,10 @@ def register_algorithm(
 ) -> None:
     """Register a tracking-algorithm factory under ``name``.
 
-    ``factory(tree, config)`` must return an object with the tracking
-    algorithm protocol used by the engine (``process_timeunit``,
-    ``stage_seconds``, ``memory_units``, ``current_timeunit``).  To support
+    ``factory(tree, config)`` must return a
+    :class:`~repro.core.tracking.HierarchyTracker` whose subclass closes one
+    swept timeunit (``_close``, called by ``close_swept`` and
+    ``process_timeunit``) and implements ``memory_units``.  To support
     ``save_checkpoint`` / ``load_checkpoint`` the algorithm must additionally
     implement ``state_dict()`` / ``load_state_dict(state)`` (JSON-safe);
     without them, checkpointing a session that uses the algorithm raises

@@ -13,85 +13,60 @@ This is accurate by construction -- the paper (and our evaluation) uses STA as
 the ground truth for ADA's time-series and detection accuracy -- but the time
 series reconstruction cost grows with ℓ, which is exactly the bottleneck
 Table III exposes.
+
+Step 1 is the front end STA shares with ADA (:mod:`repro.core.tracking`):
+one sweep yields the newest unit's heavy set and the raw weights its
+retained table keeps, so a batch closes its timeunits the same way under
+either algorithm.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Iterator, Mapping
+from typing import Deque, Iterator
 
 import numpy as np
 
 from repro._types import CategoryPath, TimeunitIndex, Weight
 from repro.core.config import TiresiasConfig
-from repro.core.detector import ThresholdDetector
-from repro.core.hhh import accumulate_raw_weights
 from repro.core.results import TimeunitResult
+from repro.core.tracking import HierarchyTracker
 from repro.forecasting.bank import ForecasterBank
-from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
 
 
-class STAAlgorithm:
+class STAAlgorithm(HierarchyTracker):
     """Strawman heavy hitter tracking with full per-instance reconstruction."""
 
     name = "STA"
 
     def __init__(self, tree: HierarchyTree, config: TiresiasConfig):
-        self.tree = tree
-        self.config = config
-        self.detector = ThresholdDetector(config)
+        super().__init__(tree, config)
         #: Raw node weights for each retained timeunit (oldest first); this is
-        #: the Python equivalent of keeping ℓ weighted trees alive.
+        #: the Python equivalent of keeping ℓ weighted trees alive.  Each
+        #: table holds the nodes with weight, in node-id order — the
+        #: checkpoint format.
         self._unit_weights: Deque[dict[CategoryPath, Weight]] = deque(
             maxlen=config.window_units
         )
-        #: Dense id view shared with ADA's adaptation engine: the succinct
-        #: heavy hitter pass runs as level sweeps over node ids (bit-exact,
-        #: see :mod:`repro.hierarchy.index`) instead of the per-path scalar
-        #: recursion.  The per-timeunit weight tables stay path-keyed dicts —
-        #: they are the checkpoint format.
-        self._index = HierarchyIndex(tree)
-        self._timeunit: TimeunitIndex = -1
-        self.stage_seconds: dict[str, float] = {
-            "updating_hierarchies": 0.0,
-            "creating_time_series": 0.0,
-            "detecting_anomalies": 0.0,
-        }
-        self.last_result: TimeunitResult | None = None
-        #: Band exclusion for ``min_heavy_depth > 1``: node ids at depths
-        #: 1..m-1 never qualify as heavy.
-        m = config.min_heavy_depth
-        self._shallow_ids = None
-        if m > 1:
-            depths = self._index.depths
-            self._shallow_ids = np.flatnonzero((depths >= 1) & (depths < m))
 
     # ------------------------------------------------------------------
-    # Online interface
+    # Close of one swept timeunit
     # ------------------------------------------------------------------
-    def process_timeunit(
-        self, leaf_counts: Mapping[CategoryPath, Weight], timeunit: TimeunitIndex | None = None
+    def _close(
+        self, timeunit: TimeunitIndex | None, raw_vec, modified_vec, heavy_mask
     ) -> TimeunitResult:
-        """Ingest the counts of one new timeunit and run detection on it."""
+        """Retain the unit's raw weights, rebuild every heavy hitter's
+        series over the window, refit and detect."""
         self._timeunit = self._timeunit + 1 if timeunit is None else timeunit
 
         start = time.perf_counter()
-        raw = accumulate_raw_weights(self.tree, leaf_counts)
-        self._unit_weights.append(raw)
-        index = self._index
-        _raw, _modified, heavy = index.sweep(
-            index.count_rows(leaf_counts), self.config.theta
+        paths = self._index.paths
+        ids = np.flatnonzero(raw_vec).tolist()
+        self._unit_weights.append(
+            dict(zip([paths[i] for i in ids], raw_vec[ids].tolist()))
         )
-        heavy_mask = heavy[0]
-        if self.config.track_root:
-            heavy_mask[0] = True
-        elif not self.config.allow_root_heavy:
-            heavy_mask[0] = False
-        if self._shallow_ids is not None:
-            heavy_mask[self._shallow_ids] = False
-        paths = index.paths
         heavy = {paths[i] for i in np.flatnonzero(heavy_mask).tolist()}
         self.stage_seconds["updating_hierarchies"] += time.perf_counter() - start
 
@@ -209,10 +184,6 @@ class STAAlgorithm:
     def memory_units(self) -> int:
         """Number of stored scalar weights (the Table IV cost proxy)."""
         return sum(len(unit) for unit in self._unit_weights)
-
-    @property
-    def current_timeunit(self) -> TimeunitIndex:
-        return self._timeunit
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -9,6 +9,8 @@ report store.  It is built for composition:
 * it ingests through one path, :meth:`DetectionSession.ingest_record_batch`:
   a record is a batch of one, a record list one batch, and a record stream
   is chunked into batches (:func:`~repro.streaming.batch.iter_record_batches`);
+  whatever the algorithm, a batch closes its timeunits from one count matrix
+  and one hierarchy sweep (:class:`~repro.core.tracking.HierarchyTracker`);
 * the tracking algorithm resolves by name through the registry
   (:mod:`repro.core.registry`), so new algorithms plug in without touching
   this module;
@@ -245,40 +247,21 @@ class DetectionSession:
     def ingest_record_batch(self, batch: RecordBatch) -> list[TimeunitResult]:
         """Add a columnar batch; returns results of all timeunits that closed.
 
-        One dispatch rule: an algorithm that ``supports_dense_close`` (ADA)
-        closes the batch's timeunits together (:meth:`_ingest_batch_dense`);
-        any other (STA, a registered plug-in) gets the batch reduced to
-        per-timeunit count dictionaries by
-        one grouped aggregation (:meth:`RecordBatch.group_runs_by_timeunit`),
-        folded into the pending timeunit wholesale.  Both work on *runs* in
-        arrival order and ask :meth:`_admit` about each, so the out-of-order
-        policy fires for the same records wherever the stream is cut into
-        batches — a batch spanning an already-closed timeunit splits, and
-        only the late run is dropped / clamped / raised on, with everything
-        before it ingested.  Detections do not depend on the cut.
+        Every algorithm closes the batch's timeunits together
+        (:meth:`_ingest_batch_dense`).  The batch is read as *runs* in
+        arrival order and :meth:`_admit` is asked about each, so the
+        out-of-order policy fires for the same records wherever the stream
+        is cut into batches — a batch spanning an already-closed timeunit
+        splits, and only the late run is dropped / clamped / raised on, with
+        everything before it ingested.  Detections do not depend on the cut.
 
         A running shadow session (:meth:`start_shadow`) ingests the *same*
         :class:`RecordBatch` object right after the primary — zero-copy
         fan-out, the batch columns are never duplicated.
         """
-        closed = self._ingest_record_batch_primary(batch)
+        closed = self._ingest_batch_dense(batch)
         if self._shadow is not None:
             self._mirror(closed, lambda shadow: shadow.ingest_record_batch(batch))
-        return closed
-
-    def _ingest_record_batch_primary(
-        self, batch: RecordBatch
-    ) -> list[TimeunitResult]:
-        if getattr(self.algorithm, "supports_dense_close", False):
-            return self._ingest_batch_dense(batch)
-        closed: list[TimeunitResult] = []
-        for unit, start, counts in batch.group_runs_by_timeunit(self.clock):
-            unit = self._admit(
-                unit, float(batch.timestamps[start]), self._pending_unit
-            )
-            if unit is not None:
-                closed.extend(self._advance_to_primary(unit))
-                self._pending.update(counts)
         return closed
 
     def _dense_mapping(self, dictionary):
@@ -322,11 +305,11 @@ class DetectionSession:
         closes *within this call* land in one ``(units, node ids)`` count
         matrix and the algorithm sweeps it once (raw weights, modified
         weights and heavy masks of every row,
-        :meth:`~repro.core.ada.ADAAlgorithm.sweep_timeunits`).  The units
-        then close in order, each from its row, because what remains *does*
-        depend on the previous unit's state (forecaster recurrences, split
-        statistics, the adaptation plan) and observers see one closed unit
-        at a time.
+        :meth:`~repro.core.tracking.HierarchyTracker.sweep_timeunits`).  The
+        units then close in order, each from its row, because what remains
+        *does* depend on the previous unit's state (forecaster recurrences,
+        retained weight tables, split statistics, the adaptation plan) and
+        observers see one closed unit at a time.
 
         The matrix is one ``bincount`` over a ``(closing + 1, width + 1)``
         grid: runs of the still-open unit and dropped runs count into the

@@ -449,11 +449,6 @@ class ShardedDetectionEngine:
         Routing exactly as in :class:`~repro.engine.engine.DetectionEngine`;
         both are applied coordinator-side, so custom selectors never need to
         be picklable.
-    start_method:
-        ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
-        ``"forkserver"``) or ``None`` for the platform default.  Sessions are
-        shipped to workers as JSON ``state_dict`` snapshots, so every start
-        method works.
     transport / transport_options:
         ``"pipe"`` (default), ``"shm"``, ``"tcp"`` — or a ready-made
         :class:`~repro.engine.transport.base.ShardTransport` instance (e.g.
@@ -490,7 +485,6 @@ class ShardedDetectionEngine:
         num_workers: "int | None" = None,
         stream_key: "StreamKey | None" = None,
         unknown_stream: str = "raise",
-        start_method: "str | None" = None,
         transport: "str | ShardTransport" = "pipe",
         transport_options: "Mapping[str, Any] | None" = None,
         op_timeout: float = 60.0,
@@ -510,7 +504,6 @@ class ShardedDetectionEngine:
         self.num_workers = int(num_workers)
         self.stream_key = stream_key or attribute_stream_key
         self.unknown_stream = unknown_stream
-        self.start_method = start_method
         # Built eagerly so a bad transport name fails at construction, but
         # connected lazily with the workers.
         self._transport: ShardTransport = make_transport(
@@ -699,7 +692,7 @@ class ShardedDetectionEngine:
         self._check_open()
         if self._started:
             return
-        self._transport.connect(self.num_workers, self.start_method)
+        self._transport.connect(self.num_workers)
         self._started = True
         for unit in self._units.values():
             self._ship_unit(unit)
@@ -882,7 +875,7 @@ class ShardedDetectionEngine:
         ) from last_error
 
     def _attempt_recovery(self, worker_id: int) -> None:
-        self._supervisor.respawn(worker_id, self.start_method)
+        self._supervisor.respawn(worker_id)
         add_ops: list[tuple[Any, dict[str, Any], int]] = []
         for key, depth in self._keys_on_worker(worker_id):
             state = self._snapshots.get(key)

@@ -126,13 +126,13 @@ class ShardSupervisor:
             raise WorkerFailureError(worker_id, "collect", str(exc)) from exc
 
     # ------------------------------------------------------------------
-    def respawn(self, worker_id: int, start_method: "str | None" = None) -> None:
+    def respawn(self, worker_id: int) -> None:
         """Kill-and-replace ``worker_id`` with faults disarmed for the child."""
         from repro.testing.faults import disarmed
 
         self._kill(worker_id)
         with disarmed():
-            self.transport.respawn(worker_id, start_method)
+            self.transport.respawn(worker_id)
 
     def stats(self) -> dict[str, Any]:
         return {

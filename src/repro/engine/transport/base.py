@@ -69,7 +69,7 @@ class ShardTransport:
         self.zombies_killed = 0
 
     # -- lifecycle ------------------------------------------------------
-    def connect(self, num_workers: int, start_method: "str | None" = None) -> None:
+    def connect(self, num_workers: int) -> None:
         """Start (or accept) ``num_workers`` workers and open channels."""
         raise NotImplementedError
 
@@ -116,7 +116,7 @@ class ShardTransport:
             f"transport {self.name!r} does not support killing workers"
         )
 
-    def respawn(self, worker_id: int, start_method: "str | None" = None) -> None:
+    def respawn(self, worker_id: int) -> None:
         """Replace a dead worker with a fresh one on a fresh channel.
 
         The replacement starts *empty*: the caller (the supervisor) is

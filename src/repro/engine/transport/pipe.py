@@ -88,13 +88,12 @@ class PipeTransport(ShardTransport):
         super().__init__()
         self._procs: "list[Any] | None" = None
         self._conns: "list[Any] | None" = None
-        self._start_method: "str | None" = None
         self._encoders: list[DictEncoder] = []
 
-    def _spawn_worker(self, ctx, worker_id: int) -> tuple:
+    def _spawn_worker(self, worker_id: int) -> tuple:
         """Start one worker process; returns ``(process, parent_conn)``."""
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        process = ctx.Process(
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        process = multiprocessing.Process(
             target=type(self)._worker_main,
             args=(child_conn, worker_id),
             name=f"repro-shard-{worker_id}",
@@ -104,13 +103,11 @@ class PipeTransport(ShardTransport):
         child_conn.close()
         return process, parent_conn
 
-    def connect(self, num_workers: int, start_method: "str | None" = None) -> None:
-        self._start_method = start_method
-        ctx = multiprocessing.get_context(start_method)
+    def connect(self, num_workers: int) -> None:
         self._procs, self._conns = [], []
         self._encoders = [DictEncoder() for _ in range(num_workers)]
         for worker_id in range(num_workers):
-            process, conn = self._spawn_worker(ctx, worker_id)
+            process, conn = self._spawn_worker(worker_id)
             self._procs.append(process)
             self._conns.append(conn)
 
@@ -177,12 +174,11 @@ class PipeTransport(ShardTransport):
         except OSError:  # pragma: no cover - already closed
             pass
 
-    def respawn(self, worker_id: int, start_method: "str | None" = None) -> None:
+    def respawn(self, worker_id: int) -> None:
         if self._procs is None:
             raise ShardingError("transport is not connected; cannot respawn")
         self.kill_worker(worker_id)
-        ctx = multiprocessing.get_context(start_method or self._start_method)
-        process, conn = self._spawn_worker(ctx, worker_id)
+        process, conn = self._spawn_worker(worker_id)
         self._procs[worker_id] = process
         self._conns[worker_id] = conn
         # The replacement starts with an empty delta-dictionary mirror.

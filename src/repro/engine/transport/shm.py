@@ -105,9 +105,9 @@ class SharedMemoryTransport(PipeTransport):
         self._segment_bytes = max(int(segment_bytes), 4096)
         self._segments: "list[shared_memory.SharedMemory | None]" = []
 
-    def connect(self, num_workers: int, start_method: "str | None" = None) -> None:
+    def connect(self, num_workers: int) -> None:
         self._segments = [None] * num_workers
-        super().connect(num_workers, start_method)
+        super().connect(num_workers)
 
     def ship(
         self, worker_id: int, verb: str, ops: Any, *, corrupt: bool = False

@@ -200,9 +200,8 @@ class TcpTransport(ShardTransport):
             self._listener = listener
         return self.port
 
-    def _spawn_worker_proc(self, worker_id: int, start_method: "str | None") -> None:
-        ctx = multiprocessing.get_context(start_method)
-        process = ctx.Process(
+    def _spawn_worker_proc(self, worker_id: int) -> None:
+        process = multiprocessing.Process(
             target=_tcp_worker_main,
             args=(self.host, self.port, worker_id),
             name=f"repro-shard-tcp-{worker_id}",
@@ -211,13 +210,13 @@ class TcpTransport(ShardTransport):
         process.start()
         self._procs.append(process)
 
-    def connect(self, num_workers: int, start_method: "str | None" = None) -> None:
+    def connect(self, num_workers: int) -> None:
         self.listen()
         # Backlog covers initial connects plus any future respawn dials.
         self._listener.listen(max(num_workers, 8))
         if self.spawn_workers:
             for worker_id in range(num_workers):
-                self._spawn_worker_proc(worker_id, start_method)
+                self._spawn_worker_proc(worker_id)
         self._listener.settimeout(self.accept_timeout)
         self._socks = []
         self._encoders = [DictEncoder() for _ in range(num_workers)]
@@ -301,12 +300,12 @@ class TcpTransport(ShardTransport):
         except OSError:  # pragma: no cover - already closed
             pass
 
-    def respawn(self, worker_id: int, start_method: "str | None" = None) -> None:
+    def respawn(self, worker_id: int) -> None:
         if self._socks is None or self._listener is None:
             raise ShardingError("transport is not connected; cannot respawn")
         self.kill_worker(worker_id)
         if self.spawn_workers:
-            self._spawn_worker_proc(worker_id, start_method)
+            self._spawn_worker_proc(worker_id)
         # Accept the replacement with capped-exponential waits so external
         # deployments get time to start one, without ever blocking past
         # accept_timeout in total.

@@ -29,6 +29,7 @@ from typing import Any, Mapping
 from repro.core.results import TimeunitResult
 from repro.engine.hooks import EngineObserver
 from repro.engine.sharded import ShardedDetectionEngine
+from repro.engine.transport import TRANSPORTS
 from repro.exceptions import ConfigurationError
 from repro.io.checkpoint import config_from_dict
 
@@ -65,6 +66,11 @@ def validate_sharding(sharding: Mapping[str, Any]) -> dict[str, Any]:
     if out["subtree_depth"] < 1:
         raise ConfigurationError(
             f"sharding.subtree_depth must be >= 1, got {out['subtree_depth']}"
+        )
+    if out["transport"] not in TRANSPORTS:
+        raise ConfigurationError(
+            f"unknown sharding.transport {out['transport']!r}; "
+            f"known transports: {sorted(TRANSPORTS)}"
         )
     return out
 

@@ -12,9 +12,9 @@ either way.  The whole hot path operates on these columns:
 
 * timeunit classification is one vectorized pass over the timestamp column
   (:meth:`RecordBatch.timeunit_indices`);
-* per-timeunit leaf counts come from a single grouped aggregation
-  (:meth:`RecordBatch.group_runs_by_timeunit`), one C-speed
-  ``Counter(slice)`` per run;
+* the records of each timeunit are found as *runs* of rows
+  (:meth:`RecordBatch.timeunit_runs`), which a session counts with one
+  ``bincount`` for the whole batch;
 * engine routing partitions the batch by stream key in one pass
   (:meth:`RecordBatch.partition_by_key`), so single-session engines forward
   whole batches without touching individual records.
@@ -26,8 +26,8 @@ chunked by :func:`iter_record_batches` into batches of
 
 Chunking invariance
 -------------------
-The grouped aggregation preserves *arrival order*: records are grouped into
-**runs** of consecutive records that share a timeunit, and runs are yielded in
+Runs preserve *arrival order*: records are grouped into
+**runs** of consecutive records that share a timeunit, and runs come in
 stream order (not sorted by timeunit).  Every out-of-order policy decision is
 therefore taken on the same records wherever a stream is cut into batches, so
 detections, reports and checkpoints do not depend on the chunk size — one
@@ -38,14 +38,13 @@ The columns are NumPy arrays: NumPy is a dependency of the package.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from math import isfinite as _isfinite
 from typing import Any
 
 import numpy as np
 
-from repro._types import CategoryPath, Timestamp, TimeunitIndex
+from repro._types import CategoryPath, Timestamp
 from repro.exceptions import StreamError
 from repro.streaming.attributes import (
     concat_rows,
@@ -337,14 +336,6 @@ class RecordBatch:
         # integers to test, at four times the cost).
         starts = [0, *(np.flatnonzero(units[1:] != units[:-1]) + 1).tolist()]
         return list(zip(units[starts].tolist(), starts, [*starts[1:], n]))
-
-    def group_runs_by_timeunit(
-        self, clock: SimulationClock
-    ) -> Iterator[tuple[TimeunitIndex, int, Counter]]:
-        """Grouped aggregation: ``(timeunit, first_row, leaf_counts)`` per
-        run of :meth:`timeunit_runs`, one C-speed ``Counter(slice)`` each."""
-        for unit, start, stop in self.timeunit_runs(clock):
-            yield unit, start, Counter(self.categories[start:stop])
 
     # ------------------------------------------------------------------
     # Vectorized stream-key partitioning

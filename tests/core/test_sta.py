@@ -1,14 +1,18 @@
 """Unit tests for :mod:`repro.core.sta` (the strawman algorithm)."""
 
+from collections import Counter, defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.core.hhh import compute_shhh
+from repro.core.hhh import accumulate_raw_weights, compute_shhh
 from repro.core.sta import STAAlgorithm
+from repro.engine.session import DetectionSession
 from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
+from repro.streaming.batch import iter_record_batches
 
 
 @pytest.fixture
@@ -168,3 +172,37 @@ class TestExactSeries:
                 expected = float(modified[0, index.path_to_id[path]])
                 assert sta.series_for(path)[-1] == expected, path
                 assert result.actuals[path] == expected, path
+
+
+class TestRetainedWeightTables:
+    def test_tables_are_the_swept_raw_weights_in_node_id_order(
+        self, golden_spec, golden_trace_loader
+    ):
+        """A closed unit's retained table lists the nodes with weight in
+        node-id order, and as a mapping it is the scalar walk
+        (:func:`accumulate_raw_weights`) of that unit's counts — checked
+        after every batch over the whole trace."""
+        tree, clock, records = golden_trace_loader(golden_spec)
+        unit_counts = defaultdict(Counter)
+        for record in records:
+            unit_counts[clock.timeunit_of(record.timestamp)][record.category] += 1
+        node_id = HierarchyIndex(tree).path_to_id
+        session = DetectionSession(
+            tree, golden_spec.detector_config(), algorithm="sta", clock=clock
+        )
+        checked = 0
+        for batch in iter_record_batches(records, 512):
+            session.ingest_record_batch(batch)
+            state = session.algorithm.state_dict()
+            tables = state["unit_weights"]
+            first = state["timeunit"] - len(tables) + 1
+            for unit, table in enumerate(tables, start=first):
+                paths = [tuple(path) for path, _weight in table]
+                assert [node_id[path] for path in paths] == sorted(
+                    node_id[path] for path in paths
+                )
+                assert dict(
+                    zip(paths, [weight for _path, weight in table])
+                ) == accumulate_raw_weights(tree, unit_counts[unit])
+                checked += 1
+        assert checked > len(unit_counts)

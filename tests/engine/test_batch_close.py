@@ -9,8 +9,8 @@ under every out-of-order policy (``raise`` included: the exception leaves the
 session where the records before the late one put it), a ``_pending``
 remainder carried in from the previous batch, categories the tree does not
 know and a shadow session attached — for batches built from tuples and
-batches built the way a reader builds them, with ADA (the dense close) and
-with STA, which has no dense close: its batches take the run loop.
+batches built the way a reader builds them, with ADA and with STA: both
+take the dense close, through the hierarchy front end they share.
 
 ``TestHeldRows`` follows the open timeunit's rows, which a batch leaves as
 codes for the batch that closes the unit: the state between any two batches,
@@ -41,7 +41,7 @@ from repro.streaming.batch import ColumnAccumulator, RecordBatch
 from repro.streaming.record import OperationalRecord
 from tests.conftest import canonical_checkpoint
 
-#: ADA closes batches densely; STA takes the per-run loop.
+#: Both close batches densely; only ADA reports ``close_profile()``.
 ALGORITHMS = ("ada", "sta")
 DELTA = 10.0
 

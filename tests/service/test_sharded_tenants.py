@@ -66,6 +66,12 @@ class TestValidateSharding:
         with pytest.raises(ConfigurationError, match=field):
             validate_sharding({field: 0})
 
+    def test_unknown_transport_refused_when_the_spec_loads(self):
+        """A bad transport name fails the ``TenantSpec``, before any request
+        is accepted for the tenant — not at activation on the worker."""
+        with pytest.raises(ConfigurationError, match="bogus.*pipe.*shm.*tcp"):
+            tenant_spec_for("t", tiny_dataset(), sharding={"transport": "bogus"})
+
     def test_spec_round_trips_through_dict(self):
         dataset = tiny_dataset()
         spec = tenant_spec_for(

@@ -263,21 +263,18 @@ class TestTimeunitAggregation:
             )
         assert plain_wrong > 0
 
-    def test_group_runs_preserves_arrival_order(self, clock):
+    def test_timeunit_runs_preserve_arrival_order(self, clock):
         # Units: 0, 0, 1, 0, 0, 2 -> four runs, in stream order.
         batch = RecordBatch.from_records(
             [rec(1.0, "a"), rec(2.0, "b"), rec(11.0, "a"),
              rec(3.0, "a"), rec(4.0, "a"), rec(21.0, "c")]
         )
-        runs = list(batch.group_runs_by_timeunit(clock))
-        assert [(unit, start) for unit, start, _ in runs] == [
-            (0, 0), (1, 2), (0, 3), (2, 5)
+        assert batch.timeunit_runs(clock) == [
+            (0, 0, 2), (1, 2, 3), (0, 3, 5), (2, 5, 6)
         ]
-        assert runs[0][2] == {("a",): 1, ("b",): 1}
-        assert runs[2][2] == {("a",): 2}
 
     def test_empty_batch_has_no_runs(self, clock):
-        assert list(RecordBatch.empty().group_runs_by_timeunit(clock)) == []
+        assert RecordBatch.empty().timeunit_runs(clock) == []
 
 
 class TestPartitioning:

@@ -199,3 +199,54 @@ def test_checkpoint_io_imports_nothing_from_the_engine():
         if module == "repro.engine" or module.startswith("repro.engine.")
     ]
     assert engine_imports == []
+
+
+# ----------------------------------------------------------------------
+# Private attributes stay with the module that binds them
+# ----------------------------------------------------------------------
+#: ``(expression, attribute)`` reach-ins the rule allows: the standard
+#: library's own underscored API.
+ALLOWED_REACH_INS = frozenset({("os", "_exit")})
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def bound_names(tree: ast.AST) -> set[str]:
+    """Every name a module binds: definitions, parameters, assignment and
+    import targets, and attributes it stores to (``x._name = ...``)."""
+    bound: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            bound.add(node.attr)
+        elif isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).split(".")[0])
+    return bound
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    """``expr._name`` reads a private attribute another module owns unless
+    ``expr`` is ``self`` / ``cls`` or the module binds ``_name`` itself
+    (dunders are public protocol).  What a caller needs from another module's
+    object is public there; ``os._exit`` is the one allowed reach-in."""
+    offenders = []
+    for name, path in MODULES.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = bound_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or not is_private(node.attr):
+                continue
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if owner in ("self", "cls") or node.attr in bound:
+                continue
+            if (owner, node.attr) in ALLOWED_REACH_INS:
+                continue
+            offenders.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert offenders == []
