@@ -9,9 +9,7 @@ provides:
 * the forecasting and seasonality analysis toolkit (``repro.forecasting``,
   ``repro.seasonality``);
 * the core contribution -- succinct hierarchical heavy hitters, the STA and
-  ADA tracking algorithms, the dual-threshold detector (``repro.core``),
-  both resolvable by name through the pluggable registries
-  (``repro.core.registry``);
+  ADA tracking algorithms, the dual-threshold detector (``repro.core``);
 * the engine layer -- multi-session detection over merged streams, lifecycle
   hooks, and JSON checkpoint/restore (``repro.engine``, ``repro.io``);
 * synthetic CCD/SCD dataset generators with ground-truth anomaly injection
@@ -65,11 +63,9 @@ from repro.core import (
     ThresholdDetector,
     TimeunitResult,
     TiresiasConfig,
-    available_algorithms,
     compute_hhh,
     compute_shhh,
     derive_seasonal_config,
-    register_algorithm,
 )
 from repro.datagen import (
     CCDConfig,
@@ -84,7 +80,6 @@ from repro.engine import (
     EngineObserver,
     ShardedDetectionEngine,
 )
-from repro.forecasting import available_forecasters, register_forecaster
 from repro.hierarchy import (
     HierarchyNode,
     HierarchyTree,
@@ -113,10 +108,6 @@ __all__ = [
     "DetectionSession",
     "EngineObserver",
     "CallbackObserver",
-    "register_algorithm",
-    "register_forecaster",
-    "available_algorithms",
-    "available_forecasters",
     "ADAAlgorithm",
     "STAAlgorithm",
     "ThresholdDetector",

@@ -2,6 +2,7 @@
 
 from repro.core.ada import ADAAlgorithm, nearest_tracked_node
 from repro.core.config import (
+    FORECAST_MODELS,
     OUT_OF_ORDER_POLICIES,
     SPLIT_RULE_NAMES,
     ForecastConfig,
@@ -16,12 +17,7 @@ from repro.core.hhh import (
     discounted_series,
 )
 from repro.core.pipeline import derive_seasonal_config
-from repro.core.registry import (
-    available_algorithms,
-    create_algorithm,
-    register_algorithm,
-    unregister_algorithm,
-)
+from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.core.reporting import AnomalyQuery, AnomalyReportStore
 from repro.core.results import TimeunitResult
 from repro.core.split_rules import (
@@ -40,12 +36,11 @@ __all__ = [
     "TiresiasConfig",
     "ForecastConfig",
     "SPLIT_RULE_NAMES",
+    "FORECAST_MODELS",
     "OUT_OF_ORDER_POLICIES",
     "derive_seasonal_config",
-    "register_algorithm",
-    "unregister_algorithm",
+    "ALGORITHMS",
     "create_algorithm",
-    "available_algorithms",
     "ADAAlgorithm",
     "STAAlgorithm",
     "nearest_tracked_node",

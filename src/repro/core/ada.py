@@ -40,8 +40,8 @@ nearest heavy ancestor (merge, bottom-up) — the nodes the pseudocode's
 ambiguities of its in-place weight mutations.  Each SPLIT, MERGE and
 reference correction is whole-row arithmetic on *row numbers* of the
 :class:`~repro.forecasting.bank.ForecasterBank` row store, which holds every
-series' forecaster state *and* windows — built-in and plug-in forecasting
-models alike, each row one kind for its whole life.  One
+series' forecaster state *and* windows as matrix rows: the forecasting
+models are the closed set of linear Holt-Winters forms.  One
 :meth:`~repro.forecasting.bank.ForecasterBank.observe_rows` call (one
 kernel, whatever the size of the heavy set) updates every tracked
 forecaster, one

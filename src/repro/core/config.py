@@ -25,10 +25,13 @@ class ForecastConfig:
     ``fallback_alpha`` is used until a node has accumulated enough history to
     initialize the seasonal model.
 
-    ``model`` selects the seasonal forecasting model by registry name
-    (:func:`repro.forecasting.registry.register_forecaster`).  The default ``"auto"``
-    picks the built-in single- or multi-seasonal Holt-Winters model based on
-    the number of seasonal periods.
+    ``model`` selects the seasonal forecasting model, one of
+    :data:`FORECAST_MODELS`: ``"holt-winters"`` (single-season, on the first
+    period), ``"multi-seasonal-holt-winters"``, or the default ``"auto"``,
+    which picks one of the two by the number of seasonal periods.  The set
+    is closed: ADA's SPLIT and MERGE are exact only for a model linear in
+    its series (Lemma 2), and the forecaster bank lays these two out as
+    matrix rows.
     """
 
     alpha: float = 0.2
@@ -54,8 +57,11 @@ class ForecastConfig:
                 raise ConfigurationError("season_weights must sum to 1")
         if not 0.0 < self.fallback_alpha <= 1.0:
             raise ConfigurationError("fallback_alpha must be in (0, 1]")
-        if not self.model:
-            raise ConfigurationError("model must be a non-empty registry name or 'auto'")
+        if self.model not in FORECAST_MODELS:
+            raise ConfigurationError(
+                f"unknown forecasting model {self.model!r}; expected one of "
+                f"{sorted(FORECAST_MODELS)}"
+            )
 
     def replace(self, **changes: Any) -> "ForecastConfig":
         """A copy with ``changes`` applied (and re-validated)."""
@@ -216,6 +222,11 @@ class TiresiasConfig:
 #: Valid values for :attr:`TiresiasConfig.split_rule`.
 SPLIT_RULE_NAMES: frozenset[str] = frozenset(
     {"uniform", "last-time-unit", "long-term-history", "ewma"}
+)
+
+#: Valid values for :attr:`ForecastConfig.model`.
+FORECAST_MODELS: frozenset[str] = frozenset(
+    {"auto", "holt-winters", "multi-seasonal-holt-winters"}
 )
 
 #: Valid values for :attr:`TiresiasConfig.out_of_order_policy`.

@@ -41,7 +41,6 @@ from typing import Any, Mapping
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.exceptions import ConfigurationError
 from repro.forecasting.bank import ForecasterBank
-from repro.forecasting.registry import ensure_forecaster_resolvable
 from repro.io.checkpoint import config_from_dict, config_to_dict
 
 #: Config fields that cannot change on a live session: they define the
@@ -71,7 +70,6 @@ def check_reconfigurable(old: TiresiasConfig, new: TiresiasConfig) -> None:
             f"(they define the timeunit grid and the tracked-state layout); "
             f"start a fresh session to change them"
         )
-    ensure_forecaster_resolvable(new.forecast.model)
 
 
 def config_with_updates(

@@ -11,9 +11,8 @@ report store.  It is built for composition:
   is chunked into batches (:func:`~repro.streaming.batch.iter_record_batches`);
   whatever the algorithm, a batch closes its timeunits from one count matrix
   and one hierarchy sweep (:class:`~repro.core.tracking.HierarchyTracker`);
-* the tracking algorithm resolves by name through the registry
-  (:mod:`repro.core.registry`), so new algorithms plug in without touching
-  this module;
+* the tracking algorithm is one of the paper's two, by name
+  (:data:`repro.core.registry.ALGORITHMS`);
 * lifecycle observers (:mod:`repro.engine.hooks`) are notified of closed
   timeunits, reported anomalies, and warm-up completion as they happen;
 * the out-of-order policy of the config decides what happens to records whose
@@ -77,8 +76,8 @@ class DetectionSession:
         Detector configuration (θ, RT/DT, Δ, ℓ, split rule, out-of-order
         policy, ...).
     algorithm:
-        Registry name of the tracking algorithm (``"ada"`` or ``"sta"``
-        built in; see :func:`repro.core.registry.register_algorithm`).
+        Name of the tracking algorithm, ``"ada"`` or ``"sta"``
+        (:data:`repro.core.registry.ALGORITHMS`).
     clock:
         Simulation clock; defaults to one with Δ from the config and epoch 0.
     warmup_units:
@@ -736,12 +735,6 @@ class DetectionSession:
     def _primary_state_dict(self) -> dict[str, Any]:
         """:meth:`state_dict` without the shadow: the substrate of
         reconfiguration and shadow cloning, which operate on core state."""
-        if not hasattr(self.algorithm, "state_dict"):
-            raise CheckpointError(
-                f"algorithm {self.algorithm_name!r} does not implement "
-                f"state_dict(); custom algorithms must provide state_dict()/"
-                f"load_state_dict() to support checkpointing"
-            )
         return {
             "name": self.name,
             "algorithm": self.algorithm_name,
@@ -783,11 +776,6 @@ class DetectionSession:
             session.reports.add_many(
                 Anomaly.from_dict(data) for data in state["reports"]
             )
-            if not hasattr(session.algorithm, "load_state_dict"):
-                raise CheckpointError(
-                    f"algorithm {session.algorithm_name!r} does not implement "
-                    f"load_state_dict(); cannot restore its checkpointed state"
-                )
             session.algorithm.load_state_dict(state["algorithm_state"])
             shadow_state = state.get("shadow")
             if shadow_state is not None:

@@ -29,13 +29,10 @@ import numpy as np
 
 from repro.core.ada import RefStore, SplitStatsStore
 from repro.core.config import TiresiasConfig
+from repro.core.registry import ALGORITHMS
 from repro.exceptions import CheckpointError, ConfigurationError, ShardingError
 from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
-
-
-#: Algorithms whose checkpointed state partitions cleanly by depth-k subtree.
-SHARDABLE_ALGORITHMS: frozenset[str] = frozenset({"ada", "sta"})
 
 
 def frontier_band_paths(
@@ -189,10 +186,9 @@ def split_session_state(
             "stop or promote the shadow before sharding"
         )
     algorithm = str(state["algorithm"])
-    if algorithm not in SHARDABLE_ALGORITHMS:
+    if algorithm not in ALGORITHMS:
         raise CheckpointError(
-            f"algorithm {algorithm!r} does not support subtree sharding "
-            f"(supported: {sorted(SHARDABLE_ALGORITHMS)})"
+            f"unknown algorithm {algorithm!r}; known algorithms: {sorted(ALGORITHMS)}"
         )
     if bool(state["config"].get("track_root", True)) or bool(
         state["config"].get("allow_root_heavy", True)

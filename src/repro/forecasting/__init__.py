@@ -16,12 +16,6 @@ from repro.forecasting.errors import (
 )
 from repro.forecasting.ewma import EWMAForecaster, ewma_series, split_bias_relative_error
 from repro.forecasting.holt_winters import HoltWintersForecaster, MultiSeasonalHoltWinters
-from repro.forecasting.registry import (
-    available_forecasters,
-    create_forecaster,
-    register_forecaster,
-    unregister_forecaster,
-)
 
 __all__ = [
     "Forecaster",
@@ -31,10 +25,6 @@ __all__ = [
     "split_bias_relative_error",
     "HoltWintersForecaster",
     "MultiSeasonalHoltWinters",
-    "register_forecaster",
-    "unregister_forecaster",
-    "create_forecaster",
-    "available_forecasters",
     "mean_squared_error",
     "mean_absolute_error",
     "mean_absolute_percentage_error",

@@ -29,20 +29,16 @@ arithmetic on whole rows:
   appends every window with one indexed store each.
 
 Every float operation is, element for element, the scalar arithmetic of the
-per-object forecaster (:class:`ScalarRow`), so a row behaves exactly as that
-object would; :mod:`repro.testing.reference` builds the test oracle on it.
+per-object forecaster (:class:`~repro.testing.reference.ScalarRow`), so a row
+behaves exactly as that object would; :mod:`repro.testing.reference` builds
+the test oracle on it.
 
-The built-in Holt-Winters models get matrix rows whatever selects them —
-``ForecastConfig.model`` ``"auto"`` or the registry name of a built-in
-model.  A plug-in model registered with
-:func:`~repro.forecasting.registry.register_forecaster` is opaque to the
-kernels: each of its rows holds its forecaster state as a :class:`ScalarRow`
-beside the matrix (``_obj``), while its windows stay in the matrix, so every SPLIT,
-MERGE, correction and close runs the same row operations.  A bank row is
-one kind for its whole life: ``_obj`` holds a row exactly when the bank's
-model is a plug-in.  A restored snapshot that does not fit a built-in
-layout (foreign seasonal parameters, an uninitialized model, a warm-up
-history of ``min_history`` or more values) is refused with
+The models are a closed set, :data:`~repro.core.config.FORECAST_MODELS`:
+additive Holt-Winters in single- or multi-seasonal form, whose linearity
+(Lemma 2) is what makes a row a matrix row.  ``ForecastConfig.model``
+names one, or ``"auto"`` picks by the number of seasonal periods.  A restored snapshot that does not fit the layout
+(foreign seasonal parameters, an uninitialized model, a warm-up history of
+``min_history`` or more values) is refused with
 :class:`~repro.exceptions.CheckpointError`.
 
 Checkpoint compatibility: :meth:`row_state_dict` / :meth:`load_row_state`
@@ -64,11 +60,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.config import ForecastConfig
-from repro.forecasting.registry import (
-    builtin_forecaster_kind,
-    create_forecaster,
-    forecaster_state_loader,
-)
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.forecasting.holt_winters import (
     HoltWintersForecaster,
@@ -76,11 +67,21 @@ from repro.forecasting.holt_winters import (
 )
 
 
-def _build_seasonal_model(config: ForecastConfig):
-    """The seasonal model ``config`` selects (single / multi / registry)."""
+def _seasonal_kind(config: ForecastConfig) -> str:
+    """The seasonal model ``config`` selects: ``config.model`` by name, or
+    for ``"auto"`` single-season Holt-Winters with one seasonal period and
+    the multi-seasonal model otherwise."""
     if config.model != "auto":
-        return create_forecaster(config.model, config)
+        return config.model
     if len(config.season_lengths) == 1:
+        return "holt-winters"
+    return "multi-seasonal-holt-winters"
+
+
+def build_seasonal_model(config: ForecastConfig):
+    """The seasonal model ``config`` selects, uninitialized (the named
+    single-season model uses the first of the config's periods)."""
+    if _seasonal_kind(config) == "holt-winters":
         return HoltWintersForecaster(
             alpha=config.alpha,
             beta=config.beta,
@@ -96,125 +97,23 @@ def _build_seasonal_model(config: ForecastConfig):
     )
 
 
+#: Checkpoint loaders of the built-in seasonal models, by snapshot kind.
+_STATE_LOADERS = {
+    "holt-winters": HoltWintersForecaster.from_state_dict,
+    "multi-seasonal-holt-winters": MultiSeasonalHoltWinters.from_state_dict,
+}
+
+
 def load_seasonal_state(state: dict):
     """Rebuild a seasonal model from its ``state_dict`` snapshot (by kind)."""
-    return forecaster_state_loader(str(state.get("kind")))(state)
-
-
-class ScalarRow:
-    """One row's forecasting state as plain Python objects.
-
-    The historical per-node forecaster: the bank holds a plug-in model's
-    rows as these, and the test oracle's series are made of them.
-    """
-
-    __slots__ = ("config", "ewma_level", "seen", "history", "seasonal")
-
-    def __init__(self, config: ForecastConfig):
-        self.config = config
-        self.ewma_level: float | None = None
-        self.seen = 0
-        self.history: list[float] = []
-        self.seasonal: Any = None
-
-    def _maybe_activate(self) -> None:
-        if self.seasonal is None and len(self.history) >= self.config.min_history:
-            model = _build_seasonal_model(self.config)
-            model.initialize(self.history)
-            self.seasonal = model
-            self.history = []
-
-    def forecast(self) -> float:
-        if self.seasonal is not None:
-            return self.seasonal.forecast()
-        if self.ewma_level is None:
-            return 0.0
-        return self.ewma_level
-
-    def observe(self, value: float) -> float:
-        value = float(value)
-        predicted = self.forecast()
-        alpha = self.config.fallback_alpha
-        if self.ewma_level is None:
-            self.ewma_level = value
-        else:
-            self.ewma_level = alpha * value + (1 - alpha) * self.ewma_level
-        if self.seasonal is not None:
-            self.seasonal.update(value)
-        else:
-            self.history.append(value)
-            self._maybe_activate()
-        self.seen += 1
-        return predicted
-
-    def seed_fast(self, history: Sequence[float]) -> None:
-        n = len(history)
-        self.seen = n
-        if not n:
-            return
-        alpha = self.config.fallback_alpha
-        # Only the tail is ever read, so the historical whole-series float
-        # conversion is applied lazily (identical values: float is idempotent
-        # and the seasonal initialization converts internally).
-        tail = [float(v) for v in history[-min(n, 64):]]
-        level = tail[0]
-        rest = 1 - alpha
-        for value in tail:
-            level = alpha * value + rest * level
-        self.ewma_level = level
-        if n >= self.config.min_history:
-            model = _build_seasonal_model(self.config)
-            model.initialize(history[-self.config.min_history:])
-            self.seasonal = model
-        else:
-            self.history = [float(v) for v in history]
-
-    def scaled(self, ratio: float) -> "ScalarRow":
-        clone = ScalarRow(self.config)
-        clone.seen = self.seen
-        clone.ewma_level = None if self.ewma_level is None else self.ewma_level * ratio
-        clone.history = [v * ratio for v in self.history]
-        clone.seasonal = None if self.seasonal is None else self.seasonal.scaled(ratio)
-        return clone
-
-    def add_state(self, other: "ScalarRow") -> None:
-        if other.ewma_level is not None:
-            if self.ewma_level is None:
-                self.ewma_level = other.ewma_level
-            else:
-                self.ewma_level += other.ewma_level
-        self.seen = max(self.seen, other.seen)
-        if other.seasonal is not None:
-            if self.seasonal is None:
-                self.seasonal = other.seasonal.scaled(1.0)
-            else:
-                self.seasonal.add_state(other.seasonal)
-        if other.history:
-            if not self.history:
-                self.history = list(other.history)
-            else:
-                length = max(len(self.history), len(other.history))
-                mine = [0.0] * (length - len(self.history)) + self.history
-                theirs = [0.0] * (length - len(other.history)) + list(other.history)
-                self.history = [a + b for a, b in zip(mine, theirs)]
-        self._maybe_activate()
-
-    def state_dict(self) -> dict:
-        return {
-            "ewma_level": self.ewma_level,
-            "seen": self.seen,
-            "history": list(self.history),
-            "seasonal": None if self.seasonal is None else self.seasonal.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        level = state["ewma_level"]
-        self.ewma_level = None if level is None else float(level)
-        self.seen = int(state["seen"])
-        self.history = [float(v) for v in state["history"]]
-        self.seasonal = (
-            None if state["seasonal"] is None else load_seasonal_state(state["seasonal"])
+    kind = str(state.get("kind"))
+    loader = _STATE_LOADERS.get(kind)
+    if loader is None:
+        raise CheckpointError(
+            f"cannot restore seasonal model of kind {kind!r}; known kinds: "
+            f"{sorted(_STATE_LOADERS)}"
         )
+    return loader(state)
 
 
 #: Columns of the per-row integer matrix.  ``_ACTIVE`` onwards is the row's
@@ -258,11 +157,8 @@ class ForecasterBank:
     one :class:`~repro.core.config.ForecastConfig` and, when the bank was
     given (or later reserved) a ``window`` length, one window length ℓ.
 
-    The layout is that of the built-in model the config selects: ``"auto"``
-    is single-season Holt-Winters for one seasonal period and the
-    multi-seasonal model otherwise; a registry name of a built-in model
-    selects that model.  Any other model is a plug-in, whose rows keep their
-    forecaster state in ``_obj`` (see the module docstring).
+    The layout is that of the model the config selects (``"auto"``:
+    single-season for one seasonal period, multi-seasonal otherwise).
     """
 
     def __init__(self, config: ForecastConfig, *, window: int | None = None):
@@ -270,14 +166,7 @@ class ForecasterBank:
         self._free: list[int] = []
         self._live = bytearray()  # 1 per allocated, not freed row
         self._size = 0  # high-water row count
-        if config.model == "auto":
-            single = len(config.season_lengths) == 1
-            kind = "holt-winters" if single else "multi-seasonal-holt-winters"
-        else:
-            kind = builtin_forecaster_kind(config.model)
-        #: Whether every row is a ``ScalarRow`` of a plug-in model.
-        self._plugin = kind is None
-        self._single = kind == "holt-winters"
+        self._single = _seasonal_kind(config) == "holt-winters"
         lengths = config.season_lengths[:1] if self._single else config.season_lengths
         #: Seasonal periods of the laid-out model (the named single-season
         #: model uses the first of the config's periods).
@@ -306,10 +195,6 @@ class ForecasterBank:
         #: are then recorded together stay slot-aligned.  A hint — nothing
         #: depends on it but the share of folds that are a single add.
         self._wpos_hint = 0
-        #: A plug-in model's forecaster state, one scalar row per live row
-        #: (empty in a bank of a built-in model); the windows stay in the
-        #: matrix.
-        self._obj: dict[int, ScalarRow] = {}
         if window is not None:
             self.reserve_window(window)
 
@@ -377,8 +262,6 @@ class ForecasterBank:
         ints = self._ints[row]
         ints[:] = 0
         ints[_WPOS] = self._wpos_hint
-        if self._plugin:
-            self._obj[row] = ScalarRow(self.config)
         return row
 
     def free_row(self, row: int) -> None:
@@ -386,7 +269,6 @@ class ForecasterBank:
         if not 0 <= row < self._size or not self._live[row]:
             raise ConfigurationError(f"bank row {row} is not live")
         self._live[row] = 0
-        self._obj.pop(row, None)
         self._free.append(row)
 
     # ------------------------------------------------------------------
@@ -394,8 +276,6 @@ class ForecasterBank:
     # ------------------------------------------------------------------
     def forecast(self, row: int) -> float:
         """One-step-ahead forecast for ``row``'s next timeunit."""
-        if self._plugin:
-            return self._obj[row].forecast()
         if self._ints[row, _ACTIVE]:
             forecast, *_ = self._components(
                 self._state.reshape(-1),
@@ -414,21 +294,8 @@ class ForecasterBank:
 
         This is the per-timeunit hot path: one call updates the EWMA levels,
         Holt-Winters components and warm-up histories of every tracked node,
-        whatever the number of rows.
-        """
-        if self._plugin:
-            obj = self._obj
-            return np.array(
-                [obj[row].observe(value) for row, value in zip(idx.tolist(), v.tolist())],
-                dtype=np.float64,
-            )
-        return self._observe_vector(idx, v)
-
-    def _observe_vector(self, idx, v):
-        """The observe kernel of matrix rows.
-
-        Every gather and scatter is a 1-d take on the flattened matrices at
-        ``row * width + column``.
+        whatever the number of rows.  Every gather and scatter is a 1-d take
+        on the flattened matrices at ``row * width + column``.
         """
         flat = self._state.reshape(-1)
         iflat = self._ints.reshape(-1)
@@ -504,7 +371,7 @@ class ForecasterBank:
         state = self._state[row]
         hist_off = self._hist_off
         hlen = int(self._ints[row, _HLEN])
-        model = _build_seasonal_model(self.config)
+        model = build_seasonal_model(self.config)
         model.initialize(state[hist_off : hist_off + hlen])
         self._adopt_model(row, model)
         state[hist_off : hist_off + hlen] = 0.0
@@ -596,8 +463,7 @@ class ForecasterBank:
         """The reference-series correction, in place: both windows become
         ``values`` (oldest first, the newest ℓ of them) and the forecaster
         state is rebuilt from them by :meth:`seed_fast`.  The window cursor
-        stays where it is, so the row remains slot-aligned with its peers.
-        A plug-in model's row restarts from a fresh scalar row."""
+        stays where it is, so the row remains slot-aligned with its peers."""
         values = values[-self.window :]
         state = self._state[row]
         ints = self._ints[row]
@@ -610,8 +476,6 @@ class ForecasterBank:
         actual = state[self._actual_off : self._forecast_off]
         _store_ending_at(actual, end, values)
         state[self._forecast_off :] = actual
-        if self._plugin:
-            self._obj[row] = ScalarRow(self.config)
         self.seed_fast(row, values)
 
     # ------------------------------------------------------------------
@@ -625,9 +489,6 @@ class ForecasterBank:
         reference-series correction path (O(seasonal period) instead of
         O(window) updates).
         """
-        if self._plugin:
-            self._obj[row].seed_fast(history)
-            return
         n = len(history)
         state = self._state[row]
         ints = self._ints[row]
@@ -635,7 +496,8 @@ class ForecasterBank:
         if not n:
             return
         alpha = self.config.fallback_alpha
-        # Lazy tail-only float conversion (see ScalarRow.seed_fast): only
+        # Lazy tail-only float conversion (see the reference's
+        # ScalarRow.seed_fast): only
         # the EWMA tail, the seasonal window and (short histories) the
         # warm-up segment are ever read — values are bit-identical.
         tail_src = history[-min(n, 64):]
@@ -669,7 +531,7 @@ class ForecasterBank:
                 np.subtract(window[p:], hw_level, out=state[3 : 3 + p])
                 ints[_PHASE] = 0
                 return
-            model = _build_seasonal_model(self.config)
+            model = build_seasonal_model(self.config)
             model.initialize(history[-self._min_history:])
             self._adopt_model(row, model)
         else:
@@ -694,10 +556,6 @@ class ForecasterBank:
         np.multiply(donor, ratio, out=self._state[dst])
         donor *= rest
         self._ints[dst] = self._ints[row]
-        if self._plugin:
-            source = self._obj[row]
-            self._obj[dst] = source.scaled(ratio)
-            self._obj[row] = source.scaled(rest)
         if not 0.0 < ratio < 1.0 and not (_keeps_zeros(ratio) and _keeps_zeros(rest)):
             self._rezero(dst)
             self._rezero(row)
@@ -737,7 +595,7 @@ class ForecasterBank:
         dst_ints = self._ints[dst]
         theirs = src_ints.tolist()
         mine = dst_ints.tolist()
-        if theirs[_ACTIVE:_PHASE] == mine[_ACTIVE:_PHASE] and not self._plugin:
+        if theirs[_ACTIVE:_PHASE] == mine[_ACTIVE:_PHASE]:
             src_state = self._state[src]
             dst_state = self._state[dst]
             src_ewma = src_state[0]
@@ -781,13 +639,11 @@ class ForecasterBank:
     def _fold_state(self, dst: int, src: int) -> None:
         """The forecaster part of a fold, segment by segment (same bank).
 
-        Exactly :meth:`ScalarRow.add_state`: sum where both sides hold
+        Exactly the reference's
+        :meth:`~repro.testing.reference.ScalarRow.add_state`: sum where both sides hold
         something, copy where only the source does, nothing where the source
         is empty.
         """
-        if self._plugin:
-            self._obj[dst].add_state(self._obj[src])
-            return
         src_state = self._state[src]
         dst_state = self._state[dst]
         src_ints = self._ints[src]
@@ -859,8 +715,6 @@ class ForecasterBank:
 
     def row_state_dict(self, row: int) -> dict:
         """The row's state in the canonical per-path forecaster format."""
-        if self._plugin:
-            return self._obj[row].state_dict()
         ints = self._ints[row].tolist()
         values = self._state[row, : self._hist_off + ints[_HLEN]].tolist()
         config = self.config
@@ -910,9 +764,6 @@ class ForecasterBank:
         other parameters or an uninitialized model, and for a warm-up history
         of ``min_history`` or more values (the model activates before that).
         """
-        if self._plugin:
-            self._obj[row].load_state_dict(state)
-            return
         seasonal = state["seasonal"]
         history = state["history"]
         if len(history) >= self._min_history:
@@ -980,5 +831,6 @@ class ForecasterBank:
 
 __all__ = [
     "ForecasterBank",
+    "build_seasonal_model",
     "load_seasonal_state",
 ]

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.core.config import TiresiasConfig
+from repro.core.registry import ALGORITHMS
 from repro.exceptions import ConfigurationError
 from repro.hierarchy.tree import HierarchyTree
 from repro.io.checkpoint import (
@@ -80,6 +81,11 @@ class TenantSpec:
 
     def __post_init__(self) -> None:
         validate_tenant_name(self.name)
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigurationError(
+                f"unknown algorithm {self.algorithm!r} for tenant {self.name!r}; "
+                f"known algorithms: {sorted(ALGORITHMS)}"
+            )
         if self.sharding is not None:
             from repro.service.sharded_adapter import validate_sharding
 

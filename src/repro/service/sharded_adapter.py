@@ -199,12 +199,6 @@ class ShardedSessionAdapter:
     def replayed_batches_total(self) -> int:
         return self._engine.replayed_batches_total
 
-    def rebalance(self, churn_threshold: float = 2.0) -> dict[str, Any]:
-        """Churn-driven shard rebalancing for this tenant (state-preserving)."""
-        return self._engine.rebalance_session(
-            self.name, churn_threshold=churn_threshold
-        )
-
     # ------------------------------------------------------------------
     # Checkpointing / lifecycle
     # ------------------------------------------------------------------

@@ -3,24 +3,25 @@
 :class:`ReferenceADA` is ADA (§V-B) written the way the paper states it, one
 path at a time: Definitions 1 and 2 by the scalar walks of
 :mod:`repro.core.hhh`, every series as two bounded deques and a per-object
-forecaster (:class:`~repro.forecasting.bank.ScalarRow`, whatever model the
-config names), the SPLIT/MERGE cascade walked per path over path-keyed
-dicts, and the split-rule statistics and reference series kept per path too.
+forecaster (:class:`ScalarRow`), the SPLIT/MERGE cascade walked per path
+over path-keyed dicts, and the split-rule statistics and reference series
+kept per path too.
 Nothing is cached, vectorized or shared with the production close's row
 store, planner or sweep: :class:`~repro.core.ada.ADAAlgorithm` must
 reproduce its per-timeunit results, its counters and its checkpoint (up to
 the row order of ``stats`` / ``stats_last_unit``) bit for bit.  It never
 runs in production.
 
-Its parts are oracles on their own: :class:`ReferenceSeries` of one bank row
-(the row-store state machine drives both through the same calls), and
+Its parts are oracles on their own: :class:`ScalarRow` of one bank row's
+forecaster state, :class:`ReferenceSeries` of one bank row (the row-store
+state machine drives both through the same calls), and
 :class:`ReferenceStats` of the dense split-rule statistics.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Mapping, Sequence
+from typing import Any, Deque, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from repro.core.detector import ThresholdDetector
 from repro.core.hhh import accumulate_raw_weights, compute_shhh
 from repro.core.results import TimeunitResult
 from repro.core.split_rules import NodeUsageStats, make_split_rule
-from repro.forecasting.bank import ScalarRow
+from repro.forecasting.bank import build_seasonal_model, load_seasonal_state
 from repro.hierarchy.tree import HierarchyTree
 
 
@@ -41,6 +42,123 @@ def aligned_add(mine: Sequence[float], theirs: Sequence[float], maxlen: int) -> 
     padded_mine = [0.0] * (length - len(mine)) + list(mine)
     padded_theirs = [0.0] * (length - len(theirs)) + list(theirs)
     return deque((a + b for a, b in zip(padded_mine, padded_theirs)), maxlen=maxlen)
+
+
+class ScalarRow:
+    """One row's forecasting state as plain Python objects.
+
+    The historical per-node forecaster: the test oracle's series are made
+    of them, and every :class:`~repro.forecasting.bank.ForecasterBank` row
+    operation must equal its arithmetic bit for bit.
+    """
+
+    __slots__ = ("config", "ewma_level", "seen", "history", "seasonal")
+
+    def __init__(self, config: ForecastConfig):
+        self.config = config
+        self.ewma_level: float | None = None
+        self.seen = 0
+        self.history: list[float] = []
+        self.seasonal: Any = None
+
+    def _maybe_activate(self) -> None:
+        if self.seasonal is None and len(self.history) >= self.config.min_history:
+            model = build_seasonal_model(self.config)
+            model.initialize(self.history)
+            self.seasonal = model
+            self.history = []
+
+    def forecast(self) -> float:
+        if self.seasonal is not None:
+            return self.seasonal.forecast()
+        if self.ewma_level is None:
+            return 0.0
+        return self.ewma_level
+
+    def observe(self, value: float) -> float:
+        value = float(value)
+        predicted = self.forecast()
+        alpha = self.config.fallback_alpha
+        if self.ewma_level is None:
+            self.ewma_level = value
+        else:
+            self.ewma_level = alpha * value + (1 - alpha) * self.ewma_level
+        if self.seasonal is not None:
+            self.seasonal.update(value)
+        else:
+            self.history.append(value)
+            self._maybe_activate()
+        self.seen += 1
+        return predicted
+
+    def seed_fast(self, history: Sequence[float]) -> None:
+        n = len(history)
+        self.seen = n
+        if not n:
+            return
+        alpha = self.config.fallback_alpha
+        # Only the tail is ever read, so the historical whole-series float
+        # conversion is applied lazily (identical values: float is idempotent
+        # and the seasonal initialization converts internally).
+        tail = [float(v) for v in history[-min(n, 64):]]
+        level = tail[0]
+        rest = 1 - alpha
+        for value in tail:
+            level = alpha * value + rest * level
+        self.ewma_level = level
+        if n >= self.config.min_history:
+            model = build_seasonal_model(self.config)
+            model.initialize(history[-self.config.min_history:])
+            self.seasonal = model
+        else:
+            self.history = [float(v) for v in history]
+
+    def scaled(self, ratio: float) -> "ScalarRow":
+        clone = ScalarRow(self.config)
+        clone.seen = self.seen
+        clone.ewma_level = None if self.ewma_level is None else self.ewma_level * ratio
+        clone.history = [v * ratio for v in self.history]
+        clone.seasonal = None if self.seasonal is None else self.seasonal.scaled(ratio)
+        return clone
+
+    def add_state(self, other: "ScalarRow") -> None:
+        if other.ewma_level is not None:
+            if self.ewma_level is None:
+                self.ewma_level = other.ewma_level
+            else:
+                self.ewma_level += other.ewma_level
+        self.seen = max(self.seen, other.seen)
+        if other.seasonal is not None:
+            if self.seasonal is None:
+                self.seasonal = other.seasonal.scaled(1.0)
+            else:
+                self.seasonal.add_state(other.seasonal)
+        if other.history:
+            if not self.history:
+                self.history = list(other.history)
+            else:
+                length = max(len(self.history), len(other.history))
+                mine = [0.0] * (length - len(self.history)) + self.history
+                theirs = [0.0] * (length - len(other.history)) + list(other.history)
+                self.history = [a + b for a, b in zip(mine, theirs)]
+        self._maybe_activate()
+
+    def state_dict(self) -> dict:
+        return {
+            "ewma_level": self.ewma_level,
+            "seen": self.seen,
+            "history": list(self.history),
+            "seasonal": None if self.seasonal is None else self.seasonal.state_dict(),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        level = state["ewma_level"]
+        self.ewma_level = None if level is None else float(level)
+        self.seen = int(state["seen"])
+        self.history = [float(v) for v in state["history"]]
+        self.seasonal = (
+            None if state["seasonal"] is None else load_seasonal_state(state["seasonal"])
+        )
 
 
 class ReferenceSeries:
@@ -370,4 +488,10 @@ def _nearest(path: CategoryPath, members) -> "CategoryPath | None":
     return None
 
 
-__all__ = ["ReferenceADA", "ReferenceSeries", "ReferenceStats", "aligned_add"]
+__all__ = [
+    "ReferenceADA",
+    "ReferenceSeries",
+    "ReferenceStats",
+    "ScalarRow",
+    "aligned_add",
+]

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.forecasting.registry import register_forecaster
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.clock import SimulationClock
 
@@ -78,65 +77,6 @@ def leaf_counts_for(tree: HierarchyTree, counts: dict[tuple[str, ...], int]):
     for path in counts:
         assert tree.has_leaf(path), f"{path} is not a leaf of the test tree"
     return counts
-
-
-# ----------------------------------------------------------------------
-# A plug-in forecasting model
-# ----------------------------------------------------------------------
-class SeasonalNaive:
-    """A plug-in forecaster: the value one season ago.  Linear in the series
-    (scaling and adding act on the buffer), as ADA's SPLIT and MERGE need."""
-
-    def __init__(self, period: int):
-        self.buffer = [0.0] * period
-        self.phase = 0
-
-    def initialize(self, history) -> None:
-        period = len(self.buffer)
-        self.buffer = [float(v) for v in history[-period:]]
-        self.phase = 0
-
-    def forecast(self) -> float:
-        return self.buffer[self.phase]
-
-    def update(self, value: float) -> float:
-        predicted = self.buffer[self.phase]
-        self.buffer[self.phase] = float(value)
-        self.phase = (self.phase + 1) % len(self.buffer)
-        return predicted
-
-    def scaled(self, ratio: float) -> "SeasonalNaive":
-        clone = SeasonalNaive(len(self.buffer))
-        clone.buffer = [v * ratio for v in self.buffer]
-        clone.phase = self.phase
-        return clone
-
-    def add_state(self, other: "SeasonalNaive") -> None:
-        period = len(self.buffer)
-        shift = other.phase - self.phase
-        self.buffer = [
-            mine + other.buffer[(i + shift) % period] for i, mine in enumerate(self.buffer)
-        ]
-
-    def state_dict(self) -> dict:
-        return {"kind": "seasonal-naive", "buffer": list(self.buffer), "phase": self.phase}
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "SeasonalNaive":
-        model = cls(len(state["buffer"]))
-        model.buffer = [float(v) for v in state["buffer"]]
-        model.phase = int(state["phase"])
-        return model
-
-
-#: Registered when the suite starts, before any shard worker is forked, so
-#: the workers resolve it too.
-register_forecaster(
-    "seasonal-naive",
-    lambda config: SeasonalNaive(config.season_lengths[0]),
-    state_loader=SeasonalNaive.from_state_dict,
-    overwrite=True,
-)
 
 
 # ----------------------------------------------------------------------

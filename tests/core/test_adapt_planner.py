@@ -21,9 +21,9 @@ from repro.core.ada import ADAAlgorithm, RefStore
 from repro.core.adapt import DROP, FOLD, FRESH, MOVE, SPLIT, AdaptationPlan, plan_adaptation
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.exceptions import CheckpointError
-from repro.forecasting.bank import ForecasterBank, ScalarRow
+from repro.forecasting.bank import ForecasterBank
 from repro.hierarchy.tree import HierarchyTree
-from repro.testing.reference import ReferenceADA, ReferenceSeries
+from repro.testing.reference import ReferenceADA, ReferenceSeries, ScalarRow
 from tests.conftest import canonical_checkpoint
 
 LEAVES = [
@@ -228,8 +228,7 @@ class TestPlannerInternals:
 class TestBankOps:
     CONFIG = ForecastConfig(season_lengths=(3,), fallback_alpha=0.4)
 
-    #: Matrix rows (the built-in model) and object rows (a plug-in's).
-    MODELS = ("auto", "seasonal-naive")
+    MODELS = ("auto",)
 
     def setup_bank(self, n=6, config=CONFIG):
         bank = ForecasterBank(config)
@@ -260,7 +259,6 @@ class TestBankOps:
         child = bank.split_row(rows[0], ratio)
         assert bank.row_state_dict(child) == scalar[0].scaled(ratio).state_dict()
         assert bank.row_state_dict(rows[0]) == scalar[0].scaled(1.0 - ratio).state_dict()
-        assert set(bank._obj) == (set() if model == "auto" else {rows[0], child, *rows[1:]})
 
     @pytest.mark.parametrize("model", MODELS)
     def test_fold_row_matches_add_state(self, model):
@@ -276,7 +274,6 @@ class TestBankOps:
         for row, ref in zip(rows[:3], scalar[:3]):
             assert bank.row_state_dict(row) == ref.state_dict()
         assert len(bank) == 3
-        assert set(bank._obj) == (set() if model == "auto" else set(rows[:3]))
 
     def test_fold_row_adopt_branch(self):
         """Destinations that are fresh (inactive) rows take a copy."""
@@ -616,8 +613,8 @@ class TestRegistryGuards:
 class TestCloseSurface:
     """One close path, whatever the forecasting model."""
 
-    #: Chosen by the config, a built-in by name, a registered plug-in.
-    MODELS = ("auto", "holt-winters", "seasonal-naive")
+    #: Chosen by the config, or a model by name.
+    MODELS = ("auto", "holt-winters")
 
     CHURN_THEN_STABLE = [
         {("a", "a1"): 8, ("b", "b2"): 6},
@@ -648,14 +645,13 @@ class TestCloseSurface:
     @pytest.mark.parametrize("model", ["auto", "holt-winters"])
     def test_a_named_model_takes_the_same_close(self, model):
         """Naming a built-in forecaster selects the row store's layout, not
-        another close: matrix rows, the planner, no object rows."""
+        another close: matrix rows and the planner."""
         config = make_config()
         config = config.replace(forecast=config.forecast.replace(model=model))
         algo = ADAAlgorithm(make_tree(), config)
         run_units(algo, self.CHURN_THEN_STABLE)
         assert algo.adaptation_stats()["planned_units"] > 0
         assert algo.close_profile()["fused_units"] == len(self.CHURN_THEN_STABLE)
-        assert not algo.bank._obj
 
     @staticmethod
     def model_config(model):

@@ -102,8 +102,8 @@ class TestFrozenFields:
 
     def test_unknown_forecaster_model_rejected(self):
         config = tiny_detector_config()
-        bad = config.replace(forecast=ForecastConfig(model="no-such-model"))
         with pytest.raises(ConfigurationError):
+            bad = config.replace(forecast=ForecastConfig(model="no-such-model"))
             check_reconfigurable(config, bad)
 
     def test_live_session_rejects_frozen_delta(self, dataset, records):

@@ -76,18 +76,6 @@ class TestConstruction:
         session = DetectionSession(tree, config)
         assert session.warmup_units == config.forecast.min_history
 
-    def test_registered_algorithm_by_name(self, tree, config):
-        from repro.core.ada import ADAAlgorithm
-        from repro.core.registry import register_algorithm, unregister_algorithm
-
-        register_algorithm("test-ada", lambda t, c: ADAAlgorithm(t, c))
-        try:
-            session = DetectionSession(tree, config, algorithm="test-ada", warmup_units=0)
-            assert session.algorithm_name == "test-ada"
-            assert isinstance(session.algorithm, ADAAlgorithm)
-        finally:
-            unregister_algorithm("test-ada")
-
 
 class TestStreamProcessing:
     def test_records_grouped_into_timeunits(self, tree, config):

@@ -2,12 +2,11 @@
 
 The bank's contract is that its rows produce *bit-identical* forecasts, state
 snapshots and split/merge results to the per-object forecaster
-(:class:`~repro.forecasting.bank.ScalarRow`, the reference's), through the
+(:class:`~repro.testing.reference.ScalarRow`, the reference's), through the
 one observe kernel whatever the size of a batch.  Hypothesis drives random
 value sequences across the seasonal-activation boundary and through
-split/fold (SPLIT/MERGE) edges.  A bank row is one kind for its whole life:
-a plug-in model's rows are object rows, a built-in model's never are, and a
-snapshot that does not fit a built-in layout is refused.
+split/fold (SPLIT/MERGE) edges.  A snapshot that does not fit the layout is
+refused.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core.config import ForecastConfig
 from repro.exceptions import CheckpointError
-from repro.forecasting.bank import ForecasterBank, ScalarRow
+from repro.forecasting.bank import ForecasterBank
+from repro.testing.reference import ScalarRow
 
 
 def single_config(season=4, fallback=0.5):
@@ -199,20 +199,35 @@ class TestRowLifecycle:
         bank.free_row(rows[2])
         assert len(bank) == 4
 
-    def test_a_builtin_bank_holds_no_object_rows(self):
-        """``_obj`` stays empty through new, observe, split, fold, reseed
-        and load: a matrix row stays one."""
-        bank = ForecasterBank(multi_config(), window=6)
+    def test_every_row_op_equals_the_scalar_row(self):
+        """New, observe, split, fold, reseed and load leave every row equal
+        to the reference's scalar row fed the same calls."""
+        config = multi_config()
+        bank = ForecasterBank(config, window=6)
         rows = [bank.new_row() for _ in range(3)]
+        mirror = [ScalarRow(config) for _ in range(3)]
         for step in range(9):
-            observe(bank, rows, [float(step), 2.0 * step, 1.0])
+            batch = [float(step), 2.0 * step, 1.0]
+            assert observe(bank, rows, batch) == [
+                r.observe(v) for r, v in zip(mirror, batch)
+            ]
         child = bank.split_row(rows[0], 0.25)
+        mirror.append(mirror[0].scaled(0.25))
+        mirror[0] = mirror[0].scaled(0.75)
         bank.fold_row(rows[1], rows[2])
+        mirror[1].add_state(mirror[2])
         bank.free_row(rows[2])
+        del mirror[2]
         bank.reseed(child, [1.0, 4.0, 2.0, 8.0, 5.0, 7.0])
+        mirror[2] = ScalarRow(config)
+        mirror[2].seed_fast([1.0, 4.0, 2.0, 8.0, 5.0, 7.0])
         loaded = bank.load_series_state(bank.series_state_dict(rows[1]))
-        observe(bank, [rows[0], rows[1], child, loaded], [1.0, 2.0, 3.0, 4.0])
-        assert not bank._obj
+        mirror.append(ScalarRow(config))
+        mirror[3].load_state_dict(mirror[1].state_dict())
+        live = [rows[0], rows[1], child, loaded]
+        batch = [1.0, 2.0, 3.0, 4.0]
+        assert observe(bank, live, batch) == [r.observe(v) for r, v in zip(mirror, batch)]
+        assert [bank.row_state_dict(r) for r in live] == [r.state_dict() for r in mirror]
 
     def test_a_refused_snapshot_takes_no_row(self):
         config = single_config(season=2)  # min_history == 4
@@ -226,45 +241,10 @@ class TestRowLifecycle:
         assert bank.new_row() == row + 1
 
 
-class TestPluginRows:
-    """A plug-in model's rows hold ``ScalarRow`` objects beside their matrix
-    windows from allocation to release — a correction included."""
-
-    CONFIG = ForecastConfig(season_lengths=(3,), fallback_alpha=0.4, model="seasonal-naive")
-
-    def test_every_row_is_an_object_row_for_its_whole_life(self):
-        bank = ForecasterBank(self.CONFIG, window=8)
-        rows = [bank.new_row() for _ in range(3)]
-        mirror = [ScalarRow(self.CONFIG) for _ in range(3)]
-        for step in range(9):
-            batch = [float(step), 2.0 * step, 5.0]
-            assert observe(bank, rows, batch) == [
-                r.observe(v) for r, v in zip(mirror, batch)
-            ]
-        child = bank.split_row(rows[0], 0.25)
-        mirror.append(mirror[0].scaled(0.25))
-        mirror[0] = mirror[0].scaled(0.75)
-        bank.fold_row(rows[1], rows[2])
-        mirror[1].add_state(mirror[2])
-        bank.free_row(rows[2])
-        bank.reseed(child, [1.0, 4.0, 2.0, 8.0, 5.0, 7.0, 3.0])
-        reseeded = ScalarRow(self.CONFIG)
-        reseeded.seed_fast([1.0, 4.0, 2.0, 8.0, 5.0, 7.0, 3.0])
-        live = [rows[0], rows[1], child]
-        assert set(bank._obj) == set(live)
-        assert [bank.row_state_dict(r) for r in live] == [
-            mirror[0].state_dict(),
-            mirror[1].state_dict(),
-            reseeded.state_dict(),
-        ]
-        assert bank.row_state_dict(child)["seasonal"]["kind"] == "seasonal-naive"
-        fresh = bank.new_row()
-        bank.load_row_state(fresh, ScalarRow(self.CONFIG).state_dict())
-        assert fresh in bank._obj
-
+class TestNamedModel:
     def test_a_named_builtin_model_gets_matrix_rows(self):
         """``model="holt-winters"`` with two periods lays out the named
-        single-season model on the first period — no object rows."""
+        single-season model on the first period."""
         config = ForecastConfig(season_lengths=(2, 5), fallback_alpha=0.4, model="holt-winters")
         bank = ForecasterBank(config)
         rows = [bank.new_row() for _ in range(7)]
@@ -274,6 +254,5 @@ class TestPluginRows:
             assert observe(bank, rows, batch) == [
                 r.observe(v) for r, v in zip(mirror, batch)
             ]
-        assert not bank._obj
         assert [bank.row_state_dict(r) for r in rows] == [r.state_dict() for r in mirror]
         assert bank.row_state_dict(rows[0])["seasonal"]["season_length"] == 2

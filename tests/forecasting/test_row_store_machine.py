@@ -13,9 +13,8 @@ step (JSON prints ``-0.0`` and ``0.0`` differently, so the sign of zero is
 part of the contract).
 
 The parameter space covers ℓ below and above ``min_history``, ring wrap,
-single- and multi-season models, the single-season model by registry name
-(with the config's first period), a plug-in model (whose rows hold
-``ScalarRow`` objects beside their matrix windows), ratios 0.0 and 1.0,
+single- and multi-season models, the single-season model by name (with
+the config's first period), ratios 0.0 and 1.0,
 folds with unequal seasonal phases and unequal window / warm-up cursors
 (series are appended unevenly), folds into empty destinations (copy, not
 add) and into shorter ones (growth), and bank capacity growth while row
@@ -50,8 +49,8 @@ from repro.forecasting.bank import ForecasterBank
 from repro.testing.reference import ReferenceSeries
 
 #: (forecast config, window length ℓ): ℓ < min_history, ℓ > min_history
-#: (wraps within a few steps), a two-season model, the single-season model
-#: by name, and a plug-in model.
+#: (wraps within a few steps), a two-season model, and the single-season
+#: model by name.
 SHAPES = (
     (ForecastConfig(season_lengths=(3,), fallback_alpha=0.4), 4),
     (ForecastConfig(season_lengths=(2,), fallback_alpha=0.3), 9),
@@ -62,7 +61,6 @@ SHAPES = (
         5,
     ),
     (ForecastConfig(season_lengths=(2, 3), fallback_alpha=0.3, model="holt-winters"), 7),
-    (ForecastConfig(season_lengths=(3,), fallback_alpha=0.4, model="seasonal-naive"), 5),
 )
 
 values = st.one_of(
@@ -285,12 +283,9 @@ class RowStoreMachine(RuleBasedStateMachine):
             ints = bank._ints[row].tolist()
             seen, alen, flen, active, hlen, wpos = ints[:6]
             dead[0] = False
-            if bank._plugin:
-                dead[: bank._actual_off] = False  # state lives in the scalar row
-            else:
-                if active:
-                    dead[1 : bank._hist_off] = False
-                dead[bank._hist_off : bank._hist_off + hlen] = False
+            if active:
+                dead[1 : bank._hist_off] = False
+            dead[bank._hist_off : bank._hist_off + hlen] = False
             for off, size in ((bank._actual_off, alen), (bank._forecast_off, flen)):
                 for back in range(1, size + 1):
                     dead[off + (wpos - back) % bank.window] = False
@@ -304,9 +299,6 @@ class RowStoreMachine(RuleBasedStateMachine):
         assert len(self.row.bank) == len(self.row.series)
         rows = self.row.series
         assert len(set(rows)) == len(rows)
-        # A row is one kind for its whole life: every row of a plug-in's
-        # bank holds a scalar row, no row of a built-in model's does.
-        assert set(self.row.bank._obj) == (set(rows) if self.row.bank._plugin else set())
 
 
 RowStoreMachine.TestCase.settings = settings(

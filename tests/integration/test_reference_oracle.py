@@ -16,9 +16,8 @@ detector configuration, then runs the stream through
   into two subtree shards for the configurations that admits (the root
   neither tracked nor qualifying),
 
-each with the forecasting model ``"auto"``, ``"holt-winters"`` (a built-in
-model by registry name) or ``"seasonal-naive"``, the plug-in model
-``tests/conftest.py`` registers.  The oracle is
+each with the forecasting model ``"auto"`` or ``"holt-winters"`` (the
+single-season model by name).  The oracle is
 :class:`repro.testing.reference.ReferenceADA`, fed the same stream's
 per-timeunit counts: every path's per-unit results (heavy hitters, actuals,
 forecasts, anomalies) and reported anomalies must equal it, and the serial
@@ -52,7 +51,7 @@ from repro.testing.reference import ReferenceADA
 from tests.conftest import canonical_checkpoint
 
 DELTA = 600.0
-MODELS = ("auto", "holt-winters", "seasonal-naive")
+MODELS = ("auto", "holt-winters")
 
 
 def make_case(seed: int, model: str, root: str):

@@ -37,6 +37,17 @@ class TestTenantNames:
         with pytest.raises(ConfigurationError):
             tenant_spec_for("bad/name", dataset)
 
+    def test_spec_validates_algorithm(self):
+        """An unknown algorithm fails when the spec loads, not at activation."""
+        dataset = tiny_dataset()
+        with pytest.raises(ConfigurationError, match=r"'nope'.*\['ada', 'sta'\]"):
+            tenant_spec_for("x", dataset, algorithm="nope")
+        doc = tenant_spec_for("x", dataset).to_dict()
+        doc["algorithm"] = "nope"
+        with pytest.raises(ConfigurationError, match="nope"):
+            TenantSpec.from_dict(doc)
+        assert tenant_spec_for("x", dataset, algorithm="sta").algorithm == "sta"
+
 
 class TestServiceConfig:
     def test_single_tenant_becomes_default(self, tmp_path):
