@@ -228,7 +228,9 @@ class TestPlannerInternals:
 class TestBankOps:
     CONFIG = ForecastConfig(season_lengths=(3,), fallback_alpha=0.4)
 
-    MODELS = ("auto",)
+    #: Every model the config can name; on one period ``"auto"`` is the
+    #: single-season model, and the multi-seasonal one takes its own layout.
+    MODELS = ("auto", "holt-winters", "multi-seasonal-holt-winters")
 
     def setup_bank(self, n=6, config=CONFIG):
         bank = ForecasterBank(config)
@@ -614,7 +616,7 @@ class TestCloseSurface:
     """One close path, whatever the forecasting model."""
 
     #: Chosen by the config, or a model by name.
-    MODELS = ("auto", "holt-winters")
+    MODELS = ("auto", "holt-winters", "multi-seasonal-holt-winters")
 
     CHURN_THEN_STABLE = [
         {("a", "a1"): 8, ("b", "b2"): 6},
@@ -642,7 +644,7 @@ class TestCloseSurface:
         assert stats["fastpath_units"] > 0 and stats["planned_units"] > 0
         assert stats["fastpath_units"] + stats["planned_units"] == units
 
-    @pytest.mark.parametrize("model", ["auto", "holt-winters"])
+    @pytest.mark.parametrize("model", MODELS)
     def test_a_named_model_takes_the_same_close(self, model):
         """Naming a built-in forecaster selects the row store's layout, not
         another close: matrix rows and the planner."""

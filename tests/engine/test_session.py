@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.detector import Anomaly
+from repro.core.registry import ALGORITHMS
 from repro.engine.hooks import CallbackObserver, EngineObserver
 from repro.engine.session import DetectionSession
 from repro.exceptions import ConfigurationError, OutOfOrderRecordError
@@ -75,6 +76,23 @@ class TestConstruction:
     def test_default_warmup_is_forecast_min_history(self, tree, config):
         session = DetectionSession(tree, config)
         assert session.warmup_units == config.forecast.min_history
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_each_algorithm_by_name_checkpoints_and_resumes(self, tree, config, name):
+        """Every algorithm of the closed set snapshots its state: a restored
+        session names the same algorithm and continues like the original."""
+        session = DetectionSession(tree, config, algorithm=name, warmup_units=0)
+        assert session.algorithm_name == name
+        assert type(session.algorithm) is ALGORITHMS[name]
+        for unit in range(6):
+            session.process_timeunit_counts({("a", "a1"): 6, ("b", "b2"): 5}, unit)
+        restored = DetectionSession.from_state_dict(session.state_dict())
+        assert restored.algorithm_name == name
+        assert type(restored.algorithm) is ALGORITHMS[name]
+        spike = {("a", "a1"): 40, ("b", "b2"): 5}
+        assert restored.process_timeunit_counts(spike, 6) == session.process_timeunit_counts(
+            spike, 6
+        )
 
 
 class TestStreamProcessing:

@@ -256,3 +256,22 @@ class TestNamedModel:
             ]
         assert [bank.row_state_dict(r) for r in rows] == [r.state_dict() for r in mirror]
         assert bank.row_state_dict(rows[0])["seasonal"]["season_length"] == 2
+
+    def test_the_named_multi_seasonal_model_on_one_period_gets_matrix_rows(self):
+        """``model="multi-seasonal-holt-winters"`` with one period keeps the
+        multi-seasonal snapshot kind, not the single-season model ``"auto"``
+        would pick."""
+        config = ForecastConfig(
+            season_lengths=(3,), fallback_alpha=0.4, model="multi-seasonal-holt-winters"
+        )
+        bank = ForecasterBank(config)
+        rows = [bank.new_row() for _ in range(5)]
+        mirror = [ScalarRow(config) for _ in range(5)]
+        for step in range(12):
+            batch = [float(step * k % 4) for k in range(5)]
+            assert observe(bank, rows, batch) == [
+                r.observe(v) for r, v in zip(mirror, batch)
+            ]
+        assert [bank.row_state_dict(r) for r in rows] == [r.state_dict() for r in mirror]
+        seasonal = bank.row_state_dict(rows[0])["seasonal"]
+        assert seasonal["kind"] == "multi-seasonal-holt-winters"

@@ -16,8 +16,9 @@ detector configuration, then runs the stream through
   into two subtree shards for the configurations that admits (the root
   neither tracked nor qualifying),
 
-each with the forecasting model ``"auto"`` or ``"holt-winters"`` (the
-single-season model by name).  The oracle is
+each with the forecasting model ``"auto"``, ``"holt-winters"`` (the
+single-season model by name) or ``"multi-seasonal-holt-winters"`` (the
+multi-seasonal model by name, on one seasonal period as well).  The oracle is
 :class:`repro.testing.reference.ReferenceADA`, fed the same stream's
 per-timeunit counts: every path's per-unit results (heavy hitters, actuals,
 forecasts, anomalies) and reported anomalies must equal it, and the serial
@@ -51,7 +52,7 @@ from repro.testing.reference import ReferenceADA
 from tests.conftest import canonical_checkpoint
 
 DELTA = 600.0
-MODELS = ("auto", "holt-winters")
+MODELS = ("auto", "holt-winters", "multi-seasonal-holt-winters")
 
 
 def make_case(seed: int, model: str, root: str):
