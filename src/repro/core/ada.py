@@ -66,6 +66,7 @@ levels, a forecaster snapshot of another layout — is refused with
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -95,16 +96,29 @@ _NO_COLUMN = np.empty(0)
 _NO_COLUMN.setflags(write=False)
 
 
+#: ``SplitStatsStore.last_unit_arr`` of a node without a last unit: above
+#: every timeunit, so the stale test ``last_unit < timeunit - 1`` never
+#: selects it, and far enough below the int64 limit that ``timeunit - 1 -
+#: last_unit`` cannot overflow.  A restored last unit this large is refused.
+NO_LAST_UNIT = 1 << 62
+
+
 class SplitStatsStore:
     """Split-rule statistics for every node seen so far (§V-B4 bookkeeping).
 
-    Dense per-node arrays updated by one masked pass per timeunit
+    Dense per-node arrays over node ids, updated by one pass per timeunit
     (:meth:`update_dense`, read by the split-rule scorers of
-    :meth:`ADAAlgorithm._make_id_scorer`).  Values are bit-identical to a
-    per-node :class:`~repro.core.split_rules.NodeUsageStats` walk (the EWMA
-    decay powers are precomputed with Python's ``**``).  Checkpoint emission
-    keeps the canonical ``[[path, stats], ...]`` rows, in node-id order; a
-    row for a path outside the tree is refused at load.
+    :meth:`ADAAlgorithm._make_id_scorer`).  ``seen`` marks the nodes with a
+    statistics row; ``last_unit_arr`` holds each node's last observed
+    timeunit, or :data:`NO_LAST_UNIT` for a node without one (a fresh node,
+    or a restored statistics row without a last-unit row).  Values are
+    bit-identical to a per-node :class:`~repro.core.split_rules.NodeUsageStats`
+    walk (the EWMA decay powers are precomputed with Python's ``**``).
+    Checkpoint emission keeps the canonical ``[[path, stats], ...]`` rows, in
+    node-id order; a row for a path outside the tree, a path named twice, a
+    ``-0.0`` cumulative weight or a last unit at or above
+    :data:`NO_LAST_UNIT` is refused at load — rows this program never
+    writes.
     """
 
     def __init__(self, config: TiresiasConfig, index: HierarchyIndex):
@@ -115,9 +129,8 @@ class SplitStatsStore:
         self.cumulative = np.zeros(n)
         self.ewma = np.zeros(n)
         self.observations = np.zeros(n, dtype=np.int64)
-        self.last_unit_arr = np.zeros(n, dtype=np.int64)
+        self.last_unit_arr = np.full(n, NO_LAST_UNIT, dtype=np.int64)
         self.seen = np.zeros(n, dtype=bool)
-        self.has_last = np.zeros(n, dtype=bool)
         #: ``(1 - alpha) ** g`` for g = 0..; grown lazily with Python pow so
         #: the decay factors match a per-node walk bit for bit.
         self._decay = np.ones(1)
@@ -138,16 +151,26 @@ class SplitStatsStore:
     def update_dense(self, timeunit: int, raw_vec) -> None:
         """Fold one timeunit of dense raw weights into the statistics.
 
-        One masked pass over the per-node vectors: every value is computed
-        for all nodes with unmasked whole-vector arithmetic — per element the
-        float operations of the silent-gap decay and
-        :meth:`NodeUsageStats.update`, in their order — and stored under
-        ``raw_vec > 0`` only.  At a few hundred to a few
-        thousand nodes an unmasked op or a ``putmask`` costs well under a
-        microsecond, a fancy-indexed gather or scatter three to six, so no
-        id list is ever built.
+        Per node, the float operations of the silent-gap decay and
+        :meth:`NodeUsageStats.update`, in their order, for the nodes with
+        ``raw_vec > 0``; every other node keeps its values bit for bit.
+        Whole-vector arithmetic, with no id list built: a fancy-indexed
+        gather or scatter costs several unmasked ops at these sizes.  Two
+        updates run unmasked because they are the identity where the weight
+        is zero:
+
+        * the cumulative add — raw weights are counts, so an unobserved
+          node adds ``+0.0``, which leaves every value but ``-0.0`` as it
+          is (and ``load`` refuses a ``-0.0`` cumulative weight);
+        * the gap decay — a node that is not back after a silence
+          multiplies by ``decay[0] == 1.0``.
+
+        A node without a last unit holds :data:`NO_LAST_UNIT`, so the stale
+        test is one compare and one ``&``.  The decay table grows only when
+        a gap outruns it (the gather's ``IndexError``), to the longest gap
+        decayed, so a unit whose gaps it covers pays no ``max``.
         """
-        mask = raw_vec > 0.0
+        mask = raw_vec > 0
         if not np.count_nonzero(mask):
             return
         ewma = self.ewma
@@ -156,14 +179,16 @@ class SplitStatsStore:
         # first.  The gap is zeroed everywhere else, where ``decay[0] == 1.0``
         # multiplies exactly.
         stale = last_unit < timeunit - 1
-        stale &= self.has_last
         stale &= mask
         if np.count_nonzero(stale):
             gap = (timeunit - 1) - last_unit
             gap *= stale
-            ewma *= self._decay_table(int(gap.max())).take(gap)
-        cumulative = self.cumulative
-        np.putmask(cumulative, mask, cumulative + raw_vec)
+            try:
+                factors = self._decay.take(gap)
+            except IndexError:  # a silence longer than any decayed before
+                factors = self._decay_table(int(gap.max())).take(gap)
+            ewma *= factors
+        self.cumulative += raw_vec
         blend = self.alpha * raw_vec
         blend += (1 - self.alpha) * ewma
         first = self.observations == 0
@@ -175,7 +200,6 @@ class SplitStatsStore:
         np.putmask(last_unit, mask, timeunit)
         self.observations += mask
         self.seen |= mask
-        self.has_last |= mask
 
     # ------------------------------------------------------------------
     # Canonical checkpoint rows
@@ -196,116 +220,129 @@ class SplitStatsStore:
         ]
         last_rows = [
             [list(self.index.paths[node_id]), int(self.last_unit_arr[node_id])]
-            for node_id in np.flatnonzero(self.has_last).tolist()
+            for node_id in np.flatnonzero(self.last_unit_arr != NO_LAST_UNIT).tolist()
         ]
         return stats_rows, last_rows
 
     def load(self, stats_rows, last_rows) -> None:
         """Restore a fresh store from canonical rows (inverse of
         :meth:`emit`); raises :class:`~repro.exceptions.CheckpointError` for
-        a row whose path is not a node of the tree."""
+        a row this program never writes (see the class docstring)."""
         node_of = self._node_of
         for path, row in stats_rows:
-            node_id = node_of(path, "split statistics")
+            node_id = node_of(path, "stats", self.seen)
+            cumulative = float(row["cumulative_weight"])
+            if cumulative == 0.0 and math.copysign(1.0, cumulative) < 0.0:
+                raise CheckpointError(
+                    f"stats row for {tuple(path)!r}: a cumulative weight of -0.0"
+                )
             self.last_weight[node_id] = float(row["last_weight"])
-            self.cumulative[node_id] = float(row["cumulative_weight"])
+            self.cumulative[node_id] = cumulative
             self.ewma[node_id] = float(row["ewma_weight"])
             self.observations[node_id] = int(row["observations"])
-            self.seen[node_id] = True
+        has_last = np.zeros_like(self.seen)
         for path, unit in last_rows:
-            node_id = node_of(path, "last-unit")
-            self.last_unit_arr[node_id] = int(unit)
-            self.has_last[node_id] = True
+            node_id = node_of(path, "stats_last_unit", has_last)
+            unit = int(unit)
+            if unit >= NO_LAST_UNIT:
+                raise CheckpointError(
+                    f"stats_last_unit row for {tuple(path)!r}: timeunit {unit} "
+                    f"is out of range"
+                )
+            self.last_unit_arr[node_id] = unit
 
-    def _node_of(self, path, kind: str) -> int:
+    def _node_of(self, path, section: str, claimed) -> int:
+        """The node id of a ``section`` row's path, marked in the boolean
+        vector ``claimed`` of the nodes the section already named."""
         node_id = self.index.path_to_id.get(tuple(path))
         if node_id is None:
             raise CheckpointError(
-                f"{kind} row for {tuple(path)!r}: not a node of this session's tree"
+                f"{section} row for {tuple(path)!r}: not a node of this session's tree"
             )
+        if claimed[node_id]:
+            raise CheckpointError(f"{section} rows name {tuple(path)!r} twice")
+        claimed[node_id] = True
         return node_id
 
 
 class RefStore:
     """Reference (unmodified weight ``A_n``) series for the top-``h`` levels.
 
-    One row per path of the session's fixed reference-node tuple ``paths``,
-    all in one ``(rows, window)`` ring that a timeunit writes with a single
-    column assignment at the shared cursor.  Each row holds its own number
-    of valid slots, the newest ending at the cursor — kept as an offset from
-    the shared column counter (``min(window, _origin[row] + _columns)``), so
-    a column write touches no count — and a ragged restore or a row created
-    late (a fresh session's rows, a depth-k shard's band rows, which the
-    split withholds) reads exactly what a bounded deque per row would.  A
-    restored row for a path outside ``paths`` is refused.  Emission
-    preserves row insertion order so checkpoints stay byte-identical across
-    save/restore round trips (including merged sharded checkpoints, whose
-    row order is shard-grouped).
+    One ``(window, len(paths))`` ring: slot ``s`` holds one timeunit's value
+    of every path, in ``paths`` order, so each path owns one fixed column
+    and a timeunit is a single gather straight into its slot at the shared
+    cursor (:meth:`append_column`) — no permutation, no temporary.  Each
+    path holds its own number of valid slots, the newest ending at the
+    cursor — kept as an offset from the shared column counter
+    (``min(window, _origin[i] + _columns)``), so a column write touches no
+    count — and a ragged restore or a path with no restored row (a fresh
+    session's, a depth-k shard's band rows, which the split withholds)
+    reads exactly what a bounded deque per path would.
+
+    Row order lives only in emission: restored rows first, in load order,
+    then — once a column has been written — the paths without one, in
+    ``paths`` order.  So checkpoints stay byte-identical across save/restore
+    round trips, including merged sharded checkpoints, whose rows are
+    shard-grouped.  A restored row for a path outside ``paths``, or a path
+    named twice, is refused.
     """
 
-    def __init__(self, maxlen: int, paths: "tuple[CategoryPath, ...]"):
+    def __init__(self, maxlen: int, paths: "tuple[CategoryPath, ...]", ids=None):
+        """``ids``: where each path's value sits in the weight vectors
+        :meth:`append_column` receives — node ids for a close's dense raw
+        weights; by default the vectors hold one value per path, in
+        ``paths`` order."""
         self.maxlen = maxlen
         self.paths = paths
+        self._ids = np.asarray(
+            range(len(paths)) if ids is None else ids, dtype=np.intp
+        )
+        #: The ring column of each path.
+        self._column_of = {path: column for column, path in enumerate(paths)}
+        # Allocated once: a slot is read only after a restore or a column
+        # wrote it, so a restore writes its rows over whatever is there.
+        # Fresh zeros stay untouched pages until then.
+        self._ring = np.zeros((maxlen, len(paths)))
         self.load([])
-
-    def __len__(self) -> int:
-        return len(self.order)
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def append_column(self, values) -> None:
-        """Append one timeunit's value per path of ``paths``, in order."""
-        if self._perm is None:
-            self._route()
+    def append_column(self, weights) -> None:
+        """Append one timeunit: each path's value, read from ``weights`` at
+        its id, straight into the cursor's slot.  The ids are valid indices,
+        so ``"clip"`` never clips; it spares the buffered write that the
+        default ``"raise"`` mode makes into ``out``."""
         pos = self._pos
-        self._buf[self._perm, pos] = values
+        np.asarray(weights).take(self._ids, None, self._ring[pos], "clip")
         self._pos = 0 if pos + 1 == self.maxlen else pos + 1
         self._columns += 1
-
-    def _route(self) -> None:
-        """Create the rows of paths not restored (in ``paths`` order) and
-        resolve the row of every path once."""
-        row_of = self.row_of
-        new = [path for path in self.paths if path not in row_of]
-        if new:
-            for path in new:
-                row_of[path] = len(self.order)
-                self.order.append(path)
-            # Fresh zeros stay untouched pages until a column writes them.
-            buf = np.zeros((len(self.order), self.maxlen))
-            buf[: len(self._buf)] = self._buf
-            self._buf = buf
-            self._origin = np.concatenate(
-                [self._origin, np.full(len(new), -self._columns, dtype=np.int64)]
-            )
-        self._perm = np.array([row_of[path] for path in self.paths], dtype=np.intp)
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def _values(self, row: int):
-        """The row's values, oldest first: a view unless the range wraps."""
-        start = self._pos - min(self.maxlen, int(self._origin[row]) + self._columns)
+    def _values(self, column: int):
+        """The path's values, oldest first: a view unless the range wraps."""
+        pos = self._pos
+        start = pos - min(self.maxlen, int(self._origin[column]) + self._columns)
+        ring = self._ring
         if start >= 0:
-            return self._buf[row, start : self._pos]
-        return np.concatenate(
-            [self._buf[row, start + self.maxlen :], self._buf[row, : self._pos]]
-        )
+            return ring[start:pos, column]
+        return np.concatenate([ring[start:, column], ring[:pos, column]])
 
     def has_values(self, path: CategoryPath) -> bool:
-        """Whether the path's row holds a value, read off its valid count
-        (nothing is materialized)."""
-        row = self.row_of.get(path)
-        return row is not None and int(self._origin[row]) + self._columns > 0
+        """Whether the path holds a value, read off its valid count (nothing
+        is materialized)."""
+        column = self._column_of.get(path)
+        return column is not None and int(self._origin[column]) + self._columns > 0
 
     def corrected_base(self, path: CategoryPath):
-        """A fresh, mutable oldest-first float64 copy of the path's buffer
-        (or None)."""
-        row = self.row_of.get(path)
-        if row is None:
+        """A fresh, mutable oldest-first float64 copy of the path's values
+        (or None), owned by the caller."""
+        column = self._column_of.get(path)
+        if column is None:
             return None
-        values = self._values(row)
+        values = self._values(column)
         if not len(values):
             return None
         if values.base is None:
@@ -319,42 +356,46 @@ class RefStore:
     # Checkpointing
     # ------------------------------------------------------------------
     def emit(self) -> list:
+        column_of = self._column_of
+        order = self._restored + self._late if self._columns else self._restored
         return [
-            [list(path), self._values(row).tolist()]
-            for row, path in enumerate(self.order)
+            [list(path), self._values(column_of[path]).tolist()] for path in order
         ]
 
     def load(self, rows) -> None:
         """Restore from canonical ``[[path, values], ...]`` rows: each row's
         newest ``maxlen`` values end at the cursor (slot 0).  Raises
         :class:`~repro.exceptions.CheckpointError` for a path outside
-        ``paths``."""
+        ``paths`` or named twice."""
         maxlen = self.maxlen
-        order = [tuple(path) for path, _values in rows]
-        named = set(self.paths)
-        for path in order:
-            if path not in named:
+        column_of = self._column_of
+        #: A path's valid slots are ``min(maxlen, _origin[i] + _columns)``.
+        self._origin = np.zeros(len(self.paths), dtype=np.int64)
+        restored: dict[CategoryPath, None] = {}  # an ordered set
+        for path, values in rows:
+            path = tuple(path)
+            column = column_of.get(path)
+            if column is None:
                 raise CheckpointError(
                     f"reference row for {path!r}: not a node of this "
                     f"session's reference levels"
                 )
-        #: Row paths in insertion order, and the row of each.
-        self.order: list[CategoryPath] = order
-        self.row_of = {path: row for row, path in enumerate(self.order)}
-        self._buf = np.zeros((len(rows), maxlen))
-        #: A row's valid slots are ``min(maxlen, _origin[row] + _columns)``.
-        self._origin = np.zeros(len(rows), dtype=np.int64)
-        for row, (_path, values) in enumerate(rows):
+            if path in restored:
+                raise CheckpointError(f"reference rows name {path!r} twice")
+            restored[path] = None
             tail = [float(v) for v in values][-maxlen:]
             if tail:
-                self._buf[row, maxlen - len(tail) :] = tail
-            self._origin[row] = len(tail)
+                self._ring[maxlen - len(tail) :, column] = tail
+            self._origin[column] = len(tail)
+        #: Restored paths, in load order.
+        self._restored = list(restored)
+        #: Paths without a restored row, in ``paths`` order: emitted once a
+        #: column has been written.
+        self._late = [path for path in self.paths if path not in restored]
         #: Columns written since the restore.
         self._columns = 0
         #: Slot the next column is written to.
         self._pos = 0
-        #: The row of each of ``paths``, resolved at the first column.
-        self._perm = None
 
 
 class ADAAlgorithm(HierarchyTracker):
@@ -399,9 +440,12 @@ class ADAAlgorithm(HierarchyTracker):
             for depth in range(1, config.reference_levels + 1)
             for node in tree.nodes_at_depth(depth)
         )
-        self._reference_ids = self._node_ids(self._reference_nodes)
         #: Reference (unmodified weight) series for nodes in the top h levels.
-        self._ref = RefStore(config.window_units, self._reference_nodes)
+        self._ref = RefStore(
+            config.window_units,
+            self._reference_nodes,
+            self._node_ids(self._reference_nodes),
+        )
 
     # ------------------------------------------------------------------
     # Online interface
@@ -441,30 +485,33 @@ class ADAAlgorithm(HierarchyTracker):
         """Advance the unit counter and close one swept row, timed: delta
         planner, array tail, batch detection."""
         self._timeunit = self._timeunit + 1 if timeunit is None else timeunit
-        close_start = time.perf_counter()
         stage_seconds = self.stage_seconds
-        start = close_start
+        # One clock read per stage boundary: each ends one stage and starts
+        # the next.
+        close_start = time.perf_counter()
         self.fused_units += 1
+        # The lex-ordered heavy ids depend only on the mask; on stable
+        # timeunits they are the cached array, untouched.
+        stable, ids_arr = self._prepare_delta(heavy_mask)
+        checked = time.perf_counter()
+        self.adapt_seconds += checked - close_start
+        stage_seconds["updating_hierarchies"] += checked - close_start
+
+        actuals, forecasts = self._close_delta(
+            stable, ids_arr, heavy_mask, raw_vec, modified_vec
+        )
         if self._frontier_ids is not None:
             self.last_frontier_raw = tuple(
                 float(v) for v in raw_vec[self._frontier_ids]
             )
-        # The lex-ordered heavy ids depend only on the mask; on stable
-        # timeunits they are the cached array, untouched.
-        stable, ids_arr = self._prepare_delta(heavy_mask)
-        stage_seconds["updating_hierarchies"] += time.perf_counter() - start
+        series_done = time.perf_counter()
+        stage_seconds["creating_time_series"] += series_done - checked
 
-        start = time.perf_counter()
-        actuals, forecasts = self._close_delta(
-            stable, ids_arr, heavy_mask, raw_vec, modified_vec
-        )
-        stage_seconds["creating_time_series"] += time.perf_counter() - start
-
-        start = time.perf_counter()
         result = self._detect(ids_arr, actuals, forecasts)
-        stage_seconds["detecting_anomalies"] += time.perf_counter() - start
+        close_end = time.perf_counter()
+        stage_seconds["detecting_anomalies"] += close_end - series_done
         self.last_result = result
-        self.close_histogram.observe(time.perf_counter() - close_start)
+        self.close_histogram.observe(close_end - close_start)
         return result
 
     def close_profile(self) -> dict:
@@ -497,13 +544,10 @@ class ADAAlgorithm(HierarchyTracker):
         fresh.  No path is looked up.
         """
         cache = self._hv_cache
-        check_start = time.perf_counter()
         if cache is not None and cache[0] == heavy_mask.tobytes():
             # The whole adaptation engine's work for a stable timeunit is
             # this one mask comparison (bytes compare: one memcmp).
-            self.adapt_seconds += time.perf_counter() - check_start
             return True, cache[1]
-        self.adapt_seconds += time.perf_counter() - check_start
         lex = self._index.lex_order
         return False, lex[heavy_mask[lex]]
 
@@ -541,7 +585,7 @@ class ADAAlgorithm(HierarchyTracker):
             self.adapt_seconds += time.perf_counter() - adapt_start
         if self._reference_nodes:
             # The unmodified weight A_n of every reference-level node (§V-B5).
-            self._ref.append_column(raw_vec[self._reference_ids])
+            self._ref.append_column(raw_vec)
         if len(rows):
             # A fancy-indexed gather: a fresh array sized by the heavy set, so
             # a retained result pins no row of the batch's sweep matrices.
@@ -587,14 +631,16 @@ class ADAAlgorithm(HierarchyTracker):
                 return value
         elif rule_cls is LastTimeUnitSplitRule:
             last_weight, seen = store.last_weight, store.seen
-            has_last, last_unit = store.has_last, store.last_unit_arr
+            last_unit = store.last_unit_arr
             def score(node_id: int) -> float:
                 value = cache.get(node_id)
                 if value is None:
                     if not seen[node_id]:
                         value = 0.0
                     else:
-                        last = int(last_unit[node_id]) if has_last[node_id] else -1
+                        last = int(last_unit[node_id])
+                        if last == NO_LAST_UNIT:
+                            last = -1
                         value = 0.0 if timeunit - last > 1 else float(
                             last_weight[node_id]
                         )
@@ -602,7 +648,7 @@ class ADAAlgorithm(HierarchyTracker):
                 return value
         else:  # EWMASplitRule, the last rule make_split_rule builds
             ewma, seen = store.ewma, store.seen
-            has_last, last_unit = store.has_last, store.last_unit_arr
+            last_unit = store.last_unit_arr
             alpha = store.alpha
             def score(node_id: int) -> float:
                 value = cache.get(node_id)
@@ -611,7 +657,9 @@ class ADAAlgorithm(HierarchyTracker):
                         value = 0.0
                     else:
                         value = float(ewma[node_id])
-                        last = int(last_unit[node_id]) if has_last[node_id] else -1
+                        last = int(last_unit[node_id])
+                        if last == NO_LAST_UNIT:
+                            last = -1
                         gap = timeunit - last
                         if gap > 0:
                             value = value * (1 - alpha) ** (gap - 1)
@@ -713,11 +761,20 @@ class ADAAlgorithm(HierarchyTracker):
         across processes) and the two float64 columns; only flagged rows
         have their paths looked up."""
         paths = self._index.paths
-        anomalies = self.detector.check_many(
-            paths, self._timeunit, actuals, forecasts, rows=ids_arr, algorithm=self.name
-        )
+        anomalies = ()
+        if len(ids_arr):  # an empty heavy set flags nothing
+            anomalies = tuple(
+                self.detector.check_many(
+                    paths,
+                    self._timeunit,
+                    actuals,
+                    forecasts,
+                    rows=ids_arr,
+                    algorithm=self.name,
+                )
+            )
         return TimeunitResult(
-            self._timeunit, paths, actuals, forecasts, tuple(anomalies), rows=ids_arr
+            self._timeunit, paths, actuals, forecasts, anomalies, rows=ids_arr
         )
 
     # ------------------------------------------------------------------
@@ -759,7 +816,7 @@ class ADAAlgorithm(HierarchyTracker):
         ``"delta"``.  ``fastpath_units`` counts timeunits whose heavy set was
         unchanged (adaptation skipped entirely), ``planned_units`` those that
         went through the planner; ``adapt_seconds`` is the time spent in
-        adaptation proper (plan + apply).
+        the heavy-set check and in adaptation proper (plan + apply).
         """
         return {
             "mode": "delta",
@@ -805,8 +862,9 @@ class ADAAlgorithm(HierarchyTracker):
         Raises :class:`~repro.exceptions.CheckpointError`, naming the path,
         for a row this session never writes: a series of a path that is not
         a node of this tree or whose forecaster snapshot does not fit the
-        bank's layout, a statistics or last-unit row outside the tree, and a
-        reference row outside the reference levels.
+        bank's layout, a statistics or last-unit row outside the tree, a
+        reference row outside the reference levels, and a second row for a
+        path in any of the four sections.
         """
         forecast_config = self.config.forecast
         self._timeunit = int(state["timeunit"])
@@ -823,12 +881,13 @@ class ADAAlgorithm(HierarchyTracker):
                 raise CheckpointError(
                     f"series path {path!r} is not a node of this session's tree"
                 )
+            if path_to_id[path] in self._series_ids:
+                raise CheckpointError(f"series rows name {path!r} twice")
             try:
                 row = self.bank.load_series_state(ts_state)
             except CheckpointError as exc:
                 raise CheckpointError(f"series {path!r}: {exc}") from exc
             self._track(path_to_id[path], row)
-        self._ref = RefStore(self.config.window_units, self._reference_nodes)
         self._ref.load(state["reference"])
         self._stats = SplitStatsStore(self.config, self._index)
         self._stats.load(state["stats"], state["stats_last_unit"])

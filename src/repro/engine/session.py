@@ -393,7 +393,11 @@ class DetectionSession:
         while self._pending_unit < last_unit:
             unit = self._pending_unit
             if row < len(closing) and closing[row] == unit:
-                self._pending = Counter()
+                # Row 0 took the held rows and the Counter remainder; a
+                # Counter is made only to replace a non-empty one.
+                if self._pending_counts:
+                    self._pending_counts = Counter()
+                self._pending_rows = None
                 self._pending_unit = unit + 1
                 closed.append(
                     self._finish_result(algorithm.close_swept(swept[row], unit))

@@ -497,10 +497,11 @@ class FrontierReplica:
         ref_paths = tuple(
             path for path in index.paths if 1 <= len(path) <= config.reference_levels
         )
-        self.ref_ids = np.array(
-            [index.path_to_id[path] for path in ref_paths], dtype=np.intp
+        self.reference = RefStore(
+            config.window_units,
+            ref_paths,
+            [index.path_to_id[path] for path in ref_paths],
         )
-        self.reference = RefStore(config.window_units, ref_paths)
         # Rows are emitted in load order: band order, as serially.
         self.reference.load(
             sorted(withheld.get("reference", []), key=lambda row: (len(row[0]), row[0]))
@@ -518,7 +519,7 @@ class FrontierReplica:
                 )
             raw[positions] += values
         self.stats.update_dense(timeunit, raw)
-        self.reference.append_column(raw[self.ref_ids])
+        self.reference.append_column(raw)
 
     def export(self) -> dict[str, Any]:
         """Withheld-row form consumed by ``merge_session_states``."""

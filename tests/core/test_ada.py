@@ -1,10 +1,18 @@
 """Unit tests for :mod:`repro.core.ada` (the adaptive algorithm, §V-B)."""
 
+import copy
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.ada import ADAAlgorithm, SplitStatsStore, nearest_tracked_node
+from repro.core.ada import (
+    NO_LAST_UNIT,
+    ADAAlgorithm,
+    SplitStatsStore,
+    nearest_tracked_node,
+)
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.hhh import compute_shhh
 from repro.core.sta import STAAlgorithm
@@ -252,6 +260,33 @@ def assert_scorers_match(config, dense_store, dict_store, unit):
             assert score(node_id) == expected, (name, path)
 
 
+class TestDuplicatedRows:
+    """A restore refuses a section that names one path twice: this program
+    writes each path at most once per section."""
+
+    @staticmethod
+    def saved_state(tree):
+        ada = ADAAlgorithm(tree, make_config())
+        for counts in ({("a", "a1"): 8, ("b", "b1"): 2}, {("a", "a1"): 9}):
+            ada.process_timeunit(counts)
+        return ada.state_dict()
+
+    @pytest.mark.parametrize(
+        "section", ["series", "reference", "stats", "stats_last_unit"]
+    )
+    def test_a_path_named_twice_is_refused(self, tree, section):
+        state = self.saved_state(tree)
+        rows = state[section]
+        assert rows, section
+        # A second row for the first path.
+        rows.append(copy.deepcopy(rows[0]))
+        path = tuple(rows[0][0])
+        fresh = ADAAlgorithm(tree, make_config())
+        message = re.escape(f"{section} rows name {path!r} twice")
+        with pytest.raises(CheckpointError, match=message):
+            fresh.load_state_dict(state)
+
+
 class TestSplitStatsStore:
     def test_rows_outside_the_tree_are_refused(self, tree):
         row = {
@@ -267,6 +302,37 @@ class TestSplitStatsStore:
             ada = ADAAlgorithm(tree, make_config())
             with pytest.raises(CheckpointError, match="unknown"):
                 ada._stats.load(stats_rows, last_rows)
+
+    @pytest.mark.parametrize(
+        "stats_rows, last_rows, message",
+        [
+            # An unobserved node adds +0.0 to its cumulative weight, which
+            # is the identity for every value but -0.0.
+            (
+                [
+                    [
+                        ["a"],
+                        {
+                            "last_weight": 0.0,
+                            "cumulative_weight": -0.0,
+                            "ewma_weight": 0.0,
+                            "observations": 1,
+                        },
+                    ]
+                ],
+                [],
+                "cumulative weight of -0.0",
+            ),
+            # The sentinel of a node without a last unit, or beyond it.
+            ([], [[["b"], NO_LAST_UNIT]], "out of range"),
+        ],
+    )
+    def test_rows_this_program_never_writes_are_refused(
+        self, tree, stats_rows, last_rows, message
+    ):
+        ada = ADAAlgorithm(tree, make_config())
+        with pytest.raises(CheckpointError, match=message):
+            ada._stats.load(stats_rows, last_rows)
 
     def test_dense_and_per_path_stats_agree(self, tree):
         """Bit-equal statistics from the dense store and the reference's
@@ -292,7 +358,10 @@ class TestSplitStatsStore:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        loaded=st.one_of(st.none(), st.lists(LOADED_ROW, max_size=6)),
+        # One row per path and section: a restore refuses a path named twice.
+        loaded=st.one_of(
+            st.none(), st.lists(LOADED_ROW, max_size=6, unique_by=lambda row: row[0])
+        ),
         feeds=st.lists(FEED, min_size=1, max_size=12),
     )
     # Three silences, each longer than the last: the decay table grows three
@@ -306,6 +375,56 @@ class TestSplitStatsStore:
             (17, {("a", "a1"): 4.0, ("b",): 0.5}),
             (90, {("b",): 3.0, ("b", "b2"): 1.5}),
         ],
+    )
+    # A statistics row without a last-unit row: no decay when the node first
+    # reappears after a silence, the usual decay at its next silence.
+    @example(
+        loaded=[
+            (
+                ("a", "a1"),
+                {
+                    "last_weight": 2.0,
+                    "cumulative_weight": 6.5,
+                    "ewma_weight": 1.75,
+                    "observations": 3,
+                },
+                None,
+            )
+        ],
+        feeds=[(5, {("a", "a1"): 1.0}), (4, {("a", "a1"): 2.0, ("b",): 0.5})],
+    )
+    # A last-unit row without statistics: the gap decays an EWMA of zero,
+    # then the first observation replaces it.
+    @example(
+        loaded=[(("b",), None, 30)],
+        feeds=[(3, {("b",): 2.0}), (0, {("b",): 4.0, ("a",): 1.0})],
+    )
+    # ``observations: 0`` with a non-zero EWMA: the next weight replaces it
+    # outright, with or without a gap before it.
+    @example(
+        loaded=[
+            (
+                ("a", "a2"),
+                {
+                    "last_weight": 0.0,
+                    "cumulative_weight": 0.0,
+                    "ewma_weight": 4.0,
+                    "observations": 0,
+                },
+                39,
+            ),
+            (
+                ("b", "b1"),
+                {
+                    "last_weight": 1.0,
+                    "cumulative_weight": 1.0,
+                    "ewma_weight": 3.0,
+                    "observations": 0,
+                },
+                12,
+            ),
+        ],
+        feeds=[(0, {("a", "a2"): 3.0, ("b", "b1"): 2.0}), (2, {("a", "a2"): 1.0})],
     )
     def test_the_masked_pass_equals_the_scalar_loop(self, loaded, feeds):
         """``update_dense`` against the reference's per-path update,

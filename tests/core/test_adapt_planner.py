@@ -20,6 +20,12 @@ from hypothesis import strategies as st
 from repro.core.ada import ADAAlgorithm, RefStore
 from repro.core.adapt import DROP, FOLD, FRESH, MOVE, SPLIT, AdaptationPlan, plan_adaptation
 from repro.core.config import ForecastConfig, TiresiasConfig
+from repro.engine.session import DetectionSession
+from repro.engine.subtree import (
+    merge_session_states,
+    plan_subtree_groups,
+    split_session_state,
+)
 from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank
 from repro.hierarchy.tree import HierarchyTree
@@ -348,6 +354,65 @@ class TestRefStore:
         store = RefStore(4, (("a",), ("b",)))
         with pytest.raises(CheckpointError, match="'z'"):
             store.load([[["a"], [1.0]], [["z"], [2.0]]])
+
+    def test_a_path_named_twice_is_refused(self):
+        store = RefStore(8, (("a",), ("b",)))
+        with pytest.raises(CheckpointError, match=r"reference rows name \('a',\) twice"):
+            store.load([[["a"], [1.0, 2.0]], [["a"], [3.0]]])
+
+    def test_a_column_is_gathered_at_the_ids(self):
+        store = RefStore(4, (("a",), ("b",)), np.array([3, 1]))
+        store.append_column(np.array([0.0, 1.5, 2.5, 3.5]))
+        assert store.emit() == [[["a"], [3.5]], [["b"], [1.5]]]
+
+    @pytest.mark.parametrize("columns", range(7))
+    def test_corrected_base_is_the_callers_copy(self, columns):
+        """Mutating a base leaves the store as it was: over these column
+        counts every path's range is read both unwrapped (a view, copied)
+        and wrapped (a concatenation), from a restore in an order that
+        differs from ``paths``."""
+        paths = (("a",), ("b",), ("c",))
+        store = RefStore(4, paths)
+        store.load([[["c"], [7.0]], [["a"], [1.0, 2.0]]])
+        for value in range(columns):
+            store.append_column([float(value), 10.0 + value, 20.0 + value])
+        before = store.emit()
+        # Restored rows first, in load order; the rest once a column exists.
+        assert [row[0] for row in before] == [["c"], ["a"], ["b"]][: 3 if columns else 2]
+        for path in paths:
+            base = store.corrected_base(path)
+            if base is not None:
+                base -= 100.0
+        assert store.emit() == before
+
+    def test_a_merged_shard_state_saves_byte_for_byte(self, tmp_path):
+        """A merged 2-subtree-shard ADA state lists its reference rows shard
+        by shard, then the band: not the order of ``paths``.  Save -> load
+        -> save keeps every byte, that order included."""
+        tree = make_tree()
+        config = make_config(min_heavy_depth=2)
+        session = DetectionSession(tree, config)
+        for unit in range(8):
+            session.process_timeunit_counts(
+                {leaf: float(1 + (unit * 3 + i) % 5) for i, leaf in enumerate(LEAVES)},
+                unit,
+            )
+        state = session.state_dict()
+        groups = plan_subtree_groups(state["tree"]["leaves"], 2, depth=2)
+        sub_states, withheld = split_session_state(state, groups, 2)
+        merged = merge_session_states(
+            sub_states, state, reports=state["reports"], withheld=withheld, depth=2
+        )
+        order = [tuple(path) for path, _ in merged["algorithm_state"]["reference"]]
+        paths = ADAAlgorithm(tree, config)._reference_nodes
+        assert sorted(order) == sorted(paths) and order != list(paths)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        DetectionSession.from_state_dict(merged).save_checkpoint(first)
+        restored = DetectionSession.load_checkpoint(first)
+        restored.save_checkpoint(second)
+        assert first.read_bytes() == second.read_bytes()
+        reference = restored.state_dict()["algorithm_state"]["reference"]
+        assert [tuple(path) for path, _ in reference] == order
 
     UNIVERSE = [("a",), ("b",), ("c",), ("b", "x"), ("b", "y")]
 
