@@ -9,20 +9,23 @@ scores detections against these injections (Table VI style metrics).
 The injected records are part of the trace's byte-identity contract (see
 :mod:`repro.datagen.generator`): per active anomaly and unit, one draw for the
 fractional count, then one leaf choice and one timestamp draw per record, in
-that order.
+that order.  The injector emits those draws as columns — no record objects —
+and every record of one anomaly carries the same attributes, so they are
+encoded once per anomaly (:attr:`InjectedAnomaly.encoded_attributes`).
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro._types import CategoryPath, Timestamp
 from repro.exceptions import DataGenerationError
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.clock import SimulationClock
-from repro.streaming.record import OperationalRecord
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,17 @@ class InjectedAnomaly:
     def end(self) -> Timestamp:
         return self.start + self.duration
 
+    @property
+    def attributes(self) -> dict[str, Any]:
+        """The attributes of every record the anomaly injects."""
+        return {"injected": True, "label": self.label}
+
+    @property
+    def encoded_attributes(self) -> bytes:
+        """:attr:`attributes` as the trace writers encode a record's
+        attributes: JSON with sorted keys, UTF-8."""
+        return json.dumps(self.attributes, sort_keys=True).encode("utf-8")
+
     def active_at(self, timestamp: Timestamp) -> bool:
         return self.start <= timestamp < self.end
 
@@ -76,7 +90,7 @@ class InjectedAnomaly:
 
 @dataclass
 class AnomalyInjector:
-    """Generates the extra records for a set of injected anomalies.
+    """Draws the extra records for a set of injected anomalies.
 
     Parameters
     ----------
@@ -86,7 +100,8 @@ class AnomalyInjector:
     anomalies:
         The injection plan.
     seed:
-        RNG seed for reproducible injections.
+        Seed of the injection RNG: every :meth:`new_rng` starts from it, so
+        each trace replay draws the identical injections.
     """
 
     tree: HierarchyTree
@@ -94,15 +109,14 @@ class AnomalyInjector:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
         # Leaf paths under each anomaly's node: the subtree is walked once.
         self._leaf_paths: dict[CategoryPath, list[CategoryPath]] = {}
         for anomaly in self.anomalies:
             self._check_node(anomaly)
 
-    def reset_rng(self) -> None:
-        """Rewind the injection RNG so the next trace replay is identical."""
-        self._rng = random.Random(self.seed)
+    def new_rng(self) -> random.Random:
+        """A fresh injection RNG, for one pass over the trace."""
+        return random.Random(self.seed)
 
     def add(self, anomaly: InjectedAnomaly) -> None:
         self._check_node(anomaly)
@@ -122,14 +136,20 @@ class AnomalyInjector:
         return leaves
 
     # ------------------------------------------------------------------
-    def records_for_unit(
-        self, unit_start: Timestamp, clock: SimulationClock
-    ) -> list[OperationalRecord]:
-        """Extra records contributed by active anomalies in one timeunit."""
+    def unit_rows(
+        self, unit_start: Timestamp, clock: SimulationClock, rng: random.Random
+    ) -> tuple[list[Timestamp], list[CategoryPath], list[int]]:
+        """The extra records active anomalies add to one timeunit, as columns:
+        their timestamps, their leaves and the index (into :attr:`anomalies`)
+        of the anomaly that injected each one.  ``rng`` is the pass's
+        injection RNG (:meth:`new_rng`), drawn from in the contract's order.
+        """
         unit_end = unit_start + clock.delta
-        extra: list[OperationalRecord] = []
-        draw, choice = self._rng.random, self._rng.choice
-        for anomaly in self.anomalies:
+        timestamps: list[Timestamp] = []
+        leaves_out: list[CategoryPath] = []
+        sources: list[int] = []
+        draw, choice = rng.random, rng.choice
+        for index, anomaly in enumerate(self.anomalies):
             overlap_start = max(unit_start, anomaly.start)
             overlap_end = min(unit_end, anomaly.end)
             overlap = overlap_end - overlap_start
@@ -144,14 +164,11 @@ class AnomalyInjector:
             leaves = self._leaves_under(tuple(anomaly.node_path))
             if not leaves:
                 continue
-            label = anomaly.label
             for _ in range(count):
-                leaf = choice(leaves)
-                timestamp = overlap_start + draw() * overlap
-                extra.append(
-                    OperationalRecord(timestamp, leaf, {"injected": True, "label": label})
-                )
-        return extra
+                leaves_out.append(choice(leaves))
+                timestamps.append(overlap_start + draw() * overlap)
+            sources += [index] * count
+        return timestamps, leaves_out, sources
 
     # ------------------------------------------------------------------
     def ground_truth(self, clock: SimulationClock) -> set[tuple[CategoryPath, int]]:

@@ -141,19 +141,20 @@ def random_draws(rng: random.Random, count: int) -> np.ndarray:
 
 def spread_uniformly(
     count: int, unit_start: Timestamp, delta: float, rng: random.Random
-) -> list[Timestamp]:
+) -> np.ndarray:
     """Timestamps for ``count`` events spread uniformly over one timeunit.
 
     ``sorted(unit_start + rng.random() * delta for _ in range(count))``,
-    drawn as one array.
+    drawn as one ``float64`` array.
     """
-    return np.sort(unit_start + random_draws(rng, count) * delta).tolist()
+    return np.sort(unit_start + random_draws(rng, count) * delta)
 
 
 def weighted_choices(
     rng: random.Random, cum_weights: Sequence[float], count: int
-) -> list[int]:
-    """``rng.choices(range(len(cum_weights)), cum_weights=cum_weights, k=count)``.
+) -> np.ndarray:
+    """``rng.choices(range(len(cum_weights)), cum_weights=cum_weights, k=count)``,
+    as one integer array.
 
     The same draws and the same bisection as ``random.choices``: each index
     is the right insertion point of ``random() * cum_weights[-1]`` among
@@ -165,7 +166,7 @@ def weighted_choices(
     if not total > 0.0 or not math.isfinite(total):
         raise ConfigurationError("the cumulative weights must end at a finite total > 0")
     picks = np.searchsorted(cum, random_draws(rng, count) * total, side="right")
-    return np.minimum(picks, len(cum) - 1).tolist()
+    return np.minimum(picks, len(cum) - 1)
 
 
 def zipf_weights(count: int, exponent: float = 1.1) -> list[float]:

@@ -1,13 +1,19 @@
 """Generic hierarchical trace generator.
 
-Produces a stream of :class:`~repro.streaming.record.OperationalRecord` items
-over an arbitrary hierarchy: per timeunit, a seasonal Poisson model draws the
-total record count, leaf categories are sampled from a heavy-tailed (Zipf)
-popularity distribution optionally shaped by per-top-level-category weights
-(Table I), and an :class:`~repro.datagen.anomalies.AnomalyInjector` adds the
-ground-truth anomalous bursts.
+Draws a trace of operational records over an arbitrary hierarchy: per
+timeunit, a seasonal Poisson model draws the total record count, leaf
+categories are sampled from a heavy-tailed (Zipf) popularity distribution
+optionally shaped by per-top-level-category weights (Table I), and an
+:class:`~repro.datagen.anomalies.AnomalyInjector` adds the ground-truth
+anomalous bursts.
 
 The CCD and SCD dataset generators are thin configurations of this class.
+
+Every unit is drawn as columns — timestamps, leaf codes and, per row, the
+anomaly that injected it — and nothing else: :meth:`TraceGenerator.generate`
+builds records from those columns one unit at a time, and
+:meth:`TraceGenerator.generate_list` concatenates them into one
+:class:`~repro.streaming.batch.RecordBatch` without building any record.
 
 A trace is a pure function of the generator's parameters, and its bytes are a
 contract: the timestamps and categories of a unit are drawn as arrays
@@ -15,7 +21,7 @@ contract: the timestamps and categories of a unit are drawn as arrays
 ``random.Random`` call at a time gives, and the merge with injected records is
 a stable sort on the timestamp.  ``tests/datagen/test_golden_bytes.py``
 regenerates every golden dataset and compares it byte for byte with the
-committed ``tests/golden/*.jsonl``.
+committed ``tests/golden/*.jsonl`` and with pinned ``.rcol`` digests.
 """
 
 from __future__ import annotations
@@ -23,8 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import attrgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -38,10 +43,15 @@ from repro.datagen.arrival import (
 )
 from repro.exceptions import DataGenerationError
 from repro.hierarchy.tree import HierarchyTree
+from repro.streaming.attributes import EncodedAttributes
+from repro.streaming.batch import Codebook, RecordBatch
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
 
-_BY_TIMESTAMP = attrgetter("timestamp")
+#: One unit's columns: timestamps in time order, codes into the generator's
+#: leaf codebook and, per row, the index of the anomaly that injected it
+#: (-1 for background) — ``None`` when the unit has no injected row.
+_UnitColumns = tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
 @dataclass
@@ -79,20 +89,26 @@ class TraceGenerator:
     anomalies: Sequence[InjectedAnomaly] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
-        self._leaves, self._weights = self._leaf_distribution()
+        rng = random.Random(self.seed)
+        self._leaves, self._weights = self._leaf_distribution(rng)
         self._cum_weights = np.array(list(accumulate(self._weights)))
         self._injector = AnomalyInjector(
             self.tree, list(self.anomalies), seed=self.seed + 1
         )
-        # Every generate() call replays from this state, so repeated calls
-        # yield the identical trace instead of continuing the RNG stream.
-        self._generate_state = self._rng.getstate()
+        # Leaf codes: a background draw's index into ``_leaves`` is its code;
+        # leaves only anomalies reach are numbered as they are first drawn.
+        self._book = Codebook()
+        self._book.codes(self._leaves)
+        # Every pass over the trace starts its own RNG from this state, so
+        # repeated — or interleaved — passes draw the identical trace.
+        self._generate_state = rng.getstate()
 
     # ------------------------------------------------------------------
     # Leaf popularity
     # ------------------------------------------------------------------
-    def _leaf_distribution(self) -> tuple[list[CategoryPath], list[float]]:
+    def _leaf_distribution(
+        self, rng: random.Random
+    ) -> tuple[list[CategoryPath], list[float]]:
         leaves = [leaf.path for leaf in self.tree.iter_leaves()]
         if not leaves:
             raise DataGenerationError("the hierarchy has no leaves to sample from")
@@ -121,7 +137,7 @@ class TraceGenerator:
                 continue
             # Shuffle deterministically so Zipf rank is not tied to label order.
             shuffled = sorted(paths)
-            self._rng.shuffle(shuffled)
+            rng.shuffle(shuffled)
             leaf_weights = zipf_weights(len(shuffled), self.zipf_exponent)
             for path, weight in zip(shuffled, leaf_weights):
                 ordered_leaves.append(path)
@@ -135,45 +151,103 @@ class TraceGenerator:
         """Yield records in time order for ``duration`` seconds of trace.
 
         The trace is a pure function of the generator's construction
-        parameters: every call replays the same seeded RNG stream, so calling
-        ``generate`` (or :meth:`generate_list`) repeatedly yields bit-identical
-        traces.
+        parameters: every call draws from its own RNGs, started from the same
+        seeded state, so repeated or interleaved calls (and
+        :meth:`generate_list`) yield bit-identical traces.  Records are built
+        from each unit's columns as the unit is reached.
         """
+        return self._records(self._draw_units(duration))
+
+    def generate_list(self, duration: float) -> RecordBatch:
+        """The trace of :meth:`generate` as one :class:`RecordBatch`.
+
+        No record is built: the units' columns are concatenated, the codes
+        numbered in first-appearance order (what writing the records would
+        number them), and the injected rows' attributes kept as their JSON
+        encoding.  ``list(...)`` of the batch gives the records.
+        """
+        units = list(self._draw_units(duration))
+        timestamps = np.concatenate([unit[0] for unit in units])
+        codes = np.concatenate([unit[1] for unit in units])
+        attributes = None
+        if any(unit[2] is not None for unit in units):
+            sources = np.concatenate(
+                [
+                    np.full(len(ts), -1) if rows is None else rows
+                    for ts, _, rows in units
+                ]
+            )
+            attributes = self._attribute_column(sources)
+        return RecordBatch.from_dictionary_codes(
+            timestamps, codes, list(self._book.entries), attributes
+        ).compact()
+
+    def _draw_units(self, duration: float) -> Iterator[_UnitColumns]:
+        """Check ``duration``, then draw its units' columns (lazily) from a
+        fresh pair of RNGs — the one draw path of every trace."""
         if duration <= 0:
             raise DataGenerationError("duration must be positive")
-        delta = self.clock.delta
-        num_units = int(duration // delta)
+        num_units = int(duration // self.clock.delta)
         if num_units < 1:
             raise DataGenerationError("duration must cover at least one timeunit")
-        self._rng.setstate(self._generate_state)
-        self._injector.reset_rng()
+        rng = random.Random()
+        rng.setstate(self._generate_state)
+        return self._units(num_units, rng, self._injector.new_rng())
+
+    def _units(
+        self, num_units: int, rng: random.Random, injector_rng: random.Random
+    ) -> Iterator[_UnitColumns]:
+        clock = self.clock
+        delta = clock.delta
         for unit in range(num_units):
-            unit_start = self.clock.epoch + unit * delta
-            yield from self._generate_unit(unit_start)
-
-    def generate_list(self, duration: float) -> list[OperationalRecord]:
-        """Materialize :meth:`generate` into a list."""
-        return list(self.generate(duration))
-
-    def _generate_unit(self, unit_start: float) -> list[OperationalRecord]:
-        rng = self._rng
-        count = self.rate_model.sample_count(unit_start, self.clock, rng)
-        timestamps = spread_uniformly(count, unit_start, self.clock.delta, rng)
-        leaves = self._leaves
-        records = [
-            OperationalRecord(timestamp, leaves[i])
-            for timestamp, i in zip(
-                timestamps, weighted_choices(rng, self._cum_weights, count)
+            unit_start = clock.epoch + unit * delta
+            count = self.rate_model.sample_count(unit_start, clock, rng)
+            timestamps = spread_uniformly(count, unit_start, delta, rng)
+            codes = weighted_choices(rng, self._cum_weights, count)
+            extra, leaves, sources = self._injector.unit_rows(
+                unit_start, clock, injector_rng
             )
-        ]
-        injected = self._injector.records_for_unit(unit_start, self.clock)
-        if injected:
-            # The background is already in time order; a stable sort keyed on
-            # the timestamp interleaves the injected records after background
-            # records with equal timestamps, as ordering records does.
-            records += injected
-            records.sort(key=_BY_TIMESTAMP)
-        return records
+            if not extra:
+                yield timestamps, codes, None
+                continue
+            # The background is already in time order; a stable sort on the
+            # timestamp interleaves the injected rows after background rows
+            # with equal timestamps, as sorting the records does.
+            timestamps = np.concatenate([timestamps, extra])
+            order = np.argsort(timestamps, kind="stable")
+            codes = np.concatenate([codes, self._book.codes(leaves)])
+            rows = np.concatenate([np.full(count, -1), sources])
+            yield timestamps[order], codes[order], rows[order]
+
+    def _records(self, units: Iterator[_UnitColumns]) -> Iterator[OperationalRecord]:
+        paths = self._book.entries
+        anomalies = self._injector.anomalies
+        for timestamps, codes, sources in units:
+            categories = [paths[code] for code in codes.tolist()]
+            if sources is None:
+                yield from map(OperationalRecord, timestamps.tolist(), categories)
+            else:
+                attributes = [
+                    {} if source < 0 else anomalies[source].attributes
+                    for source in sources.tolist()
+                ]
+                yield from map(
+                    OperationalRecord, timestamps.tolist(), categories, attributes
+                )
+
+    def _attribute_column(self, sources: np.ndarray) -> EncodedAttributes:
+        """The attributes of rows injected by ``sources`` (-1: none), as the
+        writers encode them — one JSON row per anomaly, shared by its rows."""
+        encoded = [anomaly.encoded_attributes for anomaly in self._injector.anomalies]
+        mask = sources >= 0
+        injected = sources[mask]
+        sizes = np.zeros(len(sources), dtype=np.int64)
+        sizes[mask] = np.array([len(row) for row in encoded])[injected]
+        offsets = np.zeros(len(sources) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        return EncodedAttributes(
+            b"".join([encoded[source] for source in injected.tolist()]), offsets
+        )
 
     # ------------------------------------------------------------------
     # Ground truth / diagnostics

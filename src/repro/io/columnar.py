@@ -73,18 +73,24 @@ def _le_bytes(values: array) -> bytes:
 
 
 def write_trace_columnar(
-    source: "Iterable[OperationalRecord] | Iterable[RecordBatch]",
+    source: "RecordBatch | Iterable[OperationalRecord] | Iterable[RecordBatch]",
     path: "str | Path",
 ) -> int:
     """Write records (or batches of records) as a columnar trace file.
 
-    ``source`` may be any iterable of :class:`OperationalRecord` or of
-    :class:`RecordBatch` (the converter streams reader output straight in).
-    Returns the number of records written.  The whole trace's columns are
-    accumulated in memory before the single write — traces are bounded by
-    what the detection replay itself can hold, so this is not a constraint
-    the reader does not already have.
+    ``source`` may be one :class:`RecordBatch` or any iterable of
+    :class:`OperationalRecord` or of :class:`RecordBatch` (the converter
+    streams reader output straight in); a batch is written from its columns,
+    never row by row.  The bytes depend only on the rows: whatever a batch's
+    dictionary holds, codes are numbered in the order the paths first appear
+    and the file's dictionary lists only those paths, as when the same rows
+    are written as records.  Returns the number of records written.  The
+    whole trace's columns are accumulated in memory before the single write
+    — traces are bounded by what the detection replay itself can hold, so
+    this is not a constraint the reader does not already have.
     """
+    if isinstance(source, RecordBatch):
+        source = (source,)
     timestamps = array("d")
     codes = array("i")
     book = Codebook()
@@ -112,19 +118,21 @@ def write_trace_columnar(
             append_code(number(item.category))
             add_attribute_row(item.attributes)
             continue
-        timestamps.extend(item.timestamps.tolist())
         # Translate codes dictionary-to-dictionary, without materializing
-        # category tuples per record.
-        translate = book.codes(item.code_dictionary)
-        codes.extend(translate[code] for code in item.category_codes.tolist())
+        # category tuples per record: compacted, the batch's dictionary
+        # lists its paths in first-appearance order.
+        item = item.compact()
+        translate = np.array(book.codes(item.code_dictionary), dtype=np.intc)
+        timestamps.frombytes(item.timestamps.tobytes())
+        codes.frombytes(translate[item.category_codes].tobytes())
         batch_attrs = item.attributes
         if isinstance(batch_attrs, EncodedAttributes):
             # Still-encoded rows pass through byte for byte.
             blob, lengths = batch_attrs.window()
             attr_chunks.append(blob)
-            for length in lengths.tolist():
-                position += length
-                attr_offsets.append(position)
+            ends = position + np.cumsum(lengths, dtype=np.int64)
+            attr_offsets.frombytes(ends.tobytes())
+            position += len(blob)
         elif batch_attrs is None:
             attr_offsets.extend([position] * len(item))
         else:

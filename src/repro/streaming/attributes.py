@@ -38,6 +38,9 @@ from repro.exceptions import StreamError
 #: row lengths.
 _MAX_WINDOW_BYTES = 2**31 - 1
 
+#: JSON values a decoded row may share with a copy of itself.
+_SCALARS = (str, int, float, bool, type(None))
+
 #: Keys whose only JSON spellings are the literal one and ``\\u`` escapes.
 _PLAIN_KEY = re.compile(r"[A-Za-z0-9_.-]+")
 
@@ -105,10 +108,26 @@ class EncodedAttributes(Sequence):
         return self._decode(index, int(self._offsets[index]), int(self._offsets[index + 1]))
 
     def __iter__(self):
+        # Rows repeat (a stream tag, an injected anomaly's label): a pass
+        # parses each distinct row once.  Only a row of scalar values is
+        # reused, as a fresh copy, so no two yielded rows share a mutable.
+        blob = self._blob
+        flat: dict[bytes, dict] = {}
         bounds = self._offsets.tolist()
         begin = bounds[0]
         for row, end in enumerate(bounds[1:]):
-            yield self._decode(row, begin, end)
+            if end == begin:
+                yield {}
+                continue
+            raw = blob[begin:end]
+            seen = flat.get(raw)
+            if seen is not None:
+                yield dict(seen)
+            else:
+                value = self._decode(row, begin, end)
+                if all(type(item) in _SCALARS for item in value.values()):
+                    flat[raw] = dict(value)
+                yield value
             begin = end
 
     def _decode(self, row: int, begin: int, end: int) -> dict:

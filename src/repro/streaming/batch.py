@@ -130,6 +130,7 @@ class RecordBatch:
     __slots__ = (
         "timestamps",
         "_categories",
+        "_records",
         "attributes",
         "category_codes",
         "code_dictionary",
@@ -156,6 +157,7 @@ class RecordBatch:
         self.code_dictionary = dictionary
         self.attributes = attributes
         self._categories: "list[CategoryPath] | None" = None
+        self._records: "list[OperationalRecord] | None" = None
         rows = len(self.category_codes)
         if len(self.timestamps) != rows:
             raise StreamError(
@@ -190,7 +192,10 @@ class RecordBatch:
     # ------------------------------------------------------------------
     @classmethod
     def from_records(cls, records: Iterable[OperationalRecord]) -> "RecordBatch":
-        """Columnarize an iterable of record objects."""
+        """Columnarize an iterable of record objects (a batch is returned as
+        it is)."""
+        if isinstance(records, RecordBatch):
+            return records
         acc = ColumnAccumulator()
         for record in records:
             acc.add_record(record)
@@ -249,11 +254,32 @@ class RecordBatch:
         )
 
     def __iter__(self) -> Iterator[OperationalRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
+        return iter(self._record_list())
+
+    def __getitem__(self, index):
+        """Row ``index`` as a record, or the rows of a slice as a batch."""
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step == 1:
+                return self.slice(start, max(start, stop))
+            return self.take(range(start, stop, step))
+        return self.record(index)
 
     def to_records(self) -> list[OperationalRecord]:
-        return list(self)
+        return list(self._record_list())
+
+    def _record_list(self) -> list[OperationalRecord]:
+        """The rows as records, built on first use and kept, as
+        :attr:`categories` is: a trace read twice builds them once."""
+        records = self._records
+        if records is None:
+            # From whole columns: indexing them row by row costs more than
+            # the record itself.
+            columns = [self.timestamps.tolist(), self.categories]
+            if self.attributes is not None:
+                columns.append(self.attributes)
+            records = self._records = list(map(OperationalRecord, *columns))
+        return records
 
     def slice(self, start: int, stop: int) -> "RecordBatch":
         """A contiguous sub-batch: zero-copy views of the columns over the
@@ -275,6 +301,27 @@ class RecordBatch:
             self.code_dictionary,
             take_rows(self.attributes, indices),
         )
+
+    def compact(self) -> "RecordBatch":
+        """The same rows over a dictionary of only the paths they use,
+        numbered in the order they first appear — what numbering the rows
+        one record at a time gives.  ``self`` when it already is that."""
+        codes = self.category_codes
+        used, first = np.unique(codes, return_index=True)
+        used = used[np.argsort(first)]
+        dictionary = self.code_dictionary
+        if len(used) == len(dictionary) and (used == np.arange(len(used))).all():
+            return self
+        renumber = np.zeros(len(dictionary), dtype=np.int32)
+        renumber[used] = np.arange(len(used), dtype=np.int32)
+        batch = RecordBatch.from_dictionary_codes(
+            self.timestamps,
+            renumber[codes],
+            [dictionary[code] for code in used.tolist()],
+            self.attributes,
+        )
+        batch._categories = self._categories
+        return batch
 
     def concat(self, other: "RecordBatch") -> "RecordBatch":
         """This batch followed by ``other`` (columns concatenated).  Two

@@ -66,20 +66,34 @@ class TestAnomalyInjector:
     def test_records_only_in_active_units(self, tree, clock):
         anomaly = InjectedAnomaly(("a",), start=100.0, duration=100.0, extra_rate=0.5)
         injector = AnomalyInjector(tree, [anomaly], seed=1)
-        before = injector.records_for_unit(0.0, clock)
-        during = injector.records_for_unit(100.0, clock)
-        after = injector.records_for_unit(300.0, clock)
-        assert before == []
-        assert after == []
-        assert len(during) == pytest.approx(50, abs=15)
+        rng = injector.new_rng()
+        before = injector.unit_rows(0.0, clock, rng)
+        during = injector.unit_rows(100.0, clock, rng)
+        after = injector.unit_rows(300.0, clock, rng)
+        assert before == ([], [], [])
+        assert after == ([], [], [])
+        assert len(during[0]) == pytest.approx(50, abs=15)
 
     def test_records_target_leaves_of_subtree(self, tree, clock):
+        other = InjectedAnomaly(("b",), start=500.0, duration=100.0, extra_rate=1.0)
+        anomaly = InjectedAnomaly(("a",), start=0.0, duration=100.0, extra_rate=0.3)
+        injector = AnomalyInjector(tree, [other, anomaly], seed=2)
+        timestamps, leaves, sources = injector.unit_rows(0.0, clock, injector.new_rng())
+        assert leaves
+        assert all(leaf[0] == "a" for leaf in leaves)
+        assert all(0.0 <= ts < 100.0 for ts in timestamps)
+        assert sources == [1] * len(leaves)
+
+    def test_every_pass_draws_the_same_rows(self, tree, clock):
         anomaly = InjectedAnomaly(("a",), start=0.0, duration=100.0, extra_rate=0.3)
         injector = AnomalyInjector(tree, [anomaly], seed=2)
-        records = injector.records_for_unit(0.0, clock)
-        assert records
-        assert all(r.category[0] == "a" for r in records)
-        assert all(r.attributes.get("injected") for r in records)
+        first = injector.unit_rows(0.0, clock, injector.new_rng())
+        assert injector.unit_rows(0.0, clock, injector.new_rng()) == first
+
+    def test_attributes_are_encoded_as_the_writers_encode_them(self):
+        anomaly = InjectedAnomaly(("a",), start=0.0, duration=1.0, extra_rate=1.0, label="x")
+        assert anomaly.attributes == {"injected": True, "label": "x"}
+        assert anomaly.encoded_attributes == b'{"injected": true, "label": "x"}'
 
     def test_ground_truth_pairs(self, tree, clock):
         anomaly = InjectedAnomaly(("b", "b1"), start=150.0, duration=100.0, extra_rate=1.0)

@@ -85,7 +85,7 @@ class TestSeasonalRateModel:
 class TestHelpers:
     def test_spread_uniformly_bounds_and_order(self):
         rng = random.Random(0)
-        timestamps = spread_uniformly(50, unit_start=100.0, delta=10.0, rng=rng)
+        timestamps = spread_uniformly(50, unit_start=100.0, delta=10.0, rng=rng).tolist()
         assert len(timestamps) == 50
         assert timestamps == sorted(timestamps)
         assert all(100.0 <= ts < 110.0 for ts in timestamps)

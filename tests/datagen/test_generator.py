@@ -7,7 +7,12 @@ from repro.datagen.arrival import SeasonalRateModel
 from repro.datagen.generator import TraceGenerator, counts_per_timeunit
 from repro.exceptions import DataGenerationError
 from repro.hierarchy.tree import HierarchyTree
+from repro.streaming.batch import RecordBatch
 from repro.streaming.clock import HOUR, SimulationClock
+
+
+def rows(records):
+    return [(r.timestamp, r.category, dict(r.attributes)) for r in records]
 
 
 @pytest.fixture
@@ -66,6 +71,26 @@ class TestGeneration:
         assert [(r.timestamp, r.category, dict(r.attributes)) for r in first] == [
             (r.timestamp, r.category, dict(r.attributes)) for r in second
         ]
+
+    def test_interleaved_iterators_each_draw_the_whole_trace(self, tree, clock):
+        def build():
+            anomaly = InjectedAnomaly(("a",), start=HOUR, duration=2 * HOUR, extra_rate=0.05)
+            return make_generator(tree, clock, anomalies=(anomaly,))
+
+        generator = build()
+        first, second = generator.generate(4 * HOUR), generator.generate(4 * HOUR)
+        pairs = list(zip(first, second))
+        expected = rows(build().generate_list(4 * HOUR))
+        assert len(pairs) == len(expected)
+        assert rows(a for a, _ in pairs) == expected
+        assert rows(b for _, b in pairs) == expected
+
+    def test_the_list_is_one_batch_numbered_in_first_appearance_order(
+        self, tree, clock
+    ):
+        batch = make_generator(tree, clock).generate_list(3 * HOUR)
+        assert isinstance(batch, RecordBatch)
+        assert batch.code_dictionary == list(dict.fromkeys(batch.categories))
 
     def test_volume_tracks_rate(self, tree, clock):
         generator = make_generator(tree, clock)

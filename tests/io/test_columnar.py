@@ -244,6 +244,73 @@ class TestAttributesSection:
             list(read_records_columnar(path))
 
 
+class TestWriterByteParity:
+    """The file depends only on the rows: records, batches whatever their
+    dictionaries hold and in whatever order, and encoded attribute columns
+    write the same bytes."""
+
+    @staticmethod
+    def write(tmp_path, source, name):
+        path = tmp_path / f"{name}.rcol"
+        write_trace_columnar(source, path)
+        return path.read_bytes()
+
+    @staticmethod
+    def foreign_batch(records, dictionary):
+        """``records`` as one batch coded over ``dictionary``."""
+        return RecordBatch.from_dictionary_codes(
+            [r.timestamp for r in records],
+            [dictionary.index(r.category) for r in records],
+            dictionary,
+            [dict(r.attributes) for r in records],
+        )
+
+    def test_a_foreign_dictionary_writes_the_records_bytes(self, tmp_path):
+        records = [
+            OperationalRecord.create(1.0, ("a", "y")),
+            OperationalRecord.create(2.0, ("b", "x")),
+            OperationalRecord.create(3.0, ("a", "y")),
+        ]
+        batch = self.foreign_batch(records, [("z",), ("b", "x"), ("a", "y")])
+        expected = self.write(tmp_path, records, "records")
+        # A lone batch, and a batch as one item of a batch stream.
+        assert self.write(tmp_path, batch, "batch") == expected
+        assert self.write(tmp_path, [batch], "batches") == expected
+        header = read_columnar_header(tmp_path / "batches.rcol")
+        assert header["dictionary"] == [["a", "y"], ["b", "x"]]
+
+    def test_every_source_writes_the_records_bytes(self, tmp_path):
+        records = sample_records(12, attrs=True)
+        expected = self.write(tmp_path, records, "records")
+        distinct = sorted({r.category for r in records}, reverse=True)
+        shared = self.foreign_batch(records, [("unused",), *distinct, ("spare",)])
+        encoded = list(read_batches_columnar(tmp_path / "records.rcol", batch_size=5))
+        assert isinstance(encoded[0].attributes, EncodedAttributes)
+        sources = {
+            "one-batch": RecordBatch.from_records(records),
+            "shared-dictionary": [shared.slice(0, 5), shared.slice(5, 12)],
+            "distinct-dictionaries": [
+                RecordBatch.from_records(records[:7]),
+                RecordBatch.from_records(records[7:]),
+            ],
+            "encoded": encoded,
+            "mixed": [encoded[0], shared.slice(5, 9), *records[9:]],
+        }
+        for name, source in sources.items():
+            assert self.write(tmp_path, source, name) == expected, name
+
+    def test_slice_and_take_write_their_records_bytes(self, tmp_path):
+        records = sample_records(12, attrs=True)
+        batch = self.foreign_batch(records, [("unused",), *{r.category for r in records}])
+        assert self.write(tmp_path, batch[3:10], "slice") == self.write(
+            tmp_path, records[3:10], "slice-records"
+        )
+        order = [7, 2, 2, 11, 0]
+        assert self.write(tmp_path, batch.take(order), "take") == self.write(
+            tmp_path, [records[i] for i in order], "take-records"
+        )
+
+
 class TestCli:
     def test_convert_and_info(self, tmp_path, capsys):
         records = sample_records(15, attrs=True)

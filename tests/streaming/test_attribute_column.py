@@ -189,6 +189,20 @@ def counting(column: EncodedAttributes) -> CountingColumn:
     return CountingColumn(column._blob, column._offsets, column._source, column._first_row)
 
 
+def test_a_pass_parses_a_repeated_flat_row_once_and_shares_nothing():
+    flat, nested = {"k": 1, "s": "x"}, {"n": [1]}
+    rows = [flat, {}, flat, nested, nested, flat]
+    column = counting(encode(rows))
+    first = list(column)
+    assert first == rows
+    # The flat row is parsed once; a row holding a container every time.
+    assert column.decodes == 3
+    assert first[0] is not first[2] and first[2] is not first[5]
+    assert first[3]["n"] is not first[4]["n"]
+    first[0]["k"] = 2
+    assert list(column) == rows
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     rows=st.lists(

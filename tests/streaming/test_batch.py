@@ -186,6 +186,32 @@ class TestColumnOps:
         assert merged.record(0).attributes == {}
         assert merged.record(1).attributes == {"stream": "x"}
 
+    def test_indexing(self):
+        records = [rec(float(i), f"l{i}", n=i) for i in range(6)]
+        batch = RecordBatch.from_records(records)
+        assert rows([batch[1], batch[-1]]) == rows([records[1], records[-1]])
+        assert isinstance(batch[1:4], RecordBatch)
+        assert rows(batch[1:4]) == rows(records[1:4])
+        assert rows(batch[::2]) == rows(records[::2])
+        assert rows(batch[4:1]) == []
+        with pytest.raises(IndexError):
+            batch[6]
+
+    def test_compact_numbers_paths_in_first_appearance_order(self):
+        dictionary = [("z",), ("b",), ("a",)]
+        batch = RecordBatch.from_dictionary_codes(
+            [1.0, 2.0, 3.0], np.array([2, 1, 2], dtype=np.int32), dictionary
+        )
+        compact = batch.compact()
+        assert compact.code_dictionary == [("a",), ("b",)]
+        assert compact.category_codes.tolist() == [0, 1, 0]
+        assert compact.categories == batch.categories
+        assert compact.compact() is compact
+
+    def test_from_records_keeps_a_batch(self):
+        batch = RecordBatch.from_records([rec(1.0), rec(2.0, "b")])
+        assert RecordBatch.from_records(batch) is batch
+
     def test_min_max_timestamp(self):
         batch = RecordBatch.from_records([rec(3.0), rec(1.0), rec(2.0)])
         assert batch.min_timestamp == 1.0
