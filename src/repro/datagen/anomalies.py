@@ -10,13 +10,12 @@ The injected records are part of the trace's byte-identity contract (see
 :mod:`repro.datagen.generator`): per active anomaly and unit, one draw for the
 fractional count, then one leaf choice and one timestamp draw per record, in
 that order.  The injector emits those draws as columns — no record objects —
-and every record of one anomaly carries the same attributes, so they are
-encoded once per anomaly (:attr:`InjectedAnomaly.encoded_attributes`).
+and every record of one anomaly carries the same
+:attr:`InjectedAnomaly.attributes`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -69,12 +68,6 @@ class InjectedAnomaly:
     def attributes(self) -> dict[str, Any]:
         """The attributes of every record the anomaly injects."""
         return {"injected": True, "label": self.label}
-
-    @property
-    def encoded_attributes(self) -> bytes:
-        """:attr:`attributes` as the trace writers encode a record's
-        attributes: JSON with sorted keys, UTF-8."""
-        return json.dumps(self.attributes, sort_keys=True).encode("utf-8")
 
     def active_at(self, timestamp: Timestamp) -> bool:
         return self.start <= timestamp < self.end

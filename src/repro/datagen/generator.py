@@ -43,7 +43,7 @@ from repro.datagen.arrival import (
 )
 from repro.exceptions import DataGenerationError
 from repro.hierarchy.tree import HierarchyTree
-from repro.streaming.attributes import EncodedAttributes
+from repro.streaming.attributes import EncodedAttributes, encode_row
 from repro.streaming.batch import Codebook, RecordBatch
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
@@ -52,6 +52,45 @@ from repro.streaming.record import OperationalRecord
 #: leaf codebook and, per row, the index of the anomaly that injected it
 #: (-1 for background) — ``None`` when the unit has no injected row.
 _UnitColumns = tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
+
+
+def _attributes_of(
+    anomalies: Sequence[InjectedAnomaly], sources: np.ndarray
+) -> list[dict]:
+    """Each row's attributes: its injecting anomaly's, or none (-1)."""
+    return [
+        {} if source < 0 else anomalies[source].attributes
+        for source in sources.tolist()
+    ]
+
+
+class _InjectedRows(EncodedAttributes):
+    """The attribute column of a generated trace, encoded once per anomaly.
+
+    Row ``i`` holds ``anomalies[sources[i]].attributes`` as
+    :func:`~repro.streaming.attributes.encode_row` writes it, or nothing
+    where ``sources[i]`` is -1.  A pass over the column builds each row from
+    its anomaly instead of parsing the row's bytes (parsing gives the same
+    dict); slices and gathers are plain encoded columns.
+    """
+
+    __slots__ = ("_sources", "_anomalies")
+
+    def __init__(self, sources: np.ndarray, anomalies: Sequence[InjectedAnomaly]):
+        encoded = [encode_row(anomaly.attributes) for anomaly in anomalies]
+        mask = sources >= 0
+        injected = sources[mask]
+        sizes = np.zeros(len(sources), dtype=np.int64)
+        sizes[mask] = np.array([len(row) for row in encoded])[injected]
+        offsets = np.zeros(len(sources) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        blob = b"".join([encoded[source] for source in injected.tolist()])
+        super().__init__(blob, offsets)
+        self._sources = sources
+        self._anomalies = anomalies
+
+    def __iter__(self):
+        return iter(_attributes_of(self._anomalies, self._sources))
 
 
 @dataclass
@@ -177,7 +216,7 @@ class TraceGenerator:
                     for ts, _, rows in units
                 ]
             )
-            attributes = self._attribute_column(sources)
+            attributes = _InjectedRows(sources, self._injector.anomalies)
         return RecordBatch.from_dictionary_codes(
             timestamps, codes, list(self._book.entries), attributes
         ).compact()
@@ -227,27 +266,10 @@ class TraceGenerator:
             if sources is None:
                 yield from map(OperationalRecord, timestamps.tolist(), categories)
             else:
-                attributes = [
-                    {} if source < 0 else anomalies[source].attributes
-                    for source in sources.tolist()
-                ]
+                attributes = _attributes_of(anomalies, sources)
                 yield from map(
                     OperationalRecord, timestamps.tolist(), categories, attributes
                 )
-
-    def _attribute_column(self, sources: np.ndarray) -> EncodedAttributes:
-        """The attributes of rows injected by ``sources`` (-1: none), as the
-        writers encode them — one JSON row per anomaly, shared by its rows."""
-        encoded = [anomaly.encoded_attributes for anomaly in self._injector.anomalies]
-        mask = sources >= 0
-        injected = sources[mask]
-        sizes = np.zeros(len(sources), dtype=np.int64)
-        sizes[mask] = np.array([len(row) for row in encoded])[injected]
-        offsets = np.zeros(len(sources) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        return EncodedAttributes(
-            b"".join([encoded[source] for source in injected.tolist()]), offsets
-        )
 
     # ------------------------------------------------------------------
     # Ground truth / diagnostics

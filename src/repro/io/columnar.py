@@ -44,7 +44,7 @@ from typing import Any, Iterable, Iterator, Mapping
 import numpy as np
 
 from repro.exceptions import StreamError
-from repro.streaming.attributes import EncodedAttributes
+from repro.streaming.attributes import EncodedAttributes, encode_row
 from repro.streaming.batch import Codebook, RecordBatch
 from repro.streaming.record import OperationalRecord
 
@@ -99,13 +99,11 @@ def write_trace_columnar(
     attr_chunks: list[bytes] = []
     attr_offsets = array("q", [0])
     position = 0
-    # ``json.dumps(..., sort_keys=True)`` without a new encoder per row.
-    encode = json.JSONEncoder(sort_keys=True).encode
 
     def add_attribute_row(attrs: "Mapping[str, Any] | None") -> None:
         nonlocal position
         if attrs:
-            encoded = encode(dict(attrs)).encode("utf-8")
+            encoded = encode_row(attrs)
             attr_chunks.append(encoded)
             position += len(encoded)
         attr_offsets.append(position)

@@ -22,13 +22,19 @@ when it is indexed or iterated.  Everything the ingest path does to a column
 works on the encoding: a slice is a view of the offsets, a gather copies
 bytes, the routing question is a byte scan, and a pickle carries the
 window's bytes plus one ``<i4`` length per row.
+
+:func:`encode_row` is the one encoding of a row that this library writes
+(JSON with sorted keys, UTF-8): the ``.rcol`` writer and the trace
+generator both use it, so a generated column and a written file agree byte
+for byte.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -38,11 +44,17 @@ from repro.exceptions import StreamError
 #: row lengths.
 _MAX_WINDOW_BYTES = 2**31 - 1
 
-#: JSON values a decoded row may share with a copy of itself.
-_SCALARS = (str, int, float, bool, type(None))
-
 #: Keys whose only JSON spellings are the literal one and ``\\u`` escapes.
 _PLAIN_KEY = re.compile(r"[A-Za-z0-9_.-]+")
+
+#: ``json.dumps(..., sort_keys=True)`` without a new encoder per row.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def encode_row(attrs: Mapping[str, Any]) -> bytes:
+    """One row's attributes as this library writes them: JSON with sorted
+    keys, UTF-8."""
+    return _encode(dict(attrs)).encode("utf-8")
 
 
 class EncodedAttributes(Sequence):
@@ -108,26 +120,10 @@ class EncodedAttributes(Sequence):
         return self._decode(index, int(self._offsets[index]), int(self._offsets[index + 1]))
 
     def __iter__(self):
-        # Rows repeat (a stream tag, an injected anomaly's label): a pass
-        # parses each distinct row once.  Only a row of scalar values is
-        # reused, as a fresh copy, so no two yielded rows share a mutable.
-        blob = self._blob
-        flat: dict[bytes, dict] = {}
         bounds = self._offsets.tolist()
         begin = bounds[0]
         for row, end in enumerate(bounds[1:]):
-            if end == begin:
-                yield {}
-                continue
-            raw = blob[begin:end]
-            seen = flat.get(raw)
-            if seen is not None:
-                yield dict(seen)
-            else:
-                value = self._decode(row, begin, end)
-                if all(type(item) in _SCALARS for item in value.values()):
-                    flat[raw] = dict(value)
-                yield value
+            yield self._decode(row, begin, end)
             begin = end
 
     def _decode(self, row: int, begin: int, end: int) -> dict:

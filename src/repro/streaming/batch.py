@@ -125,6 +125,13 @@ class RecordBatch:
         rows stay JSON bytes until one is indexed; :meth:`slice`,
         :meth:`take`, :meth:`concat` and :meth:`partition_by_key` keep it
         encoded.
+
+    Iterating a batch (or :meth:`to_records`) builds every row's record on
+    the first pass, from whole columns, and keeps the list for the batch's
+    life, as :attr:`categories` keeps its tuples: a second pass costs
+    nothing, but ``next(iter(batch))`` builds all the rows, and a batch that
+    was iterated holds its records beside its columns.  :meth:`record` and
+    indexing build one row.
     """
 
     __slots__ = (

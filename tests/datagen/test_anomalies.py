@@ -5,6 +5,7 @@ import pytest
 from repro.datagen.anomalies import AnomalyInjector, InjectedAnomaly, random_injection_plan
 from repro.exceptions import DataGenerationError
 from repro.hierarchy.tree import HierarchyTree
+from repro.streaming.attributes import encode_row
 from repro.streaming.clock import SimulationClock
 
 
@@ -93,7 +94,7 @@ class TestAnomalyInjector:
     def test_attributes_are_encoded_as_the_writers_encode_them(self):
         anomaly = InjectedAnomaly(("a",), start=0.0, duration=1.0, extra_rate=1.0, label="x")
         assert anomaly.attributes == {"injected": True, "label": "x"}
-        assert anomaly.encoded_attributes == b'{"injected": true, "label": "x"}'
+        assert encode_row(anomaly.attributes) == b'{"injected": true, "label": "x"}'
 
     def test_ground_truth_pairs(self, tree, clock):
         anomaly = InjectedAnomaly(("b", "b1"), start=150.0, duration=100.0, extra_rate=1.0)

@@ -92,6 +92,21 @@ class TestGeneration:
         assert isinstance(batch, RecordBatch)
         assert batch.code_dictionary == list(dict.fromkeys(batch.categories))
 
+    def test_a_pass_over_the_attributes_equals_parsing_every_row(self, tree, clock):
+        anomalies = (
+            InjectedAnomaly(("a",), start=HOUR, duration=2 * HOUR, extra_rate=0.05),
+            InjectedAnomaly(("b",), start=0.0, duration=HOUR, extra_rate=0.1, label="é"),
+        )
+        column = make_generator(tree, clock, anomalies=anomalies).generate_list(
+            4 * HOUR
+        ).attributes
+        passed = list(column)
+        assert passed == [column[i] for i in range(len(column))]
+        assert {row.get("label") for row in passed} == {None, "injected", "é"}
+        # Every row is a dict of its own.
+        assert len({id(row) for row in passed}) == len(passed)
+        assert list(column[5:40]) == passed[5:40]
+
     def test_volume_tracks_rate(self, tree, clock):
         generator = make_generator(tree, clock)
         records = generator.generate_list(12 * HOUR)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import pickle
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.exceptions import StreamError
 from repro.streaming.attributes import (
     EncodedAttributes,
     concat_rows,
+    encode_row,
     may_hold_key,
     slice_rows,
     take_rows,
@@ -189,18 +191,12 @@ def counting(column: EncodedAttributes) -> CountingColumn:
     return CountingColumn(column._blob, column._offsets, column._source, column._first_row)
 
 
-def test_a_pass_parses_a_repeated_flat_row_once_and_shares_nothing():
-    flat, nested = {"k": 1, "s": "x"}, {"n": [1]}
-    rows = [flat, {}, flat, nested, nested, flat]
-    column = counting(encode(rows))
-    first = list(column)
-    assert first == rows
-    # The flat row is parsed once; a row holding a container every time.
-    assert column.decodes == 3
-    assert first[0] is not first[2] and first[2] is not first[5]
-    assert first[3]["n"] is not first[4]["n"]
-    first[0]["k"] = 2
-    assert list(column) == rows
+def test_a_row_is_encoded_with_sorted_keys_in_utf8():
+    row = {"z": 1, "a": "é", "m": [True, None]}
+    encoded = encode_row(row)
+    assert encoded == json.dumps(row, sort_keys=True).encode("utf-8")
+    assert encoded.startswith(b'{"a": ')
+    assert encode_row(MappingProxyType(row)) == encoded
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
