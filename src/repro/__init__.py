@@ -63,7 +63,6 @@ from repro.core import (
     ThresholdDetector,
     TimeunitResult,
     TiresiasConfig,
-    compute_hhh,
     compute_shhh,
     derive_seasonal_config,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "AnomalyReportStore",
     "AnomalyQuery",
     "TimeunitResult",
-    "compute_hhh",
     "compute_shhh",
     "HierarchyTree",
     "HierarchyNode",

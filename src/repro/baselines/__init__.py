@@ -1,12 +1,9 @@
-"""Baseline detectors the paper compares Tiresias against.
+"""The baseline detector the paper compares Tiresias against.
 
 * :class:`ControlChartDetector` -- the ISP operations team's current practice:
   control charts on the first-level (VHO) aggregates only (§VII-B).
-* :func:`offline_hhd` -- offline per-timeunit hierarchical heavy hitter
-  detection, the lineage STA extends (§VIII).
 """
 
 from repro.baselines.control_chart import ControlChartDetector
-from repro.baselines.offline_hhd import OfflineHHDResult, offline_hhd
 
-__all__ = ["ControlChartDetector", "offline_hhd", "OfflineHHDResult"]
+__all__ = ["ControlChartDetector"]

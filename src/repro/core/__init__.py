@@ -1,6 +1,8 @@
-"""Core Tiresias algorithms: heavy hitters, STA/ADA, detection, seasonality."""
+"""Core Tiresias algorithms: succinct heavy hitters (Definition 2), STA/ADA
+tracking and its split rules, the dual-threshold detector, anomaly reporting,
+and the seasonal configuration derived from a trace's history."""
 
-from repro.core.ada import ADAAlgorithm, nearest_tracked_node
+from repro.core.ada import ADAAlgorithm
 from repro.core.config import (
     FORECAST_MODELS,
     OUT_OF_ORDER_POLICIES,
@@ -12,9 +14,7 @@ from repro.core.detector import Anomaly, ThresholdDetector
 from repro.core.hhh import (
     HeavyHitterResult,
     accumulate_raw_weights,
-    compute_hhh,
     compute_shhh,
-    discounted_series,
 )
 from repro.core.pipeline import derive_seasonal_config
 from repro.core.registry import ALGORITHMS, create_algorithm
@@ -30,7 +30,6 @@ from repro.core.split_rules import (
     make_split_rule,
 )
 from repro.core.sta import STAAlgorithm
-from repro.core.timeseries import MultiScaleTimeSeries
 
 __all__ = [
     "TiresiasConfig",
@@ -43,7 +42,6 @@ __all__ = [
     "create_algorithm",
     "ADAAlgorithm",
     "STAAlgorithm",
-    "nearest_tracked_node",
     "Anomaly",
     "ThresholdDetector",
     "TimeunitResult",
@@ -51,9 +49,7 @@ __all__ = [
     "AnomalyQuery",
     "HeavyHitterResult",
     "accumulate_raw_weights",
-    "compute_hhh",
     "compute_shhh",
-    "discounted_series",
     "SplitRule",
     "UniformSplitRule",
     "LastTimeUnitSplitRule",
@@ -61,5 +57,4 @@ __all__ = [
     "EWMASplitRule",
     "NodeUsageStats",
     "make_split_rule",
-    "MultiScaleTimeSeries",
 ]

@@ -86,7 +86,6 @@ from repro.core.tracking import HierarchyTracker
 from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank
 from repro.hierarchy.index import HierarchyIndex
-from repro.hierarchy.node import HierarchyNode
 from repro.hierarchy.tree import HierarchyTree
 
 #: The columns of a close with no heavy hitter (most units of a stable
@@ -893,19 +892,3 @@ class ADAAlgorithm(HierarchyTracker):
         self._stats.load(state["stats"], state["stats_last_unit"])
         self.last_result = None
 
-
-def nearest_tracked_node(
-    tree: HierarchyTree, path: CategoryPath, tracked: set[CategoryPath]
-) -> HierarchyNode | None:
-    """The deepest tracked node on the path from the root to ``path``.
-
-    Used by the evaluation to map a ground-truth anomaly location to the heavy
-    hitter that should report it (anomalies at untracked leaves surface at
-    their nearest tracked ancestor).
-    """
-    best: HierarchyNode | None = None
-    for depth in range(len(path) + 1):
-        candidate = path[:depth]
-        if candidate in tracked and candidate in tree:
-            best = tree.node(candidate)
-    return best

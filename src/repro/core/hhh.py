@@ -1,18 +1,18 @@
-"""Hierarchical heavy hitters: Definitions 1 and 2 of the paper.
+"""Hierarchical heavy hitters: Definition 2 of the paper.
 
 Given per-leaf counts for one timeunit, this module computes
 
 * the node weights ``A_n`` (each node's weight is the sum of its children's,
-  leaves carry the raw counts),
-* the plain hierarchical heavy hitter set ``HHH[θ] = {n : A_n >= θ}``
-  (Definition 1), and
+  leaves carry the raw counts), and
 * the *succinct* hierarchical heavy hitter set and modified weights ``W_n``
   (Definition 2), where an interior node only counts the weight of children
   that are not themselves heavy hitters.
 
-These functions are the offline reference implementation.  STA applies them to
-every timeunit; ADA reproduces the same result incrementally and the property
-tests in ``tests/core`` check both against this module.
+These functions are the per-path reference implementation.  STA and ADA
+compute the same sets for every timeunit with the array sweep of
+:meth:`HierarchyIndex.sweep <repro.hierarchy.index.HierarchyIndex.sweep>`;
+:mod:`repro.testing.reference` and the property tests in ``tests/core``
+check them against this module.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro._types import CategoryPath, Weight
-from repro.hierarchy.node import HierarchyNode
 from repro.hierarchy.tree import HierarchyTree
 
 
@@ -73,14 +72,6 @@ def accumulate_raw_weights(
         for ancestor in node.ancestors():
             weights[ancestor.path] = weights.get(ancestor.path, 0.0) + float(count)
     return weights
-
-
-def compute_hhh(
-    tree: HierarchyTree, leaf_counts: Mapping[CategoryPath, Weight], theta: float
-) -> set[CategoryPath]:
-    """Definition 1: nodes whose aggregated weight ``A_n`` reaches ``theta``."""
-    raw = accumulate_raw_weights(tree, leaf_counts)
-    return {path for path, weight in raw.items() if weight >= theta}
 
 
 def compute_shhh(
@@ -138,35 +129,3 @@ def compute_shhh(
         theta=theta,
     )
 
-
-def discounted_series(
-    raw_series: Mapping[CategoryPath, list[float]],
-    node: HierarchyNode,
-    heavy_hitters: frozenset[CategoryPath],
-    length: int,
-) -> list[float]:
-    """Definition 3: a node's time series after discounting heavy hitters below.
-
-    ``raw_series`` maps node paths to their raw per-timeunit series ``A_n``;
-    the returned series subtracts, per timeunit, the raw series of every
-    *maximal* heavy descendant of ``node`` — its subtree walked down to the
-    first heavy hitter on every branch — so a heavy grandchild under a
-    non-heavy child is discounted too (SHHH's modified weight, Definition 2).
-    """
-    base = list(raw_series.get(node.path, [0.0] * length))
-    if len(base) < length:
-        base = [0.0] * (length - len(base)) + base
-    stack = [node]
-    while stack:
-        for child in stack.pop().children.values():
-            if child.path not in heavy_hitters:
-                stack.append(child)
-                continue
-            child_series = raw_series.get(child.path)
-            if not child_series:
-                continue
-            padded = list(child_series)
-            if len(padded) < length:
-                padded = [0.0] * (length - len(padded)) + padded
-            base = [b - c for b, c in zip(base, padded)]
-    return base

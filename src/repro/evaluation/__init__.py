@@ -13,7 +13,6 @@ from repro.evaluation.instrumentation import (
     STAGE_ORDER,
     MemorySummary,
     RuntimeSummary,
-    StageTimer,
     format_memory_table,
     format_runtime_table,
     summarize_runtime,
@@ -26,8 +25,6 @@ from repro.evaluation.metrics import (
     confusion_from_sets,
     detection_rate,
     match_against_ground_truth,
-    mean_relative_series_error,
-    series_absolute_errors,
 )
 
 __all__ = [
@@ -37,8 +34,6 @@ __all__ = [
     "compare_with_reference",
     "match_against_ground_truth",
     "detection_rate",
-    "series_absolute_errors",
-    "mean_relative_series_error",
     "Case",
     "AlgorithmComparator",
     "ComparisonReport",
@@ -47,7 +42,6 @@ __all__ = [
     "level_ccdf",
     "all_level_ccdfs",
     "per_level_counts",
-    "StageTimer",
     "RuntimeSummary",
     "MemorySummary",
     "STAGE_ORDER",

@@ -3,16 +3,14 @@
 The paper reports per-stage running time (Reading Traces, Updating
 Hierarchies, Creating Time Series, Detecting Anomalies) and a normalized
 memory cost (total memory / average tree size / per-node cost).  This module
-provides a stage timer, a runtime summary that mirrors Table III's rows, and
-the normalized-memory computation used for Table IV.
+provides a runtime summary that mirrors Table III's rows and the
+normalized-memory computation used for Table IV.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from repro.exceptions import ConfigurationError
 
@@ -23,33 +21,6 @@ STAGE_ORDER: tuple[str, ...] = (
     "creating_time_series",
     "detecting_anomalies",
 )
-
-
-@dataclass
-class StageTimer:
-    """Accumulates wall-clock time per named stage."""
-
-    seconds: dict[str, float] = field(default_factory=dict)
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Context manager timing one stage occurrence."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
-
-    def add(self, name: str, seconds: float) -> None:
-        self.seconds[name] = self.seconds.get(name, 0.0) + seconds
-
-    def merge(self, other: Mapping[str, float]) -> None:
-        for name, seconds in other.items():
-            self.add(name, seconds)
-
-    @property
-    def total(self) -> float:
-        return sum(self.seconds.values())
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ Two families of metrics are defined:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro._types import CategoryPath, TimeunitIndex
 from repro.core.detector import Anomaly
@@ -272,26 +272,3 @@ def detection_rate(
         return 1.0
     return detected / total
 
-
-def series_absolute_errors(
-    approximate: Sequence[float], exact: Sequence[float]
-) -> list[float]:
-    """Per-timeunit absolute errors between two series aligned on their newest value."""
-    length = max(len(approximate), len(exact))
-    a = [0.0] * (length - len(approximate)) + list(approximate)
-    b = [0.0] * (length - len(exact)) + list(exact)
-    return [abs(x - y) for x, y in zip(a, b)]
-
-
-def mean_relative_series_error(
-    approximate: Sequence[float], exact: Sequence[float], epsilon: float = 1.0
-) -> float:
-    """Mean of |approx - exact| / max(|exact|, epsilon) over the aligned series."""
-    errors = series_absolute_errors(approximate, exact)
-    length = len(errors)
-    if length == 0:
-        return 0.0
-    exact_padded = [0.0] * (length - len(exact)) + list(exact)
-    return sum(
-        err / max(abs(value), epsilon) for err, value in zip(errors, exact_padded)
-    ) / length

@@ -108,10 +108,6 @@ class NotEnoughHistoryError(ForecastingError):
         return (type(self), (self.needed, self.available))
 
 
-class DetectionError(ReproError):
-    """The anomaly detector was invoked in an invalid state."""
-
-
 class DataGenerationError(ReproError):
     """A synthetic dataset generator was configured inconsistently."""
 

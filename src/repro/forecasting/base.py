@@ -35,21 +35,3 @@ class Forecaster(abc.ABC):
     @abc.abstractmethod
     def min_history(self) -> int:
         """Minimum history length required by :meth:`initialize`."""
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def run(self, series: Sequence[float]) -> list[float]:
-        """Initialize on the first ``min_history`` points, then forecast the rest.
-
-        Returns the list of one-step-ahead forecasts aligned with
-        ``series[min_history:]``.  Useful for offline evaluation and parameter
-        selection (the paper picks Holt-Winters parameters by minimizing the
-        mean squared forecast error offline).
-        """
-        split = self.min_history
-        self.initialize(series[:split])
-        forecasts: list[float] = []
-        for value in series[split:]:
-            forecasts.append(self.update(value))
-        return forecasts

@@ -1,78 +1,16 @@
-"""Exponentially weighted moving average forecaster.
+"""The split-error analysis of Fig. 9 under EWMA smoothing.
 
-The paper uses EWMA twice: as the simple (non-seasonal) baseline forecaster
-discussed in Section VI, and as the smoothing behind the ``EWMA`` split rule
-and the split-error analysis of Fig. 9 (``F[t] = α T[t-1] + (1-α) F[t-1]``).
+The paper smooths with EWMA (``F[t] = α T[t-1] + (1-α) F[t-1]``) in the
+``EWMA`` split rule and in the Fig. 9 analysis of how a biased split decays.
+The EWMA forecast itself is the fallback level of a
+:class:`~repro.forecasting.bank.ForecasterBank` row.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.exceptions import ConfigurationError, NotEnoughHistoryError
-from repro.forecasting.base import Forecaster
-
-
-class EWMAForecaster(Forecaster):
-    """One-step-ahead EWMA forecast.
-
-    Parameters
-    ----------
-    alpha:
-        Smoothing rate in (0, 1].  Higher values weight recent observations
-        more heavily.
-    """
-
-    def __init__(self, alpha: float = 0.5):
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._level: float | None = None
-
-    @property
-    def min_history(self) -> int:
-        return 1
-
-    @property
-    def level(self) -> float | None:
-        """Current smoothed level (``None`` before initialization)."""
-        return self._level
-
-    def initialize(self, history: Sequence[float]) -> None:
-        if len(history) < self.min_history:
-            raise NotEnoughHistoryError(self.min_history, len(history))
-        self._level = float(history[0])
-        for value in history[1:]:
-            self.update(value)
-
-    def forecast(self) -> float:
-        if self._level is None:
-            raise NotEnoughHistoryError(self.min_history, 0)
-        return self._level
-
-    def update(self, value: float) -> float:
-        if self._level is None:
-            self._level = float(value)
-            return float(value)
-        predicted = self._level
-        self._level = self.alpha * float(value) + (1.0 - self.alpha) * self._level
-        return predicted
-
-
-def ewma_series(values: Sequence[float], alpha: float, initial: float | None = None) -> list[float]:
-    """Exponentially smoothed series of ``values``.
-
-    ``result[i]`` is the smoothed estimate after observing ``values[:i+1]``.
-    This is the quantity the ``EWMA`` split rule maintains per node.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-    smoothed: list[float] = []
-    level = initial
-    for value in values:
-        level = float(value) if level is None else alpha * float(value) + (1 - alpha) * level
-        smoothed.append(level)
-    return smoothed
+from repro.exceptions import ConfigurationError
 
 
 def split_bias_relative_error(

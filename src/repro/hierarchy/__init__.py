@@ -23,13 +23,12 @@ from repro.hierarchy.domain import (
 )
 from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.node import HierarchyNode
-from repro.hierarchy.tree import HierarchyTree, common_ancestor
+from repro.hierarchy.tree import HierarchyTree
 
 __all__ = [
     "HierarchyNode",
     "HierarchyTree",
     "HierarchyIndex",
-    "common_ancestor",
     "DomainSpec",
     "LevelSpec",
     "CANONICAL_DOMAINS",

@@ -8,7 +8,7 @@ provides level-order traversals used by the STA and ADA algorithms
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from repro._types import CategoryLike, CategoryPath
 from repro.exceptions import HierarchyError, UnknownCategoryError
@@ -210,17 +210,3 @@ class HierarchyTree:
             f"leaves={self.num_leaves}, depth={self.depth})"
         )
 
-
-def common_ancestor(a: HierarchyNode, b: HierarchyNode) -> Optional[HierarchyNode]:
-    """Lowest common ancestor of two nodes of the same tree."""
-    seen = set()
-    node: Optional[HierarchyNode] = a
-    while node is not None:
-        seen.add(id(node))
-        node = node.parent
-    node = b
-    while node is not None:
-        if id(node) in seen:
-            return node
-        node = node.parent
-    return None

@@ -11,22 +11,19 @@
 from repro.io.columnar import (
     convert_trace,
     read_batches_columnar,
-    read_records_columnar,
     read_trace_batches,
     write_trace_columnar,
 )
-from repro.io.csv_io import read_batches_csv, read_records_csv, write_records_csv
+from repro.io.csv_io import read_batches_csv, write_records_csv
 from repro.io.jsonl_io import read_batches_jsonl, read_records_jsonl, write_records_jsonl
 
 __all__ = [
-    "read_records_csv",
     "read_batches_csv",
     "write_records_csv",
     "read_records_jsonl",
     "read_batches_jsonl",
     "write_records_jsonl",
     "read_batches_columnar",
-    "read_records_columnar",
     "write_trace_columnar",
     "read_trace_batches",
     "convert_trace",

@@ -316,12 +316,6 @@ def read_batches_columnar(
         )
 
 
-def read_records_columnar(path: "str | Path") -> Iterator[OperationalRecord]:
-    """Yield one :class:`OperationalRecord` per row (compatibility reader)."""
-    for batch in read_batches_columnar(path):
-        yield from batch
-
-
 # ----------------------------------------------------------------------
 # Format dispatch (the service file-replay path and the converter use this)
 # ----------------------------------------------------------------------

@@ -7,9 +7,9 @@ and keeps the traces diffable and spreadsheet-friendly.
 
 :func:`read_batches_csv` loads rows straight into columnar
 :class:`~repro.streaming.batch.RecordBatch` chunks — no per-row record objects
-are ever built, which is the path feeding ``DetectionEngine.process_batches``;
-:func:`read_records_csv` yields the same rows as
-:class:`OperationalRecord` objects.
+are ever built, which is the path feeding ``DetectionEngine.process_batches``.
+A batch iterates as :class:`OperationalRecord` objects where records are
+wanted.
 """
 
 from __future__ import annotations
@@ -68,13 +68,6 @@ def write_records_csv(
                 row[f"{LEVEL_COLUMN_PREFIX}{i}"] = label
             writer.writerow(row)
     return len(records)
-
-
-def read_records_csv(path: str | Path) -> Iterator[OperationalRecord]:
-    """Yield records from a CSV written by :func:`write_records_csv` (the
-    rows of :func:`read_batches_csv`, refused by the same rules)."""
-    for batch in read_batches_csv(path):
-        yield from batch
 
 
 def read_batches_csv(

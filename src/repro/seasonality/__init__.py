@@ -9,7 +9,6 @@ from repro.seasonality.fft import (
     SpectrumPeak,
     compute_spectrum,
     dominant_periods,
-    seasonal_weight,
 )
 from repro.seasonality.wavelet import (
     B3_SPLINE_FILTER,
@@ -25,7 +24,6 @@ __all__ = [
     "SpectrumPeak",
     "compute_spectrum",
     "dominant_periods",
-    "seasonal_weight",
     "B3_SPLINE_FILTER",
     "WaveletDecomposition",
     "atrous_decompose",

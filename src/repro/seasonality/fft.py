@@ -3,9 +3,10 @@
 The paper applies the Fast Fourier Transform to a long count-of-appearances
 series to find its dominant periods.  For both CCD and SCD the strongest
 period is 24 hours; CCD also shows a noticeable peak near 170 hours, the
-closest measurable period to a week given the trace length.  The relative
-magnitudes of the daily and weekly peaks set the weight ``xi`` used to combine
-the two seasonal factors in the forecasting model.
+closest measurable period to a week given the trace length.  The peaks'
+magnitudes weight the seasonal factors of the forecasting model:
+:class:`~repro.seasonality.analyzer.SeasonalityAnalyzer` normalises the kept
+peaks' magnitudes (``m / total``) into the convex weights ``xi``.
 """
 
 from __future__ import annotations
@@ -109,24 +110,3 @@ def dominant_periods(
             break
     return selected
 
-
-def seasonal_weight(
-    series: Sequence[float],
-    sample_spacing: float,
-    primary_period: float,
-    secondary_period: float,
-) -> float:
-    """The paper's seasonal combination weight ``xi = FFT_primary / FFT_secondary``.
-
-    The paper computes ``xi = FFT_day / FFT_week ≈ 0.76`` and uses
-    ``S = xi * S_day + (1 - xi) * S_week``.  Following that convention, the
-    returned value is the ratio of the primary peak magnitude to the secondary
-    peak magnitude, clipped into [0, 1] so it can be used directly as a convex
-    weight.
-    """
-    spectrum = compute_spectrum(series, sample_spacing)
-    primary = spectrum.magnitude_at_period(primary_period)
-    secondary = spectrum.magnitude_at_period(secondary_period)
-    if secondary <= 0:
-        return 1.0
-    return float(min(1.0, max(0.0, primary / secondary)))

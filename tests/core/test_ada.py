@@ -11,7 +11,6 @@ from repro.core.ada import (
     NO_LAST_UNIT,
     ADAAlgorithm,
     SplitStatsStore,
-    nearest_tracked_node,
 )
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.hhh import compute_shhh
@@ -204,21 +203,6 @@ class TestDetectionAndIntrospection:
     def test_series_for_unknown_path_is_empty(self, tree):
         ada = ADAAlgorithm(tree, make_config())
         assert ada.series_for(("nope",)) == []
-
-
-class TestNearestTrackedNode:
-    def test_finds_deepest_tracked_ancestor(self, tree):
-        tracked = {(), ("a",)}
-        node = nearest_tracked_node(tree, ("a", "a1"), tracked)
-        assert node.path == ("a",)
-
-    def test_returns_none_when_nothing_tracked(self, tree):
-        assert nearest_tracked_node(tree, ("a", "a1"), set()) is None
-
-    def test_exact_match_preferred(self, tree):
-        tracked = {("a",), ("a", "a1")}
-        node = nearest_tracked_node(tree, ("a", "a1"), tracked)
-        assert node.path == ("a", "a1")
 
 
 #: Every node of the ``tree`` fixture.

@@ -1,13 +1,8 @@
-"""Unit tests for :mod:`repro.core.hhh` (Definitions 1 and 2)."""
+"""Unit tests for :mod:`repro.core.hhh` (Definition 2)."""
 
 import pytest
 
-from repro.core.hhh import (
-    accumulate_raw_weights,
-    compute_hhh,
-    compute_shhh,
-    discounted_series,
-)
+from repro.core.hhh import accumulate_raw_weights, compute_shhh
 from repro.hierarchy.tree import HierarchyTree
 
 
@@ -44,17 +39,6 @@ class TestRawWeights:
         raw = accumulate_raw_weights(tree, {("a",): 4})
         assert raw[("a",)] == 4
         assert raw[()] == 4
-
-
-class TestHHH:
-    def test_definition_one(self, tree):
-        heavy = compute_hhh(tree, {("a", "a1"): 6, ("a", "a2"): 5, ("b", "b1"): 2}, theta=5)
-        # a1 (6), a (11), root (13) reach the threshold; a2 (5) also does.
-        assert heavy == {("a", "a1"), ("a", "a2"), ("a",), ()}
-
-    def test_threshold_above_everything(self, tree):
-        heavy = compute_hhh(tree, {("a", "a1"): 2}, theta=100)
-        assert heavy == set()
 
 
 class TestSHHH:
@@ -111,37 +95,3 @@ class TestSHHH:
             modified = result.modified_weights.get(node.path, 0.0)
             in_set = node.path in result.shhh
             assert in_set == (modified >= theta)
-
-
-class TestDiscountedSeries:
-    def test_subtracts_heavy_children(self, tree):
-        raw_series = {
-            ("a",): [10.0, 12.0, 14.0],
-            ("a", "a1"): [6.0, 7.0, 8.0],
-            ("a", "a2"): [4.0, 5.0, 6.0],
-        }
-        node = tree.node(("a",))
-        series = discounted_series(raw_series, node, frozenset({("a", "a1")}), length=3)
-        assert series == [4.0, 5.0, 6.0]
-
-    def test_subtracts_maximal_heavy_descendants(self):
-        """A heavy grandchild under a non-heavy child is discounted too: the
-        result is SHHH's modified weight, not the raw weight minus heavy
-        children only."""
-        tree = HierarchyTree.from_leaf_paths([("a", "b", "c"), ("a", "b", "d"), ("a", "e")])
-        leaf_counts = {("a", "b", "c"): 10, ("a", "b", "d"): 2, ("a", "e"): 8}
-        raw = accumulate_raw_weights(tree, leaf_counts)
-        assert (raw[("a",)], raw[("a", "b")], raw[("a", "b", "c")]) == (20, 12, 10)
-        heavy = frozenset({("a",), ("a", "b", "c")})
-        raw_series = {path: [weight] for path, weight in raw.items()}
-        series = discounted_series(raw_series, tree.node(("a",)), heavy, length=1)
-        assert series == [10.0]
-        shhh = compute_shhh(tree, leaf_counts, theta=10)
-        assert shhh.shhh == heavy
-        assert series == [shhh.modified_weights[("a",)]]
-
-    def test_pads_short_series(self, tree):
-        raw_series = {("a",): [5.0], ("a", "a1"): [2.0]}
-        node = tree.node(("a",))
-        series = discounted_series(raw_series, node, frozenset({("a", "a1")}), length=3)
-        assert series == [0.0, 0.0, 3.0]

@@ -23,7 +23,6 @@ from repro.core.ada import ADAAlgorithm
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.hhh import accumulate_raw_weights, compute_shhh
 from repro.core.sta import STAAlgorithm
-from repro.core.timeseries import MultiScaleTimeSeries
 from repro.forecasting.holt_winters import HoltWintersForecaster
 from repro.hierarchy.tree import HierarchyTree
 
@@ -229,34 +228,3 @@ class TestLemma2:
             a.scaled(factor).forecast(), b.forecast(), rel_tol=1e-9, abs_tol=1e-6
         )
 
-
-# ----------------------------------------------------------------------
-# Multi-scale time series
-# ----------------------------------------------------------------------
-
-
-class TestMultiScaleProperties:
-    @given(
-        values=st.lists(
-            st.floats(min_value=0.0, max_value=100.0), min_size=8, max_size=64
-        ),
-        lam=st.integers(min_value=2, max_value=4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_coarse_scale_is_exact_sum_of_base_scale(self, values, lam):
-        series = MultiScaleTimeSeries(length=256, num_scales=2, lam=lam)
-        for value in values:
-            series.append(value)
-        base = series.series_at_scale(0)
-        coarse = series.series_at_scale(1)
-        for i, total in enumerate(coarse):
-            chunk = values[i * lam: (i + 1) * lam]
-            assert math.isclose(total, sum(chunk), rel_tol=1e-9, abs_tol=1e-9)
-
-    @given(values=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=200))
-    @settings(max_examples=40, deadline=None)
-    def test_update_calls_amortized_bound(self, values):
-        series = MultiScaleTimeSeries(length=1024, num_scales=6, lam=2)
-        for value in values:
-            series.append(value)
-        assert series.update_calls <= 2 * len(values)

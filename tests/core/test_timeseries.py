@@ -1,6 +1,5 @@
 """Unit tests for a node's forecaster and windows as bank rows (written by
-row operations, read off the row), and for :mod:`repro.core.timeseries`'s
-multi-time-scale series."""
+row operations, read off the row)."""
 
 import math
 import pickle
@@ -10,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import ForecastConfig
-from repro.core.timeseries import MultiScaleTimeSeries
 from repro.exceptions import ConfigurationError
 from repro.forecasting.bank import ForecasterBank, load_seasonal_state
 from repro.testing.reference import aligned_add
@@ -317,56 +315,3 @@ class TestRowWindows:
         assert bank.window_values(theirs, 0).tolist() == [
             float(v) for v in range(100, 100 + theirs_n)
         ][-bank.window :]
-
-
-class TestMultiScaleTimeSeries:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            MultiScaleTimeSeries(length=0, num_scales=2, lam=4)
-        with pytest.raises(ConfigurationError):
-            MultiScaleTimeSeries(length=8, num_scales=0, lam=4)
-        with pytest.raises(ConfigurationError):
-            MultiScaleTimeSeries(length=8, num_scales=2, lam=1)
-        with pytest.raises(ConfigurationError):
-            MultiScaleTimeSeries(length=8, num_scales=2, lam=4, alpha=0.0)
-
-    def test_promotion_sums_lambda_values(self):
-        series = MultiScaleTimeSeries(length=16, num_scales=2, lam=4)
-        for value in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]:
-            series.append(value)
-        assert series.series_at_scale(1) == [10.0, 26.0]
-
-    def test_three_scales_cascade(self):
-        series = MultiScaleTimeSeries(length=64, num_scales=3, lam=2)
-        for value in range(1, 9):
-            series.append(float(value))
-        assert series.series_at_scale(1) == [3.0, 7.0, 11.0, 15.0]
-        assert series.series_at_scale(2) == [10.0, 26.0]
-
-    def test_amortized_constant_updates(self):
-        """Fig. 10: total per-scale updates stay within 2x the appended values."""
-        series = MultiScaleTimeSeries(length=1024, num_scales=5, lam=2)
-        appended = 512
-        for value in range(appended):
-            series.append(1.0)
-        assert series.update_calls <= 2 * appended
-
-    def test_memory_bounded_by_length_plus_lambda(self):
-        series = MultiScaleTimeSeries(length=8, num_scales=2, lam=4)
-        for value in range(200):
-            series.append(1.0)
-        assert len(series.series_at_scale(0)) < 8 + 4
-        assert len(series.forecast_at_scale(0)) == len(series.series_at_scale(0))
-
-    def test_scale_bounds_checked(self):
-        series = MultiScaleTimeSeries(length=8, num_scales=2, lam=2)
-        with pytest.raises(ConfigurationError):
-            series.series_at_scale(2)
-        with pytest.raises(ConfigurationError):
-            series.forecast_at_scale(-1)
-
-    def test_forecast_series_tracks_constant_input(self):
-        series = MultiScaleTimeSeries(length=32, num_scales=1, lam=2, alpha=0.5)
-        for _ in range(10):
-            series.append(4.0)
-        assert series.forecast_at_scale(0)[-1] == pytest.approx(4.0)

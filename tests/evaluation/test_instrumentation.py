@@ -1,37 +1,16 @@
 """Unit tests for :mod:`repro.evaluation.instrumentation`."""
 
-import time
-
 import pytest
 
 from repro.evaluation.instrumentation import (
     STAGE_ORDER,
     MemorySummary,
     RuntimeSummary,
-    StageTimer,
     format_memory_table,
     format_runtime_table,
     summarize_runtime,
 )
 from repro.exceptions import ConfigurationError
-
-
-class TestStageTimer:
-    def test_stage_accumulates(self):
-        timer = StageTimer()
-        with timer.stage("reading_traces"):
-            time.sleep(0.001)
-        with timer.stage("reading_traces"):
-            time.sleep(0.001)
-        assert timer.seconds["reading_traces"] >= 0.002
-        assert timer.total == pytest.approx(timer.seconds["reading_traces"])
-
-    def test_add_and_merge(self):
-        timer = StageTimer()
-        timer.add("detecting_anomalies", 1.5)
-        timer.merge({"detecting_anomalies": 0.5, "updating_hierarchies": 2.0})
-        assert timer.seconds["detecting_anomalies"] == 2.0
-        assert timer.seconds["updating_hierarchies"] == 2.0
 
 
 class TestRuntimeSummary:

@@ -9,8 +9,6 @@ from repro.evaluation.metrics import (
     confusion_from_sets,
     detection_rate,
     match_against_ground_truth,
-    mean_relative_series_error,
-    series_absolute_errors,
 )
 
 
@@ -127,16 +125,3 @@ class TestGroundTruthMatching:
 
     def test_empty_ground_truth_is_perfect(self):
         assert detection_rate([], set()) == 1.0
-
-
-class TestSeriesErrors:
-    def test_absolute_errors_align_newest(self):
-        errors = series_absolute_errors([1.0, 2.0], [1.0, 1.0, 3.0])
-        assert errors == [1.0, 0.0, 1.0]
-
-    def test_mean_relative_error(self):
-        value = mean_relative_series_error([10.0, 10.0], [10.0, 20.0])
-        assert value == pytest.approx(0.25)
-
-    def test_empty_series(self):
-        assert mean_relative_series_error([], []) == 0.0

@@ -2,66 +2,8 @@
 
 import pytest
 
-from repro.exceptions import ConfigurationError, NotEnoughHistoryError
-from repro.forecasting.ewma import EWMAForecaster, ewma_series, split_bias_relative_error
-
-
-class TestEWMAForecaster:
-    def test_alpha_validation(self):
-        with pytest.raises(ConfigurationError):
-            EWMAForecaster(alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            EWMAForecaster(alpha=1.5)
-
-    def test_forecast_before_init_raises(self):
-        model = EWMAForecaster(0.5)
-        with pytest.raises(NotEnoughHistoryError):
-            model.forecast()
-
-    def test_constant_series_forecast_is_constant(self):
-        model = EWMAForecaster(0.4)
-        model.initialize([5.0])
-        for _ in range(10):
-            assert model.update(5.0) == pytest.approx(5.0)
-        assert model.forecast() == pytest.approx(5.0)
-
-    def test_update_returns_prior_forecast(self):
-        model = EWMAForecaster(0.5)
-        model.initialize([10.0])
-        predicted = model.update(20.0)
-        assert predicted == pytest.approx(10.0)
-        assert model.forecast() == pytest.approx(15.0)
-
-    def test_alpha_one_tracks_last_value(self):
-        model = EWMAForecaster(1.0)
-        model.initialize([1.0])
-        model.update(7.0)
-        assert model.forecast() == pytest.approx(7.0)
-
-    def test_run_helper_aligns_forecasts(self):
-        model = EWMAForecaster(0.5)
-        series = [2.0, 4.0, 6.0, 8.0]
-        forecasts = model.run(series)
-        assert len(forecasts) == len(series) - model.min_history
-        assert forecasts[0] == pytest.approx(2.0)
-
-
-class TestEwmaSeries:
-    def test_length_matches_input(self):
-        assert len(ewma_series([1, 2, 3], 0.5)) == 3
-
-    def test_first_value_seeds_level(self):
-        smoothed = ewma_series([10.0, 0.0], 0.5)
-        assert smoothed[0] == pytest.approx(10.0)
-        assert smoothed[1] == pytest.approx(5.0)
-
-    def test_initial_level_respected(self):
-        smoothed = ewma_series([10.0], 0.5, initial=0.0)
-        assert smoothed[0] == pytest.approx(5.0)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ConfigurationError):
-            ewma_series([1.0], 0.0)
+from repro.exceptions import ConfigurationError
+from repro.forecasting.ewma import split_bias_relative_error
 
 
 class TestSplitBiasRelativeError:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import HierarchyError, UnknownCategoryError
-from repro.hierarchy.tree import HierarchyTree, common_ancestor
+from repro.hierarchy.tree import HierarchyTree
 
 
 @pytest.fixture
@@ -92,20 +92,3 @@ class TestStatistics:
         summary = tree.degree_summary()
         assert set(summary) <= {1, 2, 3}
         assert all(v > 0 for v in summary.values())
-
-
-class TestCommonAncestor:
-    def test_lca_of_siblings(self, tree):
-        a = tree.node(("tv", "no-service", "no-pic"))
-        b = tree.node(("tv", "no-service", "no-sound"))
-        assert common_ancestor(a, b).path == ("tv", "no-service")
-
-    def test_lca_across_branches_is_root(self, tree):
-        a = tree.node(("tv", "pixelation"))
-        b = tree.node(("internet", "slow"))
-        assert common_ancestor(a, b) is tree.root
-
-    def test_lca_with_ancestor(self, tree):
-        a = tree.node(("tv",))
-        b = tree.node(("tv", "no-service", "no-pic"))
-        assert common_ancestor(a, b) is a

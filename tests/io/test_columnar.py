@@ -14,7 +14,6 @@ from repro.io.columnar import (
     main,
     read_batches_columnar,
     read_columnar_header,
-    read_records_columnar,
     read_trace_batches,
     write_trace_columnar,
 )
@@ -22,6 +21,11 @@ from repro.io.jsonl_io import write_records_jsonl
 from repro.streaming.attributes import EncodedAttributes
 from repro.streaming.batch import RecordBatch
 from repro.streaming.record import OperationalRecord
+
+
+def read_rows(path):
+    """The records of a columnar trace, flattened from its batches."""
+    return [record for batch in read_batches_columnar(path) for record in batch]
 
 
 def sample_records(n=10, attrs=False):
@@ -42,13 +46,13 @@ class TestRoundTrip:
         path = tmp_path / "trace.rcol"
         records = sample_records(25)
         assert write_trace_columnar(records, path) == 25
-        assert list(read_records_columnar(path)) == records
+        assert read_rows(path) == records
 
     def test_attributes_round_trip(self, tmp_path):
         path = tmp_path / "trace.rcol"
         records = sample_records(12, attrs=True)
         write_trace_columnar(records, path)
-        restored = list(read_records_columnar(path))
+        restored = read_rows(path)
         assert restored == records
         assert restored[1].attributes == {"stream": "s1"}
 
@@ -63,7 +67,7 @@ class TestRoundTrip:
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.rcol"
         assert write_trace_columnar([], path) == 0
-        assert list(read_records_columnar(path)) == []
+        assert read_rows(path) == []
 
 
 class TestBatches:
@@ -95,7 +99,7 @@ class TestConvertAndDispatch:
         rcol = tmp_path / "trace.rcol"
         write_records_jsonl(records, jsonl)
         assert convert_trace(jsonl, rcol) == 40
-        assert list(read_records_columnar(rcol)) == records
+        assert read_rows(rcol) == records
 
     def test_dispatch_by_suffix(self, tmp_path):
         records = sample_records(8)
@@ -190,7 +194,7 @@ class TestAttributesSection:
         decoded = RecordBatch.from_records(records[6:9])
         target = tmp_path / "b.rcol"
         assert write_trace_columnar([encoded, decoded, *records[9:]], target) == 12
-        assert list(read_records_columnar(target)) == records
+        assert read_rows(target) == records
 
     @pytest.mark.parametrize(
         "edit",
@@ -241,7 +245,7 @@ class TestAttributesSection:
         with pytest.raises(StreamError, match=rf"{path}: row 1: .*{complaint}"):
             batch.attributes[1]
         with pytest.raises(StreamError, match="row 1"):
-            list(read_records_columnar(path))
+            read_rows(path)
 
 
 class TestWriterByteParity:

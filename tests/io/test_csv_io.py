@@ -3,8 +3,13 @@
 import pytest
 
 from repro.exceptions import StreamError
-from repro.io.csv_io import read_batches_csv, read_records_csv, write_records_csv
+from repro.io.csv_io import read_batches_csv, write_records_csv
 from repro.streaming.record import OperationalRecord
+
+
+def read_rows(path, batch_size=8192):
+    """The records of a CSV trace, flattened from its batches."""
+    return [record for batch in read_batches_csv(path, batch_size) for record in batch]
 
 
 def sample_records():
@@ -20,7 +25,7 @@ class TestRoundTrip:
         path = tmp_path / "trace.csv"
         written = write_records_csv(sample_records(), path)
         assert written == 3
-        restored = list(read_records_csv(path))
+        restored = read_rows(path)
         assert [(r.timestamp, r.category) for r in restored] == [
             (r.timestamp, r.category) for r in sample_records()
         ]
@@ -28,13 +33,13 @@ class TestRoundTrip:
     def test_max_depth_truncates_categories(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_records_csv(sample_records(), path, max_depth=2)
-        restored = list(read_records_csv(path))
+        restored = read_rows(path)
         assert restored[0].category == ("tv", "no-service")
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.csv"
         assert write_records_csv([], path) == 0
-        assert list(read_records_csv(path)) == []
+        assert read_rows(path) == []
 
 
 class TestErrors:
@@ -42,20 +47,20 @@ class TestErrors:
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(StreamError):
-            list(read_records_csv(path))
+            read_rows(path)
 
     def test_row_without_category_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,level1\n5.0,\n")
         with pytest.raises(StreamError):
-            list(read_records_csv(path))
+            read_rows(path)
 
 
 class TestBatchLoader:
     def test_batches_match_record_reader(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_records_csv(sample_records(), path)
-        rows = [(r.timestamp, r.category) for r in read_records_csv(path)]
+        rows = [(r.timestamp, r.category) for r in read_rows(path)]
         batches = list(read_batches_csv(path, batch_size=2))
         assert [len(b) for b in batches] == [2, 1]
         assert [
@@ -102,8 +107,9 @@ class TestBatchLoader:
 
 
 class TestReadersAgree:
-    """``read_records_csv`` reads through ``read_batches_csv``: a row one
-    refuses, the other refuses with the same message."""
+    """The batch size changes neither what is read nor what is refused:
+    one-row batches refuse a bad row with the message one whole-file batch
+    gives, and skip the same blank lines."""
 
     @pytest.mark.parametrize(
         "bad_row", ["nan,a", "inf,a", "-Infinity,a", "5.0,", "5.0"]
@@ -113,15 +119,13 @@ class TestReadersAgree:
         path.write_text(f"timestamp,level1\n4.0,a\n{bad_row}\n6.0,b\n")
         with pytest.raises(StreamError, match=f"{path}:3: ") as by_batches:
             list(read_batches_csv(path))
-        with pytest.raises(StreamError) as by_records:
-            list(read_records_csv(path))
-        assert str(by_records.value) == str(by_batches.value)
+        with pytest.raises(StreamError) as by_rows:
+            read_rows(path, batch_size=1)
+        assert str(by_rows.value) == str(by_batches.value)
 
     def test_blank_lines_skipped_by_both(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("timestamp,level1\n4.0,a\n\n6.0,b\n\n")
-        rows = [(r.timestamp, r.category) for r in read_records_csv(path)]
+        rows = [(r.timestamp, r.category) for r in read_rows(path, batch_size=1)]
         assert rows == [(4.0, ("a",)), (6.0, ("b",))]
-        assert [
-            (r.timestamp, r.category) for b in read_batches_csv(path) for r in b
-        ] == rows
+        assert [(r.timestamp, r.category) for r in read_rows(path)] == rows

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.seasonality.fft import compute_spectrum, dominant_periods, seasonal_weight
+from repro.seasonality.fft import compute_spectrum, dominant_periods
 
 
 def daily_weekly_series(days: int, units_per_hour: int = 1, weekly_amp: float = 0.5):
@@ -63,15 +63,3 @@ class TestDominantPeriods:
         series = daily_weekly_series(days=28, weekly_amp=0.0)
         peaks = dominant_periods(series, min_magnitude=0.5, count=5, min_period=4.0)
         assert all(p.magnitude >= 0.5 for p in peaks)
-
-
-class TestSeasonalWeight:
-    def test_weight_in_unit_interval(self):
-        series = daily_weekly_series(days=56)
-        xi = seasonal_weight(series, 1.0, primary_period=24.0, secondary_period=168.0)
-        assert 0.0 <= xi <= 1.0
-
-    def test_missing_secondary_gives_full_weight(self):
-        series = daily_weekly_series(days=28, weekly_amp=0.0)
-        xi = seasonal_weight(series, 1.0, primary_period=24.0, secondary_period=168.0)
-        assert xi == pytest.approx(1.0, abs=0.2)

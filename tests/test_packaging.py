@@ -68,8 +68,8 @@ PACKAGE = SRC / "repro"
 PRIVATE_MODULES = frozenset({"repro._types", "repro._vector"})
 
 
-def module_name(path: Path) -> str:
-    parts = path.relative_to(SRC).with_suffix("").parts
+def module_name(path: Path, root: Path = SRC) -> str:
+    parts = path.relative_to(root).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
@@ -250,3 +250,104 @@ def test_no_module_reads_another_modules_private_attributes():
                 continue
             offenders.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
     assert offenders == []
+
+
+# ----------------------------------------------------------------------
+# Every public definition has a user outside the tests
+# ----------------------------------------------------------------------
+#: Public top-level definitions with no user in ``src/``, ``benchmarks/`` or
+#: ``examples/`` that stay, each with the reason it stays.
+UNREACHED_ALLOWED = {
+    "testing.reference.ReferenceADA": (
+        "the differential oracle: the production paths are compared against it"
+    ),
+    "io.csv_io.write_records_csv": (
+        "writes the CSV input format that read_batches_csv reads"
+    ),
+}
+
+
+def names_used(statements: list[ast.stmt], *, in_init: bool) -> set[str]:
+    """Every name ``statements`` read, call or import.  In a package
+    ``__init__`` an import is a re-export, not a use, and ``__all__`` is a
+    list of strings, so neither names anything; any other use there counts."""
+    used: set[str] = set()
+    for node in (node for statement in statements for node in ast.walk(statement)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias) and not in_init:
+            used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def unreached_definitions(package: Path, users: tuple[Path, ...] = ()) -> set[str]:
+    """The public top-level ``def`` / ``class`` names of the modules under
+    ``package`` (as ``module.name``, relative to it) that no other module of
+    the package and no file under ``users`` names, and that no other
+    definition or statement of their own module uses."""
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.rglob("*.py"))
+    }
+    used_by = {
+        path: names_used(tree.body, in_init=path.name == "__init__.py")
+        for path, tree in trees.items()
+    }
+    outside = set().union(
+        *(
+            names_used(ast.parse(path.read_text(encoding="utf-8")).body, in_init=False)
+            for root in users
+            for path in sorted(root.rglob("*.py"))
+        )
+    )
+    found: set[str] = set()
+    for path, tree in trees.items():
+        elsewhere = outside.union(*(used for other, used in used_by.items() if other != path))
+        in_init = path.name == "__init__.py"
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in elsewhere:
+                continue
+            rest = [statement for statement in tree.body if statement is not node]
+            if node.name in names_used(rest, in_init=in_init):
+                continue
+            module = module_name(path, package)
+            found.add(f"{module}.{node.name}" if module else node.name)
+    return found
+
+
+def test_every_public_definition_has_a_user_outside_the_tests():
+    """A public top-level ``def`` or ``class`` in ``src/repro`` is named by
+    another module, by ``benchmarks/`` or by ``examples/``, or used by
+    another definition of its own module; what only its own tests reach is
+    deleted with them.  A re-export from an ``__init__`` is not a use.  The
+    allowlist names the exceptions and why each stays, and holds no entry
+    that has a user."""
+    unreached = unreached_definitions(
+        PACKAGE, (SRC.parent / "benchmarks", SRC.parent / "examples")
+    )
+    assert sorted(unreached - UNREACHED_ALLOWED.keys()) == []
+    assert sorted(UNREACHED_ALLOWED.keys() - unreached) == []
+
+
+def test_the_unreached_scan_sees_through_re_exports(tmp_path):
+    """The scan reports a definition nothing names and one that only an
+    ``__init__`` re-exports, and credits one an ``__init__`` dict holds."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from pkg.impl import exported, registered\n"
+        'REGISTRY = {"x": registered}\n'
+        '__all__ = ["exported", "registered", "REGISTRY"]\n',
+        encoding="utf-8",
+    )
+    (package / "impl.py").write_text(
+        "def unused():\n    pass\n\n\n"
+        "def exported():\n    pass\n\n\n"
+        "def registered():\n    pass\n",
+        encoding="utf-8",
+    )
+    assert unreached_definitions(package) == {"impl.unused", "impl.exported"}
