@@ -50,6 +50,11 @@ class TestForecastConfig:
         with pytest.raises(ConfigurationError):
             ForecastConfig(fallback_alpha=0.0)
 
+    @pytest.mark.parametrize("lengths", [(0,), (96, 0), (-4,)])
+    def test_season_lengths_must_be_positive(self, lengths):
+        with pytest.raises(ConfigurationError, match=">= 1 timeunit"):
+            ForecastConfig(season_lengths=lengths)
+
 
 class TestTiresiasConfig:
     def test_defaults_match_paper_choices(self):
@@ -83,6 +88,32 @@ class TestTiresiasConfig:
     def test_window_needs_two_units(self):
         with pytest.raises(ConfigurationError):
             TiresiasConfig(window_units=1)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("difference_threshold", -1.0, "difference_threshold"),
+            ("delta_seconds", 0.0, "delta_seconds"),
+            ("delta_seconds", -900.0, "delta_seconds"),
+            ("split_ewma_alpha", 0.0, "split_ewma_alpha"),
+            ("split_ewma_alpha", 1.5, "split_ewma_alpha"),
+            ("min_heavy_depth", 0, "min_heavy_depth"),
+        ],
+    )
+    def test_field_bounds(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            TiresiasConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("difference_threshold", 0.0),
+            ("split_ewma_alpha", 1.0),
+            ("min_heavy_depth", 3),
+        ],
+    )
+    def test_field_bounds_are_inclusive_where_documented(self, field, value):
+        assert getattr(TiresiasConfig(**{field: value}), field) == value
 
     def test_split_rule_names_frozen(self):
         assert SPLIT_RULE_NAMES == frozenset(

@@ -1,4 +1,4 @@
-"""Unit tests for :mod:`repro.core.hhh` (Definition 2)."""
+"""Unit tests for :mod:`repro.core.hhh` (Definitions 1 and 2)."""
 
 import pytest
 
@@ -39,6 +39,26 @@ class TestRawWeights:
         raw = accumulate_raw_weights(tree, {("a",): 4})
         assert raw[("a",)] == 4
         assert raw[()] == 4
+
+
+class TestHHH:
+    """Definition 1's plain HHH set is the raw weights at or above θ."""
+
+    @staticmethod
+    def hhh(tree, counts, theta):
+        return {p for p, w in accumulate_raw_weights(tree, counts).items() if w >= theta}
+
+    def test_definition_one(self, tree):
+        heavy = self.hhh(tree, {("a", "a1"): 6, ("a", "a2"): 5, ("b", "b1"): 2}, theta=5)
+        # a1 (6), a (11), root (13) reach the threshold; a2 (5) also does.
+        assert heavy == {("a", "a1"), ("a", "a2"), ("a",), ()}
+
+    def test_threshold_above_everything(self, tree):
+        assert self.hhh(tree, {("a", "a1"): 2}, theta=100) == set()
+
+    def test_succinct_set_is_a_subset(self, tree):
+        counts = {("a", "a1"): 6, ("a", "a2"): 5, ("b", "b1"): 2}
+        assert compute_shhh(tree, counts, theta=5).shhh <= self.hhh(tree, counts, 5)
 
 
 class TestSHHH:
@@ -95,3 +115,16 @@ class TestSHHH:
             modified = result.modified_weights.get(node.path, 0.0)
             in_set = node.path in result.shhh
             assert in_set == (modified >= theta)
+
+    def test_heavy_grandchild_under_light_child_is_discounted(self):
+        """A heavy grandchild under a non-heavy child is discounted from the
+        grandparent too: the modified weight is the raw weight minus the
+        maximal heavy descendants, not minus heavy children only."""
+        tree = HierarchyTree.from_leaf_paths([("a", "b", "c"), ("a", "b", "d"), ("a", "e")])
+        leaf_counts = {("a", "b", "c"): 10, ("a", "b", "d"): 2, ("a", "e"): 8}
+        raw = accumulate_raw_weights(tree, leaf_counts)
+        assert (raw[("a",)], raw[("a", "b")], raw[("a", "b", "c")]) == (20, 12, 10)
+        result = compute_shhh(tree, leaf_counts, theta=10)
+        assert result.shhh == {("a",), ("a", "b", "c")}
+        assert result.modified_weights[("a", "b")] == 2
+        assert result.modified_weights[("a",)] == 10

@@ -75,6 +75,13 @@ class TestSessionManagement:
         engine.remove_session("ccd")
         assert "ccd" not in engine
 
+    def test_remove_unknown_session_raises(self):
+        engine = DetectionEngine()
+        engine.add_session("ccd", make_tree("t"), make_config())
+        with pytest.raises(ConfigurationError, match="no session named 'scd'"):
+            engine.remove_session("scd")
+        assert engine.session_names == ("ccd",)
+
     def test_invalid_unknown_stream_policy(self):
         with pytest.raises(ConfigurationError):
             DetectionEngine(unknown_stream="explode")
@@ -219,3 +226,38 @@ class TestObserverDetachment:
             session.process_timeunit_counts({("t", "x", "x1"): 5}, timeunit=unit)
         assert [r.timeunit for r in session.results] == [7, 8, 9]
         assert session.units_processed == 10
+
+    def test_unsubscribe_detaches_from_every_session(self):
+        engine = DetectionEngine()
+        events = []
+        observer = engine.subscribe(
+            CallbackObserver(on_timeunit_closed=lambda s, r: events.append(s.name))
+        )
+        engine.add_session("left", make_tree("l"), make_config(), warmup_units=0)
+        engine.add_session("right", make_tree("r"), make_config(), warmup_units=0)
+        engine.unsubscribe(observer)
+        engine.session("left").process_timeunit_counts({("l", "x", "x1"): 5}, timeunit=0)
+        engine.session("right").process_timeunit_counts({("r", "x", "x1"): 5}, timeunit=0)
+        assert events == []
+
+    def test_unsubscribed_observer_skips_later_sessions(self):
+        engine = DetectionEngine()
+        events = []
+        observer = engine.subscribe(
+            CallbackObserver(on_timeunit_closed=lambda s, r: events.append(s.name))
+        )
+        engine.unsubscribe(observer)
+        engine.add_session("late", make_tree("t"), make_config(), warmup_units=0)
+        engine.session("late").process_timeunit_counts({("t", "x", "x1"): 5}, timeunit=0)
+        assert events == []
+
+    def test_unsubscribing_a_stranger_is_a_noop(self):
+        engine = DetectionEngine()
+        events = []
+        engine.subscribe(
+            CallbackObserver(on_timeunit_closed=lambda s, r: events.append(r.timeunit))
+        )
+        engine.add_session("only", make_tree("t"), make_config(), warmup_units=0)
+        engine.unsubscribe(CallbackObserver())
+        engine.session("only").process_timeunit_counts({("t", "x", "x1"): 5}, timeunit=0)
+        assert events == [0]

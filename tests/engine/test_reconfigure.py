@@ -73,6 +73,19 @@ class TestConfigDelta:
         assert new.forecast.season_lengths == (4, 8)
         assert new.forecast.fallback_alpha == config.forecast.fallback_alpha
 
+    def test_season_weights_are_coerced_to_floats(self):
+        config = tiny_detector_config()
+        new = config_with_updates(
+            config, {"forecast": {"season_lengths": [4, 8], "season_weights": [1, 0]}}
+        )
+        assert new.forecast.season_weights == (1.0, 0.0)
+        assert all(type(w) is float for w in new.forecast.season_weights)
+
+    def test_ill_typed_value_rejected(self):
+        config = tiny_detector_config()
+        with pytest.raises(ConfigurationError, match="invalid config delta"):
+            config_with_updates(config, {"theta": "high"})
+
     def test_unknown_keys_rejected(self):
         config = tiny_detector_config()
         with pytest.raises(ConfigurationError, match="unknown config field"):

@@ -45,6 +45,17 @@ class TestValidation:
         with pytest.raises(NotEnoughHistoryError):
             model.update(1.0)
 
+    def test_forecast_before_initialize_raises(self):
+        model = HoltWintersForecaster(season_length=4)
+        with pytest.raises(NotEnoughHistoryError):
+            model.forecast()
+
+    def test_is_initialized_after_initialize(self):
+        model = HoltWintersForecaster(season_length=4)
+        assert not model.is_initialized
+        model.initialize([1.0] * 8)
+        assert model.is_initialized
+
 
 class TestForecastQuality:
     def test_constant_series(self):
@@ -122,8 +133,85 @@ class TestLinearity:
         with pytest.raises(ConfigurationError):
             a.add_state(b)
 
+    def test_adding_an_uninitialized_state_is_a_noop(self):
+        a = HoltWintersForecaster(season_length=4)
+        a.initialize(seasonal_series(2, period=4))
+        before = a.state_dict()
+        a.add_state(HoltWintersForecaster(season_length=4))
+        assert a.state_dict() == before
+
+    def test_adding_into_an_uninitialized_model_adopts_the_other(self):
+        a = HoltWintersForecaster(season_length=4)
+        b = HoltWintersForecaster(season_length=4)
+        b.initialize(seasonal_series(3, period=4))
+        b.update(60.0)
+        a.add_state(b)
+        assert a.is_initialized
+        assert a.forecast() == b.forecast()
+        # The seasonal factors are copied, not shared.
+        a.update(10.0)
+        assert a.forecast() != b.forecast()
+
 
 class TestMultiSeasonal:
+    def test_needs_a_seasonal_period(self):
+        with pytest.raises(ConfigurationError, match="at least one"):
+            MultiSeasonalHoltWinters(season_lengths=())
+
+    def test_season_lengths_positive(self):
+        with pytest.raises(ConfigurationError, match=">= 1"):
+            MultiSeasonalHoltWinters(season_lengths=(4, 0))
+
+    def test_initialize_requires_two_longest_cycles(self):
+        model = MultiSeasonalHoltWinters(season_lengths=(4, 8))
+        with pytest.raises(NotEnoughHistoryError):
+            model.initialize([1.0] * 15)
+        assert not model.is_initialized
+        model.initialize([1.0] * 16)
+        assert model.is_initialized
+
+    @pytest.mark.parametrize("call", ["forecast", "update"])
+    def test_use_before_initialize_raises(self, call):
+        model = MultiSeasonalHoltWinters(season_lengths=(4, 8))
+        args = () if call == "forecast" else (1.0,)
+        with pytest.raises(NotEnoughHistoryError):
+            getattr(model, call)(*args)
+
+    def test_adding_an_uninitialized_state_is_a_noop(self):
+        model = MultiSeasonalHoltWinters(season_lengths=(4, 8))
+        model.initialize(seasonal_series(2, period=8))
+        before = model.state_dict()
+        model.add_state(MultiSeasonalHoltWinters(season_lengths=(4, 8)))
+        assert model.state_dict() == before
+
+    def test_adding_into_an_uninitialized_model_adopts_the_other(self):
+        a = MultiSeasonalHoltWinters(season_lengths=(4, 8))
+        b = MultiSeasonalHoltWinters(season_lengths=(4, 8))
+        b.initialize(seasonal_series(3, period=8))
+        b.update(60.0)
+        a.add_state(b)
+        assert a.forecast() == b.forecast()
+        assert a.phases == b.phases
+        # The seasonal buffers are copied, not shared.
+        a.update(10.0)
+        assert a.forecast() != b.forecast()
+
+    @pytest.mark.parametrize(
+        "other_kwargs",
+        [
+            dict(season_lengths=(4, 12), season_weights=(0.5, 0.5)),
+            dict(season_lengths=(4, 8), season_weights=(0.75, 0.25)),
+        ],
+        ids=["lengths", "weights"],
+    )
+    def test_structure_mismatch_rejected(self, other_kwargs):
+        a = MultiSeasonalHoltWinters(season_lengths=(4, 8), season_weights=(0.5, 0.5))
+        b = MultiSeasonalHoltWinters(**other_kwargs)
+        a.initialize([1.0] * 16)
+        b.initialize([1.0] * 24)
+        with pytest.raises(ConfigurationError, match="different structure"):
+            a.add_state(b)
+
     def test_weight_validation(self):
         with pytest.raises(ConfigurationError):
             MultiSeasonalHoltWinters(season_lengths=(4, 8), season_weights=(0.7, 0.7))

@@ -41,6 +41,13 @@ class TestConstruction:
         assert not node.is_leaf
         assert len(node.children) == 2
 
+    def test_unknown_node_raises(self, tree):
+        with pytest.raises(UnknownCategoryError):
+            tree.node(("tv", "no-service", "missing"))
+
+    def test_len_counts_every_node(self, tree):
+        assert len(tree) == tree.num_nodes == 9
+
     def test_contains(self, tree):
         assert ("tv",) in tree
         assert ("tv", "no-service") in tree
@@ -92,3 +99,22 @@ class TestStatistics:
         summary = tree.degree_summary()
         assert set(summary) <= {1, 2, 3}
         assert all(v > 0 for v in summary.values())
+
+    def test_leaf_only_level_has_no_typical_degree(self, tree):
+        # Level 4 holds only the leaves under no-service; past the depth
+        # there are no nodes at all.
+        assert tree.typical_degree_at_level(4) == 0.0
+        assert tree.typical_degree_at_level(9) == 0.0
+        assert 4 not in tree.degree_summary()
+
+    def test_typical_degree_is_the_median(self):
+        tree = HierarchyTree.from_leaf_paths(
+            [("a", "x"), ("b", "x"), ("b", "y"), ("c", "x"), ("c", "y"), ("c", "z")]
+        )
+        # Level-2 degrees are 1, 2 and 3: the odd-count median is 2.
+        assert tree.typical_degree_at_level(2) == 2.0
+        for label in ("s", "t", "u", "w"):
+            tree.add_leaf(("d", label))
+        # Adding d (4 children) makes the count even: the mean of the two
+        # middle degrees of 1, 2, 3, 4.
+        assert tree.typical_degree_at_level(2) == 2.5

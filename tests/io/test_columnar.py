@@ -10,6 +10,7 @@ import pytest
 from repro.exceptions import StreamError
 from repro.io.columnar import (
     COLUMNAR_SUFFIXES,
+    VERSION,
     convert_trace,
     main,
     read_batches_columnar,
@@ -17,6 +18,7 @@ from repro.io.columnar import (
     read_trace_batches,
     write_trace_columnar,
 )
+from repro.io.csv_io import write_records_csv
 from repro.io.jsonl_io import write_records_jsonl
 from repro.streaming.attributes import EncodedAttributes
 from repro.streaming.batch import RecordBatch
@@ -130,6 +132,103 @@ class TestConvertAndDispatch:
         path.write_bytes(bytes(data))
         with pytest.raises(StreamError):
             read_columnar_header(path)
+
+
+    def test_dispatch_reads_csv(self, tmp_path):
+        records = sample_records(9)
+        path = tmp_path / "trace.csv"
+        write_records_csv(records, path)
+        batches = list(read_trace_batches(path, batch_size=4))
+        assert [len(b) for b in batches] == [4, 4, 1]
+        assert [r for b in batches for r in b.to_records()] == records
+
+
+#: ``<5sBBI``: magic, major, minor, header length.
+PREAMBLE = struct.Struct("<5sBBI")
+
+
+def rewrite_header(path, edit):
+    """Replace a columnar file's JSON header in place, padded to its old
+    length so every section offset stays valid.  ``edit`` receives the
+    header's bytes and returns the new ones."""
+    data = bytearray(path.read_bytes())
+    _, _, _, header_len = PREAMBLE.unpack_from(data)
+    start = PREAMBLE.size
+    edited = edit(bytes(data[start : start + header_len]))
+    assert len(edited) <= header_len
+    data[start : start + header_len] = edited.ljust(header_len, b" ")
+    path.write_bytes(bytes(data))
+
+
+def edit_header_json(edit):
+    def apply(raw):
+        header = json.loads(raw.decode("utf-8"))
+        edit(header)
+        return json.dumps(header).encode("utf-8")
+
+    return apply
+
+
+class TestHeaderRefusals:
+    """Every structural check of the preamble and header raises a
+    :class:`StreamError` naming the file."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "trace.rcol"
+        write_trace_columnar(sample_records(6), path)
+        return path
+
+    def test_truncated_preamble(self, tmp_path):
+        path = tmp_path / "stub.rcol"
+        path.write_bytes(b"\x93RC")
+        with pytest.raises(StreamError, match="truncated preamble"):
+            read_columnar_header(path)
+
+    def test_unsupported_major_version(self, path):
+        data = bytearray(path.read_bytes())
+        data[5] = VERSION[0] + 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(StreamError, match=f"version {VERSION[0] + 1}.{VERSION[1]}"):
+            read_columnar_header(path)
+
+    def test_a_newer_minor_version_still_reads(self, path):
+        data = bytearray(path.read_bytes())
+        data[6] = VERSION[1] + 1
+        path.write_bytes(bytes(data))
+        assert read_rows(path) == sample_records(6)
+
+    @pytest.mark.parametrize(
+        "first_byte", [b"\xff", b"!"], ids=["not-utf8", "not-json"]
+    )
+    def test_malformed_header(self, path, first_byte):
+        rewrite_header(path, lambda raw: first_byte + raw[1:])
+        with pytest.raises(StreamError, match="malformed columnar header"):
+            read_columnar_header(path)
+
+    @pytest.mark.parametrize("key", ["count", "dictionary", "columns"])
+    def test_header_missing_key(self, path, key):
+        rewrite_header(path, edit_header_json(lambda header: header.pop(key)))
+        with pytest.raises(StreamError, match=f"missing '{key}'"):
+            read_columnar_header(path)
+
+    def test_empty_dictionary_category(self, path):
+        def empty_first(header):
+            header["dictionary"][0] = []
+
+        rewrite_header(path, edit_header_json(empty_first))
+        with pytest.raises(StreamError, match="empty category"):
+            list(read_batches_columnar(path))
+
+    @pytest.mark.parametrize("code", [-1, 3], ids=["negative", "past-the-end"])
+    def test_category_code_out_of_dictionary_range(self, path, code):
+        header = read_columnar_header(path)
+        assert len(header["dictionary"]) == 3
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<i", data, header["columns"]["codes"]["offset"] + 4, code)
+        path.write_bytes(bytes(data))
+        with pytest.raises(StreamError, match="out of dictionary range"):
+            list(read_batches_columnar(path))
 
 
 def patch_section(path, column, edit):

@@ -306,6 +306,18 @@ def test_webhook_raise_on_error_still_raises_inline():
     sink.close()
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_retries": -1}, "max_retries"),
+        ({"retry_queue_max": 0}, "retry_queue_max"),
+    ],
+)
+def test_webhook_retry_bounds_validated(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        WebhookAlertSink("http://127.0.0.1:1/hook", **kwargs)
+
+
 def test_webhook_counters_shape():
     sink = WebhookAlertSink("http://127.0.0.1:1/hook", max_retries=0)
     counters = sink.counters()

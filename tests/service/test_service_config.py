@@ -119,6 +119,29 @@ class TestServiceConfig:
             config.tenants[0].tree.leaf_paths()
         )
 
+    def test_spec_lookup(self, tmp_path):
+        config = make_config(tmp_path)
+        assert config.spec("alpha") is config.tenants[0]
+        with pytest.raises(ConfigurationError, match="no tenant named 'beta'"):
+            config.spec("beta")
+
+    @pytest.mark.parametrize(
+        "overrides, drop",
+        [
+            ({}, "checkpoint_dir"),
+            ({"port": "http"}, None),
+            ({"tenants": 5}, None),
+        ],
+        ids=["missing-key", "bad-value", "bad-type"],
+    )
+    def test_malformed_dict_raises_configuration_error(self, tmp_path, overrides, drop):
+        document = make_config(tmp_path).to_dict()
+        document.update(overrides)
+        if drop is not None:
+            del document[drop]
+        with pytest.raises(ConfigurationError, match="malformed service config"):
+            ServiceConfig.from_dict(document)
+
     def test_replace_overrides(self, tmp_path):
         config = make_config(tmp_path)
         patched = config.replace(port=0, checkpoint_interval=0.0)

@@ -68,6 +68,14 @@ class TestConstruction:
         with pytest.raises(StreamError):
             batch.min_timestamp
 
+    def test_empty_batch_has_no_max_timestamp(self):
+        with pytest.raises(StreamError, match="no timestamps"):
+            RecordBatch.empty().max_timestamp
+
+    def test_timestamp_span(self):
+        batch = RecordBatch([3.0, 1.0, 2.0], [("a",), ("b",), ("a",)])
+        assert (batch.min_timestamp, batch.max_timestamp) == (1.0, 3.0)
+
 
 class TestNonFiniteTimestamps:
     """A batch refuses a non-finite timestamp with the record's own message,
