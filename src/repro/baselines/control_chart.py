@@ -99,9 +99,6 @@ class ControlChartDetector:
         self.anomalies: list[Anomaly] = []
 
     # ------------------------------------------------------------------
-    @property
-    def monitored_paths(self) -> tuple[CategoryPath, ...]:
-        return self._monitored
 
     def _phase(self) -> int:
         if self.seasonal_period is None:
@@ -148,10 +145,3 @@ class ControlChartDetector:
             self._observed_units[path] += 1
         self.anomalies.extend(alarms)
         return alarms
-
-    def reset(self) -> None:
-        """Clear all chart state and recorded alarms."""
-        self._charts = {}
-        self._observed_units = {path: 0 for path in self._monitored}
-        self._timeunit = -1
-        self.anomalies = []

@@ -213,11 +213,6 @@ class TiresiasConfig:
     #: Alias for :meth:`replace` (attrs-style name).
     evolve = replace
 
-    @property
-    def history_units(self) -> int:
-        """Number of history timeunits (everything except the detection unit)."""
-        return self.window_units - 1
-
 
 #: Valid values for :attr:`TiresiasConfig.split_rule`.
 SPLIT_RULE_NAMES: frozenset[str] = frozenset(

@@ -21,6 +21,11 @@ import numpy as np
 from repro._types import CategoryPath, TimeunitIndex
 from repro.core.config import TiresiasConfig
 
+#: Floor applied to the forecast before taking the ratio, so that a node
+#: whose forecast is (near) zero does not alarm on a single stray record;
+#: the absolute threshold DT remains the binding condition there.
+MINIMUM_FORECAST = 0.5
+
 
 @dataclass(frozen=True)
 class Anomaly:
@@ -92,19 +97,15 @@ class ThresholdDetector:
     ----------
     config:
         Provides ``ratio_threshold`` (RT) and ``difference_threshold`` (DT).
-    minimum_forecast:
-        Floor applied to the forecast before taking the ratio, so that a node
-        whose forecast is (near) zero does not alarm on a single stray record;
-        the absolute threshold DT remains the binding condition there.
+        The forecast is floored at :data:`MINIMUM_FORECAST` for the ratio.
     """
 
-    def __init__(self, config: TiresiasConfig, minimum_forecast: float = 0.5):
+    def __init__(self, config: TiresiasConfig):
         self.config = config
-        self.minimum_forecast = minimum_forecast
 
     def is_anomalous(self, actual: float, forecast: float) -> bool:
         """Check Definition 4 for a single (actual, forecast) pair."""
-        floored = max(forecast, self.minimum_forecast)
+        floored = max(forecast, MINIMUM_FORECAST)
         ratio_exceeded = actual / floored > self.config.ratio_threshold
         excess_exceeded = (actual - forecast) > self.config.difference_threshold
         return ratio_exceeded and excess_exceeded
@@ -163,7 +164,7 @@ class ThresholdDetector:
                 else []
             )
         else:
-            floored = np.maximum(forecast_arr, self.minimum_forecast)
+            floored = np.maximum(forecast_arr, MINIMUM_FORECAST)
             flagged = np.flatnonzero(
                 (actual_arr / floored > self.config.ratio_threshold)
                 & ((actual_arr - forecast_arr) > self.config.difference_threshold)

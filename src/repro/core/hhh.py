@@ -45,9 +45,6 @@ class HeavyHitterResult:
     shhh: frozenset[CategoryPath]
     theta: float
 
-    def is_heavy(self, path: CategoryPath) -> bool:
-        return tuple(path) in self.shhh
-
 
 def accumulate_raw_weights(
     tree: HierarchyTree, leaf_counts: Mapping[CategoryPath, Weight]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro._types import CategoryPath, TimeunitIndex
 from repro.core.detector import Anomaly
@@ -83,9 +83,6 @@ class AnomalyReportStore:
             return list(self._anomalies)
         return [a for a in self._anomalies if query.matches(a)]
 
-    def filter(self, predicate: Callable[[Anomaly], bool]) -> list[Anomaly]:
-        return [a for a in self._anomalies if predicate(a)]
-
     def by_timeunit(self) -> dict[TimeunitIndex, list[Anomaly]]:
         grouped: dict[TimeunitIndex, list[Anomaly]] = {}
         for anomaly in self._anomalies:
@@ -139,15 +136,3 @@ class AnomalyReportStore:
         with path.open("w", encoding="utf-8") as handle:
             for anomaly in self._anomalies:
                 handle.write(json.dumps(anomaly.to_dict()) + "\n")
-
-    @classmethod
-    def load_jsonl(cls, path: str | Path) -> "AnomalyReportStore":
-        store = cls()
-        path = Path(path)
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                store.add(Anomaly.from_dict(json.loads(line)))
-        return store

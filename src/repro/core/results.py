@@ -121,9 +121,6 @@ class TimeunitResult:
     def num_anomalies(self) -> int:
         return len(self._anomalies)
 
-    def anomaly_paths(self) -> set[CategoryPath]:
-        return {a.node_path for a in self._anomalies}
-
     def without_anomalies(self) -> "TimeunitResult":
         """The same result with its anomalies suppressed (warm-up)."""
         return TimeunitResult(

@@ -118,9 +118,5 @@ class HierarchyTracker:
         self.stage_seconds["updating_hierarchies"] += time.perf_counter() - start
         return list(zip(raw, modified, heavy))
 
-    @property
-    def current_timeunit(self) -> TimeunitIndex:
-        return self._timeunit
-
 
 __all__ = ["HierarchyTracker"]

@@ -69,9 +69,6 @@ class InjectedAnomaly:
         """The attributes of every record the anomaly injects."""
         return {"injected": True, "label": self.label}
 
-    def active_at(self, timestamp: Timestamp) -> bool:
-        return self.start <= timestamp < self.end
-
     def timeunits(self, clock: SimulationClock) -> range:
         """Indices of the timeunits the anomaly overlaps."""
         first = clock.timeunit_of(self.start)

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro._types import Timestamp
 from repro.exceptions import ConfigurationError
-from repro.streaming.clock import DAY, HOUR, SimulationClock
+from repro.streaming.clock import SimulationClock
 
 
 @dataclass(frozen=True)

@@ -278,17 +278,6 @@ class TraceGenerator:
         """(node_path, timeunit) pairs anomalous by construction."""
         return self._injector.ground_truth(self.clock)
 
-    def injected_anomalies(self) -> list[InjectedAnomaly]:
-        return list(self._injector.anomalies)
-
-    def expected_unit_count(self, unit_start: float) -> float:
-        """Expected background record count for the unit starting at ``unit_start``."""
-        return self.rate_model.expected_count(unit_start, self.clock)
-
-    def leaf_popularity(self) -> dict[CategoryPath, float]:
-        """Sampling probability of each leaf (diagnostic for the Fig. 1 CCDFs)."""
-        return dict(zip(self._leaves, self._weights))
-
 
 def counts_per_timeunit(
     records: Sequence[OperationalRecord], clock: SimulationClock, num_units: int

@@ -159,20 +159,6 @@ class DetectionEngine:
         self._sessions[session.name] = session
         return session
 
-    def remove_session(self, name: str) -> DetectionSession:
-        """Unregister and return the named session.
-
-        Engine-level observers are detached from it (session-level
-        subscriptions made directly on the session are left alone).
-        """
-        try:
-            session = self._sessions.pop(name)
-        except KeyError:
-            raise ConfigurationError(f"no session named {name!r}") from None
-        for observer in self._observers:
-            session.unsubscribe(observer)
-        return session
-
     def session(self, name: str) -> DetectionSession:
         """The session registered under ``name``."""
         try:
@@ -247,14 +233,6 @@ class DetectionEngine:
 
     def shadow_report(self, name: str) -> dict[str, Any]:
         return self.session(name).shadow_report()
-
-    def shadow_reports(self) -> dict[str, dict[str, Any]]:
-        """Reports of every running shadow experiment, keyed by session."""
-        return {
-            name: session.shadow_report()
-            for name, session in self._sessions.items()
-            if session.has_shadow
-        }
 
     # ------------------------------------------------------------------
     # Ingestion

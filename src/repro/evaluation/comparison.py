@@ -86,13 +86,6 @@ class ComparisonReport:
             return float("inf")
         return sta_total / ada_total
 
-    @property
-    def memory_ratio(self) -> float:
-        """ADA-to-STA memory cost ratio (the paper reports ≈ 0.36-0.43)."""
-        if self.sta_memory_units <= 0:
-            return float("inf")
-        return self.ada_memory_units / self.sta_memory_units
-
 
 class AlgorithmComparator:
     """Runs ADA and STA on identical input and scores ADA against STA."""

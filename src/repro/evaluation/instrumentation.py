@@ -50,17 +50,6 @@ class RuntimeSummary:
             rows.append((stage, seconds, self.stage_share(stage)))
         return rows
 
-    def speedup_over(self, other: "RuntimeSummary", exclude_reading: bool = False) -> float:
-        """How many times faster this run is than ``other``."""
-        mine = self.total_seconds
-        theirs = other.total_seconds
-        if exclude_reading:
-            mine -= self.stage_seconds.get("reading_traces", 0.0)
-            theirs -= other.stage_seconds.get("reading_traces", 0.0)
-        if mine <= 0:
-            return float("inf")
-        return theirs / mine
-
 
 @dataclass(frozen=True)
 class MemorySummary:

@@ -69,13 +69,6 @@ class ConfusionMetrics:
             return 1.0
         return self.true_positives / denominator
 
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        if p + r == 0:
-            return 0.0
-        return 2 * p * r / (p + r)
-
 
 def confusion_from_sets(
     predicted: set[Case], truth: set[Case], universe: set[Case]
@@ -158,14 +151,6 @@ class ReferenceComparison:
         if denominator == 0:
             return 1.0
         return self.true_negatives / denominator
-
-    def as_table_row(self) -> dict[str, float]:
-        """The three ratios of the paper's Table VI."""
-        return {
-            "type1_accuracy": self.type1_accuracy,
-            "type2": self.type2,
-            "type3": self.type3,
-        }
 
 
 def compare_with_reference(

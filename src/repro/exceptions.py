@@ -162,11 +162,5 @@ class CheckpointWriteError(CheckpointError):
             message = f"{message}: {detail}"
         super().__init__(message)
 
-    @property
-    def is_disk_full(self) -> bool:
-        import errno as _errno
-
-        return self.errno == _errno.ENOSPC
-
     def __reduce__(self):
         return (type(self), (self.path, self.errno, self.detail))

@@ -94,10 +94,6 @@ class HoltWintersForecaster(Forecaster):
         """At least two full seasonal cycles, as in the paper's initialization."""
         return 2 * self.season_length
 
-    @property
-    def is_initialized(self) -> bool:
-        return self.level is not None
-
     def initialize(self, history: Sequence[float]) -> None:
         """Initialize level, trend and seasonals from ``history`` (oldest first).
 
@@ -297,10 +293,6 @@ class MultiSeasonalHoltWinters(Forecaster):
     @property
     def min_history(self) -> int:
         return 2 * max(self.season_lengths)
-
-    @property
-    def is_initialized(self) -> bool:
-        return self.level is not None
 
     def _combined_seasonal(self) -> float:
         return sum(

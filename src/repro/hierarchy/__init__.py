@@ -14,7 +14,6 @@ from repro.hierarchy.builders import (
     build_tree_from_spec,
 )
 from repro.hierarchy.domain import (
-    CANONICAL_DOMAINS,
     CCD_NETWORK_DOMAIN,
     CCD_TROUBLE_DOMAIN,
     SCD_NETWORK_DOMAIN,
@@ -31,7 +30,6 @@ __all__ = [
     "HierarchyIndex",
     "DomainSpec",
     "LevelSpec",
-    "CANONICAL_DOMAINS",
     "CCD_TROUBLE_DOMAIN",
     "CCD_NETWORK_DOMAIN",
     "SCD_NETWORK_DOMAIN",

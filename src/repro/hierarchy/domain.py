@@ -74,23 +74,6 @@ class DomainSpec:
         """Typical degree at each level, Table II style."""
         return tuple(level.typical_degree for level in self.levels)
 
-    def expected_leaf_count(self) -> int:
-        """Product of the typical degrees: the nominal number of leaves."""
-        count = 1
-        for level in self.levels:
-            count *= level.typical_degree
-        return count
-
-    def level_name(self, depth: int) -> str:
-        """Name of the level at tree depth ``depth`` (root is depth 0)."""
-        if depth == 0:
-            return self.root_label
-        if 1 <= depth <= len(self.levels):
-            return self.levels[depth - 1].name
-        raise ConfigurationError(
-            f"domain {self.name!r} has depth {self.depth}; no level at {depth}"
-        )
-
 
 # ----------------------------------------------------------------------
 # Canonical domains from the paper (Table II)
@@ -133,9 +116,3 @@ SCD_NETWORK_DOMAIN = DomainSpec(
         LevelSpec("STB", 6),
     ),
 )
-
-#: All canonical domains by name, for lookup from configuration files.
-CANONICAL_DOMAINS: dict[str, DomainSpec] = {
-    spec.name: spec
-    for spec in (CCD_TROUBLE_DOMAIN, CCD_NETWORK_DOMAIN, SCD_NETWORK_DOMAIN)
-}

@@ -55,10 +55,6 @@ class HierarchyNode:
         return self._path
 
     @property
-    def is_root(self) -> bool:
-        return self.parent is None
-
-    @property
     def is_leaf(self) -> bool:
         return not self.children
 
@@ -102,19 +98,6 @@ class HierarchyNode:
         while node is not None:
             yield node
             node = node.parent
-
-    def is_ancestor_of(self, other: "HierarchyNode") -> bool:
-        """``True`` iff this node is a strict ancestor of ``other``."""
-        node = other.parent
-        while node is not None:
-            if node is self:
-                return True
-            node = node.parent
-        return False
-
-    def is_ancestor_or_self(self, other: "HierarchyNode") -> bool:
-        """The paper's ``L1 ⊒ L2`` relation: equal or strict ancestor."""
-        return self is other or self.is_ancestor_of(other)
 
     # ------------------------------------------------------------------
     # Dunder methods

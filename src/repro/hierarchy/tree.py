@@ -112,9 +112,6 @@ class HierarchyTree:
         except KeyError:
             raise UnknownCategoryError(path) from None
 
-    def has_leaf(self, path: CategoryLike) -> bool:
-        return tuple(path) in self._leaf_by_path
-
     def leaf_paths(self) -> list[CategoryPath]:
         """All registered leaf paths, in insertion order.
 
@@ -185,15 +182,6 @@ class HierarchyTree:
         if len(degrees) % 2:
             return float(degrees[mid])
         return (degrees[mid - 1] + degrees[mid]) / 2.0
-
-    def degree_summary(self) -> dict[int, float]:
-        """Typical degree for every level that has non-leaf nodes."""
-        summary: dict[int, float] = {}
-        for level in range(1, self.depth):
-            degree = self.typical_degree_at_level(level)
-            if degree:
-                summary[level] = degree
-        return summary
 
     # ------------------------------------------------------------------
     # Dunder methods

@@ -40,17 +40,6 @@ class SeasonalityProfile:
     fft_peaks: tuple[SpectrumPeak, ...]
     wavelet_profile: tuple[tuple[float, float], ...]
 
-    @property
-    def primary_period(self) -> int:
-        return self.periods_timeunits[0]
-
-    def holt_winters_kwargs(self) -> dict[str, object]:
-        """Keyword arguments for :class:`~repro.forecasting.MultiSeasonalHoltWinters`."""
-        return {
-            "season_lengths": self.periods_timeunits,
-            "season_weights": self.weights,
-        }
-
 
 class SeasonalityAnalyzer:
     """Derives a :class:`SeasonalityProfile` from a count time series.

@@ -47,15 +47,6 @@ class WaveletDecomposition:
     energies: np.ndarray
     scales: np.ndarray
 
-    def dominant_scale(self) -> float:
-        """Timescale (in timeunits) with the largest detail energy."""
-        return float(self.scales[int(np.argmax(self.energies))])
-
-    def energy_at_scale(self, timeunits: float) -> float:
-        """Normalized detail energy at the scale closest to ``timeunits``."""
-        idx = int(np.argmin(np.abs(np.log2(self.scales) - np.log2(max(timeunits, 1.0)))))
-        return float(self.energies[idx])
-
 
 def _atrous_smooth(series: np.ndarray, level: int) -> np.ndarray:
     """One à-trous smoothing pass at ``level`` (filter holes of 2**level)."""

@@ -39,6 +39,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.detector import Anomaly
     from repro.engine.session import DetectionSession
 
+#: Seconds one delivery attempt may take.
+TIMEOUT = 2.0
+#: Retries after a failed first attempt before an alert is given up.
+MAX_RETRIES = 4
+#: Retry *k* waits ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(k-1))`` seconds plus
+#: up to 10% jitter.
+BACKOFF_BASE = 0.25
+BACKOFF_CAP = 30.0
+#: Alerts the retry queue holds; when it is full the oldest is dropped.
+RETRY_QUEUE_MAX = 256
+
 
 def _alert_document(session: "DetectionSession", anomaly: "Anomaly") -> dict[str, Any]:
     return {
@@ -80,18 +91,17 @@ class WebhookAlertSink(EngineObserver):
     Delivery policy:
 
     * the **first attempt** runs inline on the ingest thread (one request,
-      ``timeout`` seconds) — fast receivers see alerts with no added
-      latency, and ``raise_on_error=True`` keeps its old fail-loud
-      semantics for that first attempt;
+      :data:`TIMEOUT` seconds) — fast receivers see alerts with no added
+      latency; a failure never raises;
     * a failed first attempt **enqueues** the payload on a bounded retry
-      queue (``retry_queue_max``; when full, the *oldest* queued alert is
-      dropped and ``dropped_total`` incremented — detection never blocks on
-      alerting);
+      queue (:data:`RETRY_QUEUE_MAX` entries; when full, the *oldest* queued
+      alert is dropped and ``dropped_total`` incremented — detection never
+      blocks on alerting);
     * a lazily started daemon thread drains the queue under **capped
       exponential backoff** — attempt *k* waits
-      ``min(backoff_cap, backoff_base * 2**(k-1))`` plus up to 10%
-      jitter — giving up after ``max_retries`` retries
-      (``retries_exhausted_total``).
+      ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(k-1))`` plus up to 10%
+      jitter (0.25 s, 0.5 s, 1 s, ... capped at 30 s) — giving up after
+      :data:`MAX_RETRIES` retries (``retries_exhausted_total``).
 
     ``sleep`` and ``rng`` are injectable so tests drive the backoff schedule
     deterministically (the default rng is seeded, making jitter reproducible
@@ -101,26 +111,10 @@ class WebhookAlertSink(EngineObserver):
     def __init__(
         self,
         url: str,
-        timeout: float = 2.0,
-        raise_on_error: bool = False,
-        max_retries: int = 4,
-        backoff_base: float = 0.25,
-        backoff_cap: float = 30.0,
-        retry_queue_max: int = 256,
         sleep: "Callable[[float], None] | None" = None,
         rng: "Random | None" = None,
     ):
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if retry_queue_max < 1:
-            raise ValueError(f"retry_queue_max must be >= 1, got {retry_queue_max}")
         self.url = url
-        self.timeout = timeout
-        self.raise_on_error = raise_on_error
-        self.max_retries = int(max_retries)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
-        self.retry_queue_max = int(retry_queue_max)
         self._sleep = time.sleep if sleep is None else sleep
         self._rng = Random(1729) if rng is None else rng
         self.delivered_total = 0
@@ -144,11 +138,11 @@ class WebhookAlertSink(EngineObserver):
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with urllib.request.urlopen(request, timeout=self.timeout):
+        with urllib.request.urlopen(request, timeout=TIMEOUT):
             pass
 
     def _backoff_delay(self, attempt: int) -> float:
-        delay = min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
+        delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (attempt - 1)))
         return delay + self._rng.uniform(0.0, 0.1 * delay)
 
     def on_anomaly(self, session: "DetectionSession", anomaly: "Anomaly") -> None:
@@ -159,10 +153,7 @@ class WebhookAlertSink(EngineObserver):
         except (urllib.error.URLError, OSError, ValueError) as exc:
             self.failed_total += 1
             self.last_error = repr(exc)
-            if self.raise_on_error:
-                raise
-            if self.max_retries > 0:
-                self._enqueue(payload, attempt=1)
+            self._enqueue(payload, attempt=1)
 
     # ------------------------------------------------------------------
     # Retry queue
@@ -171,7 +162,7 @@ class WebhookAlertSink(EngineObserver):
         with self._cond:
             if self._stopped:
                 return
-            while len(self._queue) >= self.retry_queue_max:
+            while len(self._queue) >= RETRY_QUEUE_MAX:
                 self._queue.popleft()
                 self.dropped_total += 1
             self._queue.append((payload, attempt))
@@ -200,7 +191,7 @@ class WebhookAlertSink(EngineObserver):
                 except (urllib.error.URLError, OSError, ValueError) as exc:
                     self.failed_total += 1
                     self.last_error = repr(exc)
-                    if attempt >= self.max_retries:
+                    if attempt >= MAX_RETRIES:
                         self.retries_exhausted_total += 1
                     else:
                         self._enqueue(payload, attempt + 1)

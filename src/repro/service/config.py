@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.core.config import TiresiasConfig
 from repro.core.registry import ALGORITHMS

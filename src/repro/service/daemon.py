@@ -226,7 +226,8 @@ class DetectionService:
         asyncio.run(main())
 
     def start_in_thread(self, timeout: float = 30.0) -> "ServiceHandle":
-        """Run the daemon on a background thread (tests, embedding, examples).
+        """Run the daemon on a background thread of this process (the HTTP
+        test suites start it this way; so can an embedding program).
 
         Returns once the front ends are bound; ``handle.stop()`` shuts down
         gracefully.

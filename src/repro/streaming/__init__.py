@@ -15,7 +15,7 @@ a batch of one).
 """
 
 from repro.streaming.batch import RecordBatch, iter_record_batches
-from repro.streaming.clock import DAY, HOUR, MINUTE, WEEK, SimulationClock
+from repro.streaming.clock import DAY, HOUR, SimulationClock
 from repro.streaming.record import OperationalRecord
 from repro.streaming.stream import InputStream
 
@@ -25,8 +25,6 @@ __all__ = [
     "iter_record_batches",
     "InputStream",
     "SimulationClock",
-    "MINUTE",
     "HOUR",
     "DAY",
-    "WEEK",
 ]

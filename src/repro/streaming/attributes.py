@@ -236,28 +236,6 @@ def take_rows(column, indices):
     return [column[i] for i in indices]
 
 
-def concat_rows(first, first_len: int, second, second_len: int):
-    """``first`` followed by ``second`` (``*_len`` give the row counts a
-    ``None`` column stands for).  Two encoded columns, or one beside a
-    ``None``, stay encoded; beside a list the rows are decoded."""
-    if first is None and second is None:
-        return None
-    if all(
-        column is None or isinstance(column, EncodedAttributes)
-        for column in (first, second)
-    ):
-        blobs, sizes = [], []
-        for column, count in ((first, first_len), (second, second_len)):
-            if column is None:
-                sizes.append(bytes(4 * count))
-            else:
-                blob, lengths = column.window()
-                blobs.append(blob)
-                sizes.append(lengths.tobytes())
-        return EncodedAttributes.from_window(b"".join(blobs), b"".join(sizes))
-    return list(first or [{}] * first_len) + list(second or [{}] * second_len)
-
-
 def may_hold_key(column, key: str) -> bool:
     """Whether any row of the column could carry ``key`` — ``False`` lets
     routing return a batch whole without looking at a single row."""

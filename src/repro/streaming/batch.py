@@ -47,7 +47,6 @@ import numpy as np
 from repro._types import CategoryPath, Timestamp
 from repro.exceptions import StreamError
 from repro.streaming.attributes import (
-    concat_rows,
     may_hold_key,
     slice_rows,
     take_rows,
@@ -123,10 +122,9 @@ class RecordBatch:
         The columnar reader hands over an
         :class:`~repro.streaming.attributes.EncodedAttributes` column, whose
         rows stay JSON bytes until one is indexed; :meth:`slice`,
-        :meth:`take`, :meth:`concat` and :meth:`partition_by_key` keep it
-        encoded.
+        :meth:`take` and :meth:`partition_by_key` keep it encoded.
 
-    Iterating a batch (or :meth:`to_records`) builds every row's record on
+    Iterating a batch builds every row's record on
     the first pass, from whole columns, and keeps the list for the batch's
     life, as :attr:`categories` keeps its tuples: a second pass costs
     nothing, but ``next(iter(batch))`` builds all the rows, and a batch that
@@ -272,9 +270,6 @@ class RecordBatch:
             return self.take(range(start, stop, step))
         return self.record(index)
 
-    def to_records(self) -> list[OperationalRecord]:
-        return list(self._record_list())
-
     def _record_list(self) -> list[OperationalRecord]:
         """The rows as records, built on first use and kept, as
         :attr:`categories` is: a trace read twice builds them once."""
@@ -329,23 +324,6 @@ class RecordBatch:
         )
         batch._categories = self._categories
         return batch
-
-    def concat(self, other: "RecordBatch") -> "RecordBatch":
-        """This batch followed by ``other`` (columns concatenated).  Two
-        batches over the same dictionary object keep it; otherwise the rows
-        are numbered afresh."""
-        timestamps = np.concatenate([self.timestamps, other.timestamps])
-        attrs = concat_rows(
-            self.attributes, len(self), other.attributes, len(other)
-        )
-        if self.code_dictionary is other.code_dictionary:
-            return RecordBatch.from_dictionary_codes(
-                timestamps,
-                np.concatenate([self.category_codes, other.category_codes]),
-                self.code_dictionary,
-                attrs,
-            )
-        return RecordBatch(timestamps, self.categories + other.categories, attrs)
 
     # ------------------------------------------------------------------
     # Vectorized timeunit aggregation

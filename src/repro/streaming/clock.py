@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from repro._types import Timestamp, TimeunitIndex
 from repro.exceptions import ConfigurationError
 
-#: Seconds per minute/hour/day/week, used throughout the configs.
-MINUTE = 60.0
+#: Seconds per hour/day, used throughout the configs.
 HOUR = 3600.0
 DAY = 24 * HOUR
-WEEK = 7 * DAY
 
 
 @dataclass(frozen=True)
@@ -61,15 +59,8 @@ class SimulationClock:
         """Timestamp of the start of timeunit ``index``."""
         return self.epoch + index * self.delta
 
-    def timeunit_end(self, index: TimeunitIndex) -> Timestamp:
-        """Timestamp one past the end of timeunit ``index``."""
-        return self.timeunit_start(index + 1)
-
     def units_per_day(self) -> float:
         return DAY / self.delta
-
-    def units_per_week(self) -> float:
-        return WEEK / self.delta
 
     # ------------------------------------------------------------------
     # Calendar helpers for seasonal models

@@ -63,10 +63,6 @@ class OperationalRecord:
         """Convenience constructor accepting any sequence of labels."""
         return cls(timestamp=float(timestamp), category=tuple(category), attributes=attributes)
 
-    def with_category(self, category: CategoryLike) -> "OperationalRecord":
-        """Return a copy of this record reclassified under ``category``."""
-        return OperationalRecord(self.timestamp, tuple(category), self.attributes)
-
     def to_dict(self) -> dict[str, Any]:
         """Serializable representation used by the trace writers."""
         return {

@@ -12,7 +12,7 @@ like any other, after the rows before it came out as a batch.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro._types import Timestamp
 from repro.exceptions import StreamError
@@ -65,10 +65,6 @@ class InputStream:
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
-    @classmethod
-    def from_sorted(cls, records: Sequence[OperationalRecord]) -> "InputStream":
-        """Stream over an already materialized list, sorting it by time."""
-        return cls(sorted(records))
 
     @classmethod
     def merge(

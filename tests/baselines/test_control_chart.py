@@ -7,6 +7,14 @@ from repro.exceptions import ConfigurationError
 from repro.hierarchy.tree import HierarchyTree
 
 
+def alarmed_paths(detector, tree):
+    """The paths that alarm when every leaf jumps from 10 to 100 records."""
+    leaves = tree.leaf_paths()
+    for _ in range(30):
+        detector.process_timeunit({leaf: 10 for leaf in leaves})
+    return {alarm.node_path for alarm in detector.process_timeunit({leaf: 100 for leaf in leaves})}
+
+
 @pytest.fixture
 def tree():
     return HierarchyTree.from_leaf_paths(
@@ -32,11 +40,11 @@ class TestConfiguration:
 
     def test_monitors_first_level_by_default(self, tree):
         detector = ControlChartDetector(tree)
-        assert set(detector.monitored_paths) == {("vho-1",), ("vho-2",)}
+        assert alarmed_paths(detector, tree) == {("vho-1",), ("vho-2",)}
 
     def test_can_monitor_deeper_level(self, tree):
         detector = ControlChartDetector(tree, depth=2)
-        assert set(detector.monitored_paths) == {
+        assert alarmed_paths(detector, tree) == {
             ("vho-1", "io-1"),
             ("vho-1", "io-2"),
             ("vho-2", "io-3"),
@@ -83,16 +91,6 @@ class TestDetection:
             detector.process_timeunit({("vho-1", "io-1", "co-1"): 2})
         alarms = detector.process_timeunit({("vho-1", "io-1", "co-1"): 12})
         assert alarms == []
-
-    def test_reset_clears_state(self, tree):
-        detector = ControlChartDetector(tree, min_observations=4)
-        for _ in range(10):
-            detector.process_timeunit({("vho-1", "io-1", "co-1"): 10})
-        detector.process_timeunit({("vho-1", "io-1", "co-1"): 200})
-        assert detector.anomalies
-        detector.reset()
-        assert detector.anomalies == []
-        assert detector.process_timeunit({("vho-1", "io-1", "co-1"): 200}) == []
 
     def test_timeunit_indices_tracked(self, tree):
         detector = ControlChartDetector(tree, min_observations=2)

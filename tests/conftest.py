@@ -75,7 +75,7 @@ def rng() -> random.Random:
 def leaf_counts_for(tree: HierarchyTree, counts: dict[tuple[str, ...], int]):
     """Helper: validate that the given paths are leaves and return the mapping."""
     for path in counts:
-        assert tree.has_leaf(path), f"{path} is not a leaf of the test tree"
+        tree.leaf(path)  # raises UnknownCategoryError for a non-leaf
     return counts
 
 

@@ -65,10 +65,6 @@ class TestTiresiasConfig:
         assert config.window_units == 8064
         assert config.split_rule in SPLIT_RULE_NAMES
 
-    def test_history_units(self):
-        config = TiresiasConfig(window_units=100)
-        assert config.history_units == 99
-
     def test_theta_positive(self):
         with pytest.raises(ConfigurationError):
             TiresiasConfig(theta=0)

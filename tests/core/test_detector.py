@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import TiresiasConfig
-from repro.core.detector import Anomaly, ThresholdDetector
+from repro.core.detector import MINIMUM_FORECAST, Anomaly, ThresholdDetector
 
 
 @pytest.fixture
@@ -33,6 +33,20 @@ class TestThresholdRule:
         # With the minimum-forecast floor, a genuine burst from nothing alarms.
         assert detector.is_anomalous(actual=50.0, forecast=0.0)
         assert not detector.is_anomalous(actual=5.0, forecast=0.0)
+
+    def test_the_forecast_floor_is_the_same_on_both_paths(self):
+        detector = ThresholdDetector(
+            TiresiasConfig(ratio_threshold=2.0, difference_threshold=0.1)
+        )
+        # Against a zero forecast the ratio is taken over the 0.5 floor:
+        # 1.2 / 0.5 = 2.4 alarms, 0.9 / 0.5 = 1.8 does not.
+        assert MINIMUM_FORECAST == 0.5
+        assert detector.is_anomalous(actual=1.2, forecast=0.0)
+        assert not detector.is_anomalous(actual=0.9, forecast=0.0)
+        paths = [("a",), ("b",)]
+        flagged = detector.check_many(paths, 3, [1.2, 0.9], [0.0, 0.0])
+        assert [a.node_path for a in flagged] == [("a",)]
+        assert [a.node_path for a in detector.check_many(paths[1:], 3, [0.9], [0.0])] == []
 
     def test_check_returns_anomaly_object(self, detector):
         anomaly = detector.check(("a", "b"), 7, actual=50.0, forecast=10.0, depth=2, source="test")

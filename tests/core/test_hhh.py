@@ -92,11 +92,6 @@ class TestSHHH:
         # Parent a's modified weight is 0 after discounting both children.
         assert ("a",) not in result.shhh
 
-    def test_is_heavy_helper(self, tree):
-        result = compute_shhh(tree, {("a", "a1"): 10}, theta=5)
-        assert result.is_heavy(("a", "a1"))
-        assert not result.is_heavy(("a",))
-
     def test_empty_counts(self, tree):
         result = compute_shhh(tree, {}, theta=5)
         assert result.shhh == frozenset()

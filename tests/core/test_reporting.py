@@ -1,5 +1,7 @@
 """Unit tests for :mod:`repro.core.reporting`."""
 
+import json
+
 import pytest
 
 from repro.core.detector import Anomaly
@@ -45,14 +47,15 @@ class TestQueries:
             ("vho-1", "io-1", "co-3"),
         }
 
+    def test_max_depth_filter(self, store):
+        results = store.query(AnomalyQuery(max_depth=1))
+        assert {a.node_path for a in results} == {("vho-1",), ("vho-2",)}
+
     def test_magnitude_filters(self, store):
         results = store.query(AnomalyQuery(min_excess=50.0))
         assert len(results) == 1
         results = store.query(AnomalyQuery(min_ratio=5.0))
         assert len(results) == 1
-
-    def test_filter_predicate(self, store):
-        assert len(store.filter(lambda a: a.timeunit == 10)) == 2
 
     def test_grouping(self, store):
         by_unit = store.by_timeunit()
@@ -81,16 +84,9 @@ class TestPersistence:
     def test_jsonl_round_trip(self, store, tmp_path):
         path = tmp_path / "anomalies.jsonl"
         store.save_jsonl(path)
-        restored = AnomalyReportStore.load_jsonl(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        restored = [Anomaly.from_dict(json.loads(line)) for line in lines]
         assert len(restored) == len(store)
         original = {(a.node_path, a.timeunit) for a in store}
         loaded = {(a.node_path, a.timeunit) for a in restored}
         assert original == loaded
-
-    def test_load_skips_blank_lines(self, tmp_path):
-        path = tmp_path / "anomalies.jsonl"
-        path.write_text(
-            '{"node_path": ["x"], "timeunit": 1, "actual": 5, "forecast": 1}\n\n'
-        )
-        restored = AnomalyReportStore.load_jsonl(path)
-        assert len(restored) == 1

@@ -52,7 +52,6 @@ class TestHeavyHitterTracking:
         sta.process_timeunit({("a", "a1"): 8})
         result = sta.process_timeunit({("a", "a1"): 8})
         assert result.timeunit == 1
-        assert sta.current_timeunit == 1
 
     def test_track_root_forces_root_series(self, tree):
         config = TiresiasConfig(

@@ -31,10 +31,6 @@ class TestInjectedAnomaly:
     def test_active_window(self):
         anomaly = InjectedAnomaly(("a",), start=100.0, duration=50.0, extra_rate=1.0)
         assert anomaly.end == 150.0
-        assert anomaly.active_at(100.0)
-        assert anomaly.active_at(149.0)
-        assert not anomaly.active_at(150.0)
-        assert not anomaly.active_at(99.0)
 
     def test_timeunits_overlap(self, clock):
         anomaly = InjectedAnomaly(("a",), start=150.0, duration=100.0, extra_rate=1.0)
@@ -132,6 +128,15 @@ class TestRandomPlan:
     def test_invalid_duration_rejected(self, tree, clock):
         with pytest.raises(DataGenerationError):
             random_injection_plan(tree, clock, trace_duration=100.0, count=1, warmup=200.0)
+
+    def test_negative_count_rejected(self, tree, clock):
+        assert random_injection_plan(tree, clock, trace_duration=1000.0, count=0) == []
+        with pytest.raises(DataGenerationError, match="count"):
+            random_injection_plan(tree, clock, trace_duration=1000.0, count=-1)
+
+    def test_a_depth_range_with_no_node_rejected(self, tree, clock):
+        with pytest.raises(DataGenerationError, match="depth range"):
+            random_injection_plan(tree, clock, trace_duration=1000.0, count=1, min_depth=3)
 
     def test_plan_is_sorted_by_start(self, tree, clock):
         plan = random_injection_plan(tree, clock, trace_duration=50000.0, count=10, seed=6)

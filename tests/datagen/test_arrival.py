@@ -8,6 +8,7 @@ from repro.datagen.arrival import (
     SeasonalRateModel,
     hour_of_peak,
     spread_uniformly,
+    weighted_choices,
     zipf_weights,
 )
 from repro.exceptions import ConfigurationError
@@ -27,6 +28,14 @@ class TestSeasonalRateModel:
             SeasonalRateModel(base_rate=1.0, diurnal_strength=1.0)
         with pytest.raises(ConfigurationError):
             SeasonalRateModel(base_rate=1.0, peak_hour=25.0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("weekly_strength", 1.0), ("volatility", -0.1)]
+    )
+    def test_rejects_an_out_of_range_field(self, field, value):
+        SeasonalRateModel(base_rate=1.0, **{field: 0.0})  # in range
+        with pytest.raises(ConfigurationError, match=field):
+            SeasonalRateModel(base_rate=1.0, **{field: value})
 
     def test_peak_hour_has_max_rate(self, clock):
         model = SeasonalRateModel(base_rate=1.0, diurnal_strength=0.8, peak_hour=16.0,
@@ -102,6 +111,15 @@ class TestHelpers:
     def test_zipf_validation(self):
         with pytest.raises(ConfigurationError):
             zipf_weights(0)
+
+    def test_zipf_rejects_a_negative_exponent(self):
+        with pytest.raises(ConfigurationError, match="exponent"):
+            zipf_weights(3, exponent=-0.5)
+
+    @pytest.mark.parametrize("total", [0.0, float("nan"), float("inf")])
+    def test_weighted_choices_needs_a_finite_positive_total(self, total):
+        with pytest.raises(ConfigurationError, match="finite total"):
+            weighted_choices(random.Random(1), [0.0, total], 4)
 
     def test_hour_of_peak(self):
         units_per_day = 24

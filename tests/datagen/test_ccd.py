@@ -21,6 +21,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             CCDConfig(num_anomalies=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("duration_days", 0.0), ("base_rate_per_hour", -1.0), ("anomaly_warmup_days", -1.0)],
+    )
+    def test_rejects_an_out_of_range_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            CCDConfig(**{field: value})
+
 
 class TestTroubleDimension:
     @pytest.fixture(scope="class")

@@ -52,7 +52,7 @@ class TestGeneration:
     def test_categories_are_tree_leaves(self, tree, clock):
         generator = make_generator(tree, clock)
         records = generator.generate_list(2 * HOUR)
-        assert all(tree.has_leaf(r.category) for r in records)
+        assert all(tree.leaf(r.category).path == r.category for r in records)
 
     def test_reproducible_for_same_seed(self, tree, clock):
         a = make_generator(tree, clock, seed=11).generate_list(2 * HOUR)
@@ -111,7 +111,8 @@ class TestGeneration:
         generator = make_generator(tree, clock)
         records = generator.generate_list(12 * HOUR)
         expected = sum(
-            generator.expected_unit_count(i * clock.delta) for i in range(int(12 * HOUR // clock.delta))
+            generator.rate_model.expected_count(i * clock.delta, clock)
+            for i in range(int(12 * HOUR // clock.delta))
         )
         assert len(records) == pytest.approx(expected, rel=0.2)
 
@@ -141,12 +142,6 @@ class TestTopLevelWeights:
         with pytest.raises(DataGenerationError):
             make_generator(tree, clock, top_level_weights={"a": 0.0, "b": 0.0})
 
-    def test_leaf_popularity_sums_to_one(self, tree, clock):
-        generator = make_generator(tree, clock)
-        popularity = generator.leaf_popularity()
-        assert sum(popularity.values()) == pytest.approx(1.0)
-        assert set(popularity) == {leaf.path for leaf in tree.iter_leaves()}
-
 
 class TestInjection:
     def test_injected_records_present_and_ground_truth_exposed(self, tree, clock):
@@ -158,7 +153,6 @@ class TestInjection:
         assert all(r.category[0] == "b" for r in injected)
         truth = generator.ground_truth()
         assert all(path == ("b",) for path, _ in truth)
-        assert generator.injected_anomalies() == [anomaly]
 
 
 class TestCountsPerTimeunit:

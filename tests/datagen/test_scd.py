@@ -19,6 +19,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SCDConfig(num_anomalies=-2)
 
+    @pytest.mark.parametrize(
+        "field, value", [("base_rate_per_hour", -1.0), ("anomaly_warmup_days", -1.0)]
+    )
+    def test_rejects_an_out_of_range_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SCDConfig(**{field: value})
+
 
 class TestDataset:
     @pytest.fixture(scope="class")
@@ -47,7 +54,7 @@ class TestDataset:
         records = dataset.record_list()
         assert records
         assert all(len(r.category) == 3 for r in records)
-        assert all(dataset.tree.has_leaf(r.category) for r in records)
+        assert all(dataset.tree.leaf(r.category).path == r.category for r in records)
 
     def test_ground_truth_present(self, dataset):
         assert len(dataset.anomalies) == 2

@@ -69,19 +69,6 @@ class TestSessionManagement:
         with pytest.raises(ConfigurationError, match="no session"):
             engine.session("nope")
 
-    def test_remove_session(self):
-        engine = DetectionEngine()
-        engine.add_session("ccd", make_tree("t"), make_config())
-        engine.remove_session("ccd")
-        assert "ccd" not in engine
-
-    def test_remove_unknown_session_raises(self):
-        engine = DetectionEngine()
-        engine.add_session("ccd", make_tree("t"), make_config())
-        with pytest.raises(ConfigurationError, match="no session named 'scd'"):
-            engine.remove_session("scd")
-        assert engine.session_names == ("ccd",)
-
     def test_invalid_unknown_stream_policy(self):
         with pytest.raises(ConfigurationError):
             DetectionEngine(unknown_stream="explode")
@@ -205,16 +192,6 @@ class TestParityAndObservers:
 
 
 class TestObserverDetachment:
-    def test_remove_session_detaches_engine_observers(self):
-        engine = DetectionEngine()
-        events = []
-        engine.subscribe(
-            CallbackObserver(on_timeunit_closed=lambda s, r: events.append(r.timeunit))
-        )
-        engine.add_session("only", make_tree("t"), make_config(), warmup_units=0)
-        detached = engine.remove_session("only")
-        detached.process_timeunit_counts({("t", "x", "x1"): 5}, timeunit=0)
-        assert events == []  # the engine's observer no longer hears it
 
     def test_session_max_results_bounds_history(self):
         engine = DetectionEngine()

@@ -20,6 +20,12 @@ import pytest
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.engine.hooks import CallbackObserver
 from repro.engine.session import DetectionSession
+from repro.exceptions import (
+    CheckpointReadError,
+    NotEnoughHistoryError,
+    OutOfOrderRecordError,
+    UnknownCategoryError,
+)
 from repro.forecasting.bank import ForecasterBank
 from repro.streaming.batch import RecordBatch
 from repro.streaming.record import OperationalRecord
@@ -114,7 +120,7 @@ def test_record_batch_pickles_with_and_without_attributes():
         assert list(clone.timestamps) == list(batch.timestamps)
         assert clone.categories == batch.categories
         assert (clone.attributes is None) == (batch.attributes is None)
-        assert clone.to_records() == batch.to_records()
+        assert list(clone) == list(batch)
 
 
 def test_state_dict_is_json_pure(running_session):
@@ -124,3 +130,23 @@ def test_state_dict_is_json_pure(running_session):
     session, _ = running_session
     state = session.state_dict()
     assert json.loads(json.dumps(state)) == state
+
+
+@pytest.mark.parametrize(
+    "error, fields",
+    [
+        (UnknownCategoryError(("a", "x")), ("category",)),
+        (OutOfOrderRecordError(10.0, 900.0), ("timestamp", "window_start")),
+        (NotEnoughHistoryError(8, 3), ("needed", "available")),
+        (CheckpointReadError("/ckpt/t.json", "truncated"), ("path", "detail")),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_typed_errors_cross_a_pickle_intact(error, fields):
+    """A worker's raise reaches the coordinator with its fields, not just
+    its message."""
+    clone = pickle.loads(pickle.dumps(error))
+    assert type(clone) is type(error)
+    assert str(clone) == str(error)
+    for field in fields:
+        assert getattr(clone, field) == getattr(error, field)

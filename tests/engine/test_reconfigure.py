@@ -132,6 +132,13 @@ class TestFrozenFields:
 # Mid-stream semantics
 # ----------------------------------------------------------------------
 class TestMidStreamReconfigure:
+    def test_a_state_that_carries_a_shadow_is_refused(self, dataset, records):
+        session = build_session(dataset)
+        session.ingest_batch(records[:50])
+        session.start_shadow(tiny_detector_config().replace(theta=2.0))
+        with pytest.raises(ConfigurationError, match="shadow"):
+            reconfigured_state(session.state_dict(), tiny_detector_config().replace(theta=3.0))
+
     def test_reconfigure_matches_checkpoint_surgery(self, dataset, records):
         """A live reconfigure equals restore-from-reconfigured-checkpoint."""
         cut = len(records) // 2

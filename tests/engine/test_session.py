@@ -65,6 +65,11 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             DetectionSession(tree, config, warmup_units=-1)
 
+    def test_negative_max_results_rejected(self, tree, config):
+        assert DetectionSession(tree, config, max_results=0).max_results == 0
+        with pytest.raises(ConfigurationError, match="max_results"):
+            DetectionSession(tree, config, max_results=-1)
+
     def test_named(self, tree, config):
         session = DetectionSession(tree, config, name="ccd-trouble")
         assert session.name == "ccd-trouble"

@@ -317,9 +317,7 @@ class TestEngineSurface:
         engine.session("tiny").ingest_batch(records[cut:])
         engine.session("tiny").flush()
 
-        reports = engine.shadow_reports()
-        assert set(reports) == {"tiny"}
-        assert reports["tiny"]["units_compared"] > 0
+        assert engine.session("tiny").shadow_report()["units_compared"] > 0
 
         engine.reconfigure_session(
             "tiny", engine.session("tiny").config.replace(theta=6.0)
@@ -330,4 +328,4 @@ class TestEngineSurface:
 
         report = engine.promote_shadow("tiny")
         assert report["units_compared"] > 0
-        assert engine.shadow_reports() == {}
+        assert not engine.session("tiny").has_shadow

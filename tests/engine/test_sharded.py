@@ -126,6 +126,10 @@ class TestSubtreePartition:
         with pytest.raises(CheckpointError, match="two shard groups"):
             SubtreePartition([[("a", "x")], [("a", "x")]], depth=2)
 
+    def test_cut_depth_below_one_rejected(self):
+        with pytest.raises(CheckpointError, match="cut depth"):
+            SubtreePartition([["a"], ["b"]], depth=0)
+
     def test_prefix_deeper_than_cut_rejected(self):
         with pytest.raises(CheckpointError, match="depth-2"):
             SubtreePartition([[("a", "x", "too-deep")]], depth=2)
@@ -227,6 +231,27 @@ class TestStateSurgery:
             merge_session_states(
                 sub_states, state, reports=[], withheld=withheld
             )
+
+    def test_merge_detects_shards_at_different_timeunits(
+        self, small_tree, shardable_config, clock
+    ):
+        state = self.make_state(small_tree, shardable_config, clock)
+        groups = plan_subtree_groups(state["tree"]["leaves"], 2)
+        sub_states, withheld = split_session_state(state, groups)
+        sub_states[1]["algorithm_state"]["timeunit"] += 1
+        with pytest.raises(CheckpointError, match="disagree on timeunit"):
+            merge_session_states(sub_states, state, reports=[], withheld=withheld)
+
+    def test_merge_needs_a_shard_state(self, small_tree, shardable_config, clock):
+        state = self.make_state(small_tree, shardable_config, clock)
+        with pytest.raises(CheckpointError, match="empty list"):
+            merge_session_states([], state, reports=[], withheld={})
+
+    def test_split_rejects_an_unknown_algorithm(self, small_tree, shardable_config, clock):
+        state = self.make_state(small_tree, shardable_config, clock)
+        state["algorithm"] = "magic"
+        with pytest.raises(CheckpointError, match="unknown algorithm 'magic'"):
+            split_session_state(state, [["region-0"], ["region-1", "region-2"]])
 
 
 # ----------------------------------------------------------------------

@@ -72,7 +72,7 @@ class TestWireCodec:
         frame, serialized = encode_frame(command)
         decoded = decode_frame(frame)
         out = single_batch_of(decoded)
-        assert out.to_records() == batch.to_records()
+        assert list(out) == list(batch)
         assert decoded[0] == "ingest"
         assert decoded[1][0][0] == ("s", "p", 0)
         assert decoded[1][0][2][1] == (2, None)
@@ -128,7 +128,7 @@ class TestWireCodec:
         batch = make_batch([("a", "x")] * 2048)
         command = ("ingest", batch)
         _, serialized = encode_frame(command)
-        pickled_whole = len(pickle.dumps(batch.to_records()))
+        pickled_whole = len(pickle.dumps(list(batch)))
         assert serialized < pickled_whole / 4
 
     def test_bad_magic_rejected(self):

@@ -27,11 +27,9 @@ class TestRuntimeSummary:
         assert set(summary.stage_seconds) >= set(STAGE_ORDER)
         assert summary.total_seconds == 0.0
 
-    def test_speedup(self):
-        ada = summarize_runtime("ADA", 900.0, {"creating_time_series": 1.0, "reading_traces": 1.0})
-        sta = summarize_runtime("STA", 900.0, {"creating_time_series": 9.0, "reading_traces": 1.0})
-        assert ada.speedup_over(sta) == pytest.approx(5.0)
-        assert ada.speedup_over(sta, exclude_reading=True) == pytest.approx(9.0)
+    def test_an_empty_run_has_no_stage_share(self):
+        summary = summarize_runtime("STA", 900.0, {})
+        assert [summary.stage_share(stage) for stage in STAGE_ORDER] == [0.0] * len(STAGE_ORDER)
 
     def test_rows_in_table_order(self):
         summary = summarize_runtime("ADA", 900.0, {"detecting_anomalies": 2.0})
@@ -61,6 +59,11 @@ class TestMemorySummary:
         ada = MemorySummary("ADA", 0, 300, 100)
         sta = MemorySummary("STA", None, 900, 100)
         assert ada.ratio_to(sta) == pytest.approx(1 / 3)
+
+    def test_ratio_to_a_free_run_is_infinite(self):
+        ada = MemorySummary("ADA", 0, 300, 100)
+        free = MemorySummary("STA", None, 0, 100)
+        assert ada.ratio_to(free) == float("inf")
 
     def test_format_memory_table(self):
         ada = MemorySummary("ADA", 2, 300, 100)

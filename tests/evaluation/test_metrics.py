@@ -24,14 +24,12 @@ class TestConfusionMetrics:
         assert metrics.accuracy == pytest.approx(0.96)
         assert metrics.precision == pytest.approx(0.8)
         assert metrics.recall == pytest.approx(0.8)
-        assert metrics.f1 == pytest.approx(0.8)
 
     def test_degenerate_cases(self):
         empty = ConfusionMetrics(0, 0, 0, 0)
         assert empty.accuracy == 1.0
         assert empty.precision == 1.0
         assert empty.recall == 1.0
-        assert empty.f1 == 1.0  # vacuous precision/recall of 1 each
 
     def test_confusion_from_sets(self):
         predicted = {(("a",), 1), (("b",), 2)}
@@ -95,8 +93,6 @@ class TestReferenceComparison:
         assert result.type2 == pytest.approx(0.5)
         assert result.type3 == pytest.approx(2 / 3)
         assert result.type1_accuracy == pytest.approx(3 / 5)
-        row = result.as_table_row()
-        assert set(row) == {"type1_accuracy", "type2", "type3"}
 
     def test_empty_inputs_give_perfect_scores(self):
         result = compare_with_reference([], [], [])

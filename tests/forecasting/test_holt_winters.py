@@ -50,12 +50,6 @@ class TestValidation:
         with pytest.raises(NotEnoughHistoryError):
             model.forecast()
 
-    def test_is_initialized_after_initialize(self):
-        model = HoltWintersForecaster(season_length=4)
-        assert not model.is_initialized
-        model.initialize([1.0] * 8)
-        assert model.is_initialized
-
 
 class TestForecastQuality:
     def test_constant_series(self):
@@ -146,7 +140,7 @@ class TestLinearity:
         b.initialize(seasonal_series(3, period=4))
         b.update(60.0)
         a.add_state(b)
-        assert a.is_initialized
+        assert a.level is not None
         assert a.forecast() == b.forecast()
         # The seasonal factors are copied, not shared.
         a.update(10.0)
@@ -166,9 +160,9 @@ class TestMultiSeasonal:
         model = MultiSeasonalHoltWinters(season_lengths=(4, 8))
         with pytest.raises(NotEnoughHistoryError):
             model.initialize([1.0] * 15)
-        assert not model.is_initialized
+        assert model.level is None
         model.initialize([1.0] * 16)
-        assert model.is_initialized
+        assert model.level is not None
 
     @pytest.mark.parametrize("call", ["forecast", "update"])
     def test_use_before_initialize_raises(self, call):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.hierarchy.domain import (
-    CANONICAL_DOMAINS,
     CCD_NETWORK_DOMAIN,
     CCD_TROUBLE_DOMAIN,
     SCD_NETWORK_DOMAIN,
@@ -36,18 +35,6 @@ class TestDomainSpec:
         with pytest.raises(ConfigurationError):
             DomainSpec("d", "root", ())
 
-    def test_expected_leaf_count(self):
-        spec = DomainSpec("d", "root", (LevelSpec("a", 2), LevelSpec("b", 3)))
-        assert spec.expected_leaf_count() == 6
-
-    def test_level_name(self):
-        spec = DomainSpec("d", "root", (LevelSpec("a", 2), LevelSpec("b", 3)))
-        assert spec.level_name(0) == "root"
-        assert spec.level_name(1) == "a"
-        assert spec.level_name(2) == "b"
-        with pytest.raises(ConfigurationError):
-            spec.level_name(3)
-
 
 class TestCanonicalDomains:
     """The canonical specs must match the paper's Table II."""
@@ -64,10 +51,3 @@ class TestCanonicalDomains:
     def test_scd_network_shape(self):
         assert SCD_NETWORK_DOMAIN.depth == 4
         assert SCD_NETWORK_DOMAIN.typical_degrees == (2000, 30, 6)
-
-    def test_registry_contains_all(self):
-        assert set(CANONICAL_DOMAINS) == {
-            "ccd-trouble-description",
-            "ccd-network-path",
-            "scd-network-path",
-        }

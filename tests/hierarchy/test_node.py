@@ -18,7 +18,7 @@ def build_small():
 class TestStructure:
     def test_root_properties(self):
         root = HierarchyNode("All")
-        assert root.is_root
+        assert root.parent is None
         assert root.is_leaf
         assert root.depth == 0
         assert root.path == ()
@@ -65,20 +65,6 @@ class TestTraversal:
         root, a, b, a1, a2 = build_small()
         assert [n.label for n in a1.ancestors()] == ["a", "All"]
         assert [n.label for n in a1.ancestors(include_self=True)] == ["a1", "a", "All"]
-
-    def test_is_ancestor_of(self):
-        root, a, b, a1, a2 = build_small()
-        assert root.is_ancestor_of(a1)
-        assert a.is_ancestor_of(a1)
-        assert not a1.is_ancestor_of(a)
-        assert not a.is_ancestor_of(b)
-        assert not a.is_ancestor_of(a)
-
-    def test_is_ancestor_or_self(self):
-        root, a, b, a1, a2 = build_small()
-        assert a.is_ancestor_or_self(a)
-        assert a.is_ancestor_or_self(a1)
-        assert not a1.is_ancestor_or_self(a)
 
     def test_iteration_yields_children(self):
         root, a, b, a1, a2 = build_small()

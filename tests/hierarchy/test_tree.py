@@ -95,17 +95,11 @@ class TestStatistics:
         # Level 2: non-leaf nodes are tv (2 children) and internet (2 children).
         assert tree.typical_degree_at_level(2) == 2.0
 
-    def test_degree_summary_has_only_populated_levels(self, tree):
-        summary = tree.degree_summary()
-        assert set(summary) <= {1, 2, 3}
-        assert all(v > 0 for v in summary.values())
-
     def test_leaf_only_level_has_no_typical_degree(self, tree):
         # Level 4 holds only the leaves under no-service; past the depth
         # there are no nodes at all.
         assert tree.typical_degree_at_level(4) == 0.0
         assert tree.typical_degree_at_level(9) == 0.0
-        assert 4 not in tree.degree_summary()
 
     def test_typical_degree_is_the_median(self):
         tree = HierarchyTree.from_leaf_paths(

@@ -23,6 +23,7 @@ a dead worker must surface as a typed failure within the deadline.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import os
@@ -294,7 +295,7 @@ def test_enospc_during_rolling_checkpoint_preserves_previous(tmp_path):
     with active(plan):
         with pytest.raises(CheckpointWriteError) as excinfo:
             save_session_checkpoint_rolling(session, path, keep=3)
-    assert excinfo.value.is_disk_full
+    assert excinfo.value.errno == errno.ENOSPC
     assert plan.fired
     # The primary still holds the previous complete checkpoint (the
     # rotation hard-linked it to .1 and the failed write never replaced

@@ -77,7 +77,6 @@ class TestDiskFull:
             small_session().save_checkpoint(path)
         error = excinfo.value
         assert error.errno == errno.ENOSPC
-        assert error.is_disk_full
         assert "disk full" in str(error)
         assert str(path) in str(error)
         # The typed error is still a CheckpointError, so existing callers
@@ -122,7 +121,6 @@ class TestDiskFull:
         with pytest.raises(CheckpointWriteError) as excinfo:
             small_session().save_checkpoint(tmp_path / "x.json")
         assert excinfo.value.errno == errno.EIO
-        assert not excinfo.value.is_disk_full
         assert "disk full" not in str(excinfo.value)
 
     def test_error_pickles_round_trip(self):
@@ -132,5 +130,4 @@ class TestDiskFull:
         clone = pickle.loads(pickle.dumps(error))
         assert clone.path == error.path
         assert clone.errno == errno.ENOSPC
-        assert clone.is_disk_full
         assert str(clone) == str(error)

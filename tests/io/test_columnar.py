@@ -111,7 +111,7 @@ class TestConvertAndDispatch:
             target = tmp_path / f"trace{suffix}"
             convert_trace(jsonl, target)
             batches = list(read_trace_batches(target, batch_size=64))
-            assert [r for b in batches for r in b.to_records()] == records
+            assert [r for b in batches for r in b] == records
 
     def test_unknown_suffix_raises(self, tmp_path):
         with pytest.raises(StreamError):
@@ -140,7 +140,7 @@ class TestConvertAndDispatch:
         write_records_csv(records, path)
         batches = list(read_trace_batches(path, batch_size=4))
         assert [len(b) for b in batches] == [4, 4, 1]
-        assert [r for b in batches for r in b.to_records()] == records
+        assert [r for b in batches for r in b] == records
 
 
 #: ``<5sBBI``: magic, major, minor, header length.
@@ -260,7 +260,7 @@ class TestAttributesSection:
         write_trace_columnar(records, path)
         batches = list(read_batches_columnar(path, batch_size=7))
         assert all(isinstance(b.attributes, EncodedAttributes) for b in batches)
-        assert [r for b in batches for r in b.to_records()] == records
+        assert [r for b in batches for r in b] == records
         # Every batch windows the one blob read at open.
         assert len({id(b.attributes._blob) for b in batches}) == 1
 

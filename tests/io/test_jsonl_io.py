@@ -51,7 +51,7 @@ class TestBatchLoader:
         path = tmp_path / "trace.jsonl"
         write_records_jsonl(sample_records(), path)
         [batch] = list(read_batches_jsonl(path))
-        assert batch.to_records() == sample_records()
+        assert list(batch) == sample_records()
         assert batch.record(0).attributes == {"injected": True, "label": "x"}
 
     def test_attribute_free_trace_drops_the_column(self, tmp_path):

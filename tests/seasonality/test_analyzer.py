@@ -33,6 +33,20 @@ class TestValidation:
 
 
 class TestAnalysis:
+    def test_the_strongest_peak_stands_in_for_weak_candidates(self):
+        analyzer = SeasonalityAnalyzer(
+            timeunit_seconds=3600.0, candidate_periods_hours=(24.0,), min_relative_magnitude=0.5
+        )
+        series = [100 + 50 * math.cos(2 * math.pi * t / 10.0) for t in range(24 * 14)]
+        profile = analyzer.analyze(series)
+        assert profile.periods_timeunits == (10,)
+        assert profile.weights == (1.0,)
+
+    def test_a_flat_series_has_no_season(self):
+        analyzer = SeasonalityAnalyzer(timeunit_seconds=3600.0)
+        with pytest.raises(ConfigurationError, match="no significant seasonal period"):
+            analyzer.analyze([5.0] * (24 * 14))
+
     def test_daily_and_weekly_periods_found_for_ccd_like_data(self):
         analyzer = SeasonalityAnalyzer(timeunit_seconds=3600.0, max_seasons=2)
         profile = analyzer.analyze(ccd_like_series(weeks=8))
@@ -55,7 +69,7 @@ class TestAnalysis:
             100 + 50 * math.cos(2 * math.pi * t / 24.0) for t in range(24 * 28)
         ]
         profile = analyzer.analyze(series)
-        assert profile.primary_period == pytest.approx(24, abs=2)
+        assert profile.periods_timeunits[0] == pytest.approx(24, abs=2)
         # The weekly candidate has negligible magnitude and must be dropped.
         assert len(profile.periods_timeunits) == 1
 
@@ -63,13 +77,6 @@ class TestAnalysis:
         analyzer = SeasonalityAnalyzer(timeunit_seconds=3600.0, max_seasons=2)
         profile = analyzer.analyze(ccd_like_series(weeks=8))
         assert profile.weights[0] == max(profile.weights)
-
-    def test_holt_winters_kwargs_roundtrip(self):
-        analyzer = SeasonalityAnalyzer(timeunit_seconds=3600.0, max_seasons=2)
-        profile = analyzer.analyze(ccd_like_series(weeks=8))
-        kwargs = profile.holt_winters_kwargs()
-        assert kwargs["season_lengths"] == profile.periods_timeunits
-        assert kwargs["season_weights"] == profile.weights
 
     def test_fifteen_minute_units_scale_periods(self):
         analyzer = SeasonalityAnalyzer(timeunit_seconds=900.0, max_seasons=1)
@@ -79,7 +86,7 @@ class TestAnalysis:
             for t in range(24 * units_per_hour * 21)
         ]
         profile = analyzer.analyze(series)
-        assert profile.primary_period == pytest.approx(96, abs=4)
+        assert profile.periods_timeunits[0] == pytest.approx(96, abs=4)
 
     def test_wavelet_profile_present(self):
         analyzer = SeasonalityAnalyzer(timeunit_seconds=3600.0)

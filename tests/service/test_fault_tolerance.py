@@ -13,13 +13,20 @@ retry queue.
 from __future__ import annotations
 
 import json
+import threading
 from random import Random
 
 import pytest
 
 from repro.exceptions import CheckpointReadError
 from repro.io.checkpoint import retained_checkpoint_path
-from repro.service.alerts import WebhookAlertSink
+from repro.service.alerts import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
+    MAX_RETRIES,
+    RETRY_QUEUE_MAX,
+    WebhookAlertSink,
+)
 from repro.service.config import ServiceConfig
 from repro.service.manager import SessionManager
 from repro.streaming.batch import iter_record_batches
@@ -225,7 +232,7 @@ class _Anomaly:
         return {"node": ["a"], "timeunit": 1}
 
 
-def _flaky_sink(fail_first_n, **kwargs):
+def _flaky_sink(fail_first_n):
     """A sink whose ``_post`` fails the first N attempts, then succeeds."""
     sleeps: list[float] = []
     attempts = {"n": 0}
@@ -236,19 +243,12 @@ def _flaky_sink(fail_first_n, **kwargs):
             if attempts["n"] <= fail_first_n:
                 raise OSError("connection refused")
 
-    sink = Sink(
-        "http://127.0.0.1:1/hook",
-        sleep=sleeps.append,
-        rng=Random(42),
-        **kwargs,
-    )
+    sink = Sink("http://127.0.0.1:1/hook", sleep=sleeps.append, rng=Random(42))
     return sink, sleeps, attempts
 
 
 def test_webhook_retries_with_capped_backoff():
-    sink, sleeps, attempts = _flaky_sink(
-        3, max_retries=4, backoff_base=0.5, backoff_cap=1.0
-    )
+    sink, sleeps, attempts = _flaky_sink(3)
     sink.on_anomaly(_Session(), _Anomaly())
     assert sink.wait_idle(timeout=10.0)
     sink.close()
@@ -258,15 +258,18 @@ def test_webhook_retries_with_capped_backoff():
     assert sink.retried_total == 1
     assert sink.failed_total == 3
     assert sink.retries_exhausted_total == 0
-    # Backoff schedule: base, 2*base, then capped — plus <= 10% jitter.
+    # Backoff schedule: 0.25 s doubling per retry — plus <= 10% jitter.
     assert len(sleeps) == 3
-    expected = [0.5, 1.0, 1.0]  # min(cap, base * 2**(k-1))
+    expected = [0.25, 0.5, 1.0]  # min(BACKOFF_CAP, BACKOFF_BASE * 2**(k-1))
     for got, base in zip(sleeps, expected):
         assert base <= got <= base * 1.1 + 1e-9
+    # ... capped at 30 s however late the retry.
+    for attempt in (8, 9, 40):
+        base = min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (attempt - 1))
+        assert base <= sink._backoff_delay(attempt) <= base * 1.1 + 1e-9
+    assert (BACKOFF_BASE, BACKOFF_CAP) == (0.25, 30.0)
     # Deterministic: same rng seed reproduces the identical schedule.
-    sink2, sleeps2, _ = _flaky_sink(
-        3, max_retries=4, backoff_base=0.5, backoff_cap=1.0
-    )
+    sink2, sleeps2, _ = _flaky_sink(3)
     sink2.on_anomaly(_Session(), _Anomaly())
     assert sink2.wait_idle(timeout=10.0)
     sink2.close()
@@ -274,52 +277,55 @@ def test_webhook_retries_with_capped_backoff():
 
 
 def test_webhook_exhausts_retries_and_counts():
-    sink, sleeps, attempts = _flaky_sink(99, max_retries=2, backoff_base=0.01)
+    sink, sleeps, attempts = _flaky_sink(99)
     sink.on_anomaly(_Session(), _Anomaly())
     assert sink.wait_idle(timeout=10.0)
     sink.close()
-    assert attempts["n"] == 3  # inline + 2 retries
+    assert MAX_RETRIES == 4
+    assert attempts["n"] == 1 + MAX_RETRIES  # inline + every retry
+    assert len(sleeps) == MAX_RETRIES
     assert sink.retries_exhausted_total == 1
     assert sink.delivered_total == 0
     assert sink.counters()["retries_exhausted_total"] == 1
 
 
 def test_webhook_queue_is_bounded():
-    sink, _sleeps, _attempts = _flaky_sink(10**9, max_retries=1, retry_queue_max=2)
+    sink, _sleeps, _attempts = _flaky_sink(10**9)
     # Stall the retry thread so enqueues accumulate: swap sleep for a gate.
-    import threading
-
     gate = threading.Event()
     sink._sleep = lambda _s: gate.wait(5.0)
-    for _ in range(4):
+    assert RETRY_QUEUE_MAX == 256
+    for _ in range(RETRY_QUEUE_MAX + 2):
         sink.on_anomaly(_Session(), _Anomaly())
     assert sink.dropped_total >= 1  # oldest entries evicted, bounded queue
-    assert len(sink._queue) <= 2
+    assert len(sink._queue) == RETRY_QUEUE_MAX
     gate.set()
     sink.close()
 
 
-def test_webhook_raise_on_error_still_raises_inline():
-    sink, _sleeps, _attempts = _flaky_sink(1, raise_on_error=True, max_retries=0)
-    with pytest.raises(OSError):
-        sink.on_anomaly(_Session(), _Anomaly())
+def test_webhook_wait_idle_times_out_while_a_retry_is_pending():
+    sink, _sleeps, _attempts = _flaky_sink(10**9)
+    gate = threading.Event()
+    sink._sleep = lambda _s: gate.wait(5.0)
+    sink.on_anomaly(_Session(), _Anomaly())
+    assert sink.wait_idle(timeout=0.05) is False
+    gate.set()
     sink.close()
 
 
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"max_retries": -1}, "max_retries"),
-        ({"retry_queue_max": 0}, "retry_queue_max"),
-    ],
-)
-def test_webhook_retry_bounds_validated(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        WebhookAlertSink("http://127.0.0.1:1/hook", **kwargs)
+def test_webhook_failure_never_raises_inline():
+    sink, _sleeps, attempts = _flaky_sink(1)
+    sink.on_anomaly(_Session(), _Anomaly())  # a failed first attempt is queued
+    assert sink.failed_total == 1
+    assert "connection refused" in sink.last_error
+    assert sink.wait_idle(timeout=10.0)
+    sink.close()
+    assert attempts["n"] == 2
+    assert sink.delivered_total == 1
 
 
 def test_webhook_counters_shape():
-    sink = WebhookAlertSink("http://127.0.0.1:1/hook", max_retries=0)
+    sink = WebhookAlertSink("http://127.0.0.1:1/hook")
     counters = sink.counters()
     for key in (
         "url",

@@ -40,6 +40,21 @@ class TestActivation:
         assert manager.session("a") is session
         assert manager.activations_total == 1
 
+    @pytest.mark.parametrize(
+        "specs, options, message",
+        [
+            (["a", "a"], {}, "duplicate tenant"),
+            (["a"], {"max_active": 0}, "max_active"),
+            (["a"], {"checkpoint_retention": 0}, "checkpoint_retention"),
+        ],
+        ids=["duplicate-tenant", "max-active", "retention"],
+    )
+    def test_constructor_rejects(self, tmp_path, specs, options, message):
+        dataset = tiny_dataset()
+        tenants = [tenant_spec_for(name, dataset) for name in specs]
+        with pytest.raises(ConfigurationError, match=message):
+            make_manager(tmp_path, tenants, **options)
+
     def test_unknown_tenant_raises(self, tmp_path):
         manager = make_manager(tmp_path, [])
         with pytest.raises(ConfigurationError, match="unknown tenant"):

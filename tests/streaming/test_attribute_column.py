@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.exceptions import StreamError
 from repro.streaming.attributes import (
     EncodedAttributes,
-    concat_rows,
     encode_row,
     may_hold_key,
     slice_rows,
@@ -126,25 +125,6 @@ def test_slice_and_take_match_the_list(rows, data):
     if taken is not None and len(picks) > 1:
         assert decoded(slice_rows(taken, 1, len(picks)), len(picks) - 1) == expected[1:]
         assert decoded(take_rows(taken, [0, 0]), 2) == [expected[0]] * 2
-
-
-@pytest.mark.parametrize("left_kind", ["none", "list", "encoded"])
-@pytest.mark.parametrize("right_kind", ["none", "list", "encoded"])
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(left=row_lists, right=row_lists)
-def test_concat_matches_the_list(left_kind, right_kind, left, right):
-    if left_kind == "none":
-        left = [{}] * len(left)
-    if right_kind == "none":
-        right = [{}] * len(right)
-    merged = concat_rows(
-        column_of(left_kind, left), len(left), column_of(right_kind, right), len(right)
-    )
-    assert decoded(merged, len(left) + len(right)) == left + right
-    if "list" not in (left_kind, right_kind) and merged is not None:
-        assert isinstance(merged, EncodedAttributes)  # never decoded
-    if left_kind == right_kind == "none":
-        assert merged is None
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -291,9 +271,9 @@ def test_a_bad_row_names_its_file_and_row(blob, complaint):
 
 
 # ----------------------------------------------------------------------
-# RecordBatch gathers and concatenates codes, never tuples
+# RecordBatch gathers codes, never tuples
 # ----------------------------------------------------------------------
-def test_take_and_concat_share_the_dictionary():
+def test_take_shares_the_dictionary():
     dictionary = [("a", "x"), ("b", "y"), ("c", "z")]
     rows = [{"k": 1}, {}, {"stream": "s"}, {}]
     batch = RecordBatch.from_dictionary_codes(
@@ -303,17 +283,7 @@ def test_take_and_concat_share_the_dictionary():
     assert taken.code_dictionary is dictionary
     assert list(taken.category_codes) == [0, 2, 2]
     assert taken._categories is None  # no tuple was built
-    assert taken.to_records() == [batch.record(i) for i in (3, 0, 0)]
-    merged = batch.slice(0, 2).concat(batch.slice(2, 4))
-    assert merged.code_dictionary is dictionary
-    assert isinstance(merged.attributes, EncodedAttributes)
-    assert merged.to_records() == batch.to_records()
-    # Different dictionary objects: renumbered, same records.
-    other = RecordBatch.from_dictionary_codes([9.0], [0], [("a", "x")])
-    joined = batch.concat(other)
-    assert joined.code_dictionary == [("c", "z"), ("a", "x"), ("b", "y")]
-    assert joined.category_codes.tolist() == [0, 1, 2, 1, 1]
-    assert joined.to_records() == batch.to_records() + other.to_records()
+    assert list(taken) == [batch.record(i) for i in (3, 0, 0)]
 
 
 def test_a_tuple_built_batch_holds_first_appearance_codes():

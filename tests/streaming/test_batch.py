@@ -47,6 +47,11 @@ class TestConstruction:
         assert batch.attributes is None
         assert batch.record(0).attributes == {}
 
+    def test_categories_may_come_from_any_iterable(self):
+        batch = RecordBatch([1.0, 2.0, 3.0], (path for path in [("a",), ("b",), ("a",)]))
+        assert batch.categories == [("a",), ("b",), ("a",)]
+        assert batch.category_codes.tolist() == [0, 1, 0]
+
     def test_from_columns_normalizes_category_paths(self):
         batch = RecordBatch.from_columns([1.0, 2.0], [["a", "a1"], ("b",)])
         assert batch.categories == [("a", "a1"), ("b",)]
@@ -64,7 +69,7 @@ class TestConstruction:
     def test_empty_batch(self):
         batch = RecordBatch.empty()
         assert len(batch) == 0
-        assert batch.to_records() == []
+        assert list(batch) == []
         with pytest.raises(StreamError):
             batch.min_timestamp
 
@@ -174,7 +179,7 @@ class TestOneFormat:
 
     def test_sub_batches_of_a_tuple_built_batch_share_its_dictionary(self):
         batch = RecordBatch.from_records([rec(1.0, "a"), rec(2.0, "b"), rec(3.0, "a")])
-        for part in (batch.slice(1, 3), batch.take([2, 1]), batch.concat(batch)):
+        for part in (batch.slice(1, 3), batch.take([2, 1])):
             assert part.code_dictionary is batch.code_dictionary
         assert batch.take([2, 1]).categories == [("a",), ("b",)]
 
@@ -185,14 +190,6 @@ class TestColumnOps:
         batch = RecordBatch.from_records(records)
         assert rows(batch.slice(1, 3)) == rows(records[1:3])
         assert rows(batch.take([4, 0, 2])) == rows([records[4], records[0], records[2]])
-
-    def test_concat(self):
-        a = RecordBatch.from_records([rec(1.0)])
-        b = RecordBatch.from_records([rec(2.0, "b", stream="x")])
-        merged = a.concat(b)
-        assert len(merged) == 2
-        assert merged.record(0).attributes == {}
-        assert merged.record(1).attributes == {"stream": "x"}
 
     def test_indexing(self):
         records = [rec(float(i), f"l{i}", n=i) for i in range(6)]

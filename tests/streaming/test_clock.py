@@ -3,15 +3,13 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.streaming.clock import DAY, HOUR, MINUTE, WEEK, SimulationClock
+from repro.streaming.clock import DAY, HOUR, SimulationClock
 
 
 class TestConstants:
     def test_units(self):
-        assert MINUTE == 60
         assert HOUR == 3600
         assert DAY == 24 * HOUR
-        assert WEEK == 7 * DAY
 
 
 class TestTimeunits:
@@ -27,12 +25,10 @@ class TestTimeunits:
         for index in (0, 1, 7, 123):
             start = clock.timeunit_start(index)
             assert clock.timeunit_of(start) == index
-            assert clock.timeunit_end(index) == clock.timeunit_start(index + 1)
 
-    def test_units_per_day_and_week(self):
+    def test_units_per_day(self):
         clock = SimulationClock(delta=900.0)
         assert clock.units_per_day() == 96
-        assert clock.units_per_week() == 672
 
     def test_invalid_delta(self):
         with pytest.raises(ConfigurationError):

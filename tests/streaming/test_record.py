@@ -14,6 +14,11 @@ class TestConstruction:
         assert record.category == ("tv", "no-service")
         assert record.timestamp == 10.0
 
+    def test_constructor_normalizes_a_list_category(self):
+        record = OperationalRecord(1.0, ["tv", "no-service"])
+        assert record.category == ("tv", "no-service")
+        assert hash(record) == hash(OperationalRecord(1.0, ("tv", "no-service")))
+
     def test_empty_category_rejected(self):
         with pytest.raises(StreamError):
             OperationalRecord(1.0, ())
@@ -27,13 +32,6 @@ class TestConstruction:
         early = OperationalRecord.create(1.0, ("a",))
         late = OperationalRecord.create(2.0, ("b",))
         assert sorted([late, early]) == [early, late]
-
-    def test_with_category_keeps_time_and_attributes(self):
-        record = OperationalRecord.create(3.0, ("a",), note="x")
-        moved = record.with_category(("b", "c"))
-        assert moved.timestamp == 3.0
-        assert moved.category == ("b", "c")
-        assert moved.attributes["note"] == "x"
 
 
 class TestEqualityAndOrder:

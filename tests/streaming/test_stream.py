@@ -28,10 +28,6 @@ class TestOrdering:
         stream = InputStream(records(5, 4.5, 6), tolerance=1.0)
         assert [r.timestamp for r in stream] == [5, 4.5, 6]
 
-    def test_from_sorted_sorts_input(self):
-        stream = InputStream.from_sorted(records(3, 1, 2))
-        assert [r.timestamp for r in stream] == [1, 2, 3]
-
 
 class TestMerge:
     def test_merge_preserves_global_order(self):

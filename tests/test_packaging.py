@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -255,7 +257,7 @@ def test_no_module_reads_another_modules_private_attributes():
 # ----------------------------------------------------------------------
 # Every public definition has a user outside the tests
 # ----------------------------------------------------------------------
-#: Public top-level definitions with no user in ``src/``, ``benchmarks/`` or
+#: Public definitions with no user in ``src/``, ``benchmarks/`` or
 #: ``examples/`` that stay, each with the reason it stays.
 UNREACHED_ALLOWED = {
     "testing.reference.ReferenceADA": (
@@ -264,66 +266,145 @@ UNREACHED_ALLOWED = {
     "io.csv_io.write_records_csv": (
         "writes the CSV input format that read_batches_csv reads"
     ),
+    "engine.session.DetectionSession.ingest_record": (
+        "README-documented API: a record is a batch of one"
+    ),
+    "engine.engine.DetectionEngine.ingest_record": (
+        "README-documented API: a record is a batch of one"
+    ),
+    "engine.sharded.ShardedDetectionEngine.ingest_record": (
+        "README-documented API: a record is a batch of one"
+    ),
+    "streaming.batch.RecordBatch.from_columns": (
+        "README-documented API: a batch from plain columns"
+    ),
+    "engine.engine.DetectionEngine.reconfigure_session": (
+        "README-documented API: live reconfiguration of a session"
+    ),
+    "engine.sharded.ShardedDetectionEngine.rebalance_session": (
+        "README's migration table points to it for moving subtree shards"
+    ),
+    "service.daemon.DetectionService.start_in_thread": (
+        "the in-process entry the HTTP suites start the daemon through"
+    ),
+    "service.alerts.WebhookAlertSink.wait_idle": (
+        "a synchronisation barrier: blocks until the retry queue drains"
+    ),
+    "testing.faults.FaultPlan.to_env": (
+        "writes the REPRO_FAULT_PLAN format that from_env reads"
+    ),
+    "testing.faults.FaultPlan.seeded_kill": (
+        "the CI fault matrix's reproducible plan"
+    ),
 }
 
 
-def names_used(statements: list[ast.stmt], *, in_init: bool) -> set[str]:
-    """Every name ``statements`` read, call or import.  In a package
-    ``__init__`` an import is a re-export, not a use, and ``__all__`` is a
-    list of strings, so neither names anything; any other use there counts."""
-    used: set[str] = set()
-    for node in (node for statement in statements for node in ast.walk(statement)):
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def name_counts(nodes: list[ast.AST], *, in_init: bool) -> Counter[str]:
+    """How often ``nodes`` and everything under them read, call or import
+    each name.  In a package ``__init__`` an import is a re-export, not a
+    use, and ``__all__`` is a list of strings, so neither names anything; any
+    other use there counts."""
+    counts: Counter[str] = Counter()
+    for node in (inner for outer in nodes for inner in ast.walk(outer)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            used.add(node.id)
+            counts[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            counts[node.attr] += 1
         elif isinstance(node, ast.alias) and not in_init:
-            used.add(node.name.rpartition(".")[2])
-    return used
+            counts[node.name.rpartition(".")[2]] += 1
+    return counts
+
+
+def public_definitions(tree: ast.Module) -> Iterator[tuple[str, str, list[ast.AST]]]:
+    """``(qualified name, name, its own nodes)`` for each public top-level
+    ``def`` / ``class``, each public method or property of a public
+    top-level class (a property's getter and setter are one) and each public
+    module-level assignment target.  Dunders are not public here."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            yield node.name, node.name, [node]
+            if isinstance(node, ast.ClassDef):
+                methods: dict[str, list[ast.AST]] = {}
+                for member in node.body:
+                    if isinstance(member, DEFINITIONS[:2]) and not member.name.startswith("_"):
+                        methods.setdefault(member.name, []).append(member)
+                for name, members in methods.items():
+                    yield f"{node.name}.{name}", name, members
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in (inner for outer in targets for inner in ast.walk(outer)):
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, target.id, [node]
+
+
+def parse_all(root: Path) -> dict[Path, ast.Module]:
+    return {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(root.rglob("*.py"))
+    }
 
 
 def unreached_definitions(package: Path, users: tuple[Path, ...] = ()) -> set[str]:
-    """The public top-level ``def`` / ``class`` names of the modules under
-    ``package`` (as ``module.name``, relative to it) that no other module of
-    the package and no file under ``users`` names, and that no other
-    definition or statement of their own module uses."""
-    trees = {
-        path: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(package.rglob("*.py"))
-    }
+    """The public definitions of the modules under ``package`` (see
+    ``public_definitions``; as ``module.name`` relative to it) that no other
+    module of the package and no file under ``users`` names, and that no
+    statement of their own module names outside their own body — so a
+    method a sibling calls through ``self.`` is used."""
+    trees = parse_all(package)
     used_by = {
-        path: names_used(tree.body, in_init=path.name == "__init__.py")
+        path: name_counts(tree.body, in_init=path.name == "__init__.py")
         for path, tree in trees.items()
     }
     outside = set().union(
         *(
-            names_used(ast.parse(path.read_text(encoding="utf-8")).body, in_init=False)
+            name_counts(tree.body, in_init=False)
             for root in users
-            for path in sorted(root.rglob("*.py"))
+            for tree in parse_all(root).values()
         )
     )
     found: set[str] = set()
     for path, tree in trees.items():
         elsewhere = outside.union(*(used for other, used in used_by.items() if other != path))
         in_init = path.name == "__init__.py"
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        for qualified, name, own in public_definitions(tree):
+            if name in elsewhere:
                 continue
-            if node.name.startswith("_") or node.name in elsewhere:
-                continue
-            rest = [statement for statement in tree.body if statement is not node]
-            if node.name in names_used(rest, in_init=in_init):
+            if used_by[path][name] > name_counts(own, in_init=in_init)[name]:
                 continue
             module = module_name(path, package)
-            found.add(f"{module}.{node.name}" if module else node.name)
+            found.add(f"{module}.{qualified}" if module else qualified)
+    return found
+
+
+def orphaned_private_definitions(package: Path) -> set[str]:
+    """The private ``def`` / method / ``class`` definitions anywhere under
+    ``package`` (as ``module:line name``) that no statement of the package
+    names outside their own body."""
+    trees = parse_all(package)
+    used: Counter[str] = Counter()
+    for path, tree in trees.items():
+        used.update(name_counts(tree.body, in_init=path.name == "__init__.py"))
+    found: set[str] = set()
+    for path, tree in trees.items():
+        in_init = path.name == "__init__.py"
+        for node in ast.walk(tree):
+            if not isinstance(node, DEFINITIONS) or not is_private(node.name):
+                continue
+            if used[node.name] > name_counts([node], in_init=in_init)[node.name]:
+                continue
+            found.add(f"{module_name(path, package)}:{node.lineno} {node.name}")
     return found
 
 
 def test_every_public_definition_has_a_user_outside_the_tests():
-    """A public top-level ``def`` or ``class`` in ``src/repro`` is named by
-    another module, by ``benchmarks/`` or by ``examples/``, or used by
-    another definition of its own module; what only its own tests reach is
-    deleted with them.  A re-export from an ``__init__`` is not a use.  The
+    """A public top-level ``def`` or ``class``, a public method or property
+    of a public class and a public module constant in ``src/repro`` are
+    named by another module, by ``benchmarks/`` or by ``examples/``, or used
+    elsewhere in their own module; what only its own tests reach is deleted
+    with them.  A re-export from an ``__init__`` is not a use.  The
     allowlist names the exceptions and why each stays, and holds no entry
     that has a user."""
     unreached = unreached_definitions(
@@ -333,9 +414,20 @@ def test_every_public_definition_has_a_user_outside_the_tests():
     assert sorted(UNREACHED_ALLOWED.keys() - unreached) == []
 
 
+def test_no_private_definition_is_orphaned():
+    """A private ``def``, method or ``class`` is named somewhere in the
+    package outside its own body: a helper whose last caller was deleted
+    goes with it."""
+    assert sorted(orphaned_private_definitions(PACKAGE)) == []
+
+
 def test_the_unreached_scan_sees_through_re_exports(tmp_path):
     """The scan reports a definition nothing names and one that only an
-    ``__init__`` re-exports, and credits one an ``__init__`` dict holds."""
+    ``__init__`` re-exports, and credits one an ``__init__`` dict holds; it
+    reports an uncalled method and an unused constant (a definition's use of
+    itself does not count), credits a method another module calls and one a
+    sibling calls through ``self.``, and skips dunders and private methods.
+    The orphan scan reports the private helpers nothing else calls."""
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "__init__.py").write_text(
@@ -345,9 +437,32 @@ def test_the_unreached_scan_sees_through_re_exports(tmp_path):
         encoding="utf-8",
     )
     (package / "impl.py").write_text(
+        "LIMIT = 3\n"
+        "SIZE = 2\n\n\n"
         "def unused():\n    pass\n\n\n"
-        "def exported():\n    pass\n\n\n"
-        "def registered():\n    pass\n",
+        "def exported():\n    return _helper()\n\n\n"
+        "def registered():\n    pass\n\n\n"
+        "def _helper():\n    pass\n\n\n"
+        "def _orphan():\n    return _orphan()\n\n\n"
+        "class Widget:\n"
+        "    def __init__(self):\n        self.size = SIZE\n\n"
+        "    def called(self):\n        return self.sibling()\n\n"
+        "    def sibling(self):\n        return 1\n\n"
+        "    def uncalled(self):\n        return self.uncalled()\n\n"
+        "    def _lonely(self):\n        return 0\n",
         encoding="utf-8",
     )
-    assert unreached_definitions(package) == {"impl.unused", "impl.exported"}
+    (package / "user.py").write_text(
+        "from pkg import REGISTRY\n"
+        "from pkg.impl import Widget\n\n"
+        "Widget().called()\n"
+        "REGISTRY.clear()\n",
+        encoding="utf-8",
+    )
+    assert unreached_definitions(package) == {
+        "impl.unused",
+        "impl.exported",
+        "impl.Widget.uncalled",
+        "impl.LIMIT",
+    }
+    assert orphaned_private_definitions(package) == {"impl:21 _orphan", "impl:38 _lonely"}
