@@ -804,10 +804,6 @@ class ADAAlgorithm(HierarchyTracker):
         )
         return self.tree.num_nodes + series_cost + self._ref.total_len()
 
-    @property
-    def heavy_hitters(self) -> frozenset[CategoryPath]:
-        return self.last_result.heavy_hitters if self.last_result else frozenset()
-
     def adaptation_stats(self) -> dict:
         """Adaptation counters (not part of the checkpoint format).
 

@@ -82,9 +82,8 @@ def plan_adaptation(
     ops: list[tuple] = []
     num_splits = 0
     num_merges = 0
-    ancestors = index.ancestors
-    depths = index.depths
-    child_ids = index.child_ids
+    child_start = index.child_start
+    child_stop = index.child_stop
     parent = index.parent
 
     # SPLIT phase, top-down in (depth, lex) order — ties broken exactly like
@@ -94,8 +93,12 @@ def plan_adaptation(
     for target in new_ids:
         if sim[target]:
             continue  # created by a previous cascade in this phase
+        # The donor is the nearest series-holding ancestor; the nodes passed
+        # on the way up, reversed, are the children the cascade steps to.
+        below_donor = []
         donor = target
         while donor != 0:
+            below_donor.append(donor)
             donor = int(parent[donor])
             if sim[donor]:
                 break
@@ -106,12 +109,10 @@ def plan_adaptation(
             sim[target] = True
             continue
         current = donor
-        target_depth = int(depths[target])
-        for depth in range(int(depths[current]) + 1, target_depth + 1):
-            child = int(ancestors[target, depth])
+        for child in reversed(below_donor):
             receivers = []
             child_pos = -1
-            for c in child_ids[current]:
+            for c in range(child_start[current], child_stop[current]):
                 if not sim[c]:
                     if c == child:
                         child_pos = len(receivers)

@@ -62,9 +62,6 @@ class AnomalyReportStore:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def add(self, anomaly: Anomaly) -> None:
-        self._anomalies.append(anomaly)
-
     def add_many(self, anomalies: Iterable[Anomaly]) -> None:
         self._anomalies.extend(anomalies)
 

@@ -40,8 +40,8 @@ class HierarchyTracker:
         self.tree = tree
         self.config = config
         self.detector = ThresholdDetector(config)
-        #: Dense hierarchy view: the level sweeps run over its node ids.
-        self._index = HierarchyIndex(tree)
+        #: The tree's shared dense view: the level sweeps run over its ids.
+        self._index = HierarchyIndex.of(tree)
         self._timeunit: TimeunitIndex = -1
         self.stage_seconds: dict[str, float] = {
             "updating_hierarchies": 0.0,

@@ -148,7 +148,8 @@ class TraceGenerator:
     def _leaf_distribution(
         self, rng: random.Random
     ) -> tuple[list[CategoryPath], list[float]]:
-        leaves = [leaf.path for leaf in self.tree.iter_leaves()]
+        # A tree with no node below the root has the root as its one leaf.
+        leaves = [leaf.path for leaf in self.tree.iter_leaves() if leaf.path]
         if not leaves:
             raise DataGenerationError("the hierarchy has no leaves to sample from")
         by_top: dict[str, list[CategoryPath]] = {}

@@ -204,37 +204,6 @@ class DetectionEngine:
             session.unsubscribe(observer)
 
     # ------------------------------------------------------------------
-    # Online reconfiguration and shadow experiments
-    # ------------------------------------------------------------------
-    def reconfigure_session(
-        self, name: str, new_config: TiresiasConfig
-    ) -> DetectionSession:
-        """Hot-swap one session's config
-        (:meth:`DetectionSession.reconfigure`)."""
-        return self.session(name).reconfigure(new_config)
-
-    def start_shadow(
-        self,
-        name: str,
-        candidate_config: TiresiasConfig,
-        shadow_name: "str | None" = None,
-    ) -> DetectionSession:
-        """Start a shadow experiment on one session.  Fan-out is free at the
-        engine level: every routed partition of a shared
-        :class:`RecordBatch` reaches the session's shadow zero-copy through
-        :meth:`DetectionSession.ingest_record_batch`."""
-        return self.session(name).start_shadow(candidate_config, name=shadow_name)
-
-    def stop_shadow(self, name: str) -> dict[str, Any]:
-        return self.session(name).stop_shadow()
-
-    def promote_shadow(self, name: str) -> dict[str, Any]:
-        return self.session(name).promote_shadow()
-
-    def shadow_report(self, name: str) -> dict[str, Any]:
-        return self.session(name).shadow_report()
-
-    # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
     def ingest_record(self, record: OperationalRecord) -> list[TimeunitResult]:

@@ -478,7 +478,7 @@ class FrontierReplica:
     ):
         band = frontier_band_paths(chain.from_iterable(leaves_by_gid), depth)
         inner = {path[:-1] for path in band if path}
-        index = HierarchyIndex(
+        index = HierarchyIndex.of(
             HierarchyTree.from_leaf_paths(
                 sorted(path for path in band if path and path not in inner)
             )

@@ -109,7 +109,6 @@ def build_tree_from_spec(
 
     expand(tree.root, 1)
     tree.validate()
-    tree.freeze_index()
     return tree
 
 

@@ -10,9 +10,15 @@ modified weights ``W_n`` and the succinct heavy hitter membership
 own counts, so the timeunits a batch closes are swept together; a single
 timeunit is the one-row call of the same sweep.
 
+Node ids belong to the index: the tree and its nodes carry none.  Each tree
+has one index, :meth:`HierarchyIndex.of`, shared read-only by every tracker
+on that tree (its arrays are not writeable) and rebuilt only once the tree
+has gained nodes.
+
 BFS ids make every level, and the children of every parent, a contiguous id
 range, so folding a level onto its parents is one ``np.add.reduceat`` along
-the node axis — two per level for all rows, whatever their number.
+the node axis — two per level for all rows, whatever their number — and a
+node's children are ``range(child_start[n], child_stop[n])``.
 
 Exactness: per-timeunit leaf counts are record *counts* — integers — and
 sums of integers in float64 are exact (far below 2^53), so the results are
@@ -22,6 +28,8 @@ test oracle's) regardless of summation order.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Mapping
 
 import numpy as np
@@ -29,33 +37,69 @@ import numpy as np
 from repro._types import CategoryPath, Weight
 from repro.hierarchy.tree import HierarchyTree
 
+#: The one index of each live tree (an index holds no reference to its tree,
+#: so the entry goes with the tree), and the lock that keeps two threads from
+#: building two indexes for one tree.
+_INDEXES: "weakref.WeakKeyDictionary[HierarchyTree, HierarchyIndex]" = (
+    weakref.WeakKeyDictionary()
+)
+_INDEXES_LOCK = threading.Lock()
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
 
 class HierarchyIndex:
     """Dense-array view of a hierarchy for the vectorized weight kernels.
 
-    Node ids are BFS (level-order) positions, so the root is id 0 and every
-    parent id is smaller than its children's.
+    Node ids are BFS (level-order) positions, so the root is id 0, every
+    parent id is smaller than its children's, and the children of a node are
+    the contiguous id range ``child_start[n]:child_stop[n]`` in insertion
+    order.  Use :meth:`of` for a tree's shared index.
     """
 
+    @classmethod
+    def of(cls, tree: HierarchyTree) -> "HierarchyIndex":
+        """The shared index of ``tree``, rebuilt once the tree has gained
+        nodes since it was built."""
+        with _INDEXES_LOCK:
+            index = _INDEXES.get(tree)
+            if index is None or index.num_nodes != tree.num_nodes:
+                index = _INDEXES[tree] = cls(tree)
+            return index
+
     def __init__(self, tree: HierarchyTree):
-        nodes = list(tree.iter_level_order())
-        for node_id, node in enumerate(nodes):
-            node.index = node_id
-        self.tree = tree
+        # BFS: the children of node ``i`` are appended as one run, so they
+        # take the ids ``child_start[i]:child_stop[i]``, and each node's run
+        # starts where the one before it stopped.
+        nodes = [tree.root]
+        #: First and one-past-last child id of every node (equal for a leaf).
+        self.child_start: list[int] = []
+        self.child_stop: list[int] = []
+        start = 1
+        for node in nodes:
+            nodes.extend(node.children.values())
+            stop = len(nodes)
+            self.child_start.append(start)
+            self.child_stop.append(stop)
+            start = stop
         self.num_nodes = len(nodes)
         self.paths: list[CategoryPath] = [node.path for node in nodes]
-        self.path_to_id: dict[CategoryPath, int] = {
-            node.path: node.index for node in nodes
-        }
-        self.parent = np.array(
-            [0 if node.parent is None else node.parent.index for node in nodes],
-            dtype=np.intp,
+        self.path_to_id: dict[CategoryPath, int] = dict(
+            zip(self.paths, range(self.num_nodes))
         )
+        #: Parent id of every node (the root's is 0): child runs in id order.
+        self.parent = np.zeros(self.num_nodes, dtype=np.intp)
+        self.parent[1:] = np.repeat(
+            np.arange(self.num_nodes), np.subtract(self.child_stop, self.child_start)
+        )
+        _read_only(self.parent)
         depths = [node.depth for node in nodes]
         max_depth = max(depths)
         #: Depth of every node (root is 0), as a dense integer vector.
-        self.depths = np.array(depths, dtype=np.intp)
-        self.max_depth = max_depth
+        self.depths = _read_only(np.array(depths, dtype=np.intp))
         #: The bottom-up sweep, deepest level first: ``(lo, hi, parents,
         #: starts)`` per depth >= 1.  BFS ids put the level at ``[lo, hi)``
         #: and each parent's children next to each other, so ``starts``
@@ -71,43 +115,27 @@ class HierarchyIndex:
             starts = np.concatenate(
                 ([0], np.flatnonzero(np.diff(level_parents)) + 1)
             ).astype(np.intp)
-            parents = level_parents[starts]
+            parents = _read_only(level_parents[starts])
             first, last = int(parents[0]), int(parents[-1])
             if last - first + 1 == len(parents):
                 parents = slice(first, last + 1)
-            self._sweep_levels.append((lo, hi, parents, starts))
+            self._sweep_levels.append((lo, hi, parents, _read_only(starts)))
         #: All node ids ordered by lexicographic path order; masking this with
         #: a boolean membership vector yields ids in ``sorted(paths)`` order.
-        self.lex_order = np.array(
-            sorted(range(self.num_nodes), key=lambda i: self.paths[i]),
-            dtype=np.intp,
+        self.lex_order = _read_only(
+            np.array(
+                sorted(range(self.num_nodes), key=lambda i: self.paths[i]),
+                dtype=np.intp,
+            )
         )
         #: All node ids ordered by ``(depth, path)`` — the deterministic
         #: cascade order of ADA's adaptation (``sorted(key=(len(p), p))``).
-        self.depth_lex_order = np.array(
-            sorted(range(self.num_nodes), key=lambda i: (depths[i], self.paths[i])),
-            dtype=np.intp,
+        self.depth_lex_order = _read_only(
+            np.array(
+                sorted(range(self.num_nodes), key=lambda i: (depths[i], self.paths[i])),
+                dtype=np.intp,
+            )
         )
-        #: ``ancestors[i, d]`` is the id of node ``i``'s ancestor at depth
-        #: ``d`` (``d <= depth(i)``; entries beyond a node's depth repeat the
-        #: node itself).  Lets the adaptation cascade resolve "the child of
-        #: ``current`` on the path to ``target``" with one integer lookup.
-        ancestors = np.empty((self.num_nodes, max_depth + 1), dtype=np.intp)
-        for i, node in enumerate(nodes):
-            chain = [i]
-            while nodes[chain[-1]].parent is not None:
-                chain.append(nodes[chain[-1]].parent.index)
-            chain.reverse()  # root .. self
-            for d in range(max_depth + 1):
-                ancestors[i, d] = chain[min(d, len(chain) - 1)]
-        self.ancestors = ancestors
-        #: Per-node child ids as plain int lists, ascending (== the order of
-        #: ``children.values()`` because BFS assigns ids in child-insertion
-        #: order per parent).  Python ints: the adaptation planner iterates
-        #: these in tight loops.
-        self.child_ids: list[list[int]] = [
-            [c.index for c in node.children.values()] for node in nodes
-        ]
         self._descendants: dict[int, frozenset[int]] = {}
 
     # ------------------------------------------------------------------
@@ -185,11 +213,12 @@ class HierarchyIndex:
         """Ids of every strict descendant of ``node_id`` (memoized)."""
         found = self._descendants.get(node_id)
         if found is None:
+            # The children of a run of one level are one run of the next.
             below: list[int] = []
-            frontier = self.child_ids[node_id]
-            while frontier:
-                below.extend(frontier)
-                frontier = [c for node in frontier for c in self.child_ids[node]]
+            lo, hi = self.child_start[node_id], self.child_stop[node_id]
+            while lo < hi:
+                below.extend(range(lo, hi))
+                lo, hi = self.child_start[lo], self.child_stop[hi - 1]
             found = self._descendants[node_id] = frozenset(below)
         return found
 

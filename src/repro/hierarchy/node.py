@@ -30,10 +30,11 @@ class HierarchyNode:
     -----
     The root node has depth ``0`` and an empty :attr:`path`.  Depth ``k``
     corresponds to the paper's "level k" (the root is the "All" / national
-    aggregate).
+    aggregate).  A node has no integer id: ids belong to the tree's one
+    :class:`~repro.hierarchy.index.HierarchyIndex` (``HierarchyIndex.of(tree)``).
     """
 
-    __slots__ = ("label", "parent", "children", "depth", "_path", "index")
+    __slots__ = ("label", "parent", "children", "depth", "_path")
 
     def __init__(self, label: str, parent: Optional["HierarchyNode"] = None):
         if not label and parent is not None:
@@ -43,8 +44,6 @@ class HierarchyNode:
         self.children: dict[str, HierarchyNode] = {}
         self.depth = 0 if parent is None else parent.depth + 1
         self._path: CategoryPath = () if parent is None else parent.path + (label,)
-        #: Dense integer id assigned by the owning tree (useful for arrays).
-        self.index: int = -1
 
     # ------------------------------------------------------------------
     # Structure

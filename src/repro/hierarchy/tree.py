@@ -1,9 +1,10 @@
 """Hierarchy tree: the additive hierarchical domain of Section III.
 
-The tree owns the :class:`~repro.hierarchy.node.HierarchyNode` objects, maps
-category paths bijectively to leaves (Step 2 of the system overview) and
-provides level-order traversals used by the STA and ADA algorithms
-(bottom-up for heavy-hitter computation, top-down for splits).
+The tree owns the :class:`~repro.hierarchy.node.HierarchyNode` objects and
+maps category paths bijectively to leaves (Step 2 of the system overview).
+It numbers nothing: node ids, and the level order the STA and ADA algorithms
+sweep in, belong to the tree's one
+:class:`~repro.hierarchy.index.HierarchyIndex` (``HierarchyIndex.of(tree)``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class HierarchyTree:
         self.root = HierarchyNode(root_label)
         self._leaf_by_path: dict[CategoryPath, HierarchyNode] = {}
         self._node_by_path: dict[CategoryPath, HierarchyNode] = {(): self.root}
-        self._indexed = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -75,7 +75,6 @@ class HierarchyTree:
         self._node_by_path.setdefault(node.path, node)
         if leaf:
             self._leaf_by_path[node.path] = node
-        self._indexed = False
         return node
 
     def validate(self) -> None:
@@ -86,12 +85,6 @@ class HierarchyTree:
                     f"category {path!r} was registered as a leaf but now has "
                     f"children; leaf paths must not be prefixes of each other"
                 )
-
-    def freeze_index(self) -> None:
-        """Assign dense integer ids to every node in BFS order."""
-        for i, node in enumerate(self.iter_level_order()):
-            node.index = i
-        self._indexed = True
 
     # ------------------------------------------------------------------
     # Lookup
@@ -132,22 +125,6 @@ class HierarchyTree:
     def iter_leaves(self) -> Iterator[HierarchyNode]:
         return self.root.iter_leaves()
 
-    def iter_level_order(self, top_down: bool = True) -> Iterator[HierarchyNode]:
-        """Level-order traversal, top-down or bottom-up.
-
-        ADA's adaptation stage requires a bottom-up level-order traversal for
-        the to-split marking and merge passes, and a top-down one for the
-        split pass (Fig. 5, lines 13-23).
-        """
-        levels: list[list[HierarchyNode]] = []
-        frontier = [self.root]
-        while frontier:
-            levels.append(frontier)
-            frontier = [c for node in frontier for c in node.children.values()]
-        ordered = levels if top_down else reversed(levels)
-        for level in ordered:
-            yield from level
-
     def nodes_at_depth(self, depth: int) -> list[HierarchyNode]:
         """All nodes whose depth equals ``depth`` (root is depth 0)."""
         return [n for n in self.iter_nodes() if n.depth == depth]
@@ -157,7 +134,8 @@ class HierarchyTree:
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
+        # Every node registers through ``add_node``.
+        return len(self._node_by_path)
 
     @property
     def num_leaves(self) -> int:
@@ -190,7 +168,7 @@ class HierarchyTree:
         return tuple(path) in self._node_by_path
 
     def __len__(self) -> int:
-        return self.num_nodes
+        return len(self._node_by_path)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -232,11 +232,12 @@ LOADED_ROW = st.tuples(
 )
 
 
-def assert_scorers_match(config, dense_store, dict_store, unit):
-    """For each split rule, ADA's id scorer over ``dense_store`` at ``unit``
-    equals the rule's score of the reference's per-path view, every node."""
+def assert_scorers_match(config, tree, dense_store, dict_store, unit):
+    """For each split rule, ADA's id scorer over ``dense_store`` (on
+    ``tree``'s index) at ``unit`` equals the rule's score of the reference's
+    per-path view, every node."""
     for name in SPLIT_RULES:
-        ada = ADAAlgorithm(dense_store.index.tree, config.replace(split_rule=name))
+        ada = ADAAlgorithm(tree, config.replace(split_rule=name))
         ada._stats, ada._timeunit = dense_store, unit
         score = ada._make_id_scorer()
         for path, node_id in dense_store.index.path_to_id.items():
@@ -338,7 +339,7 @@ class TestSplitStatsStore:
                 raw_vec[index.path_to_id[path]] = weight
             dense_store.update_dense(unit, raw_vec)
             dict_store.update(unit, counts)
-        assert_scorers_match(config, dense_store, dict_store, len(feeds))
+        assert_scorers_match(config, tree, dense_store, dict_store, len(feeds))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -452,6 +453,6 @@ class TestSplitStatsStore:
         dense_rows, dict_rows = dense_store.emit(), dict_store.emit()
         assert by_path(dense_rows[0]) == by_path(dict_rows[0])
         assert by_path(dense_rows[1]) == by_path(dict_rows[1])
-        assert_scorers_match(config, dense_store, dict_store, unit)
+        assert_scorers_match(config, tree, dense_store, dict_store, unit)
         # The table covers the longest silence decayed and nothing more.
         assert len(dense_store._decay) == longest_gap + 1

@@ -565,7 +565,12 @@ class TestRegistryGuards:
         for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
             untracked = [i for i in range(index.num_nodes) if i not in tracked]
             donors = [
-                i for i in tracked if any(c not in tracked for c in index.child_ids[i])
+                i
+                for i in tracked
+                if any(
+                    c not in tracked
+                    for c in range(index.child_start[i], index.child_stop[i])
+                )
             ]
             kinds = [
                 kind
@@ -587,7 +592,11 @@ class TestRegistryGuards:
                 donor = data.draw(st.sampled_from(donors))
                 child = data.draw(
                     st.sampled_from(
-                        [c for c in index.child_ids[donor] if c not in tracked]
+                        [
+                            c
+                            for c in range(index.child_start[donor], index.child_stop[donor])
+                            if c not in tracked
+                        ]
                     )
                 )
                 ratio = data.draw(

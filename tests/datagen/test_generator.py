@@ -123,6 +123,11 @@ class TestGeneration:
         with pytest.raises(DataGenerationError):
             generator.generate_list(10.0)  # less than one timeunit
 
+    def test_tree_without_leaves_rejected(self, clock):
+        """A bare root is no leaf to sample from."""
+        with pytest.raises(DataGenerationError, match="no leaves to sample from"):
+            make_generator(HierarchyTree(), clock)
+
 
 class TestTopLevelWeights:
     def test_weights_shape_first_level_mix(self, tree, clock):

@@ -311,21 +311,20 @@ class TestEngineSurface:
             tiny_detector_config(),
             clock=dataset.clock,
         )
+        session = engine.session("tiny")
         cut = len(records) // 2
-        engine.session("tiny").ingest_batch(records[:cut])
-        engine.start_shadow("tiny", candidate_config())
-        engine.session("tiny").ingest_batch(records[cut:])
-        engine.session("tiny").flush()
+        session.ingest_batch(records[:cut])
+        session.start_shadow(candidate_config())
+        session.ingest_batch(records[cut:])
+        session.flush()
 
-        assert engine.session("tiny").shadow_report()["units_compared"] > 0
+        assert session.shadow_report()["units_compared"] > 0
 
-        engine.reconfigure_session(
-            "tiny", engine.session("tiny").config.replace(theta=6.0)
-        )
+        session.reconfigure(session.config.replace(theta=6.0))
         assert engine.session("tiny").config.theta == 6.0
         # Reconfiguring the primary leaves the experiment running.
         assert engine.session("tiny").has_shadow
 
-        report = engine.promote_shadow("tiny")
+        report = session.promote_shadow()
         assert report["units_compared"] > 0
         assert not engine.session("tiny").has_shadow

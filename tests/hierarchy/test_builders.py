@@ -11,6 +11,7 @@ from repro.hierarchy.builders import (
     build_tree_from_spec,
 )
 from repro.hierarchy.domain import CCD_TROUBLE_DOMAIN, DomainSpec, LevelSpec
+from repro.hierarchy.index import HierarchyIndex
 
 
 class TestGenericBuilder:
@@ -69,6 +70,9 @@ class TestCanonicalBuilders:
         # The first level must stay much wider than the deeper levels.
         assert len(tree.nodes_at_depth(1)) >= 10
 
-    def test_indices_are_frozen(self):
+    def test_index_ids_are_dense(self):
         tree = build_ccd_trouble_tree(seed=3)
-        assert all(node.index >= 0 for node in tree.iter_nodes())
+        paths = HierarchyIndex.of(tree).paths
+        assert sorted(paths) == sorted(node.path for node in tree.iter_nodes())
+        ids = {path: i for i, path in enumerate(paths)}
+        assert all(ids[path[:-1]] < i for i, path in enumerate(paths) if path)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import HierarchyError, UnknownCategoryError
+from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
 
 
@@ -65,24 +66,14 @@ class TestConstruction:
         with pytest.raises(HierarchyError):
             tree.add_leaf(())
 
-    def test_freeze_index_assigns_dense_ids(self, tree):
-        tree.freeze_index()
-        indices = sorted(node.index for node in tree.iter_nodes())
-        assert indices == list(range(tree.num_nodes))
+    def test_index_assigns_dense_ids(self, tree):
+        paths = HierarchyIndex.of(tree).paths
+        assert sorted(paths) == sorted(node.path for node in tree.iter_nodes())
+        ids = {path: i for i, path in enumerate(paths)}
+        assert all(ids[path[:-1]] < i for i, path in enumerate(paths) if path)
 
 
 class TestTraversal:
-    def test_level_order_top_down(self, tree):
-        depths = [node.depth for node in tree.iter_level_order(top_down=True)]
-        assert depths == sorted(depths)
-
-    def test_level_order_bottom_up(self, tree):
-        depths = [node.depth for node in tree.iter_level_order(top_down=False)]
-        assert depths == sorted(depths, reverse=True)
-
-    def test_level_order_visits_all_nodes(self, tree):
-        assert len(list(tree.iter_level_order())) == tree.num_nodes
-
     def test_nodes_at_depth(self, tree):
         assert {n.label for n in tree.nodes_at_depth(1)} == {"tv", "internet"}
         assert {n.label for n in tree.nodes_at_depth(3)} == {"no-pic", "no-sound"}

@@ -278,9 +278,6 @@ UNREACHED_ALLOWED = {
     "streaming.batch.RecordBatch.from_columns": (
         "README-documented API: a batch from plain columns"
     ),
-    "engine.engine.DetectionEngine.reconfigure_session": (
-        "README-documented API: live reconfiguration of a session"
-    ),
     "engine.sharded.ShardedDetectionEngine.rebalance_session": (
         "README's migration table points to it for moving subtree shards"
     ),
