@@ -83,7 +83,6 @@ def plan_adaptation(
     num_splits = 0
     num_merges = 0
     child_start = index.child_start
-    child_stop = index.child_stop
     parent = index.parent
 
     # SPLIT phase, top-down in (depth, lex) order — ties broken exactly like
@@ -112,7 +111,7 @@ def plan_adaptation(
         for child in reversed(below_donor):
             receivers = []
             child_pos = -1
-            for c in range(child_start[current], child_stop[current]):
+            for c in range(child_start[current], child_start[current + 1]):
                 if not sim[c]:
                     if c == child:
                         child_pos = len(receivers)

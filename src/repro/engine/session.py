@@ -520,7 +520,7 @@ class DetectionSession:
         Returns ``self``.
         """
         state = reconfigured_state(self._primary_state_dict(), new_config)
-        self._adopt(DetectionSession.from_state_dict(state), full=False)
+        self._adopt(DetectionSession._from_state(state, self.tree), full=False)
         return self
 
     # ------------------------------------------------------------------
@@ -560,7 +560,7 @@ class DetectionSession:
             candidate_config,
             name=name or f"{self.name}::shadow",
         )
-        self._shadow = DetectionSession.from_state_dict(shadow_state)
+        self._shadow = DetectionSession._from_state(shadow_state, self.tree)
         self._shadow_tracker = ShadowTracker()
         return self._shadow
 
@@ -759,10 +759,20 @@ class DetectionSession:
     @classmethod
     def from_state_dict(cls, state: Mapping[str, Any]) -> "DetectionSession":
         """Rebuild a session (tree, config, algorithm state) from a snapshot."""
+        return cls._from_state(state, None)
+
+    @classmethod
+    def _from_state(
+        cls, state: Mapping[str, Any], tree: "HierarchyTree | None"
+    ) -> "DetectionSession":
+        """:meth:`from_state_dict` on ``tree`` when one is given.  The tree is
+        never changed after it is built, so a session cloned from a live one
+        (reconfigured, or a shadow) runs on that session's tree and shares
+        its one :class:`~repro.hierarchy.index.HierarchyIndex`."""
         try:
             max_results = state.get("max_results")
             session = cls(
-                tree_from_dict(state["tree"]),
+                tree_from_dict(state["tree"]) if tree is None else tree,
                 config_from_dict(state["config"]),
                 algorithm=str(state["algorithm"]),
                 clock=clock_from_dict(state["clock"]),

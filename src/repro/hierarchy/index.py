@@ -12,13 +12,13 @@ timeunit is the one-row call of the same sweep.
 
 Node ids belong to the index: the tree and its nodes carry none.  Each tree
 has one index, :meth:`HierarchyIndex.of`, shared read-only by every tracker
-on that tree (its arrays are not writeable) and rebuilt only once the tree
-has gained nodes.
+on that tree (its arrays are not writeable), freed with the last tracker
+that holds it and rebuilt only once the tree has gained nodes.
 
 BFS ids make every level, and the children of every parent, a contiguous id
 range, so folding a level onto its parents is one ``np.add.reduceat`` along
 the node axis — two per level for all rows, whatever their number — and a
-node's children are ``range(child_start[n], child_stop[n])``.
+node's children are ``range(child_start[n], child_start[n + 1])``.
 
 Exactness: per-timeunit leaf counts are record *counts* — integers — and
 sums of integers in float64 are exact (far below 2^53), so the results are
@@ -37,10 +37,12 @@ import numpy as np
 from repro._types import CategoryPath, Weight
 from repro.hierarchy.tree import HierarchyTree
 
-#: The one index of each live tree (an index holds no reference to its tree,
-#: so the entry goes with the tree), and the lock that keeps two threads from
-#: building two indexes for one tree.
-_INDEXES: "weakref.WeakKeyDictionary[HierarchyTree, HierarchyIndex]" = (
+#: The one index of each live tree, held weakly on both sides: an index goes
+#: with the last tracker that holds it, as an unshared one would, however
+#: long the tree lives (its nodes are reference cycles, freed only by the
+#: cyclic collector).  The lock keeps two threads from building two indexes
+#: for one tree.
+_INDEXES: "weakref.WeakKeyDictionary[HierarchyTree, weakref.ref[HierarchyIndex]]" = (
     weakref.WeakKeyDictionary()
 )
 _INDEXES_LOCK = threading.Lock()
@@ -56,35 +58,33 @@ class HierarchyIndex:
 
     Node ids are BFS (level-order) positions, so the root is id 0, every
     parent id is smaller than its children's, and the children of a node are
-    the contiguous id range ``child_start[n]:child_stop[n]`` in insertion
-    order.  Use :meth:`of` for a tree's shared index.
+    the contiguous id range ``child_start[n]:child_start[n + 1]`` in
+    insertion order.  Use :meth:`of` for a tree's shared index.
     """
 
     @classmethod
     def of(cls, tree: HierarchyTree) -> "HierarchyIndex":
         """The shared index of ``tree``, rebuilt once the tree has gained
-        nodes since it was built."""
+        nodes since it was built, or once its last holder has dropped it."""
         with _INDEXES_LOCK:
-            index = _INDEXES.get(tree)
+            ref = _INDEXES.get(tree)
+            index = None if ref is None else ref()
             if index is None or index.num_nodes != tree.num_nodes:
-                index = _INDEXES[tree] = cls(tree)
+                index = cls(tree)
+                _INDEXES[tree] = weakref.ref(index)
             return index
 
     def __init__(self, tree: HierarchyTree):
-        # BFS: the children of node ``i`` are appended as one run, so they
-        # take the ids ``child_start[i]:child_stop[i]``, and each node's run
-        # starts where the one before it stopped.
+        # BFS: the children of node ``i`` are appended as one run, and each
+        # node's run starts where the one before it stopped.
         nodes = [tree.root]
-        #: First and one-past-last child id of every node (equal for a leaf).
-        self.child_start: list[int] = []
-        self.child_stop: list[int] = []
-        start = 1
+        #: Child-run offsets, ``num_nodes + 1`` of them: the children of node
+        #: ``i`` are the ids ``child_start[i]:child_start[i + 1]`` (an empty
+        #: range for a leaf).
+        self.child_start: list[int] = [1]
         for node in nodes:
             nodes.extend(node.children.values())
-            stop = len(nodes)
-            self.child_start.append(start)
-            self.child_stop.append(stop)
-            start = stop
+            self.child_start.append(len(nodes))
         self.num_nodes = len(nodes)
         self.paths: list[CategoryPath] = [node.path for node in nodes]
         self.path_to_id: dict[CategoryPath, int] = dict(
@@ -93,7 +93,7 @@ class HierarchyIndex:
         #: Parent id of every node (the root's is 0): child runs in id order.
         self.parent = np.zeros(self.num_nodes, dtype=np.intp)
         self.parent[1:] = np.repeat(
-            np.arange(self.num_nodes), np.subtract(self.child_stop, self.child_start)
+            np.arange(self.num_nodes), np.diff(self.child_start)
         )
         _read_only(self.parent)
         depths = [node.depth for node in nodes]
@@ -215,10 +215,11 @@ class HierarchyIndex:
         if found is None:
             # The children of a run of one level are one run of the next.
             below: list[int] = []
-            lo, hi = self.child_start[node_id], self.child_stop[node_id]
+            child_start = self.child_start
+            lo, hi = child_start[node_id], child_start[node_id + 1]
             while lo < hi:
                 below.extend(range(lo, hi))
-                lo, hi = self.child_start[lo], self.child_stop[hi - 1]
+                lo, hi = child_start[lo], child_start[hi]
             found = self._descendants[node_id] = frozenset(below)
         return found
 

@@ -569,7 +569,7 @@ class TestRegistryGuards:
                 for i in tracked
                 if any(
                     c not in tracked
-                    for c in range(index.child_start[i], index.child_stop[i])
+                    for c in range(index.child_start[i], index.child_start[i + 1])
                 )
             ]
             kinds = [
@@ -594,7 +594,7 @@ class TestRegistryGuards:
                     st.sampled_from(
                         [
                             c
-                            for c in range(index.child_start[donor], index.child_stop[donor])
+                            for c in range(index.child_start[donor], index.child_start[donor + 1])
                             if c not in tracked
                         ]
                     )

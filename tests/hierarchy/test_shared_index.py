@@ -2,8 +2,9 @@
 
 Node ids are BFS positions held by the index alone; every tracker on a tree
 shares the tree's one read-only index (:meth:`HierarchyIndex.of`), which is
-rebuilt only once the tree has gained nodes.  A node's children are the id
-range ``child_start[n]:child_stop[n]``.
+freed with the last tracker that holds it and rebuilt only once the tree has
+gained nodes.  A node's children are the id range
+``child_start[n]:child_start[n + 1]``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import gc
 import sys
 import threading
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ def assert_layout(tree: HierarchyTree) -> None:
     assert index.paths == [node.path for node in bfs]
     for node_id, path in enumerate(index.paths):
         node = tree.node(path)
-        children = range(index.child_start[node_id], index.child_stop[node_id])
+        children = range(index.child_start[node_id], index.child_start[node_id + 1])
         assert [index.paths[c] for c in children] == [
             child.path for child in node.children.values()
         ]
@@ -80,6 +82,41 @@ class TestOneIndexPerTree:
         second = DetectionSession(tree, TiresiasConfig(), algorithm="sta", name="second")
         assert built == [tree]
         assert first.algorithm._index is second.algorithm._index
+
+    def test_reconfigured_and_shadow_sessions_share_the_index(self, built):
+        tree = small_tree()
+        session = DetectionSession(tree, TiresiasConfig())
+        index = session.algorithm._index
+        session.reconfigure(replace(TiresiasConfig(), difference_threshold=3.0))
+        shadow = session.start_shadow(replace(TiresiasConfig(), theta=5.0))
+        session.promote_shadow()
+        assert built == [tree]
+        assert session.tree is shadow.tree is tree
+        assert session.algorithm._index is index
+
+    def test_the_index_goes_with_its_last_holder(self):
+        # Without the cyclic collector: the tree's nodes form reference
+        # cycles, but the index must not wait for them.
+        tree = small_tree()
+        gc.disable()
+        try:
+            session = DetectionSession(tree, TiresiasConfig())
+            session.reconfigure(replace(TiresiasConfig(), difference_threshold=3.0))
+            ref = weakref.ref(session.algorithm._index)
+            shadow = session.start_shadow(TiresiasConfig())
+            del session
+            assert ref() is shadow.algorithm._index
+            del shadow
+            assert ref() is None
+            restored = DetectionSession.from_state_dict(
+                DetectionSession(tree, TiresiasConfig()).state_dict()
+            )
+            ref = weakref.ref(restored.algorithm._index)
+            del restored
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert HierarchyIndex.of(tree).num_nodes == tree.num_nodes
 
     def test_concurrent_lookups_build_one_index(self, built):
         tree = build_ccd_network_tree(seed=0, scale=0.3, max_leaves=333)
