@@ -421,7 +421,7 @@ class ADAAlgorithm(HierarchyTracker):
         self.planned_units = 0
         self.adapt_seconds = 0.0
         #: Close-profile counters (not checkpointed): units closed, units
-        #: fed by dense columnar counts, and a close-latency histogram for
+        #: closed from a swept count row, and a close-latency histogram for
         #: the service metrics.
         self.fused_units = 0
         self.dense_close_units = 0
@@ -452,8 +452,8 @@ class ADAAlgorithm(HierarchyTracker):
     def close_swept(
         self, swept: tuple, timeunit: TimeunitIndex | None = None
     ) -> TimeunitResult:
-        """Close one timeunit from its :meth:`sweep_timeunits` triple — a
-        row of a batch's count matrix, counted in ``dense_close_units``."""
+        """Close one timeunit from its :meth:`sweep_timeunits` triple — how a
+        session closes every unit — counted in ``dense_close_units``."""
         self.dense_close_units += 1
         return self._close(timeunit, *swept)
 
@@ -517,7 +517,9 @@ class ADAAlgorithm(HierarchyTracker):
         """Close-path execution profile for the service metrics / ledger.
 
         ``fused_units`` counts timeunits closed, ``dense_close_units`` those
-        closed from a row of a columnar batch's count matrix, and
+        closed from a swept count row (:meth:`close_swept`) — every unit a
+        session closes, so only direct :meth:`process_timeunit` calls make
+        the two differ — and
         ``close_time`` is a log-bucketed histogram of per-timeunit close wall
         times — the close proper: a batch's hierarchy sweep runs once, before
         its first unit closes, and is in ``stage_seconds`` only.

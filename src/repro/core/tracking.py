@@ -12,10 +12,13 @@ one :meth:`HierarchyIndex.sweep <repro.hierarchy.index.HierarchyIndex.sweep>`,
 under the config's root and ``min_heavy_depth`` rules.
 
 A subclass implements ``_close(timeunit, raw, modified, heavy)``, the close
-of one swept row.  The session feeds it a batch's rows through
-:meth:`~HierarchyTracker.close_swept`; :meth:`~HierarchyTracker.process_timeunit`
-is the same close for one timeunit of per-path counts (its one-row sweep),
-which the comparator, the paper benchmarks and the examples call.
+of one swept row.  The session closes every unit through
+:meth:`~HierarchyTracker.close_swept`, each a row of a batch's count matrix or
+a one-row matrix of its open unit's node ids;
+:meth:`~HierarchyTracker.process_timeunit` is the same close for one
+timeunit of per-path counts (:meth:`HierarchyIndex.count_rows
+<repro.hierarchy.index.HierarchyIndex.count_rows>`, one row), which the
+comparator, the paper benchmarks and the examples call.
 """
 
 from __future__ import annotations
@@ -90,23 +93,23 @@ class HierarchyTracker:
         """Node id per path of a batch string-dictionary (-1 for unknown)."""
         return self._index.dictionary_ids(dictionary)
 
-    def sweep_timeunits(
-        self, counts, leaf_counts: "Mapping[CategoryPath, Weight] | None" = None
-    ) -> list[tuple]:
+    def node_paths(self, ids) -> list[CategoryPath]:
+        """The path of every node id in ``ids``."""
+        paths = self._index.paths
+        return [paths[node_id] for node_id in ids.tolist()]
+
+    def sweep_timeunits(self, counts) -> list[tuple]:
         """The hierarchy update of several timeunits at once.
 
         ``counts`` is a ``(units, num_node_ids)`` float64 matrix of direct
-        per-node counts, one row per timeunit (consumed); ``leaf_counts``
-        folds a dict remainder into the first row — counts that reached that
-        timeunit through the per-path route.  SHHH depends on a timeunit's
-        own counts and nothing else, so every row's raw weights, modified
-        weights and heavy mask come out of one :meth:`HierarchyIndex.sweep`;
-        returns one ``(raw, modified, heavy)`` triple of row views per
-        timeunit, each to be handed to :meth:`close_swept` in order.
+        per-node counts, one row per timeunit (consumed).  SHHH depends on a
+        timeunit's own counts and nothing else, so every row's raw weights,
+        modified weights and heavy mask come out of one
+        :meth:`HierarchyIndex.sweep`; returns one ``(raw, modified, heavy)``
+        triple of row views per timeunit, each to be handed to
+        :meth:`close_swept` in order.
         """
         start = time.perf_counter()
-        if leaf_counts:
-            self._index.add_counts(counts[0], leaf_counts)
         raw, modified, heavy = self._index.sweep(counts, self.config.theta)
         if self.config.track_root:
             heavy[:, 0] = True

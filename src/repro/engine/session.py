@@ -11,6 +11,10 @@ report store.  It is built for composition:
   is chunked into batches (:func:`~repro.streaming.batch.iter_record_batches`);
   whatever the algorithm, a batch closes its timeunits from one count matrix
   and one hierarchy sweep (:class:`~repro.core.tracking.HierarchyTracker`);
+* the open timeunit is one list of node-id arrays, its records in arrival
+  order, and every close is a swept row's: a batch's matrix row when a run
+  of the batch lands in the unit, a one-row sweep of the held ids otherwise
+  (``flush``, ``advance_to``, a unit the next batch only passes);
 * the tracking algorithm is one of the paper's two, by name
   (:data:`repro.core.registry.ALGORITHMS`);
 * lifecycle observers (:mod:`repro.engine.hooks`) are notified of closed
@@ -29,7 +33,6 @@ one :class:`~repro.engine.engine.DetectionEngine`.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -63,6 +66,11 @@ from repro.streaming.record import OperationalRecord
 #: Most cells one dense count matrix may have (8 MiB of float64): a batch
 #: whose closing timeunits need more is ingested in halves.
 _DENSE_MATRIX_CELLS = 1 << 20
+
+_NO_IDS = np.zeros(0, dtype=np.intp)
+#: Size below which the open unit's id arrays merge (see
+#: :meth:`DetectionSession._ingest_batch_dense`).
+_HELD_CHUNK = 1024
 
 
 class DetectionSession:
@@ -131,11 +139,9 @@ class DetectionSession:
         self.reports = AnomalyReportStore()
         self.results: list[TimeunitResult] = []
         self._units_processed = 0
-        #: The open timeunit's counts: a Counter, plus (between dense
-        #: batches) the rows a batch left in it — read both through
-        #: :attr:`_pending`.
-        self._pending_counts: Counter = Counter()
-        self._pending_rows: tuple | None = None
+        #: The open timeunit: the node ids of its records in arrival order,
+        #: as a list of arrays (see :meth:`_ingest_batch_dense`).
+        self._open_ids: list = []
         self._pending_unit: TimeunitIndex | None = None
         #: Whether ``on_warmup_complete`` has fired (set by
         #: :func:`~repro.engine.hooks.notify_close`).
@@ -165,37 +171,6 @@ class DetectionSession:
             self._observers.remove(observer)
         except ValueError:
             pass
-
-    # ------------------------------------------------------------------
-    # The open timeunit
-    # ------------------------------------------------------------------
-    @property
-    def _pending(self) -> Counter:
-        """Per-path counts of the open timeunit, keys in first-arrival order
-        — the checkpointed representation, and what every reader gets.
-
-        A dense batch does not build it: it leaves the open unit's rows
-        behind as ``(codes, dictionary, node-id map)`` (:attr:`_pending_rows`,
-        a copy — a transport may reuse the batch's buffer), for the next
-        batch to count into its matrix directly.  The first read folds them
-        in here, one statement per distinct code in first-appearance order,
-        so the keys come out as ``Counter(categories)`` would have put them.
-        """
-        if self._pending_rows is not None:
-            self._fold_pending_rows()
-        return self._pending_counts
-
-    @_pending.setter
-    def _pending(self, counts: Counter) -> None:
-        self._pending_counts = counts
-        self._pending_rows = None
-
-    def _fold_pending_rows(self) -> None:
-        codes, dictionary, _ = self._pending_rows
-        self._pending_rows = None
-        counts = self._pending_counts
-        for code, count in Counter(codes.tolist()).items():
-            counts[tuple(dictionary[code])] += count
 
     # ------------------------------------------------------------------
     # Online ingestion
@@ -273,8 +248,7 @@ class DetectionSession:
         whenever new categories appeared (see
         :class:`~repro.streaming.batch.ColumnAccumulator`); when the cached
         dictionary is a prefix of the new one only the new entries are
-        mapped.  A map is never written to once returned (held rows keep
-        theirs).
+        mapped.
         """
         cached = self._dense_dict
         if cached is not None:
@@ -314,16 +288,14 @@ class DetectionSession:
         grid: runs of the still-open unit and dropped runs count into the
         spare last row, codes outside the tree into the spare last column,
         and both are sliced off before the float conversion.  The open
-        unit's rows are held as a copy (see :attr:`_pending`) and the batch
-        that closes that unit adds their node ids to its row 0, beside any
-        Counter remainder (rows folded by a read of :attr:`_pending`, a
-        restored checkpoint).  A batch that does not close the held unit
-        folds its rows into the Counter before holding its own, so at most
-        one batch's tail is ever held; a timeunit no run of this batch lands
-        in closes from ``_pending`` alone.  Matrix counts never reach a
-        checkpoint.  When the policy refuses a late run, the rows before it
-        are ingested first — the exception leaves the session where a batch
-        cut just before the late run would have.
+        unit is held as node ids (:attr:`_open_ids`): the batch that closes
+        it counts them into its row 0, and a unit no run of the batch lands
+        in closes from a one-row count of them (:meth:`_close_pending`).
+        This batch's runs of the unit it leaves open are appended as
+        gathers ``id_map[codes]`` — new arrays, never views of a code buffer
+        a transport may reuse.  When the policy refuses a late run, the rows
+        before it are ingested first — the exception leaves the session
+        where a batch cut just before the late run would have.
         """
         runs = batch.timeunit_runs(self.clock)
         if not runs:
@@ -364,8 +336,7 @@ class DetectionSession:
                 *self._ingest_batch_dense(batch.slice(middle, len(batch))),
             ]
         codes = batch.category_codes
-        dictionary = batch.code_dictionary
-        id_map = self._dense_mapping(dictionary)
+        id_map = self._dense_mapping(batch.code_dictionary)
         if self._pending_unit is None:
             self._pending_unit = units[0]  # a first run is never late
         swept = []
@@ -376,47 +347,32 @@ class DetectionSession:
                 [stop - start for _, start, stop in runs],
             )
             keys += id_map[codes]
-            remainder = None
             if closing[0] == self._pending_unit:
-                remainder = self._pending_counts
-                held = self._pending_rows
-                if held is not None:  # row 0
-                    held_codes, _, held_map = held
-                    keys = np.concatenate([held_map[held_codes], keys])
+                keys = np.concatenate([*self._open_ids, keys])  # row 0
             counts = np.bincount(keys, minlength=(spare + 1) * grid)
             swept = algorithm.sweep_timeunits(
-                counts.reshape(spare + 1, grid)[:-1, :-1].astype(np.float64),
-                remainder,
+                counts.reshape(spare + 1, grid)[:-1, :-1].astype(np.float64)
             )
         closed: list[TimeunitResult] = []
         row = 0
         while self._pending_unit < last_unit:
-            unit = self._pending_unit
-            if row < len(closing) and closing[row] == unit:
-                # Row 0 took the held rows and the Counter remainder; a
-                # Counter is made only to replace a non-empty one.
-                if self._pending_counts:
-                    self._pending_counts = Counter()
-                self._pending_rows = None
-                self._pending_unit = unit + 1
-                closed.append(
-                    self._finish_result(algorithm.close_swept(swept[row], unit))
-                )
+            if row < len(closing) and closing[row] == self._pending_unit:
+                closed.append(self._close_pending(swept[row]))
                 row += 1
             else:
                 closed.append(self._close_pending())
-        # Held rows this batch did not close go into the Counter now, so
-        # no more than one batch's tail is ever held.
-        if self._pending_rows is not None:
-            self._fold_pending_rows()
-        # The open unit's rows wait as they are for the batch that closes
-        # it; ``concatenate`` copies them out of a buffer that may be reused.
-        tail = [
-            codes[start:stop]
+        held = self._open_ids
+        held.extend(
+            id_map[codes[start:stop]]
             for (_, start, stop), row in zip(runs, run_rows)
             if row == spare
-        ]
-        self._pending_rows = (np.concatenate(tail), dictionary, id_map)
+        )
+        # Small arrays merge pairwise, as a binary counter does, into
+        # arrays of about _HELD_CHUNK ids: a unit fed one record at a time
+        # holds no array object per record, and as only arrays under
+        # _HELD_CHUNK ids merge, an id is copied a bounded number of times.
+        while len(held) > 1 and len(held[-2]) <= len(held[-1]) < _HELD_CHUNK:
+            held[-2:] = [np.concatenate(held[-2:])]
         return closed
 
     def process_batches(self, batches: Iterable[RecordBatch]) -> list[TimeunitResult]:
@@ -472,13 +428,57 @@ class DetectionSession:
             return []
         return [self._close_pending(final=True)]
 
-    def _close_pending(self, final: bool = False) -> TimeunitResult:
-        assert self._pending_unit is not None
-        counts = dict(self._pending)
+    def _close_pending(self, swept=None, final: bool = False) -> TimeunitResult:
+        """Close the open timeunit from ``swept``, its row of a batch's sweep
+        (which counted :attr:`_open_ids`), or else from a one-row count of
+        :attr:`_open_ids`: every close is a swept row's."""
         unit = self._pending_unit
-        self._pending = Counter()
+        assert unit is not None
+        algorithm = self.algorithm
+        if swept is None:
+            counts = np.bincount(
+                self._open_id_array(), minlength=algorithm.num_node_ids + 1
+            )
+            (swept,) = algorithm.sweep_timeunits(counts[None, :-1].astype(np.float64))
+        self._open_ids = []
         self._pending_unit = None if final else unit + 1
-        return self.process_timeunit_counts(counts, unit)
+        return self._finish_result(algorithm.close_swept(swept, unit))
+
+    def _open_id_array(self):
+        """:attr:`_open_ids` as one array."""
+        return np.concatenate([_NO_IDS, *self._open_ids])
+
+    def _pending_state(self) -> list:
+        """The open timeunit as checkpoint rows: ``[path, count]`` per node
+        in first-appearance order (categories outside the tree left out)."""
+        ids, first, counts = np.unique(
+            self._open_id_array(), return_index=True, return_counts=True
+        )
+        order = np.argsort(first)
+        keep = order[ids[order] < self.algorithm.num_node_ids]
+        paths = self.algorithm.node_paths(ids[keep])
+        return [
+            [list(path), count] for path, count in zip(paths, counts[keep].tolist())
+        ]
+
+    def _load_pending(self, rows) -> None:
+        """Restore :attr:`_open_ids` from :meth:`_pending_state` rows: each
+        path once, with a positive integer count."""
+        counts: dict = {}
+        for path, count in rows:
+            path = tuple(path)
+            if path in counts:
+                raise CheckpointError(f"pending: {path!r} is named twice")
+            if type(count) is not int or count < 1:
+                raise CheckpointError(
+                    f"pending: the count of {path!r} is {count!r}, "
+                    "not a positive integer"
+                )
+            counts[path] = count
+        if counts:
+            self._open_ids = [
+                np.repeat(self._node_ids(list(counts)), list(counts.values()))
+            ]
 
     # ------------------------------------------------------------------
     # Timeunit-level interface (used directly by benchmarks)
@@ -640,7 +640,7 @@ class DetectionSession:
             self.max_results = other.max_results
             self._units_processed = other._units_processed
             self.warmup_announced = other.warmup_announced
-            self._pending = other._pending
+            self._open_ids = other._open_ids
             self._pending_unit = other._pending_unit
             self.reading_seconds = other.reading_seconds
             self.reports = other.reports
@@ -701,12 +701,8 @@ class DetectionSession:
         files or UI state); shipping a session to a worker process must not
         drag them along.  Re-subscribe after unpickling where needed — the
         sharded engine keeps observers on the coordinator side and never
-        relies on them crossing a process boundary.  Rows a dense batch left
-        in the open timeunit are folded into the ``_pending`` Counter first,
-        so a pickle or a deep copy carries the Counter alone.
+        relies on them crossing a process boundary.
         """
-        if self._pending_rows is not None:
-            self._fold_pending_rows()
         state = dict(self.__dict__)
         state["_observers"] = []
         return state
@@ -750,7 +746,7 @@ class DetectionSession:
             "units_processed": self._units_processed,
             "warmup_announced": self.warmup_announced,
             "pending_unit": self._pending_unit,
-            "pending": [[list(path), count] for path, count in self._pending.items()],
+            "pending": self._pending_state(),
             "reading_seconds": self.reading_seconds,
             "reports": [anomaly.to_dict() for anomaly in self.reports],
             "algorithm_state": self.algorithm.state_dict(),
@@ -784,8 +780,7 @@ class DetectionSession:
             session.warmup_announced = bool(state["warmup_announced"])
             pending_unit = state["pending_unit"]
             session._pending_unit = None if pending_unit is None else int(pending_unit)
-            for path, count in state["pending"]:
-                session._pending[tuple(path)] = count
+            session._load_pending(state["pending"])
             session.reading_seconds = float(state["reading_seconds"])
             session.reports.add_many(
                 Anomaly.from_dict(data) for data in state["reports"]

@@ -141,25 +141,21 @@ class HierarchyIndex:
     # ------------------------------------------------------------------
     # Definitions 1 and 2: raw weights, modified weights, heavy hitters
     # ------------------------------------------------------------------
-    def add_counts(self, row, leaf_counts: Mapping[CategoryPath, Weight]) -> None:
-        """Add a per-path count mapping onto one row of direct counts.
+    def count_rows(self, leaf_counts: Mapping[CategoryPath, Weight]):
+        """The one-row ``(1, num_nodes)`` direct-count matrix of a per-path
+        count mapping.
 
         Unknown paths are ignored and counts attached to interior paths are
         credited to that aggregate directly, exactly like the scalar
         :func:`repro.core.hhh.accumulate_raw_weights`.
         """
+        counts = np.zeros((1, self.num_nodes))
+        row = counts[0]
         lookup = self.path_to_id.get
         for path, count in leaf_counts.items():
-            if count == 0:
-                continue
             node_id = lookup(path if isinstance(path, tuple) else tuple(path))
             if node_id is not None:
                 row[node_id] += float(count)
-
-    def count_rows(self, leaf_counts: Mapping[CategoryPath, Weight]):
-        """The one-row ``(1, num_nodes)`` direct-count matrix of a mapping."""
-        counts = np.zeros((1, self.num_nodes))
-        self.add_counts(counts[0], leaf_counts)
         return counts
 
     def dictionary_ids(self, dictionary):

@@ -2,19 +2,22 @@
 
 ``DetectionSession._ingest_batch_dense`` builds one count matrix for every
 timeunit a batch closes and has the algorithm sweep it once; the units then
-close in order from their rows.  The contract: results, the observer event
-sequence and ``save_checkpoint`` bytes equal record-by-record ingestion of
-the same records — for a batch that closes no, one or many units, late runs
-under every out-of-order policy (``raise`` included: the exception leaves the
-session where the records before the late one put it), a ``_pending``
-remainder carried in from the previous batch, categories the tree does not
-know and a shadow session attached — for batches built from tuples and
-batches built the way a reader builds them, with ADA and with STA: both
-take the dense close, through the hierarchy front end they share.
+close in order from their rows; a unit no run of the batch lands in closes
+from a one-row sweep, so every close is a swept row's.  The contract:
+results, the observer event sequence and ``save_checkpoint`` bytes equal
+record-by-record ingestion of the same records — for a batch that closes no,
+one or many units, late runs under every out-of-order policy (``raise``
+included: the exception leaves the session where the records before the late
+one put it), an open unit carried in from the previous batch, categories the
+tree does not know and a shadow session attached — for batches built from
+tuples and batches built the way a reader builds them, with ADA and with STA:
+both take the dense close, through the hierarchy front end they share.
 
-``TestHeldRows`` follows the open timeunit's rows, which a batch leaves as
-codes for the batch that closes the unit: the state between any two batches,
-a restore from it, pickling, and a code buffer overwritten after ingest.
+``TestHeldRows`` follows the open timeunit, held as the node ids of its
+records until the unit closes: the state between any two batches (cuts of
+every shape, quarter-unit cuts that never close a unit of their own runs
+included), a restore from it, pickling, and a code buffer overwritten after
+ingest.
 
 The last part pins the bug the count matrix fixes: two dictionary codes
 naming one path used to overwrite each other's counts.
@@ -26,6 +29,7 @@ import copy
 import json
 import os
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -185,9 +189,7 @@ def assert_batches_equal_records(
     assert batched.outcome(tmp_path, "batched") == reference.outcome(tmp_path, "reference")
     # Where a ``raise`` left the two sessions (equal too when nothing raised).
     assert batched.session.results == reference.session.results
-    assert list(batched.session._pending.items()) == list(
-        reference.session._pending.items()
-    )
+    assert open_unit(batched.session) == open_unit(reference.session)
     assert batched.session._pending_unit == reference.session._pending_unit
     return batched
 
@@ -199,6 +201,17 @@ def algorithm(request):
 
 def dense_units(session) -> int:
     return session.close_profile().get("dense_close_units", 0)
+
+
+def open_unit(session) -> list:
+    """The open timeunit's ``[path, count]`` rows, as checkpointed."""
+    return session.state_dict()["pending"]
+
+
+def assert_every_close_swept(session, algorithm) -> None:
+    """ADA counts each unit closed from a swept row: that is every unit."""
+    swept = session.units_processed if algorithm == "ada" else 0
+    assert dense_units(session) == swept
 
 
 #: Units 0..6 busy (1 is a gap), interior and unknown categories included.
@@ -214,24 +227,26 @@ BUSY = [
 
 class TestBatchEqualsRecords:
     @pytest.mark.parametrize(
-        "cuts, from_rows",
+        "cuts",
         [
-            ([], 5),                    # one batch closes every unit
-            ([3], 5),                   # the first batch closes nothing
-            ([5, 10], 3),               # cuts on unit boundaries: one unit, then many
-            ([7, 13, 22], 5),           # a _pending remainder carried into the next batch
-            (list(range(1, 30)), 0),    # one record per batch
+            [],                     # one batch closes every unit
+            [3],                    # the first batch closes nothing
+            [5, 10],                # cuts on unit boundaries: one unit, then many
+            [7, 13, 22],            # an open unit carried into the next batch
+            list(range(1, 30)),     # one record per batch
         ],
         ids=["whole", "none-then-many", "on-boundaries", "mid-unit", "single-rows"],
     )
-    def test_closing_no_one_and_many_units(self, algorithm, tmp_path, cuts, from_rows):
-        """``from_rows``: units that close from a matrix row — those with a
-        run in the batch that closes them (never the gap unit 1, the flushed
-        unit 6, or a unit whose records all arrived in earlier batches)."""
+    def test_closing_no_one_and_many_units(self, algorithm, tmp_path, cuts):
+        """Every unit closes from a swept row: from a batch's matrix when a
+        run of that batch lands in it, from a one-row sweep otherwise (the
+        gap unit 1, the flushed unit 6, a unit whose records all arrived in
+        earlier batches)."""
         batched = assert_batches_equal_records(
             tmp_path, BUSY, cuts, algorithm=algorithm
         )
-        assert dense_units(batched.session) == (from_rows if algorithm == "ada" else 0)
+        assert batched.session.units_processed == 7
+        assert_every_close_swept(batched.session, algorithm)
 
     @pytest.mark.parametrize("policy", ["drop", "clamp", "raise"])
     @pytest.mark.parametrize("cuts", [[], [9], [4, 12, 17]], ids=["whole", "two", "four"])
@@ -248,12 +263,12 @@ class TestBatchEqualsRecords:
 
     @pytest.mark.parametrize("built", ["tuples", "reader"])
     @pytest.mark.parametrize(
-        "cuts, from_rows",
-        [([9], 3), ([9, 19], 3), ([19], 3), ([10, 15, 19], 1)],
+        "cuts",
+        [[9], [9, 19], [19], [10, 15, 19]],
         ids=["middle", "head", "head-of-the-second", "head-after-boundary-cuts"],
     )
     def test_raise_closes_what_came_before_the_late_run(
-        self, algorithm, tmp_path, built, cuts, from_rows
+        self, algorithm, tmp_path, built, cuts
     ):
         """A late run in the middle of a batch and at the head of one: the
         runs before it are ingested (densely, by ADA) and the error is the
@@ -266,8 +281,11 @@ class TestBatchEqualsRecords:
         assert isinstance(batched.error, OutOfOrderRecordError)
         assert (batched.error.timestamp, batched.error.window_start) == (12.0, 40.0)
         assert batched.session.units_processed == 4  # units 0..3; 4 stays open
-        assert list(batched.session._pending) == [CATEGORIES[4], CATEGORIES[6]]
-        assert dense_units(batched.session) == (from_rows if algorithm == "ada" else 0)
+        assert open_unit(batched.session) == [
+            [list(CATEGORIES[4]), 3],
+            [list(CATEGORIES[6]), 1],
+        ]
+        assert_every_close_swept(batched.session, algorithm)
 
     def test_a_batch_built_from_tuples_closes_densely(self, algorithm):
         stamps = [float(ts) for ts, _ in BUSY]
@@ -275,7 +293,7 @@ class TestBatchEqualsRecords:
         session = Run(algorithm=algorithm).session
         session.ingest_record_batch(RecordBatch(stamps, categories))
         assert session.units_processed == 6
-        assert dense_units(session) == (5 if algorithm == "ada" else 0)
+        assert_every_close_swept(session, algorithm)
 
     @pytest.mark.parametrize("policy", ["drop", "clamp"])
     def test_a_batch_of_nothing_but_late_runs(self, algorithm, tmp_path, policy):
@@ -346,7 +364,7 @@ def test_a_close_reads_no_environment_variable(monkeypatch):
         patcher.setattr(type(os.environ), "__getitem__", refuse)
         results = session.process_batches(iter(batches))
     assert [result.timeunit for result in results] == list(range(7))
-    assert session.close_profile()["dense_close_units"] == 5
+    assert session.close_profile()["dense_close_units"] == 7
 
 
 class TestMatrixBound:
@@ -363,27 +381,26 @@ class TestMatrixBound:
             sweep = run.session.algorithm.sweep_timeunits
             rows: list[int] = []
 
-            def recording_sweep(counts, leaf_counts=None, sweep=sweep, rows=rows):
+            def recording_sweep(counts, sweep=sweep, rows=rows):
                 rows.append(len(counts))
-                return sweep(counts, leaf_counts)
+                return sweep(counts)
 
             run.session.algorithm.sweep_timeunits = recording_sweep
             run.feed([lambda s: s.ingest_record_batch(cut_batches(records, [])[0])])
             assert run.outcome(tmp_path, "bounded") == reference
             assert max(rows) * width <= max(budget, width)
             swept_rows.append(rows)
-        # One-row sweeps are single closes (the gap unit, the flush, a half's
-        # last unit that stayed open in ``_pending``).
+        # One-row sweeps are single closes (the gap unit, the flush, a half
+        # that closes one unit).
         assert [max(rows) for rows in swept_rows] == [1, 2, 2, 5]
 
 
 # ----------------------------------------------------------------------
-# The open timeunit's rows, carried to the batch that closes it
+# The open timeunit, carried to the batch that closes it
 # ----------------------------------------------------------------------
-def held_rows(session) -> int:
-    """Rows a dense batch left in the open unit (read without folding)."""
-    held = session._pending_rows
-    return 0 if held is None else len(held[0])
+def open_records(state) -> int:
+    """Records of the open timeunit in a state (those the tree knows)."""
+    return sum(count for _, count in state["pending"])
 
 
 def attempt(call):
@@ -396,11 +413,11 @@ def attempt(call):
 def lockstep(stream, cuts, built, policy="drop", overwrite=False) -> list[int]:
     """Feed the batches of ``stream`` to one session and, beside them, the
     same records one by one to another: after every batch the state bytes
-    are equal (reading them builds the ``_pending`` Counter), and a session
-    restored from them finishes the stream with the results a third session
-    that is never read produces.  ``overwrite``: scribble over every batch's
-    code column once it is ingested, as a reused transport buffer would.
-    Returns the rows held before each read."""
+    are equal, and a session restored from them finishes the stream with
+    the results a third session whose state is never read produces.
+    ``overwrite``: scribble over every batch's code column once it is
+    ingested, as a reused transport buffer would.  Returns the open unit's
+    record count after each batch."""
     records = records_of(stream)
     batches = cut_batches(records, cuts, built)
 
@@ -420,10 +437,9 @@ def lockstep(stream, cuts, built, policy="drop", overwrite=False) -> list[int]:
         assert (results, error) == expected
         if overwrite:
             batch.category_codes[:] = len(batch.code_dictionary)
-        held.append(held_rows(read))
         state = read.state_dict()
         assert canonical_checkpoint(state) == canonical_checkpoint(by_record.state_dict())
-        assert list(read._pending.items()) == list(by_record._pending.items())
+        held.append(open_records(state))
         if error is not None:
             return held
         states.append(state)
@@ -445,9 +461,8 @@ def lockstep(stream, cuts, built, policy="drop", overwrite=False) -> list[int]:
 
 @pytest.mark.parametrize("built", ["tuples", "reader"])
 class TestHeldRows:
-    """The open unit's rows wait, as codes, for the batch that closes it;
-    ``_pending`` is the Counter record-by-record ingestion builds whenever
-    anybody reads it."""
+    """The open unit is the node ids of its records, in arrival order; its
+    checkpoint rows are what record-by-record ingestion writes."""
 
     @pytest.mark.parametrize(
         "cuts", [[7, 13, 22], [3, 6, 8, 14], list(range(2, 30, 3))]
@@ -457,16 +472,33 @@ class TestHeldRows:
         assert any(held)
 
     def test_a_batch_wholly_inside_the_held_unit(self, built):
-        # Rows 6-7 are unit 2 only: the batch closes nothing, folds the row
-        # held before it and holds its own two.
+        # Rows 6-7 are unit 2 only: the batch closes nothing and adds its
+        # two records to the one the batch before it left open.
         held = lockstep(BUSY, [6, 8, 13], built)
-        assert held[:3] == [1, 2, 3]
+        assert held[:3] == [1, 3, 3]
         run = by_batch(records_of(BUSY), [6, 8, 13], built)
-        assert run.session.close_profile()["dense_close_units"] == 5
+        assert run.session.close_profile()["dense_close_units"] == 7
+
+    def test_quarter_unit_cuts_close_every_unit_from_a_swept_row(self, built):
+        """Cut as a paced feed cuts: no batch closes a unit one of its own
+        runs landed in, so each close counts only the held ids (unit 3 is
+        a gap and has none)."""
+        stream = [
+            (0.7 * i, i % len(CATEGORIES))
+            for i in range(100)
+            if not 30 <= 0.7 * i < 40
+        ]
+        quarters = [int(ts // (DELTA / 4)) for ts, _ in stream]
+        cuts = [i for i in range(1, len(stream)) if quarters[i] != quarters[i - 1]]
+        assert any(lockstep(stream, cuts, built))
+        run = by_batch(records_of(stream), cuts, built)
+        profile = run.session.close_profile()
+        assert run.session.units_processed == 7
+        assert profile["dense_close_units"] == profile["fused_units"] == 7
 
     @pytest.mark.parametrize("policy", ["drop", "clamp"])
     def test_late_runs_into_the_held_unit(self, built, tmp_path, policy):
-        # Unit 2 is held after the first batch; the second opens with a run
+        # Unit 2 is open after the first batch; the second opens with a run
         # of unit 0 and has one of unit 1 after unit 3 began.
         stream = BUSY[:7] + [(3, 1)] + BUSY[7:12] + [(13, 4)] + BUSY[12:]
         held = lockstep(stream, [7, 14, 20], built, policy)
@@ -475,38 +507,37 @@ class TestHeldRows:
 
     def test_raise_whose_prefix_leaves_rows_held(self, built):
         # The late run comes after two rows of unit 3: the prefix closes
-        # unit 2 (its held rows in row 0) and holds those two.
+        # unit 2 (its held ids in row 0) and holds those two.
         stream = BUSY[:12] + [(13, 4)] + BUSY[12:]
         assert lockstep(stream, [7, 13], built, "raise") == [2, 2]
 
     def test_codes_outside_the_tree_in_held_rows(self, built):
-        # Unit 1 is held as two rows the tree does not know, and unit 2 as
-        # one; the last batch closes nothing.
+        # Unit 1 opens with two records the tree does not know, unit 2 with
+        # one: they count nowhere and the state leaves them out.
         stream = [(1, 0), (2, 1), (11, 7), (12, 8), (13, 6), (14, 7), (15, 0),
                   (21, 8), (22, 2)]
-        assert lockstep(stream, [4, 8], built) == [2, 1, 1]
+        assert lockstep(stream, [4, 8], built) == [0, 0, 1]
 
     def test_an_overwritten_code_column_changes_nothing(self, built):
         """A shm transport reuses the buffer a batch's codes live in: the
-        rows held must be a copy, not a view."""
+        open unit must hold new arrays, not views."""
         assert any(lockstep(BUSY, [7, 13, 22], built, overwrite=True))
 
-    def test_a_unit_over_thirty_batches_holds_one_tail(self, built, tmp_path):
+    def test_a_unit_over_thirty_batches_holds_every_record(self, built, tmp_path):
         # Unit 0 fills thirty batches of 100 rows; unit 1 a last one of 5.
         stream = [(i * 0.003, i % 7) for i in range(3000)]
         stream += [(10 + i, i % 6) for i in range(5)]
         cuts = list(range(100, 3001, 100))
         session = DetectionSession(make_tree(), make_config(), warmup_units=2)
-        held, counted = [], []
+        held = []
         for batch in cut_batches(records_of(stream), cuts, built):
             session.ingest_record_batch(batch)
-            held.append(held_rows(session))
-            counted.append(sum(session._pending_counts.values()))
-        assert held == [100] * 30 + [5]
-        assert counted == [100 * k for k in range(30)] + [0]
+            held.append(open_records(session.state_dict()))
+        assert held == [100 * k for k in range(1, 31)] + [5]
+        assert open_unit(session) == [[list(LEAVES[i]), 1] for i in range(5)]
         assert_batches_equal_records(tmp_path, stream, cuts, built)
 
-    def test_pickle_and_deep_copy_carry_the_counter(self, built):
+    def test_pickle_and_deep_copy_carry_the_open_unit(self, built):
         records = records_of(BUSY)
         batches = cut_batches(records, [7, 13, 22], built)
         reference = DetectionSession(make_tree(), make_config(), warmup_units=2)
@@ -516,14 +547,32 @@ class TestHeldRows:
             session = DetectionSession(make_tree(), make_config(), warmup_units=2)
             for batch in batches[:2]:
                 session.ingest_record_batch(batch)
-            assert held_rows(session) == 3
             clone = snapshot(session)
-            assert clone._pending_rows is None and session._pending_rows is None
-            assert list(clone._pending.items()) == list(reference._pending.items())
+            assert open_unit(clone) == open_unit(session) == open_unit(reference)
+            assert open_records(clone.state_dict()) == 3
             assert [clone.ingest_record_batch(b) for b in batches[2:]] == [
                 session.ingest_record_batch(b) for b in batches[2:]
             ]
             assert clone.flush() == session.flush()
+
+
+def test_a_unit_fed_one_record_at_a_time_holds_its_ids_compactly():
+    """Each one-record batch is a one-id array; small arrays merge, so the
+    open unit holds about 8 bytes a record, not an array object (~110 bytes)
+    per record."""
+    records = records_of([(i * 0.002, i % 6) for i in range(4096)])
+    session = DetectionSession(make_tree(), make_config(), warmup_units=2)
+    session.ingest_record(records[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for record in records[1:]:
+            session.ingest_record(record)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert open_records(session.state_dict()) == len(records)
+    assert grown < 24 * len(records)
 
 
 # ----------------------------------------------------------------------

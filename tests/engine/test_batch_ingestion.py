@@ -38,7 +38,7 @@ def make_session(small_tree, policy="raise"):
 
 
 def pending_counts(session):
-    return dict(session._pending)
+    return {tuple(path): count for path, count in session.state_dict()["pending"]}
 
 
 class TestSessionBatchIngestion:

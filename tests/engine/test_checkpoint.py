@@ -199,12 +199,12 @@ def test_checkpoint_preserves_pending_partial_timeunit(tmp_path, ccd_dataset, cc
     cut = len(records) // 2 + 7
     engine = build_engine(ccd_dataset, ccd_config)
     engine.ingest_batch(records[:cut])
-    pending_before = dict(engine.session("ccd")._pending)
+    pending_before = engine.session("ccd").state_dict()["pending"]
     assert pending_before, "cut must land inside an open timeunit"
     path = tmp_path / "pending.ckpt.json"
     engine.save_checkpoint(path)
     restored = DetectionEngine.load_checkpoint(path)
-    assert dict(restored.session("ccd")._pending) == pending_before
+    assert restored.session("ccd").state_dict()["pending"] == pending_before
     assert (
         restored.session("ccd")._pending_unit == engine.session("ccd")._pending_unit
     )
@@ -400,6 +400,45 @@ class TestRowsTheSessionNeverWrites:
         spoil(state["sessions"][0]["algorithm_state"])
         path.write_text(json.dumps(state))
         with pytest.raises(CheckpointError, match="a1"):
+            DetectionSession.load_checkpoint(path)
+
+
+class TestPendingRows:
+    """The open timeunit's ``pending`` rows: rows a session writes restore as
+    they were; a row no session writes is refused, naming the section."""
+
+    @staticmethod
+    def checkpoint_with_pending(path, rows):
+        state = _small_checkpoint(path)
+        state["sessions"][0].update(pending_unit=7, pending=rows)
+        path.write_text(json.dumps(state))
+        return path
+
+    def test_rows_restore_in_their_order(self, tmp_path):
+        rows = [[["b", "b1"], 2], [["a", "a1"], 3], [["a"], 1]]
+        path = self.checkpoint_with_pending(tmp_path / "ckpt.json", rows)
+        assert DetectionSession.load_checkpoint(path).state_dict()["pending"] == rows
+
+    def test_a_path_outside_the_tree_counts_nowhere(self, tmp_path):
+        rows = [[["zz", "z1"], 4], [["a", "a1"], 1]]
+        path = self.checkpoint_with_pending(tmp_path / "ckpt.json", rows)
+        restored = DetectionSession.load_checkpoint(path)
+        assert restored.state_dict()["pending"] == [[["a", "a1"], 1]]
+        (result,) = restored.flush()
+        assert result.timeunit == 7
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[["a", "a1"], -5]],
+            [[["a", "a1"], 2], [["b", "b1"], 1], [["a", "a1"], 3]],
+            [[["a", "a1"], "3"]],
+        ],
+        ids=["negative-count", "path-named-twice", "string-count"],
+    )
+    def test_a_row_no_session_writes_is_refused(self, tmp_path, rows):
+        path = self.checkpoint_with_pending(tmp_path / "ckpt.json", rows)
+        with pytest.raises(CheckpointError, match="pending"):
             DetectionSession.load_checkpoint(path)
 
 

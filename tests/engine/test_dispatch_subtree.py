@@ -258,7 +258,7 @@ def random_batch(rng: random.Random, tree: HierarchyTree, cumulative: bool, attr
 def run_ingest(workers: dict, ops: list):
     """One ``"ingest"`` verb against a worker's unit table: its reply, or the
     late record that stopped it under ``raise``; and every unit's state
-    (wall-clock fields aside, ``_pending`` order included) afterwards."""
+    (wall-clock fields aside, ``pending`` row order included) afterwards."""
     try:
         outcome = worker_handle(workers, "ingest", ops)
     except OutOfOrderRecordError as exc:

@@ -186,11 +186,11 @@ class TestMidStreamReconfigure:
         session = build_session(dataset)
         session.ingest_batch(records[:300])
         units_before = session.units_processed
-        pending_before = dict(session._pending)
+        pending_before = session.state_dict()["pending"]
         anomalies_before = [a.to_dict() for a in session.anomalies]
         session.reconfigure(session.config.replace(theta=4.0))
         assert session.units_processed == units_before
-        assert dict(session._pending) == pending_before
+        assert session.state_dict()["pending"] == pending_before
         assert [a.to_dict() for a in session.anomalies] == anomalies_before
 
     def test_serial_and_columnar_paths_agree_after_reconfigure(

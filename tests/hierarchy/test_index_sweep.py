@@ -70,10 +70,7 @@ def reference_rows(tree, index, rows, theta):
 
 
 def count_matrix(index, rows):
-    counts = np.zeros((len(rows), index.num_nodes))
-    for position, row in enumerate(rows):
-        index.add_counts(counts[position], row)
-    return counts
+    return np.concatenate([index.count_rows(row) for row in rows])
 
 
 @st.composite
@@ -167,9 +164,8 @@ class TestSweptClose:
         case=tree_and_rows(),
         theta=st.integers(min_value=1, max_value=8),
         masks=st.sampled_from(MASK_CONFIGS),
-        remainder=st.booleans(),
     )
-    def test_swept_rows_close_like_the_reference(self, case, theta, masks, remainder):
+    def test_swept_rows_close_like_the_reference(self, case, theta, masks):
         tree, rows = case
         config = TiresiasConfig(
             theta=float(theta),
@@ -180,10 +176,7 @@ class TestSweptClose:
         )
         algo = ADAAlgorithm(tree, config)
         index = algo._index
-        # The first unit's counts may arrive partly as a dict remainder.
-        carried = rows[0] if remainder else None
-        matrix = count_matrix(index, [{}] + rows[1:] if remainder else rows)
-        swept = algo.sweep_timeunits(matrix, carried)
+        swept = algo.sweep_timeunits(count_matrix(index, rows))
         assert len(swept) == len(rows)
         got = [algo.close_swept(row, unit) for unit, row in enumerate(swept)]
         assert algo.close_profile()["dense_close_units"] == len(rows)

@@ -313,7 +313,7 @@ class TestCheckpointTimerAndShutdown:
         for record in records[:100]:
             serial.ingest_record(record)
         assert restored.units_processed == serial.units_processed
-        assert restored._pending == serial._pending
+        assert restored.state_dict()["pending"] == serial.state_dict()["pending"]
 
     def test_shutdown_endpoint(self, tiny_tenant):
         dataset, config = tiny_tenant
