@@ -29,6 +29,7 @@ from repro.core.config import ForecastConfig, TiresiasConfig  # noqa: E402
 from repro.datagen.ccd import CCDConfig, make_ccd_dataset  # noqa: E402
 from repro.datagen.generator import counts_per_timeunit  # noqa: E402
 from repro.datagen.scd import SCDConfig, make_scd_dataset  # noqa: E402
+from repro.evaluation.comparison import STAPass  # noqa: E402
 
 #: Directory where each benchmark writes its reproduced table/figure.
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -91,6 +92,15 @@ def ccd_trouble_units(ccd_trouble_dataset):
     return counts_per_timeunit(
         records, ccd_trouble_dataset.clock, ccd_trouble_dataset.num_timeunits
     )
+
+
+@pytest.fixture(scope="session")
+def ccd_trouble_sta_pass(ccd_trouble_dataset, ccd_trouble_units):
+    """One STA pass over the CCD trouble trace at theta 10 and a 3-day
+    window, shared by every Table V and Fig. 12 configuration: STA reads
+    neither the split rule nor the reference levels."""
+    config = detector_config(ccd_trouble_dataset.config.delta_seconds, theta=10.0, window_days=3.0)
+    return STAPass.run(ccd_trouble_dataset.tree, config, ccd_trouble_units, samples=8)
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,9 @@ CURVES = [
 
 
 @pytest.mark.benchmark(group="fig12")
-def test_fig12_series_error_by_age_and_depth(benchmark, ccd_trouble_dataset, ccd_trouble_units):
+def test_fig12_series_error_by_age_and_depth(
+    benchmark, ccd_trouble_dataset, ccd_trouble_units, ccd_trouble_sta_pass
+):
     dataset = ccd_trouble_dataset
     units = ccd_trouble_units
     warmup = units_per_day(dataset.config.delta_seconds) // 2
@@ -47,7 +49,11 @@ def test_fig12_series_error_by_age_and_depth(benchmark, ccd_trouble_dataset, ccd
                 split_ewma_alpha=alpha,
             )
             comparator = AlgorithmComparator(
-                dataset.tree, config, series_error_samples=8, warmup_units=warmup
+                dataset.tree,
+                config,
+                series_error_samples=8,
+                warmup_units=warmup,
+                sta_pass=ccd_trouble_sta_pass,
             )
             comparator.process_many(units)
             stats[label] = comparator.report().series_errors

@@ -29,7 +29,7 @@ CONFIGURATIONS = [
 ]
 
 
-def evaluate_configuration(dataset, units, split_rule, alpha, h, warmup):
+def evaluate_configuration(dataset, units, split_rule, alpha, h, warmup, sta_pass):
     config = detector_config(
         dataset.config.delta_seconds,
         theta=10.0,
@@ -38,13 +38,17 @@ def evaluate_configuration(dataset, units, split_rule, alpha, h, warmup):
         split_rule=split_rule,
         split_ewma_alpha=alpha,
     )
-    comparator = AlgorithmComparator(dataset.tree, config, warmup_units=warmup)
+    comparator = AlgorithmComparator(
+        dataset.tree, config, warmup_units=warmup, sta_pass=sta_pass
+    )
     comparator.process_many(units)
     return comparator.report()
 
 
 @pytest.mark.benchmark(group="table5")
-def test_table5_detection_accuracy_by_split_rule(benchmark, ccd_trouble_dataset, ccd_trouble_units):
+def test_table5_detection_accuracy_by_split_rule(
+    benchmark, ccd_trouble_dataset, ccd_trouble_units, ccd_trouble_sta_pass
+):
     dataset = ccd_trouble_dataset
     units = ccd_trouble_units
     warmup = units_per_day(dataset.config.delta_seconds)
@@ -53,7 +57,7 @@ def test_table5_detection_accuracy_by_split_rule(benchmark, ccd_trouble_dataset,
         reports = {}
         for split_rule, alpha, h in CONFIGURATIONS:
             reports[(split_rule, alpha, h)] = evaluate_configuration(
-                dataset, units, split_rule, alpha, h, warmup
+                dataset, units, split_rule, alpha, h, warmup, ccd_trouble_sta_pass
             )
         return reports
 

@@ -52,7 +52,7 @@ def main() -> None:
         dataset.record_list(), dataset.clock, dataset.num_timeunits
     )
     print(f"network hierarchy: {dataset.tree.num_nodes} nodes "
-          f"({len(dataset.tree.nodes_at_depth(1))} VHOs)")
+          f"({len(dataset.tree.paths_at_depth(1))} VHOs)")
     print(f"trace: {len(units)} timeunits, "
           f"{sum(sum(u.values()) for u in units)} performance-related calls")
 

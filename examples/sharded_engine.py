@@ -69,7 +69,7 @@ def main() -> None:
     )
     records = dataset.record_list()
     print(f"workload: {len(records)} records, {dataset.num_timeunits} timeunits, "
-          f"{len(dataset.tree.root.children)} depth-1 subtrees")
+          f"{len(dataset.tree.children(()))} depth-1 subtrees")
 
     # 1. Serial reference -------------------------------------------------
     serial = DetectionEngine()

@@ -80,7 +80,6 @@ from repro.engine import (
     ShardedDetectionEngine,
 )
 from repro.hierarchy import (
-    HierarchyNode,
     HierarchyTree,
     build_ccd_network_tree,
     build_ccd_trouble_tree,
@@ -116,7 +115,6 @@ __all__ = [
     "TimeunitResult",
     "compute_shhh",
     "HierarchyTree",
-    "HierarchyNode",
     "build_ccd_trouble_tree",
     "build_ccd_network_tree",
     "build_scd_network_tree",

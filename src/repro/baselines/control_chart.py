@@ -90,9 +90,7 @@ class ControlChartDetector:
         self.min_observations = min_observations
         self.min_excess = min_excess
         self.seasonal_period = seasonal_period
-        self._monitored: tuple[CategoryPath, ...] = tuple(
-            node.path for node in tree.nodes_at_depth(depth)
-        )
+        self._monitored: tuple[CategoryPath, ...] = tuple(tree.paths_at_depth(depth))
         self._charts: dict[tuple[CategoryPath, int], _ChartState] = {}
         self._observed_units: dict[CategoryPath, int] = {path: 0 for path in self._monitored}
         self._timeunit: TimeunitIndex = -1

@@ -29,7 +29,7 @@ only, so the front end ADA shares with STA
 (:meth:`HierarchyTracker.sweep_timeunits
 <repro.core.tracking.HierarchyTracker.sweep_timeunits>`) computes it for all
 the timeunits a batch closes with one
-:meth:`HierarchyIndex.sweep <repro.hierarchy.index.HierarchyIndex.sweep>`
+:meth:`HierarchyTree.sweep <repro.hierarchy.tree.HierarchyTree.sweep>`
 (integer arithmetic; a single timeunit is its one-row call).  Everything
 after it reads the previous timeunit's state and runs per unit, in order.
 The id-based planner (:mod:`repro.core.adapt`) adapts on the heavy-set delta
@@ -85,7 +85,6 @@ from repro.core.split_rules import (
 from repro.core.tracking import HierarchyTracker
 from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank
-from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
 
 #: The columns of a close with no heavy hitter (most units of a stable
@@ -120,10 +119,10 @@ class SplitStatsStore:
     writes.
     """
 
-    def __init__(self, config: TiresiasConfig, index: HierarchyIndex):
+    def __init__(self, config: TiresiasConfig, tree: HierarchyTree):
         self.alpha = config.split_ewma_alpha
-        self.index = index
-        n = index.num_nodes
+        self.tree = tree
+        n = tree.num_nodes
         self.last_weight = np.zeros(n)
         self.cumulative = np.zeros(n)
         self.ewma = np.zeros(n)
@@ -207,7 +206,7 @@ class SplitStatsStore:
         """``(stats_rows, last_unit_rows)`` in the canonical list format."""
         stats_rows = [
             [
-                list(self.index.paths[node_id]),
+                list(self.tree.paths[node_id]),
                 {
                     "last_weight": float(self.last_weight[node_id]),
                     "cumulative_weight": float(self.cumulative[node_id]),
@@ -218,7 +217,7 @@ class SplitStatsStore:
             for node_id in np.flatnonzero(self.seen).tolist()
         ]
         last_rows = [
-            [list(self.index.paths[node_id]), int(self.last_unit_arr[node_id])]
+            [list(self.tree.paths[node_id]), int(self.last_unit_arr[node_id])]
             for node_id in np.flatnonzero(self.last_unit_arr != NO_LAST_UNIT).tolist()
         ]
         return stats_rows, last_rows
@@ -253,7 +252,7 @@ class SplitStatsStore:
     def _node_of(self, path, section: str, claimed) -> int:
         """The node id of a ``section`` row's path, marked in the boolean
         vector ``claimed`` of the nodes the section already named."""
-        node_id = self.index.path_to_id.get(tuple(path))
+        node_id = self.tree.path_to_id.get(tuple(path))
         if node_id is None:
             raise CheckpointError(
                 f"{section} row for {tuple(path)!r}: not a node of this session's tree"
@@ -410,7 +409,7 @@ class ADAAlgorithm(HierarchyTracker):
         self.bank = ForecasterBank(config.forecast, window=config.window_units)
         self._reset_registry()
         #: Split-rule statistics for every node seen so far.
-        self._stats = SplitStatsStore(config, self._index)
+        self._stats = SplitStatsStore(config, tree)
         self.split_operations = 0
         self.merge_operations = 0
         #: Cached heavy order reused verbatim while the heavy set is
@@ -435,9 +434,9 @@ class ADAAlgorithm(HierarchyTracker):
         self.last_frontier_raw: tuple[float, ...] | None = None
         #: Nodes in the top h levels, cached once: these keep reference series.
         self._reference_nodes: tuple[CategoryPath, ...] = tuple(
-            node.path
+            path
             for depth in range(1, config.reference_levels + 1)
-            for node in tree.nodes_at_depth(depth)
+            for path in tree.paths_at_depth(depth)
         )
         #: Reference (unmodified weight) series for nodes in the top h levels.
         self._ref = RefStore(
@@ -475,7 +474,7 @@ class ADAAlgorithm(HierarchyTracker):
     def _node_ids(self, paths):
         """Node ids of ``paths`` as an index array — what the close gathers
         their raw weights with."""
-        path_to_id = self._index.path_to_id
+        path_to_id = self.tree.path_to_id
         return np.array([path_to_id[path] for path in paths], dtype=np.intp)
 
     def _close(
@@ -549,7 +548,7 @@ class ADAAlgorithm(HierarchyTracker):
             # The whole adaptation engine's work for a stable timeunit is
             # this one mask comparison (bytes compare: one memcmp).
             return True, cache[1]
-        lex = self._index.lex_order
+        lex = self.tree.lex_order
         return False, lex[heavy_mask[lex]]
 
     def _close_delta(self, stable, ids_arr, heavy_mask, raw_vec, modified_vec):
@@ -567,10 +566,9 @@ class ADAAlgorithm(HierarchyTracker):
             rows = self._hv_cache[2]
             self.fastpath_units += 1
         else:
-            index = self._index
             adapt_start = time.perf_counter()
             plan = plan_adaptation(
-                index,
+                self.tree,
                 self._series_mask,
                 heavy_mask,
                 self._ref_has_id,
@@ -669,7 +667,7 @@ class ADAAlgorithm(HierarchyTracker):
         return score
 
     def _ref_has_id(self, node_id: int) -> bool:
-        return self._ref.has_values(self._index.paths[node_id])
+        return self._ref.has_values(self.tree.paths[node_id])
 
     def _apply_plan(self, plan) -> None:
         """Apply a planner op list in exact cascade order, on bank row numbers.
@@ -715,11 +713,11 @@ class ADAAlgorithm(HierarchyTracker):
         Descendants subtract in tracking order — the registry's order —
         because float subtraction does not commute with itself.
         """
-        corrected = self._ref.corrected_base(self._index.paths[node_id])
+        corrected = self._ref.corrected_base(self.tree.paths[node_id])
         if corrected is None:
             return
         length = corrected.shape[0]
-        below = self._index.descendant_ids(node_id)
+        below = self.tree.descendant_ids(node_id)
         bank = self.bank
         for other_id, other_row in self._series_ids.items():
             if other_id in below:
@@ -742,7 +740,7 @@ class ADAAlgorithm(HierarchyTracker):
         :meth:`series_state`, :meth:`series_for` and :meth:`state_dict`.
         """
         self._series_ids: dict[int, int] = {}
-        self._series_rows = np.full(self._index.num_nodes, -1, dtype=np.int64)
+        self._series_rows = np.full(self.tree.num_nodes, -1, dtype=np.int64)
 
     def _track(self, node_id: int, row: int) -> None:
         """Register bank ``row`` as the series of ``node_id``."""
@@ -757,11 +755,11 @@ class ADAAlgorithm(HierarchyTracker):
     # Detection
     # ------------------------------------------------------------------
     def _detect(self, ids_arr, actuals, forecasts) -> TimeunitResult:
-        """The close's columns as a result: the index's path table, the
+        """The close's columns as a result: the tree's path table, the
         lex-ordered heavy ids into it (so the anomaly sequence is identical
         across processes) and the two float64 columns; only flagged rows
         have their paths looked up."""
-        paths = self._index.paths
+        paths = self.tree.paths
         anomalies = ()
         if len(ids_arr):  # an empty heavy set flags nothing
             anomalies = tuple(
@@ -782,7 +780,7 @@ class ADAAlgorithm(HierarchyTracker):
     # Introspection used by the evaluation harness
     # ------------------------------------------------------------------
     def _row_of(self, path: CategoryPath) -> "int | None":
-        return self._series_ids.get(self._index.path_to_id.get(tuple(path)))
+        return self._series_ids.get(self.tree.path_to_id.get(tuple(path)))
 
     def series_for(self, path: CategoryPath) -> list[float]:
         """The adapted actual series currently held for ``path``."""
@@ -837,7 +835,7 @@ class ADAAlgorithm(HierarchyTracker):
         write it interchangeably.
         """
         stats_rows, last_rows = self._stats.emit()
-        paths = self._index.paths
+        paths = self.tree.paths
         series_state = self.bank.series_state_dict
         return {
             "timeunit": self._timeunit,
@@ -871,7 +869,7 @@ class ADAAlgorithm(HierarchyTracker):
         self.bank = ForecasterBank(forecast_config, window=self.config.window_units)
         self._reset_registry()
         self._hv_cache = None
-        path_to_id = self._index.path_to_id
+        path_to_id = self.tree.path_to_id
         for path, ts_state in state["series"]:
             path = tuple(path)
             if path not in self.tree:
@@ -886,7 +884,7 @@ class ADAAlgorithm(HierarchyTracker):
                 raise CheckpointError(f"series {path!r}: {exc}") from exc
             self._track(path_to_id[path], row)
         self._ref.load(state["reference"])
-        self._stats = SplitStatsStore(self.config, self._index)
+        self._stats = SplitStatsStore(self.config, self.tree)
         self._stats.load(state["stats"], state["stats_last_unit"])
         self.last_result = None
 

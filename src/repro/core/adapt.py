@@ -8,7 +8,7 @@ every timeunit.  This module is its id-based form, the planner of every ADA
 close (serial sessions, the columnar batch close and the sharded engine's
 subtree shards): given the dense heavy mask of the new timeunit and the
 registry occupancy mask, it *simulates* the exact cascade — ``(depth, lex)``
-order, the receiver sets, the split-rule arithmetic (the Python ``sum`` of
+order, the receiver sets, the split-rule arithmetic (the left-fold sum of
 the receivers' scores in order, as
 :meth:`~repro.core.split_rules.SplitRule.ratios` sums them) — and emits the
 whole adaptation as a flat op list:
@@ -35,7 +35,10 @@ cascade (property-checked against the reference in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
+
+from repro._vector import left_sum
+from repro.hierarchy.tree import HierarchyTree
 
 #: Op tags (tuple-based ops keep planning allocation-light).
 FRESH = "fresh"
@@ -58,7 +61,7 @@ class AdaptationPlan:
 
 
 def plan_adaptation(
-    index: Any,
+    tree: HierarchyTree,
     series_mask,
     heavy_mask,
     has_reference: Callable[[int], bool],
@@ -75,20 +78,20 @@ def plan_adaptation(
     :meth:`ADAAlgorithm._make_id_scorer
     <repro.core.ada.ADAAlgorithm._make_id_scorer>`) — both mirror exactly
     what the per-path cascade reads.  The ratio normalization runs inline
-    with the exact Python ``sum`` / division of
+    with the exact left-fold sum / division of
     :meth:`~repro.core.split_rules.SplitRule.ratios`.
     """
     sim = series_mask.copy()
     ops: list[tuple] = []
     num_splits = 0
     num_merges = 0
-    child_start = index.child_start
-    parent = index.parent
+    child_start = tree.child_start
+    parent = tree.parent
 
     # SPLIT phase, top-down in (depth, lex) order — ties broken exactly like
     # ``sorted(paths, key=lambda p: (len(p), p))``.
     new_mask = heavy_mask & ~sim
-    new_ids = index.depth_lex_ids(new_mask) if new_mask.any() else []
+    new_ids = tree.depth_lex_ids(new_mask) if new_mask.any() else []
     for target in new_ids:
         if sim[target]:
             continue  # created by a previous cascade in this phase
@@ -120,7 +123,7 @@ def plan_adaptation(
                 child_pos = len(receivers)
                 receivers.append(child)
             scores = [max(0.0, score_of(rid)) for rid in receivers]
-            total = sum(scores)
+            total = left_sum(scores)
             if total <= 0.0:
                 ratio = 1.0 / len(receivers)
             else:
@@ -133,7 +136,7 @@ def plan_adaptation(
     # MERGE phase, bottom-up: reversed (depth, lex) ==
     # ``sorted(paths, key=(len(p), p), reverse=True)``.
     stale_mask = sim & ~heavy_mask
-    stale_ids = index.depth_lex_ids(stale_mask) if stale_mask.any() else []
+    stale_ids = tree.depth_lex_ids(stale_mask) if stale_mask.any() else []
     for src in reversed(stale_ids):
         sim[src] = False
         dst = src

@@ -10,7 +10,7 @@ Given per-leaf counts for one timeunit, this module computes
 
 These functions are the per-path reference implementation.  STA and ADA
 compute the same sets for every timeunit with the array sweep of
-:meth:`HierarchyIndex.sweep <repro.hierarchy.index.HierarchyIndex.sweep>`;
+:meth:`HierarchyTree.sweep <repro.hierarchy.tree.HierarchyTree.sweep>`;
 :mod:`repro.testing.reference` and the property tests in ``tests/core``
 check them against this module.
 """
@@ -64,10 +64,10 @@ def accumulate_raw_weights(
         path = tuple(path)
         if path not in tree:
             continue
-        node = tree.node(path)
-        weights[node.path] = weights.get(node.path, 0.0) + float(count)
-        for ancestor in node.ancestors():
-            weights[ancestor.path] = weights.get(ancestor.path, 0.0) + float(count)
+        # The node and its ancestors: every prefix of its path.
+        for depth in range(len(path), -1, -1):
+            prefix = path[:depth]
+            weights[prefix] = weights.get(prefix, 0.0) + float(count)
     return weights
 
 

@@ -18,7 +18,7 @@ class TimeunitResult:
     the heavy hitters in it (``rows``; None when the table *is* the
     lex-ordered heavy hitter list), and one float64 actual and forecast per
     heavy hitter in that order.  ADA's close hands over the arrays it
-    computed with the hierarchy index's path list as the table, so closing a
+    computed with the tree's path table (``HierarchyTree.paths``), so closing a
     timeunit shapes no per-path structure; :attr:`heavy_hitters`,
     :attr:`actuals` and :attr:`forecasts` are read-only views built on first
     read and cached.  A pickled result carries only its heavy hitters'

@@ -21,6 +21,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
+from repro._vector import left_sum
 from repro.exceptions import ConfigurationError
 from repro.core.config import TiresiasConfig
 
@@ -67,7 +68,7 @@ class SplitRule(abc.ABC):
         the absence of information.
         """
         scores = {key: max(0.0, self.score(stats)) for key, stats in stats_by_key.items()}
-        total = sum(scores.values())
+        total = left_sum(scores.values())
         count = len(scores)
         if count == 0:
             return {}

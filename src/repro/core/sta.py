@@ -62,7 +62,7 @@ class STAAlgorithm(HierarchyTracker):
         self._timeunit = self._timeunit + 1 if timeunit is None else timeunit
 
         start = time.perf_counter()
-        paths = self._index.paths
+        paths = self.tree.paths
         ids = np.flatnonzero(raw_vec).tolist()
         self._unit_weights.append(
             dict(zip([paths[i] for i in ids], raw_vec[ids].tolist()))
@@ -98,12 +98,12 @@ class STAAlgorithm(HierarchyTracker):
         node carries weight in the newest retained unit, and so does every
         node above it, so the walk enters only the nodes that do."""
         newest = self._unit_weights[-1] if self._unit_weights else {}
-        stack = [self.tree.node(path)]
+        stack = [path]
         while stack:
-            for child in stack.pop().children.values():
-                if child.path in heavy:
-                    yield child.path
-                elif child.path in newest:
+            for child in self.tree.children(stack.pop()):
+                if child in heavy:
+                    yield child
+                elif child in newest:
                     stack.append(child)
 
     def _exact_series(
@@ -179,7 +179,7 @@ class STAAlgorithm(HierarchyTracker):
     def series_for(self, path: CategoryPath) -> list[float]:
         """Current Definition-3 series for ``path`` (ground truth for ADA)."""
         heavy = self.last_result.heavy_hitters if self.last_result else frozenset()
-        return self._exact_series(self.tree.node(tuple(path)).path, heavy)
+        return self._exact_series(tuple(path), heavy)
 
     def memory_units(self) -> int:
         """Number of stored scalar weights (the Table IV cost proxy)."""

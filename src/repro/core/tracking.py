@@ -4,11 +4,11 @@ Both algorithms compute the succinct heavy hitters of a timeunit
 (Definition 2) with the same bottom-up pass and differ only in how they keep
 series: ADA adapts one series per heavy hitter (§V-B), STA rebuilds them
 from the ℓ retained weight tables (§V-A).  :class:`HierarchyTracker` holds
-what comes before that difference — the tree, the config, the dense
-:class:`~repro.hierarchy.index.HierarchyIndex` and the detector — and the
+what comes before that difference — the tree (whose BFS arrays are the
+dense index the sweep runs over), the config and the detector — and the
 one hierarchy update, :meth:`~HierarchyTracker.sweep_timeunits`: raw
 weights, modified weights and heavy masks of any number of timeunits from
-one :meth:`HierarchyIndex.sweep <repro.hierarchy.index.HierarchyIndex.sweep>`,
+one :meth:`HierarchyTree.sweep <repro.hierarchy.tree.HierarchyTree.sweep>`,
 under the config's root and ``min_heavy_depth`` rules.
 
 A subclass implements ``_close(timeunit, raw, modified, heavy)``, the close
@@ -16,8 +16,8 @@ of one swept row.  The session closes every unit through
 :meth:`~HierarchyTracker.close_swept`, each a row of a batch's count matrix or
 a one-row matrix of its open unit's node ids;
 :meth:`~HierarchyTracker.process_timeunit` is the same close for one
-timeunit of per-path counts (:meth:`HierarchyIndex.count_rows
-<repro.hierarchy.index.HierarchyIndex.count_rows>`, one row), which the
+timeunit of per-path counts (:meth:`HierarchyTree.count_rows
+<repro.hierarchy.tree.HierarchyTree.count_rows>`, one row), which the
 comparator, the paper benchmarks and the examples call.
 """
 
@@ -32,7 +32,6 @@ from repro._types import CategoryPath, TimeunitIndex, Weight
 from repro.core.config import TiresiasConfig
 from repro.core.detector import ThresholdDetector
 from repro.core.results import TimeunitResult
-from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
 
 
@@ -43,8 +42,6 @@ class HierarchyTracker:
         self.tree = tree
         self.config = config
         self.detector = ThresholdDetector(config)
-        #: The tree's shared dense view: the level sweeps run over its ids.
-        self._index = HierarchyIndex.of(tree)
         self._timeunit: TimeunitIndex = -1
         self.stage_seconds: dict[str, float] = {
             "updating_hierarchies": 0.0,
@@ -58,7 +55,7 @@ class HierarchyTracker:
         m = config.min_heavy_depth
         self._shallow_ids = None
         if m > 1:
-            depths = self._index.depths
+            depths = self.tree.depths
             self._shallow_ids = np.flatnonzero((depths >= 1) & (depths < m))
 
     # ------------------------------------------------------------------
@@ -68,7 +65,7 @@ class HierarchyTracker:
         self, counts: Mapping[CategoryPath, Weight], timeunit: TimeunitIndex | None = None
     ) -> TimeunitResult:
         """Ingest one timeunit's per-path counts and close it."""
-        (swept,) = self.sweep_timeunits(self._index.count_rows(counts))
+        (swept,) = self.sweep_timeunits(self.tree.count_rows(counts))
         return self._close(timeunit, *swept)
 
     def close_swept(
@@ -87,15 +84,15 @@ class HierarchyTracker:
     @property
     def num_node_ids(self) -> int:
         """Width of a dense count row: one slot per node id."""
-        return self._index.num_nodes
+        return self.tree.num_nodes
 
     def dictionary_node_ids(self, dictionary):
         """Node id per path of a batch string-dictionary (-1 for unknown)."""
-        return self._index.dictionary_ids(dictionary)
+        return self.tree.dictionary_ids(dictionary)
 
     def node_paths(self, ids) -> list[CategoryPath]:
         """The path of every node id in ``ids``."""
-        paths = self._index.paths
+        paths = self.tree.paths
         return [paths[node_id] for node_id in ids.tolist()]
 
     def sweep_timeunits(self, counts) -> list[tuple]:
@@ -105,12 +102,12 @@ class HierarchyTracker:
         per-node counts, one row per timeunit (consumed).  SHHH depends on a
         timeunit's own counts and nothing else, so every row's raw weights,
         modified weights and heavy mask come out of one
-        :meth:`HierarchyIndex.sweep`; returns one ``(raw, modified, heavy)``
+        :meth:`HierarchyTree.sweep`; returns one ``(raw, modified, heavy)``
         triple of row views per timeunit, each to be handed to
         :meth:`close_swept` in order.
         """
         start = time.perf_counter()
-        raw, modified, heavy = self._index.sweep(counts, self.config.theta)
+        raw, modified, heavy = self.tree.sweep(counts, self.config.theta)
         if self.config.track_root:
             heavy[:, 0] = True
         elif not self.config.allow_root_heavy:

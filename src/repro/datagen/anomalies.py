@@ -121,8 +121,7 @@ class AnomalyInjector:
     def _leaves_under(self, path: CategoryPath) -> list[CategoryPath]:
         leaves = self._leaf_paths.get(path)
         if leaves is None:
-            node = self.tree.node(path)
-            leaves = self._leaf_paths[path] = [leaf.path for leaf in node.iter_leaves()]
+            leaves = self._leaf_paths[path] = self.tree.leaves_under(path)
         return leaves
 
     # ------------------------------------------------------------------

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro._types import Timestamp
+from repro._vector import left_sum
 from repro.exceptions import ConfigurationError
 from repro.streaming.clock import SimulationClock
 
@@ -181,7 +182,7 @@ def zipf_weights(count: int, exponent: float = 1.1) -> list[float]:
     if exponent < 0:
         raise ConfigurationError("exponent must be non-negative")
     raw = [1.0 / (rank ** exponent) for rank in range(1, count + 1)]
-    total = sum(raw)
+    total = left_sum(raw)
     return [w / total for w in raw]
 
 

@@ -34,6 +34,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from repro._types import CategoryPath
+from repro._vector import left_sum
 from repro.datagen.anomalies import AnomalyInjector, InjectedAnomaly
 from repro.datagen.arrival import (
     SeasonalRateModel,
@@ -149,7 +150,7 @@ class TraceGenerator:
         self, rng: random.Random
     ) -> tuple[list[CategoryPath], list[float]]:
         # A tree with no node below the root has the root as its one leaf.
-        leaves = [leaf.path for leaf in self.tree.iter_leaves() if leaf.path]
+        leaves = [path for path in self.tree.leaves_under() if path]
         if not leaves:
             raise DataGenerationError("the hierarchy has no leaves to sample from")
         by_top: dict[str, list[CategoryPath]] = {}
@@ -162,7 +163,7 @@ class TraceGenerator:
             top_weights = {
                 label: float(self.top_level_weights.get(label, 0.0)) for label in by_top
             }
-        total_top = sum(top_weights.values())
+        total_top = left_sum(top_weights.values())
         if total_top <= 0:
             raise DataGenerationError(
                 "top_level_weights assigns zero probability to every first-level "

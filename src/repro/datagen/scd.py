@@ -89,7 +89,7 @@ def _top_level_weights(tree: HierarchyTree, exponent: float) -> dict[str, float]
         return None
     from repro.datagen.arrival import zipf_weights
 
-    labels = sorted(node.label for node in tree.nodes_at_depth(1))
+    labels = sorted(path[-1] for path in tree.paths_at_depth(1))
     weights = zipf_weights(len(labels), exponent)
     return dict(zip(labels, weights))
 

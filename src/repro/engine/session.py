@@ -763,8 +763,8 @@ class DetectionSession:
     ) -> "DetectionSession":
         """:meth:`from_state_dict` on ``tree`` when one is given.  The tree is
         never changed after it is built, so a session cloned from a live one
-        (reconfigured, or a shadow) runs on that session's tree and shares
-        its one :class:`~repro.hierarchy.index.HierarchyIndex`."""
+        (reconfigured, or a shadow) runs on that session's tree, and so on
+        the same dense arrays."""
         try:
             max_results = state.get("max_results")
             session = cls(

@@ -31,7 +31,6 @@ from repro.core.ada import RefStore, SplitStatsStore
 from repro.core.config import TiresiasConfig
 from repro.core.registry import ALGORITHMS
 from repro.exceptions import CheckpointError, ConfigurationError, ShardingError
-from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
 
 
@@ -478,29 +477,25 @@ class FrontierReplica:
     ):
         band = frontier_band_paths(chain.from_iterable(leaves_by_gid), depth)
         inner = {path[:-1] for path in band if path}
-        index = HierarchyIndex.of(
-            HierarchyTree.from_leaf_paths(
-                sorted(path for path in band if path and path not in inner)
-            )
-        )
+        tree = HierarchyTree(sorted(path for path in band if path and path not in inner))
         #: Per group, the band node of each weight its shard reports — the
         #: band as the worker derives it from its own leaf set.
         self.positions = [
             np.array(
-                [index.path_to_id[path] for path in frontier_band_paths(leaves, depth)],
+                [tree.path_to_id[path] for path in frontier_band_paths(leaves, depth)],
                 dtype=np.intp,
             )
             for leaves in leaves_by_gid
         ]
-        self.stats = SplitStatsStore(config, index)
+        self.stats = SplitStatsStore(config, tree)
         self.stats.load(withheld.get("stats", []), withheld.get("stats_last_unit", []))
         ref_paths = tuple(
-            path for path in index.paths if 1 <= len(path) <= config.reference_levels
+            path for path in tree.paths if 1 <= len(path) <= config.reference_levels
         )
         self.reference = RefStore(
             config.window_units,
             ref_paths,
-            [index.path_to_id[path] for path in ref_paths],
+            [tree.path_to_id[path] for path in ref_paths],
         )
         # Rows are emitted in load order: band order, as serially.
         self.reference.load(
@@ -510,7 +505,7 @@ class FrontierReplica:
     def observe(self, timeunit: int, weights: Sequence[Sequence[float]]) -> None:
         """Fold one closed timeunit into the stores; ``weights`` holds each
         group's band weights, in group order."""
-        raw = np.zeros(self.stats.index.num_nodes)
+        raw = np.zeros(self.stats.tree.num_nodes)
         for positions, values in zip(self.positions, weights):
             if len(values) != len(positions):
                 raise ShardingError(

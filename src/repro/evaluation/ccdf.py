@@ -52,14 +52,14 @@ def per_level_counts(
         unit = clock.timeunit_of(record.timestamp)
         if not 0 <= unit < num_units:
             continue
-        if record.category not in tree:
+        path = tuple(record.category)
+        if path not in tree:
             continue
-        node = tree.node(record.category)
-        while node is not None:
-            level = counts.setdefault(node.depth, {})
-            key = (node.path, unit)
+        # The node and its ancestors: every prefix of its path.
+        for depth in range(len(path), -1, -1):
+            level = counts.setdefault(depth, {})
+            key = (path[:depth], unit)
             level[key] = level.get(key, 0) + 1
-            node = node.parent
     return counts
 
 
@@ -83,8 +83,7 @@ def level_ccdf(
         default=1,
     )
     level = all_counts.get(depth, {})
-    nodes = tree.nodes_at_depth(depth)
-    total_cells = max(len(nodes) * num_units, 1)
+    total_cells = max(len(tree.paths_at_depth(depth)) * num_units, 1)
     non_empty = Counter(level.values())
     empty_cells = total_cells - sum(non_empty.values())
 

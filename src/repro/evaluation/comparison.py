@@ -9,7 +9,9 @@ The paper quantifies ADA's approximation error in two ways:
   ADA's per-(node, timeunit) anomaly decisions against STA's.
 
 :class:`AlgorithmComparator` drives both algorithms over the same per-timeunit
-counts and accumulates those statistics.
+counts and accumulates those statistics.  STA reads neither the split rule
+nor the reference levels, so comparators that differ only in those can
+share one recorded STA pass (:class:`STAPass`) instead of each running STA.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.core.config import TiresiasConfig
 from repro.core.results import TimeunitResult
 from repro.core.sta import STAAlgorithm
 from repro.evaluation.metrics import Case, ConfusionMetrics, confusion_from_sets
+from repro.exceptions import ConfigurationError
 from repro.hierarchy.tree import HierarchyTree
 
 
@@ -87,8 +90,49 @@ class ComparisonReport:
         return sta_total / ada_total
 
 
+#: The config fields STA never reads: a recorded pass serves every value.
+_ADA_ONLY_FIELDS = ("split_rule", "split_ewma_alpha", "reference_levels")
+
+
+@dataclass(frozen=True)
+class STAPass:
+    """One STA pass over a trace, as :class:`AlgorithmComparator` reads it.
+
+    ``units`` holds, per timeunit, STA's result and the newest ``samples``
+    values of each heavy hitter's exact series; ``stage_seconds`` and
+    ``memory_units`` are STA's at the end of the pass.
+    """
+
+    config: TiresiasConfig
+    samples: int
+    units: list[tuple[TimeunitResult, dict[CategoryPath, list[float]]]]
+    stage_seconds: dict[str, float]
+    memory_units: int
+
+    @classmethod
+    def run(
+        cls,
+        tree: HierarchyTree,
+        config: TiresiasConfig,
+        units: Iterable[Mapping[CategoryPath, Weight]],
+        samples: int = 8,
+    ) -> "STAPass":
+        sta = STAAlgorithm(tree, config)
+        recorded = []
+        for counts in units:
+            result = sta.process_timeunit(counts)
+            newest = {path: sta.series_for(path)[-samples:] for path in result.heavy_hitters}
+            recorded.append((result, newest))
+        return cls(config, samples, recorded, dict(sta.stage_seconds), sta.memory_units())
+
+
 class AlgorithmComparator:
-    """Runs ADA and STA on identical input and scores ADA against STA."""
+    """Runs ADA and STA on identical input and scores ADA against STA.
+
+    With ``sta_pass`` the STA side is read from that recorded pass, unit by
+    unit, instead of being run; its config must equal ``config`` but for the
+    fields only ADA reads.
+    """
 
     def __init__(
         self,
@@ -96,11 +140,20 @@ class AlgorithmComparator:
         config: TiresiasConfig,
         series_error_samples: int = 8,
         warmup_units: int = 0,
+        sta_pass: STAPass | None = None,
     ):
         self.tree = tree
         self.config = config
         self.ada = ADAAlgorithm(tree, config)
-        self.sta = STAAlgorithm(tree, config)
+        if sta_pass is None:
+            self.sta = STAAlgorithm(tree, config)
+        else:
+            same = {name: getattr(sta_pass.config, name) for name in _ADA_ONLY_FIELDS}
+            if config.replace(**same) != sta_pass.config:
+                raise ConfigurationError("the recorded STA pass ran on a different config")
+            if sta_pass.samples != series_error_samples:
+                raise ConfigurationError("the recorded STA pass kept a different series sample")
+        self.sta_pass = sta_pass
         self.series_error_samples = series_error_samples
         self.warmup_units = warmup_units
         self._errors = SeriesErrorStats()
@@ -116,7 +169,10 @@ class AlgorithmComparator:
     ) -> tuple[TimeunitResult, TimeunitResult]:
         """Feed one timeunit to both algorithms and accumulate statistics."""
         ada_result = self.ada.process_timeunit(counts)
-        sta_result = self.sta.process_timeunit(counts)
+        if self.sta_pass is None:
+            sta_result, newest = self.sta.process_timeunit(counts), None
+        else:
+            sta_result, newest = self.sta_pass.units[self._units]
         self._units += 1
 
         if ada_result.heavy_hitters != sta_result.heavy_hitters:
@@ -130,7 +186,7 @@ class AlgorithmComparator:
                 self._sta_detections.add((anomaly.node_path, unit))
             for path in sta_result.heavy_hitters:
                 self._universe.add((path, unit))
-            self._accumulate_series_errors(sta_result.heavy_hitters)
+            self._accumulate_series_errors(sta_result.heavy_hitters, newest)
         return ada_result, sta_result
 
     def process_many(
@@ -139,10 +195,15 @@ class AlgorithmComparator:
         return [self.process_timeunit(counts) for counts in units]
 
     # ------------------------------------------------------------------
-    def _accumulate_series_errors(self, heavy: frozenset[CategoryPath]) -> None:
-        """Compare the newest portion of ADA's series with STA's reconstruction."""
+    def _accumulate_series_errors(
+        self,
+        heavy: frozenset[CategoryPath],
+        newest: "dict[CategoryPath, list[float]] | None",
+    ) -> None:
+        """Compare the newest portion of ADA's series with STA's
+        reconstruction (``newest``'s, when the STA side is recorded)."""
         for path in heavy:
-            exact = self.sta.series_for(path)
+            exact = self.sta.series_for(path) if newest is None else newest[path]
             approx = self.ada.series_for(path)
             if not exact or not approx:
                 continue
@@ -159,13 +220,17 @@ class AlgorithmComparator:
         detection = confusion_from_sets(
             self._ada_detections, self._sta_detections, self._universe
         )
+        if self.sta_pass is None:
+            sta_seconds, sta_memory = dict(self.sta.stage_seconds), self.sta.memory_units()
+        else:
+            sta_seconds, sta_memory = dict(self.sta_pass.stage_seconds), self.sta_pass.memory_units
         return ComparisonReport(
             detection=detection,
             series_errors=self._errors,
             heavy_hitter_mismatches=self._mismatches,
             timeunits=self._units,
             ada_stage_seconds=dict(self.ada.stage_seconds),
-            sta_stage_seconds=dict(self.sta.stage_seconds),
+            sta_stage_seconds=sta_seconds,
             ada_memory_units=self.ada.memory_units(),
-            sta_memory_units=self.sta.memory_units(),
+            sta_memory_units=sta_memory,
         )

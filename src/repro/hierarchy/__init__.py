@@ -1,9 +1,11 @@
 """Hierarchical domain substrate (Section III of the paper).
 
 This package provides the additive hierarchy (tree) over which Tiresias
-aggregates operational data: node and tree structures, declarative domain
-specifications matching the paper's Table II, and builders that expand those
-specifications into concrete trees for the synthetic datasets.
+aggregates operational data: the tree, built once from its leaf paths into
+BFS-numbered arrays that are also the index the detection sweeps run over,
+declarative domain specifications matching the paper's Table II, and
+builders that expand those specifications into concrete trees for the
+synthetic datasets.
 """
 
 from repro.hierarchy.builders import (
@@ -20,14 +22,10 @@ from repro.hierarchy.domain import (
     DomainSpec,
     LevelSpec,
 )
-from repro.hierarchy.index import HierarchyIndex
-from repro.hierarchy.node import HierarchyNode
 from repro.hierarchy.tree import HierarchyTree
 
 __all__ = [
-    "HierarchyNode",
     "HierarchyTree",
-    "HierarchyIndex",
     "DomainSpec",
     "LevelSpec",
     "CCD_TROUBLE_DOMAIN",

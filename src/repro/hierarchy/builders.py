@@ -11,8 +11,10 @@ level stays tractable on a laptop.
 from __future__ import annotations
 
 import random
+import sys
 from typing import Optional
 
+from repro._types import CategoryPath
 from repro.exceptions import ConfigurationError
 from repro.hierarchy.domain import (
     CCD_NETWORK_DOMAIN,
@@ -80,36 +82,51 @@ def build_tree_from_spec(
     if scale <= 0:
         raise ConfigurationError(f"scale must be positive, got {scale}")
     rng = random.Random(seed)
-    tree = HierarchyTree(root_label=spec.root_label)
     label_prefixes = label_prefixes or {}
+    cap = sys.maxsize if max_leaves is None else max_leaves
+    # Per depth, the generated labels so far: siblings of every parent share
+    # the same label strings.
+    names: dict[int, list[str]] = {}
 
-    def prefix_for(depth: int) -> str:
-        return label_prefixes.get(depth, spec.levels[depth - 1].name)
-
-    def expand(node, depth: int) -> None:
-        if max_leaves is not None and tree.num_leaves >= max_leaves:
-            return
-        if depth > len(spec.levels):
-            return
+    def labels_at(depth: int) -> list[str]:
+        """The child labels of one node at ``depth - 1``: its degree is
+        drawn here, once per expanded node, in depth-first order."""
         level = spec.levels[depth - 1]
+        prefix = label_prefixes.get(depth, level.name)
         typical = max(1, int(round(level.typical_degree * scale)))
         if depth == 1 and first_level_labels:
             labels = list(first_level_labels[:typical])
-            while len(labels) < typical:
-                labels.append(f"{prefix_for(depth)}-{len(labels):03d}")
-        else:
-            degree = _draw_degree(rng, typical, level.degree_dispersion)
-            labels = [f"{prefix_for(depth)}-{i:03d}" for i in range(degree)]
-        for label in labels:
-            if max_leaves is not None and tree.num_leaves >= max_leaves:
-                return
-            child = tree.add_node(node, label, leaf=depth == len(spec.levels))
-            if depth < len(spec.levels):
-                expand(child, depth + 1)
+            labels.extend(f"{prefix}-{i:03d}" for i in range(len(labels), typical))
+            return labels
+        degree = _draw_degree(rng, typical, level.degree_dispersion)
+        generated = names.setdefault(depth, [])
+        generated.extend(f"{prefix}-{i:03d}" for i in range(len(generated), degree))
+        return generated[:degree]
 
-    expand(tree.root, 1)
-    tree.validate()
-    return tree
+    last = len(spec.levels)
+    leaves: list[CategoryPath] = []
+
+    def add_leaves(parent: CategoryPath) -> None:
+        labels = labels_at(last)[: cap - len(leaves)]
+        leaves.extend([parent + (label,) for label in labels])
+
+    # Depth-first over the interior nodes, one label iterator per open node;
+    # a node above the leaves adds its whole run at once, and the cap stops
+    # it all.  A loop, not a recursive closure: that would be a reference
+    # cycle holding the leaf list until the cyclic collector ran.
+    if cap > 0 and last == 1:
+        add_leaves(())
+    stack = [((), 1, iter(labels_at(1)))] if cap > 0 and last > 1 else []
+    while stack and len(leaves) < cap:
+        prefix, depth, labels = stack[-1]
+        label = next(labels, None)
+        if label is None:
+            stack.pop()
+        elif depth + 1 == last:
+            add_leaves(prefix + (label,))
+        else:
+            stack.append((prefix + (label,), depth + 1, iter(labels_at(depth + 1))))
+    return HierarchyTree(leaves, root_label=spec.root_label)
 
 
 def build_ccd_trouble_tree(seed: int = 0, scale: float = 1.0) -> HierarchyTree:

@@ -161,16 +161,13 @@ def clock_from_dict(data: Mapping[str, Any]) -> SimulationClock:
 
 def tree_to_dict(tree: HierarchyTree) -> dict[str, Any]:
     return {
-        "root_label": tree.root.label,
+        "root_label": tree.root_label,
         "leaves": [list(path) for path in tree.leaf_paths()],
     }
 
 
 def tree_from_dict(data: Mapping[str, Any]) -> HierarchyTree:
-    return HierarchyTree.from_leaf_paths(
-        [tuple(path) for path in data["leaves"]],
-        root_label=str(data["root_label"]),
-    )
+    return HierarchyTree(data["leaves"], root_label=str(data["root_label"]))
 
 
 # ----------------------------------------------------------------------

@@ -312,14 +312,14 @@ class ReferenceADA:
         self.timeunit: TimeunitIndex = -1
         self.last_result: "TimeunitResult | None" = None
         self._reference_nodes = tuple(
-            node.path
+            path
             for depth in range(1, config.reference_levels + 1)
-            for node in tree.nodes_at_depth(depth)
+            for path in tree.paths_at_depth(depth)
         )
         self._excluded = frozenset(
-            node.path
+            path
             for depth in range(1, config.min_heavy_depth)
-            for node in tree.nodes_at_depth(depth)
+            for path in tree.paths_at_depth(depth)
         )
 
     # ------------------------------------------------------------------
@@ -332,7 +332,7 @@ class ReferenceADA:
         self.timeunit = self.timeunit + 1 if timeunit is None else timeunit
         raw = accumulate_raw_weights(self.tree, leaf_counts)
         shhh = compute_shhh(self.tree, leaf_counts, config.theta, raw=raw)
-        root = self.tree.root.path
+        root = ()
         heavy = set(shhh.shhh) - self._excluded
         if config.track_root:
             heavy.add(root)
@@ -387,9 +387,7 @@ class ReferenceADA:
             while current != path:
                 child = path[: len(current) + 1]
                 receivers = [
-                    node.path
-                    for node in self.tree.node(current).children.values()
-                    if node.path not in series
+                    path for path in self.tree.children(current) if path not in series
                 ]
                 if child not in receivers:
                     receivers.append(child)

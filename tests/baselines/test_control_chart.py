@@ -17,7 +17,7 @@ def alarmed_paths(detector, tree):
 
 @pytest.fixture
 def tree():
-    return HierarchyTree.from_leaf_paths(
+    return HierarchyTree(
         [
             ("vho-1", "io-1", "co-1"),
             ("vho-1", "io-1", "co-2"),

@@ -30,7 +30,7 @@ def small_tree() -> HierarchyTree:
         for r in range(3)
         for s in range(4)
     ]
-    return HierarchyTree.from_leaf_paths(paths, root_label="All")
+    return HierarchyTree(paths, root_label="All")
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ def deep_tree() -> HierarchyTree:
                     paths.append(
                         (f"vho-{vho}", f"io-{vho}{io}", f"co-{vho}{io}{co}", f"dslam-{vho}{io}{co}{dslam}")
                     )
-    return HierarchyTree.from_leaf_paths(paths, root_label="SHO")
+    return HierarchyTree(paths, root_label="SHO")
 
 
 @pytest.fixture
@@ -70,13 +70,6 @@ def clock() -> SimulationClock:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(1234)
-
-
-def leaf_counts_for(tree: HierarchyTree, counts: dict[tuple[str, ...], int]):
-    """Helper: validate that the given paths are leaves and return the mapping."""
-    for path in counts:
-        tree.leaf(path)  # raises UnknownCategoryError for a non-leaf
-    return counts
 
 
 # ----------------------------------------------------------------------

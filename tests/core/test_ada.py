@@ -22,7 +22,7 @@ from repro.testing.reference import ReferenceStats
 
 @pytest.fixture
 def tree():
-    return HierarchyTree.from_leaf_paths(
+    return HierarchyTree(
         [("a", "a1"), ("a", "a2"), ("b", "b1"), ("b", "b2")]
     )
 
@@ -234,13 +234,13 @@ LOADED_ROW = st.tuples(
 
 def assert_scorers_match(config, tree, dense_store, dict_store, unit):
     """For each split rule, ADA's id scorer over ``dense_store`` (on
-    ``tree``'s index) at ``unit`` equals the rule's score of the reference's
+    ``tree``'s ids) at ``unit`` equals the rule's score of the reference's
     per-path view, every node."""
     for name in SPLIT_RULES:
         ada = ADAAlgorithm(tree, config.replace(split_rule=name))
         ada._stats, ada._timeunit = dense_store, unit
         score = ada._make_id_scorer()
-        for path, node_id in dense_store.index.path_to_id.items():
+        for path, node_id in dense_store.tree.path_to_id.items():
             expected = ada.split_rule.score(dict_store.view(path, unit))
             assert score(node_id) == expected, (name, path)
 
@@ -323,8 +323,7 @@ class TestSplitStatsStore:
         """Bit-equal statistics from the dense store and the reference's
         per-path store, each driven through its own update."""
         config = make_config(split_rule="ewma", split_ewma_alpha=0.4)
-        index = ADAAlgorithm(tree, config)._index
-        dense_store = SplitStatsStore(config, index)
+        dense_store = SplitStatsStore(config, tree)
         dict_store = ReferenceStats(config.split_ewma_alpha)
         feeds = [
             {("a", "a1"): 3.0, ("b", "b1"): 7.0},
@@ -334,9 +333,9 @@ class TestSplitStatsStore:
             {("b", "b1"): 2.0, ("b", "b2"): 5.0},
         ]
         for unit, counts in enumerate(feeds):
-            raw_vec = index.count_rows({})[0]
+            raw_vec = tree.count_rows({})[0]
             for path, weight in counts.items():
-                raw_vec[index.path_to_id[path]] = weight
+                raw_vec[tree.path_to_id[path]] = weight
             dense_store.update_dense(unit, raw_vec)
             dict_store.update(unit, counts)
         assert_scorers_match(config, tree, dense_store, dict_store, len(feeds))
@@ -419,9 +418,8 @@ class TestSplitStatsStore:
         last-unit row (or the reverse).  Checkpoint rows and every node's
         score under each split rule must be equal, exactly."""
         config = make_config(split_rule="ewma", split_ewma_alpha=0.4)
-        tree = HierarchyTree.from_leaf_paths([path for path in TREE_PATHS if len(path) == 2])
-        index = ADAAlgorithm(tree, config)._index
-        dense_store = SplitStatsStore(config, index)
+        tree = HierarchyTree([path for path in TREE_PATHS if len(path) == 2])
+        dense_store = SplitStatsStore(config, tree)
         dict_store = ReferenceStats(config.split_ewma_alpha)
         unit, last_seen, longest_gap = 0, {}, 0
         if loaded is not None:
@@ -437,9 +435,9 @@ class TestSplitStatsStore:
             unit = 40
         for silent_units, weights in feeds:
             unit += silent_units
-            raw_vec = index.count_rows({})[0]
+            raw_vec = tree.count_rows({})[0]
             for path, weight in weights.items():
-                raw_vec[index.path_to_id[path]] = weight
+                raw_vec[tree.path_to_id[path]] = weight
                 if path in last_seen:
                     longest_gap = max(longest_gap, unit - last_seen[path] - 1)
                 last_seen[path] = unit

@@ -44,7 +44,7 @@ LEAVES = [
 
 
 def make_tree():
-    return HierarchyTree.from_leaf_paths(LEAVES)
+    return HierarchyTree(LEAVES)
 
 
 def make_config(**overrides):
@@ -96,7 +96,7 @@ def assert_registry_consistent(algo):
     assert len(algo.bank) == len(tracked) == len(rows)
     assert len(set(rows)) == len(rows)
     assert all(row >= 0 for row in rows)
-    ids = [algo._index.path_to_id[path] for path in tracked]
+    ids = [algo.tree.path_to_id[path] for path in tracked]
     assert list(algo._series_ids) == ids
     assert algo._series_rows[ids].tolist() == rows
     assert int(algo._series_mask.sum()) == len(ids)
@@ -203,10 +203,9 @@ class TestPlannerInternals:
         config = make_config()
         algo = ADAAlgorithm(tree, config)
         algo.process_timeunit({("a", "a1"): 9, ("b", "b2"): 6}, 0)
-        index = algo._index
         heavy_mask = algo._series_mask.copy()
         plan = plan_adaptation(
-            index,
+            tree,
             algo._series_mask,
             heavy_mask,
             algo._ref_has_id,
@@ -214,10 +213,10 @@ class TestPlannerInternals:
         )
         assert not plan.ops  # no delta -> empty plan
         heavy_mask = algo._series_mask.copy()
-        heavy_mask[index.path_to_id[("a", "a1")]] = False
-        heavy_mask[index.path_to_id[("c", "c1")]] = True
+        heavy_mask[tree.path_to_id[("a", "a1")]] = False
+        heavy_mask[tree.path_to_id[("c", "c1")]] = True
         plan = plan_adaptation(
-            index,
+            tree,
             algo._series_mask,
             heavy_mask,
             algo._ref_has_id,
@@ -502,7 +501,7 @@ class TestRegistryGuards:
         """A path a plan drops reads ``None``, not the row's next tenant."""
         algo = ADAAlgorithm(make_tree(), make_config())
         algo.process_timeunit({("a", "a1"): 9, ("c", "c1"): 9}, 0)
-        ids = algo._index.path_to_id
+        ids = algo.tree.path_to_id
         freed_row = algo._series_ids[ids[("c", "c1")]]
         # c1 goes (DROP: no heavy ancestor); b2 arrives and recycles the row.
         algo.process_timeunit({("a", "a1"): 9}, 1)
@@ -533,7 +532,7 @@ class TestRegistryGuards:
     def test_a_moved_series_keeps_its_row_and_state(self):
         algo = ADAAlgorithm(make_tree(), make_config())
         algo.process_timeunit({("b", "b1", "x"): 9}, 0)
-        ids = algo._index.path_to_id
+        ids = algo.tree.path_to_id
         before = algo.series_state(("b", "b1", "x"))
         row = algo._series_ids[ids[("b", "b1", "x")]]
         algo._apply_plan(
@@ -558,18 +557,18 @@ class TestRegistryGuards:
     ]
 
     @staticmethod
-    def draw_plan(data, index, tracked):
+    def draw_plan(data, tree, tracked):
         """A random op list that is valid against the ordered id list
         ``tracked`` (mutated along), every op kind included."""
         ops = []
         for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
-            untracked = [i for i in range(index.num_nodes) if i not in tracked]
+            untracked = [i for i in range(tree.num_nodes) if i not in tracked]
             donors = [
                 i
                 for i in tracked
                 if any(
                     c not in tracked
-                    for c in range(index.child_start[i], index.child_start[i + 1])
+                    for c in range(tree.child_start[i], tree.child_start[i + 1])
                 )
             ]
             kinds = [
@@ -594,7 +593,7 @@ class TestRegistryGuards:
                     st.sampled_from(
                         [
                             c
-                            for c in range(index.child_start[donor], index.child_start[donor + 1])
+                            for c in range(tree.child_start[donor], tree.child_start[donor + 1])
                             if c not in tracked
                         ]
                     )
@@ -648,10 +647,9 @@ class TestRegistryGuards:
         bytes right after, same detections from there on."""
         tree, config = make_tree(), make_config()
         algo = ADAAlgorithm(tree, config)
-        index = algo._index
         run_units(algo, self.WARM)
         ops = self.draw_plan(
-            data, index, [index.path_to_id[path] for path in tracked_paths(algo)]
+            data, tree, [tree.path_to_id[path] for path in tracked_paths(algo)]
         )
         algo._apply_plan(AdaptationPlan(ops, 0, 0))
         assert_registry_consistent(algo)
@@ -662,7 +660,7 @@ class TestRegistryGuards:
         )
         oracle = ReferenceADA(tree, config)
         run_units(oracle, self.WARM)
-        self.apply_plan_to_reference(oracle, ops, index.paths)
+        self.apply_plan_to_reference(oracle, ops, tree.paths)
         want = (
             tracked_paths(oracle),
             canonical_checkpoint(oracle.state_dict(), row_sorted=True),

@@ -185,7 +185,7 @@ def _session_from_checkpoint_with_model(model):
         theta=2.0, delta_seconds=100.0, window_units=8,
         forecast=ForecastConfig(season_lengths=(2,)),
     )
-    session = DetectionSession(HierarchyTree.from_leaf_paths([("a", "a1")]), config)
+    session = DetectionSession(HierarchyTree([("a", "a1")]), config)
     for unit in range(3):
         session.process_timeunit_counts({("a", "a1"): 5}, timeunit=unit)
     state = json.loads(json.dumps(session.state_dict()))

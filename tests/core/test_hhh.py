@@ -8,7 +8,7 @@ from repro.hierarchy.tree import HierarchyTree
 
 @pytest.fixture
 def tree():
-    return HierarchyTree.from_leaf_paths(
+    return HierarchyTree(
         [
             ("a", "a1"),
             ("a", "a2"),
@@ -115,7 +115,7 @@ class TestSHHH:
         """A heavy grandchild under a non-heavy child is discounted from the
         grandparent too: the modified weight is the raw weight minus the
         maximal heavy descendants, not minus heavy children only."""
-        tree = HierarchyTree.from_leaf_paths([("a", "b", "c"), ("a", "b", "d"), ("a", "e")])
+        tree = HierarchyTree([("a", "b", "c"), ("a", "b", "d"), ("a", "e")])
         leaf_counts = {("a", "b", "c"): 10, ("a", "b", "d"): 2, ("a", "e"): 8}
         raw = accumulate_raw_weights(tree, leaf_counts)
         assert (raw[("a",)], raw[("a", "b")], raw[("a", "b", "c")]) == (20, 12, 10)

@@ -41,7 +41,7 @@ LEAF_PATHS = [
 
 
 def make_tree() -> HierarchyTree:
-    return HierarchyTree.from_leaf_paths(LEAF_PATHS)
+    return HierarchyTree(LEAF_PATHS)
 
 
 leaf_counts = st.dictionaries(
@@ -59,19 +59,20 @@ def brute_force_shhh(tree: HierarchyTree, counts, theta: float):
     membership: dict[tuple, bool] = {}
     modified: dict[tuple, float] = {}
 
-    def evaluate(node):
-        if node.is_leaf:
-            weight = raw.get(node.path, 0.0)
+    def evaluate(path):
+        children = tree.children(path)
+        if not children:
+            weight = raw.get(path, 0.0)
         else:
             weight = 0.0
-            for child in node.children.values():
+            for child in children:
                 evaluate(child)
-                if not membership[child.path]:
-                    weight += modified[child.path]
-        modified[node.path] = weight
-        membership[node.path] = weight >= theta
+                if not membership[child]:
+                    weight += modified[child]
+        modified[path] = weight
+        membership[path] = weight >= theta
 
-    evaluate(tree.root)
+    evaluate(())
     return {path for path, member in membership.items() if member}
 
 

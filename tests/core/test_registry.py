@@ -22,7 +22,7 @@ from repro.hierarchy.tree import HierarchyTree
 
 @pytest.fixture
 def tree():
-    return HierarchyTree.from_leaf_paths([("a", "a1"), ("a", "a2"), ("b", "b1")])
+    return HierarchyTree([("a", "a1"), ("a", "a2"), ("b", "b1")])
 
 
 @pytest.fixture

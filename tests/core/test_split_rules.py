@@ -1,7 +1,12 @@
 """Unit tests for :mod:`repro.core.split_rules` (§V-B4)."""
 
+import math
+
+import numpy as np
 import pytest
 
+from repro._vector import left_sum
+from repro.core.adapt import SPLIT, plan_adaptation
 from repro.core.config import TiresiasConfig
 from repro.core.split_rules import (
     EWMASplitRule,
@@ -12,6 +17,7 @@ from repro.core.split_rules import (
     make_split_rule,
 )
 from repro.exceptions import ConfigurationError
+from repro.hierarchy.tree import HierarchyTree
 
 
 def stats_with(last=0.0, cumulative=0.0, ewma=0.0, observations=1):
@@ -110,3 +116,34 @@ class TestFactory:
         config = TiresiasConfig(split_rule="ewma", split_ewma_alpha=0.8)
         rule = make_split_rule(config)
         assert rule.alpha == 0.8
+
+
+class TestLeftFold:
+    """Split ratios divide by a left-fold sum on every CPython: builtin
+    ``sum()`` of floats is compensated from 3.12 on, and these scores are
+    where the two disagree."""
+
+    SCORES = [1e16, 1.0, 1.0]
+
+    def test_left_sum_is_the_left_fold(self):
+        assert left_sum(self.SCORES) == (1e16 + 1.0) + 1.0 == 1e16
+        assert math.fsum(self.SCORES) == 1e16 + 2.0
+        assert left_sum([]) == 0.0 and left_sum(iter([0.5, 0.25])) == 0.75
+
+    def test_rule_ratios(self):
+        stats = {key: stats_with(last=score) for key, score in zip("abc", self.SCORES)}
+        ratios = LastTimeUnitSplitRule().ratios(stats)
+        assert ratios["a"] == 1.0 != 1e16 / math.fsum(self.SCORES)
+        assert ratios["b"] == ratios["c"] == 1e-16
+
+    def test_planner_ratio(self):
+        tree = HierarchyTree([("a",), ("b",), ("c",)])
+        ids = tree.path_to_id
+        series = np.zeros(tree.num_nodes, dtype=bool)
+        series[0] = True
+        heavy = np.zeros(tree.num_nodes, dtype=bool)
+        heavy[ids[("a",)]] = True
+        score = dict(zip((ids[(label,)] for label in "abc"), self.SCORES))
+        plan = plan_adaptation(tree, series, heavy, lambda node: False, score.__getitem__)
+        (split,) = [op for op in plan.ops if op[0] == SPLIT]
+        assert split[:4] == (SPLIT, 0, ids[("a",)], 1.0)

@@ -10,14 +10,13 @@ from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.hhh import accumulate_raw_weights, compute_shhh
 from repro.core.sta import STAAlgorithm
 from repro.engine.session import DetectionSession
-from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
 from repro.streaming.batch import iter_record_batches
 
 
 @pytest.fixture
 def tree():
-    return HierarchyTree.from_leaf_paths(
+    return HierarchyTree(
         [("a", "a1"), ("a", "a2"), ("b", "b1"), ("b", "b2")]
     )
 
@@ -130,7 +129,7 @@ class TestExactSeries:
     child included — which is SHHH's modified weight for the newest unit."""
 
     def test_a_heavy_grandchild_under_a_light_child_is_discounted(self):
-        tree = HierarchyTree.from_leaf_paths([("a", "a1", "x"), ("a", "a1", "y"), ("a", "a2")])
+        tree = HierarchyTree([("a", "a1", "x"), ("a", "a1", "y"), ("a", "a2")])
         config = TiresiasConfig(
             theta=5.0, window_units=8, track_root=False, allow_root_heavy=False,
             forecast=ForecastConfig(season_lengths=(2,)),
@@ -155,7 +154,7 @@ class TestExactSeries:
         track_root=st.booleans(),
     )
     def test_last_value_is_the_sweeps_modified_weight(self, units, theta, track_root):
-        tree = HierarchyTree.from_leaf_paths(DEEP_LEAVES)
+        tree = HierarchyTree(DEEP_LEAVES)
         config = TiresiasConfig(
             theta=float(theta),
             window_units=4,
@@ -163,12 +162,11 @@ class TestExactSeries:
             forecast=ForecastConfig(season_lengths=(2,)),
         )
         sta = STAAlgorithm(tree, config)
-        index = HierarchyIndex(tree)
         for counts in units:
             result = sta.process_timeunit(counts)
-            _raw, modified, _heavy = index.sweep(index.count_rows(counts), config.theta)
+            _raw, modified, _heavy = tree.sweep(tree.count_rows(counts), config.theta)
             for path in result.heavy_hitters:
-                expected = float(modified[0, index.path_to_id[path]])
+                expected = float(modified[0, tree.path_to_id[path]])
                 assert sta.series_for(path)[-1] == expected, path
                 assert result.actuals[path] == expected, path
 
@@ -185,7 +183,7 @@ class TestRetainedWeightTables:
         unit_counts = defaultdict(Counter)
         for record in records:
             unit_counts[clock.timeunit_of(record.timestamp)][record.category] += 1
-        node_id = HierarchyIndex(tree).path_to_id
+        node_id = tree.path_to_id
         session = DetectionSession(
             tree, golden_spec.detector_config(), algorithm="sta", clock=clock
         )

@@ -11,7 +11,7 @@ from repro.streaming.clock import SimulationClock
 
 @pytest.fixture
 def tree():
-    return HierarchyTree.from_leaf_paths(
+    return HierarchyTree(
         [("a", "a1"), ("a", "a2"), ("b", "b1"), ("b", "b2")]
     )
 

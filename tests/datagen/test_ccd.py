@@ -86,7 +86,7 @@ class TestNetworkDimension:
             CCDConfig(dimension="network", duration_days=1.0, num_anomalies=0, seed=3)
         )
         assert dataset.tree.depth == 5
-        assert dataset.tree.root.label == "SHO"
+        assert dataset.tree.root_label == "SHO"
         records = dataset.record_list()
         assert records
         assert all(len(r.category) == 4 for r in records)

@@ -43,10 +43,10 @@ class TestDataset:
 
     def test_hierarchy_is_four_levels(self, dataset):
         assert dataset.tree.depth == 4
-        assert dataset.tree.root.label == "National"
+        assert dataset.tree.root_label == "National"
 
     def test_first_level_much_wider_than_lower_levels(self, dataset):
-        level1 = len(dataset.tree.nodes_at_depth(1))
+        level1 = len(dataset.tree.paths_at_depth(1))
         degree2 = dataset.tree.typical_degree_at_level(2)
         assert level1 > degree2
 
@@ -54,7 +54,8 @@ class TestDataset:
         records = dataset.record_list()
         assert records
         assert all(len(r.category) == 3 for r in records)
-        assert all(dataset.tree.leaf(r.category).path == r.category for r in records)
+        leaves = set(dataset.tree.leaf_paths())
+        assert all(r.category in leaves for r in records)
 
     def test_ground_truth_present(self, dataset):
         assert len(dataset.anomalies) == 2
@@ -104,6 +105,6 @@ class TestSCDvsCCDCharacteristics:
         ccd = make_ccd_dataset(
             CCDConfig(dimension="network", duration_days=0.5, num_anomalies=0, network_scale=0.05)
         )
-        scd_width = len(scd.tree.nodes_at_depth(1))
-        ccd_width = len(ccd.tree.nodes_at_depth(1))
+        scd_width = len(scd.tree.paths_at_depth(1))
+        ccd_width = len(ccd.tree.paths_at_depth(1))
         assert scd_width > ccd_width

@@ -63,7 +63,7 @@ CATEGORIES = LEAVES + [("b", "b1"), ("zz", "nowhere"), ("a", "a9")]
 
 
 def make_tree() -> HierarchyTree:
-    return HierarchyTree.from_leaf_paths(LEAVES)
+    return HierarchyTree(LEAVES)
 
 
 def make_config(policy: str = "drop", **overrides) -> TiresiasConfig:

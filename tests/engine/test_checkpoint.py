@@ -329,7 +329,7 @@ def _small_checkpoint(path) -> dict:
     returns the file's JSON."""
     from repro.hierarchy.tree import HierarchyTree
 
-    tree = HierarchyTree.from_leaf_paths([("a", "a1"), ("a", "a2"), ("b", "b1")])
+    tree = HierarchyTree([("a", "a1"), ("a", "a2"), ("b", "b1")])
     config = TiresiasConfig(
         theta=2.0,
         delta_seconds=100.0,

@@ -141,7 +141,7 @@ def make_tree():
         for leaf in range(2)
     ]
     paths.append(("solo",))  # a leaf shallower than a depth-2 cut
-    return HierarchyTree.from_leaf_paths(paths)
+    return HierarchyTree(paths)
 
 
 def make_config(depth: int = 1, policy: str = "clamp") -> TiresiasConfig:

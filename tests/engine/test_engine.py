@@ -13,7 +13,7 @@ DELTA = 100.0
 
 
 def make_tree(prefix):
-    return HierarchyTree.from_leaf_paths(
+    return HierarchyTree(
         [(prefix, "x", "x1"), (prefix, "x", "x2"), (prefix, "y", "y1")]
     )
 

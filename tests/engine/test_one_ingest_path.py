@@ -29,7 +29,7 @@ DELTA = 900.0
 
 @pytest.fixture
 def tree() -> HierarchyTree:
-    return HierarchyTree.from_leaf_paths(
+    return HierarchyTree(
         [(f"r{r}", f"s{r}{s}") for r in range(3) for s in range(4)]
     )
 

@@ -21,7 +21,7 @@ DELTA = 100.0
 
 @pytest.fixture
 def tree():
-    return HierarchyTree.from_leaf_paths(
+    return HierarchyTree(
         [("a", "a1"), ("a", "a2"), ("b", "b1"), ("b", "b2")]
     )
 
@@ -248,7 +248,7 @@ class TestBatchIngestion:
         records = spiky_stream()
         one = DetectionSession(tree, config, warmup_units=4)
         other = DetectionSession(
-            HierarchyTree.from_leaf_paths(
+            HierarchyTree(
                 [("a", "a1"), ("a", "a2"), ("b", "b1"), ("b", "b2")]
             ),
             config,
@@ -334,7 +334,7 @@ class TestTimeunitBinning:
         outcomes = []
         for feed in (batch, loop):
             session = DetectionSession(
-                HierarchyTree.from_leaf_paths(tree.leaf_paths()),
+                HierarchyTree(tree.leaf_paths()),
                 config,
                 algorithm=algorithm,
                 warmup_units=0,

@@ -411,7 +411,7 @@ class TestAdvanceTo:
 
 class TestAdaptationStatsQuery:
     def test_stats_merge_across_subtree_shards(self, shardable_config):
-        tree = HierarchyTree.from_leaf_paths(
+        tree = HierarchyTree(
             [("a", "a1"), ("a", "a2"), ("b", "b1"), ("c", "c1")]
         )
         with ShardedDetectionEngine(num_workers=2) as engine:
@@ -427,7 +427,7 @@ class TestAdaptationStatsQuery:
         assert stats["split_operations"] >= 0
 
     def test_whole_session_stats_pass_through(self, shardable_config):
-        tree = HierarchyTree.from_leaf_paths([("a", "a1"), ("b", "b1")])
+        tree = HierarchyTree([("a", "a1"), ("b", "b1")])
         with ShardedDetectionEngine(num_workers=1) as engine:
             engine.add_session("w", tree, shardable_config)
             engine.ingest_batch(records_for(tree, 4))
@@ -436,7 +436,7 @@ class TestAdaptationStatsQuery:
         assert "split_operations" in stats
 
     def test_stats_aggregate_over_more_groups_than_workers(self, shardable_config):
-        tree = HierarchyTree.from_leaf_paths(
+        tree = HierarchyTree(
             [(top, f"{top}{i}") for top in "abcd" for i in range(2)]
         )
         with ShardedDetectionEngine(num_workers=2) as engine:
@@ -503,7 +503,7 @@ class TestDepthKCuts:
 # ----------------------------------------------------------------------
 class TestRebalance:
     def test_forced_migration_is_state_preserving(self, shardable_config, clock):
-        tree = HierarchyTree.from_leaf_paths(
+        tree = HierarchyTree(
             [("a", "a1"), ("a", "a2"), ("b", "b1"), ("c", "c1"), ("d", "d1")]
         )
         records = records_for(tree, 12, per_unit=6)
@@ -538,7 +538,7 @@ class TestRebalance:
         assert info["sessions"]["s"]["rebalances"] == 1
 
     def test_balanced_layout_is_a_noop(self, shardable_config, clock):
-        tree = HierarchyTree.from_leaf_paths(
+        tree = HierarchyTree(
             [("a", "a1"), ("b", "b1"), ("c", "c1"), ("d", "d1")]
         )
         with ShardedDetectionEngine(num_workers=2) as engine:

@@ -10,7 +10,7 @@ from repro.streaming.record import OperationalRecord
 
 @pytest.fixture
 def tree():
-    return HierarchyTree.from_leaf_paths(
+    return HierarchyTree(
         [("a", "a1"), ("a", "a2"), ("b", "b1"), ("b", "b2")]
     )
 

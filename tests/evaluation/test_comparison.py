@@ -5,13 +5,14 @@ import random
 import pytest
 
 from repro.core.config import ForecastConfig, TiresiasConfig
-from repro.evaluation.comparison import AlgorithmComparator, SeriesErrorStats
+from repro.evaluation.comparison import AlgorithmComparator, SeriesErrorStats, STAPass
+from repro.exceptions import ConfigurationError
 from repro.hierarchy.tree import HierarchyTree
 
 
 @pytest.fixture
 def tree():
-    return HierarchyTree.from_leaf_paths(
+    return HierarchyTree(
         [("a", "a1"), ("a", "a2"), ("b", "b1"), ("b", "b2")]
     )
 
@@ -100,3 +101,35 @@ class TestAlgorithmComparator:
         comparator.process_many(units)
         report = comparator.report()
         assert report.detection.total == 0
+
+
+class TestSharedSTAPass:
+    """Comparators that read one recorded STA pass report exactly what
+    comparators running their own STA report."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{}, {"split_rule": "uniform", "reference_levels": 0}, {"split_rule": "ewma", "split_ewma_alpha": 0.8}],
+    )
+    def test_reports_equal_a_live_sta(self, tree, config, changes):
+        units = random_units(40, seed=11)
+        shared = STAPass.run(tree, config, units, samples=6)
+        ada_config = config.replace(**changes)
+        live = AlgorithmComparator(tree, ada_config, series_error_samples=6, warmup_units=5)
+        replayed = AlgorithmComparator(
+            tree, ada_config, series_error_samples=6, warmup_units=5, sta_pass=shared
+        )
+        pairs = zip(live.process_many(units), replayed.process_many(units))
+        assert all(a == b for a, b in pairs)
+        want, got = live.report(), replayed.report()
+        assert got.detection == want.detection
+        assert got.series_errors == want.series_errors
+        assert got.heavy_hitter_mismatches == want.heavy_hitter_mismatches
+        assert got.sta_memory_units == want.sta_memory_units
+
+    def test_a_pass_on_another_config_is_refused(self, tree, config):
+        shared = STAPass.run(tree, config, random_units(3), samples=8)
+        with pytest.raises(ConfigurationError):
+            AlgorithmComparator(tree, config.replace(theta=6.0), sta_pass=shared)
+        with pytest.raises(ConfigurationError):
+            AlgorithmComparator(tree, config, series_error_samples=4, sta_pass=shared)

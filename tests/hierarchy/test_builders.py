@@ -11,7 +11,6 @@ from repro.hierarchy.builders import (
     build_tree_from_spec,
 )
 from repro.hierarchy.domain import CCD_TROUBLE_DOMAIN, DomainSpec, LevelSpec
-from repro.hierarchy.index import HierarchyIndex
 
 
 class TestGenericBuilder:
@@ -19,7 +18,7 @@ class TestGenericBuilder:
         spec = DomainSpec("d", "root", (LevelSpec("a", 3), LevelSpec("b", 2)))
         t1 = build_tree_from_spec(spec, seed=5)
         t2 = build_tree_from_spec(spec, seed=5)
-        assert {n.path for n in t1.iter_leaves()} == {n.path for n in t2.iter_leaves()}
+        assert t1.leaf_paths() == t2.leaf_paths()
 
     def test_different_seed_changes_structure(self):
         spec = DomainSpec(
@@ -53,26 +52,32 @@ class TestGenericBuilder:
 class TestCanonicalBuilders:
     def test_ccd_trouble_first_level_uses_ticket_types(self):
         tree = build_ccd_trouble_tree(seed=0)
-        first_level = {n.label for n in tree.nodes_at_depth(1)}
+        first_level = {path[-1] for path in tree.paths_at_depth(1)}
         assert set(CCD_TICKET_TYPES) == first_level
         assert tree.depth == 5
 
     def test_ccd_network_tree_depth(self):
         tree = build_ccd_network_tree(seed=0, scale=0.1, max_leaves=500)
         assert tree.depth == 5
-        assert tree.root.label == "SHO"
+        assert tree.root_label == "SHO"
         assert tree.num_leaves > 0
 
     def test_scd_network_tree_shape(self):
         tree = build_scd_network_tree(seed=0, scale=0.02, max_leaves=2000)
         assert tree.depth == 4
-        assert tree.root.label == "National"
+        assert tree.root_label == "National"
         # The first level must stay much wider than the deeper levels.
-        assert len(tree.nodes_at_depth(1)) >= 10
+        assert len(tree.paths_at_depth(1)) >= 10
 
     def test_index_ids_are_dense(self):
         tree = build_ccd_trouble_tree(seed=3)
-        paths = HierarchyIndex.of(tree).paths
+        paths = tree.paths
         assert sorted(paths) == sorted(node.path for node in tree.iter_nodes())
         ids = {path: i for i, path in enumerate(paths)}
         assert all(ids[path[:-1]] < i for i, path in enumerate(paths) if path)
+
+    def test_siblings_share_label_strings(self):
+        """Every parent's k-th generated child label is one string object."""
+        tree = build_scd_network_tree(seed=0, scale=0.02, max_leaves=2000)
+        a, b = tree.children(())[:2]
+        assert tree.children(a)[0][-1] is tree.children(b)[0][-1]

@@ -1,6 +1,6 @@
 """The batch hierarchy sweep against the scalar reference, row by row.
 
-:meth:`HierarchyIndex.sweep` computes raw weights, modified weights and
+:meth:`HierarchyTree.sweep` computes raw weights, modified weights and
 succinct heavy hitter membership for every row of a count matrix at once
 (``np.add.reduceat`` over BFS-contiguous child ranges).  Its oracle is the
 scalar pair :func:`repro.core.hhh.accumulate_raw_weights` /
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.core.ada import ADAAlgorithm
 from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.hhh import accumulate_raw_weights, compute_shhh
-from repro.hierarchy.index import HierarchyIndex
 from repro.hierarchy.tree import HierarchyTree
 from repro.testing.reference import ReferenceADA
 
@@ -36,7 +35,7 @@ shapes = st.recursive(
 
 
 def build_tree(shape) -> HierarchyTree:
-    tree = HierarchyTree("All")
+    leaves = []
 
     def walk(node, prefix):
         for position, child in enumerate(node):
@@ -44,16 +43,15 @@ def build_tree(shape) -> HierarchyTree:
             if child:
                 walk(child, path)
             else:
-                tree.add_leaf(path)
+                leaves.append(path)
 
     walk(shape, ())
-    tree.validate()
-    return tree
+    return HierarchyTree(leaves, root_label="All")
 
 
-def reference_rows(tree, index, rows, theta):
+def reference_rows(tree, rows, theta):
     """The scalar oracle's ``(raw, modified, heavy)`` per row, densified."""
-    width = index.num_nodes
+    width = tree.num_nodes
     raw = np.zeros((len(rows), width))
     modified = np.zeros((len(rows), width))
     heavy = np.zeros((len(rows), width), dtype=bool)
@@ -61,16 +59,16 @@ def reference_rows(tree, index, rows, theta):
         weights = accumulate_raw_weights(tree, counts)
         result = compute_shhh(tree, counts, theta, raw=weights)
         for path, weight in weights.items():
-            raw[position, index.path_to_id[path]] = weight
+            raw[position, tree.path_to_id[path]] = weight
         for path, weight in result.modified_weights.items():
-            modified[position, index.path_to_id[path]] = weight
+            modified[position, tree.path_to_id[path]] = weight
         for path in result.shhh:
-            heavy[position, index.path_to_id[path]] = True
+            heavy[position, tree.path_to_id[path]] = True
     return raw, modified, heavy
 
 
-def count_matrix(index, rows):
-    return np.concatenate([index.count_rows(row) for row in rows])
+def count_matrix(tree, rows):
+    return np.concatenate([tree.count_rows(row) for row in rows])
 
 
 @st.composite
@@ -98,9 +96,8 @@ class TestSweepAgainstScalarReference:
     @given(case=tree_and_rows(), theta=st.integers(min_value=1, max_value=12))
     def test_every_row_matches_the_scalar_reference(self, case, theta):
         tree, rows = case
-        index = HierarchyIndex(tree)
-        raw, modified, heavy = index.sweep(count_matrix(index, rows), float(theta))
-        want_raw, want_modified, want_heavy = reference_rows(tree, index, rows, theta)
+        raw, modified, heavy = tree.sweep(count_matrix(tree, rows), float(theta))
+        want_raw, want_modified, want_heavy = reference_rows(tree, rows, theta)
         assert raw.tobytes() == want_raw.tobytes()
         assert modified.tobytes() == want_modified.tobytes()
         assert heavy.tobytes() == want_heavy.tobytes()
@@ -110,19 +107,17 @@ class TestSweepAgainstScalarReference:
     def test_rows_do_not_see_each_other(self, case, theta):
         """A row swept among others equals the same row swept alone."""
         tree, rows = case
-        index = HierarchyIndex(tree)
-        together = index.sweep(count_matrix(index, rows), float(theta))
+        together = tree.sweep(count_matrix(tree, rows), float(theta))
         for position, row in enumerate(rows):
-            alone = index.sweep(index.count_rows(row), float(theta))
+            alone = tree.sweep(tree.count_rows(row), float(theta))
             for whole, single in zip(together, alone):
                 assert whole[position].tobytes() == single[0].tobytes()
 
     def test_modified_weight_equal_to_theta_is_heavy(self):
-        tree = HierarchyTree.from_leaf_paths([("a", "a1"), ("a", "a2"), ("b",)])
-        index = HierarchyIndex(tree)
-        ids = index.path_to_id
+        tree = HierarchyTree([("a", "a1"), ("a", "a2"), ("b",)])
+        ids = tree.path_to_id
         rows = [{("a", "a1"): 2, ("a", "a2"): 2, ("b",): 3}, {("a", "a1"): 4, ("b",): 4}]
-        raw, modified, heavy = index.sweep(count_matrix(index, rows), 4.0)
+        raw, modified, heavy = tree.sweep(count_matrix(tree, rows), 4.0)
         # Row 0: neither leaf reaches 4, their parent does exactly; b stays light
         # and the root is left with b's 3.
         assert modified[0, ids[("a",)]] == 4.0 and heavy[0, ids[("a",)]]
@@ -133,13 +128,13 @@ class TestSweepAgainstScalarReference:
         assert heavy[1, ids[("b",)]] and raw[1, 0] == 8.0 and modified[1, 0] == 0.0
 
     def test_root_only_and_depth_one_only_trees(self):
-        root_only = HierarchyIndex(HierarchyTree("All"))
+        root_only = HierarchyTree([], root_label="All")
         raw, modified, heavy = root_only.sweep(
             count_matrix(root_only, [{(): 5}, {}, {(): 2}]), 5.0
         )
         assert raw.tolist() == modified.tolist() == [[5.0], [0.0], [2.0]]
         assert heavy.tolist() == [[True], [False], [False]]
-        flat = HierarchyIndex(HierarchyTree.from_leaf_paths([("a",), ("b",), ("c",)]))
+        flat = HierarchyTree([("a",), ("b",), ("c",)])
         raw, modified, heavy = flat.sweep(count_matrix(flat, [{("a",): 6, ("b",): 1}]), 5.0)
         assert raw.tolist() == [[7.0, 6.0, 1.0, 0.0]]
         assert modified.tolist() == [[1.0, 6.0, 1.0, 0.0]]
@@ -175,8 +170,7 @@ class TestSweptClose:
             **masks,
         )
         algo = ADAAlgorithm(tree, config)
-        index = algo._index
-        swept = algo.sweep_timeunits(count_matrix(index, rows))
+        swept = algo.sweep_timeunits(count_matrix(tree, rows))
         assert len(swept) == len(rows)
         got = [algo.close_swept(row, unit) for unit, row in enumerate(swept)]
         assert algo.close_profile()["dense_close_units"] == len(rows)

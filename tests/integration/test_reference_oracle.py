@@ -67,7 +67,7 @@ def make_case(seed: int, model: str, root: str):
                     paths.extend(path + (f"d{i}",) for i in range(rng.randint(1, 2)))
                 else:
                     paths.append(path)
-    tree = HierarchyTree.from_leaf_paths(paths)
+    tree = HierarchyTree(paths)
     popularity = [rng.random() ** 2 + 0.05 for _ in paths]
     drafts = []
     for unit in range(rng.randint(14, 26)):
@@ -276,7 +276,7 @@ def test_unsplit_session_continues_like_serial_after_a_raise(streamed):
     results after the raise, anomalies (those of the timeunits closed in
     the failing and the dropped round included), unit counts and
     checkpoint."""
-    tree = HierarchyTree.from_leaf_paths(
+    tree = HierarchyTree(
         [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("c", "x")]
     )
     leaves = tree.leaf_paths()

@@ -108,7 +108,7 @@ def _churn_units(units: int = 60):
         for b in range(3)
         for c in range(3)
     ]
-    tree = HierarchyTree.from_leaf_paths(leaves)
+    tree = HierarchyTree(leaves)
     rng = random.Random(4242)
     stream = []
     for unit in range(units):

@@ -56,7 +56,7 @@ def make_workload(seed: int, lateness: float):
         for mid in range(rng.randint(1, 3)):
             for leaf in range(rng.randint(1, 3)):
                 paths.append((f"t{top}", f"m{top}{mid}", f"l{top}{mid}{leaf}"))
-    tree = HierarchyTree.from_leaf_paths(paths)
+    tree = HierarchyTree(paths)
     clock = SimulationClock(delta=DELTA)
     units = rng.randint(16, 28)
     popularity = [rng.random() ** 2 + 0.05 for _ in paths]

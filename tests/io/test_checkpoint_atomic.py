@@ -18,7 +18,7 @@ from repro.streaming.record import OperationalRecord
 
 
 def small_session() -> DetectionSession:
-    tree = HierarchyTree.from_leaf_paths(
+    tree = HierarchyTree(
         [("a", "a1"), ("a", "a2"), ("b", "b1")], root_label="All"
     )
     config = TiresiasConfig(

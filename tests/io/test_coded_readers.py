@@ -243,7 +243,7 @@ def make_config(policy: str, model: str = "auto", **overrides) -> TiresiasConfig
 def outcome(batches, tmp_path, policy="drop", shadow=False, model="auto") -> dict:
     """Everything the contract compares, for one session fed ``batches``."""
     session = DetectionSession(
-        HierarchyTree.from_leaf_paths(LEAVES), make_config(policy, model), warmup_units=2
+        HierarchyTree(LEAVES), make_config(policy, model), warmup_units=2
     )
     events: list[tuple] = []
     session.subscribe(
@@ -364,7 +364,7 @@ class TestSessionsCannotTell:
         coded = [b for _, b in NdjsonDecoder(20).feed(ndjson(rows), final=True)]
         assert_coded_equals_tuples(coded, rows, tmp_path, model=model)
         session = DetectionSession(
-            HierarchyTree.from_leaf_paths(LEAVES), make_config("drop", model), warmup_units=2
+            HierarchyTree(LEAVES), make_config("drop", model), warmup_units=2
         )
         mapped: list[int] = []
         map_ids = session.algorithm.dictionary_node_ids
@@ -424,7 +424,7 @@ class TestHostileDictionaryGrowth:
         assert max(sizes) <= bound
         assert min(sizes[1:-1]) >= HOSTILE_BATCH * 49 // 50  # and are not rebuilt per batch
         config = make_config("drop", delta_seconds=1.0)
-        tree = HierarchyTree.from_leaf_paths(LEAVES)
+        tree = HierarchyTree(LEAVES)
 
         def detect(feed):
             session = DetectionSession(tree, config, warmup_units=2)
@@ -482,7 +482,7 @@ class TestHostileDictionaryGrowth:
         count = 200_000
         body = hostile_body(count)
         config = make_config("drop", delta_seconds=1.0)
-        tree = HierarchyTree.from_leaf_paths(LEAVES)
+        tree = HierarchyTree(LEAVES)
         service_config = ServiceConfig(
             tenants=(TenantSpec(name="edge", tree=tree, config=config, warmup_units=2),),
             checkpoint_dir=tmp_path / "ckpt",
