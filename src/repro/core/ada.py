@@ -274,8 +274,7 @@ class RefStore:
     cursor — kept as an offset from the shared column counter
     (``min(window, _origin[i] + _columns)``), so a column write touches no
     count — and a ragged restore or a path with no restored row (a fresh
-    session's, a depth-k shard's band rows, which the split withholds)
-    reads exactly what a bounded deque per path would.
+    session's) reads exactly what a bounded deque per path would.
 
     Row order lives only in emission: restored rows first, in load order,
     then — once a column has been written — the paths without one, in
@@ -425,13 +424,10 @@ class ADAAlgorithm(HierarchyTracker):
         self.fused_units = 0
         self.dense_close_units = 0
         self.close_histogram = fused.CloseHistogram()
-        #: Frontier-band capture for depth-k sharding: when the sharded
-        #: engine calls :meth:`capture_frontier`, every close also records
-        #: the raw weights of the shared ancestor band (root + depths
-        #: 1..k-1) so the coordinator can replay their split-rule stats and
-        #: reference series exactly.  Off (``None``) outside sharded workers.
-        self._frontier_ids = None
-        self.last_frontier_raw: tuple[float, ...] | None = None
+        #: The root's raw weight at the last close: a subtree-sharded worker
+        #: reports it so the coordinator can replay the root's split-rule
+        #: statistics exactly (``None`` before the first close).
+        self.last_root_raw: float | None = None
         #: Nodes in the top h levels, cached once: these keep reference series.
         self._reference_nodes: tuple[CategoryPath, ...] = tuple(
             path
@@ -442,7 +438,7 @@ class ADAAlgorithm(HierarchyTracker):
         self._ref = RefStore(
             config.window_units,
             self._reference_nodes,
-            self._node_ids(self._reference_nodes),
+            [tree.path_to_id[path] for path in self._reference_nodes],
         )
 
     # ------------------------------------------------------------------
@@ -455,27 +451,6 @@ class ADAAlgorithm(HierarchyTracker):
         session closes every unit — counted in ``dense_close_units``."""
         self.dense_close_units += 1
         return self._close(timeunit, *swept)
-
-    def capture_frontier(self, paths) -> None:
-        """Record the raw weight of each of ``paths`` on every close.
-
-        Used by depth-k sharded workers: ``paths`` is the shard's slice of
-        the shared ancestor band (root plus ancestors above the cut depth),
-        in (depth, lex) order.  After each closed timeunit
-        :attr:`last_frontier_raw` holds one float per path; the coordinator
-        sums them across shards and replays the band's split-rule
-        statistics and reference series through a :class:`SplitStatsStore`
-        and a :class:`RefStore` of its own, exactly as the serial cascade
-        would.
-        """
-        self._frontier_ids = self._node_ids(tuple(p) for p in paths)
-        self.last_frontier_raw = None
-
-    def _node_ids(self, paths):
-        """Node ids of ``paths`` as an index array — what the close gathers
-        their raw weights with."""
-        path_to_id = self.tree.path_to_id
-        return np.array([path_to_id[path] for path in paths], dtype=np.intp)
 
     def _close(
         self, timeunit: TimeunitIndex | None, raw_vec, modified_vec, heavy_mask
@@ -498,10 +473,7 @@ class ADAAlgorithm(HierarchyTracker):
         actuals, forecasts = self._close_delta(
             stable, ids_arr, heavy_mask, raw_vec, modified_vec
         )
-        if self._frontier_ids is not None:
-            self.last_frontier_raw = tuple(
-                float(v) for v in raw_vec[self._frontier_ids]
-            )
+        self.last_root_raw = float(raw_vec[0])
         series_done = time.perf_counter()
         stage_seconds["creating_time_series"] += series_done - checked
 

@@ -137,18 +137,6 @@ class TiresiasConfig:
         :class:`~repro.exceptions.OutOfOrderRecordError`, ``"drop"`` discards
         it silently, ``"clamp"`` counts it into the current timeunit (the
         seed's silent behaviour, now opt-in).
-    min_heavy_depth:
-        Nodes shallower than this depth never qualify as heavy hitters
-        (the root is governed separately by ``track_root`` /
-        ``allow_root_heavy``).  The default ``1`` is the paper's behaviour:
-        every non-root node may qualify.  Raising it to ``k`` excludes the
-        shared ancestor band above depth ``k`` from tracking, which is what
-        makes depth-``k`` subtree sharding exact: a node at depth >= ``k``
-        lives wholly inside one shard, so its weights — and therefore the
-        detections — are bit-identical to a serial run.  Like the root
-        exclusion, this only suppresses *qualification*; children's modified
-        weights are computed bottom-up before their ancestors, so deeper
-        nodes are unaffected.
     """
 
     theta: float = 10.0
@@ -163,7 +151,6 @@ class TiresiasConfig:
     track_root: bool = True
     allow_root_heavy: bool = True
     out_of_order_policy: str = "raise"
-    min_heavy_depth: int = 1
 
     def __post_init__(self) -> None:
         if self.theta <= 0:
@@ -189,10 +176,6 @@ class TiresiasConfig:
             raise ConfigurationError(
                 f"unknown out_of_order_policy {self.out_of_order_policy!r}; "
                 f"expected one of {sorted(OUT_OF_ORDER_POLICIES)}"
-            )
-        if self.min_heavy_depth < 1:
-            raise ConfigurationError(
-                f"min_heavy_depth must be >= 1, got {self.min_heavy_depth}"
             )
         if self.track_root and not self.allow_root_heavy:
             raise ConfigurationError(

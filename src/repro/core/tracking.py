@@ -9,7 +9,7 @@ dense index the sweep runs over), the config and the detector — and the
 one hierarchy update, :meth:`~HierarchyTracker.sweep_timeunits`: raw
 weights, modified weights and heavy masks of any number of timeunits from
 one :meth:`HierarchyTree.sweep <repro.hierarchy.tree.HierarchyTree.sweep>`,
-under the config's root and ``min_heavy_depth`` rules.
+under the config's root rules.
 
 A subclass implements ``_close(timeunit, raw, modified, heavy)``, the close
 of one swept row.  The session closes every unit through
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import time
 from typing import Mapping
-
-import numpy as np
 
 from repro._types import CategoryPath, TimeunitIndex, Weight
 from repro.core.config import TiresiasConfig
@@ -49,14 +47,6 @@ class HierarchyTracker:
             "detecting_anomalies": 0.0,
         }
         self.last_result: TimeunitResult | None = None
-        #: Band exclusion for ``min_heavy_depth > 1``: node ids at depths
-        #: 1..m-1 never qualify as heavy (the root follows the
-        #: track_root/allow_root_heavy flags).
-        m = config.min_heavy_depth
-        self._shallow_ids = None
-        if m > 1:
-            depths = self.tree.depths
-            self._shallow_ids = np.flatnonzero((depths >= 1) & (depths < m))
 
     # ------------------------------------------------------------------
     # Online interface
@@ -112,9 +102,6 @@ class HierarchyTracker:
             heavy[:, 0] = True
         elif not self.config.allow_root_heavy:
             heavy[:, 0] = False
-        if self._shallow_ids is not None:
-            # The shared ancestor band above min_heavy_depth never qualifies.
-            heavy[:, self._shallow_ids] = False
         self.stage_seconds["updating_hierarchies"] += time.perf_counter() - start
         return list(zip(raw, modified, heavy))
 

@@ -51,7 +51,6 @@ FROZEN_FIELDS: tuple[str, ...] = (
     "reference_levels",
     "track_root",
     "allow_root_heavy",
-    "min_heavy_depth",
 )
 
 

@@ -10,16 +10,13 @@ guaranteed to run the exact same code against the exact same state.
 Verbs
 -----
 ``add``
-    ``[(key, session_state, capture_depth), ...]`` — build sessions from
+    ``[(key, session_state, capture_root), ...]`` — build sessions from
     serial-format state dicts (shipped with ``max_results: 0``).  Report
     retention is disabled: the coordinator owns the merged store.
-    ``capture_depth >= 1`` hosts a depth-k ADA subtree shard, whose
-    frontier band — root plus ancestors above the cut — is captured per
-    closed timeunit for coordinator-side replay; ``capture_depth == 0``
-    captures nothing, for a unit without a band replica (an unsplit
-    session or an STA subtree shard).
-``remove``
-    ``[key, ...]`` — drop units (used by churn-driven rebalancing).
+    ``capture_root`` is set for an ADA subtree shard, whose root raw weight
+    is captured per closed timeunit for coordinator-side replay; a unit
+    without a root replica (an unsplit session or an STA subtree shard)
+    captures nothing.
 ``ingest``
     ``[(key, batch, segments), ...]`` — one batch of the unit's rows (or
     ``None``) plus the watermark segments ``(watermark, start, stop)`` that
@@ -30,7 +27,7 @@ Verbs
     advance).  Batches arrive as timestamps + dictionary codes; no verb
     reads an attribute column, so the coordinator ships none.  The reply
     lists, per op, the results the unit closed (and a capturing shard's
-    frontier weights); an error reply carries those its ops closed before
+    root weights); an error reply carries those its ops closed before
     the error (see :func:`handle_message`).
 ``flush`` / ``state``
     Close pending units, export serial-format states.
@@ -48,36 +45,32 @@ from typing import Any, Iterable
 from repro.core.results import TimeunitResult
 from repro.engine.hooks import EngineObserver
 from repro.engine.session import DetectionSession
-from repro.engine.subtree import frontier_band_paths
 from repro.exceptions import ShardingError
 
 
 class CloseCapture(EngineObserver):
     """Records every result a worker session closes, and for an ADA subtree
-    shard its frontier raw weights, until the next reply drains them.
+    shard its root raw weight, until the next reply drains them.
 
     Observing the closes, rather than keeping what a call returns, leaves
-    the results of a call that raised part-way in hand too.  Band raw
+    the results of a call that raised part-way in hand too.  Root raw
     weights are additive across disjoint subtree shards; the coordinator
-    sums the per-shard tuples to replay the shared band's split-rule
-    bookkeeping and reference series (see
+    sums them to replay the root's split-rule statistics (see
     :class:`~repro.engine.subtree.FrontierReplica`).
     """
 
-    def __init__(self, frontier: bool) -> None:
+    def __init__(self, capture_root: bool) -> None:
         self.results: list[TimeunitResult] = []
-        self.weights: "list[tuple[float, ...]] | None" = [] if frontier else None
+        self.weights: "list[float] | None" = [] if capture_root else None
 
     def on_timeunit_closed(
         self, session: DetectionSession, result: TimeunitResult
     ) -> None:
         self.results.append(result)
         if self.weights is not None:
-            self.weights.append(session.algorithm.last_frontier_raw)
+            self.weights.append(session.algorithm.last_root_raw)
 
-    def drain(
-        self,
-    ) -> "tuple[list[TimeunitResult], list[tuple[float, ...]] | None]":
+    def drain(self) -> "tuple[list[TimeunitResult], list[float] | None]":
         results, self.results = self.results, []
         weights = self.weights
         if weights is not None:
@@ -88,22 +81,17 @@ class CloseCapture(EngineObserver):
 class WorkerUnit:
     """One shard group (an unsplit session or one subtree group) in a worker."""
 
-    def __init__(self, session: DetectionSession, capture_depth: int):
+    def __init__(self, session: DetectionSession, capture_root: bool):
         self.session = session
         # The coordinator owns the merged report store, so retaining reports
         # here would only grow worker memory forever.
         session.retain_reports = False
-        if capture_depth >= 1:
-            # Only an ADA shard has a band replica to feed.
-            session.algorithm.capture_frontier(
-                frontier_band_paths(session.tree.leaf_paths(), capture_depth)
-            )
-        self.capture = CloseCapture(frontier=capture_depth >= 1)
+        self.capture = CloseCapture(capture_root)
         session.subscribe(self.capture)
 
 
 def _drained(units: dict, keys: Iterable[Any]) -> list:
-    """``(key, results, frontier weights)`` of what each unit closed since
+    """``(key, results, root weights)`` of what each unit closed since
     the last reply."""
     return [(key, *units[key].capture.drain()) for key in keys if key in units]
 
@@ -111,14 +99,10 @@ def _drained(units: dict, keys: Iterable[Any]) -> list:
 def worker_handle(units: dict, verb: str, ops: Any) -> Any:
     """Execute one coordinator verb against the worker's unit table."""
     if verb == "add":
-        for key, state, capture_depth in ops:
+        for key, state, capture_root in ops:
             units[key] = WorkerUnit(
-                DetectionSession.from_state_dict(state), int(capture_depth)
+                DetectionSession.from_state_dict(state), bool(capture_root)
             )
-        return None
-    if verb == "remove":
-        for key in ops:
-            units.pop(key, None)
         return None
     if verb == "ingest":
         for key, columns, segments in ops:

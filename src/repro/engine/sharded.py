@@ -5,7 +5,7 @@ sessions never share state, and — because succinct-heavy-hitter weights,
 series adaptation and detection are all computed bottom-up — disjoint
 subtrees of one hierarchy interact only through their shared ancestors.
 :class:`ShardedDetectionEngine` exploits both: it partitions its sessions
-(and, on request, each session's depth-``k`` subtrees) across N workers
+(and, on request, each session's depth-1 subtrees) across N workers
 reached through a pluggable transport, and merges their outputs
 deterministically, producing detections, timeunit results, reports and
 checkpoints **bit-for-bit identical** to the serial
@@ -21,17 +21,15 @@ order, exactly the sub-stream the serial router would have fed the session.
 The coordinator holds each session's reports, processed-unit count and open
 timeunit; workers keep neither results nor reports.
 
-*Unsplit sessions* (``subtree_shards=1``, or a hierarchy with a single cut
-unit) are one-group units: the group is the whole session, shipped as is
-with no frontier band, so the mechanisms below reduce to one segment per
-batch and a merge that returns the group's result unchanged.  Same code,
-same inputs, same floats — and no constraint on the root.
+*Unsplit sessions* (``subtree_shards=1``, or a hierarchy with a single
+depth-1 subtree) are one-group units: the group is the whole session,
+shipped as is with no root replica, so the mechanisms below reduce to one
+segment per batch and a merge that returns the group's result unchanged.
+Same code, same inputs, same floats — and no constraint on the root.
 
 *Split sessions.*  One session may be split into ``subtree_shards`` shard
-sessions, each owning a disjoint group of depth-``subtree_depth`` cut units
-(depth-``k`` prefixes, plus any leaves shallower than ``k``, which are their
-own cut units).  Three mechanisms make the union of their outputs equal the
-serial session:
+sessions, each owning a disjoint group of depth-1 subtrees.  Three
+mechanisms make the union of their outputs equal the serial session:
 
 1. **Watermark segmentation.**  Serially, all subtrees share one pending
    timeunit, advanced by every record of the session.  The coordinator
@@ -52,27 +50,24 @@ serial session:
    merged once every group has closed that unit: heavy hitter sets union,
    per-path actuals/forecasts are taken from the owning shard in sorted-path
    order (the serial iteration order), anomalies sort by node path.
-3. **Frontier-band exclusion and replay.**  Only the root and the shared
-   ancestors above the cut (the *frontier band*) couple subtrees: their
+3. **Root exclusion and replay.**  Only the root couples subtrees: its
    series and split/merge adaptation would span several shards.  Subtree
    sharding therefore requires ``track_root=False`` with
-   ``allow_root_heavy=False``, and — for cuts deeper than 1 —
-   ``min_heavy_depth >= subtree_depth``, config choices the serial engine
-   honours identically, so equivalence holds on *any* workload.  Band raw
-   weights are still additive across shards, and ADA keeps split-rule
-   statistics and top-``h`` reference series for band nodes too: each ADA
-   shard reports its band weight tuple per closed timeunit, and the
-   coordinator sums them into one band vector and replays it through
-   ADA's own stores, built over the band's sub-hierarchy
+   ``allow_root_heavy=False``, config choices the serial engine honours
+   identically, so equivalence holds on *any* workload.  The root's raw
+   weight is still additive across shards, and ADA keeps split-rule
+   statistics for the root too: each ADA shard reports its root weight per
+   closed timeunit, and the coordinator sums them and replays the sum
+   through ADA's own statistics store
    (:class:`~repro.engine.subtree.FrontierReplica`), so merged checkpoints
-   stay faithful.  STA keeps no band bookkeeping beyond its weight tables,
-   which the merge sums, so its shards capture nothing (capture depth 0).
+   stay faithful.  STA keeps no root bookkeeping beyond its weight tables,
+   which the merge sums, so its shards capture nothing.
 
 Checkpoints are format-identical to serial ones: :meth:`state_dict` merges
 shard states back into canonical serial session states (see
 :func:`repro.engine.subtree.merge_session_states`), so a sharded engine can
-resume an unsharded checkpoint and vice versa, at any worker count and cut
-depth.
+resume an unsharded checkpoint and vice versa, at any worker and shard
+count.
 
 The coordinator loop
 --------------------
@@ -96,7 +91,7 @@ latency on a live iterator: a batch is pulled one round before the previous
 round's results are merged, so alerts trail ingestion by up to one round.
 :meth:`~ShardedDetectionEngine.ingest_record_batch` runs the same phases
 back to back and stays synchronous, as do ``flush`` / ``state`` / ``query``
-/ ``add`` / ``remove`` round trips (an exchange with one side empty).  With
+/ ``add`` round trips (an exchange with one side empty).  With
 a streamed round in flight, an engine call that needs a round trip of its
 own — only an observer can make one — raises :class:`ShardingError`
 instead of interleaving replies.
@@ -107,11 +102,6 @@ frames, batch columns as raw buffers: ``"pipe"`` (default) over
 ``"tcp"`` length-prefixed over sockets (workers may be remote).
 Verb semantics live in :mod:`repro.engine.shard_worker`, shared by all
 three, so results and checkpoint bytes never depend on the transport.
-
-Churn-driven rebalancing: :meth:`rebalance_session` migrates one cut unit
-from the busiest shard group (by split+merge adaptation churn) to the
-lightest at a timeunit barrier, through the same split/merge checkpoint
-machinery — the session's state is bit-identical before and after.
 
 Under ``out_of_order_policy="raise"`` parallelism adds a caveat: the
 offending record still raises
@@ -256,28 +246,23 @@ class _SessionUnit:
     """Coordinator record and merge state of one sharded session.
 
     A split session has one shard group per entry of ``groups`` (a
-    :class:`~repro.engine.subtree.SubtreePartition` of depth-``depth`` cut
-    units).  An unsplit session passes ``groups=None`` and ``depth=0``: its
-    one group is the whole session, with no frontier band to replay, and
-    ``base_state`` keeps no counter baselines because its worker's state
-    carries them.
+    :class:`~repro.engine.subtree.SubtreePartition` of depth-1 labels).  An
+    unsplit session passes ``groups=None``: its one group is the whole
+    session, with no root replica, and ``base_state`` keeps no counter
+    baselines because its worker's state carries them.
     """
 
     def __init__(
         self,
         name: str,
         base_state: dict[str, Any],
-        groups: "Sequence[Sequence[Any]] | None",
+        groups: "Sequence[Sequence[str]] | None",
         sub_states: Sequence[dict[str, Any]],
         workers: Sequence[int],
         withheld: Mapping[str, Any],
-        depth: int = 1,
     ):
         self.name = name
-        self.depth = int(depth)
-        self.partition = (
-            None if groups is None else SubtreePartition(groups, self.depth)
-        )
+        self.partition = None if groups is None else SubtreePartition(groups)
         # Only the identity fields and pre-split counter baselines that
         # merge_session_states reads are retained; pinning the full pre-split
         # state (every node series) would double the session's footprint.
@@ -317,20 +302,13 @@ class _SessionUnit:
         )
         self.frontier: "FrontierReplica | None" = None
         if str(base_state["algorithm"]) == "ada" and self.partition is not None:
-            leaves_by_gid: list[list[tuple]] = [[] for _ in self.workers]
-            for path in base_state["tree"]["leaves"]:
-                leaves_by_gid[self.route(path)].append(tuple(path))
-            self.frontier = FrontierReplica(
-                self.handle.config, leaves_by_gid, self.depth, withheld
-            )
-        #: Cut depth a worker captures band weights at: 0 for a unit without
-        #: a band replica (an unsplit or an STA session).
-        self.capture_depth = self.depth if self.frontier is not None else 0
-        #: Times this unit's layout was migrated by churn-driven rebalancing.
-        self.rebalances = 0
+            self.frontier = FrontierReplica(self.handle.config, withheld)
+        #: Whether the workers capture root weights for the replica (not for
+        #: an unsplit or an STA session).
+        self.capture_root = self.frontier is not None
         #: Times one of this unit's workers was respawned and rebuilt.
         self.recoveries = 0
-        #: timeunit -> {gid: (result, local band raw-weight tuple or None)}
+        #: timeunit -> {gid: (result, local root raw weight or None)}
         self.buffer: dict[int, dict[int, tuple[TimeunitResult, Any]]] = {}
         #: (dictionary, group-per-code table) of the last dictionary routed.
         self._route_table: "tuple | None" = None
@@ -535,7 +513,6 @@ class ShardedDetectionEngine:
         self._observers: list[EngineObserver] = []
         self._started = False
         self._next_worker = 0
-        self._rebalances_total = 0
         #: The process_batches round shipped but not collected yet.
         self._streaming: "_Round | None" = None
         self._closed = False
@@ -553,16 +530,14 @@ class ShardedDetectionEngine:
         warmup_units: "int | None" = None,
         max_results: "int | None" = None,
         subtree_shards: int = 1,
-        subtree_depth: int = 1,
     ) -> None:
         """Create and register a named session (mirrors the serial engine).
 
         ``subtree_shards > 1`` additionally partitions the session's
-        depth-``subtree_depth`` cut units into that many shard groups
-        (capped at the number of cut units), which requires
-        ``config.track_root=False`` with ``allow_root_heavy=False``, a
-        shardable algorithm (``"ada"`` or ``"sta"``) and — for
-        ``subtree_depth > 1`` — ``config.min_heavy_depth >= subtree_depth``.
+        depth-1 subtrees into that many shard groups (capped at the number
+        of depth-1 labels), which requires ``config.track_root=False`` with
+        ``allow_root_heavy=False`` and a shardable algorithm (``"ada"`` or
+        ``"sta"``).
         """
         session = DetectionSession(
             tree,
@@ -573,32 +548,20 @@ class ShardedDetectionEngine:
             name=name,
             max_results=max_results,
         )
-        self.attach_session(
-            session, subtree_shards=subtree_shards, subtree_depth=subtree_depth
-        )
+        self.attach_session(session, subtree_shards=subtree_shards)
 
     def attach_session(
-        self,
-        session: DetectionSession,
-        subtree_shards: int = 1,
-        subtree_depth: int = 1,
+        self, session: DetectionSession, subtree_shards: int = 1
     ) -> None:
         """Register an existing session from its state snapshot.
 
         The engine takes a snapshot at attach time; later mutations of the
         passed session object are not seen by the workers.
         """
-        self.attach_session_state(
-            session.state_dict(),
-            subtree_shards=subtree_shards,
-            subtree_depth=subtree_depth,
-        )
+        self.attach_session_state(session.state_dict(), subtree_shards=subtree_shards)
 
     def attach_session_state(
-        self,
-        state: Mapping[str, Any],
-        subtree_shards: int = 1,
-        subtree_depth: int = 1,
+        self, state: Mapping[str, Any], subtree_shards: int = 1
     ) -> None:
         """Register a session from a serial-format ``state_dict`` snapshot."""
         self._check_open()
@@ -617,35 +580,23 @@ class ShardedDetectionEngine:
             raise ConfigurationError(
                 f"subtree_shards must be >= 1, got {subtree_shards}"
             )
-        subtree_depth = int(subtree_depth)
-        if subtree_depth < 1:
-            raise ConfigurationError(
-                f"subtree_depth must be >= 1, got {subtree_depth}"
-            )
         groups = (
-            plan_subtree_groups(
-                state["tree"]["leaves"], subtree_shards, subtree_depth
-            )
+            plan_subtree_groups(state["tree"]["leaves"], subtree_shards)
             if subtree_shards > 1
             else []
         )
         if len(groups) > 1:
             try:
-                sub_states, withheld = split_session_state(
-                    state, groups, subtree_depth
-                )
+                sub_states, withheld = split_session_state(state, groups)
             except CheckpointError as exc:
                 raise ConfigurationError(str(exc)) from exc
             workers = [self._assign_worker() for _ in groups]
-            unit = _SessionUnit(
-                name, state, groups, sub_states, workers, withheld,
-                depth=subtree_depth,
-            )
+            unit = _SessionUnit(name, state, groups, sub_states, workers, withheld)
         else:
             # Workers keep no results or reports: the coordinator holds them.
             shipped = dict(state, max_results=0, reports=[])
             unit = _SessionUnit(
-                name, state, None, [shipped], [self._assign_worker()], {}, depth=0
+                name, state, None, [shipped], [self._assign_worker()], {}
             )
         self._units[name] = unit
         if self._started:
@@ -707,14 +658,13 @@ class ShardedDetectionEngine:
         for gid, worker in enumerate(unit.workers):
             self._snapshots[unit.keys[gid]] = unit.sub_states[gid]
             ops.setdefault(worker, []).append(
-                (unit.keys[gid], unit.sub_states[gid], unit.capture_depth)
+                (unit.keys[gid], unit.sub_states[gid], unit.capture_root)
             )
         self._roundtrip(ops, "add")
         unit.sub_states = None  # the workers own the live states from here on
 
-    #: Verbs whose rounds must be replayed to rebuild a worker exactly.
-    #: ("add" is covered by snapshots; "remove" only occurs inside
-    #: rebalancing, which refreshes the involved workers around it.)
+    #: Verbs whose rounds must be replayed to rebuild a worker exactly
+    #: ("add" is covered by snapshots).
     _LOGGED_VERBS = frozenset({"ingest", "flush"})
 
     def _roundtrip(self, ops_by_worker: Mapping[int, Any], verb: str) -> dict[int, Any]:
@@ -818,10 +768,10 @@ class ShardedDetectionEngine:
     # ------------------------------------------------------------------
     # Worker recovery
     # ------------------------------------------------------------------
-    def _keys_on_worker(self, worker_id: int) -> list[tuple[Any, int]]:
-        """``(key, capture_depth)`` of every shard group hosted by a worker."""
+    def _keys_on_worker(self, worker_id: int) -> list[tuple[Any, bool]]:
+        """``(key, capture_root)`` of every shard group hosted by a worker."""
         out = [
-            (unit.keys[gid], unit.capture_depth)
+            (unit.keys[gid], unit.capture_root)
             for unit in self._units.values()
             for gid, worker in enumerate(unit.workers)
             if worker == worker_id
@@ -846,7 +796,7 @@ class ShardedDetectionEngine:
                 _Round("state", {worker_id: [key for key, _ in keyed]})
             )
             states = dict(replies[worker_id])
-            for key, _depth in keyed:
+            for key, _capture in keyed:
                 self._snapshots[key] = states[key]
         self._oplog[worker_id] = []
 
@@ -876,15 +826,15 @@ class ShardedDetectionEngine:
 
     def _attempt_recovery(self, worker_id: int) -> None:
         self._supervisor.respawn(worker_id)
-        add_ops: list[tuple[Any, dict[str, Any], int]] = []
-        for key, depth in self._keys_on_worker(worker_id):
+        add_ops: list[tuple[Any, dict[str, Any], bool]] = []
+        for key, capture_root in self._keys_on_worker(worker_id):
             state = self._snapshots.get(key)
             if state is None:
                 raise ShardingError(
                     f"no recovery snapshot for shard unit {key!r}; worker "
                     f"{worker_id} cannot be rebuilt"
                 )
-            add_ops.append((key, state, depth))
+            add_ops.append((key, state, capture_root))
         if add_ops:
             self._replay(worker_id, "add", add_ops)
         replayed = 0
@@ -1095,16 +1045,16 @@ class ShardedDetectionEngine:
             for key, results, weights in replies[worker_id]:
                 _, name, gid = key
                 unit = self._units[name]
-                if weights is None:  # no band replica: unsplit or STA
+                if weights is None:  # no root replica: unsplit or STA
                     weights = [None] * len(results)
                 elif len(weights) != len(results):
                     raise ShardingError(
                         f"internal: shard {key!r} returned {len(results)} "
-                        f"results but {len(weights)} frontier weight records"
+                        f"results but {len(weights)} root weight records"
                     )
-                for result, band in zip(results, weights):
+                for result, root in zip(results, weights):
                     slot = unit.buffer.setdefault(int(result.timeunit), {})
-                    slot[gid] = (result, band)
+                    slot[gid] = (result, root)
 
     def _emit_ready(
         self, unit: _SessionUnit, upto: "int | None"
@@ -1140,8 +1090,8 @@ class ShardedDetectionEngine:
     ) -> TimeunitResult:
         """One session-wide result from its shards' results of ``timeunit``.
 
-        Shards own disjoint subtrees and nothing above the cut qualifies as
-        heavy, so their heavy sets are disjoint: the merge concatenates the
+        Shards own disjoint subtrees and the root never qualifies as heavy,
+        so their heavy sets are disjoint: the merge concatenates the
         shards' lex-ordered columns, and sorts them only when the groups'
         paths interleave.  An unsplit session's one part is its result.
         """
@@ -1271,109 +1221,6 @@ class ShardedDetectionEngine:
         return closed
 
     # ------------------------------------------------------------------
-    # Churn-driven rebalancing
-    # ------------------------------------------------------------------
-    def rebalance_session(
-        self, name: str, *, churn_threshold: float = 2.0
-    ) -> dict[str, Any]:
-        """Migrate one cut unit off the churn-heaviest shard group.
-
-        Adaptation churn (split + merge operations) per shard group is the
-        signal: when the busiest group's churn exceeds the lightest group's
-        by ``churn_threshold`` (ratio, +1-smoothed) and the busiest owns
-        more than one cut unit, its lexicographically last unit migrates to
-        the lightest group through the split/merge checkpoint machinery —
-        merge to the canonical serial state, remove the old shard sessions,
-        re-split under the new layout, reship.  The operation happens at a
-        timeunit barrier and is state-preserving: detections and checkpoint
-        bytes are identical to never having rebalanced.
-
-        Returns a report dict; ``"moved"`` is ``None`` when the layout was
-        already balanced (no migration performed).
-        """
-        try:
-            unit = self._units[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"no session named {name!r}; registered sessions: "
-                f"{sorted(self._units)}"
-            ) from None
-        if unit.partition is None:
-            raise ShardingError(
-                f"session {name!r} is not subtree-sharded; nothing to rebalance"
-            )
-        self._ensure_started()
-        self._check_idle("rebalance_session()")
-        if unit.buffer:
-            raise ShardingError(
-                f"session {name!r} has timeunits mid-merge; rebalance at a "
-                f"batch boundary"
-            )
-        per_key = self._query("adaptation_stats", [unit])
-        churn = [
-            int((per_key.get(key) or {}).get("split_operations", 0))
-            + int((per_key.get(key) or {}).get("merge_operations", 0))
-            for key in unit.keys
-        ]
-        gids = range(unit.num_groups)
-        donor = max(gids, key=lambda g: (churn[g], -g))
-        receiver = min(gids, key=lambda g: (churn[g], g))
-        skew = (churn[donor] + 1) / (churn[receiver] + 1)
-        report: dict[str, Any] = {
-            "session": name,
-            "churn": list(churn),
-            "skew": skew,
-            "threshold": float(churn_threshold),
-            "moved": None,
-            "from_group": None,
-            "to_group": None,
-        }
-        if (
-            donor == receiver
-            or skew < churn_threshold
-            or len(unit.partition.groups[donor]) < 2
-        ):
-            return report
-        moved = max(unit.partition.groups[donor])
-        merged = self.merged_session_state(name)
-        # Re-anchor recovery baselines before mutating the layout: the old
-        # op logs reference the pre-rebalance shard sessions and must never
-        # be replayed onto the re-split ones.
-        for worker_id in sorted(set(unit.workers)):
-            self._refresh_worker(worker_id)
-        new_groups = [list(group) for group in unit.partition.groups]
-        new_groups[donor].remove(moved)
-        new_groups[receiver].append(moved)
-        new_groups = [sorted(group) for group in new_groups]
-        try:
-            sub_states, withheld = split_session_state(
-                merged, new_groups, unit.depth
-            )
-        except CheckpointError as exc:  # pragma: no cover - defensive
-            raise ShardingError(
-                f"rebalance of session {name!r} failed to re-split: {exc}"
-            ) from exc
-        self._roundtrip(self._ops_by_worker([unit]), "remove")
-        new_unit = _SessionUnit(
-            name, merged, new_groups, sub_states, unit.workers, withheld,
-            depth=unit.depth,
-        )
-        # Keep the observer-visible handle (with its warm-up bookkeeping) and
-        # the coordinator report store (identity matters to subscribers;
-        # contents are equal either way).
-        new_unit.handle = unit.handle
-        new_unit.reports = unit.reports
-        new_unit.rebalances = unit.rebalances + 1
-        new_unit.recoveries = unit.recoveries
-        self._units[name] = new_unit
-        self._ship_unit(new_unit)
-        self._rebalances_total += 1
-        report["moved"] = list(moved)
-        report["from_group"] = donor
-        report["to_group"] = receiver
-        return report
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def _query(
@@ -1421,18 +1268,14 @@ class ShardedDetectionEngine:
         Subtree shards run the same id-based adaptation core as a serial
         session over their sub-hierarchies; numeric counters are summed
         across **all** shard groups of a session (shared fields like the
-        adaptation mode come from the first shard).  Split sessions
-        additionally report ``"rebalances"`` — how many times churn-driven
-        rebalancing migrated their layout.  Sessions whose algorithm has no
-        adaptation engine report ``{}``.
+        adaptation mode come from the first shard).  Sessions whose
+        algorithm has no adaptation engine report ``{}``.
         """
         self._ensure_started()
         per_key = self._query("adaptation_stats")
         out: dict[str, dict] = {}
         for name, unit in self._units.items():
             merged = _merge_numeric_dicts(per_key.get(key) for key in unit.keys)
-            if unit.partition is not None and (merged or unit.rebalances):
-                merged["rebalances"] = unit.rebalances
             if unit.recoveries:
                 merged["recoveries"] = unit.recoveries
             out[name] = merged
@@ -1469,7 +1312,7 @@ class ShardedDetectionEngine:
         return stats
 
     def sharding_info(self) -> dict[str, Any]:
-        """Shard layout summary (transport, per-session groups, rebalances).
+        """Shard layout summary (transport, per-session groups, supervision).
 
         This is what the service layer surfaces under ``"sharding"`` in
         tenant snapshots and ``/metrics``.
@@ -1485,19 +1328,17 @@ class ShardedDetectionEngine:
             else:
                 sessions[name] = {
                     "kind": "subtree",
-                    "depth": unit.depth,
+                    # Each label as a one-element path prefix.
                     "groups": [
-                        [list(prefix) for prefix in group]
+                        [[label] for label in group]
                         for group in unit.partition.groups
                     ],
                     "workers": list(unit.workers),
-                    "rebalances": unit.rebalances,
                     "recoveries": unit.recoveries,
                 }
         info: dict[str, Any] = {
             "transport": self._transport.name,
             "num_workers": self.num_workers,
-            "rebalances": self._rebalances_total,
             "sessions": sessions,
             "supervision": {
                 "op_timeout": self.op_timeout,
@@ -1563,11 +1404,7 @@ class ShardedDetectionEngine:
             return state
         withheld = unit.frontier.export() if unit.frontier is not None else {}
         return merge_session_states(
-            sub_states,
-            unit.base_state,
-            reports=reports,
-            withheld=withheld,
-            depth=unit.depth,
+            sub_states, unit.base_state, reports=reports, withheld=withheld
         )
 
     def state_dict(self) -> dict[str, Any]:
@@ -1591,15 +1428,13 @@ class ShardedDetectionEngine:
         cls,
         state: Mapping[str, Any],
         *,
-        subtree_shards: "int | Mapping[str, int]" = 1,
-        subtree_depth: "int | Mapping[str, int]" = 1,
+        subtree_shards: int = 1,
         **engine_options: Any,
     ) -> "ShardedDetectionEngine":
         """Rebuild a sharded engine from a (serial-format) engine snapshot.
 
-        ``subtree_shards`` / ``subtree_depth`` apply to every session, or
-        per session name through a mapping (default 1); ``engine_options``
-        are the constructor's keyword arguments, except ``unknown_stream``,
+        ``subtree_shards`` applies to every session; ``engine_options`` are
+        the constructor's keyword arguments, except ``unknown_stream``,
         which the snapshot carries.
         """
         check_header(state)
@@ -1610,20 +1445,7 @@ class ShardedDetectionEngine:
             **engine_options,
         )
         for session_state in state["sessions"]:
-            session_name = str(session_state["name"])
-            shards = (
-                subtree_shards.get(session_name, 1)
-                if isinstance(subtree_shards, Mapping)
-                else subtree_shards
-            )
-            depth = (
-                subtree_depth.get(session_name, 1)
-                if isinstance(subtree_depth, Mapping)
-                else subtree_depth
-            )
-            engine.attach_session_state(
-                session_state, subtree_shards=shards, subtree_depth=depth
-            )
+            engine.attach_session_state(session_state, subtree_shards=subtree_shards)
         return engine
 
     @classmethod
@@ -1631,17 +1453,13 @@ class ShardedDetectionEngine:
         cls,
         path: Any,
         *,
-        subtree_shards: "int | Mapping[str, int]" = 1,
-        subtree_depth: "int | Mapping[str, int]" = 1,
+        subtree_shards: int = 1,
         **engine_options: Any,
     ) -> "ShardedDetectionEngine":
         """Restore a sharded engine from any engine checkpoint file
         (arguments as in :meth:`from_state_dict`)."""
         return cls.from_state_dict(
-            read_json(path),
-            subtree_shards=subtree_shards,
-            subtree_depth=subtree_depth,
-            **engine_options,
+            read_json(path), subtree_shards=subtree_shards, **engine_options
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -77,29 +77,7 @@ def level_ccdf(
     CCDF is taken over all (node, timeunit) cells of the level, including
     empty ones.
     """
-    all_counts = per_level_counts(tree, records, clock, num_units)
-    global_max = max(
-        (count for level in all_counts.values() for count in level.values()),
-        default=1,
-    )
-    level = all_counts.get(depth, {})
-    total_cells = max(len(tree.paths_at_depth(depth)) * num_units, 1)
-    non_empty = Counter(level.values())
-    empty_cells = total_cells - sum(non_empty.values())
-
-    points: list[tuple[float, float]] = []
-    # CCDF over the distinct observed counts, largest first.
-    distinct = sorted(non_empty, reverse=True)
-    cumulative = 0
-    for count in distinct:
-        cumulative += non_empty[count]
-        points.append((count / global_max, cumulative / total_cells))
-    points.reverse()
-    return LevelCCDF(
-        depth=depth,
-        points=tuple(points),
-        empty_fraction=empty_cells / total_cells,
-    )
+    return _level_curves(tree, records, clock, num_units, [depth])[depth]
 
 
 def all_level_ccdfs(
@@ -108,8 +86,42 @@ def all_level_ccdfs(
     clock: SimulationClock,
     num_units: int,
 ) -> dict[int, LevelCCDF]:
-    """Fig. 1 curves for every level of the hierarchy (depth 0 = root)."""
-    return {
-        depth: level_ccdf(tree, records, clock, num_units, depth)
-        for depth in range(tree.depth)
-    }
+    """Fig. 1 curves for every level of the hierarchy (depth 0 = root),
+    from one pass over the records."""
+    return _level_curves(tree, records, clock, num_units, range(tree.depth))
+
+
+def _level_curves(
+    tree: HierarchyTree,
+    records: Sequence[OperationalRecord],
+    clock: SimulationClock,
+    num_units: int,
+    depths: Sequence[int],
+) -> dict[int, LevelCCDF]:
+    """:func:`level_ccdf` of each of ``depths``, counting the records once."""
+    all_counts = per_level_counts(tree, records, clock, num_units)
+    global_max = max(
+        (count for level in all_counts.values() for count in level.values()),
+        default=1,
+    )
+    curves = {}
+    for depth in depths:
+        level = all_counts.get(depth, {})
+        total_cells = max(len(tree.paths_at_depth(depth)) * num_units, 1)
+        non_empty = Counter(level.values())
+        empty_cells = total_cells - sum(non_empty.values())
+
+        points: list[tuple[float, float]] = []
+        # CCDF over the distinct observed counts, largest first.
+        distinct = sorted(non_empty, reverse=True)
+        cumulative = 0
+        for count in distinct:
+            cumulative += non_empty[count]
+            points.append((count / global_max, cumulative / total_cells))
+        points.reverse()
+        curves[depth] = LevelCCDF(
+            depth=depth,
+            points=tuple(points),
+            empty_fraction=empty_cells / total_cells,
+        )
+    return curves

@@ -68,15 +68,13 @@ CHECKPOINT_VERSION = 1
 def config_to_dict(config: TiresiasConfig) -> dict[str, Any]:
     """JSON-safe representation of a full detector configuration.
 
-    ``min_heavy_depth`` is emitted only when it differs from the default so
-    checkpoints written by configurations that never touch it keep their
-    exact historical bytes.  Float fields are written as floats whatever the
-    config was built with (``theta=12`` writes ``12.0``), the form
-    :func:`config_from_dict` reads back, so a save/restore round trip and
-    every engine write the same bytes.
+    Float fields are written as floats whatever the config was built with
+    (``theta=12`` writes ``12.0``), the form :func:`config_from_dict` reads
+    back, so a save/restore round trip and every engine write the same
+    bytes.
     """
     forecast = config.forecast
-    document = {
+    return {
         "theta": float(config.theta),
         "ratio_threshold": float(config.ratio_threshold),
         "difference_threshold": float(config.difference_threshold),
@@ -102,13 +100,22 @@ def config_to_dict(config: TiresiasConfig) -> dict[str, Any]:
             "model": forecast.model,
         },
     }
-    if config.min_heavy_depth != 1:
-        document["min_heavy_depth"] = config.min_heavy_depth
-    return document
 
 
 def config_from_dict(data: Mapping[str, Any]) -> TiresiasConfig:
-    """Inverse of :func:`config_to_dict`."""
+    """Inverse of :func:`config_to_dict`.
+
+    A config naming ``min_heavy_depth`` is refused: the field, which kept
+    nodes above a depth from qualifying as heavy, is gone, and loading the
+    document without it would change its detections.
+    """
+    if "min_heavy_depth" in data:
+        raise CheckpointError(
+            f"config sets min_heavy_depth={data['min_heavy_depth']!r}, a "
+            f"field this version no longer has; without it the nodes it kept "
+            f"from qualifying as heavy would detect, so the document cannot "
+            f"be loaded"
+        )
     fc = data["forecast"]
     forecast = ForecastConfig(
         alpha=float(fc["alpha"]),
@@ -136,7 +143,6 @@ def config_from_dict(data: Mapping[str, Any]) -> TiresiasConfig:
         track_root=bool(data["track_root"]),
         allow_root_heavy=bool(data.get("allow_root_heavy", True)),
         out_of_order_policy=str(data.get("out_of_order_policy", "raise")),
-        min_heavy_depth=int(data.get("min_heavy_depth", 1)),
     )
 
 
@@ -167,7 +173,17 @@ def tree_to_dict(tree: HierarchyTree) -> dict[str, Any]:
 
 
 def tree_from_dict(data: Mapping[str, Any]) -> HierarchyTree:
-    return HierarchyTree(data["leaves"], root_label=str(data["root_label"]))
+    """Inverse of :func:`tree_to_dict`.
+
+    A decoded document holds every label occurrence as its own string; the
+    leaves are rebuilt over one string per distinct label, so a restored
+    tree is no larger than a built one.
+    """
+    intern = {}.setdefault
+    return HierarchyTree(
+        [tuple(map(intern, path, path)) for path in data["leaves"]],
+        root_label=str(data["root_label"]),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Any, Mapping
 
 from repro.core.config import TiresiasConfig
 from repro.core.registry import ALGORITHMS
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CheckpointError, ConfigurationError
 from repro.hierarchy.tree import HierarchyTree
 from repro.io.checkpoint import (
     clock_from_dict,
@@ -74,9 +74,8 @@ class TenantSpec:
     #: Optional scale-out block: when set, the tenant is backed by a
     #: :class:`~repro.engine.sharded.ShardedDetectionEngine` instead of an
     #: in-process session.  Keys: ``workers``, ``subtree_shards``,
-    #: ``subtree_depth``, ``transport`` (``pipe``/``shm``/``tcp``),
-    #: ``transport_options``.  Detections and checkpoints stay bit-identical
-    #: to a serial tenant.
+    #: ``transport`` (``pipe``/``shm``/``tcp``), ``transport_options``.
+    #: Detections and checkpoints stay bit-identical to a serial tenant.
     sharding: Mapping[str, Any] | None = None
 
     def __post_init__(self) -> None:
@@ -136,7 +135,7 @@ class TenantSpec:
                 max_results=None if max_results is None else int(max_results),
                 sharding=None if sharding is None else dict(sharding),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (CheckpointError, KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed tenant spec: {exc!r}") from exc
 
 

@@ -542,7 +542,7 @@ class SessionManager:
                         ),
                     )
                     # Sharded tenants additionally surface their transport
-                    # and shard layout (depth, groups, rebalance counters).
+                    # and shard layout (groups, workers, recoveries).
                     layout = getattr(session, "sharding_info", None)
                     if callable(layout):
                         entry["sharding"] = layout()

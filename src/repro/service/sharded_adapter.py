@@ -35,12 +35,24 @@ from repro.io.checkpoint import config_from_dict
 
 #: Recognised keys of a tenant spec's ``sharding`` mapping.
 SHARDING_KEYS = frozenset(
-    {"workers", "subtree_shards", "subtree_depth", "transport", "transport_options"}
+    {"workers", "subtree_shards", "transport", "transport_options"}
 )
 
 
 def validate_sharding(sharding: Mapping[str, Any]) -> dict[str, Any]:
-    """Normalize and validate a tenant ``sharding`` mapping."""
+    """Normalize and validate a tenant ``sharding`` mapping.
+
+    ``subtree_depth: 1``, which specs used to carry, is accepted and
+    dropped: subtree shards always cut at depth 1.  Any other depth is
+    refused rather than silently cut at 1.
+    """
+    sharding = dict(sharding)
+    depth = sharding.pop("subtree_depth", 1)
+    if depth != 1:
+        raise ConfigurationError(
+            f"sharding.subtree_depth={depth!r} is not supported: subtree "
+            f"shards cut at depth 1 only; drop the key"
+        )
     unknown = set(sharding) - SHARDING_KEYS
     if unknown:
         raise ConfigurationError(
@@ -50,7 +62,6 @@ def validate_sharding(sharding: Mapping[str, Any]) -> dict[str, Any]:
     out: dict[str, Any] = {
         "workers": int(sharding.get("workers", 2)),
         "subtree_shards": int(sharding.get("subtree_shards", 1)),
-        "subtree_depth": int(sharding.get("subtree_depth", 1)),
         "transport": str(sharding.get("transport", "pipe")),
     }
     options = sharding.get("transport_options")
@@ -62,10 +73,6 @@ def validate_sharding(sharding: Mapping[str, Any]) -> dict[str, Any]:
     if out["subtree_shards"] < 1:
         raise ConfigurationError(
             f"sharding.subtree_shards must be >= 1, got {out['subtree_shards']}"
-        )
-    if out["subtree_depth"] < 1:
-        raise ConfigurationError(
-            f"sharding.subtree_depth must be >= 1, got {out['subtree_depth']}"
         )
     if out["transport"] not in TRANSPORTS:
         raise ConfigurationError(
@@ -107,7 +114,6 @@ class ShardedSessionAdapter:
             warmup_units=spec.warmup_units,
             max_results=spec.max_results,
             subtree_shards=sharding["subtree_shards"],
-            subtree_depth=sharding["subtree_depth"],
         )
         return cls(engine, spec.name, spec.config)
 
@@ -131,7 +137,6 @@ class ShardedSessionAdapter:
         engine.attach_session_state(
             state,
             subtree_shards=sharding["subtree_shards"],
-            subtree_depth=sharding["subtree_depth"],
         )
         name = str(state["name"])
         return cls(engine, name, config_from_dict(state["config"]))

@@ -316,11 +316,6 @@ class ReferenceADA:
             for depth in range(1, config.reference_levels + 1)
             for path in tree.paths_at_depth(depth)
         )
-        self._excluded = frozenset(
-            path
-            for depth in range(1, config.min_heavy_depth)
-            for path in tree.paths_at_depth(depth)
-        )
 
     # ------------------------------------------------------------------
     # One timeunit
@@ -333,7 +328,7 @@ class ReferenceADA:
         raw = accumulate_raw_weights(self.tree, leaf_counts)
         shhh = compute_shhh(self.tree, leaf_counts, config.theta, raw=raw)
         root = ()
-        heavy = set(shhh.shhh) - self._excluded
+        heavy = set(shhh.shhh)
         if config.track_root:
             heavy.add(root)
         elif not config.allow_root_heavy:

@@ -386,10 +386,10 @@ class TestRefStore:
 
     def test_a_merged_shard_state_saves_byte_for_byte(self, tmp_path):
         """A merged 2-subtree-shard ADA state lists its reference rows shard
-        by shard, then the band: not the order of ``paths``.  Save -> load
-        -> save keeps every byte, that order included."""
+        by shard: not the order of ``paths``.  Save -> load -> save keeps
+        every byte, that order included."""
         tree = make_tree()
-        config = make_config(min_heavy_depth=2)
+        config = make_config()
         session = DetectionSession(tree, config)
         for unit in range(8):
             session.process_timeunit_counts(
@@ -397,10 +397,10 @@ class TestRefStore:
                 unit,
             )
         state = session.state_dict()
-        groups = plan_subtree_groups(state["tree"]["leaves"], 2, depth=2)
-        sub_states, withheld = split_session_state(state, groups, 2)
+        groups = plan_subtree_groups(state["tree"]["leaves"], 2)
+        sub_states, withheld = split_session_state(state, groups)
         merged = merge_session_states(
-            sub_states, state, reports=state["reports"], withheld=withheld, depth=2
+            sub_states, state, reports=state["reports"], withheld=withheld
         )
         order = [tuple(path) for path, _ in merged["algorithm_state"]["reference"]]
         paths = ADAAlgorithm(tree, config)._reference_nodes

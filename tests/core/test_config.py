@@ -93,7 +93,6 @@ class TestTiresiasConfig:
             ("delta_seconds", -900.0, "delta_seconds"),
             ("split_ewma_alpha", 0.0, "split_ewma_alpha"),
             ("split_ewma_alpha", 1.5, "split_ewma_alpha"),
-            ("min_heavy_depth", 0, "min_heavy_depth"),
         ],
     )
     def test_field_bounds(self, field, value, message):
@@ -105,7 +104,6 @@ class TestTiresiasConfig:
         [
             ("difference_threshold", 0.0),
             ("split_ewma_alpha", 1.0),
-            ("min_heavy_depth", 3),
         ],
     )
     def test_field_bounds_are_inclusive_where_documented(self, field, value):

@@ -318,7 +318,7 @@ class TestBatchEqualsRecords:
     def test_masks_apply_to_every_row(self, algorithm, tmp_path):
         for masks in (
             dict(track_root=True, allow_root_heavy=True),
-            dict(min_heavy_depth=2),
+            dict(track_root=False, allow_root_heavy=False),
         ):
             assert_batches_equal_records(tmp_path, BUSY, [7], algorithm=algorithm, **masks)
 

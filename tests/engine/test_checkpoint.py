@@ -16,7 +16,12 @@ from repro.engine import DetectionEngine
 from repro.engine.session import DetectionSession
 from repro.engine.sharded import ShardedDetectionEngine
 from repro.exceptions import CheckpointError, CheckpointReadError, ConfigurationError
-from repro.io.checkpoint import config_from_dict, config_to_dict
+from repro.io.checkpoint import (
+    config_from_dict,
+    config_to_dict,
+    tree_from_dict,
+    tree_to_dict,
+)
 from repro.streaming.batch import RecordBatch
 from repro.streaming.clock import SimulationClock
 from repro.streaming.record import OperationalRecord
@@ -463,6 +468,33 @@ class TestInvalidStoredConfig:
         with pytest.raises(CheckpointError, match="length 4") as caught:
             DetectionSession.load_checkpoint(path)
         assert isinstance(caught.value.__cause__, ConfigurationError)
+
+
+class TestRestoredTreeLabels:
+    """A decoded document holds each label occurrence as its own string; a
+    restored tree keeps one string per distinct label, as a built one."""
+
+    def test_restored_siblings_share_their_parent_label(self, small_tree):
+        tree = tree_from_dict(json.loads(json.dumps(tree_to_dict(small_tree))))
+        first, second = tree.leaf_paths()[:2]
+        assert first[0] == second[0] == "region-0"
+        assert first[0] is second[0]
+        assert tree.paths[tree.path_to_id[("region-0",)]][0] is first[0]
+
+    def test_a_restored_session_tree_shares_labels(self, small_tree, tmp_path):
+        path = tmp_path / "ckpt.json"
+        DetectionSession(small_tree, TiresiasConfig(window_units=8)).save_checkpoint(
+            path
+        )
+        tree = DetectionSession.load_checkpoint(path).tree
+        labels = [label for leaf in tree.leaf_paths() for label in leaf]
+        distinct = {id(label) for label in labels}
+        assert len(distinct) == len(set(labels)) == 15 < len(labels)
+
+    def test_the_round_trip_keeps_paths_and_root(self, small_tree):
+        tree = tree_from_dict(json.loads(json.dumps(tree_to_dict(small_tree))))
+        assert tree.paths == small_tree.paths
+        assert tree.root_label == small_tree.root_label == "All"
 
 
 class TestCustomPluginCheckpointing:

@@ -140,11 +140,11 @@ def make_tree():
         for mid in range(2)
         for leaf in range(2)
     ]
-    paths.append(("solo",))  # a leaf shallower than a depth-2 cut
+    paths.append(("solo",))  # a depth-1 leaf: a subtree of its own
     return HierarchyTree(paths)
 
 
-def make_config(depth: int = 1, policy: str = "clamp") -> TiresiasConfig:
+def make_config(policy: str = "clamp") -> TiresiasConfig:
     return TiresiasConfig(
         theta=4.0,
         ratio_threshold=2.0,
@@ -154,21 +154,20 @@ def make_config(depth: int = 1, policy: str = "clamp") -> TiresiasConfig:
         reference_levels=1,
         track_root=False,
         allow_root_heavy=False,
-        min_heavy_depth=depth,
         out_of_order_policy=policy,
         forecast=ForecastConfig(season_lengths=(4,), fallback_alpha=0.3),
     )
 
 
 def make_unit(
-    depth: int, shards: int, pending_unit=None, policy="clamp", algorithm="ada"
+    shards: int, pending_unit=None, policy="clamp", algorithm="ada"
 ) -> _SessionUnit:
     """A coordinator-side subtree unit, as ``attach_session_state`` builds it
     (``unit.sub_states`` are the shard states a worker would be sent), from a
     session whose open timeunit is ``pending_unit`` (None: fresh)."""
     session = DetectionSession(
         make_tree(),
-        make_config(depth, policy),
+        make_config(policy),
         algorithm=algorithm,
         clock=SimulationClock(delta=DELTA),
         name="s",
@@ -176,10 +175,10 @@ def make_unit(
     if pending_unit is not None:
         session.advance_to(pending_unit)
     state = session.state_dict()
-    groups = plan_subtree_groups(state["tree"]["leaves"], shards, depth)
-    sub_states, withheld = split_session_state(state, groups, depth)
+    groups = plan_subtree_groups(state["tree"]["leaves"], shards)
+    sub_states, withheld = split_session_state(state, groups)
     unit = _SessionUnit(
-        "s", state, groups, sub_states, list(range(len(groups))), withheld, depth=depth
+        "s", state, groups, sub_states, list(range(len(groups))), withheld
     )
     assert unit.carried == pending_unit
     return unit
@@ -224,7 +223,7 @@ def dispatch(unit: _SessionUnit, batch: RecordBatch):
 
 
 def random_batch(rng: random.Random, tree: HierarchyTree, cumulative: bool, attrs: bool):
-    """Out-of-order rows over 1..6 timeunits, in-tree leaves plus band,
+    """Out-of-order rows over 1..6 timeunits, in-tree leaves plus interior,
     out-of-tree and root-like categories.  ``cumulative``: over a reader's
     kind of dictionary (every path the stream has ever carried) instead of
     the batch's own paths in first-appearance order."""
@@ -269,23 +268,23 @@ def run_ingest(workers: dict, ops: list):
 
 @pytest.mark.parametrize("algorithm", ["ada", "sta"])
 @pytest.mark.parametrize("policy", ["drop", "clamp", "raise"])
-@pytest.mark.parametrize("depth, shards", [(1, 2), (1, 3), (2, 2), (2, 4)])
-def test_dispatcher_equals_the_per_row_loop(algorithm, policy, depth, shards):
+@pytest.mark.parametrize("shards", [2, 3, 4, 5], ids="{}-shards".format)
+def test_dispatcher_equals_the_per_row_loop(algorithm, policy, shards):
     """Effect, not shape: the dispatcher's ops and the reference
     segmentation's, each run by ``worker_handle`` against its own copy of
     the shard sessions, close the same ``TimeunitResult``s with the same
-    frontier weights (ADA's; STA shards capture none) and leave the same
+    root weights (ADA's; STA shards capture none) and leave the same
     session states after every batch — for ADA's dense close and STA's
     per-run loop."""
-    rng = random.Random(1000 * depth + shards)
+    rng = random.Random(1000 + shards)
     tree = make_tree()
     for trial in range(40):
         first, base = random_batch(rng, tree, trial % 2 == 0, attrs=trial % 3 == 0)
         # Fresh vs carried watermark (below, inside and above the batch).
         carried = rng.choice([None, None, base - 2, base, base + 1, base + 9])
-        unit = make_unit(depth, shards, carried, policy, algorithm)
+        unit = make_unit(shards, carried, policy, algorithm)
         adds = [
-            (key, state, unit.capture_depth)
+            (key, state, unit.capture_root)
             for key, state in zip(unit.keys, unit.sub_states)
         ]
         reference_workers, dispatcher_workers = {}, {}
@@ -306,17 +305,17 @@ def test_dispatcher_equals_the_per_row_loop(algorithm, policy, depth, shards):
                 break  # the engine would surface the error here
 
 
-@pytest.mark.parametrize("depth, shards", [(1, 2), (2, 4)])
-def test_kept_cuts_sit_on_late_rows_and_dropped_cuts_on_in_order_ones(depth, shards):
+@pytest.mark.parametrize("shards", [2, 4], ids="{}-shards".format)
+def test_kept_cuts_sit_on_late_rows_and_dropped_cuts_on_in_order_ones(shards):
     """Against the reference segmentation on shuffled batches: the dispatcher
     keeps exactly the reference cuts whose row is late against its watermark
     (``unit < watermark``) and drops exactly those on an in-order row."""
-    rng = random.Random(77 * depth + shards)
+    rng = random.Random(77 + shards)
     tree = make_tree()
     kept = dropped = 0
     for trial in range(200):
         batch, base = random_batch(rng, tree, trial % 2 == 0, attrs=False)
-        unit = make_unit(depth, shards)
+        unit = make_unit(shards)
         unit.carried = rng.choice([None, base - 2, base, base + 1])
         units_col = batch.timeunit_indices(unit.clock)
         reference, _ = oracle_dispatch(
@@ -334,10 +333,10 @@ def test_kept_cuts_sit_on_late_rows_and_dropped_cuts_on_in_order_ones(depth, sha
 
 
 def test_named_edges_of_the_segment_rule():
-    """The cases the rule names, pinned as literals (depth-1 cut, 2 groups).
+    """The cases the rule names, pinned as literals (2 groups).
 
     Group 0 owns t0/t2/solo, group 1 owns t1/t3 (LPT over equal subtrees)."""
-    unit = make_unit(1, 2)
+    unit = make_unit(2)
     g = {tuple(p): unit.partition.route(p) for p in [("t0",), ("t1",), ("t2",), ("t3",)]}
     a, b = ("t0", "m00", "l000"), ("t1", "m10", "l100")
     assert (g[("t0",)], g[("t1",)]) == (0, 1)
@@ -400,7 +399,7 @@ def test_route_is_called_once_per_dictionary_entry(tmp_path, monkeypatch):
         calls.append(tuple(path))
         return real_route(self, path, default)
 
-    unit = make_unit(1, 2)
+    unit = make_unit(2)
     monkeypatch.setattr(SubtreePartition, "route", counting_route)
     for batch in batches:
         dispatch(unit, batch)

@@ -27,7 +27,6 @@ from repro.engine.transport import TRANSPORTS
 from repro.hierarchy.tree import HierarchyTree
 from repro.engine.subtree import (
     SubtreePartition,
-    frontier_band_paths,
     merge_session_states,
     plan_subtree_groups,
     split_session_state,
@@ -85,59 +84,48 @@ class TestPlanSubtreeGroups:
         with pytest.raises(ConfigurationError):
             plan_subtree_groups([("a", "x")], 0)
 
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ConfigurationError, match="depth"):
-            plan_subtree_groups([("a", "x")], 2, depth=0)
-
-    def test_depth2_units_are_path_tuples(self):
+    def test_units_are_depth1_labels_of_deep_leaves(self):
         leaves = (
             [("a", "x", f"l{i}") for i in range(4)]
             + [("a", "y", f"l{i}") for i in range(2)]
-            + [("b", "z", "l0")]
+            + [("b", "z", "l0"), ("c",)]
         )
-        groups = plan_subtree_groups(leaves, 2, depth=2)
-        assert groups == [[("a", "x")], [("a", "y"), ("b", "z")]]
+        assert plan_subtree_groups(leaves, 2) == [["a"], ["b", "c"]]
 
-    def test_leaf_above_the_cut_is_its_own_unit(self):
-        leaves = [("a", "x", "l0"), ("a", "x", "l1"), ("top",)]
-        groups = plan_subtree_groups(leaves, 2, depth=2)
-        assert ("top",) in {unit for group in groups for unit in group}
+    def test_equal_loads_break_ties_lexicographically(self):
+        leaves = [("d", "x"), ("c", "x"), ("b", "x"), ("a", "x")]
+        assert plan_subtree_groups(leaves, 3) == [["a", "d"], ["b"], ["c"]]
 
 
 # ----------------------------------------------------------------------
-# SubtreePartition routing / frontier band
+# SubtreePartition routing
 # ----------------------------------------------------------------------
 class TestSubtreePartition:
-    def test_depth2_routing(self):
-        part = SubtreePartition([[("a", "x")], [("a", "y"), ("b", "z")]], depth=2)
-        assert part.route(("a", "x", "l0")) == 0
-        assert part.route(("a", "y", "l9", "deeper")) == 1
-        assert part.route(("b", "z")) == 1
-        assert part.route(()) is None
-        # A band node rides with its lexicographically smallest cut child.
-        assert part.route(("a",)) == 0
+    @pytest.mark.parametrize(
+        "path, gid",
+        [
+            ((), None),  # the root: no shard owns it
+            (("ghost",), 0),  # out of the tree: group 0
+            (("ghost", "x", "y"), 0),
+            (("a",), 0),  # interior: its first label's group
+            (("b",), 1),
+            (("c", "x"), 1),
+            (("a", "x", "l0"), 0),  # a leaf
+            (("c", "nowhere"), 1),  # out of the tree under a known label
+        ],
+    )
+    def test_routes_by_first_label(self, path, gid):
+        part = SubtreePartition([["a"], ["b", "c"]])
+        assert part.route(path) == gid
 
-    def test_depth1_string_labels_normalized(self):
-        part = SubtreePartition([["a"], ["b"]], depth=1)
-        assert part.route(("a", "anything")) == 0
-        assert part.route(("b",)) == 1
+    def test_unknown_label_takes_the_default(self):
+        part = SubtreePartition([["a"], ["b"]])
+        assert part.route(("ghost", "x"), default=None) is None
+        assert part.route((), default=1) is None
 
-    def test_duplicate_prefix_rejected(self):
+    def test_duplicate_label_rejected(self):
         with pytest.raises(CheckpointError, match="two shard groups"):
-            SubtreePartition([[("a", "x")], [("a", "x")]], depth=2)
-
-    def test_cut_depth_below_one_rejected(self):
-        with pytest.raises(CheckpointError, match="cut depth"):
-            SubtreePartition([["a"], ["b"]], depth=0)
-
-    def test_prefix_deeper_than_cut_rejected(self):
-        with pytest.raises(CheckpointError, match="depth-2"):
-            SubtreePartition([[("a", "x", "too-deep")]], depth=2)
-
-    def test_frontier_band_paths(self):
-        leaves = [("a", "x", "l0"), ("a", "y", "l1"), ("b", "z", "l2")]
-        assert frontier_band_paths(leaves, 1) == [()]
-        assert frontier_band_paths(leaves, 2) == [(), ("a",), ("b",)]
+            SubtreePartition([["a"], ["b", "a"]])
 
 
 # ----------------------------------------------------------------------
@@ -448,122 +436,7 @@ class TestAdaptationStatsQuery:
         # Four shard groups each closed six units; the counters are summed
         # across all of them, not just one group per worker.
         assert stats["planned_units"] + stats["fastpath_units"] >= 24
-        assert stats["rebalances"] == 0
-
-
-# ----------------------------------------------------------------------
-# Depth-k cuts
-# ----------------------------------------------------------------------
-class TestDepthKCuts:
-    def test_depth2_requires_min_heavy_depth(self, deep_tree, shardable_config, clock):
-        with ShardedDetectionEngine(num_workers=2) as engine:
-            with pytest.raises(ConfigurationError, match="min_heavy_depth"):
-                engine.add_session(
-                    "d",
-                    deep_tree,
-                    shardable_config,
-                    clock=clock,
-                    subtree_shards=2,
-                    subtree_depth=2,
-                )
-
-    def test_depth_validated(self, deep_tree, shardable_config):
-        with ShardedDetectionEngine(num_workers=1) as engine:
-            with pytest.raises(ConfigurationError, match="depth"):
-                engine.add_session(
-                    "d", deep_tree, shardable_config, subtree_shards=2, subtree_depth=0
-                )
-
-    def test_depth2_matches_serial(self, deep_tree, shardable_config, clock):
-        config = shardable_config.replace(min_heavy_depth=2)
-        records = records_for(deep_tree, 10, per_unit=8)
-        serial = DetectionEngine()
-        serial.add_session("d", deep_tree, config, clock=clock)
-        serial_results = serial.process_stream(records)["d"]
-        with ShardedDetectionEngine(num_workers=2) as engine:
-            engine.add_session(
-                "d",
-                deep_tree,
-                config,
-                clock=clock,
-                subtree_shards=3,
-                subtree_depth=2,
-            )
-            results = engine.process_stream(records)["d"]
-            layout = engine.sharding_info()["sessions"]["d"]
-        assert results == serial_results
-        assert layout["kind"] == "subtree" and layout["depth"] == 2
-        assert all(
-            len(prefix) <= 2 for group in layout["groups"] for prefix in group
-        )
-
-
-# ----------------------------------------------------------------------
-# Churn-driven rebalancing
-# ----------------------------------------------------------------------
-class TestRebalance:
-    def test_forced_migration_is_state_preserving(self, shardable_config, clock):
-        tree = HierarchyTree(
-            [("a", "a1"), ("a", "a2"), ("b", "b1"), ("c", "c1"), ("d", "d1")]
-        )
-        records = records_for(tree, 12, per_unit=6)
-        cut = len(records) // 2
-        serial = DetectionEngine()
-        serial.add_session("s", tree, shardable_config, clock=clock)
-        serial_results = serial.process_stream(records)["s"]
-        serial_anomalies = [a.to_dict() for a in serial.anomalies()["s"]]
-        with ShardedDetectionEngine(num_workers=2) as engine:
-            engine.add_session(
-                "s", tree, shardable_config, clock=clock, subtree_shards=2
-            )
-            before = engine.sharding_info()["sessions"]["s"]["groups"]
-            results = []
-            for batch in iter_record_batches(iter(records[:cut]), 64):
-                results.extend(engine.ingest_record_batch(batch)["s"])
-            report = engine.rebalance_session("s", churn_threshold=0.0)
-            after = engine.sharding_info()["sessions"]["s"]["groups"]
-            for batch in iter_record_batches(iter(records[cut:]), 64):
-                results.extend(engine.ingest_record_batch(batch)["s"])
-            results.extend(engine.flush()["s"])
-            anomalies = [a.to_dict() for a in engine.anomalies()["s"]]
-            stats = engine.adaptation_stats()["s"]
-            info = engine.sharding_info()
-        assert report["moved"] is not None
-        assert after != before  # the layout actually changed...
-        assert report["moved"] in after[report["to_group"]]
-        assert results == serial_results  # ...and the outputs did not
-        assert anomalies == serial_anomalies
-        assert stats["rebalances"] == 1
-        assert info["rebalances"] == 1
-        assert info["sessions"]["s"]["rebalances"] == 1
-
-    def test_balanced_layout_is_a_noop(self, shardable_config, clock):
-        tree = HierarchyTree(
-            [("a", "a1"), ("b", "b1"), ("c", "c1"), ("d", "d1")]
-        )
-        with ShardedDetectionEngine(num_workers=2) as engine:
-            engine.add_session(
-                "s", tree, shardable_config, clock=clock, subtree_shards=2
-            )
-            engine.ingest_batch(records_for(tree, 6))
-            engine.flush()
-            report = engine.rebalance_session("s", churn_threshold=1e9)
-            info = engine.sharding_info()
-        assert report["moved"] is None
-        assert report["from_group"] is None and report["to_group"] is None
-        assert info["rebalances"] == 0
-
-    def test_whole_session_rejected(self, small_tree, shardable_config, clock):
-        with ShardedDetectionEngine(num_workers=1) as engine:
-            engine.add_session("w", small_tree, shardable_config, clock=clock)
-            with pytest.raises(ShardingError, match="not subtree-sharded"):
-                engine.rebalance_session("w")
-
-    def test_unknown_session_rejected(self, small_tree, shardable_config):
-        with ShardedDetectionEngine(num_workers=1) as engine:
-            engine.add_session("w", small_tree, shardable_config)
-            with pytest.raises(ConfigurationError, match="no session named"):
-                engine.rebalance_session("ghost")
+        assert "rebalances" not in stats
 
 
 # ----------------------------------------------------------------------
@@ -625,6 +498,54 @@ class TestIntrospectionSurfaces:
         assert info["sessions"]["s"]["workers"] == [0, 1]
         assert stats["transport"] == "shm" and stats["connected"] is True
         assert stats["ship_serialized_bytes"] < stats["ship_bytes"]
+
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_layout_lists_each_group_as_label_prefixes(
+        self, small_tree, shardable_config, shards
+    ):
+        """``groups`` is ``[[[label], ...], ...]``: one one-element path
+        prefix per depth-1 label, as readers key owners by
+        ``tuple(prefix)``.  Nothing names a cut depth or a migration."""
+        with ShardedDetectionEngine(num_workers=2) as engine:
+            engine.add_session(
+                "s", small_tree, shardable_config, subtree_shards=shards
+            )
+            info = engine.sharding_info()
+        layout = info["sessions"]["s"]
+        expected = plan_subtree_groups(small_tree.leaf_paths(), shards)
+        assert layout["groups"] == [[[label] for label in group] for group in expected]
+        assert set(layout) == {"kind", "groups", "workers", "recoveries"}
+        assert "rebalances" not in info
+
+
+# ----------------------------------------------------------------------
+# A deep hierarchy splits into its depth-1 subtrees
+# ----------------------------------------------------------------------
+class TestDeepHierarchy:
+    @pytest.mark.parametrize("algorithm", ["ada", "sta"])
+    def test_deep_tree_matches_serial(
+        self, deep_tree, shardable_config, clock, algorithm
+    ):
+        records = records_for(deep_tree, 10, per_unit=8)
+        serial = DetectionEngine()
+        serial.add_session(
+            "d", deep_tree, shardable_config, algorithm=algorithm, clock=clock
+        )
+        serial_results = serial.process_stream(records)["d"]
+        with ShardedDetectionEngine(num_workers=2) as engine:
+            engine.add_session(
+                "d",
+                deep_tree,
+                shardable_config,
+                algorithm=algorithm,
+                clock=clock,
+                subtree_shards=3,  # capped at the two depth-1 labels
+            )
+            results = engine.process_stream(records)["d"]
+            layout = engine.sharding_info()["sessions"]["d"]
+        assert results == serial_results
+        assert layout["groups"] == [[["vho-0"]], [["vho-1"]]]
 
 
 # ----------------------------------------------------------------------

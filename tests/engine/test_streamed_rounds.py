@@ -443,14 +443,13 @@ class TestFailureSemantics:
             lambda engine, tmp_path: engine.adaptation_stats(),
             lambda engine, tmp_path: engine.state_dict(),
             lambda engine, tmp_path: engine.save_checkpoint(tmp_path / "x.json"),
-            lambda engine, tmp_path: engine.rebalance_session("s"),
             lambda engine, tmp_path: engine.ingest_record_batch(
                 RecordBatch.from_records(
                     [OperationalRecord(1e9, ("t0",), {"stream": "w"})]
                 )
             ),
         ],
-        ids=["adaptation_stats", "state_dict", "save_checkpoint", "rebalance", "ingest"],
+        ids=["adaptation_stats", "state_dict", "save_checkpoint", "ingest"],
     )
     def test_engine_call_from_an_observer_with_a_round_in_flight(
         self, workload, tmp_path, call
@@ -703,19 +702,19 @@ def merge_by_path(timeunit, parts):
     )
 
 
-@pytest.mark.parametrize("depth, shards", [(1, 2), (1, 3), (2, 2), (2, 4)])
-def test_merge_concatenates_disjoint_shard_columns(depth, shards):
-    """Shards own disjoint subtrees and nothing above the cut is heavy: each
+@pytest.mark.parametrize("shards", [2, 3, 4, 5], ids="{}-shards".format)
+def test_merge_concatenates_disjoint_shard_columns(shards):
+    """Shards own disjoint subtrees and the root is never heavy: each
     reports its own lex-ordered heavy hitters, over a pickle round trip (the
     reply), and the merge equals the per-path union, views in lex order —
     whether or not the groups' paths interleave."""
-    rng = random.Random(depth * 10 + shards)
-    unit = make_unit(depth, shards)
+    rng = random.Random(10 + shards)
+    unit = make_unit(shards)
     nodes = sorted(
         {
             tuple(leaf[:d])
             for leaf in unit.base_state["tree"]["leaves"]
-            for d in range(depth, len(leaf) + 1)
+            for d in range(1, len(leaf) + 1)
         }
     )
     owner = {path: unit.partition.route(path) for path in nodes}
@@ -742,5 +741,7 @@ def test_merge_concatenates_disjoint_shard_columns(depth, shards):
         assert merged == expected and expected == merged
         assert list(merged.actuals) == sorted(merged.heavy_hitters)
         assert list(merged.forecasts.items()) == list(expected.forecasts.items())
-    if shards > 2:
-        assert interleaved  # the reordering branch ran
+    groups = unit.partition.groups
+    # The reordering branch ran wherever the layout lets paths interleave
+    # (not at 4 shards: solo+t0, t1, t2, t3 are already in lex order).
+    assert interleaved == any(max(a) > min(b) for a, b in zip(groups, groups[1:]))

@@ -10,7 +10,7 @@ depth-1-only tree, a root-only tree), with counts on interior nodes, all-zero
 rows between busy ones and ``modified == theta`` exactly.
 
 :class:`TestSweptClose` then checks what ADA adds on top — the
-``track_root`` / ``allow_root_heavy`` / ``min_heavy_depth`` masks, applied
+``track_root`` / ``allow_root_heavy`` masks, applied
 after the sweep — by closing swept rows against the per-path reference
 (:class:`repro.testing.reference.ReferenceADA`).
 """
@@ -145,8 +145,6 @@ MASK_CONFIGS = [
     dict(track_root=True, allow_root_heavy=True),
     dict(track_root=False, allow_root_heavy=True),
     dict(track_root=False, allow_root_heavy=False),
-    dict(track_root=False, allow_root_heavy=False, min_heavy_depth=2),
-    dict(track_root=False, allow_root_heavy=False, min_heavy_depth=3),
 ]
 
 

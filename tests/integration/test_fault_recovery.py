@@ -6,9 +6,10 @@ reports, same checkpoint bytes.  This suite injects deterministic faults
 through :mod:`repro.testing.faults` — no monkeypatching — and asserts
 exactly that:
 
-* a seeded kill matrix across every transport (pipe/shm/tcp), capture
-  depth {1, 2} and worker count {2, 4}, each leg's fault plan fully
-  derived from a printed seed;
+* a seeded kill matrix across every transport (pipe/shm/tcp), algorithm
+  {ADA, whose shards capture root weights; STA, whose shards capture
+  nothing} and worker count {2, 4}, each leg's fault plan fully derived
+  from a printed seed;
 * one-off legs for the other fault kinds: dropped frames (silence → typed
   deadline failure → recovery), corrupt wire frames (checksum/decode
   failure → worker replacement), worker-side hard exits armed through the
@@ -66,32 +67,30 @@ def canonical_state(state):
 
 
 @functools.lru_cache(maxsize=None)
-def serial_reference(min_heavy_depth=1):
+def serial_reference(algorithm="ada"):
     """(config, serial results, serial anomaly dicts) for the shared workload."""
     tree, clock, records = make_workload(WORKLOAD_SEED, 0.05)
-    config = make_config(WORKLOAD_SEED, "clamp").replace(
-        min_heavy_depth=min_heavy_depth
-    )
-    results, anomalies = run_record_path(tree, clock, config, "ada", records)
+    config = make_config(WORKLOAD_SEED, "clamp")
+    results, anomalies = run_record_path(tree, clock, config, algorithm, records)
     return config, results, anomalies
 
 
 @functools.lru_cache(maxsize=None)
-def unfaulted_state(transport, workers, depth):
+def unfaulted_state(transport, workers, algorithm):
     """Canonical merged checkpoint state of an *uninterrupted* sharded run.
 
     The recovery guarantee is byte-identity with the uninterrupted run;
     (detections/reports are additionally pinned to the serial baseline,
     whose list orderings legitimately differ inside the state document).
     """
-    config, _, _ = serial_reference(min_heavy_depth=depth)
+    config, _, _ = serial_reference(algorithm)
     tree, clock, records = make_workload(WORKLOAD_SEED, 0.05)
     with ShardedDetectionEngine(
         num_workers=workers, transport=transport, op_timeout=20.0
     ) as engine:
         engine.add_session(
-            "p", tree, config, algorithm="ada", clock=clock,
-            subtree_shards=workers, subtree_depth=depth,
+            "p", tree, config, algorithm=algorithm, clock=clock,
+            subtree_shards=workers,
         )
         engine.process_batches(iter_record_batches(records, 64))
         return json.dumps(
@@ -100,7 +99,7 @@ def unfaulted_state(transport, workers, depth):
 
 
 def run_faulted_sharded(
-    config, plan, transport, workers, depth, op_timeout=20.0, batch_size=64,
+    config, plan, transport, workers, algorithm, op_timeout=20.0, batch_size=64,
     streamed=True,
 ):
     """One faulted run: ``streamed`` feeds the pipelined ``process_stream``
@@ -115,10 +114,9 @@ def run_faulted_sharded(
                 "p",
                 tree,
                 config,
-                algorithm="ada",
+                algorithm=algorithm,
                 clock=clock,
                 subtree_shards=workers,
-                subtree_depth=depth,
             )
             if streamed:
                 batches = iter_record_batches(records, batch_size)
@@ -141,40 +139,40 @@ def run_faulted_sharded(
 
 
 @pytest.mark.parametrize("transport", ["pipe", "shm", "tcp"])
-@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("algorithm", ["ada", "sta"])
 @pytest.mark.parametrize("workers,fault_seed", [(2, 7), (2, 23), (4, 101)])
 def test_seeded_kill_matrix_recovers_bit_identically(
-    transport, depth, workers, fault_seed
+    transport, algorithm, workers, fault_seed
 ):
     """Kill one worker at a seeded barrier; the run must equal serial."""
-    check_seeded_kill(transport, depth, workers, fault_seed, streamed=True)
+    check_seeded_kill(transport, algorithm, workers, fault_seed, streamed=True)
 
 
 @pytest.mark.parametrize("transport", ["pipe", "shm", "tcp"])
-@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("algorithm", ["ada", "sta"])
 @pytest.mark.parametrize("workers,fault_seed", [(2, 7), (2, 23), (4, 101)])
 def test_seeded_kill_matrix_recovers_under_per_batch_ingest(
-    transport, depth, workers, fault_seed
+    transport, algorithm, workers, fault_seed
 ):
     """The same matrix through synchronous ``ingest_record_batch`` calls:
     per-(op, worker) ordinals point at the same rounds on both paths."""
-    check_seeded_kill(transport, depth, workers, fault_seed, streamed=False)
+    check_seeded_kill(transport, algorithm, workers, fault_seed, streamed=False)
 
 
-def check_seeded_kill(transport, depth, workers, fault_seed, streamed):
-    config, results, anomalies = serial_reference(min_heavy_depth=depth)
+def check_seeded_kill(transport, algorithm, workers, fault_seed, streamed):
+    config, results, anomalies = serial_reference(algorithm)
     plan = FaultPlan.seeded_kill(fault_seed, num_workers=workers, max_ordinal=4)
-    print(f"chaos leg: transport={transport} depth={depth} "
+    print(f"chaos leg: transport={transport} algorithm={algorithm} "
           f"workers={workers} fault_seed={fault_seed} plan={plan}")
     got_results, got_anomalies, got_state, stats = run_faulted_sharded(
-        config, plan, transport, workers, depth, streamed=streamed
+        config, plan, transport, workers, algorithm, streamed=streamed
     )
     assert plan.fired, f"fault plan never fired (seed {fault_seed})"
     assert stats["recoveries"] >= 1
     assert stats["supervision"]["recovering"] is False
     assert got_results == results
     assert got_anomalies == anomalies
-    assert got_state == unfaulted_state(transport, workers, depth)
+    assert got_state == unfaulted_state(transport, workers, algorithm)
 
 
 OTHER_FAULTS = {
@@ -206,14 +204,15 @@ def check_other_fault(spec, streamed):
     config, results, anomalies = serial_reference()
     plan = FaultPlan([spec], seed=0)
     got_results, got_anomalies, got_state, stats = run_faulted_sharded(
-        config, plan, "pipe", workers=2, depth=1, op_timeout=2.0, streamed=streamed
+        config, plan, "pipe", workers=2, algorithm="ada", op_timeout=2.0,
+        streamed=streamed,
     )
     assert plan.fired
     if spec.kind != "delay_frame":  # a delay alone needs no recovery
         assert stats["recoveries"] >= 1
     assert got_results == results
     assert got_anomalies == anomalies
-    assert got_state == unfaulted_state("pipe", 2, 1)
+    assert got_state == unfaulted_state("pipe", 2, "ada")
 
 
 def test_worker_exit_fault_recovers_bit_identically(monkeypatch):
@@ -226,8 +225,7 @@ def test_worker_exit_fault_recovers_bit_identically(monkeypatch):
         num_workers=2, transport="pipe", op_timeout=5.0
     ) as engine:
         engine.add_session(
-            "p", tree, config, algorithm="ada", clock=clock,
-            subtree_shards=2, subtree_depth=1,
+            "p", tree, config, algorithm="ada", clock=clock, subtree_shards=2
         )
         got_results = engine.process_batches(iter_record_batches(records, 64))["p"]
         got_anomalies = [a.to_dict() for a in engine.anomalies()["p"]]
@@ -238,7 +236,7 @@ def test_worker_exit_fault_recovers_bit_identically(monkeypatch):
     monkeypatch.delenv("REPRO_FAULT_PLAN")
     assert got_results == results
     assert got_anomalies == anomalies
-    assert got_state == unfaulted_state("pipe", 2, 1)
+    assert got_state == unfaulted_state("pipe", 2, "ada")
 
 
 def test_recovery_exhaustion_raises_typed():
@@ -258,9 +256,7 @@ def test_recovery_exhaustion_raises_typed():
             op_timeout=2.0,
             max_recovery_attempts=1,
         ) as engine:
-            engine.add_session(
-                "p", tree, config, clock=clock, subtree_shards=2, subtree_depth=1
-            )
+            engine.add_session("p", tree, config, clock=clock, subtree_shards=2)
             try:
                 engine.process_batches(iter_record_batches(records, 64))
             except ShardingError:

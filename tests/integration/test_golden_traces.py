@@ -130,36 +130,34 @@ def test_golden_trace_matches_the_reference(golden_spec, golden_trace_loader):
     assert [a.to_dict() for a in anomalies] == want_anomalies
 
 
-def test_golden_trace_depth2_sharded_matches_serial(
+def test_golden_trace_sharded_head_resumes_serially(
     golden_spec, golden_trace_loader, model
 ):
-    """Depth-2 cuts on the golden workloads, against a serial run of the
-    SAME ``min_heavy_depth=2`` config (not the committed digests — raising
-    the heavy-hitter floor legitimately changes which nodes can detect)."""
+    """Three subtree shards run the first half of a golden trace; their
+    merged checkpoint, restored into a serial engine, finishes it exactly
+    like an uninterrupted serial run."""
     tree, clock, records = golden_trace_loader(golden_spec)
-    config = detector_config(golden_spec, model, min_heavy_depth=2)
-    serial = DetectionEngine()
-    serial.add_session(
-        golden_spec.name, tree, config, algorithm=golden_spec.algorithm, clock=clock
-    )
-    serial_results = serial.process_stream(records)[golden_spec.name]
+    record_results, record_anomalies = run_serial(golden_spec, golden_trace_loader, model)
+    batches = list(iter_record_batches(records, 512))
+    half = len(batches) // 2
     with ShardedDetectionEngine(num_workers=2) as engine:
         engine.add_session(
             golden_spec.name,
             tree,
-            config,
+            detector_config(golden_spec, model),
             algorithm=golden_spec.algorithm,
             clock=clock,
             subtree_shards=3,
-            subtree_depth=2,
         )
-        sharded_results = engine.process_batches(iter_record_batches(records, 512))[
-            golden_spec.name
-        ]
-        sharded_anomalies = engine.anomalies()[golden_spec.name]
-    assert sharded_results == serial_results
-    assert [a.to_dict() for a in sharded_anomalies] == [
-        a.to_dict() for a in serial.anomalies()[golden_spec.name]
+        results = []
+        for batch in batches[:half]:  # no flush: the open unit is checkpointed
+            results += engine.ingest_record_batch(batch)[golden_spec.name]
+        state = engine.state_dict()
+    serial = DetectionEngine.from_state_dict(state)
+    results += serial.process_batches(batches[half:])[golden_spec.name]
+    assert results == record_results
+    assert [a.to_dict() for a in serial.anomalies()[golden_spec.name]] == [
+        a.to_dict() for a in record_anomalies
     ]
 
 

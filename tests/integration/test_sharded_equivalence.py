@@ -122,7 +122,6 @@ def run_sharded_path(
     batch_size,
     workers,
     shards,
-    depth=1,
     transport=DEFAULT_TRANSPORT,
 ):
     with ShardedDetectionEngine(num_workers=workers, transport=transport) as engine:
@@ -133,7 +132,6 @@ def run_sharded_path(
             algorithm=algorithm,
             clock=clock,
             subtree_shards=shards,
-            subtree_depth=depth,
         )
         results = engine.process_batches(iter_record_batches(records, batch_size))["p"]
         return results, [a.to_dict() for a in engine.anomalies()["p"]]
@@ -208,18 +206,14 @@ def test_seeded_matrix_agrees(algorithm, policy):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("depth", [1, 2, 3])
-def test_depth_k_matrix_agrees(depth, workers):
-    """Depth-k cuts at every worker count, drop and clamp policies.
-
-    The workload's leaves sit at depth 3, so ``depth=3`` cuts at the leaves
-    themselves; every depth needs ``min_heavy_depth >= depth`` (a config the
-    serial baseline runs identically).
-    """
+@pytest.mark.parametrize("shards", [2, 3, 4], ids="{}-shards".format)
+def test_shard_count_matrix_agrees(shards, workers):
+    """Every shard count (capped at the depth-1 labels) at every worker
+    count, drop and clamp policies."""
     for policy in ("drop", "clamp"):
-        seed = 31 + depth
+        seed = 30 + shards
         tree, clock, records = make_workload(seed, lateness=0.05)
-        config = make_config(seed, policy).replace(min_heavy_depth=depth)
+        config = make_config(seed, policy)
         record_out = run_record_path(tree, clock, config, "ada", records)
         sharded_out = run_sharded_path(
             tree,
@@ -229,29 +223,10 @@ def test_depth_k_matrix_agrees(depth, workers):
             records,
             128,
             workers=workers,
-            shards=3,
-            depth=depth,
+            shards=shards,
         )
         assert sharded_out[0] == record_out[0]
         assert sharded_out[1] == record_out[1]
-
-
-def test_raise_policy_raises_at_depth2():
-    for seed in range(20):  # first seed whose workload is actually late
-        tree, clock, records = make_workload(seed, lateness=0.3)
-        has_late = any(
-            clock.timeunit_of(b.timestamp) < clock.timeunit_of(a.timestamp)
-            for a, b in zip(records, records[1:])
-        )
-        if has_late:
-            break
-    else:  # pragma: no cover - seeds above always generate lateness
-        pytest.fail("no late workload generated")
-    config = make_config(seed, "raise").replace(min_heavy_depth=2)
-    with pytest.raises(OutOfOrderRecordError):
-        run_sharded_path(
-            tree, clock, config, "ada", records, 64, workers=2, shards=2, depth=2
-        )
 
 
 @pytest.mark.parametrize("transport", ["pipe", "shm", "tcp"])
@@ -274,45 +249,18 @@ def test_transports_agree_with_serial(transport):
     assert sharded_out[1] == record_out[1]
 
 
-def test_midstream_rebalance_keeps_equivalence():
-    """A forced cut-unit migration halfway through the stream changes the
-    layout but not a single detection, result or report."""
-    for seed in range(40):  # need >= 4 top-level units so a group owns two
-        tree, clock, records = make_workload(seed, lateness=0.0)
-        if len({leaf[0] for leaf in tree.leaf_paths()}) >= 4:
-            break
-    else:  # pragma: no cover - seeds above always produce such a tree
-        pytest.fail("no workload with >= 4 top-level subtrees generated")
-    config = make_config(seed, "drop")
-    record_out = run_record_path(tree, clock, config, "ada", records)
-    with ShardedDetectionEngine(num_workers=2, transport=DEFAULT_TRANSPORT) as engine:
-        engine.add_session("p", tree, config, clock=clock, subtree_shards=3)
-        results = []
-        batches = list(iter_record_batches(iter(records), 150))
-        for i, batch in enumerate(batches):
-            results.extend(engine.ingest_record_batch(batch)["p"])
-            if i == len(batches) // 2:
-                report = engine.rebalance_session("p", churn_threshold=0.0)
-                assert report["moved"] is not None
-        results.extend(engine.flush()["p"])
-        anomalies = [a.to_dict() for a in engine.anomalies()["p"]]
-        assert engine.adaptation_stats()["p"]["rebalances"] == 1
-    assert results == record_out[0]
-    assert anomalies == record_out[1]
-
-
-@pytest.mark.parametrize("depth", [1, 2])
-def test_serial_and_depth_k_checkpoints_cross_restore(depth):
+@pytest.mark.parametrize("shards", [2, 3], ids="{}-shards".format)
+def test_serial_and_sharded_checkpoints_cross_restore(shards):
     """Serial half-run -> sharded resume, and sharded half-run -> serial
     resume, both finish exactly like an uninterrupted serial run."""
     tree, clock, records = make_workload(23, lateness=0.0)
-    config = make_config(23, "drop").replace(min_heavy_depth=depth)
+    config = make_config(23, "drop")
     cut = len(records) // 2
     head, tail = records[:cut], records[cut:]
 
     reference = run_record_path(tree, clock, config, "ada", records)
 
-    # Leg 1: serial head, checkpoint, sharded depth-k tail.
+    # Leg 1: serial head, checkpoint, sharded tail.
     serial = DetectionEngine()
     serial.add_session("p", tree, config, clock=clock)
     results = []
@@ -321,8 +269,7 @@ def test_serial_and_depth_k_checkpoints_cross_restore(depth):
     with ShardedDetectionEngine.from_state_dict(
         serial.state_dict(),
         num_workers=2,
-        subtree_shards=3,
-        subtree_depth=depth,
+        subtree_shards=shards,
         transport=DEFAULT_TRANSPORT,
     ) as engine:
         for batch in iter_record_batches(iter(tail), 128):
@@ -332,12 +279,10 @@ def test_serial_and_depth_k_checkpoints_cross_restore(depth):
     assert results == reference[0]
     assert anomalies == reference[1]
 
-    # Leg 2: sharded depth-k head, merged checkpoint, serial tail.
+    # Leg 2: sharded head, merged checkpoint, serial tail.
     results = []
     with ShardedDetectionEngine(num_workers=2, transport=DEFAULT_TRANSPORT) as engine:
-        engine.add_session(
-            "p", tree, config, clock=clock, subtree_shards=3, subtree_depth=depth
-        )
+        engine.add_session("p", tree, config, clock=clock, subtree_shards=shards)
         for batch in iter_record_batches(iter(head), 128):
             results.extend(engine.ingest_record_batch(batch)["p"])
         state = engine.state_dict()
@@ -403,22 +348,20 @@ def canonical_rows(state) -> bytes:
 
 
 @pytest.mark.parametrize("reference_levels", [0, 1, 2])
-@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("shards", [2, 3, 4], ids="{}-shards".format)
 @pytest.mark.parametrize("algorithm", ["ada", "sta"])
-def test_split_session_merges_to_the_serial_state(algorithm, depth, reference_levels):
+def test_split_session_merges_to_the_serial_state(algorithm, shards, reference_levels):
     """A subtree-split session's merged state equals the serial session's,
-    band rows included: ADA's band statistics and (depth >= 2) band
-    reference rows, which the coordinator replays, and STA's band weight
-    rows.  Detections never read these, so only this comparison sees a
-    broken replay.  Three ways in: split at attach, split mid-stream from a
-    serial half-run, and a mid-stream ``rebalance_session``."""
-    for seed in range(40):  # >= 4 top-level units, so a group owns two
+    root rows included: ADA's root statistics, which the coordinator
+    replays, and STA's root weight rows, which the merge sums.  Detections
+    never read these, so only this comparison sees a broken replay.  Two
+    ways in: split at attach, and split mid-stream from a serial
+    half-run."""
+    for seed in range(40):  # >= 4 top-level units, so every count splits
         tree, clock, records = make_workload(seed, lateness=0.05)
         if len({leaf[0] for leaf in tree.leaf_paths()}) >= 4:
             break
-    config = make_config(seed, "drop").replace(
-        min_heavy_depth=depth, reference_levels=reference_levels
-    )
+    config = make_config(seed, "drop").replace(reference_levels=reference_levels)
     batches = list(iter_record_batches(records, 64))
     half = len(batches) // 2
 
@@ -436,21 +379,17 @@ def test_split_session_merges_to_the_serial_state(algorithm, depth, reference_le
             num_workers=2, transport=DEFAULT_TRANSPORT
         ) as engine:
             if leg == "midstream":
-                engine.attach_session_state(
-                    half_state, subtree_shards=2, subtree_depth=depth
-                )
+                engine.attach_session_state(half_state, subtree_shards=shards)
                 todo = batches[half:]
             else:
                 engine.add_session(
                     "p", tree, config, algorithm=algorithm, clock=clock,
-                    subtree_shards=2, subtree_depth=depth,
+                    subtree_shards=shards,
                 )
                 todo = batches
-            for i, batch in enumerate(todo):
-                if leg == "rebalance" and i == half:
-                    engine.rebalance_session("p", churn_threshold=0.0)
+            for batch in todo:
                 engine.ingest_record_batch(batch)
             return canonical_rows(engine.merged_session_state("p"))
 
-    for leg in ("attach", "midstream", "rebalance"):
+    for leg in ("attach", "midstream"):
         assert sharded(leg) == expected, leg

@@ -52,7 +52,6 @@ class TestValidateSharding:
         assert out == {
             "workers": 2,
             "subtree_shards": 1,
-            "subtree_depth": 1,
             "transport": "pipe",
             "transport_options": None,
         }
@@ -82,7 +81,29 @@ class TestValidateSharding:
         restored = TenantSpec.from_dict(spec.to_dict())
         assert restored.sharding == spec.sharding
         assert restored.sharding["transport"] == "shm"
-        assert restored.sharding["subtree_depth"] == 1  # normalized default
+        assert "subtree_depth" not in restored.sharding
+
+    def test_a_depth1_spec_loads_and_drops_the_key(self):
+        """``subtree_depth: 1``, which earlier specs wrote, is accepted and
+        gone from the normalised mapping and from ``to_dict()``."""
+        document = tenant_spec_for(
+            "t", tiny_dataset(), sharding={"subtree_shards": 2}
+        ).to_dict()
+        document["sharding"]["subtree_depth"] = 1
+        spec = TenantSpec.from_dict(document)
+        assert spec.sharding == validate_sharding({"subtree_shards": 2})
+        assert "subtree_depth" not in spec.to_dict()["sharding"]
+
+    @pytest.mark.parametrize("depth", [2, 3, "2"], ids=["2", "3", "str-2"])
+    def test_a_deeper_cut_is_refused(self, depth):
+        with pytest.raises(ConfigurationError, match="subtree_depth"):
+            validate_sharding({"subtree_shards": 2, "subtree_depth": depth})
+        document = tenant_spec_for(
+            "t", tiny_dataset(), sharding={"subtree_shards": 2}
+        ).to_dict()
+        document["sharding"]["subtree_depth"] = depth
+        with pytest.raises(ConfigurationError, match="subtree_depth"):
+            TenantSpec.from_dict(document)
 
     def test_specless_tenants_have_no_sharding(self):
         spec = tenant_spec_for("t", tiny_dataset())
