@@ -34,7 +34,7 @@ def render(name, curves):
 
 @pytest.mark.benchmark(group="fig1")
 def test_fig1a_ccd_trouble_ccdf(benchmark, ccd_trouble_dataset):
-    curves = benchmark(compute_curves, ccd_trouble_dataset)
+    curves = benchmark.pedantic(compute_curves, args=(ccd_trouble_dataset,), rounds=1, iterations=1)
     write_result("fig1a_ccd_trouble_ccdf", render("CCD trouble issues", curves))
     depths = sorted(curves)
     # Sparsity (empty fraction) is non-decreasing with depth.
@@ -47,7 +47,7 @@ def test_fig1a_ccd_trouble_ccdf(benchmark, ccd_trouble_dataset):
 
 @pytest.mark.benchmark(group="fig1")
 def test_fig1b_ccd_network_ccdf(benchmark, ccd_network_dataset):
-    curves = benchmark(compute_curves, ccd_network_dataset)
+    curves = benchmark.pedantic(compute_curves, args=(ccd_network_dataset,), rounds=1, iterations=1)
     write_result("fig1b_ccd_network_ccdf", render("CCD network locations", curves))
     depths = sorted(curves)
     empties = [curves[d].empty_fraction for d in depths]
@@ -62,7 +62,7 @@ def test_fig1b_ccd_network_ccdf(benchmark, ccd_network_dataset):
 
 @pytest.mark.benchmark(group="fig1")
 def test_fig1c_scd_ccdf(benchmark, scd_dataset):
-    curves = benchmark(compute_curves, scd_dataset)
+    curves = benchmark.pedantic(compute_curves, args=(scd_dataset,), rounds=1, iterations=1)
     write_result("fig1c_scd_ccdf", render("SCD network locations", curves))
     depths = sorted(curves)
     empties = [curves[d].empty_fraction for d in depths]

@@ -45,7 +45,7 @@ def render(name, series, units_per_day):
 
 @pytest.mark.benchmark(group="fig2")
 def test_fig2a_ccd_diurnal_and_weekly_pattern(benchmark, ccd_trouble_dataset):
-    series = benchmark(aggregate_series, ccd_trouble_dataset)
+    series = benchmark.pedantic(aggregate_series, args=(ccd_trouble_dataset,), rounds=1, iterations=1)
     units_per_day = int(DAY / ccd_trouble_dataset.config.delta_seconds)
     write_result("fig2a_ccd_timeseries", render("CCD", series, units_per_day))
 
@@ -65,7 +65,7 @@ def test_fig2a_ccd_diurnal_and_weekly_pattern(benchmark, ccd_trouble_dataset):
 
 @pytest.mark.benchmark(group="fig2")
 def test_fig2b_scd_diurnal_pattern(benchmark, scd_dataset):
-    series = benchmark(aggregate_series, scd_dataset)
+    series = benchmark.pedantic(aggregate_series, args=(scd_dataset,), rounds=1, iterations=1)
     units_per_day = int(DAY / scd_dataset.config.delta_seconds)
     write_result("fig2b_scd_timeseries", render("SCD", series, units_per_day))
 

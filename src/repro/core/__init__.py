@@ -4,7 +4,6 @@ and the seasonal configuration derived from a trace's history."""
 
 from repro.core.ada import ADAAlgorithm
 from repro.core.config import (
-    FORECAST_MODELS,
     OUT_OF_ORDER_POLICIES,
     SPLIT_RULE_NAMES,
     ForecastConfig,
@@ -35,7 +34,6 @@ __all__ = [
     "TiresiasConfig",
     "ForecastConfig",
     "SPLIT_RULE_NAMES",
-    "FORECAST_MODELS",
     "OUT_OF_ORDER_POLICIES",
     "derive_seasonal_config",
     "ALGORITHMS",

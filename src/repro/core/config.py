@@ -19,19 +19,14 @@ from repro.exceptions import ConfigurationError
 class ForecastConfig:
     """Parameters of the per-heavy-hitter forecasting model.
 
-    ``season_lengths`` are in timeunits.  With more than one season the
-    multi-seasonal Holt-Winters model is used and ``season_weights`` follows
-    the paper's linear combination (``xi`` and ``1 - xi``).  An EWMA with rate
-    ``fallback_alpha`` is used until a node has accumulated enough history to
-    initialize the seasonal model.
-
-    ``model`` selects the seasonal forecasting model, one of
-    :data:`FORECAST_MODELS`: ``"holt-winters"`` (single-season, on the first
-    period), ``"multi-seasonal-holt-winters"``, or the default ``"auto"``,
-    which picks one of the two by the number of seasonal periods.  The set
-    is closed: ADA's SPLIT and MERGE are exact only for a model linear in
-    its series (Lemma 2), and the forecaster bank lays these two out as
-    matrix rows.
+    The model is the paper's additive Holt-Winters (§VI), and
+    ``season_lengths`` (in timeunits) picks its form: one period is the
+    single-season model, more than one the multi-seasonal model, whose
+    ``season_weights`` follow the paper's linear combination (``xi`` and
+    ``1 - xi``).  Both are linear in their series (Lemma 2), which is what
+    makes ADA's SPLIT and MERGE exact.  An EWMA with rate ``fallback_alpha``
+    is used until a node has accumulated enough history to initialize the
+    seasonal model.
     """
 
     alpha: float = 0.2
@@ -40,7 +35,6 @@ class ForecastConfig:
     season_lengths: tuple[int, ...] = (96,)
     season_weights: tuple[float, ...] | None = None
     fallback_alpha: float = 0.3
-    model: str = "auto"
 
     def __post_init__(self) -> None:
         for name, value in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
@@ -57,18 +51,10 @@ class ForecastConfig:
                 raise ConfigurationError("season_weights must sum to 1")
         if not 0.0 < self.fallback_alpha <= 1.0:
             raise ConfigurationError("fallback_alpha must be in (0, 1]")
-        if self.model not in FORECAST_MODELS:
-            raise ConfigurationError(
-                f"unknown forecasting model {self.model!r}; expected one of "
-                f"{sorted(FORECAST_MODELS)}"
-            )
 
     def replace(self, **changes: Any) -> "ForecastConfig":
         """A copy with ``changes`` applied (and re-validated)."""
         return dataclasses.replace(self, **changes)
-
-    #: Alias for :meth:`replace` (attrs-style name).
-    evolve = replace
 
     @property
     def min_history(self) -> int:
@@ -193,18 +179,10 @@ class TiresiasConfig:
         """
         return dataclasses.replace(self, **changes)
 
-    #: Alias for :meth:`replace` (attrs-style name).
-    evolve = replace
-
 
 #: Valid values for :attr:`TiresiasConfig.split_rule`.
 SPLIT_RULE_NAMES: frozenset[str] = frozenset(
     {"uniform", "last-time-unit", "long-term-history", "ewma"}
-)
-
-#: Valid values for :attr:`ForecastConfig.model`.
-FORECAST_MODELS: frozenset[str] = frozenset(
-    {"auto", "holt-winters", "multi-seasonal-holt-winters"}
 )
 
 #: Valid values for :attr:`TiresiasConfig.out_of_order_policy`.

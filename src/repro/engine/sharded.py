@@ -448,9 +448,6 @@ class ShardedDetectionEngine:
         one; past that it raises :class:`~repro.exceptions.ShardingError`.
         Snapshots and the log cost memory proportional to the session
         states plus the buffered batches.
-    fault_plan:
-        Optional :class:`repro.testing.faults.FaultPlan` injected at the
-        supervisor seam (tests); defaults to the process-wide active plan.
 
     Workers start lazily on first use; call :meth:`close` (or use the engine
     as a context manager) to terminate them.  Ingestion is batch-oriented:
@@ -468,7 +465,6 @@ class ShardedDetectionEngine:
         op_timeout: float = 60.0,
         replay_buffer_ops: int = 64,
         max_recovery_attempts: int = 2,
-        fault_plan: Any = None,
     ):
         if unknown_stream not in UNKNOWN_STREAM_POLICIES:
             raise ConfigurationError(
@@ -500,7 +496,7 @@ class ShardedDetectionEngine:
         self.op_timeout = float(op_timeout)
         self.replay_buffer_ops = int(replay_buffer_ops)
         self.max_recovery_attempts = int(max_recovery_attempts)
-        self._supervisor = ShardSupervisor(self._transport, self.op_timeout, fault_plan)
+        self._supervisor = ShardSupervisor(self._transport, self.op_timeout)
         #: key -> serial-format state at that worker's op-log start.
         self._snapshots: dict[Any, dict[str, Any]] = {}
         #: worker -> [(verb, ops)] mutating rounds since the last snapshot.

@@ -33,6 +33,7 @@ from typing import Any
 
 from repro.engine.transport.base import ShardTransport
 from repro.exceptions import ShardingError, WorkerFailureError
+from repro.testing.faults import active_fault_plan, disarmed
 
 
 class ShardSupervisor:
@@ -42,24 +43,15 @@ class ShardSupervisor:
         self,
         transport: ShardTransport,
         op_timeout: float = 60.0,
-        fault_plan: Any = None,
     ) -> None:
         self.transport = transport
         self.op_timeout = float(op_timeout)
-        self._fault_plan = fault_plan
         #: WorkerFailureErrors surfaced (pre-recovery), by op.
         self.failures_total = 0
         #: Planned faults actually applied at this seam.
         self.faults_injected = 0
 
     # ------------------------------------------------------------------
-    def _plan(self):
-        if self._fault_plan is not None:
-            return self._fault_plan
-        from repro.testing.faults import active_fault_plan
-
-        return active_fault_plan()
-
     def _kill(self, worker_id: int) -> None:
         try:
             self.transport.kill_worker(worker_id)
@@ -69,7 +61,7 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     def ship(self, worker_id: int, verb: str, ops: Any) -> None:
         corrupt = False
-        plan = self._plan()
+        plan = active_fault_plan()
         if plan is not None:
             spec = plan.next_transport_action("ship", worker_id)
             if spec is not None:
@@ -95,7 +87,7 @@ class ShardSupervisor:
             raise WorkerFailureError(worker_id, "ship", str(exc)) from exc
 
     def collect(self, worker_id: int) -> tuple:
-        plan = self._plan()
+        plan = active_fault_plan()
         if plan is not None:
             spec = plan.next_transport_action("collect", worker_id)
             if spec is not None:
@@ -128,8 +120,6 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     def respawn(self, worker_id: int) -> None:
         """Kill-and-replace ``worker_id`` with faults disarmed for the child."""
-        from repro.testing.faults import disarmed
-
         self._kill(worker_id)
         with disarmed():
             self.transport.respawn(worker_id)

@@ -33,10 +33,11 @@ per-object forecaster (:class:`~repro.testing.reference.ScalarRow`), so a row
 behaves exactly as that object would; :mod:`repro.testing.reference` builds
 the test oracle on it.
 
-The models are a closed set, :data:`~repro.core.config.FORECAST_MODELS`:
-additive Holt-Winters in single- or multi-seasonal form, whose linearity
-(Lemma 2) is what makes a row a matrix row.  ``ForecastConfig.model``
-names one, or ``"auto"`` picks by the number of seasonal periods.  A restored snapshot that does not fit the layout
+The model is additive Holt-Winters, whose linearity (Lemma 2) is what
+makes a row a matrix row: single-season for one seasonal period and
+multi-seasonal for more, by ``len(ForecastConfig.season_lengths)``.  A row
+initializes its seasonal state in place (:meth:`~ForecasterBank._initialize`);
+no model object is built.  A restored snapshot that does not fit the layout
 (foreign seasonal parameters, an uninitialized model, a warm-up history of
 ``min_history`` or more values) is refused with
 :class:`~repro.exceptions.CheckpointError`.
@@ -55,7 +56,7 @@ there are no per-series objects over the rows.
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,36 +66,6 @@ from repro.forecasting.holt_winters import (
     HoltWintersForecaster,
     MultiSeasonalHoltWinters,
 )
-
-
-def _seasonal_kind(config: ForecastConfig) -> str:
-    """The seasonal model ``config`` selects: ``config.model`` by name, or
-    for ``"auto"`` single-season Holt-Winters with one seasonal period and
-    the multi-seasonal model otherwise."""
-    if config.model != "auto":
-        return config.model
-    if len(config.season_lengths) == 1:
-        return "holt-winters"
-    return "multi-seasonal-holt-winters"
-
-
-def build_seasonal_model(config: ForecastConfig):
-    """The seasonal model ``config`` selects, uninitialized (the named
-    single-season model uses the first of the config's periods)."""
-    if _seasonal_kind(config) == "holt-winters":
-        return HoltWintersForecaster(
-            alpha=config.alpha,
-            beta=config.beta,
-            gamma=config.gamma,
-            season_length=config.season_lengths[0],
-        )
-    return MultiSeasonalHoltWinters(
-        alpha=config.alpha,
-        beta=config.beta,
-        gamma=config.gamma,
-        season_lengths=config.season_lengths,
-        season_weights=config.season_weights,
-    )
 
 
 #: Checkpoint loaders of the built-in seasonal models, by snapshot kind.
@@ -157,8 +128,8 @@ class ForecasterBank:
     one :class:`~repro.core.config.ForecastConfig` and, when the bank was
     given (or later reserved) a ``window`` length, one window length ℓ.
 
-    The layout is that of the model the config selects (``"auto"``:
-    single-season for one seasonal period, multi-seasonal otherwise).
+    The layout is single-season Holt-Winters for one seasonal period and
+    multi-seasonal Holt-Winters for more.
     """
 
     def __init__(self, config: ForecastConfig, *, window: int | None = None):
@@ -166,11 +137,8 @@ class ForecasterBank:
         self._free: list[int] = []
         self._live = bytearray()  # 1 per allocated, not freed row
         self._size = 0  # high-water row count
-        self._single = _seasonal_kind(config) == "holt-winters"
-        lengths = config.season_lengths[:1] if self._single else config.season_lengths
-        #: Seasonal periods of the laid-out model (the named single-season
-        #: model uses the first of the config's periods).
-        self._lengths = lengths
+        lengths = self._lengths = config.season_lengths
+        self._single = len(lengths) == 1
         if config.season_weights is None:
             self._weights = tuple(1.0 / len(lengths) for _ in lengths)
         else:
@@ -371,26 +339,37 @@ class ForecasterBank:
         state = self._state[row]
         hist_off = self._hist_off
         hlen = int(self._ints[row, _HLEN])
-        model = build_seasonal_model(self.config)
-        model.initialize(state[hist_off : hist_off + hlen])
-        self._adopt_model(row, model)
+        self._initialize(row, state[hist_off : hist_off + hlen])
         state[hist_off : hist_off + hlen] = 0.0
         self._ints[row, _HLEN] = 0
 
-    def _adopt_model(self, row: int, model: Any) -> None:
-        """Copy a built-in seasonal model's state into the row."""
+    def _initialize(self, row: int, history) -> None:
+        """Start ``row``'s Holt-Winters state from the last ``min_history``
+        values of ``history`` (oldest first), the paper's scheme: the level
+        is the mean of the last two cycles of the longest period ``p``, the
+        trend the difference of the two cycles' sums over ``p * p``, and
+        each period's factors are its last cycle's deviations from the
+        level; every phase starts at 0.
+
+        The sums are left folds starting at ``+0.0`` — bit for bit
+        :func:`repro._vector.left_sum`, which the scalar models use —
+        taken from one ``np.add.accumulate`` pass.
+        """
+        p = self._min_history // 2
+        window = np.asarray(history[-2 * p :], dtype=np.float64)
+        running = np.add.accumulate(window)
+        # ``0.0 +``: a fold that starts at +0.0 sums an all -0.0 run to +0.0.
+        level = (0.0 + float(running[-1])) / (2 * p)
+        first = 0.0 + float(running[p - 1])
+        second = 0.0 + float(np.add.accumulate(window[p:])[-1])
         state = self._state[row]
+        state[1] = level
+        state[2] = (second - first) / (p * p)
+        for off, q in zip(self._seasonal_off, self._lengths):
+            np.subtract(window[-q:], level, out=state[off : off + q])
         ints = self._ints[row]
         ints[_ACTIVE] = 1
-        state[1] = model.level
-        state[2] = model.trend
-        if self._single:
-            state[3 : self._hist_off] = model.seasonals
-            ints[_PHASE] = model.phase
-        else:
-            for off, buf in zip(self._seasonal_off, model.seasonals):
-                state[off : off + len(buf)] = buf
-            ints[_PHASE:] = model.phases
+        ints[_PHASE:] = 0
 
     # ------------------------------------------------------------------
     # Windows
@@ -511,29 +490,7 @@ class ForecasterBank:
             level = alpha * value + rest * level
         state[0] = level
         if n >= self._min_history:
-            if self._single:
-                # Built-in single-season Holt-Winters: initialize straight
-                # into the row — the same ``_left_fold_sum`` cumsum
-                # arithmetic as HoltWintersForecaster.initialize, minus the
-                # model object and its list round trips.
-                p = self._lengths[0]
-                window = np.asarray(history[-2 * p :], dtype=np.float64)
-                # add.accumulate is cumsum (a left-to-right fold) without
-                # the wrapper; one pass yields both the first cycle's sum
-                # and the two-cycle total.
-                running = np.add.accumulate(window)
-                hw_level = float(running[-1]) / (2 * p)
-                first = float(running[p - 1])
-                second = float(np.add.accumulate(window[p:])[-1])
-                ints[_ACTIVE] = 1
-                state[1] = hw_level
-                state[2] = (second - first) / (p * p)
-                np.subtract(window[p:], hw_level, out=state[3 : 3 + p])
-                ints[_PHASE] = 0
-                return
-            model = build_seasonal_model(self.config)
-            model.initialize(history[-self._min_history:])
-            self._adopt_model(row, model)
+            self._initialize(row, history)
         else:
             state[self._hist_off : self._hist_off + n] = history
             ints[_HLEN] = n
@@ -831,6 +788,5 @@ class ForecasterBank:
 
 __all__ = [
     "ForecasterBank",
-    "build_seasonal_model",
     "load_seasonal_state",
 ]

@@ -44,7 +44,7 @@ def split_bias_relative_error(
         actual = [1.0] * horizon
     if len(actual) < horizon:
         raise ConfigurationError("actual series shorter than the requested horizon")
-    # Unbiased and biased forecasts evolve with identical smoothing of the
+    # Unbiased and biased forecasts advance by identical smoothing of the
     # same actual values, so their difference is exactly (1-alpha)^(k-1) * bias.
     errors: list[float] = []
     true_forecast = float(actual[0])

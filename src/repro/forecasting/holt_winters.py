@@ -29,20 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro._vector import left_sum
 from repro.exceptions import ConfigurationError, NotEnoughHistoryError
 from repro.forecasting.base import Forecaster
-
-
-def _left_fold_sum(values) -> float:
-    """``sum(values)`` with guaranteed left-to-right accumulation.
-
-    ``np.cumsum`` accumulates sequentially (unlike ``np.sum``'s pairwise
-    reduction), so its last element is bit-for-bit the Python ``sum`` — model
-    initialization stays exactly reproducible against a plain-Python left
-    fold.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    return float(np.cumsum(arr)[-1]) if arr.size else 0.0
 
 
 def _check_rate(name: str, value: float) -> None:
@@ -108,10 +97,9 @@ class HoltWintersForecaster(Forecaster):
         if len(history) < 2 * p:
             raise NotEnoughHistoryError(2 * p, len(history))
         window = np.asarray(history[-2 * p :], dtype=np.float64)
-        self.level = _left_fold_sum(window) / (2 * p)
-        self.trend = (
-            _left_fold_sum(window[p:]) - _left_fold_sum(window[:p])
-        ) / (p * p)
+        values = window.tolist()
+        self.level = left_sum(values) / (2 * p)
+        self.trend = (left_sum(values[p:]) - left_sum(values[:p])) / (p * p)
         # Later observations overwrite earlier ones for the same phase, so
         # the surviving factors are the second cycle's deviations.
         self.seasonals = (window[p:] - self.level).tolist()
@@ -295,7 +283,7 @@ class MultiSeasonalHoltWinters(Forecaster):
         return 2 * max(self.season_lengths)
 
     def _combined_seasonal(self) -> float:
-        return sum(
+        return left_sum(
             w * buf[phase]
             for w, buf, phase in zip(self.season_weights, self.seasonals, self.phases)
         )
@@ -305,11 +293,11 @@ class MultiSeasonalHoltWinters(Forecaster):
         if len(history) < 2 * longest:
             raise NotEnoughHistoryError(2 * longest, len(history))
         window = np.asarray(history[-2 * longest :], dtype=np.float64)
-        half = window.shape[0] // 2
-        self.level = _left_fold_sum(window) / window.shape[0]
+        values = window.tolist()
+        self.level = left_sum(values) / (2 * longest)
         self.trend = (
-            _left_fold_sum(window[half:]) - _left_fold_sum(window[:half])
-        ) / (half * longest)
+            left_sum(values[longest:]) - left_sum(values[:longest])
+        ) / (longest * longest)
         # As in the single-season case: the last cycle's deviations win.
         self.seasonals = [
             (window[-p:] - self.level).tolist() for p in self.season_lengths

@@ -97,7 +97,10 @@ def config_to_dict(config: TiresiasConfig) -> dict[str, Any]:
                 else [float(w) for w in forecast.season_weights]
             ),
             "fallback_alpha": float(forecast.fallback_alpha),
-            "model": forecast.model,
+            # The model follows from ``season_lengths``.  The key stays so
+            # that checkpoint bytes, and the digests pinned on them, do not
+            # change.
+            "model": "auto",
         },
     }
 
@@ -107,7 +110,12 @@ def config_from_dict(data: Mapping[str, Any]) -> TiresiasConfig:
 
     A config naming ``min_heavy_depth`` is refused: the field, which kept
     nodes above a depth from qualifying as heavy, is gone, and loading the
-    document without it would change its detections.
+    document without it would change its detections.  So is a
+    ``forecast.model`` other than ``"auto"`` or the form the period count
+    picks (``"holt-winters"`` for one period,
+    ``"multi-seasonal-holt-winters"`` for more): the model now follows from
+    ``season_lengths``, and any other name asked for a model that no longer
+    exists.
     """
     if "min_heavy_depth" in data:
         raise CheckpointError(
@@ -117,6 +125,16 @@ def config_from_dict(data: Mapping[str, Any]) -> TiresiasConfig:
             f"be loaded"
         )
     fc = data["forecast"]
+    picked = (
+        "holt-winters" if len(fc["season_lengths"]) == 1 else "multi-seasonal-holt-winters"
+    )
+    model = fc.get("model", "auto")
+    if model not in ("auto", picked):
+        raise CheckpointError(
+            f"config sets forecast.model={model!r}, but the model follows from "
+            f"season_lengths={list(fc['season_lengths'])!r}: it is {picked!r}, "
+            f"so the document cannot be loaded"
+        )
     forecast = ForecastConfig(
         alpha=float(fc["alpha"]),
         beta=float(fc["beta"]),
@@ -128,7 +146,6 @@ def config_from_dict(data: Mapping[str, Any]) -> TiresiasConfig:
             else tuple(float(w) for w in fc["season_weights"])
         ),
         fallback_alpha=float(fc["fallback_alpha"]),
-        model=str(fc.get("model", "auto")),
     )
     return TiresiasConfig(
         theta=float(data["theta"]),

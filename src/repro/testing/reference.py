@@ -31,7 +31,8 @@ from repro.core.detector import ThresholdDetector
 from repro.core.hhh import accumulate_raw_weights, compute_shhh
 from repro.core.results import TimeunitResult
 from repro.core.split_rules import NodeUsageStats, make_split_rule
-from repro.forecasting.bank import build_seasonal_model, load_seasonal_state
+from repro.forecasting.bank import load_seasonal_state
+from repro.forecasting.holt_winters import HoltWintersForecaster, MultiSeasonalHoltWinters
 from repro.hierarchy.tree import HierarchyTree
 
 
@@ -42,6 +43,25 @@ def aligned_add(mine: Sequence[float], theirs: Sequence[float], maxlen: int) -> 
     padded_mine = [0.0] * (length - len(mine)) + list(mine)
     padded_theirs = [0.0] * (length - len(theirs)) + list(theirs)
     return deque((a + b for a, b in zip(padded_mine, padded_theirs)), maxlen=maxlen)
+
+
+def _seasonal_model(config: ForecastConfig):
+    """The uninitialized Holt-Winters model ``config``'s periods pick:
+    single-season for one period, multi-seasonal for more."""
+    if len(config.season_lengths) == 1:
+        return HoltWintersForecaster(
+            alpha=config.alpha,
+            beta=config.beta,
+            gamma=config.gamma,
+            season_length=config.season_lengths[0],
+        )
+    return MultiSeasonalHoltWinters(
+        alpha=config.alpha,
+        beta=config.beta,
+        gamma=config.gamma,
+        season_lengths=config.season_lengths,
+        season_weights=config.season_weights,
+    )
 
 
 class ScalarRow:
@@ -63,7 +83,7 @@ class ScalarRow:
 
     def _maybe_activate(self) -> None:
         if self.seasonal is None and len(self.history) >= self.config.min_history:
-            model = build_seasonal_model(self.config)
+            model = _seasonal_model(self.config)
             model.initialize(self.history)
             self.seasonal = model
             self.history = []
@@ -107,7 +127,7 @@ class ScalarRow:
             level = alpha * value + rest * level
         self.ewma_level = level
         if n >= self.config.min_history:
-            model = build_seasonal_model(self.config)
+            model = _seasonal_model(self.config)
             model.initialize(history[-self.config.min_history:])
             self.seasonal = model
         else:

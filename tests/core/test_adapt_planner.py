@@ -47,6 +47,13 @@ def make_tree():
     return HierarchyTree(LEAVES)
 
 
+#: Seasonal periods of each row layout: single-season Holt-Winters for one
+#: period, multi-seasonal for more.
+SEASONS = pytest.mark.parametrize(
+    "seasons", [(3,), (3, 2), (3, 2, 1)], ids=["one-period", "two-periods", "three-periods"]
+)
+
+
 def make_config(**overrides):
     defaults = dict(
         theta=4.0,
@@ -233,10 +240,6 @@ class TestPlannerInternals:
 class TestBankOps:
     CONFIG = ForecastConfig(season_lengths=(3,), fallback_alpha=0.4)
 
-    #: Every model the config can name; on one period ``"auto"`` is the
-    #: single-season model, and the multi-seasonal one takes its own layout.
-    MODELS = ("auto", "holt-winters", "multi-seasonal-holt-winters")
-
     def setup_bank(self, n=6, config=CONFIG):
         bank = ForecasterBank(config)
         rows = []
@@ -257,9 +260,9 @@ class TestBankOps:
             rows.append(row)
         return rows
 
-    @pytest.mark.parametrize("model", MODELS)
-    def test_split_row_matches_two_clones(self, model):
-        config = self.CONFIG.replace(model=model)
+    @SEASONS
+    def test_split_row_matches_two_clones(self, seasons):
+        config = self.CONFIG.with_seasons(seasons)
         bank, rows = self.setup_bank(config=config)
         scalar = self.setup_scalar_rows(config=config)
         ratio = 0.3
@@ -267,10 +270,10 @@ class TestBankOps:
         assert bank.row_state_dict(child) == scalar[0].scaled(ratio).state_dict()
         assert bank.row_state_dict(rows[0]) == scalar[0].scaled(1.0 - ratio).state_dict()
 
-    @pytest.mark.parametrize("model", MODELS)
-    def test_fold_row_matches_add_state(self, model):
+    @SEASONS
+    def test_fold_row_matches_add_state(self, seasons):
         """One MERGE pair per destination, several destinations."""
-        config = self.CONFIG.replace(model=model)
+        config = self.CONFIG.with_seasons(seasons)
         bank, rows = self.setup_bank(config=config)
         scalar = self.setup_scalar_rows(config=config)
         for dst, src in zip(rows[:3], rows[3:]):
@@ -685,10 +688,7 @@ class TestRegistryGuards:
 
 
 class TestCloseSurface:
-    """One close path, whatever the forecasting model."""
-
-    #: Chosen by the config, or a model by name.
-    MODELS = ("auto", "holt-winters", "multi-seasonal-holt-winters")
+    """One close path, whatever the row layout."""
 
     CHURN_THEN_STABLE = [
         {("a", "a1"): 8, ("b", "b2"): 6},
@@ -716,26 +716,24 @@ class TestCloseSurface:
         assert stats["fastpath_units"] > 0 and stats["planned_units"] > 0
         assert stats["fastpath_units"] + stats["planned_units"] == units
 
-    @pytest.mark.parametrize("model", MODELS)
-    def test_a_named_model_takes_the_same_close(self, model):
-        """Naming a built-in forecaster selects the row store's layout, not
-        another close: matrix rows and the planner."""
-        config = make_config()
-        config = config.replace(forecast=config.forecast.replace(model=model))
-        algo = ADAAlgorithm(make_tree(), config)
+    @SEASONS
+    def test_each_layout_takes_the_same_close(self, seasons):
+        """The period count selects the row store's layout, not another
+        close: matrix rows and the planner."""
+        algo = ADAAlgorithm(make_tree(), self.seasonal_config(seasons))
         run_units(algo, self.CHURN_THEN_STABLE)
         assert algo.adaptation_stats()["planned_units"] > 0
         assert algo.close_profile()["fused_units"] == len(self.CHURN_THEN_STABLE)
 
     @staticmethod
-    def model_config(model):
+    def seasonal_config(seasons):
         config = make_config()
-        return config.replace(forecast=config.forecast.replace(model=model))
+        return config.replace(forecast=config.forecast.with_seasons(seasons))
 
-    @pytest.mark.parametrize("model", MODELS)
-    def test_stats_keep_every_key_the_ledger_and_metrics_read(self, model):
+    @SEASONS
+    def test_stats_keep_every_key_the_ledger_and_metrics_read(self, seasons):
         """``benchmarks/ledger/replay.py`` and ``/metrics`` read these by name."""
-        algo = ADAAlgorithm(make_tree(), self.model_config(model))
+        algo = ADAAlgorithm(make_tree(), self.seasonal_config(seasons))
         run_units(algo, self.CHURN_THEN_STABLE)
         assert set(algo.adaptation_stats()) == {
             "mode",
@@ -754,10 +752,10 @@ class TestCloseSurface:
         }
         assert profile["close_time"]["count"] == len(self.CHURN_THEN_STABLE)
 
-    @pytest.mark.parametrize("model", MODELS)
-    def test_series_path_outside_tree_is_a_checkpoint_error(self, model):
+    @SEASONS
+    def test_series_path_outside_tree_is_a_checkpoint_error(self, seasons):
         """A restored series the tree has no node for could never be adapted."""
-        config = self.model_config(model)
+        config = self.seasonal_config(seasons)
         source = ADAAlgorithm(make_tree(), config)
         run_units(source, self.CHURN_THEN_STABLE)
         state = json.loads(json.dumps(source.state_dict()))

@@ -1,19 +1,13 @@
 """Unit tests for :mod:`repro.core.config`."""
 
-import json
-
 import pytest
 
 from repro.core.config import (
-    FORECAST_MODELS,
     SPLIT_RULE_NAMES,
     ForecastConfig,
     TiresiasConfig,
 )
-from repro.engine.session import DetectionSession
-from repro.exceptions import CheckpointError, ConfigurationError
-from repro.hierarchy.tree import HierarchyTree
-from repro.io.checkpoint import config_from_dict, config_to_dict
+from repro.exceptions import ConfigurationError
 
 
 class TestForecastConfig:
@@ -130,10 +124,6 @@ class TestReplace:
         with pytest.raises(ConfigurationError):
             config.replace(split_rule="magic")
 
-    def test_evolve_is_an_alias(self):
-        config = TiresiasConfig()
-        assert config.evolve(theta=5.0) == config.replace(theta=5.0)
-
     def test_forecast_config_replace(self):
         forecast = ForecastConfig(season_lengths=(4,))
         updated = forecast.replace(season_lengths=(8, 16))
@@ -157,53 +147,3 @@ class TestOutOfOrderPolicy:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError):
             TiresiasConfig(out_of_order_policy="ignore")
-
-
-class TestForecastModelName:
-    def test_default_is_auto(self):
-        assert ForecastConfig().model == "auto"
-
-    def test_empty_model_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ForecastConfig(model="")
-
-
-def _config_with_model(model):
-    return ForecastConfig(model=model, season_lengths=(2,))
-
-
-def _config_from_dict_with_model(model):
-    doc = config_to_dict(TiresiasConfig(forecast=ForecastConfig(season_lengths=(2,))))
-    doc["forecast"]["model"] = model
-    return config_from_dict(doc)
-
-
-def _session_from_checkpoint_with_model(model):
-    config = TiresiasConfig(
-        theta=2.0, delta_seconds=100.0, window_units=8,
-        forecast=ForecastConfig(season_lengths=(2,)),
-    )
-    session = DetectionSession(HierarchyTree([("a", "a1")]), config)
-    for unit in range(3):
-        session.process_timeunit_counts({("a", "a1"): 5}, timeunit=unit)
-    state = json.loads(json.dumps(session.state_dict()))
-    state["config"]["forecast"]["model"] = model
-    return DetectionSession.from_state_dict(state)
-
-
-@pytest.mark.parametrize(
-    "entry, error",
-    [
-        (_config_with_model, ConfigurationError),
-        (_config_from_dict_with_model, ConfigurationError),
-        (_session_from_checkpoint_with_model, CheckpointError),
-    ],
-    ids=["ForecastConfig", "config_from_dict", "from_state_dict"],
-)
-def test_a_misspelled_model_is_refused_before_any_record(entry, error):
-    """The model set is closed, so a typo fails where the config is built —
-    not in the middle of the first seasonal activation."""
-    with pytest.raises(error, match="no-such-model"):
-        entry("no-such-model")
-    for model in sorted(FORECAST_MODELS):
-        entry(model)

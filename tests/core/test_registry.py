@@ -1,18 +1,15 @@
-"""Unit tests for the closed sets of algorithms and forecasting models."""
+"""Unit tests for the closed set of algorithms and the forecasting model the
+seasonal periods pick."""
 
 import numpy as np
 import pytest
 
 from repro.core.ada import ADAAlgorithm
-from repro.core.config import FORECAST_MODELS, ForecastConfig, TiresiasConfig
+from repro.core.config import ForecastConfig, TiresiasConfig
 from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.core.sta import STAAlgorithm
 from repro.exceptions import ConfigurationError
-from repro.forecasting.bank import (
-    ForecasterBank,
-    build_seasonal_model,
-    load_seasonal_state,
-)
+from repro.forecasting.bank import ForecasterBank, load_seasonal_state
 from repro.forecasting.holt_winters import (
     HoltWintersForecaster,
     MultiSeasonalHoltWinters,
@@ -47,25 +44,6 @@ class TestAlgorithmRegistry:
 
 
 class TestForecastModels:
-    def test_the_holt_winters_forms_and_auto(self):
-        assert FORECAST_MODELS == {"auto", "holt-winters", "multi-seasonal-holt-winters"}
-
-    def test_create_builtin_forecasters(self):
-        single = build_seasonal_model(
-            ForecastConfig(season_lengths=(4,), model="holt-winters")
-        )
-        assert isinstance(single, HoltWintersForecaster)
-        assert single.season_length == 4
-        multi = build_seasonal_model(
-            ForecastConfig(
-                season_lengths=(4, 8),
-                season_weights=(0.75, 0.25),
-                model="multi-seasonal-holt-winters",
-            )
-        )
-        assert isinstance(multi, MultiSeasonalHoltWinters)
-        assert multi.season_lengths == (4, 8)
-
     def test_auto_model_picks_by_season_count(self):
         single = fed_row(ForecastConfig(season_lengths=(2,)), [1.0, 2.0, 1.0, 2.0])
         assert isinstance(seasonal_model(*single), HoltWintersForecaster)

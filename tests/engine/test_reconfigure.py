@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import ForecastConfig
 from repro.engine.reconfig import (
     FROZEN_FIELDS,
     check_reconfigurable,
@@ -93,6 +92,13 @@ class TestConfigDelta:
         with pytest.raises(ConfigurationError, match="unknown forecast field"):
             config_with_updates(config, {"forecast": {"alpha_": 0.5}})
 
+    @pytest.mark.parametrize("model", ["auto", "holt-winters"])
+    def test_a_model_delta_is_an_unknown_forecast_field(self, model):
+        """The model follows from ``season_lengths``; no delta names it."""
+        config = tiny_detector_config()
+        with pytest.raises(ConfigurationError, match="unknown forecast field.*model"):
+            config_with_updates(config, {"forecast": {"model": model}})
+
     def test_non_object_deltas_rejected(self):
         config = tiny_detector_config()
         with pytest.raises(ConfigurationError):
@@ -112,12 +118,6 @@ class TestFrozenFields:
         changed = (not current) if isinstance(current, bool) else current + 1
         with pytest.raises(ConfigurationError, match=field):
             check_reconfigurable(config, config.replace(**{field: changed}))
-
-    def test_unknown_forecaster_model_rejected(self):
-        config = tiny_detector_config()
-        with pytest.raises(ConfigurationError):
-            bad = config.replace(forecast=ForecastConfig(model="no-such-model"))
-            check_reconfigurable(config, bad)
 
     def test_live_session_rejects_frozen_delta(self, dataset, records):
         session = build_session(dataset)

@@ -11,6 +11,8 @@ refused.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.config import ForecastConfig
 from repro.exceptions import CheckpointError
 from repro.forecasting.bank import ForecasterBank
+from repro.forecasting.holt_winters import HoltWintersForecaster, MultiSeasonalHoltWinters
 from repro.testing.reference import ScalarRow
 
 
@@ -123,12 +126,11 @@ class TestBackendAgreement:
             ref_remainder.forecast(),
         )
 
-    #: Single-season, multi-season and the single-season model by name on
-    #: the first of two periods.
+    #: Single-season, two seasons and three.
     KERNEL_CONFIGS = (
         single_config(season=2, fallback=0.3),
         multi_config(),
-        ForecastConfig(season_lengths=(2, 5), fallback_alpha=0.4, model="holt-winters"),
+        ForecastConfig(season_lengths=(2, 3, 5), fallback_alpha=0.4),
     )
 
     @settings(max_examples=80, deadline=None)
@@ -241,37 +243,98 @@ class TestRowLifecycle:
         assert bank.new_row() == row + 1
 
 
-class TestNamedModel:
-    def test_a_named_builtin_model_gets_matrix_rows(self):
-        """``model="holt-winters"`` with two periods lays out the named
-        single-season model on the first period."""
-        config = ForecastConfig(season_lengths=(2, 5), fallback_alpha=0.4, model="holt-winters")
-        bank = ForecasterBank(config)
-        rows = [bank.new_row() for _ in range(7)]
-        mirror = [ScalarRow(config) for _ in range(7)]
-        for step in range(14):
-            batch = [float(step * k % 5) for k in range(7)]
-            assert observe(bank, rows, batch) == [
-                r.observe(v) for r, v in zip(mirror, batch)
-            ]
-        assert [bank.row_state_dict(r) for r in rows] == [r.state_dict() for r in mirror]
-        assert bank.row_state_dict(rows[0])["seasonal"]["season_length"] == 2
+class TestOneInitializer:
+    """Every layout starts a row's seasonal state in place — on warm-up
+    activation, warm-start and reference correction alike — equal to the
+    scalar model's initialization, and builds no scalar model on the way."""
 
-    def test_the_named_multi_seasonal_model_on_one_period_gets_matrix_rows(self):
-        """``model="multi-seasonal-holt-winters"`` with one period keeps the
-        multi-seasonal snapshot kind, not the single-season model ``"auto"``
-        would pick."""
+    CONFIGS = (
+        single_config(season=3),
+        multi_config(),
+        ForecastConfig(season_lengths=(2, 3, 4), fallback_alpha=0.4),
+    )
+
+    @pytest.mark.parametrize("path", ["activation", "seed_fast", "reseed"])
+    @pytest.mark.parametrize(
+        "config", CONFIGS, ids=["one-period", "two-periods", "three-periods"]
+    )
+    def test_no_scalar_model_is_built(self, config, path, monkeypatch):
+        history = [float((3 * i) % 7) - 1.5 for i in range(config.min_history + 5)]
+        scalar = ScalarRow(config)
+        if path == "activation":
+            for value in history:
+                scalar.observe(value)
+        else:
+            scalar.seed_fast(history)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the bank built a scalar model")
+
+        monkeypatch.setattr(HoltWintersForecaster, "__init__", refuse)
+        monkeypatch.setattr(MultiSeasonalHoltWinters, "__init__", refuse)
+        bank = ForecasterBank(config, window=64)
+        row = bank.new_row()
+        if path == "activation":
+            for value in history:
+                observe_one(bank, row, value)
+        elif path == "seed_fast":
+            bank.seed_fast(row, history)
+        else:
+            bank.reseed(row, history)
+        assert json.dumps(bank.row_state_dict(row)) == json.dumps(scalar.state_dict())
+
+
+class TestSeasonalSums:
+    """The bank and the scalar models add the same floats in the same order,
+    each sum a left fold from ``+0.0`` (:func:`repro._vector.left_sum`)."""
+
+    def test_three_weighted_factors_add_as_a_left_fold(self):
+        """Weighted factors 1e16, 1.0 and -1e16: a left fold loses the 1.0
+        to rounding and forecasts 0.0, where builtin ``sum`` — compensated
+        from CPython 3.12 on — would forecast 1.0."""
         config = ForecastConfig(
-            season_lengths=(3,), fallback_alpha=0.4, model="multi-seasonal-holt-winters"
+            season_lengths=(1, 2, 3), season_weights=(0.25, 0.5, 0.25), fallback_alpha=0.5
         )
+        state = {
+            "ewma_level": 0.0,
+            "seen": 6,
+            "history": [],
+            "seasonal": {
+                "kind": "multi-seasonal-holt-winters",
+                "alpha": config.alpha,
+                "beta": config.beta,
+                "gamma": config.gamma,
+                "season_lengths": [1, 2, 3],
+                "season_weights": [0.25, 0.5, 0.25],
+                "level": 0.0,
+                "trend": 0.0,
+                "seasonals": [[4e16], [2.0, 0.0], [-4e16, 0.0, 0.0]],
+                "phases": [0, 0, 0],
+            },
+        }
         bank = ForecasterBank(config)
-        rows = [bank.new_row() for _ in range(5)]
-        mirror = [ScalarRow(config) for _ in range(5)]
-        for step in range(12):
-            batch = [float(step * k % 4) for k in range(5)]
-            assert observe(bank, rows, batch) == [
-                r.observe(v) for r, v in zip(mirror, batch)
-            ]
-        assert [bank.row_state_dict(r) for r in rows] == [r.state_dict() for r in mirror]
-        seasonal = bank.row_state_dict(rows[0])["seasonal"]
-        assert seasonal["kind"] == "multi-seasonal-holt-winters"
+        row = bank.new_row()
+        bank.load_row_state(row, state)
+        scalar = ScalarRow(config)
+        scalar.load_state_dict(state)
+        assert bank.forecast(row) == scalar.forecast() == 0.0
+        assert observe_one(bank, row, 5.0) == scalar.observe(5.0)
+        assert json.dumps(bank.row_state_dict(row)) == json.dumps(scalar.state_dict())
+
+    @pytest.mark.parametrize("config", [single_config(season=2), multi_config()])
+    def test_an_all_negative_zero_window_initializes_as_the_scalar_row(self, config):
+        """A fold from ``+0.0`` sums an all ``-0.0`` window to ``+0.0``, on
+        both initialization paths (warm-start and activation)."""
+        history = [-0.0] * config.min_history
+        bank = ForecasterBank(config)
+        seeded, observed = bank.new_row(), bank.new_row()
+        bank.seed_fast(seeded, history)
+        scalar_seeded, scalar_observed = ScalarRow(config), ScalarRow(config)
+        scalar_seeded.seed_fast(history)
+        for value in history:
+            observe_one(bank, observed, value)
+            scalar_observed.observe(value)
+        for row, scalar in ((seeded, scalar_seeded), (observed, scalar_observed)):
+            snapshot = bank.row_state_dict(row)
+            assert json.dumps(snapshot) == json.dumps(scalar.state_dict())
+            assert str(snapshot["seasonal"]["level"]) == "0.0"

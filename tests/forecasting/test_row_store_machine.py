@@ -13,8 +13,8 @@ step (JSON prints ``-0.0`` and ``0.0`` differently, so the sign of zero is
 part of the contract).
 
 The parameter space covers ℓ below and above ``min_history``, ring wrap,
-single- and multi-season models, the single-season model by name (with
-the config's first period), ratios 0.0 and 1.0,
+single-season models and models of two and three seasons, ratios 0.0
+and 1.0,
 folds with unequal seasonal phases and unequal window / warm-up cursors
 (series are appended unevenly), folds into empty destinations (copy, not
 add) and into shorter ones (growth), and bank capacity growth while row
@@ -49,8 +49,7 @@ from repro.forecasting.bank import ForecasterBank
 from repro.testing.reference import ReferenceSeries
 
 #: (forecast config, window length ℓ): ℓ < min_history, ℓ > min_history
-#: (wraps within a few steps), a two-season model, and the single-season
-#: model by name.
+#: (wraps within a few steps), a two-season model, and a three-season one.
 SHAPES = (
     (ForecastConfig(season_lengths=(3,), fallback_alpha=0.4), 4),
     (ForecastConfig(season_lengths=(2,), fallback_alpha=0.3), 9),
@@ -60,7 +59,7 @@ SHAPES = (
         ),
         5,
     ),
-    (ForecastConfig(season_lengths=(2, 3), fallback_alpha=0.3, model="holt-winters"), 7),
+    (ForecastConfig(season_lengths=(2, 3, 4), fallback_alpha=0.3), 7),
 )
 
 values = st.one_of(

@@ -5,10 +5,6 @@ Small canonical CCD-trouble / CCD-network / SCD traces are committed under
 produce on them (``*.expected.json``).  Any change to the classification,
 heavy hitter, forecasting or detection arithmetic shows up as a diff here.
 
-Every test runs once per way of selecting the forecaster — ``"auto"`` and
-the built-in model by registry name, ``"holt-winters"`` — against the same
-expected files: naming the model changes nothing.
-
 Each expected file also pins, under ``"checkpoint_sha256"``, the sha256 of
 the checkpoint bytes (wall-clock fields stripped) that the serial ADA and STA
 sessions and a 2-subtree-shard ADA engine hold at the end of the trace: a
@@ -38,16 +34,6 @@ from tests.integration.test_reference_oracle import reference_run
 CHECKPOINT_KEY = "checkpoint_sha256"
 
 
-@pytest.fixture(params=["auto", "holt-winters"])
-def model(request) -> str:
-    return request.param
-
-
-def detector_config(spec, model: str, **changes):
-    config = spec.detector_config().replace(**changes)
-    return config.replace(forecast=config.forecast.replace(model=model))
-
-
 def detection_digest(results, anomalies) -> dict:
     """The JSON document a golden run is compared by (stable ordering)."""
     return {
@@ -58,11 +44,11 @@ def detection_digest(results, anomalies) -> dict:
     }
 
 
-def run_serial(spec, loader, model, path="record"):
+def run_serial(spec, loader, path="record"):
     tree, clock, records = loader(spec)
     engine = DetectionEngine()
     engine.add_session(
-        spec.name, tree, detector_config(spec, model), algorithm=spec.algorithm, clock=clock
+        spec.name, tree, spec.detector_config(), algorithm=spec.algorithm, clock=clock
     )
     if path == "record":
         results = engine.process_stream(records)[spec.name]
@@ -86,8 +72,8 @@ def write_expected(spec, **sections) -> None:
     )
 
 
-def test_golden_trace_detections(golden_spec, golden_trace_loader, model, update_golden):
-    results, anomalies = run_serial(golden_spec, golden_trace_loader, model)
+def test_golden_trace_detections(golden_spec, golden_trace_loader, update_golden):
+    results, anomalies = run_serial(golden_spec, golden_trace_loader)
     digest = detection_digest(results, anomalies)
     assert digest["total_anomalies"] > 0, (
         "a golden trace without detections would not regress anything useful"
@@ -107,10 +93,10 @@ def test_golden_trace_detections(golden_spec, golden_trace_loader, model, update
     )
 
 
-def test_golden_trace_batch_path_matches(golden_spec, golden_trace_loader, model):
-    record_results, record_anomalies = run_serial(golden_spec, golden_trace_loader, model)
+def test_golden_trace_batch_path_matches(golden_spec, golden_trace_loader):
+    record_results, record_anomalies = run_serial(golden_spec, golden_trace_loader)
     batch_results, batch_anomalies = run_serial(
-        golden_spec, golden_trace_loader, model, path="batch"
+        golden_spec, golden_trace_loader, path="batch"
     )
     assert batch_results == record_results
     assert [a.to_dict() for a in batch_anomalies] == [
@@ -121,7 +107,7 @@ def test_golden_trace_batch_path_matches(golden_spec, golden_trace_loader, model
 def test_golden_trace_matches_the_reference(golden_spec, golden_trace_loader):
     """The per-path reference reproduces every golden trace's per-unit
     results (the random-space check lives in test_reference_oracle.py)."""
-    results, anomalies = run_serial(golden_spec, golden_trace_loader, "auto")
+    results, anomalies = run_serial(golden_spec, golden_trace_loader)
     tree, clock, records = golden_trace_loader(golden_spec)
     _oracle, want, want_anomalies = reference_run(
         tree, clock, records, golden_spec.detector_config()
@@ -130,21 +116,19 @@ def test_golden_trace_matches_the_reference(golden_spec, golden_trace_loader):
     assert [a.to_dict() for a in anomalies] == want_anomalies
 
 
-def test_golden_trace_sharded_head_resumes_serially(
-    golden_spec, golden_trace_loader, model
-):
+def test_golden_trace_sharded_head_resumes_serially(golden_spec, golden_trace_loader):
     """Three subtree shards run the first half of a golden trace; their
     merged checkpoint, restored into a serial engine, finishes it exactly
     like an uninterrupted serial run."""
     tree, clock, records = golden_trace_loader(golden_spec)
-    record_results, record_anomalies = run_serial(golden_spec, golden_trace_loader, model)
+    record_results, record_anomalies = run_serial(golden_spec, golden_trace_loader)
     batches = list(iter_record_batches(records, 512))
     half = len(batches) // 2
     with ShardedDetectionEngine(num_workers=2) as engine:
         engine.add_session(
             golden_spec.name,
             tree,
-            detector_config(golden_spec, model),
+            golden_spec.detector_config(),
             algorithm=golden_spec.algorithm,
             clock=clock,
             subtree_shards=3,
@@ -161,14 +145,14 @@ def test_golden_trace_sharded_head_resumes_serially(
     ]
 
 
-def test_golden_trace_sharded_path_matches(golden_spec, golden_trace_loader, model):
+def test_golden_trace_sharded_path_matches(golden_spec, golden_trace_loader):
     tree, clock, records = golden_trace_loader(golden_spec)
-    record_results, record_anomalies = run_serial(golden_spec, golden_trace_loader, model)
+    record_results, record_anomalies = run_serial(golden_spec, golden_trace_loader)
     with ShardedDetectionEngine(num_workers=2) as engine:
         engine.add_session(
             golden_spec.name,
             tree,
-            detector_config(golden_spec, model),
+            golden_spec.detector_config(),
             algorithm=golden_spec.algorithm,
             clock=clock,
             subtree_shards=2,

@@ -16,9 +16,8 @@ detector configuration, then runs the stream through
   into two subtree shards for the configurations that admits (the root
   neither tracked nor qualifying),
 
-each with the forecasting model ``"auto"``, ``"holt-winters"`` (the
-single-season model by name) or ``"multi-seasonal-holt-winters"`` (the
-multi-seasonal model by name, on one seasonal period as well).  The oracle is
+each with one seasonal period (single-season Holt-Winters) or two (the
+multi-seasonal model).  The oracle is
 :class:`repro.testing.reference.ReferenceADA`, fed the same stream's
 per-timeunit counts: every path's per-unit results (heavy hitters, actuals,
 forecasts, anomalies) and reported anomalies must equal it, and the serial
@@ -52,11 +51,11 @@ from repro.testing.reference import ReferenceADA
 from tests.conftest import canonical_checkpoint
 
 DELTA = 600.0
-MODELS = ("auto", "holt-winters", "multi-seasonal-holt-winters")
 
 
-def make_case(seed: int, model: str, root: str):
-    """(tree, clock, records, config) of one generated example."""
+def make_case(seed: int, root: str, season: "tuple[int, ...] | None" = None):
+    """(tree, clock, records, config) of one generated example; ``season``
+    overrides the seasonal periods it draws."""
     rng = random.Random(seed)
     paths = []
     for top in range(rng.randint(2, 4)):
@@ -90,7 +89,8 @@ def make_case(seed: int, model: str, root: str):
         )
         for ts, path in drafts
     ]
-    season = rng.choice([(3,), (4,), (2, 3)])
+    drawn = rng.choice([(3,), (4,), (2, 3)])
+    season = drawn if season is None else season
     config = TiresiasConfig(
         theta=rng.choice([2.0, 4.0, 7.0]),
         ratio_threshold=rng.choice([1.5, 2.0]),
@@ -102,7 +102,7 @@ def make_case(seed: int, model: str, root: str):
         track_root=root == "tracked",
         allow_root_heavy=root != "excluded",
         out_of_order_policy="drop",
-        forecast=ForecastConfig(season_lengths=season, fallback_alpha=0.4, model=model),
+        forecast=ForecastConfig(season_lengths=season, fallback_alpha=0.4),
     )
     return tree, SimulationClock(delta=DELTA), records, config
 
@@ -179,8 +179,10 @@ def rows_by_path(algo_state):
     }
 
 
-def check_case(seed: int, model: str, root: str, batch_size: int, sharded: bool) -> None:
-    tree, clock, records, config = make_case(seed, model, root)
+def check_case(
+    seed: int, root: str, batch_size: int, sharded: bool, season=None
+) -> None:
+    tree, clock, records, config = make_case(seed, root, season)
     oracle, want_results, want_anomalies = reference_run(tree, clock, records, config)
     want_state = canonical_checkpoint(oracle.state_dict(), row_sorted=True)
     for cut in (None, batch_size):
@@ -221,21 +223,23 @@ def check_case(seed: int, model: str, root: str, batch_size: int, sharded: bool)
 )
 @given(
     seed=st.integers(min_value=0, max_value=100_000),
-    model=st.sampled_from(MODELS),
     root=st.sampled_from(["excluded", "qualifies", "tracked"]),
     batch_size=st.sampled_from([1, 23, 400]),
     sharded=st.booleans(),
 )
-def test_every_path_equals_the_reference(seed, model, root, batch_size, sharded):
-    check_case(seed, model, root, batch_size, sharded)
+def test_every_path_equals_the_reference(seed, root, batch_size, sharded):
+    check_case(seed, root, batch_size, sharded)
 
 
 @pytest.mark.parametrize("root", ["excluded", "qualifies", "tracked"])
-@pytest.mark.parametrize("model", MODELS)
-def test_each_model_on_every_path(model, root):
-    """Every model through every path under every root mode at least once,
-    whatever hypothesis draws."""
-    check_case(17, model, root, 64, sharded=True)
+@pytest.mark.parametrize(
+    "season", [(3,), (2, 3), (2, 3, 4)], ids=["one-period", "two-periods", "three-periods"]
+)
+def test_each_layout_on_every_path(season, root):
+    """Both row layouts (two and three periods for the multi-seasonal one)
+    through every path under every root mode at least once, whatever
+    hypothesis draws."""
+    check_case(17, root, 64, sharded=True, season=season)
 
 
 class CountingReference(ReferenceADA):
@@ -251,7 +255,7 @@ def test_the_cases_exercise_the_cascade():
     split, merged or corrected: across a few seeds they do all three."""
     splits = merges = corrections = 0
     for seed in range(6):
-        tree, clock, records, config = make_case(seed, "auto", "excluded")
+        tree, clock, records, config = make_case(seed, "excluded")
         oracle, _results, _anomalies = reference_run(
             tree, clock, records, config.replace(reference_levels=2), CountingReference
         )

@@ -35,7 +35,7 @@ from repro.core.results import TimeunitResult
 from repro.engine.engine import DetectionEngine
 from repro.engine.sharded import ShardedDetectionEngine
 from repro.streaming.batch import iter_record_batches
-from tests.integration.test_reference_oracle import MODELS, make_case, reference_run
+from tests.integration.test_reference_oracle import make_case, reference_run
 
 TRANSPORT = os.environ.get("REPRO_SHARD_TRANSPORT", "pipe")
 
@@ -107,13 +107,12 @@ def check_against_oracle(results, want) -> None:
 )
 @given(
     seed=st.integers(min_value=0, max_value=100_000),
-    model=st.sampled_from(MODELS),
     root=st.sampled_from(["excluded", "qualifies", "tracked"]),
     batch_size=st.sampled_from([1, 23, 400]),
     sharded=st.booleans(),
 )
-def test_column_results_equal_eager_ones(seed, model, root, batch_size, sharded):
-    tree, clock, records, config = make_case(seed, model, root)
+def test_column_results_equal_eager_ones(seed, root, batch_size, sharded):
+    tree, clock, records, config = make_case(seed, root)
     _oracle, want, _anomalies = reference_run(tree, clock, records, config)
     warmup = config.forecast.min_history
     runs = [
@@ -130,7 +129,7 @@ def test_column_results_equal_eager_ones(seed, model, root, batch_size, sharded)
 
 def test_warmup_suppression_keeps_the_columns():
     """``without_anomalies`` drops the anomalies and shares everything else."""
-    tree, clock, records, config = make_case(17, "auto", "excluded")
+    tree, clock, records, config = make_case(17, "excluded")
     for result in serial_results(tree, clock, records, config, 64):
         quiet = result.without_anomalies()
         assert quiet.anomalies == () and quiet.timeunit == result.timeunit

@@ -202,8 +202,8 @@ DELTA = 10.0
 LEAVES = [("a", "a1"), ("a", "a2"), ("b", "b1", "x"), ("b", "b1", "y"), ("b", "b2"), ("c",)]
 #: The leaves, an interior node and two paths the tree does not know.
 CATEGORIES = LEAVES + [("b", "b1"), ("zz", "nowhere"), ("a", "a9")]
-#: The forecaster picked by the config, and the same built-in model by name.
-MODELS = ("auto", "holt-winters")
+#: Seasonal periods of the two row layouts (single- and multi-seasonal).
+SEASONS = pytest.mark.parametrize("seasons", [(2,), (2, 3)], ids=["one-period", "two-periods"])
 
 
 def session_rows(late: bool = True):
@@ -223,7 +223,7 @@ def session_rows(late: bool = True):
     return rows
 
 
-def make_config(policy: str, model: str = "auto", **overrides) -> TiresiasConfig:
+def make_config(policy: str, seasons=(2,), **overrides) -> TiresiasConfig:
     defaults = dict(
         theta=3.0,
         ratio_threshold=1.5,
@@ -234,16 +234,16 @@ def make_config(policy: str, model: str = "auto", **overrides) -> TiresiasConfig
         track_root=False,
         allow_root_heavy=False,
         out_of_order_policy=policy,
-        forecast=ForecastConfig(season_lengths=(2,), fallback_alpha=0.4, model=model),
+        forecast=ForecastConfig(season_lengths=seasons, fallback_alpha=0.4),
     )
     defaults.update(overrides)
     return TiresiasConfig(**defaults)
 
 
-def outcome(batches, tmp_path, policy="drop", shadow=False, model="auto") -> dict:
+def outcome(batches, tmp_path, policy="drop", shadow=False, seasons=(2,)) -> dict:
     """Everything the contract compares, for one session fed ``batches``."""
     session = DetectionSession(
-        HierarchyTree(LEAVES), make_config(policy, model), warmup_units=2
+        HierarchyTree(LEAVES), make_config(policy, seasons), warmup_units=2
     )
     events: list[tuple] = []
     session.subscribe(
@@ -259,7 +259,7 @@ def outcome(batches, tmp_path, policy="drop", shadow=False, model="auto") -> dic
         )
     )
     if shadow:
-        session.start_shadow(make_config(policy, model, theta=2.0))
+        session.start_shadow(make_config(policy, seasons, theta=2.0))
     results, error = [], None
     try:
         for batch in batches:
@@ -289,19 +289,19 @@ def assert_coded_equals_tuples(coded, rows, tmp_path, **options) -> dict:
     return got
 
 
-@pytest.mark.parametrize("model", MODELS)
+@SEASONS
 class TestSessionsCannotTell:
     @pytest.mark.parametrize("policy", ["drop", "clamp", "raise"])
     @pytest.mark.parametrize("batch_size", [7, 64, 4096])
-    def test_late_runs_and_unknown_categories(self, tmp_path, model, policy, batch_size):
+    def test_late_runs_and_unknown_categories(self, tmp_path, seasons, policy, batch_size):
         rows = session_rows()
         coded = [b for _, b in NdjsonDecoder(batch_size).feed(ndjson(rows), final=True)]
-        got = assert_coded_equals_tuples(coded, rows, tmp_path, policy=policy, model=model)
+        got = assert_coded_equals_tuples(coded, rows, tmp_path, policy=policy, seasons=seasons)
         assert (got["error"] is not None) == (policy == "raise")
         if batch_size > 7:
             assert got["dense_units"] > 0
 
-    def test_csv_and_jsonl_files(self, tmp_path, model):
+    def test_csv_and_jsonl_files(self, tmp_path, seasons):
         rows = session_rows(late=False)
         records = [OperationalRecord.create(ts, category) for ts, category, _ in rows]
         write_records_csv(records, tmp_path / "t.csv", max_depth=3)
@@ -310,9 +310,9 @@ class TestSessionsCannotTell:
             list(read_batches_csv(tmp_path / "t.csv", 50)),
             list(read_batches_jsonl(tmp_path / "t.jsonl", 50)),
         ):
-            assert_coded_equals_tuples(batches, rows, tmp_path, model=model)
+            assert_coded_equals_tuples(batches, rows, tmp_path, seasons=seasons)
 
-    def test_two_tenants_interleaved_in_one_body(self, tmp_path, model):
+    def test_two_tenants_interleaved_in_one_body(self, tmp_path, seasons):
         rows = session_rows()
         tenants = [("beta" if i % 2 else "alpha") for i in range(len(rows))]
         decoder = NdjsonDecoder(
@@ -322,15 +322,15 @@ class TestSessionsCannotTell:
         for name in ("alpha", "beta"):
             own = [row for row, tag in zip(rows, tenants) if tag == name]
             coded = [batch for tenant, batch in fed if tenant == name]
-            assert_coded_equals_tuples(coded, own, tmp_path, policy="clamp", model=model)
+            assert_coded_equals_tuples(coded, own, tmp_path, policy="clamp", seasons=seasons)
 
-    def test_with_a_shadow_session_attached(self, tmp_path, model):
+    def test_with_a_shadow_session_attached(self, tmp_path, seasons):
         rows = session_rows()
         coded = [b for _, b in NdjsonDecoder(48).feed(ndjson(rows), final=True)]
-        got = assert_coded_equals_tuples(coded, rows, tmp_path, shadow=True, model=model)
+        got = assert_coded_equals_tuples(coded, rows, tmp_path, shadow=True, seasons=seasons)
         assert any(event[0] == "diverged" for event in got["events"])
 
-    def test_small_posts(self, tmp_path, model):
+    def test_small_posts(self, tmp_path, seasons):
         """The paced shape: one decoder (one request) per post, one run per
         post, many posts per timeunit — every post brings a new dictionary
         and at most one unit closes per post."""
@@ -348,12 +348,12 @@ class TestSessionsCannotTell:
             coded.append(batch)
             start = stop
         assert len(coded) > 4 * 16
-        got = assert_coded_equals_tuples(coded, rows, tmp_path, model=model)
+        got = assert_coded_equals_tuples(coded, rows, tmp_path, seasons=seasons)
         # No post closes a unit it has a run in, and still every close (one
         # per unit) is a swept row's.
         assert got["dense_units"] == len(got["results"]) == 16
 
-    def test_a_growing_dictionary_extends_the_code_map(self, tmp_path, model):
+    def test_a_growing_dictionary_extends_the_code_map(self, tmp_path, seasons):
         """One connection's codebook grows between flushes; the session maps
         only the entries it has not mapped yet."""
         rows = [  # unit u draws on the first 2 + u categories
@@ -362,9 +362,9 @@ class TestSessionsCannotTell:
             for k in range(10)
         ]
         coded = [b for _, b in NdjsonDecoder(20).feed(ndjson(rows), final=True)]
-        assert_coded_equals_tuples(coded, rows, tmp_path, model=model)
+        assert_coded_equals_tuples(coded, rows, tmp_path, seasons=seasons)
         session = DetectionSession(
-            HierarchyTree(LEAVES), make_config("drop", model), warmup_units=2
+            HierarchyTree(LEAVES), make_config("drop", seasons), warmup_units=2
         )
         mapped: list[int] = []
         map_ids = session.algorithm.dictionary_node_ids

@@ -7,6 +7,13 @@ while it existed names it only when it was not 1, so loading such a document
 without it would change its detections: every entry point refuses it with an
 error that names the field.  A config without it loads and writes exactly
 the bytes it did before.
+
+``ForecastConfig.model`` named the seasonal model; the model now follows
+from the number of ``season_lengths``.  Documents still carry the key
+(``"auto"``, so checkpoint bytes do not move), and one naming ``"auto"`` or
+the form the periods pick loads as before.  Any other name asked for a model
+that no longer exists, and is refused with an error naming
+``forecast.model``.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from repro.engine.engine import DetectionEngine
 from repro.engine.reconfig import reconfigured_state
 from repro.engine.session import DetectionSession
 from repro.engine.sharded import ShardedDetectionEngine
+from repro.core.config import ForecastConfig
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.io.checkpoint import config_from_dict, config_to_dict
 from repro.service.config import TenantSpec
@@ -125,4 +133,71 @@ def test_a_tenant_spec_naming_it_is_refused(value):
     document = tenant_spec_for("t", tiny_dataset()).to_dict()
     document["config"]["min_heavy_depth"] = value
     with pytest.raises(ConfigurationError, match="min_heavy_depth"):
+        TenantSpec.from_dict(document)
+
+
+#: (seasonal periods, a ``forecast.model`` those periods do not pick).
+FOREIGN_MODELS = [
+    ((8,), "multi-seasonal-holt-winters"),
+    ((4, 8), "holt-winters"),
+    ((8,), "arima"),
+]
+
+#: (seasonal periods, the model name they pick).
+PICKED_MODELS = [((8,), "holt-winters"), ((4, 8), "multi-seasonal-holt-winters")]
+
+
+def with_seasons(config, seasons):
+    return config.replace(forecast=config.forecast.with_seasons(seasons))
+
+
+def test_the_forecast_config_has_no_model(fast_config):
+    assert not hasattr(fast_config.forecast, "model")
+    with pytest.raises(TypeError):
+        ForecastConfig(model="auto")
+    assert config_to_dict(fast_config)["forecast"]["model"] == "auto"
+
+
+@pytest.mark.parametrize("seasons, model", FOREIGN_MODELS)
+def test_config_from_dict_refuses_a_model_the_periods_do_not_pick(
+    fast_config, seasons, model
+):
+    document = config_to_dict(with_seasons(fast_config, seasons))
+    document["forecast"]["model"] = model
+    with pytest.raises(CheckpointError, match=r"forecast\.model"):
+        config_from_dict(document)
+
+
+@pytest.mark.parametrize("seasons, model", PICKED_MODELS)
+def test_a_config_naming_the_picked_model_loads(fast_config, seasons, model):
+    config = with_seasons(fast_config, seasons)
+    document = config_to_dict(config)
+    document["forecast"]["model"] = model
+    assert config_from_dict(document) == config
+    assert config_to_dict(config_from_dict(document)) == config_to_dict(config)
+
+
+@pytest.mark.parametrize("seasons", [(8,), (4, 8)])
+def test_a_config_without_a_model_loads(fast_config, seasons):
+    config = with_seasons(fast_config, seasons)
+    document = config_to_dict(config)
+    del document["forecast"]["model"]
+    assert config_from_dict(document) == config
+
+
+def test_a_session_checkpoint_naming_a_foreign_model_is_refused(
+    small_tree, fast_config, clock
+):
+    state = session_state(small_tree, fast_config, clock)
+    state["config"]["forecast"]["model"] = "multi-seasonal-holt-winters"
+    with pytest.raises(CheckpointError, match=r"forecast\.model"):
+        DetectionSession.from_state_dict(state)
+
+
+@pytest.mark.parametrize("model", ["multi-seasonal-holt-winters", "arima"])
+def test_a_tenant_spec_naming_a_foreign_model_is_refused(model):
+    document = tenant_spec_for("t", tiny_dataset()).to_dict()
+    assert document["config"]["forecast"]["season_lengths"] == [8]
+    document["config"]["forecast"]["model"] = model
+    with pytest.raises(ConfigurationError, match=r"forecast\.model"):
         TenantSpec.from_dict(document)
