@@ -434,12 +434,11 @@ class ADAAlgorithm(HierarchyTracker):
             for depth in range(1, config.reference_levels + 1)
             for path in tree.paths_at_depth(depth)
         )
+        reference_ids = [tree.path_to_id[path] for path in self._reference_nodes]
+        #: Their node ids: once the ring holds a column, each has values.
+        self._reference_ids = frozenset(reference_ids)
         #: Reference (unmodified weight) series for nodes in the top h levels.
-        self._ref = RefStore(
-            config.window_units,
-            self._reference_nodes,
-            [tree.path_to_id[path] for path in self._reference_nodes],
-        )
+        self._ref = RefStore(config.window_units, self._reference_nodes, reference_ids)
 
     # ------------------------------------------------------------------
     # Online interface
@@ -639,6 +638,11 @@ class ADAAlgorithm(HierarchyTracker):
         return score
 
     def _ref_has_id(self, node_id: int) -> bool:
+        """Whether ``node_id`` holds reference values: membership once the
+        ring holds a column, the path's restored count before (a fresh or
+        restored ring)."""
+        if self._ref._columns:
+            return node_id in self._reference_ids
         return self._ref.has_values(self.tree.paths[node_id])
 
     def _apply_plan(self, plan) -> None:
@@ -650,8 +654,11 @@ class ADAAlgorithm(HierarchyTracker):
         :meth:`~repro.forecasting.bank.ForecasterBank.fold_row`) — applied
         one by one: each float operation happens where the paper's cascade
         performs it, and a reference correction reads the rows the splits
-        before it wrote.  The registry is integers throughout: no per-series
-        object is made or touched.
+        before it wrote.  A SPLIT whose child is corrected reads the
+        child's strict descendants only (never the donor), so the corrected
+        series is computed first and the split reseeds the child from it
+        instead of scaling it.  The registry is integers throughout: no
+        per-series object is made or touched.
         """
         bank = self.bank
         ids = self._series_ids
@@ -660,10 +667,10 @@ class ADAAlgorithm(HierarchyTracker):
             kind = op[0]
             if kind == SPLIT:
                 _kind, donor_id, child_id, ratio, correct = op
-                row = bank.split_row(ids[donor_id], ratio)
-                ids[child_id] = rows[child_id] = row
-                if correct:
-                    self._correct_from_reference(child_id, row)
+                corrected = self._corrected_series(child_id) if correct else None
+                ids[child_id] = rows[child_id] = bank.split_row(
+                    ids[donor_id], ratio, corrected
+                )
             elif kind == FRESH:
                 ids[op[1]] = rows[op[1]] = bank.new_row()
             elif kind == MOVE:
@@ -678,26 +685,28 @@ class ADAAlgorithm(HierarchyTracker):
                     bank.fold_row(ids[op[2]], row)
                 bank.free_row(row)
 
-    def _correct_from_reference(self, node_id: int, row: int) -> None:
-        """§V-B5 on row numbers: ``row`` (the series of ``node_id``, fresh
-        from a split) becomes reference − Σ tracked descendants.
+    def _corrected_series(self, node_id: int):
+        """§V-B5 on node ids: reference − Σ tracked descendants of
+        ``node_id`` (a fresh, non-empty float64 array), or ``None`` when the
+        node holds no reference values and keeps its split share.
 
         Descendants subtract in tracking order — the registry's order —
         because float subtraction does not commute with itself.
         """
         corrected = self._ref.corrected_base(self.tree.paths[node_id])
         if corrected is None:
-            return
-        length = corrected.shape[0]
+            return None
         below = self.tree.descendant_ids(node_id)
+        if self._series_ids.keys().isdisjoint(below):  # walks the smaller
+            return corrected
+        length = corrected.shape[0]
         bank = self.bank
         for other_id, other_row in self._series_ids.items():
             if other_id in below:
                 # Aligned on the newest element, clipped to the overlap.
                 descendant = bank.window_values(other_row, 0, length)
                 corrected[length - len(descendant) :] -= descendant
-        if length:
-            bank.reseed(row, corrected)
+        return corrected
 
     # ------------------------------------------------------------------
     # Series registry

@@ -10,19 +10,24 @@ C-contiguous float64 matrix**::
     [ewma, level, trend | seasonal buffer(s) | warm-up history | actual ℓ | forecast ℓ]
 
 next to one small integer row (``seen``, window lengths, ``active``, warm-up
-length, window cursor, seasonal phase(s)).  Segments are slot-addressed and
-hold ``+0.0`` outside their live range, so ADA's adaptation is array
-arithmetic on whole rows:
+length, window cursor, seasonal slot(s) and rotation(s)).  Segments are
+slot-addressed and hold ``+0.0`` outside their live range, so ADA's
+adaptation is array arithmetic on whole rows:
 
 * **SPLIT** (:meth:`~ForecasterBank.split_row`) — one multiply into the new
   row, one in place, one integer-row copy;
 * **MERGE** (:meth:`~ForecasterBank.fold_row`) — one add plus integer maxima
   when the two rows are slot-aligned; per segment, with a rotation where
-  cursors or seasonal phases differ and a *copy* where the destination holds
+  cursors or seasonal slots differ and a *copy* where the destination holds
   nothing yet (``0.0 + -0.0`` is ``+0.0``: an add would drop the sign of
-  the zeros a ratio-0 split leaves);
+  the zeros a ratio-0 split leaves).  Seasonal buffers are stored rotated
+  against the bank's clock (its count of :meth:`~ForecasterBank.observe_rows`
+  calls), so warm rows observed in lockstep read the same physical slot
+  whatever their canonical phase: ADA's folds of warm rows are one add;
 * **reference correction** (:meth:`~ForecasterBank.reseed`) — windows and
-  forecaster state rewritten in place from the corrected series;
+  forecaster state rewritten in place from the corrected series; a SPLIT
+  whose child is corrected at once scales only its donor
+  (``split_row(row, ratio, values)``);
 * **close** — :meth:`~ForecasterBank.observe_rows` advances every tracked
   forecaster with one kernel, whatever the number of rows (the warm-up
   append is one indexed store), and :meth:`~ForecasterBank.record_rows`
@@ -47,7 +52,8 @@ speak the *canonical per-path forecaster format* that predates the bank
 (``{"ewma_level", "seen", "history", "seasonal"}``), so bank-backed sessions
 read and write the same checkpoints as sharded sessions;
 :meth:`series_state_dict` / :meth:`load_series_state` add the windows.
-Window slots are not part of either — only oldest-first contents are.
+Window slots and seasonal rotations are not part of either — only
+oldest-first windows and canonical (phase-relative) seasonal buffers are.
 :meth:`series_state_dict` is also the one way a tracked series is read
 (:meth:`ADAAlgorithm.series_state <repro.core.ada.ADAAlgorithm.series_state>`):
 there are no per-series objects over the rows.
@@ -87,9 +93,13 @@ def load_seasonal_state(state: dict):
     return loader(state)
 
 
-#: Columns of the per-row integer matrix.  ``_ACTIVE`` onwards is the row's
-#: *alignment*: two rows whose alignment is equal hold every float segment
-#: slot for slot, so a MERGE is one whole-row add.
+#: Columns of the per-row integer matrix, then one rotation column per
+#: seasonal period after the phases.  ``_ACTIVE`` up to the rotations is the
+#: row's *alignment*: two rows whose alignment is equal hold every float
+#: segment slot for slot, so a MERGE is one whole-row add.  A phase is the
+#: *physical* buffer slot the row reads next; the period's rotation ``r``
+#: (constant between initializations) maps canonical slot ``c`` to physical
+#: slot ``(c + r) % p``.
 _SEEN, _ALEN, _FLEN, _ACTIVE, _HLEN, _WPOS, _PHASE = range(7)
 
 
@@ -152,7 +162,8 @@ class ForecasterBank:
         self._seasonal_off = tuple(offsets[:-1])
         self._hist_off = offsets[-1]
         self._actual_off = self._hist_off + self._min_history
-        self._icols = _PHASE + len(lengths)
+        self._rot = _PHASE + len(lengths)  # first rotation column
+        self._icols = self._rot + len(lengths)
         self._state = np.zeros((8, self._actual_off))
         self._ints = np.zeros((8, self._icols), dtype=np.int64)
         self.window: int | None = None
@@ -163,6 +174,11 @@ class ForecasterBank:
         #: are then recorded together stay slot-aligned.  A hint — nothing
         #: depends on it but the share of folds that are a single add.
         self._wpos_hint = 0
+        #: The bank's clock: :meth:`observe_rows` calls so far.  A seasonal
+        #: initialization puts phase 0 at physical slot ``_tick % p``, so
+        #: rows observed in every call read one slot — a hint too, like the
+        #: cursor above: folds of rows on other slots rotate.
+        self._tick = 0
         if window is not None:
             self.reserve_window(window)
 
@@ -265,6 +281,7 @@ class ForecasterBank:
         whatever the number of rows.  Every gather and scatter is a 1-d take
         on the flattened matrices at ``row * width + column``.
         """
+        self._tick += 1
         flat = self._state.reshape(-1)
         iflat = self._ints.reshape(-1)
         base = idx * self._width
@@ -349,7 +366,9 @@ class ForecasterBank:
         is the mean of the last two cycles of the longest period ``p``, the
         trend the difference of the two cycles' sums over ``p * p``, and
         each period's factors are its last cycle's deviations from the
-        level; every phase starts at 0.
+        level; every phase starts at 0, stored at physical slot
+        ``_tick % p`` (the slot every row observed from now on in lockstep
+        reads next).
 
         The sums are left folds starting at ``+0.0`` — bit for bit
         :func:`repro._vector.left_sum`, which the scalar models use —
@@ -365,11 +384,12 @@ class ForecasterBank:
         state = self._state[row]
         state[1] = level
         state[2] = (second - first) / (p * p)
-        for off, q in zip(self._seasonal_off, self._lengths):
-            np.subtract(window[-q:], level, out=state[off : off + q])
         ints = self._ints[row]
         ints[_ACTIVE] = 1
-        ints[_PHASE:] = 0
+        for k, (off, q) in enumerate(zip(self._seasonal_off, self._lengths)):
+            rot = self._tick % q
+            _store_ending_at(state[off : off + q], rot, window[-q:] - level)
+            ints[_PHASE + k] = ints[self._rot + k] = rot
 
     # ------------------------------------------------------------------
     # Windows
@@ -442,7 +462,9 @@ class ForecasterBank:
         """The reference-series correction, in place: both windows become
         ``values`` (oldest first, the newest ℓ of them) and the forecaster
         state is rebuilt from them by :meth:`seed_fast`.  The window cursor
-        stays where it is, so the row remains slot-aligned with its peers."""
+        stays where it is, and the restarted seasonal phase 0 is stored at
+        the bank clock's slot (:meth:`_initialize`), so the row remains
+        slot-aligned with its lockstep peers."""
         values = values[-self.window :]
         state = self._state[row]
         ints = self._ints[row]
@@ -498,23 +520,30 @@ class ForecasterBank:
     # ------------------------------------------------------------------
     # Linearity operations (SPLIT / MERGE, Lemma 2)
     # ------------------------------------------------------------------
-    def split_row(self, row: int, ratio: float) -> int:
+    def split_row(self, row: int, ratio: float, values=None) -> int:
         """SPLIT ``row`` in place: a new row takes ``ratio`` of its state —
         forecaster components, warm-up history and both windows — and ``row``
         keeps the complementary ``1 - ratio`` share.
 
         One multiply into the new row, one in place, one integer-row copy:
         element for element the ``scaled(ratio)`` / ``scaled(1 - ratio)``
-        pair of the per-object split cascade.
+        pair of the per-object split cascade.  With ``values`` (a non-empty
+        oldest-first series: the reference correction of the new row) the
+        new row is :meth:`reseed` from them instead — the reseed overwrites
+        the whole row, so its ``ratio`` share is never computed.
         """
         dst = self._alloc_row()
         rest = 1.0 - ratio
         donor = self._state[row]
-        np.multiply(donor, ratio, out=self._state[dst])
-        donor *= rest
         self._ints[dst] = self._ints[row]
+        if values is None:
+            np.multiply(donor, ratio, out=self._state[dst])
+        else:
+            self.reseed(dst, values)
+        donor *= rest
         if not 0.0 < ratio < 1.0 and not (_keeps_zeros(ratio) and _keeps_zeros(rest)):
-            self._rezero(dst)
+            if values is None:
+                self._rezero(dst)
             self._rezero(row)
         return dst
 
@@ -540,13 +569,16 @@ class ForecasterBank:
         left allocated; the caller releases it).
 
         When the two rows agree on activity, warm-up length, window cursor
-        and seasonal phases, every segment lines up slot for slot — zeros
+        and seasonal slots, every segment lines up slot for slot — zeros
         outside the live ranges — and the fold is one add over the row plus
-        integer maxima.  Otherwise each segment folds on its own, rotated
-        into ``dst``'s frame where phases or cursors differ and *copied*
-        where ``dst`` has nothing yet: ``0.0 + -0.0`` is ``+0.0``, so adding
-        into an empty destination would lose the sign a ratio-0 split leaves
-        behind.
+        integer maxima.  Rotations are not compared: a buffer's slots pair
+        by the next one read, so two buffers that read the same physical
+        slot add slot for slot, and ``dst`` keeps its own rotation.  Rows
+        observed in lockstep read the same slot (see :meth:`_initialize`).
+        Otherwise each segment folds on its own, rotated into ``dst``'s
+        frame where slots or cursors differ and *copied* where ``dst`` has
+        nothing yet: ``0.0 + -0.0`` is ``+0.0``, so adding into an empty
+        destination would lose the sign a ratio-0 split leaves behind.
         """
         src_ints = self._ints[src]
         dst_ints = self._ints[dst]
@@ -557,11 +589,12 @@ class ForecasterBank:
             dst_state = self._state[dst]
             src_ewma = src_state[0]
             dst_ewma = dst_state[0]
-            if theirs[_PHASE:] == mine[_PHASE:]:
+            rot = self._rot
+            if theirs[_PHASE:rot] == mine[_PHASE:rot]:
                 dst_state += src_state
             else:
-                # Same frame but for the seasonal phases (a reference
-                # correction restarts them): only the buffers rotate.
+                # Same frame but for the seasonal slots (rows not observed
+                # in lockstep): only the buffers rotate.
                 dst_state[:3] += src_state[:3]
                 for k, (off, p) in enumerate(zip(self._seasonal_off, self._lengths)):
                     _rotated_add(
@@ -574,8 +607,9 @@ class ForecasterBank:
                 dst_state[0] = dst_ewma
             elif dst_ewma != dst_ewma:
                 dst_state[0] = src_ewma
-            counts = dst_ints[:_ACTIVE]
-            np.maximum(counts, src_ints[:_ACTIVE], out=counts)
+            for col in range(_ACTIVE):  # seen and window lengths: maxima
+                if theirs[col] > mine[col]:
+                    dst_ints[col] = theirs[col]
             return
         self._fold_state(dst, src)
         if self.window is not None:
@@ -598,8 +632,9 @@ class ForecasterBank:
 
         Exactly the reference's
         :meth:`~repro.testing.reference.ScalarRow.add_state`: sum where both sides hold
-        something, copy where only the source does, nothing where the source
-        is empty.
+        something, copy where only the source does (rotations too), nothing
+        where the source is empty.  Seasonal buffers pair by physical slot,
+        as in :meth:`fold_row`.
         """
         src_state = self._state[src]
         dst_state = self._state[dst]
@@ -657,6 +692,7 @@ class ForecasterBank:
             return (
                 kind == "holt-winters"
                 and int(seasonal["season_length"]) == self._lengths[0]
+                and len(seasonal["seasonals"]) == self._lengths[0]
                 and float(seasonal["alpha"]) == config.alpha
                 and float(seasonal["beta"]) == config.beta
                 and float(seasonal["gamma"]) == config.gamma
@@ -664,20 +700,33 @@ class ForecasterBank:
         return (
             kind == "multi-seasonal-holt-winters"
             and tuple(int(p) for p in seasonal["season_lengths"]) == self._lengths
+            and tuple(len(buf) for buf in seasonal["seasonals"]) == self._lengths
             and tuple(float(w) for w in seasonal["season_weights"]) == self._weights
             and float(seasonal["alpha"]) == config.alpha
             and float(seasonal["beta"]) == config.beta
             and float(seasonal["gamma"]) == config.gamma
         )
 
+    def _canonical_seasonals(self, values: list, ints: list):
+        """Each period's ``(buffer, phase)`` in the canonical frame: the
+        stored buffer rolled back by the period's rotation."""
+        for k, (off, p) in enumerate(zip(self._seasonal_off, self._lengths)):
+            rot = ints[self._rot + k]
+            yield (
+                values[off + rot : off + p] + values[off : off + rot],
+                (ints[_PHASE + k] - rot) % p,
+            )
+
     def row_state_dict(self, row: int) -> dict:
-        """The row's state in the canonical per-path forecaster format."""
+        """The row's state in the canonical per-path forecaster format (the
+        same whatever the bank's clock)."""
         ints = self._ints[row].tolist()
         values = self._state[row, : self._hist_off + ints[_HLEN]].tolist()
         config = self.config
         if not ints[_ACTIVE]:
             seasonal = None
         elif self._single:
+            (buffer, phase), = self._canonical_seasonals(values, ints)
             seasonal = {
                 "kind": "holt-winters",
                 "alpha": config.alpha,
@@ -686,10 +735,11 @@ class ForecasterBank:
                 "season_length": self._lengths[0],
                 "level": values[1],
                 "trend": values[2],
-                "seasonals": values[3 : self._hist_off],
-                "phase": ints[_PHASE],
+                "seasonals": buffer,
+                "phase": phase,
             }
         else:
+            buffers, phases = zip(*self._canonical_seasonals(values, ints))
             seasonal = {
                 "kind": "multi-seasonal-holt-winters",
                 "alpha": config.alpha,
@@ -699,11 +749,8 @@ class ForecasterBank:
                 "season_weights": list(self._weights),
                 "level": values[1],
                 "trend": values[2],
-                "seasonals": [
-                    values[off : off + p]
-                    for off, p in zip(self._seasonal_off, self._lengths)
-                ],
-                "phases": ints[_PHASE:],
+                "seasonals": list(buffers),
+                "phases": list(phases),
             }
         ewma = values[0]
         return {
@@ -720,6 +767,8 @@ class ForecasterBank:
         :class:`~repro.exceptions.CheckpointError` for seasonal state of
         other parameters or an uninitialized model, and for a warm-up history
         of ``min_history`` or more values (the model activates before that).
+        Each seasonal buffer is stored rotated so the row reads the bank
+        clock's slot next.
         """
         seasonal = state["seasonal"]
         history = state["history"]
@@ -749,12 +798,15 @@ class ForecasterBank:
         values[1] = float(seasonal["level"])
         values[2] = float(seasonal["trend"])
         if self._single:
-            values[3 : self._hist_off] = seasonal["seasonals"]
-            ints[_PHASE] = int(seasonal["phase"])
+            buffers, phases = [seasonal["seasonals"]], [seasonal["phase"]]
         else:
-            for off, buf in zip(self._seasonal_off, seasonal["seasonals"]):
-                values[off : off + len(buf)] = buf
-            ints[_PHASE:] = [int(p) for p in seasonal["phases"]]
+            buffers, phases = seasonal["seasonals"], seasonal["phases"]
+        for k, (off, p) in enumerate(zip(self._seasonal_off, self._lengths)):
+            slot = self._tick % p
+            rot = (slot - int(phases[k])) % p
+            _store_ending_at(values[off : off + p], rot, buffers[k])
+            ints[_PHASE + k] = slot
+            ints[self._rot + k] = rot
 
     def series_state_dict(self, row: int) -> dict:
         """One node series' canonical snapshot: the window length, both

@@ -10,7 +10,9 @@ split statistics — identical checkpoint states.
 
 import inspect
 import json
+import random
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.engine.subtree import (
     split_session_state,
 )
 from repro.exceptions import CheckpointError
+from repro.forecasting import bank as bank_module
 from repro.forecasting.bank import ForecasterBank
 from repro.hierarchy.tree import HierarchyTree
 from repro.testing.reference import ReferenceADA, ReferenceSeries, ScalarRow
@@ -235,6 +238,44 @@ class TestPlannerInternals:
         assert plan.num_merges == sum(
             1 for k in kinds if k in ("fold", "move", "drop")
         )
+
+
+def churn_units(count, seed):
+    """Flash crowds of +8 at two random leaves, moving every 5 timeunits,
+    over a base of 2-3 per leaf that keeps ``a`` and ``b`` heavy: crowd
+    leaves split off their parents (reference-corrected at depth 2) and
+    fold back when the crowd moves on."""
+    rng = random.Random(seed)
+    units = []
+    for unit in range(count):
+        if unit % 5 == 0:
+            crowd = rng.sample(LEAVES, 2)
+        counts = {leaf: rng.randint(2, 3) for leaf in LEAVES}
+        for leaf in crowd:
+            counts[leaf] += 8
+        units.append(counts)
+    return units
+
+
+class TestLockstepFolds:
+    """Every tracked row is observed in every close, so the bank's folds of
+    warm rows — reseeded ones included — are one add: no seasonal buffer or
+    window is rotated."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_churn_session_never_rotates_a_fold(self, seed):
+        tree, config = make_tree(), make_config()
+        algo = ADAAlgorithm(tree, config)
+        units = churn_units(60, seed)
+        with mock.patch.object(
+            bank_module, "_rotated_add", wraps=bank_module._rotated_add
+        ) as rotated, mock.patch.object(
+            ForecasterBank, "fold_row", autospec=True, side_effect=ForecasterBank.fold_row
+        ) as folds:
+            got = run_units(algo, units)
+        assert folds.call_count >= 9
+        assert [call.args[2] for call in rotated.call_args_list if call.args[2]] == []
+        assert got == run_units(ReferenceADA(tree, config), units)
 
 
 class TestBankOps:
@@ -670,6 +711,31 @@ class TestRegistryGuards:
             run_units(oracle, self.TAIL, first_unit=len(self.WARM)),
         )
         assert got == want
+
+    def test_a_correct_split_without_reference_values_keeps_its_share(self):
+        """A SPLIT flagged ``correct`` on a node whose ring has no column
+        (below the reference levels): the child keeps its ratio share — it
+        is not left holding the recycled row's old state."""
+        tree, config = make_tree(), make_config()
+        ids = tree.path_to_id
+        algo = ADAAlgorithm(tree, config)
+        run_units(algo, self.WARM)
+        ops = [
+            (MOVE, ids[("b", "b2")], ids[("b", "b1")]),
+            (DROP, ids[("c", "c1")]),  # frees a warm row for the child
+            (SPLIT, ids[("b", "b1")], ids[("b", "b1", "x")], 0.25, True),
+        ]
+        assert not algo._ref_has_id(ids[("b", "b1", "x")])
+        algo._apply_plan(AdaptationPlan(ops, 1, 2))
+        oracle = ReferenceADA(tree, config)
+        run_units(oracle, self.WARM)
+        self.apply_plan_to_reference(oracle, ops, tree.paths)
+        child = algo.series_state(("b", "b1", "x"))
+        assert child["actual"] == [0.25 * 7.0]  # b2's one value; c1's row held two
+        assert child == oracle.series[("b", "b1", "x")].state_dict()
+        assert canonical_checkpoint(algo.state_dict(), row_sorted=True) == (
+            canonical_checkpoint(oracle.state_dict(), row_sorted=True)
+        )
 
     def test_restore_resets_the_registry(self):
         algo = ADAAlgorithm(make_tree(), make_config())
